@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race verify bench bench-smoke fuzz-smoke
+.PHONY: build test vet race verify bench bench-build bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ verify: build vet race
 
 bench:
 	$(GO) run ./cmd/qserv-bench -exp all
+
+# bench/ is its own module (the repository's benchmark, run by
+# `bash bench/run.sh`) and imports this module's packages by name, so
+# root `go test ./...` never compiles it: build, vet and test it here,
+# so a renamed function breaks tier-1 instead of the benchmark gate.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Tiny-size benchmarks fast enough to gate CI: the czar merge pipeline
 # (serialized vs pipelined collection, oracle-checked), the query-kill
@@ -53,20 +60,21 @@ bench-smoke:
 	$(GO) run ./cmd/qserv-bench -exp telemetry -objects 5 -json BENCH_smoke.json
 
 # Native Go fuzzing over the untrusted-bytes decoders: chunkstore
-# segment framing + WAL records, the ingest batch / segment-set codecs,
-# and the frontend wire-protocol codec (frame reader, v2 handshake,
-# value / column-header / row decoders — everything a hostile client
-# controls). Go allows one -fuzz pattern per invocation, hence one run
-# per target. Seed corpora (including hand-written hostile frames) live
-# under each package's testdata/fuzz/ and also run as plain tests in
-# `make test`.
+# segment framing + WAL records, the one row codec every format shares,
+# the ingest batch / segment-set framings, the worker result stream,
+# and the frontend wire protocol (frame reader, handshake, column-header
+# and row frames — everything a hostile client controls). Go allows one
+# -fuzz pattern per invocation, hence one run per target. Seed corpora
+# (including hand-written hostile frames) live under each package's
+# testdata/fuzz/ and also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/chunkstore -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chunkstore -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rowcodec -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dump -run '^$$' -fuzz '^FuzzResultDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzValueDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzColsDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)

@@ -26,6 +26,29 @@ var (
 	benchErr  error
 )
 
+// benchConfig is the cluster configuration of every benchmark here that
+// times the distributed pipeline: the czar result cache is off, because
+// most of them repeat one fixed statement and would otherwise time a
+// cache hit that dispatches no chunk query at all.
+func benchConfig(workers int) ClusterConfig {
+	cfg := DefaultClusterConfig(workers)
+	cfg.ResultCacheBytes = 0
+	return cfg
+}
+
+// queryUncached runs one statement, failing if the czar answered it
+// from its result cache instead of executing it.
+func queryUncached(cl *Cluster, sql string) error {
+	res, err := cl.Query(sql)
+	if err != nil {
+		return err
+	}
+	if res.CacheHit {
+		return fmt.Errorf("%q was a result-cache hit: the benchmark is not timing the pipeline", sql)
+	}
+	return nil
+}
+
 func benchCluster(b *testing.B) *Cluster {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -37,7 +60,7 @@ func benchCluster(b *testing.B) *Cluster {
 			benchErr = err
 			return
 		}
-		benchCl, benchErr = NewCluster(DefaultClusterConfig(8))
+		benchCl, benchErr = NewCluster(benchConfig(8))
 		if benchErr != nil {
 			return
 		}
@@ -54,7 +77,7 @@ func benchQuery(b *testing.B, sql string) {
 	cl := benchCluster(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Query(sql); err != nil {
+		if err := queryUncached(cl, sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +111,7 @@ func BenchmarkLV1ObjectRetrieval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sql := fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", 1+(i*37)%500)
-		if _, err := cl.Query(sql); err != nil {
+		if err := queryUncached(cl, sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +125,7 @@ func BenchmarkLV2TimeSeries(b *testing.B) {
 		sql := fmt.Sprintf(
 			"SELECT taiMidPoint, fluxToAbMag(psfFlux), fluxToAbMag(psfFluxErr), ra, decl FROM Source WHERE objectId = %d",
 			1+(i*41)%500)
-		if _, err := cl.Query(sql); err != nil {
+		if err := queryUncached(cl, sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +182,7 @@ func BenchmarkScalingLV1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl, err := NewCluster(DefaultClusterConfig(workers))
+			cl, err := NewCluster(benchConfig(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -170,7 +193,7 @@ func BenchmarkScalingLV1(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sql := fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", 1+(i*13)%200)
-				if _, err := cl.Query(sql); err != nil {
+				if err := queryUncached(cl, sql); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -189,7 +212,7 @@ func BenchmarkScalingHV(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl, err := NewCluster(DefaultClusterConfig(workers))
+			cl, err := NewCluster(benchConfig(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -199,7 +222,7 @@ func BenchmarkScalingHV(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Query("SELECT COUNT(*) FROM Object"); err != nil {
+				if err := queryUncached(cl, "SELECT COUNT(*) FROM Object"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,7 +241,7 @@ func BenchmarkScalingSHV1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl, err := NewCluster(DefaultClusterConfig(workers))
+			cl, err := NewCluster(benchConfig(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -228,7 +251,7 @@ func BenchmarkScalingSHV1(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Query(`SELECT count(*) FROM Object o1, Object o2
+				if err := queryUncached(cl, `SELECT count(*) FROM Object o1, Object o2
 					WHERE qserv_areaspec_box(2, -4, 10, 4)
 					AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.2`); err != nil {
 					b.Fatal(err)
@@ -249,7 +272,7 @@ func BenchmarkScalingSHV2(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cl, err := NewCluster(DefaultClusterConfig(workers))
+			cl, err := NewCluster(benchConfig(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -259,7 +282,7 @@ func BenchmarkScalingSHV2(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Query(`SELECT o.objectId, s.sourceId FROM Object o, Source s
+				if err := queryUncached(cl, `SELECT o.objectId, s.sourceId FROM Object o, Source s
 					WHERE qserv_areaspec_box(2, -4, 12, 4)
 					AND o.objectId = s.objectId
 					AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.00002`); err != nil {
@@ -283,7 +306,7 @@ func BenchmarkConcurrentMix(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := cl.Query(hv2)
+				err := queryUncached(cl, hv2)
 				errs <- err
 			}()
 		}
@@ -291,7 +314,7 @@ func BenchmarkConcurrentMix(b *testing.B) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				_, err := cl.Query(fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", 1+s))
+				err := queryUncached(cl, fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", 1+s))
 				errs <- err
 			}(s)
 		}
@@ -445,7 +468,7 @@ func BenchmarkAblationSubchunkCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := DefaultClusterConfig(4)
+			cfg := benchConfig(4)
 			cfg.CacheSubChunks = cached
 			cl, err := NewCluster(cfg)
 			if err != nil {
@@ -460,7 +483,7 @@ func BenchmarkAblationSubchunkCache(b *testing.B) {
 				AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.2`
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Query(sql); err != nil {
+				if err := queryUncached(cl, sql); err != nil {
 					b.Fatal(err)
 				}
 			}

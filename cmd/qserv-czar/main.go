@@ -1,5 +1,5 @@
 // Command qserv-czar runs the Qserv master frontend against a set of
-// qserv-worker processes, exposing SQL over TCP through the proxy:
+// qserv-worker processes, exposing SQL over TCP through the frontend:
 //
 //	qserv-czar -workers w0=127.0.0.1:7001,w1=127.0.0.1:7002 \
 //	           -peers w0,w1 -listen 127.0.0.1:7000 -seed 1
@@ -117,7 +117,7 @@ func main() {
 		cz.SetResultCache(qcache.New(*cacheFlag))
 	}
 	// Close cancels and drains in-flight queries, so workers' scan
-	// slots are released before the proxy stops answering.
+	// slots are released before the frontend stops answering.
 	defer cz.Close()
 
 	// The availability subsystem: the detector pings every worker over
@@ -165,9 +165,9 @@ func main() {
 		fmt.Printf("admin HTTP on http://%s (/metrics, /debug/pprof/)\n", admin.Addr())
 	}
 
-	// The frontend serves both wire protocols on one listener — legacy
-	// v1 and streaming v2 — with admission control bounding the session
-	// load any connection storm can put on this czar.
+	// The frontend serves the streaming wire protocol, with admission
+	// control bounding the session load any connection storm can put on
+	// this czar.
 	srv, err := frontend.Serve(*listenFlag, frontend.Config{
 		MaxSessions:       *maxSessFlag,
 		PerUserSessions:   *userSessFlag,
@@ -178,7 +178,7 @@ func main() {
 		fatal("frontend.listen", err)
 	}
 	defer srv.Close()
-	fmt.Printf("czar ready: %d workers, %d chunks; SQL frontend on %s (protocols v1+v2)\n",
+	fmt.Printf("czar ready: %d workers, %d chunks; SQL frontend on %s (protocol v2)\n",
 		len(addrs), len(layout.Placement.Chunks()), srv.Addr())
 	fmt.Printf("connect with: qserv-sql -addr %s  (or database/sql DSN qserv://user@%s/LSST)\n", srv.Addr(), srv.Addr())
 	fmt.Printf("manage queries with: SHOW PROCESSLIST; KILL <id>;\n")

@@ -9,7 +9,7 @@
 // immediately — and every statement reports first-row latency
 // separately from total latency. Ctrl-C during a statement kills the
 // in-flight query server-side (worker scan slots free) without ending
-// the session. -v1 falls back to the legacy buffered protocol.
+// the session.
 //
 // Besides SQL, the frontend answers the query-management commands of
 // the paper's section 5: `SHOW PROCESSLIST;` lists in-flight queries
@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/frontend"
-	"repro/internal/proxy"
 	"repro/internal/sqlengine"
 	"repro/internal/telemetry"
 )
@@ -45,7 +44,6 @@ var (
 	queryFlag = flag.String("e", "", "execute one statement and exit")
 	userFlag  = flag.String("user", "anonymous", "user identity for admission control")
 	dbFlag    = flag.String("db", "LSST", "database name")
-	v1Flag    = flag.Bool("v1", false, "use the legacy buffered v1 protocol")
 )
 
 // logger emits the client's structured failures (dial errors).
@@ -54,27 +52,15 @@ var logger = telemetry.NewLogger("qserv-sql")
 func main() {
 	flag.Parse()
 
-	var run func(sql string)
-	if *v1Flag {
-		client, err := proxy.Dial(*addrFlag)
-		if err != nil {
-			logger.Error("dial", "addr", *addrFlag, "err", err)
-			os.Exit(1)
-		}
-		defer client.Close()
-		run = func(sql string) { runV1(client, sql) }
-	} else {
-		client, err := frontend.Dial(*addrFlag, *userFlag, *dbFlag)
-		if err != nil {
-			logger.Error("dial", "addr", *addrFlag, "err", err)
-			os.Exit(1)
-		}
-		defer client.Close()
-		run = func(sql string) { runV2(client, sql) }
+	client, err := frontend.Dial(*addrFlag, *userFlag, *dbFlag)
+	if err != nil {
+		logger.Error("dial", "addr", *addrFlag, "err", err)
+		os.Exit(1)
 	}
+	defer client.Close()
 
 	if *queryFlag != "" {
-		run(*queryFlag)
+		runQuery(client, *queryFlag)
 		return
 	}
 
@@ -100,7 +86,7 @@ func main() {
 			sql := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
 			buf.Reset()
 			if sql != "" {
-				run(sql)
+				runQuery(client, sql)
 			}
 			fmt.Print("qserv> ")
 			continue
@@ -109,10 +95,10 @@ func main() {
 	}
 }
 
-// runV2 streams one statement: rows print as they arrive, Ctrl-C kills
+// runQuery streams one statement: rows print as they arrive, Ctrl-C kills
 // the in-flight query (not the session), and the summary separates
 // first-row latency from total latency.
-func runV2(client *frontend.Client, sql string) {
+func runQuery(client *frontend.Client, sql string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -184,52 +170,4 @@ func formatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-// runV1 is the legacy buffered path: the full result must arrive
-// before anything prints (no first-row latency to report — it equals
-// the total by construction).
-func runV1(client *proxy.Client, sql string) {
-	start := time.Now()
-	res, err := client.Query(sql)
-	if err != nil {
-		fmt.Printf("ERROR: %v\n", err)
-		return
-	}
-	elapsed := time.Since(start)
-	widths := make([]int, len(res.Cols))
-	for i, c := range res.Cols {
-		widths[i] = len(c)
-	}
-	text := make([][]string, len(res.Rows))
-	for r, row := range res.Rows {
-		text[r] = make([]string, len(row))
-		for i, v := range row {
-			s := sqlengine.FormatValue(v)
-			text[r][i] = s
-			if len(s) > widths[i] {
-				widths[i] = len(s)
-			}
-		}
-	}
-	sep := "+"
-	for _, w := range widths {
-		sep += strings.Repeat("-", w+2) + "+"
-	}
-	fmt.Println(sep)
-	fmt.Print("|")
-	for i, c := range res.Cols {
-		fmt.Printf(" %-*s |", widths[i], c)
-	}
-	fmt.Println()
-	fmt.Println(sep)
-	for _, row := range text {
-		fmt.Print("|")
-		for i, s := range row {
-			fmt.Printf(" %-*s |", widths[i], s)
-		}
-		fmt.Println()
-	}
-	fmt.Println(sep)
-	fmt.Printf("%d row(s) in %v\n", len(res.Rows), elapsed.Round(time.Millisecond))
 }

@@ -19,8 +19,7 @@ import (
 
 func main() {
 	// Stand up a small cluster and serve the SQL frontend on an
-	// ephemeral port (protocols v1+v2 on one listener; the driver
-	// speaks the streaming v2).
+	// ephemeral port (the driver speaks its streaming protocol).
 	cat, err := datagen.Generate(
 		datagen.Config{Seed: 1, ObjectsPerPatch: 500, MeanSourcesPerObject: 2},
 		datagen.DuplicateConfig{DeclBands: 3, MaxCopies: 20},

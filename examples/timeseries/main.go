@@ -1,7 +1,7 @@
 // Time series: the paper's Low Volume 2 workload — fetch every
 // detection of one astronomical object from the Source table, served
-// through the MySQL-proxy-equivalent TCP frontend so any client can
-// speak to the cluster (section 5.4). Demonstrates the objectId
+// through the SQL-over-TCP frontend (the MySQL Proxy's role, section
+// 5.4) so any client can speak to the cluster. Demonstrates the objectId
 // secondary index: the czar dispatches to exactly one chunk.
 package main
 
@@ -12,7 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
-	"repro/internal/proxy"
+	"repro/internal/frontend"
 	"repro/internal/sqlengine"
 )
 
@@ -33,33 +33,33 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Front the czar with the SQL-over-TCP proxy.
-	srv, err := proxy.Serve("127.0.0.1:0", cluster.Czar)
+	// Front the czar with the SQL-over-TCP frontend.
+	srv, err := cluster.ServeFrontend("127.0.0.1:0", qserv.DefaultFrontendConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := proxy.Dial(srv.Addr())
+	client, err := frontend.Dial(srv.Addr(), "astronomer", "LSST")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	fmt.Printf("proxy listening on %s; cluster holds %d sources\n\n", srv.Addr(), len(cat.Sources))
+	fmt.Printf("frontend listening on %s; cluster holds %d sources\n\n", srv.Addr(), len(cat.Sources))
 
 	// Light curve of object 17, in AB magnitudes, ordered by epoch.
 	sql := `SELECT taiMidPoint, fluxToAbMag(psfFlux), fluxToAbMag(psfFluxErr), ra, decl
 		FROM Source WHERE objectId = 17 ORDER BY taiMidPoint`
-	res, err := client.Query(sql)
+	_, rows, err := queryAll(client, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("> %s\n", sql)
 	fmt.Printf("%-12s %-10s %-12s\n", "epoch (MJD)", "mag (AB)", "position")
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		fmt.Printf("%-12.2f %-10.3f (%.5f, %+.5f)\n",
 			row[0].(float64), row[1].(float64), row[3].(float64), row[4].(float64))
 	}
-	if len(res.Rows) == 0 {
+	if len(rows) == 0 {
 		log.Fatal("object 17 has no detections; re-seed the catalog")
 	}
 
@@ -78,15 +78,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pl, err := client.Query("SHOW PROCESSLIST")
+	cols, pl, err := queryAll(client, "SHOW PROCESSLIST")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSHOW PROCESSLIST: %d in-flight (cols %v)\n", len(pl.Rows), pl.Cols)
-	if _, err := client.Query(fmt.Sprintf("KILL %d", scan.ID())); err != nil {
+	fmt.Printf("\nSHOW PROCESSLIST: %d in-flight (cols %v)\n", len(pl), cols)
+	if _, _, err := queryAll(client, fmt.Sprintf("KILL %d", scan.ID())); err != nil {
 		// The scan may have finished first at this toy scale.
 		fmt.Printf("KILL %d: %v\n", scan.ID(), err)
 	} else if _, werr := scan.Wait(context.Background()); werr != nil {
 		fmt.Printf("KILL %d: session ended with %v\n", scan.ID(), werr)
 	}
+}
+
+// queryAll runs one statement over the wire and collects its streamed
+// rows.
+func queryAll(c *frontend.Client, sql string) (cols []string, rows [][]sqlengine.Value, err error) {
+	st, err := c.Query(context.Background(), sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	for {
+		row, ok := st.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, row)
+	}
+	return st.Cols(), rows, st.Err()
 }

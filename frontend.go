@@ -41,10 +41,9 @@ type FrontendStats struct {
 }
 
 // Frontend is a running SQL-over-TCP listener in front of the
-// cluster's czar. It speaks both wire protocols — legacy v1 (buffered)
-// and v2 (streaming, with per-connection kill and admission control) —
-// on one port; the database/sql driver (package qservdriver) and
-// frontend.Dial speak v2, proxy.Dial speaks v1.
+// cluster's czar. It speaks the streaming wire protocol v2 (with
+// per-connection kill and admission control); the database/sql driver
+// (package qservdriver) and frontend.Dial are its clients.
 type Frontend struct {
 	srv *frontend.Server
 }

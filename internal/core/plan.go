@@ -139,8 +139,10 @@ type Plan struct {
 	// table; its FROM references the placeholder table name
 	// MergeTablePlaceholder.
 	Merge *sqlparse.Select
-	// ResultColumns are the output column names, used to synthesize an
-	// empty result when no chunk is dispatched.
+	// ResultColumns are the column names of a worker's chunk result (for
+	// an aggregate plan the partial aggregates, not what the client
+	// sees — that is OutputColumns), used to check arriving results and
+	// to synthesize an empty result when no chunk is dispatched.
 	ResultColumns []string
 	// ResultTypes are the storage types of ResultColumns, derived from
 	// catalog schemas and expression shapes; the czar uses them to type
@@ -508,6 +510,21 @@ func replaceAliasedTable(sql, from, to, alias string) string {
 func (p *Plan) MergeSQL(resultTable string) string {
 	sql := p.Merge.SQL()
 	return strings.ReplaceAll(sql, MergeTablePlaceholder, resultTable)
+}
+
+// OutputColumns are the column names of the merged result, what the
+// client sees: the merge statement's select items, a `*` standing for
+// every worker result column.
+func (p *Plan) OutputColumns() []string {
+	var out []string
+	for _, it := range p.Merge.Items {
+		if _, star := it.Expr.(*sqlparse.Star); star {
+			out = append(out, p.ResultColumns...)
+			continue
+		}
+		out = append(out, outputNameOf(it))
+	}
+	return out
 }
 
 // Streamable reports whether chunk results pass through the merge

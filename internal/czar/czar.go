@@ -1,14 +1,14 @@
 // Package czar implements the Qserv master frontend (the "qserv-master"
 // of Figure 1): it parses user SQL, plans chunk queries via the core
 // rewriter, dispatches them through the xrd fabric's two file
-// transactions, collects the mysqldump-style results, merges them into
+// transactions, collects the workers' result streams, merges them into
 // a session result table, and runs the merge/aggregation query to
 // produce the final answer (paper sections 5.3-5.5).
 //
 // Result collection is the scalability bottleneck the paper identifies
 // at the master (section 7.6); this czar therefore merges with a
 // streaming, parallel pipeline instead of the paper's serialized
-// load-then-copy: dispatch goroutines decode dump streams concurrently
+// load-then-copy: dispatch goroutines decode result streams concurrently
 // (dump.Decode, no engine involvement) and fold rows into a striped
 // appender (mergeSession), gated czar-wide by MergeParallelism so
 // merging overlaps with in-flight chunk fetches and concurrent user
@@ -86,7 +86,7 @@ type Czar struct {
 
 	// membership, when installed, is the availability subsystem's view
 	// of the cluster: dispatch consults Dead to order replicas around
-	// known-dead workers, and the proxy's SHOW WORKERS reads Status.
+	// known-dead workers, and the frontend's SHOW WORKERS reads Status.
 	// Without one (nil), dispatch behaves exactly as before.
 	membership Membership
 
@@ -282,39 +282,43 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 	sem := make(chan struct{}, c.cfg.MaxParallelDispatch)
 	for _, chunk := range plan.Chunks {
 		go func(chunk partition.ChunkID) {
-			// The chunk span covers the whole per-chunk pipeline: the
-			// dispatch-window wait, the fabric transactions (with the
-			// worker's shipped subtree grafted beneath), and the merge
-			// fold. A nil root makes every span call a no-op.
-			cs := q.root.Child(fmt.Sprintf("chunk %d", chunk))
-			defer cs.Finish()
-			// A canceled query's queued dispatches never start: they
-			// drain immediately instead of burning the dispatch window.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results <- chunkOutcome{chunk: chunk, err: context.Cause(ctx)}
-				return
-			}
-			defer func() { <-sem }()
-			q.dispatched.Add(1)
-			data, raw, retries, err := c.runChunk(ctx, q, plan, chunk, cs)
-			if err == nil {
-				mergeSem <- struct{}{}
-				ms := cs.Child("merge fold")
-				var rows []sqlengine.Row
-				rows, err = session.absorb(data)
-				ms.Finish()
-				<-mergeSem
+			// The outcome is sent only after the chunk's span and window
+			// slot are released: once every outcome is drained the trace
+			// is complete and may be rendered.
+			results <- func() chunkOutcome {
+				// The chunk span covers the whole per-chunk pipeline: the
+				// dispatch-window wait, the fabric transactions (with the
+				// worker's shipped subtree grafted beneath), and the merge
+				// fold. A nil root makes every span call a no-op.
+				cs := q.root.Child(fmt.Sprintf("chunk %d", chunk))
+				defer cs.Finish()
+				// A canceled query's queued dispatches never start: they
+				// drain immediately instead of burning the dispatch window.
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
+					return chunkOutcome{chunk: chunk, err: context.Cause(ctx)}
+				}
+				defer func() { <-sem }()
+				q.dispatched.Add(1)
+				data, raw, retries, err := c.runChunk(ctx, q, plan, chunk, cs)
 				if err == nil {
-					ms.SetAttr("rows", len(rows))
-					q.rowsMerged.Add(int64(len(rows)))
-					if streamable {
-						q.stream.push(rows)
+					mergeSem <- struct{}{}
+					ms := cs.Child("merge fold")
+					var rows []sqlengine.Row
+					rows, err = session.absorb(data)
+					ms.Finish()
+					<-mergeSem
+					if err == nil {
+						ms.SetAttr("rows", len(rows))
+						q.rowsMerged.Add(int64(len(rows)))
+						if streamable {
+							q.stream.push(rows)
+						}
 					}
 				}
-			}
-			results <- chunkOutcome{chunk: chunk, bytes: int64(len(data)), raw: int64(raw), retries: retries, err: err}
+				return chunkOutcome{chunk: chunk, bytes: int64(len(data)), raw: int64(raw), retries: retries, err: err}
+			}()
 		}(chunk)
 	}
 	// Drain every outcome even after a failure — the error path cancels
@@ -457,9 +461,10 @@ const cancelTxTimeout = 2 * time.Second
 // serving the result. A canceled context aborts the transactions in
 // flight and fires a best-effort cancel transaction at the worker that
 // accepted the dispatch, so its queued or running chunk query is
-// dequeued or aborted and the scan slot reclaimed. Both dispatch and
-// cancel carry the query's out-of-band identity (xrd.WithQID) so a
-// cancel can only detach the interest this query registered.
+// dequeued or aborted and the scan slot reclaimed. Dispatch, result
+// read and cancel all carry the query's out-of-band identity
+// (xrd.WithQID) so a read or a cancel can only release the interest
+// this query registered.
 // Worker-shipped trace trailers are stripped from the result bytes
 // here — unconditionally, because a worker with tracing on must not
 // leak trailer bytes into the merge regardless of this czar's own
@@ -470,7 +475,7 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 	qid := c.qidOf(q)
 	queryPath := xrd.QueryPath(int(chunk))
 	writePath := xrd.WithQID(queryPath, qid)
-	resultPath := xrd.ResultPath(payload)
+	resultPath := xrd.WithQID(xrd.ResultPath(payload), qid)
 	cancelPath := xrd.WithQID(xrd.CancelPath(xrd.ResultHash(payload)), qid)
 
 	// Health-aware replica ordering: replicas the failure detector

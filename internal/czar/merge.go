@@ -14,7 +14,7 @@ import (
 // mergeSession accumulates one user query's chunk results into the
 // session result table — the streaming replacement for the paper's
 // serialized load-then-copy collection step (section 7.6). Dispatch
-// goroutines decode dump streams concurrently (no engine, no locks) and
+// goroutines decode result streams concurrently (no engine, no locks) and
 // fold the rows into one of several stripes, each guarded by its own
 // mutex, so merging overlaps with in-flight chunk fetches and scales
 // with the czar's MergeParallelism. Three folders exist:
@@ -76,7 +76,7 @@ func newFolder(plan *core.Plan) partialFolder {
 	}
 }
 
-// absorb decodes one chunk's dump stream and folds its rows into a
+// absorb decodes one chunk's result stream and folds its rows into a
 // stripe, returning the decoded rows (the streaming-row feed for
 // pass-through plans; callers must treat them as read-only — the
 // folders retain the slices). It is safe to call from many dispatch

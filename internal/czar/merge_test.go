@@ -2,11 +2,13 @@ package czar
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dump"
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sqlengine"
@@ -120,6 +122,19 @@ func TestZeroChunkSchemaTypedFromPlan(t *testing.T) {
 	}
 }
 
+// intStream is a one-row chunk result stream of BIGINT columns (names
+// comma-separated), as a worker would ship it.
+func intStream(cols string, vals ...int64) []byte {
+	res := &sqlengine.Result{Cols: strings.Split(cols, ",")}
+	row := make(sqlengine.Row, len(vals))
+	for i, v := range vals {
+		res.Types = append(res.Types, sqlparse.TypeInt)
+		row[i] = v
+	}
+	res.Rows = []sqlengine.Row{row}
+	return []byte(dump.Dump("r_x", res))
+}
+
 func TestMergeSessionStripedFoldAndFinish(t *testing.T) {
 	p := planFor(t, "SELECT objectId FROM Object", false)
 	s := newMergeSession(p, 4)
@@ -128,9 +143,7 @@ func TestMergeSessionStripedFoldAndFinish(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			stream := fmt.Sprintf(
-				"CREATE TABLE r_x (objectId BIGINT);\nINSERT INTO r_x VALUES (%d);\n", i)
-			if _, err := s.absorb([]byte(stream)); err != nil {
+			if _, err := s.absorb(intStream("objectId", int64(i))); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -152,15 +165,14 @@ func TestMergeSessionStripedFoldAndFinish(t *testing.T) {
 func TestMergeSessionRejectsArityMismatch(t *testing.T) {
 	p := planFor(t, "SELECT objectId FROM Object", false)
 	s := newMergeSession(p, 1)
-	bad := "CREATE TABLE r_x (a BIGINT, b BIGINT);\nINSERT INTO r_x VALUES (1, 2);\n"
-	if _, err := s.absorb([]byte(bad)); err == nil {
+	bad := intStream("a,b", 1, 2)
+	if _, err := s.absorb(bad); err == nil {
 		t.Error("arity mismatch vs plan must be rejected")
 	}
-	ok := "CREATE TABLE r_x (objectId BIGINT);\nINSERT INTO r_x VALUES (1);\n"
-	if _, err := s.absorb([]byte(ok)); err != nil {
+	if _, err := s.absorb(intStream("objectId", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.absorb([]byte(bad)); err == nil {
+	if _, err := s.absorb(bad); err == nil {
 		t.Error("arity mismatch vs session schema must be rejected")
 	}
 }

@@ -400,7 +400,7 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 			// trace, not the statement's.
 			q.setColumns(explainColumns)
 		} else {
-			q.setColumns(plan.ResultColumns)
+			q.setColumns(plan.OutputColumns())
 		}
 	}
 

@@ -1,14 +1,17 @@
 package dump
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
 )
 
-func sourceEngine(t *testing.T) *sqlengine.Engine {
+func sourceEngine(t testing.TB) *sqlengine.Engine {
 	t.Helper()
 	e := sqlengine.New("LSST")
 	if _, err := e.Execute(`CREATE TABLE r (objectId BIGINT, ra DOUBLE, note VARCHAR)`); err != nil {
@@ -24,319 +27,234 @@ func sourceEngine(t *testing.T) *sqlengine.Engine {
 	return e
 }
 
-func TestRoundTripTable(t *testing.T) {
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-
-	script := DumpTable("result_abc", tbl)
-	dst := sqlengine.New("LSST")
-	name, n, err := Load(dst, script)
+func query(t testing.TB, e *sqlengine.Engine, sql string) *sqlengine.Result {
+	t.Helper()
+	res, err := e.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "result_abc" || n != 4 {
-		t.Fatalf("name=%q n=%d", name, n)
-	}
-	res, err := dst.Query("SELECT objectId, ra, note FROM result_abc ORDER BY objectId")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if res.Rows[0][1].(float64) != 10.25 {
-		t.Errorf("ra[0] = %v", res.Rows[0][1])
-	}
-	if res.Rows[1][2].(string) != "it's quoted" {
-		t.Errorf("quoted string lost: %q", res.Rows[1][2])
-	}
-	if got := res.Rows[2][1].(float64); math.Abs(got-1e-30)/1e-30 > 1e-12 {
-		t.Errorf("tiny float lost precision: %v", got)
-	}
-	if !sqlengine.IsNull(res.Rows[2][2]) || !sqlengine.IsNull(res.Rows[3][1]) {
-		t.Error("NULLs not preserved")
-	}
-}
-
-func TestRoundTripQueryResult(t *testing.T) {
-	src := sourceEngine(t)
-	res, err := src.Query("SELECT objectId, ra * 2 AS ra2 FROM r WHERE objectId <= 2 ORDER BY objectId")
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := Dump("res_1", res)
-	dst := sqlengine.New("LSST")
-	if _, _, err := Load(dst, script); err != nil {
-		t.Fatal(err)
-	}
-	out, err := dst.Query("SELECT ra2 FROM res_1 ORDER BY objectId")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows[0][0].(float64) != 20.5 || out.Rows[1][0].(float64) != -1.0 {
-		t.Errorf("values: %v", out.Rows)
-	}
-}
-
-func TestEmptyResult(t *testing.T) {
-	src := sourceEngine(t)
-	res, err := src.Query("SELECT objectId FROM r WHERE objectId = 999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := Dump("empty_r", res)
-	dst := sqlengine.New("LSST")
-	name, n, err := Load(dst, script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "empty_r" || n != 0 {
-		t.Errorf("name=%q n=%d", name, n)
-	}
-	out, err := dst.Query("SELECT COUNT(*) FROM empty_r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows[0][0].(int64) != 0 {
-		t.Error("empty table should load as empty")
-	}
-}
-
-func TestDumpOverwritesExisting(t *testing.T) {
-	// The DROP TABLE IF EXISTS header must let a reload replace a stale
-	// result table.
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-	script := DumpTable("res", tbl)
-	dst := sqlengine.New("LSST")
-	if _, _, err := Load(dst, script); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(dst, script); err != nil {
-		t.Fatalf("second load failed: %v", err)
-	}
-	out, err := dst.Query("SELECT COUNT(*) FROM res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows[0][0].(int64) != 4 {
-		t.Errorf("rows after reload = %v", out.Rows[0][0])
-	}
-}
-
-func TestBatchedInserts(t *testing.T) {
-	e := sqlengine.New("LSST")
-	if _, err := e.Execute("CREATE TABLE big (i BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO big VALUES ")
-	for i := 0; i < 1200; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString("(")
-		sb.WriteString(sqlengine.FormatValue(int64(i)))
-		sb.WriteString(")")
-	}
-	if _, err := e.Execute(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-	db, _ := e.Database("LSST")
-	tbl, _ := db.Table("big")
-	script := DumpTable("big2", tbl)
-	// 1200 rows with 500-row batching = 3 INSERT statements.
-	if got := strings.Count(script, "INSERT INTO"); got != 3 {
-		t.Errorf("INSERT statements = %d, want 3", got)
-	}
-	dst := sqlengine.New("LSST")
-	_, n, err := Load(dst, script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1200 {
-		t.Errorf("loaded %d rows", n)
-	}
-}
-
-func TestQualifiedTargetName(t *testing.T) {
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-	script := DumpTable("resultdb.res_77", tbl)
-	dst := sqlengine.New("main")
-	dst.CreateDatabase("resultdb")
-	name, _, err := Load(dst, script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "resultdb.res_77" {
-		t.Errorf("name = %q", name)
-	}
-	if _, err := dst.Query("SELECT * FROM resultdb.res_77"); err != nil {
-		t.Errorf("qualified table not queryable: %v", err)
-	}
+	return res
 }
 
 func TestDecode(t *testing.T) {
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-	dec, err := Decode(DumpTable("res_1", tbl))
+	res := query(t, sourceEngine(t), "SELECT objectId, ra, note FROM r ORDER BY objectId")
+	dec, err := Decode(Dump("res_1", res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Name != "res_1" || len(dec.Rows) != 4 || len(dec.Schema) != 3 {
 		t.Fatalf("dec = %+v", dec)
 	}
-	// Types survive: BIGINT column decodes to int64, DOUBLE to float64,
-	// VARCHAR to string, NULL to nil — including the negative float.
-	if dec.Schema[0].Type.String() != "BIGINT" {
-		t.Errorf("schema: %+v", dec.Schema)
+	// Names and types survive: BIGINT column decodes to int64, DOUBLE to
+	// float64, VARCHAR to string, NULL to nil — including the negative
+	// float and the tiny one, exactly.
+	if got := strings.Join(dec.Schema.Names(), ","); got != "objectId,ra,note" {
+		t.Errorf("column names = %s", got)
 	}
-	if _, ok := dec.Rows[0][0].(int64); !ok {
-		t.Errorf("objectId decoded as %T", dec.Rows[0][0])
+	for i, want := range []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeString} {
+		if dec.Schema[i].Type != want {
+			t.Errorf("column %d type = %v, want %v", i, dec.Schema[i].Type, want)
+		}
+	}
+	if got, ok := dec.Rows[0][0].(int64); !ok || got != 1 {
+		t.Errorf("objectId decoded as %T %v", dec.Rows[0][0], dec.Rows[0][0])
 	}
 	if got := dec.Rows[1][1].(float64); got != -0.5 {
 		t.Errorf("negative float decoded as %v", dec.Rows[1][1])
 	}
+	if got := dec.Rows[2][1].(float64); got != 1e-30 {
+		t.Errorf("tiny float decoded as %v", got)
+	}
 	if got := dec.Rows[1][2].(string); got != "it's quoted" {
 		t.Errorf("string decoded as %q", got)
 	}
-	if !sqlengine.IsNull(dec.Rows[2][2]) {
-		t.Error("NULL lost in decode")
+	if !sqlengine.IsNull(dec.Rows[2][2]) || !sqlengine.IsNull(dec.Rows[3][1]) {
+		t.Error("NULLs lost in decode")
 	}
 }
 
-func TestDecodeRejectsNonDumpStatements(t *testing.T) {
-	for _, script := range []string{
-		"SELECT 1;",
-		"CREATE TABLE a (x BIGINT); CREATE TABLE b (y BIGINT);",
-		"INSERT INTO a VALUES (1);",
-		"CREATE TABLE a (x BIGINT); INSERT INTO other VALUES (1);",
-		"DROP TABLE IF EXISTS a;",
-	} {
-		if _, err := Decode(script); err == nil {
-			t.Errorf("Decode(%q) should fail", script)
-		}
+func TestRoundTripQueryResult(t *testing.T) {
+	res := query(t, sourceEngine(t), "SELECT objectId, ra * 2 AS ra2 FROM r WHERE objectId <= 2 ORDER BY objectId")
+	dec, err := Decode(Dump("res_1", res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Schema[1].Name != "ra2" || len(dec.Rows) != 2 {
+		t.Fatalf("dec = %+v", dec)
+	}
+	if dec.Rows[0][1].(float64) != 20.5 || dec.Rows[1][1].(float64) != -1.0 {
+		t.Errorf("values: %v", dec.Rows)
 	}
 }
 
-func TestLoadIntoNamespaces(t *testing.T) {
-	// Two "concurrent user queries" load identical content-addressed
-	// streams; per-query namespaces keep them from colliding without
-	// any cross-query lock.
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-	script := DumpTable("r_abc123", tbl)
-
-	e := sqlengine.New("LSST")
-	for _, ns := range []string{"q1", "q2"} {
-		name, n, err := LoadInto(e, ns, script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name != "r_abc123" || n != 4 {
-			t.Fatalf("ns %s: name=%q n=%d", ns, name, n)
-		}
+func TestEmptyResult(t *testing.T) {
+	res := query(t, sourceEngine(t), "SELECT objectId FROM r WHERE objectId = 999")
+	dec, err := Decode(Dump("empty_r", res))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ns := range []string{"q1", "q2"} {
-		out, err := e.Query("SELECT COUNT(*) FROM " + ns + ".r_abc123")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Rows[0][0].(int64) != 4 {
-			t.Errorf("ns %s: count = %v", ns, out.Rows[0][0])
-		}
+	if dec.Name != "empty_r" || len(dec.Rows) != 0 {
+		t.Errorf("name=%q rows=%d", dec.Name, len(dec.Rows))
 	}
-	// The default database never saw a staging table.
-	def, _ := e.Database("LSST")
-	if n := len(def.TableNames()); n != 0 {
-		t.Errorf("default db polluted: %v", def.TableNames())
+	// The schema ships even with no rows: an empty chunk result still
+	// shapes the session table.
+	if len(dec.Schema) != 1 || dec.Schema[0].Name != "objectId" {
+		t.Errorf("schema = %+v", dec.Schema)
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	dst := sqlengine.New("LSST")
-	if _, _, err := Load(dst, "this is not SQL"); err == nil {
-		t.Error("garbage should fail")
+func TestQualifiedTargetName(t *testing.T) {
+	res := query(t, sourceEngine(t), "SELECT * FROM r")
+	dec, err := Decode(Dump("resultdb.res_77", res))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Load(dst, "INSERT INTO nowhere VALUES (1);"); err == nil {
-		t.Error("insert into missing table should fail")
-	}
-	if _, _, err := Load(dst, "DROP TABLE IF EXISTS x;"); err == nil {
-		t.Error("stream without CREATE should fail")
-	}
-	if _, _, err := Load(dst, "SELECT 1;"); err == nil {
-		t.Error("SELECT in dump stream should fail")
-	}
-}
-
-func TestDumpByteSizeMatchesOverheadClaim(t *testing.T) {
-	// The dump stream is strictly larger than the raw row data — the
-	// overhead the paper complains about in section 7.1.
-	src := sourceEngine(t)
-	db, _ := src.Database("LSST")
-	tbl, _ := db.Table("r")
-	script := DumpTable("res", tbl)
-	if int64(len(script)) <= tbl.ByteSize()/2 {
-		t.Errorf("dump suspiciously small: %d bytes vs table %d", len(script), tbl.ByteSize())
-	}
-	if !strings.Contains(script, "CREATE TABLE") || !strings.Contains(script, "INSERT INTO") {
-		t.Error("dump missing structural statements")
+	if dec.Name != "resultdb.res_77" {
+		t.Errorf("name = %q", dec.Name)
 	}
 }
 
 func TestSpecialFloatValues(t *testing.T) {
-	e := sqlengine.New("LSST")
-	if _, err := e.Execute("CREATE TABLE f (x DOUBLE)"); err != nil {
-		t.Fatal(err)
+	vals := []float64{0.1, 1234567890.12345, -1e300, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	res := &sqlengine.Result{Cols: []string{"x"}, Types: []sqlparse.ColType{sqlparse.TypeFloat}}
+	for _, v := range vals {
+		res.Rows = append(res.Rows, sqlengine.Row{v})
 	}
-	if _, err := e.Execute("INSERT INTO f VALUES (0.1), (1234567890.12345), (-1e300)"); err != nil {
-		t.Fatal(err)
-	}
-	db, _ := e.Database("LSST")
-	tbl, _ := db.Table("f")
-	dst := sqlengine.New("LSST")
-	if _, _, err := Load(dst, DumpTable("f2", tbl)); err != nil {
-		t.Fatal(err)
-	}
-	out, err := dst.Query("SELECT x FROM f2 ORDER BY x")
+	dec, err := Decode(Dump("f2", res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{-1e300, 0.1, 1234567890.12345}
-	for i, w := range want {
-		if got := out.Rows[i][0].(float64); got != w {
+	for i, w := range vals {
+		if got := dec.Rows[i][0].(float64); math.Float64bits(got) != math.Float64bits(w) {
 			t.Errorf("row %d: %v != %v", i, got, w)
 		}
 	}
 }
 
-func BenchmarkDumpLoad1kRows(b *testing.B) {
-	e := sqlengine.New("LSST")
-	e.MustExecute("CREATE TABLE big (i BIGINT, x DOUBLE)")
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO big VALUES ")
-	for i := 0; i < 1000; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString("(")
-		sb.WriteString(sqlengine.FormatValue(int64(i)))
-		sb.WriteString(", 0.5)")
+// TestDecodeCoercesToDeclaredType: values take the declared column
+// type at decode, as the engine's INSERT would — the session table the
+// czar builds from decoded rows is typed by the schema, not by what a
+// worker happened to ship. A column with no declared type is DOUBLE.
+func TestDecodeCoercesToDeclaredType(t *testing.T) {
+	res := &sqlengine.Result{
+		Cols:  []string{"i", "f", "s", "untyped"},
+		Types: []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeString},
+		Rows: []sqlengine.Row{
+			{2.9, int64(3), int64(7), int64(1)},
+			{"12", "1.5", 2.5, nil},
+			{"not a number", nil, "s", 0.25},
+		},
 	}
-	e.MustExecute(sb.String())
-	db, _ := e.Database("LSST")
-	tbl, _ := db.Table("big")
+	dec, err := Decode(Dump("t", res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []sqlengine.Row{
+		{int64(2), 3.0, "7", 1.0},
+		{int64(12), 1.5, "2.5", nil},
+		{"not a number", nil, "s", 0.25},
+	}
+	for i := range want {
+		for j := range want[i] {
+			if dec.Rows[i][j] != want[i][j] {
+				t.Errorf("row %d col %d: %T %v, want %T %v", i, j, dec.Rows[i][j], dec.Rows[i][j], want[i][j], want[i][j])
+			}
+		}
+	}
+	if dec.Schema[3].Type != sqlparse.TypeFloat {
+		t.Errorf("untyped column declared %v", dec.Schema[3].Type)
+	}
+}
+
+// hostileStreams are malformed result streams: truncations of a valid
+// one and counts or lengths claiming more than the bytes present.
+func hostileStreams(t testing.TB) map[string]string {
+	valid := Dump("r_abc", query(t, sourceEngine(t), "SELECT * FROM r"))
+	uv := func(v uint64) string { return string(binary.AppendUvarint(nil, v)) }
+	out := map[string]string{
+		"empty":               "",
+		"sql text":            "CREATE TABLE a (x BIGINT);",
+		"magic only":          streamMagic,
+		"wrong version":       "QRES2" + valid[len(streamMagic):],
+		"huge name length":    streamMagic + uv(1<<62),
+		"huge column count":   streamMagic + uv(1) + "t" + uv(1<<62),
+		"huge column name":    streamMagic + uv(1) + "t" + uv(1) + uv(1<<62),
+		"missing column type": streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c",
+		"unknown column type": streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c" + "z" + uv(0),
+		"huge row count":      streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c" + "i" + uv(1<<62),
+		"row count past end":  streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c" + "i" + uv(2) + "\x01n",
+		"wrapping row count":  streamMagic + uv(1) + "t" + uv(0) + uv(math.MaxUint64),
+		"narrow row":          streamMagic + uv(1) + "t" + uv(2) + uv(1) + "a" + "i" + uv(1) + "b" + "i" + uv(1) + "\x01n",
+		"wide row":            streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c" + "i" + uv(1) + "\x02nn",
+		"bad cell tag":        streamMagic + uv(1) + "t" + uv(1) + uv(1) + "c" + "i" + uv(1) + "\x01z",
+		"trailing bytes":      valid + "x",
+	}
+	for _, cut := range []int{len(valid) - 1, len(valid) / 2, len(streamMagic) + 1} {
+		out[fmt.Sprintf("truncated at %d", cut)] = valid[:cut]
+	}
+	return out
+}
+
+func TestDecodeRejectsHostileStreams(t *testing.T) {
+	for name, s := range hostileStreams(t) {
+		if dec, err := Decode(s); err == nil {
+			t.Errorf("%s: accepted as %+v", name, dec)
+		}
+	}
+}
+
+// FuzzResultDecode holds the czar-side decoder to reject-or-round-trip
+// over bytes a worker (or anything on the fabric claiming to be one)
+// controls: no panic, no more rows than input bytes, and an accepted
+// stream re-dumps to one that decodes to the same shape.
+func FuzzResultDecode(f *testing.F) {
+	f.Add([]byte(Dump("r_abc", query(f, sourceEngine(f), "SELECT * FROM r"))))
+	f.Add([]byte(Dump("empty", &sqlengine.Result{})))
+	for _, s := range hostileStreams(f) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := Decode(string(data))
+		if err != nil {
+			return
+		}
+		if len(dec.Rows) > len(data) || len(dec.Schema) > len(data) {
+			t.Fatalf("decoded %d rows x %d columns from %d bytes", len(dec.Rows), len(dec.Schema), len(data))
+		}
+		res := &sqlengine.Result{Cols: dec.Schema.Names(), Rows: dec.Rows}
+		for _, c := range dec.Schema {
+			res.Types = append(res.Types, c.Type)
+		}
+		again, err := Decode(Dump(dec.Name, res))
+		if err != nil {
+			t.Fatalf("accepted stream does not survive a re-dump: %v", err)
+		}
+		if again.Name != dec.Name || len(again.Schema) != len(dec.Schema) || len(again.Rows) != len(dec.Rows) {
+			t.Fatalf("round trip changed shape: %q %dx%d -> %q %dx%d", dec.Name, len(dec.Rows), len(dec.Schema),
+				again.Name, len(again.Rows), len(again.Schema))
+		}
+		for i, row := range dec.Rows {
+			for j := range row {
+				if sqlengine.FormatValue(row[j]) != sqlengine.FormatValue(again.Rows[i][j]) {
+					t.Fatalf("round trip diverged at row %d col %d: %v -> %v", i, j, row[j], again.Rows[i][j])
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkDumpDecode1kRows(b *testing.B) {
+	res := &sqlengine.Result{
+		Cols:  []string{"i", "x"},
+		Types: []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat},
+	}
+	for i := 0; i < 1000; i++ {
+		res.Rows = append(res.Rows, sqlengine.Row{int64(i), 0.5})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		script := DumpTable("copy", tbl)
-		dst := sqlengine.New("LSST")
-		if _, _, err := Load(dst, script); err != nil {
+		if _, err := Decode(Dump("copy", res)); err != nil {
 			b.Fatal(err)
 		}
 	}

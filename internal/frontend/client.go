@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -43,9 +44,9 @@ func Dial(addr, user, db string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("frontend: handshake: %w", err)
 	}
-	if h := string(reply); h != "OK2" {
+	if string(reply) != "OK2" {
 		conn.Close()
-		return nil, fmt.Errorf("frontend: handshake rejected: %s", strings.TrimPrefix(h, "ERR "))
+		return nil, fmt.Errorf("frontend: handshake rejected: %s", bytes.TrimPrefix(reply, []byte{tagErr}))
 	}
 	return c, nil
 }
@@ -193,7 +194,7 @@ func (s *Stream) finish(err error) {
 
 // Next returns the next row, blocking until the server streams one; ok
 // is false at end of stream — then Err distinguishes success from
-// failure (a v2 error frame is legal mid-stream, after any number of
+// failure (an error frame is legal mid-stream, after any number of
 // rows).
 func (s *Stream) Next() (row []sqlengine.Value, ok bool) {
 	if s.done {

@@ -63,8 +63,7 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// Server serves protocols v1 and v2 over one TCP listener,
-// round-robining query sessions across backends (section 7.6's
+// Server serves protocol v2 over one TCP listener, round-robining query sessions across backends (section 7.6's
 // multi-master load balancing).
 type Server struct {
 	backends []Backend
@@ -176,9 +175,8 @@ func (s *Server) pick() Backend {
 	return s.backends[int(s.next.Add(1)-1)%len(s.backends)]
 }
 
-// serveConn dispatches on the connection's first frame: a v2 handshake
-// (leading 0x02 version byte) selects the streaming protocol; anything
-// else is already a v1 query and the connection is served as legacy v1.
+// serveConn reads the connection's first frame, which must be a v2
+// handshake; anything else gets one E frame and the connection closes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -187,13 +185,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	user, db, v2, err := parseHandshake(first)
-	if !v2 {
-		s.serveV1(r, w, string(first))
-		return
-	}
+	user, db, err := parseHandshake(first)
 	if err != nil {
-		writeFrame(w, []byte("ERR "+err.Error()))
+		writeFrame(w, append([]byte{tagErr}, err.Error()...))
 		w.Flush()
 		return
 	}
@@ -289,6 +283,7 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 	sendErr := func(err error) bool {
 		return writeFrame(w, append([]byte{tagErr}, err.Error()...)) == nil && w.Flush() == nil
 	}
+	var frame []byte // row-frame scratch, reused across rows
 
 	// Admin commands are cheap introspection; they bypass admission so
 	// an operator can still see a saturated frontend.
@@ -300,7 +295,10 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 			return false
 		}
 		for _, row := range rows {
-			if writeFrame(w, encodeRow(row)) != nil {
+			if frame, err = appendRowFrame(frame[:0], row); err != nil {
+				return sendErr(err)
+			}
+			if writeFrame(w, frame) != nil {
 				return false
 			}
 		}
@@ -342,7 +340,10 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 		if !ok {
 			break
 		}
-		if writeFrame(w, encodeRow(row)) != nil {
+		if frame, err = appendRowFrame(frame[:0], row); err != nil {
+			return sendErr(err)
+		}
+		if writeFrame(w, frame) != nil {
 			return false
 		}
 		rows++
@@ -351,7 +352,7 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 	if err != nil {
 		// Mid-stream failure (worker died, query killed, client quota
 		// deadline): the error frame is legal after any number of row
-		// frames — the defining fix over v1's silent truncation.
+		// frames, so a long scan's failure is never a silent truncation.
 		return sendErr(err)
 	}
 	st := DoneStats{
@@ -360,74 +361,6 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 		BytesMerged: res.BytesMerged,
 	}
 	return writeFrame(w, encodeDone(rows, st)) == nil && w.Flush() == nil
-}
-
-// ---------- protocol v1 (legacy) ----------
-
-// serveV1 serves the legacy buffered protocol: one query per frame,
-// answered with "OK <ncols> <nrows>" (so the whole result must exist
-// before the first byte — v1 cannot stream by construction) or "ERR
-// <message>". firstSQL is the already-read first frame. v1 sessions
-// pass through the same admission controller under the synthetic user
-// "(v1)"; a dropped v1 connection is only noticed at the next write,
-// so its in-flight query runs to completion (pinned by tests; use v2).
-func (s *Server) serveV1(r *bufio.Reader, w *bufio.Writer, firstSQL string) {
-	sql := firstSQL
-	for {
-		if !s.runV1Query(w, sql) {
-			return
-		}
-		sqlBytes, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		sql = string(sqlBytes)
-	}
-}
-
-func (s *Server) runV1Query(w *bufio.Writer, sql string) bool {
-	var cols []string
-	var rows [][]sqlengine.Value
-	var qerr error
-	if acols, arows, handled, aerr := s.admin(sql); handled {
-		cols, rows, qerr = acols, arows, aerr
-	} else if qerr = s.adm.acquire("(v1)", nil); qerr == nil {
-		var q *czar.Query
-		q, qerr = s.pick().Submit(context.Background(), sql, czar.Options{})
-		if qerr == nil {
-			var res *czar.QueryResult
-			res, qerr = q.Wait(context.Background())
-			if qerr == nil {
-				cols = res.Cols
-				rows = make([][]sqlengine.Value, len(res.Rows))
-				for i, row := range res.Rows {
-					rows[i] = row
-				}
-			}
-		}
-		s.adm.release("(v1)")
-	}
-	if qerr != nil {
-		writeFrame(w, []byte("ERR "+qerr.Error()))
-		return w.Flush() == nil
-	}
-	header := fmt.Sprintf("OK %d %d", len(cols), len(rows))
-	if writeFrame(w, []byte(header)) != nil {
-		return false
-	}
-	for _, c := range cols {
-		if writeFrame(w, []byte(c)) != nil {
-			return false
-		}
-	}
-	for _, row := range rows {
-		for _, v := range row {
-			if writeFrame(w, encodeValue(v)) != nil {
-				return false
-			}
-		}
-	}
-	return w.Flush() == nil
 }
 
 // ---------- admin commands ----------

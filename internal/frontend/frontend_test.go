@@ -1,8 +1,11 @@
 package frontend
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,9 +187,8 @@ func TestV2StreamsBeforeCompletion(t *testing.T) {
 	}
 }
 
-// TestV2MidStreamError pins the defining fix over v1: a failure after
-// rows have already been streamed arrives as an in-band error frame,
-// not a silent truncation.
+// TestV2MidStreamError: a failure after rows have already been streamed
+// arrives as an in-band error frame, not a silent truncation.
 func TestV2MidStreamError(t *testing.T) {
 	b := newFakeBackend(func(sql string, feed *czar.QueryFeed) {
 		feed.SetColumns("x")
@@ -747,5 +749,323 @@ func TestShowMetricsAndProfile(t *testing.T) {
 	if err == nil {
 		st.Close()
 		t.Fatalf("SHOW METRICS without telemetry: expected error")
+	}
+}
+
+// ---------- multi-backend and admin behaviour ----------
+
+// engineBackend is a fakeBackend answering real SQL from a local
+// engine, with a canned process list and availability snapshot, for
+// the behaviours that span several czars behind one frontend.
+type engineBackend struct {
+	*fakeBackend
+	calls  atomic.Int64
+	killed atomic.Int64
+
+	listed []czar.QueryInfo
+	status *member.Status
+}
+
+func newEngineBackend(t *testing.T) *engineBackend {
+	t.Helper()
+	e := sqlengine.New("LSST")
+	if _, err := e.Execute(`CREATE TABLE Object (objectId BIGINT, ra_PS DOUBLE, note VARCHAR)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(`INSERT INTO Object VALUES (1, 10.5, 'a'), (2, 20.25, NULL), (3, 30.0, 'c')`); err != nil {
+		t.Fatal(err)
+	}
+	b := &engineBackend{}
+	b.fakeBackend = newFakeBackend(func(sql string, feed *czar.QueryFeed) {
+		b.calls.Add(1)
+		feed.Finish(e.Query(sql))
+	})
+	return b
+}
+
+func (b *engineBackend) Running() []czar.QueryInfo { return b.listed }
+
+func (b *engineBackend) Kill(id int64) bool {
+	for _, qi := range b.listed {
+		if qi.ID == id {
+			b.killed.Add(1)
+			return true
+		}
+	}
+	return false
+}
+
+func (b *engineBackend) ClusterStatus() (member.Status, bool) {
+	if b.status == nil {
+		return member.Status{}, false
+	}
+	return *b.status, true
+}
+
+// queryAll runs one statement to completion.
+func queryAll(c *Client, sql string) (cols []string, rows [][]sqlengine.Value, err error) {
+	st, err := c.Query(context.Background(), sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	for {
+		row, ok := st.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, row)
+	}
+	return st.Cols(), rows, st.Err()
+}
+
+func serveBackends(t *testing.T, backends ...Backend) *Client {
+	t.Helper()
+	s, err := Serve("127.0.0.1:0", Config{}, backends...)
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return dial(t, s, "alice")
+}
+
+func TestServeRequiresBackend(t *testing.T) {
+	if _, err := Serve("127.0.0.1:0", Config{}); err == nil {
+		t.Error("no backends should fail")
+	}
+}
+
+// TestEveryValueKindOverTheWire: ints, floats, strings and NULLs from
+// a real engine result survive the row frame, and a failed statement
+// leaves the connection usable.
+func TestEveryValueKindOverTheWire(t *testing.T) {
+	c := serveBackends(t, newEngineBackend(t))
+	cols, rows, err := queryAll(c, "SELECT objectId, ra_PS, note FROM Object ORDER BY objectId")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols) != 3 || cols[0] != "objectId" || len(rows) != 3 {
+		t.Fatalf("cols %v, %d rows", cols, len(rows))
+	}
+	if rows[0][0] != int64(1) || rows[0][1] != 10.5 || rows[0][2] != "a" {
+		t.Errorf("row 0: %v", rows[0])
+	}
+	if rows[1][2] != nil {
+		t.Errorf("NULL not preserved: %v", rows[1][2])
+	}
+	if _, _, err := queryAll(c, "SELECT * FROM NoSuch"); err == nil || !strings.Contains(err.Error(), "NoSuch") {
+		t.Fatalf("error not propagated: %v", err)
+	}
+	if _, rows, err := queryAll(c, "SELECT COUNT(*) FROM Object"); err != nil || rows[0][0] != int64(3) {
+		t.Fatalf("connection dead after error: %v %v", rows, err)
+	}
+}
+
+// TestNonHandshakeFirstFrame: a client whose first frame is not a v2
+// hello — SQL text, as the removed v1 protocol sent — gets exactly one
+// E frame and a closed connection.
+func TestNonHandshakeFirstFrame(t *testing.T) {
+	b := newEngineBackend(t)
+	s := serve(t, Config{}, b)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w := bufio.NewWriter(conn)
+	if err := writeFrame(w, []byte("SELECT COUNT(*) FROM Object")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	f, err := readFrame(r)
+	if err != nil {
+		t.Fatalf("reading the rejection: %v", err)
+	}
+	if len(f) == 0 || f[0] != tagErr || !strings.Contains(string(f[1:]), "handshake") {
+		t.Fatalf("rejection frame = %q, want an E frame naming the handshake", f)
+	}
+	if _, err := readFrame(r); err != io.EOF {
+		t.Fatalf("after the E frame: %v, want EOF", err)
+	}
+	if b.calls.Load() != 0 {
+		t.Fatalf("backend ran %d statements for a client that never shook hands", b.calls.Load())
+	}
+}
+
+func TestLoadBalancingAcrossCzars(t *testing.T) {
+	// Section 7.6: "launch multiple master instances ... some logic in
+	// the MySQL proxy to load-balance between different Qserv masters."
+	b1, b2 := newEngineBackend(t), newEngineBackend(t)
+	c := serveBackends(t, b1, b2)
+	for i := 0; i < 10; i++ {
+		if _, _, err := queryAll(c, "SELECT COUNT(*) FROM Object"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b1.calls.Load() == 0 || b2.calls.Load() == 0 {
+		t.Errorf("load not balanced: %d vs %d", b1.calls.Load(), b2.calls.Load())
+	}
+	if b1.calls.Load()+b2.calls.Load() != 10 {
+		t.Errorf("total calls = %d", b1.calls.Load()+b2.calls.Load())
+	}
+}
+
+func TestConcurrentClients(t *testing.T) {
+	s := serve(t, Config{}, newEngineBackend(t))
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(s.Addr(), "alice", "LSST")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for j := 0; j < 10; j++ {
+				_, rows, err := queryAll(c, "SELECT SUM(objectId) FROM Object")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if rows[0][0] != int64(6) {
+					errs <- fmt.Errorf("sum = %v", rows[0][0])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestShowProcesslistAndKillAcrossCzars: PROCESSLIST unions every
+// backend, KILL finds the owning backend, unknown ids error.
+func TestShowProcesslistAndKillAcrossCzars(t *testing.T) {
+	b1, b2 := newEngineBackend(t), newEngineBackend(t)
+	b1.listed = []czar.QueryInfo{{ID: 3, SQL: "SELECT 1 FROM Object", Started: time.Now()}}
+	b2.listed = []czar.QueryInfo{{ID: 8, SQL: "SELECT 2 FROM Object", Started: time.Now()}}
+	c := serveBackends(t, b1, b2)
+
+	cols, rows, err := queryAll(c, "SHOW PROCESSLIST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("processlist rows = %d, want 2", len(rows))
+	}
+	if cols[0] != "Id" || rows[0][0] != int64(3) || rows[1][0] != int64(8) {
+		t.Errorf("processlist content: %v %v", cols, rows)
+	}
+	// The czar column distinguishes the backends.
+	if rows[0][1] == rows[1][1] {
+		t.Errorf("both queries attributed to one czar: %v", rows)
+	}
+	// Case-insensitive, trailing semicolon tolerated.
+	if _, rows, err = queryAll(c, "show processlist;"); err != nil || len(rows) != 2 {
+		t.Fatalf("lowercase processlist: %v %v", rows, err)
+	}
+
+	if _, rows, err = queryAll(c, "KILL 8"); err != nil {
+		t.Fatal(err)
+	} else if rows[0][0] != int64(8) {
+		t.Errorf("kill result: %v", rows)
+	}
+	if b2.killed.Load() != 1 || b1.killed.Load() != 0 {
+		t.Errorf("kill routed wrong: b1=%d b2=%d", b1.killed.Load(), b2.killed.Load())
+	}
+	if _, _, err := queryAll(c, "KILL 99"); err == nil {
+		t.Error("killing an unknown id should error")
+	}
+	if _, _, err := queryAll(c, "KILL abc"); err == nil {
+		t.Error("non-numeric KILL id should error")
+	}
+	// Plain SQL still flows after admin commands on the same conn.
+	if _, rows, err := queryAll(c, "SELECT COUNT(*) FROM Object"); err != nil || rows[0][0] != int64(3) {
+		t.Fatalf("SQL after admin: %v %v", rows, err)
+	}
+}
+
+// TestKillAmbiguousAcrossCzars: colliding czar-local ids force the
+// qualified KILL <czar>:<id> form.
+func TestKillAmbiguousAcrossCzars(t *testing.T) {
+	b1, b2 := newEngineBackend(t), newEngineBackend(t)
+	b1.listed = []czar.QueryInfo{{ID: 4, SQL: "SELECT a", Started: time.Now()}}
+	b2.listed = []czar.QueryInfo{{ID: 4, SQL: "SELECT b", Started: time.Now()}}
+	c := serveBackends(t, b1, b2)
+
+	if _, _, err := queryAll(c, "KILL 4"); err == nil || !strings.Contains(err.Error(), "KILL <czar>:4") {
+		t.Fatalf("ambiguous bare KILL should instruct qualification, got %v", err)
+	}
+	if b1.killed.Load()+b2.killed.Load() != 0 {
+		t.Fatal("ambiguous KILL killed something")
+	}
+	_, rows, err := queryAll(c, "KILL 1:4")
+	if err != nil || rows[0][0] != int64(4) {
+		t.Fatalf("qualified KILL: %v %v", rows, err)
+	}
+	if b1.killed.Load() != 0 || b2.killed.Load() != 1 {
+		t.Errorf("qualified KILL routed wrong: b1=%d b2=%d", b1.killed.Load(), b2.killed.Load())
+	}
+	if _, _, err := queryAll(c, "KILL 9:4"); err == nil {
+		t.Error("out-of-range czar index should error")
+	}
+	if _, _, err := queryAll(c, "KILL 0:99"); err == nil {
+		t.Error("unknown id on named czar should error")
+	}
+}
+
+// TestShowWorkers: the availability snapshot renders one row per
+// worker, served from the first backend that has a membership wired.
+func TestShowWorkers(t *testing.T) {
+	noStatus := newEngineBackend(t)
+	withStatus := newEngineBackend(t)
+	withStatus.status = &member.Status{
+		Epoch: 7,
+		Workers: []member.WorkerStatus{
+			{Name: "worker-000", State: member.StateAlive, Chunks: 12, LastSeen: time.Now()},
+			{Name: "worker-001", State: member.StateDead, Chunks: 0, Misses: 5, LastErr: "offline"},
+		},
+		Repair: member.RepairProgress{ChunksRepaired: 3, TablesCopied: 6, BytesCopied: 4096},
+	}
+	c := serveBackends(t, noStatus, withStatus)
+
+	_, rows, err := queryAll(c, "SHOW WORKERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("SHOW WORKERS rows = %d, want 2", len(rows))
+	}
+	if rows[0][0] != "worker-000" || rows[0][1] != "alive" || rows[0][2] != int64(12) {
+		t.Errorf("row 0 = %v", rows[0])
+	}
+	if rows[1][1] != "dead" || rows[1][3] != int64(5) || rows[1][5] != "offline" {
+		t.Errorf("row 1 = %v", rows[1])
+	}
+
+	_, rep, err := queryAll(c, "SHOW REPAIRS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep[0][0] != int64(7) || rep[0][1] != int64(3) || rep[0][2] != int64(0) || rep[0][5] != int64(4096) {
+		t.Errorf("SHOW REPAIRS = %v", rep[0])
+	}
+}
+
+// TestShowWorkersWithoutMembership: a frontend over membership-less
+// backends reports a clear error rather than an empty table.
+func TestShowWorkersWithoutMembership(t *testing.T) {
+	c := serveBackends(t, newEngineBackend(t))
+	if _, _, err := queryAll(c, "SHOW WORKERS"); err == nil || !strings.Contains(err.Error(), "availability") {
+		t.Fatalf("SHOW WORKERS without membership: %v", err)
 	}
 }

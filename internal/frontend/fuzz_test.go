@@ -43,33 +43,8 @@ func FuzzFrameRead(f *testing.F) {
 	})
 }
 
-func FuzzValueDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0}) // NULL
-	f.Add([]byte("i12345"))
-	f.Add([]byte("i99999999999999999999999999")) // overflows int64
-	f.Add([]byte("f6.02e23"))
-	f.Add([]byte("fNaN"))
-	f.Add([]byte("s"))
-	f.Add([]byte("s\x00embedded\x00nuls"))
-	f.Add([]byte("zunknown tag"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decodeValue(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeValue(encodeValue(v))
-		if err != nil {
-			t.Fatalf("re-decoding an accepted value failed: %v", err)
-		}
-		if sqlengine.FormatValue(v) != sqlengine.FormatValue(again) {
-			t.Fatalf("value round trip diverged: %v -> %v", v, again)
-		}
-	})
-}
-
 func FuzzHandshake(f *testing.F) {
-	f.Add([]byte("SELECT 1")) // v1: first frame is SQL
+	f.Add([]byte("SELECT 1")) // no version byte: not a handshake
 	f.Add(encodeHandshake("alice", "LSST"))
 	f.Add(encodeHandshake("", ""))
 	f.Add([]byte{hsVersion2})           // version byte, nothing else
@@ -78,16 +53,16 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte("\x02QSV2\x00only-user"))       // missing db separator
 	f.Add([]byte("\x02QSV2\x00u\x00d\x00extra")) // NUL inside db
 	f.Fuzz(func(t *testing.T, data []byte) {
-		user, db, v2, err := parseHandshake(data)
-		if !v2 && err != nil {
-			t.Fatalf("a v1 frame must not error: %v", err)
-		}
-		if !v2 || err != nil {
+		user, db, err := parseHandshake(data)
+		if err != nil {
 			return
 		}
-		u2, d2, isV2, err := parseHandshake(encodeHandshake(user, db))
-		if err != nil || !isV2 {
-			t.Fatalf("re-parsing an accepted handshake failed: v2=%v err=%v", isV2, err)
+		if data[0] != hsVersion2 {
+			t.Fatalf("accepted a first frame without the version byte: %q", data)
+		}
+		u2, d2, err := parseHandshake(encodeHandshake(user, db))
+		if err != nil {
+			t.Fatalf("re-parsing an accepted handshake failed: %v", err)
 		}
 		if u2 != user || d2 != db {
 			t.Fatalf("handshake round trip diverged: %q/%q -> %q/%q", user, db, u2, d2)
@@ -122,11 +97,18 @@ func FuzzColsDecode(f *testing.F) {
 }
 
 func FuzzRowDecode(f *testing.F) {
-	f.Add(encodeRow([]sqlengine.Value{int64(7), nil, "x"})[1:], uint8(3))
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{}, uint8(200))                    // width mismatch
-	f.Add([]byte{0xff, 0xff, 0x7f, 'i'}, uint8(1)) // value length exceeds frame
-	f.Add([]byte{0x01, 'z'}, uint8(1))             // bad value tag inside a row
+	valid, err := appendRowFrame(nil, []sqlengine.Value{int64(7), nil, "x", -0.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid[1:], uint8(4))
+	f.Add(valid[1:], uint8(3))                                 // width differs from the header
+	f.Add(valid[1:len(valid)-1], uint8(4))                     // truncated last cell
+	f.Add(append(valid[1:len(valid):len(valid)], 0), uint8(4)) // a second row in the frame
+	f.Add([]byte{}, uint8(0))                                  // no width varint at all
+	f.Add([]byte{0}, uint8(0))                                 // the empty row
+	f.Add([]byte{0xff, 0xff, 0x7f, 'i'}, uint8(1))             // width exceeds frame
+	f.Add([]byte{1, 'z'}, uint8(1))                            // bad cell tag inside a row
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
 		row, err := decodeRow(data, int(ncols))
 		if err != nil {
@@ -135,7 +117,11 @@ func FuzzRowDecode(f *testing.F) {
 		if len(row) != int(ncols) {
 			t.Fatalf("accepted row has %d values, want %d", len(row), ncols)
 		}
-		again, err := decodeRow(encodeRow(row)[1:], len(row))
+		frame, err := appendRowFrame(nil, row)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted row failed: %v", err)
+		}
+		again, err := decodeRow(frame[1:], len(row))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted row failed: %v", err)
 		}

@@ -1,23 +1,14 @@
 // Package frontend is the connection-scale SQL frontend of the system:
 // the tier between "any client" and the czar's session API (the role
 // the MySQL Proxy plays in paper section 5.4, rebuilt for streaming and
-// admission control). It serves two wire protocols over one listener:
-//
-// Protocol v1 (legacy, kept for back-compat): the client's first frame
-// is already a query; the server buffers the entire result and answers
-// "OK <ncols> <nrows>", ncols column frames, then ncols x nrows value
-// frames. The row count in the header is v1's defining flaw: the
-// server cannot emit a single byte before the final row exists, so
-// first-row latency equals completion latency — and once the header is
-// out there is no in-band way to report an error.
-//
-// Protocol v2 (streaming): the client's first frame is a handshake
-// (version byte 0x02 + magic + user + database); every subsequent
-// exchange is row-count-free:
+// admission control). It serves one streaming wire protocol, v2: the
+// client's first frame is a handshake (version byte 0x02 + magic + user
+// + database) — any other first frame gets one E frame and a close —
+// and every subsequent exchange is row-count-free:
 //
 //	client:  Q <sql>                     (also K = kill in-flight, P = ping)
 //	server:  C <ncols> <name>...         column header — sent at plan time
-//	         R <value>...                one frame per row, as rows merge
+//	         R <row>                     one frame per row, as rows merge
 //	         ...
 //	         D <nrows>    on success, or
 //	         E <message>  on failure — legal INSTEAD OF C, or mid-stream
@@ -29,8 +20,10 @@
 // reportable. Admission shedding rides the same E frame ("busy: ...")
 // without costing the connection.
 //
-// This file is the codec: framing, the handshake, and the value/row/
-// column encodings. Every decoder treats its input as hostile (the
+// This file is the codec: framing, the handshake, and the column/row/
+// trailer frames. A row frame's body is one row in the cell encoding
+// of package rowcodec, the same bytes a worker's result stream and an
+// ingest batch carry. Every decoder treats its input as hostile (the
 // fuzz targets in fuzz_test.go hold them to that).
 package frontend
 
@@ -40,8 +33,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -60,10 +53,7 @@ const (
 	tagErr   = 'E'
 )
 
-// hsVersion2 is the version byte opening a v2 handshake frame. A v1
-// client's first frame is SQL text, which never begins with a 0x02
-// control byte — that single byte is what keeps v1 reachable on the
-// same port.
+// hsVersion2 is the version byte opening a v2 handshake frame.
 const hsVersion2 = 0x02
 
 // hsMagic follows the version byte, guarding against a binary client
@@ -112,71 +102,29 @@ func encodeHandshake(user, db string) []byte {
 	return b
 }
 
-// parseHandshake classifies a connection's first frame. v2 is false
-// when the frame does not open with the version byte — the frame is a
-// v1 query and must be served as such. err is non-nil only for a frame
-// that claims v2 and is malformed (bad magic, missing separators);
-// such a client gets an error and the connection closes.
-func parseHandshake(b []byte) (user, db string, v2 bool, err error) {
+// parseHandshake parses a connection's first frame, which must be a
+// well-formed v2 hello (version byte, magic, separators); a client
+// sending anything else gets an error and the connection closes.
+func parseHandshake(b []byte) (user, db string, err error) {
 	if len(b) == 0 || b[0] != hsVersion2 {
-		return "", "", false, nil
+		return "", "", fmt.Errorf("frontend: first frame is not a v2 handshake")
 	}
 	rest := b[1:]
 	if len(rest) < len(hsMagic)+2 || !bytes.Equal(rest[:len(hsMagic)], hsMagic) {
-		return "", "", true, fmt.Errorf("frontend: malformed v2 handshake")
+		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
 	}
 	rest = rest[len(hsMagic):]
 	if rest[0] != 0 {
-		return "", "", true, fmt.Errorf("frontend: malformed v2 handshake")
+		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
 	}
 	userBytes, dbBytes, ok := bytes.Cut(rest[1:], []byte{0})
 	if !ok {
-		return "", "", true, fmt.Errorf("frontend: malformed v2 handshake")
+		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
 	}
 	if bytes.IndexByte(dbBytes, 0) >= 0 {
-		return "", "", true, fmt.Errorf("frontend: malformed v2 handshake")
+		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
 	}
-	return string(userBytes), string(dbBytes), true, nil
-}
-
-// encodeValue renders one SQL value: a single 0x00 byte for NULL, or a
-// type tag ('i'nt, 'f'loat, 's'tring) followed by the textual form.
-// Shared verbatim with protocol v1 (it predates v2).
-func encodeValue(v sqlengine.Value) []byte {
-	if sqlengine.IsNull(v) {
-		return []byte{0}
-	}
-	switch x := v.(type) {
-	case int64:
-		return []byte("i" + strconv.FormatInt(x, 10))
-	case float64:
-		return []byte("f" + strconv.FormatFloat(x, 'g', -1, 64))
-	case string:
-		return []byte("s" + x)
-	default:
-		return []byte("s" + sqlengine.FormatValue(v))
-	}
-}
-
-// decodeValue parses one encoded value.
-func decodeValue(b []byte) (sqlengine.Value, error) {
-	if len(b) == 1 && b[0] == 0 {
-		return nil, nil
-	}
-	if len(b) == 0 {
-		return nil, fmt.Errorf("frontend: empty value frame")
-	}
-	body := string(b[1:])
-	switch b[0] {
-	case 'i':
-		return strconv.ParseInt(body, 10, 64)
-	case 'f':
-		return strconv.ParseFloat(body, 64)
-	case 's':
-		return body, nil
-	default:
-		return nil, fmt.Errorf("frontend: bad value tag %q", b[0])
-	}
+	return string(userBytes), string(dbBytes), nil
 }
 
 // encodeCols renders the v2 column-header frame: tag, column count,
@@ -220,36 +168,22 @@ func decodeCols(b []byte) ([]string, error) {
 	return cols, nil
 }
 
-// encodeRow renders one row frame: tag, then each value length-prefixed
-// in the encodeValue encoding.
-func encodeRow(row []sqlengine.Value) []byte {
-	b := make([]byte, 0, 16+8*len(row))
-	b = append(b, tagRow)
-	for _, v := range row {
-		ev := encodeValue(v)
-		b = binary.AppendUvarint(b, uint64(len(ev)))
-		b = append(b, ev...)
-	}
-	return b
+// appendRowFrame appends one row frame to dst: tag, then the row in
+// the rowcodec encoding (which leads with its own width).
+func appendRowFrame(dst []byte, row []sqlengine.Value) ([]byte, error) {
+	return rowcodec.AppendRow(append(dst, tagRow), row)
 }
 
-// decodeRow parses a row frame body (tag already stripped) into ncols
-// values; ncols comes from the preceding column header, so a row frame
-// of the wrong width is an error, not a short row.
+// decodeRow parses a row frame body (tag already stripped): exactly one
+// row, of the ncols values the preceding column header declared — a
+// row frame of the wrong width is an error, not a short row.
 func decodeRow(b []byte, ncols int) ([]sqlengine.Value, error) {
-	row := make([]sqlengine.Value, 0, ncols)
-	for len(b) > 0 {
-		l, taken := binary.Uvarint(b)
-		if taken <= 0 || l > uint64(len(b)-taken) {
-			return nil, fmt.Errorf("frontend: bad value length")
-		}
-		b = b[taken:]
-		v, err := decodeValue(b[:l])
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-		b = b[l:]
+	row, next, err := rowcodec.DecodeRow(b, 0)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: bad row frame: %w", err)
+	}
+	if next != len(b) {
+		return nil, fmt.Errorf("frontend: %d trailing bytes after row", len(b)-next)
 	}
 	if len(row) != ncols {
 		return nil, fmt.Errorf("frontend: row of %d values, header declared %d", len(row), ncols)

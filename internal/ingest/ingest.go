@@ -7,11 +7,9 @@
 // rows that fall only in the chunk's overlap margin; the worker applies
 // both and maintains the director-key index incrementally.
 //
-// The row codec is binary and type-tagged: int64 and float64 values
-// ship as their 8-byte fixed-width representations (exact round-trip,
-// no number formatting on the hot path — text encoding measured as
-// over half the ingest CPU), strings are length-prefixed, NULLs are a
-// tag byte.
+// Rows ship in the cell encoding of package rowcodec (binary,
+// type-tagged, exact round-trip — text encoding measured as over half
+// the ingest CPU); a batch frames them with a magic and two row counts.
 package ingest
 
 import (
@@ -19,9 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/meta"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 )
@@ -29,14 +27,6 @@ import (
 // batchMagic heads every encoded batch; the version byte lets the
 // format evolve.
 var batchMagic = []byte("QLOAD2")
-
-// Value tag bytes.
-const (
-	tagNull   = 'n'
-	tagInt    = 'i'
-	tagFloat  = 'f'
-	tagString = 's'
-)
 
 // Batch is one /load shipment for a single (table, chunk) pair.
 type Batch struct {
@@ -53,10 +43,10 @@ type Batch struct {
 func EncodeBatch(b Batch) ([]byte, error) {
 	size := len(batchMagic) + 2*binary.MaxVarintLen64
 	for _, r := range b.Rows {
-		size += rowSize(r)
+		size += rowcodec.RowSize(r)
 	}
 	for _, r := range b.Overlap {
-		size += rowSize(r)
+		size += rowcodec.RowSize(r)
 	}
 	out := make([]byte, 0, size)
 	out = append(out, batchMagic...)
@@ -64,48 +54,13 @@ func EncodeBatch(b Batch) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(len(b.Overlap)))
 	var err error
 	for _, r := range b.Rows {
-		if out, err = appendRow(out, r); err != nil {
+		if out, err = rowcodec.AppendRow(out, r); err != nil {
 			return nil, err
 		}
 	}
 	for _, r := range b.Overlap {
-		if out, err = appendRow(out, r); err != nil {
+		if out, err = rowcodec.AppendRow(out, r); err != nil {
 			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// rowSize upper-bounds a row's encoding.
-func rowSize(r sqlengine.Row) int {
-	size := binary.MaxVarintLen64
-	for _, v := range r {
-		size += 9
-		if s, ok := v.(string); ok {
-			size += binary.MaxVarintLen64 + len(s)
-		}
-	}
-	return size
-}
-
-func appendRow(out []byte, r sqlengine.Row) ([]byte, error) {
-	out = binary.AppendUvarint(out, uint64(len(r)))
-	for _, v := range r {
-		switch x := v.(type) {
-		case nil:
-			out = append(out, tagNull)
-		case int64:
-			out = append(out, tagInt)
-			out = binary.BigEndian.AppendUint64(out, uint64(x))
-		case float64:
-			out = append(out, tagFloat)
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(x))
-		case string:
-			out = append(out, tagString)
-			out = binary.AppendUvarint(out, uint64(len(x)))
-			out = append(out, x...)
-		default:
-			return nil, fmt.Errorf("ingest: unsupported value type %T", v)
 		}
 	}
 	return out, nil
@@ -137,7 +92,7 @@ func DecodeBatch(data []byte) (Batch, error) {
 	total := int(nRows + nOverlap)
 	rows := make([]sqlengine.Row, 0, total)
 	for i := 0; i < total; i++ {
-		row, next, err := decodeRow(data, pos)
+		row, next, err := rowcodec.DecodeRow(data, pos)
 		if err != nil {
 			return Batch{}, fmt.Errorf("ingest: row %d of %d: %w", i, total, err)
 		}
@@ -145,55 +100,6 @@ func DecodeBatch(data []byte) (Batch, error) {
 		rows = append(rows, row)
 	}
 	return Batch{Rows: rows[:nRows:nRows], Overlap: rows[nRows:]}, nil
-}
-
-func decodeRow(data []byte, pos int) (sqlengine.Row, int, error) {
-	ncols, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("truncated row header")
-	}
-	pos += n
-	// Every value costs at least its tag byte; an untrusted column
-	// count beyond the remaining payload is corrupt.
-	if ncols > uint64(len(data)-pos) {
-		return nil, 0, fmt.Errorf("row claims %d values in %d bytes", ncols, len(data)-pos)
-	}
-	row := make(sqlengine.Row, ncols)
-	for i := range row {
-		if pos >= len(data) {
-			return nil, 0, fmt.Errorf("truncated value tag")
-		}
-		tag := data[pos]
-		pos++
-		switch tag {
-		case tagNull:
-			row[i] = nil
-		case tagInt, tagFloat:
-			if pos+8 > len(data) {
-				return nil, 0, fmt.Errorf("truncated numeric value")
-			}
-			bits := binary.BigEndian.Uint64(data[pos : pos+8])
-			pos += 8
-			if tag == tagInt {
-				row[i] = int64(bits)
-			} else {
-				row[i] = math.Float64frombits(bits)
-			}
-		case tagString:
-			slen, n := binary.Uvarint(data[pos:])
-			// Guard slen before the int conversion: a huge untrusted
-			// length must not wrap the bounds check.
-			if n <= 0 || slen > uint64(len(data)) || pos+n+int(slen) > len(data) {
-				return nil, 0, fmt.Errorf("truncated string value")
-			}
-			pos += n
-			row[i] = string(data[pos : pos+int(slen)])
-			pos += int(slen)
-		default:
-			return nil, 0, fmt.Errorf("unknown value tag %q", tag)
-		}
-	}
-	return row, pos, nil
 }
 
 // ---------- segment framing ----------

@@ -1,0 +1,123 @@
+// Package rowcodec is the system's one row representation on the wire
+// and on disk. A row is a uvarint column count followed by that many
+// cells; a cell is a tag byte and, for non-NULL values, a payload:
+//
+//	'n'                       NULL
+//	'i' + 8 bytes big-endian  int64
+//	'f' + 8 bytes big-endian  float64 (IEEE-754 bits: -0.0, NaN payloads
+//	                          and infinities round-trip exactly)
+//	's' + uvarint length + bytes  string
+//
+// Every user frames rows its own way and calls AppendRow / DecodeRow
+// for the cells: package ingest (the /load and /repl batches and the
+// chunkstore segment files made of them), package dump (a worker's
+// chunk-query result stream), and package frontend (the client
+// protocol's row frame). The bytes are the ones the ingest batch has
+// always written, so stored segments never need rewriting.
+package rowcodec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"repro/internal/sqlengine"
+)
+
+// Value tag bytes.
+const (
+	tagNull   = 'n'
+	tagInt    = 'i'
+	tagFloat  = 'f'
+	tagString = 's'
+)
+
+// RowSize upper-bounds a row's encoding.
+func RowSize(r sqlengine.Row) int {
+	size := binary.MaxVarintLen64
+	for _, v := range r {
+		size += 9
+		if s, ok := v.(string); ok {
+			size += binary.MaxVarintLen64 + len(s)
+		}
+	}
+	return size
+}
+
+// AppendRow appends r's encoding to out. A value that is not nil,
+// int64, float64 or string is an error.
+func AppendRow(out []byte, r sqlengine.Row) ([]byte, error) {
+	out = binary.AppendUvarint(out, uint64(len(r)))
+	for _, v := range r {
+		switch x := v.(type) {
+		case nil:
+			out = append(out, tagNull)
+		case int64:
+			out = append(out, tagInt)
+			out = binary.BigEndian.AppendUint64(out, uint64(x))
+		case float64:
+			out = append(out, tagFloat)
+			out = binary.BigEndian.AppendUint64(out, math.Float64bits(x))
+		case string:
+			out = append(out, tagString)
+			out = binary.AppendUvarint(out, uint64(len(x)))
+			out = append(out, x...)
+		default:
+			return nil, fmt.Errorf("rowcodec: unsupported value type %T", v)
+		}
+	}
+	return out, nil
+}
+
+// DecodeRow parses the row starting at data[pos:], returning it and
+// the offset of the byte after it. The input is untrusted: every count
+// and length is checked against the bytes present before anything is
+// allocated from it.
+func DecodeRow(data []byte, pos int) (sqlengine.Row, int, error) {
+	ncols, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("truncated row header")
+	}
+	pos += n
+	// Every value costs at least its tag byte; an untrusted column
+	// count beyond the remaining payload is corrupt.
+	if ncols > uint64(len(data)-pos) {
+		return nil, 0, fmt.Errorf("row claims %d values in %d bytes", ncols, len(data)-pos)
+	}
+	row := make(sqlengine.Row, ncols)
+	for i := range row {
+		if pos >= len(data) {
+			return nil, 0, fmt.Errorf("truncated value tag")
+		}
+		tag := data[pos]
+		pos++
+		switch tag {
+		case tagNull:
+			row[i] = nil
+		case tagInt, tagFloat:
+			if pos+8 > len(data) {
+				return nil, 0, fmt.Errorf("truncated numeric value")
+			}
+			bits := binary.BigEndian.Uint64(data[pos : pos+8])
+			pos += 8
+			if tag == tagInt {
+				row[i] = int64(bits)
+			} else {
+				row[i] = math.Float64frombits(bits)
+			}
+		case tagString:
+			slen, n := binary.Uvarint(data[pos:])
+			// Guard slen before the int conversion: a huge untrusted
+			// length must not wrap the bounds check.
+			if n <= 0 || slen > uint64(len(data)) || pos+n+int(slen) > len(data) {
+				return nil, 0, fmt.Errorf("truncated string value")
+			}
+			pos += n
+			row[i] = string(data[pos : pos+int(slen)])
+			pos += int(slen)
+		default:
+			return nil, 0, fmt.Errorf("unknown value tag %q", tag)
+		}
+	}
+	return row, pos, nil
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dump"
 	"repro/internal/ingest"
 	"repro/internal/meta"
 	"repro/internal/partition"
@@ -135,8 +136,12 @@ func TestIngestOverTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "INSERT") || !strings.Contains(string(data), "2") {
-		t.Errorf("result dump does not contain the ingested row: %q", data)
+	dec, err := dump.Decode(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Rows) != 1 || dec.Rows[0][0] != int64(2) {
+		t.Errorf("result does not contain the ingested row: %v", dec.Rows)
 	}
 }
 

@@ -3,8 +3,10 @@
 // engine that stores chunk tables (paper sections 5.1.2 and 5.4).
 //
 // A worker accepts chunk queries written to /query2/CC paths and
-// publishes each result as a mysqldump-style SQL stream readable at
-// /result/H, where H is the MD5 hash of the chunk query payload.
+// publishes each result as a package dump result stream readable at
+// /result/H, where H is the MD5 hash of the chunk query payload. A
+// result is held until every query that asked for it has read it (or
+// cancelled), then dropped: the worker caches no outcomes.
 //
 // Scheduling is two-class (paper section 4.3): interactive chunk
 // queries (secondary-index dives, marked by the czar with a "-- CLASS:
@@ -152,12 +154,16 @@ type Worker struct {
 	wg          sync.WaitGroup
 	stop        chan struct{}
 
-	mu      sync.Mutex
-	results map[string]*resultEntry
-	reports []JobReport
-	chunks  map[partition.ChunkID]bool
-	jobs    map[string]*job // queued + running, by result hash
-	active  int             // jobs currently executing
+	mu sync.Mutex
+	// reports is a ring of the last maxReports executions, oldest at
+	// reportHead once full.
+	reports    []JobReport
+	reportHead int
+	chunks     map[partition.ChunkID]bool
+	// jobs holds, by result hash, every chunk query that is queued,
+	// running, or finished with an outcome some owner has yet to read.
+	jobs   map[string]*job
+	active int // jobs currently executing
 
 	scanMu   sync.Mutex
 	scanners map[string]*scanshare.Scanner
@@ -187,11 +193,17 @@ type Worker struct {
 	traceOn atomic.Bool
 }
 
+// maxReports bounds Worker.reports: enough for any experiment to see
+// the whole of its own run, small enough that a long-lived worker's
+// execution log stops growing.
+const maxReports = 1 << 14
+
 // job states, guarded by Worker.mu.
 const (
 	jobQueued = iota
 	jobRunning
 	jobCanceled // canceled while queued; executors skip it
+	jobDone     // outcome published; held for the owners yet to read it
 )
 
 type job struct {
@@ -200,19 +212,19 @@ type job struct {
 	payload  []byte
 	hash     string
 	queuedAt time.Time
-	state    int          // guarded by Worker.mu
-	entry    *resultEntry // this job's pending result; completed exactly once
-	// refs counts the queries interested in this job's result: 1 at
-	// enqueue, +1 per content-addressed dedup hit while live. A cancel
-	// only aborts the job when the last interested query detaches —
-	// killing one user's query must not fail another's that happened to
-	// share the identical chunk payload. owners tracks the interests by
-	// the dispatching query's out-of-band identity (xrd.WithQID), so a
-	// cancel carrying a qid that never registered here (a broadcast for
-	// a dispatch write that never landed) is a no-op instead of
-	// detaching an innocent sharer. Both guarded by Worker.mu.
-	refs   int
+	state    int // guarded by Worker.mu
+	// owners counts, per dispatching query (the qid riding the path, see
+	// xrd.WithQID; "" for a bare path), the outcomes this job still
+	// owes: +1 per chunk-query write, -1 in release. Entries leave at
+	// zero, so an empty map means nobody is owed anything. Guarded by
+	// Worker.mu.
 	owners map[string]int
+
+	// ready is closed exactly once, after data and err — the job's
+	// outcome — are set.
+	ready chan struct{}
+	data  []byte
+	err   error
 
 	// cancel is closed exactly once when the job is killed; the engine's
 	// interrupt seam and the convoy sources watch it.
@@ -264,12 +276,6 @@ func (j *job) registerSource(src *scanshare.Source) {
 	}
 }
 
-type resultEntry struct {
-	ready chan struct{}
-	data  []byte
-	err   error
-}
-
 // New creates and starts a worker. The engine's default database is the
 // catalog database (registry.DB); chunk tables live there. With
 // cfg.DataDir set, New opens the durable chunk store, replays its
@@ -301,7 +307,6 @@ func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 		interactive: make(chan *job, cfg.QueueDepth),
 		scanq:       newGangQueue(cfg.QueueDepth, cfg.MaxGangSize),
 		stop:        make(chan struct{}),
-		results:     map[string]*resultEntry{},
 		chunks:      map[partition.ChunkID]bool{},
 		jobs:        map[string]*job{},
 		scanners:    map[string]*scanshare.Scanner{},
@@ -358,11 +363,25 @@ func (w *Worker) Chunks() []partition.ChunkID {
 	return out
 }
 
-// Reports returns the execution reports accumulated so far.
+// Reports returns the most recent execution reports (up to
+// maxReports), oldest first.
 func (w *Worker) Reports() []JobReport {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]JobReport(nil), w.reports...)
+	out := make([]JobReport, 0, len(w.reports))
+	out = append(out, w.reports[w.reportHead:]...)
+	return append(out, w.reports[:w.reportHead]...)
+}
+
+// report logs one execution, overwriting the oldest once the ring is
+// full. Callers hold w.mu.
+func (w *Worker) report(r JobReport) {
+	if len(w.reports) < maxReports {
+		w.reports = append(w.reports, r)
+		return
+	}
+	w.reports[w.reportHead] = r
+	w.reportHead = (w.reportHead + 1) % maxReports
 }
 
 // QueueLen returns the number of queued (not yet started) chunk
@@ -382,75 +401,79 @@ func (w *Worker) ActiveJobs() int {
 	return w.active
 }
 
-// evict removes a job's registry and result-cache entries, but only if
-// they are still this job's — a re-submitted identical payload may
-// already have replaced them. Callers hold w.mu.
+// HeldJobs returns the number of chunk queries the worker holds state
+// for: queued, running, or finished with an outcome some query has yet
+// to read. An idle worker holds none.
+func (w *Worker) HeldJobs() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.jobs)
+}
+
+// evict removes a job's registry entry, but only if it is still this
+// job's — a re-submitted identical payload may already have replaced
+// it. Callers hold w.mu.
 func (w *Worker) evict(j *job) {
 	if w.jobs[j.hash] == j {
 		delete(w.jobs, j.hash)
 	}
-	if w.results[j.hash] == j.entry {
-		delete(w.results, j.hash)
-	}
 }
 
-// Cancel kills the chunk query whose result is addressed by hash. A
-// queued job is dequeued — its lane slot is never consumed — and its
-// pending result completes with context.Canceled; a running job aborts
-// between rows (interactive lane) or detaches from its shared-scan
-// convoy at the next piece boundary (scan lane), failing its result.
-// Either way the canceled entry leaves the content-addressed result
-// cache, so re-submitting the same payload later re-executes it.
-// When other queries deduplicated onto the same payload, Cancel only
-// detaches one interest; the job aborts when the last detaches.
-// Cancel reports whether it found a live job; finished queries are not
-// cancelable (their results are already published).
-func (w *Worker) Cancel(hash string) bool { return w.cancelOwner(hash, "") }
+// Cancel kills the chunk query whose result is addressed by hash on
+// behalf of the queries that dispatched it over a bare path (no qid).
+func (w *Worker) Cancel(hash string) bool { return w.release(hash, "") }
 
-// cancelOwner is Cancel carrying the dispatching query's out-of-band
-// identity: a qid that never registered interest in this job is
-// refused, so a broadcast kill for a dispatch write that never landed
-// here cannot detach an innocent sharer's interest. An empty qid is
-// the operator form — it unconditionally detaches one interest.
-func (w *Worker) cancelOwner(hash, qid string) bool {
+// release ends one interest of query qid in the outcome addressed by
+// hash. It is the only way an interest ends, whatever ended it: the
+// query read the outcome, gave up on the read, or was killed (/cancel).
+// A qid with no interest registered under the hash — a broadcast kill
+// for a dispatch write that never landed here, a kill following a read
+// that already released, a reader of a job since displaced — releases
+// nothing, so one query can never spend another's interest.
+//
+// When the last interest goes, so does the job: a finished one leaves
+// the registry; a queued one is dequeued — its lane slot is never
+// consumed — and completes with context.Canceled; a running one aborts
+// between rows (interactive lane) or detaches from its shared-scan
+// convoy at the next piece boundary (scan lane). While other queries
+// deduplicated onto the same payload are still owed, the job lives on —
+// killing one user's query must not fail another's. release reports
+// whether it detached an interest from a job still queued or running.
+func (w *Worker) release(hash, qid string) bool {
 	w.mu.Lock()
-	j, ok := w.jobs[hash]
-	if !ok {
+	j := w.jobs[hash]
+	if j == nil || j.owners[qid] == 0 {
 		w.mu.Unlock()
 		return false
 	}
-	if qid != "" && j.owners[qid] == 0 {
+	if j.owners[qid]--; j.owners[qid] == 0 {
+		delete(j.owners, qid)
+	}
+	state := j.state
+	if len(j.owners) > 0 {
+		w.mu.Unlock()
+		return state != jobDone
+	}
+	switch state {
+	case jobDone:
+		delete(w.jobs, hash)
 		w.mu.Unlock()
 		return false
-	}
-	if j.owners[qid] > 0 {
-		j.owners[qid]--
-	}
-	if j.refs--; j.refs > 0 {
-		// Other queries deduplicated onto this job still want its
-		// result; the caller's interest detaches, the job lives on.
-		w.mu.Unlock()
-		return true
-	}
-	switch j.state {
 	case jobQueued:
 		j.state = jobCanceled
-		w.evict(j)
+		delete(w.jobs, hash)
 		w.mu.Unlock()
 		// Scan-lane jobs leave the queue eagerly; interactive jobs are
 		// marked and skipped when their channel slot drains.
 		w.scanq.remove(j)
 		j.signalCancel()
-		j.entry.err = fmt.Errorf("worker %s: chunk query %s: %w", w.cfg.Name, hash, context.Canceled)
-		close(j.entry.ready)
+		j.err = fmt.Errorf("worker %s: chunk query %s: %w", w.cfg.Name, hash, context.Canceled)
+		close(j.ready)
 		return true
-	case jobRunning:
+	default: // jobRunning; execute drops it from the registry
 		w.mu.Unlock()
 		j.signalCancel()
 		return true
-	default:
-		w.mu.Unlock()
-		return false
 	}
 }
 
@@ -543,12 +566,12 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 		return w.installRepl(path, data)
 	}
 	if hash, ok := strings.CutPrefix(path, "/cancel/"); ok {
-		// Kill transactions are idempotent: canceling a finished or
-		// unknown query — or one whose qid never registered interest
-		// here — is a no-op, not an error (the czar fires them
-		// best-effort on every dispatched chunk, and broadcasts to
-		// every replica when a dispatch write was torn mid-kill).
-		w.cancelOwner(hash, qid)
+		// Kill transactions are idempotent: canceling an unknown query
+		// — or one whose qid holds no interest here — is a no-op, not
+		// an error (the czar fires them best-effort on every dispatched
+		// chunk, and broadcasts to every replica when a dispatch write
+		// was torn mid-kill).
+		w.release(hash, qid)
 		return nil
 	}
 	chunk, err := parseQueryPath(path)
@@ -564,32 +587,32 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 		hash:     hash,
 		queuedAt: time.Now(),
 		cancel:   make(chan struct{}),
+		ready:    make(chan struct{}),
+		owners:   map[string]int{},
 	}
 	w.mu.Lock()
-	if _, exists := w.results[hash]; exists {
-		live := w.jobs[hash]
-		if live == nil || !live.canceled() {
-			// Identical payload already queued, running, or executed;
-			// the existing result serves both (content-addressed
-			// results deduplicate). A live job gains a reference so one
-			// sharer's kill cannot fail the others.
-			if live != nil {
-				live.refs++
-				live.owners[qid]++
-			}
+	if old := w.jobs[hash]; old != nil {
+		if old.state != jobDone && !old.canceled() {
+			// Identical payload already queued or running; its result
+			// will serve both (content-addressed chunk queries
+			// deduplicate).
+			old.owners[qid]++
 			w.mu.Unlock()
 			return nil
 		}
-		// The live job was killed and is still unwinding: its entry
-		// will publish context.Canceled, which this new (un-killed)
-		// query must not inherit. Displace it and register fresh; the
-		// dying job completes against its own entry pointer.
-		w.evict(live)
+		// The job under this hash cannot answer this statement: either
+		// it finished — its outcome belongs to the queries that asked
+		// before it did, and the data (or whatever made it fail) may
+		// have changed since — or it was killed and is still unwinding
+		// toward context.Canceled, which an un-killed query must not
+		// inherit. Displace it and execute afresh. Interests the old job
+		// still owed move to the new one (an outcome computed after a
+		// query's write is as good to it as the one it has not read
+		// yet), so the job under a hash always holds every interest in
+		// it; the displaced job completes against its own fields.
+		j.owners, old.owners = old.owners, nil
 	}
-	j.entry = &resultEntry{ready: make(chan struct{})}
-	j.refs = 1
-	j.owners = map[string]int{qid: 1}
-	w.results[hash] = j.entry
+	j.owners[qid]++
 	w.jobs[hash] = j
 	w.mu.Unlock()
 
@@ -607,9 +630,9 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 		return nil
 	}
 	// A cancel can land in the window between registration above and
-	// this failure path; its jobQueued branch already failed the entry.
+	// this failure path; its jobQueued branch already failed the job.
 	// Only the side that wins the state transition may complete it —
-	// entry.ready closes exactly once.
+	// ready closes exactly once.
 	w.mu.Lock()
 	stillQueued := j.state == jobQueued
 	if stillQueued {
@@ -618,14 +641,17 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	}
 	w.mu.Unlock()
 	if stillQueued {
-		j.entry.err = fmt.Errorf("worker %s: %s queue full", w.cfg.Name, class)
-		close(j.entry.ready)
+		j.err = fmt.Errorf("worker %s: %s queue full", w.cfg.Name, class)
+		close(j.ready)
 	}
 	return fmt.Errorf("worker %s: %s queue full (%d)", w.cfg.Name, class, w.cfg.QueueDepth)
 }
 
 // HandleRead serves /result/H, blocking until the chunk query hashing to
-// H finishes (or the configured timeout passes).
+// H finishes (or the configured timeout passes). A chunk-query write
+// buys one read: however the read ends — outcome served, caller gone,
+// timeout — the reader's interest ends with it (see release), and a
+// reader that was the last to want a still-running job aborts it.
 func (w *Worker) HandleRead(path string) ([]byte, error) {
 	return w.HandleReadContext(context.Background(), path)
 }
@@ -648,27 +674,29 @@ func (w *Worker) HandleReadContext(ctx context.Context, path string) ([]byte, er
 	if xrd.IsReplPath(path) {
 		return w.exportRepl(path)
 	}
+	path, qid := xrd.SplitQID(path)
 	hash, err := parseResultPath(path)
 	if err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
-	entry, ok := w.results[hash]
+	j, ok := w.jobs[hash]
 	w.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("worker %s: no such result %s", w.cfg.Name, hash)
 	}
+	defer w.release(hash, qid)
 	select {
-	case <-entry.ready:
+	case <-j.ready:
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	case <-time.After(w.cfg.ResultTimeout):
 		return nil, fmt.Errorf("worker %s: result %s timed out after %v", w.cfg.Name, hash, w.cfg.ResultTimeout)
 	}
-	if entry.err != nil {
-		return nil, entry.err
+	if j.err != nil {
+		return nil, j.err
 	}
-	return entry.data, nil
+	return j.data, nil
 }
 
 func parseQueryPath(path string) (partition.ChunkID, error) {
@@ -769,15 +797,15 @@ func (w *Worker) execute(j *job, started time.Time) {
 	}
 
 	w.mu.Lock()
-	if err != nil && j.canceled() {
-		// Same eviction as Cancel's queued path: canceled outcomes are
-		// not cacheable results; a re-submitted payload re-executes.
+	j.state = jobDone
+	if len(j.owners) == 0 {
+		// Every owner cancelled (the kill path), or a fresh write took
+		// the hash and the interests with it: nobody is owed this
+		// outcome.
 		w.evict(j)
-	} else if w.jobs[j.hash] == j {
-		delete(w.jobs, j.hash)
 	}
 	w.active--
-	w.reports = append(w.reports, JobReport{
+	w.report(JobReport{
 		Chunk:       j.chunk,
 		Class:       j.class,
 		Hash:        j.hash,
@@ -792,9 +820,9 @@ func (w *Worker) execute(j *job, started time.Time) {
 	})
 	w.mu.Unlock()
 
-	j.entry.data = data
-	j.entry.err = err
-	close(j.entry.ready)
+	j.data = data
+	j.err = err
+	close(j.ready)
 }
 
 // runChunkQuery executes the statements of one chunk query, generating
@@ -883,9 +911,8 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		return nil, agg, fmt.Errorf("worker %s: chunk query produced no result", w.cfg.Name)
 	}
 
-	// Serialize as the mysqldump-style stream (section 5.4). The table
-	// name encodes the hash so the master can load results from many
-	// chunks without collisions.
+	// Serialize as the result stream (section 5.4). The table name
+	// encodes the hash, so streams from many chunks stay tellable apart.
 	data := dump.Dump("r_"+j.hash[:16], accum)
 	return []byte(data), agg, nil
 }

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -87,15 +88,21 @@ func submit(t testing.TB, w *Worker, chunk partition.ChunkID, payload string) st
 	return string(out)
 }
 
-// loadResult loads a dump stream into a scratch engine and queries it.
+// loadResult decodes a result stream into a table of a scratch engine,
+// so tests can query what the worker shipped.
 func loadResult(t testing.TB, stream string) (*sqlengine.Engine, string) {
 	t.Helper()
-	e := sqlengine.New("LSST")
-	name, _, err := dump.Load(e, stream)
+	dec, err := dump.Decode(stream)
 	if err != nil {
+		t.Fatalf("decode result: %v", err)
+	}
+	tbl := sqlengine.NewTable(dec.Name, dec.Schema)
+	if err := tbl.Insert(dec.Rows...); err != nil {
 		t.Fatalf("load result: %v", err)
 	}
-	return e, name
+	e := sqlengine.New("LSST")
+	e.CreateDatabase("LSST").Put(tbl)
+	return e, dec.Name
 }
 
 func TestSimpleChunkQuery(t *testing.T) {
@@ -467,6 +474,209 @@ func TestSubchunkBaseParsing(t *testing.T) {
 		base, ok := subchunkBase(c.in)
 		if ok != c.ok || base != c.base {
 			t.Errorf("subchunkBase(%q) = %q, %v; want %q, %v", c.in, base, ok, c.base, c.ok)
+		}
+	}
+}
+
+// TestServedResultsAreReleased: once every query that asked for a chunk
+// result has read it the worker keeps nothing — N distinct finished
+// queries leave an empty registry, not N retained result streams.
+func TestServedResultsAreReleased(t *testing.T) {
+	w, chunk := testWorker(t, DefaultConfig("w0"))
+	const n = 50
+	for i := 0; i < n; i++ {
+		submit(t, w, chunk, fmt.Sprintf("SELECT objectId FROM LSST.Object_%d WHERE objectId > %d;", chunk, i-n))
+	}
+	held := w.HeldJobs()
+	if held != 0 {
+		t.Fatalf("%d of %d served results still held", held, n)
+	}
+	if got := len(w.Reports()); got != n {
+		t.Errorf("reports = %d, want %d", got, n)
+	}
+
+	// Two queries share one payload: the result is owed twice, and goes
+	// when both have read. A third read was never paid for.
+	payload := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
+	for i := 0; i < 2; i++ {
+		if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := w.HandleRead(xrd.ResultPath(payload)); err != nil {
+			t.Fatalf("read %d of a result owed twice: %v", i, err)
+		}
+	}
+	if _, err := w.HandleRead(xrd.ResultPath(payload)); err == nil {
+		t.Error("a third read found a result nobody was owed")
+	}
+	held = w.HeldJobs()
+	if held != 0 {
+		t.Errorf("%d results held after every owner read", held)
+	}
+
+	// An owner that cancels after the job finished never reads; its
+	// interest goes with the cancel.
+	ran := len(w.Reports())
+	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(w.Reports()) != ran+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %d reports", len(w.Reports()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if w.Cancel(xrd.ResultHash(payload)) {
+		t.Error("Cancel reported a live job for a finished one")
+	}
+	held = w.HeldJobs()
+	if held != 0 {
+		t.Errorf("%d results held after the only owner cancelled", held)
+	}
+
+	// An interest is released once, by the query that registered it:
+	// queries a and b share a payload, a reads, and a's late cancel (a
+	// kill racing its own read over the TCP fabric) must not spend b's
+	// interest — b's read still finds the result.
+	qpath, rpath := xrd.QueryPath(int(chunk)), xrd.ResultPath(payload)
+	cpath := xrd.CancelPath(xrd.ResultHash(payload))
+	for _, qid := range []string{"czar-0-1", "czar-0-2"} {
+		if err := w.HandleWrite(xrd.WithQID(qpath, qid), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-1")); err != nil {
+		t.Fatalf("a's read: %v", err)
+	}
+	if err := w.HandleWrite(xrd.WithQID(cpath, "czar-0-1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Nor may a query that never wrote here (or an anonymous reader)
+	// spend it.
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-9")); err != nil {
+		t.Fatalf("a stranger's read: %v", err)
+	}
+	if _, err := w.HandleRead(rpath); err != nil {
+		t.Fatalf("an anonymous read: %v", err)
+	}
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-2")); err != nil {
+		t.Fatalf("b's read after a read and then cancelled: %v", err)
+	}
+	held = w.HeldJobs()
+	if held != 0 {
+		t.Errorf("%d results held after a and b both read", held)
+	}
+
+	// A reader that gives up releases its interest itself — no cancel
+	// has to follow — and, being the last owner, takes the job with it.
+	slow := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d o1, LSST.Object_%d o2 WHERE o1.ra_PS < o2.ra_PS + 1e9;", chunk, chunk))
+	if err := w.HandleWrite(xrd.WithQID(qpath, "czar-0-3"), slow); err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := w.HandleReadContext(ctx, xrd.WithQID(xrd.ResultPath(slow), "czar-0-3")); err == nil {
+		t.Fatal("read under a cancelled context succeeded")
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		held = w.HeldJobs()
+		if held == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d results held after the only reader gave up", held)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailedOutcomeNotRetained: an identical chunk query submitted
+// after a failure re-executes instead of being answered with the
+// failure — here the chunk table it needs arrives in between.
+func TestFailedOutcomeNotRetained(t *testing.T) {
+	w, chunk := testWorker(t, DefaultConfig("w0"))
+	other := chunk + 1
+	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.Object_%d;", other))
+	run := func() ([]byte, error) {
+		if err := w.HandleWrite(xrd.QueryPath(int(other)), payload); err != nil {
+			t.Fatal(err)
+		}
+		return w.HandleRead(xrd.ResultPath(payload))
+	}
+	if _, err := run(); err == nil {
+		t.Fatal("query against a chunk table the worker lacks succeeded")
+	}
+	info, err := w.registry.Table("Object")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadChunk(info, other, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run()
+	if err != nil {
+		t.Fatalf("identical query after the table arrived: %v", err)
+	}
+	if got := countResult(t, string(out)); got != 0 {
+		t.Errorf("count over the new empty chunk = %d", got)
+	}
+
+	// A failure whose owner has not read it yet is displaced, not
+	// joined, by a later identical query; both then read the fresh
+	// outcome.
+	missing := []byte("SELECT COUNT(*) FROM LSST.Object_424242;")
+	if err := w.HandleWrite(xrd.QueryPath(424242), missing); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		reports := w.Reports()
+		if last := reports[len(reports)-1]; last.Hash == xrd.ResultHash(missing) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("failing job never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := w.LoadChunk(info, 424242, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.HandleWrite(xrd.QueryPath(424242), missing); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := w.HandleRead(xrd.ResultPath(missing)); err != nil {
+			t.Fatalf("owner %d read the stale failure: %v", i, err)
+		}
+	}
+	held := w.HeldJobs()
+	if held != 0 {
+		t.Errorf("%d results held after both owners read", held)
+	}
+}
+
+// TestReportsAreBounded: the execution log is a ring of the most recent
+// maxReports entries, oldest first.
+func TestReportsAreBounded(t *testing.T) {
+	w, _ := testWorker(t, DefaultConfig("w0"))
+	const extra = 10
+	w.mu.Lock()
+	for i := 0; i < maxReports+extra; i++ {
+		w.report(JobReport{ResultLen: i})
+	}
+	w.mu.Unlock()
+	got := w.Reports()
+	if len(got) != maxReports {
+		t.Fatalf("reports = %d, want %d", len(got), maxReports)
+	}
+	for i, r := range got {
+		if r.ResultLen != i+extra {
+			t.Fatalf("report %d is execution %d, want %d (oldest first)", i, r.ResultLen, i+extra)
 		}
 	}
 }

@@ -53,7 +53,9 @@ type Handler interface {
 // implementing it has its blocking transactions (above all the result
 // read, which waits for chunk-query execution) canceled when the
 // caller's context is. Handlers that do not implement it are driven
-// through the plain methods with a context check before the call.
+// through the plain methods with a context check before the call, and —
+// knowing nothing of queries — see paths without the query identity
+// (WithQID): a plain file server keys its files by bare path.
 type ContextHandler interface {
 	HandleWriteContext(ctx context.Context, path string, data []byte) error
 	HandleReadContext(ctx context.Context, path string) ([]byte, error)
@@ -68,6 +70,7 @@ func writeContext(h Handler, ctx context.Context, path string, data []byte) erro
 	if ch, ok := h.(ContextHandler); ok {
 		return ch.HandleWriteContext(ctx, path, data)
 	}
+	path, _ = SplitQID(path)
 	return h.HandleWrite(path, data)
 }
 
@@ -80,6 +83,7 @@ func readContext(h Handler, ctx context.Context, path string) ([]byte, error) {
 	if ch, ok := h.(ContextHandler); ok {
 		return ch.HandleReadContext(ctx, path)
 	}
+	path, _ = SplitQID(path)
 	return h.HandleRead(path)
 }
 
@@ -204,10 +208,10 @@ func parseTablePath(prefix, path string) (table string, chunk int, shared bool, 
 // WithQID appends an out-of-band query identity to a transaction path.
 // The identity rides the path — never the payload — so it cannot
 // perturb the content-addressed result hash: identical chunk queries
-// from different user queries still deduplicate, while a cancel can
-// only detach an interest the same query actually registered (a kill
-// broadcast to replicas whose dispatch write never landed is a no-op
-// there instead of aborting an innocent sharer's job).
+// from different user queries still deduplicate, while a result read or
+// a cancel can only release an interest the same query actually
+// registered (a kill broadcast to replicas whose dispatch write never
+// landed is a no-op there instead of aborting an innocent sharer's job).
 func WithQID(path, qid string) string {
 	if qid == "" {
 		return path

@@ -418,6 +418,17 @@ func TestQIDPathIdentity(t *testing.T) {
 	if WithQID("/x", "") != "/x" {
 		t.Error("empty qid must be a no-op")
 	}
+	// A handler that is not context-aware knows nothing of queries: it
+	// is driven with the bare path, whichever identity the caller sent.
+	ep := NewLocalEndpoint("fs", NewFileStore())
+	if err := ep.HandleWrite(WithQID("/result/r", "czar-0-7"), []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/result/r", WithQID("/result/r", "czar-0-9")} {
+		if got, err := ep.HandleRead(path); err != nil || string(got) != "data" {
+			t.Errorf("plain handler read of %q = %q, %v", path, got, err)
+		}
+	}
 }
 
 func TestParseReplPath(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,12 @@ func TestFrontendDriverMatchesOracle(t *testing.T) {
 		"SELECT COUNT(*) FROM Object",
 		"SELECT objectId, ra_PS FROM Object WHERE uFlux_PS > 2.5e-31 AND decl_PS < 10",
 		"SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC, objectId LIMIT 7",
+		// The paper's HV3: six partial-aggregate columns at the workers,
+		// four in the answer. The header must name the four.
+		"SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object GROUP BY chunkId",
+		// An ORDER BY key outside the select list travels as a hidden
+		// worker column the header must not name either.
+		"SELECT objectId FROM Object ORDER BY ra_PS + decl_PS LIMIT 5",
 	} {
 		rows, err := db.Query(q)
 		if err != nil {
@@ -68,6 +75,9 @@ func TestFrontendDriverMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameAnswer(t, got, want, "driver "+q)
+		if strings.Join(cols, ",") != strings.Join(want.Cols, ",") {
+			t.Errorf("%s: header names %v, oracle %v", q, cols, want.Cols)
+		}
 	}
 
 	// Placeholder point query (the interactive shape of the bench).

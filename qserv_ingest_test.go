@@ -460,3 +460,63 @@ func TestCustomCatalogSpec(t *testing.T) {
 		t.Errorf("director-key dive dispatched %d chunks, want 1", dive.ChunksDispatched)
 	}
 }
+
+// TestWorkerOutcomeNotServedStale: a statement that failed because its
+// table had no data yet must succeed once the data is there. Workers
+// address results by statement hash, so a worker that retained the
+// failed outcome would answer the identical statement with the old
+// failure forever (the czar result cache is off: nothing else may mask
+// or cause this).
+func TestWorkerOutcomeNotServedStale(t *testing.T) {
+	cat := ingestTestCatalog(t)
+	cfg := DefaultClusterConfig(4)
+	cfg.ResultCacheBytes = 0
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.CreateTables(LSSTSpec()); err != nil {
+		t.Fatal(err)
+	}
+	objRows := make([]Row, len(cat.Objects))
+	for i, o := range cat.Objects {
+		objRows[i] = Row(datagen.ObjectUserRow(o))
+	}
+	if _, err := cl.Ingest("Object", RowsOf(objRows)); err != nil {
+		t.Fatal(err)
+	}
+
+	const sql = "SELECT COUNT(*) AS n FROM Source"
+	if res, err := cl.Query(sql); err == nil {
+		t.Fatalf("Source scan before its ingest answered %v, want the missing-table failure", res.Rows)
+	}
+
+	srcRows := make([]Row, len(cat.Sources))
+	for i, s := range cat.Sources {
+		srcRows[i] = Row(datagen.SourceUserRow(s))
+	}
+	if _, err := cl.Ingest("Source", RowsOf(srcRows)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Query(sql)
+	if err != nil {
+		t.Fatalf("identical statement after the ingest still fails: %v", err)
+	}
+	if got := res.Rows[0][0]; got != int64(len(cat.Sources)) {
+		t.Errorf("COUNT(*) = %v, want %d", got, len(cat.Sources))
+	}
+
+	// Every interest the two queries registered at the workers — read,
+	// or abandoned when the first query's first chunk failed — has been
+	// released: an idle cluster holds no chunk-query state.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, w := range cl.Workers {
+		for w.HeldJobs() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %s still holds %d chunk queries", w.Name(), w.HeldJobs())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}

@@ -187,7 +187,7 @@ type Query struct {
 }
 
 // ID returns the cluster-assigned query id — the handle Kill (and the
-// proxy's KILL command) addresses.
+// frontend's KILL command) addresses.
 func (q *Query) ID() int64 { return q.inner.ID() }
 
 // Wait blocks until the query finishes, the query is canceled, or ctx
