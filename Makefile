@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race verify bench bench-build bench-smoke fuzz-smoke
+.PHONY: build test vet race verify bench bench-build bench-layers bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ bench:
 # so a renamed function breaks tier-1 instead of the benchmark gate.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Per-layer testing.B benches: today the scan layer, the chunk statements
+# of the paper's query classes over one chunk-sized table, in ns/row and
+# allocs/op. (What they must never exceed is pinned as counts, which
+# repeat exactly, by TestScanAllocBudget in tier-1.)
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
 
 # Tiny-size benchmarks fast enough to gate CI: the czar merge pipeline
 # (serialized vs pipelined collection, oracle-checked), the query-kill
@@ -63,7 +70,9 @@ bench-smoke:
 # segment framing + WAL records, the one row codec every format shares,
 # the ingest batch / segment-set framings, the worker result stream,
 # and the frontend wire protocol (frame reader, handshake, column-header
-# and row frames — everything a hostile client controls). Go allows one
+# and row frames — everything a hostile client controls) — and over the
+# engine's expression compiler, differentially: whatever expression text
+# the fuzzer writes must evaluate as the reference interpreter does. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.
@@ -78,3 +87,4 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzColsDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)

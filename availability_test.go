@@ -190,8 +190,9 @@ func TestWorkerDeathMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	slowScans(cl, 10*time.Microsecond)
 	sql := "SELECT COUNT(*) FROM Object WHERE uFlux_PS > 1e-31"
-	q, err := cl.Submit(context.Background(), sql)
+	q, err := cl.Submit(context.Background(), "SELECT COUNT(*) FROM Object WHERE test_slow(uFlux_PS) > 1e-31")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	qserv "repro"
 	"repro/internal/datagen"
 	"repro/internal/frontend"
+	"repro/internal/sqlengine"
 )
 
 var connsFlag = flag.Int("conns", 1000, "concurrent v2 connections in the frontend storm")
@@ -59,8 +60,16 @@ func runFrontendBench(ctx *benchCtx) error {
 	}
 
 	conns := raiseNoFile(*connsFlag)
-	scanSQL := "SELECT objectId, ra_PS FROM Object WHERE uFlux_PS > 1e-31"
-	scanWant, err := oracle.Query(scanSQL)
+	// Every gate below watches a scan in flight, so how long a scan lasts
+	// is set here and not left to the engine: each row pays scanRowDelay
+	// in an identity UDF the workers carry. The oracle is asked the same
+	// statement without it.
+	const scanRowDelay = 500 * time.Microsecond
+	for _, w := range cl.Workers {
+		w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(scanRowDelay))
+	}
+	scanSQL := "SELECT objectId, ra_PS FROM Object WHERE test_slow(uFlux_PS) > 1e-31"
+	scanWant, err := oracle.Query("SELECT objectId, ra_PS FROM Object WHERE uFlux_PS > 1e-31")
 	if err != nil {
 		return err
 	}

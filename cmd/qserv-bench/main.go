@@ -1962,9 +1962,15 @@ func runPointQuery(ctx *benchCtx) error {
 		st.Hits, st.Misses, st.Entries, st.Bytes, st.Invalidations)
 	fmt.Printf("  ingest invalidation: post-ingest Source count served fresh: %v\n", !staleServed)
 
+	// The speed gate is there to catch a dive that fell back to the
+	// fan-out, which reads 1x; this cluster's honest ratio is 6-25x. It
+	// compares medians: over 40 probes a p99 is the slowest probe, and one
+	// GC cycle landing in a 150us dive (1.7-3.7 ms when it happens, and
+	// the less the scans allocate the more evenly the cycles land) would
+	// decide a ratio of two of them.
 	speedup := 0.0
-	if diveP99 > 0 {
-		speedup = float64(fanP99) / float64(diveP99)
+	if diveP50 > 0 {
+		speedup = float64(fanP50) / float64(diveP50)
 	}
 	switch {
 	case wrong > 0:
@@ -1979,14 +1985,14 @@ func runPointQuery(ctx *benchCtx) error {
 	case coldHits > 0:
 		fmt.Printf("  RESULT: FAIL — %d repeats were not served from the result cache\n", coldHits)
 		return fmt.Errorf("pointquery: %d cache misses on repeats", coldHits)
-	case fanP99 >= 2*time.Millisecond && speedup < 10:
-		fmt.Printf("  RESULT: FAIL — dive p99 only %.1fx under the fan-out baseline (want >= 10x)\n", speedup)
+	case fanP50 >= 500*time.Microsecond && speedup < 3:
+		fmt.Printf("  RESULT: FAIL — median dive only %.1fx under the fan-out baseline (want >= 3x)\n", speedup)
 		return fmt.Errorf("pointquery: dive speedup %.1fx", speedup)
 	default:
-		if fanP99 < 2*time.Millisecond && speedup < 10 {
-			fmt.Printf("  RESULT: ok (speedup %.1fx unscored: fan-out p99 %v is below the 2ms timing floor)\n", speedup, fanP99)
+		if fanP50 < 500*time.Microsecond && speedup < 3 {
+			fmt.Printf("  RESULT: ok (speedup %.1fx unscored: fan-out p50 %v is below the 500us timing floor)\n", speedup, fanP50)
 		} else {
-			fmt.Printf("  RESULT: ok — dives %.1fx faster at p99, zero wrong answers, repeats cache-served\n", speedup)
+			fmt.Printf("  RESULT: ok — dives %.1fx faster at the median, zero wrong answers, repeats cache-served\n", speedup)
 		}
 		return nil
 	}

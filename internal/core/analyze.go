@@ -535,7 +535,7 @@ func (a *Analysis) regionPredicate(fc *sqlparse.FuncCall) (sqlparse.Expr, error)
 	}
 	return &sqlparse.BinaryExpr{
 		Op: "=",
-		L:  &sqlparse.FuncCall{Name: udf, Args: args},
+		L:  sqlparse.NewFuncCall(udf, args...),
 		R:  &sqlparse.Literal{Val: int64(1)},
 	}, nil
 }

@@ -114,7 +114,7 @@ func (s *splitter) splitExpr(e sqlparse.Expr) (sqlparse.Expr, error) {
 				}
 				args[i] = sub
 			}
-			return &sqlparse.FuncCall{Name: v.Name, Args: args}, nil
+			return sqlparse.NewFuncCall(v.Name, args...), nil
 		}
 		if v.Distinct {
 			return nil, fmt.Errorf("core: %s(DISTINCT ...) is not supported in distributed queries", v.Name)
@@ -125,27 +125,24 @@ func (s *splitter) splitExpr(e sqlparse.Expr) (sqlparse.Expr, error) {
 			// COUNT merges as the sum of partial counts; over zero
 			// chunks that sum is empty, and COUNT must yield 0, not
 			// NULL.
-			partial := s.workerCol(&sqlparse.FuncCall{Name: "COUNT", Args: cloneExprs(v.Args)})
-			sum := &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{partial}}
-			return &sqlparse.FuncCall{
-				Name: "IFNULL",
-				Args: []sqlparse.Expr{sum, &sqlparse.Literal{Val: int64(0)}},
-			}, nil
+			partial := s.workerCol(sqlparse.NewFuncCall("COUNT", cloneExprs(v.Args)...))
+			sum := sqlparse.NewFuncCall("SUM", partial)
+			return sqlparse.NewFuncCall("IFNULL", sum, &sqlparse.Literal{Val: int64(0)}), nil
 		case "SUM":
-			partial := s.workerCol(&sqlparse.FuncCall{Name: "SUM", Args: cloneExprs(v.Args)})
-			return &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{partial}}, nil
+			partial := s.workerCol(sqlparse.NewFuncCall("SUM", cloneExprs(v.Args)...))
+			return sqlparse.NewFuncCall("SUM", partial), nil
 		case "MIN", "MAX":
-			partial := s.workerCol(&sqlparse.FuncCall{Name: fn, Args: cloneExprs(v.Args)})
-			return &sqlparse.FuncCall{Name: fn, Args: []sqlparse.Expr{partial}}, nil
+			partial := s.workerCol(sqlparse.NewFuncCall(fn, cloneExprs(v.Args)...))
+			return sqlparse.NewFuncCall(fn, partial), nil
 		case "AVG":
 			// The paper's example: AVG(x) becomes worker SUM(x) and
 			// COUNT(x), merged as SUM(SUM(x)) / SUM(COUNT(x)).
-			sums := s.workerCol(&sqlparse.FuncCall{Name: "SUM", Args: cloneExprs(v.Args)})
-			counts := s.workerCol(&sqlparse.FuncCall{Name: "COUNT", Args: cloneExprs(v.Args)})
+			sums := s.workerCol(sqlparse.NewFuncCall("SUM", cloneExprs(v.Args)...))
+			counts := s.workerCol(sqlparse.NewFuncCall("COUNT", cloneExprs(v.Args)...))
 			return &sqlparse.BinaryExpr{
 				Op: "/",
-				L:  &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{sums}},
-				R:  &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{counts}},
+				L:  sqlparse.NewFuncCall("SUM", sums),
+				R:  sqlparse.NewFuncCall("SUM", counts),
 			}, nil
 		default:
 			return nil, fmt.Errorf("core: aggregate %s cannot be distributed", fn)

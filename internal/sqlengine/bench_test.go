@@ -1,0 +1,194 @@
+package sqlengine
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/sqlparse"
+)
+
+// The scan-layer benches run the chunk statements a worker receives for
+// the paper's section 6.2 classes (as bench/ issues them, after the
+// czar's rewrite) over one chunk-sized table: 2,400 rows of the
+// 13-column Object schema. `make bench-layers` runs them.
+
+const benchChunkRows = 2400
+
+var benchObjectSchema = Schema{
+	{Name: "objectId", Type: sqlparse.TypeInt},
+	{Name: "ra_PS", Type: sqlparse.TypeFloat},
+	{Name: "decl_PS", Type: sqlparse.TypeFloat},
+	{Name: "uFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "gFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "rFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "iFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "zFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "yFlux_PS", Type: sqlparse.TypeFloat},
+	{Name: "uFlux_SG", Type: sqlparse.TypeFloat},
+	{Name: "uRadius_PS", Type: sqlparse.TypeFloat},
+	{Name: "chunkId", Type: sqlparse.TypeInt},
+	{Name: "subChunkId", Type: sqlparse.TypeInt},
+}
+
+// benchObjectRows synthesizes n Object rows in a 2 x 2 degree patch.
+// Magnitudes spread evenly over 18..27 per band, with the bands out of
+// step, so the classes' cuts keep their selectivities: i - z runs over
+// -9..9.
+func benchObjectRows(n int) []Row {
+	flux := func(mag float64) float64 { return math.Pow(10, -(mag+48.6)/2.5) }
+	mag := func(i, step int) float64 { return 18 + 9*float64((i*step)%n)/float64(n) }
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{
+			int64(1000 + i),
+			10 + 2*float64(i%49)/49, -1 + 2*float64(i%51)/51,
+			flux(mag(i, 7)), flux(mag(i, 11)), flux(mag(i, 13)),
+			flux(mag(i, 17)), flux(mag(i, 19)), flux(mag(i, 23)),
+			flux(mag(i, 29)), 0.5 + float64(i%10)/10,
+			int64(221), int64(i % 40),
+		}
+	}
+	return rows
+}
+
+// benchEngine holds the chunk table Object_221 and, for the near
+// neighbour join, one subchunk's worth of it as Object_221_0 and its
+// overlap table.
+func benchEngine(tb testing.TB, chunkRows int) *Engine {
+	tb.Helper()
+	e := New("LSST")
+	db, err := e.Database("LSST")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := benchObjectRows(chunkRows)
+	for name, part := range map[string][]Row{
+		"Object_221":              rows,
+		"Object_221_0":            rows[:60],
+		"ObjectFullOverlap_221_0": rows[60:90],
+	} {
+		t := NewTable(name, benchObjectSchema)
+		if err := t.Insert(part...); err != nil {
+			tb.Fatal(err)
+		}
+		db.Put(t)
+	}
+	if err := db.tables["object_221"].CreateIndex("objectId"); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+const (
+	benchBare = "SELECT COUNT(*) AS qserv_c0 FROM LSST.Object_221 AS Object WHERE (ra_PS BETWEEN 10.5 AND 11.5)"
+	benchLV1  = "SELECT * FROM LSST.Object_221 AS Object WHERE (objectId = 2200)"
+	benchLV3  = "SELECT COUNT(*) AS qserv_c0 FROM LSST.Object_221 AS Object WHERE ((ra_PS BETWEEN 10.5 AND 11.5) AND ((decl_PS BETWEEN -0.5 AND 0.5) AND (fluxToAbMag(zFlux_PS) BETWEEN 16 AND 30.000001)))"
+	benchHV1  = "SELECT COUNT(*) AS qserv_c0 FROM LSST.Object_221 AS Object WHERE (fluxToAbMag(rFlux_PS) < 24.1)"
+	benchHV3  = "SELECT COUNT(*) AS qserv_c0, SUM(ra_PS) AS qserv_c1, MIN(decl_PS) AS qserv_c2, MAX(decl_PS) AS qserv_c3, chunkId AS qserv_c4 FROM LSST.Object_221 AS Object WHERE (fluxToAbMag(rFlux_PS) < 26.1) GROUP BY chunkId"
+	benchHV2  = "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS FROM LSST.Object_221 AS Object WHERE ((fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS)) > 6)"
+	benchHV2s = "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS FROM LSST.Object_221 AS Object WHERE ((fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS)) > 8.9)"
+	benchJoin = "SELECT COUNT(*) AS qserv_c0 FROM LSST.Object_221_0 AS o1, LSST.ObjectFullOverlap_221_0 AS o2 WHERE ((qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 9, -2, 13, 2) = 1) AND (qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.02))"
+)
+
+func mustParse(tb testing.TB, sql string) *sqlparse.Select {
+	tb.Helper()
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sel
+}
+
+// benchStatement executes one parsed statement b.N times and reports the
+// time per row the statement scanned.
+func benchStatement(b *testing.B, sql string) {
+	e := benchEngine(b, benchChunkRows)
+	sel := mustParse(b, sql)
+	var scanned int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.ExecuteStmt(sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scanned = res.Stats.RowsScanned
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*scanned), "ns/row")
+}
+
+func BenchmarkScanBare(b *testing.B)         { benchStatement(b, benchBare) }
+func BenchmarkScanHV1(b *testing.B)          { benchStatement(b, benchHV1) }
+func BenchmarkScanHV3(b *testing.B)          { benchStatement(b, benchHV3) }
+func BenchmarkScanHV2(b *testing.B)          { benchStatement(b, benchHV2) }
+func BenchmarkScanHV2s(b *testing.B)         { benchStatement(b, benchHV2s) }
+func BenchmarkScanLV3(b *testing.B)          { benchStatement(b, benchLV3) }
+func BenchmarkScanSubchunkJoin(b *testing.B) { benchStatement(b, benchJoin) }
+
+// BenchmarkScanCompile prices bind + compile alone on the statement where
+// it is the largest share of the work: an LV1 index dive.
+func BenchmarkScanCompile(b *testing.B) {
+	e := benchEngine(b, benchChunkRows)
+	sel := mustParse(b, benchLV1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := compileOnly(e, sel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func compileOnly(e *Engine, sel *sqlparse.Select) error {
+	ex, err := e.bind(sel, ExecOptions{})
+	if err != nil {
+		return err
+	}
+	_, err = ex.compile()
+	return err
+}
+
+// TestScanAllocBudget pins what the single-pass pipeline allocates.
+// testing.AllocsPerRun counts repeat exactly, so these gate in tier-1: a
+// filter that only counts and a GROUP BY allocate per statement, never
+// per row scanned; a pass-through SELECT allocates per row it returns.
+func TestScanAllocBudget(t *testing.T) {
+	run := func(e *Engine, sql string) (allocs float64, out int64) {
+		sel := mustParse(t, sql)
+		allocs = testing.AllocsPerRun(20, func() {
+			res, err := e.ExecuteStmt(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = res.Stats.RowsOut
+		})
+		return allocs, out
+	}
+	e, half := benchEngine(t, benchChunkRows), benchEngine(t, benchChunkRows/2)
+	const fixed = 64
+	for _, sql := range []string{benchHV1, benchHV3, benchLV3} {
+		allocs, _ := run(e, sql)
+		if sql != benchLV3 && allocs > fixed {
+			t.Errorf("%.0f allocations (budget %d) for %s", allocs, fixed, sql)
+		}
+		if fewer, _ := run(half, sql); fewer != allocs {
+			t.Errorf("%.0f allocations over %d rows, %.0f over %d: they grow with the rows scanned by %s",
+				allocs, benchChunkRows, fewer, benchChunkRows/2, sql)
+		}
+	}
+	allocs, out := run(e, benchHV2)
+	if out < benchChunkRows/20 {
+		t.Fatalf("HV2 returned %d of %d rows: the bench table lost its colour spread", out, benchChunkRows)
+	}
+	if budget := float64(2*out + fixed); allocs > budget {
+		t.Errorf("HV2: %.0f allocations for %d output rows (budget %.0f)", allocs, out, budget)
+	}
+	sel := mustParse(t, benchLV1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := compileOnly(e, sel); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 40 {
+		t.Errorf("compiling the LV1 statement: %.0f allocations (budget 40)", allocs)
+	}
+}

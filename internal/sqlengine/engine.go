@@ -16,7 +16,7 @@ type Engine struct {
 	mu        sync.RWMutex
 	dbs       map[string]*Database
 	defaultDB string
-	funcs     map[string]Func
+	funcs     map[string]function
 }
 
 // New creates an engine with one (default) database and the built-in
@@ -26,7 +26,7 @@ func New(defaultDB string) *Engine {
 	e := &Engine{
 		dbs:       map[string]*Database{},
 		defaultDB: strings.ToLower(defaultDB),
-		funcs:     map[string]Func{},
+		funcs:     map[string]function{},
 	}
 	e.dbs[e.defaultDB] = NewDatabase(defaultDB)
 	registerBuiltins(e)
@@ -38,11 +38,13 @@ func (e *Engine) DefaultDB() string { return e.defaultDB }
 
 // RegisterFunc installs a scalar function under a case-insensitive name,
 // the stand-in for installing a UDF on a worker's database instance
-// (paper section 5.3).
+// (paper section 5.3). The args slice fn receives is a buffer the compiled
+// call reuses for every row: it is valid only until fn returns, so a
+// function that keeps an argument must copy the value out, not the slice.
 func (e *Engine) RegisterFunc(name string, fn Func) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.funcs[strings.ToLower(name)] = fn
+	e.funcs[strings.ToLower(name)] = function{call: fn}
 }
 
 // HasFunc reports whether a function is registered.
@@ -293,7 +295,7 @@ func (e *Engine) execInsert(ins *sqlparse.Insert) (*Result, error) {
 			positions = append(positions, ci)
 		}
 	}
-	env := newEvalEnv(nil, e.funcs)
+	c := compiler{funcs: e.funcs}
 	rows := make([]Row, 0, len(ins.Rows))
 	for _, exprRow := range ins.Rows {
 		if len(exprRow) != len(positions) {
@@ -302,7 +304,7 @@ func (e *Engine) execInsert(ins *sqlparse.Insert) (*Result, error) {
 		}
 		row := make(Row, len(t.Schema))
 		for i, ex := range exprRow {
-			v, err := env.Eval(ex)
+			v, err := c.constValue(ex)
 			if err != nil {
 				return nil, err
 			}

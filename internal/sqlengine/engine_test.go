@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sqlparse"
 )
@@ -275,6 +277,24 @@ func TestIndexInList(t *testing.T) {
 	}
 }
 
+// NULL equals nothing: a NULL key must not dive to the rows whose indexed
+// column is NULL.
+func TestIndexDiveNullKey(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "INSERT INTO Object VALUES (NULL, 1.0, 1.0, 1e-28, 400)")
+	mustExec(t, e, "CREATE INDEX idx_obj ON Object (objectId)")
+	for sql, want := range map[string]int{
+		"SELECT chunkId FROM Object WHERE objectId = NULL":       0,
+		"SELECT chunkId FROM Object WHERE objectId IN (NULL)":    0,
+		"SELECT chunkId FROM Object WHERE objectId IN (1, NULL)": 1,
+		"SELECT chunkId FROM Object WHERE objectId IS NULL":      1,
+	} {
+		if res := mustQuery(t, e, sql); len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d", sql, len(res.Rows), want)
+		}
+	}
+}
+
 func TestIndexAfterInsert(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, "CREATE INDEX idx_obj ON Object (objectId)")
@@ -292,6 +312,25 @@ func TestIndexFloatKeyNormalization(t *testing.T) {
 	res := mustQuery(t, e, "SELECT * FROM Object WHERE objectId = 3.0")
 	if len(res.Rows) != 1 {
 		t.Errorf("float literal did not match int key: %v", res.Rows)
+	}
+}
+
+func TestSlowIdentity(t *testing.T) {
+	for _, d := range []time.Duration{-time.Second, 0, 50 * time.Microsecond, 2 * time.Millisecond} {
+		f := SlowIdentity(d)
+		start := time.Now()
+		for i := 0; i < 20; i++ {
+			v, err := f([]Value{int64(i)})
+			if err != nil || v != int64(i) {
+				t.Fatalf("SlowIdentity(%v)(%d) = %v, %v", d, i, v, err)
+			}
+		}
+		if took := time.Since(start); took < 20*d {
+			t.Errorf("SlowIdentity(%v): 20 calls took %v", d, took)
+		}
+		if _, err := f(nil); err == nil {
+			t.Errorf("SlowIdentity(%v) accepted no argument", d)
+		}
 	}
 }
 
@@ -315,6 +354,51 @@ func TestUDFs(t *testing.T) {
 	if res.Rows[0][0].(int64) != 1 {
 		t.Errorf("wrapping ptInSphericalBox = %v", res.Rows[0][0])
 	}
+}
+
+// A compiled call reuses one args buffer across rows (see RegisterFunc).
+// What a UDF may rely on: the values it reads or returns are its own, a
+// call nested in another has a buffer of its own, and so does every
+// compile of the statement — concurrent runs do not share one.
+func TestUDFArgsBuffer(t *testing.T) {
+	e := newTestEngine(t)
+	var mu sync.Mutex
+	var kept []Value
+	e.RegisterFunc("keep", func(args []Value) (Value, error) {
+		mu.Lock()
+		kept = append(kept, args[0]) // the value, not the slice
+		mu.Unlock()
+		return args[0], nil
+	})
+	e.RegisterFunc("pair", func(args []Value) (Value, error) {
+		return args[0].(int64)*1000 + args[1].(int64), nil
+	})
+	res := mustQuery(t, e, "SELECT keep(objectId), pair(pair(objectId, 1), pair(2, objectId)) FROM Object")
+	for i, r := range res.Rows {
+		id := int64(i + 1)
+		if r[0] != id || kept[i] != id {
+			t.Errorf("row %d: keep returned %v and kept %v", id, r[0], kept[i])
+		}
+		if want := (id*1000+1)*1000 + 2000 + id; r[1] != want {
+			t.Errorf("row %d: nested pair = %v, want %v", id, r[1], want)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				res, err := e.Query("SELECT SUM(pair(objectId, chunkId)) FROM Object")
+				if err != nil || res.Rows[0][0] != int64(21*1000+1200) {
+					t.Errorf("concurrent pair: %v, %v", res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNearNeighborSelfJoin(t *testing.T) {

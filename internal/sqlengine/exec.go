@@ -3,14 +3,12 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/sqlparse"
 )
-
-// tuple is one joined row: one Row per FROM binding, in binding order.
-type tuple []Row
 
 // ScanSource supplies a table's rows piece-wise in place of a direct
 // heap scan — the seam shared scanning (internal/scanshare) plugs into
@@ -30,6 +28,24 @@ type ScanSource interface {
 // only for scans an index cannot answer.
 type ScanProvider func(t *Table) ScanSource
 
+// sliceSource serves rows the engine already holds — a table's heap, or
+// the rows an index dive found — as a ScanSource of one piece, so every
+// scan runs the same loop.
+type sliceSource struct {
+	rows []Row
+	done bool
+}
+
+func (s *sliceSource) NextPiece() ([]Row, bool) {
+	if s.done {
+		return nil, false
+	}
+	s.done = true
+	return s.rows, true
+}
+
+func (s *sliceSource) Close() {}
+
 // ErrInterrupted marks a statement aborted through ExecOptions.Interrupt
 // (query cancellation): the partial state is discarded and the executor
 // returns between rows.
@@ -40,16 +56,19 @@ var ErrInterrupted = errors.New("sqlengine: statement interrupted")
 // rows", large enough that the check never shows up in profiles.
 const interruptCheckRows = 512
 
-// selectExec executes one SELECT statement.
+// selectExec executes one SELECT statement in three steps: bind the FROM
+// clause to tables, compile every expression of the statement against
+// those bindings into a selectPlan, then run the plan in a single pass
+// over the rows.
 type selectExec struct {
 	eng       *Engine
 	sel       *sqlparse.Select
-	bindings  []*binding
+	bindings  []binding
 	tables    []*Table
-	env       *evalEnv
 	prov      ScanProvider
 	interrupt <-chan struct{}
 	stats     ExecStats
+	fr        frame
 }
 
 // interrupted reports ErrInterrupted once the interrupt channel closed.
@@ -76,35 +95,52 @@ func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result
 	if res, ok, err := e.tryCountStar(sel); ok || err != nil {
 		return res, err
 	}
-	ex := &selectExec{eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt}
-	for _, ref := range sel.From {
+	ex, err := e.bind(sel, opts)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := ex.compile()
+	if err != nil {
+		return nil, err
+	}
+	if err := ex.run(plan); err != nil {
+		return nil, err
+	}
+	res, err := plan.out.result(&ex.fr)
+	if err != nil {
+		return nil, err
+	}
+	ex.stats.RowsOut = int64(len(res.Rows))
+	for _, r := range res.Rows {
+		ex.stats.ResultBytes += rowBytes(r)
+	}
+	res.Stats = ex.stats
+	return res, nil
+}
+
+// bind resolves the FROM clause.
+func (e *Engine) bind(sel *sqlparse.Select, opts ExecOptions) (*selectExec, error) {
+	n := len(sel.From)
+	ex := &selectExec{
+		eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt,
+		bindings: make([]binding, n), tables: make([]*Table, n),
+	}
+	ex.fr.rows = make([]Row, n)
+	for i, ref := range sel.From {
 		t, err := e.lookupTable(ref.DB, ref.Table)
 		if err != nil {
 			return nil, err
 		}
-		ex.tables = append(ex.tables, t)
-		ex.bindings = append(ex.bindings, &binding{name: ref.Name(), schema: t.Schema})
-	}
-	// Duplicate FROM names are ambiguous (self-join requires aliases).
-	seen := map[string]bool{}
-	for _, b := range ex.bindings {
-		key := strings.ToLower(b.name)
-		if seen[key] {
-			return nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", b.name)
+		ex.tables[i] = t
+		ex.bindings[i] = binding{name: ref.Name(), schema: t.Schema}
+		// Duplicate FROM names are ambiguous (self-join requires aliases).
+		for _, b := range ex.bindings[:i] {
+			if strings.EqualFold(b.name, ref.Name()) {
+				return nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", ref.Name())
+			}
 		}
-		seen[key] = true
 	}
-	ex.env = newEvalEnv(ex.bindings, e.funcs)
-	tuples, err := ex.join()
-	if err != nil {
-		return nil, err
-	}
-	res, err := ex.project(tuples)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = ex.stats
-	return res, nil
+	return ex, nil
 }
 
 // tryCountStar answers `SELECT COUNT(*) [AS alias] FROM t` without
@@ -118,7 +154,7 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 		return nil, false, nil
 	}
 	fc, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
-	if !ok || strings.ToUpper(fc.Name) != "COUNT" || fc.Distinct || len(fc.Args) != 1 {
+	if !ok || fc.Key() != "count" || fc.Distinct || len(fc.Args) != 1 {
 		return nil, false, nil
 	}
 	if _, isStar := fc.Args[0].(*sqlparse.Star); !isStar {
@@ -128,12 +164,8 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	name := sel.Items[0].Alias
-	if name == "" {
-		name = displayName(sel.Items[0].Expr)
-	}
 	res := &Result{
-		Cols:  []string{name},
+		Cols:  itemNames(sel.Items),
 		Types: []sqlparse.ColType{sqlparse.TypeInt},
 		Rows:  []Row{{int64(len(t.Rows))}},
 	}
@@ -144,25 +176,26 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 
 // execSelectNoFrom evaluates a FROM-less select (constants only).
 func (e *Engine) execSelectNoFrom(sel *sqlparse.Select) (*Result, error) {
-	env := newEvalEnv(nil, e.funcs)
+	c := compiler{funcs: e.funcs}
+	res := &Result{Cols: itemNames(sel.Items)}
 	if sel.Where != nil {
-		ok, err := env.Eval(sel.Where)
+		v, err := c.constValue(sel.Where)
 		if err != nil {
 			return nil, err
 		}
-		if !AsBool(ok) {
-			return &Result{Cols: itemNames(sel.Items)}, nil
+		if !AsBool(v) {
+			return res, nil
 		}
 	}
 	row := make(Row, len(sel.Items))
 	for i, it := range sel.Items {
-		v, err := env.Eval(it.Expr)
+		v, err := c.constValue(it.Expr)
 		if err != nil {
 			return nil, err
 		}
 		row[i] = v
 	}
-	res := &Result{Cols: itemNames(sel.Items), Rows: []Row{row}}
+	res.Rows = []Row{row}
 	res.Types = inferTypes(res)
 	res.Stats.RowsOut = 1
 	return res, nil
@@ -171,34 +204,57 @@ func (e *Engine) execSelectNoFrom(sel *sqlparse.Select) (*Result, error) {
 func itemNames(items []sqlparse.SelectItem) []string {
 	out := make([]string, len(items))
 	for i, it := range items {
-		if it.Alias != "" {
-			out[i] = it.Alias
-		} else {
-			out[i] = displayName(it.Expr)
-		}
+		out[i] = itemName(it)
 	}
 	return out
 }
 
-// displayName renders an expression as a result column heading the way
-// MySQL does: bare column names stay bare, everything else is the text.
-func displayName(e sqlparse.Expr) string {
-	switch v := e.(type) {
-	case *sqlparse.ColumnRef:
-		return v.Column
-	default:
-		return e.SQL()
+// itemName is an item's result column heading: its alias, else the
+// expression the way MySQL renders it — bare column names stay bare,
+// everything else is the text.
+func itemName(it sqlparse.SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
 	}
+	if cr, ok := it.Expr.(*sqlparse.ColumnRef); ok {
+		return cr.Column
+	}
+	return it.Expr.SQL()
 }
 
-// ---------- join pipeline ----------
+// ---------- compile: the statement's plan ----------
 
-// conjunct is one ANDed predicate with the set of bindings it references.
-type conjunct struct {
-	expr     sqlparse.Expr
-	refs     map[int]bool // binding indices referenced
-	maxRef   int          // highest binding index, -1 for constants
-	consumed bool         // satisfied by an index or join strategy
+// selectPlan is a statement after compilation: how each FROM binding is
+// read and joined, and what becomes of the rows that survive. Everything
+// in it is decided before the first row is read, so an unknown column or
+// function fails the statement even over an empty table.
+type selectPlan struct {
+	// empty is set when a constant conjunct of WHERE is not true: nothing
+	// is scanned.
+	empty bool
+	scans []scanPlan // one per FROM binding, in join order
+	out   *output
+}
+
+// scanPlan reads one binding and, for every binding but the first, joins
+// it onto the bindings before it.
+type scanPlan struct {
+	table *Table
+	// index and keys, when set, replace the scan with an index dive: a
+	// `col = const` or `col IN (consts)` conjunct on an indexed column
+	// (the worker-side objectId index of section 5.5).
+	index *hashIndex
+	keys  []Value
+	// filter holds the conjuncts over this binding alone (less the one an
+	// index dive answers).
+	filter []intFn
+	// pending holds the conjuncts that become decidable once this binding
+	// joins the earlier ones. If one of them equates a column of this
+	// binding (buildCol) to an expression over the earlier ones (probe),
+	// it is taken out of pending and answered by a hash join.
+	pending  []intFn
+	probe    valueFn
+	buildCol int
 }
 
 func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
@@ -212,280 +268,100 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 	return append(out, e)
 }
 
-// classify determines which bindings each conjunct references.
-func (ex *selectExec) classify(exprs []sqlparse.Expr) ([]*conjunct, error) {
-	var out []*conjunct
-	for _, e := range exprs {
-		c := &conjunct{expr: e, refs: map[int]bool{}, maxRef: -1}
-		var walkErr error
-		sqlparse.WalkExpr(e, func(node sqlparse.Expr) bool {
-			cr, ok := node.(*sqlparse.ColumnRef)
-			if !ok {
-				return true
-			}
-			bi, _, err := ex.env.resolveColumn(cr)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			c.refs[bi] = true
-			if bi > c.maxRef {
-				c.maxRef = bi
-			}
-			return true
-		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func (ex *selectExec) join() ([]tuple, error) {
-	conjuncts, err := ex.classify(splitConjuncts(ex.sel.Where, nil))
-	if err != nil {
-		return nil, err
+func (ex *selectExec) compile() (*selectPlan, error) {
+	c := &compiler{bindings: ex.bindings, funcs: ex.eng.funcs}
+	p := &selectPlan{scans: make([]scanPlan, len(ex.tables))}
+	for k := range p.scans {
+		p.scans[k].table = ex.tables[k]
 	}
 
-	// Constant conjuncts: evaluate once; a false one empties the result.
-	for _, c := range conjuncts {
-		if c.maxRef >= 0 {
-			continue
-		}
-		v, err := ex.env.Eval(c.expr)
+	// Every ANDed conjunct of WHERE goes to the binding that completes
+	// the set it references: as a filter if it references that binding
+	// alone, as a join predicate otherwise. Constant ones are decided
+	// here; the first that is not true empties the result.
+	for _, e := range splitConjuncts(ex.sel.Where, nil) {
+		c.resetRefs()
+		n, err := c.compile(e)
 		if err != nil {
 			return nil, err
 		}
-		c.consumed = true
-		if !AsBool(v) {
-			return nil, nil
-		}
-	}
-
-	// Seed with table 0.
-	rows0, err := ex.scanBase(0, conjuncts)
-	if err != nil {
-		return nil, err
-	}
-	cur := make([]tuple, len(rows0))
-	for i, r := range rows0 {
-		cur[i] = tuple{r}
-	}
-
-	// Fold in each subsequent table.
-	for k := 1; k < len(ex.tables); k++ {
-		cur, err = ex.extend(cur, k, conjuncts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-// scanBase produces the filtered rows of binding k considered alone,
-// using an index for equality predicates when possible.
-func (ex *selectExec) scanBase(k int, conjuncts []*conjunct) ([]Row, error) {
-	t := ex.tables[k]
-	width := int64(t.Schema.RowWidth())
-
-	// Predicates that involve only binding k.
-	var local []*conjunct
-	for _, c := range conjuncts {
-		if !c.consumed && c.maxRef == k && len(c.refs) == 1 && c.refs[k] {
-			local = append(local, c)
-		}
-	}
-
-	// Index opportunity: col = const or col IN (consts) on an indexed
-	// column (the worker-side objectId index of section 5.5).
-	var candidate []Row
-	usedIndex := false
-	for _, c := range local {
-		keys, col, ok := ex.indexableKeys(c.expr, k)
-		if !ok || !t.HasIndex(col) {
-			continue
-		}
-		idx := t.Index(col)
-		seenPos := map[int]bool{}
-		for _, key := range keys {
-			for _, pos := range idx.lookup(key) {
-				if !seenPos[pos] {
-					seenPos[pos] = true
-					candidate = append(candidate, t.Rows[pos])
-				}
-			}
-			ex.stats.RandReads++
-		}
-		ex.stats.RandBytes += int64(len(candidate)) * width
-		ex.stats.RowsScanned += int64(len(candidate))
-		c.consumed = true
-		usedIndex = true
-		break
-	}
-	if !usedIndex {
-		// Shared-scan seam: a provider can stand in for the heap scan,
-		// delivering the table piece-wise from a convoy.
-		if ex.prov != nil {
-			if src := ex.prov(t); src != nil {
-				return ex.scanViaSource(k, t, src, local)
-			}
-		}
-		candidate = t.Rows
-		ex.stats.SeqBytes += t.ByteSize()
-		ex.stats.RowsScanned += int64(len(t.Rows))
-	}
-
-	// Apply remaining local predicates.
-	b := ex.bindings[k]
-	var out []Row
-	for i, r := range candidate {
-		if i%interruptCheckRows == 0 {
-			if err := ex.interrupted(); err != nil {
-				b.row = nil
-				return nil, err
-			}
-		}
-		b.row = r
-		keep := true
-		for _, c := range local {
-			if c.consumed {
-				continue
-			}
-			v, err := ex.env.Eval(c.expr)
-			if err != nil {
-				return nil, err
-			}
-			if !AsBool(v) {
-				keep = false
+		pred, k := n.truth(), c.hi
+		sp := &p.scans[max(k, 0)]
+		switch {
+		case k < 0:
+			if p.empty {
 				break
 			}
-		}
-		if keep {
-			out = append(out, r)
+			v, null, err := pred(&ex.fr)
+			if err != nil {
+				return nil, err
+			}
+			p.empty = null || v == 0
+		case c.lo < k:
+			if sp.probe == nil && ex.planHashJoin(c, sp, e, k) {
+				break
+			}
+			sp.pending = append(sp.pending, pred)
+		default:
+			if sp.index == nil && ex.planIndexDive(c, sp, e) {
+				break
+			}
+			sp.filter = append(sp.filter, pred)
 		}
 	}
-	b.row = nil
-	return out, nil
-}
 
-// scanViaSource filters binding k's rows as they arrive piece-wise from
-// a shared-scan source. Pieces may be delivered in convoy order (the
-// scan position when this query attached), which is fine: every piece
-// arrives exactly once, and row order within a heap scan carries no
-// semantics.
-func (ex *selectExec) scanViaSource(k int, t *Table, src ScanSource, local []*conjunct) ([]Row, error) {
-	defer src.Close()
-	width := int64(t.Schema.RowWidth())
-	b := ex.bindings[k]
-	defer func() { b.row = nil }()
-	var out []Row
-	for {
-		// Cancellation lands at piece boundaries: the next NextPiece is
-		// never issued, so the convoy source can be detached promptly.
-		if err := ex.interrupted(); err != nil {
-			return nil, err
-		}
-		piece, ok := src.NextPiece()
-		if !ok {
-			// A detached (killed) source drains early; the final check
-			// below keeps its partial scan from passing as a result.
-			break
-		}
-		ex.stats.RowsScanned += int64(len(piece))
-		ex.stats.SharedSeqBytes += int64(len(piece)) * width
-		for _, r := range piece {
-			b.row = r
-			keep := true
-			for _, c := range local {
-				if c.consumed {
-					continue
-				}
-				v, err := ex.env.Eval(c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if !AsBool(v) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, r)
-			}
-		}
-	}
-	if err := ex.interrupted(); err != nil {
+	out, err := ex.compileOutput(c)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	p.out = out
+	return p, nil
 }
 
-// indexableKeys recognizes `col = <const>` and `col IN (<consts>)` where
-// col belongs to binding k, returning the lookup keys.
-func (ex *selectExec) indexableKeys(e sqlparse.Expr, k int) ([]Value, string, bool) {
-	constEval := func(x sqlparse.Expr) (Value, bool) {
-		hasCol := false
-		sqlparse.WalkExpr(x, func(n sqlparse.Expr) bool {
-			if _, ok := n.(*sqlparse.ColumnRef); ok {
-				hasCol = true
-			}
-			return true
-		})
-		if hasCol {
-			return nil, false
+// planIndexDive recognizes `col = <const>` and `col IN (<consts>)` on an
+// indexed column of sp's table (e references that binding alone) and
+// records the dive.
+func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) bool {
+	col := func(x sqlparse.Expr) *hashIndex {
+		if cr, ok := x.(*sqlparse.ColumnRef); ok {
+			return sp.table.Index(cr.Column)
 		}
-		v, err := ex.env.Eval(x)
-		if err != nil {
-			return nil, false
-		}
-		return v, true
+		return nil
 	}
-	colOf := func(x sqlparse.Expr) (string, bool) {
-		cr, ok := x.(*sqlparse.ColumnRef)
-		if !ok {
-			return "", false
-		}
-		bi, _, err := ex.env.resolveColumn(cr)
-		if err != nil || bi != k {
-			return "", false
-		}
-		return cr.Column, true
+	key := func(x sqlparse.Expr) (Value, bool) {
+		v, err := c.constValue(x)
+		return normalizeKey(v), err == nil
 	}
 	switch v := e.(type) {
 	case *sqlparse.BinaryExpr:
 		if v.Op != "=" {
-			return nil, "", false
+			return false
 		}
-		if col, ok := colOf(v.L); ok {
-			if val, ok := constEval(v.R); ok {
-				return []Value{normalizeKey(val)}, col, true
-			}
-		}
-		if col, ok := colOf(v.R); ok {
-			if val, ok := constEval(v.L); ok {
-				return []Value{normalizeKey(val)}, col, true
+		for _, side := range [2][2]sqlparse.Expr{{v.L, v.R}, {v.R, v.L}} {
+			if idx := col(side[0]); idx != nil {
+				if k, ok := key(side[1]); ok {
+					sp.index, sp.keys = idx, []Value{k}
+					return true
+				}
 			}
 		}
 	case *sqlparse.InExpr:
-		if v.Not {
-			return nil, "", false
+		idx := col(v.X)
+		if v.Not || idx == nil {
+			return false
 		}
-		col, ok := colOf(v.X)
-		if !ok {
-			return nil, "", false
-		}
-		var keys []Value
-		for _, item := range v.List {
-			val, ok := constEval(item)
+		keys := make([]Value, len(v.List))
+		for i, item := range v.List {
+			k, ok := key(item)
 			if !ok {
-				return nil, "", false
+				return false
 			}
-			keys = append(keys, normalizeKey(val))
+			keys[i] = k
 		}
-		return keys, col, true
+		sp.index, sp.keys = idx, keys
+		return true
 	}
-	return nil, "", false
+	return false
 }
 
 // normalizeKey converts float-valued integers to int64 so index lookups
@@ -497,428 +373,609 @@ func normalizeKey(v Value) Value {
 	return v
 }
 
-// extend joins binding k onto the accumulated tuples, preferring a hash
-// join on an equi-join conjunct, falling back to a nested loop.
-func (ex *selectExec) extend(cur []tuple, k int, conjuncts []*conjunct) ([]tuple, error) {
-	// Filter table k standalone first.
-	rows, err := ex.scanBase(k, conjuncts)
-	if err != nil {
-		return nil, err
+// planHashJoin recognizes an equi-join conjunct — a column of binding k
+// equated to an expression over earlier bindings only — and records the
+// build column and the compiled probe expression.
+func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k int) bool {
+	be, ok := e.(*sqlparse.BinaryExpr)
+	if !ok || be.Op != "=" {
+		return false
 	}
-
-	// Predicates that become decidable once binding k joins.
-	var pending []*conjunct
-	for _, c := range conjuncts {
-		if !c.consumed && c.maxRef == k && len(c.refs) > 1 {
-			pending = append(pending, c)
-		}
-	}
-
-	// Look for an equi-join: ColumnRef(k) = expr-over-earlier-bindings.
-	var probeExpr sqlparse.Expr // evaluated against earlier bindings
-	buildCol := -1
-	var equi *conjunct
-	for _, c := range pending {
-		be, ok := c.expr.(*sqlparse.BinaryExpr)
-		if !ok || be.Op != "=" {
+	for _, side := range [2][2]sqlparse.Expr{{be.L, be.R}, {be.R, be.L}} {
+		cr, ok := side[0].(*sqlparse.ColumnRef)
+		if !ok {
 			continue
 		}
-		side := func(x, other sqlparse.Expr) bool {
-			cr, ok := x.(*sqlparse.ColumnRef)
-			if !ok {
-				return false
-			}
-			bi, ci, err := ex.env.resolveColumn(cr)
-			if err != nil || bi != k {
-				return false
-			}
-			// The other side must reference only earlier bindings.
-			onlyEarlier := true
-			sqlparse.WalkExpr(other, func(n sqlparse.Expr) bool {
-				if ocr, ok := n.(*sqlparse.ColumnRef); ok {
-					obi, _, err := ex.env.resolveColumn(ocr)
-					if err != nil || obi >= k {
-						onlyEarlier = false
-						return false
-					}
-				}
-				return true
-			})
-			if !onlyEarlier {
-				return false
-			}
-			buildCol = ci
-			probeExpr = other
-			return true
+		bi, ci, err := c.resolve(cr)
+		if err != nil || bi != k {
+			continue
 		}
-		if side(be.L, be.R) || side(be.R, be.L) {
-			equi = c
-			break
+		c.resetRefs()
+		probe, err := c.compile(side[1])
+		if err != nil || c.hi >= k {
+			continue
+		}
+		sp.probe, sp.buildCol = probe.scalar(), ci
+		return true
+	}
+	return false
+}
+
+// ---------- run: one pass over the rows ----------
+
+// run drives the plan's scans into its output. A single-table statement
+// is one loop, source to output, with nothing materialized in between; a
+// join materializes each binding's filtered rows and the joined rows of
+// every stage but the last, which again feeds the output directly.
+func (ex *selectExec) run(p *selectPlan) error {
+	if p.empty {
+		return nil
+	}
+	fr := &ex.fr
+	sink := func() error { return p.out.consume(fr) }
+	last := len(p.scans) - 1
+	if last == 0 {
+		return ex.scan(0, &p.scans[0], sink)
+	}
+	// cur holds the joined rows so far, flat: k rows per entry once k
+	// bindings are joined.
+	cur, err := ex.collect(0, &p.scans[0])
+	if err != nil {
+		return err
+	}
+	for k := 1; k < last; k++ {
+		var next []Row
+		err := ex.extend(cur, k, &p.scans[k], func() error {
+			next = append(next, fr.rows[:k+1]...)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		cur = next
+	}
+	return ex.extend(cur, last, &p.scans[last], sink)
+}
+
+// collect materializes binding k's filtered rows.
+func (ex *selectExec) collect(k int, sp *scanPlan) ([]Row, error) {
+	var rows []Row
+	err := ex.scan(k, sp, func() error {
+		rows = append(rows, ex.fr.rows[k])
+		return nil
+	})
+	return rows, err
+}
+
+// scan is the engine's one row loop: it reads binding k from its source
+// — an index dive, a shared-scan convoy, or the table heap — binds each
+// row, applies the binding's filter and hands the survivors to emit.
+// Pieces of a convoy may arrive in convoy order (the scan position when
+// this query attached), which is fine: every piece arrives exactly once,
+// and row order within a heap scan carries no semantics.
+func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
+	t := sp.table
+	var src ScanSource
+	bytes := &ex.stats.SeqBytes
+	switch {
+	case sp.index != nil:
+		src, bytes = &sliceSource{rows: ex.dive(sp)}, &ex.stats.RandBytes
+	case ex.prov != nil:
+		if src = ex.prov(t); src != nil {
+			bytes = &ex.stats.SharedSeqBytes
 		}
 	}
+	if src == nil {
+		src = &sliceSource{rows: t.Rows}
+	}
+	defer src.Close()
 
-	var out []tuple
-	if equi != nil {
-		// Hash join: build on table k's filtered rows.
-		build := make(map[string][]Row, len(rows))
-		for _, r := range rows {
-			if IsNull(r[buildCol]) {
-				continue
-			}
-			key := GroupKey(r[buildCol : buildCol+1])
-			build[key] = append(build[key], r)
+	width := int64(t.Schema.RowWidth())
+	fr := &ex.fr
+	for {
+		// Cancellation lands at piece boundaries — the next NextPiece is
+		// never issued, so a convoy source can be detached promptly — and
+		// every interruptCheckRows rows within a piece.
+		if err := ex.interrupted(); err != nil {
+			return err
 		}
-		equi.consumed = true
-		bk := ex.bindings[k]
-		for ti, tup := range cur {
-			if ti%interruptCheckRows == 0 {
+		piece, ok := src.NextPiece()
+		if !ok {
+			break
+		}
+		ex.stats.RowsScanned += int64(len(piece))
+		*bytes += int64(len(piece)) * width
+	rows:
+		for i, r := range piece {
+			if i%interruptCheckRows == 0 && i > 0 {
 				if err := ex.interrupted(); err != nil {
-					bk.row = nil
-					return nil, err
+					return err
 				}
 			}
-			ex.bindTuple(tup, k)
-			pv, err := ex.env.Eval(probeExpr)
+			fr.rows[k] = r
+			for _, f := range sp.filter {
+				v, null, err := f(fr)
+				if err != nil {
+					return err
+				}
+				if null || v == 0 {
+					continue rows
+				}
+			}
+			if err := emit(); err != nil {
+				return err
+			}
+		}
+	}
+	// A detached (killed) source drains early; this check keeps its
+	// partial scan from passing as a result.
+	return ex.interrupted()
+}
+
+// dive fetches the rows an index dive finds, each once, in key order.
+func (ex *selectExec) dive(sp *scanPlan) []Row {
+	var rows []Row
+	var seen map[int]bool
+	if len(sp.keys) > 1 {
+		seen = map[int]bool{}
+	}
+	for _, key := range sp.keys {
+		for _, pos := range sp.index.lookup(key) {
+			if seen != nil {
+				if seen[pos] {
+					continue
+				}
+				seen[pos] = true
+			}
+			rows = append(rows, sp.table.Rows[pos])
+		}
+		ex.stats.RandReads++
+	}
+	return rows
+}
+
+// extend joins binding k onto the joined rows so far (k rows per entry
+// of cur), by hash join when the plan found an equi-join conjunct and by
+// nested loop otherwise, and emits every joined row that passes the
+// pending conjuncts.
+func (ex *selectExec) extend(cur []Row, k int, sp *scanPlan, emit func() error) error {
+	inner, err := ex.collect(k, sp)
+	if err != nil {
+		return err
+	}
+	var build map[string][]Row
+	var key []byte
+	if sp.probe != nil {
+		build = make(map[string][]Row, len(inner))
+		for _, r := range inner {
+			if !IsNull(r[sp.buildCol]) {
+				key = appendKey(key[:0], r[sp.buildCol])
+				build[string(key)] = append(build[string(key)], r)
+			}
+		}
+	}
+	fr := &ex.fr
+	for i := 0; i*k < len(cur); i++ {
+		if i%interruptCheckRows == 0 {
+			if err := ex.interrupted(); err != nil {
+				return err
+			}
+		}
+		copy(fr.rows[:k], cur[i*k:])
+		matches := inner
+		if build != nil {
+			pv, err := sp.probe(fr)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if IsNull(pv) {
 				continue
 			}
-			matches := build[GroupKey([]Value{normalizeKey(pv)})]
-			ex.stats.PairsConsidered += int64(len(matches))
-			for _, r := range matches {
-				bk.row = r
-				keep, err := ex.applyPending(pending)
+			key = appendKey(key[:0], normalizeKey(pv))
+			matches = build[string(key)]
+		}
+		ex.stats.PairsConsidered += int64(len(matches))
+	rows:
+		for _, r := range matches {
+			fr.rows[k] = r
+			for _, f := range sp.pending {
+				v, null, err := f(fr)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if keep {
-					nt := make(tuple, k+1)
-					copy(nt, tup)
-					nt[k] = r
-					out = append(out, nt)
+				if null || v == 0 {
+					continue rows
 				}
 			}
-		}
-		bk.row = nil
-	} else {
-		// Nested loop over the (memory-resident) filtered inner rows.
-		bk := ex.bindings[k]
-		for ti, tup := range cur {
-			if ti%interruptCheckRows == 0 {
-				if err := ex.interrupted(); err != nil {
-					ex.clearBindings()
-					return nil, err
-				}
-			}
-			ex.bindTuple(tup, k)
-			for _, r := range rows {
-				ex.stats.PairsConsidered++
-				bk.row = r
-				keep, err := ex.applyPending(pending)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					nt := make(tuple, k+1)
-					copy(nt, tup)
-					nt[k] = r
-					out = append(out, nt)
-				}
+			if err := emit(); err != nil {
+				return err
 			}
 		}
-		bk.row = nil
 	}
-
-	for _, c := range pending {
-		c.consumed = true
-	}
-	ex.clearBindings()
-	return out, nil
+	return nil
 }
 
-// bindTuple sets binding rows 0..k-1 from the tuple.
-func (ex *selectExec) bindTuple(tup tuple, k int) {
-	for i := 0; i < k && i < len(tup); i++ {
-		ex.bindings[i].row = tup[i]
-	}
-}
+// ---------- output: projection, aggregation, ordering ----------
 
-func (ex *selectExec) clearBindings() {
-	for _, b := range ex.bindings {
-		b.row = nil
-	}
-}
+type aggKind uint8
 
-// applyPending evaluates the not-yet-consumed pending conjuncts against
-// the currently bound rows.
-func (ex *selectExec) applyPending(pending []*conjunct) (bool, error) {
-	for _, c := range pending {
-		if c.consumed {
-			continue
-		}
-		v, err := ex.env.Eval(c.expr)
-		if err != nil {
-			return false, err
-		}
-		if !AsBool(v) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
+const (
+	aggCount aggKind = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
 
-// ---------- projection, aggregation, ordering ----------
-
-// aggAcc accumulates one aggregate function instance.
-type aggAcc struct {
-	fn       string // COUNT, SUM, AVG, MIN, MAX
+// aggSpec is one aggregate call of the statement.
+type aggSpec struct {
+	kind     aggKind
 	distinct bool
+	arg      valueFn // nil for COUNT(*): every row counts
+}
+
+// aggAcc accumulates one aggregate over one group. The zero value is an
+// empty accumulator.
+type aggAcc struct {
 	count    int64
 	sumF     float64
 	sumI     int64
-	allInt   bool
+	nonInt   bool
 	min, max Value
-	seen     map[string]bool // for DISTINCT
+	seen     map[string]struct{} // DISTINCT only
 }
 
-func newAggAcc(fn string, distinct bool) *aggAcc {
-	a := &aggAcc{fn: fn, distinct: distinct, allInt: true}
-	if distinct {
-		a.seen = map[string]bool{}
-	}
-	return a
-}
-
-func (a *aggAcc) add(v Value) {
+func (a *aggAcc) add(spec *aggSpec, v Value) {
 	if IsNull(v) {
 		return
 	}
-	if a.distinct {
-		k := GroupKey([]Value{v})
-		if a.seen[k] {
+	if spec.distinct {
+		k := string(appendKey(nil, v))
+		if _, dup := a.seen[k]; dup {
 			return
 		}
-		a.seen[k] = true
+		if a.seen == nil {
+			a.seen = map[string]struct{}{}
+		}
+		a.seen[k] = struct{}{}
 	}
 	a.count++
-	switch x := v.(type) {
-	case int64:
-		a.sumI += x
-		a.sumF += float64(x)
-	case float64:
-		a.allInt = false
-		a.sumF += x
-	case bool:
-		a.sumI += boolToInt(x)
-		a.sumF += float64(boolToInt(x))
-	default:
-		a.allInt = false
-	}
-	if a.min == nil {
-		a.min, a.max = v, v
-		return
-	}
-	if c, err := Compare(v, a.min); err == nil && c < 0 {
-		a.min = v
-	}
-	if c, err := Compare(v, a.max); err == nil && c > 0 {
-		a.max = v
+	switch spec.kind {
+	case aggSum, aggAvg:
+		switch x := v.(type) {
+		case int64:
+			a.sumI += x
+			a.sumF += float64(x)
+		case float64:
+			a.nonInt = true
+			a.sumF += x
+		case bool:
+			a.sumI += boolToInt(x)
+			a.sumF += float64(boolToInt(x))
+		default:
+			a.nonInt = true
+		}
+	case aggMin:
+		if a.min == nil || less(v, a.min) {
+			a.min = v
+		}
+	case aggMax:
+		if a.max == nil || less(a.max, v) {
+			a.max = v
+		}
 	}
 }
 
-func (a *aggAcc) result() Value {
-	switch a.fn {
-	case "COUNT":
+// less reports a < b under Compare; incomparable values are not less.
+func less(a, b Value) bool {
+	if x, ok := a.(float64); ok {
+		if y, ok := b.(float64); ok {
+			return x < y
+		}
+	}
+	c, err := Compare(a, b)
+	return err == nil && c < 0
+}
+
+func (a *aggAcc) result(kind aggKind) Value {
+	switch {
+	case kind == aggCount:
 		return a.count
-	case "SUM":
-		if a.count == 0 {
-			return nil
-		}
-		if a.allInt {
-			return a.sumI
-		}
-		return a.sumF
-	case "AVG":
-		if a.count == 0 {
-			return nil
-		}
-		return a.sumF / float64(a.count)
-	case "MIN":
+	case kind == aggMin:
 		return a.min
-	case "MAX":
+	case kind == aggMax:
 		return a.max
-	default:
+	case a.count == 0:
 		return nil
+	case kind == aggAvg:
+		return a.sumF / float64(a.count)
+	case a.nonInt:
+		return a.sumF
 	}
+	return a.sumI
 }
 
-// group is one GROUP BY bucket.
+// group is one GROUP BY bucket: the rows that opened it (what expressions
+// outside aggregates evaluate against) and one accumulator per aggregate.
 type group struct {
-	first tuple
-	accs  []*aggAcc
+	first []Row
+	accs  []aggAcc
 }
 
-func (ex *selectExec) project(tuples []tuple) (*Result, error) {
+// output is where a statement's surviving rows go: straight into result
+// rows, or into per-group accumulators that become result rows when the
+// scan ends.
+type output struct {
+	sel    *sqlparse.Select
+	widths []int // columns of each FROM binding
+	cols   []string
+	items  []valueFn
+	order  []valueFn // ORDER BY keys, evaluated beside the items
+
+	grouped bool // the statement aggregates
+	groupBy []valueFn
+	aggs    []aggSpec
+	groups  map[string]*group
+	list    []*group // in first-seen order: the output order of groups
+	key     []byte   // reused GROUP BY key buffer
+
+	rows []Row
+	keys [][]Value // ORDER BY key of each row
+}
+
+func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 	sel := ex.sel
-
-	// Expand stars in the select list.
-	items, err := ex.expandStars(sel.Items)
-	if err != nil {
-		return nil, err
+	o := &output{
+		sel: sel, widths: make([]int, len(ex.bindings)),
+		cols: make([]string, 0, len(sel.Items)), items: make([]valueFn, 0, len(sel.Items)),
+	}
+	for i, b := range ex.bindings {
+		o.widths[i] = len(b.schema)
 	}
 
-	// Resolve select-list aliases in GROUP BY and ORDER BY.
-	aliasOf := map[string]sqlparse.Expr{}
-	for _, it := range items {
-		if it.Alias != "" {
-			aliasOf[strings.ToLower(it.Alias)] = it.Expr
-		}
-	}
+	// Select-list aliases stand for their expressions in GROUP BY and
+	// ORDER BY.
 	substAlias := func(e sqlparse.Expr) sqlparse.Expr {
 		if cr, ok := e.(*sqlparse.ColumnRef); ok && cr.Table == "" {
-			if repl, ok := aliasOf[strings.ToLower(cr.Column)]; ok {
-				return repl
+			for i := len(sel.Items) - 1; i >= 0; i-- {
+				if it := sel.Items[i]; it.Alias != "" && strings.EqualFold(it.Alias, cr.Column) {
+					return it.Expr
+				}
 			}
 		}
 		return e
 	}
-	groupBy := make([]sqlparse.Expr, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		groupBy[i] = substAlias(g)
-	}
-	orderBy := make([]sqlparse.OrderItem, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		orderBy[i] = sqlparse.OrderItem{Expr: substAlias(o.Expr), Desc: o.Desc}
-	}
-
-	// Gather aggregate call nodes (by identity) from items and order keys.
-	var aggNodes []*sqlparse.FuncCall
-	collect := func(e sqlparse.Expr) {
-		sqlparse.WalkExpr(e, func(n sqlparse.Expr) bool {
-			if fc, ok := n.(*sqlparse.FuncCall); ok && fc.IsAggregate() {
-				aggNodes = append(aggNodes, fc)
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range items {
-		collect(it.Expr)
-	}
-	for _, o := range orderBy {
-		collect(o.Expr)
-	}
-
-	hasAgg := len(aggNodes) > 0 || len(groupBy) > 0
-
-	cols := make([]string, len(items))
-	for i, it := range items {
-		if it.Alias != "" {
-			cols[i] = it.Alias
-		} else {
-			cols[i] = displayName(it.Expr)
-		}
-	}
-
-	var outRows []Row
-	var sortKeys [][]Value
-
-	if hasAgg {
-		outRows, sortKeys, err = ex.aggregate(tuples, items, groupBy, orderBy, aggNodes)
+	for _, g := range sel.GroupBy {
+		n, err := c.compile(substAlias(g))
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		for _, tup := range tuples {
-			ex.bindTuple(tup, len(ex.bindings))
-			row := make(Row, len(items))
-			for i, it := range items {
-				v, err := ex.env.Eval(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			if len(orderBy) > 0 {
-				key := make([]Value, len(orderBy))
-				for i, o := range orderBy {
-					v, err := ex.env.Eval(o.Expr)
-					if err != nil {
-						return nil, err
-					}
-					key[i] = v
-				}
-				sortKeys = append(sortKeys, key)
-			}
-			outRows = append(outRows, row)
-		}
-		ex.clearBindings()
+		o.groupBy = append(o.groupBy, n.scalar())
 	}
 
+	// Aggregate calls are legal from here on; each takes a slot of o.aggs.
+	c.aggs = &o.aggs
+	for _, it := range sel.Items {
+		star, ok := it.Expr.(*sqlparse.Star)
+		if ok {
+			if err := ex.expandStar(star, o); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		n, err := c.compile(it.Expr)
+		if err != nil {
+			return nil, err
+		}
+		o.items = append(o.items, n.scalar())
+		o.cols = append(o.cols, itemName(it))
+	}
+	for _, ord := range sel.OrderBy {
+		n, err := c.compile(substAlias(ord.Expr))
+		if err != nil {
+			return nil, err
+		}
+		o.order = append(o.order, n.scalar())
+	}
+	c.aggs = nil
+
+	o.grouped = len(o.aggs) > 0 || len(o.groupBy) > 0
+	if len(o.groupBy) > 0 {
+		o.groups = map[string]*group{}
+	}
+	return o, nil
+}
+
+// expandStar appends one item per column that `*` or `t.*` stands for.
+func (ex *selectExec) expandStar(star *sqlparse.Star, o *output) error {
+	found := false
+	for bi, b := range ex.bindings {
+		if star.Table != "" && !strings.EqualFold(b.name, star.Table) {
+			continue
+		}
+		found = true
+		o.items = slices.Grow(o.items, len(b.schema))
+		o.cols = slices.Grow(o.cols, len(b.schema))
+		for ci, col := range b.schema {
+			n := colNode(bi, ci, col.Type)
+			o.items = append(o.items, n.valueForm())
+			o.cols = append(o.cols, col.Name)
+		}
+		if star.Table != "" {
+			break
+		}
+	}
+	if !found {
+		return fmt.Errorf("sqlengine: unknown table %q in %s", star.Table, star.SQL())
+	}
+	return nil
+}
+
+// consume takes the joined row currently bound in fr.
+func (o *output) consume(fr *frame) error {
+	if !o.grouped {
+		return o.emit(fr)
+	}
+	g, err := o.groupOf(fr)
+	if err != nil {
+		return err
+	}
+	for i := range o.aggs {
+		spec := &o.aggs[i]
+		if spec.arg == nil {
+			g.accs[i].count++
+			continue
+		}
+		v, err := spec.arg(fr)
+		if err != nil {
+			return err
+		}
+		g.accs[i].add(spec, v)
+	}
+	return nil
+}
+
+// groupOf finds or opens the group of the row bound in fr. The key is
+// built in a reused buffer and looked up without becoming a string.
+func (o *output) groupOf(fr *frame) (*group, error) {
+	if len(o.groupBy) == 0 {
+		if len(o.list) == 0 {
+			o.openGroup(fr.rows)
+		}
+		return o.list[0], nil
+	}
+	key := o.key[:0]
+	for _, g := range o.groupBy {
+		v, err := g(fr)
+		if err != nil {
+			return nil, err
+		}
+		key = appendKey(key, v)
+	}
+	o.key = key
+	g, ok := o.groups[string(key)]
+	if !ok {
+		g = o.openGroup(fr.rows)
+		o.groups[string(key)] = g
+	}
+	return g, nil
+}
+
+func (o *output) openGroup(rows []Row) *group {
+	g := &group{first: append([]Row(nil), rows...), accs: make([]aggAcc, len(o.aggs))}
+	o.list = append(o.list, g)
+	return g
+}
+
+// emit evaluates the select list (and ORDER BY keys) against fr into one
+// result row: one allocation holds both.
+func (o *output) emit(fr *frame) error {
+	n := len(o.items)
+	cells := make([]Value, n+len(o.order))
+	for i, it := range o.items {
+		v, err := it(fr)
+		if err != nil {
+			return err
+		}
+		cells[i] = v
+	}
+	for i, ord := range o.order {
+		v, err := ord(fr)
+		if err != nil {
+			return err
+		}
+		cells[n+i] = v
+	}
+	o.rows = append(o.rows, cells[:n:n])
+	if len(o.order) > 0 {
+		o.keys = append(o.keys, cells[n:])
+	}
+	return nil
+}
+
+// result finishes the statement: groups become rows, then DISTINCT,
+// ORDER BY and LIMIT apply.
+func (o *output) result(fr *frame) (*Result, error) {
+	if o.grouped {
+		// A grand aggregate over empty input still yields one row, with
+		// non-aggregate expressions evaluated against all-NULL rows.
+		if len(o.list) == 0 && len(o.groupBy) == 0 {
+			g := o.openGroup(fr.rows)
+			for i, w := range o.widths {
+				g.first[i] = make(Row, w)
+			}
+		}
+		fr.aggs = make([]Value, len(o.aggs))
+		for _, g := range o.list {
+			fr.rows = g.first
+			for i := range o.aggs {
+				fr.aggs[i] = g.accs[i].result(o.aggs[i].kind)
+			}
+			if err := o.emit(fr); err != nil {
+				return nil, err
+			}
+		}
+	}
+	rows, keys := o.rows, o.keys
+
 	// DISTINCT before ORDER BY, on projected values.
-	if sel.Distinct {
+	if o.sel.Distinct {
 		seen := map[string]bool{}
-		var dr []Row
-		var dk [][]Value
-		for i, r := range outRows {
+		n := 0
+		for i, r := range rows {
 			k := GroupKey(r)
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			dr = append(dr, r)
-			if sortKeys != nil {
-				dk = append(dk, sortKeys[i])
+			rows[n] = r
+			if keys != nil {
+				keys[n] = keys[i]
 			}
+			n++
 		}
-		outRows, sortKeys = dr, dk
+		rows = rows[:n]
 	}
 
-	if len(orderBy) > 0 {
-		type pair struct {
-			row Row
-			key []Value
-		}
-		pairs := make([]pair, len(outRows))
-		for i := range outRows {
-			pairs[i] = pair{outRows[i], sortKeys[i]}
-		}
-		sort.SliceStable(pairs, func(i, j int) bool {
-			for k, o := range orderBy {
-				a, b := pairs[i].key[k], pairs[j].key[k]
-				c := compareForSort(a, b)
-				if c == 0 {
-					continue
-				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		for i := range pairs {
-			outRows[i] = pairs[i].row
-		}
+	if len(o.order) > 0 {
+		sort.Stable(&rowSorter{rows: rows, keys: keys[:len(rows)], by: o.sel.OrderBy})
 	}
-
-	if sel.Limit >= 0 && int64(len(outRows)) > sel.Limit {
-		outRows = outRows[:sel.Limit]
+	if limit := o.sel.Limit; limit >= 0 && int64(len(rows)) > limit {
+		rows = rows[:limit]
 	}
-
-	res := &Result{Cols: cols, Rows: outRows}
+	res := &Result{Cols: o.cols, Rows: rows}
 	res.Types = inferTypes(res)
-	ex.stats.RowsOut = int64(len(outRows))
-	for _, r := range outRows {
-		ex.stats.ResultBytes += rowBytes(r)
-	}
 	return res, nil
 }
 
-// compareForSort orders values with NULLs first (MySQL ASC semantics).
-func compareForSort(a, b Value) int { return CompareNullsFirst(a, b) }
+// rowSorter orders result rows by their ORDER BY keys, NULLs first
+// (MySQL ASC semantics).
+type rowSorter struct {
+	rows []Row
+	keys [][]Value
+	by   []sqlparse.OrderItem
+}
+
+func (s *rowSorter) Len() int { return len(s.rows) }
+
+func (s *rowSorter) Swap(i, j int) {
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+func (s *rowSorter) Less(i, j int) bool {
+	for k, o := range s.by {
+		c := CompareNullsFirst(s.keys[i][k], s.keys[j][k])
+		if c == 0 {
+			continue
+		}
+		if o.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
 
 func rowBytes(r Row) int64 {
 	var n int64
@@ -931,235 +988,6 @@ func rowBytes(r Row) int64 {
 		}
 	}
 	return n
-}
-
-func (ex *selectExec) expandStars(items []sqlparse.SelectItem) ([]sqlparse.SelectItem, error) {
-	var out []sqlparse.SelectItem
-	for _, it := range items {
-		star, ok := it.Expr.(*sqlparse.Star)
-		if !ok {
-			out = append(out, it)
-			continue
-		}
-		expandOne := func(b *binding) {
-			qualify := len(ex.bindings) > 1
-			for _, c := range b.schema {
-				cr := &sqlparse.ColumnRef{Column: c.Name}
-				if qualify {
-					cr.Table = b.name
-				}
-				out = append(out, sqlparse.SelectItem{Expr: cr})
-			}
-		}
-		if star.Table == "" {
-			for _, b := range ex.bindings {
-				expandOne(b)
-			}
-			continue
-		}
-		found := false
-		for _, b := range ex.bindings {
-			if strings.EqualFold(b.name, star.Table) {
-				expandOne(b)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sqlengine: unknown table %q in %s", star.Table, star.SQL())
-		}
-	}
-	return out, nil
-}
-
-func (ex *selectExec) aggregate(
-	tuples []tuple,
-	items []sqlparse.SelectItem,
-	groupBy []sqlparse.Expr,
-	orderBy []sqlparse.OrderItem,
-	aggNodes []*sqlparse.FuncCall,
-) ([]Row, [][]Value, error) {
-	groups := map[string]*group{}
-	var order []string // deterministic group output order (first seen)
-
-	for _, tup := range tuples {
-		ex.bindTuple(tup, len(ex.bindings))
-		keyVals := make([]Value, len(groupBy))
-		for i, g := range groupBy {
-			v, err := ex.env.Eval(g)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyVals[i] = v
-		}
-		key := GroupKey(keyVals)
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{first: tup}
-			for _, fc := range aggNodes {
-				grp.accs = append(grp.accs, newAggAcc(strings.ToUpper(fc.Name), fc.Distinct))
-			}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		for i, fc := range aggNodes {
-			switch {
-			case len(fc.Args) == 1:
-				if _, isStar := fc.Args[0].(*sqlparse.Star); isStar {
-					grp.accs[i].count++ // COUNT(*): every row counts
-					continue
-				}
-				v, err := ex.env.Eval(fc.Args[0])
-				if err != nil {
-					return nil, nil, err
-				}
-				grp.accs[i].add(v)
-			case len(fc.Args) == 0 && strings.ToUpper(fc.Name) == "COUNT":
-				grp.accs[i].count++
-			default:
-				return nil, nil, fmt.Errorf("sqlengine: aggregate %s takes one argument", fc.Name)
-			}
-		}
-	}
-	ex.clearBindings()
-
-	// A grand aggregate over empty input still yields one row.
-	if len(groups) == 0 && len(groupBy) == 0 {
-		grp := &group{first: ex.nullTuple()}
-		for _, fc := range aggNodes {
-			grp.accs = append(grp.accs, newAggAcc(strings.ToUpper(fc.Name), fc.Distinct))
-		}
-		groups[""] = grp
-		order = append(order, "")
-	}
-
-	var outRows []Row
-	var sortKeys [][]Value
-	for _, key := range order {
-		grp := groups[key]
-		// Map each aggregate node to its computed value for this group.
-		aggVal := map[*sqlparse.FuncCall]Value{}
-		for i, fc := range aggNodes {
-			aggVal[fc] = grp.accs[i].result()
-		}
-		ex.bindTuple(grp.first, len(ex.bindings))
-		row := make(Row, len(items))
-		for i, it := range items {
-			v, err := ex.evalWithAggs(it.Expr, aggVal)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		outRows = append(outRows, row)
-		if len(orderBy) > 0 {
-			keyRow := make([]Value, len(orderBy))
-			for i, o := range orderBy {
-				v, err := ex.evalWithAggs(o.Expr, aggVal)
-				if err != nil {
-					return nil, nil, err
-				}
-				keyRow[i] = v
-			}
-			sortKeys = append(sortKeys, keyRow)
-		}
-	}
-	ex.clearBindings()
-	return outRows, sortKeys, nil
-}
-
-// nullTuple builds a tuple of all-NULL rows so non-aggregate expressions
-// evaluate to NULL for empty grand aggregates.
-func (ex *selectExec) nullTuple() tuple {
-	tup := make(tuple, len(ex.bindings))
-	for i, b := range ex.bindings {
-		tup[i] = make(Row, len(b.schema))
-	}
-	return tup
-}
-
-// evalWithAggs evaluates an expression, substituting precomputed values
-// for aggregate call nodes (matched by identity).
-func (ex *selectExec) evalWithAggs(e sqlparse.Expr, aggVal map[*sqlparse.FuncCall]Value) (Value, error) {
-	if fc, ok := e.(*sqlparse.FuncCall); ok {
-		if v, ok := aggVal[fc]; ok {
-			return v, nil
-		}
-	}
-	switch v := e.(type) {
-	case *sqlparse.Literal, *sqlparse.ColumnRef, *sqlparse.Star:
-		return ex.env.Eval(e)
-	case *sqlparse.FuncCall:
-		fn, ok := ex.eng.funcs[strings.ToLower(v.Name)]
-		if !ok {
-			return nil, fmt.Errorf("sqlengine: unknown function %q", v.Name)
-		}
-		args := make([]Value, len(v.Args))
-		for i, a := range v.Args {
-			x, err := ex.evalWithAggs(a, aggVal)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = x
-		}
-		return fn(args)
-	case *sqlparse.BinaryExpr:
-		// Rebuild with aggregate substitution via literal wrapping.
-		l, err := ex.evalWithAggs(v.L, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.evalWithAggs(v.R, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		tmp := &sqlparse.BinaryExpr{Op: v.Op, L: &sqlparse.Literal{Val: l}, R: &sqlparse.Literal{Val: r}}
-		return ex.env.Eval(tmp)
-	case *sqlparse.UnaryExpr:
-		x, err := ex.evalWithAggs(v.X, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		return ex.env.Eval(&sqlparse.UnaryExpr{Op: v.Op, X: &sqlparse.Literal{Val: x}})
-	case *sqlparse.BetweenExpr:
-		x, err := ex.evalWithAggs(v.X, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := ex.evalWithAggs(v.Lo, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := ex.evalWithAggs(v.Hi, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		return ex.env.Eval(&sqlparse.BetweenExpr{
-			X: &sqlparse.Literal{Val: x}, Lo: &sqlparse.Literal{Val: lo}, Hi: &sqlparse.Literal{Val: hi}, Not: v.Not,
-		})
-	case *sqlparse.InExpr:
-		x, err := ex.evalWithAggs(v.X, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]sqlparse.Expr, len(v.List))
-		for i, it := range v.List {
-			y, err := ex.evalWithAggs(it, aggVal)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = &sqlparse.Literal{Val: y}
-		}
-		return ex.env.Eval(&sqlparse.InExpr{X: &sqlparse.Literal{Val: x}, List: list, Not: v.Not})
-	case *sqlparse.IsNullExpr:
-		x, err := ex.evalWithAggs(v.X, aggVal)
-		if err != nil {
-			return nil, err
-		}
-		return ex.env.Eval(&sqlparse.IsNullExpr{X: &sqlparse.Literal{Val: x}, Not: v.Not})
-	default:
-		return nil, fmt.Errorf("sqlengine: cannot evaluate %T", e)
-	}
 }
 
 // inferTypes derives result column types from the first rows that carry

@@ -1,0 +1,210 @@
+package sqlengine
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"repro/internal/sqlparse"
+)
+
+// testdata/golden_select.json was captured by this test at the commit
+// before the bind-time compiler (PR 12's tree-walking executor), so it
+// pins what a rewrite of the executor must reproduce field for field:
+// column names and types, row and group order, and every ExecStats field
+// the simcluster cost model reads. Re-capture only for a change that
+// means to alter one of those.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_select.json from this build's answers")
+
+type goldenCase struct {
+	SQL string `json:"sql"`
+	// Source runs full scans through a ScanSource of 4-row pieces that
+	// starts at the second piece and wraps around, as a convoy joined
+	// mid-scan delivers them.
+	Source bool       `json:"source,omitempty"`
+	Cols   []string   `json:"cols"`
+	Types  []string   `json:"types"`
+	Rows   [][]string `json:"rows"`
+	Stats  ExecStats  `json:"stats"`
+}
+
+var goldenStatements = []struct {
+	sql    string
+	source bool
+}{
+	// filter + projection arithmetic, on the heap and through a source
+	{"SELECT objectId, ra_PS * 2, zFlux_PS FROM Object WHERE decl_PS > 0 AND fluxToAbMag(zFlux_PS) < 30", false},
+	{"SELECT objectId, ra_PS * 2, zFlux_PS FROM Object WHERE decl_PS > 0 AND fluxToAbMag(zFlux_PS) < 30", true},
+	{"SELECT * FROM Object WHERE fluxToAbMag(zFlux_PS) - fluxToAbMag(rFlux_PS) > 0.5", false},
+	// GROUP BY: group order is first-seen order
+	{"SELECT chunkId, COUNT(*) AS n, AVG(ra_PS), MIN(zFlux_PS), MAX(zFlux_PS), SUM(objectId), COUNT(zFlux_PS) FROM Object GROUP BY chunkId", false},
+	{"SELECT chunkId, COUNT(*) AS n, SUM(ra_PS) FROM Object WHERE ra_PS < 200 GROUP BY chunkId", true},
+	{"SELECT FLOOR(decl_PS / 10) AS band, COUNT(*), SUM(chunkId) / COUNT(*) FROM Object GROUP BY band ORDER BY COUNT(*) DESC, band", false},
+	{"SELECT COUNT(DISTINCT chunkId), COUNT(DISTINCT zFlux_PS), MAX(name) FROM Object", false},
+	// DISTINCT, ORDER BY + LIMIT
+	{"SELECT DISTINCT chunkId, name FROM Object", false},
+	{"SELECT DISTINCT chunkId FROM Object ORDER BY chunkId DESC", true},
+	{"SELECT objectId, zFlux_PS FROM Object ORDER BY zFlux_PS DESC, objectId LIMIT 4", false},
+	{"SELECT objectId FROM Object WHERE name LIKE 'a%' OR name IS NULL ORDER BY objectId LIMIT 2", false},
+	// index dives
+	{"SELECT * FROM Object WHERE objectId = 3", false},
+	{"SELECT objectId, name FROM Object WHERE objectId IN (5, 1, 5, 99, 8.0) AND decl_PS < 10", false},
+	{"SELECT objectId FROM Object WHERE 7 = objectId", true},
+	// an indexed column equated to something that reads the row is a plain
+	// filter: no dive, a full scan
+	{"SELECT objectId FROM Object WHERE objectId = chunkId / 100", false},
+	{"SELECT objectId FROM Object WHERE objectId = ABS(decl_PS) / 10 + 1", true},
+	{"SELECT objectId FROM Object WHERE objectId IN (chunkId / 100, 8)", false},
+	{"SELECT o.objectId, s.sourceId FROM Source s, Object o WHERE o.objectId = s.objectId AND o.objectId = o.chunkId / 100", false},
+	// joins: hash, nested loop, three tables
+	{"SELECT o.objectId, s.sourceId, s.psfFlux FROM Object o, Source s WHERE o.objectId = s.objectId AND s.psfFlux > 1.0", false},
+	{"SELECT o.chunkId, COUNT(*), SUM(s.psfFlux) FROM Object o JOIN Source s ON s.objectId = o.objectId + 0 GROUP BY o.chunkId", false},
+	{"SELECT o1.objectId, o2.objectId FROM Object o1, Object o2 WHERE qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.6 AND o1.objectId < o2.objectId", false},
+	{"SELECT COUNT(*) FROM Object o1, Object o2 WHERE qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0, -10, 60, 30) = 1 AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.6", true},
+	{"SELECT o.objectId, s.sourceId, f.flag FROM Object o, Source s, Flags f WHERE o.objectId = s.objectId AND f.sourceId = s.sourceId AND o.chunkId < 300", false},
+	{"SELECT s.*, o.name FROM Source s, Object o WHERE s.objectId = o.objectId AND o.objectId = 1", false},
+	// empty input: grand aggregates still answer, grouped ones do not
+	{"SELECT COUNT(*), SUM(ra_PS), AVG(ra_PS), MIN(name), chunkId FROM Object WHERE objectId = 999", false},
+	{"SELECT COUNT(*), MAX(ra_PS) FROM Object WHERE 1 = 0", false},
+	{"SELECT chunkId, COUNT(*) FROM Object WHERE ra_PS < 0 GROUP BY chunkId", false},
+	{"SELECT objectId FROM Object WHERE 1 = 0 ORDER BY objectId", false},
+	// the stored-row-count fast path
+	{"SELECT COUNT(*) AS n FROM Object", false},
+}
+
+func goldenEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := New("LSST")
+	mustExec(t, e, `CREATE TABLE Object (objectId BIGINT, ra_PS DOUBLE, decl_PS DOUBLE, rFlux_PS DOUBLE, zFlux_PS DOUBLE, chunkId BIGINT, name VARCHAR)`)
+	mustExec(t, e, `INSERT INTO Object VALUES
+		(1, 10.0, 0.0, 2e-28, 3e-28, 100, 'alpha'),
+		(2, 10.5, 0.05, 6e-28, 5e-28, 100, 'beta'),
+		(3, 50.0, 20.0, 1e-29, 1e-29, 200, 'alphard'),
+		(4, 50.2, 20.1, 9e-29, 2e-29, 200, NULL),
+		(5, 180.0, -45.0, 1e-30, 7e-30, 300, 'gamma'),
+		(6, 180.1, -45.05, 4e-30, NULL, 300, 'beta'),
+		(7, 10.2, 0.3, 0.0, 3e-28, 100, 'delta'),
+		(8, 359.9, 89.0, 5e-28, 5e-28, 400, 'alpha'),
+		(9, 50.4, 19.8, NULL, 8e-29, 200, 'Aleph'),
+		(10, 10.1, -0.2, 7e-28, 1e-28, 100, 'beta')`)
+	mustExec(t, e, "CREATE INDEX idx_obj ON Object (objectId)")
+	mustExec(t, e, "CREATE TABLE Source (sourceId BIGINT, objectId BIGINT, psfFlux DOUBLE)")
+	mustExec(t, e, `INSERT INTO Source VALUES
+		(11, 1, 1.0), (12, 1, 1.5), (13, 2, 2.0), (14, 999, 9.9), (15, NULL, 3.0), (16, 5, 0.5), (17, 3, 1.25)`)
+	mustExec(t, e, "CREATE TABLE Flags (sourceId BIGINT, flag BIGINT)")
+	mustExec(t, e, "INSERT INTO Flags VALUES (12, 1), (13, 0), (17, 1), (17, 2), (99, 3)")
+	return e
+}
+
+// rotatedPieces is the golden ScanSource.
+type rotatedPieces struct {
+	pieces [][]Row
+	next   int
+}
+
+func newRotatedPieces(t *Table) ScanSource {
+	var pieces [][]Row
+	for i := 0; i < len(t.Rows); i += 4 {
+		pieces = append(pieces, t.Rows[i:min(i+4, len(t.Rows))])
+	}
+	if len(pieces) > 1 {
+		pieces = append(pieces[1:len(pieces):len(pieces)], pieces[0])
+	}
+	return &rotatedPieces{pieces: pieces}
+}
+
+func (s *rotatedPieces) NextPiece() ([]Row, bool) {
+	if s.next == len(s.pieces) {
+		return nil, false
+	}
+	s.next++
+	return s.pieces[s.next-1], true
+}
+
+func (s *rotatedPieces) Close() {}
+
+func goldenCell(v Value) string {
+	switch x := v.(type) {
+	case nil:
+		return "null"
+	case int64:
+		return "i:" + strconv.FormatInt(x, 10)
+	case float64:
+		return "f:" + strconv.FormatFloat(x, 'g', -1, 64)
+	case string:
+		return "s:" + x
+	default:
+		return fmt.Sprintf("%T:%v", v, v)
+	}
+}
+
+func TestGoldenSelect(t *testing.T) {
+	e := goldenEngine(t)
+	var got []goldenCase
+	for _, st := range goldenStatements {
+		sel, err := sqlparse.ParseSelect(st.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", st.sql, err)
+		}
+		var opts ExecOptions
+		if st.source {
+			opts.Scan = newRotatedPieces
+		}
+		res, err := e.ExecuteStmtOpts(sel, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", st.sql, err)
+		}
+		c := goldenCase{SQL: st.sql, Source: st.source, Cols: res.Cols, Rows: [][]string{}, Stats: res.Stats}
+		for _, typ := range res.Types {
+			c.Types = append(c.Types, typ.String())
+		}
+		for _, r := range res.Rows {
+			cells := make([]string, len(r))
+			for i, v := range r {
+				cells[i] = goldenCell(v)
+			}
+			c.Rows = append(c.Rows, cells)
+		}
+		got = append(got, c)
+	}
+
+	const path = "testdata/golden_select.json"
+	if *updateGolden {
+		// One statement per line, so a diff of the file reads per statement.
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		for i, c := range got {
+			buf.WriteString(map[bool]string{true: "[", false: ","}[i == 0])
+			if err := enc.Encode(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf.WriteString("]\n")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d statements, the test runs %d", path, len(want), len(got))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s (source=%v):\n want %+v\n  got %+v", got[i].SQL, got[i].Source, want[i], got[i])
+		}
+	}
+}

@@ -8,12 +8,18 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Func is a scalar SQL function (UDF or builtin).
-type Func func(args []Value) (Value, error)
+// This file is the engine's previous evaluator, kept as the reference the
+// compiled expressions are checked against (differential_test.go): a
+// tree-walking interpreter that re-resolves names and re-dispatches
+// operators on every row. It shares the value model (Compare, AsFloat,
+// AsBool, likeMatch) and the function table with the engine and nothing
+// else; its arithmetic and its operator dispatch are its own. The one
+// deliberate change from the evaluator that shipped is AND / OR, which
+// follow SQL's three-valued logic here as in the compiler.
 
-// binding associates a FROM-clause name (alias or table name) with a
-// schema and, during iteration, the current row.
-type binding struct {
+// refBinding associates a FROM-clause name (alias or table name) with a
+// schema and the current row.
+type refBinding struct {
 	name   string
 	schema Schema
 	row    Row
@@ -21,15 +27,15 @@ type binding struct {
 
 // evalEnv is the evaluation context for one joined row.
 type evalEnv struct {
-	bindings []*binding
-	funcs    map[string]Func
+	bindings []*refBinding
+	funcs    map[string]function
 	// resolved caches column-reference resolution: expression node ->
 	// (binding index, column index). Populated lazily; expression trees
 	// are not shared across concurrent queries.
 	resolved map[*sqlparse.ColumnRef][2]int
 }
 
-func newEvalEnv(bindings []*binding, funcs map[string]Func) *evalEnv {
+func newEvalEnv(bindings []*refBinding, funcs map[string]function) *evalEnv {
 	return &evalEnv{
 		bindings: bindings,
 		funcs:    funcs,
@@ -116,7 +122,7 @@ func (env *evalEnv) Eval(e sqlparse.Expr) (Value, error) {
 			}
 			args[i] = x
 		}
-		return fn(args)
+		return fn.call(args)
 
 	case *sqlparse.BinaryExpr:
 		return env.evalBinary(v)
@@ -231,35 +237,29 @@ func (env *evalEnv) Eval(e sqlparse.Expr) (Value, error) {
 }
 
 func (env *evalEnv) evalBinary(b *sqlparse.BinaryExpr) (Value, error) {
-	// AND/OR short-circuit with SQL three-valued logic collapsed to
-	// NULL-is-false, which is what filtering needs.
+	// AND/OR short-circuit under SQL three-valued logic: the right side
+	// is skipped only when the left side decides the result.
 	switch b.Op {
-	case "AND":
+	case "AND", "OR":
+		decides := b.Op == "OR"
 		l, err := env.Eval(b.L)
 		if err != nil {
 			return nil, err
 		}
-		if !AsBool(l) {
-			return boolToInt(false), nil
+		if !IsNull(l) && AsBool(l) == decides {
+			return boolToInt(decides), nil
 		}
 		r, err := env.Eval(b.R)
 		if err != nil {
 			return nil, err
 		}
-		return boolToInt(AsBool(r)), nil
-	case "OR":
-		l, err := env.Eval(b.L)
-		if err != nil {
-			return nil, err
+		if !IsNull(r) && AsBool(r) == decides {
+			return boolToInt(decides), nil
 		}
-		if AsBool(l) {
-			return boolToInt(true), nil
+		if IsNull(l) || IsNull(r) {
+			return nil, nil
 		}
-		r, err := env.Eval(b.R)
-		if err != nil {
-			return nil, err
-		}
-		return boolToInt(AsBool(r)), nil
+		return boolToInt(!decides), nil
 	}
 
 	l, err := env.Eval(b.L)
@@ -362,51 +362,4 @@ func evalArith(op string, l, r Value) (Value, error) {
 		return math.Mod(lf, rf), nil
 	}
 	return nil, fmt.Errorf("sqlengine: unknown arithmetic operator %q", op)
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards.
-func likeMatch(s, pattern string) bool {
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || !equalFoldByte(s[0], p[0]) {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return len(s) == 0
-}
-
-func equalFoldByte(a, b byte) bool {
-	if a >= 'A' && a <= 'Z' {
-		a += 'a' - 'A'
-	}
-	if b >= 'A' && b <= 'Z' {
-		b += 'a' - 'A'
-	}
-	return a == b
 }

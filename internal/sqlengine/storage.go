@@ -83,11 +83,17 @@ type hashIndex struct {
 
 func buildHashIndex(t *Table, col int) *hashIndex {
 	idx := &hashIndex{col: col, buckets: make(map[string][]int, len(t.Rows))}
-	for i, r := range t.Rows {
-		k := GroupKey(r[col : col+1])
-		idx.buckets[k] = append(idx.buckets[k], i)
-	}
+	idx.add(t.Rows, 0)
 	return idx
+}
+
+// add posts rows, stored from position base on.
+func (ix *hashIndex) add(rows []Row, base int) {
+	var key []byte
+	for i, r := range rows {
+		key = appendKey(key[:0], r[ix.col])
+		ix.buckets[string(key)] = append(ix.buckets[string(key)], base+i)
+	}
 }
 
 // CreateIndex builds (or rebuilds) a hash index on the named column.
@@ -108,9 +114,14 @@ func (t *Table) Index(col string) *hashIndex {
 // HasIndex reports whether the column is indexed.
 func (t *Table) HasIndex(col string) bool { return t.Index(col) != nil }
 
-// lookup returns the row positions whose indexed column equals v.
+// lookup returns the row positions whose indexed column equals v. NULL
+// equals nothing, the stored NULLs included: `col = NULL` finds no row
+// through the index, as it finds none through a filter.
 func (ix *hashIndex) lookup(v Value) []int {
-	return ix.buckets[GroupKey([]Value{v})]
+	if IsNull(v) {
+		return nil
+	}
+	return ix.buckets[string(appendKey(nil, v))]
 }
 
 // Insert appends rows, maintaining indexes. Rows must match the schema
@@ -125,10 +136,7 @@ func (t *Table) Insert(rows ...Row) error {
 	base := len(t.Rows)
 	t.Rows = append(t.Rows, rows...)
 	for _, ix := range t.indexes {
-		for i, r := range rows {
-			k := GroupKey(r[ix.col : ix.col+1])
-			ix.buckets[k] = append(ix.buckets[k], base+i)
-		}
+		ix.add(rows, base)
 	}
 	return nil
 }

@@ -4,6 +4,13 @@
 // engine as a loosely-coupled black box that executes chunk queries over
 // local tables.
 //
+// A SELECT runs in three steps: bind the FROM clause to tables, compile
+// every expression once into closures against those bindings (compile.go:
+// names, functions and operators are resolved there, and numeric
+// subexpressions also get an unboxed form), then run one pass over the
+// rows — source, filter, project or accumulate (exec.go). Nothing is
+// interpreted per row and nothing compiled is kept across statements.
+//
 // Beyond executing the dialect, the engine meters the I/O of every query
 // (bytes scanned sequentially, random reads, rows and bytes produced) so
 // the simulation layer can convert executions on scaled-down data into
@@ -11,6 +18,7 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -147,21 +155,13 @@ func Compare(a, b Value) (int, error) {
 		fa, ea := AsFloat(a)
 		fb, eb := AsFloat(b)
 		if ea == nil && eb == nil {
-			return cmpFloat(fa, fb), nil
+			return threeWay(fa, fb), nil
 		}
 		return strings.Compare(toString(a), toString(b)), nil
 	}
 	// Pure numeric: avoid float rounding when both are ints.
 	if ka == KindInt && kb == KindInt {
-		x, y := a.(int64), b.(int64)
-		switch {
-		case x < y:
-			return -1, nil
-		case x > y:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return threeWay(a.(int64), b.(int64)), nil
 	}
 	fa, err := AsFloat(a)
 	if err != nil {
@@ -171,10 +171,12 @@ func Compare(a, b Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cmpFloat(fa, fb), nil
+	return threeWay(fa, fb), nil
 }
 
-func cmpFloat(a, b float64) int {
+// threeWay orders two numbers: -1, 0, +1. A NaN is neither below nor
+// above anything, so it compares equal to everything.
+func threeWay[T number](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -262,29 +264,37 @@ func formatFloat(f float64) string {
 // a map key in GROUP BY, DISTINCT, and hash joins. The encoding is
 // injective: distinct value tuples produce distinct keys.
 func GroupKey(vals []Value) string {
-	var sb strings.Builder
+	var buf []byte
 	for _, v := range vals {
-		switch x := v.(type) {
-		case nil:
-			sb.WriteByte('n')
-		case int64:
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(x, 10))
-		case float64:
-			// Normalize ints-valued floats so 1 and 1.0 group together
-			// when mixed columns feed a key.
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatFloat(x, 'b', -1, 64))
-		case string:
-			sb.WriteByte('s')
-			sb.WriteString(strconv.Itoa(len(x)))
-			sb.WriteByte(':')
-			sb.WriteString(x)
-		case bool:
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(boolToInt(x), 10))
-		}
-		sb.WriteByte('|')
+		buf = appendKey(buf, v)
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// appendKey appends one value's GroupKey encoding: a kind tag followed by
+// a self-delimiting payload (varint for integers, eight bytes for floats,
+// length-prefixed for strings), so concatenated keys decode uniquely.
+// Scans and index builds append into a reused buffer and look up by
+// string(buf), which does not allocate.
+func appendKey(buf []byte, v Value) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, 'n')
+	case int64:
+		return binary.AppendVarint(append(buf, 'i'), x)
+	case float64:
+		// An int64 and the float64 of equal value stay distinct keys, and
+		// so do 0 and -0; every NaN is one key.
+		bits := math.Float64bits(x)
+		if x != x {
+			bits = math.Float64bits(math.NaN())
+		}
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), bits)
+	case string:
+		buf = binary.AppendUvarint(append(buf, 's'), uint64(len(x)))
+		return append(buf, x...)
+	case bool:
+		return binary.AppendVarint(append(buf, 'i'), boolToInt(x))
+	}
+	return buf
 }

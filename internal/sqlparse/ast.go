@@ -127,11 +127,26 @@ func (s *Star) SQL() string {
 	return "*"
 }
 
-// FuncCall is a scalar or aggregate function application.
+// FuncCall is a scalar or aggregate function application. Build one with
+// NewFuncCall, as the parser does, never as a bare literal: it folds the
+// name once, so IsAggregate and Key are field reads however often later
+// stages ask.
 type FuncCall struct {
 	Name     string // canonical upper-case for aggregates; verbatim otherwise
 	Args     []Expr
 	Distinct bool // COUNT(DISTINCT x)
+
+	key string // lower-cased Name
+	agg bool
+}
+
+// NewFuncCall builds a call node with its name folded.
+func NewFuncCall(name string, args ...Expr) *FuncCall {
+	f := &FuncCall{Name: name, Args: args, key: strings.ToLower(name)}
+	if up := strings.ToUpper(name); AggregateFuncs[up] {
+		f.Name, f.agg = up, true
+	}
+	return f
 }
 
 func (*FuncCall) expr() {}
@@ -160,8 +175,18 @@ var AggregateFuncs = map[string]bool{
 }
 
 // IsAggregate reports whether the call is an aggregate function.
-func (f *FuncCall) IsAggregate() bool {
-	return AggregateFuncs[strings.ToUpper(f.Name)]
+func (f *FuncCall) IsAggregate() bool { return f.agg }
+
+// Key returns the case-folded function name: the key function tables
+// (the engine's registry of builtins and UDFs) are looked up by.
+func (f *FuncCall) Key() string { return f.key }
+
+// withArgs copies the call around a new argument list, keeping the
+// folded name.
+func (f *FuncCall) withArgs(args []Expr) *FuncCall {
+	c := *f
+	c.Args = args
+	return &c
 }
 
 // BinaryExpr applies an infix operator: arithmetic, comparison, AND/OR.
@@ -412,7 +437,7 @@ func CloneExpr(e Expr) Expr {
 		for i, a := range v.Args {
 			args[i] = CloneExpr(a)
 		}
-		return &FuncCall{Name: v.Name, Args: args, Distinct: v.Distinct}
+		return v.withArgs(args)
 	case *BinaryExpr:
 		return &BinaryExpr{Op: v.Op, L: CloneExpr(v.L), R: CloneExpr(v.R)}
 	case *UnaryExpr:
@@ -475,7 +500,7 @@ func RewriteExpr(e Expr, fn func(Expr) Expr) Expr {
 		for i, a := range v.Args {
 			args[i] = RewriteExpr(a, fn)
 		}
-		return fn(&FuncCall{Name: v.Name, Args: args, Distinct: v.Distinct})
+		return fn(v.withArgs(args))
 	case *BinaryExpr:
 		return fn(&BinaryExpr{Op: v.Op, L: RewriteExpr(v.L, fn), R: RewriteExpr(v.R, fn)})
 	case *UnaryExpr:

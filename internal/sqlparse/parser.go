@@ -790,7 +790,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		name := t.Text
 		// Function call?
 		if p.accept(TokOp, "(") {
-			call := &FuncCall{Name: canonicalFuncName(name)}
+			call := NewFuncCall(name)
 			if p.accept(TokOp, ")") {
 				return call, nil
 			}
@@ -827,15 +827,4 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &ColumnRef{Column: name}, nil
 	}
 	return nil, p.errf("unexpected %s", t)
-}
-
-// canonicalFuncName uppercases aggregate names so later stages can match
-// them cheaply; other functions (UDFs, qserv_* pseudo-functions) keep
-// their spelling.
-func canonicalFuncName(name string) string {
-	up := strings.ToUpper(name)
-	if AggregateFuncs[up] {
-		return up
-	}
-	return name
 }

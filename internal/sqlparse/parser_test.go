@@ -422,7 +422,7 @@ func TestDeparseRoundTripRandom(t *testing.T) {
 		case 4:
 			return &InExpr{X: gen(depth - 1), List: []Expr{gen(depth - 1), gen(depth - 1)}, Not: rng.Intn(2) == 0}
 		case 5:
-			return &FuncCall{Name: "fluxToAbMag", Args: []Expr{gen(depth - 1)}}
+			return NewFuncCall("fluxToAbMag", gen(depth-1))
 		default:
 			return &UnaryExpr{Op: "NOT", X: gen(depth - 1)}
 		}

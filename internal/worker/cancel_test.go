@@ -26,8 +26,11 @@ func TestCancelQueuedScanJobDequeued(t *testing.T) {
 	table := meta.ChunkTableName("Object", chunks[0])
 
 	// Occupy the only scan slot: a query on chunk 0 whose convoy is
-	// throttled so it reliably outlives the cancel below.
-	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 0;", table))
+	// throttled so it reliably outlives the cancel below. Until the
+	// throttle attaches, the blocker's own predicate holds it back: a
+	// bare scan of these rows is over before the poll below first looks.
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(5*time.Microsecond))
+	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 0;", table))
 	if err := w.HandleWrite(xrd.QueryPath(int(chunks[0])), blocker); err != nil {
 		t.Fatal(err)
 	}

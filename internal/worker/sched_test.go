@@ -173,12 +173,15 @@ func TestInteractiveWaitBoundedUnderScans(t *testing.T) {
 	w, chunks := loadBigChunks(t, cfg, 3, 6000)
 
 	// Two scan queries per chunk: 6 concurrent scans, 3 gangs, draining
-	// one at a time. fluxToAbMag makes per-row evaluation expensive.
+	// one at a time. How long a gang holds the slot — what the scan
+	// lane's queue waits are made of — is set here, per row, not left to
+	// the engine's speed.
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(2*time.Microsecond))
 	var scanPayloads [][]byte
 	for _, c := range chunks {
 		for v := 1; v <= 2; v++ {
 			p := []byte(fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM LSST.%s WHERE fluxToAbMag(zFlux_PS) - fluxToAbMag(iFlux_PS) > %d.5;",
+				"SELECT COUNT(*) AS n FROM LSST.%s WHERE fluxToAbMag(test_slow(zFlux_PS)) - fluxToAbMag(iFlux_PS) > %d.5;",
 				meta.ChunkTableName("Object", c), -v))
 			scanPayloads = append(scanPayloads, p)
 			if err := w.HandleWrite(xrd.QueryPath(int(c)), p); err != nil {

@@ -106,7 +106,8 @@ func TestFrontendStreamsBeforeScanCompletes(t *testing.T) {
 	}
 	defer c.Close()
 
-	st, err := c.Query(context.Background(), "SELECT objectId FROM Object WHERE uFlux_PS > 1e-31")
+	slowScans(cl, 10*time.Microsecond)
+	st, err := c.Query(context.Background(), "SELECT objectId FROM Object WHERE test_slow(uFlux_PS) > 1e-31")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,8 @@ func TestFrontendDisconnectKillsQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Query(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE uFlux_PS > 2e-31"); err != nil {
+	slowScans(cl, 10*time.Microsecond)
+	if _, err := c.Query(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > 2e-31"); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the query is genuinely mid-flight on the workers.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/sqlengine"
 )
 
 // scanCluster builds a small cluster whose scan backlog makes mid-
@@ -37,6 +38,18 @@ func scanCluster(t testing.TB) *Cluster {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// slowScans makes scan length a parameter of the test instead of a
+// property of the engine: every worker engine gets an identity UDF,
+// test_slow, that costs perRow per call, and a test that must catch a scan
+// mid-flight wraps a column of its statement in it (an oracle is asked the
+// statement without it). The window such a test polls for then stays open
+// however fast a bare scan becomes.
+func slowScans(cl *Cluster, perRow time.Duration) {
+	for _, w := range cl.Workers {
+		w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(perRow))
+	}
 }
 
 // TestSubmitWaitMatchesQuery is the API-equivalence oracle: for every
@@ -125,12 +138,13 @@ func TestCancelMidScanReclaimsSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowScans(cl, 10*time.Microsecond)
 	survivorSQL := "SELECT COUNT(*) AS n FROM Object WHERE uFlux_PS > 1e-31"
-	survivor, err := cl.Submit(context.Background(), survivorSQL)
+	survivor, err := cl.Submit(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > 1e-31")
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := cl.Submit(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE uFlux_PS > 2e-31")
+	victim, err := cl.Submit(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > 2e-31")
 	if err != nil {
 		t.Fatal(err)
 	}
