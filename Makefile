@@ -28,12 +28,17 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Per-layer testing.B benches: today the scan layer, the chunk statements
-# of the paper's query classes over one chunk-sized table, in ns/row and
-# allocs/op. (What they must never exceed is pinned as counts, which
-# repeat exactly, by TestScanAllocBudget in tier-1.)
+# Per-layer testing.B benches, in ns/row and allocs/op: the scan layer —
+# the chunk statements of the paper's query classes over one chunk-sized
+# table, and (the *WorkingSet ones) rotating over the 94 chunk tables of
+# the repository benchmark's catalog, which do not fit in cache — and the
+# materialization layer, one stored batch from bytes to a chunk table and
+# its index. (What they must never exceed is pinned as counts, which
+# repeat exactly, by TestScanAllocBudget and TestMaterializeAllocBudget
+# in tier-1.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
+	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
 
 # Tiny-size benchmarks fast enough to gate CI: the czar merge pipeline
 # (serialized vs pipelined collection, oracle-checked), the query-kill
@@ -68,11 +73,13 @@ bench-smoke:
 
 # Native Go fuzzing over the untrusted-bytes decoders: chunkstore
 # segment framing + WAL records, the one row codec every format shares,
-# the ingest batch / segment-set framings, the worker result stream,
-# and the frontend wire protocol (frame reader, handshake, column-header
-# and row frames — everything a hostile client controls) — and over the
-# engine's expression compiler, differentially: whatever expression text
-# the fuzzer writes must evaluate as the reference interpreter does. Go allows one
+# the ingest batch / segment-set framings (a batch is also decoded
+# straight into table columns, and must append whole or not at all), the
+# worker result stream, the span trailer a worker appends to it, and the
+# frontend wire protocol (frame reader, handshake, column-header and row
+# frames — everything a hostile client controls) — and over the engine's
+# expression compiler, differentially: whatever expression text the
+# fuzzer writes must evaluate as the reference interpreter does. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.
@@ -88,3 +95,4 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzColsDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)

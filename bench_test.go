@@ -396,7 +396,7 @@ func BenchmarkAblationSharedScan(b *testing.B) {
 			s, _ := scanshare.NewScanner(tbl, 512)
 			tks := make([]*scanshare.Ticket, 8)
 			for k := range tks {
-				tks[k] = s.Attach(func([]sqlengine.Row) {})
+				tks[k] = s.Attach(func(lo, hi int) {})
 			}
 			for _, tk := range tks {
 				tk.Wait()
@@ -407,7 +407,7 @@ func BenchmarkAblationSharedScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < 8; k++ {
 				s, _ := scanshare.NewScanner(tbl, 512)
-				s.Attach(func([]sqlengine.Row) {}).Wait()
+				s.Attach(func(lo, hi int) {}).Wait()
 			}
 		}
 	})

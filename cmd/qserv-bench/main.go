@@ -580,7 +580,7 @@ func runAblateScanshare(ctx *benchCtx) error {
 	}
 	tickets := make([]*scanshare.Ticket, k)
 	for i := 0; i < k; i++ {
-		tickets[i] = s.Attach(func([]sqlengine.Row) {})
+		tickets[i] = s.Attach(func(lo, hi int) {})
 	}
 	for _, tk := range tickets {
 		tk.Wait()

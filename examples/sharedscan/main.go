@@ -27,15 +27,17 @@ func main() {
 		log.Fatal(err)
 	}
 	tbl := sqlengine.NewTable("Object", meta.ObjectSchema())
-	for _, o := range cat.Objects {
-		if err := tbl.Insert(sqlengine.Row{
+	rows := make([]sqlengine.Row, len(cat.Objects))
+	for i, o := range cat.Objects {
+		rows[i] = sqlengine.Row{
 			o.ObjectID, o.RA, o.Decl, o.UFlux, o.GFlux, o.RFlux,
 			o.IFlux, o.ZFlux, o.YFlux, o.UFluxSG, o.URadiusPS,
-			int64(0), int64(0)}); err != nil {
-			log.Fatal(err)
-		}
+			int64(0), int64(0)}
 	}
-	fmt.Printf("table: %d rows, %d bytes\n\n", len(tbl.Rows), tbl.ByteSize())
+	if err := tbl.Insert(rows...); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("table: %d rows, %d bytes\n\n", tbl.Len(), tbl.ByteSize())
 
 	scanner, err := scanshare.NewScanner(tbl, 4096)
 	if err != nil {
@@ -56,10 +58,10 @@ func main() {
 		i := i
 		cut := 20.0 + float64(i)
 		results[i].cut = cut
-		tickets[i] = scanner.Attach(func(piece []sqlengine.Row) {
+		tickets[i] = scanner.Attach(func(lo, hi int) {
 			var n int64
-			for _, r := range piece {
-				flux := r[7].(float64) // zFlux_PS
+			for r := lo; r < hi; r++ {
+				flux := tbl.Float(r, 7) // zFlux_PS
 				if -2.5*math.Log10(flux)-48.6 < cut {
 					n++
 				}
@@ -71,7 +73,7 @@ func main() {
 	// dropped at the next piece boundary — the convoy's pace and the
 	// other members' results are unaffected, and the table is not read
 	// to completion on the dead query's behalf.
-	killed := scanner.Attach(func([]sqlengine.Row) {})
+	killed := scanner.Attach(func(lo, hi int) {})
 	killed.Abandon()
 	killed.Wait() // returns once the convoy drops the ticket
 

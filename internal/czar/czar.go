@@ -233,9 +233,10 @@ func (c *Czar) Query(sql string) (*QueryResult, error) {
 }
 
 // execute dispatches the plan's chunk queries, streams the results
-// through the merge pipeline, and runs the final merge statement. It
-// runs inside q's session goroutine; q carries the context that kills
-// it and the progress counters observers read.
+// through the merge pipeline, and runs the final merge statement — or,
+// where that statement is the identity, hands the folded rows over as
+// they are. It runs inside q's session goroutine; q carries the context
+// that kills it and the progress counters observers read.
 func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, error) {
 	ctx := q.ctx
 	qr := &QueryResult{Class: plan.Class, ChunksDispatched: len(plan.Chunks),
@@ -345,12 +346,28 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 		return nil, firstErr
 	}
 
-	// Install the session result table (typed from the plan when no
-	// chunk was dispatched) and run the merge statement over it.
 	mg := q.root.Child("czar merge")
 	mergeStart := time.Now()
-	resDB.Put(session.finish(resultTable))
-	final, err := c.engine.Query(plan.MergeSQL(qualified))
+	schema, rows := session.finish()
+	var final *sqlengine.Result
+	if plan.Streamable() {
+		// The merge statement of a streamable plan is a bare `SELECT *
+		// FROM <result>`: the folded rows are its answer, and loading them
+		// into a table only to scan them out again is work with no effect.
+		final = &sqlengine.Result{Cols: schema.Names(), Rows: rows}
+		for _, col := range schema {
+			final.Types = append(final.Types, col.Type)
+		}
+		final.Stats.RowsOut = int64(len(rows))
+	} else {
+		// Install the session result table (typed from the plan when no
+		// chunk was dispatched) and run the merge statement over it.
+		t := sqlengine.NewTable(resultTable, schema)
+		if err = t.Insert(rows...); err == nil {
+			resDB.Put(t)
+			final, err = c.engine.Query(plan.MergeSQL(qualified))
+		}
+	}
 	c.metrics.mergeNS.Observe(time.Since(mergeStart).Nanoseconds())
 	mg.Finish()
 	if err != nil {

@@ -28,7 +28,9 @@ import (
 //     materializing every partial row before the merge query runs.
 //
 // finish() then combines the stripes (concatenate / k-way merge /
-// group-map union) into the typed session table the merge SQL reads.
+// group-map union) into the rows, and the schema typing them, that the
+// merge statement reads — or, for a plan whose merge statement is the
+// identity, that are the answer as they stand.
 type mergeSession struct {
 	plan    *core.Plan
 	stripes []*mergeStripe
@@ -119,11 +121,14 @@ func (s *mergeSession) admit(dec *dump.Decoded) error {
 	return nil
 }
 
-// finish combines the stripes into the session result table. With no
-// chunk results at all it synthesizes an empty table typed from the
-// plan's result columns, so zero-chunk string/int queries still merge
-// correctly.
-func (s *mergeSession) finish(name string) *sqlengine.Table {
+// finish combines the stripes and returns the session's folded rows with
+// the schema of the result table they make. Column names are the first
+// arriving chunk result's; column types are fitted to the values
+// (sqlengine.FitSchema), because a chunk result declares what it inferred
+// from its own rows — all DOUBLE when it had none — and a typed table
+// converts what it is given. With no chunk results at all the schema is
+// the plan's, so zero-chunk string/int queries still merge correctly.
+func (s *mergeSession) finish() (sqlengine.Schema, []sqlengine.Row) {
 	s.mu.Lock()
 	schema := s.schema
 	s.mu.Unlock()
@@ -132,7 +137,7 @@ func (s *mergeSession) finish(name string) *sqlengine.Table {
 		for i, col := range s.plan.ResultColumns {
 			schema[i] = sqlengine.Column{Name: col, Type: s.plan.ResultType(i)}
 		}
-		return sqlengine.NewTable(name, schema)
+		return schema, nil
 	}
 
 	folders := make([]partialFolder, len(s.stripes))
@@ -149,10 +154,8 @@ func (s *mergeSession) finish(name string) *sqlengine.Table {
 	for _, f := range folders[1:] {
 		first.fold(f.rows())
 	}
-	t := sqlengine.NewTable(name, schema)
-	// Folded rows are fresh per-session slices; Insert may retain them.
-	_ = t.Insert(first.rows()...)
-	return t
+	rows := first.rows()
+	return sqlengine.FitSchema(schema, rows), rows
 }
 
 // ---------- append ----------

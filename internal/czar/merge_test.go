@@ -110,15 +110,15 @@ func TestZeroChunkSchemaTypedFromPlan(t *testing.T) {
 	// The satellite fix: a zero-chunk query's synthesized result table
 	// must carry plan-derived types, not DOUBLE everywhere.
 	p := planFor(t, "SELECT objectId, ra_PS FROM Object WHERE objectId = 42", false)
-	tbl := newMergeSession(p, 2).finish("t")
-	if len(tbl.Schema) != 2 {
-		t.Fatalf("schema = %+v", tbl.Schema)
+	schema, rows := newMergeSession(p, 2).finish()
+	if len(schema) != 2 || len(rows) != 0 {
+		t.Fatalf("schema = %+v, %d rows", schema, len(rows))
 	}
-	if tbl.Schema[0].Name != "objectId" || tbl.Schema[0].Type != sqlparse.TypeInt {
-		t.Errorf("objectId column = %+v, want INT", tbl.Schema[0])
+	if schema[0].Name != "objectId" || schema[0].Type != sqlparse.TypeInt {
+		t.Errorf("objectId column = %+v, want INT", schema[0])
 	}
-	if tbl.Schema[1].Type != sqlparse.TypeFloat {
-		t.Errorf("ra_PS column = %+v, want DOUBLE", tbl.Schema[1])
+	if schema[1].Type != sqlparse.TypeFloat {
+		t.Errorf("ra_PS column = %+v, want DOUBLE", schema[1])
 	}
 }
 
@@ -149,12 +149,12 @@ func TestMergeSessionStripedFoldAndFinish(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	tbl := s.finish("t")
-	if len(tbl.Rows) != 32 {
-		t.Fatalf("rows = %d, want 32", len(tbl.Rows))
+	_, rows := s.finish()
+	if len(rows) != 32 {
+		t.Fatalf("rows = %d, want 32", len(rows))
 	}
 	seen := map[int64]bool{}
-	for _, r := range tbl.Rows {
+	for _, r := range rows {
 		seen[r[0].(int64)] = true
 	}
 	if len(seen) != 32 {

@@ -150,21 +150,20 @@ func Decode(s string) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec.Rows = make([]sqlengine.Row, nrows)
-	for i := range dec.Rows {
-		row, next, err := rowcodec.DecodeRow(data, pos)
-		if err != nil {
+	box := rowcodec.Boxer{Rows: make([]sqlengine.Row, 0, nrows)}
+	for i := 0; i < nrows; i++ {
+		if pos, err = rowcodec.Decode(data, pos, &box); err != nil {
 			return nil, fmt.Errorf("dump: row %d of %d: %w", i, nrows, err)
 		}
+		row := box.Rows[i]
 		if len(row) != ncols {
 			return nil, fmt.Errorf("dump: row %d has %d values, schema declares %d", i, len(row), ncols)
 		}
 		for j, v := range row {
 			row[j] = coerceValue(v, dec.Schema[j].Type)
 		}
-		dec.Rows[i] = row
-		pos = next
 	}
+	dec.Rows = box.Rows
 	if pos != len(data) {
 		return nil, fmt.Errorf("dump: %d trailing bytes after %d rows", len(data)-pos, nrows)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -153,6 +154,7 @@ type Stream struct {
 	c         *Client
 	ctx       context.Context
 	cols      []string
+	box       rowcodec.Boxer // the row decoder's sink
 	stopWatch func()
 
 	done  bool
@@ -207,7 +209,7 @@ func (s *Stream) Next() (row []sqlengine.Value, ok bool) {
 	}
 	switch f[0] {
 	case tagRow:
-		r, err := decodeRow(f[1:], len(s.cols))
+		r, err := decodeRow(f[1:], len(s.cols), &s.box)
 		if err != nil {
 			s.finish(err)
 			return nil, false

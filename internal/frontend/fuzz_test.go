@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -110,7 +111,8 @@ func FuzzRowDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0x7f, 'i'}, uint8(1))             // width exceeds frame
 	f.Add([]byte{1, 'z'}, uint8(1))                            // bad cell tag inside a row
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
-		row, err := decodeRow(data, int(ncols))
+		var box rowcodec.Boxer
+		row, err := decodeRow(data, int(ncols), &box)
 		if err != nil {
 			return
 		}
@@ -121,7 +123,7 @@ func FuzzRowDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding an accepted row failed: %v", err)
 		}
-		again, err := decodeRow(frame[1:], len(row))
+		again, err := decodeRow(frame[1:], len(row), &box)
 		if err != nil {
 			t.Fatalf("re-decoding an accepted row failed: %v", err)
 		}

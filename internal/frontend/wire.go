@@ -176,12 +176,16 @@ func appendRowFrame(dst []byte, row []sqlengine.Value) ([]byte, error) {
 
 // decodeRow parses a row frame body (tag already stripped): exactly one
 // row, of the ncols values the preceding column header declared — a
-// row frame of the wrong width is an error, not a short row.
-func decodeRow(b []byte, ncols int) ([]sqlengine.Value, error) {
-	row, next, err := rowcodec.DecodeRow(b, 0)
+// row frame of the wrong width is an error, not a short row. box is the
+// stream's decoder sink, reused frame after frame; the row returned is
+// the caller's.
+func decodeRow(b []byte, ncols int, box *rowcodec.Boxer) ([]sqlengine.Value, error) {
+	box.Rows = box.Rows[:0]
+	next, err := rowcodec.Decode(b, 0, box)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: bad row frame: %w", err)
 	}
+	row := box.Rows[0]
 	if next != len(b) {
 		return nil, fmt.Errorf("frontend: %d trailing bytes after row", len(b)-next)
 	}

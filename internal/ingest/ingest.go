@@ -5,7 +5,9 @@
 // holding each chunk (path /load/t/<table>/<chunk>, or .../shared for
 // replicated tables). A batch carries the chunk's own rows plus the
 // rows that fall only in the chunk's overlap margin; the worker applies
-// both and maintains the director-key index incrementally.
+// both and maintains the director-key index incrementally: it decodes a
+// batch straight into its tables' columns (DecodeBatchInto), never into
+// rows.
 //
 // Rows ship in the cell encoding of package rowcodec (binary,
 // type-tagged, exact round-trip — text encoding measured as over half
@@ -66,40 +68,54 @@ func EncodeBatch(b Batch) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBatch parses an encoded batch.
+// DecodeBatch parses an encoded batch into boxed rows.
 func DecodeBatch(data []byte) (Batch, error) {
+	var box rowcodec.Boxer
+	nRows, err := DecodeBatchInto(data, &box, &box)
+	if err != nil {
+		return Batch{}, err
+	}
+	return Batch{Rows: box.Rows[:nRows:nRows], Overlap: box.Rows[nRows:]}, nil
+}
+
+// DecodeBatchInto parses an encoded batch straight into two sinks, the
+// chunk's own rows into rows and its overlap rows into overlap, and
+// returns how many went to the first. With a table's
+// sqlengine.Appender for a sink no row is ever boxed. On error the sinks
+// have been handed part of the batch: the caller discards what they hold.
+func DecodeBatchInto(data []byte, rows, overlap rowcodec.Sink) (nRows int, err error) {
 	if len(data) < len(batchMagic) || string(data[:len(batchMagic)]) != string(batchMagic) {
-		return Batch{}, fmt.Errorf("ingest: bad batch header")
+		return 0, fmt.Errorf("ingest: bad batch header")
 	}
 	pos := len(batchMagic)
-	nRows, n := binary.Uvarint(data[pos:])
+	own, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return Batch{}, fmt.Errorf("ingest: truncated batch")
+		return 0, fmt.Errorf("ingest: truncated batch")
 	}
 	pos += n
 	nOverlap, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return Batch{}, fmt.Errorf("ingest: truncated batch")
+		return 0, fmt.Errorf("ingest: truncated batch")
 	}
 	pos += n
 	// The counts are untrusted input: every row costs at least one
 	// byte (its column-count varint), so counts beyond the remaining
-	// payload are corrupt — reject them before allocating.
+	// payload are corrupt — reject them before any row is read.
 	remaining := uint64(len(data) - pos)
-	if nRows > remaining || nOverlap > remaining || nRows+nOverlap > remaining {
-		return Batch{}, fmt.Errorf("ingest: batch claims %d+%d rows in %d bytes", nRows, nOverlap, remaining)
+	if own > remaining || nOverlap > remaining || own+nOverlap > remaining {
+		return 0, fmt.Errorf("ingest: batch claims %d+%d rows in %d bytes", own, nOverlap, remaining)
 	}
-	total := int(nRows + nOverlap)
-	rows := make([]sqlengine.Row, 0, total)
+	total := int(own + nOverlap)
 	for i := 0; i < total; i++ {
-		row, next, err := rowcodec.DecodeRow(data, pos)
-		if err != nil {
-			return Batch{}, fmt.Errorf("ingest: row %d of %d: %w", i, total, err)
+		sink := rows
+		if i >= int(own) {
+			sink = overlap
 		}
-		pos = next
-		rows = append(rows, row)
+		if pos, err = rowcodec.Decode(data, pos, sink); err != nil {
+			return 0, fmt.Errorf("ingest: row %d of %d: %w", i, total, err)
+		}
 	}
-	return Batch{Rows: rows[:nRows:nRows], Overlap: rows[nRows:]}, nil
+	return int(own), nil
 }
 
 // ---------- segment framing ----------

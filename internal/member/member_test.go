@@ -241,8 +241,8 @@ func TestRepairReplacesDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(h.rows) || !tbl.HasIndex("objectId") {
-		t.Fatalf("target chunk table: %d rows, indexed=%v", len(tbl.Rows), tbl.HasIndex("objectId"))
+	if tbl.Len() != len(h.rows) || !tbl.HasIndex("objectId") {
+		t.Fatalf("target chunk table: %d rows, indexed=%v", tbl.Len(), tbl.HasIndex("objectId"))
 	}
 
 	prog := r.Progress()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
 )
 
 // sameValue is bit-exact equality: -0.0 differs from 0.0 and a NaN
@@ -87,6 +88,39 @@ func TestRoundTripEveryKind(t *testing.T) {
 
 	if got, next, err := DecodeRow([]byte{0}, 0); err != nil || len(got) != 0 || next != 1 {
 		t.Errorf("empty row: %v, %d, %v", got, next, err)
+	}
+
+	// The same wide row decoded twice straight into a table's columns —
+	// no boxed row in between — reads back bit for bit.
+	schema := make(sqlengine.Schema, len(all))
+	for i, v := range all {
+		schema[i].Name = cases[i].name
+		switch v.(type) {
+		case int64:
+			schema[i].Type = sqlparse.TypeInt
+		case string:
+			schema[i].Type = sqlparse.TypeString
+		default:
+			schema[i].Type = sqlparse.TypeFloat
+		}
+	}
+	tbl := sqlengine.NewTable("wide", schema)
+	app := tbl.Appender()
+	for i := 0; i < 2; i++ {
+		if next, err := Decode(enc, len("prefix"), app); err != nil || string(enc[next:]) != "suffix" {
+			t.Fatalf("decode into columns: next %d, %v", next, err)
+		}
+	}
+	if tbl.Len() != 0 {
+		t.Fatalf("%d rows visible before Commit", tbl.Len())
+	}
+	app.Commit()
+	for r := 0; r < 2; r++ {
+		for i, v := range tbl.Row(r) {
+			if !sameValue(v, all[i]) {
+				t.Errorf("column row %d value %d (%s): %v, want %v", r, i, cases[i].name, v, all[i])
+			}
+		}
 	}
 }
 

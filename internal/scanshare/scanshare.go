@@ -5,7 +5,9 @@
 // is read in pieces; every query attached to the convoy processes each
 // piece while it is in memory. A query may join mid-scan: it processes
 // pieces from its join point, wraps around, and completes after seeing
-// every piece exactly once.
+// every piece exactly once. Tables are columnar, so a piece is a range
+// of row positions, [lo, hi), of the scanned table: what a consumer
+// evaluates over it is the engine's business (sqlengine.ScanSource).
 //
 // The paper had not yet implemented this ("Shared scanning is planned
 // for implementation later this year", section 5) but designed Qserv
@@ -55,7 +57,7 @@ func NewScanner(table *sqlengine.Table, pieceRows int) (*Scanner, error) {
 
 // pieces returns the number of pieces in the table.
 func (s *Scanner) pieces() int {
-	n := len(s.table.Rows)
+	n := s.table.Len()
 	if n == 0 {
 		return 0
 	}
@@ -68,7 +70,7 @@ func (s *Scanner) Table() *sqlengine.Table { return s.table }
 // Ticket tracks one query's membership in the convoy.
 type Ticket struct {
 	s         *Scanner
-	process   func([]sqlengine.Row)
+	process   func(lo, hi int)
 	remaining int
 	done      chan struct{}
 	completed bool        // done closed; guarded by s.mu
@@ -107,17 +109,17 @@ func (t *Ticket) complete() {
 }
 
 // Attach joins the convoy: process is invoked once for every piece of
-// the table (in convoy order, starting wherever the scan currently is),
-// from the scanner's goroutine. The returned ticket's Wait unblocks
-// after the query has seen every piece exactly once.
-func (s *Scanner) Attach(process func([]sqlengine.Row)) *Ticket {
+// the table — rows lo up to hi — in convoy order, starting wherever the
+// scan currently is, from the scanner's goroutine. The returned ticket's
+// Wait unblocks after the query has seen every piece exactly once.
+func (s *Scanner) Attach(process func(lo, hi int)) *Ticket {
 	t, _ := s.attach(process)
 	return t
 }
 
 // attach implements Attach; joined reports whether this consumer shared
 // a scan already in flight.
-func (s *Scanner) attach(process func([]sqlengine.Row)) (*Ticket, bool) {
+func (s *Scanner) attach(process func(lo, hi int)) (*Ticket, bool) {
 	t := &Ticket{s: s, process: process, done: make(chan struct{})}
 	s.mu.Lock()
 	t.remaining = s.pieces()
@@ -147,7 +149,7 @@ func (s *Scanner) attach(process func([]sqlengine.Row)) (*Ticket, bool) {
 // unbuffered channel, so the convoy advances at the pace of its
 // slowest attached consumer — the paper's shared-scan discipline.
 type Source struct {
-	ch     chan []sqlengine.Row
+	ch     chan [2]int // a piece: lo, hi
 	closed chan struct{}
 	once   sync.Once
 	ticket *Ticket
@@ -155,9 +157,9 @@ type Source struct {
 
 // NextPiece returns the next convoy piece; ok is false after the
 // consumer has seen every piece exactly once.
-func (src *Source) NextPiece() ([]sqlengine.Row, bool) {
+func (src *Source) NextPiece() (lo, hi int, ok bool) {
 	piece, ok := <-src.ch
-	return piece, ok
+	return piece[0], piece[1], ok
 }
 
 // Close abandons the source: remaining pieces are discarded so the
@@ -179,11 +181,11 @@ func (src *Source) Detach() {
 // AttachSource joins the convoy as a piece iterator. joined reports
 // whether an in-flight scan was shared rather than a fresh one started.
 func (s *Scanner) AttachSource() (src *Source, joined bool) {
-	src = &Source{ch: make(chan []sqlengine.Row), closed: make(chan struct{})}
+	src = &Source{ch: make(chan [2]int), closed: make(chan struct{})}
 	var t *Ticket
-	t, joined = s.attach(func(piece []sqlengine.Row) {
+	t, joined = s.attach(func(lo, hi int) {
 		select {
-		case src.ch <- piece:
+		case src.ch <- [2]int{lo, hi}:
 		case <-src.closed:
 		}
 	})
@@ -214,14 +216,10 @@ func (s *Scanner) run() {
 			s.pos = 0
 		}
 		start := s.pos * s.pieceRows
-		end := start + s.pieceRows
-		if end > len(s.table.Rows) {
-			end = len(s.table.Rows)
-		}
-		piece := s.table.Rows[start:end]
+		end := min(start+s.pieceRows, s.table.Len())
 		s.pos++
 		// One physical read, shared by every consumer.
-		s.bytesRead += int64(len(piece)) * rowWidth
+		s.bytesRead += int64(end-start) * rowWidth
 		s.piecesRead++
 		members := make([]*Ticket, 0, len(s.consumers))
 		for t := range s.consumers {
@@ -237,7 +235,7 @@ func (s *Scanner) run() {
 				finished = append(finished, t)
 				continue
 			}
-			t.process(piece)
+			t.process(start, end)
 			if t.remaining--; t.remaining == 0 {
 				finished = append(finished, t)
 			}
@@ -276,14 +274,15 @@ func (s *Scanner) ScansSaved() int64 {
 }
 
 // CountWhere attaches a counting query to the convoy: it counts rows
-// satisfying pred and returns the count after the full pass.
+// satisfying pred and returns the count after the full pass. It boxes
+// every row for pred: a demonstration and test helper, not a scan path.
 func (s *Scanner) CountWhere(pred func(sqlengine.Row) bool) int64 {
 	var mu sync.Mutex
 	var n int64
-	t := s.Attach(func(piece []sqlengine.Row) {
+	t := s.Attach(func(lo, hi int) {
 		local := int64(0)
-		for _, r := range piece {
-			if pred(r) {
+		for i := lo; i < hi; i++ {
+			if pred(s.table.Row(i)) {
 				local++
 			}
 		}

@@ -56,10 +56,10 @@ func TestEachConsumerSeesEachRowOnce(t *testing.T) {
 			defer wg.Done()
 			seen := map[int64]int{}
 			var mu sync.Mutex
-			tk := s.Attach(func(piece []sqlengine.Row) {
+			tk := s.Attach(func(lo, hi int) {
 				mu.Lock()
-				for _, r := range piece {
-					seen[r[0].(int64)]++
+				for r := lo; r < hi; r++ {
+					seen[s.Table().Int(r, 0)]++
 				}
 				mu.Unlock()
 			})
@@ -99,10 +99,10 @@ func TestSharingReducesIO(t *testing.T) {
 	counts := make([]int64, k)
 	for i := 0; i < k; i++ {
 		i := i
-		tickets = append(tickets, s.Attach(func(piece []sqlengine.Row) {
+		tickets = append(tickets, s.Attach(func(lo, hi int) {
 			mu.Lock()
-			for _, r := range piece {
-				if r[1].(float64) > 100 {
+			for r := lo; r < hi; r++ {
+				if s.Table().Float(r, 1) > 100 {
 					counts[i]++
 				}
 			}
@@ -135,7 +135,7 @@ func TestMidScanJoinWrapsAround(t *testing.T) {
 	var slowStarted sync.WaitGroup
 	slowStarted.Add(1)
 	first := true
-	tkSlow := s.Attach(func(piece []sqlengine.Row) {
+	tkSlow := s.Attach(func(lo, hi int) {
 		if first {
 			first = false
 			slowStarted.Done()
@@ -145,8 +145,8 @@ func TestMidScanJoinWrapsAround(t *testing.T) {
 	slowStarted.Wait()
 	// Join mid-scan; must still see all 1000 rows exactly once.
 	var n int64
-	tk := s.Attach(func(piece []sqlengine.Row) {
-		atomic.AddInt64(&n, int64(len(piece)))
+	tk := s.Attach(func(lo, hi int) {
+		atomic.AddInt64(&n, int64(hi-lo))
 	})
 	tk.Wait()
 	if got := atomic.LoadInt64(&n); got != 1000 {
@@ -236,15 +236,15 @@ func BenchmarkIndependentScan8Queries(b *testing.B) {
 
 // drainSource pulls every piece from a source, returning the set of ids
 // seen and how many times each appeared.
-func drainSource(src *Source) map[int64]int {
+func drainSource(tbl *sqlengine.Table, src *Source) map[int64]int {
 	seen := map[int64]int{}
 	for {
-		piece, ok := src.NextPiece()
+		lo, hi, ok := src.NextPiece()
 		if !ok {
 			return seen
 		}
-		for _, r := range piece {
-			seen[r[0].(int64)]++
+		for r := lo; r < hi; r++ {
+			seen[tbl.Int(r, 0)]++
 		}
 	}
 }
@@ -265,7 +265,7 @@ func TestSourceMidScanJoinExactlyOnce(t *testing.T) {
 	// join a second source: it must start at the current position, wrap
 	// around, and still see every row exactly once.
 	for i := 0; i < 3; i++ {
-		if _, ok := srcA.NextPiece(); !ok {
+		if _, _, ok := srcA.NextPiece(); !ok {
 			t.Fatal("source A exhausted too early")
 		}
 	}
@@ -277,8 +277,8 @@ func TestSourceMidScanJoinExactlyOnce(t *testing.T) {
 	var wg sync.WaitGroup
 	var seenA, seenB map[int64]int
 	wg.Add(2)
-	go func() { defer wg.Done(); rest := drainSource(srcA); seenA = rest }()
-	go func() { defer wg.Done(); seenB = drainSource(srcB) }()
+	go func() { defer wg.Done(); rest := drainSource(tbl, srcA); seenA = rest }()
+	go func() { defer wg.Done(); seenB = drainSource(tbl, srcB) }()
 	wg.Wait()
 
 	// A consumed 3 pieces before the goroutine drained the rest.
@@ -305,7 +305,7 @@ func TestSourceCloseMidScanDoesNotStallConvoy(t *testing.T) {
 		t.Fatal(err)
 	}
 	quitter, _ := s.AttachSource()
-	if _, ok := quitter.NextPiece(); !ok {
+	if _, _, ok := quitter.NextPiece(); !ok {
 		t.Fatal("no first piece")
 	}
 	quitter.Close()
@@ -314,7 +314,7 @@ func TestSourceCloseMidScanDoesNotStallConvoy(t *testing.T) {
 	// A well-behaved source attached afterwards must still complete.
 	src, _ := s.AttachSource()
 	done := make(chan map[int64]int, 1)
-	go func() { done <- drainSource(src) }()
+	go func() { done <- drainSource(tbl, src) }()
 	select {
 	case seen := <-done:
 		if len(seen) != 2000 {
@@ -338,13 +338,13 @@ func TestAbandonDropsTicketAtPieceBoundary(t *testing.T) {
 
 	// Throttled survivor paces the convoy so the abandon lands mid-scan.
 	var survivorRows atomic.Int64
-	survivor := s.Attach(func(piece []sqlengine.Row) {
-		survivorRows.Add(int64(len(piece)))
+	survivor := s.Attach(func(lo, hi int) {
+		survivorRows.Add(int64(hi - lo))
 		time.Sleep(100 * time.Microsecond)
 	})
 
 	var victimRows atomic.Int64
-	victim := s.Attach(func(piece []sqlengine.Row) { victimRows.Add(int64(len(piece))) })
+	victim := s.Attach(func(lo, hi int) { victimRows.Add(int64(hi - lo)) })
 	for victimRows.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -382,8 +382,8 @@ func TestAbandonLastConsumerStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows atomic.Int64
-	tk := s.Attach(func(piece []sqlengine.Row) {
-		rows.Add(int64(len(piece)))
+	tk := s.Attach(func(lo, hi int) {
+		rows.Add(int64(hi - lo))
 		time.Sleep(100 * time.Microsecond)
 	})
 	for rows.Load() == 0 {
@@ -413,7 +413,7 @@ func TestSourceDetachUnblocksBlockedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := s.AttachSource()
-	if _, ok := src.NextPiece(); !ok {
+	if _, _, ok := src.NextPiece(); !ok {
 		t.Fatal("no first piece")
 	}
 	// Stop pulling; the convoy will block delivering the next piece.
@@ -423,7 +423,7 @@ func TestSourceDetachUnblocksBlockedDelivery(t *testing.T) {
 	// A fresh consumer must still complete: the convoy was not wedged.
 	done := make(chan map[int64]int, 1)
 	fresh, _ := s.AttachSource()
-	go func() { done <- drainSource(fresh) }()
+	go func() { done <- drainSource(tbl, fresh) }()
 	select {
 	case seen := <-done:
 		if len(seen) != 1000 {

@@ -20,62 +20,70 @@ type binding struct {
 	schema Schema
 }
 
+// cursor is the current row of one FROM binding: a position in the
+// columns of the table state the statement reads.
+type cursor struct {
+	cols []column
+	pos  int
+}
+
 // frame is what a compiled expression runs against: the current row of
 // every FROM binding and, while groups are output, the finished
 // aggregates of the current group.
 type frame struct {
-	rows []Row
+	cur  []cursor
 	aggs []Value
 }
 
 // The closure forms an expression compiles to. valueFn is the generic
-// form and implements the dialect's full semantics on boxed cells; the
-// typed forms carry a number and its NULL flag unboxed.
+// form: it implements the dialect's full semantics on boxed values, and
+// boxes what a typed operand hands it (a column cell included). The typed
+// forms carry a value and its NULL flag as a column stores them. A node
+// whose operands are all typed is built typed only; its generic form is
+// that, boxed.
 type (
-	valueFn func(*frame) (Value, error)
-	floatFn func(*frame) (f float64, null bool, err error)
-	intFn   func(*frame) (n int64, null bool, err error)
+	valueFn            func(*frame) (Value, error)
+	typedFn[T ordered] func(*frame) (v T, null bool, err error)
+	intFn              = typedFn[int64]
+	floatFn            = typedFn[float64]
+	strFn              = typedFn[string]
 )
 
-// errDeopt is how a typed form reports a cell whose dynamic type is not
-// its column's declared one (tables store values as given). It travels up
-// the typed forms to the nearest node that also holds a generic form of
-// itself, which then evaluates that instead: the generic form alone
-// defines what such cells mean.
-var errDeopt = errors.New("sqlengine: cell type differs from its column's declared type")
-
-// kind is what compile could tell about an expression's value.
+// kind is what compile could tell about an expression's value. Tables
+// convert cells to their column's declared type on the way in, so a
+// column's kind is a fact, not a guess.
 type kind uint8
 
 const (
-	kindAny   kind = iota // only the generic form exists
-	kindInt               // int64 or NULL
-	kindFloat             // float64 or NULL
+	kindAny    kind = iota // only the generic form exists
+	kindInt                // int64 or NULL
+	kindFloat              // float64 or NULL
+	kindString             // string or NULL: a VARCHAR column or a string literal
 )
+
+func (k kind) numeric() bool { return k == kindInt || k == kindFloat }
 
 // node is one compiled expression. Forms are built on first request, so
 // an expression only ever consumed one way pays for one closure.
 type node struct {
 	kind kind
-	// boolean marks a node whose int form yields 0, 1 or NULL and never
-	// errDeopt: comparisons, logic and the other predicates.
+	// boolean marks a node whose int form yields 0, 1 or NULL:
+	// comparisons, logic and the other predicates.
 	boolean bool
-	// leaf marks a plain load (column, literal, aggregate slot): its
-	// generic form costs less than unboxing and reboxing would.
-	leaf bool
 
 	value valueFn
 	float floatFn
 	int   intFn
+	str   strFn
 
-	isCol  bool // column leaf at fr.rows[bi][ci]
+	isCol  bool // column leaf: cell ci of binding bi's cursor
 	bi, ci int
 	isLit  bool // literal leaf
 	lit    Value
 }
 
 func litNode(v interface{}) node {
-	n := node{leaf: true, isLit: true, lit: v}
+	n := node{isLit: true, lit: v}
 	switch x := v.(type) {
 	case bool:
 		n.lit, n.kind = boolToInt(x), kindInt
@@ -83,14 +91,16 @@ func litNode(v interface{}) node {
 		n.kind = kindInt
 	case float64:
 		n.kind = kindFloat
+	case string:
+		n.kind = kindString
 	}
 	return n
 }
 
-// colNode is the typed column accessor: the one place a cell is loaded
-// and unboxed, and so the seam a columnar table representation replaces.
+// colNode is a column leaf. Its typed form is the column slice indexed at
+// the cursor; only its generic form boxes.
 func colNode(bi, ci int, typ sqlparse.ColType) node {
-	n := node{leaf: true, isCol: true, bi: bi, ci: ci}
+	n := node{isCol: true, bi: bi, ci: ci, kind: kindString}
 	switch typ {
 	case sqlparse.TypeInt:
 		n.kind = kindInt
@@ -107,19 +117,17 @@ func (n *node) valueForm() valueFn {
 	switch {
 	case n.isCol:
 		bi, ci := n.bi, n.ci
-		n.value = func(fr *frame) (Value, error) { return fr.rows[bi][ci], nil }
+		n.value = func(fr *frame) (Value, error) {
+			c := &fr.cur[bi]
+			return c.cols[ci].value(c.pos), nil
+		}
 	case n.isLit:
 		v := n.lit
 		n.value = func(*frame) (Value, error) { return v, nil }
-	default: // a boolean node built from typed operands
-		f := n.int
-		n.value = func(fr *frame) (Value, error) {
-			v, null, err := f(fr)
-			if err != nil || null {
-				return nil, err
-			}
-			return v, nil
-		}
+	case n.int != nil: // a node built typed boxes its typed form
+		n.value = boxed(n.int)
+	default:
+		n.value = boxed(n.float)
 	}
 	return n.value
 }
@@ -133,13 +141,9 @@ func (n *node) intForm() intFn {
 	case n.isCol:
 		bi, ci := n.bi, n.ci
 		n.int = func(fr *frame) (int64, bool, error) {
-			switch x := fr.rows[bi][ci].(type) {
-			case int64:
-				return x, false, nil
-			case nil:
-				return 0, true, nil
-			}
-			return 0, false, errDeopt
+			c := &fr.cur[bi]
+			col := &c.cols[ci]
+			return col.ints[c.pos], col.null(c.pos), nil
 		}
 	case n.isLit:
 		v := n.lit.(int64)
@@ -166,13 +170,9 @@ func (n *node) floatForm() floatFn {
 	case n.isCol && n.kind == kindFloat:
 		bi, ci := n.bi, n.ci
 		n.float = func(fr *frame) (float64, bool, error) {
-			switch x := fr.rows[bi][ci].(type) {
-			case float64:
-				return x, false, nil
-			case nil:
-				return 0, true, nil
-			}
-			return 0, false, errDeopt
+			c := &fr.cur[bi]
+			col := &c.cols[ci]
+			return col.floats[c.pos], col.null(c.pos), nil
 		}
 	case n.isLit && n.kind == kindFloat:
 		v := n.lit.(float64)
@@ -187,32 +187,37 @@ func (n *node) floatForm() floatFn {
 	return n.float
 }
 
-// scalar is the form a consumer of the value calls: typed all the way up
-// and boxed once where that saves boxing the intermediates, generic
-// otherwise.
-func (n *node) scalar() valueFn {
-	generic := n.valueForm()
-	if n.leaf || n.boolean || n.kind == kindAny {
-		return generic
+// strForm is valid on kindString nodes only: column and literal leaves.
+func (n *node) strForm() strFn {
+	if n.str != nil {
+		return n.str
 	}
-	if n.kind == kindInt {
-		return boxed(n.int, generic)
+	if n.isCol {
+		bi, ci := n.bi, n.ci
+		n.str = func(fr *frame) (string, bool, error) {
+			c := &fr.cur[bi]
+			col := &c.cols[ci]
+			return col.strs[c.pos], col.null(c.pos), nil
+		}
+	} else {
+		v := n.lit.(string)
+		n.str = func(*frame) (string, bool, error) { return v, false, nil }
 	}
-	return boxed(n.float, generic)
+	return n.str
 }
 
-// number is what the typed forms carry.
-type number interface{ int64 | float64 }
+// number is what the numeric typed forms carry; ordered adds strings, for
+// the operators that only compare.
+type (
+	number  interface{ int64 | float64 }
+	ordered interface{ int64 | float64 | string }
+)
 
-// boxed runs a typed form and boxes its result; a cell that is not of
-// its column's declared type sends the evaluation to the generic form.
-func boxed[T number](f func(*frame) (T, bool, error), generic valueFn) valueFn {
+// boxed runs a typed form and boxes its result.
+func boxed[T ordered](f typedFn[T]) valueFn {
 	return func(fr *frame) (Value, error) {
 		v, null, err := f(fr)
-		switch {
-		case err == errDeopt:
-			return generic(fr)
-		case err != nil || null:
+		if err != nil || null {
 			return nil, err
 		}
 		return v, nil
@@ -220,41 +225,82 @@ func boxed[T number](f func(*frame) (T, bool, error), generic valueFn) valueFn {
 }
 
 // truth is the form a consumer of the three-valued truth value calls —
-// filters, AND, OR, NOT: 1, 0 or NULL under AsBool, never errDeopt.
+// filters, AND, OR, NOT: 1, 0 or NULL under AsBool.
 func (n *node) truth() intFn {
-	if n.boolean {
+	switch {
+	case n.boolean:
 		return n.intForm()
+	case n.kind.numeric():
+		f := n.floatForm()
+		return func(fr *frame) (int64, bool, error) {
+			v, null, err := f(fr)
+			return boolToInt(v != 0), null, err
+		}
 	}
 	generic := n.valueForm()
-	if n.leaf || n.kind == kindAny {
-		return func(fr *frame) (int64, bool, error) {
-			return truthOf(generic(fr))
-		}
-	}
-	f := n.floatForm()
 	return func(fr *frame) (int64, bool, error) {
-		v, null, err := f(fr)
-		if err != nil {
-			return rescue(err, generic, fr)
+		v, err := generic(fr)
+		if err != nil || v == nil {
+			return 0, true, err
 		}
-		return boolToInt(v != 0), null, nil
+		return boolToInt(AsBool(v)), false, nil
 	}
 }
 
-func truthOf(v Value, err error) (int64, bool, error) {
-	if err != nil || v == nil {
-		return 0, true, err
+// isNull reports whether the value is NULL, without boxing it where a
+// typed form exists.
+func (n *node) isNull() func(*frame) (bool, error) {
+	switch n.kind {
+	case kindInt:
+		return nullOf(n.intForm())
+	case kindFloat:
+		return nullOf(n.floatForm())
+	case kindString:
+		return nullOf(n.strForm())
 	}
-	return boolToInt(AsBool(v)), false, nil
+	generic := n.valueForm()
+	return func(fr *frame) (bool, error) {
+		v, err := generic(fr)
+		return v == nil, err
+	}
 }
 
-// rescue handles a typed operand's error inside a predicate: errDeopt
-// re-runs the predicate's generic form, anything else is the answer.
-func rescue(err error, generic valueFn, fr *frame) (int64, bool, error) {
-	if err != errDeopt {
-		return 0, false, err
+func nullOf[T ordered](f typedFn[T]) func(*frame) (bool, error) {
+	return func(fr *frame) (bool, error) {
+		_, null, err := f(fr)
+		return null, err
 	}
-	return truthOf(generic(fr))
+}
+
+// keyFn appends the GroupKey encoding of an expression's value to buf.
+type keyFn func(fr *frame, buf []byte) ([]byte, error)
+
+// key is the form GROUP BY calls: the bytes appendKey would write for the
+// boxed value, written from the typed form where there is one.
+func (n *node) key() keyFn {
+	switch n.kind {
+	case kindInt:
+		return keyOf(n.intForm(), appendIntKey)
+	case kindFloat:
+		return keyOf(n.floatForm(), appendFloatKey)
+	case kindString:
+		return keyOf(n.strForm(), appendStringKey)
+	}
+	generic := n.valueForm()
+	return func(fr *frame, buf []byte) ([]byte, error) {
+		v, err := generic(fr)
+		return appendKey(buf, v), err
+	}
+}
+
+func keyOf[T ordered](f typedFn[T], enc func([]byte, T) []byte) keyFn {
+	return func(fr *frame, buf []byte) ([]byte, error) {
+		v, null, err := f(fr)
+		if err != nil || null {
+			return appendKey(buf, nil), err
+		}
+		return enc(buf, v), nil
+	}
 }
 
 // compiler turns sqlparse expressions into nodes against a fixed set of
@@ -433,15 +479,13 @@ func (c *compiler) compile(e sqlparse.Expr) (node, error) {
 		if err != nil {
 			return node{}, err
 		}
-		list := make([]valueFn, len(v.List))
+		list := make([]node, len(v.List))
 		for i, item := range v.List {
-			n, err := c.compile(item)
-			if err != nil {
+			if list[i], err = c.compile(item); err != nil {
 				return node{}, err
 			}
-			list[i] = n.valueForm()
 		}
-		return inNode(x.valueForm(), list, v.Not), nil
+		return inNode(&x, list, v.Not), nil
 
 	case *sqlparse.IsNullExpr:
 		x, err := c.compile(v.X)
@@ -469,46 +513,39 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 	if !ok {
 		return node{}, fmt.Errorf("sqlengine: unknown function %q", v.Name)
 	}
+	args := make([]node, len(v.Args))
 	// The typed entry serves a call of exactly its arity whose every
 	// argument is statically a number.
 	t := fn.typed
 	if t != nil && len(v.Args) != t.arity {
 		t = nil
 	}
-	vals := make([]valueFn, len(v.Args))
-	floats := make([]floatFn, len(v.Args))
 	for i, a := range v.Args {
-		n, err := c.compile(a)
-		if err != nil {
+		var err error
+		if args[i], err = c.compile(a); err != nil {
 			return node{}, err
 		}
-		vals[i] = n.valueForm()
-		if n.kind == kindAny {
+		if !args[i].kind.numeric() {
 			t = nil
 		}
-		if t != nil {
-			floats[i] = n.floatForm()
-		}
 	}
-	call, buf := fn.call, make([]Value, len(vals))
-	n := node{value: func(fr *frame) (Value, error) {
-		for i, a := range vals {
-			x, err := a(fr)
-			if err != nil {
-				return nil, err
-			}
-			buf[i] = x
-		}
-		return call(buf)
-	}}
 	if t == nil {
-		return n, nil
+		vals, call, buf := forms(args, (*node).valueForm), fn.call, make([]Value, len(args))
+		return node{value: func(fr *frame) (Value, error) {
+			for i, a := range vals {
+				x, err := a(fr)
+				if err != nil {
+					return nil, err
+				}
+				buf[i] = x
+			}
+			return call(buf)
+		}}, nil
 	}
-	core, fbuf := t.call, new([maxTypedArgs]float64)
+	floats, core, fbuf := forms(args, (*node).floatForm), t.call, new([maxTypedArgs]float64)
 	eval := func(fr *frame) (float64, bool, error) {
 		// Every argument is evaluated before a NULL one decides, as the
-		// generic call does: a later argument may hold the cell that
-		// sends this call there.
+		// generic call does: a later argument may be the one that fails.
 		anyNull := false
 		for i, a := range floats {
 			x, null, err := a(fr)
@@ -525,15 +562,12 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 		return f, null, nil
 	}
 	if t.pred {
-		n.kind = kindInt
-		n.int = func(fr *frame) (int64, bool, error) {
+		return node{kind: kindInt, int: func(fr *frame) (int64, bool, error) {
 			f, null, err := eval(fr)
 			return int64(f), null, err
-		}
-	} else {
-		n.kind, n.float = kindFloat, eval
+		}}, nil
 	}
-	return n, nil
+	return node{kind: kindFloat, float: eval}, nil
 }
 
 var aggKinds = map[string]aggKind{
@@ -554,37 +588,36 @@ func (c *compiler) aggSlot(v *sqlparse.FuncCall) (node, error) {
 		if err != nil {
 			return node{}, err
 		}
-		spec.arg = arg.scalar()
+		spec.setArg(&arg)
 	case len(v.Args) == 0 && spec.kind == aggCount:
 	default:
 		return node{}, fmt.Errorf("sqlengine: aggregate %s takes one argument", v.Name)
 	}
 	slot := len(*c.aggs)
 	*c.aggs = append(*c.aggs, spec)
-	return node{leaf: true, value: func(fr *frame) (Value, error) { return fr.aggs[slot], nil }}, nil
+	return node{value: func(fr *frame) (Value, error) { return fr.aggs[slot], nil }}, nil
 }
 
 // arithNode compiles + - * / %: int64 when both sides are (except /),
 // float64 when both are numbers, generic otherwise.
 func arithNode(op binOp, l, r *node) node {
-	lv, rv := l.valueForm(), r.valueForm()
-	n := node{value: func(fr *frame) (Value, error) {
-		a, err := lv(fr)
-		if err != nil {
-			return nil, err
-		}
-		b, err := rv(fr)
-		if err != nil {
-			return nil, err
-		}
-		return arith(op, a, b)
-	}}
 	switch {
-	case l.kind == kindAny || r.kind == kindAny:
+	case !l.kind.numeric() || !r.kind.numeric():
+		lv, rv := l.valueForm(), r.valueForm()
+		return node{value: func(fr *frame) (Value, error) {
+			a, err := lv(fr)
+			if err != nil {
+				return nil, err
+			}
+			b, err := rv(fr)
+			if err != nil {
+				return nil, err
+			}
+			return arith(op, a, b)
+		}}
 	case l.kind == kindInt && r.kind == kindInt && op != opDiv:
 		li, ri := l.intForm(), r.intForm()
-		n.kind = kindInt
-		n.int = func(fr *frame) (int64, bool, error) {
+		return node{kind: kindInt, int: func(fr *frame) (int64, bool, error) {
 			a, an, err := li(fr)
 			if err != nil {
 				return 0, false, err
@@ -597,26 +630,23 @@ func arithNode(op binOp, l, r *node) node {
 				return 0, true, nil
 			}
 			return arithInt(op, a, b), false, nil
-		}
-	default:
-		lf, rf := l.floatForm(), r.floatForm()
-		n.kind = kindFloat
-		n.float = func(fr *frame) (float64, bool, error) {
-			a, an, err := lf(fr)
-			if err != nil {
-				return 0, false, err
-			}
-			b, bn, err := rf(fr)
-			if err != nil {
-				return 0, false, err
-			}
-			if an || bn || (op >= opDiv && b == 0) {
-				return 0, true, nil
-			}
-			return arithFloat(op, a, b), false, nil
-		}
+		}}
 	}
-	return n
+	lf, rf := l.floatForm(), r.floatForm()
+	return node{kind: kindFloat, float: func(fr *frame) (float64, bool, error) {
+		a, an, err := lf(fr)
+		if err != nil {
+			return 0, false, err
+		}
+		b, bn, err := rf(fr)
+		if err != nil {
+			return 0, false, err
+		}
+		if an || bn || (op >= opDiv && b == 0) {
+			return 0, true, nil
+		}
+		return arithFloat(op, a, b), false, nil
+	}}
 }
 
 // arithInt is + - * % on two integers; the caller excludes a zero divisor.
@@ -697,50 +727,51 @@ func holds(op binOp, c int) bool {
 	}
 }
 
-// cmpNode compiles a comparison: exact on two integers, on float64 when
-// both sides are numbers, through Compare otherwise. NULL if either side
-// is.
+// cmpNode compiles a comparison: exact on two integers or two strings, on
+// float64 when both sides are numbers, through Compare otherwise. NULL if
+// either side is.
 func cmpNode(op binOp, l, r *node) node {
-	lv, rv := l.valueForm(), r.valueForm()
-	generic := func(fr *frame) (Value, error) {
-		a, err := lv(fr)
-		if err != nil {
-			return nil, err
-		}
-		b, err := rv(fr)
-		if err != nil {
-			return nil, err
-		}
-		if IsNull(a) || IsNull(b) {
-			return nil, nil
-		}
-		c, err := Compare(a, b)
-		if err != nil {
-			return nil, err
-		}
-		return boolToInt(holds(op, c)), nil
-	}
 	n := node{kind: kindInt, boolean: true}
 	switch {
-	case l.kind == kindAny || r.kind == kindAny:
-		n.value = generic
 	case l.kind == kindInt && r.kind == kindInt:
-		n.int = cmpTyped(op, l.intForm(), r.intForm(), generic)
+		n.int = cmpTyped(op, l.intForm(), r.intForm())
+	case l.kind.numeric() && r.kind.numeric():
+		n.int = cmpTyped(op, l.floatForm(), r.floatForm())
+	case l.kind == kindString && r.kind == kindString:
+		n.int = cmpTyped(op, l.strForm(), r.strForm())
 	default:
-		n.int = cmpTyped(op, l.floatForm(), r.floatForm(), generic)
+		lv, rv := l.valueForm(), r.valueForm()
+		n.value = func(fr *frame) (Value, error) {
+			a, err := lv(fr)
+			if err != nil {
+				return nil, err
+			}
+			b, err := rv(fr)
+			if err != nil {
+				return nil, err
+			}
+			if IsNull(a) || IsNull(b) {
+				return nil, nil
+			}
+			c, err := Compare(a, b)
+			if err != nil {
+				return nil, err
+			}
+			return boolToInt(holds(op, c)), nil
+		}
 	}
 	return n
 }
 
-func cmpTyped[T number](op binOp, l, r func(*frame) (T, bool, error), generic valueFn) intFn {
+func cmpTyped[T ordered](op binOp, l, r typedFn[T]) intFn {
 	return func(fr *frame) (int64, bool, error) {
 		a, an, err := l(fr)
 		if err != nil {
-			return rescue(err, generic, fr)
+			return 0, false, err
 		}
 		b, bn, err := r(fr)
 		if err != nil {
-			return rescue(err, generic, fr)
+			return 0, false, err
 		}
 		return boolToInt(holds(op, threeWay(a, b))), an || bn, nil
 	}
@@ -783,8 +814,14 @@ func notNode(x *node) node {
 }
 
 func negNode(x *node) node {
+	switch x.kind {
+	case kindInt:
+		return node{kind: kindInt, int: negTyped(x.intForm())}
+	case kindFloat:
+		return node{kind: kindFloat, float: negTyped(x.floatForm())}
+	}
 	xv := x.valueForm()
-	n := node{kind: x.kind, value: func(fr *frame) (Value, error) {
+	return node{value: func(fr *frame) (Value, error) {
 		v, err := xv(fr)
 		if err != nil {
 			return nil, err
@@ -801,16 +838,9 @@ func negNode(x *node) node {
 		}
 		return -f, nil
 	}}
-	switch x.kind {
-	case kindInt:
-		n.int = negTyped(x.intForm())
-	case kindFloat:
-		n.float = negTyped(x.floatForm())
-	}
-	return n
 }
 
-func negTyped[T number](x func(*frame) (T, bool, error)) func(*frame) (T, bool, error) {
+func negTyped[T number](x typedFn[T]) typedFn[T] {
 	return func(fr *frame) (T, bool, error) {
 		v, null, err := x(fr)
 		return -v, null, err
@@ -819,61 +849,62 @@ func negTyped[T number](x func(*frame) (T, bool, error)) func(*frame) (T, bool, 
 
 // betweenNode compiles x [NOT] BETWEEN lo AND hi: NULL if any of the
 // three is. It goes typed only where both of its comparisons are the
-// same kind generically: all integers, or both on float64.
+// same kind generically: all integers, all strings, or both on float64.
 func betweenNode(x, lo, hi *node, not bool) node {
-	xv, lov, hiv := x.valueForm(), lo.valueForm(), hi.valueForm()
-	generic := func(fr *frame) (Value, error) {
-		v, err := xv(fr)
-		if err != nil {
-			return nil, err
-		}
-		l, err := lov(fr)
-		if err != nil {
-			return nil, err
-		}
-		h, err := hiv(fr)
-		if err != nil {
-			return nil, err
-		}
-		if IsNull(v) || IsNull(l) || IsNull(h) {
-			return nil, nil
-		}
-		cLo, err := Compare(v, l)
-		if err != nil {
-			return nil, err
-		}
-		cHi, err := Compare(v, h)
-		if err != nil {
-			return nil, err
-		}
-		return boolToInt((cLo >= 0 && cHi <= 0) != not), nil
-	}
 	n := node{kind: kindInt, boolean: true}
-	numeric := x.kind != kindAny && lo.kind != kindAny && hi.kind != kindAny
+	numeric := x.kind.numeric() && lo.kind.numeric() && hi.kind.numeric()
 	switch {
-	case numeric && x.kind == kindInt && lo.kind == kindInt && hi.kind == kindInt:
-		n.int = betweenTyped(x.intForm(), lo.intForm(), hi.intForm(), not, generic)
+	case x.kind == kindInt && lo.kind == kindInt && hi.kind == kindInt:
+		n.int = betweenTyped(x.intForm(), lo.intForm(), hi.intForm(), not)
 	case numeric && (x.kind == kindFloat || (lo.kind == kindFloat && hi.kind == kindFloat)):
-		n.int = betweenTyped(x.floatForm(), lo.floatForm(), hi.floatForm(), not, generic)
+		n.int = betweenTyped(x.floatForm(), lo.floatForm(), hi.floatForm(), not)
+	case x.kind == kindString && lo.kind == kindString && hi.kind == kindString:
+		n.int = betweenTyped(x.strForm(), lo.strForm(), hi.strForm(), not)
 	default:
-		n.value = generic
+		xv, lov, hiv := x.valueForm(), lo.valueForm(), hi.valueForm()
+		n.value = func(fr *frame) (Value, error) {
+			v, err := xv(fr)
+			if err != nil {
+				return nil, err
+			}
+			l, err := lov(fr)
+			if err != nil {
+				return nil, err
+			}
+			h, err := hiv(fr)
+			if err != nil {
+				return nil, err
+			}
+			if IsNull(v) || IsNull(l) || IsNull(h) {
+				return nil, nil
+			}
+			cLo, err := Compare(v, l)
+			if err != nil {
+				return nil, err
+			}
+			cHi, err := Compare(v, h)
+			if err != nil {
+				return nil, err
+			}
+			return boolToInt((cLo >= 0 && cHi <= 0) != not), nil
+		}
 	}
 	return n
 }
 
-func betweenTyped[T number](x, lo, hi func(*frame) (T, bool, error), not bool, generic valueFn) intFn {
+func betweenTyped[T ordered](x, lo, hi typedFn[T], not bool) intFn {
 	return func(fr *frame) (int64, bool, error) {
 		v, vn, err := x(fr)
 		if err != nil {
-			return rescue(err, generic, fr)
+			return 0, false, err
 		}
 		l, ln, err := lo(fr)
 		if err != nil {
-			return rescue(err, generic, fr)
+			return 0, false, err
 		}
 		h, hn, err := hi(fr)
 		if err != nil {
-			return rescue(err, generic, fr)
+			return 0, false, err
 		}
 		// Compare's order: a NaN is neither below nor above anything.
 		return boolToInt((!(v < l) && !(v > h)) != not), vn || ln || hn, nil
@@ -882,62 +913,117 @@ func betweenTyped[T number](x, lo, hi func(*frame) (T, bool, error), not bool, g
 
 // inNode compiles x [NOT] IN (list). With a NULL in the list an unmatched
 // x is UNKNOWN, not FALSE: `x NOT IN (1, NULL)` is NULL, never TRUE. A
-// NULL x and a match both stop the evaluation of the list.
-func inNode(x valueFn, list []valueFn, not bool) node {
-	return node{kind: kindInt, boolean: true, value: func(fr *frame) (Value, error) {
-		v, err := x(fr)
-		if err != nil || IsNull(v) {
-			return nil, err
-		}
-		found, sawNull := false, false
-		for _, item := range list {
-			y, err := item(fr)
-			if err != nil {
-				return nil, err
-			}
-			if IsNull(y) {
-				sawNull = true
-			} else if Equal(v, y) {
-				found = true
-				break
+// NULL x and a match both stop the evaluation of the list. Like BETWEEN
+// it goes typed only where every one of its comparisons is the same kind
+// generically.
+func inNode(x *node, list []node, not bool) node {
+	all := func(k kind) bool {
+		for i := range list {
+			if list[i].kind != k {
+				return false
 			}
 		}
-		if !found && sawNull {
-			return nil, nil
-		}
-		return boolToInt(found != not), nil
-	}}
-}
-
-func isNullNode(x *node, not bool) node {
-	xv := x.valueForm()
+		return true
+	}
+	numeric := x.kind.numeric()
+	for i := range list {
+		numeric = numeric && list[i].kind.numeric()
+	}
 	n := node{kind: kindInt, boolean: true}
-	if x.leaf || x.kind == kindAny {
+	switch {
+	case x.kind == kindInt && all(kindInt):
+		n.int = inTyped(x.intForm(), forms(list, (*node).intForm), not)
+	case numeric && (x.kind == kindFloat || all(kindFloat)):
+		n.int = inTyped(x.floatForm(), forms(list, (*node).floatForm), not)
+	case x.kind == kindString && all(kindString):
+		n.int = inTyped(x.strForm(), forms(list, (*node).strForm), not)
+	default:
+		xv, items := x.valueForm(), forms(list, (*node).valueForm)
 		n.value = func(fr *frame) (Value, error) {
 			v, err := xv(fr)
-			if err != nil {
+			if err != nil || IsNull(v) {
 				return nil, err
 			}
-			return boolToInt(IsNull(v) != not), nil
+			found, sawNull := false, false
+			for _, item := range items {
+				y, err := item(fr)
+				if err != nil {
+					return nil, err
+				}
+				if IsNull(y) {
+					sawNull = true
+				} else if Equal(v, y) {
+					found = true
+					break
+				}
+			}
+			if !found && sawNull {
+				return nil, nil
+			}
+			return boolToInt(found != not), nil
 		}
-		return n
-	}
-	xf := x.floatForm()
-	n.int = func(fr *frame) (int64, bool, error) {
-		_, null, err := xf(fr)
-		if err == errDeopt {
-			var v Value
-			v, err = xv(fr)
-			null = IsNull(v)
-		}
-		return boolToInt(null != not), false, err
 	}
 	return n
 }
 
+// forms collects one form of every node of a list.
+func forms[F any](list []node, form func(*node) F) []F {
+	out := make([]F, len(list))
+	for i := range list {
+		out[i] = form(&list[i])
+	}
+	return out
+}
+
+func inTyped[T ordered](x typedFn[T], list []typedFn[T], not bool) intFn {
+	return func(fr *frame) (int64, bool, error) {
+		v, null, err := x(fr)
+		if err != nil || null {
+			return 0, true, err
+		}
+		sawNull := false
+		for _, item := range list {
+			y, yn, err := item(fr)
+			switch {
+			case err != nil:
+				return 0, false, err
+			case yn:
+				sawNull = true
+			case threeWay(v, y) == 0:
+				return boolToInt(!not), false, nil
+			}
+		}
+		return boolToInt(not), sawNull, nil
+	}
+}
+
+func isNullNode(x *node, not bool) node {
+	null := x.isNull()
+	return node{kind: kindInt, boolean: true, int: func(fr *frame) (int64, bool, error) {
+		is, err := null(fr)
+		return boolToInt(is != not), false, err
+	}}
+}
+
 func likeNode(l, r *node) node {
+	n := node{kind: kindInt, boolean: true}
+	if l.kind == kindString && r.kind == kindString {
+		ls, rs := l.strForm(), r.strForm()
+		n.int = func(fr *frame) (int64, bool, error) {
+			a, an, err := ls(fr)
+			if err != nil {
+				return 0, false, err
+			}
+			b, bn, err := rs(fr)
+			if err != nil {
+				return 0, false, err
+			}
+			return boolToInt(!an && !bn && likeMatch(a, b)), an || bn, nil
+		}
+		return n
+	}
 	lv, rv := l.valueForm(), r.valueForm()
-	return node{kind: kindInt, boolean: true, value: func(fr *frame) (Value, error) {
+	n.value = func(fr *frame) (Value, error) {
 		a, err := lv(fr)
 		if err != nil {
 			return nil, err
@@ -950,7 +1036,8 @@ func likeNode(l, r *node) node {
 			return nil, nil
 		}
 		return boolToInt(likeMatch(toString(a), toString(b))), nil
-	}}
+	}
+	return n
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards.

@@ -1,11 +1,13 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -13,13 +15,13 @@ import (
 
 // The differential tests hold the compiled expressions to the reference
 // evaluator (reference_test.go): every form a node can be consumed
-// through — scalar, generic and truth — must agree with it on value,
-// NULL-ness and error-ness, row by row.
+// through — generic, truth, group key and the typed form of its kind —
+// must agree with it on value, NULL-ness and error-ness, row by row.
 
 // The two bindings expressions are checked against. Declared types and
-// cells disagree on purpose in places: that is what sends typed forms to
-// their generic fallback. `s` is in both tables, so unqualified it is
-// ambiguous.
+// cells disagree on purpose in places: the tables convert them on the way
+// in (TestInsertCoerces pins how), and the reference is fed the rows the
+// tables hold. `s` is in both tables, so unqualified it is ambiguous.
 var (
 	diffT = Schema{
 		{Name: "i", Type: sqlparse.TypeInt}, {Name: "f", Type: sqlparse.TypeFloat},
@@ -37,7 +39,7 @@ var (
 		{int64(-7), -3.25, "12", int64(3), int64(0)},
 		{int64(1<<53 + 1), float64(1 << 53), "1.5", "7", int64(-1)},
 		{int64(math.MaxInt64), math.Inf(1), "NULL", true, int64(5)},
-		{int64(math.MinInt64), math.Inf(-1), "a%", "zz", 0.5},
+		{int64(math.MinInt64), math.Inf(-1), "a%", "-2.5", 0.5},
 		{int64(2), math.NaN(), "ABC", 1e300, "9"},
 		{true, int64(4), int64(12), math.NaN(), false},
 		{int64(3), 3e-28, "beta", 5e-28, nil},
@@ -47,6 +49,15 @@ var (
 		{nil, nil, nil},
 		{int64(1<<53 + 2), -1.0, int64(1)},
 	}
+
+	// diffTables holds the two row sets as tables t and u.
+	diffTables = sync.OnceValue(func() [2]*Table {
+		t, u := NewTable("t", diffT), NewTable("u", diffU)
+		if err := errors.Join(t.Insert(diffTRows...), u.Insert(diffURows...)); err != nil {
+			panic(err)
+		}
+		return [2]*Table{t, u}
+	})
 )
 
 // exprTraps are the cases that have bitten this engine or are known to
@@ -116,8 +127,8 @@ func sameValue(a, b Value) bool {
 	return a == b
 }
 
-// checkExpr compares the three compiled forms of e with the reference on
-// every pairing of the two tables' rows.
+// checkExpr compares the compiled forms of e with the reference on every
+// pairing of the two tables' rows.
 func checkExpr(t *testing.T, eng *Engine, e sqlparse.Expr) {
 	t.Helper()
 	tb, ub := &refBinding{name: "t", schema: diffT}, &refBinding{name: "u", schema: diffU}
@@ -130,25 +141,44 @@ func checkExpr(t *testing.T, eng *Engine, e sqlparse.Expr) {
 		}
 		return
 	}
-	generic, scalar, truth := n.valueForm(), n.scalar(), n.truth()
-	fr := &frame{rows: make([]Row, 2)}
-	for _, tr := range diffTRows {
-		for _, ur := range diffURows {
-			tb.row, ub.row = tr, ur
-			fr.rows[0], fr.rows[1] = tr, ur
+	generic, truth, key := n.valueForm(), n.truth(), n.key()
+	// typed runs the typed form of the node's kind and boxes its answer.
+	var typed valueFn
+	switch n.kind {
+	case kindInt:
+		typed = boxed(n.intForm())
+	case kindFloat:
+		typed = boxed(n.floatForm())
+	case kindString:
+		typed = boxed(n.strForm())
+	}
+	tables := diffTables()
+	td, ud := tables[0].data.Load(), tables[1].data.Load()
+	fr := &frame{cur: []cursor{{cols: td.cols}, {cols: ud.cols}}}
+	for ti := 0; ti < td.n; ti++ {
+		for ui := 0; ui < ud.n; ui++ {
+			tb.row, ub.row = tables[0].Row(ti), tables[1].Row(ui)
+			fr.cur[0].pos, fr.cur[1].pos = ti, ui
 			want, werr := env.Eval(e)
-			for name, form := range map[string]valueFn{"generic": generic, "scalar": scalar} {
+			for name, form := range map[string]valueFn{"generic": generic, "typed": typed} {
+				if form == nil {
+					continue
+				}
 				got, err := form(fr)
 				if (err == nil) != (werr == nil) || (err == nil && !sameValue(got, want)) {
-					t.Errorf("%s on %v %v: %s form = %#v, %v; reference = %#v, %v", e.SQL(), tr, ur, name, got, err, want, werr)
+					t.Errorf("%s on %v %v: %s form = %#v, %v; reference = %#v, %v", e.SQL(), tb.row, ub.row, name, got, err, want, werr)
 				}
 			}
 			v, null, err := truth(fr)
 			switch {
 			case (err == nil) != (werr == nil):
-				t.Errorf("%s on %v %v: truth form error %v; reference error %v", e.SQL(), tr, ur, err, werr)
+				t.Errorf("%s on %v %v: truth form error %v; reference error %v", e.SQL(), tb.row, ub.row, err, werr)
 			case err == nil && (null != IsNull(want) || (!null && v != boolToInt(AsBool(want)))):
-				t.Errorf("%s on %v %v: truth form = %d, null %v; reference = %#v", e.SQL(), tr, ur, v, null, want)
+				t.Errorf("%s on %v %v: truth form = %d, null %v; reference = %#v", e.SQL(), tb.row, ub.row, v, null, want)
+			}
+			k, err := key(fr, nil)
+			if (err == nil) != (werr == nil) || (err == nil && string(k) != string(appendKey(nil, want))) {
+				t.Errorf("%s on %v %v: group key %q, %v; reference = %#v, %v", e.SQL(), tb.row, ub.row, k, err, want, werr)
 			}
 		}
 	}

@@ -235,7 +235,7 @@ func (e *Engine) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		newTable = NewTable(ct.Name, res.Schema())
+		newTable = NewTable(ct.Name, FitSchema(res.Schema(), res.Rows))
 		if err := newTable.Insert(res.Rows...); err != nil {
 			return nil, err
 		}
@@ -308,7 +308,7 @@ func (e *Engine) execInsert(ins *sqlparse.Insert) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row[positions[i]] = coerceToColumn(v, t.Schema[positions[i]].Type)
+			row[positions[i]] = v
 		}
 		rows = append(rows, row)
 	}
@@ -316,27 +316,6 @@ func (e *Engine) execInsert(ins *sqlparse.Insert) (*Result, error) {
 		return nil, err
 	}
 	return &Result{}, nil
-}
-
-// coerceToColumn converts an inserted value to the column's storage type
-// so indexes and comparisons behave consistently.
-func coerceToColumn(v Value, t sqlparse.ColType) Value {
-	if IsNull(v) {
-		return nil
-	}
-	switch t {
-	case sqlparse.TypeInt:
-		if n, err := AsInt(v); err == nil {
-			return n
-		}
-	case sqlparse.TypeFloat:
-		if f, err := AsFloat(v); err == nil {
-			return f
-		}
-	case sqlparse.TypeString:
-		return toString(v)
-	}
-	return v
 }
 
 // MustExecute runs a script and panics on error; intended for tests and

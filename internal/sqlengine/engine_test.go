@@ -790,7 +790,7 @@ func TestInterruptMidScanViaSource(t *testing.T) {
 	}
 	interrupt := make(chan struct{})
 	prov := func(tbl *Table) ScanSource {
-		return &stubSource{rows: tbl.Rows[:2], interrupt: interrupt}
+		return &stubSource{interrupt: interrupt}
 	}
 	if _, err := e.ExecuteStmtOpts(sel, ExecOptions{Scan: prov, Interrupt: interrupt}); !errors.Is(err, ErrInterrupted) {
 		t.Errorf("err = %v, want ErrInterrupted (partial scan passed as result)", err)
@@ -800,18 +800,17 @@ func TestInterruptMidScanViaSource(t *testing.T) {
 // stubSource yields one piece, then fires the interrupt and drains —
 // the observable behavior of a convoy source detached by a kill.
 type stubSource struct {
-	rows      []Row
 	interrupt chan struct{}
 	served    bool
 }
 
-func (s *stubSource) NextPiece() ([]Row, bool) {
+func (s *stubSource) NextPiece() (int, int, bool) {
 	if s.served {
 		close(s.interrupt)
-		return nil, false
+		return 0, 0, false
 	}
 	s.served = true
-	return s.rows, true
+	return 0, 2, true
 }
 
 func (s *stubSource) Close() {}

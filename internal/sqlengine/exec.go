@@ -10,13 +10,14 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// ScanSource supplies a table's rows piece-wise in place of a direct
-// heap scan — the seam shared scanning (internal/scanshare) plugs into
-// so convoy pieces flow through the engine's predicate evaluation.
+// ScanSource supplies a table scan piece-wise in place of a direct scan
+// of the whole table — the seam shared scanning (internal/scanshare)
+// plugs into so convoy pieces flow through the engine's predicate
+// evaluation. A piece is a range of row positions of the scanned table.
 type ScanSource interface {
-	// NextPiece returns the next piece of rows; ok is false when the
-	// source is exhausted.
-	NextPiece() (piece []Row, ok bool)
+	// NextPiece returns the next piece, positions lo up to hi; ok is
+	// false when the source is exhausted.
+	NextPiece() (lo, hi int, ok bool)
 	// Close releases the source. It must be called even when the scan
 	// is abandoned early so a convoy is never stalled by a consumer
 	// that stopped reading; it is safe to call after exhaustion.
@@ -24,27 +25,27 @@ type ScanSource interface {
 }
 
 // ScanProvider returns a ScanSource standing in for a full sequential
-// scan of t, or nil to scan the table heap directly. It is consulted
-// only for scans an index cannot answer.
+// scan of t, or nil to scan the table directly. It is consulted only for
+// scans an index cannot answer.
 type ScanProvider func(t *Table) ScanSource
 
-// sliceSource serves rows the engine already holds — a table's heap, or
-// the rows an index dive found — as a ScanSource of one piece, so every
-// scan runs the same loop.
-type sliceSource struct {
-	rows []Row
+// rangeSource serves what the engine already holds — a whole table, or
+// the list of positions an index dive found — as a ScanSource of one
+// piece, so every scan runs the same loop.
+type rangeSource struct {
+	n    int
 	done bool
 }
 
-func (s *sliceSource) NextPiece() ([]Row, bool) {
+func (s *rangeSource) NextPiece() (int, int, bool) {
 	if s.done {
-		return nil, false
+		return 0, 0, false
 	}
 	s.done = true
-	return s.rows, true
+	return 0, s.n, true
 }
 
-func (s *sliceSource) Close() {}
+func (s *rangeSource) Close() {}
 
 // ErrInterrupted marks a statement aborted through ExecOptions.Interrupt
 // (query cancellation): the partial state is discarded and the executor
@@ -61,10 +62,13 @@ const interruptCheckRows = 512
 // those bindings into a selectPlan, then run the plan in a single pass
 // over the rows.
 type selectExec struct {
-	eng       *Engine
-	sel       *sqlparse.Select
-	bindings  []binding
-	tables    []*Table
+	eng      *Engine
+	sel      *sqlparse.Select
+	bindings []binding
+	tables   []*Table
+	// data is the state of each table the statement reads, loaded once at
+	// bind: rows appended later are not this statement's.
+	data      []*tableData
 	prov      ScanProvider
 	interrupt <-chan struct{}
 	stats     ExecStats
@@ -123,15 +127,16 @@ func (e *Engine) bind(sel *sqlparse.Select, opts ExecOptions) (*selectExec, erro
 	n := len(sel.From)
 	ex := &selectExec{
 		eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt,
-		bindings: make([]binding, n), tables: make([]*Table, n),
+		bindings: make([]binding, n), tables: make([]*Table, n), data: make([]*tableData, n),
 	}
-	ex.fr.rows = make([]Row, n)
+	ex.fr.cur = make([]cursor, n)
 	for i, ref := range sel.From {
 		t, err := e.lookupTable(ref.DB, ref.Table)
 		if err != nil {
 			return nil, err
 		}
-		ex.tables[i] = t
+		ex.tables[i], ex.data[i] = t, t.data.Load()
+		ex.fr.cur[i].cols = ex.data[i].cols
 		ex.bindings[i] = binding{name: ref.Name(), schema: t.Schema}
 		// Duplicate FROM names are ambiguous (self-join requires aliases).
 		for _, b := range ex.bindings[:i] {
@@ -167,7 +172,7 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 	res := &Result{
 		Cols:  itemNames(sel.Items),
 		Types: []sqlparse.ColType{sqlparse.TypeInt},
-		Rows:  []Row{{int64(len(t.Rows))}},
+		Rows:  []Row{{int64(t.Len())}},
 	}
 	res.Stats.RowsOut = 1
 	res.Stats.ResultBytes = 8
@@ -240,6 +245,7 @@ type selectPlan struct {
 // it onto the bindings before it.
 type scanPlan struct {
 	table *Table
+	data  *tableData
 	// index and keys, when set, replace the scan with an index dive: a
 	// `col = const` or `col IN (consts)` conjunct on an indexed column
 	// (the worker-side objectId index of section 5.5).
@@ -250,11 +256,11 @@ type scanPlan struct {
 	filter []intFn
 	// pending holds the conjuncts that become decidable once this binding
 	// joins the earlier ones. If one of them equates a column of this
-	// binding (buildCol) to an expression over the earlier ones (probe),
-	// it is taken out of pending and answered by a hash join.
-	pending  []intFn
-	probe    valueFn
-	buildCol int
+	// binding to an expression over the earlier ones, and the two compare
+	// as the same kind of value, it is taken out of pending and answered
+	// by a hash join.
+	pending []intFn
+	join    *hashJoin
 }
 
 func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
@@ -272,7 +278,7 @@ func (ex *selectExec) compile() (*selectPlan, error) {
 	c := &compiler{bindings: ex.bindings, funcs: ex.eng.funcs}
 	p := &selectPlan{scans: make([]scanPlan, len(ex.tables))}
 	for k := range p.scans {
-		p.scans[k].table = ex.tables[k]
+		p.scans[k].table, p.scans[k].data = ex.tables[k], ex.data[k]
 	}
 
 	// Every ANDed conjunct of WHERE goes to the binding that completes
@@ -298,7 +304,7 @@ func (ex *selectExec) compile() (*selectPlan, error) {
 			}
 			p.empty = null || v == 0
 		case c.lo < k:
-			if sp.probe == nil && ex.planHashJoin(c, sp, e, k) {
+			if sp.join == nil && ex.planHashJoin(c, sp, e, k) {
 				break
 			}
 			sp.pending = append(sp.pending, pred)
@@ -320,17 +326,23 @@ func (ex *selectExec) compile() (*selectPlan, error) {
 
 // planIndexDive recognizes `col = <const>` and `col IN (<consts>)` on an
 // indexed column of sp's table (e references that binding alone) and
-// records the dive.
+// records the dive. Keys are converted to the column's type; where one has
+// no exact counterpart there (see indexKey) the conjunct stays a filter.
 func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) bool {
-	col := func(x sqlparse.Expr) *hashIndex {
+	col := func(x sqlparse.Expr) (*hashIndex, sqlparse.ColType) {
 		if cr, ok := x.(*sqlparse.ColumnRef); ok {
-			return sp.table.Index(cr.Column)
+			if ci := sp.table.Schema.ColIndex(cr.Column); ci >= 0 {
+				return sp.data.index(ci), sp.table.Schema[ci].Type
+			}
 		}
-		return nil
+		return nil, 0
 	}
-	key := func(x sqlparse.Expr) (Value, bool) {
+	key := func(x sqlparse.Expr, typ sqlparse.ColType) (Value, bool) {
 		v, err := c.constValue(x)
-		return normalizeKey(v), err == nil
+		if err != nil {
+			return nil, false
+		}
+		return indexKey(v, typ)
 	}
 	switch v := e.(type) {
 	case *sqlparse.BinaryExpr:
@@ -338,21 +350,21 @@ func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) 
 			return false
 		}
 		for _, side := range [2][2]sqlparse.Expr{{v.L, v.R}, {v.R, v.L}} {
-			if idx := col(side[0]); idx != nil {
-				if k, ok := key(side[1]); ok {
+			if idx, typ := col(side[0]); idx != nil {
+				if k, ok := key(side[1], typ); ok {
 					sp.index, sp.keys = idx, []Value{k}
 					return true
 				}
 			}
 		}
 	case *sqlparse.InExpr:
-		idx := col(v.X)
+		idx, typ := col(v.X)
 		if v.Not || idx == nil {
 			return false
 		}
 		keys := make([]Value, len(v.List))
 		for i, item := range v.List {
-			k, ok := key(item)
+			k, ok := key(item, typ)
 			if !ok {
 				return false
 			}
@@ -364,18 +376,25 @@ func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) 
 	return false
 }
 
-// normalizeKey converts float-valued integers to int64 so index lookups
-// match stored integer keys (GroupKey is type-sensitive).
-func normalizeKey(v Value) Value {
-	if f, ok := v.(float64); ok && f == float64(int64(f)) {
-		return int64(f)
-	}
-	return v
+// hashJoin is an equi-join conjunct the plan answers by hashing: column
+// col of the binding being joined against probe, an expression over the
+// earlier bindings. Both keys are taken in the one domain the conjunct's
+// `=` would compare them in — int64 when both are integers, float64 when
+// both are numbers, string when both are strings — so the hash join finds
+// exactly the pairs the comparison accepts.
+type hashJoin struct {
+	domain kind
+	col    int
+	// The probe expression, in the form the domain selects.
+	probeInt   intFn
+	probeFloat floatFn
+	probeStr   strFn
 }
 
 // planHashJoin recognizes an equi-join conjunct — a column of binding k
-// equated to an expression over earlier bindings only — and records the
-// build column and the compiled probe expression.
+// equated to an expression over earlier bindings only. One whose sides
+// have no common domain known at compile time (a VARCHAR column against a
+// number parses the string, row by row) is left to the nested loop.
 func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k int) bool {
 	be, ok := e.(*sqlparse.BinaryExpr)
 	if !ok || be.Op != "=" {
@@ -395,18 +414,122 @@ func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k
 		if err != nil || c.hi >= k {
 			continue
 		}
-		sp.probe, sp.buildCol = probe.scalar(), ci
+		build := colNode(bi, ci, sp.table.Schema[ci].Type)
+		switch {
+		case build.kind == kindInt && probe.kind == kindInt:
+			sp.join = &hashJoin{domain: kindInt, col: ci, probeInt: probe.intForm()}
+		case build.kind.numeric() && probe.kind.numeric():
+			sp.join = &hashJoin{domain: kindFloat, col: ci, probeFloat: probe.floatForm()}
+		case build.kind == kindString && probe.kind == kindString:
+			sp.join = &hashJoin{domain: kindString, col: ci, probeStr: probe.strForm()}
+		default:
+			continue
+		}
 		return true
 	}
 	return false
+}
+
+// joinTable is the build side of one hash join: the rows of the joined
+// binding that passed its filter, hashed by their key. Rows whose key is
+// NULL are left out: NULL equals nothing.
+type joinTable struct {
+	chains
+	pos []int // entry -> row position
+	// The key of each entry, in the slice the join's domain selects.
+	ints   []int64
+	floats []float64
+	strs   []string
+	// nans are the rows whose float key is NaN, which this dialect's `=`
+	// holds equal to every number (see threeWay); all are the non-NULL
+	// rows, what a NaN probe matches.
+	nans, all []int
+	out       []int
+}
+
+func (j *hashJoin) build(d *tableData, inner []int) *joinTable {
+	jt := &joinTable{chains: newChains(len(inner))}
+	col := &d.cols[j.col]
+	for _, p := range inner {
+		if col.null(p) {
+			continue
+		}
+		switch j.domain {
+		case kindInt:
+			jt.ints = append(jt.ints, col.ints[p])
+			jt.link(hashInt(col.ints[p]))
+		case kindFloat:
+			f := 0.0
+			if col.typ == sqlparse.TypeInt {
+				f = float64(col.ints[p])
+			} else {
+				f = col.floats[p]
+			}
+			jt.all = append(jt.all, p)
+			if f != f {
+				jt.nans = append(jt.nans, p)
+				continue
+			}
+			jt.floats = append(jt.floats, f)
+			jt.link(hashFloat(f))
+		default:
+			jt.strs = append(jt.strs, col.strs[p])
+			jt.link(hashString(col.strs[p]))
+		}
+		jt.pos = append(jt.pos, p)
+	}
+	return jt
+}
+
+// probe returns the positions of the build rows whose key equals the
+// probe expression's value for the rows bound in fr, in the order they
+// were collected (by position where NaN keys join in). The slice is
+// reused by the next probe.
+func (jt *joinTable) probe(j *hashJoin, fr *frame) ([]int, error) {
+	out := jt.out[:0]
+	switch j.domain {
+	case kindInt:
+		k, null, err := j.probeInt(fr)
+		if err != nil || null {
+			return nil, err
+		}
+		out = walk(&jt.chains, hashInt(k), jt.ints, k, out)
+	case kindFloat:
+		k, null, err := j.probeFloat(fr)
+		if err != nil || null {
+			return nil, err
+		}
+		if k != k {
+			return jt.all, nil
+		}
+		out = walk(&jt.chains, hashFloat(k), jt.floats, k, out)
+	default:
+		k, null, err := j.probeStr(fr)
+		if err != nil || null {
+			return nil, err
+		}
+		out = walk(&jt.chains, hashString(k), jt.strs, k, out)
+	}
+	for i, entry := range out {
+		out[i] = jt.pos[entry]
+	}
+	if len(jt.nans) > 0 {
+		out = append(out, jt.nans...)
+		slices.Sort(out)
+	} else {
+		slices.Reverse(out)
+	}
+	jt.out = out
+	return out, nil
 }
 
 // ---------- run: one pass over the rows ----------
 
 // run drives the plan's scans into its output. A single-table statement
 // is one loop, source to output, with nothing materialized in between; a
-// join materializes each binding's filtered rows and the joined rows of
-// every stage but the last, which again feeds the output directly.
+// join materializes the positions of each binding's filtered rows and of
+// the joined rows of every stage but the last, which again feeds the
+// output directly.
 func (ex *selectExec) run(p *selectPlan) error {
 	if p.empty {
 		return nil
@@ -417,16 +540,18 @@ func (ex *selectExec) run(p *selectPlan) error {
 	if last == 0 {
 		return ex.scan(0, &p.scans[0], sink)
 	}
-	// cur holds the joined rows so far, flat: k rows per entry once k
+	// cur holds the joined rows so far, flat: k positions per entry once k
 	// bindings are joined.
 	cur, err := ex.collect(0, &p.scans[0])
 	if err != nil {
 		return err
 	}
 	for k := 1; k < last; k++ {
-		var next []Row
+		var next []int
 		err := ex.extend(cur, k, &p.scans[k], func() error {
-			next = append(next, fr.rows[:k+1]...)
+			for i := range fr.cur[:k+1] {
+				next = append(next, fr.cur[i].pos)
+			}
 			return nil
 		})
 		if err != nil {
@@ -437,41 +562,44 @@ func (ex *selectExec) run(p *selectPlan) error {
 	return ex.extend(cur, last, &p.scans[last], sink)
 }
 
-// collect materializes binding k's filtered rows.
-func (ex *selectExec) collect(k int, sp *scanPlan) ([]Row, error) {
-	var rows []Row
+// collect materializes the positions of binding k's filtered rows.
+func (ex *selectExec) collect(k int, sp *scanPlan) ([]int, error) {
+	var rows []int
+	cur := &ex.fr.cur[k]
 	err := ex.scan(k, sp, func() error {
-		rows = append(rows, ex.fr.rows[k])
+		rows = append(rows, cur.pos)
 		return nil
 	})
 	return rows, err
 }
 
 // scan is the engine's one row loop: it reads binding k from its source
-// — an index dive, a shared-scan convoy, or the table heap — binds each
-// row, applies the binding's filter and hands the survivors to emit.
-// Pieces of a convoy may arrive in convoy order (the scan position when
-// this query attached), which is fine: every piece arrives exactly once,
-// and row order within a heap scan carries no semantics.
+// — an index dive, a shared-scan convoy, or the whole table — moves the
+// binding's cursor over each row, applies the binding's filter and hands
+// the survivors to emit. Pieces of a convoy may arrive in convoy order
+// (the scan position when this query attached), which is fine: every
+// piece arrives exactly once, and row order within a scan carries no
+// semantics.
 func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
-	t := sp.table
 	var src ScanSource
-	bytes := &ex.stats.SeqBytes
+	var found []int // the positions an index dive found
+	dive, bytes := sp.index != nil, &ex.stats.SeqBytes
 	switch {
-	case sp.index != nil:
-		src, bytes = &sliceSource{rows: ex.dive(sp)}, &ex.stats.RandBytes
+	case dive:
+		found, bytes = ex.dive(sp), &ex.stats.RandBytes
+		src = &rangeSource{n: len(found)}
 	case ex.prov != nil:
-		if src = ex.prov(t); src != nil {
+		if src = ex.prov(sp.table); src != nil {
 			bytes = &ex.stats.SharedSeqBytes
 		}
 	}
 	if src == nil {
-		src = &sliceSource{rows: t.Rows}
+		src = &rangeSource{n: sp.data.n}
 	}
 	defer src.Close()
 
-	width := int64(t.Schema.RowWidth())
-	fr := &ex.fr
+	width := int64(sp.table.Schema.RowWidth())
+	fr, cur := &ex.fr, &ex.fr.cur[k]
 	for {
 		// Cancellation lands at piece boundaries — the next NextPiece is
 		// never issued, so a convoy source can be detached promptly — and
@@ -479,20 +607,31 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 		if err := ex.interrupted(); err != nil {
 			return err
 		}
-		piece, ok := src.NextPiece()
+		lo, hi, ok := src.NextPiece()
 		if !ok {
 			break
 		}
-		ex.stats.RowsScanned += int64(len(piece))
-		*bytes += int64(len(piece)) * width
+		if !dive {
+			// A convoy reads the table as it is now; this statement reads
+			// the rows it had at bind.
+			hi = min(hi, sp.data.n)
+		}
+		if lo >= hi {
+			continue
+		}
+		ex.stats.RowsScanned += int64(hi - lo)
+		*bytes += int64(hi-lo) * width
 	rows:
-		for i, r := range piece {
-			if i%interruptCheckRows == 0 && i > 0 {
+		for i := lo; i < hi; i++ {
+			if (i-lo)%interruptCheckRows == 0 && i > lo {
 				if err := ex.interrupted(); err != nil {
 					return err
 				}
 			}
-			fr.rows[k] = r
+			cur.pos = i
+			if dive {
+				cur.pos = found[i]
+			}
 			for _, f := range sp.filter {
 				v, null, err := f(fr)
 				if err != nil {
@@ -512,47 +651,39 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 	return ex.interrupted()
 }
 
-// dive fetches the rows an index dive finds, each once, in key order.
-func (ex *selectExec) dive(sp *scanPlan) []Row {
-	var rows []Row
-	var seen map[int]bool
+// dive returns the positions of the rows an index dive finds, each once,
+// in key order.
+func (ex *selectExec) dive(sp *scanPlan) []int {
+	var found []int
+	var seen map[Value]bool
 	if len(sp.keys) > 1 {
-		seen = map[int]bool{}
+		seen = map[Value]bool{}
 	}
 	for _, key := range sp.keys {
-		for _, pos := range sp.index.lookup(key) {
-			if seen != nil {
-				if seen[pos] {
-					continue
-				}
-				seen[pos] = true
-			}
-			rows = append(rows, sp.table.Rows[pos])
-		}
 		ex.stats.RandReads++
+		if seen != nil {
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		}
+		found = sp.index.lookup(sp.data, key, found)
 	}
-	return rows
+	return found
 }
 
-// extend joins binding k onto the joined rows so far (k rows per entry
-// of cur), by hash join when the plan found an equi-join conjunct and by
-// nested loop otherwise, and emits every joined row that passes the
-// pending conjuncts.
-func (ex *selectExec) extend(cur []Row, k int, sp *scanPlan, emit func() error) error {
+// extend joins binding k onto the joined rows so far (k positions per
+// entry of cur), by hash join when the plan found an equi-join conjunct
+// and by nested loop otherwise, and emits every joined row that passes
+// the pending conjuncts.
+func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) error {
 	inner, err := ex.collect(k, sp)
 	if err != nil {
 		return err
 	}
-	var build map[string][]Row
-	var key []byte
-	if sp.probe != nil {
-		build = make(map[string][]Row, len(inner))
-		for _, r := range inner {
-			if !IsNull(r[sp.buildCol]) {
-				key = appendKey(key[:0], r[sp.buildCol])
-				build[string(key)] = append(build[string(key)], r)
-			}
-		}
+	var build *joinTable
+	if sp.join != nil {
+		build = sp.join.build(sp.data, inner)
 	}
 	fr := &ex.fr
 	for i := 0; i*k < len(cur); i++ {
@@ -561,23 +692,19 @@ func (ex *selectExec) extend(cur []Row, k int, sp *scanPlan, emit func() error) 
 				return err
 			}
 		}
-		copy(fr.rows[:k], cur[i*k:])
+		for b, pos := range cur[i*k : (i+1)*k] {
+			fr.cur[b].pos = pos
+		}
 		matches := inner
 		if build != nil {
-			pv, err := sp.probe(fr)
-			if err != nil {
+			if matches, err = build.probe(sp.join, fr); err != nil {
 				return err
 			}
-			if IsNull(pv) {
-				continue
-			}
-			key = appendKey(key[:0], normalizeKey(pv))
-			matches = build[string(key)]
 		}
 		ex.stats.PairsConsidered += int64(len(matches))
 	rows:
-		for _, r := range matches {
-			fr.rows[k] = r
+		for _, pos := range matches {
+			fr.cur[k].pos = pos
 			for _, f := range sp.pending {
 				v, null, err := f(fr)
 				if err != nil {
@@ -607,40 +734,142 @@ const (
 	aggMax
 )
 
-// aggSpec is one aggregate call of the statement.
+// aggSpec is one aggregate call of the statement. Its argument is
+// consumed through the typed form its kind selects, so accumulating a
+// number or a string never boxes it.
 type aggSpec struct {
 	kind     aggKind
 	distinct bool
-	arg      valueFn // nil for COUNT(*): every row counts
+	argKind  kind
+	arg      valueFn // argKind == kindAny; nil for COUNT(*): every row counts
+	argInt   intFn
+	argFloat floatFn
+	argStr   strFn
+}
+
+func (s *aggSpec) setArg(n *node) {
+	s.argKind = n.kind
+	switch n.kind {
+	case kindInt:
+		s.argInt = n.intForm()
+	case kindFloat:
+		s.argFloat = n.floatForm()
+	case kindString:
+		s.argStr = n.strForm()
+	default:
+		s.arg = n.valueForm()
+	}
+}
+
+// extreme is a running MIN or MAX, in the field the argument's kind
+// selects.
+type extreme struct {
+	i int64
+	f float64
+	s string
+	v Value
+}
+
+func (e *extreme) box(k kind) Value {
+	switch k {
+	case kindInt:
+		return e.i
+	case kindFloat:
+		return e.f
+	case kindString:
+		return e.s
+	}
+	return e.v
 }
 
 // aggAcc accumulates one aggregate over one group. The zero value is an
 // empty accumulator.
 type aggAcc struct {
-	count    int64
-	sumF     float64
-	sumI     int64
-	nonInt   bool
-	min, max Value
-	seen     map[string]struct{} // DISTINCT only
+	count  int64 // the non-NULL values taken
+	sumF   float64
+	sumI   int64
+	nonInt bool
+	ext    extreme             // the running MIN or MAX
+	seen   map[string]struct{} // DISTINCT only
 }
 
-func (a *aggAcc) add(spec *aggSpec, v Value) {
-	if IsNull(v) {
-		return
+// take evaluates a typed aggregate argument for the row bound in fr and
+// reports whether it counts: not NULL and, under DISTINCT, not seen.
+func take[T ordered](o *output, spec *aggSpec, a *aggAcc, fr *frame,
+	arg typedFn[T], enc func([]byte, T) []byte) (T, bool, error) {
+	v, null, err := arg(fr)
+	if err != nil || null {
+		return v, false, err
 	}
 	if spec.distinct {
-		k := string(appendKey(nil, v))
-		if _, dup := a.seen[k]; dup {
-			return
-		}
-		if a.seen == nil {
-			a.seen = map[string]struct{}{}
-		}
-		a.seen[k] = struct{}{}
+		o.scratch = enc(o.scratch[:0], v)
+		return v, a.firstSight(o.scratch), nil
 	}
+	return v, true, nil
+}
+
+// firstSight records a DISTINCT key and reports whether it is new.
+func (a *aggAcc) firstSight(key []byte) bool {
+	if _, dup := a.seen[string(key)]; dup {
+		return false
+	}
+	if a.seen == nil {
+		a.seen = map[string]struct{}{}
+	}
+	a.seen[string(key)] = struct{}{}
+	return true
+}
+
+// better reports whether x replaces the running extreme cur of an
+// accumulator that has taken count values, x included. A NaN is neither
+// below nor above anything: it stays if it came first and never replaces.
+func better[T ordered](kind aggKind, count int64, x, cur T) bool {
+	return count == 1 || (kind == aggMin && x < cur) || (kind == aggMax && x > cur)
+}
+
+func (a *aggAcc) addInt(kind aggKind, x int64) {
 	a.count++
-	switch spec.kind {
+	switch kind {
+	case aggSum, aggAvg:
+		a.sumI += x
+		a.sumF += float64(x)
+	case aggMin, aggMax:
+		if better(kind, a.count, x, a.ext.i) {
+			a.ext.i = x
+		}
+	}
+}
+
+func (a *aggAcc) addFloat(kind aggKind, x float64) {
+	a.count++
+	switch kind {
+	case aggSum, aggAvg:
+		a.nonInt = true
+		a.sumF += x
+	case aggMin, aggMax:
+		if better(kind, a.count, x, a.ext.f) {
+			a.ext.f = x
+		}
+	}
+}
+
+func (a *aggAcc) addString(kind aggKind, x string) {
+	a.count++
+	switch kind {
+	case aggSum, aggAvg:
+		a.nonInt = true // a string adds nothing to a sum
+	case aggMin, aggMax:
+		if better(kind, a.count, x, a.ext.s) {
+			a.ext.s = x
+		}
+	}
+}
+
+// add takes a boxed, non-NULL value: the form an argument of no static
+// kind (a UDF's result, a mixed-type expression) arrives in.
+func (a *aggAcc) add(kind aggKind, v Value) {
+	a.count++
+	switch kind {
 	case aggSum, aggAvg:
 		switch x := v.(type) {
 		case int64:
@@ -656,38 +885,31 @@ func (a *aggAcc) add(spec *aggSpec, v Value) {
 			a.nonInt = true
 		}
 	case aggMin:
-		if a.min == nil || less(v, a.min) {
-			a.min = v
+		if a.count == 1 || less(v, a.ext.v) {
+			a.ext.v = v
 		}
 	case aggMax:
-		if a.max == nil || less(a.max, v) {
-			a.max = v
+		if a.count == 1 || less(a.ext.v, v) {
+			a.ext.v = v
 		}
 	}
 }
 
 // less reports a < b under Compare; incomparable values are not less.
 func less(a, b Value) bool {
-	if x, ok := a.(float64); ok {
-		if y, ok := b.(float64); ok {
-			return x < y
-		}
-	}
 	c, err := Compare(a, b)
 	return err == nil && c < 0
 }
 
-func (a *aggAcc) result(kind aggKind) Value {
+func (a *aggAcc) result(spec *aggSpec) Value {
 	switch {
-	case kind == aggCount:
+	case spec.kind == aggCount:
 		return a.count
-	case kind == aggMin:
-		return a.min
-	case kind == aggMax:
-		return a.max
 	case a.count == 0:
 		return nil
-	case kind == aggAvg:
+	case spec.kind == aggMin || spec.kind == aggMax:
+		return a.ext.box(spec.argKind)
+	case spec.kind == aggAvg:
 		return a.sumF / float64(a.count)
 	case a.nonInt:
 		return a.sumF
@@ -695,10 +917,12 @@ func (a *aggAcc) result(kind aggKind) Value {
 	return a.sumI
 }
 
-// group is one GROUP BY bucket: the rows that opened it (what expressions
-// outside aggregates evaluate against) and one accumulator per aggregate.
+// group is one GROUP BY bucket: the positions of the rows that opened it
+// (what expressions outside aggregates evaluate against; nil for the
+// all-NULL rows of a grand aggregate over no input) and one accumulator
+// per aggregate.
 type group struct {
-	first []Row
+	first []int
 	accs  []aggAcc
 }
 
@@ -706,18 +930,19 @@ type group struct {
 // rows, or into per-group accumulators that become result rows when the
 // scan ends.
 type output struct {
-	sel    *sqlparse.Select
-	widths []int // columns of each FROM binding
-	cols   []string
-	items  []valueFn
-	order  []valueFn // ORDER BY keys, evaluated beside the items
+	sel     *sqlparse.Select
+	schemas []Schema // of each FROM binding
+	cols    []string
+	items   []valueFn
+	order   []valueFn // ORDER BY keys, evaluated beside the items
 
 	grouped bool // the statement aggregates
-	groupBy []valueFn
+	groupBy []keyFn
 	aggs    []aggSpec
 	groups  map[string]*group
 	list    []*group // in first-seen order: the output order of groups
 	key     []byte   // reused GROUP BY key buffer
+	scratch []byte   // reused DISTINCT key buffer
 
 	rows []Row
 	keys [][]Value // ORDER BY key of each row
@@ -726,11 +951,11 @@ type output struct {
 func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 	sel := ex.sel
 	o := &output{
-		sel: sel, widths: make([]int, len(ex.bindings)),
+		sel: sel, schemas: make([]Schema, len(ex.bindings)),
 		cols: make([]string, 0, len(sel.Items)), items: make([]valueFn, 0, len(sel.Items)),
 	}
 	for i, b := range ex.bindings {
-		o.widths[i] = len(b.schema)
+		o.schemas[i] = b.schema
 	}
 
 	// Select-list aliases stand for their expressions in GROUP BY and
@@ -750,7 +975,7 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.groupBy = append(o.groupBy, n.scalar())
+		o.groupBy = append(o.groupBy, n.key())
 	}
 
 	// Aggregate calls are legal from here on; each takes a slot of o.aggs.
@@ -767,7 +992,7 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.items = append(o.items, n.scalar())
+		o.items = append(o.items, n.valueForm())
 		o.cols = append(o.cols, itemName(it))
 	}
 	for _, ord := range sel.OrderBy {
@@ -775,7 +1000,7 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.order = append(o.order, n.scalar())
+		o.order = append(o.order, n.valueForm())
 	}
 	c.aggs = nil
 
@@ -821,16 +1046,43 @@ func (o *output) consume(fr *frame) error {
 		return err
 	}
 	for i := range o.aggs {
-		spec := &o.aggs[i]
-		if spec.arg == nil {
-			g.accs[i].count++
-			continue
+		spec, a := &o.aggs[i], &g.accs[i]
+		switch {
+		case spec.argKind == kindInt:
+			if x, ok, err := take(o, spec, a, fr, spec.argInt, appendIntKey); err != nil {
+				return err
+			} else if ok {
+				a.addInt(spec.kind, x)
+			}
+		case spec.argKind == kindFloat:
+			if x, ok, err := take(o, spec, a, fr, spec.argFloat, appendFloatKey); err != nil {
+				return err
+			} else if ok {
+				a.addFloat(spec.kind, x)
+			}
+		case spec.argKind == kindString:
+			if x, ok, err := take(o, spec, a, fr, spec.argStr, appendStringKey); err != nil {
+				return err
+			} else if ok {
+				a.addString(spec.kind, x)
+			}
+		case spec.arg == nil:
+			a.count++
+		default:
+			v, err := spec.arg(fr)
+			if err != nil {
+				return err
+			}
+			if IsNull(v) {
+				continue
+			}
+			if spec.distinct {
+				if o.scratch = appendKey(o.scratch[:0], v); !a.firstSight(o.scratch) {
+					continue
+				}
+			}
+			a.add(spec.kind, v)
 		}
-		v, err := spec.arg(fr)
-		if err != nil {
-			return err
-		}
-		g.accs[i].add(spec, v)
 	}
 	return nil
 }
@@ -840,35 +1092,39 @@ func (o *output) consume(fr *frame) error {
 func (o *output) groupOf(fr *frame) (*group, error) {
 	if len(o.groupBy) == 0 {
 		if len(o.list) == 0 {
-			o.openGroup(fr.rows)
+			o.openGroup(fr)
 		}
 		return o.list[0], nil
 	}
 	key := o.key[:0]
 	for _, g := range o.groupBy {
-		v, err := g(fr)
-		if err != nil {
+		var err error
+		if key, err = g(fr, key); err != nil {
 			return nil, err
 		}
-		key = appendKey(key, v)
 	}
 	o.key = key
 	g, ok := o.groups[string(key)]
 	if !ok {
-		g = o.openGroup(fr.rows)
+		g = o.openGroup(fr)
 		o.groups[string(key)] = g
 	}
 	return g, nil
 }
 
-func (o *output) openGroup(rows []Row) *group {
-	g := &group{first: append([]Row(nil), rows...), accs: make([]aggAcc, len(o.aggs))}
+// openGroup opens a group on the rows bound in fr.
+func (o *output) openGroup(fr *frame) *group {
+	g := &group{first: make([]int, len(fr.cur)), accs: make([]aggAcc, len(o.aggs))}
+	for i := range fr.cur {
+		g.first[i] = fr.cur[i].pos
+	}
 	o.list = append(o.list, g)
 	return g
 }
 
 // emit evaluates the select list (and ORDER BY keys) against fr into one
-// result row: one allocation holds both.
+// result row: one allocation holds both, and every number or string read
+// from a column costs one more, its box.
 func (o *output) emit(fr *frame) error {
 	n := len(o.items)
 	cells := make([]Value, n+len(o.order))
@@ -893,6 +1149,20 @@ func (o *output) emit(fr *frame) error {
 	return nil
 }
 
+// nullCells backs every column of nullRow: one NULL cell of each type.
+// It is only ever read.
+var nullCells = column{ints: []int64{0}, floats: []float64{0}, strs: []string{""}, nulls: []uint64{1}}
+
+// nullRow is one all-NULL row of a schema.
+func nullRow(schema Schema) []column {
+	cols := make([]column, len(schema))
+	for i, c := range schema {
+		cols[i] = nullCells
+		cols[i].typ = c.Type
+	}
+	return cols
+}
+
 // result finishes the statement: groups become rows, then DISTINCT,
 // ORDER BY and LIMIT apply.
 func (o *output) result(fr *frame) (*Result, error) {
@@ -900,16 +1170,19 @@ func (o *output) result(fr *frame) (*Result, error) {
 		// A grand aggregate over empty input still yields one row, with
 		// non-aggregate expressions evaluated against all-NULL rows.
 		if len(o.list) == 0 && len(o.groupBy) == 0 {
-			g := o.openGroup(fr.rows)
-			for i, w := range o.widths {
-				g.first[i] = make(Row, w)
-			}
+			o.list = append(o.list, &group{accs: make([]aggAcc, len(o.aggs))})
 		}
 		fr.aggs = make([]Value, len(o.aggs))
 		for _, g := range o.list {
-			fr.rows = g.first
+			for i := range fr.cur {
+				if g.first == nil {
+					fr.cur[i] = cursor{cols: nullRow(o.schemas[i])}
+				} else {
+					fr.cur[i].pos = g.first[i]
+				}
+			}
 			for i := range o.aggs {
-				fr.aggs[i] = g.accs[i].result(o.aggs[i].kind)
+				fr.aggs[i] = g.accs[i].result(&o.aggs[i])
 			}
 			if err := o.emit(fr); err != nil {
 				return nil, err

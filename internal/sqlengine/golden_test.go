@@ -103,14 +103,14 @@ func goldenEngine(t *testing.T) *Engine {
 
 // rotatedPieces is the golden ScanSource.
 type rotatedPieces struct {
-	pieces [][]Row
+	pieces [][2]int
 	next   int
 }
 
 func newRotatedPieces(t *Table) ScanSource {
-	var pieces [][]Row
-	for i := 0; i < len(t.Rows); i += 4 {
-		pieces = append(pieces, t.Rows[i:min(i+4, len(t.Rows))])
+	var pieces [][2]int
+	for i := 0; i < t.Len(); i += 4 {
+		pieces = append(pieces, [2]int{i, min(i+4, t.Len())})
 	}
 	if len(pieces) > 1 {
 		pieces = append(pieces[1:len(pieces):len(pieces)], pieces[0])
@@ -118,12 +118,12 @@ func newRotatedPieces(t *Table) ScanSource {
 	return &rotatedPieces{pieces: pieces}
 }
 
-func (s *rotatedPieces) NextPiece() ([]Row, bool) {
+func (s *rotatedPieces) NextPiece() (int, int, bool) {
 	if s.next == len(s.pieces) {
-		return nil, false
+		return 0, 0, false
 	}
 	s.next++
-	return s.pieces[s.next-1], true
+	return s.pieces[s.next-1][0], s.pieces[s.next-1][1], true
 }
 
 func (s *rotatedPieces) Close() {}

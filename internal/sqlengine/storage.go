@@ -2,9 +2,15 @@ package sqlengine
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sqlparse"
 )
@@ -57,43 +63,520 @@ func (s Schema) RowWidth() int {
 	return w
 }
 
-// Row is one stored tuple, in schema order.
+// Row is one tuple in schema order, boxed: what INSERT statements, result
+// sets and tests speak. Tables do not store rows; see Table.
 type Row []Value
 
-// Table is a heap of rows with optional hash indexes, the stand-in for a
-// MyISAM table. Tables are guarded by the owning Database's lock.
+// column holds one table column's cells in the slice its declared type
+// selects; the other two stay nil. A NULL cell holds the zero value there
+// and a set bit in nulls.
+type column struct {
+	typ    sqlparse.ColType
+	ints   []int64
+	floats []float64
+	strs   []string
+	// nulls is the NULL bitmap, nil until the column sees its first NULL
+	// and never longer than the rows need. Its last word is shared between
+	// a published snapshot and an append in progress, so words are read
+	// and written atomically.
+	nulls []uint64
+	// strBytes sums len(s) over strs, for ResidentBytes.
+	strBytes int64
+}
+
+func (c *column) len() int {
+	switch c.typ {
+	case sqlparse.TypeInt:
+		return len(c.ints)
+	case sqlparse.TypeFloat:
+		return len(c.floats)
+	}
+	return len(c.strs)
+}
+
+func (c *column) null(pos int) bool {
+	w := pos >> 6
+	return w < len(c.nulls) && atomic.LoadUint64(&c.nulls[w])>>(uint(pos)&63)&1 != 0
+}
+
+// value boxes the cell at pos.
+func (c *column) value(pos int) Value {
+	switch {
+	case c.null(pos):
+		return nil
+	case c.typ == sqlparse.TypeInt:
+		return c.ints[pos]
+	case c.typ == sqlparse.TypeFloat:
+		return c.floats[pos]
+	}
+	return c.strs[pos]
+}
+
+// The append methods are the table boundary: each converts what it is
+// given to the column's declared type — an integer into a DOUBLE column
+// widens, a float into a BIGINT column truncates toward zero, a number
+// into a VARCHAR column is rendered, a string into a numeric column is
+// parsed — so everything behind the boundary can rely on the declared
+// type. A string that does not parse is the one conversion that fails.
+
+func (c *column) appendInt(x int64) {
+	switch c.typ {
+	case sqlparse.TypeInt:
+		c.ints = append(c.ints, x)
+	case sqlparse.TypeFloat:
+		c.floats = append(c.floats, float64(x))
+	default:
+		c.appendStr(strconv.FormatInt(x, 10))
+	}
+}
+
+func (c *column) appendFloat(f float64) {
+	switch c.typ {
+	case sqlparse.TypeInt:
+		c.ints = append(c.ints, int64(f))
+	case sqlparse.TypeFloat:
+		c.floats = append(c.floats, f)
+	default:
+		c.appendStr(formatFloat(f))
+	}
+}
+
+func (c *column) appendString(s string) error {
+	switch c.typ {
+	case sqlparse.TypeInt:
+		n, err := AsInt(s)
+		if err != nil {
+			return err
+		}
+		c.ints = append(c.ints, n)
+	case sqlparse.TypeFloat:
+		f, err := AsFloat(s)
+		if err != nil {
+			return err
+		}
+		c.floats = append(c.floats, f)
+	default:
+		c.appendStr(s)
+	}
+	return nil
+}
+
+func (c *column) appendStr(s string) {
+	c.strs = append(c.strs, s)
+	c.strBytes += int64(len(s))
+}
+
+func (c *column) appendNull() {
+	pos := c.len()
+	switch c.typ {
+	case sqlparse.TypeInt:
+		c.ints = append(c.ints, 0)
+	case sqlparse.TypeFloat:
+		c.floats = append(c.floats, 0)
+	default:
+		c.strs = append(c.strs, "")
+	}
+	c.setNull(pos)
+}
+
+func (c *column) setNull(pos int) {
+	for pos>>6 >= len(c.nulls) {
+		c.nulls = append(c.nulls, 0)
+	}
+	atomic.OrUint64(&c.nulls[pos>>6], 1<<(uint(pos)&63))
+}
+
+// appendValue appends a boxed cell.
+func (c *column) appendValue(v Value) error {
+	switch x := v.(type) {
+	case nil:
+		c.appendNull()
+	case int64:
+		c.appendInt(x)
+	case float64:
+		c.appendFloat(x)
+	case string:
+		return c.appendString(x)
+	case bool:
+		c.appendInt(boolToInt(x))
+	default:
+		return fmt.Errorf("sqlengine: unsupported value type %T", v)
+	}
+	return nil
+}
+
+// appendFrom appends the cells of src (a column of the same type) at the
+// given positions.
+func (c *column) appendFrom(src *column, positions []int) {
+	base := c.len()
+	switch c.typ {
+	case sqlparse.TypeInt:
+		c.ints = slices.Grow(c.ints, len(positions))
+		for _, p := range positions {
+			c.ints = append(c.ints, src.ints[p])
+		}
+	case sqlparse.TypeFloat:
+		c.floats = slices.Grow(c.floats, len(positions))
+		for _, p := range positions {
+			c.floats = append(c.floats, src.floats[p])
+		}
+	default:
+		c.strs = slices.Grow(c.strs, len(positions))
+		for _, p := range positions {
+			c.appendStr(src.strs[p])
+		}
+	}
+	if src.nulls == nil {
+		return
+	}
+	for i, p := range positions {
+		if src.null(p) {
+			c.setNull(base + i)
+		}
+	}
+}
+
+// dropNullsFrom clears the NULL bits of rows n and up in the last word of
+// a bitmap covering n rows: what an append that was abandoned may have
+// left in the word it shared with them.
+func (c *column) dropNullsFrom(n int) {
+	if w := n >> 6; w < len(c.nulls) {
+		atomic.AndUint64(&c.nulls[w], 1<<(uint(n)&63)-1)
+	}
+}
+
+// bytes is the memory the column holds: capacity, not length, because
+// that is what the allocator handed out.
+func (c *column) bytes() int64 {
+	const stringHeader = 16
+	return int64(cap(c.ints)+cap(c.floats)+cap(c.nulls))*8 + int64(cap(c.strs))*stringHeader + c.strBytes
+}
+
+// tableData is one published state of a table: its columns, how many rows
+// of them exist, and its indexes over exactly those rows. A reader loads
+// it once and is unaffected by appends that publish a later one: they
+// only write cells at positions n and up.
+type tableData struct {
+	cols    []column
+	n       int
+	indexes []hashIndex
+}
+
+// Table is a set of typed columns with optional hash indexes, the
+// stand-in for a MyISAM table. It is columnar — chunk data is []int64,
+// []float64 and []string from the segment decoder to the predicate — and
+// append-only. Any number of goroutines may read while one appends: a
+// reader works on the state it loaded, an append publishes a new one when
+// it commits. Appends (Insert, an Appender, AppendFrom, CreateIndex) are
+// the caller's to serialize.
 type Table struct {
-	Name    string
-	Schema  Schema
-	Rows    []Row
-	indexes map[string]*hashIndex // lower-cased column name -> index
+	Name   string
+	Schema Schema
+	data   atomic.Pointer[tableData]
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema Schema) *Table {
-	return &Table{Name: name, Schema: schema, indexes: map[string]*hashIndex{}}
-}
-
-// hashIndex maps a column value's group key to row positions. It models
-// the per-chunk objectId index the paper builds on workers (section 5.5).
-type hashIndex struct {
-	col     int
-	buckets map[string][]int
-}
-
-func buildHashIndex(t *Table, col int) *hashIndex {
-	idx := &hashIndex{col: col, buckets: make(map[string][]int, len(t.Rows))}
-	idx.add(t.Rows, 0)
-	return idx
-}
-
-// add posts rows, stored from position base on.
-func (ix *hashIndex) add(rows []Row, base int) {
-	var key []byte
-	for i, r := range rows {
-		key = appendKey(key[:0], r[ix.col])
-		ix.buckets[string(key)] = append(ix.buckets[string(key)], base+i)
+	t := &Table{Name: name, Schema: schema}
+	cols := make([]column, len(schema))
+	for i, c := range schema {
+		cols[i].typ = c.Type
 	}
+	t.data.Store(&tableData{cols: cols})
+	return t
+}
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return t.data.Load().n }
+
+// Row boxes row i: for tests, exports and display, not for scans.
+func (t *Table) Row(i int) Row {
+	d := t.data.Load()
+	row := make(Row, len(d.cols))
+	for ci := range d.cols {
+		row[ci] = d.cols[ci].value(i)
+	}
+	return row
+}
+
+// Float reads column ci of row i as a float64 without boxing it: a BIGINT
+// cell converted, a NULL or VARCHAR cell as 0. With Int it serves callers
+// that route a table's rows by a few numeric columns, like the worker's
+// subchunk builder.
+func (t *Table) Float(i, ci int) float64 {
+	switch c := &t.data.Load().cols[ci]; c.typ {
+	case sqlparse.TypeInt:
+		return float64(c.ints[i])
+	case sqlparse.TypeFloat:
+		return c.floats[i]
+	}
+	return 0
+}
+
+// Int reads column ci of row i as an int64: a DOUBLE cell truncated, a
+// NULL or VARCHAR cell as 0.
+func (t *Table) Int(i, ci int) int64 {
+	switch c := &t.data.Load().cols[ci]; c.typ {
+	case sqlparse.TypeInt:
+		return c.ints[i]
+	case sqlparse.TypeFloat:
+		return int64(c.floats[i])
+	}
+	return 0
+}
+
+// Appender adds rows to a table cell by cell, without boxing them: the
+// sink row decoders write into (it implements rowcodec.Sink). Cells are
+// converted to their column's declared type as they arrive. Nothing is
+// visible to readers until Commit: an append that fails part-way is simply
+// not committed, and the table is exactly as long as it was.
+type Appender struct {
+	t    *Table
+	base *tableData
+	cols []column
+	rows int
+}
+
+// Appender starts an append. One append may be in progress per table.
+func (t *Table) Appender() *Appender {
+	d := t.data.Load()
+	a := &Appender{t: t, base: d, cols: slices.Clone(d.cols)}
+	for i := range a.cols {
+		a.cols[i].dropNullsFrom(d.n)
+	}
+	return a
+}
+
+// BeginRow announces a row of ncols cells; the cell calls that follow
+// name their column.
+func (a *Appender) BeginRow(ncols int) error {
+	if ncols != len(a.cols) {
+		return fmt.Errorf("sqlengine: row arity %d != schema arity %d for table %s",
+			ncols, len(a.cols), a.t.Name)
+	}
+	a.rows++
+	return nil
+}
+
+// Null appends a NULL cell to column col.
+func (a *Appender) Null(col int) error {
+	a.cols[col].appendNull()
+	return nil
+}
+
+// Int appends an integer cell to column col.
+func (a *Appender) Int(col int, v int64) error {
+	a.cols[col].appendInt(v)
+	return nil
+}
+
+// Float appends a float cell to column col.
+func (a *Appender) Float(col int, v float64) error {
+	a.cols[col].appendFloat(v)
+	return nil
+}
+
+// Str appends a string cell to column col; v is copied.
+func (a *Appender) Str(col int, v []byte) error {
+	if err := a.cols[col].appendString(string(v)); err != nil {
+		return a.cellError(col, err)
+	}
+	return nil
+}
+
+// cellError names the cell a conversion failed on. The row being appended
+// is the last one BeginRow announced.
+func (a *Appender) cellError(col int, err error) error {
+	return fmt.Errorf("sqlengine: table %s column %s row %d: %w",
+		a.t.Name, a.t.Schema[col].Name, a.base.n+a.rows-1, err)
+}
+
+// Commit publishes the appended rows and posts them to the indexes.
+func (a *Appender) Commit() {
+	d := &tableData{cols: a.cols, n: a.base.n + a.rows, indexes: slices.Clone(a.base.indexes)}
+	for i := range d.indexes {
+		d.indexes[i].extend(d, a.base.n)
+	}
+	a.t.data.Store(d)
+}
+
+// Insert appends boxed rows, converting every cell to its column's
+// declared type; a cell that cannot be converted (a string that is not a
+// number into a numeric column) fails the whole call and the table keeps
+// the rows it had. It is the convenience form of an Appender.
+func (t *Table) Insert(rows ...Row) error {
+	a := t.Appender()
+	for _, r := range rows {
+		err := a.BeginRow(len(r))
+		for ci := 0; err == nil && ci < len(r); ci++ {
+			if err = a.cols[ci].appendValue(r[ci]); err != nil {
+				err = a.cellError(ci, err)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	a.Commit()
+	return nil
+}
+
+// AppendFrom appends the rows of src at the given positions, column by
+// column. src must have this table's schema.
+func (t *Table) AppendFrom(src *Table, positions []int) {
+	a, from := t.Appender(), src.data.Load()
+	for ci := range a.cols {
+		a.cols[ci].appendFrom(&from.cols[ci], positions)
+	}
+	a.rows = len(positions)
+	a.Commit()
+}
+
+// ByteSize returns the estimated on-disk footprint of the table, the
+// quantity the paper uses to compute effective scan bandwidth (section
+// 6.2, High Volume 2).
+func (t *Table) ByteSize() int64 {
+	return int64(t.Len()) * int64(t.Schema.RowWidth())
+}
+
+// ResidentBytes is the memory the table holds: its column slices, NULL
+// bitmaps, string bytes and index arrays, at their capacities. This is
+// what a worker's residency manager charges against its memory budget
+// (TestResidentBytesMatchesHeap holds it to the heap's own figure).
+func (t *Table) ResidentBytes() int64 {
+	d := t.data.Load()
+	var b int64
+	for i := range d.cols {
+		b += d.cols[i].bytes()
+	}
+	for i := range d.indexes {
+		b += int64(cap(d.indexes[i].heads)+cap(d.indexes[i].next)) * 4
+	}
+	return b
+}
+
+// ---------- hash index ----------
+
+// chains is a pointer-free hash multimap: slots (row positions, or the
+// entries of a join's build side) linked under the bucket their key
+// hashes to. It stores no keys; whoever walks a bucket compares them.
+// One goroutine may link while others walk: next never moves (it is
+// allocated at its full length, one entry per bucket, and what outgrows
+// it is a new chains value), and a head is stored atomically, after the
+// entry it points to.
+type chains struct {
+	heads []int32 // bucket -> 1 + the slot linked last, 0 when empty
+	next  []int32 // slot -> 1 + the slot linked before it in its bucket, 0 at the end
+	shift uint    // 64 - log2(len(heads))
+}
+
+// newChains makes room for at least n slots.
+func newChains(n int) chains {
+	size := 16
+	for size < n {
+		size *= 2
+	}
+	return chains{
+		heads: make([]int32, size), next: make([]int32, 0, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// link adds the next slot (slots are numbered in the order they are
+// added) under hash h; skip adds it under nothing.
+func (c *chains) link(h uint64) {
+	b := &c.heads[h>>c.shift]
+	c.next = append(c.next, *b)
+	atomic.StoreInt32(b, int32(len(c.next)))
+}
+
+func (c *chains) skip() { c.next = append(c.next, 0) }
+
+// walk returns the slots linked under h whose key in keys equals k, latest
+// first. Slots past the end of keys — linked after the caller loaded its
+// state — are not the caller's to see.
+func walk[K comparable](c *chains, h uint64, keys []K, k K, out []int) []int {
+	next := c.next[:cap(c.next)]
+	for p := atomic.LoadInt32(&c.heads[h>>c.shift]); p != 0; p = next[p-1] {
+		if slot := int(p - 1); slot < len(keys) && keys[slot] == k {
+			out = append(out, slot)
+		}
+	}
+	return out
+}
+
+var hashSeed = maphash.MakeSeed()
+
+func hashInt(x int64) uint64     { return uint64(x) * 0x9E3779B97F4A7C15 }
+func hashString(s string) uint64 { return maphash.String(hashSeed, s) }
+
+// hashFloat hashes 0 and -0, which are equal, alike: -0 + 0 is +0.
+func hashFloat(f float64) uint64 { return hashInt(int64(math.Float64bits(f + 0))) }
+
+// hashIndex maps the values of one column to the positions of the rows
+// holding them. It models the per-chunk objectId index the paper builds
+// on workers (section 5.5). NULL cells are not posted: NULL equals
+// nothing.
+type hashIndex struct {
+	col int
+	chains
+}
+
+// extend posts the rows from position from up to d.n. When the chains are
+// outgrown every row is posted afresh into larger ones, with room to grow
+// by a quarter; readers of an earlier state keep walking theirs.
+func (ix *hashIndex) extend(d *tableData, from int) {
+	if ix.heads == nil || d.n > cap(ix.next) {
+		ix.chains, from = newChains(d.n+d.n/4), 0
+	}
+	col := &d.cols[ix.col]
+	for pos := from; pos < d.n; pos++ {
+		switch {
+		case col.null(pos):
+			ix.skip()
+		case col.typ == sqlparse.TypeInt:
+			ix.link(hashInt(col.ints[pos]))
+		case col.typ == sqlparse.TypeFloat:
+			ix.link(hashFloat(col.floats[pos]))
+		default:
+			ix.link(hashString(col.strs[pos]))
+		}
+	}
+}
+
+// lookup appends to out, in ascending order, the positions in d whose
+// indexed cell equals key, which must be of the column's own type (see
+// indexKey).
+func (ix *hashIndex) lookup(d *tableData, key Value, out []int) []int {
+	col, start := &d.cols[ix.col], len(out)
+	switch k := key.(type) {
+	case int64:
+		out = walk(&ix.chains, hashInt(k), col.ints, k, out)
+	case string:
+		out = walk(&ix.chains, hashString(k), col.strs, k, out)
+	}
+	slices.Reverse(out[start:])
+	return out
+}
+
+// indexKey converts a lookup key to the type of an indexed column of type
+// typ; ok is false when equality with it is not an exact match there, and
+// only a filter can decide it: 2.5, 'abc' or a float of 2^53 and beyond
+// (which equals several integers) for a BIGINT column, a number for a
+// VARCHAR column (the string is parsed), anything for a DOUBLE column (a
+// NaN cell equals every number).
+func indexKey(v Value, typ sqlparse.ColType) (key Value, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return nil, true // equals nothing, and finds nothing
+	case int64:
+		return x, typ == sqlparse.TypeInt
+	case float64:
+		return int64(x), typ == sqlparse.TypeInt && math.Abs(x) < 1<<53 && x == math.Trunc(x)
+	case string:
+		return x, typ == sqlparse.TypeString
+	}
+	return nil, false
 }
 
 // CreateIndex builds (or rebuilds) a hash index on the named column.
@@ -102,64 +585,34 @@ func (t *Table) CreateIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("sqlengine: table %s has no column %q", t.Name, col)
 	}
-	t.indexes[strings.ToLower(col)] = buildHashIndex(t, ci)
+	old := t.data.Load()
+	d := &tableData{cols: old.cols, n: old.n}
+	for _, ix := range old.indexes {
+		if ix.col != ci {
+			d.indexes = append(d.indexes, ix)
+		}
+	}
+	ix := hashIndex{col: ci}
+	ix.extend(d, 0)
+	d.indexes = append(d.indexes, ix)
+	t.data.Store(d)
 	return nil
 }
 
-// Index returns the hash index on the column, or nil.
-func (t *Table) Index(col string) *hashIndex {
-	return t.indexes[strings.ToLower(col)]
+// index returns d's index on column ci, or nil.
+func (d *tableData) index(ci int) *hashIndex {
+	for i := range d.indexes {
+		if d.indexes[i].col == ci {
+			return &d.indexes[i]
+		}
+	}
+	return nil
 }
 
 // HasIndex reports whether the column is indexed.
-func (t *Table) HasIndex(col string) bool { return t.Index(col) != nil }
-
-// lookup returns the row positions whose indexed column equals v. NULL
-// equals nothing, the stored NULLs included: `col = NULL` finds no row
-// through the index, as it finds none through a filter.
-func (ix *hashIndex) lookup(v Value) []int {
-	if IsNull(v) {
-		return nil
-	}
-	return ix.buckets[string(appendKey(nil, v))]
-}
-
-// Insert appends rows, maintaining indexes. Rows must match the schema
-// arity; values are stored as given.
-func (t *Table) Insert(rows ...Row) error {
-	for _, r := range rows {
-		if len(r) != len(t.Schema) {
-			return fmt.Errorf("sqlengine: row arity %d != schema arity %d for table %s",
-				len(r), len(t.Schema), t.Name)
-		}
-	}
-	base := len(t.Rows)
-	t.Rows = append(t.Rows, rows...)
-	for _, ix := range t.indexes {
-		ix.add(rows, base)
-	}
-	return nil
-}
-
-// ByteSize returns the estimated on-disk footprint of the table, the
-// quantity the paper uses to compute effective scan bandwidth (section
-// 6.2, High Volume 2).
-func (t *Table) ByteSize() int64 {
-	return int64(len(t.Rows)) * int64(t.Schema.RowWidth())
-}
-
-// indexEntryBytes is the accounted cost of one hash-index posting: the
-// bucket key reference plus the row position.
-const indexEntryBytes = 16
-
-// ResidentBytes estimates the table's in-memory footprint: the row heap
-// plus every hash index's postings. This is the quantity a worker's
-// residency manager charges against its memory budget, so it must grow
-// with inserts and index creation (both only add entries).
-func (t *Table) ResidentBytes() int64 {
-	b := t.ByteSize()
-	b += int64(len(t.indexes)) * int64(len(t.Rows)) * indexEntryBytes
-	return b
+func (t *Table) HasIndex(col string) bool {
+	ci := t.Schema.ColIndex(col)
+	return ci >= 0 && t.data.Load().index(ci) != nil
 }
 
 // Database is a named collection of tables (e.g. "LSST" on workers).
@@ -295,6 +748,36 @@ type Result struct {
 	Types []sqlparse.ColType
 	Rows  []Row
 	Stats ExecStats
+}
+
+// FitSchema returns schema with every column typed to hold the values
+// rows carry in it without changing any: BIGINT if all are integers,
+// DOUBLE if all are numbers, VARCHAR if any is a string. A column with no
+// value keeps its declared type. It types a table made from rows whose
+// declared types are a guess — a result's, inferred from its first rows.
+func FitSchema(schema Schema, rows []Row) Schema {
+	out := slices.Clone(schema)
+	seen := make([]bool, len(out))
+	for _, r := range rows {
+		for i, v := range r[:min(len(r), len(out))] {
+			var typ sqlparse.ColType
+			switch v.(type) {
+			case nil:
+				continue
+			case int64, bool:
+				typ = sqlparse.TypeInt
+			case float64:
+				typ = sqlparse.TypeFloat
+			default:
+				typ = sqlparse.TypeString
+			}
+			// The three types are declared in widening order.
+			if !seen[i] || typ > out[i].Type {
+				out[i].Type, seen[i] = typ, true
+			}
+		}
+	}
+	return out
 }
 
 // Schema derives a Schema from the result's columns.

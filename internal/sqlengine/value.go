@@ -4,11 +4,22 @@
 // engine as a loosely-coupled black box that executes chunk queries over
 // local tables.
 //
+// A table is columnar (storage.go): one []int64, []float64 or []string
+// per column, chosen by the declared type, plus a NULL bitmap. Cells are
+// converted to the declared type once, as they enter the table — from an
+// INSERT, from Table.Insert's boxed rows, or from a row decoder writing
+// straight into the columns through an Appender — so nothing behind that
+// boundary checks a cell's type again. Rows exist boxed (Row, []Value)
+// only outside tables: in results, in INSERTs and in tests.
+//
 // A SELECT runs in three steps: bind the FROM clause to tables, compile
 // every expression once into closures against those bindings (compile.go:
-// names, functions and operators are resolved there, and numeric
-// subexpressions also get an unboxed form), then run one pass over the
-// rows — source, filter, project or accumulate (exec.go). Nothing is
+// names, functions and operators are resolved there; a column compiles to
+// an index into its slice at the binding's cursor, and whatever is built
+// from typed operands stays unboxed), then run one pass over the row
+// positions — source, filter, project or accumulate (exec.go). Values are
+// boxed where a result row is written, where a UDF or a mixed-type
+// operator needs the generic form, and nowhere else. Nothing is
 // interpreted per row and nothing compiled is kept across statements.
 //
 // Beyond executing the dialect, the engine meters the I/O of every query
@@ -174,9 +185,9 @@ func Compare(a, b Value) (int, error) {
 	return threeWay(fa, fb), nil
 }
 
-// threeWay orders two numbers: -1, 0, +1. A NaN is neither below nor
-// above anything, so it compares equal to everything.
-func threeWay[T number](a, b T) int {
+// threeWay orders two numbers or two strings: -1, 0, +1. A NaN is neither
+// below nor above anything, so it compares equal to everything.
+func threeWay[T ordered](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -274,27 +285,40 @@ func GroupKey(vals []Value) string {
 // appendKey appends one value's GroupKey encoding: a kind tag followed by
 // a self-delimiting payload (varint for integers, eight bytes for floats,
 // length-prefixed for strings), so concatenated keys decode uniquely.
-// Scans and index builds append into a reused buffer and look up by
-// string(buf), which does not allocate.
+// Scans append into a reused buffer and look up by string(buf), which
+// does not allocate; where the value is at hand unboxed they call the
+// typed encoders directly.
 func appendKey(buf []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(buf, 'n')
 	case int64:
-		return binary.AppendVarint(append(buf, 'i'), x)
+		return appendIntKey(buf, x)
 	case float64:
-		// An int64 and the float64 of equal value stay distinct keys, and
-		// so do 0 and -0; every NaN is one key.
-		bits := math.Float64bits(x)
-		if x != x {
-			bits = math.Float64bits(math.NaN())
-		}
-		return binary.BigEndian.AppendUint64(append(buf, 'f'), bits)
+		return appendFloatKey(buf, x)
 	case string:
-		buf = binary.AppendUvarint(append(buf, 's'), uint64(len(x)))
-		return append(buf, x...)
+		return appendStringKey(buf, x)
 	case bool:
-		return binary.AppendVarint(append(buf, 'i'), boolToInt(x))
+		return appendIntKey(buf, boolToInt(x))
 	}
 	return buf
+}
+
+func appendIntKey(buf []byte, x int64) []byte {
+	return binary.AppendVarint(append(buf, 'i'), x)
+}
+
+// An int64 and the float64 of equal value stay distinct keys, and so do 0
+// and -0; every NaN is one key.
+func appendFloatKey(buf []byte, x float64) []byte {
+	bits := math.Float64bits(x)
+	if x != x {
+		bits = math.Float64bits(math.NaN())
+	}
+	return binary.BigEndian.AppendUint64(append(buf, 'f'), bits)
+}
+
+func appendStringKey(buf []byte, x string) []byte {
+	buf = binary.AppendUvarint(append(buf, 's'), uint64(len(x)))
+	return append(buf, x...)
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,23 +17,23 @@ import (
 //
 // A nil *Span is a valid "tracing off" span: every method no-ops and
 // Child returns nil, so instrumented code calls through unconditionally.
-// The exported fields are JSON-tagged for the wire trailer; mutate them
+// The exported fields are what the wire trailer carries; mutate them
 // only through the methods (Child/Graft lock around the child list so
 // parallel chunk goroutines can grow one parent concurrently).
 type Span struct {
-	Name     string  `json:"name"`
-	StartNS  int64   `json:"start"` // unix nanoseconds
-	EndNS    int64   `json:"end"`   // unix nanoseconds; 0 while open
-	Attrs    []Attr  `json:"attrs,omitempty"`
-	Children []*Span `json:"children,omitempty"`
+	Name     string
+	StartNS  int64 // unix nanoseconds
+	EndNS    int64 // unix nanoseconds; 0 while open
+	Attrs    []Attr
+	Children []*Span
 
 	mu sync.Mutex
 }
 
 // Attr is one key=value annotation on a span.
 type Attr struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
+	Key   string
+	Value string
 }
 
 // StartSpan opens a new root span.
@@ -193,33 +192,54 @@ func fmtDur(d time.Duration) string {
 // bytes of the existing /result transaction — no new fabric path, and
 // content-addressed dedup still works (identical queries produce
 // identical trailers modulo timings, and the czar strips the trailer
-// before merging either way). Framing is end-anchored: payload JSON,
-// then an 8-byte little-endian payload length, then an 8-byte magic.
-// The magic starts with a NUL so SQL-ish dump text can't collide, and a
-// tail that merely looks like a trailer fails JSON decoding and is
+// before merging either way). Framing is end-anchored: the payload, then
+// an 8-byte little-endian payload length, then an 8-byte magic. The magic
+// starts with a NUL so result-stream bytes are unlikely to collide, and a
+// tail that merely looks like a trailer fails to decode as one and is
 // returned untouched.
+//
+// The payload is a span list: a uvarint count, then per span its name,
+// start and end (varints), a uvarint attribute count with the key and
+// value of each, and its children as a span list again. Strings are a
+// uvarint length and the bytes.
 
-const trailerMagic = "\x00QTRACE1"
+// trailerMagic ends every trailer; the digit is the payload version (1
+// was JSON).
+const trailerMagic = "\x00QTRACE2"
 
-// AppendTrailer returns data with spans appended as a trace trailer.
-// Unmarshalable spans (impossible for well-formed trees) or an empty
-// span list return data unchanged.
+// maxSpanDepth bounds the nesting ExtractTrailer follows: a worker's
+// subtree is three levels deep, and the bytes are the worker's to forge.
+const maxSpanDepth = 32
+
+// AppendTrailer returns data with spans appended as a trace trailer; an
+// empty span list returns data unchanged.
 func AppendTrailer(data []byte, spans []*Span) []byte {
 	if len(spans) == 0 {
 		return data
 	}
-	payload, err := json.Marshal(spans)
-	if err != nil {
-		return data
+	out := make([]byte, 0, len(data)+64*len(spans)+16)
+	out = appendSpans(append(out, data...), spans)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(out)-len(data)))
+	return append(out, trailerMagic...)
+}
+
+func appendSpans(out []byte, spans []*Span) []byte {
+	out = binary.AppendUvarint(out, uint64(len(spans)))
+	for _, s := range spans {
+		out = appendString(out, s.Name)
+		out = binary.AppendVarint(out, s.StartNS)
+		out = binary.AppendVarint(out, s.EndNS)
+		out = binary.AppendUvarint(out, uint64(len(s.Attrs)))
+		for _, a := range s.Attrs {
+			out = appendString(appendString(out, a.Key), a.Value)
+		}
+		out = appendSpans(out, s.Children)
 	}
-	out := make([]byte, 0, len(data)+len(payload)+16)
-	out = append(out, data...)
-	out = append(out, payload...)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-	out = append(out, lenBuf[:]...)
-	out = append(out, trailerMagic...)
 	return out
+}
+
+func appendString(out []byte, s string) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(s))), s...)
 }
 
 // ExtractTrailer splits a trace trailer off data, returning the
@@ -236,9 +256,89 @@ func ExtractTrailer(data []byte) ([]byte, []*Span) {
 		return data, nil
 	}
 	start := len(data) - frame - int(plen)
-	var spans []*Span
-	if err := json.Unmarshal(data[start:len(data)-frame], &spans); err != nil {
+	r := spanReader{data: data[start : len(data)-frame]}
+	spans := r.spans(0)
+	if r.bad || len(r.data) != 0 || len(spans) == 0 {
 		return data, nil
 	}
 	return data[:start], spans
+}
+
+// spanReader decodes a trailer payload. The bytes are untrusted: every
+// count and length is checked against the bytes left before anything is
+// allocated from it, and the first violation sets bad and empties data,
+// after which every read returns zero.
+type spanReader struct {
+	data []byte
+	bad  bool
+}
+
+func (r *spanReader) fail() {
+	r.bad, r.data = true, nil
+}
+
+func (r *spanReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
+}
+
+func (r *spanReader) varint() int64 {
+	v, n := binary.Varint(r.data)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
+}
+
+// count reads the number of items that follow, each at least itemBytes
+// long.
+func (r *spanReader) count(itemBytes int) int {
+	c := r.uvarint()
+	if c > uint64(len(r.data)/itemBytes) {
+		r.fail()
+		return 0
+	}
+	return int(c)
+}
+
+func (r *spanReader) str() string {
+	n := r.count(1)
+	s := string(r.data[:n])
+	r.data = r.data[n:]
+	return s
+}
+
+func (r *spanReader) spans(depth int) []*Span {
+	const minSpan, minAttr = 5, 2 // bytes: every field's first
+	n := r.count(minSpan)
+	if n == 0 {
+		return nil
+	}
+	if depth == maxSpanDepth {
+		r.fail()
+		return nil
+	}
+	spans := make([]*Span, n)
+	for i := range spans {
+		s := &Span{Name: r.str(), StartNS: r.varint(), EndNS: r.varint()}
+		if na := r.count(minAttr); na > 0 {
+			s.Attrs = make([]Attr, na)
+			for j := range s.Attrs {
+				s.Attrs[j] = Attr{Key: r.str(), Value: r.str()}
+			}
+		}
+		s.Children = r.spans(depth + 1)
+		if r.bad {
+			return nil
+		}
+		spans[i] = s
+	}
+	return spans
 }

@@ -41,7 +41,7 @@ func TestCancelQueuedScanJobDequeued(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	throttle := w.ConvoyScanner(table).Attach(func([]sqlengine.Row) { time.Sleep(200 * time.Microsecond) })
+	throttle := w.ConvoyScanner(table).Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
 
 	// The victim queues on the other chunk behind the blocker's gang.
 	victim := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;",
@@ -121,7 +121,7 @@ func TestCancelRunningScanDetachesConvoy(t *testing.T) {
 	if sc == nil {
 		t.Fatal("no convoy scanner")
 	}
-	throttle := sc.Attach(func([]sqlengine.Row) { time.Sleep(200 * time.Microsecond) })
+	throttle := sc.Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
 
 	survivor := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
 	victim := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 8e-29;", table))
@@ -356,7 +356,7 @@ func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
 	if _, err := w.HandleRead(xrd.ResultPath(warm)); err != nil {
 		t.Fatal(err)
 	}
-	throttle := w.ConvoyScanner(table).Attach(func([]sqlengine.Row) { time.Sleep(200 * time.Microsecond) })
+	throttle := w.ConvoyScanner(table).Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
 
 	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
 	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {

@@ -94,8 +94,9 @@ func (w *Worker) recoverFromStore(st *chunkstore.Store, rec *chunkstore.Recovery
 }
 
 // installUnit rebuilds one unit's tables by replaying its segments (in
-// application order) through the same incremental insert path ingest
-// uses, so indexes come back identical.
+// application order) through the same append path ingest uses — segment
+// bytes to column slices, no row in between — so indexes come back
+// identical.
 func (w *Worker) installUnit(db *sqlengine.Database, info *meta.TableInfo, u chunkstore.Unit, segments [][]byte) error {
 	if u.Shared {
 		if info.Partitioned {
@@ -106,11 +107,7 @@ func (w *Worker) installUnit(db *sqlengine.Database, info *meta.TableInfo, u chu
 			return err
 		}
 		for _, seg := range segments {
-			b, err := ingest.DecodeBatch(seg)
-			if err != nil {
-				return err
-			}
-			if err := t.Insert(b.Rows...); err != nil {
+			if err := appendBatch(seg, t, nil); err != nil {
 				return err
 			}
 		}
@@ -127,14 +124,7 @@ func (w *Worker) installUnit(db *sqlengine.Database, info *meta.TableInfo, u chu
 	}
 	ov := sqlengine.NewTable(meta.OverlapTableName(info.Name, cid), info.Schema)
 	for _, seg := range segments {
-		b, err := ingest.DecodeBatch(seg)
-		if err != nil {
-			return err
-		}
-		if err := t.Insert(b.Rows...); err != nil {
-			return err
-		}
-		if err := ov.Insert(b.Overlap...); err != nil {
+		if err := appendBatch(seg, t, ov); err != nil {
 			return err
 		}
 	}

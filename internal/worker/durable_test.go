@@ -96,8 +96,8 @@ func TestDurableRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("chunk table has %d rows, want 3", len(tbl.Rows))
+	if tbl.Len() != 3 {
+		t.Fatalf("chunk table has %d rows, want 3", tbl.Len())
 	}
 	if !tbl.HasIndex("objectId") {
 		t.Fatal("director-key index not rebuilt on recovery")
@@ -106,15 +106,15 @@ func TestDurableRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ov.Rows) != 1 {
-		t.Fatalf("overlap table has %d rows, want 1", len(ov.Rows))
+	if ov.Len() != 1 {
+		t.Fatalf("overlap table has %d rows, want 1", ov.Len())
 	}
 	flt, err := db.Table("Filter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flt.Rows) != 2 {
-		t.Fatalf("shared table has %d rows, want 2", len(flt.Rows))
+	if flt.Len() != 2 {
+		t.Fatalf("shared table has %d rows, want 2", flt.Len())
 	}
 	if st := w2.ResidencyStats(); st.Resident != 2 || st.Materializations != 2 || st.ResidentBytes <= 0 {
 		t.Fatalf("residency after first touch = %+v, want 2 resident units with bytes charged", st)

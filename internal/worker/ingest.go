@@ -17,8 +17,9 @@ import (
 // and /load/t/<table>/<chunk|shared> applies one row batch. Chunk
 // tables, their overlap companions, and the director-key hash index
 // are built incrementally: the index is created with the (empty) table
-// and maintained by every insert, so no second indexing pass runs after
-// ingest finishes.
+// and maintained by every append, so no second indexing pass runs after
+// ingest finishes. A batch is decoded straight into the tables' columns
+// (appendBatch) and published whole or not at all.
 
 // handleLoad processes one /load write transaction.
 func (w *Worker) handleLoad(path string, data []byte) error {
@@ -42,11 +43,6 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("worker %s: load: %w", w.cfg.Name, err)
 	}
-	batch, err := ingest.DecodeBatch(data)
-	if err != nil {
-		return fmt.Errorf("worker %s: load %s: %w", w.cfg.Name, table, err)
-	}
-
 	// One batch applies at a time: lanes of concurrent ingests (and the
 	// shared- vs chunk-table paths) must not interleave table creation
 	// and inserts on the same engine structures.
@@ -76,8 +72,8 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := t.Insert(batch.Rows...); err != nil {
-			return err
+		if err := appendBatch(data, t, nil); err != nil {
+			return fmt.Errorf("worker %s: load %s: %w", w.cfg.Name, info.Name, err)
 		}
 		// Memory first, then disk: the ack a successful return implies
 		// must mean both applied and durable. The payload is persisted in
@@ -110,11 +106,8 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Insert(batch.Rows...); err != nil {
+	if err := appendBatch(data, t, ov); err != nil {
 		return fmt.Errorf("worker %s: load %s chunk %d: %w", w.cfg.Name, info.Name, chunk, err)
-	}
-	if err := ov.Insert(batch.Overlap...); err != nil {
-		return fmt.Errorf("worker %s: load %s chunk %d overlap: %w", w.cfg.Name, info.Name, chunk, err)
 	}
 	if err := w.persistAppend(u, data); err != nil {
 		return err
@@ -125,6 +118,24 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 	w.mu.Lock()
 	w.chunks[cid] = true
 	w.mu.Unlock()
+	return nil
+}
+
+// appendBatch decodes one encoded batch into t (its own rows) and ov (its
+// overlap rows; nil for a replicated table, which has no companion and
+// drops any) without boxing a cell, and publishes both appends only once
+// the whole batch has decoded and converted: a bad batch leaves both
+// tables exactly as long as they were.
+func appendBatch(data []byte, t, ov *sqlengine.Table) error {
+	if ov == nil {
+		ov = sqlengine.NewTable(t.Name, t.Schema)
+	}
+	rows, overlap := t.Appender(), ov.Appender()
+	if _, err := ingest.DecodeBatchInto(data, rows, overlap); err != nil {
+		return err
+	}
+	rows.Commit()
+	overlap.Commit()
 	return nil
 }
 

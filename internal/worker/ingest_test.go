@@ -102,8 +102,8 @@ func TestIngestOverTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("chunk table has %d rows, want 2", len(tbl.Rows))
+	if tbl.Len() != 2 {
+		t.Fatalf("chunk table has %d rows, want 2", tbl.Len())
 	}
 	if !tbl.HasIndex("id") {
 		t.Error("director-key index not built incrementally")
@@ -112,8 +112,8 @@ func TestIngestOverTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ov.Rows) != 1 {
-		t.Fatalf("overlap table has %d rows, want 1", len(ov.Rows))
+	if ov.Len() != 1 {
+		t.Fatalf("overlap table has %d rows, want 1", ov.Len())
 	}
 	found := false
 	for _, c := range w.Chunks() {
@@ -175,6 +175,48 @@ func TestIngestLoadPathErrors(t *testing.T) {
 	if err := w.HandleWrite(xrd.LoadSharedPath("T"), empty); err == nil ||
 		!strings.Contains(err.Error(), "partitioned") {
 		t.Errorf("shared load into partitioned table: %v", err)
+	}
+
+	// A batch holding a cell its column cannot take (a string that is no
+	// number, for DOUBLE ra) fails whole, naming table, column and row, and
+	// leaves the chunk table and its overlap companion as long as they were.
+	good := []sqlengine.Row{{int64(1), 10.0, 5.0, int64(1), int64(0)}}
+	for _, b := range []ingest.Batch{
+		{Rows: good, Overlap: good},
+		{Rows: []sqlengine.Row{good[0], {int64(2), "east", 5.0, int64(1), int64(0)}}, Overlap: good},
+	} {
+		payload, err := ingest.EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.HandleWrite(xrd.LoadPath("T", 1), payload)
+		if bad := len(b.Rows) > 1; bad != (err != nil) {
+			t.Fatalf("load of %d rows: %v", len(b.Rows), err)
+		} else if bad {
+			for _, part := range []string{"table T_1", "column ra", "row 2"} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("error %q does not name %s", err, part)
+				}
+			}
+		}
+	}
+	db, err := w.Engine().Database("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{meta.ChunkTableName("T", 1), meta.OverlapTableName("T", 1)} {
+		if tbl, err := db.Table(name); err != nil || tbl.Len() != 1 {
+			t.Errorf("table %s after the refused batch: %v rows, %v; want the 1 it had", name, tbl.Len(), err)
+		}
+	}
+}
+
+// TestParseQueryPath: the chunk id is the whole rest of the path.
+func TestParseQueryPath(t *testing.T) {
+	for path, want := range map[string]int{"/query2/12": 12, "/query2/12abc": -1, "/query2/": -1, "/query3/12": -1, "/query2/1/2": -1} {
+		if id, err := parseQueryPath(path); (err != nil) != (want < 0) || (err == nil && int(id) != want) {
+			t.Errorf("parseQueryPath(%q) = %d, %v; want %d", path, id, err, want)
+		}
 	}
 }
 

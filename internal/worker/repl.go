@@ -85,16 +85,16 @@ func (w *Worker) exportRepl(path string) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, info.Name, err)
 		}
-		b.Rows = t.Rows
+		b.Rows = boxedRows(t)
 	} else {
 		cid := partition.ChunkID(chunk)
 		t, err := db.Table(meta.ChunkTableName(info.Name, cid))
 		if err != nil {
 			return nil, fmt.Errorf("worker %s: repl export %s chunk %d: %w", w.cfg.Name, info.Name, chunk, err)
 		}
-		b.Rows = t.Rows
+		b.Rows = boxedRows(t)
 		if ov, err := db.Table(meta.OverlapTableName(info.Name, cid)); err == nil {
-			b.Overlap = ov.Rows
+			b.Overlap = boxedRows(ov)
 		}
 	}
 	data, err := ingest.EncodeBatch(b)
@@ -102,6 +102,16 @@ func (w *Worker) exportRepl(path string) ([]byte, error) {
 		return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, info.Name, err)
 	}
 	return ingest.EncodeSegments([][]byte{data}), nil
+}
+
+// boxedRows boxes a table's rows for the batch encoder: the export of an
+// in-memory worker, which has no stored segments to ship.
+func boxedRows(t *sqlengine.Table) []sqlengine.Row {
+	rows := make([]sqlengine.Row, t.Len())
+	for i := range rows {
+		rows[i] = t.Row(i)
+	}
+	return rows
 }
 
 // installRepl serves a /repl write: it replaces the chunk table and its
@@ -131,12 +141,6 @@ func (w *Worker) installRepl(path string, data []byte) error {
 	} else {
 		segs = [][]byte{data}
 	}
-	batches := make([]ingest.Batch, len(segs))
-	for i, seg := range segs {
-		if batches[i], err = ingest.DecodeBatch(seg); err != nil {
-			return fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, table, err)
-		}
-	}
 	w.loadMu.Lock()
 	defer w.loadMu.Unlock()
 	db, err := w.engine.Database(w.registry.DB)
@@ -159,8 +163,8 @@ func (w *Worker) installRepl(path string, data []byte) error {
 		if err != nil {
 			return err
 		}
-		for _, b := range batches {
-			if err := t.Insert(b.Rows...); err != nil {
+		for _, seg := range segs {
+			if err := appendBatch(seg, t, nil); err != nil {
 				return fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, info.Name, err)
 			}
 		}
@@ -182,15 +186,12 @@ func (w *Worker) installRepl(path string, data []byte) error {
 		return err
 	}
 	ov := sqlengine.NewTable(meta.OverlapTableName(info.Name, cid), info.Schema)
-	for _, b := range batches {
-		if err := t.Insert(b.Rows...); err != nil {
+	for _, seg := range segs {
+		if err := appendBatch(seg, t, ov); err != nil {
 			return fmt.Errorf("worker %s: repl install %s chunk %d: %w", w.cfg.Name, info.Name, chunk, err)
 		}
-		if err := ov.Insert(b.Overlap...); err != nil {
-			return fmt.Errorf("worker %s: repl install %s chunk %d overlap: %w", w.cfg.Name, info.Name, chunk, err)
-		}
 	}
-	// Publish both tables only after both inserts succeeded, so a bad
+	// Publish both tables only after every segment applied, so a bad
 	// batch cannot leave a half-replaced chunk.
 	db.Put(t)
 	db.Put(ov)

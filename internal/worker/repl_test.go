@@ -111,8 +111,8 @@ func TestReplRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ov.Rows) != len(overlap) {
-		t.Fatalf("overlap companion has %d rows, want %d", len(ov.Rows), len(overlap))
+	if ov.Len() != len(overlap) {
+		t.Fatalf("overlap companion has %d rows, want %d", ov.Len(), len(overlap))
 	}
 	found := false
 	for _, c := range dst.Chunks() {
@@ -133,8 +133,8 @@ func TestReplRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(rows) {
-		t.Fatalf("double install left %d rows, want %d", len(tbl.Rows), len(rows))
+	if tbl.Len() != len(rows) {
+		t.Fatalf("double install left %d rows, want %d", tbl.Len(), len(rows))
 	}
 }
 
@@ -168,8 +168,8 @@ func TestReplSharedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(rows) {
-		t.Fatalf("shared install: %d rows, want %d", len(tbl.Rows), len(rows))
+	if tbl.Len() != len(rows) {
+		t.Fatalf("shared install: %d rows, want %d", tbl.Len(), len(rows))
 	}
 }
 

@@ -216,8 +216,8 @@ func TestAppendToEvictedUnitKeepsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("chunk table has %d rows after append-to-evicted, want 4 (3 loaded + 1 appended)", len(tbl.Rows))
+	if tbl.Len() != 4 {
+		t.Fatalf("chunk table has %d rows after append-to-evicted, want 4 (3 loaded + 1 appended)", tbl.Len())
 	}
 }
 

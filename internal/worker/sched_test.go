@@ -110,7 +110,7 @@ func TestLiveConvoyMidScanJoinExactlyOnce(t *testing.T) {
 
 	// Throttle the convoy so it is reliably mid-scan when jobs join:
 	// 500 pieces x 200us keeps the scan in flight for ~100ms.
-	throttle := sc.Attach(func([]sqlengine.Row) { time.Sleep(200 * time.Microsecond) })
+	throttle := sc.Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
 
 	// zFlux_PS cycles 1..10 x 1e-29, so > 5e-29 keeps half the rows.
 	qa := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))

@@ -158,11 +158,12 @@ func (m *subchunkManager) generateBatch(base string, chunk partition.ChunkID,
 	// Precompute each target subchunk's dilated bounds.
 	margin := w.registry.Chunker.Config().Overlap
 	wanted := make(map[partition.SubChunkID]int, len(subs)) // sub -> slot
+	// A target collects the positions of its rows in the chunk table (own
+	// and ovOwn) and in the chunk's overlap table (ovFar).
 	type target struct {
-		sub     partition.SubChunkID
-		dil     sphgeom.Box
-		subRows []sqlengine.Row
-		ovRows  []sqlengine.Row
+		sub               partition.SubChunkID
+		dil               sphgeom.Box
+		own, ovOwn, ovFar []int
 	}
 	targets := make([]*target, 0, len(subs))
 	for _, sub := range subs {
@@ -178,55 +179,43 @@ func (m *subchunkManager) generateBatch(base string, chunk partition.ChunkID,
 	// to the overlap table of any other requested subchunk whose
 	// dilated bounds contain it.
 	total.SeqBytes += chunkTable.ByteSize()
-	total.RowsScanned += int64(len(chunkTable.Rows))
-	for _, row := range chunkTable.Rows {
-		own, _ := sqlengine.AsInt(row[subCol])
-		if slot, ok := wanted[partition.SubChunkID(own)]; ok {
-			targets[slot].subRows = append(targets[slot].subRows, row)
+	total.RowsScanned += int64(chunkTable.Len())
+	for i, n := 0, chunkTable.Len(); i < n; i++ {
+		own := partition.SubChunkID(chunkTable.Int(i, subCol))
+		if slot, ok := wanted[own]; ok {
+			targets[slot].own = append(targets[slot].own, i)
 		}
-		p := pointOf(row, raCol, declCol)
+		p := sphgeom.NewPoint(chunkTable.Float(i, raCol), chunkTable.Float(i, declCol))
 		for _, tg := range targets {
-			if partition.SubChunkID(own) == tg.sub {
-				continue
-			}
-			if tg.dil.Contains(p) {
-				tg.ovRows = append(tg.ovRows, row)
+			if own != tg.sub && tg.dil.Contains(p) {
+				tg.ovOwn = append(tg.ovOwn, i)
 			}
 		}
 	}
 
 	// Pass 2: the chunk's stored overlap rows (from neighboring chunks).
 	total.SeqBytes += overlapTable.ByteSize()
-	total.RowsScanned += int64(len(overlapTable.Rows))
-	for _, row := range overlapTable.Rows {
-		p := pointOf(row, raCol, declCol)
+	total.RowsScanned += int64(overlapTable.Len())
+	for i, n := 0, overlapTable.Len(); i < n; i++ {
+		p := sphgeom.NewPoint(overlapTable.Float(i, raCol), overlapTable.Float(i, declCol))
 		for _, tg := range targets {
 			if tg.dil.Contains(p) {
-				tg.ovRows = append(tg.ovRows, row)
+				tg.ovFar = append(tg.ovFar, i)
 			}
 		}
 	}
 
-	// Install tables.
+	// Install tables: cells are copied column by column, never boxed.
 	for _, tg := range targets {
 		st := sqlengine.NewTable(meta.SubChunkTableName(base, chunk, tg.sub), info.Schema)
-		if err := st.Insert(tg.subRows...); err != nil {
-			return total, err
-		}
+		st.AppendFrom(chunkTable, tg.own)
 		db.Put(st)
 		ot := sqlengine.NewTable(meta.SubChunkOverlapTableName(base, chunk, tg.sub), info.Schema)
-		if err := ot.Insert(tg.ovRows...); err != nil {
-			return total, err
-		}
+		ot.AppendFrom(chunkTable, tg.ovOwn)
+		ot.AppendFrom(overlapTable, tg.ovFar)
 		db.Put(ot)
 	}
 	return total, nil
-}
-
-func pointOf(row sqlengine.Row, raCol, declCol int) sphgeom.Point {
-	ra, _ := sqlengine.AsFloat(row[raCol])
-	decl, _ := sqlengine.AsFloat(row[declCol])
-	return sphgeom.NewPoint(ra, decl)
 }
 
 // evictChunk drops the cached (refs==0) subchunk materializations

@@ -27,6 +27,7 @@ package worker
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -700,8 +701,9 @@ func (w *Worker) HandleReadContext(ctx context.Context, path string) ([]byte, er
 }
 
 func parseQueryPath(path string) (partition.ChunkID, error) {
-	var id int
-	if _, err := fmt.Sscanf(path, "/query2/%d", &id); err != nil {
+	rest, ok := strings.CutPrefix(path, "/query2/")
+	id, err := strconv.Atoi(rest)
+	if !ok || err != nil {
 		return 0, fmt.Errorf("worker: bad query path %q", path)
 	}
 	return partition.ChunkID(id), nil

@@ -85,6 +85,9 @@ func (o *Oracle) Ingest(table string, src RowSource) error {
 		return err
 	}
 
+	// Rows are collected and inserted at once: every Insert publishes a
+	// new table state, which is per-batch work, not per-row work.
+	var rows []sqlengine.Row
 	if info.Partitioned {
 		placer, err := newRowPlacer(info, o.chunker, o.index)
 		if err != nil {
@@ -99,9 +102,7 @@ func (o *Oracle) Ingest(table string, src RowSource) error {
 			if err != nil {
 				return err
 			}
-			if err := t.Insert(full); err != nil {
-				return err
-			}
+			rows = append(rows, full)
 		}
 	} else {
 		n := int64(0)
@@ -115,13 +116,14 @@ func (o *Oracle) Ingest(table string, src RowSource) error {
 				return fmt.Errorf("qserv: ingest %s row %d: got %d columns, schema has %d",
 					info.Name, n, len(row), len(info.Schema))
 			}
-			if err := t.Insert(sqlengine.Row(row)); err != nil {
-				return err
-			}
+			rows = append(rows, sqlengine.Row(row))
 		}
 	}
 	if err := src.Err(); err != nil {
 		return fmt.Errorf("qserv: ingest %s: row source: %w", info.Name, err)
+	}
+	if err := t.Insert(rows...); err != nil {
+		return err
 	}
 	db.Put(t)
 	return nil

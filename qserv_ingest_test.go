@@ -240,6 +240,43 @@ func TestIngestErrorNamesChunkTableAndWorker(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesUnconvertibleCell: chunk tables hold typed columns, so
+// a cell its column's declared type cannot take (a string that is no
+// number in DOUBLE uFlux_PS) fails the ingest — it used to be stored as
+// given — and the error names the chunk table, the column and the row.
+func TestIngestRefusesUnconvertibleCell(t *testing.T) {
+	cl, err := NewCluster(DefaultClusterConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.CreateTables(LSSTSpec()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = cl.Ingest("Object", RowsOf([]Row{
+		{int64(1), 10.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.05},
+		{int64(2), 10.0, 5.0, "bright", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.05},
+	}))
+	if err == nil {
+		t.Fatal("a string in a DOUBLE column was ingested")
+	}
+	for _, want := range []string{"table Object_", "column uFlux_PS", "row 1", "worker-000"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ingest error %q does not mention %q", err, want)
+		}
+	}
+	// The batch was refused whole: the worker holds neither of its rows.
+	db, err := cl.Workers[0].Engine().Database(cl.Registry.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range db.TableNames() {
+		if tbl, _ := db.Table(name); tbl.Len() != 0 {
+			t.Errorf("table %s holds %d rows of the refused batch", name, tbl.Len())
+		}
+	}
+}
+
 // TestConcurrentIngest ships two replicated tables through their own
 // shippers concurrently — race-detector coverage for the per-worker
 // lane machinery (CI runs this under -race).
