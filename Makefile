@@ -31,14 +31,18 @@ bench-build:
 # Per-layer testing.B benches, in ns/row and allocs/op: the scan layer —
 # the chunk statements of the paper's query classes over one chunk-sized
 # table, and (the *WorkingSet ones) rotating over the 94 chunk tables of
-# the repository benchmark's catalog, which do not fit in cache — and the
+# the repository benchmark's catalog, which do not fit in cache — the
 # materialization layer, one stored batch from bytes to a chunk table and
-# its index. (What they must never exceed is pinned as counts, which
-# repeat exactly, by TestScanAllocBudget and TestMaterializeAllocBudget
-# in tier-1.)
+# its index, and the result path, a pass-through row from a worker's
+# column slices through the result stream and the czar's fold to a row
+# frame, in ns per row returned. (What they must never exceed is pinned as
+# counts, which repeat exactly, by TestScanAllocBudget, TestSinkAllocBudget,
+# TestMaterializeAllocBudget, TestAbsorbAllocBudget and
+# TestRowLoopAllocBudget in tier-1.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
 	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
+	$(GO) test -run '^$$' -bench ResultPath -benchmem ./internal/czar
 
 # Tiny-size benchmarks fast enough to gate CI: the czar merge pipeline
 # (serialized vs pipelined collection, oracle-checked), the query-kill

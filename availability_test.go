@@ -274,6 +274,14 @@ func TestAddRemoveWorkerUnderQueries(t *testing.T) {
 		}()
 	}
 
+	// The membership change is milliseconds: on a busy machine it used to
+	// be over before any of the four goroutines had been scheduled once
+	// ("no queries ran", one run in ten under `go test ./...`). It starts
+	// once the stream is flowing.
+	for queries.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+
 	victim := cl.Workers[0].Name()
 	if err := cl.AddWorker("worker-added"); err != nil {
 		t.Fatal(err)

@@ -8,11 +8,13 @@
 // Result collection is the scalability bottleneck the paper identifies
 // at the master (section 7.6); this czar therefore merges with a
 // streaming, parallel pipeline instead of the paper's serialized
-// load-then-copy: dispatch goroutines decode result streams concurrently
-// (dump.Decode, no engine involvement) and fold rows into a striped
-// appender (mergeSession), gated czar-wide by MergeParallelism so
-// merging overlaps with in-flight chunk fetches and concurrent user
-// queries never serialize on a shared lock. Plans with ORDER BY + LIMIT
+// load-then-copy: dispatch goroutines absorb result streams concurrently
+// (package dump, no engine involvement) into a mergeSession, gated
+// czar-wide by MergeParallelism so merging overlaps with in-flight chunk
+// fetches and concurrent user queries never serialize on a shared lock.
+// A pass-through plan's rows are checked, not opened: they travel on —
+// to the session's row stream, the frontend's row frames, the result
+// cache — as the bytes the worker wrote. Plans with ORDER BY + LIMIT
 // pushed down (core.Planner.TopK) keep only the best K rows while
 // streaming; aggregate plans combine partial aggregates incrementally
 // as chunk results arrive.
@@ -33,6 +35,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/qcache"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/telemetry"
 	"repro/internal/xrd"
@@ -220,6 +223,41 @@ type QueryResult struct {
 	// result (the oracle-equivalence seam).
 	Explain    bool
 	Underlying *sqlengine.Result
+
+	// batches are the answer's rows, encoded, whenever the czar has them in
+	// that form: a pass-through plan's chunk results as the workers wrote
+	// them, a merge statement's rows as they entered the row stream, a
+	// cache hit's entry. Where Rows is nil they are the only form, until
+	// box.
+	batches []rowcodec.Batch
+}
+
+// numRows counts the answer's rows, in whichever form it holds them.
+func (r *QueryResult) numRows() int {
+	switch {
+	case r.Result == nil:
+		return 0
+	case r.Rows != nil:
+		return len(r.Rows)
+	}
+	n := 0
+	for _, b := range r.batches {
+		n += b.Len()
+	}
+	return n
+}
+
+// box sets Rows from the encoded batches, if that is the only form the
+// answer has. The caller makes sure it runs once (Query.Wait).
+func (r *QueryResult) box() {
+	if r.Result == nil || r.Rows != nil || len(r.batches) == 0 {
+		return
+	}
+	rows := make([]sqlengine.Row, 0, r.numRows())
+	for _, b := range r.batches {
+		rows = b.Box(rows)
+	}
+	r.Rows = rows
 }
 
 // Query runs one user SQL statement to completion: the synchronous
@@ -253,14 +291,14 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 		return nil, err
 	}
 
-	// Each dispatch goroutine fetches its chunk's dump stream and then
-	// decodes + folds it right there, so merging overlaps with the
-	// fetches still in flight. The merge gate (MergeParallelism) is
-	// czar-wide: it bounds decode CPU across all concurrent user
-	// queries without ever serializing them on shared state — each
-	// query folds into its own session, and stripes keep even
-	// same-session folds mostly uncontended. A per-query
-	// MergeParallelism option swaps in a private gate.
+	// Each dispatch goroutine fetches its chunk's result stream and then
+	// absorbs it right there, so merging overlaps with the fetches still
+	// in flight. The merge gate (MergeParallelism) is czar-wide: it
+	// bounds that CPU across all concurrent user queries without ever
+	// serializing them on shared state — each query folds into its own
+	// session, and stripes keep even same-session folds of boxed rows
+	// mostly uncontended. A per-query MergeParallelism option swaps in a
+	// private gate.
 	mergeSem := c.mergeSem
 	stripes := mergeStripes(c.cfg.MergeParallelism)
 	if opts.MergeParallelism > 0 {
@@ -306,15 +344,14 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 				if err == nil {
 					mergeSem <- struct{}{}
 					ms := cs.Child("merge fold")
-					var rows []sqlengine.Row
-					rows, err = session.absorb(data)
+					batch, rows, ferr := session.absorb(data)
 					ms.Finish()
 					<-mergeSem
-					if err == nil {
-						ms.SetAttr("rows", len(rows))
-						q.rowsMerged.Add(int64(len(rows)))
+					if err = ferr; err == nil {
+						ms.SetAttr("rows", rows)
+						q.rowsMerged.Add(int64(rows))
 						if streamable {
-							q.stream.push(rows)
+							q.stream.push(batch)
 						}
 					}
 				}
@@ -348,33 +385,56 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 
 	mg := q.root.Child("czar merge")
 	mergeStart := time.Now()
-	schema, rows := session.finish()
+	schema, batches, rows := session.finish()
 	var final *sqlengine.Result
 	if plan.Streamable() {
 		// The merge statement of a streamable plan is a bare `SELECT *
-		// FROM <result>`: the folded rows are its answer, and loading them
+		// FROM <result>`: the absorbed rows are its answer, and loading them
 		// into a table only to scan them out again is work with no effect.
-		final = &sqlengine.Result{Cols: schema.Names(), Rows: rows}
+		// They stay encoded; whoever asks for Rows gets them boxed (Wait).
+		final = &sqlengine.Result{Cols: schema.Names()}
 		for _, col := range schema {
 			final.Types = append(final.Types, col.Type)
 		}
-		final.Stats.RowsOut = int64(len(rows))
+		qr.Result, qr.batches = final, batches
+		final.Stats.RowsOut = int64(qr.numRows())
 	} else {
 		// Install the session result table (typed from the plan when no
-		// chunk was dispatched) and run the merge statement over it.
+		// chunk was dispatched) — an append plan's batches decode straight
+		// into its columns — and run the merge statement over it.
 		t := sqlengine.NewTable(resultTable, schema)
-		if err = t.Insert(rows...); err == nil {
+		if batches == nil {
+			err = t.Insert(rows...)
+		} else {
+			app := t.Appender()
+			for _, b := range batches {
+				if err = b.Decode(app); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				app.Commit()
+			}
+		}
+		if err == nil {
 			resDB.Put(t)
 			final, err = c.engine.Query(plan.MergeSQL(qualified))
 		}
+		if err == nil {
+			// The answer enters the row stream, and the cache, encoded.
+			var b rowcodec.Batch
+			if b, err = rowcodec.EncodeBatch(final.Rows); err == nil && b.Len() > 0 {
+				qr.batches = []rowcodec.Batch{b}
+			}
+		}
+		qr.Result = final
 	}
 	c.metrics.mergeNS.Observe(time.Since(mergeStart).Nanoseconds())
 	mg.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("czar %s: merge: %w", c.cfg.Name, err)
 	}
-	mg.SetAttr("rows", len(final.Rows))
-	qr.Result = final
+	mg.SetAttr("rows", qr.numRows())
 	return qr, nil
 }
 
@@ -395,6 +455,7 @@ func (c *Czar) cacheLookup(plan *core.Plan) *QueryResult {
 	return &QueryResult{
 		Result: &sqlengine.Result{Cols: res.Cols, Types: res.Types, Rows: res.Rows},
 		Class:  plan.Class, CacheHit: true, ChunksPruned: plan.Route.Pruned,
+		batches: res.Batches,
 	}
 }
 
@@ -415,7 +476,7 @@ func (c *Czar) executeWithCache(q *Query, plan *core.Plan, opts Options) (*Query
 		if e, g := c.cacheStamp(plan); e == epoch && g == gens {
 			st := q.root.Child("cache store")
 			c.cache.Put(plan.CacheKey(), epoch, gens,
-				qcache.Result{Cols: qr.Cols, Types: qr.Types, Rows: qr.Rows})
+				qcache.Result{Cols: qr.Cols, Types: qr.Types, Batches: qr.batches})
 			st.Finish()
 		}
 	}

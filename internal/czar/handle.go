@@ -95,9 +95,15 @@ func (f *QueryFeed) Context() context.Context { return f.q.ctx }
 // waiters. Call it before the first Push.
 func (f *QueryFeed) SetColumns(cols ...string) { f.q.setColumns(cols) }
 
-// Push streams result rows to the handle's iterators. Push never
-// blocks.
-func (f *QueryFeed) Push(rows ...sqlengine.Row) { f.q.stream.push(rows) }
+// Push streams result rows to the handle's iterators, encoding them as
+// they enter the stream. Push never blocks. A value that has no encoding
+// (anything but nil, int64, float64 and string) fails the session: it is
+// canceled with that error, which Finish then reports.
+func (f *QueryFeed) Push(rows ...sqlengine.Row) {
+	if err := f.q.stream.pushRows(rows); err != nil {
+		f.q.cancel(err)
+	}
+}
 
 // Finish completes the session: with err nil, res becomes the Wait
 // result (rows already Pushed are not re-streamed; a Finish with no

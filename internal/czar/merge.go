@@ -2,42 +2,55 @@ package czar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dump"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
-// mergeSession accumulates one user query's chunk results into the
-// session result table — the streaming replacement for the paper's
-// serialized load-then-copy collection step (section 7.6). Dispatch
-// goroutines decode result streams concurrently (no engine, no locks) and
-// fold the rows into one of several stripes, each guarded by its own
-// mutex, so merging overlaps with in-flight chunk fetches and scales
-// with the czar's MergeParallelism. Three folders exist:
+// mergeSession accumulates one user query's chunk results — the streaming
+// replacement for the paper's serialized load-then-copy collection step
+// (section 7.6). Dispatch goroutines absorb result streams concurrently
+// (no engine involved), so merging overlaps with in-flight chunk fetches
+// and scales with the czar's MergeParallelism. What absorbing a stream
+// means depends on the plan:
 //
-//   - append: pass-through rows are appended as they arrive;
-//   - topK: for plans with ORDER BY + LIMIT pushed down, each stripe
-//     keeps only its best K rows via a streaming sorted merge, so the
-//     session table never holds more than stripes x K rows;
-//   - aggregate: partial-aggregate rows combine incrementally by group
-//     key (COUNT/SUM partials add, MIN/MAX fold) instead of
-//     materializing every partial row before the merge query runs.
+//   - append: a pass-through plan's rows are not opened. The stream is
+//     walked by a sink that checks it and keeps nothing (dump's
+//     Stream.Encoded), and its rows join the session as one encoded batch —
+//     the bytes the worker wrote are the bytes the client will read, with no
+//     cell converted to what its column declares (for an item no statement
+//     could type that is a guess);
+//   - topK: for plans with ORDER BY + LIMIT pushed down, the rows are
+//     decoded boxed and each of several stripes, guarded by its own mutex,
+//     keeps only its best K via a streaming sorted merge, so the session
+//     never holds more than stripes x K rows;
+//   - aggregate: partial-aggregate rows are decoded boxed and combine
+//     incrementally by group key (COUNT/SUM partials add, MIN/MAX fold)
+//     instead of materializing every partial row before the merge query
+//     runs.
 //
-// finish() then combines the stripes (concatenate / k-way merge /
-// group-map union) into the rows, and the schema typing them, that the
-// merge statement reads — or, for a plan whose merge statement is the
-// identity, that are the answer as they stand.
+// finish() then hands over the batches, or combines the stripes (k-way
+// merge / group-map union) into rows, with the schema of the table that
+// the merge statement reads them from — or, for a plan whose merge
+// statement is the identity, that types the answer as it stands.
 type mergeSession struct {
-	plan    *core.Plan
+	plan *core.Plan
+	// stripes fold boxed rows; an append plan has none.
 	stripes []*mergeStripe
 	next    atomic.Int64
 
-	mu     sync.Mutex
-	schema sqlengine.Schema // set by the first arriving chunk result
+	mu      sync.Mutex
+	schema  sqlengine.Schema // set by the first arriving chunk result
+	batches []rowcodec.Batch // append plans: every chunk's rows, in arrival order
+	// kinds joins, per column, the kinds of cell the absorbed batches hold:
+	// what types the append plans' result table.
+	kinds []rowcodec.Kinds
 }
 
 // mergeStripe is one independently locked shard of the session state.
@@ -54,90 +67,117 @@ type partialFolder interface {
 	rows() []sqlengine.Row
 }
 
-// newMergeSession sizes the stripe set and picks the folder the plan
-// calls for.
+// newMergeSession picks the fold the plan calls for and, for the two that
+// fold boxed rows, sizes the stripe set.
 func newMergeSession(plan *core.Plan, stripes int) *mergeSession {
-	if stripes < 1 {
-		stripes = 1
-	}
 	s := &mergeSession{plan: plan}
-	for i := 0; i < stripes; i++ {
-		s.stripes = append(s.stripes, &mergeStripe{f: newFolder(plan)})
+	var folder func() partialFolder
+	switch {
+	case plan.TopK && len(plan.TopKKeys) > 0:
+		folder = func() partialFolder { return &topKFolder{keys: plan.TopKKeys, k: plan.TopKLimit} }
+	case plan.PartialOps != nil:
+		folder = func() partialFolder { return newAggFolder(plan.PartialOps) }
+	default:
+		return s
+	}
+	for i := 0; i < max(stripes, 1); i++ {
+		s.stripes = append(s.stripes, &mergeStripe{f: folder()})
 	}
 	return s
 }
 
-func newFolder(plan *core.Plan) partialFolder {
-	switch {
-	case plan.TopK && len(plan.TopKKeys) > 0:
-		return &topKFolder{keys: plan.TopKKeys, k: plan.TopKLimit}
-	case plan.PartialOps != nil:
-		return newAggFolder(plan.PartialOps)
-	default:
-		return &appendFolder{}
-	}
-}
-
-// absorb decodes one chunk's result stream and folds its rows into a
-// stripe, returning the decoded rows (the streaming-row feed for
-// pass-through plans; callers must treat them as read-only — the
-// folders retain the slices). It is safe to call from many dispatch
-// goroutines at once.
-func (s *mergeSession) absorb(data []byte) ([]sqlengine.Row, error) {
-	dec, err := dump.Decode(string(data))
+// absorb takes in one chunk's result stream and reports how many rows it
+// held. For an append plan it also returns them, encoded: the batch the
+// session keeps and a streamable plan's row feed forwards. It is safe to
+// call from many dispatch goroutines at once.
+func (s *mergeSession) absorb(data []byte) (rowcodec.Batch, int, error) {
+	st, err := dump.Open(data)
 	if err != nil {
-		return nil, err
+		return rowcodec.Batch{}, 0, err
 	}
-	if err := s.admit(dec); err != nil {
-		return nil, err
+	if s.stripes == nil {
+		b, kinds, err := st.Encoded()
+		if err != nil {
+			return rowcodec.Batch{}, 0, err
+		}
+		if err := s.admit(st.Schema, b, kinds); err != nil {
+			return rowcodec.Batch{}, 0, err
+		}
+		return b, b.Len(), nil
 	}
-	if len(dec.Rows) == 0 {
-		return nil, nil
+	rows, err := st.Rows()
+	if err != nil {
+		return rowcodec.Batch{}, 0, err
 	}
-	st := s.stripes[int(s.next.Add(1)-1)%len(s.stripes)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.f.fold(dec.Rows)
-	return dec.Rows, nil
+	if err := s.admit(st.Schema, rowcodec.Batch{}, nil); err != nil {
+		return rowcodec.Batch{}, 0, err
+	}
+	if len(rows) > 0 {
+		stripe := s.stripes[int(s.next.Add(1)-1)%len(s.stripes)]
+		stripe.mu.Lock()
+		stripe.f.fold(rows)
+		stripe.mu.Unlock()
+	}
+	return rowcodec.Batch{}, len(rows), nil
 }
 
-// admit validates the stream's schema against the session: the first
+// admit validates the stream's schema against the session — the first
 // arrival fixes it, later arrivals must agree in arity (chunk results
-// all come from the same worker statement template).
-func (s *mergeSession) admit(dec *dump.Decoded) error {
+// all come from the same worker statement template) — and, for an append
+// plan, takes the stream's batch in.
+func (s *mergeSession) admit(schema sqlengine.Schema, b rowcodec.Batch, kinds []rowcodec.Kinds) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.schema == nil {
-		if len(s.plan.ResultColumns) > 0 && len(dec.Schema) != len(s.plan.ResultColumns) {
+		if len(s.plan.ResultColumns) > 0 && len(schema) != len(s.plan.ResultColumns) {
 			return fmt.Errorf("result arity %d does not match plan arity %d",
-				len(dec.Schema), len(s.plan.ResultColumns))
+				len(schema), len(s.plan.ResultColumns))
 		}
-		s.schema = dec.Schema
-		return nil
+		s.schema = schema
+		s.kinds = make([]rowcodec.Kinds, len(schema))
 	}
-	if len(dec.Schema) != len(s.schema) {
-		return fmt.Errorf("result arity mismatch: %d vs %d", len(dec.Schema), len(s.schema))
+	if len(schema) != len(s.schema) {
+		return fmt.Errorf("result arity mismatch: %d vs %d", len(schema), len(s.schema))
+	}
+	if b.Len() > 0 {
+		s.batches = append(s.batches, b)
+	}
+	for i, k := range kinds {
+		s.kinds[i] |= k
 	}
 	return nil
 }
 
-// finish combines the stripes and returns the session's folded rows with
-// the schema of the result table they make. Column names are the first
-// arriving chunk result's; column types are fitted to the values
-// (sqlengine.FitSchema), because a chunk result declares what it inferred
-// from its own rows — all DOUBLE when it had none — and a typed table
-// converts what it is given. With no chunk results at all the schema is
-// the plan's, so zero-chunk string/int queries still merge correctly.
-func (s *mergeSession) finish() (sqlengine.Schema, []sqlengine.Row) {
+// finish returns the session's folded state — an append plan's batches,
+// the other plans' rows, the stripes combined — with the schema of the
+// result table they make. Column names are the first arriving chunk
+// result's; column types are fitted to the values, because what a chunk
+// result declares for a column no compiled statement could type is a guess
+// from its own rows — DOUBLE when it had none — and a typed table converts
+// what it is given: BIGINT if every value is an integer, DOUBLE if every
+// one is a number, VARCHAR if any is a string, and the declared type for a
+// column with no value (sqlengine.FitSchema's rule, read from the joined
+// cell kinds of the batches where the rows stayed encoded). With no chunk
+// results at all the schema is the plan's, so zero-chunk string/int queries
+// still merge correctly.
+func (s *mergeSession) finish() (sqlengine.Schema, []rowcodec.Batch, []sqlengine.Row) {
 	s.mu.Lock()
-	schema := s.schema
-	s.mu.Unlock()
-	if schema == nil {
-		schema = make(sqlengine.Schema, len(s.plan.ResultColumns))
+	defer s.mu.Unlock()
+	if s.schema == nil {
+		schema := make(sqlengine.Schema, len(s.plan.ResultColumns))
 		for i, col := range s.plan.ResultColumns {
 			schema[i] = sqlengine.Column{Name: col, Type: s.plan.ResultType(i)}
 		}
-		return schema, nil
+		return schema, nil, nil
+	}
+	if s.stripes == nil {
+		schema := slices.Clone(s.schema)
+		for i, k := range s.kinds {
+			if typ, ok := k.ColType(); ok {
+				schema[i].Type = typ
+			}
+		}
+		return schema, s.batches, nil
 	}
 
 	folders := make([]partialFolder, len(s.stripes))
@@ -149,21 +189,14 @@ func (s *mergeSession) finish() (sqlengine.Schema, []sqlengine.Row) {
 	// Cross-stripe combination reuses the fold operation itself: fold
 	// every other stripe's state into the first (for top-K that is the
 	// final leg of the k-way merge; for aggregates, the group-map
-	// union; for append, concatenation).
+	// union).
 	first := folders[0]
 	for _, f := range folders[1:] {
 		first.fold(f.rows())
 	}
 	rows := first.rows()
-	return sqlengine.FitSchema(schema, rows), rows
+	return sqlengine.FitSchema(s.schema, rows), nil, rows
 }
-
-// ---------- append ----------
-
-type appendFolder struct{ acc []sqlengine.Row }
-
-func (f *appendFolder) fold(rows []sqlengine.Row) { f.acc = append(f.acc, rows...) }
-func (f *appendFolder) rows() []sqlengine.Row     { return f.acc }
 
 // ---------- top-K ----------
 

@@ -82,9 +82,8 @@ func TestAddPartialTyping(t *testing.T) {
 	}
 }
 
-// planFor builds a real plan against the LSST registry, as the czar
-// would, so merge-session tests exercise the planner's own metadata.
-func planFor(t *testing.T, sql string, topK bool) *core.Plan {
+// planRegistry is the LSST registry the merge-session tests plan against.
+func planRegistry(t testing.TB) *meta.Registry {
 	t.Helper()
 	ch, err := partition.NewChunker(partition.Config{
 		NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5,
@@ -92,8 +91,14 @@ func planFor(t *testing.T, sql string, topK bool) *core.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := datagen.LSSTRegistry(ch)
-	pl := core.NewPlanner(reg, meta.NewObjectIndex())
+	return datagen.LSSTRegistry(ch)
+}
+
+// planFor builds a real plan against the LSST registry, as the czar
+// would, so merge-session tests exercise the planner's own metadata.
+func planFor(t testing.TB, sql string, topK bool) *core.Plan {
+	t.Helper()
+	pl := core.NewPlanner(planRegistry(t), meta.NewObjectIndex())
 	pl.TopK = topK
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
@@ -110,9 +115,9 @@ func TestZeroChunkSchemaTypedFromPlan(t *testing.T) {
 	// The satellite fix: a zero-chunk query's synthesized result table
 	// must carry plan-derived types, not DOUBLE everywhere.
 	p := planFor(t, "SELECT objectId, ra_PS FROM Object WHERE objectId = 42", false)
-	schema, rows := newMergeSession(p, 2).finish()
-	if len(schema) != 2 || len(rows) != 0 {
-		t.Fatalf("schema = %+v, %d rows", schema, len(rows))
+	schema, batches, rows := newMergeSession(p, 2).finish()
+	if len(schema) != 2 || len(batches) != 0 || len(rows) != 0 {
+		t.Fatalf("schema = %+v, %d batches, %d rows", schema, len(batches), len(rows))
 	}
 	if schema[0].Name != "objectId" || schema[0].Type != sqlparse.TypeInt {
 		t.Errorf("objectId column = %+v, want INT", schema[0])
@@ -143,13 +148,17 @@ func TestMergeSessionStripedFoldAndFinish(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.absorb(intStream("objectId", int64(i))); err != nil {
+			if _, _, err := s.absorb(intStream("objectId", int64(i))); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	_, rows := s.finish()
+	_, batches, _ := s.finish()
+	var rows []sqlengine.Row
+	for _, b := range batches {
+		rows = b.Box(rows)
+	}
 	if len(rows) != 32 {
 		t.Fatalf("rows = %d, want 32", len(rows))
 	}
@@ -166,13 +175,13 @@ func TestMergeSessionRejectsArityMismatch(t *testing.T) {
 	p := planFor(t, "SELECT objectId FROM Object", false)
 	s := newMergeSession(p, 1)
 	bad := intStream("a,b", 1, 2)
-	if _, err := s.absorb(bad); err == nil {
+	if _, _, err := s.absorb(bad); err == nil {
 		t.Error("arity mismatch vs plan must be rejected")
 	}
-	if _, err := s.absorb(intStream("objectId", 1)); err != nil {
+	if _, _, err := s.absorb(intStream("objectId", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.absorb(bad); err == nil {
+	if _, _, err := s.absorb(bad); err == nil {
 		t.Error("arity mismatch vs session schema must be rejected")
 	}
 }

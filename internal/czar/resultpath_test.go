@@ -1,0 +1,221 @@
+package czar
+
+import (
+	"bufio"
+	"context"
+	"encoding/binary"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/dump"
+	"repro/internal/rowcodec"
+	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
+)
+
+// hv2Columns is the select list of the paper's High Volume 2 statement as
+// bench/ issues it: nine numeric columns.
+const hv2Columns = "objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS"
+
+// hv2Engine holds one chunk table of n rows of the 13-column Object schema.
+func hv2Engine(tb testing.TB, n int) *sqlengine.Engine {
+	tb.Helper()
+	info, err := planRegistry(tb).Table("Object")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	t := sqlengine.NewTable("Object_221", info.Schema)
+	rows := make([]sqlengine.Row, n)
+	for i := range rows {
+		f := 1e-28 * float64(1+i%97)
+		rows[i] = sqlengine.Row{int64(1000 + i), 10 + float64(i%49)/25, float64(i%51)/25 - 1,
+			f, 2 * f, 3 * f, 4 * f, 5 * f, 6 * f, 7 * f, 0.5, int64(221), int64(i % 40)}
+	}
+	if err := t.Insert(rows...); err != nil {
+		tb.Fatal(err)
+	}
+	e := sqlengine.New("LSST")
+	e.CreateDatabase("LSST").Put(t)
+	return e
+}
+
+// hv2Stream runs the HV2 chunk statement over a table of n rows, one in
+// ten of which it returns, and frames the result stream as a worker does.
+func hv2Stream(tb testing.TB, e *sqlengine.Engine, out *dump.Writer) []byte {
+	tb.Helper()
+	sel, err := sqlparse.ParseSelect("SELECT " + hv2Columns + " FROM LSST.Object_221 AS Object WHERE objectId % 10 = 0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := e.ExecuteStmtOpts(sel, sqlengine.ExecOptions{Sink: out})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Frame("r_0123456789abcdef", res.Schema())
+}
+
+// TestAbsorbAllocBudget pins what folding a pass-through chunk result
+// costs the czar: the stream is walked, not opened, so the count does not
+// depend on its rows. (Decoding the same 240 rows boxed took 4,574
+// allocations: a row, a box and a converted box per cell.)
+func TestAbsorbAllocBudget(t *testing.T) {
+	plan := planFor(t, "SELECT "+hv2Columns+" FROM Object", false)
+	if !plan.Streamable() {
+		t.Fatal("HV2 does not plan as a pass-through statement")
+	}
+	for _, rows := range []int{240, 480} {
+		stream := hv2Stream(t, hv2Engine(t, rows*10), new(dump.Writer))
+		s := newMergeSession(plan, 1)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, n, err := s.absorb(stream); err != nil || n != rows {
+				t.Fatalf("absorbed %d rows of %d: %v", n, rows, err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("absorbing a %d-row pass-through stream: %.0f allocations (budget 8)", rows, allocs)
+		}
+	}
+}
+
+// BenchmarkResultPath prices a pass-through result row from a worker's
+// column slices to the client's socket, without the scan around it or the
+// fabric in between: one 2,400-row chunk table, a statement that returns
+// one row in ten (a predicate that costs next to nothing), its cells
+// written into the result stream, the stream absorbed by a merge session
+// and forwarded to the row stream, and every row written as a protocol-v2
+// row frame — the five bytes frontend.writeRowFrame puts ahead of the row,
+// then the row — into a writer that discards. `make bench-layers` runs it.
+func BenchmarkResultPath(b *testing.B) {
+	e := hv2Engine(b, 2400)
+	plan := planFor(b, "SELECT "+hv2Columns+" FROM Object", false)
+	w := bufio.NewWriter(io.Discard)
+	var out dump.Writer
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Buf, out.Rows = out.Buf[:0], 0 // a worker's row buffers are recycled too
+		session := newMergeSession(plan, 1)
+		batch, _, err := session.absorb(hv2Stream(b, e, &out))
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, _ := NewQueryHandle(1, "", plan.Class)
+		q.stream.push(batch)
+		q.stream.close()
+		it := q.Rows()
+		for row, ok := it.NextEncoded(); ok; row, ok = it.NextEncoded() {
+			hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(row)+1))
+			w.Write(append(hdr, 'R'))
+			w.Write(row)
+			rows++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row-out")
+}
+
+// TestAppendSessionSchemaFitsTheCells: a plan that appends chunk results
+// and runs a merge statement over them types the session table from the
+// cells the absorbed batches hold, not from what any one stream declares —
+// a declaration can be a guess (DOUBLE, from a chunk that had no row to
+// guess from), and a table converts what it is given.
+func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
+	plan := planFor(t, "SELECT objectId, ra_PS, decl_PS FROM Object ORDER BY ra_PS", false)
+	if plan.Streamable() {
+		t.Fatal("an ORDER BY statement planned as pass-through")
+	}
+	stream := func(types []sqlparse.ColType, rows ...sqlengine.Row) []byte {
+		return []byte(dump.Dump("r", &sqlengine.Result{Cols: []string{"objectId", "ra_PS", "decl_PS"}, Types: types, Rows: rows}))
+	}
+	guessed := []sqlparse.ColType{sqlparse.TypeFloat, sqlparse.TypeFloat, sqlparse.TypeFloat}
+	typed := []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeFloat}
+	const big = int64(1<<53 + 1) // not a float64
+	s := newMergeSession(plan, 2)
+	for _, data := range [][]byte{
+		stream(guessed), // arrives first: its names and types head the session
+		stream(typed, sqlengine.Row{big, 1.5, nil}),
+		stream(guessed, sqlengine.Row{int64(2), int64(3), nil}), // integers under a DOUBLE heading
+	} {
+		if _, _, err := s.absorb(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema, batches, rows := s.finish()
+	if rows != nil || len(batches) != 2 {
+		t.Fatalf("an append plan finished with %d batches and %d boxed rows", len(batches), len(rows))
+	}
+	want := []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeFloat} // all integers; both; no value
+	for i, col := range schema {
+		if col.Type != want[i] {
+			t.Errorf("column %s typed %v, want %v", col.Name, col.Type, want[i])
+		}
+	}
+	tbl := sqlengine.NewTable("result", schema)
+	app := tbl.Appender()
+	for _, b := range batches {
+		if err := b.Decode(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app.Commit()
+	if got := tbl.Row(0); got[0] != big || got[1] != 1.5 || got[2] != nil {
+		t.Errorf("first row in the session table: %v", got)
+	}
+	if got := tbl.Row(1); got[0] != int64(2) || got[1] != 3.0 {
+		t.Errorf("second row in the session table: %v", got)
+	}
+}
+
+// TestRowStreamHandsOutPrivateRows: the stream holds bytes; every reader
+// that asks for rows gets its own, and NextEncoded the shared bytes.
+func TestRowStreamHandsOutPrivateRows(t *testing.T) {
+	q, feed := NewQueryHandle(1, "fed", 0)
+	feed.SetColumns("id", "name")
+	feed.Push(sqlengine.Row{int64(1), "a"}, sqlengine.Row{int64(2), nil})
+	feed.Push(sqlengine.Row{int64(3), "c"})
+	feed.Finish(&sqlengine.Result{Cols: []string{"id", "name"}}, nil)
+
+	first, second := q.Rows(), q.Rows()
+	row, ok := first.Next()
+	if !ok || row[0] != int64(1) || row[1] != "a" {
+		t.Fatalf("first row = %v, %v", row, ok)
+	}
+	row[0], row[1] = "scribbled", "over"
+	var ids []sqlengine.Value
+	for row, ok := second.Next(); ok; row, ok = second.Next() {
+		ids = append(ids, row[0])
+	}
+	if len(ids) != 3 || ids[0] != int64(1) || ids[2] != int64(3) {
+		t.Errorf("a second iterator read ids %v after the first wrote to its row", ids)
+	}
+	enc, ok := first.NextEncoded()
+	if want, _ := rowcodec.AppendRow(nil, sqlengine.Row{int64(2), nil}); !ok || string(enc) != string(want) {
+		t.Errorf("second row encoded = %x, %v; want %x", enc, ok, want)
+	}
+	if !first.Ready() {
+		t.Error("a finished stream is not Ready")
+	}
+	if row, ok := first.Next(); !ok || row[0] != int64(3) {
+		t.Errorf("third row = %v, %v", row, ok)
+	}
+	if _, ok := first.Next(); ok || first.Err() != nil {
+		t.Errorf("after the last row: ok %v, err %v", ok, first.Err())
+	}
+
+	// A fed session may finish with no result at all.
+	none, noneFeed := NewQueryHandle(3, "fed", 0)
+	noneFeed.Finish(nil, nil)
+	if res, err := none.Wait(context.Background()); err != nil || res == nil || res.Result != nil {
+		t.Errorf("a session finished without a result: Wait returns %+v, %v", res, err)
+	}
+
+	// A value the codec has no encoding for fails the session where it
+	// enters the stream.
+	bad, badFeed := NewQueryHandle(2, "fed", 0)
+	badFeed.Push(sqlengine.Row{struct{}{}})
+	badFeed.Finish(&sqlengine.Result{}, nil)
+	if _, err := bad.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "unsupported value type") {
+		t.Errorf("pushing a value with no encoding: Wait returns %v", err)
+	}
+}

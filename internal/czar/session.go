@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
@@ -103,6 +104,9 @@ type Query struct {
 	colsReady chan struct{}
 
 	stream *rowStream
+	// boxOnce guards the one boxing of a result whose rows stayed encoded
+	// (see Wait).
+	boxOnce sync.Once
 
 	// root is the query's trace span tree (nil when untraced); explain
 	// marks an EXPLAIN ANALYZE run (tracing forced, row streaming
@@ -130,8 +134,25 @@ func (q *Query) Started() time.Time { return q.started }
 
 // Wait blocks until the query finishes, the query is canceled, or the
 // passed context is done — whichever is first. The passed context only
-// bounds the wait: abandoning a Wait does not kill the query.
+// bounds the wait: abandoning a Wait does not kill the query. The rows of
+// an answer that travelled encoded — a streamed plan's, a cache hit's —
+// are boxed here, once, by the first Wait that returns them; a caller that
+// reads the rows from Rows() and wants only the outcome calls Outcome.
 func (q *Query) Wait(ctx context.Context) (*QueryResult, error) {
+	res, err := q.Outcome(ctx)
+	if res != nil {
+		q.boxOnce.Do(res.box)
+	}
+	return res, err
+}
+
+// Outcome is Wait without the rows: it blocks the same way and returns the
+// same result, but leaves rows that travelled encoded as they are, so
+// Result.Rows is only set if the answer was made boxed or a Wait has boxed
+// it. It is for the caller that took the rows from the Rows() iterator —
+// the frontend, which forwards them as bytes and needs the terminal error
+// and the accounting.
+func (q *Query) Outcome(ctx context.Context) (*QueryResult, error) {
 	select {
 	case <-q.done:
 		return q.res, q.err
@@ -176,15 +197,24 @@ func (q *Query) Rows() *RowIter { return &RowIter{q: q} }
 // drain-then-check-Err can never read a failed query as a clean empty
 // one.
 func (q *Query) finish(res *QueryResult, err error) {
-	q.res, q.err = res, err
 	if err == nil && res != nil && res.Result != nil {
 		// Local queries (and fed handles) learn their columns only here;
 		// distributed ones already published them at plan time (no-op).
 		q.setColumns(res.Cols)
+		switch {
+		case q.stream.streamed():
+		case res.batches != nil:
+			q.stream.push(res.batches...)
+		default:
+			// An answer made boxed (a czar-local statement's, a fed
+			// handle's) enters the stream encoded, like every other.
+			err = q.stream.pushRows(res.Rows)
+		}
 	}
-	if err == nil && res != nil && res.Result != nil && !q.stream.streamed() {
-		q.stream.push(res.Rows)
+	if err != nil {
+		res = nil
 	}
+	q.res, q.err = res, err
 	close(q.done)
 	q.stream.close()
 }
@@ -192,15 +222,17 @@ func (q *Query) finish(res *QueryResult, err error) {
 // ---------- streaming rows ----------
 
 // rowStream is the pipe between the merge pipeline and RowIters: an
-// appendable row log plus a completion flag. Producers never block —
-// a slow (or absent) iterator must not stall chunk dispatch — and
-// every iterator replays the log from its own position.
+// appendable log of encoded row batches plus a completion flag. It has
+// the one representation whatever fed it — a chunk result's rows as the
+// worker wrote them, a cache hit's batches, or boxed rows (a fed handle's,
+// a merge statement's answer), which are encoded as they enter. Producers
+// never block — a slow (or absent) iterator must not stall chunk dispatch
+// — and every iterator replays the log from its own position.
 type rowStream struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	rows   []sqlengine.Row
-	pushed bool
-	done   bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	batches []rowcodec.Batch
+	done    bool
 }
 
 func newRowStream() *rowStream {
@@ -209,21 +241,36 @@ func newRowStream() *rowStream {
 	return s
 }
 
-func (s *rowStream) push(rows []sqlengine.Row) {
-	if len(rows) == 0 {
-		return
-	}
+// push appends batches, which must not be written to afterwards.
+func (s *rowStream) push(batches ...rowcodec.Batch) {
 	s.mu.Lock()
-	s.pushed = true
-	s.rows = append(s.rows, rows...)
+	for _, b := range batches {
+		if b.Len() > 0 {
+			s.batches = append(s.batches, b)
+		}
+	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
+}
+
+// pushRows encodes rows into a batch and appends it. A value that has no
+// encoding is an error, and nothing is appended.
+func (s *rowStream) pushRows(rows []sqlengine.Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	b, err := rowcodec.EncodeBatch(rows)
+	if err != nil {
+		return err
+	}
+	s.push(b)
+	return nil
 }
 
 func (s *rowStream) streamed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pushed
+	return len(s.batches) > 0
 }
 
 func (s *rowStream) close() {
@@ -233,46 +280,69 @@ func (s *rowStream) close() {
 	s.cond.Broadcast()
 }
 
-// next blocks until a row is available at pos or the stream closed.
-func (s *rowStream) next(pos int) (sqlengine.Row, bool) {
+// next blocks until batch i exists or the stream closed.
+func (s *rowStream) next(i int) (rowcodec.Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for pos >= len(s.rows) && !s.done {
+	for i >= len(s.batches) && !s.done {
 		s.cond.Wait()
 	}
-	if pos < len(s.rows) {
-		return s.rows[pos], true
+	if i < len(s.batches) {
+		return s.batches[i], true
 	}
-	return nil, false
+	return rowcodec.Batch{}, false
 }
 
-// ready reports whether next(pos) would return without blocking.
-func (s *rowStream) ready(pos int) bool {
+// ready reports whether next(i) would return without blocking.
+func (s *rowStream) ready(i int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return pos < len(s.rows) || s.done
+	return i < len(s.batches) || s.done
 }
 
-// RowIter iterates a query's streamed result rows.
+// RowIter iterates a query's streamed result rows. It takes the stream a
+// batch at a time, so the rows of a batch cost no lock.
 type RowIter struct {
-	q   *Query
-	pos int
+	q     *Query
+	next  int             // the stream's next batch
+	cur   rowcodec.Batch  // the batch being read
+	row   int             // its next row
+	boxed []sqlengine.Row // cur's rows boxed, once Next was asked for one
 }
 
 // Ready reports whether Next would return without blocking — a row is
 // already buffered, or the stream has ended. Streaming writers use it
 // to flush buffered output before parking on a slow producer.
-func (it *RowIter) Ready() bool { return it.q.stream.ready(it.pos) }
+func (it *RowIter) Ready() bool { return it.row < it.cur.Len() || it.q.stream.ready(it.next) }
 
-// Next returns the next result row, blocking until one arrives; ok is
-// false once the query finished (or failed) and every streamed row has
-// been consumed. Check Err after the final Next.
-func (it *RowIter) Next() (sqlengine.Row, bool) {
-	row, ok := it.q.stream.next(it.pos)
-	if ok {
-		it.pos++
+// NextEncoded returns the next result row in the rowcodec encoding — the
+// bytes a worker wrote for a pass-through row — blocking until one
+// arrives; ok is false once the query finished (or failed) and every
+// streamed row has been consumed. Check Err after the final call. The
+// bytes are shared with every other reader of the stream: they are not to
+// be written to.
+func (it *RowIter) NextEncoded() (row []byte, ok bool) {
+	for it.row >= it.cur.Len() {
+		if it.cur, ok = it.q.stream.next(it.next); !ok {
+			return nil, false
+		}
+		it.next++
+		it.row, it.boxed = 0, nil
 	}
-	return row, ok
+	it.row++
+	return it.cur.Row(it.row - 1), true
+}
+
+// Next is NextEncoded with the row boxed, a batch at a time: the row is
+// the caller's own, shared with no other iterator and no Wait.
+func (it *RowIter) Next() (sqlengine.Row, bool) {
+	if _, ok := it.NextEncoded(); !ok {
+		return nil, false
+	}
+	if it.boxed == nil {
+		it.boxed = it.cur.Box(nil)
+	}
+	return it.boxed[it.row-1], true
 }
 
 // Err returns the query's terminal error once it finished; nil while

@@ -82,7 +82,7 @@ func (c *Czar) SetTelemetry(t Telemetry) {
 	reg.CounterFunc("qserv_qcache_evictions_total", "result cache evictions", cacheVal(func(s cacheStatsView) int64 { return s.Evictions }))
 	reg.CounterFunc("qserv_qcache_invalidations_total", "result cache invalidations", cacheVal(func(s cacheStatsView) int64 { return s.Invalidations }))
 	reg.GaugeFunc("qserv_qcache_entries", "result cache entries", cacheVal(func(s cacheStatsView) int64 { return s.Entries }))
-	reg.GaugeFunc("qserv_qcache_bytes", "result cache resident bytes", cacheVal(func(s cacheStatsView) int64 { return s.Bytes }))
+	reg.GaugeFunc("qserv_qcache_bytes", "result cache resident bytes: what the encoded row batches of the czar's entries hold, an estimate only for entries given as boxed rows", cacheVal(func(s cacheStatsView) int64 { return s.Bytes }))
 }
 
 // cacheStatsView decouples the sampling funcs from qcache.Stats field
@@ -178,9 +178,11 @@ func explainResult(q *Query, res *QueryResult) *QueryResult {
 	for _, ln := range lines {
 		rows = append(rows, sqlengine.Row{ln})
 	}
+	res.box()
 	out := *res
 	out.Underlying = res.Result
 	out.Result = &sqlengine.Result{Cols: explainColumns, Rows: rows}
+	out.batches = nil
 	out.Explain = true
 	return &out
 }
@@ -206,7 +208,7 @@ func (c *Czar) traceFinish(q *Query, res *QueryResult, err error) {
 		if res.Retries > 0 {
 			root.SetAttr("retries", res.Retries)
 		}
-		root.SetAttr("rows", len(res.Rows))
+		root.SetAttr("rows", res.numRows())
 	}
 	errText := ""
 	if err != nil {
@@ -220,7 +222,7 @@ func (c *Czar) traceFinish(q *Query, res *QueryResult, err error) {
 		kv := []any{"id", q.id, "elapsed", root.Duration().Round(time.Microsecond),
 			"threshold", t, "sql", q.sql}
 		if res != nil {
-			kv = append(kv, "chunks", res.ChunksDispatched, "rows", len(res.Rows),
+			kv = append(kv, "chunks", res.ChunksDispatched, "rows", res.numRows(),
 				"bytes", res.ResultBytes, "cache_hit", res.CacheHit)
 		}
 		if errText != "" {

@@ -1,12 +1,14 @@
 package dump
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 )
@@ -203,17 +205,126 @@ func TestDecodeRejectsHostileStreams(t *testing.T) {
 	}
 }
 
+// walkSeeds are streams around the lines the czar's checking walk draws:
+// ones whose cells all have their column's type, ones that hold another
+// type (forwarded all the same, where Decode converts), ones that are not
+// a stream, and ones written as no encoder here writes them.
+func walkSeeds() map[string]string {
+	uv := func(v uint64) string { return string(binary.AppendUvarint(nil, v)) }
+	stream := func(types string, nrows int, rows ...string) string {
+		s := streamMagic + uv(1) + "t" + uv(uint64(len(types)))
+		for i := range types {
+			s += uv(1) + string(rune('a'+i)) + types[i:i+1]
+		}
+		return s + uv(uint64(nrows)) + strings.Join(rows, "")
+	}
+	i7, f7 := "i\x00\x00\x00\x00\x00\x00\x00\x07", "f\x40\x1c\x00\x00\x00\x00\x00\x00"
+	return map[string]string{
+		"typed":                  stream("ifs", 2, "\x03"+i7+f7+"s\x01x", "\x03nnn"),
+		"int in DOUBLE column":   stream("f", 2, "\x01"+f7, "\x01"+i7),
+		"string in BIGINT":       stream("i", 2, "\x01"+i7, "\x01s\x0212"),
+		"unparsable in BIGINT":   stream("i", 1, "\x01s\x02ab"),
+		"float in VARCHAR":       stream("s", 1, "\x01"+f7),
+		"NULL-only column":       stream("if", 2, "\x02"+i7+"n", "\x02nn"),
+		"zero rows":              stream("ifs", 0),
+		"zero columns":           stream("", 2, "\x00", "\x00"),
+		"short row":              stream("if", 1, "\x01"+i7),
+		"long row":               stream("i", 1, "\x02"+i7+i7),
+		"trailing bytes":         stream("i", 1, "\x01"+i7, "n"),
+		"row count beyond bytes": stream("i", 3, "\x01"+i7),
+		"padded width varint":    stream("i", 1, "\x81\x00"+i7),
+		"padded string length":   stream("s", 1, "\x01s\x81\x00x"),
+	}
+}
+
+// TestEncodedAgreesWithDecode runs the fuzz property over the seeds, and
+// pins what the walk makes of each.
+func TestEncodedAgreesWithDecode(t *testing.T) {
+	want := map[string]string{
+		"typed": "typed", "NULL-only column": "typed", "zero rows": "typed", "zero columns": "typed",
+		"int in DOUBLE column": "mixed", "string in BIGINT": "mixed", "unparsable in BIGINT": "mixed", "float in VARCHAR": "mixed",
+		"short row": "rejected", "long row": "rejected", "trailing bytes": "rejected", "row count beyond bytes": "rejected",
+		// Decode reads these; the walk forwards bytes and holds them to the
+		// one encoding.
+		"padded width varint": "rejected", "padded string length": "rejected",
+	}
+	for name, s := range walkSeeds() {
+		if got := checkWalk(t, []byte(s)); got != want[name] {
+			t.Errorf("%s: the walk finds the stream %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// checkWalk holds the czar's checking walk (Open, Stream.Encoded), which
+// forwards rows without decoding them, to the decoders it stands in for.
+// No check got weaker: it accepts no stream Decode rejects. And the bytes
+// it forwards are the rows: each is, byte for byte, what rowcodec writes
+// for the row rowcodec reads there, and that row, its values converted to
+// the declared column types, is Decode's — so where every cell has its
+// column's type ("typed"), forwarding the bytes and re-encoding Decode's
+// rows give a client the same frames. It reports what the walk made of
+// the stream.
+func checkWalk(t *testing.T, data []byte) string {
+	t.Helper()
+	dec, decErr := Decode(string(data))
+	st, err := Open(data)
+	if err != nil {
+		return "rejected"
+	}
+	b, kinds, err := st.Encoded()
+	if err != nil {
+		return "rejected"
+	}
+	if decErr != nil {
+		t.Fatalf("the walk accepts a stream Decode rejects: %v", decErr)
+	}
+	if b.Len() != len(dec.Rows) || len(kinds) != len(dec.Schema) {
+		t.Fatalf("the walk found %d rows x %d columns, Decode %d x %d", b.Len(), len(kinds), len(dec.Rows), len(dec.Schema))
+	}
+	found := "typed"
+	for j, k := range kinds {
+		if k&^map[sqlparse.ColType]rowcodec.Kinds{sqlparse.TypeInt: rowcodec.HasInt, sqlparse.TypeFloat: rowcodec.HasFloat,
+			sqlparse.TypeString: rowcodec.HasString}[dec.Schema[j].Type] != 0 {
+			found = "mixed"
+		}
+	}
+	// same is == with a NaN equal to itself.
+	same := func(a, b sqlengine.Value) bool { return a == b || (a != a && b != b) }
+	for i, want := range dec.Rows {
+		row, next, err := rowcodec.DecodeRow(b.Row(i), 0)
+		if err != nil || next != len(b.Row(i)) {
+			t.Fatalf("forwarded row %d does not decode whole: %v", i, err)
+		}
+		enc, err := rowcodec.AppendRow(nil, row)
+		if err != nil || !bytes.Equal(enc, b.Row(i)) {
+			t.Fatalf("row %d is forwarded as %x, its values %v encode as %x (%v)", i, b.Row(i), row, enc, err)
+		}
+		for j, v := range row {
+			if conv := coerceValue(v, dec.Schema[j].Type); !same(conv, want[j]) || (found == "typed" && !same(v, want[j])) {
+				t.Fatalf("row %d column %d is forwarded as %#v, Decode returns %#v", i, j, v, want[j])
+			}
+		}
+	}
+	return found
+}
+
 // FuzzResultDecode holds the czar-side decoder to reject-or-round-trip
 // over bytes a worker (or anything on the fabric claiming to be one)
 // controls: no panic, no more rows than input bytes, and an accepted
-// stream re-dumps to one that decodes to the same shape.
+// stream re-dumps to one that decodes to the same shape. The walk that
+// forwards a stream without decoding it is held to the decoder
+// (checkWalk).
 func FuzzResultDecode(f *testing.F) {
 	f.Add([]byte(Dump("r_abc", query(f, sourceEngine(f), "SELECT * FROM r"))))
 	f.Add([]byte(Dump("empty", &sqlengine.Result{})))
 	for _, s := range hostileStreams(f) {
 		f.Add([]byte(s))
 	}
+	for _, s := range walkSeeds() {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWalk(t, data)
 		dec, err := Decode(string(data))
 		if err != nil {
 			return

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -154,7 +153,7 @@ type Stream struct {
 	c         *Client
 	ctx       context.Context
 	cols      []string
-	box       rowcodec.Boxer // the row decoder's sink
+	box       sqlengine.Boxer // the row decoder's sink
 	stopWatch func()
 
 	done  bool

@@ -283,7 +283,6 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 	sendErr := func(err error) bool {
 		return writeFrame(w, append([]byte{tagErr}, err.Error()...)) == nil && w.Flush() == nil
 	}
-	var frame []byte // row-frame scratch, reused across rows
 
 	// Admin commands are cheap introspection; they bypass admission so
 	// an operator can still see a saturated frontend.
@@ -294,6 +293,7 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 		if writeFrame(w, encodeCols(cols)) != nil {
 			return false
 		}
+		var frame []byte // row-frame scratch, reused across rows
 		for _, row := range rows {
 			if frame, err = appendRowFrame(frame[:0], row); err != nil {
 				return sendErr(err)
@@ -329,26 +329,27 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 	// Stream rows as the merge pipeline produces them, flushing only
 	// before parking on a slow producer — first-row latency tracks the
 	// first chunk's merge, not the scan's completion, without a syscall
-	// per row when rows are already buffered.
+	// per row when rows are already buffered. The stream hands each row
+	// over encoded, and a row frame's body is that encoding: a
+	// pass-through row leaves as the bytes its worker wrote.
 	var rows int64
 	it := q.Rows()
 	for {
 		if !it.Ready() && w.Flush() != nil {
 			return false
 		}
-		row, ok := it.Next()
+		row, ok := it.NextEncoded()
 		if !ok {
 			break
 		}
-		if frame, err = appendRowFrame(frame[:0], row); err != nil {
-			return sendErr(err)
-		}
-		if writeFrame(w, frame) != nil {
+		if writeRowFrame(w, row) != nil {
 			return false
 		}
 		rows++
 	}
-	res, err := q.Wait(context.Background())
+	// The rows are gone; Outcome reports how the query ended without
+	// boxing them for a Wait nobody reads.
+	res, err := q.Outcome(context.Background())
 	if err != nil {
 		// Mid-stream failure (worker died, query killed, client quota
 		// deadline): the error frame is legal after any number of row

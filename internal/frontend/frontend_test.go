@@ -1069,3 +1069,56 @@ func TestShowWorkersWithoutMembership(t *testing.T) {
 		t.Fatalf("SHOW WORKERS without membership: %v", err)
 	}
 }
+
+// cannedBackend answers "n" with the first n of its rows, synchronously:
+// what a session costs is then the frontend's, and repeats exactly.
+type cannedBackend struct {
+	fakeBackend
+	rows []sqlengine.Row
+}
+
+func (b *cannedBackend) Submit(_ context.Context, sql string, _ czar.Options) (*czar.Query, error) {
+	var n int
+	if _, err := fmt.Sscan(sql, &n); err != nil {
+		return nil, err
+	}
+	q, feed := czar.NewQueryHandle(1, sql, core.Interactive)
+	feed.SetColumns("id", "x", "name")
+	feed.Push(b.rows[:n]...)
+	feed.Finish(&sqlengine.Result{Cols: []string{"id", "x", "name"}}, nil)
+	return q, nil
+}
+
+// TestRowLoopAllocBudget: a session's row loop forwards each row as the
+// bytes the stream holds — length prefix, tag, row — and allocates nothing
+// for it: twice the rows, the same allocations.
+func TestRowLoopAllocBudget(t *testing.T) {
+	b := &cannedBackend{rows: make([]sqlengine.Row, 4000)}
+	for i := range b.rows {
+		b.rows[i] = sqlengine.Row{int64(i), float64(i) / 3, fmt.Sprint("row ", i)}
+	}
+	s := &Server{backends: []Backend{b}, adm: newAdmission(0, 0, 0)}
+	var kill atomic.Pointer[context.CancelCauseFunc]
+	var out countingWriter
+	w := bufio.NewWriter(&out)
+	session := func(rows int) float64 {
+		sql := fmt.Sprint(rows)
+		return testing.AllocsPerRun(10, func() {
+			if !s.runV2Query(context.Background(), w, "u", sql, &kill) {
+				t.Fatal("session failed")
+			}
+		})
+	}
+	few, many := session(2000), session(4000)
+	if few != many {
+		t.Errorf("%.0f allocations to stream 2000 rows, %.0f for 4000: the row loop allocates per row", few, many)
+	}
+	if out.bytes < 4000 {
+		t.Fatalf("%d bytes written: the rows did not stream", out.bytes)
+	}
+}
+
+// countingWriter discards, and counts the bytes.
+type countingWriter struct{ bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) { w.bytes += len(p); return len(p), nil }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -111,7 +110,7 @@ func FuzzRowDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0x7f, 'i'}, uint8(1))             // width exceeds frame
 	f.Add([]byte{1, 'z'}, uint8(1))                            // bad cell tag inside a row
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
-		var box rowcodec.Boxer
+		var box sqlengine.Boxer
 		row, err := decodeRow(data, int(ncols), &box)
 		if err != nil {
 			return

@@ -174,12 +174,35 @@ func appendRowFrame(dst []byte, row []sqlengine.Value) ([]byte, error) {
 	return rowcodec.AppendRow(append(dst, tagRow), row)
 }
 
+// writeRowFrame writes the frame of a row that is already encoded: length
+// prefix, tag, the row's bytes. Nothing is assembled and nothing
+// allocated: the five bytes ahead of the row are built in the writer's own
+// buffer.
+func writeRowFrame(w *bufio.Writer, row []byte) error {
+	const head = 4 + 1 // length prefix, tag
+	n := len(row) + 1
+	if n > maxFrame {
+		return fmt.Errorf("frontend: frame of %d bytes exceeds limit", n)
+	}
+	if w.Available() < head {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(n))
+	if _, err := w.Write(append(hdr, tagRow)); err != nil {
+		return err
+	}
+	_, err := w.Write(row)
+	return err
+}
+
 // decodeRow parses a row frame body (tag already stripped): exactly one
 // row, of the ncols values the preceding column header declared — a
 // row frame of the wrong width is an error, not a short row. box is the
 // stream's decoder sink, reused frame after frame; the row returned is
 // the caller's.
-func decodeRow(b []byte, ncols int, box *rowcodec.Boxer) ([]sqlengine.Value, error) {
+func decodeRow(b []byte, ncols int, box *sqlengine.Boxer) ([]sqlengine.Value, error) {
 	box.Rows = box.Rows[:0]
 	next, err := rowcodec.Decode(b, 0, box)
 	if err != nil {

@@ -70,7 +70,7 @@ func EncodeBatch(b Batch) ([]byte, error) {
 
 // DecodeBatch parses an encoded batch into boxed rows.
 func DecodeBatch(data []byte) (Batch, error) {
-	var box rowcodec.Boxer
+	var box sqlengine.Boxer
 	nRows, err := DecodeBatchInto(data, &box, &box)
 	if err != nil {
 		return Batch{}, err

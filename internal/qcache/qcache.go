@@ -12,21 +12,32 @@
 // membership (AddWorker/RemoveWorker), and ingest can therefore never
 // serve stale rows, without any explicit invalidation hook. Entries
 // are byte-budgeted with LRU eviction.
+//
+// An entry holds what the czar's row stream holds: the answer's rows as
+// encoded batches (rowcodec.Batch), pointer-free bytes the collector
+// never walks, charged what they hold. A hit replays them into the next
+// session's stream, so every reader boxes rows of its own.
 package qcache
 
 import (
 	"container/list"
 	"sync"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 )
 
-// Result is one cached final answer.
+// Result is one cached final answer. Its rows are in one of two forms, the
+// one the entry was given: encoded Batches — what the czar stores, the very
+// bytes its row stream holds, so a hit replays them into the next stream
+// and every reader boxes rows of its own — or boxed Rows, which readers
+// share.
 type Result struct {
-	Cols  []string
-	Types []sqlparse.ColType
-	Rows  []sqlengine.Row
+	Cols    []string
+	Types   []sqlparse.ColType
+	Rows    []sqlengine.Row
+	Batches []rowcodec.Batch
 }
 
 // Stats is a point-in-time snapshot of the cache's counters.
@@ -106,9 +117,9 @@ func (c *Cache) Get(key string, epoch int64, gens string) (Result, bool) {
 
 // Put stores a result computed against the given stamps, evicting LRU
 // entries until it fits. Results larger than the whole budget are not
-// cached. Rows are stored by reference; callers must treat cached rows
-// as immutable (the czar's result rows already are — they are shared
-// with streaming iterators).
+// cached. Rows and batches are stored by reference; callers must treat
+// them as immutable (a batch already is — the czar's row streams share
+// it).
 func (c *Cache) Put(key string, epoch int64, gens string, res Result) {
 	size := estimateBytes(res)
 	c.mu.Lock()
@@ -159,10 +170,11 @@ func (c *Cache) removeLocked(e *entry) {
 	c.bytes -= e.bytes
 }
 
-// estimateBytes sizes a result for the byte budget: 16 bytes per
-// numeric value, string length + header for strings, plus a small
-// per-row and per-entry overhead. An estimate is enough — the budget
-// bounds memory order-of-magnitude, not exactly.
+// estimateBytes sizes a result for the byte budget. Encoded batches are
+// charged what they hold. Boxed rows are estimated: 16 bytes per numeric
+// value, string length + header for strings, plus a small per-row and
+// per-entry overhead — enough for a budget that bounds memory by order of
+// magnitude.
 func estimateBytes(res Result) int64 {
 	const (
 		entryOverhead = 256
@@ -172,6 +184,9 @@ func estimateBytes(res Result) int64 {
 	size := int64(entryOverhead)
 	for _, col := range res.Cols {
 		size += int64(len(col)) + scalarBytes
+	}
+	for _, b := range res.Batches {
+		size += b.Size()
 	}
 	for _, row := range res.Rows {
 		size += rowOverhead

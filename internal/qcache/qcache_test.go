@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -91,6 +92,30 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	}
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("bytes %d exceed budget %d", st.Bytes, st.MaxBytes)
+	}
+}
+
+// TestEncodedEntryChargedItsBytes: an entry given as encoded batches —
+// the form the czar stores — comes back as those batches and costs what
+// they hold, however many cells that is.
+func TestEncodedEntryChargedItsBytes(t *testing.T) {
+	boxed := smallResult(100)
+	batch, err := rowcodec.EncodeBatch(boxed.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(1 << 20)
+	c.Put("k", 1, "", Result{Cols: boxed.Cols, Batches: []rowcodec.Batch{batch}})
+	res, ok := c.Get("k", 1, "")
+	if !ok || res.Rows != nil || len(res.Batches) != 1 || res.Batches[0].Len() != 100 {
+		t.Fatalf("hit = %v: %d boxed rows, %d batches", ok, len(res.Rows), len(res.Batches))
+	}
+	empty := estimateBytes(Result{Cols: boxed.Cols})
+	if got, want := c.Stats().Bytes, empty+batch.Size(); got != want {
+		t.Errorf("entry charged %d bytes, its batch holds %d beside %d of overhead", got, batch.Size(), empty)
+	}
+	if c.Stats().Bytes >= estimateBytes(boxed) {
+		t.Errorf("100 encoded rows charged %d bytes, boxed they are estimated at %d", c.Stats().Bytes, estimateBytes(boxed))
 	}
 }
 

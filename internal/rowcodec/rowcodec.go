@@ -15,18 +15,29 @@
 // protocol's row frame). The bytes are the ones the ingest batch has
 // always written, so stored segments never need rewriting.
 //
-// There is one decoder, Decode, and it is a visitor: it hands each cell
-// to a Sink as the type the bytes hold. A table's sqlengine.Appender is a
-// Sink that writes cells straight into column slices; Boxer is the Sink
-// that builds boxed sqlengine.Rows, for the users that want rows.
+// Both directions go through one cell visitor, sqlengine.Sink (Sink here).
+// There is one decoder, Decode: it hands each cell to a Sink as the type
+// the bytes hold — a table's sqlengine.Appender writes them straight into
+// column slices, sqlengine.Boxer builds boxed rows for the users that want
+// rows. And each kind of cell is encoded in one place, by Encoder, the
+// Sink that writes the bytes — a worker's SELECT writes its result cells
+// into one from the column slices — and by AppendRow, for a boxed row.
+//
+// Rows that stay encoded travel as a Batch: the bytes and where each row
+// ends. ScanBatch makes one from untrusted bytes by checking them without
+// opening them; the czar's result stream, its result cache and the
+// frontend's row frames hand the same bytes on.
 package rowcodec
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
 )
 
 // Value tag bytes.
@@ -49,41 +60,66 @@ func RowSize(r sqlengine.Row) int {
 	return size
 }
 
+// Sink receives the cells of rows, decoded or about to be encoded; see
+// sqlengine.Sink.
+type Sink = sqlengine.Sink
+
+// The encoding of a row's width and of each kind of cell. Encoder and
+// AppendRow are the two callers: a Sink for cells that arrive one by one,
+// a loop for a row that arrives boxed.
+func appendWidth(buf []byte, ncols int) []byte { return binary.AppendUvarint(buf, uint64(ncols)) }
+func appendNull(buf []byte) []byte             { return append(buf, tagNull) }
+
+func appendInt(buf []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(v))
+}
+
+func appendFloat(buf []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(v))
+}
+
+func appendStr[S string | []byte](buf []byte, v S) []byte {
+	buf = binary.AppendUvarint(append(buf, tagString), uint64(len(v)))
+	return append(buf, v...)
+}
+
+// Encoder is the Sink that encodes: each row written to it is appended to
+// Buf. Its methods never fail.
+type Encoder struct {
+	Buf  []byte
+	Rows int // rows begun
+}
+
+func (e *Encoder) BeginRow(ncols int) error {
+	e.Buf = appendWidth(e.Buf, ncols)
+	e.Rows++
+	return nil
+}
+
+func (e *Encoder) Null(col int) error             { e.Buf = appendNull(e.Buf); return nil }
+func (e *Encoder) Int(col int, v int64) error     { e.Buf = appendInt(e.Buf, v); return nil }
+func (e *Encoder) Float(col int, v float64) error { e.Buf = appendFloat(e.Buf, v); return nil }
+func (e *Encoder) Str(col int, v []byte) error    { e.Buf = appendStr(e.Buf, v); return nil }
+
 // AppendRow appends r's encoding to out. A value that is not nil,
 // int64, float64 or string is an error.
 func AppendRow(out []byte, r sqlengine.Row) ([]byte, error) {
-	out = binary.AppendUvarint(out, uint64(len(r)))
+	out = appendWidth(out, len(r))
 	for _, v := range r {
 		switch x := v.(type) {
 		case nil:
-			out = append(out, tagNull)
+			out = appendNull(out)
 		case int64:
-			out = append(out, tagInt)
-			out = binary.BigEndian.AppendUint64(out, uint64(x))
+			out = appendInt(out, x)
 		case float64:
-			out = append(out, tagFloat)
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(x))
+			out = appendFloat(out, x)
 		case string:
-			out = append(out, tagString)
-			out = binary.AppendUvarint(out, uint64(len(x)))
-			out = append(out, x...)
+			out = appendStr(out, x)
 		default:
 			return nil, fmt.Errorf("rowcodec: unsupported value type %T", v)
 		}
 	}
 	return out, nil
-}
-
-// Sink receives the cells of decoded rows: BeginRow announces a row and
-// its width, then one call per cell follows, in column order. An error
-// from the sink stops the decode and is returned by it.
-type Sink interface {
-	BeginRow(ncols int) error
-	Null(col int) error
-	Int(col int, v int64) error
-	Float(col int, v float64) error
-	// Str's v aliases the input; a sink that keeps it copies it.
-	Str(col int, v []byte) error
 }
 
 // Decode parses the row starting at data[pos:] into sink and returns the
@@ -145,32 +181,186 @@ func Decode(data []byte, pos int, sink Sink) (int, error) {
 	return pos, nil
 }
 
-// Boxer is the Sink that boxes: it collects the rows decoded into it as
-// sqlengine.Rows, each a fresh slice. After a failed Decode its last row
-// may be partial.
-type Boxer struct {
-	Rows []sqlengine.Row
-	row  sqlengine.Row // the row being decoded, Rows' last
-}
-
-func (b *Boxer) BeginRow(ncols int) error {
-	b.row = make(sqlengine.Row, ncols)
-	b.Rows = append(b.Rows, b.row)
-	return nil
-}
-
-func (b *Boxer) Null(col int) error             { return nil }
-func (b *Boxer) Int(col int, v int64) error     { b.row[col] = v; return nil }
-func (b *Boxer) Float(col int, v float64) error { b.row[col] = v; return nil }
-func (b *Boxer) Str(col int, v []byte) error    { b.row[col] = string(v); return nil }
-
 // DecodeRow parses the row starting at data[pos:], returning it boxed
 // and the offset of the byte after it.
 func DecodeRow(data []byte, pos int) (sqlengine.Row, int, error) {
-	b := Boxer{Rows: make([]sqlengine.Row, 0, 1)}
+	b := sqlengine.Boxer{Rows: make([]sqlengine.Row, 0, 1)}
 	next, err := Decode(data, pos, &b)
 	if err != nil {
 		return nil, 0, err
 	}
 	return b.Rows[0], next, nil
+}
+
+// Batch is a run of rows that stay encoded: their bytes, and for each row
+// the offset in Data of the byte after it. A Batch is not written to once
+// made, so it can be shared.
+type Batch struct {
+	Data []byte
+	Ends []int
+}
+
+// Len is the number of rows.
+func (b Batch) Len() int { return len(b.Ends) }
+
+// Row returns the encoding of row i.
+func (b Batch) Row(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.Ends[i-1]
+	}
+	return b.Data[start:b.Ends[i]]
+}
+
+// Size is the memory the batch holds.
+func (b Batch) Size() int64 { return int64(len(b.Data)) + 8*int64(len(b.Ends)) }
+
+// Decode writes every row of the batch to sink.
+func (b Batch) Decode(sink Sink) error {
+	for pos := 0; pos < len(b.Data); {
+		next, err := Decode(b.Data, pos, sink)
+		if err != nil {
+			return err
+		}
+		pos = next
+	}
+	return nil
+}
+
+// EncodeBatch encodes rows as a Batch.
+func EncodeBatch(rows []sqlengine.Row) (Batch, error) {
+	size := 0
+	for _, r := range rows {
+		size += RowSize(r)
+	}
+	b := Batch{Data: make([]byte, 0, size), Ends: make([]int, len(rows))}
+	for i, r := range rows {
+		var err error
+		if b.Data, err = AppendRow(b.Data, r); err != nil {
+			return Batch{}, err
+		}
+		b.Ends[i] = len(b.Data)
+	}
+	return b, nil
+}
+
+// Box appends the batch's rows, boxed, to rows. The batch is ScanBatch's
+// or EncodeBatch's, so it decodes: one that does not is a bug, and panics.
+// The rows are cut from one slab of cells, not allocated one by one.
+func (b Batch) Box(rows []sqlengine.Row) []sqlengine.Row {
+	box := slabBoxer{rows: slices.Grow(rows, b.Len()), left: b.Len()}
+	if err := b.Decode(&box); err != nil {
+		panic(fmt.Sprintf("rowcodec: a checked batch does not decode: %v", err))
+	}
+	return box.rows
+}
+
+// slabBoxer is the boxing Sink of Batch.Box: it knows how many rows are
+// coming, and takes the cells of all of them in one allocation sized by
+// the first row's width (again, for what is left, should a later row be
+// wider than the slab has room for).
+type slabBoxer struct {
+	rows []sqlengine.Row
+	slab []sqlengine.Value
+	row  sqlengine.Row
+	left int // rows still to come
+}
+
+func (b *slabBoxer) BeginRow(ncols int) error {
+	if len(b.slab) < ncols {
+		b.slab = make([]sqlengine.Value, ncols*max(b.left, 1))
+	}
+	b.row, b.slab = b.slab[:ncols:ncols], b.slab[ncols:]
+	b.rows = append(b.rows, b.row)
+	b.left--
+	return nil
+}
+
+func (b *slabBoxer) Null(col int) error             { return nil }
+func (b *slabBoxer) Int(col int, v int64) error     { b.row[col] = v; return nil }
+func (b *slabBoxer) Float(col int, v float64) error { b.row[col] = v; return nil }
+func (b *slabBoxer) Str(col int, v []byte) error    { b.row[col] = string(v); return nil }
+
+// Kinds is the set of cell kinds a column held.
+type Kinds uint8
+
+const (
+	HasInt Kinds = 1 << iota
+	HasFloat
+	HasString
+)
+
+// ColType is the narrowest column type that holds every cell of the set
+// unchanged — BIGINT if all are integers, DOUBLE if all are numbers,
+// VARCHAR if any is a string (sqlengine.FitSchema's rule); ok is false for
+// the empty set, which fits any.
+func (k Kinds) ColType() (typ sqlparse.ColType, ok bool) {
+	switch {
+	case k&HasString != 0:
+		return sqlparse.TypeString, true
+	case k&HasFloat != 0:
+		return sqlparse.TypeFloat, true
+	case k&HasInt != 0:
+		return sqlparse.TypeInt, true
+	}
+	return 0, false
+}
+
+// scanner is the Sink that keeps nothing: it checks each row's width,
+// notes which kinds of cell each column holds, and sums what the row's
+// canonical encoding — AppendRow's — would take.
+type scanner struct {
+	kinds []Kinds
+	size  int
+}
+
+func (s *scanner) BeginRow(ncols int) error {
+	if ncols != len(s.kinds) {
+		return fmt.Errorf("row has %d values, schema declares %d", ncols, len(s.kinds))
+	}
+	s.size = uvarintLen(uint64(ncols))
+	return nil
+}
+
+func (s *scanner) Null(col int) error             { s.size++; return nil }
+func (s *scanner) Int(col int, v int64) error     { s.kinds[col] |= HasInt; s.size += 9; return nil }
+func (s *scanner) Float(col int, v float64) error { s.kinds[col] |= HasFloat; s.size += 9; return nil }
+func (s *scanner) Str(col int, v []byte) error {
+	s.kinds[col] |= HasString
+	s.size += 1 + uvarintLen(uint64(len(v))) + len(v)
+	return nil
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// ScanBatch checks nrows rows of ncols cells each at the head of data —
+// untrusted bytes — without keeping a cell: every check Decode makes, each
+// row's width, that nothing follows the last row, and that every row is
+// encoded exactly as AppendRow encodes it (Decode also reads a padded
+// varint, which no encoder here writes; bytes that are handed on unopened
+// are held to the one encoding). It returns the rows as a Batch over data
+// and the kinds of cell each column holds.
+func ScanBatch(data []byte, nrows, ncols int) (Batch, []Kinds, error) {
+	// Every row costs at least its width byte: a caller's count beyond
+	// the bytes present is not allocated for.
+	if nrows < 0 || nrows > len(data) {
+		return Batch{}, nil, fmt.Errorf("%d rows claimed in %d bytes", nrows, len(data))
+	}
+	s := scanner{kinds: make([]Kinds, ncols)}
+	b := Batch{Data: data, Ends: make([]int, nrows)}
+	pos := 0
+	for i := range b.Ends {
+		next, err := Decode(data, pos, &s)
+		if err != nil {
+			return Batch{}, nil, fmt.Errorf("row %d of %d: %w", i, nrows, err)
+		}
+		if next-pos != s.size {
+			return Batch{}, nil, fmt.Errorf("row %d of %d: %d bytes hold what encodes in %d", i, nrows, next-pos, s.size)
+		}
+		pos, b.Ends[i] = next, next
+	}
+	if pos != len(data) {
+		return Batch{}, nil, fmt.Errorf("%d trailing bytes after %d rows", len(data)-pos, nrows)
+	}
+	return b, s.kinds, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sqlengine"
@@ -195,4 +196,90 @@ func FuzzDecodeRow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBatchRoundTrip: rows that stay encoded keep everything a decoder
+// would find — EncodeBatch's offsets are the ones ScanBatch finds in the
+// same bytes, each row's bytes are AppendRow's, and Box returns the rows.
+func TestBatchRoundTrip(t *testing.T) {
+	rows := []sqlengine.Row{
+		{int64(math.MinInt64), math.Copysign(0, -1), "ünï 星", nil},
+		{nil, nil, nil, nil},
+		{int64(7), math.Inf(1), "", int64(1)},
+		{int64(8), math.NaN(), string(bytes.Repeat([]byte("x"), 300)), 2.5},
+	}
+	b, err := EncodeBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned, kinds, err := ScanBatch(b.Data, len(rows), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Kinds{HasInt, HasFloat, HasString, HasInt | HasFloat}; !slices.Equal(kinds, want) || !slices.Equal(scanned.Ends, b.Ends) {
+		t.Errorf("ScanBatch: kinds %v (want %v), ends %v (EncodeBatch: %v)", kinds, want, scanned.Ends, b.Ends)
+	}
+	boxed := b.Box(nil)
+	for i, r := range rows {
+		if enc, _ := AppendRow(nil, r); !bytes.Equal(enc, b.Row(i)) {
+			t.Errorf("row %d is %x in the batch, AppendRow writes %x", i, b.Row(i), enc)
+		}
+		for j := range r {
+			if !sameValue(boxed[i][j], r[j]) {
+				t.Errorf("row %d value %d boxed as %v, want %v", i, j, boxed[i][j], r[j])
+			}
+		}
+	}
+	var enc Encoder
+	if err := b.Decode(&enc); err != nil || !bytes.Equal(enc.Buf, b.Data) || enc.Rows != len(rows) {
+		t.Errorf("decoding the batch into an Encoder: %d rows, %v; the bytes differ: %v", enc.Rows, err, !bytes.Equal(enc.Buf, b.Data))
+	}
+	// Box cuts rows from one slab sized by the first row: rows that differ
+	// in width (a fed session may push any) still come out whole, and a
+	// row's capacity ends where the next begins.
+	ragged := []sqlengine.Row{{int64(1)}, {int64(2), "b", 2.5}, {}, {int64(4), nil}}
+	rb, err := EncodeBatch(ragged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rb.Box(make([]sqlengine.Row, 1))[1:] {
+		if len(r) != len(ragged[i]) || cap(r) != len(r) {
+			t.Fatalf("ragged row %d boxed with len %d cap %d, want %d", i, len(r), cap(r), len(ragged[i]))
+		}
+		for j := range r {
+			if !sameValue(r[j], ragged[i][j]) {
+				t.Errorf("ragged row %d value %d boxed as %v, want %v", i, j, r[j], ragged[i][j])
+			}
+		}
+	}
+	if empty, err := EncodeBatch(nil); err != nil || empty.Len() != 0 || empty.Box(nil) != nil {
+		t.Errorf("empty batch: %+v, %v", empty, err)
+	}
+}
+
+// TestScanBatchRejects: what ScanBatch accepts is handed on unopened, so it
+// is held to every check a decoder makes and to the one encoding.
+func TestScanBatchRejects(t *testing.T) {
+	row, _ := AppendRow(nil, sqlengine.Row{int64(7), "x"})
+	for name, tc := range map[string]struct {
+		data         []byte
+		nrows, ncols int
+	}{
+		"narrower than declared": {row, 1, 3},
+		"wider than declared":    {row, 1, 1},
+		"row count past the end": {row, 2, 2},
+		"huge row count":         {row, 1 << 40, 2},
+		"negative row count":     {row, -1, 2},
+		"trailing bytes":         {append(slices.Clone(row), 'n'), 1, 2},
+		"truncated":              {row[:len(row)-1], 1, 2},
+		"padded width":           {append([]byte{0x82, 0x00}, row[1:]...), 1, 2},
+		"padded string length":   {append(slices.Clone(row[:len(row)-2]), 0x81, 0x00, 'x'), 1, 2},
+	} {
+		if b, _, err := ScanBatch(tc.data, tc.nrows, tc.ncols); err == nil {
+			t.Errorf("%s: accepted as %d rows", name, b.Len())
+		}
+	}
+	if b, _, err := ScanBatch(row, 1, 2); err != nil || b.Len() != 1 {
+		t.Errorf("the row itself: %v", err)
+	}
 }

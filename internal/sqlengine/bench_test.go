@@ -195,9 +195,11 @@ func compileOnly(e *Engine, sel *sqlparse.Select) error {
 // TestScanAllocBudget pins what the single-pass pipeline allocates.
 // testing.AllocsPerRun counts repeat exactly, so these gate in tier-1: a
 // filter that only counts and a GROUP BY allocate per statement, never
-// per row scanned; a pass-through SELECT allocates per row it returns —
-// the row, its share of the result's growth, and one box per number it
-// projects, since columns hold numbers unboxed.
+// per row scanned; a pass-through SELECT whose caller names no sink, and
+// so gets boxed rows, allocates per row it returns — the row, its share of
+// the result's growth, and one box per number it projects, since columns
+// hold numbers unboxed. (Into an encoding sink it allocates nothing per
+// row: TestSinkAllocBudget.)
 func TestScanAllocBudget(t *testing.T) {
 	run := func(e *Engine, sql string) (allocs float64, out int64) {
 		sel := mustParse(t, sql)
@@ -228,7 +230,7 @@ func TestScanAllocBudget(t *testing.T) {
 	}
 	const hv2Cells = 9 // the numeric columns benchHV2 projects
 	if budget := float64((2+hv2Cells)*out + fixed); allocs > budget {
-		t.Errorf("HV2: %.0f allocations for %d output rows (budget %.0f)", allocs, out, budget)
+		t.Errorf("HV2 into the boxing sink: %.0f allocations for %d output rows (budget %.0f)", allocs, out, budget)
 	}
 	sel := mustParse(t, benchLV1)
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -206,6 +206,44 @@ func (n *node) strForm() strFn {
 	return n.str
 }
 
+// operand is a compiled expression in the one form its kind selects,
+// for a consumer that takes every kind: an aggregate's argument, a select
+// item. Only the field of its kind is set; value is the generic form of a
+// kindAny expression.
+type operand struct {
+	kind  kind
+	value valueFn
+	int   intFn
+	float floatFn
+	str   strFn
+}
+
+func (n *node) operand() operand {
+	op := operand{kind: n.kind}
+	switch n.kind {
+	case kindInt:
+		op.int = n.intForm()
+	case kindFloat:
+		op.float = n.floatForm()
+	case kindString:
+		op.str = n.strForm()
+	default:
+		op.value = n.valueForm()
+	}
+	return op
+}
+
+// colType is the column type a typed kind declares.
+func (k kind) colType() sqlparse.ColType {
+	switch k {
+	case kindInt:
+		return sqlparse.TypeInt
+	case kindString:
+		return sqlparse.TypeString
+	}
+	return sqlparse.TypeFloat
+}
+
 // number is what the numeric typed forms carry; ordered adds strings, for
 // the operators that only compare.
 type (
@@ -361,16 +399,22 @@ func (c *compiler) resolve(cr *sqlparse.ColumnRef) (int, int, error) {
 // errNotConst is constValue's answer for an expression that reads a row.
 var errNotConst = errors.New("sqlengine: expression is not constant")
 
-// constValue evaluates an expression that reads no row; one that
+// constNode compiles an expression that reads no row; one that
 // references a column is refused, not run against an empty frame.
-func (c *compiler) constValue(e sqlparse.Expr) (Value, error) {
+func (c *compiler) constNode(e sqlparse.Expr) (node, error) {
 	c.resetRefs()
 	n, err := c.compile(e)
+	if err == nil && c.hi >= 0 {
+		err = errNotConst
+	}
+	return n, err
+}
+
+// constValue evaluates an expression that reads no row.
+func (c *compiler) constValue(e sqlparse.Expr) (Value, error) {
+	n, err := c.constNode(e)
 	if err != nil {
 		return nil, err
-	}
-	if c.hi >= 0 {
-		return nil, errNotConst
 	}
 	if n.isLit {
 		return n.lit, nil
@@ -588,7 +632,7 @@ func (c *compiler) aggSlot(v *sqlparse.FuncCall) (node, error) {
 		if err != nil {
 			return node{}, err
 		}
-		spec.setArg(&arg)
+		spec.arg = arg.operand()
 	case len(v.Args) == 0 && spec.kind == aggCount:
 	default:
 		return node{}, fmt.Errorf("sqlengine: aggregate %s takes one argument", v.Name)

@@ -150,6 +150,11 @@ type ExecOptions struct {
 	// engine through: a killed chunk query stops consuming its executor
 	// slot without waiting for the scan to finish.
 	Interrupt <-chan struct{}
+	// Sink, when set, is where a SELECT writes its result rows, cell by
+	// cell and unboxed wherever the compiler knew a cell's type: the
+	// returned Result then carries columns, types and stats but no Rows.
+	// nil boxes the rows into Result.Rows.
+	Sink Sink
 }
 
 // ExecuteStmtScanned runs one parsed statement; full table scans inside
@@ -162,7 +167,7 @@ func (e *Engine) ExecuteStmtScanned(st sqlparse.Statement, prov ScanProvider) (*
 // ExecuteStmtOpts runs one parsed statement under the given execution
 // hooks. Zero-value options are identical to ExecuteStmt.
 func (e *Engine) ExecuteStmtOpts(st sqlparse.Statement, opts ExecOptions) (*Result, error) {
-	if sel, ok := st.(*sqlparse.Select); ok && (opts.Scan != nil || opts.Interrupt != nil) {
+	if sel, ok := st.(*sqlparse.Select); ok {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		return e.execSelectOpts(sel, opts)

@@ -71,6 +71,7 @@ type selectExec struct {
 	data      []*tableData
 	prov      ScanProvider
 	interrupt <-chan struct{}
+	sink      Sink
 	stats     ExecStats
 	fr        frame
 }
@@ -94,10 +95,11 @@ func (e *Engine) execSelect(sel *sqlparse.Select) (*Result, error) {
 
 func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result, error) {
 	if len(sel.From) == 0 {
-		return e.execSelectNoFrom(sel)
+		res, err := e.execSelectNoFrom(sel)
+		return deliver(res, err, opts.Sink)
 	}
 	if res, ok, err := e.tryCountStar(sel); ok || err != nil {
-		return res, err
+		return deliver(res, err, opts.Sink)
 	}
 	ex, err := e.bind(sel, opts)
 	if err != nil {
@@ -110,15 +112,27 @@ func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result
 	if err := ex.run(plan); err != nil {
 		return nil, err
 	}
-	res, err := plan.out.result(&ex.fr)
+	res, err := plan.out.finish(&ex.fr)
 	if err != nil {
 		return nil, err
 	}
-	ex.stats.RowsOut = int64(len(res.Rows))
-	for _, r := range res.Rows {
-		ex.stats.ResultBytes += rowBytes(r)
-	}
+	ex.stats.RowsOut, ex.stats.ResultBytes = plan.out.nrows, plan.out.nbytes
 	res.Stats = ex.stats
+	return res, nil
+}
+
+// deliver hands a result that was made as rows — the stored row count, a
+// FROM-less select — to the statement's sink, when it names one.
+func deliver(res *Result, err error, sink Sink) (*Result, error) {
+	if err != nil || sink == nil {
+		return res, err
+	}
+	for _, r := range res.Rows {
+		if err := writeRow(sink, r); err != nil {
+			return nil, err
+		}
+	}
+	res.Rows = nil
 	return res, nil
 }
 
@@ -126,7 +140,7 @@ func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result
 func (e *Engine) bind(sel *sqlparse.Select, opts ExecOptions) (*selectExec, error) {
 	n := len(sel.From)
 	ex := &selectExec{
-		eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt,
+		eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt, sink: opts.Sink,
 		bindings: make([]binding, n), tables: make([]*Table, n), data: make([]*tableData, n),
 	}
 	ex.fr.cur = make([]cursor, n)
@@ -182,7 +196,16 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 // execSelectNoFrom evaluates a FROM-less select (constants only).
 func (e *Engine) execSelectNoFrom(sel *sqlparse.Select) (*Result, error) {
 	c := compiler{funcs: e.funcs}
-	res := &Result{Cols: itemNames(sel.Items)}
+	n := len(sel.Items)
+	res := &Result{Cols: itemNames(sel.Items), Types: make([]sqlparse.ColType, n)}
+	items, typed := make([]node, n), make([]bool, n)
+	for i, it := range sel.Items {
+		var err error
+		if items[i], err = c.constNode(it.Expr); err != nil {
+			return nil, err
+		}
+		res.Types[i], typed[i] = items[i].kind.colType(), items[i].kind != kindAny
+	}
 	if sel.Where != nil {
 		v, err := c.constValue(sel.Where)
 		if err != nil {
@@ -192,16 +215,15 @@ func (e *Engine) execSelectNoFrom(sel *sqlparse.Select) (*Result, error) {
 			return res, nil
 		}
 	}
-	row := make(Row, len(sel.Items))
-	for i, it := range sel.Items {
-		v, err := c.constValue(it.Expr)
-		if err != nil {
+	row := make(Row, n)
+	for i := range items {
+		var err error
+		if row[i], err = items[i].valueForm()(new(frame)); err != nil {
 			return nil, err
 		}
-		row[i] = v
 	}
 	res.Rows = []Row{row}
-	res.Types = inferTypes(res)
+	inferTypes(res.Types, typed, res.Rows)
 	res.Stats.RowsOut = 1
 	return res, nil
 }
@@ -736,29 +758,12 @@ const (
 
 // aggSpec is one aggregate call of the statement. Its argument is
 // consumed through the typed form its kind selects, so accumulating a
-// number or a string never boxes it.
+// number or a string never boxes it. COUNT(*) has no argument (the zero
+// operand): every row counts.
 type aggSpec struct {
 	kind     aggKind
 	distinct bool
-	argKind  kind
-	arg      valueFn // argKind == kindAny; nil for COUNT(*): every row counts
-	argInt   intFn
-	argFloat floatFn
-	argStr   strFn
-}
-
-func (s *aggSpec) setArg(n *node) {
-	s.argKind = n.kind
-	switch n.kind {
-	case kindInt:
-		s.argInt = n.intForm()
-	case kindFloat:
-		s.argFloat = n.floatForm()
-	case kindString:
-		s.argStr = n.strForm()
-	default:
-		s.arg = n.valueForm()
-	}
+	arg      operand
 }
 
 // extreme is a running MIN or MAX, in the field the argument's kind
@@ -908,7 +913,7 @@ func (a *aggAcc) result(spec *aggSpec) Value {
 	case a.count == 0:
 		return nil
 	case spec.kind == aggMin || spec.kind == aggMax:
-		return a.ext.box(spec.argKind)
+		return a.ext.box(spec.arg.kind)
 	case spec.kind == aggAvg:
 		return a.sumF / float64(a.count)
 	case a.nonInt:
@@ -926,15 +931,18 @@ type group struct {
 	accs  []aggAcc
 }
 
-// output is where a statement's surviving rows go: straight into result
-// rows, or into per-group accumulators that become result rows when the
-// scan ends.
+// output is where a statement's surviving rows go: each becomes the
+// cells of one result row, or feeds per-group accumulators that become
+// result rows when the scan ends. A result row is written, cell by cell
+// and unboxed where the compiler knew the cell's kind, to a Sink: the
+// statement's own when rows leave in the order they are found, else held,
+// where rows wait for finish to deduplicate, sort and cut them.
 type output struct {
 	sel     *sqlparse.Select
 	schemas []Schema // of each FROM binding
 	cols    []string
-	items   []valueFn
-	order   []valueFn // ORDER BY keys, evaluated beside the items
+	items   []operand
+	order   []operand // ORDER BY keys, evaluated beside the items
 
 	grouped bool // the statement aggregates
 	groupBy []keyFn
@@ -944,18 +952,43 @@ type output struct {
 	key     []byte   // reused GROUP BY key buffer
 	scratch []byte   // reused DISTINCT key buffer
 
-	rows []Row
-	keys [][]Value // ORDER BY key of each row
+	// sink is the statement's: the caller's, or boxed for a caller that
+	// named none, whose rows become Result.Rows. held is set under DISTINCT
+	// or ORDER BY; its rows are the select list followed by the ORDER BY
+	// keys. dst is the one of the two emit writes to.
+	sink, dst Sink
+	boxed     *Boxer
+	held      *Boxer
+	str       []byte // the cell handed to Sink.Str
+
+	// types are the result column types: what the compiler declares for an
+	// item it could type — on every chunk, rows or no rows — and for the
+	// others (typed is false) the type of the first non-NULL cell that
+	// leaves, DOUBLE while there is none.
+	types []sqlparse.ColType
+	typed []bool
+	// nrows and nbytes meter the rows that left: ExecStats.RowsOut and
+	// ResultBytes.
+	nrows, nbytes int64
 }
 
 func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 	sel := ex.sel
 	o := &output{
-		sel: sel, schemas: make([]Schema, len(ex.bindings)),
-		cols: make([]string, 0, len(sel.Items)), items: make([]valueFn, 0, len(sel.Items)),
+		sel: sel, schemas: make([]Schema, len(ex.bindings)), sink: ex.sink,
+		cols: make([]string, 0, len(sel.Items)), items: make([]operand, 0, len(sel.Items)),
 	}
 	for i, b := range ex.bindings {
 		o.schemas[i] = b.schema
+	}
+	if o.sink == nil {
+		o.boxed = &Boxer{}
+		o.sink = o.boxed
+	}
+	o.dst = o.sink
+	if sel.Distinct || len(sel.OrderBy) > 0 {
+		o.held = &Boxer{}
+		o.dst = o.held
 	}
 
 	// Select-list aliases stand for their expressions in GROUP BY and
@@ -992,7 +1025,7 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.items = append(o.items, n.valueForm())
+		o.items = append(o.items, n.operand())
 		o.cols = append(o.cols, itemName(it))
 	}
 	for _, ord := range sel.OrderBy {
@@ -1000,9 +1033,13 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.order = append(o.order, n.valueForm())
+		o.order = append(o.order, n.operand())
 	}
 	c.aggs = nil
+	o.types, o.typed = make([]sqlparse.ColType, len(o.items)), make([]bool, len(o.items))
+	for i, it := range o.items {
+		o.types[i], o.typed[i] = it.kind.colType(), it.kind != kindAny
+	}
 
 	o.grouped = len(o.aggs) > 0 || len(o.groupBy) > 0
 	if len(o.groupBy) > 0 {
@@ -1023,7 +1060,7 @@ func (ex *selectExec) expandStar(star *sqlparse.Star, o *output) error {
 		o.cols = slices.Grow(o.cols, len(b.schema))
 		for ci, col := range b.schema {
 			n := colNode(bi, ci, col.Type)
-			o.items = append(o.items, n.valueForm())
+			o.items = append(o.items, n.operand())
 			o.cols = append(o.cols, col.Name)
 		}
 		if star.Table != "" {
@@ -1048,28 +1085,28 @@ func (o *output) consume(fr *frame) error {
 	for i := range o.aggs {
 		spec, a := &o.aggs[i], &g.accs[i]
 		switch {
-		case spec.argKind == kindInt:
-			if x, ok, err := take(o, spec, a, fr, spec.argInt, appendIntKey); err != nil {
+		case spec.arg.kind == kindInt:
+			if x, ok, err := take(o, spec, a, fr, spec.arg.int, appendIntKey); err != nil {
 				return err
 			} else if ok {
 				a.addInt(spec.kind, x)
 			}
-		case spec.argKind == kindFloat:
-			if x, ok, err := take(o, spec, a, fr, spec.argFloat, appendFloatKey); err != nil {
+		case spec.arg.kind == kindFloat:
+			if x, ok, err := take(o, spec, a, fr, spec.arg.float, appendFloatKey); err != nil {
 				return err
 			} else if ok {
 				a.addFloat(spec.kind, x)
 			}
-		case spec.argKind == kindString:
-			if x, ok, err := take(o, spec, a, fr, spec.argStr, appendStringKey); err != nil {
+		case spec.arg.kind == kindString:
+			if x, ok, err := take(o, spec, a, fr, spec.arg.str, appendStringKey); err != nil {
 				return err
 			} else if ok {
 				a.addString(spec.kind, x)
 			}
-		case spec.arg == nil:
+		case spec.arg.value == nil:
 			a.count++
 		default:
-			v, err := spec.arg(fr)
+			v, err := spec.arg.value(fr)
 			if err != nil {
 				return err
 			}
@@ -1122,31 +1159,83 @@ func (o *output) openGroup(fr *frame) *group {
 	return g
 }
 
-// emit evaluates the select list (and ORDER BY keys) against fr into one
-// result row: one allocation holds both, and every number or string read
-// from a column costs one more, its box.
+// emit evaluates the select list (and ORDER BY keys) against fr and writes
+// them as one row: a cell whose kind the compiler knew goes from its column
+// slice to the sink as the number or string it is, and only a cell of no
+// static kind is boxed on the way. Rows past LIMIT are not written.
 func (o *output) emit(fr *frame) error {
+	if o.held == nil && o.sel.Limit >= 0 && o.nrows >= o.sel.Limit {
+		return nil
+	}
 	n := len(o.items)
-	cells := make([]Value, n+len(o.order))
-	for i, it := range o.items {
-		v, err := it(fr)
-		if err != nil {
+	if err := o.dst.BeginRow(n + len(o.order)); err != nil {
+		return err
+	}
+	for i := range o.items {
+		if err := o.cell(fr, &o.items[i], i); err != nil {
 			return err
 		}
-		cells[i] = v
 	}
-	for i, ord := range o.order {
-		v, err := ord(fr)
-		if err != nil {
+	for i := range o.order {
+		if err := o.cell(fr, &o.order[i], n+i); err != nil {
 			return err
 		}
-		cells[n+i] = v
 	}
-	o.rows = append(o.rows, cells[:n:n])
-	if len(o.order) > 0 {
-		o.keys = append(o.keys, cells[n:])
-	}
+	o.nrows++
 	return nil
+}
+
+// cell writes one cell of the row being emitted, metering it as rowBytes
+// does.
+func (o *output) cell(fr *frame, it *operand, col int) error {
+	switch it.kind {
+	case kindInt:
+		v, null, err := it.int(fr)
+		if err != nil {
+			return err
+		}
+		o.nbytes += 8
+		if null {
+			return o.dst.Null(col)
+		}
+		return o.dst.Int(col, v)
+	case kindFloat:
+		v, null, err := it.float(fr)
+		if err != nil {
+			return err
+		}
+		o.nbytes += 8
+		if null {
+			return o.dst.Null(col)
+		}
+		return o.dst.Float(col, v)
+	case kindString:
+		v, null, err := it.str(fr)
+		if err != nil {
+			return err
+		}
+		if null {
+			o.nbytes += 8
+			return o.dst.Null(col)
+		}
+		return o.writeStr(col, v)
+	}
+	v, err := it.value(fr)
+	if err != nil {
+		return err
+	}
+	// Held rows leave at finish, which types them then.
+	if typ, ok := valueType(v); ok && o.held == nil && !o.typed[col] {
+		o.types[col], o.typed[col] = typ, true
+	}
+	o.nbytes += cellBytes(v)
+	return writeValue(o.dst, col, v, &o.str)
+}
+
+func (o *output) writeStr(col int, v string) error {
+	o.nbytes += int64(len(v))
+	o.str = append(o.str[:0], v...)
+	return o.dst.Str(col, o.str)
 }
 
 // nullCells backs every column of nullRow: one NULL cell of each type.
@@ -1163,9 +1252,10 @@ func nullRow(schema Schema) []column {
 	return cols
 }
 
-// result finishes the statement: groups become rows, then DISTINCT,
-// ORDER BY and LIMIT apply.
-func (o *output) result(fr *frame) (*Result, error) {
+// finish ends the statement: groups become rows, then DISTINCT, ORDER BY
+// and LIMIT apply to the rows that were held for them, and those leave for
+// the statement's sink.
+func (o *output) finish(fr *frame) (*Result, error) {
 	if o.grouped {
 		// A grand aggregate over empty input still yields one row, with
 		// non-aggregate expressions evaluated against all-NULL rows.
@@ -1189,56 +1279,78 @@ func (o *output) result(fr *frame) (*Result, error) {
 			}
 		}
 	}
-	rows, keys := o.rows, o.keys
+	if o.held != nil {
+		if err := o.release(); err != nil {
+			return nil, err
+		}
+	}
+	res := &Result{Cols: o.cols, Types: o.types}
+	if o.boxed != nil {
+		res.Rows = o.boxed.Rows
+	}
+	return res, nil
+}
+
+// release applies DISTINCT, ORDER BY and LIMIT to the held rows and hands
+// what is left to the statement's sink.
+func (o *output) release() error {
+	rows, n := o.held.Rows, len(o.items)
 
 	// DISTINCT before ORDER BY, on projected values.
 	if o.sel.Distinct {
 		seen := map[string]bool{}
-		n := 0
-		for i, r := range rows {
-			k := GroupKey(r)
+		kept := 0
+		for _, r := range rows {
+			k := GroupKey(r[:n])
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			rows[n] = r
-			if keys != nil {
-				keys[n] = keys[i]
-			}
-			n++
+			rows[kept] = r
+			kept++
 		}
-		rows = rows[:n]
+		rows = rows[:kept]
 	}
-
 	if len(o.order) > 0 {
-		sort.Stable(&rowSorter{rows: rows, keys: keys[:len(rows)], by: o.sel.OrderBy})
+		sort.Stable(&rowSorter{rows: rows, keys: n, by: o.sel.OrderBy})
 	}
 	if limit := o.sel.Limit; limit >= 0 && int64(len(rows)) > limit {
 		rows = rows[:limit]
 	}
-	res := &Result{Cols: o.cols, Rows: rows}
-	res.Types = inferTypes(res)
-	return res, nil
+
+	o.nrows, o.nbytes = int64(len(rows)), 0
+	for i, r := range rows {
+		rows[i] = r[:n:n]
+		o.nbytes += rowBytes(rows[i])
+	}
+	inferTypes(o.types, o.typed, rows)
+	if o.boxed != nil {
+		o.boxed.Rows = rows
+		return nil
+	}
+	for _, r := range rows {
+		if err := writeRow(o.sink, r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// rowSorter orders result rows by their ORDER BY keys, NULLs first
-// (MySQL ASC semantics).
+// rowSorter orders held rows by their ORDER BY keys — the cells from
+// position keys on — NULLs first (MySQL ASC semantics).
 type rowSorter struct {
 	rows []Row
-	keys [][]Value
+	keys int
 	by   []sqlparse.OrderItem
 }
 
 func (s *rowSorter) Len() int { return len(s.rows) }
 
-func (s *rowSorter) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
+func (s *rowSorter) Swap(i, j int) { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
 
 func (s *rowSorter) Less(i, j int) bool {
 	for k, o := range s.by {
-		c := CompareNullsFirst(s.keys[i][k], s.keys[j][k])
+		c := CompareNullsFirst(s.rows[i][s.keys+k], s.rows[j][s.keys+k])
 		if c == 0 {
 			continue
 		}
@@ -1253,47 +1365,44 @@ func (s *rowSorter) Less(i, j int) bool {
 func rowBytes(r Row) int64 {
 	var n int64
 	for _, v := range r {
-		switch x := v.(type) {
-		case string:
-			n += int64(len(x))
-		default:
-			n += 8
-		}
+		n += cellBytes(v)
 	}
 	return n
 }
 
-// inferTypes derives result column types from the first rows that carry
-// non-NULL values.
-func inferTypes(r *Result) []sqlparse.ColType {
-	types := make([]sqlparse.ColType, len(r.Cols))
-	decided := make([]bool, len(r.Cols))
+// cellBytes is what ExecStats.ResultBytes charges a cell: a string's
+// length, eight bytes for anything else, a NULL included.
+func cellBytes(v Value) int64 {
+	if s, ok := v.(string); ok {
+		return int64(len(s))
+	}
+	return 8
+}
+
+// valueType is the column type a value would have a column declare; ok is
+// false for a NULL, which says nothing.
+func valueType(v Value) (typ sqlparse.ColType, ok bool) {
+	switch v.(type) {
+	case int64, bool:
+		return sqlparse.TypeInt, true
+	case float64:
+		return sqlparse.TypeFloat, true
+	case string:
+		return sqlparse.TypeString, true
+	}
+	return 0, false
+}
+
+// inferTypes types the columns the compiler could not (typed is false)
+// from the first non-NULL cell each carries in rows; a column with none
+// keeps the type it has.
+func inferTypes(types []sqlparse.ColType, typed []bool, rows []Row) {
 	for i := range types {
-		types[i] = sqlparse.TypeFloat
-	}
-	for _, row := range r.Rows {
-		all := true
-		for i, v := range row {
-			if decided[i] {
-				continue
-			}
-			switch v.(type) {
-			case int64, bool:
-				types[i] = sqlparse.TypeInt
-				decided[i] = true
-			case float64:
-				types[i] = sqlparse.TypeFloat
-				decided[i] = true
-			case string:
-				types[i] = sqlparse.TypeString
-				decided[i] = true
-			default:
-				all = false
+		for r := 0; !typed[i] && r < len(rows); r++ {
+			if typ, ok := valueType(rows[r][i]); ok {
+				types[i] = typ
+				break
 			}
 		}
-		if all {
-			break
-		}
 	}
-	return types
 }

@@ -1,0 +1,53 @@
+package sqlengine
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// What sink_test.go borrows from the internal tests: it is an external
+// test, because it holds the engine's output to packages that import the
+// engine (dump, rowcodec).
+
+// GoldenSelect is one statement of testdata/golden_select.json.
+type GoldenSelect struct {
+	SQL  string
+	Scan ScanProvider // nil, or the golden test's rotated pieces
+}
+
+// GoldenSelects returns the golden statements and the engine they run on.
+func GoldenSelects(t *testing.T) (*Engine, []GoldenSelect) {
+	out := make([]GoldenSelect, len(goldenStatements))
+	for i, st := range goldenStatements {
+		out[i].SQL = st.sql
+		if st.source {
+			out[i].Scan = newRotatedPieces
+		}
+	}
+	return goldenEngine(t), out
+}
+
+// DiffEngine returns an engine holding the differential tests' tables t
+// and u: NULLs, -0.0, NaN, the infinities, the int64 extremes, the empty
+// string.
+func DiffEngine(t *testing.T) *Engine {
+	e := New("LSST")
+	db, err := e.Database("LSST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range diffTables() {
+		db.Put(tbl)
+	}
+	return e
+}
+
+// RandomExpr draws the text of one expression over t and u, as the
+// differential tests do.
+func RandomExpr(r *rand.Rand, depth int) string { return exprGen{r}.expr(depth).SQL() }
+
+// BenchHV2 is the scan benches' High Volume 2 chunk statement, and
+// BenchEngine the engine holding its chunk table, of n rows.
+const BenchHV2 = benchHV2
+
+func BenchEngine(tb testing.TB, n int) *Engine { return benchEngine(tb, n) }

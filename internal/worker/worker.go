@@ -188,6 +188,11 @@ type Worker struct {
 
 	subs *subchunkManager
 
+	// rowBufs recycles the buffers jobs encode their result rows into (a
+	// *[]byte each): a job frames its stream into a slice of its own, so
+	// what the next job finds is a buffer already grown to a result's size.
+	rowBufs sync.Pool
+
 	// metrics holds the worker's owned telemetry series (nil-safe
 	// handles); traceOn gates span-trailer shipping.
 	metrics workerMetrics
@@ -885,14 +890,23 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		}
 	}
 
-	// Execute each statement, accumulating SELECT results. The job's
-	// kill signal interrupts execution between rows.
-	var accum *sqlengine.Result
+	// Execute each statement. Every SELECT writes its result rows, cell by
+	// cell from the column slices, into the one result stream (section 5.4)
+	// the job ships. The job's kill signal interrupts execution between
+	// rows.
+	var (
+		out    dump.Writer
+		schema sqlengine.Schema // of the first SELECT's result
+	)
+	if buf, ok := w.rowBufs.Get().(*[]byte); ok {
+		out.Buf = (*buf)[:0]
+	}
+	defer func() { w.rowBufs.Put(&out.Buf) }()
 	for _, st := range stmts {
 		if j.canceled() {
 			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, sqlengine.ErrInterrupted)
 		}
-		res, err := w.engine.ExecuteStmtOpts(st, sqlengine.ExecOptions{Scan: prov, Interrupt: j.cancel})
+		res, err := w.engine.ExecuteStmtOpts(st, sqlengine.ExecOptions{Scan: prov, Interrupt: j.cancel, Sink: &out})
 		if err != nil {
 			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, err)
 		}
@@ -900,23 +914,19 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		if _, isSel := st.(*sqlparse.Select); !isSel {
 			continue
 		}
-		if accum == nil {
-			accum = res
-			continue
-		}
-		if len(res.Cols) != len(accum.Cols) {
+		if schema == nil {
+			schema = res.Schema()
+		} else if len(res.Cols) != len(schema) {
 			return nil, agg, fmt.Errorf("worker %s: statement results have mismatched arity", w.cfg.Name)
 		}
-		accum.Rows = append(accum.Rows, res.Rows...)
 	}
-	if accum == nil {
+	if schema == nil {
 		return nil, agg, fmt.Errorf("worker %s: chunk query produced no result", w.cfg.Name)
 	}
 
-	// Serialize as the result stream (section 5.4). The table name
-	// encodes the hash, so streams from many chunks stay tellable apart.
-	data := dump.Dump("r_"+j.hash[:16], accum)
-	return []byte(data), agg, nil
+	// The table name encodes the hash, so streams from many chunks stay
+	// tellable apart.
+	return out.Frame("r_"+j.hash[:16], schema), agg, nil
 }
 
 // subchunkTablesOf extracts base-table names that need subchunk

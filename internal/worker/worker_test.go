@@ -15,6 +15,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
 	"repro/internal/xrd"
 )
 
@@ -116,6 +117,41 @@ func TestSimpleChunkQuery(t *testing.T) {
 	}
 	if res.Rows[0][0].(int64) != 2 {
 		t.Errorf("rows = %v, want 2", res.Rows[0][0])
+	}
+}
+
+// TestResultStreamDeclaresCompiledTypes: the stream's column types are the
+// ones the statements' compiler declares, not a guess from whichever
+// statement of the job ran first. A job whose first statement finds no row
+// used to declare every column DOUBLE, and the czar's decoder then turned
+// the later statements' objectIds into float64.
+func TestResultStreamDeclaresCompiledTypes(t *testing.T) {
+	w, chunk := testWorker(t, DefaultConfig("w0"))
+	dec, err := dump.Decode(submit(t, w, chunk, fmt.Sprintf(
+		"SELECT objectId, ra_PS FROM LSST.Object_%[1]d WHERE objectId = 999;"+
+			"SELECT objectId, ra_PS FROM LSST.Object_%[1]d WHERE objectId = 2;", chunk)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Schema[0].Type != sqlparse.TypeInt || dec.Schema[1].Type != sqlparse.TypeFloat {
+		t.Errorf("stream declares %v, %v; want BIGINT, DOUBLE", dec.Schema[0].Type, dec.Schema[1].Type)
+	}
+	if len(dec.Rows) != 1 || dec.Rows[0][0] != int64(2) {
+		t.Errorf("rows = %v, want one row of objectId int64(2)", dec.Rows)
+	}
+
+	// No row at all: a VARCHAR column still says so.
+	tags := sqlengine.Schema{{Name: "id", Type: sqlparse.TypeInt}, {Name: "tag", Type: sqlparse.TypeString}}
+	if err := w.LoadShared("Tags", tags, []sqlengine.Row{{int64(1), "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	dec, err = dump.Decode(submit(t, w, chunk, "SELECT tag, id FROM LSST.Tags WHERE id = 999;"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Rows) != 0 || dec.Schema[0].Type != sqlparse.TypeString || dec.Schema[1].Type != sqlparse.TypeInt {
+		t.Errorf("empty stream: %d rows, declares %v, %v; want none, VARCHAR, BIGINT",
+			len(dec.Rows), dec.Schema[0].Type, dec.Schema[1].Type)
 	}
 }
 

@@ -78,17 +78,35 @@ func TestPointQueryDivesToOwningChunk(t *testing.T) {
 	}
 }
 
+// cacheTestRuns counts TestResultCacheHitSkipsDispatch's invocations.
+var cacheTestRuns atomic.Int64
+
 // TestResultCacheHitSkipsDispatch: the second run of an identical
 // statement is answered from the czar cache with zero chunk jobs.
 func TestResultCacheHitSkipsDispatch(t *testing.T) {
 	cl, oracle := shared(t)
-	sql := "SELECT COUNT(*), MIN(objectId), MAX(decl_PS) FROM Object WHERE decl_PS < 33.25"
+	// The cluster is the process's: a literal of this invocation's own
+	// keeps the statement unique under -count.
+	sql := fmt.Sprintf("SELECT COUNT(*), MIN(objectId), MAX(decl_PS) FROM Object WHERE decl_PS < %.6f",
+		33.25+float64(cacheTestRuns.Add(1))*1e-6)
 	first, err := cl.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheHit {
 		t.Fatal("first run of a unique statement hit the cache")
+	}
+	want, err := oracle.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, first, want, "first run")
+	// What the first caller does to its rows is its own business: the
+	// cache holds the answer encoded, and a hit boxes rows of its own.
+	for _, r := range first.Rows {
+		for i := range r {
+			r[i] = "overwritten by the first caller"
+		}
 	}
 	second, err := cl.Query(sql)
 	if err != nil {
@@ -97,11 +115,6 @@ func TestResultCacheHitSkipsDispatch(t *testing.T) {
 	if !second.CacheHit || second.ChunksDispatched != 0 {
 		t.Fatalf("repeat run: CacheHit=%v ChunksDispatched=%d", second.CacheHit, second.ChunksDispatched)
 	}
-	want, err := oracle.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswer(t, first, want, "first run")
 	sameAnswer(t, second, want, "cached run")
 
 	st := cl.Status().Cache

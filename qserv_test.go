@@ -85,7 +85,8 @@ func shared(t testing.TB) (*Cluster, *Oracle) {
 }
 
 // sameAnswer compares a distributed answer to the oracle's, order
-// insensitive, with float tolerance.
+// insensitive, with float tolerance. Cells compare as what they are, not
+// as what they print as: an int64 7 is not a float64 7.
 func sameAnswer(t *testing.T, got, want *Result, label string) {
 	t.Helper()
 	if len(got.Rows) != len(want.Rows) {
@@ -95,9 +96,9 @@ func sameAnswer(t *testing.T, got, want *Result, label string) {
 		parts := make([]string, len(r))
 		for i, v := range r {
 			if f, ok := v.(float64); ok {
-				parts[i] = fmt.Sprintf("%.9g", f)
+				parts[i] = fmt.Sprintf("float64:%.9g", f)
 			} else {
-				parts[i] = sqlengine.FormatValue(v)
+				parts[i] = fmt.Sprintf("%T:%s", v, sqlengine.FormatValue(v))
 			}
 		}
 		return strings.Join(parts, "|")
@@ -303,6 +304,42 @@ func TestSHV1NearNeighbor(t *testing.T) {
 	if wantN <= int64(0) {
 		t.Fatal("SHV1 found no pairs; enlarge the radius")
 	}
+}
+
+// TestNearNeighborPairsKeepIntegerIds: a near-neighbour chunk job is one
+// statement per subchunk, and most find no pair. The result stream used to
+// take its column types from the first statement's rows — DOUBLE when it
+// had none — and the czar then converted the later statements' ids to
+// float64 (30 of these 70 rows, 48 of the 210 over the box 0, -7, 40, 7; an
+// id beyond 2^53 would lose bits). The types are the compiler's now: every
+// id arrives as the int64 the oracle returns.
+func TestNearNeighborPairsKeepIntegerIds(t *testing.T) {
+	cl, oracle := shared(t)
+	const pairs = `SELECT o1.objectId, o2.objectId FROM Object o1, Object o2
+		WHERE %s AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.05
+		AND o1.objectId <> o2.objectId`
+	got, err := cl.Query(fmt.Sprintf(pairs, "qserv_areaspec_box(0, -4, 20, 4)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The oracle's join is a nested loop: o2 is cut to the box grown by
+	// more than the radius, which loses no pair and most of the loop.
+	want, err := oracle.Query(fmt.Sprintf(pairs, `qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0, -4, 20, 4) = 1
+		AND qserv_ptInSphericalBox(o2.ra_PS, o2.decl_PS, 0, -5, 21, 5) = 1`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) < 50 {
+		t.Fatalf("oracle found %d pairs; the test wants a few per chunk job", len(want.Rows))
+	}
+	for _, r := range got.Rows {
+		for i, v := range r {
+			if _, ok := v.(int64); !ok {
+				t.Fatalf("objectId in column %d arrived as %T %v", i, v, v)
+			}
+		}
+	}
+	sameAnswer(t, got, want, "near-neighbour pairs")
 }
 
 // TestSHV2SourcesNearObjects reproduces Super High Volume 2: the

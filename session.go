@@ -49,8 +49,10 @@ func classFromCore(c core.QueryClass) QueryClass {
 type Result struct {
 	// Cols are the result column names.
 	Cols []string
-	// Rows are the result rows. The slices are shared with the query's
-	// streaming iterators; treat them as read-only.
+	// Rows are the result rows. Every Wait of one query returns the same
+	// slices — copy before mutating if another caller may read them — but
+	// they are shared with no iterator and no other query: a repeat
+	// answered from the result cache gets rows of its own.
 	Rows []Row
 	// ID is the cluster-assigned query id.
 	ID int64
@@ -241,9 +243,8 @@ type RowIter struct {
 // false once the query finished (or failed) and every row has been
 // consumed. Check Err after the final Next.
 //
-// Rows are shared, not copied: the same slices back the merge
-// pipeline, every other iterator, and the final Result. Treat them as
-// read-only; copy before mutating.
+// The merge pipeline holds result rows encoded; the iterator boxes them
+// on demand, so the row is the caller's own.
 func (it *RowIter) Next() (Row, bool) {
 	row, ok := it.inner.Next()
 	if !ok {

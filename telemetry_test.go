@@ -1,13 +1,16 @@
 package qserv
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/czar"
 	"repro/internal/datagen"
+	"repro/internal/frontend"
 	"repro/internal/telemetry"
 )
 
@@ -140,4 +143,127 @@ func grepLines(text, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestResultAccountingNumbers pins every count the result path reports, on
+// a fixed catalog, for one statement of each way the czar folds results —
+// pass-through, a merge statement over appended rows, the top-K fold, the
+// aggregate fold, a dive, a multi-statement near-neighbour job. The rows
+// travel encoded, so nothing here counts the boxed rows it used to count;
+// the numbers are the ones the boxed path reported (captured at the commit
+// before it went).
+func TestResultAccountingNumbers(t *testing.T) {
+	cat, err := datagen.Generate(
+		datagen.Config{Seed: 11, ObjectsPerPatch: 150, MeanSourcesPerObject: 0},
+		datagen.DuplicateConfig{DeclBands: 2, MaxCopies: 12},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultClusterConfig(3)
+	cfg.ResultCacheBytes = 0 // every run dispatches
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.Load(cat); err != nil {
+		t.Fatal(err)
+	}
+	c, err := frontend.Dial(startFrontend(t, cl, DefaultFrontendConfig()).Addr(), "tester", "LSST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	type counts struct {
+		Rows        int   // of the answer: len(Rows), the trace root's rows, the D frame's count
+		RowsMerged  int64 // Progress.RowsMerged, the merge fold spans' rows summed
+		Chunks      int   // ChunksDispatched, DoneStats.Chunks
+		BytesMerged int64 // QueryResult.BytesMerged, DoneStats.BytesMerged, the jobs' ResultLen summed
+		JobRowsOut  int64 // the jobs' ExecStats.RowsOut summed
+	}
+	for _, tc := range []struct {
+		sql  string
+		want counts
+	}{
+		{"SELECT objectId, ra_PS, decl_PS FROM Object WHERE uFlux_PS > 2e-31", counts{1800, 1800, 18, 51337, 1800}},
+		{"SELECT objectId, ra_PS FROM Object WHERE decl_PS < 2 ORDER BY ra_PS, objectId", counts{1080, 1080, 18, 21294, 1080}},
+		{"SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC, objectId LIMIT 7", counts{7, 126, 18, 3168, 126}},
+		{"SELECT chunkId, COUNT(*) AS n, AVG(ra_PS) FROM Object GROUP BY chunkId", counts{18, 18, 18, 1854, 18}},
+		{"SELECT * FROM Object WHERE objectId = 42", counts{1, 1, 1, 273, 1}},
+		{"SELECT o1.objectId, o2.objectId FROM Object o1, Object o2 WHERE qserv_areaspec_box(0, 0, 6, 6) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1", counts{57, 57, 1, 1129, 57}},
+	} {
+		seen := map[string]int{}
+		for _, w := range cl.Workers {
+			seen[w.Name()] = len(w.Reports())
+		}
+		q, err := cl.Czar.Submit(context.Background(), tc.sql, czar.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		res, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		got := counts{Rows: len(res.Rows), RowsMerged: q.Progress().RowsMerged,
+			Chunks: res.ChunksDispatched, BytesMerged: res.BytesMerged}
+		var jobBytes int64
+		for _, w := range cl.Workers {
+			for _, r := range w.Reports()[seen[w.Name()]:] {
+				jobBytes += int64(r.ResultLen)
+				got.JobRowsOut += r.Stats.RowsOut
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s:\n  got %+v\n want %+v", tc.sql, got, tc.want)
+		}
+		if jobBytes != got.BytesMerged || res.ResultBytes < res.BytesMerged {
+			t.Errorf("%s: jobs report %d result bytes, the czar merged %d of %d fetched", tc.sql, jobBytes, res.BytesMerged, res.ResultBytes)
+		}
+		var folded int64
+		for _, chunk := range res.Trace.Children {
+			for _, s := range chunk.Children {
+				if s.Name == "merge fold" {
+					folded += spanAttr(t, s, "rows")
+				}
+			}
+		}
+		if folded != got.RowsMerged || spanAttr(t, res.Trace, "rows") != int64(got.Rows) {
+			t.Errorf("%s: merge fold spans count %d rows (Progress: %d), the trace root %d (answer: %d)",
+				tc.sql, folded, got.RowsMerged, spanAttr(t, res.Trace, "rows"), got.Rows)
+		}
+
+		st, err := c.Query(context.Background(), tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		frames := 0
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
+			frames++
+		}
+		if st.Err() != nil {
+			t.Fatalf("%s: %v", tc.sql, st.Err())
+		}
+		if done := st.Stats(); frames != got.Rows || st.RowCount() != int64(got.Rows) ||
+			done.Chunks != int64(got.Chunks) || done.BytesMerged != got.BytesMerged || done.ElapsedNS <= 0 {
+			t.Errorf("%s: %d row frames, D frame %d rows %+v; want %+v", tc.sql, frames, st.RowCount(), done, got)
+		}
+	}
+}
+
+// spanAttr reads an integer attribute of a span.
+func spanAttr(t *testing.T, s *telemetry.Span, key string) int64 {
+	t.Helper()
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			var n int64
+			if _, err := fmt.Sscan(a.Value, &n); err != nil {
+				t.Fatalf("span %s: %s=%q", s.Name, key, a.Value)
+			}
+			return n
+		}
+	}
+	t.Fatalf("span %s has no %s attribute", s.Name, key)
+	return 0
 }
