@@ -35,10 +35,13 @@ bench-build:
 # materialization layer, one stored batch from bytes to a chunk table and
 # its index, and the result path, a pass-through row from a worker's
 # column slices through the result stream and the czar's fold to a row
-# frame, in ns per row returned. (What they must never exceed is pinned as
-# counts, which repeat exactly, by TestScanAllocBudget, TestSinkAllocBudget,
-# TestMaterializeAllocBudget, TestAbsorbAllocBudget and
-# TestRowLoopAllocBudget in tier-1.)
+# frame, in ns per row returned. BenchmarkScanHV1InShell is the guarded
+# comparisons' worst case, a table whose every cell makes the guard give up
+# and call the function: read it against BenchmarkScanHV1 before the guards.
+# (What they must never exceed is pinned as counts, which repeat exactly, by
+# TestScanAllocBudget, TestSinkAllocBudget, TestMaterializeAllocBudget,
+# TestAbsorbAllocBudget and TestRowLoopAllocBudget in tier-1; what the
+# guards must skip, also as counts, by TestGuardSkipsTheCall.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
 	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
@@ -83,7 +86,9 @@ bench-smoke:
 # frontend wire protocol (frame reader, handshake, column-header and row
 # frames — everything a hostile client controls) — and over the engine's
 # expression compiler, differentially: whatever expression text the
-# fuzzer writes must evaluate as the reference interpreter does. Go allows one
+# fuzzer writes must evaluate as the reference interpreter does, and
+# whatever constant and cells it picks, a guard that decides a comparison
+# without the call must be borne out by the call. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.
@@ -99,4 +104,5 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzColsDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzGuardedCompare$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)

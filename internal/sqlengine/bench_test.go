@@ -53,17 +53,35 @@ func benchObjectRows(n int) []Row {
 	return rows
 }
 
+// benchShellRows is benchObjectRows with every cell the classes' guards
+// look at moved inside the guard's shell, where it decides nothing and the
+// function is called for every row: r fluxes at the flux of magnitude 24.1
+// (benchHV1's cut), i fluxes at the z flux times the ratio of an i - z
+// colour of 6 (benchHV2's), declinations within the join's 0.02 degrees.
+func benchShellRows(n int) []Row {
+	rows := benchObjectRows(n)
+	k, ratio := math.Pow(10, (24.1+48.6)/-2.5), math.Pow(10, 6/-2.5)
+	for i, r := range rows {
+		in := 1 + guardShell*float64(i%19-9)/10
+		r[5], r[6], r[2] = k*in, ratio*r[7].(float64)*in, -0.5+float64(i%7)/1000
+	}
+	return rows
+}
+
 // benchEngine holds the chunk table Object_221 and, for the near
 // neighbour join, one subchunk's worth of it as Object_221_0 and its
 // overlap table.
 func benchEngine(tb testing.TB, chunkRows int) *Engine {
+	return benchEngineOf(tb, benchObjectRows(chunkRows))
+}
+
+func benchEngineOf(tb testing.TB, rows []Row) *Engine {
 	tb.Helper()
 	e := New("LSST")
 	db, err := e.Database("LSST")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows := benchObjectRows(chunkRows)
 	for name, part := range map[string][]Row{
 		"Object_221":              rows,
 		"Object_221_0":            rows[:60],
@@ -104,7 +122,10 @@ func mustParse(tb testing.TB, sql string) *sqlparse.Select {
 // benchStatement executes one parsed statement b.N times and reports the
 // time per row the statement scanned.
 func benchStatement(b *testing.B, sql string) {
-	e := benchEngine(b, benchChunkRows)
+	benchStatementOn(b, benchEngine(b, benchChunkRows), sql)
+}
+
+func benchStatementOn(b *testing.B, e *Engine, sql string) {
 	sel := mustParse(b, sql)
 	var scanned int64
 	b.ReportAllocs()
@@ -126,6 +147,50 @@ func BenchmarkScanHV2(b *testing.B)          { benchStatement(b, benchHV2) }
 func BenchmarkScanHV2s(b *testing.B)         { benchStatement(b, benchHV2s) }
 func BenchmarkScanLV3(b *testing.B)          { benchStatement(b, benchLV3) }
 func BenchmarkScanSubchunkJoin(b *testing.B) { benchStatement(b, benchJoin) }
+
+// BenchmarkScanHV1InShell is the guards' worst case: every cell is inside
+// the shell, so every row pays for the guard and for the call. It is to be
+// read against BenchmarkScanHV1 at the commit before the guards, which paid
+// for the call alone.
+func BenchmarkScanHV1InShell(b *testing.B) {
+	benchStatementOn(b, benchEngineOf(b, benchShellRows(benchChunkRows)), benchHV1)
+}
+
+// TestGuardSkipsTheCall counts what the guards are for: over the bench
+// tables the classes' statements call their function for next to no row
+// (every row, before the guards), and over a table whose cells all sit in
+// the shell they call it for every row, as before.
+func TestGuardSkipsTheCall(t *testing.T) {
+	clear, shell := benchEngine(t, benchChunkRows), benchEngineOf(t, benchShellRows(benchChunkRows))
+	for _, tc := range []struct {
+		fn, sql string
+		percent int64 // of the rows (of the pairs, for the join) that may reach the function
+	}{
+		{"fluxToAbMag", benchHV1, 1},
+		{"fluxToAbMag", strings.Replace(benchHV3, "26.1", "24.1", 1), 1},
+		{"fluxToAbMag", benchHV2, 1},
+		{"qserv_angSep", benchJoin, 5},
+	} {
+		sel := mustParse(t, tc.sql)
+		run := func(e *Engine) (calls, rows int64) {
+			n := CountTypedCalls(e, tc.fn)
+			res, err := e.ExecuteStmt(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows = res.Stats.PairsConsidered; rows == 0 {
+				rows = res.Stats.RowsScanned
+			}
+			return *n, rows
+		}
+		if calls, rows := run(clear); calls*100 > rows*tc.percent {
+			t.Errorf("%d calls of %s for %d rows (at most %d%% may reach it): %s", calls, tc.fn, rows, tc.percent, tc.sql)
+		}
+		if calls, rows := run(shell); calls != rows {
+			t.Errorf("in the shell: %d calls of %s for %d rows, want one each: %s", calls, tc.fn, rows, tc.sql)
+		}
+	}
+}
 
 // benchWorkingSet is how many chunk tables the WorkingSet benches rotate
 // through: the 94 chunks of the repository benchmark's catalog (bench/),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -80,10 +81,17 @@ type node struct {
 	bi, ci int
 	isLit  bool // literal leaf
 	lit    Value
+
+	// constant marks a node that reads neither a row nor an aggregate:
+	// literals, and negation, arithmetic and builtin calls over them.
+	constant bool
+	// typed is set on a kindFloat node that is a call through a builtin's
+	// typed entry: what a comparison needs to ask the entry's guard.
+	typed *typedCall
 }
 
 func litNode(v interface{}) node {
-	n := node{isLit: true, lit: v}
+	n := node{isLit: true, lit: v, constant: true}
 	switch x := v.(type) {
 	case bool:
 		n.lit, n.kind = boolToInt(x), kindInt
@@ -185,6 +193,17 @@ func (n *node) floatForm() floatFn {
 		}
 	}
 	return n.float
+}
+
+// constFloat folds a constant node of a numeric kind to the float64 a
+// comparison would take it as on every row; ok is false for any other
+// node, and for a constant that is NULL.
+func (n *node) constFloat() (v float64, ok bool) {
+	if !n.constant || !n.kind.numeric() {
+		return 0, false
+	}
+	v, null, err := n.floatForm()(new(frame))
+	return v, err == nil && !null
 }
 
 // strForm is valid on kindString nodes only: column and literal leaves.
@@ -586,32 +605,56 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 			return call(buf)
 		}}, nil
 	}
-	floats, core, fbuf := forms(args, (*node).floatForm), t.call, new([maxTypedArgs]float64)
-	eval := func(fr *frame) (float64, bool, error) {
-		// Every argument is evaluated before a NULL one decides, as the
-		// generic call does: a later argument may be the one that fails.
-		anyNull := false
-		for i, a := range floats {
-			x, null, err := a(fr)
-			if err != nil {
-				return 0, false, err
-			}
-			anyNull = anyNull || null
-			fbuf[i] = x
-		}
-		if anyNull {
-			return 0, true, nil
-		}
-		f, null := core(fbuf)
-		return f, null, nil
+	constant := true
+	for i := range args {
+		constant = constant && args[i].constant
 	}
+	return typedCallNode(t, forms(args, (*node).floatForm), constant), nil
+}
+
+// typedCall is a call compiled through a builtin's typed entry. The node
+// keeps it beside its closure, so that a comparison with a constant can
+// load the arguments itself and ask the entry's guard before it makes the
+// call.
+type typedCall struct {
+	fn   *typedFunc
+	args []floatFn
+	buf  [maxTypedArgs]float64
+}
+
+func typedCallNode(t *typedFunc, args []floatFn, constant bool) node {
+	tc := &typedCall{fn: t, args: args}
 	if t.pred {
-		return node{kind: kindInt, int: func(fr *frame) (int64, bool, error) {
-			f, null, err := eval(fr)
+		return node{kind: kindInt, constant: constant, int: func(fr *frame) (int64, bool, error) {
+			f, null, err := tc.eval(fr)
 			return int64(f), null, err
-		}}, nil
+		}}
 	}
-	return node{kind: kindFloat, float: eval}, nil
+	return node{kind: kindFloat, constant: constant, float: tc.eval, typed: tc}
+}
+
+// load evaluates the arguments into buf and reports whether any is NULL.
+// Every argument is evaluated before a NULL one decides, as the generic
+// call does: a later argument may be the one that fails.
+func (tc *typedCall) load(fr *frame) (null bool, err error) {
+	for i, a := range tc.args {
+		x, n, err := a(fr)
+		if err != nil {
+			return false, err
+		}
+		null = null || n
+		tc.buf[i] = x
+	}
+	return null, nil
+}
+
+func (tc *typedCall) eval(fr *frame) (float64, bool, error) {
+	null, err := tc.load(fr)
+	if err != nil || null {
+		return 0, null, err
+	}
+	f, null := tc.fn.call(&tc.buf)
+	return f, null, nil
 }
 
 var aggKinds = map[string]aggKind{
@@ -643,9 +686,14 @@ func (c *compiler) aggSlot(v *sqlparse.FuncCall) (node, error) {
 }
 
 // arithNode compiles + - * / %: int64 when both sides are (except /),
-// float64 when both are numbers, generic otherwise.
+// float64 when both are numbers, generic otherwise. The difference of two
+// calls of a builtin that declares an entry for it (typedFunc.minus) is
+// one call of that entry: the same subtraction, with a guard.
 func arithNode(op binOp, l, r *node) node {
+	constant := l.constant && r.constant
 	switch {
+	case op == opSub && l.typed != nil && r.typed != nil && l.typed.fn == r.typed.fn && l.typed.fn.minus != nil:
+		return typedCallNode(l.typed.fn.minus, slices.Concat(l.typed.args, r.typed.args), constant)
 	case !l.kind.numeric() || !r.kind.numeric():
 		lv, rv := l.valueForm(), r.valueForm()
 		return node{value: func(fr *frame) (Value, error) {
@@ -661,7 +709,7 @@ func arithNode(op binOp, l, r *node) node {
 		}}
 	case l.kind == kindInt && r.kind == kindInt && op != opDiv:
 		li, ri := l.intForm(), r.intForm()
-		return node{kind: kindInt, int: func(fr *frame) (int64, bool, error) {
+		return node{kind: kindInt, constant: constant, int: func(fr *frame) (int64, bool, error) {
 			a, an, err := li(fr)
 			if err != nil {
 				return 0, false, err
@@ -677,7 +725,7 @@ func arithNode(op binOp, l, r *node) node {
 		}}
 	}
 	lf, rf := l.floatForm(), r.floatForm()
-	return node{kind: kindFloat, float: func(fr *frame) (float64, bool, error) {
+	return node{kind: kindFloat, constant: constant, float: func(fr *frame) (float64, bool, error) {
 		a, an, err := lf(fr)
 		if err != nil {
 			return 0, false, err
@@ -776,6 +824,9 @@ func holds(op binOp, c int) bool {
 // either side is.
 func cmpNode(op binOp, l, r *node) node {
 	n := node{kind: kindInt, boolean: true}
+	if n.int = guardedCmp(op, l, r); n.int != nil {
+		return n
+	}
 	switch {
 	case l.kind == kindInt && r.kind == kindInt:
 		n.int = cmpTyped(op, l.intForm(), r.intForm())
@@ -805,6 +856,66 @@ func cmpNode(op binOp, l, r *node) node {
 		}
 	}
 	return n
+}
+
+// mirrored is the operator that holds for (b, a) where op holds for (a, b).
+func mirrored(op binOp) binOp {
+	switch op {
+	case opLt:
+		return opGt
+	case opLe:
+		return opGe
+	case opGt:
+		return opLt
+	case opGe:
+		return opLe
+	}
+	return op
+}
+
+// guardedCmp compiles the comparison of a guarded call (typedCall) with a
+// numeric constant, on either side: the arguments are loaded as the call
+// loads them, the guard is asked, and the call is made — here, in the
+// same closure — only when the guard is undecided. A call node is
+// kindFloat, so this is the float64 comparison cmpNode would build, with
+// the same answers, NULLs, errors and order of argument evaluation; the
+// constant is folded once, which nothing can observe. It returns nil where
+// there is no guard to use.
+func guardedCmp(op binOp, l, r *node) intFn {
+	for _, side := range [2]struct {
+		call, constant *node
+		op             binOp
+	}{{l, r, op}, {r, l, mirrored(op)}} {
+		tc := side.call.typed
+		if tc == nil || tc.fn.guard == nil {
+			continue
+		}
+		c, ok := side.constant.constFloat()
+		if !ok {
+			continue
+		}
+		guard := tc.fn.guard(c)
+		if guard == nil {
+			continue
+		}
+		// The comparison's answer for a result below, equal to and above c.
+		answer := [3]int64{boolToInt(holds(side.op, -1)), boolToInt(holds(side.op, 0)), boolToInt(holds(side.op, 1))}
+		return func(fr *frame) (int64, bool, error) {
+			null, err := tc.load(fr)
+			if err != nil || null {
+				return 0, null, err
+			}
+			switch guard(&tc.buf) {
+			case below:
+				return answer[0], false, nil
+			case above:
+				return answer[2], false, nil
+			}
+			y, null := tc.fn.call(&tc.buf)
+			return answer[threeWay(y, c)+1], null, nil
+		}
+	}
+	return nil
 }
 
 func cmpTyped[T ordered](op binOp, l, r typedFn[T]) intFn {
@@ -860,9 +971,9 @@ func notNode(x *node) node {
 func negNode(x *node) node {
 	switch x.kind {
 	case kindInt:
-		return node{kind: kindInt, int: negTyped(x.intForm())}
+		return node{kind: kindInt, constant: x.constant, int: negTyped(x.intForm())}
 	case kindFloat:
-		return node{kind: kindFloat, float: negTyped(x.floatForm())}
+		return node{kind: kindFloat, constant: x.constant, float: negTyped(x.floatForm())}
 	}
 	xv := x.valueForm()
 	return node{value: func(fr *frame) (Value, error) {
@@ -896,6 +1007,9 @@ func negTyped[T number](x typedFn[T]) typedFn[T] {
 // same kind generically: all integers, all strings, or both on float64.
 func betweenNode(x, lo, hi *node, not bool) node {
 	n := node{kind: kindInt, boolean: true}
+	if n.int = guardedBetween(x, lo, hi, not); n.int != nil {
+		return n
+	}
 	numeric := x.kind.numeric() && lo.kind.numeric() && hi.kind.numeric()
 	switch {
 	case x.kind == kindInt && lo.kind == kindInt && hi.kind == kindInt:
@@ -934,6 +1048,45 @@ func betweenNode(x, lo, hi *node, not bool) node {
 		}
 	}
 	return n
+}
+
+// guardedBetween is guardedCmp for a guarded call [NOT] BETWEEN two numeric
+// constants: the float64 form betweenTyped would build, decided by the
+// guard specialised on each bound wherever the two settle it.
+func guardedBetween(x, lo, hi *node, not bool) intFn {
+	tc := x.typed
+	if tc == nil || tc.fn.guard == nil {
+		return nil
+	}
+	l, lok := lo.constFloat()
+	h, hok := hi.constFloat()
+	if !lok || !hok {
+		return nil
+	}
+	guardLo, guardHi := tc.fn.guard(l), tc.fn.guard(h)
+	if guardLo == nil || guardHi == nil {
+		return nil
+	}
+	in, out := boolToInt(!not), boolToInt(not)
+	return func(fr *frame) (int64, bool, error) {
+		null, err := tc.load(fr)
+		if err != nil || null {
+			return 0, null, err
+		}
+		switch vl := guardLo(&tc.buf); {
+		case vl == below:
+			return out, false, nil
+		case vl == above:
+			switch guardHi(&tc.buf) {
+			case below:
+				return in, false, nil
+			case above:
+				return out, false, nil
+			}
+		}
+		y, null := tc.fn.call(&tc.buf)
+		return boolToInt((!(y < l) && !(y > h)) != not), null, nil
+	}
 }
 
 func betweenTyped[T ordered](x, lo, hi typedFn[T], not bool) intFn {

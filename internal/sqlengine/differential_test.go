@@ -128,12 +128,18 @@ func sameValue(a, b Value) bool {
 }
 
 // checkExpr compares the compiled forms of e with the reference on every
-// pairing of the two tables' rows.
+// pairing of the differential tables' rows.
 func checkExpr(t *testing.T, eng *Engine, e sqlparse.Expr) {
 	t.Helper()
-	tb, ub := &refBinding{name: "t", schema: diffT}, &refBinding{name: "u", schema: diffU}
+	checkExprOn(t, eng, e, diffTables())
+}
+
+// checkExprOn is checkExpr over any two tables, bound as t and u.
+func checkExprOn(t *testing.T, eng *Engine, e sqlparse.Expr, tables [2]*Table) {
+	t.Helper()
+	tb, ub := &refBinding{name: "t", schema: tables[0].Schema}, &refBinding{name: "u", schema: tables[1].Schema}
 	env := newEvalEnv([]*refBinding{tb, ub}, eng.funcs)
-	c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", diffT}, {"u", diffU}}}
+	c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", tables[0].Schema}, {"u", tables[1].Schema}}}
 	n, cerr := c.compile(e)
 	if rerr := resolves(env, e); rerr != nil || cerr != nil {
 		if (rerr == nil) != (cerr == nil) {
@@ -152,7 +158,6 @@ func checkExpr(t *testing.T, eng *Engine, e sqlparse.Expr) {
 	case kindString:
 		typed = boxed(n.strForm())
 	}
-	tables := diffTables()
 	td, ud := tables[0].data.Load(), tables[1].data.Load()
 	fr := &frame{cur: []cursor{{cols: td.cols}, {cols: ud.cols}}}
 	for ti := 0; ti < td.n; ti++ {
@@ -388,4 +393,348 @@ func TestKleeneLogic(t *testing.T) {
 			t.Errorf("WHERE %s returned a = %v, want %s", tc.where, got, tc.want)
 		}
 	}
+}
+
+// ---------- guarded comparisons ----------
+//
+// A guard decides a comparison without the call, so these tests hold every
+// shape a guard serves to the reference, which always makes the call, on
+// the cells where the two could part: the edges of each guard's shell and
+// the cells its domain excludes.
+
+var (
+	guardT = Schema{{Name: "f", Type: sqlparse.TypeFloat}, {Name: "m", Type: sqlparse.TypeFloat}}
+	guardU = Schema{{Name: "g", Type: sqlparse.TypeFloat}, {Name: "h", Type: sqlparse.TypeFloat}}
+)
+
+func guardTables(t testing.TB, tRows, uRows []Row) [2]*Table {
+	t.Helper()
+	tt, tu := NewTable("t", guardT), NewTable("u", guardU)
+	if err := errors.Join(tt.Insert(tRows...), tu.Insert(uRows...)); err != nil {
+		t.Fatal(err)
+	}
+	return [2]*Table{tt, tu}
+}
+
+// guardedShapes spells a call against constants in every shape the
+// compiler guards: the six operators with the constant on either side,
+// BETWEEN and NOT BETWEEN (and BETWEEN with its bounds the wrong way round).
+func guardedShapes(call, c, c2 string) []string {
+	var out []string
+	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+		out = append(out, call+" "+op+" "+c, c+" "+op+" "+call)
+	}
+	return append(out, call+" BETWEEN "+c+" AND "+c2, call+" NOT BETWEEN "+c+" AND "+c2, call+" BETWEEN "+c2+" AND "+c)
+}
+
+// around returns each x with its two neighbouring floats.
+func around(xs ...float64) []float64 {
+	var out []float64
+	for _, x := range xs {
+		out = append(out, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+	}
+	return out
+}
+
+// shellCells are the cells a flux guard with threshold k could get wrong:
+// k, the two edges of its shell, the neighbours of all three, and cells
+// clear of the shell on both sides.
+func shellCells(k float64) []float64 {
+	return append(around(k, k*(1-guardShell), k*(1+guardShell)), k*(1-2*guardShell), k*(1+2*guardShell), k/2, 2*k)
+}
+
+// outOfDomain are the cells no flux guard may decide.
+var outOfDomain = []Value{nil, 0.0, math.Copysign(0, -1), -1e-30, math.SmallestNonzeroFloat64, 1e-310,
+	math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+func rowsOf(col int, width int, cells []Value) []Row {
+	rows := make([]Row, len(cells))
+	for i, c := range cells {
+		rows[i] = make(Row, width)
+		rows[i][col] = c
+	}
+	return rows
+}
+
+func boxFloats(dst []Value, xs []float64) []Value {
+	for _, x := range xs {
+		dst = append(dst, x)
+	}
+	return dst
+}
+
+// guardConstants are the constants the flux shapes are checked against, as
+// text: literals (an integer among them), constant expressions the compiler
+// folds, thresholds at the ends of the float range — for 720 the threshold
+// is barely a normal number, for 730 and -830 it under- and overflows and
+// no guard is built — and operands no guard takes: NULL, a string, a column.
+var guardConstants = [][2]string{
+	{"24.1", "25.6"}, {"16", "30.000001"}, {"-5.25", "(20 + 4.1)"}, {"0", "ABS(-0.5)"}, {"-ABS(2)", "POW(2, 3)"},
+	{"720", "730"}, {"-830", "24.1"}, {"NULL", "24.1"}, {"'24.1'", "25"}, {"m", "25"}, {"24.1", "m"},
+}
+
+// constantValue evaluates a guardConstants text that is a number.
+func constantValue(t *testing.T, eng *Engine, text string) (float64, bool) {
+	c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", guardT}, {"u", guardU}}}
+	n, err := c.compile(mustParseExpr(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.constFloat()
+}
+
+// TestGuardedFluxExact: fluxToAbMag(x) against c, and the difference of two
+// against c, in every guarded shape.
+func TestGuardedFluxExact(t *testing.T) {
+	eng := New("LSST")
+	for _, cc := range guardConstants {
+		// single: the thresholds of both constants; pair: those thresholds
+		// times each second flux.
+		fCells, gCells := slices.Clone(outOfDomain), slices.Clone(outOfDomain)
+		seconds := []float64{3e-28, 1e-30, 7.7e-29, 2.5e-308, 1e300}
+		gCells = boxFloats(gCells, seconds)
+		for _, text := range cc {
+			c, ok := constantValue(t, eng, text)
+			if !ok {
+				c = 24.1 // not a guarded constant: any cells will do
+			}
+			fCells = boxFloats(fCells, shellCells(math.Pow(10, (c+48.6)/-2.5)))
+			for _, x2 := range seconds {
+				fCells = boxFloats(fCells, shellCells(math.Pow(10, c/-2.5)*x2))
+			}
+		}
+		tRows := rowsOf(0, 2, fCells)
+		for i := range tRows {
+			tRows[i][1] = 24.0 + float64(i%3) // m, for the shapes that compare with a column
+		}
+		single := guardTables(t, tRows, []Row{{1.0, 1.0}})
+		pair := guardTables(t, tRows, rowsOf(0, 2, gCells))
+		for _, shape := range guardedShapes("fluxToAbMag(f)", cc[0], cc[1]) {
+			checkExprOn(t, eng, mustParseExpr(t, shape), single)
+		}
+		for _, shape := range guardedShapes("fluxToAbMag(f) - fluxToAbMag(g)", cc[0], cc[1]) {
+			checkExprOn(t, eng, mustParseExpr(t, shape), pair)
+		}
+	}
+}
+
+// TestGuardedAngSepExact: qserv_angSep (and its scisql alias) against r in
+// every guarded shape, over declinations on and off the sphere, the RA
+// wrap, and declination differences of exactly r and an ulp either side.
+func TestGuardedAngSepExact(t *testing.T) {
+	eng := New("LSST")
+	ras1, ras2 := []Value{359.99, 10.0, nil, math.NaN()}, []Value{0.01, 10.0, math.Inf(1)}
+	for _, rr := range [][2]string{{"0.5", "1.25"}, {"0.02", "(0.01 * 3)"}, {"0", "1e-12"}, {"-1", "90"}, {"179", "180"}, {"181", "NULL"}, {"1e-300", "h"}} {
+		decl1 := []Value{nil, 90.0, -90.0, 91.0, -91.0, math.NaN(), 0.0, 10.25, 89.75}
+		decl2 := []Value{nil, 0.0, 10.25, -90.0, 90.0, 91.0, math.NaN(), -89.75}
+		for _, text := range rr {
+			r, ok := constantValue(t, eng, text)
+			if !ok || math.Abs(r) > 180 {
+				continue
+			}
+			far := r*(1+guardShell) + guardShell
+			for _, base := range []float64{0, 10.25, -90} {
+				for _, d := range around(r, far) {
+					decl1 = append(decl1, base+d, base-d)
+				}
+			}
+		}
+		var tRows, uRows []Row
+		for _, d := range decl1 {
+			for _, ra := range ras1 {
+				tRows = append(tRows, Row{ra, d})
+			}
+		}
+		for _, d := range decl2 {
+			for _, ra := range ras2 {
+				uRows = append(uRows, Row{ra, d})
+			}
+		}
+		tables := guardTables(t, tRows, uRows)
+		for _, call := range []string{"qserv_angSep(f, m, g, h)", "scisql_angSep(g, h, f, m)"} {
+			for _, shape := range guardedShapes(call, rr[0], rr[1]) {
+				checkExprOn(t, eng, mustParseExpr(t, shape), tables)
+			}
+		}
+	}
+}
+
+// TestGuardsAreBuilt: the exactness tests pass as well without a guard, so
+// this one checks that every shape has one. It counts the calls made
+// through the typed entries: none for a row clear of the shell, one for a
+// row on the threshold.
+func TestGuardsAreBuilt(t *testing.T) {
+	eng := New("LSST")
+	flux, sep := CountTypedCalls(eng, "fluxToAbMag"), CountTypedCalls(eng, "qserv_angSep")
+	k := math.Pow(10, (24.1+48.6)/-2.5)
+	k2 := math.Pow(10, 24.1/-2.5)
+	// Row 0 is clear of every threshold used below, row 1 is on it: as a
+	// flux for the single shapes, as the first of a pair against u's 3e-28,
+	// and as a position against u's.
+	tables := guardTables(t, []Row{{2 * k, 40.0}, {k, 10.5}, {3 * k2 * 3e-28, 40.0}, {k2 * 3e-28, 10.5}}, []Row{{3e-28, 10.0}})
+	for _, tc := range []struct {
+		call, c, c2 string
+		calls       *int64
+		clear, on   int // rows of t
+	}{
+		{"fluxToAbMag(f)", "24.1", "(24 + 0.1)", flux, 0, 1},
+		{"fluxToAbMag(f) - fluxToAbMag(g)", "24.1", "24.1", flux, 2, 3},
+		{"qserv_angSep(f, m, g, h)", "0.5", "(1 / 2)", sep, 0, 1},
+		{"scisql_angSep(f, m, g, h)", "0.5", "0.5", sep, 0, 1},
+	} {
+		for _, shape := range guardedShapes(tc.call, tc.c, tc.c2) {
+			c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", guardT}, {"u", guardU}}}
+			n, err := c.compile(mustParseExpr(t, shape))
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth := n.truth()
+			fr := &frame{cur: []cursor{{cols: tables[0].data.Load().cols}, {cols: tables[1].data.Load().cols}}}
+			for _, at := range []struct{ row, want int }{{tc.clear, 0}, {tc.on, 1}} {
+				before := *tc.calls
+				fr.cur[0].pos = at.row
+				if _, _, err := truth(fr); err != nil {
+					t.Fatal(err)
+				}
+				if got := int(*tc.calls - before); got != at.want {
+					t.Errorf("%s on row %d of t: %d calls of the function, want %d", shape, at.row, got, at.want)
+				}
+			}
+		}
+	}
+}
+
+// guardBorneOut asks fn's guard for c about args and, where it answers,
+// holds the function to the answer. It reports whether the guard answered.
+func guardBorneOut(t *testing.T, fn *typedFunc, c float64, args [maxTypedArgs]float64) bool {
+	guard := fn.guard(c)
+	if guard == nil {
+		return false
+	}
+	v := guard(&args)
+	if v == undecided {
+		return false
+	}
+	y, null := fn.call(&args)
+	if null || (v == below) != (y < c) || (v == above) != (y > c) {
+		t.Fatalf("the guard of an arity-%d entry for c = %v on %v answers %d; the function returns %v, null %v",
+			fn.arity, c, args[:fn.arity], v, y, null)
+	}
+	return true
+}
+
+// TestGuardNeverDisagrees sweeps each guard over seeded random cells placed
+// at every scale of distance from its threshold, from the last bit to well
+// clear of the shell: wherever the guard answers, the function must say the
+// same. (Inside the shell it does not answer, and the sweep counts that it
+// does outside: a guard that never answered would pass.)
+func TestGuardNeverDisagrees(t *testing.T) {
+	eng := New("LSST")
+	rng := rand.New(rand.NewSource(16))
+	// delta draws +-10^u, u uniform in [-16, -6].
+	delta := func() float64 {
+		d := math.Pow(10, -16+10*rng.Float64())
+		if rng.Intn(2) == 0 {
+			return -d
+		}
+		return d
+	}
+	check := func(t *testing.T, fn *typedFunc, c float64, args [maxTypedArgs]float64, decided *int) {
+		if guardBorneOut(t, fn, c, args) {
+			*decided++
+		}
+	}
+	// fluxToAbMag falls with its argument; a log-affine builtin that rises
+	// takes the other branch of the same guard.
+	eng.registerLogAffine("test_rising", 2, 1)
+	const cells = 1 << 20
+	for _, la := range []struct {
+		name string
+		a, b float64
+	}{{"fluxToAbMag", -2.5, -48.6}, {"test_rising", 2, 1}} {
+		fn := eng.funcs[lower(la.name)].typed
+		t.Run(la.name, func(t *testing.T) {
+			decided := 0
+			for i := 0; i < cells/2; i++ {
+				c := 10 + 25*rng.Float64()
+				if i%8 == 0 {
+					c = -600 + 1200*rng.Float64() // thresholds over the whole float range
+				}
+				k := math.Pow(10, (c-la.b)/la.a)
+				check(t, fn, c, [maxTypedArgs]float64{k * (1 + delta())}, &decided)
+			}
+			if decided < cells/8 {
+				t.Errorf("the guard decided %d of %d cells", decided, cells/2)
+			}
+		})
+		t.Run(la.name+" difference", func(t *testing.T) {
+			decided := 0
+			for i := 0; i < cells/2; i++ {
+				c := -9 + 18*rng.Float64()
+				x2 := math.Pow(10, -33+6*rng.Float64())
+				if i%8 == 0 {
+					c, x2 = -500+1000*rng.Float64(), math.Pow(10, -300+600*rng.Float64())
+				}
+				k := math.Pow(10, c/la.a)
+				check(t, fn.minus, c, [maxTypedArgs]float64{k * x2 * (1 + delta()), x2}, &decided)
+			}
+			if decided < cells/8 {
+				t.Errorf("the guard decided %d of %d cells", decided, cells/2)
+			}
+		})
+	}
+	t.Run("angSep", func(t *testing.T) {
+		sep, decided := eng.funcs["qserv_angsep"].typed, 0
+		for i := 0; i < cells/4; i++ {
+			decl1, decl2 := -90+180*rng.Float64(), -90+180*rng.Float64()
+			switch i % 4 {
+			case 0: // close pairs, the near-neighbour regime
+				decl2 = decl1 + math.Pow(10, -6+6*rng.Float64())
+			case 1: // pole to pole, where the haversine formula is worst
+				decl1, decl2 = 90-math.Pow(10, -9+9*rng.Float64()), -90+math.Pow(10, -9+9*rng.Float64())
+			}
+			decl2 = max(-90, min(90, decl2))
+			// r at every scale of distance below and above the declination
+			// difference (less the guard's absolute margin).
+			r := (math.Abs(decl1-decl2) - guardShell) / (1 + guardShell) * (1 - delta())
+			ra1, ra2 := 360*rng.Float64(), 360*rng.Float64()
+			if i%3 == 0 {
+				ra2 = ra1 // the bound is met when the RA term vanishes
+			}
+			check(t, sep, r, [maxTypedArgs]float64{ra1, decl1, ra2, decl2}, &decided)
+		}
+		if decided < cells/32 {
+			t.Errorf("the guard decided %d of %d cells", decided, cells/4)
+		}
+	})
+}
+
+// FuzzGuardedCompare lets the fuzzer pick the constant and the cells, bit
+// for bit: whatever each guard answers about them the function must bear
+// out, and a compiled comparison must answer as the reference does.
+func FuzzGuardedCompare(f *testing.F) {
+	k := math.Pow(10, (24.1+48.6)/-2.5)
+	f.Add(24.1, k, 3e-28, 10.0, 0.0, uint8(2))
+	f.Add(24.1, k*(1+guardShell), k, 359.99, 24.1, uint8(0))
+	f.Add(0.5, 90.0, 89.5, 0.01, -90.0, uint8(5))
+	f.Add(math.NaN(), math.Inf(1), -0.0, math.SmallestNonzeroFloat64, 91.0, uint8(7))
+	f.Add(720.0, 3.7e-308, 1e-310, math.MaxFloat64, 179.5, uint8(13))
+	eng := New("LSST")
+	flux, sep := eng.funcs["fluxtoabmag"].typed, eng.funcs["qserv_angsep"].typed
+	f.Fuzz(func(t *testing.T, c, x1, x2, x3, x4 float64, shape uint8) {
+		for _, fn := range []*typedFunc{flux, flux.minus, sep} {
+			guardBorneOut(t, fn, c, [maxTypedArgs]float64{x1, x2, x3, x4})
+		}
+		// Statement text cannot spell a NaN or an infinity: such a constant
+		// is checked at the guards alone, above.
+		tables := guardTables(t, []Row{{x1, x2}}, []Row{{x3, x4}})
+		lit := (&sqlparse.Literal{Val: c}).SQL()
+		if c != c || math.IsInf(c, 0) {
+			lit = "24.1"
+		}
+		for _, call := range []string{"fluxToAbMag(f)", "fluxToAbMag(f) - fluxToAbMag(g)", "qserv_angSep(f, m, g, h)"} {
+			shapes := guardedShapes(call, lit, "(1 + "+lit+")")
+			checkExprOn(t, eng, mustParseExpr(t, shapes[int(shape)%len(shapes)]), tables)
+		}
+	})
 }

@@ -815,6 +815,43 @@ func (s *stubSource) NextPiece() (int, int, bool) {
 
 func (s *stubSource) Close() {}
 
+// TestInterruptLandsWithinPairsOfANestedLoop: a nested-loop join used to
+// look at its interrupt once per interruptCheckRows outer rows, that is
+// once per 512 * |inner| pairs — ten million predicate calls after the kill
+// on this 20,000-row self-join. The kill must land within
+// interruptCheckRows pairs, however long the inner table.
+func TestInterruptLandsWithinPairsOfANestedLoop(t *testing.T) {
+	const rows, killAt = 20000, 1000
+	e := New("db")
+	db, _ := e.Database("db")
+	tbl := NewTable("t", Schema{{Name: "x", Type: sqlparse.TypeInt}})
+	cells := make([]Row, rows)
+	for i := range cells {
+		cells[i] = Row{int64(i)}
+	}
+	if err := tbl.Insert(cells...); err != nil {
+		t.Fatal(err)
+	}
+	db.Put(tbl)
+	// test_slow is the pair predicate: it counts its calls and fires the
+	// kill at the killAt-th.
+	interrupt, calls := make(chan struct{}), 0
+	e.RegisterFunc("test_slow", func(args []Value) (Value, error) {
+		if calls++; calls == killAt {
+			close(interrupt)
+		}
+		return args[0], nil
+	})
+	sel := mustParse(t, "SELECT COUNT(*) FROM t a, t b WHERE test_slow(a.x + b.x) < 0")
+	_, err := e.ExecuteStmtOpts(sel, ExecOptions{Interrupt: interrupt})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v after %d predicate calls, want ErrInterrupted", err, calls)
+	}
+	if calls > killAt+interruptCheckRows {
+		t.Errorf("the join made %d predicate calls after the kill, want at most %d", calls-killAt, interruptCheckRows)
+	}
+}
+
 // TestFloatModulo: `x % 0.5` used to truncate the divisor to an int and
 // crash the scan lane with an integer divide by zero. Fractional
 // divisors must use floating modulo; only a true zero divisor is NULL.

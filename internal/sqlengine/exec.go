@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -54,7 +55,8 @@ var ErrInterrupted = errors.New("sqlengine: statement interrupted")
 
 // interruptCheckRows is how many rows a scan or join processes between
 // interrupt checks — small enough that cancellation lands "between
-// rows", large enough that the check never shows up in profiles.
+// rows", large enough that the check never shows up in profiles. For a
+// join a row is a pair it visits (or an outer row it probes to no match).
 const interruptCheckRows = 512
 
 // selectExec executes one SELECT statement in three steps: bind the FROM
@@ -87,6 +89,16 @@ func (ex *selectExec) interrupted() error {
 	default:
 		return nil
 	}
+}
+
+// poll counts one more row of work in n and looks at the interrupt on the
+// first of every interruptCheckRows.
+func (ex *selectExec) poll(n *int) error {
+	*n++
+	if (*n-1)%interruptCheckRows != 0 {
+		return nil
+	}
+	return ex.interrupted()
 }
 
 func (e *Engine) execSelect(sel *sqlparse.Select) (*Result, error) {
@@ -708,11 +720,13 @@ func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) 
 		build = sp.join.build(sp.data, inner)
 	}
 	fr := &ex.fr
+	// visited counts the outer rows and the pairs gone through: the nested
+	// loop visits every inner row per outer row, so counting outer rows
+	// alone would let a kill wait for interruptCheckRows * |inner| pairs.
+	visited := 0
 	for i := 0; i*k < len(cur); i++ {
-		if i%interruptCheckRows == 0 {
-			if err := ex.interrupted(); err != nil {
-				return err
-			}
+		if err := ex.poll(&visited); err != nil {
+			return err
 		}
 		for b, pos := range cur[i*k : (i+1)*k] {
 			fr.cur[b].pos = pos
@@ -726,6 +740,9 @@ func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) 
 		ex.stats.PairsConsidered += int64(len(matches))
 	rows:
 		for _, pos := range matches {
+			if err := ex.poll(&visited); err != nil {
+				return err
+			}
 			fr.cur[k].pos = pos
 			for _, f := range sp.pending {
 				v, null, err := f(fr)
@@ -951,6 +968,11 @@ type output struct {
 	list    []*group // in first-seen order: the output order of groups
 	key     []byte   // reused GROUP BY key buffer
 	scratch []byte   // reused DISTINCT key buffer
+	// last is the group of the previous row and lastKey its key: a row
+	// whose key is the same bytes skips the map (a chunk statement's GROUP
+	// BY chunkId is one group for the whole table).
+	last    *group
+	lastKey []byte
 
 	// sink is the statement's: the caller's, or boxed for a caller that
 	// named none, whose rows become Result.Rows. held is set under DISTINCT
@@ -1140,12 +1162,18 @@ func (o *output) groupOf(fr *frame) (*group, error) {
 			return nil, err
 		}
 	}
-	o.key = key
+	if o.last != nil && bytes.Equal(key, o.lastKey) {
+		o.key = key
+		return o.last, nil
+	}
 	g, ok := o.groups[string(key)]
 	if !ok {
 		g = o.openGroup(fr)
 		o.groups[string(key)] = g
 	}
+	// This key becomes the remembered one; its buffer and the previous
+	// one's trade places, so nothing is copied.
+	o.last, o.lastKey, o.key = g, key, o.lastKey
 	return g, nil
 }
 

@@ -51,3 +51,19 @@ func RandomExpr(r *rand.Rand, depth int) string { return exprGen{r}.expr(depth).
 const BenchHV2 = benchHV2
 
 func BenchEngine(tb testing.TB, n int) *Engine { return benchEngine(tb, n) }
+
+// CountTypedCalls wraps the typed entry of a builtin — and, where it
+// declares one, the entry for the difference of two of its calls — with a
+// counter of the calls compiled statements make through it from here on.
+// The generic entry, which the reference evaluator calls, is not counted.
+func CountTypedCalls(e *Engine, name string) *int64 {
+	n := new(int64)
+	for t := e.funcs[lower(name)].typed; t != nil; t = t.minus {
+		call := t.call
+		t.call = func(a *[maxTypedArgs]float64) (float64, bool) {
+			*n++
+			return call(a)
+		}
+	}
+	return n
+}

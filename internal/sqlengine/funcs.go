@@ -28,11 +28,54 @@ type typedFunc struct {
 	arity int
 	pred  bool // the result is 0 or 1 and surfaces as an int64
 	call  func(a *[maxTypedArgs]float64) (f float64, null bool)
+	// guard, when set, is what lets a comparison of a call with a constant
+	// be decided before the call is made (see guardFn). The compiler
+	// specialises it once on the constant c; it returns nil for a c it has
+	// nothing to decide against. UDFs registered through RegisterFunc have
+	// no typed entry, so they are never guarded.
+	guard func(c float64) guardFn
+	// minus, when set, is the typed entry of f(x...) - f(y...), over the
+	// arguments of both calls in that order: the compiler builds a
+	// subtraction of two calls of this builtin through it, which is how the
+	// difference comes to have a guard of its own. Its call must be the
+	// subtraction of the two results, NULL when either is.
+	minus *typedFunc
 }
 
+// verdict is a guard's answer about one call, given only its arguments.
+type verdict uint8
+
+const (
+	undecided verdict = iota // make the call and compare its result
+	below                    // the call would return a number that is < c
+	above                    // the call would return a number that is > c
+)
+
+// guardFn looks at the loaded arguments of one call — none of them NULL —
+// and says how the call's result compares with the constant the guard was
+// specialised on, as float64's < and > order the value call computes: not
+// the function mathematics defines, the one the code returns, rounding
+// included. It answers below or above only where that is certain, which
+// every guard argues beside its code from a bound on call's floating-point
+// error; wherever it answers undecided the compiled comparison makes the
+// call, so a guard can change what a comparison costs and never what it
+// answers.
+type guardFn func(a *[maxTypedArgs]float64) verdict
+
+// guardShell is the relative half-width of the shell around a guard's
+// threshold inside which it leaves the decision to the call. The guards'
+// error bounds are two to three orders of magnitude inside it.
+const guardShell = 1e-9
+
+// minNormal is the smallest positive normal float64: below it a product
+// with 1 +- guardShell no longer has the relative precision the shells
+// assume.
+const minNormal = 0x1p-1022
+
 // registerNumeric installs a builtin of arity numbers that is NULL when
-// any argument is, with both of its entries derived from call.
-func (e *Engine) registerNumeric(name string, n int, pred bool, call func(a *[maxTypedArgs]float64) (float64, bool)) {
+// any argument is, with both of its entries derived from call. It returns
+// the typed entry, for a builtin that has more to declare on it.
+func (e *Engine) registerNumeric(name string, n int, pred bool, call func(a *[maxTypedArgs]float64) (float64, bool)) *typedFunc {
 	generic := func(args []Value) (Value, error) {
 		if err := arity(name, args, n); err != nil {
 			return nil, err
@@ -57,7 +100,9 @@ func (e *Engine) registerNumeric(name string, n int, pred bool, call func(a *[ma
 		}
 		return y, nil
 	}
-	e.funcs[lower(name)] = function{call: generic, typed: &typedFunc{arity: n, pred: pred, call: call}}
+	t := &typedFunc{arity: n, pred: pred, call: call}
+	e.funcs[lower(name)] = function{call: generic, typed: t}
+	return t
 }
 
 // registerBuiltins installs the function set every Qserv database
@@ -65,20 +110,16 @@ func (e *Engine) registerNumeric(name string, n int, pred bool, call func(a *[ma
 // 5.3 and 6.2) plus ordinary math helpers.
 func registerBuiltins(e *Engine) {
 	// fluxToAbMag converts a calibrated flux (Jansky-scaled units in the
-	// PT1.1 schema) to an AB magnitude: m = -2.5 log10(f) - 48.6.
-	e.registerNumeric("fluxToAbMag", 1, false, func(a *[maxTypedArgs]float64) (float64, bool) {
-		if a[0] <= 0 {
-			return 0, true // undefined magnitude, SQL NULL
-		}
-		return -2.5*math.Log10(a[0]) - 48.6, false
-	})
+	// PT1.1 schema) to an AB magnitude: m = -2.5 log10(f) - 48.6, undefined
+	// (SQL NULL) for a flux that is not positive.
+	e.registerLogAffine("fluxToAbMag", -2.5, -48.6)
 
 	// qserv_angSep(ra1, decl1, ra2, decl2) returns the angular distance
 	// in degrees between two positions (the worker-side UDF behind
 	// near-neighbor predicates).
 	e.registerNumeric("qserv_angSep", 4, false, func(a *[maxTypedArgs]float64) (float64, bool) {
 		return sphgeom.AngSepDeg(a[0], a[1], a[2], a[3]), false
-	})
+	}).guard = angSepGuard
 	// scisql-compatible alias.
 	e.funcs["scisql_angsep"] = e.funcs["qserv_angsep"]
 
@@ -176,6 +217,126 @@ func registerBuiltins(e *Engine) {
 		}
 		return arith(opMod, args[0], args[1])
 	})
+}
+
+// registerLogAffine installs the one-argument builtin
+//
+//	y(x) = a*log10(x) + b for x > 0, NULL for x <= 0,
+//
+// and derives from that one declaration its guards: of y(x) against a
+// constant, and (typedFunc.minus) of y(x1) - y(x2) against a constant.
+// The guards' error bound assumes |b| <= 1000*|a|.
+func (e *Engine) registerLogAffine(name string, a, b float64) {
+	if a == 0 || math.Abs(b) > 1000*math.Abs(a) {
+		panic(fmt.Sprintf("sqlengine: %s: no guard bound for y = %g*log10(x) + %g", name, a, b))
+	}
+	t := e.registerNumeric(name, 1, false, func(arg *[maxTypedArgs]float64) (float64, bool) {
+		if arg[0] <= 0 {
+			return 0, true
+		}
+		return a*math.Log10(arg[0]) + b, false
+	})
+	// y(x) ? c is x against 10^((c-b)/a), and y(x1) - y(x2) = a*log10(x1/x2),
+	// so the difference against c is x1 against 10^(c/a) * x2.
+	t.guard = func(c float64) guardFn { return logAffineGuard(a, (c-b)/a, false) }
+	t.minus = &typedFunc{
+		arity: 2,
+		call: func(arg *[maxTypedArgs]float64) (float64, bool) {
+			if arg[0] <= 0 || arg[1] <= 0 {
+				return 0, true
+			}
+			return (a*math.Log10(arg[0]) + b) - (a*math.Log10(arg[1]) + b), false
+		},
+		guard: func(c float64) guardFn { return logAffineGuard(a, c/a, true) },
+	}
+}
+
+// logAffineGuard decides y(x) against c — or, for a pair, y(x1) - y(x2)
+// against c — by comparing x with the threshold k = 10^exp, for a pair x1
+// with k*x2: y is monotone in x, falling when a < 0. It decides only for x
+// outside k*(1 +- guardShell), with x and the threshold normal numbers (so
+// not for a zero, negative, subnormal, infinite or NaN cell), and is not
+// built when k itself is not one.
+//
+// Why the shell is safe. For a normal x, math.Log10(x) is a handful of
+// roundings at 2^-53 relative on a value of at most 308: within 3e-13 of
+// log10(x). The multiplication by a and the addition of b round a value
+// of at most 308*|a| + |b| twice more, so the computed y(x) is within
+// |a|*6e-13 of the real one, and a computed difference of two within
+// |a|*1.3e-12. The threshold's exponent is rounded twice and math.Pow adds
+// a few ulps: k is within 3e-13 relative of 10^exp, which moves the real
+// y at k by |a|*1.3e-13. Outside the shell the real y (or difference) is
+// at least |a|*log10(1 + 1e-9) = |a|*4.3e-10 away from c: more than 300
+// times all of those errors together, so the computed result is on the
+// same side of c as the real one.
+func logAffineGuard(a, exp float64, pair bool) guardFn {
+	k := math.Pow(10, exp)
+	if !(k >= minNormal && k <= math.MaxFloat64/2) {
+		return nil // under- or overflow, or a NaN constant
+	}
+	smallX, largeX := above, below
+	if a > 0 {
+		smallX, largeX = below, above
+	}
+	if !pair {
+		lo, hi := k*(1-guardShell), k*(1+guardShell)
+		return func(arg *[maxTypedArgs]float64) verdict { return shellSide(arg[0], lo, hi, smallX, largeX) }
+	}
+	return func(arg *[maxTypedArgs]float64) verdict {
+		kx2 := k * arg[1]
+		if !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
+			return undecided // x2 is not a positive finite number, or the product left the normal range
+		}
+		return shellSide(arg[0], kx2*(1-guardShell), kx2*(1+guardShell), smallX, largeX)
+	}
+}
+
+// shellSide places x against the shell [lo, hi]: under is the answer for
+// a normal x below lo, over the one for a normal x above hi.
+func shellSide(x, lo, hi float64, under, over verdict) verdict {
+	switch {
+	case !(x >= minNormal && x <= math.MaxFloat64):
+	case x > hi:
+		return over
+	case x < lo:
+		return under
+	}
+	return undecided
+}
+
+// angSepGuard decides qserv_angSep(ra1, decl1, ra2, decl2) against r from
+// the declinations alone: two points are at least as far apart as their
+// declinations, so a declination difference beyond r puts the separation
+// above r — the section 4.4 zone idea at its cheapest. It decides nothing
+// else: not "below", not for a declination outside [-90, 90] or an RA
+// difference that is not finite (the function then returns what its formula
+// makes of them), and it is not built for r above 179 degrees.
+//
+// Why the shell is safe. AngSepDeg is the haversine formula: its
+// RA term cos(decl1)*cos(decl2)*sin^2(dRA/2) is computed non-negative for
+// declinations in [-90, 90] (cos of the float nearest pi/2 is 6e-17, not
+// negative), so what it returns is at least what it returns for dRA = 0,
+// its own round trip of |decl1 - decl2| through radians, sin, sqrt and
+// asin. That round trip loses at most 7e-14 degrees absolutely (the two
+// conversions to radians are rounded before they are subtracted) and
+// 1.3e-12 relatively up to 179.9 degrees (a few roundings, times the
+// conditioning of asin near 1, at most 573 there); beyond 179.9 it loses
+// up to 2e-6 degrees, and still returns more than 179.89 > r. The guard
+// asks for a declination difference above r*(1 + 1e-9) + 1e-9: for every
+// r three orders of magnitude more than that loss.
+func angSepGuard(r float64) guardFn {
+	if !(r <= 179) {
+		return nil
+	}
+	far := r*(1+guardShell) + guardShell
+	return func(a *[maxTypedArgs]float64) verdict {
+		decl1, decl2 := a[1], a[3]
+		if decl1 >= -90 && decl1 <= 90 && decl2 >= -90 && decl2 <= 90 &&
+			math.Abs(decl1-decl2) > far && math.Abs(a[0]-a[2]) <= math.MaxFloat64 {
+			return above
+		}
+		return undecided
+	}
 }
 
 // SlowIdentity returns a UDF that hands its one argument back and makes

@@ -208,3 +208,29 @@ func TestGoldenSelect(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupBySameGroupMemo: groupOf remembers the previous row's group and
+// skips its map for a row with the same key. The golden tables never
+// return to a group after leaving it, so this one interleaves: repeated
+// runs, keys that come back, NULL keys (one group, whatever else the row
+// holds), a NULL beside the empty string, and two-column keys whose
+// concatenations collide. Groups come out in first-seen order with every
+// one of their rows counted.
+func TestGroupBySameGroupMemo(t *testing.T) {
+	e := New("db")
+	mustExec(t, e, "CREATE TABLE t (k BIGINT, s VARCHAR, v BIGINT)")
+	mustExec(t, e, `INSERT INTO t VALUES
+		(1, 'a', 1), (1, 'a', 2), (2, 'ab', 4), (1, 'a', 8), (NULL, '', 16), (NULL, NULL, 32),
+		(2, 'ab', 64), (2, 'a', 128), (2, 'a', 256), (NULL, NULL, 512), (1, 'a', 1024), (NULL, '', 2048)`)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", "[[1 4 1035] [2 4 452] [<nil> 4 2608]]"},
+		{"SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s", "[[a 6 1419] [ab 2 68] [ 2 2064] [<nil> 2 544]]"},
+		{"SELECT k, s, SUM(v) FROM t GROUP BY k, s", "[[1 a 1035] [2 ab 68] [<nil>  2064] [<nil> <nil> 544] [2 a 384]]"},
+		{"SELECT k, SUM(v) FROM t WHERE v > 2 GROUP BY k", "[[2 452] [1 1032] [<nil> 2608]]"},
+		{"SELECT v % 2, COUNT(*) FROM t GROUP BY v % 2", "[[1 1] [0 11]]"},
+	} {
+		if got := fmt.Sprint(mustQuery(t, e, tc.sql).Rows); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.sql, got, tc.want)
+		}
+	}
+}

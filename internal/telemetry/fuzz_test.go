@@ -63,9 +63,9 @@ func FuzzTrailerDecode(f *testing.F) {
 		count, depth := 0, 0
 		var walk func(spans []*Span, d int)
 		walk = func(spans []*Span, d int) {
-			depth = max(depth, d)
 			for _, s := range spans {
 				count++
+				depth = max(depth, d) // a level counts once it holds a span
 				walk(s.Children, d+1)
 			}
 		}
