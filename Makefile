@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race verify bench bench-build bench-layers bench-smoke fuzz-smoke
+.PHONY: build test vet race verify bench bench-build bench-layers bench-smoke fuzz-smoke daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -106,3 +106,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzGuardedCompare$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)
+
+# The deployed system from its real binaries: two qserv-workers and a
+# qserv-czar at replication 2, the catalog ingested over TCP, a client's
+# COUNT(*) checked against the czar's ingest log, both /metrics linted.
+daemon-smoke:
+	GO=$(GO) bash scripts/daemon-smoke.sh

@@ -1,9 +1,10 @@
 package qserv
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,8 +36,6 @@ const (
 	// and (with SelfHeal) its chunks are re-replicated. Probing
 	// continues — the first successful ping revives it.
 	WorkerDead WorkerState = "DEAD"
-	// WorkerUnknown: the availability subsystem is disabled.
-	WorkerUnknown WorkerState = "UNKNOWN"
 )
 
 func stateFromMember(s member.State) WorkerState {
@@ -118,15 +117,22 @@ type ClusterStatus struct {
 	Cache          CacheStats
 }
 
-// Status snapshots the cluster's availability. With DisableHealth set
-// it degrades to a placement-only view (every worker UNKNOWN).
+// Status snapshots the cluster's availability.
 func (cl *Cluster) Status() ClusterStatus {
-	cacheStats := func() CacheStats {
-		cs, ok := cl.Czar.CacheStats()
-		if !ok {
-			return CacheStats{}
-		}
-		return CacheStats{
+	ms := cl.member.Status()
+	out := ClusterStatus{
+		PlacementEpoch: ms.Epoch,
+		Repair: RepairProgress{
+			ChunksRepaired: ms.Repair.ChunksRepaired,
+			ChunksHealed:   ms.Repair.ChunksHealed,
+			ChunksPending:  ms.Repair.ChunksPending,
+			TablesCopied:   ms.Repair.TablesCopied,
+			BytesCopied:    ms.Repair.BytesCopied,
+			LastError:      ms.Repair.LastError,
+		},
+	}
+	if cs, ok := cl.Czar.CacheStats(); ok {
+		out.Cache = CacheStats{
 			Enabled: true,
 			Hits:    cs.Hits, Misses: cs.Misses,
 			Evictions: cs.Evictions, Invalidations: cs.Invalidations,
@@ -134,38 +140,14 @@ func (cl *Cluster) Status() ClusterStatus {
 			Epoch: cs.Epoch,
 		}
 	}
-	if cl.member != nil {
-		ms := cl.member.Status()
-		out := ClusterStatus{
-			PlacementEpoch: ms.Epoch,
-			Cache:          cacheStats(),
-			Repair: RepairProgress{
-				ChunksRepaired: ms.Repair.ChunksRepaired,
-				ChunksHealed:   ms.Repair.ChunksHealed,
-				ChunksPending:  ms.Repair.ChunksPending,
-				TablesCopied:   ms.Repair.TablesCopied,
-				BytesCopied:    ms.Repair.BytesCopied,
-				LastError:      ms.Repair.LastError,
-			},
-		}
-		for _, w := range ms.Workers {
-			out.Workers = append(out.Workers, WorkerStatus{
-				Name:      w.Name,
-				State:     stateFromMember(w.State),
-				Chunks:    w.Chunks,
-				Misses:    w.Misses,
-				LastSeen:  w.LastSeen,
-				LastError: w.LastErr,
-			})
-		}
-		return out
-	}
-	out := ClusterStatus{PlacementEpoch: cl.Placement.Epoch(), Cache: cacheStats()}
-	for _, name := range cl.WorkerNames() {
+	for _, w := range ms.Workers {
 		out.Workers = append(out.Workers, WorkerStatus{
-			Name:   name,
-			State:  WorkerUnknown,
-			Chunks: len(cl.Placement.ChunksOn(name)),
+			Name:      w.Name,
+			State:     stateFromMember(w.State),
+			Chunks:    w.Chunks,
+			Misses:    w.Misses,
+			LastSeen:  w.LastSeen,
+			LastError: w.LastErr,
 		})
 	}
 	return out
@@ -189,17 +171,12 @@ const addIngestWaitTimeout = 30 * time.Second
 // paths — AddWorker therefore waits (bounded) for in-flight ingests
 // and holds the ingest gate until the worker is a member.
 func (cl *Cluster) AddWorker(name string) error {
+	if len(cl.Config.WorkerAddrs) > 0 {
+		return ErrRemoteCluster
+	}
 	if name == "" {
 		return fmt.Errorf("qserv: AddWorker: empty worker name")
 	}
-	cl.memberMu.Lock()
-	_, dup := cl.workers[name]
-	dup = dup || cl.removing[name]
-	cl.memberMu.Unlock()
-	if dup {
-		return fmt.Errorf("qserv: AddWorker: worker %q already exists", name)
-	}
-
 	deadline := time.Now().Add(addIngestWaitTimeout)
 	for {
 		cl.ingestMu.Lock()
@@ -214,35 +191,36 @@ func (cl *Cluster) AddWorker(name string) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	defer cl.ingestMu.Unlock()
-	replicated := cl.ingestedTablesLocked(false)
+	// Joins serialize on the gate, so the name cannot be taken between
+	// this check and the join below.
+	cl.memberMu.Lock()
+	_, dup := cl.endpoints[name]
+	cl.memberMu.Unlock()
+	if dup {
+		return fmt.Errorf("qserv: AddWorker: worker %q already exists", name)
+	}
 
-	w, err := worker.New(cl.workerConfig(name), cl.Registry)
+	w, err := worker.New(cl.Config.WorkerConfig(name, cl.metrics), cl.Registry)
 	if err != nil {
 		return fmt.Errorf("qserv: AddWorker %s: %w", name, err)
 	}
-	// Seed replicated tables before the worker can serve or receive
-	// chunk queries: worker-side joins against dimension tables must
-	// find them.
-	if err := cl.seedReplicated(w, replicated); err != nil {
-		w.Close()
-		return err
-	}
+	// Reachable by name, exporting nothing: the catalog and the replicated
+	// tables arrive before the worker can receive a chunk query, whose
+	// joins against dimension tables must find them.
 	ep := xrd.NewLocalEndpoint(name, w)
-	cl.memberMu.Lock()
-	if _, dup := cl.workers[name]; dup || cl.removing[name] {
-		cl.memberMu.Unlock()
+	cl.Redirector.Register(ep)
+	if err := cl.prepareWorker(name, cl.specs, cl.ingestedTablesLocked(false)); err != nil {
+		cl.Redirector.Remove(name)
 		w.Close()
-		return fmt.Errorf("qserv: AddWorker: worker %q already exists", name)
+		return fmt.Errorf("qserv: AddWorker %s: %w", name, err)
 	}
+	cl.memberMu.Lock()
 	cl.workers[name] = w
-	cl.endpoints[name] = ep
 	cl.Workers = append(cl.Workers, w)
+	cl.join(name, ep)
 	cl.memberMu.Unlock()
-	cl.Redirector.Register(ep, "/result")
-	if cl.member != nil {
-		cl.member.Watch(name)
-		cl.member.CheckNow()
-	}
+	cl.member.Watch(name)
+	cl.member.CheckNow()
 	return nil
 }
 
@@ -260,6 +238,9 @@ const removeQuiesceTimeout = 30 * time.Second
 // replication factor or a chunk cannot be moved. Removals serialize:
 // concurrent calls are safe, and the floor check holds for each.
 func (cl *Cluster) RemoveWorker(name string) error {
+	if len(cl.Config.WorkerAddrs) > 0 {
+		return ErrRemoteCluster
+	}
 	cl.removalMu.Lock()
 	defer cl.removalMu.Unlock()
 
@@ -270,7 +251,7 @@ func (cl *Cluster) RemoveWorker(name string) error {
 	// check cannot race another removal's mutation).
 	cl.memberMu.Lock()
 	w := cl.workers[name]
-	remaining := len(cl.Workers) - 1
+	remaining := len(cl.names) - 1
 	if w != nil {
 		if remaining < cl.Config.Replication {
 			cl.memberMu.Unlock()
@@ -289,35 +270,25 @@ func (cl *Cluster) RemoveWorker(name string) error {
 		cl.memberMu.Unlock()
 	}
 
-	if cl.member == nil {
-		if n := len(cl.Placement.ChunksOn(name)); n > 0 {
-			unmark()
-			return fmt.Errorf("qserv: RemoveWorker %s: holds %d chunks and the availability subsystem is disabled (DisableHealth)", name, n)
-		}
-	} else {
-		// Graceful drain: the worker keeps serving its chunks while each
-		// is copied off and re-homed. Drain serializes with repair
-		// sweeps, so any chunk a pre-mark sweep placed here is seen and
-		// moved too; the post-drain check guards the invariant that a
-		// detached worker never lingers in placement.
-		if err := cl.member.Drain(context.Background(), name); err != nil {
-			unmark()
-			return fmt.Errorf("qserv: RemoveWorker %s: %w", name, err)
-		}
-		if n := len(cl.Placement.ChunksOn(name)); n > 0 {
-			unmark()
-			return fmt.Errorf("qserv: RemoveWorker %s: still placed on %d chunks after drain", name, n)
-		}
-		cl.member.Unwatch(name)
+	// Graceful drain: the worker keeps serving its chunks while each
+	// is copied off and re-homed. Drain serializes with repair
+	// sweeps, so any chunk a pre-mark sweep placed here is seen and
+	// moved too; the post-drain check guards the invariant that a
+	// detached worker never lingers in placement.
+	if err := cl.member.Drain(context.Background(), name); err != nil {
+		unmark()
+		return fmt.Errorf("qserv: RemoveWorker %s: %w", name, err)
 	}
+	if n := len(cl.Placement.ChunksOn(name)); n > 0 {
+		unmark()
+		return fmt.Errorf("qserv: RemoveWorker %s: still placed on %d chunks after drain", name, n)
+	}
+	cl.member.Unwatch(name)
 	// No chunk export points at the worker anymore; wait for the chunk
 	// queries it already accepted to finish so their result reads are
 	// served rather than torn.
 	deadline := time.Now().Add(removeQuiesceTimeout)
-	for time.Now().Before(deadline) {
-		if w.QueueLen() == 0 && w.ActiveJobs() == 0 {
-			break
-		}
+	for time.Now().Before(deadline) && !cl.quiesced(name) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	cl.Redirector.Remove(name)
@@ -325,16 +296,24 @@ func (cl *Cluster) RemoveWorker(name string) error {
 	delete(cl.workers, name)
 	delete(cl.endpoints, name)
 	delete(cl.removing, name)
-	kept := cl.Workers[:0]
-	for _, ww := range cl.Workers {
-		if ww != w {
-			kept = append(kept, ww)
-		}
-	}
-	cl.Workers = kept
+	cl.names = slices.DeleteFunc(cl.names, func(n string) bool { return n == name })
+	cl.Workers = slices.DeleteFunc(cl.Workers, func(ww *worker.Worker) bool { return ww == w })
 	cl.memberMu.Unlock()
 	w.Close()
 	return nil
+}
+
+// quiesced reports whether a worker's /ping shows no chunk query executing
+// or queued. A worker that does not answer has nothing left to wait for.
+func (cl *Cluster) quiesced(name string) bool {
+	ctx, done := context.WithTimeout(context.Background(), time.Second)
+	defer done()
+	var st xrd.PingStatus
+	data, err := cl.client.ReadFrom(ctx, name, xrd.PingPath)
+	if err != nil || json.Unmarshal(data, &st) != nil {
+		return true
+	}
+	return st.Active == 0 && st.Queued == 0
 }
 
 // WorkerNames returns the current membership, in join order. Safe under
@@ -342,11 +321,7 @@ func (cl *Cluster) RemoveWorker(name string) error {
 func (cl *Cluster) WorkerNames() []string {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
-	out := make([]string, len(cl.Workers))
-	for i, w := range cl.Workers {
-		out[i] = w.Name()
-	}
-	return out
+	return append([]string(nil), cl.names...)
 }
 
 // eligibleWorkerNames is WorkerNames minus workers being removed — the
@@ -354,20 +329,18 @@ func (cl *Cluster) WorkerNames() []string {
 func (cl *Cluster) eligibleWorkerNames() []string {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
-	out := make([]string, 0, len(cl.Workers))
-	for _, w := range cl.Workers {
-		if !cl.removing[w.Name()] {
-			out = append(out, w.Name())
+	out := make([]string, 0, len(cl.names))
+	for _, name := range cl.names {
+		if !cl.removing[name] {
+			out = append(out, name)
 		}
 	}
 	return out
 }
 
 // deadWorker reports whether the failure detector currently considers
-// the worker dead (false without the subsystem).
-func (cl *Cluster) deadWorker(name string) bool {
-	return cl.member != nil && cl.member.Dead(name)
-}
+// the worker dead.
+func (cl *Cluster) deadWorker(name string) bool { return cl.member.Dead(name) }
 
 // partitionedTables names the ingested partitioned tables — what a
 // chunk repair must copy.
@@ -413,44 +386,58 @@ func (cl *Cluster) rehome(chunk partition.ChunkID, from, to string) {
 	}
 }
 
-// seedReplicated copies the given replicated tables onto a fresh
-// worker from the first live peer that can serve each.
-func (cl *Cluster) seedReplicated(w *worker.Worker, tables []string) error {
-	for _, table := range tables {
-		var data []byte
-		var err error
-		copied := false
-		for _, src := range cl.WorkerNames() {
-			if cl.deadWorker(src) {
-				continue
-			}
-			ctx, done := context.WithTimeout(context.Background(), 30*time.Second)
-			data, err = cl.client.ReadFrom(ctx, src, xrd.ReplSharedPath(table))
-			done()
-			if err == nil {
-				copied = true
-				break
-			}
-		}
-		if !copied {
-			return fmt.Errorf("qserv: AddWorker: no live peer could export replicated table %s: %v", table, err)
-		}
-		if err := w.HandleWrite(xrd.ReplSharedPath(table), data); err != nil {
-			return fmt.Errorf("qserv: AddWorker: seed replicated table %s: %w", table, err)
-		}
-		// Verify like a chunk repair does: the new worker's re-export
-		// must be byte-identical to what was shipped (the codec and the
-		// segment framing are deterministic).
-		back, err := w.HandleRead(xrd.ReplSharedPath(table))
+// prepareRepairTarget is the replication manager's Prepare hook.
+func (cl *Cluster) prepareRepairTarget(name string) error {
+	cl.ingestMu.Lock()
+	specs, replicated := cl.specs, cl.ingestedTablesLocked(false)
+	cl.ingestMu.Unlock()
+	return cl.prepareWorker(name, specs, replicated)
+}
+
+// prepareWorker makes a worker ready to hold the catalog's chunks: it
+// writes every catalog spec CreateTables installed (ApplySpec is
+// idempotent) and, to a worker that holds no chunk — one joining, or one
+// that came back empty — copies every ingested replicated table. Such a
+// worker needs both before its first chunk: a /repl install looks its table
+// up in the worker's registry, which a restarted remote worker has yet to be
+// told about, and chunk queries join against the replicated tables.
+func (cl *Cluster) prepareWorker(name string, specs [][]byte, replicated []string) error {
+	for _, spec := range specs {
+		ctx, done := context.WithTimeout(context.Background(), fabricTimeout)
+		err := cl.client.WriteTo(ctx, name, xrd.LoadSpecPath, spec)
+		done()
 		if err != nil {
-			return fmt.Errorf("qserv: AddWorker: verify replicated table %s: %w", table, err)
+			return fmt.Errorf("qserv: catalog spec to worker %s: %w", name, err)
 		}
-		if !bytes.Equal(data, back) {
-			return fmt.Errorf("qserv: AddWorker: replicated table %s failed copy verification (%d bytes out, %d back)",
-				table, len(data), len(back))
+	}
+	inv, err := cl.inventory(name)
+	if err != nil || len(inv.Chunks) > 0 {
+		return err
+	}
+	for _, table := range replicated {
+		if err := cl.seedReplicated(name, table); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// seedReplicated copies one replicated table onto a worker from the first
+// live peer the verified copy succeeds from.
+func (cl *Cluster) seedReplicated(target, table string) error {
+	err := fmt.Errorf("no live peer")
+	for _, src := range cl.WorkerNames() {
+		if src == target || cl.deadWorker(src) {
+			continue
+		}
+		ctx, done := context.WithTimeout(context.Background(), fabricTimeout)
+		_, err = member.CopyVerified(ctx, cl.client, src, target, xrd.ReplSharedPath(table))
+		done()
+		if err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("qserv: seed replicated table %s on worker %s: %w", table, target, err)
 }
 
 // RestartWorker simulates a worker process crash and restart under the
@@ -464,9 +451,12 @@ func (cl *Cluster) seedReplicated(w *worker.Worker, tables []string) error {
 // copy; without one it comes back hollow and the replication manager
 // heals its chunks in place from surviving replicas.
 func (cl *Cluster) RestartWorker(name string) error {
+	if len(cl.Config.WorkerAddrs) > 0 {
+		return ErrRemoteCluster
+	}
 	cl.memberMu.Lock()
 	old := cl.workers[name]
-	ep := cl.endpoints[name]
+	ep, _ := cl.endpoints[name].(*xrd.LocalEndpoint)
 	leaving := cl.removing[name]
 	cl.memberMu.Unlock()
 	if old == nil || ep == nil {
@@ -479,7 +469,7 @@ func (cl *Cluster) RestartWorker(name string) error {
 	// (its store is released so the successor can reopen it).
 	ep.SetDown(true)
 	old.Close()
-	nw, err := worker.New(cl.workerConfig(name), cl.Registry)
+	nw, err := worker.New(cl.Config.WorkerConfig(name, cl.metrics), cl.Registry)
 	if err != nil {
 		return fmt.Errorf("qserv: RestartWorker %s: %w", name, err)
 	}
@@ -501,8 +491,6 @@ func (cl *Cluster) RestartWorker(name string) error {
 	// alive, which kicks an immediate placement-vs-inventory audit.
 	ep.SetHandler(nw)
 	ep.SetDown(false)
-	if cl.member != nil {
-		cl.member.CheckNow()
-	}
+	cl.member.CheckNow()
 	return nil
 }

@@ -1,12 +1,14 @@
-// Command qserv-worker runs one Qserv worker as a network data server:
-// it deterministically synthesizes the shared catalog, loads the chunks
-// the cluster layout assigns to it (plus overlap and replicated
-// tables), and serves the two xrd file transactions over TCP.
+// Command qserv-worker runs one Qserv worker as a network data server: it
+// starts empty (or with what its -data-dir holds) and serves the xrd file
+// transactions over TCP.
 //
-//	qserv-worker -name w0 -addr 127.0.0.1:7001 -peers w0,w1,w2 -seed 1
+//	qserv-worker -name w0 -addr 127.0.0.1:7001
 //
-// Every worker and the czar must use identical -seed/-objects/-bands/
-// -copies/-peers values so their layouts agree.
+// Everything it stores reaches it over the fabric: the catalog through
+// /load/spec, rows through /load, replicas through /repl — shipped by the
+// qserv-czar whose -workers list names it. Its configuration is the one an
+// in-process worker gets (ClusterConfig.WorkerConfig), flags overriding
+// the defaults.
 package main
 
 import (
@@ -14,28 +16,25 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
-	"repro/internal/deploy"
+	qserv "repro"
+	"repro/internal/meta"
+	"repro/internal/partition"
 	"repro/internal/telemetry"
 	"repro/internal/worker"
 	"repro/internal/xrd"
 )
 
+var defaults = qserv.DefaultClusterConfig(0)
+
 var (
 	nameFlag        = flag.String("name", "w0", "this worker's cluster name")
 	addrFlag        = flag.String("addr", "127.0.0.1:7001", "listen address")
-	peersFlag       = flag.String("peers", "w0", "comma-separated names of ALL workers (order-insensitive)")
-	seedFlag        = flag.Int64("seed", 1, "catalog seed")
-	objectsFlag     = flag.Int("objects", 400, "objects per patch")
-	sourcesFlag     = flag.Float64("sources", 3, "mean sources per object")
-	bandsFlag       = flag.Int("bands", 2, "declination bands to duplicate")
-	copiesFlag      = flag.Int("copies", 30, "max patch copies (0 = unlimited)")
-	slotsFlag       = flag.Int("slots", 4, "parallel scan-class chunk queries (paper: 4)")
-	interactiveFlag = flag.Int("interactive-slots", 2, "dedicated interactive-class slots")
-	sharedScansFlag = flag.Bool("shared-scans", true, "convoy concurrent full scans over one read")
-	pieceRowsFlag   = flag.Int("scan-piece-rows", 4096, "rows per shared-scan piece")
-	dataDirFlag     = flag.String("data-dir", "", "durable chunk store directory (empty = in-memory only); a restart recovers chunk tables from it instead of re-synthesizing")
+	slotsFlag       = flag.Int("slots", defaults.WorkerSlots, "parallel scan-class chunk queries (paper: 4)")
+	interactiveFlag = flag.Int("interactive-slots", defaults.InteractiveSlots, "dedicated interactive-class slots")
+	sharedScansFlag = flag.Bool("shared-scans", defaults.SharedScans, "convoy concurrent full scans over one read")
+	pieceRowsFlag   = flag.Int("scan-piece-rows", defaults.ScanPieceRows, "rows per shared-scan piece")
+	dataDirFlag     = flag.String("data-dir", "", "durable chunk store parent directory, the store lives in <dir>/<name> (empty = in-memory only); a restart recovers the worker's chunks from it")
 	memBudgetFlag   = flag.Int64("mem-budget", 0, "resident chunk-table byte budget; above it cold chunks are evicted to the data dir and re-materialized on first touch (0 = unbudgeted, requires -data-dir)")
 	adminFlag       = flag.String("admin-addr", "", "admin HTTP listen address serving /metrics and /debug/pprof/ (empty = disabled)")
 )
@@ -51,72 +50,31 @@ func fatal(event string, err error) {
 
 func main() {
 	flag.Parse()
-
-	spec := deploy.CatalogSpec{
-		Seed: *seedFlag, Objects: *objectsFlag, Sources: *sourcesFlag,
-		Bands: *bandsFlag, Copies: *copiesFlag,
-	}
-	cat, err := spec.Build()
-	if err != nil {
-		fatal("catalog.build", err)
-	}
-	names := strings.Split(*peersFlag, ",")
-	layout, err := deploy.ComputeLayout(cat, names)
-	if err != nil {
-		fatal("layout.compute", err)
-	}
-
-	reg := telemetry.NewRegistry()
-	wcfg := worker.DefaultConfig(*nameFlag)
-	wcfg.Slots = *slotsFlag
-	wcfg.InteractiveSlots = *interactiveFlag
-	wcfg.SharedScans = *sharedScansFlag
-	wcfg.ScanPieceRows = *pieceRowsFlag
-	wcfg.DataDir = *dataDirFlag
-	wcfg.MemoryBudgetBytes = *memBudgetFlag
-	wcfg.Metrics = reg
-	wcfg.Trace = true
 	if *memBudgetFlag > 0 && *dataDirFlag == "" {
 		fatal("config.mem_budget", fmt.Errorf("-mem-budget needs -data-dir: a budget pages against the durable store"))
 	}
-	w, err := worker.New(wcfg, layout.Registry)
+
+	cfg := defaults
+	cfg.WorkerSlots = *slotsFlag
+	cfg.InteractiveSlots = *interactiveFlag
+	cfg.SharedScans = *sharedScansFlag
+	cfg.ScanPieceRows = *pieceRowsFlag
+	cfg.DataDir = *dataDirFlag
+	cfg.WorkerMemoryBudget = *memBudgetFlag
+
+	// The database name and the partitioning geometry are the defaults the
+	// czar daemon uses too; the tables arrive over /load/spec.
+	chunker, err := partition.NewChunker(cfg.Partition)
+	if err != nil {
+		fatal("config.partition", err)
+	}
+	reg := telemetry.NewRegistry()
+	w, err := worker.New(cfg.WorkerConfig(*nameFlag, reg), meta.NewRegistry(cfg.Database, chunker))
 	if err != nil {
 		fatal("worker.new", err)
 	}
 	defer w.Close()
-
-	objInfo, err := layout.Registry.Table("Object")
-	if err != nil {
-		fatal("catalog.table", err)
-	}
-	srcInfo, err := layout.Registry.Table("Source")
-	if err != nil {
-		fatal("catalog.table", err)
-	}
-	// Chunks recovered from the durable store skip the synthesize-and-load
-	// pass: that is the restart speedup the store exists for.
-	recovered := map[int]bool{}
-	for _, c := range w.Chunks() {
-		recovered[int(c)] = true
-	}
-	mine := layout.Placement.ChunksOn(*nameFlag)
-	if len(mine) == 0 {
-		fatal("config.name", fmt.Errorf("no chunks assigned to %q; is -name in -peers?", *nameFlag))
-	}
-	loaded := 0
-	for _, c := range mine {
-		if recovered[int(c)] {
-			continue
-		}
-		if err := w.LoadChunk(objInfo, c, layout.ObjRows[c], layout.ObjOverlap[c]); err != nil {
-			fatal("chunk.load", err)
-		}
-		if err := w.LoadChunk(srcInfo, c, layout.SrcRows[c], layout.SrcOverlap[c]); err != nil {
-			fatal("chunk.load", err)
-		}
-		loaded++
-	}
-	if n := len(mine) - loaded; n > 0 {
+	if n := len(w.Chunks()); n > 0 {
 		fmt.Printf("worker %s recovered %d chunks from %s\n", *nameFlag, n, *dataDirFlag)
 	}
 
@@ -134,8 +92,8 @@ func main() {
 		fatal("xrd.listen", err)
 	}
 	defer srv.Close()
-	fmt.Printf("worker %s serving %d chunks on %s\n", *nameFlag, len(mine), srv.Addr())
-	logger.Info("worker.ready", "name", *nameFlag, "chunks", len(mine), "addr", srv.Addr())
+	fmt.Printf("worker %s serving on %s\n", *nameFlag, srv.Addr())
+	logger.Info("worker.ready", "name", *nameFlag, "chunks", len(w.Chunks()), "addr", srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

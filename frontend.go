@@ -52,12 +52,15 @@ type Frontend struct {
 // ephemeral port) over the cluster's czar. Dropped client connections
 // kill their in-flight queries end-to-end — czar registry, fabric
 // transactions, worker scan lanes — and sessions beyond the
-// configured quotas shed with fast "busy" errors.
+// configured quotas shed with fast "busy" errors. The first frontend a
+// cluster serves exports the qserv_frontend_* admission series into the
+// cluster's registry.
 func (cl *Cluster) ServeFrontend(addr string, cfg FrontendConfig) (*Frontend, error) {
 	srv, err := frontend.Serve(addr, frontend.Config{
 		MaxSessions:       cfg.MaxSessions,
 		PerUserSessions:   cfg.PerUserSessions,
 		SessionQueueDepth: cfg.SessionQueueDepth,
+		Metrics:           cl.metrics,
 	}, cl.Czar)
 	if err != nil {
 		return nil, err

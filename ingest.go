@@ -13,7 +13,6 @@ import (
 	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
-	"repro/internal/worker"
 	"repro/internal/xrd"
 )
 
@@ -96,6 +95,11 @@ func (cl *Cluster) CreateTables(spec CatalogSpec) error {
 	if err != nil {
 		return err
 	}
+	// Kept before the broadcast: a worker that joins or comes back empty
+	// from here on is sent it (prepareWorker).
+	cl.ingestMu.Lock()
+	cl.specs = append(cl.specs, payload)
+	cl.ingestMu.Unlock()
 	ctx := context.Background()
 	for _, name := range cl.WorkerNames() {
 		if err := cl.client.WriteTo(ctx, name, xrd.LoadSpecPath, payload); err != nil {
@@ -172,6 +176,10 @@ func (cl *Cluster) IngestContext(ctx context.Context, table string, src RowSourc
 	return stats, err
 }
 
+// ingestBatchRows is the rows per fabric /load shipment, and so per stored
+// segment.
+const ingestBatchRows = 2048
+
 // pendingChunk buffers one chunk's not-yet-shipped rows.
 type pendingChunk struct {
 	rows, overlap []sqlengine.Row
@@ -197,10 +205,6 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 	placer, err := newRowPlacer(info, cl.Chunker, cl.Index)
 	if err != nil {
 		return err
-	}
-	batchRows := cl.Config.IngestBatchRows
-	if batchRows <= 0 {
-		batchRows = 2048
 	}
 	sh := cl.newShipper(ctx, info.Name)
 	buf := map[partition.ChunkID]*pendingChunk{}
@@ -305,7 +309,7 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 				op := pend(oc)
 				op.overlap = append(op.overlap, full)
 				stats.OverlapRows++
-				if op.size() >= batchRows {
+				if op.size() >= ingestBatchRows {
 					if err := flush(oc, op); err != nil {
 						sh.abort(err)
 						break
@@ -313,7 +317,7 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 				}
 			}
 		}
-		if p.size() >= batchRows {
+		if p.size() >= ingestBatchRows {
 			if err := flush(c, p); err != nil {
 				sh.abort(err)
 				break
@@ -460,19 +464,19 @@ func (cl *Cluster) ingestPlacement(c partition.ChunkID) ([]string, error) {
 	if ws := cl.Placement.Workers(c); len(ws) > 0 {
 		return ws, nil
 	}
-	live := make([]*worker.Worker, 0, len(cl.Workers))
-	for _, w := range cl.Workers {
-		if !cl.deadWorker(w.Name()) && !cl.removing[w.Name()] {
-			live = append(live, w)
+	live := make([]string, 0, len(cl.names))
+	for _, name := range cl.names {
+		if !cl.deadWorker(name) && !cl.removing[name] {
+			live = append(live, name)
 		}
 	}
 	if len(live) < cl.Config.Replication {
 		return nil, fmt.Errorf("qserv: ingest: chunk %d needs %d replicas but only %d of %d workers are live",
-			c, cl.Config.Replication, len(live), len(cl.Workers))
+			c, cl.Config.Replication, len(live), len(cl.names))
 	}
 	reps := make([]string, 0, cl.Config.Replication)
 	for r := 0; r < cl.Config.Replication; r++ {
-		reps = append(reps, live[(int(c)+r)%len(live)].Name())
+		reps = append(reps, live[(int(c)+r)%len(live)])
 	}
 	cl.Placement.Assign(c, reps...)
 	for _, name := range reps {

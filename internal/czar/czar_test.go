@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/ingest"
 	"repro/internal/member"
 	"repro/internal/meta"
 	"repro/internal/partition"
@@ -13,6 +14,19 @@ import (
 	"repro/internal/worker"
 	"repro/internal/xrd"
 )
+
+// load ships one chunk's rows to a worker the way an ingest does: an
+// encoded batch written to the table's /load path.
+func load(t *testing.T, w *worker.Worker, table string, c partition.ChunkID, rows []sqlengine.Row) {
+	t.Helper()
+	payload, err := ingest.EncodeBatch(ingest.Batch{Rows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.HandleWrite(xrd.LoadPath(table, int(c)), payload); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // miniCluster wires one czar to two real workers over the in-process
 // fabric, with a handful of Object rows split across two chunks.
@@ -25,10 +39,6 @@ func miniCluster(t *testing.T) (*Czar, []*worker.Worker, *xrd.Redirector) {
 		t.Fatal(err)
 	}
 	reg := datagen.LSSTRegistry(ch)
-	info, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 	red := xrd.NewRedirector()
 	index := meta.NewObjectIndex()
 	placement := meta.NewPlacement()
@@ -57,13 +67,8 @@ func miniCluster(t *testing.T) (*Czar, []*worker.Worker, *xrd.Redirector) {
 			t.Fatal(err)
 		}
 		t.Cleanup(w.Close)
-		if err := w.LoadChunk(info, c, rows, nil); err != nil {
-			t.Fatal(err)
-		}
-		srcInfo, _ := reg.Table("Source")
-		if err := w.LoadChunk(srcInfo, c, nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		load(t, w, "Object", c, rows)
+		load(t, w, "Source", c, nil)
 		ep := xrd.NewLocalEndpoint(w.Name(), w)
 		red.Register(ep, xrd.QueryPath(int(c)), "/result")
 		placement.Assign(c, w.Name())
@@ -228,10 +233,6 @@ func replicatedMini(t *testing.T) (*Czar, *worker.Worker, *worker.Worker, partit
 		t.Fatal(err)
 	}
 	reg := datagen.LSSTRegistry(ch)
-	info, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 	red := xrd.NewRedirector()
 	index := meta.NewObjectIndex()
 	placement := meta.NewPlacement()
@@ -248,9 +249,7 @@ func replicatedMini(t *testing.T) (*Czar, *worker.Worker, *worker.Worker, partit
 			t.Fatal(err)
 		}
 		t.Cleanup(w.Close)
-		if err := w.LoadChunk(info, c, rows, nil); err != nil {
-			t.Fatal(err)
-		}
+		load(t, w, "Object", c, rows)
 		red.Register(xrd.NewLocalEndpoint(name, w), xrd.QueryPath(int(c)), "/result")
 		ws = append(ws, w)
 	}

@@ -29,6 +29,13 @@ type RepairConfig struct {
 	// Candidates names the current cluster members eligible as repair
 	// targets (the repairer filters out dead ones and current holders).
 	Candidates func() []string
+	// Prepare is called before the first copy an audit makes onto a
+	// target: the cluster makes the worker ready to hold chunk tables (a
+	// worker that came back empty has lost the catalog itself — over TCP
+	// even the table metadata a /repl install looks up — and its
+	// replicated tables). An error fails the copy; the chunk stays
+	// pending.
+	Prepare func(target string) error
 	// Rehome is called after a verified copy moved a chunk replica and
 	// placement was updated: the hook moves the chunk's fabric export
 	// (register `to` first, deregister `from` last, so the chunk is
@@ -101,10 +108,12 @@ type Repairer struct {
 	prog RepairProgress
 
 	// invCache holds per-audit /inventory answers (a nil entry means the
-	// read failed and the worker is assumed intact). Guarded by runMu:
-	// it is reset at the top of each Sweep/Drain and filled lazily as
-	// repairChunk audits holders.
+	// read failed and the worker is assumed intact) and prepared the
+	// targets the audit has run Prepare on. Guarded by runMu: both are
+	// reset at the top of each Sweep/Drain and filled lazily as
+	// repairChunk audits holders and copies onto targets.
 	invCache map[string]*inventoryAudit
+	prepared map[string]bool
 
 	kick     chan struct{}
 	stop     chan struct{}
@@ -173,7 +182,7 @@ func (r *Repairer) loop() {
 func (r *Repairer) Sweep() {
 	r.runMu.Lock()
 	defer r.runMu.Unlock()
-	r.invCache = nil
+	r.invCache, r.prepared = nil, map[string]bool{}
 	pending := 0
 	var lastErr string
 	for _, c := range r.placement.Chunks() {
@@ -200,7 +209,7 @@ func (r *Repairer) Sweep() {
 func (r *Repairer) Drain(ctx context.Context, worker string) error {
 	r.runMu.Lock()
 	defer r.runMu.Unlock()
-	r.invCache = nil
+	r.invCache, r.prepared = nil, map[string]bool{}
 	for _, c := range r.placement.ChunksOn(worker) {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
@@ -352,10 +361,7 @@ func (r *Repairer) holderHasChunk(h string, c partition.ChunkID) bool {
 		data, err := r.client.ReadFrom(ctx, h, xrd.InventoryPath)
 		done()
 		if err == nil {
-			var doc struct {
-				Chunks   []int `json:"chunks"`
-				Resident []int `json:"resident"`
-			}
+			var doc xrd.Inventory
 			if json.Unmarshal(data, &doc) == nil {
 				inv = &inventoryAudit{chunks: map[partition.ChunkID]bool{}}
 				for _, id := range doc.Chunks {
@@ -415,37 +421,52 @@ func (r *Repairer) pickTarget(holders []string) string {
 }
 
 // copyChunk copies every partitioned table's chunk data from source to
-// target over /repl and verifies each table by reading it back: the
-// target's re-export must be byte-identical (the codec is deterministic
-// and /repl installs preserve row order).
+// target over /repl, each table verified (CopyVerified).
 func (r *Repairer) copyChunk(source, target string, c partition.ChunkID) error {
+	if r.cfg.Prepare != nil && !r.prepared[target] {
+		if err := r.cfg.Prepare(target); err != nil {
+			return fmt.Errorf("member: repair chunk %d: prepare %s: %w", c, target, err)
+		}
+		r.prepared[target] = true
+	}
 	var tables []string
 	if r.cfg.Tables != nil {
 		tables = r.cfg.Tables()
 	}
 	for _, tbl := range tables {
-		path := xrd.ReplPath(tbl, int(c))
 		ctx, done := context.WithTimeout(context.Background(), r.cfg.OpTimeout)
-		data, err := r.client.ReadFrom(ctx, source, path)
-		if err == nil {
-			err = r.client.WriteTo(ctx, target, path, data)
-		}
-		var back []byte
-		if err == nil {
-			back, err = r.client.ReadFrom(ctx, target, path)
-		}
+		n, err := CopyVerified(ctx, r.client, source, target, xrd.ReplPath(tbl, int(c)))
 		done()
 		if err != nil {
-			return fmt.Errorf("member: repair chunk %d table %s (%s -> %s): %w", c, tbl, source, target, err)
-		}
-		if !bytes.Equal(data, back) {
-			return fmt.Errorf("member: repair chunk %d table %s (%s -> %s): copy verification failed (%d bytes out, %d back)",
-				c, tbl, source, target, len(data), len(back))
+			return fmt.Errorf("member: repair chunk %d table %s: %w", c, tbl, err)
 		}
 		r.mu.Lock()
 		r.prog.TablesCopied++
-		r.prog.BytesCopied += int64(len(data))
+		r.prog.BytesCopied += int64(n)
 		r.mu.Unlock()
 	}
 	return nil
+}
+
+// CopyVerified moves one /repl unit — a chunk of a partitioned table, or a
+// replicated table — from source to target and verifies it by reading it
+// back: the target's re-export must be byte-identical (the codec is
+// deterministic and /repl installs preserve row order). It returns the
+// bytes shipped.
+func CopyVerified(ctx context.Context, client *xrd.Client, source, target, path string) (int, error) {
+	data, err := client.ReadFrom(ctx, source, path)
+	if err == nil {
+		err = client.WriteTo(ctx, target, path, data)
+	}
+	var back []byte
+	if err == nil {
+		back, err = client.ReadFrom(ctx, target, path)
+	}
+	if err == nil && !bytes.Equal(data, back) {
+		err = fmt.Errorf("copy verification failed (%d bytes out, %d back)", len(data), len(back))
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%s -> %s: %w", source, target, err)
+	}
+	return len(data), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/datagen"
 	"repro/internal/partition"
 )
 
@@ -36,12 +37,13 @@ func (cl *Cluster) ScaleFor(table string, fixedResult bool) (Scale, error) {
 	if ourRows == 0 {
 		return Scale{}, fmt.Errorf("simcluster: no loaded rows for %s", table)
 	}
-	if info.EvalRows == 0 || info.EvalBytes == 0 {
+	evalRows, evalBytes := evalSize(info.Name)
+	if evalRows == 0 || evalBytes == 0 {
 		return Scale{}, fmt.Errorf("simcluster: table %s has no evaluation-scale metadata", table)
 	}
 	ourBytes := ourRows * int64(info.Schema.RowWidth())
-	rowScale := float64(info.EvalRows) / float64(ourRows)
-	byteScale := float64(info.EvalBytes) / float64(ourBytes)
+	rowScale := float64(evalRows) / float64(ourRows)
+	byteScale := float64(evalBytes) / float64(ourBytes)
 	sc := Scale{
 		Bytes:    byteScale,
 		RowScale: rowScale,
@@ -52,6 +54,18 @@ func (cl *Cluster) ScaleFor(table string, fixedResult bool) (Scale, error) {
 		sc.Result = 1
 	}
 	return sc, nil
+}
+
+// evalSize returns the size of an LSST table in the paper's 150-node
+// evaluation dataset (section 6.1.2): cost-model constants, which the
+// catalog spec a cluster installs does not carry.
+func evalSize(table string) (rows, bytes int64) {
+	for _, t := range datagen.LSSTSpec().Tables {
+		if t.Name == table {
+			return t.EvalRows, t.EvalBytes
+		}
+	}
+	return 0, 0
 }
 
 // SampleObjectIDs returns up to n deterministic loaded object ids.

@@ -21,14 +21,13 @@ import (
 	"strings"
 	"sync"
 
+	qserv "repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/meta"
 	"repro/internal/partition"
-	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
-	"repro/internal/worker"
 	"repro/internal/xrd"
 )
 
@@ -121,18 +120,18 @@ type Cluster struct {
 	Index    *meta.ObjectIndex
 	Model    CostModel
 
-	workers   []*worker.Worker
-	placement *meta.Placement
-	planner   *core.Planner
+	// inner is the real cluster the chunk queries execute on: it
+	// partitions, places and loads the catalog; node maps its workers'
+	// names to simulated node indexes (join order).
+	inner   *qserv.Cluster
+	node    map[string]int
+	planner *core.Planner
 
 	mu    sync.Mutex
 	cache map[string]chunkCost // payload hash -> measured cost
 
 	// rowCounts holds loaded rows per table, for scale factors.
 	rowCounts map[string]int64
-	// chunkObjRows holds Object rows per chunk, for the analytic
-	// near-neighbor pair model.
-	chunkObjRows map[partition.ChunkID]int64
 	// sampleIDs is a deterministic sample of loaded objectIds for
 	// randomized point-query workloads.
 	sampleIDs []int64
@@ -159,127 +158,66 @@ func PaperConfig() Config {
 	return Config{Nodes: 150, Partition: partition.PaperConfig(), Model: DefaultCostModel()}
 }
 
-// New assembles the simulated cluster and loads the catalog.
+// New assembles the simulated cluster and loads the catalog: a real
+// in-process qserv.Cluster of cfg.Nodes workers, one replica per chunk,
+// with everything that would perturb the metering off — no span trailer on
+// the result bytes, no convoys, no repair traffic.
 func New(cfg Config, cat *datagen.Catalog) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("simcluster: Nodes must be >= 1")
 	}
-	chunker, err := partition.NewChunker(cfg.Partition)
+	ccfg := qserv.DefaultClusterConfig(cfg.Nodes)
+	ccfg.Partition = cfg.Partition
+	ccfg.WorkerSlots = 2 // real execution concurrency; virtual queues are simulated
+	ccfg.SharedScans = false
+	ccfg.SelfHeal = false
+	ccfg.DisableTelemetry = true
+	inner, err := qserv.NewCluster(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	registry := datagen.LSSTRegistry(chunker)
+	if err := inner.Load(cat); err != nil {
+		inner.Close()
+		return nil, err
+	}
 	cl := &Cluster{
-		Nodes:        cfg.Nodes,
-		Chunker:      chunker,
-		Registry:     registry,
-		Index:        meta.NewObjectIndex(),
-		Model:        cfg.Model,
-		cache:        map[string]chunkCost{},
-		rowCounts:    map[string]int64{},
-		chunkObjRows: map[partition.ChunkID]int64{},
+		Nodes:    cfg.Nodes,
+		Chunker:  inner.Chunker,
+		Registry: inner.Registry,
+		Index:    inner.Index,
+		Model:    cfg.Model,
+		inner:    inner,
+		node:     map[string]int{},
+		planner:  core.NewPlanner(inner.Registry, inner.Index),
+		cache:    map[string]chunkCost{},
+		rowCounts: map[string]int64{
+			"Object": int64(len(cat.Objects)),
+			"Source": int64(len(cat.Sources)),
+		},
 	}
-
-	// Partition rows per chunk; the geometry-derived overlap probe
-	// (Chunker.OverlapChunks) confirms candidates with the
-	// dilated-bounds check.
-	objInfo, _ := registry.Table("Object")
-	srcInfo, _ := registry.Table("Source")
-	objRows := map[partition.ChunkID][]sqlengine.Row{}
-	objOver := map[partition.ChunkID][]sqlengine.Row{}
-	srcRows := map[partition.ChunkID][]sqlengine.Row{}
-	srcOver := map[partition.ChunkID][]sqlengine.Row{}
-
-	addWithOverlap := func(p sphgeom.Point, row sqlengine.Row, rows, over map[partition.ChunkID][]sqlengine.Row) {
-		own, _ := chunker.Locate(p)
-		rows[own] = append(rows[own], row)
-		for _, c := range chunker.OverlapChunks(p) {
-			over[c] = append(over[c], row)
-		}
+	for i, name := range inner.WorkerNames() {
+		cl.node[name] = i
 	}
-	for i, o := range cat.Objects {
-		c, s := chunker.Locate(o.Point())
-		cl.Index.Put(o.ObjectID, meta.ChunkSub{Chunk: c, Sub: s})
-		cl.chunkObjRows[c]++
-		row := append(datagen.ObjectUserRow(o), int64(c), int64(s))
-		addWithOverlap(o.Point(), row, objRows, objOver)
-		if i%97 == 0 {
-			cl.sampleIDs = append(cl.sampleIDs, o.ObjectID)
-		}
+	for i := 0; i < len(cat.Objects); i += 97 {
+		cl.sampleIDs = append(cl.sampleIDs, cat.Objects[i].ObjectID)
 	}
-	cl.rowCounts["Object"] = int64(len(cat.Objects))
-	for _, s := range cat.Sources {
-		c, sc := chunker.Locate(s.Point())
-		row := append(datagen.SourceUserRow(s), int64(c), int64(sc))
-		addWithOverlap(s.Point(), row, srcRows, srcOver)
-	}
-	cl.rowCounts["Source"] = int64(len(cat.Sources))
-
-	placedSet := map[partition.ChunkID]bool{}
-	for c := range objRows {
-		placedSet[c] = true
-	}
-	for c := range srcRows {
-		placedSet[c] = true
-	}
-	placed := make([]partition.ChunkID, 0, len(placedSet))
-	for c := range placedSet {
-		placed = append(placed, c)
-	}
-	sort.Slice(placed, func(i, j int) bool { return placed[i] < placed[j] })
-
-	names := make([]string, cfg.Nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("sim-%03d", i)
-		wcfg := worker.DefaultConfig(names[i])
-		wcfg.Slots = 2 // real execution concurrency; virtual queues are simulated
-		w, err := worker.New(wcfg, registry)
-		if err != nil {
-			return nil, err
-		}
-		cl.workers = append(cl.workers, w)
-	}
-	cl.placement, err = meta.RoundRobin(placed, names, 1)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range placed {
-		w := cl.workerFor(c)
-		if err := w.LoadChunk(objInfo, c, objRows[c], objOver[c]); err != nil {
-			return nil, err
-		}
-		if err := w.LoadChunk(srcInfo, c, srcRows[c], srcOver[c]); err != nil {
-			return nil, err
-		}
-	}
-	cl.planner = core.NewPlanner(registry, cl.Index)
 	return cl, nil
 }
 
-// Close stops the underlying workers.
-func (cl *Cluster) Close() {
-	for _, w := range cl.workers {
-		w.Close()
-	}
-}
+// Close stops the underlying cluster.
+func (cl *Cluster) Close() { cl.inner.Close() }
 
 // nodeOf maps a chunk to its node index.
 func (cl *Cluster) nodeOf(c partition.ChunkID) int {
-	ws := cl.placement.Workers(c)
+	ws := cl.inner.Placement.Workers(c)
 	if len(ws) == 0 {
 		return 0
 	}
-	var idx int
-	fmt.Sscanf(ws[0], "sim-%d", &idx)
-	return idx
-}
-
-func (cl *Cluster) workerFor(c partition.ChunkID) *worker.Worker {
-	return cl.workers[cl.nodeOf(c)]
+	return cl.node[ws[0]]
 }
 
 // PlacedChunks returns all data-bearing chunks.
-func (cl *Cluster) PlacedChunks() []partition.ChunkID { return cl.placement.Chunks() }
+func (cl *Cluster) PlacedChunks() []partition.ChunkID { return cl.inner.Placement.Chunks() }
 
 // ChunksOnFirstNodes returns chunks living on nodes [0, n) — the
 // paper's method for varying cluster size: "the frontend was configured
@@ -287,7 +225,7 @@ func (cl *Cluster) PlacedChunks() []partition.ChunkID { return cl.placement.Chun
 // of cluster nodes", keeping data per node constant (section 6.3).
 func (cl *Cluster) ChunksOnFirstNodes(n int) []partition.ChunkID {
 	var out []partition.ChunkID
-	for _, c := range cl.placement.Chunks() {
+	for _, c := range cl.inner.Placement.Chunks() {
 		if cl.nodeOf(c) < n {
 			out = append(out, c)
 		}
@@ -306,7 +244,7 @@ func (cl *Cluster) measure(chunk partition.ChunkID, payload []byte) (chunkCost, 
 	}
 	cl.mu.Unlock()
 
-	w := cl.workerFor(chunk)
+	w := cl.inner.Workers[cl.nodeOf(chunk)]
 	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
 		return chunkCost{}, err
 	}
@@ -405,7 +343,7 @@ func (cl *Cluster) Run(specs []QuerySpec) ([]QueryTiming, error) {
 		}
 		placed := spec.Restrict
 		if placed == nil {
-			placed = cl.placement.Chunks()
+			placed = cl.inner.Placement.Chunks()
 		}
 		plan, err := cl.planner.Plan(sel, placed)
 		if err != nil {
@@ -653,7 +591,7 @@ func (cl *Cluster) analyticNNPairs(plan *core.Plan, chunk partition.ChunkID, row
 	if err != nil || len(all) == 0 {
 		return 0
 	}
-	placed := len(cl.placement.Chunks())
+	placed := len(cl.inner.Placement.Chunks())
 	if placed == 0 {
 		return 0
 	}

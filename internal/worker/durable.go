@@ -10,6 +10,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sqlengine"
+	"repro/internal/xrd"
 )
 
 // This file is the worker side of durability: opening the chunk store,
@@ -145,8 +146,8 @@ func (w *Worker) persistAppend(u chunkstore.Unit, payload []byte) error {
 	return nil
 }
 
-// persistReplace mirrors a replace-semantics install (repl, direct
-// load) into the store; no-op without one.
+// persistReplace mirrors a replace-semantics install (/repl) into the
+// store; no-op without one.
 func (w *Worker) persistReplace(u chunkstore.Unit, payloads [][]byte) error {
 	if w.store == nil {
 		return nil
@@ -155,20 +156,6 @@ func (w *Worker) persistReplace(u chunkstore.Unit, payloads [][]byte) error {
 		return fmt.Errorf("worker %s: persist %s: %w", w.cfg.Name, u, err)
 	}
 	return nil
-}
-
-// persistRows encodes rows with the batch codec and replaces the
-// unit's stored content (the direct LoadChunk/LoadShared path installs
-// whole tables, so replace is the matching durability semantics).
-func (w *Worker) persistRows(u chunkstore.Unit, rows, overlap []sqlengine.Row) error {
-	if w.store == nil {
-		return nil
-	}
-	payload, err := ingest.EncodeBatch(ingest.Batch{Rows: rows, Overlap: overlap})
-	if err != nil {
-		return fmt.Errorf("worker %s: persist %s: %w", w.cfg.Name, u, err)
-	}
-	return w.persistReplace(u, [][]byte{payload})
 }
 
 // persistSpec stores the catalog spec document; no-op without a store.
@@ -183,11 +170,7 @@ func (w *Worker) persistSpec(data []byte) error {
 }
 
 // inventoryStatus renders the /inventory response: the chunks this
-// worker actually holds, sorted, as a small JSON document. Holding and
-// residency are distinct: `chunks` is the inventory (on disk or in
-// memory — what the repairer audits placement against, so a cold chunk
-// is never spuriously healed), while `resident` lists the subset whose
-// tables are currently materialized in the engine.
+// worker actually holds, sorted (see xrd.Inventory).
 func (w *Worker) inventoryStatus() []byte {
 	w.mu.Lock()
 	chunks := make([]int, 0, len(w.chunks))
@@ -196,12 +179,7 @@ func (w *Worker) inventoryStatus() []byte {
 	}
 	w.mu.Unlock()
 	sort.Ints(chunks)
-	doc := struct {
-		Worker   string `json:"worker"`
-		Chunks   []int  `json:"chunks"`
-		Resident []int  `json:"resident,omitempty"`
-	}{Worker: w.cfg.Name, Chunks: chunks, Resident: w.residentChunks()}
-	out, _ := json.Marshal(doc)
+	out, _ := json.Marshal(xrd.Inventory{Worker: w.cfg.Name, Chunks: chunks, Resident: w.residentChunks()})
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/chunkstore"
-	"repro/internal/ingest"
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sqlengine"
@@ -27,32 +26,14 @@ func TestDurableRestartRecovery(t *testing.T) {
 	cfg.DataDir = dir
 
 	w := mustNew(t, cfg, reg)
-	objInfo, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const chunk = partition.ChunkID(7)
 	rows := []sqlengine.Row{objectRow(1, chunk), objectRow(2, chunk)}
 	overlap := []sqlengine.Row{objectRow(9, 8)}
-	if err := w.LoadChunk(objInfo, chunk, rows, overlap); err != nil {
-		t.Fatal(err)
-	}
-	// A second batch through the ingest path: recovery must replay
+	load(t, w, xrd.LoadPath("Object", int(chunk)), rows, overlap)
+	// A second batch: recovery must replay
 	// segments in order and accumulate them.
-	more, err := ingest.EncodeBatch(ingest.Batch{Rows: []sqlengine.Row{objectRow(3, chunk)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.HandleWrite(xrd.LoadPath("Object", int(chunk)), more); err != nil {
-		t.Fatal(err)
-	}
-	fltInfo, err := reg.Table("Filter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadShared("Filter", fltInfo.Schema, []sqlengine.Row{{int64(0), "u"}, {int64(1), "g"}}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, w, xrd.LoadPath("Object", int(chunk)), []sqlengine.Row{objectRow(3, chunk)}, nil)
+	load(t, w, xrd.LoadSharedPath("Filter"), []sqlengine.Row{{int64(0), "u"}, {int64(1), "g"}}, nil)
 	w.Close()
 
 	// Restart: same DataDir, same (shared, in-process) registry.
@@ -131,16 +112,8 @@ func TestDurableRecoveryQuarantine(t *testing.T) {
 	cfg.DataDir = dir
 
 	w := mustNew(t, cfg, reg)
-	objInfo, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadChunk(objInfo, 7, []sqlengine.Row{objectRow(1, 7)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadChunk(objInfo, 9, []sqlengine.Row{objectRow(2, 9)}, nil); err != nil {
-		t.Fatal(err)
-	}
+	load(t, w, xrd.LoadPath("Object", 7), []sqlengine.Row{objectRow(1, 7)}, nil)
+	load(t, w, xrd.LoadPath("Object", 9), []sqlengine.Row{objectRow(2, 9)}, nil)
 	w.Close()
 
 	// Rot one payload byte of chunk 7's segment, under its checksum.
@@ -178,14 +151,8 @@ func TestInventoryEndpoint(t *testing.T) {
 	reg := replRegistry(t)
 	w := mustNew(t, DefaultConfig("w-inv"), reg)
 	defer w.Close()
-	objInfo, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []partition.ChunkID{12, 3} {
-		if err := w.LoadChunk(objInfo, c, []sqlengine.Row{objectRow(int64(c), c)}, nil); err != nil {
-			t.Fatal(err)
-		}
+		load(t, w, xrd.LoadPath("Object", int(c)), []sqlengine.Row{objectRow(int64(c), c)}, nil)
 	}
 	inv, err := w.HandleRead(xrd.InventoryPath)
 	if err != nil {

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/chunkstore"
@@ -22,18 +23,17 @@ import (
 // same incremental path ingest uses — so a torn repair simply retries
 // without duplicating rows.
 
-// pingStatus renders the /ping response. The detector only needs the
-// read to succeed; the body is a small self-describing JSON document
-// for operators poking the fabric by hand.
+// pingStatus renders the /ping response.
 func (w *Worker) pingStatus() []byte {
 	w.mu.Lock()
 	active := w.active
 	chunks := len(w.chunks)
 	w.mu.Unlock()
-	iq, sq := w.QueueLens()
-	rs := w.ResidencyStats()
-	return []byte(fmt.Sprintf(`{"worker":%q,"active":%d,"queued":%d,"chunks":%d,"resident":%d}`,
-		w.cfg.Name, active, iq+sq, chunks, rs.Resident))
+	out, _ := json.Marshal(xrd.PingStatus{
+		Worker: w.cfg.Name, Active: active, Queued: w.QueueLen(),
+		Chunks: chunks, Resident: w.ResidencyStats().Resident,
+	}) // a struct of strings and ints cannot fail to marshal
+	return out
 }
 
 // exportRepl serves a /repl read: the chunk table's rows plus its

@@ -29,10 +29,6 @@ func loadBigChunks(t testing.TB, cfg Config, n, rowsPerChunk int) (*Worker, []pa
 	reg := datagen.LSSTRegistry(ch)
 	w := mustNew(t, cfg, reg)
 	t.Cleanup(w.Close)
-	info, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var chunks []partition.ChunkID
 	id := int64(0)
@@ -55,9 +51,7 @@ func loadBigChunks(t testing.TB, cfg Config, n, rowsPerChunk int) (*Worker, []pa
 				int64(c), int64(s)})
 			id++
 		}
-		if err := w.LoadChunk(info, chunk, rows, nil); err != nil {
-			t.Fatal(err)
-		}
+		load(t, w, xrd.LoadPath("Object", int(chunk)), rows, nil)
 		chunks = append(chunks, chunk)
 	}
 	return w, chunks

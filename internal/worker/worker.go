@@ -483,68 +483,6 @@ func (w *Worker) release(hash, qid string) bool {
 	}
 }
 
-// ---------- data loading ----------
-
-// LoadChunk installs a chunk table and its overlap companion, indexing
-// the director key. rows and overlapRows must match the table schema.
-func (w *Worker) LoadChunk(info *meta.TableInfo, chunk partition.ChunkID,
-	rows, overlapRows []sqlengine.Row) error {
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		return err
-	}
-	u := chunkstore.Unit{Table: info.Name, Chunk: int(chunk)}
-	if w.res != nil {
-		// Latch the unit so the evictor cannot detach the tables being
-		// installed; the deferred settle also re-charges the unit's bytes.
-		w.res.lockReplace(u)
-		defer func() { w.res.finishReplace(u, w.unitResidentBytes(db, u)) }()
-	}
-	t := sqlengine.NewTable(meta.ChunkTableName(info.Name, chunk), info.Schema)
-	if err := t.Insert(rows...); err != nil {
-		return err
-	}
-	if info.DirectorKey != "" {
-		if err := t.CreateIndex(info.DirectorKey); err != nil {
-			return err
-		}
-	}
-	db.Put(t)
-
-	ov := sqlengine.NewTable(meta.OverlapTableName(info.Name, chunk), info.Schema)
-	if err := ov.Insert(overlapRows...); err != nil {
-		return err
-	}
-	db.Put(ov)
-
-	if err := w.persistRows(u, rows, overlapRows); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	w.chunks[chunk] = true
-	w.mu.Unlock()
-	return nil
-}
-
-// LoadShared installs an unpartitioned (replicated) table.
-func (w *Worker) LoadShared(name string, schema sqlengine.Schema, rows []sqlengine.Row) error {
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		return err
-	}
-	u := chunkstore.Unit{Table: name, Shared: true}
-	if w.res != nil {
-		w.res.lockReplace(u)
-		defer func() { w.res.finishReplace(u, w.unitResidentBytes(db, u)) }()
-	}
-	t := sqlengine.NewTable(name, schema)
-	if err := t.Insert(rows...); err != nil {
-		return err
-	}
-	db.Put(t)
-	return w.persistRows(u, rows, nil)
-}
-
 // ---------- xrd.Handler ----------
 
 // HandleWrite accepts a chunk query written to /query2/CC — it registers

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dump"
+	"repro/internal/ingest"
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sphgeom"
@@ -29,6 +30,21 @@ func mustNew(t testing.TB, cfg Config, reg *meta.Registry) *Worker {
 	return w
 }
 
+// load ships rows to the worker the way an ingest does: one encoded batch
+// written to a /load path (xrd.LoadPath or xrd.LoadSharedPath), so fixtures
+// are installed by the code production uses. A batch without rows still
+// creates the chunk's tables.
+func load(t testing.TB, w *Worker, path string, rows, overlap []sqlengine.Row) {
+	t.Helper()
+	payload, err := ingest.EncodeBatch(ingest.Batch{Rows: rows, Overlap: overlap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.HandleWrite(path, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testWorker builds a worker with one Object chunk containing a few
 // hand-placed rows (including overlap rows from a neighboring chunk).
 func testWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
@@ -43,10 +59,6 @@ func testWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
 	w := mustNew(t, cfg, reg)
 	t.Cleanup(w.Close)
 
-	info, err := reg.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Pick the chunk containing (100, 0).
 	chunk, _ := ch.Locate(sphgeom.NewPoint(100, 0))
 	bounds, err := ch.ChunkBounds(chunk)
@@ -69,9 +81,7 @@ func testWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
 	overlapPt := sphgeom.NewPoint(bounds.RAMax+0.1, center.Decl)
 	overlap := []sqlengine.Row{mkRow(4, overlapPt.RA, overlapPt.Decl, 2e-29)}
 
-	if err := w.LoadChunk(info, chunk, rows, overlap); err != nil {
-		t.Fatal(err)
-	}
+	load(t, w, xrd.LoadPath("Object", int(chunk)), rows, overlap)
 	return w, chunk
 }
 
@@ -142,9 +152,15 @@ func TestResultStreamDeclaresCompiledTypes(t *testing.T) {
 
 	// No row at all: a VARCHAR column still says so.
 	tags := sqlengine.Schema{{Name: "id", Type: sqlparse.TypeInt}, {Name: "tag", Type: sqlparse.TypeString}}
-	if err := w.LoadShared("Tags", tags, []sqlengine.Row{{int64(1), "a"}}); err != nil {
+	spec, err := ingest.EncodeSpec(meta.CatalogSpec{Database: "LSST",
+		Tables: []meta.TableSpec{{Name: "Tags", Kind: meta.KindReplicated, Columns: tags}}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.HandleWrite(xrd.LoadSpecPath, spec); err != nil {
+		t.Fatal(err)
+	}
+	load(t, w, xrd.LoadSharedPath("Tags"), []sqlengine.Row{{int64(1), "a"}}, nil)
 	dec, err = dump.Decode(submit(t, w, chunk, "SELECT tag, id FROM LSST.Tags WHERE id = 999;"))
 	if err != nil {
 		t.Fatal(err)
@@ -646,13 +662,7 @@ func TestFailedOutcomeNotRetained(t *testing.T) {
 	if _, err := run(); err == nil {
 		t.Fatal("query against a chunk table the worker lacks succeeded")
 	}
-	info, err := w.registry.Table("Object")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadChunk(info, other, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	load(t, w, xrd.LoadPath("Object", int(other)), nil, nil)
 	out, err := run()
 	if err != nil {
 		t.Fatalf("identical query after the table arrived: %v", err)
@@ -679,9 +689,7 @@ func TestFailedOutcomeNotRetained(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := w.LoadChunk(info, 424242, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	load(t, w, xrd.LoadPath("Object", 424242), nil, nil)
 	if err := w.HandleWrite(xrd.QueryPath(424242), missing); err != nil {
 		t.Fatal(err)
 	}

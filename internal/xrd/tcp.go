@@ -38,8 +38,14 @@ const maxPayload = 1 << 30
 
 // Server exposes a Handler over TCP.
 type Server struct {
-	handler  Handler
-	ln       net.Listener
+	handler Handler
+	ln      net.Listener
+	// ctx is handed to a context-aware handler with every transaction and
+	// cancelled by Close, so a result read blocked on a chunk query the
+	// worker will never finish ends with the server, not with the worker's
+	// result timeout.
+	ctx      context.Context
+	cancel   context.CancelFunc
 	mu       sync.Mutex
 	closed   bool
 	conns    map[net.Conn]bool
@@ -55,6 +61,7 @@ func Serve(addr string, handler Handler) (*Server, error) {
 		return nil, fmt.Errorf("xrd: listen %s: %w", addr, err)
 	}
 	s := &Server{handler: handler, ln: ln, conns: map[net.Conn]bool{}}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -63,7 +70,8 @@ func Serve(addr string, handler Handler) (*Server, error) {
 // Addr returns the server's bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting and closes open connections.
+// Close stops accepting, closes open connections and cancels the
+// transactions still inside the handler.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -71,6 +79,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.cancel()
 	for c := range s.conns {
 		c.Close()
 	}
@@ -128,9 +137,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		var respErr error
 		switch op {
 		case opWrite:
-			respErr = s.handler.HandleWrite(path, payload)
+			respErr = writeContext(s.handler, s.ctx, path, payload)
 		case opRead:
-			respData, respErr = s.handler.HandleRead(path)
+			respData, respErr = readContext(s.handler, s.ctx, path)
 		default:
 			respErr = fmt.Errorf("xrd: unknown op %q", op)
 		}
@@ -233,11 +242,14 @@ func readResponse(r *bufio.Reader) ([]byte, error) {
 
 // TCPEndpoint is an Endpoint that performs transactions against a
 // remote Server over two persistent connections (re-dialed on failure):
-// a data lane for dispatch writes and result reads, and a control lane
-// for kill transactions. The split matters because result reads block
-// for execution lengths while holding their lane: a cancel — whose
-// whole purpose is prompt resource reclamation — must not queue behind
-// another query's minutes-long read on a shared connection.
+// a data lane for dispatch writes, result reads and row shipments, and a
+// control lane for the transactions a worker answers from its handler
+// entry — kills, health probes, inventory audits. The split matters
+// because result reads block for execution lengths while holding their
+// lane: a cancel — whose whole purpose is prompt resource reclamation —
+// must not queue behind another query's minutes-long read on a shared
+// connection, and a /ping that did would time out and have the failure
+// detector declare a busy worker dead.
 type TCPEndpoint struct {
 	name string
 	data connLane
@@ -319,10 +331,11 @@ func (t *TCPEndpoint) Close() error {
 	return err
 }
 
-// laneFor routes control-plane transactions (kills) onto the control
-// lane and everything else onto the data lane.
+// laneFor routes control-plane transactions (kills, health probes,
+// inventory audits) onto the control lane and everything else onto the
+// data lane.
 func (t *TCPEndpoint) laneFor(path string) *connLane {
-	if strings.HasPrefix(path, "/cancel/") {
+	if strings.HasPrefix(path, "/cancel/") || path == PingPath || path == InventoryPath {
 		return &t.ctrl
 	}
 	return &t.data
@@ -404,38 +417,47 @@ func (l *connLane) roundTrip(ctx context.Context, op byte, path string, payload 
 			return nil, err
 		}
 		// Transport error: drop the connection. A canceled context is
-		// surfaced as such (the watcher kills the conn mid-read, so the
+		// surfaced as such (its AfterFunc kills the conn mid-read, so the
 		// transport error is just the cancellation's shadow).
 		l.conn.Close()
 		l.conn = nil
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, context.Cause(ctx)
 		}
-		if attempt > 0 {
+		if attempt > 0 || !repeatable(path) {
 			return nil, err
 		}
 	}
 }
+
+// repeatable reports whether a transaction that failed in transport may be
+// sent again. The failure does not say whether the server acted on the
+// request before the connection died; every transaction but a row shipment
+// reads, replaces, or is deduplicated by the worker, so a second delivery is
+// harmless — a /load batch appends, and one delivered twice is rows counted
+// twice in every answer from then on.
+func repeatable(path string) bool { return !strings.HasPrefix(path, "/load/t/") }
 
 // transact performs one request/response exchange, honoring the
 // context: its deadline bounds the conn I/O, and cancellation closes
 // the conn out from under a blocked read (the xrootd wire protocol has
 // no cancel frame; killing the stream is how a client abandons a
 // transaction).
-func (l *connLane) transact(ctx context.Context, op byte, path string, payload []byte) ([]byte, error) {
+func (l *connLane) transact(ctx context.Context, op byte, path string, payload []byte) (data []byte, err error) {
 	conn := l.conn
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 		defer conn.SetDeadline(time.Time{})
 	}
 	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				conn.Close()
-			case <-stop:
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
+		defer func() {
+			if !stop() && err == nil {
+				// The context ended as the exchange completed: the answer
+				// is whole, but the connection is closed or about to be, and
+				// must not be there for the lane's next transaction to die
+				// on halfway.
+				l.conn = nil
 			}
 		}()
 	}

@@ -154,12 +154,38 @@ func ParseLoadPath(path string) (table string, chunk int, shared bool, err error
 // worker from a busy one.
 const PingPath = "/ping"
 
+// PingStatus is the document a /ping read answers with. The detector only
+// needs the read to succeed; a decommissioning waits on Active and Queued
+// reaching zero.
+type PingStatus struct {
+	Worker string `json:"worker"`
+	// Active and Queued count the chunk queries executing and waiting.
+	Active int `json:"active"`
+	Queued int `json:"queued"`
+	// Chunks is the size of the worker's inventory, Resident the number of
+	// its storage units materialized in memory.
+	Chunks   int `json:"chunks"`
+	Resident int `json:"resident"`
+}
+
 // InventoryPath is the inventory-audit transaction: a read answered
 // with a small JSON document listing the chunk IDs the worker actually
 // holds. The replication manager compares it against placement to tell
 // a restarted worker that recovered its chunks from disk (nothing to
 // copy) from one that came back hollow (heal in place).
 const InventoryPath = "/inventory"
+
+// Inventory is the document an /inventory read answers with. Holding and
+// residency are distinct: Chunks is what the worker holds, on disk or in
+// memory — what placement is audited against, so a cold chunk is never
+// spuriously healed — and Resident the subset whose tables are
+// materialized in the engine (omitted by an in-memory worker, where
+// everything held is resident by construction).
+type Inventory struct {
+	Worker   string `json:"worker"`
+	Chunks   []int  `json:"chunks"`
+	Resident []int  `json:"resident,omitempty"`
+}
 
 // ReplPath builds the replication transaction path for one chunk of a
 // partitioned table. A read exports the chunk table and its overlap

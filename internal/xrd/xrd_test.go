@@ -1,6 +1,7 @@
 package xrd
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -645,5 +646,181 @@ func TestLocalEndpointSetHandler(t *testing.T) {
 	ep.SetHandler(b)
 	if got, err := ep.HandleRead("/f"); err != nil || string(got) != "new" {
 		t.Fatalf("after swap: %q %v", got, err)
+	}
+}
+
+// blockingResults answers /ping and /inventory at once and holds every
+// other read until its context ends: a worker whose result read waits out
+// a long scan.
+type blockingResults struct {
+	entered chan struct{} // one send per blocked read
+}
+
+func (blockingResults) HandleWrite(string, []byte) error { return nil }
+func (b blockingResults) HandleRead(path string) ([]byte, error) {
+	return b.HandleReadContext(context.Background(), path)
+}
+func (blockingResults) HandleWriteContext(context.Context, string, []byte) error { return nil }
+func (b blockingResults) HandleReadContext(ctx context.Context, path string) ([]byte, error) {
+	if path == PingPath || path == InventoryPath {
+		return []byte("{}"), nil
+	}
+	b.entered <- struct{}{}
+	<-ctx.Done()
+	return nil, context.Cause(ctx)
+}
+
+// TestTCPPingDoesNotQueueBehindResultRead: a result read holds the data
+// lane for the length of the execution; the health probe and the
+// inventory audit must travel beside it, or the failure detector times
+// out on a busy worker and declares it dead. Server.Close then ends the
+// read still inside the handler.
+func TestTCPPingDoesNotQueueBehindResultRead(t *testing.T) {
+	h := blockingResults{entered: make(chan struct{}, 1)}
+	srv, err := Serve("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ep := NewTCPEndpoint("w1", srv.Addr())
+	defer ep.Close()
+
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := ep.HandleReadContext(context.Background(), "/result/"+strings.Repeat("a", 32))
+		readDone <- err
+	}()
+	<-h.entered
+
+	for _, path := range []string{PingPath, InventoryPath} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		_, err := ep.HandleReadContext(ctx, path)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s behind a blocked result read: %v", path, err)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close waits on a read blocked in the handler")
+	}
+	if err := <-readDone; err == nil {
+		t.Fatal("result read survived its server")
+	}
+}
+
+// countingWrites counts the write transactions it is handed, by path.
+type countingWrites struct {
+	mu     sync.Mutex
+	writes map[string]int
+}
+
+func (c *countingWrites) HandleWrite(path string, _ []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writes[path]++
+	return nil
+}
+func (c *countingWrites) HandleRead(string) ([]byte, error) { return nil, nil }
+func (c *countingWrites) count(path string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes[path]
+}
+
+// TestTCPAppendNeverSentTwice: a transaction that dies in transport after
+// the server acted on it is indistinguishable, from the client, from one
+// that never arrived. Re-sending is harmless for everything but a /load row
+// batch, which appends: that one fails and is not repeated.
+func TestTCPAppendNeverSentTwice(t *testing.T) {
+	h := &countingWrites{writes: map[string]int{}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// A server that acts on the first request of every connection and then
+	// drops the connection without answering; later connections behave.
+	go func() {
+		for drop := true; ; {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+			for {
+				_, path, payload, err := readRequest(r)
+				if err != nil {
+					break
+				}
+				h.HandleWrite(path, payload)
+				if drop {
+					drop = false
+					break
+				}
+				writeResponse(w, nil, nil)
+				w.Flush()
+			}
+			conn.Close()
+		}
+	}()
+
+	ep := NewTCPEndpoint("w1", ln.Addr().String())
+	defer ep.Close()
+	load := LoadPath("Object", 7)
+	if err := ep.HandleWrite(load, []byte("batch")); err == nil {
+		t.Fatal("a row batch whose answer was lost reported success")
+	}
+	if n := h.count(load); n != 1 {
+		t.Fatalf("row batch delivered %d times", n)
+	}
+
+	// The same loss under a replace-install: sent again, and succeeds.
+	ep2 := NewTCPEndpoint("w1", ln.Addr().String())
+	defer ep2.Close()
+	if err := ep2.HandleWrite(load, []byte("batch")); err != nil {
+		t.Fatalf("row batch on a healthy connection: %v", err)
+	}
+	repl := ReplPath("Object", 7)
+	ep2.data.conn.Close() // the cached connection goes stale under the endpoint
+	if err := ep2.HandleWrite(repl, []byte("segments")); err != nil {
+		t.Fatalf("replace-install over a stale connection: %v", err)
+	}
+}
+
+// TestTCPContextEndingWithTheExchange: the context of a finished transaction
+// ending must never cost a later transaction its connection. It used to — a
+// watcher goroutine per transaction closed the cached connection whenever
+// the cancellation won the race with its stop signal, sometimes only once
+// the lane's next transaction was halfway, which was then sent again: a row
+// batch applied twice.
+func TestTCPContextEndingWithTheExchange(t *testing.T) {
+	h := &countingWrites{writes: map[string]int{}}
+	srv, err := Serve("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ep := NewTCPEndpoint("w1", srv.Addr())
+	defer ep.Close()
+
+	load := LoadPath("Object", 7)
+	const rounds = 2000
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := ep.HandleWriteContext(ctx, "/query2/7", nil); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if err := ep.HandleWriteContext(context.Background(), load, []byte("batch")); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if n := h.count(load); n != rounds {
+		t.Fatalf("%d row batches sent, %d applied", rounds, n)
 	}
 }

@@ -29,9 +29,14 @@
 package qserv
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -52,10 +57,19 @@ import (
 // empty — the paper's catalog name.
 const defaultDatabase = "LSST"
 
-// ClusterConfig sizes an in-process cluster.
+// ClusterConfig sizes a cluster. Exactly one of Workers and WorkerAddrs
+// names its members.
 type ClusterConfig struct {
-	// Workers is the number of worker nodes.
+	// Workers is the number of worker nodes NewCluster starts in this
+	// process, each behind an in-process fabric endpoint.
 	Workers int
+	// WorkerAddrs names the members of a remote cluster instead: worker
+	// name -> host:port of a running qserv-worker (or any xrd.Serve over a
+	// worker.New), reached over the TCP fabric. The workers must be empty;
+	// the fields below that configure a worker process (slots, scan
+	// pieces, DataDir, memory budget) are then theirs to set, through
+	// WorkerConfig, not this cluster's.
+	WorkerAddrs map[string]string
 	// Replication is the number of workers holding each chunk.
 	Replication int
 	// Database is the catalog database name ("LSST" when empty).
@@ -88,9 +102,6 @@ type ClusterConfig struct {
 	// returns at most K rows and the czar merges streaming top-K
 	// buffers instead of every matching row.
 	TopKPushdown bool
-	// IngestBatchRows is the rows per fabric /load shipment (default
-	// 2048).
-	IngestBatchRows int
 	// IngestParallelism bounds concurrent /load writes across the
 	// per-worker shipping lanes. 0 means one in-flight batch per
 	// worker; 1 reproduces fully serialized shipping (the legacy Load
@@ -101,22 +112,16 @@ type ClusterConfig struct {
 	// transaction and maintains alive/suspect/dead state that dispatch,
 	// ingest placement, and Cluster.Status consult.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe round (0 = 2s).
-	HealthTimeout time.Duration
-	// SuspectMisses / DeadMisses are the consecutive-miss thresholds
-	// for the suspect and dead states (0 = 1 / 3).
-	SuspectMisses int
-	DeadMisses    int
+	// DeadMisses is the consecutive-miss threshold for the dead state
+	// (0 = 3); one miss makes a worker suspect, and a probe round is
+	// bounded at 2 s.
+	DeadMisses int
 	// SelfHeal enables the replication manager: when a worker dies, the
 	// chunks it held are re-replicated from surviving replicas onto
 	// live workers (verified copy, then an atomic per-chunk placement
 	// update), restoring the replication factor without operator
 	// action. DefaultClusterConfig turns it on.
 	SelfHeal bool
-	// DisableHealth turns the availability subsystem off entirely (no
-	// detector, no self-healing, no Status detail): the pre-PR-5
-	// behavior, where a dead worker is rediscovered by every dispatch.
-	DisableHealth bool
 	// DataDir enables durable chunk storage: each worker persists its
 	// ingested batches and /repl installs under DataDir/<worker-name>
 	// (an append-only segment store with a write-ahead log, see
@@ -194,7 +199,6 @@ func DefaultClusterConfig(workers int) ClusterConfig {
 		ResultTimeout:    2 * time.Minute,
 		MergeParallelism: 8,
 		TopKPushdown:     true,
-		IngestBatchRows:  2048,
 		HealthInterval:   200 * time.Millisecond,
 		SelfHeal:         true,
 		ChunkPruning:     true,
@@ -204,19 +208,71 @@ func DefaultClusterConfig(workers int) ClusterConfig {
 
 // Validate checks the configuration.
 func (c ClusterConfig) Validate() error {
-	if c.Workers < 1 {
-		return fmt.Errorf("qserv: Workers must be >= 1")
+	members := c.Workers
+	if len(c.WorkerAddrs) > 0 {
+		if c.Workers > 0 {
+			return fmt.Errorf("qserv: set Workers (in-process) or WorkerAddrs (remote), not both")
+		}
+		members = len(c.WorkerAddrs)
+	}
+	if members < 1 {
+		return fmt.Errorf("qserv: Workers must be >= 1 (or WorkerAddrs non-empty)")
 	}
 	if c.Replication < 1 {
 		return fmt.Errorf("qserv: Replication must be >= 1")
 	}
-	if c.Replication > c.Workers {
-		return fmt.Errorf("qserv: Replication %d exceeds Workers %d", c.Replication, c.Workers)
+	if c.Replication > members {
+		return fmt.Errorf("qserv: Replication %d exceeds Workers %d", c.Replication, members)
 	}
 	return c.Partition.Validate()
 }
 
-// Cluster is a fully assembled in-process Qserv deployment.
+// WorkerConfig derives one worker's configuration from the cluster's:
+// NewCluster calls it for every worker it starts and qserv-worker for the
+// one it is, so a deployed worker scans in the same pieces and waits out the
+// same result timeout as an in-process one. The worker's store lives under
+// DataDir/<name>; metrics is the registry it exports into (nil for none).
+func (c ClusterConfig) WorkerConfig(name string, metrics *telemetry.Registry) worker.Config {
+	wcfg := worker.DefaultConfig(name)
+	wcfg.Slots = c.WorkerSlots
+	wcfg.CacheSubChunks = c.CacheSubChunks
+	wcfg.SharedScans = c.SharedScans
+	if c.DataDir != "" {
+		wcfg.DataDir = filepath.Join(c.DataDir, name)
+	}
+	wcfg.MemoryBudgetBytes = c.WorkerMemoryBudget
+	if c.InteractiveSlots > 0 {
+		wcfg.InteractiveSlots = c.InteractiveSlots
+	}
+	if c.ScanPieceRows > 0 {
+		wcfg.ScanPieceRows = c.ScanPieceRows
+	}
+	if c.ResultTimeout > 0 {
+		wcfg.ResultTimeout = c.ResultTimeout
+	}
+	wcfg.Metrics = metrics
+	wcfg.Trace = metrics != nil
+	return wcfg
+}
+
+// ErrRemoteCluster is what AddWorker, RemoveWorker and RestartWorker
+// return on a cluster built over WorkerAddrs: its workers are processes
+// someone else starts and stops, and its membership is that address list.
+var ErrRemoteCluster = errors.New("qserv: a remote cluster's membership is its WorkerAddrs list; its workers are not this process's to start or stop")
+
+// ErrWorkerHoldsData is NewCluster's refusal of a remote worker that
+// already holds chunks: this czar has no metadata for them (placement,
+// director index and chunk statistics live in the czar that ingested them
+// and are not persisted), and ingesting again would append a second copy
+// of the catalog to the first.
+var ErrWorkerHoldsData = errors.New("qserv: worker already holds chunks this czar has no metadata for; start the workers empty (czar metadata recovery is not implemented)")
+
+// Cluster is a fully assembled Qserv deployment: a czar over a set of
+// fabric endpoints, which are in-process workers (ClusterConfig.Workers) or
+// TCP connections to remote ones (ClusterConfig.WorkerAddrs). Everything
+// but starting and stopping a worker process — DDL, ingest, queries,
+// health, repair — speaks fabric transactions and is the same code on
+// both.
 type Cluster struct {
 	Config     ClusterConfig
 	Chunker    *partition.Chunker
@@ -227,26 +283,33 @@ type Cluster struct {
 	// Stats holds the per-chunk min/max column statistics ingest
 	// records for the routing tier's cost-based pruning.
 	Stats *meta.ChunkStats
-	// Workers is the current worker set. It is mutated by AddWorker and
+	// Workers is the set of worker processes this cluster started, in join
+	// order; empty on a remote cluster. It is mutated by AddWorker and
 	// RemoveWorker under memberMu; direct iteration is only safe while
 	// no membership change is concurrent (use WorkerNames otherwise).
 	Workers []*worker.Worker
 	Czar    *czar.Czar
 
-	endpoints map[string]*xrd.LocalEndpoint
+	// names is the membership in join order and endpoints each member's
+	// fabric endpoint; workers holds, by name, the processes behind the
+	// in-process ones.
+	names     []string
+	endpoints map[string]xrd.Endpoint
 	workers   map[string]*worker.Worker
 	client    *xrd.Client
 	closeOnce sync.Once
 
 	// member is the availability subsystem: failure detector plus
-	// (with SelfHeal) the replication manager. Nil with DisableHealth.
+	// (with SelfHeal) the replication manager.
 	member *member.Manager
 
 	// ingestMu guards the ingest state machine: ingesting holds tables
 	// with an ingest in flight, ingested the tables already loaded (or
 	// sealed by a partial failure) — re-ingest would duplicate rows,
-	// so it is rejected. memberMu guards the membership maps (workers,
-	// endpoints, the Workers slice, removing) and serializes chunk
+	// so it is rejected — and specs the encoded catalog specs CreateTables
+	// installed, in order, for workers that join or come back empty.
+	// memberMu guards the membership (names, workers, endpoints, the
+	// Workers slice, removing) and serializes chunk
 	// placement decisions with membership changes. removing marks
 	// workers mid-RemoveWorker: they no longer receive new chunk
 	// placements or repair copies, so their drain converges. removalMu
@@ -255,6 +318,7 @@ type Cluster struct {
 	ingestMu  sync.Mutex
 	ingested  map[string]bool
 	ingesting map[string]bool
+	specs     [][]byte
 	memberMu  sync.Mutex
 	removing  map[string]bool
 	removalMu sync.Mutex
@@ -272,7 +336,8 @@ type Cluster struct {
 
 // NewCluster builds the cluster skeleton with an empty catalog; call
 // CreateTables and Ingest to install data (or the deprecated Load for
-// the synthetic LSST catalog).
+// the synthetic LSST catalog). Over WorkerAddrs it refuses a worker that
+// already holds chunks (ErrWorkerHoldsData).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -286,20 +351,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	registry := meta.NewRegistry(cfg.Database, chunker)
 	cl := &Cluster{
-		Config:     cfg,
 		Chunker:    chunker,
 		Registry:   registry,
 		Redirector: xrd.NewRedirector(),
 		Placement:  meta.NewPlacement(),
 		Index:      meta.NewObjectIndex(),
 		Stats:      meta.NewChunkStats(),
-		endpoints:  map[string]*xrd.LocalEndpoint{},
+		endpoints:  map[string]xrd.Endpoint{},
 		workers:    map[string]*worker.Worker{},
 		ingested:   map[string]bool{},
 		ingesting:  map[string]bool{},
 		removing:   map[string]bool{},
 	}
-	if cfg.DataDir == "" {
+	remote := len(cfg.WorkerAddrs) > 0
+	// The environment overrides configure worker processes, so they apply
+	// only where this cluster starts them.
+	if !remote && cfg.DataDir == "" {
 		if parent := os.Getenv("QSERV_DATADIR"); parent != "" {
 			dir, err := os.MkdirTemp(parent, "qserv-cluster-")
 			if err != nil {
@@ -308,7 +375,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			cfg.DataDir = dir
 		}
 	}
-	if cfg.WorkerMemoryBudget == 0 {
+	if !remote && cfg.WorkerMemoryBudget == 0 {
 		if env := os.Getenv("QSERV_MEMBUDGET"); env != "" {
 			b, err := strconv.ParseInt(env, 10, 64)
 			if err != nil {
@@ -317,7 +384,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			cfg.WorkerMemoryBudget = b
 		}
 	}
-	if cfg.WorkerMemoryBudget > 0 && cfg.DataDir == "" {
+	if !remote && cfg.WorkerMemoryBudget > 0 && cfg.DataDir == "" {
 		// A memory budget pages against a durable store; give the cluster
 		// a private one when the caller did not.
 		dir, err := os.MkdirTemp("", "qserv-mem-")
@@ -330,9 +397,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.Config = cfg
 	cl.client = xrd.NewClient(cl.Redirector)
 	if !cfg.DisableTelemetry {
-		// One registry for the whole in-process cluster: czar, workers,
-		// membership, cache, fabric, and frontend all export into it, so
-		// one /metrics scrape sees every subsystem.
+		// One registry for the whole cluster: czar, membership, cache,
+		// fabric and frontend export into it, and so do the workers this
+		// process runs (a remote worker serves its own), so one /metrics
+		// scrape sees every subsystem.
 		cl.metrics = telemetry.NewRegistry()
 		xrdCounters := func(pick func(xrd.LaneCounters) int64) func() int64 {
 			return func() int64 { return pick(xrd.Counters()) }
@@ -344,19 +412,33 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.metrics.CounterFunc("qserv_xrd_backoff_suppressed_total", "fabric dials fast-failed by backoff",
 			xrdCounters(func(c xrd.LaneCounters) int64 { return c.BackoffSuppressed }))
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		w, err := worker.New(cl.workerConfig(fmt.Sprintf("worker-%03d", i)), registry)
-		if err != nil {
-			for _, prev := range cl.Workers {
-				prev.Close()
+	if remote {
+		names := make([]string, 0, len(cfg.WorkerAddrs))
+		for name := range cfg.WorkerAddrs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			cl.join(name, xrd.NewTCPEndpoint(name, cfg.WorkerAddrs[name]))
+			inv, err := cl.inventory(name)
+			if err == nil && len(inv.Chunks) > 0 {
+				err = fmt.Errorf("%w: worker %s at %s holds %d", ErrWorkerHoldsData, name, cfg.WorkerAddrs[name], len(inv.Chunks))
 			}
+			if err != nil {
+				cl.Close()
+				return nil, err
+			}
+		}
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		w, err := worker.New(cfg.WorkerConfig(fmt.Sprintf("worker-%03d", i), cl.metrics), registry)
+		if err != nil {
+			cl.Close()
 			return nil, err
 		}
 		cl.Workers = append(cl.Workers, w)
 		cl.workers[w.Name()] = w
-		ep := xrd.NewLocalEndpoint(w.Name(), w)
-		cl.endpoints[w.Name()] = ep
-		cl.Redirector.Register(ep, "/result")
+		cl.join(w.Name(), xrd.NewLocalEndpoint(w.Name(), w))
 	}
 	ccfg := czar.DefaultConfig("czar-0")
 	ccfg.MergeParallelism = cfg.MergeParallelism
@@ -383,28 +465,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// worker over /ping, and (with SelfHeal) a replication manager that
 	// re-homes a dead worker's chunks onto survivors. The czar consults
 	// it for health-aware dispatch and SHOW WORKERS.
-	if !cfg.DisableHealth {
-		cl.member = member.NewManager(member.Config{
-			Detector: member.DetectorConfig{
-				Interval:     cfg.HealthInterval,
-				Timeout:      cfg.HealthTimeout,
-				SuspectAfter: cfg.SuspectMisses,
-				DeadAfter:    cfg.DeadMisses,
-			},
-			Repair: member.RepairConfig{
-				Factor:     cfg.Replication,
-				Tables:     cl.partitionedTables,
-				Candidates: cl.eligibleWorkerNames,
-				Rehome:     cl.rehome,
-				DeadGrace:  cfg.RepairGrace,
-			},
-			SelfHeal: cfg.SelfHeal,
-		}, cl.client, cl.Placement)
-		cl.member.Watch(cl.WorkerNames()...)
-		cl.Czar.SetMembership(cl.member)
-		cl.member.RegisterMetrics(cl.metrics)
-		cl.member.Start()
-	}
+	cl.member = member.NewManager(member.Config{
+		Detector: member.DetectorConfig{
+			Interval:  cfg.HealthInterval,
+			DeadAfter: cfg.DeadMisses,
+		},
+		Repair: member.RepairConfig{
+			Factor:     cfg.Replication,
+			Tables:     cl.partitionedTables,
+			Candidates: cl.eligibleWorkerNames,
+			Prepare:    cl.prepareRepairTarget,
+			Rehome:     cl.rehome,
+			DeadGrace:  cfg.RepairGrace,
+		},
+		SelfHeal: cfg.SelfHeal,
+	}, cl.client, cl.Placement)
+	cl.member.Watch(cl.WorkerNames()...)
+	cl.Czar.SetMembership(cl.member)
+	cl.member.RegisterMetrics(cl.metrics)
+	cl.member.Start()
 	if cfg.AdminAddr != "" {
 		admin, err := telemetry.ServeAdmin(cfg.AdminAddr, cl.metrics)
 		if err != nil {
@@ -414,6 +493,34 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.admin = admin
 	}
 	return cl, nil
+}
+
+// join makes an endpoint a member: named in the membership and reachable
+// through the redirector. Callers hold memberMu once the cluster is shared.
+func (cl *Cluster) join(name string, ep xrd.Endpoint) {
+	cl.names = append(cl.names, name)
+	cl.endpoints[name] = ep
+	cl.Redirector.Register(ep, "/result")
+}
+
+// fabricTimeout bounds one fabric transaction the cluster makes on its own
+// account (an inventory read, a spec write, a replicated table's verified
+// copy), a dial included.
+const fabricTimeout = 30 * time.Second
+
+// inventory reads what a worker holds.
+func (cl *Cluster) inventory(name string) (xrd.Inventory, error) {
+	var inv xrd.Inventory
+	ctx, done := context.WithTimeout(context.Background(), fabricTimeout)
+	defer done()
+	data, err := cl.client.ReadFrom(ctx, name, xrd.InventoryPath)
+	if err == nil {
+		err = json.Unmarshal(data, &inv)
+	}
+	if err != nil {
+		return inv, fmt.Errorf("qserv: inventory of worker %s: %w", name, err)
+	}
+	return inv, nil
 }
 
 // Metrics returns the cluster-wide telemetry registry, or nil with
@@ -431,36 +538,12 @@ func (cl *Cluster) AdminAddr() string {
 	return cl.admin.Addr()
 }
 
-// workerConfig derives one worker's configuration from the cluster's.
-func (cl *Cluster) workerConfig(name string) worker.Config {
-	cfg := cl.Config
-	wcfg := worker.DefaultConfig(name)
-	wcfg.Slots = cfg.WorkerSlots
-	wcfg.CacheSubChunks = cfg.CacheSubChunks
-	wcfg.SharedScans = cfg.SharedScans
-	if cfg.DataDir != "" {
-		wcfg.DataDir = filepath.Join(cfg.DataDir, name)
-	}
-	wcfg.MemoryBudgetBytes = cfg.WorkerMemoryBudget
-	if cfg.InteractiveSlots > 0 {
-		wcfg.InteractiveSlots = cfg.InteractiveSlots
-	}
-	if cfg.ScanPieceRows > 0 {
-		wcfg.ScanPieceRows = cfg.ScanPieceRows
-	}
-	if cfg.ResultTimeout > 0 {
-		wcfg.ResultTimeout = cfg.ResultTimeout
-	}
-	wcfg.Metrics = cl.metrics
-	wcfg.Trace = cl.metrics != nil
-	return wcfg
-}
-
 // Close shuts the cluster down: the availability subsystem first (no
 // more probes or repairs), then the czar — rejecting new submissions,
 // canceling every in-flight query, and draining them (so worker slots
-// are released, not abandoned) — then the workers. Close is
-// idempotent; concurrent and repeated calls are safe.
+// are released, not abandoned) — then the workers this process runs and
+// the connections to those it does not. Close is idempotent; concurrent
+// and repeated calls are safe.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
 		if cl.admin != nil {
@@ -474,9 +557,18 @@ func (cl *Cluster) Close() {
 		}
 		cl.memberMu.Lock()
 		workers := append([]*worker.Worker(nil), cl.Workers...)
+		var conns []io.Closer // the TCP endpoints' cached connections
+		for _, ep := range cl.endpoints {
+			if c, ok := ep.(io.Closer); ok {
+				conns = append(conns, c)
+			}
+		}
 		cl.memberMu.Unlock()
 		for _, w := range workers {
 			w.Close()
+		}
+		for _, c := range conns {
+			c.Close()
 		}
 		if cl.ownsDataDir != "" {
 			os.RemoveAll(cl.ownsDataDir)
@@ -484,14 +576,17 @@ func (cl *Cluster) Close() {
 	})
 }
 
-// Endpoint returns a worker's fabric endpoint (failure injection).
+// Endpoint returns an in-process worker's fabric endpoint (failure
+// injection), or nil — always, on a remote cluster.
 func (cl *Cluster) Endpoint(name string) *xrd.LocalEndpoint {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
-	return cl.endpoints[name]
+	ep, _ := cl.endpoints[name].(*xrd.LocalEndpoint)
+	return ep
 }
 
-// WorkerByName returns a worker by its cluster identity, or nil.
+// WorkerByName returns an in-process worker by its cluster identity, or
+// nil — always, on a remote cluster.
 func (cl *Cluster) WorkerByName(name string) *worker.Worker {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()

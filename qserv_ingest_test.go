@@ -400,11 +400,11 @@ func TestQueriesRejectedDuringIngest(t *testing.T) {
 	}
 }
 
-// TestCustomCatalogSpec runs a small non-LSST schema through the full
-// distributed path and checks it against the oracle — the in-tree
-// version of examples/customcatalog.
-func TestCustomCatalogSpec(t *testing.T) {
-	spec := CatalogSpec{
+// sensorsCatalog is a small non-LSST catalog: a director table of stations
+// and a child table of their readings, in a database of its own.
+func sensorsCatalog(t *testing.T) (spec CatalogSpec, stations, readings []Row) {
+	t.Helper()
+	spec = CatalogSpec{
 		Database: "sensors",
 		Tables: []TableSpec{
 			{
@@ -431,21 +431,20 @@ func TestCustomCatalogSpec(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var stations, readings []Row
 	for i := int64(1); i <= 200; i++ {
 		stations = append(stations, Row{i, float64(i*7%360) + 0.3, float64(i%140) - 70 + 0.1})
 		for k := int64(0); k < 3; k++ {
 			readings = append(readings, Row{i*10 + k, i, float64(i) + float64(k)*0.25})
 		}
 	}
+	return spec, stations, readings
+}
 
-	cfg := DefaultClusterConfig(3)
-	cfg.Database = "sensors"
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
+// checkSensorsCatalog installs sensorsCatalog on the cluster through the
+// public API and checks its answers against the oracle.
+func checkSensorsCatalog(t *testing.T, cl *Cluster) {
+	t.Helper()
+	spec, stations, readings := sensorsCatalog(t)
 	if err := cl.CreateTables(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +455,7 @@ func TestCustomCatalogSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracle, err := NewOracle(cfg)
+	oracle, err := NewOracle(cl.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +495,20 @@ func TestCustomCatalogSpec(t *testing.T) {
 	if dive.ChunksDispatched != 1 {
 		t.Errorf("director-key dive dispatched %d chunks, want 1", dive.ChunksDispatched)
 	}
+}
+
+// TestCustomCatalogSpec runs a small non-LSST schema through the full
+// distributed path and checks it against the oracle — the in-tree
+// version of examples/customcatalog.
+func TestCustomCatalogSpec(t *testing.T) {
+	cfg := DefaultClusterConfig(3)
+	cfg.Database = "sensors"
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	checkSensorsCatalog(t, cl)
 }
 
 // TestWorkerOutcomeNotServedStale: a statement that failed because its

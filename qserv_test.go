@@ -129,6 +129,21 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(cfg); err == nil {
 		t.Error("replication > workers should fail")
 	}
+	// The members are in-process workers or remote addresses, never both,
+	// and the replication floor counts whichever they are.
+	cfg = DefaultClusterConfig(2)
+	cfg.WorkerAddrs = map[string]string{"w0": "127.0.0.1:1"}
+	if err := cfg.Validate(); err == nil {
+		t.Error("Workers and WorkerAddrs together should fail")
+	}
+	cfg.Workers, cfg.Replication = 0, 2
+	if err := cfg.Validate(); err == nil {
+		t.Error("replication > remote workers should fail")
+	}
+	cfg.Replication = 1
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("one remote worker at replication 1: %v", err)
+	}
 }
 
 // TestLV1ObjectRetrieval reproduces the paper's Low Volume 1 query

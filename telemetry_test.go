@@ -50,6 +50,13 @@ func TestAdminEndpointExposesClusterMetrics(t *testing.T) {
 	if _, err := cl.Query("SELECT COUNT(*) FROM Object"); err != nil {
 		t.Fatalf("repeat query: %v", err)
 	}
+	// The frontend is a subsystem of the cluster like the others: serving
+	// one exports its admission series into the same registry.
+	c, err := frontend.Dial(startFrontend(t, cl, DefaultFrontendConfig()).Addr(), "tester", "LSST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", cl.AdminAddr()))
 	if err != nil {
@@ -67,6 +74,25 @@ func TestAdminEndpointExposesClusterMetrics(t *testing.T) {
 		t.Fatalf("malformed exposition: %v", err)
 	}
 	text := string(body)
+	st, err := c.Query(context.Background(), "SHOW METRICS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shown strings.Builder
+	for row, ok := st.Next(); ok; row, ok = st.Next() {
+		fmt.Fprintln(&shown, row...)
+	}
+	if st.Err() != nil {
+		t.Fatal(st.Err())
+	}
+	for _, series := range []string{"qserv_frontend_active_sessions", "qserv_frontend_shed_total"} {
+		if !strings.Contains(text, "\n"+series+" ") {
+			t.Errorf("/metrics has no %s series", series)
+		}
+		if !strings.Contains(shown.String(), series) {
+			t.Errorf("SHOW METRICS has no %s series", series)
+		}
+	}
 	subsystems := []string{
 		"qserv_czar_", "qserv_qcache_", "qserv_worker_", "qserv_scanshare_",
 		"qserv_member_", "qserv_chunkstore_", "qserv_xrd_",
