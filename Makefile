@@ -47,36 +47,19 @@ bench-layers:
 	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
 	$(GO) test -run '^$$' -bench ResultPath -benchmem ./internal/czar
 
-# Tiny-size benchmarks fast enough to gate CI: the czar merge pipeline
-# (serialized vs pipelined collection, oracle-checked), the query-kill
-# path (Cancel() -> worker-slot reclamation within a piece), the
-# ingest path (serialized vs parallel fabric shipping, oracle-checked),
-# the failover path (worker death under load: detect, mask with
-# replicas, self-heal replication, oracle-checked), and the restart
-# path (durable chunk store recovery vs re-replication, copy-free
-# restart hard-gated, oracle-checked), and the paging path (worker
-# memory budget far below the working set: lazy materialization +
-# LRU eviction, oracle-checked, hot-chunk slowdown gated), and the
-# connection-scale frontend (streaming v2 first-row-before-scan-done
-# hard-gated, a 1000-connection oracle-checked storm, admission
-# shedding with fast busy errors), and the point-query fast path
-# (index dives hard-gated to <= replication-factor chunk jobs, dive
-# p99 vs full fan-out, czar result-cache hits, cache invalidation
-# across an ingest, zero wrong answers hard-gated), and the telemetry
-# spine (tracing overhead gated against the telemetry-off baseline,
-# EXPLAIN ANALYZE span-tree completeness, /metrics exposition across
-# >= 6 subsystems, oracle-checked). Each run appends its machine-
-# readable record to BENCH_smoke.json for CI artifact upload.
+# The live group of qserv-bench at a size fast enough for CI: a worker
+# outage under checked query streams (detect, fail over, re-replicate,
+# against a copy-free durable restart), paging under a memory budget a
+# quarter of the working set, Cancel() -> worker-slot reclamation, and the
+# frontend under a 1000-connection storm with admission shedding. Every
+# checked query executes (result cache off) and is compared against the
+# oracle; a failed gate fails the target; BENCH_smoke.json gets one record
+# per experiment, metrics and gates, for CI artifact upload. Then the
+# ablation benchmarks of bench_test.go, one iteration each, so they keep
+# compiling and running.
 bench-smoke:
-	$(GO) run ./cmd/qserv-bench -exp merge-pipeline -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp kill-latency -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp ingest -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp failover -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp restart -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp paging -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp frontend -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp pointquery -objects 5 -json BENCH_smoke.json
-	$(GO) run ./cmd/qserv-bench -exp telemetry -objects 5 -json BENCH_smoke.json
+	$(GO) run ./cmd/qserv-bench -exp live -objects 5 -json BENCH_smoke.json
+	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
 
 # Native Go fuzzing over the untrusted-bytes decoders: chunkstore
 # segment framing + WAL records, the one row codec every format shares,

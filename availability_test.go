@@ -14,8 +14,18 @@ import (
 
 // availabilityCluster builds a cluster tuned for fast failure
 // detection (the production defaults would make these tests wait
-// hundreds of milliseconds per transition).
+// hundreds of milliseconds per transition). The czar result cache is
+// off: these tests repeat a fixed battery across a death, a repair or a
+// membership change, and a battery answered from the cache would check
+// nothing beyond the czar.
 func availabilityCluster(t *testing.T, workers, replication int) (*Cluster, *Oracle) {
+	t.Helper()
+	return availabilityClusterCache(t, workers, replication, 0)
+}
+
+// availabilityClusterCache is availabilityCluster with a result cache of
+// cacheBytes, for the test whose subject is the cache.
+func availabilityClusterCache(t *testing.T, workers, replication int, cacheBytes int64) (*Cluster, *Oracle) {
 	t.Helper()
 	cat, err := datagen.Generate(
 		datagen.Config{Seed: 11, ObjectsPerPatch: 200, MeanSourcesPerObject: 1},
@@ -28,6 +38,7 @@ func availabilityCluster(t *testing.T, workers, replication int) (*Cluster, *Ora
 	cfg.Replication = replication
 	cfg.HealthInterval = 15 * time.Millisecond
 	cfg.DeadMisses = 2
+	cfg.ResultCacheBytes = cacheBytes
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,12 +116,18 @@ var availabilityBattery = []string{
 	"SELECT objectId, ra_PS FROM Object ORDER BY ra_PS, objectId LIMIT 7",
 }
 
+// checkBattery runs the battery against the oracle. An answer served from
+// the result cache fails it: the callers check what a cluster executes
+// after an event, so their fixtures turn the cache off.
 func checkBattery(t *testing.T, cl *Cluster, oracle *Oracle, label string) {
 	t.Helper()
 	for _, sql := range availabilityBattery {
 		got, err := cl.Query(sql)
 		if err != nil {
 			t.Fatalf("%s: %q: %v", label, sql, err)
+		}
+		if got.CacheHit {
+			t.Fatalf("%s: %q was answered from the result cache, not executed", label, sql)
 		}
 		want, err := oracle.Query(sql)
 		if err != nil {
@@ -174,6 +191,7 @@ func TestWorkerDeathMidQuery(t *testing.T) {
 	cfg.ScanPieceRows = 64
 	cfg.HealthInterval = 15 * time.Millisecond
 	cfg.DeadMisses = 2
+	cfg.ResultCacheBytes = 0 // checkBattery below must execute
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +272,6 @@ func TestAddRemoveWorkerUnderQueries(t *testing.T) {
 				default:
 				}
 				res, err := cl.Query(countSQL)
-				queries.Add(1)
 				if err != nil {
 					failures.Add(1)
 					select {
@@ -262,6 +279,9 @@ func TestAddRemoveWorkerUnderQueries(t *testing.T) {
 					default:
 					}
 					continue
+				}
+				if !res.CacheHit {
+					queries.Add(1) // only an executed query counts
 				}
 				if got := res.Rows[0][0].(int64); got != wantN {
 					select {
@@ -278,7 +298,7 @@ func TestAddRemoveWorkerUnderQueries(t *testing.T) {
 	// be over before any of the four goroutines had been scheduled once
 	// ("no queries ran", one run in ten under `go test ./...`). It starts
 	// once the stream is flowing.
-	for queries.Load() == 0 {
+	for queries.Load() == 0 && failures.Load() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 

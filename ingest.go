@@ -599,16 +599,12 @@ type shipment struct {
 
 // shipper fans encoded batches out to the workers: one serialized lane
 // (goroutine + queue) per worker, so every worker loads concurrently
-// while each applies its own batches in order. IngestParallelism
-// bounds concurrent fabric writes across lanes (1 reproduces fully
-// serialized shipping — the legacy Load behavior — and is what
-// `qserv-bench -exp ingest` compares against).
+// while each applies its own batches in order.
 type shipper struct {
 	cl     *Cluster
 	table  string
 	ctx    context.Context
 	cancel context.CancelFunc
-	sem    chan struct{}
 	wg     sync.WaitGroup
 
 	mu    sync.Mutex
@@ -617,17 +613,12 @@ type shipper struct {
 }
 
 func (cl *Cluster) newShipper(ctx context.Context, table string) *shipper {
-	par := cl.Config.IngestParallelism
-	if par <= 0 {
-		par = len(cl.WorkerNames())
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	return &shipper{
 		cl:     cl,
 		table:  table,
 		ctx:    ctx,
 		cancel: cancel,
-		sem:    make(chan struct{}, par),
 		lanes:  map[string]chan shipment{},
 	}
 }
@@ -672,16 +663,10 @@ func (s *shipper) lane(worker string, ch chan shipment) {
 			s.abort(fmt.Errorf("qserv: ingest %s: worker %s is dead; %s not shipped", s.table, worker, sh.desc))
 			continue
 		}
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.ctx.Done():
-			continue
-		}
 		payload, err := ingest.EncodeBatch(sh.batch)
 		if err == nil {
 			err = s.cl.client.WriteTo(s.ctx, worker, sh.path, payload)
 		}
-		<-s.sem
 		if err != nil {
 			s.abort(fmt.Errorf("qserv: ingest %s: worker %s rejected %s: %w", s.table, worker, sh.desc, err))
 		}

@@ -73,6 +73,7 @@ func TestEvictionChurnSoak(t *testing.T) {
 	cfg.DataDir = t.TempDir()
 	cfg.RepairGrace = 10 * time.Second
 	cfg.WorkerMemoryBudget = 16 << 10 // far below the loaded working set
+	cfg.ResultCacheBytes = 0          // six fixed statements: with the cache on the soak executes nine queries
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,6 @@ func TestEvictionChurnSoak(t *testing.T) {
 				}
 				sql := pagingQueries[rng.Intn(len(pagingQueries))]
 				res, err := cl.Query(sql)
-				queries.Add(1)
 				if err != nil {
 					failures.Add(1)
 					select {
@@ -133,6 +133,9 @@ func TestEvictionChurnSoak(t *testing.T) {
 					default:
 					}
 					continue
+				}
+				if !res.CacheHit {
+					queries.Add(1) // only an executed query counts
 				}
 				got := renderResult(res)
 				exp := want[sql]
@@ -158,25 +161,34 @@ func TestEvictionChurnSoak(t *testing.T) {
 		}(int64(41 + i))
 	}
 
-	// Let the churn build, crash-restart a worker mid-soak, churn more.
-	time.Sleep(400 * time.Millisecond)
+	// Let the churn build, crash-restart a worker mid-soak, churn more. The
+	// soak is sized in executed queries, not in seconds, so a slow run
+	// (-race) churns as much as a fast one.
+	awaitExecuted := func(n int64) {
+		deadline := time.Now().Add(60 * time.Second)
+		for queries.Load() < n && failures.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitExecuted(100)
 	victim := cl.Workers[0].Name()
 	if err := cl.RestartWorker(victim); err != nil {
 		t.Fatal(err)
 	}
 	workerState(t, cl, victim, WorkerAlive, 10*time.Second)
-	time.Sleep(800 * time.Millisecond)
+	awaitExecuted(queries.Load() + 300)
 	close(stop)
 	wg.Wait()
 
 	if failures.Load() != 0 {
 		err := <-errCh
-		t.Fatalf("%d of %d queries wrong or failed under eviction churn; first: %v",
+		t.Fatalf("%d queries wrong or failed under eviction churn (%d executed); first: %v",
 			failures.Load(), queries.Load(), err)
 	}
-	if queries.Load() < 20 {
-		t.Fatalf("soak only ran %d queries; too few to mean anything", queries.Load())
+	if queries.Load() < 200 {
+		t.Fatalf("soak only executed %d queries; too few to mean anything", queries.Load())
 	}
+	t.Logf("soak executed %d queries", queries.Load())
 
 	var evictions, materializations int64
 	for _, w := range cl.Workers {

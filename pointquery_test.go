@@ -203,7 +203,7 @@ func TestCacheInvalidationAcrossIngest(t *testing.T) {
 // re-replication) invalidates cached entries rather than serving rows
 // computed against the old placement.
 func TestCacheInvalidationOnRepair(t *testing.T) {
-	cl, oracle := availabilityCluster(t, 4, 2)
+	cl, oracle := availabilityClusterCache(t, 4, 2, DefaultClusterConfig(4).ResultCacheBytes)
 	sql := "SELECT COUNT(*), SUM(objectId) FROM Object"
 	if _, err := cl.Query(sql); err != nil {
 		t.Fatal(err)

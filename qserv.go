@@ -102,11 +102,6 @@ type ClusterConfig struct {
 	// returns at most K rows and the czar merges streaming top-K
 	// buffers instead of every matching row.
 	TopKPushdown bool
-	// IngestParallelism bounds concurrent /load writes across the
-	// per-worker shipping lanes. 0 means one in-flight batch per
-	// worker; 1 reproduces fully serialized shipping (the legacy Load
-	// behavior `qserv-bench -exp ingest` compares against).
-	IngestParallelism int
 	// HealthInterval is the failure detector's probe period (0 = 200ms):
 	// a czar-side detector pings every worker over the fabric's /ping
 	// transaction and maintains alive/suspect/dead state that dispatch,
@@ -165,8 +160,8 @@ type ClusterConfig struct {
 	// DisableTelemetry turns the observability subsystem off: no metrics
 	// registry, no per-query span tracing, no trace retention. The
 	// telemetry hot paths are nil-safe no-ops when disabled, so this
-	// exists for overhead measurement (`qserv-bench -exp telemetry`
-	// gates the on-vs-off delta), not for recovering capacity.
+	// exists for overhead measurement (a cluster with it against one
+	// without) and for internal/simcluster, not for recovering capacity.
 	DisableTelemetry bool
 	// AdminAddr, when non-empty, serves the admin HTTP listener on that
 	// address: Prometheus text exposition at /metrics and the standard
