@@ -200,7 +200,7 @@ func (cl *Cluster) AddWorker(name string) error {
 		return fmt.Errorf("qserv: AddWorker: worker %q already exists", name)
 	}
 
-	w, err := worker.New(cl.Config.WorkerConfig(name, cl.metrics), cl.Registry)
+	w, err := cl.startWorker(name)
 	if err != nil {
 		return fmt.Errorf("qserv: AddWorker %s: %w", name, err)
 	}
@@ -469,7 +469,7 @@ func (cl *Cluster) RestartWorker(name string) error {
 	// (its store is released so the successor can reopen it).
 	ep.SetDown(true)
 	old.Close()
-	nw, err := worker.New(cl.Config.WorkerConfig(name, cl.metrics), cl.Registry)
+	nw, err := cl.startWorker(name)
 	if err != nil {
 		return fmt.Errorf("qserv: RestartWorker %s: %w", name, err)
 	}

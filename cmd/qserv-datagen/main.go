@@ -1,128 +1,33 @@
-// Command qserv-datagen synthesizes the PT1.1-style catalog and writes
-// it as CSV (the duplicator of paper section 6.1.2):
+// Command qserv-datagen prints the synthetic PT1.1-style catalog's
+// declarative qserv.CatalogSpec as JSON, the document
+// Cluster.CreateTables accepts:
 //
-//	qserv-datagen -objects 2000 -bands 13 -out /tmp/catalog
+//	qserv-datagen -spec
 //
-// produces object.csv and source.csv under -out. With -spec it instead
-// prints the generated catalog's declarative qserv.CatalogSpec as JSON
-// (the document Cluster.CreateTables accepts) and exits.
+// The catalog's rows are not written anywhere: qserv-czar synthesizes
+// them from its -seed and ingests them over the fabric.
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
 
 	qserv "repro"
-	"repro/internal/datagen"
-	"repro/internal/telemetry"
 )
-
-var (
-	outFlag     = flag.String("out", ".", "output directory")
-	seedFlag    = flag.Int64("seed", 1, "generation seed")
-	objectsFlag = flag.Int("objects", 2000, "objects per patch")
-	sourcesFlag = flag.Float64("sources", 5, "mean sources per object")
-	bandsFlag   = flag.Int("bands", 13, "declination bands (13 = full sky)")
-	copiesFlag  = flag.Int("copies", 0, "max patch copies (0 = unlimited)")
-	clipFlag    = flag.Float64("clip", 54, "Source |decl| clip in degrees (paper: 54)")
-	specFlag    = flag.Bool("spec", false, "print the catalog's CatalogSpec as JSON and exit")
-)
-
-// logger emits the tool's structured failures.
-var logger = telemetry.NewLogger("qserv-datagen")
-
-func fatal(event string, err error) {
-	logger.Error(event, "err", err)
-	os.Exit(1)
-}
 
 func main() {
+	spec := flag.Bool("spec", false, "print the catalog's CatalogSpec as JSON")
 	flag.Parse()
-	if *specFlag {
-		out, err := json.MarshalIndent(qserv.LSSTSpec(), "", "  ")
-		if err != nil {
-			fatal("spec.marshal", err)
-		}
-		fmt.Println(string(out))
-		return
+	if !*spec {
+		flag.Usage()
+		os.Exit(2)
 	}
-	cat, err := datagen.Generate(
-		datagen.Config{Seed: *seedFlag, ObjectsPerPatch: *objectsFlag, MeanSourcesPerObject: *sourcesFlag},
-		datagen.DuplicateConfig{DeclBands: *bandsFlag, SourceDeclLimit: *clipFlag, MaxCopies: *copiesFlag},
-	)
+	out, err := json.MarshalIndent(qserv.LSSTSpec(), "", "  ")
 	if err != nil {
-		fatal("catalog.generate", err)
+		fmt.Fprintln(os.Stderr, "qserv-datagen:", err)
+		os.Exit(1)
 	}
-	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
-		fatal("out.mkdir", err)
-	}
-	if err := writeObjects(filepath.Join(*outFlag, "object.csv"), cat); err != nil {
-		fatal("objects.write", err)
-	}
-	if err := writeSources(filepath.Join(*outFlag, "source.csv"), cat); err != nil {
-		fatal("sources.write", err)
-	}
-	fmt.Printf("wrote %d objects and %d sources to %s\n", len(cat.Objects), len(cat.Sources), *outFlag)
+	fmt.Println(string(out))
 }
-
-func writeObjects(path string, cat *datagen.Catalog) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	header := []string{"objectId", "ra_PS", "decl_PS", "uFlux_PS", "gFlux_PS", "rFlux_PS",
-		"iFlux_PS", "zFlux_PS", "yFlux_PS", "uFlux_SG", "uRadius_PS"}
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	for _, o := range cat.Objects {
-		rec := []string{
-			strconv.FormatInt(o.ObjectID, 10),
-			ftoa(o.RA), ftoa(o.Decl),
-			ftoa(o.UFlux), ftoa(o.GFlux), ftoa(o.RFlux),
-			ftoa(o.IFlux), ftoa(o.ZFlux), ftoa(o.YFlux),
-			ftoa(o.UFluxSG), ftoa(o.URadiusPS),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return w.Error()
-}
-
-func writeSources(path string, cat *datagen.Catalog) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	header := []string{"sourceId", "objectId", "taiMidPoint", "ra", "decl", "psfFlux", "psfFluxErr", "filterId"}
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	for _, s := range cat.Sources {
-		rec := []string{
-			strconv.FormatInt(s.SourceID, 10),
-			strconv.FormatInt(s.ObjectID, 10),
-			ftoa(s.TaiMidPoint), ftoa(s.RA), ftoa(s.Decl),
-			ftoa(s.PsfFlux), ftoa(s.PsfFluxErr),
-			strconv.FormatInt(s.FilterID, 10),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return w.Error()
-}
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

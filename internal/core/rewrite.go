@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/meta"
 	"repro/internal/sqlparse"
 )
 
@@ -32,9 +33,9 @@ func (p *Plan) buildTemplates() error {
 			ref.Alias = alias
 			continue
 		}
-		physical := info.Name + "_" + chunkPlaceholder
+		physical := meta.ChunkTablePattern(info.Name, chunkPlaceholder)
 		if a.NearNeighbor != nil && nnAliases[strings.ToLower(alias)] {
-			physical = info.Name + "_" + chunkPlaceholder + "_" + subChunkPlaceholder
+			physical = meta.SubChunkTablePattern(info.Name, chunkPlaceholder, subChunkPlaceholder)
 		}
 		ref.DB = p.registry.DB
 		ref.Table = physical

@@ -54,32 +54,6 @@ type TableInfo struct {
 // table (rows x row size), the quantity Table 1 reports.
 func (t *TableInfo) FootprintBytes() int64 { return t.PaperRows * t.PaperRowBytes }
 
-// ChunkTableName returns the worker-side table name for a chunk
-// (Object_CC, section 5.2).
-func ChunkTableName(table string, chunk partition.ChunkID) string {
-	return fmt.Sprintf("%s_%d", table, chunk)
-}
-
-// SubChunkTableName returns the worker-side on-the-fly subchunk table
-// name (Object_CC_SS).
-func SubChunkTableName(table string, chunk partition.ChunkID, sub partition.SubChunkID) string {
-	return fmt.Sprintf("%s_%d_%d", table, chunk, sub)
-}
-
-// OverlapTableName returns the worker-side overlap companion of a chunk
-// table (ObjectFullOverlap_CC): rows within the overlap margin outside
-// the chunk.
-func OverlapTableName(table string, chunk partition.ChunkID) string {
-	return fmt.Sprintf("%sFullOverlap_%d", table, chunk)
-}
-
-// SubChunkOverlapTableName returns the on-the-fly overlap subchunk table
-// name (ObjectFullOverlap_CC_SS): rows within the margin of a subchunk,
-// outside it.
-func SubChunkOverlapTableName(table string, chunk partition.ChunkID, sub partition.SubChunkID) string {
-	return fmt.Sprintf("%sFullOverlap_%d_%d", table, chunk, sub)
-}
-
 // Registry is the frontend's view of one sharded database.
 type Registry struct {
 	// DB is the catalog database name ("LSST").
@@ -234,30 +208,6 @@ type Placement struct {
 // NewPlacement creates an empty placement.
 func NewPlacement() *Placement {
 	return &Placement{assign: map[partition.ChunkID][]string{}}
-}
-
-// RoundRobin distributes chunks over workers with the given replication
-// factor. Consecutive chunks land on different workers, which spreads
-// density-induced skew across nodes (paper section 4.4).
-func RoundRobin(chunks []partition.ChunkID, workers []string, replication int) (*Placement, error) {
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("meta: no workers")
-	}
-	if replication < 1 {
-		replication = 1
-	}
-	if replication > len(workers) {
-		return nil, fmt.Errorf("meta: replication %d exceeds %d workers", replication, len(workers))
-	}
-	p := NewPlacement()
-	for i, c := range chunks {
-		var reps []string
-		for r := 0; r < replication; r++ {
-			reps = append(reps, workers[(i+r)%len(workers)])
-		}
-		p.assign[c] = reps
-	}
-	return p, nil
 }
 
 // Workers returns the workers holding a chunk (primary first).

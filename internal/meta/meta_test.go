@@ -133,55 +133,6 @@ func TestSchemasHavePartitionColumns(t *testing.T) {
 	}
 }
 
-func TestRoundRobinPlacement(t *testing.T) {
-	chunks := []partition.ChunkID{0, 1, 2, 3, 4, 5}
-	workers := []string{"w0", "w1", "w2"}
-	p, err := RoundRobin(chunks, workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consecutive chunks land on different workers.
-	if p.Workers(0)[0] == p.Workers(1)[0] {
-		t.Error("consecutive chunks on the same worker")
-	}
-	// Each worker gets 2 of 6 chunks.
-	for _, w := range workers {
-		if got := len(p.ChunksOn(w)); got != 2 {
-			t.Errorf("worker %s has %d chunks, want 2", w, got)
-		}
-	}
-	if got := len(p.Chunks()); got != 6 {
-		t.Errorf("placed chunks = %d", got)
-	}
-}
-
-func TestPlacementReplication(t *testing.T) {
-	chunks := []partition.ChunkID{0, 1, 2, 3}
-	workers := []string{"w0", "w1", "w2"}
-	p, err := RoundRobin(chunks, workers, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range chunks {
-		reps := p.Workers(c)
-		if len(reps) != 2 {
-			t.Fatalf("chunk %d has %d replicas", c, len(reps))
-		}
-		if reps[0] == reps[1] {
-			t.Errorf("chunk %d replicas on the same worker", c)
-		}
-	}
-}
-
-func TestPlacementErrors(t *testing.T) {
-	if _, err := RoundRobin([]partition.ChunkID{0}, nil, 1); err == nil {
-		t.Error("no workers should fail")
-	}
-	if _, err := RoundRobin([]partition.ChunkID{0}, []string{"w"}, 2); err == nil {
-		t.Error("replication > workers should fail")
-	}
-}
-
 func TestPlacementAssign(t *testing.T) {
 	p := NewPlacement()
 	p.Assign(7, "wx", "wy")

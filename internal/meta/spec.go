@@ -243,8 +243,9 @@ func (s *TableSpec) validate() error {
 	return nil
 }
 
-// Validate checks the spec: per-table validity, unique names, at most
-// one director table, and resolvable child→director references.
+// Validate checks the spec: per-table validity, unique names that stay
+// apart under the worker-side naming convention, at most one director
+// table, and resolvable child→director references.
 func (s *CatalogSpec) Validate() error {
 	if s.Database == "" {
 		return fmt.Errorf("meta: catalog spec with empty database name")
@@ -267,6 +268,13 @@ func (s *CatalogSpec) Validate() error {
 			}
 			director = t.Name
 		}
+	}
+	partitioned := map[string]bool{}
+	for key, t := range names {
+		partitioned[key] = t.Partitioned()
+	}
+	if err := nameCollision(partitioned); err != nil {
+		return err
 	}
 	for i := range s.Tables {
 		t := &s.Tables[i]
@@ -338,8 +346,17 @@ func (r *Registry) ApplySpec(spec CatalogSpec) error {
 			director = t.Name
 		}
 	}
+	// So does the naming convention: a table added later must stay apart
+	// from the worker-side names of those already declared.
+	partitioned := map[string]bool{}
+	for _, t := range spec.Tables {
+		partitioned[strings.ToLower(t.Name)] = t.Partitioned()
+	}
 	r.mu.Lock()
-	for _, info := range r.tables {
+	for key, info := range r.tables {
+		if _, redeclared := partitioned[key]; !redeclared {
+			partitioned[key] = info.Partitioned
+		}
 		if info.Kind != KindDirector {
 			continue
 		}
@@ -350,6 +367,9 @@ func (r *Registry) ApplySpec(spec CatalogSpec) error {
 		director = info.Name
 	}
 	r.mu.Unlock()
+	if err := nameCollision(partitioned); err != nil {
+		return err
+	}
 	for i := range spec.Tables {
 		r.AddTable(spec.Tables[i].tableInfo(director))
 	}

@@ -81,6 +81,24 @@ func TestSpecValidation(t *testing.T) {
 			},
 			RAColumn: "ra", DeclColumn: "decl", DirectorKey: "id",
 		}}}, "trailing column pair"},
+		{"chunk-table name collision", CatalogSpec{Database: "d", Tables: []TableSpec{
+			directorSpec("Obj"),
+			{Name: "Obj_7", Kind: KindChild, Director: "Obj",
+				Columns:     sqlengine.Schema{{Name: "id", Type: sqlparse.TypeInt}},
+				DirectorKey: "id"},
+		}}, "collide"},
+		{"overlap name collision", CatalogSpec{Database: "d", Tables: []TableSpec{
+			directorSpec("Obj"),
+			{Name: "objFullOverlap", Kind: KindReplicated, Columns: sqlengine.Schema{{Name: "x", Type: sqlparse.TypeInt}}},
+		}}, "collide"},
+		{"digit suffixes that stay apart", CatalogSpec{Database: "d", Tables: []TableSpec{
+			directorSpec("Station_7"),
+			{Name: "Reading_2_1", Kind: KindChild, Director: "Station_7",
+				Columns:     sqlengine.Schema{{Name: "id", Type: sqlparse.TypeInt}},
+				DirectorKey: "id"},
+			// Beside a replicated Station only Station itself is a worker-side name.
+			{Name: "Station", Kind: KindReplicated, Columns: sqlengine.Schema{{Name: "x", Type: sqlparse.TypeInt}}},
+		}}, ""},
 		{"unknown index column", CatalogSpec{Database: "d", Tables: []TableSpec{func() TableSpec {
 			s := directorSpec("T")
 			s.IndexColumns = []string{"nope"}

@@ -24,24 +24,6 @@ type ColStats struct {
 	Rows int64
 }
 
-// Fold merges another summary into this one.
-func (s *ColStats) Fold(o ColStats) {
-	if o.Rows == 0 {
-		return
-	}
-	if s.Rows == 0 {
-		*s = o
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Rows += o.Rows
-}
-
 // ChunkStats holds per-table, per-chunk, per-column min/max summaries.
 // A whole table's statistics are installed atomically at the end of its
 // ingest (SetTable), so queries — admitted only once the ingest gate

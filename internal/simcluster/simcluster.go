@@ -109,9 +109,6 @@ type Scale struct {
 	Result float64
 }
 
-// Unscaled leaves metered stats as-is.
-func Unscaled() Scale { return Scale{Bytes: 1, RowScale: 1, Pairs: 1, Result: 1} }
-
 // Cluster is the simulated deployment.
 type Cluster struct {
 	Nodes    int

@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -47,14 +46,6 @@ func (e *Engine) RegisterFunc(name string, fn Func) {
 	e.funcs[strings.ToLower(name)] = function{call: fn}
 }
 
-// HasFunc reports whether a function is registered.
-func (e *Engine) HasFunc(name string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.funcs[strings.ToLower(name)]
-	return ok
-}
-
 // CreateDatabase adds a database if absent and returns it.
 func (e *Engine) CreateDatabase(name string) *Database {
 	e.mu.Lock()
@@ -77,18 +68,6 @@ func (e *Engine) Database(name string) (*Database, error) {
 		return nil, fmt.Errorf("sqlengine: no database %q", name)
 	}
 	return db, nil
-}
-
-// DatabaseNames lists databases in sorted order.
-func (e *Engine) DatabaseNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []string
-	for _, db := range e.dbs {
-		out = append(out, db.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // lookupTable resolves a possibly database-qualified table name. The
@@ -155,13 +134,6 @@ type ExecOptions struct {
 	// returned Result then carries columns, types and stats but no Rows.
 	// nil boxes the rows into Result.Rows.
 	Sink Sink
-}
-
-// ExecuteStmtScanned runs one parsed statement; full table scans inside
-// a SELECT are routed through prov when it yields a source. A nil prov
-// is identical to ExecuteStmt.
-func (e *Engine) ExecuteStmtScanned(st sqlparse.Statement, prov ScanProvider) (*Result, error) {
-	return e.ExecuteStmtOpts(st, ExecOptions{Scan: prov})
 }
 
 // ExecuteStmtOpts runs one parsed statement under the given execution

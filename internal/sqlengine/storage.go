@@ -738,9 +738,6 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.PairsConsidered += o.PairsConsidered
 }
 
-// TotalBytes returns all bytes touched.
-func (s ExecStats) TotalBytes() int64 { return s.SeqBytes + s.RandBytes }
-
 // Result is the output of a query: column names and rows, plus the
 // execution's I/O metering.
 type Result struct {

@@ -36,7 +36,8 @@ func TestDurableRestartRecovery(t *testing.T) {
 	load(t, w, xrd.LoadSharedPath("Filter"), []sqlengine.Row{{int64(0), "u"}, {int64(1), "g"}}, nil)
 	w.Close()
 
-	// Restart: same DataDir, same (shared, in-process) registry.
+	// Restart: same DataDir (these fixtures load no catalog spec, so the
+	// registry is handed over declared).
 	w2 := mustNew(t, cfg, reg)
 	defer w2.Close()
 	chunks := w2.Chunks()
@@ -51,7 +52,7 @@ func TestDurableRestartRecovery(t *testing.T) {
 	// /repl export (the bytes the repairer would byte-compare) streams
 	// straight from the stored segments without materializing.
 	objUnit := chunkstore.Unit{Table: "Object", Chunk: int(chunk)}
-	if w2.res.isResident(objUnit) {
+	if w2.units.isResident(objUnit) {
 		t.Fatal("chunk unit resident right after recovery; want lazy")
 	}
 	if db.HasTable(meta.ChunkTableName("Object", chunk)) {
@@ -60,7 +61,7 @@ func TestDurableRestartRecovery(t *testing.T) {
 	if _, err := w2.HandleRead(xrd.ReplPath("Object", int(chunk))); err != nil {
 		t.Fatalf("repl export before materialization: %v", err)
 	}
-	if w2.res.isResident(objUnit) {
+	if w2.units.isResident(objUnit) {
 		t.Fatal("repl export materialized the unit; want a disk-only stream")
 	}
 	if st := w2.ResidencyStats(); st.Units != 2 || st.Resident != 0 {
@@ -68,11 +69,9 @@ func TestDurableRestartRecovery(t *testing.T) {
 	}
 
 	// First touch: pin the units and check every recovered structure.
-	release, err := w2.pinUnits([]chunkstore.Unit{objUnit, {Table: "Filter", Shared: true}})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []chunkstore.Unit{objUnit, {Table: "Filter", Shared: true}} {
+		defer w2.units.unpin(mustPin(t, w2, id))
 	}
-	defer release()
 	tbl, err := db.Table(meta.ChunkTableName("Object", chunk))
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +157,31 @@ func TestInventoryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := string(inv); !strings.Contains(s, `"worker":"w-inv"`) || !strings.Contains(s, "[3,12]") {
+	if s := string(inv); !strings.Contains(s, `"worker":"w-inv"`) || !strings.Contains(s, `"chunks":[3,12]`) {
 		t.Fatalf("inventory = %s", s)
+	}
+	// An in-memory worker keeps the same unit table a durable one does:
+	// what it holds is resident, charged, and never evicted.
+	if s := string(inv); !strings.Contains(s, `"resident":[3,12]`) {
+		t.Errorf("inventory = %s, want both chunks resident", s)
+	}
+	if st := w.ResidencyStats(); st.Units != 2 || st.Resident != 2 || st.ResidentBytes <= 0 || st.Budget != 0 || st.Materializations != 0 {
+		t.Errorf("residency of an in-memory worker = %+v, want 2 resident units with bytes charged and no budget", st)
+	}
+
+	// A /repl install that fails on a worker holding nothing of the unit
+	// leaves no unit behind: a query must find a missing table there (and
+	// fail over), not an empty one.
+	if err := w.HandleWrite(xrd.ReplPath("Object", 5), []byte("garbage")); err == nil {
+		t.Fatal("garbage /repl install accepted")
+	}
+	if st := w.ResidencyStats(); st.Units != 2 || w.db.HasTable(meta.ChunkTableName("Object", 5)) {
+		t.Errorf("failed install left a unit: %+v", st)
+	}
+	if _, err := w.units.pin(chunkstore.Unit{Table: "Object", Chunk: 5}, false); err != nil {
+		t.Errorf("pin of a unit never installed: %v", err)
+	}
+	if got := len(w.Chunks()); got != 2 {
+		t.Errorf("worker reports %d chunks after a failed install, want 2", got)
 	}
 }

@@ -3,10 +3,9 @@ package worker
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
-	"repro/internal/chunkstore"
 	"repro/internal/ingest"
-	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sqlengine"
 	"repro/internal/xrd"
@@ -25,14 +24,30 @@ import (
 
 // pingStatus renders the /ping response.
 func (w *Worker) pingStatus() []byte {
-	w.mu.Lock()
-	active := w.active
-	chunks := len(w.chunks)
-	w.mu.Unlock()
 	out, _ := json.Marshal(xrd.PingStatus{
-		Worker: w.cfg.Name, Active: active, Queued: w.QueueLen(),
-		Chunks: chunks, Resident: w.ResidencyStats().Resident,
+		Worker: w.cfg.Name, Active: w.ActiveJobs(), Queued: w.QueueLen(),
+		Chunks: len(w.Chunks()), Resident: w.ResidencyStats().Resident,
 	}) // a struct of strings and ints cannot fail to marshal
+	return out
+}
+
+// inventoryStatus renders the /inventory response: the chunks this
+// worker actually holds, and those of them with a resident unit, both
+// sorted (see xrd.Inventory).
+func (w *Worker) inventoryStatus() []byte {
+	sorted := func(chunks []partition.ChunkID) []int {
+		out := make([]int, len(chunks))
+		for i, c := range chunks {
+			out[i] = int(c)
+		}
+		sort.Ints(out)
+		return out
+	}
+	out, _ := json.Marshal(xrd.Inventory{
+		Worker:   w.cfg.Name,
+		Chunks:   sorted(w.Chunks()),
+		Resident: sorted(w.units.chunks((*unit).resident)),
+	})
 	return out
 }
 
@@ -45,61 +60,44 @@ func (w *Worker) pingStatus() []byte {
 // either way, so the replication manager verifies a copy by
 // re-exporting from the target and comparing bytes (clusters are
 // uniformly durable or uniformly in-memory, so source and target frame
-// identically).
+// identically). Nothing here asks whether the table is mid-ingest: that
+// gate is the czar's, which copies only tables whose ingest completed.
 func (w *Worker) exportRepl(path string) ([]byte, error) {
 	table, chunk, shared, err := xrd.ParseReplPath(path)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	info, err := w.registry.Table(table)
+	id, err := w.unitOf(table, chunk, shared)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: repl export: %w", w.cfg.Name, err)
-	}
-	if w.registry.Ingesting(info.Name) {
-		return nil, fmt.Errorf("worker %s: repl export: table %s has an ingest in flight", w.cfg.Name, info.Name)
 	}
 	// loadMu excludes concurrent /load and /repl writes, so the row
 	// slices (and stored segments) are stable while the export encodes.
 	w.loadMu.Lock()
 	defer w.loadMu.Unlock()
 
-	unit := chunkstore.Unit{Table: info.Name, Shared: shared}
-	if !shared {
-		unit.Chunk = chunk
-	}
-	if w.store != nil && w.store.Has(unit) {
-		segs, err := w.store.Segments(unit)
+	if w.store != nil && w.store.Has(id) {
+		segs, err := w.store.Segments(id)
 		if err != nil {
-			return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, unit, err)
+			return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, id, err)
 		}
 		return ingest.EncodeSegments(segs), nil
 	}
 
-	db, err := w.engine.Database(w.registry.DB)
+	names := unitTableNames(id)
+	t, err := w.db.Table(names[0])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, id, err)
 	}
-	var b ingest.Batch
-	if shared {
-		t, err := db.Table(info.Name)
-		if err != nil {
-			return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, info.Name, err)
-		}
-		b.Rows = boxedRows(t)
-	} else {
-		cid := partition.ChunkID(chunk)
-		t, err := db.Table(meta.ChunkTableName(info.Name, cid))
-		if err != nil {
-			return nil, fmt.Errorf("worker %s: repl export %s chunk %d: %w", w.cfg.Name, info.Name, chunk, err)
-		}
-		b.Rows = boxedRows(t)
-		if ov, err := db.Table(meta.OverlapTableName(info.Name, cid)); err == nil {
+	b := ingest.Batch{Rows: boxedRows(t)}
+	if !id.Shared {
+		if ov, err := w.db.Table(names[1]); err == nil {
 			b.Overlap = boxedRows(ov)
 		}
 	}
 	data, err := ingest.EncodeBatch(b)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, info.Name, err)
+		return nil, fmt.Errorf("worker %s: repl export %s: %w", w.cfg.Name, id, err)
 	}
 	return ingest.EncodeSegments([][]byte{data}), nil
 }
@@ -117,89 +115,37 @@ func boxedRows(t *sqlengine.Table) []sqlengine.Row {
 // installRepl serves a /repl write: it replaces the chunk table and its
 // overlap companion (or a replicated table) with the batch's rows,
 // rebuilding the director-key and declared hash indexes through the
-// same incremental path ingest uses. Replacement makes the transaction
-// idempotent: a repair retried after a torn copy converges instead of
-// appending duplicates.
+// same build ingest and materialization use. Replacement makes the
+// transaction idempotent: a repair retried after a torn copy converges
+// instead of appending duplicates.
 func (w *Worker) installRepl(path string, data []byte) error {
 	table, chunk, shared, err := xrd.ParseReplPath(path)
 	if err != nil {
 		return fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	info, err := w.registry.Table(table)
+	id, err := w.unitOf(table, chunk, shared)
 	if err != nil {
 		return fmt.Errorf("worker %s: repl install: %w", w.cfg.Name, err)
 	}
 	// Segment-framed payloads (the current export format) carry one or
 	// more checksummed batch payloads; a bare batch is still accepted so
 	// hand-rolled installs keep working.
-	var segs [][]byte
+	segs := [][]byte{data}
 	if ingest.IsSegments(data) {
-		segs, err = ingest.DecodeSegments(data)
-		if err != nil {
-			return fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, table, err)
+		if segs, err = ingest.DecodeSegments(data); err != nil {
+			return fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, id, err)
 		}
-	} else {
-		segs = [][]byte{data}
 	}
 	w.loadMu.Lock()
 	defer w.loadMu.Unlock()
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		return err
+	// Latch against the evictor for the install; the settle charges the
+	// fresh tables' bytes.
+	u := w.units.lockReplace(id)
+	if err = w.buildUnit(id, segs); err != nil {
+		err = fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, id, err)
+	} else {
+		err = w.persistReplace(id, segs)
 	}
-
-	if shared {
-		if info.Partitioned {
-			return fmt.Errorf("worker %s: repl install: table %s is partitioned; install it by chunk", w.cfg.Name, info.Name)
-		}
-		u := chunkstore.Unit{Table: info.Name, Shared: true}
-		if w.res != nil {
-			// Latch against the evictor for the install; the deferred
-			// settle charges the fresh tables' bytes.
-			w.res.lockReplace(u)
-			defer func() { w.res.finishReplace(u, w.unitResidentBytes(db, u)) }()
-		}
-		t, err := info.NewIngestTable(info.Name)
-		if err != nil {
-			return err
-		}
-		for _, seg := range segs {
-			if err := appendBatch(seg, t, nil); err != nil {
-				return fmt.Errorf("worker %s: repl install %s: %w", w.cfg.Name, info.Name, err)
-			}
-		}
-		db.Put(t)
-		return w.persistReplace(u, segs)
-	}
-
-	if !info.Partitioned {
-		return fmt.Errorf("worker %s: repl install: table %s is not partitioned; use the shared path", w.cfg.Name, info.Name)
-	}
-	cid := partition.ChunkID(chunk)
-	u := chunkstore.Unit{Table: info.Name, Chunk: chunk}
-	if w.res != nil {
-		w.res.lockReplace(u)
-		defer func() { w.res.finishReplace(u, w.unitResidentBytes(db, u)) }()
-	}
-	t, err := info.NewIngestTable(meta.ChunkTableName(info.Name, cid))
-	if err != nil {
-		return err
-	}
-	ov := sqlengine.NewTable(meta.OverlapTableName(info.Name, cid), info.Schema)
-	for _, seg := range segs {
-		if err := appendBatch(seg, t, ov); err != nil {
-			return fmt.Errorf("worker %s: repl install %s chunk %d: %w", w.cfg.Name, info.Name, chunk, err)
-		}
-	}
-	// Publish both tables only after every segment applied, so a bad
-	// batch cannot leave a half-replaced chunk.
-	db.Put(t)
-	db.Put(ov)
-	if err := w.persistReplace(u, segs); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	w.chunks[cid] = true
-	w.mu.Unlock()
-	return nil
+	w.units.finishReplace(u, err == nil)
+	return err
 }

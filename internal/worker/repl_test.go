@@ -183,9 +183,7 @@ func TestReplExportErrors(t *testing.T) {
 	if _, err := w.HandleRead(xrd.ReplPath("NoSuch", 3)); err == nil {
 		t.Error("exporting an unknown table should fail")
 	}
-	reg.SetIngesting("Object", true)
-	defer reg.SetIngesting("Object", false)
-	if _, err := w.HandleRead(xrd.ReplPath("Object", 3)); err == nil || !strings.Contains(err.Error(), "ingest in flight") {
-		t.Errorf("export during ingest: %v", err)
+	if _, err := w.HandleRead(xrd.ReplSharedPath("Object")); err == nil || !strings.Contains(err.Error(), "partitioned") {
+		t.Errorf("exporting a partitioned table whole: %v", err)
 	}
 }

@@ -36,30 +36,34 @@ func residentWorker(t *testing.T, budget int64, tweak func(*Config)) (*Worker, c
 	return w, chunkstore.Unit{Table: "Object", Chunk: int(chunk)}
 }
 
+// mustPin pins a unit the worker stores, as a chunk query reading it would.
+func mustPin(t *testing.T, w *Worker, id chunkstore.Unit) *unit {
+	t.Helper()
+	u, err := w.units.pin(id, false)
+	if err != nil || u == nil {
+		t.Fatalf("pin %s: unit=%v err=%v", id, u, err)
+	}
+	return u
+}
+
 // TestPinBlocksEviction: a pinned unit is never an eviction victim, no
 // matter how far over budget the worker is; the release makes it one.
 func TestPinBlocksEviction(t *testing.T) {
 	w, u := residentWorker(t, 1, nil) // 1 byte: everything unpinned must go
-	ok, err := w.res.pin(u)
-	if err != nil || !ok {
-		t.Fatalf("pin: ok=%v err=%v", ok, err)
-	}
+	pinned := mustPin(t, w, u)
 
-	w.res.evictLoop()
-	if !w.res.isResident(u) {
+	w.units.evictLoop()
+	if !w.units.isResident(u) {
 		t.Fatal("evictor detached a pinned unit")
 	}
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := w.db
 	if !db.HasTable(meta.ChunkTableName("Object", partitionChunk(u))) {
 		t.Fatal("chunk table gone while its unit was pinned")
 	}
 
-	w.res.unpin(u)
-	w.res.evictLoop()
-	if w.res.isResident(u) {
+	w.units.unpin(pinned)
+	w.units.evictLoop()
+	if w.units.isResident(u) {
 		t.Fatal("unpinned unit survived an over-budget evict pass")
 	}
 	if db.HasTable(meta.ChunkTableName("Object", partitionChunk(u))) {
@@ -75,8 +79,8 @@ func TestPinBlocksEviction(t *testing.T) {
 // scheduler (it does not error) and answers exactly as before.
 func TestQueryAfterEvictionRematerializes(t *testing.T) {
 	w, u := residentWorker(t, 1, nil)
-	w.res.evictLoop()
-	if w.res.isResident(u) {
+	w.units.evictLoop()
+	if w.units.isResident(u) {
 		t.Fatal("setup: unit still resident")
 	}
 
@@ -100,7 +104,7 @@ func TestQueryAfterEvictionRematerializes(t *testing.T) {
 // the winner instead of building duplicate tables.
 func TestConcurrentPinsMaterializeOnce(t *testing.T) {
 	w, u := residentWorker(t, 1, nil)
-	w.res.evictLoop()
+	w.units.evictLoop()
 	before := w.ResidencyStats().Materializations
 
 	// The pins must overlap: each racer holds its pin until every racer
@@ -115,14 +119,14 @@ func TestConcurrentPinsMaterializeOnce(t *testing.T) {
 		doneWG.Add(1)
 		go func() {
 			defer doneWG.Done()
-			ok, err := w.res.pin(u)
+			pinned, err := w.units.pin(u, false)
 			pinnedWG.Done()
-			if err != nil || !ok {
-				errs <- fmt.Errorf("pin: ok=%v err=%v", ok, err)
+			if err != nil || pinned == nil {
+				errs <- fmt.Errorf("pin: unit=%v err=%v", pinned, err)
 				return
 			}
 			<-release
-			w.res.unpin(u)
+			w.units.unpin(pinned)
 		}()
 	}
 	pinnedWG.Wait()
@@ -143,15 +147,15 @@ func TestPinWaitsOutEviction(t *testing.T) {
 	w, u := residentWorker(t, 0, nil) // lazy-only; eviction is simulated
 	// Park the unit in the evicting state by hand — the narrow window a
 	// real evictor holds while detaching outside the lock.
-	w.res.mu.Lock()
-	st := w.res.units[u.String()]
+	w.units.mu.Lock()
+	st := w.units.units[u]
 	st.state = unitEvicting
-	w.res.mu.Unlock()
+	w.units.mu.Unlock()
 
 	pinned := make(chan error, 1)
 	go func() {
-		ok, err := w.res.pin(u)
-		if err == nil && !ok {
+		got, err := w.units.pin(u, false)
+		if err == nil && got == nil {
 			err = fmt.Errorf("pin ignored a tracked unit")
 		}
 		pinned <- err
@@ -163,13 +167,13 @@ func TestPinWaitsOutEviction(t *testing.T) {
 	}
 
 	// Complete the simulated eviction the way evictLoop does.
-	w.detachUnit(u)
-	w.res.mu.Lock()
+	w.units.detach(st)
+	w.units.mu.Lock()
 	st.state = unitOnDisk
-	w.res.resident -= st.bytes
+	w.units.resident -= st.bytes
 	st.bytes = 0
-	w.res.cond.Broadcast()
-	w.res.mu.Unlock()
+	w.units.cond.Broadcast()
+	w.units.mu.Unlock()
 
 	select {
 	case err := <-pinned:
@@ -179,7 +183,7 @@ func TestPinWaitsOutEviction(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pin still blocked after eviction completed")
 	}
-	if !w.res.isResident(u) {
+	if !w.units.isResident(u) {
 		t.Fatal("unit not resident after pin")
 	}
 }
@@ -190,8 +194,8 @@ func TestPinWaitsOutEviction(t *testing.T) {
 // would silently lose everything loaded before the eviction.
 func TestAppendToEvictedUnitKeepsRows(t *testing.T) {
 	w, u := residentWorker(t, 1, nil)
-	w.res.evictLoop()
-	if w.res.isResident(u) {
+	w.units.evictLoop()
+	if w.units.isResident(u) {
 		t.Fatal("setup: unit still resident")
 	}
 
@@ -203,16 +207,8 @@ func TestAppendToEvictedUnitKeepsRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ok, err := w.res.pin(u)
-	if err != nil || !ok {
-		t.Fatalf("pin: ok=%v err=%v", ok, err)
-	}
-	defer w.res.unpin(u)
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.Table(meta.ChunkTableName("Object", partitionChunk(u)))
+	defer w.units.unpin(mustPin(t, w, u))
+	tbl, err := w.db.Table(meta.ChunkTableName("Object", partitionChunk(u)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +249,11 @@ func TestEvictionRetiresScannersAndSubchunks(t *testing.T) {
 	}
 	statsBefore := w.ScanStats()
 
-	w.res.mu.Lock()
-	w.res.budget = 1
-	w.res.mu.Unlock()
-	w.res.evictLoop()
-	if w.res.isResident(u) {
+	w.units.mu.Lock()
+	w.units.budget = 1
+	w.units.mu.Unlock()
+	w.units.evictLoop()
+	if w.units.isResident(u) {
 		t.Fatal("unit still resident after evict pass")
 	}
 	if w.ConvoyScanner(meta.ChunkTableName("Object", chunk)) != nil {

@@ -1,13 +1,9 @@
 package worker
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/partition"
-	"repro/internal/scanshare"
-	"repro/internal/sqlengine"
 )
 
 // gangQueue is the scan lane of the two-class scheduler: queued
@@ -120,123 +116,4 @@ func (q *gangQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
-}
-
-// ---------- per-table convoy scanners ----------
-
-// convoyTableChunk reports whether a table name is a stored chunk (or
-// chunk-overlap) table — `<Base>_<CC>` or `<Base>FullOverlap_<CC>` —
-// and returns the chunk. Subchunk tables (`<Base>_<CC>_<SS>`) are
-// excluded: they are materialized per query and dropped, so a cached
-// convoy scanner over one would go stale.
-func convoyTableChunk(table string) (partition.ChunkID, bool) {
-	parts := strings.Split(table, "_")
-	if len(parts) < 2 || !isDigits(parts[len(parts)-1]) {
-		return 0, false
-	}
-	if len(parts) >= 3 && isDigits(parts[len(parts)-2]) {
-		return 0, false // subchunk table
-	}
-	id, err := strconv.Atoi(parts[len(parts)-1])
-	if err != nil {
-		return 0, false
-	}
-	return partition.ChunkID(id), true
-}
-
-// scannerFor returns (creating if needed) the convoy scanner over a
-// stored chunk table, or nil when the table is not convoy-eligible.
-// A scanner is invalidated when the table object it wraps is replaced
-// (e.g. the chunk is reloaded).
-func (w *Worker) scannerFor(t *sqlengine.Table) *scanshare.Scanner {
-	chunk, ok := convoyTableChunk(t.Name)
-	if !ok {
-		return nil
-	}
-	w.mu.Lock()
-	held := w.chunks[chunk]
-	w.mu.Unlock()
-	if !held {
-		return nil
-	}
-	key := strings.ToLower(t.Name)
-	w.scanMu.Lock()
-	defer w.scanMu.Unlock()
-	if sc, ok := w.scanners[key]; ok && sc.Table() == t {
-		return sc
-	}
-	sc, err := scanshare.NewScanner(t, w.cfg.ScanPieceRows)
-	if err != nil {
-		return nil
-	}
-	w.scanners[key] = sc
-	return sc
-}
-
-// retireScanners drops the convoy scanners over the named tables,
-// folding their cumulative counters into the worker's retired totals
-// first (an evicted chunk must not erase the savings it produced while
-// hot). Callers evict only fully unpinned units, so no convoy is
-// mid-flight over these tables; a stale scanner kept here would pin
-// the detached table's rows in memory, defeating the eviction.
-func (w *Worker) retireScanners(tables ...string) {
-	w.scanMu.Lock()
-	defer w.scanMu.Unlock()
-	for _, name := range tables {
-		key := strings.ToLower(name)
-		sc, ok := w.scanners[key]
-		if !ok {
-			continue
-		}
-		w.retired.Convoys++
-		w.retired.BytesRead += sc.BytesRead()
-		w.retired.PiecesRead += sc.PiecesRead()
-		w.retired.ScansSaved += sc.ScansSaved()
-		delete(w.scanners, key)
-	}
-}
-
-// ConvoyScanner returns the live convoy scanner for a table name, or
-// nil when none has been created; exposed for tests and experiments.
-func (w *Worker) ConvoyScanner(table string) *scanshare.Scanner {
-	w.scanMu.Lock()
-	defer w.scanMu.Unlock()
-	return w.scanners[strings.ToLower(table)]
-}
-
-// ScanStats aggregates the worker's shared-scan activity across all
-// convoy scanners.
-type ScanStats struct {
-	// Convoys is the number of distinct chunk tables that have had a
-	// convoy scanner.
-	Convoys int
-	// BytesRead is the physical bytes read by shared scans; compare
-	// with the sum of JobReport.Stats.SharedSeqBytes (what independent
-	// scans would have read) for the savings.
-	BytesRead int64
-	// PiecesRead counts physical piece reads.
-	PiecesRead int64
-	// ScansSaved counts convoy attachments that shared an in-flight
-	// scan instead of starting their own.
-	ScansSaved int64
-}
-
-// ScanStats returns the worker's aggregate shared-scan counters,
-// including those of scanners retired by chunk eviction.
-func (w *Worker) ScanStats() ScanStats {
-	w.scanMu.Lock()
-	scanners := make([]*scanshare.Scanner, 0, len(w.scanners))
-	for _, sc := range w.scanners {
-		scanners = append(scanners, sc)
-	}
-	retired := w.retired
-	w.scanMu.Unlock()
-	st := retired
-	st.Convoys += len(scanners)
-	for _, sc := range scanners {
-		st.BytesRead += sc.BytesRead()
-		st.PiecesRead += sc.PiecesRead()
-		st.ScansSaved += sc.ScansSaved()
-	}
-	return st
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
 	"repro/internal/xrd"
 )
 
@@ -262,7 +263,50 @@ func TestSharedScansPreserveResults(t *testing.T) {
 	}
 }
 
+// resolveOne runs a chunk query's table pass over a statement reading
+// one table, on a worker whose catalog also declares names that end in
+// digit groups; nil means the name is no piece of a catalog table.
+func resolveOne(t *testing.T, w *Worker, table string) *tableUse {
+	t.Helper()
+	stmts, err := sqlparse.ParseScript("SELECT * FROM LSST." + table + ";")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := w.resolveTables(stmts)
+	if len(uses) == 0 {
+		return nil
+	}
+	return &uses[0]
+}
+
+// digitSuffixWorker is an empty worker over the LSST catalog plus three
+// child tables: one with an underscore in its name, two that end in digit
+// groups.
+func digitSuffixWorker(t *testing.T) *Worker {
+	t.Helper()
+	spec := datagen.LSSTSpec()
+	for _, name := range []string{"Forced_Source", "Station_7", "Reading_2_1"} {
+		spec.Tables = append(spec.Tables, meta.TableSpec{Name: name, Kind: meta.KindChild, DirectorKey: "objectId",
+			Columns: sqlengine.Schema{{Name: "objectId", Type: sqlparse.TypeInt}}})
+	}
+	ch, err := partition.NewChunker(partition.Config{NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := meta.NewRegistryFromSpec(spec, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustNew(t, DefaultConfig("w0"), reg)
+	t.Cleanup(w.Close)
+	return w
+}
+
+// TestConvoyTableChunk: which of a job's tables may convoy, and as which
+// chunk's — the stored chunk and overlap tables, found through the naming
+// codec (meta.ResolveTable has the full table of names).
 func TestConvoyTableChunk(t *testing.T) {
+	w := digitSuffixWorker(t)
 	cases := []struct {
 		in    string
 		chunk partition.ChunkID
@@ -274,11 +318,27 @@ func TestConvoyTableChunk(t *testing.T) {
 		{"Object_123_4", 0, false}, // subchunk tables never convoy
 		{"Object", 0, false},
 		{"Filter", 0, false},
+		// A table whose own name ends in digits convoys like any other.
+		{"Station_7_58", 58, true},
+		{"Station_7FullOverlap_58", 58, true},
+		{"Station_7_58_3", 0, false},
+		{"Reading_2_1_58", 58, true},
+		{"Reading_2_1", 0, false},
 	}
 	for _, c := range cases {
-		chunk, ok := convoyTableChunk(c.in)
+		var chunk partition.ChunkID
+		ok := false
+		if use := resolveOne(t, w, c.in); use != nil && use.scan != [2]bool{} {
+			chunk, ok = partition.ChunkID(use.id.Chunk), true
+			// The unit's table in that slot is the table the statement named.
+			for slot, name := range unitTableNames(use.id) {
+				if use.scan[slot] != (name == c.in) {
+					t.Errorf("%q: scan slots %v over tables %q", c.in, use.scan, unitTableNames(use.id))
+				}
+			}
+		}
 		if ok != c.ok || chunk != c.chunk {
-			t.Errorf("convoyTableChunk(%q) = %d, %v; want %d, %v", c.in, chunk, ok, c.chunk, c.ok)
+			t.Errorf("convoy chunk of %q = %d, %v; want %d, %v", c.in, chunk, ok, c.chunk, c.ok)
 		}
 	}
 }

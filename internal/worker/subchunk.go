@@ -2,148 +2,119 @@ package worker
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
+	"repro/internal/chunkstore"
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
 )
 
-// subchunkManager materializes and reference-counts on-the-fly subchunk
-// tables. Concurrent chunk queries needing the same subchunk share one
+// Subchunk tables are materialized on the fly and reference-counted on the
+// unit they are derived from (unit.subs, under the unit table's mutex).
+// Concurrent chunk queries needing the same subchunk share one
 // materialization; tables are dropped when the last user releases them
 // unless caching is enabled (paper section 5.4: the worker "is free to
 // drop the tables afterwards ... enables the worker to cache subchunk
-// tables, although the current implementation does not cache them").
+// tables, although the current implementation does not cache them"), and
+// cached ones go when their unit's tables do.
 //
 // Generation is batched: all subchunk tables a chunk query needs are
 // built in one pass over the chunk table and one pass over its stored
 // overlap table, not one scan per subchunk — a chunk query touching all
 // ~200 subchunks costs two scans, not 400.
-type subchunkManager struct {
-	w  *Worker
-	mu sync.Mutex
-	// entries keyed by "<base>/<chunk>/<sub>".
-	entries map[string]*subEntry
-}
 
 type subEntry struct {
-	refs  int
+	refs  int // guarded by unitTable.mu
 	ready chan struct{}
 	err   error
-	stats sqlengine.ExecStats
 }
 
-func newSubchunkManager(w *Worker) *subchunkManager {
-	return &subchunkManager{w: w, entries: map[string]*subEntry{}}
-}
-
-func subKey(base string, chunk partition.ChunkID, sub partition.SubChunkID) string {
-	return fmt.Sprintf("%s/%d/%d", base, chunk, sub)
-}
-
-// acquire ensures the subchunk (and overlap-subchunk) tables exist for
-// every (base table, subchunk) combination, returning a release closure
-// and the I/O stats spent on generation this call triggered.
-func (m *subchunkManager) acquire(chunk partition.ChunkID, subs []partition.SubChunkID,
-	bases map[string]bool) (func(), sqlengine.ExecStats, error) {
-	var total sqlengine.ExecStats
-	type held struct {
-		key   string
-		base  string
-		sub   partition.SubChunkID
-		entry *subEntry
+// acquireSubchunks ensures the subchunk and overlap-subchunk tables of
+// every listed subchunk of u exist, returning a release closure and the
+// I/O stats spent on generation this call triggered. The caller holds a
+// pin on u.
+func (w *Worker) acquireSubchunks(u *unit, subs []partition.SubChunkID) (func(), sqlengine.ExecStats, error) {
+	t := w.units
+	// Partition the requested subs into those already materialized (or in
+	// flight) and those this call must generate.
+	var toGen []partition.SubChunkID
+	var genEntries, waitFor []*subEntry
+	t.mu.Lock()
+	if u.subs == nil {
+		u.subs = map[partition.SubChunkID]*subEntry{}
 	}
-	var acquired []held
-
-	releaseAll := func() {
-		m.mu.Lock()
-		var toDrop []held
-		for _, h := range acquired {
-			h.entry.refs--
-			if h.entry.refs == 0 && !m.w.cfg.CacheSubChunks {
-				delete(m.entries, h.key)
-				toDrop = append(toDrop, h)
-			}
+	for _, sub := range subs {
+		entry, ok := u.subs[sub]
+		if !ok {
+			entry = &subEntry{ready: make(chan struct{})}
+			u.subs[sub] = entry
+			toGen = append(toGen, sub)
+			genEntries = append(genEntries, entry)
+		} else {
+			waitFor = append(waitFor, entry)
 		}
-		m.mu.Unlock()
-		for _, h := range toDrop {
-			m.dropTables(h.base, chunk, h.sub)
-		}
+		entry.refs++
 	}
+	t.mu.Unlock()
 
-	for base := range bases {
-		// Partition the requested subs into those already materialized
-		// (or in flight) and those this call must generate.
-		m.mu.Lock()
-		var toGen []partition.SubChunkID
-		var genEntries []*subEntry
-		var waitFor []*subEntry
+	release := func() {
+		var toDrop []partition.SubChunkID
+		t.mu.Lock()
 		for _, sub := range subs {
-			key := subKey(base, chunk, sub)
-			entry, ok := m.entries[key]
-			if !ok {
-				entry = &subEntry{ready: make(chan struct{})}
-				m.entries[key] = entry
-				toGen = append(toGen, sub)
-				genEntries = append(genEntries, entry)
-			} else {
-				waitFor = append(waitFor, entry)
-			}
-			entry.refs++
-			acquired = append(acquired, held{key: key, base: base, sub: sub, entry: entry})
-		}
-		m.mu.Unlock()
-
-		if len(toGen) > 0 {
-			stats, err := m.generateBatch(base, chunk, toGen)
-			for _, e := range genEntries {
-				e.stats = stats
-				e.err = err
-				close(e.ready)
-			}
-			total.Add(stats)
-			if err != nil {
-				releaseAll()
-				return nil, total, err
+			entry := u.subs[sub]
+			entry.refs--
+			if entry.refs == 0 && !w.cfg.CacheSubChunks {
+				delete(u.subs, sub)
+				toDrop = append(toDrop, sub)
 			}
 		}
-		for _, e := range waitFor {
-			<-e.ready
-			if e.err != nil {
-				err := e.err
-				releaseAll()
-				return nil, total, err
-			}
+		t.mu.Unlock()
+		for _, sub := range toDrop {
+			w.dropSubchunkTables(u.id, sub)
 		}
 	}
-	return releaseAll, total, nil
+
+	var stats sqlengine.ExecStats
+	var err error
+	if len(toGen) > 0 {
+		stats, err = w.generateSubchunks(u.id, toGen)
+		for _, e := range genEntries {
+			e.err = err
+			close(e.ready)
+		}
+	}
+	for _, e := range waitFor {
+		if err != nil {
+			break
+		}
+		<-e.ready
+		err = e.err
+	}
+	if err != nil {
+		release()
+		return nil, stats, err
+	}
+	return release, stats, nil
 }
 
-// generateBatch builds <base>_<cc>_<ss> and <base>FullOverlap_<cc>_<ss>
-// for every requested subchunk in two passes: one over the chunk table
-// (splitting rows by their stored subChunkId and testing dilated-bounds
-// membership for overlap assignment) and one over the chunk's stored
-// overlap table.
-func (m *subchunkManager) generateBatch(base string, chunk partition.ChunkID,
-	subs []partition.SubChunkID) (sqlengine.ExecStats, error) {
+// generateSubchunks builds the subchunk table and the overlap-subchunk
+// table of every requested subchunk of a chunk unit in two passes: one over
+// the chunk table (splitting rows by their stored subChunkId and testing
+// dilated-bounds membership for overlap assignment) and one over the
+// chunk's stored overlap table.
+func (w *Worker) generateSubchunks(id chunkstore.Unit, subs []partition.SubChunkID) (sqlengine.ExecStats, error) {
 	var total sqlengine.ExecStats
-	w := m.w
+	base, chunk := id.Table, partition.ChunkID(id.Chunk)
 	info, err := w.registry.Table(base)
 	if err != nil {
 		return total, err
 	}
-	db, err := w.engine.Database(w.registry.DB)
-	if err != nil {
-		return total, err
-	}
-	chunkTable, err := db.Table(meta.ChunkTableName(base, chunk))
+	chunkTable, err := w.db.Table(meta.ChunkTableName(base, chunk))
 	if err != nil {
 		return total, fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	overlapTable, err := db.Table(meta.OverlapTableName(base, chunk))
+	overlapTable, err := w.db.Table(meta.OverlapTableName(base, chunk))
 	if err != nil {
 		return total, fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
@@ -209,55 +180,17 @@ func (m *subchunkManager) generateBatch(base string, chunk partition.ChunkID,
 	for _, tg := range targets {
 		st := sqlengine.NewTable(meta.SubChunkTableName(base, chunk, tg.sub), info.Schema)
 		st.AppendFrom(chunkTable, tg.own)
-		db.Put(st)
+		w.db.Put(st)
 		ot := sqlengine.NewTable(meta.SubChunkOverlapTableName(base, chunk, tg.sub), info.Schema)
 		ot.AppendFrom(chunkTable, tg.ovOwn)
 		ot.AppendFrom(overlapTable, tg.ovFar)
-		db.Put(ot)
+		w.db.Put(ot)
 	}
 	return total, nil
 }
 
-// evictChunk drops the cached (refs==0) subchunk materializations
-// derived from one chunk of a base table, releasing their tables along
-// with the evicted base. Entries with live refs cannot exist when this
-// runs — a referencing job holds a pin on the base unit, and pinned
-// units are never evicted — but are skipped defensively rather than
-// yanked from under a reader.
-func (m *subchunkManager) evictChunk(base string, chunk partition.ChunkID) {
-	prefix := fmt.Sprintf("%s/%d/", base, chunk)
-	m.mu.Lock()
-	var toDrop []partition.SubChunkID
-	for key, e := range m.entries {
-		if e.refs != 0 || !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		var sub int
-		if _, err := fmt.Sscanf(key[len(prefix):], "%d", &sub); err != nil {
-			continue
-		}
-		delete(m.entries, key)
-		toDrop = append(toDrop, partition.SubChunkID(sub))
-	}
-	m.mu.Unlock()
-	for _, sub := range toDrop {
-		m.dropTables(base, chunk, sub)
-	}
-}
-
-func (m *subchunkManager) dropTables(base string, chunk partition.ChunkID, sub partition.SubChunkID) {
-	db, err := m.w.engine.Database(m.w.registry.DB)
-	if err != nil {
-		return
-	}
-	_ = db.Drop(meta.SubChunkTableName(base, chunk, sub), true)
-	_ = db.Drop(meta.SubChunkOverlapTableName(base, chunk, sub), true)
-}
-
-// CachedSubchunkCount reports how many subchunk materializations are
-// live (cached or in use); exposed for cache-ablation experiments.
-func (w *Worker) CachedSubchunkCount() int {
-	w.subs.mu.Lock()
-	defer w.subs.mu.Unlock()
-	return len(w.subs.entries)
+func (w *Worker) dropSubchunkTables(id chunkstore.Unit, sub partition.SubChunkID) {
+	chunk := partition.ChunkID(id.Chunk)
+	_ = w.db.Drop(meta.SubChunkTableName(id.Table, chunk, sub), true)
+	_ = w.db.Drop(meta.SubChunkOverlapTableName(id.Table, chunk, sub), true)
 }

@@ -51,14 +51,12 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("qserv_scanshare_pieces_read_total", "physical piece reads by shared scans",
 		func() int64 { return w.ScanStats().PiecesRead }, "worker", name)
 
-	if w.res != nil {
-		reg.CounterFunc("qserv_worker_materializations_total", "chunk units materialized from segments",
-			func() int64 { return w.ResidencyStats().Materializations }, "worker", name)
-		reg.CounterFunc("qserv_worker_evictions_total", "chunk units evicted back to segments",
-			func() int64 { return w.ResidencyStats().Evictions }, "worker", name)
-		reg.GaugeFunc("qserv_worker_resident_bytes", "accounted engine footprint of resident units",
-			func() int64 { return w.ResidencyStats().ResidentBytes }, "worker", name)
-	}
+	reg.CounterFunc("qserv_worker_materializations_total", "chunk units materialized from segments",
+		func() int64 { return w.ResidencyStats().Materializations }, "worker", name)
+	reg.CounterFunc("qserv_worker_evictions_total", "chunk units evicted back to segments",
+		func() int64 { return w.ResidencyStats().Evictions }, "worker", name)
+	reg.GaugeFunc("qserv_worker_resident_bytes", "accounted engine footprint of resident units",
+		func() int64 { return w.ResidencyStats().ResidentBytes }, "worker", name)
 	if w.store != nil {
 		reg.CounterFunc("qserv_chunkstore_wal_fsyncs_total", "WAL fsyncs issued by the commit protocol",
 			func() int64 { return w.store.Counters().WALFsyncs }, "worker", name)

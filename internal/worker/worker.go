@@ -22,6 +22,12 @@
 // fly before executing, and drops them afterwards unless caching is
 // enabled (section 5.4 notes workers are "free to cache subchunk
 // tables").
+//
+// What a worker stores is kept in one unit table (units.go): a record per
+// stored (table, chunk) or replicated table, which is the inventory and
+// owns the unit's residency, its convoy scanners and its subchunk tables.
+// Worker-side table names are spelled and read back by internal/meta
+// alone; a job resolves the names its statements use once.
 package worker
 
 import (
@@ -148,6 +154,7 @@ func (r JobReport) ExecTime() time.Duration { return r.FinishedAt.Sub(r.StartedA
 type Worker struct {
 	cfg      Config
 	engine   *sqlengine.Engine
+	db       *sqlengine.Database // the catalog database (registry.DB), where every unit's tables live
 	registry *meta.Registry
 
 	interactive chan *job
@@ -160,17 +167,10 @@ type Worker struct {
 	// reportHead once full.
 	reports    []JobReport
 	reportHead int
-	chunks     map[partition.ChunkID]bool
 	// jobs holds, by result hash, every chunk query that is queued,
 	// running, or finished with an outcome some owner has yet to read.
 	jobs   map[string]*job
 	active int // jobs currently executing
-
-	scanMu   sync.Mutex
-	scanners map[string]*scanshare.Scanner
-	// retired accumulates the counters of scanners dropped by eviction,
-	// so ScanStats stays cumulative across residency churn.
-	retired ScanStats
 
 	// loadMu serializes /load batch application (see ingest.go).
 	loadMu sync.Mutex
@@ -180,13 +180,10 @@ type Worker struct {
 	// writes that flow through it afterwards.
 	store *chunkstore.Store
 
-	// res manages chunk residency over the store (see residency.go):
-	// lazy materialization on first touch, pinning against the live
-	// read path, LRU eviction under MemoryBudgetBytes. Nil without a
-	// store.
-	res *residency
-
-	subs *subchunkManager
+	// units is the unit table (see units.go): one record per stored
+	// (table, chunk) or replicated table — the inventory — owning the
+	// unit's residency, its convoy scanners and its subchunk tables.
+	units *unitTable
 
 	// rowBufs recycles the buffers jobs encode their result rows into (a
 	// *[]byte each): a job frames its stream into a slice of its own, so
@@ -236,6 +233,11 @@ type job struct {
 	// interrupt seam and the convoy sources watch it.
 	cancel     chan struct{}
 	cancelOnce sync.Once
+
+	// tables are the storage units the statements read, resolved and
+	// pinned once per execution (resolveTables); written and read by the
+	// goroutine executing the job.
+	tables []tableUse
 
 	// srcMu guards sources, the job's live convoy memberships.
 	srcMu   sync.Mutex
@@ -313,22 +315,21 @@ func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 		interactive: make(chan *job, cfg.QueueDepth),
 		scanq:       newGangQueue(cfg.QueueDepth, cfg.MaxGangSize),
 		stop:        make(chan struct{}),
-		chunks:      map[partition.ChunkID]bool{},
 		jobs:        map[string]*job{},
-		scanners:    map[string]*scanshare.Scanner{},
 	}
-	w.subs = newSubchunkManager(w)
+	w.db = w.engine.CreateDatabase(registry.DB)
+	w.units = newUnitTable(w)
 	w.traceOn.Store(cfg.Trace)
 	if cfg.DataDir != "" {
-		w.res = newResidency(w, cfg.MemoryBudgetBytes)
+		// A budget pages against the store: without one it is ignored.
+		w.units.budget = cfg.MemoryBudgetBytes
 		if err := w.openStore(); err != nil {
 			return nil, err
 		}
-		w.wg.Add(1)
-		go w.evictor()
 	}
-	// Register after the store/residency exist so their sampled series
-	// are included.
+	w.wg.Add(1)
+	go w.evictor()
+	// Register after the store exists so its sampled series are included.
 	w.registerMetrics(cfg.Metrics)
 	for i := 0; i < cfg.InteractiveSlots; i++ {
 		w.wg.Add(1)
@@ -356,17 +357,6 @@ func (w *Worker) Close() {
 	if w.store != nil {
 		w.store.Close()
 	}
-}
-
-// Chunks returns the chunk IDs this worker stores.
-func (w *Worker) Chunks() []partition.ChunkID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]partition.ChunkID, 0, len(w.chunks))
-	for c := range w.chunks {
-		out = append(out, c)
-	}
-	return out
 }
 
 // Reports returns the most recent execution reports (up to
@@ -785,25 +775,29 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		return nil, agg, fmt.Errorf("worker %s: empty chunk query", w.cfg.Name)
 	}
 
-	// Pin the storage units the statements reference before any engine
-	// access: a unit evicted to disk is re-materialized here (the job
-	// blocks instead of erroring), and a pinned unit cannot be detached
-	// under the convoys or subchunk scans that follow.
-	releaseUnits, err := w.pinUnits(w.unitsForStmts(stmts))
-	if err != nil {
-		return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, err)
-	}
-	defer releaseUnits()
-
-	// Materialize subchunk tables named by the statements.
-	if hasSubs {
-		tables := subchunkTablesOf(stmts)
-		release, genStats, err := w.subs.acquire(j.chunk, subIDs, tables)
-		agg.Add(genStats)
-		if err != nil {
-			return nil, agg, err
+	// Resolve the statements' tables once, and pin the storage units behind
+	// them before any engine access: a unit evicted to disk is
+	// re-materialized here (the job blocks instead of erroring), and a
+	// pinned unit cannot be detached under the convoys or subchunk scans
+	// that follow.
+	j.tables = w.resolveTables(stmts)
+	defer w.releaseTables(j.tables)
+	for i := range j.tables {
+		use := &j.tables[i]
+		if use.unit, err = w.units.pin(use.id, false); err != nil {
+			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, err)
 		}
-		defer release()
+		// Materialize the listed subchunks of every unit the statements
+		// read subchunk tables of. A unit not stored here has none: the
+		// engine reports the missing table.
+		if hasSubs && use.subchunks && use.unit != nil {
+			var genStats sqlengine.ExecStats
+			use.releaseSubchunks, genStats, err = w.acquireSubchunks(use.unit, subIDs)
+			agg.Add(genStats)
+			if err != nil {
+				return nil, agg, err
+			}
+		}
 	}
 
 	// Scan-class jobs route full table scans of stored chunk tables
@@ -814,7 +808,7 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	var prov sqlengine.ScanProvider
 	if w.cfg.SharedScans && j.class == core.FullScan {
 		prov = func(t *sqlengine.Table) sqlengine.ScanSource {
-			sc := w.scannerFor(t)
+			sc := w.scannerFor(j, t)
 			if sc == nil {
 				return nil
 			}
@@ -867,48 +861,90 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	return out.Frame("r_"+j.hash[:16], schema), agg, nil
 }
 
-// subchunkTablesOf extracts base-table names that need subchunk
-// materialization from the statements' FROM clauses: references of the
-// form <Base>_<CC>_<SS> or <Base>FullOverlap_<CC>_<SS>.
-func subchunkTablesOf(stmts []sqlparse.Statement) map[string]bool {
-	out := map[string]bool{}
+// tableUse is one storage unit a chunk query's statements read, and how.
+type tableUse struct {
+	id chunkstore.Unit
+	// unit is the pinned record; nil when this worker stores no such unit.
+	unit *unit
+	// scan says which of the unit's tables the statements read — the chunk
+	// table, the overlap companion: the tables that may convoy.
+	scan [2]bool
+	// subchunks says the statements read subchunk tables derived from the
+	// unit, which the job materializes first and gives back through
+	// releaseSubchunks.
+	subchunks        bool
+	releaseSubchunks func()
+}
+
+// releaseTables gives back what a job took of its tables' units: the
+// subchunk references, then the pins.
+func (w *Worker) releaseTables(uses []tableUse) {
+	for i := range uses {
+		if uses[i].releaseSubchunks != nil {
+			uses[i].releaseSubchunks()
+		}
+		if uses[i].unit != nil {
+			w.units.unpin(uses[i].unit)
+		}
+	}
+}
+
+// resolveTables is a chunk query's one pass over its table names: every
+// FROM reference goes through the naming codec (meta.ResolveTable) once
+// and is filed under the storage unit behind it. Names that are no piece
+// of a catalog table (a typo, a table put into the engine directly) are
+// not units; the engine reports or finds those on its own.
+func (w *Worker) resolveTables(stmts []sqlparse.Statement) []tableUse {
+	var uses []tableUse
+	last := "" // a subchunk job names each table several times running
 	for _, st := range stmts {
 		sel, ok := st.(*sqlparse.Select)
 		if !ok {
 			continue
 		}
-		for _, ref := range sel.From {
-			if base, ok := subchunkBase(ref.Table); ok {
-				out[base] = true
+		for _, from := range sel.From {
+			if from.Table == last {
+				continue
+			}
+			last = from.Table
+			ref, ok := w.registry.ResolveTable(from.Table)
+			if !ok {
+				continue
+			}
+			id := unitOfRef(ref)
+			var use *tableUse
+			for i := range uses {
+				if uses[i].id == id {
+					use = &uses[i]
+				}
+			}
+			if use == nil {
+				uses = append(uses, tableUse{id: id})
+				use = &uses[len(uses)-1]
+			}
+			if slot := scanSlot(ref.Kind); slot >= 0 {
+				use.scan[slot] = true
+			}
+			use.subchunks = use.subchunks || ref.Kind == meta.SubChunkTable || ref.Kind == meta.SubChunkOverlapTable
+		}
+	}
+	return uses
+}
+
+// scannerFor returns the convoy scanner over a table a job's statement
+// scans, or nil when the table is not one of the stored chunk or overlap
+// tables the job resolved.
+func (w *Worker) scannerFor(j *job, t *sqlengine.Table) *scanshare.Scanner {
+	for i := range j.tables {
+		use := &j.tables[i]
+		if use.unit == nil || use.scan == [2]bool{} {
+			continue
+		}
+		for slot, name := range unitTableNames(use.id) {
+			if use.scan[slot] && name == t.Name {
+				return w.units.scanner(use.unit, slot, t)
 			}
 		}
 	}
-	return out
-}
-
-// subchunkBase strips the _CC_SS suffix, returning the base table name
-// (including a FullOverlap suffix collapse: ObjectFullOverlap -> Object).
-func subchunkBase(table string) (string, bool) {
-	parts := strings.Split(table, "_")
-	if len(parts) < 3 {
-		return "", false
-	}
-	if !isDigits(parts[len(parts)-1]) || !isDigits(parts[len(parts)-2]) {
-		return "", false
-	}
-	base := strings.Join(parts[:len(parts)-2], "_")
-	base = strings.TrimSuffix(base, "FullOverlap")
-	return base, true
-}
-
-func isDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return false
-		}
-	}
-	return true
+	return nil
 }

@@ -508,7 +508,10 @@ func TestConcurrentChunkQueries(t *testing.T) {
 	}
 }
 
+// TestSubchunkBaseParsing: which of a job's tables need subchunk
+// materialization, and from which base table's chunk.
 func TestSubchunkBaseParsing(t *testing.T) {
+	w := digitSuffixWorker(t)
 	cases := []struct {
 		in   string
 		base string
@@ -521,11 +524,20 @@ func TestSubchunkBaseParsing(t *testing.T) {
 		{"Object", "", false},
 		{"Forced_Source_1_2", "Forced_Source", true},
 		{"Object_x_4", "", false},
+		// Chunk 58 of Station_7 is a stored table, not a subchunk of Station.
+		{"Station_7_58", "", false},
+		{"Station_7_58_3", "Station_7", true},
+		{"Station_7FullOverlap_58_3", "Station_7", true},
+		{"Reading_2_1_58", "", false},
+		{"Reading_2_1_58_3", "Reading_2_1", true},
 	}
 	for _, c := range cases {
-		base, ok := subchunkBase(c.in)
+		base, ok := "", false
+		if use := resolveOne(t, w, c.in); use != nil && use.subchunks {
+			base, ok = use.id.Table, true
+		}
 		if ok != c.ok || base != c.base {
-			t.Errorf("subchunkBase(%q) = %q, %v; want %q, %v", c.in, base, ok, c.base, c.ok)
+			t.Errorf("subchunk base of %q = %q, %v; want %q, %v", c.in, base, ok, c.base, c.ok)
 		}
 	}
 }
@@ -624,7 +636,11 @@ func TestServedResultsAreReleased(t *testing.T) {
 
 	// A reader that gives up releases its interest itself — no cancel
 	// has to follow — and, being the last owner, takes the job with it.
-	slow := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d o1, LSST.Object_%d o2 WHERE o1.ra_PS < o2.ra_PS + 1e9;", chunk, chunk))
+	// The statement sets its own length (20 ms a row): a job that finished
+	// before the read arrived would leave the read a choice between the
+	// outcome and the cancelled context.
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(20*time.Millisecond))
+	slow := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d WHERE test_slow(ra_PS) < 1e9;", chunk))
 	if err := w.HandleWrite(xrd.WithQID(qpath, "czar-0-3"), slow); err != nil {
 		t.Fatal(err)
 	}

@@ -179,8 +179,8 @@ const InventoryPath = "/inventory"
 // residency are distinct: Chunks is what the worker holds, on disk or in
 // memory — what placement is audited against, so a cold chunk is never
 // spuriously healed — and Resident the subset whose tables are
-// materialized in the engine (omitted by an in-memory worker, where
-// everything held is resident by construction).
+// materialized in the engine (all of it on an in-memory worker; a reader
+// takes a missing list the same way).
 type Inventory struct {
 	Worker   string `json:"worker"`
 	Chunks   []int  `json:"chunks"`
@@ -361,13 +361,6 @@ func (r *Redirector) SetDown(name string, down bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.down[name] = down
-}
-
-// IsDown reports the administrative liveness flag of an endpoint.
-func (r *Redirector) IsDown(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.down[name]
 }
 
 // Lookup returns the live endpoints exporting the path, in registration

@@ -426,7 +426,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w, err := worker.New(cfg.WorkerConfig(fmt.Sprintf("worker-%03d", i), cl.metrics), registry)
+		w, err := cl.startWorker(fmt.Sprintf("worker-%03d", i))
 		if err != nil {
 			cl.Close()
 			return nil, err
@@ -496,6 +496,14 @@ func (cl *Cluster) join(name string, ep xrd.Endpoint) {
 	cl.names = append(cl.names, name)
 	cl.endpoints[name] = ep
 	cl.Redirector.Register(ep, "/result")
+}
+
+// startWorker starts a worker process of this cluster. It gets a registry
+// of its own, as a deployed qserv-worker has: what it knows of the catalog
+// arrives over the fabric (/load/spec) or comes back from its store, never
+// through a pointer shared with the planner.
+func (cl *Cluster) startWorker(name string) (*worker.Worker, error) {
+	return worker.New(cl.Config.WorkerConfig(name, cl.metrics), meta.NewRegistry(cl.Config.Database, cl.Chunker))
 }
 
 // fabricTimeout bounds one fabric transaction the cluster makes on its own

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/worker"
 )
 
 // ingestTestCatalog is a small partial-sky catalog for ingest tests.
@@ -386,10 +387,30 @@ func TestQueriesRejectedDuringIngest(t *testing.T) {
 		!strings.Contains(err.Error(), "in flight") {
 		t.Errorf("concurrent same-table ingest: err = %v, want 'in flight'", err)
 	}
+	// Nor may a half-loaded table be copied between workers. That gate is
+	// the czar's — a worker exports whatever it is asked for: the repairer
+	// copies only tables whose ingest completed, and a join holds the ingest
+	// gate, so it waits this ingest out before it seeds the new worker.
+	if tables := cl.partitionedTables(); len(tables) != 0 {
+		t.Errorf("tables a repair would copy mid-ingest: %v, want none", tables)
+	}
+	joined := make(chan error, 1)
+	go func() { joined <- cl.AddWorker("late") }()
+	select {
+	case err := <-joined:
+		t.Fatalf("AddWorker returned (%v) while an ingest was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 
 	close(src.released)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("AddWorker after the ingest finished: %v", err)
+	}
+	if tables := cl.partitionedTables(); len(tables) != 1 || tables[0] != "Object" {
+		t.Errorf("tables a repair copies after the ingest: %v, want [Object]", tables)
 	}
 	got, err := cl.Query("SELECT COUNT(*) FROM Object")
 	if err != nil {
@@ -400,15 +421,21 @@ func TestQueriesRejectedDuringIngest(t *testing.T) {
 	}
 }
 
+// sensorsNames are the table names sensorsCatalog is run under: plain ones,
+// and ones that end in digit groups, which the worker-side naming
+// convention (Station_7_58: chunk 58 of Station_7) must not read as chunk
+// and subchunk ids of a shorter name.
+var sensorsNames = [][2]string{{"Station", "Reading"}, {"Station_7", "Reading_2_1"}}
+
 // sensorsCatalog is a small non-LSST catalog: a director table of stations
 // and a child table of their readings, in a database of its own.
-func sensorsCatalog(t *testing.T) (spec CatalogSpec, stations, readings []Row) {
+func sensorsCatalog(t *testing.T, station, reading string) (spec CatalogSpec, stations, readings []Row) {
 	t.Helper()
 	spec = CatalogSpec{
 		Database: "sensors",
 		Tables: []TableSpec{
 			{
-				Name: "Station", Kind: Director,
+				Name: station, Kind: Director,
 				Columns: []ColumnSpec{
 					{Name: "stationId", Type: Integer},
 					{Name: "lon", Type: Double},
@@ -418,7 +445,7 @@ func sensorsCatalog(t *testing.T) (spec CatalogSpec, stations, readings []Row) {
 				Overlap: true,
 			},
 			{
-				Name: "Reading", Kind: Child, Director: "Station",
+				Name: reading, Kind: Child, Director: station,
 				Columns: []ColumnSpec{
 					{Name: "readingId", Type: Integer},
 					{Name: "stationId", Type: Integer},
@@ -440,75 +467,137 @@ func sensorsCatalog(t *testing.T) (spec CatalogSpec, stations, readings []Row) {
 	return spec, stations, readings
 }
 
-// checkSensorsCatalog installs sensorsCatalog on the cluster through the
-// public API and checks its answers against the oracle.
-func checkSensorsCatalog(t *testing.T, cl *Cluster) {
+// checkSensorsCatalog installs sensorsCatalog, under the given table names,
+// on the cluster through the public API and checks its answers against the
+// oracle. On a cluster that runs its own durable workers it then restarts
+// every one of them — each comes back with its units on disk and a registry
+// it re-declared from its stored spec — and checks again; the caller turns
+// the result cache off, or that second pass would not reach a worker.
+func checkSensorsCatalog(t *testing.T, cl *Cluster, station, reading string) {
 	t.Helper()
-	spec, stations, readings := sensorsCatalog(t)
+	spec, stations, readings := sensorsCatalog(t, station, reading)
+	oracle, err := NewOracle(cl.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.CreateTables(spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Ingest("Station", RowsOf(stations)); err != nil {
+	if _, err := cl.Ingest(station, RowsOf(stations)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Ingest("Reading", RowsOf(readings)); err != nil {
-		t.Fatal(err)
-	}
-
-	oracle, err := NewOracle(cl.Config)
-	if err != nil {
+	if _, err := cl.Ingest(reading, RowsOf(readings)); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.CreateTables(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.Ingest("Station", RowsOf(stations)); err != nil {
+	if err := oracle.Ingest(station, RowsOf(stations)); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.Ingest("Reading", RowsOf(readings)); err != nil {
+	if err := oracle.Ingest(reading, RowsOf(readings)); err != nil {
 		t.Fatal(err)
 	}
 
-	queries := []string{
-		"SELECT COUNT(*) AS n FROM Station",
-		"SELECT COUNT(*) AS n FROM Reading",
-		"SELECT AVG(value) AS m, COUNT(*) AS n FROM Reading WHERE stationId = 42",
-		"SELECT COUNT(*) AS n FROM Station WHERE qserv_areaspec_box(10, -30, 120, 30)",
+	dive := "SELECT COUNT(*) AS n FROM " + reading + " WHERE stationId = 42"
+	nearby := " s1, " + station + " s2 WHERE %s AND qserv_angSep(s1.lon, s1.lat, s2.lon, s2.lat) < 0.4"
+	// Where the oracle needs a statement spelled differently it is the
+	// second of the pair.
+	queries := [][2]string{
+		{"SELECT COUNT(*) AS n FROM " + station},
+		{"SELECT COUNT(*) AS n FROM " + reading},
+		{"SELECT COUNT(*) AS n FROM " + station + " WHERE lat > -100"}, // a scan: the stored row count cannot answer it
+		{"SELECT AVG(value) AS m, COUNT(*) AS n FROM " + reading + " WHERE stationId = 42"},
+		{"SELECT COUNT(*) AS n FROM " + station + " WHERE qserv_areaspec_box(10, -30, 120, 30)"},
+		// The subchunk tables of a near-neighbour join, derived names and all.
+		{"SELECT COUNT(*) AS n FROM " + station + fmt.Sprintf(nearby, "qserv_areaspec_box(10, -30, 120, 30)"),
+			"SELECT COUNT(*) AS n FROM " + station + fmt.Sprintf(nearby, "qserv_ptInSphericalBox(s1.lon, s1.lat, 10, -30, 120, 30) = 1")},
+		{dive},
 	}
-	for _, sql := range queries {
-		got, err := cl.Query(sql)
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
+	check := func(label string) {
+		t.Helper()
+		for _, q := range queries {
+			sql, oracleSQL := q[0], q[0]
+			if q[1] != "" {
+				oracleSQL = q[1]
+			}
+			got, err := cl.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", label, sql, err)
+			}
+			if got.CacheHit {
+				t.Fatalf("%s: %q was answered from the result cache, not executed", label, sql)
+			}
+			want, err := oracle.Query(oracleSQL)
+			if err != nil {
+				t.Fatalf("oracle %q: %v", oracleSQL, err)
+			}
+			sameAnswer(t, got, want, label+": "+sql)
+			if sql == dive && got.ChunksDispatched != 1 {
+				t.Errorf("%s: director-key dive dispatched %d chunks, want 1", label, got.ChunksDispatched)
+			}
 		}
-		want, err := oracle.Query(sql)
-		if err != nil {
-			t.Fatalf("oracle %q: %v", sql, err)
-		}
-		sameAnswer(t, got, want, sql)
 	}
+	check("after ingest")
 
-	// The dive went to exactly one chunk.
-	dive, err := cl.Query("SELECT COUNT(*) AS n FROM Reading WHERE stationId = 42")
-	if err != nil {
-		t.Fatal(err)
+	if len(cl.Workers) == 0 || cl.Config.DataDir == "" {
+		return
 	}
-	if dive.ChunksDispatched != 1 {
-		t.Errorf("director-key dive dispatched %d chunks, want 1", dive.ChunksDispatched)
+	for _, name := range cl.WorkerNames() {
+		if err := cl.RestartWorker(name); err != nil {
+			t.Fatal(err)
+		}
+		workerState(t, cl, name, WorkerAlive, 10*time.Second)
+	}
+	check("after a durable restart of every worker")
+	if st := cl.Status().Repair; st.TablesCopied != 0 || st.ChunksHealed != 0 {
+		t.Errorf("durable restarts needed repair: %+v", st)
 	}
 }
 
 // TestCustomCatalogSpec runs a small non-LSST schema through the full
 // distributed path and checks it against the oracle — the in-tree
-// version of examples/customcatalog.
+// version of examples/customcatalog — under both sets of table names, on
+// workers that keep everything in memory (unless the environment says
+// otherwise), on durable workers restarted with their data on disk, and on
+// workers whose budget evicts every unit nothing is reading.
 func TestCustomCatalogSpec(t *testing.T) {
-	cfg := DefaultClusterConfig(3)
-	cfg.Database = "sensors"
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	lanes := []struct {
+		name  string
+		tweak func(*ClusterConfig)
+	}{
+		{"default", func(*ClusterConfig) {}},
+		{"durable", func(cfg *ClusterConfig) { cfg.DataDir = t.TempDir() }},
+		{"evicting", func(cfg *ClusterConfig) { cfg.WorkerMemoryBudget = 1 }},
 	}
-	t.Cleanup(cl.Close)
-	checkSensorsCatalog(t, cl)
+	for _, names := range sensorsNames {
+		for _, lane := range lanes {
+			t.Run(names[0]+"/"+lane.name, func(t *testing.T) {
+				cfg := DefaultClusterConfig(3)
+				cfg.Database = "sensors"
+				cfg.ResultCacheBytes = 0
+				lane.tweak(&cfg)
+				cl, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cl.Close)
+				checkSensorsCatalog(t, cl, names[0], names[1])
+				if cfg.WorkerMemoryBudget == 0 {
+					return
+				}
+				var st worker.ResidencyStats
+				for _, w := range cl.Workers {
+					ws := w.ResidencyStats()
+					st.Evictions += ws.Evictions
+					st.Materializations += ws.Materializations
+				}
+				if st.Evictions == 0 || st.Materializations == 0 {
+					t.Errorf("a 1-byte budget evicted %d units and re-materialized %d; want both", st.Evictions, st.Materializations)
+				}
+			})
+		}
+	}
 }
 
 // TestWorkerOutcomeNotServedStale: a statement that failed because its

@@ -195,11 +195,15 @@ func TestTCPClusterOracleBattery(t *testing.T) {
 	goroutines, fds := resources(t)
 
 	t.Run("custom catalog", func(t *testing.T) {
-		cfg := tcpConfig(2)
-		cfg.Database = "sensors"
-		cl, _, stop := tcpCluster(t, cfg, 3)
-		defer stop()
-		checkSensorsCatalog(t, cl)
+		for _, names := range sensorsNames {
+			func() {
+				cfg := tcpConfig(2)
+				cfg.Database = "sensors"
+				cl, _, stop := tcpCluster(t, cfg, 3)
+				defer stop()
+				checkSensorsCatalog(t, cl, names[0], names[1])
+			}()
+		}
 	})
 
 	t.Run("LSST catalog", func(t *testing.T) {
