@@ -33,9 +33,12 @@ bench-build:
 # table, and (the *WorkingSet ones) rotating over the 94 chunk tables of
 # the repository benchmark's catalog, which do not fit in cache — the
 # materialization layer, one stored batch from bytes to a chunk table and
-# its index, and the result path, a pass-through row from a worker's
+# its index, the result path, a pass-through row from a worker's
 # column slices through the result stream and the czar's fold to a row
-# frame, in ns per row returned. BenchmarkScanHV1InShell is the guarded
+# frame, in ns per row returned, and the merge session, one aggregate
+# partial from its result stream through the session and its share of the
+# merge statement, in ns and allocations per chunk result at 94 and at the
+# paper's 8,983 chunks. BenchmarkScanHV1InShell is the guarded
 # comparisons' worst case, a table whose every cell makes the guard give up
 # and call the function: read it against BenchmarkScanHV1 before the guards.
 # (What they must never exceed is pinned as counts, which repeat exactly, by
@@ -45,7 +48,7 @@ bench-build:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
 	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
-	$(GO) test -run '^$$' -bench ResultPath -benchmem ./internal/czar
+	$(GO) test -run '^$$' -bench 'ResultPath|MergeSession' -benchmem ./internal/czar
 
 # The live group of qserv-bench at a size fast enough for CI: a worker
 # outage under checked query streams (detect, fail over, re-replicate,

@@ -11,9 +11,10 @@
 // (Interactive vs FullScan, paper section 4.3), carried to workers in
 // the chunk-query "-- CLASS:" header, and — with Planner.TopK — pushes
 // ORDER BY + LIMIT down into chunk statements so workers ship at most
-// K rows each, recording the merge ordering (TopKKeys/TopKLimit) and
-// per-column partial-combination operators (PartialOps) the czar's
-// streaming merge consumes (section 7.6).
+// K rows each. A top-K or aggregate plan also carries a combine statement
+// (Plan.Combine) that folds chunk results into fewer rows of the same
+// shape; the czar runs it over what it holds while results still arrive,
+// so the session stays small (section 7.6).
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,12 +300,12 @@ func TestChunkQueryAggregateSplitAvg(t *testing.T) {
 	if strings.Contains(sql, "AVG") {
 		t.Errorf("AVG leaked to worker: %s", sql)
 	}
-	merge := p.MergeSQL("result_1")
+	merge := p.Merge.SQL()
 	if !strings.Contains(merge, "SUM(") || !strings.Contains(merge, "/") {
 		t.Errorf("merge SQL: %s", merge)
 	}
-	if !strings.Contains(merge, "result_1") {
-		t.Errorf("merge table not substituted: %s", merge)
+	if !strings.Contains(merge, "FROM "+MergeTablePlaceholder) {
+		t.Errorf("merge statement does not read the session table: %s", merge)
 	}
 }
 
@@ -315,7 +316,7 @@ func TestChunkQueryCountSplit(t *testing.T) {
 	if !strings.Contains(cq.Statements[0], "COUNT(*)") {
 		t.Errorf("worker: %s", cq.Statements[0])
 	}
-	merge := p.MergeSQL("r")
+	merge := p.Merge.SQL()
 	if !strings.Contains(merge, "SUM(") {
 		t.Errorf("COUNT must merge as SUM: %s", merge)
 	}
@@ -331,7 +332,7 @@ func TestChunkQueryGroupBy(t *testing.T) {
 	if !strings.Contains(sql, "GROUP BY chunkId") {
 		t.Errorf("worker group by missing: %s", sql)
 	}
-	merge := p.MergeSQL("r")
+	merge := p.Merge.SQL()
 	if !strings.Contains(merge, "GROUP BY") {
 		t.Errorf("merge group by missing: %s", merge)
 	}
@@ -410,7 +411,7 @@ func TestPassThroughOrderByLimit(t *testing.T) {
 	if strings.Contains(cq.Statements[0], "LIMIT") {
 		t.Errorf("ordered limit must not push down: %s", cq.Statements[0])
 	}
-	merge := p.MergeSQL("r")
+	merge := p.Merge.SQL()
 	if !strings.Contains(merge, "ORDER BY ra_PS DESC") || !strings.Contains(merge, "LIMIT 5") {
 		t.Errorf("merge: %s", merge)
 	}
@@ -434,23 +435,19 @@ func TestTopKPushdown(t *testing.T) {
 		t.Errorf("pushed-down chunk query unparseable: %v", err)
 	}
 	// The merge still re-sorts and re-limits the partials.
-	merge := p.MergeSQL("r")
+	merge := p.Merge.SQL()
 	if !strings.Contains(merge, "ORDER BY ra_PS DESC") || !strings.Contains(merge, "LIMIT 5") {
 		t.Errorf("merge lost ordering: %s", merge)
 	}
-	// The plan exposes the streaming-merge spec: keys resolved onto
-	// result columns, in order.
-	if !p.TopK || p.TopKLimit != 5 {
-		t.Fatalf("TopK=%v TopKLimit=%d", p.TopK, p.TopKLimit)
+	// The plan carries the statement that keeps the best K of whatever
+	// chunk results the czar holds: the merge ordering over every result
+	// column.
+	want := "SELECT * FROM " + MergeTablePlaceholder + " ORDER BY ra_PS DESC, objectId LIMIT 5"
+	if !p.TopK || p.Combine == nil || p.Combine.SQL() != want {
+		t.Fatalf("TopK=%v, combine statement %v, want %s", p.TopK, p.Combine, want)
 	}
-	if len(p.TopKKeys) != 2 {
-		t.Fatalf("TopKKeys = %+v", p.TopKKeys)
-	}
-	if p.ResultColumns[p.TopKKeys[0].Col] != "ra_PS" || !p.TopKKeys[0].Desc {
-		t.Errorf("key 0 = %+v (cols %v)", p.TopKKeys[0], p.ResultColumns)
-	}
-	if p.ResultColumns[p.TopKKeys[1].Col] != "objectId" || p.TopKKeys[1].Desc {
-		t.Errorf("key 1 = %+v", p.TopKKeys[1])
+	if p.Streamable() {
+		t.Error("a plan with a combine statement streams its chunk results")
 	}
 }
 
@@ -465,11 +462,14 @@ func TestTopKPushdownHiddenOrderColumn(t *testing.T) {
 		!strings.Contains(cq.Statements[0], "LIMIT 3") {
 		t.Errorf("worker statement: %s", cq.Statements[0])
 	}
-	if !p.TopK || len(p.TopKKeys) != 1 {
-		t.Fatalf("TopK=%v keys=%+v", p.TopK, p.TopKKeys)
+	// The combine statement sorts by the hidden column and keeps it: its
+	// answer is read by the merge statement, which sorts by it again.
+	want := "SELECT * FROM " + MergeTablePlaceholder + " ORDER BY qserv_ord0 LIMIT 3"
+	if !p.TopK || p.Combine == nil || p.Combine.SQL() != want {
+		t.Fatalf("TopK=%v, combine statement %v, want %s", p.TopK, p.Combine, want)
 	}
-	if p.ResultColumns[p.TopKKeys[0].Col] != "qserv_ord0" {
-		t.Errorf("hidden key resolved to %q", p.ResultColumns[p.TopKKeys[0].Col])
+	if got := p.ResultColumns; len(got) != 2 || got[1] != "qserv_ord0" {
+		t.Errorf("result columns %v", got)
 	}
 }
 
@@ -502,27 +502,76 @@ func TestTopKPushdownGates(t *testing.T) {
 	}
 }
 
-func TestPartialOpsClassification(t *testing.T) {
+// TestCombineStatement: an aggregate plan's combine statement re-aggregates
+// every partial under the worker column's own name and groups by the rest,
+// so its answer is a chunk result again; a plan whose rows only accumulate
+// has none.
+func TestCombineStatement(t *testing.T) {
 	_, pl, placed := testSetup(t)
+	pl.TopK = true
 	p := mustPlan(t, pl, placed,
 		"SELECT COUNT(*) AS n, AVG(ra_PS), MIN(decl_PS), MAX(decl_PS), chunkId FROM Object GROUP BY chunkId")
-	if p.PartialOps == nil {
-		t.Fatal("aggregate plan has no PartialOps")
-	}
-	if len(p.PartialOps) != len(p.ResultColumns) {
-		t.Fatalf("ops %d vs cols %d", len(p.PartialOps), len(p.ResultColumns))
-	}
 	// Worker items: COUNT(*), SUM(ra_PS), COUNT(ra_PS), MIN, MAX, chunkId.
-	want := []PartialOp{PartialSum, PartialSum, PartialSum, PartialMin, PartialMax, PartialKey}
-	for i, op := range want {
-		if p.PartialOps[i] != op {
-			t.Errorf("op[%d] (%s) = %v, want %v", i, p.ResultColumns[i], p.PartialOps[i], op)
+	want := "SELECT SUM(qserv_c0) AS qserv_c0, SUM(qserv_c1) AS qserv_c1, SUM(qserv_c2) AS qserv_c2, " +
+		"MIN(qserv_c3) AS qserv_c3, MAX(qserv_c4) AS qserv_c4, qserv_c5 AS qserv_c5 " +
+		"FROM " + MergeTablePlaceholder + " GROUP BY qserv_c5"
+	if p.Combine == nil || p.Combine.SQL() != want {
+		t.Fatalf("combine statement %v, want %s", p.Combine, want)
+	}
+	// A select-list column outside GROUP BY is a key too: rows that differ
+	// in it stay apart, as they do in the session table without a combine.
+	loose := mustPlan(t, pl, placed, "SELECT objectId, COUNT(*) FROM Object")
+	if got, want := loose.Combine.SQL(), "SELECT qserv_c0 AS qserv_c0, SUM(qserv_c1) AS qserv_c1 FROM "+
+		MergeTablePlaceholder+" GROUP BY qserv_c0"; got != want {
+		t.Errorf("combine statement %s, want %s", got, want)
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM Object",
+		"SELECT SUM(zFlux_PS) / COUNT(*), MIN(ra_PS) FROM Object GROUP BY chunkId ORDER BY MAX(ra_PS) LIMIT 2",
+		"SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 10",
+		"SELECT objectId FROM Object ORDER BY decl_PS LIMIT 3",
+	} {
+		p := mustPlan(t, pl, placed, sql)
+		if p.Combine == nil {
+			t.Errorf("%s: no combine statement", sql)
+			continue
+		}
+		sel, err := sqlparse.ParseSelect(p.Combine.SQL())
+		if err != nil {
+			t.Errorf("%s: combine statement unparseable: %v\n%s", sql, err, p.Combine.SQL())
+			continue
+		}
+		if p.Streamable() {
+			t.Errorf("%s: streams and combines", sql)
+		}
+		if _, star := sel.Items[0].Expr.(*sqlparse.Star); star {
+			continue
+		}
+		var aliases []string
+		for _, it := range sel.Items {
+			aliases = append(aliases, it.Alias)
+		}
+		if !slices.Equal(aliases, p.ResultColumns) {
+			t.Errorf("%s: combine answers columns %v, a chunk result has %v", sql, aliases, p.ResultColumns)
 		}
 	}
-	// Pass-through plans have none.
-	p2 := mustPlan(t, pl, placed, "SELECT objectId FROM Object")
-	if p2.PartialOps != nil {
-		t.Errorf("pass-through plan has PartialOps: %v", p2.PartialOps)
+	// Plans whose chunk results are only ever concatenated have none: plain
+	// pass-through, DISTINCT, a bare LIMIT, ORDER BY without LIMIT, and
+	// ORDER BY + LIMIT when nothing is pushed down.
+	for _, sql := range []string{
+		"SELECT objectId FROM Object",
+		"SELECT DISTINCT chunkId FROM Object",
+		"SELECT objectId FROM Object LIMIT 7",
+		"SELECT objectId FROM Object ORDER BY ra_PS",
+		"SELECT * FROM Object ORDER BY noSuchColumn LIMIT 3",
+	} {
+		if p := mustPlan(t, pl, placed, sql); p.Combine != nil {
+			t.Errorf("%s: combine statement %s", sql, p.Combine.SQL())
+		}
+	}
+	pl.TopK = false
+	if p := mustPlan(t, pl, placed, "SELECT objectId FROM Object ORDER BY ra_PS LIMIT 5"); p.Combine != nil {
+		t.Errorf("pushdown off: combine statement %s", p.Combine.SQL())
 	}
 }
 
@@ -559,7 +608,7 @@ func TestPassThroughLimitPushdown(t *testing.T) {
 	if !strings.Contains(cq.Statements[0], "LIMIT 7") {
 		t.Errorf("unordered limit should push down: %s", cq.Statements[0])
 	}
-	if !strings.Contains(p.MergeSQL("r"), "LIMIT 7") {
+	if !strings.Contains(p.Merge.SQL(), "LIMIT 7") {
 		t.Errorf("merge limit missing")
 	}
 }
@@ -571,7 +620,7 @@ func TestPassThroughHiddenOrderColumn(t *testing.T) {
 	if !strings.Contains(cq.Statements[0], "qserv_ord0") {
 		t.Errorf("hidden order column missing: %s", cq.Statements[0])
 	}
-	merge := p.MergeSQL("r")
+	merge := p.Merge.SQL()
 	// The final output must not include the hidden column.
 	if !strings.Contains(merge, "SELECT objectId") {
 		t.Errorf("merge must enumerate user columns: %s", merge)
@@ -583,8 +632,8 @@ func TestStarOrderByColumn(t *testing.T) {
 	// LV1-style: SELECT * ... ORDER BY a base column works because star
 	// carries every column through.
 	p := mustPlan(t, pl, placed, "SELECT * FROM Object WHERE objectId = 3 ORDER BY ra_PS")
-	if !strings.Contains(p.MergeSQL("r"), "ORDER BY ra_PS") {
-		t.Errorf("merge: %s", p.MergeSQL("r"))
+	if !strings.Contains(p.Merge.SQL(), "ORDER BY ra_PS") {
+		t.Errorf("merge: %s", p.Merge.SQL())
 	}
 }
 
@@ -613,8 +662,8 @@ func TestSelectDistinctPassThrough(t *testing.T) {
 	_, pl, placed := testSetup(t)
 	p := mustPlan(t, pl, placed, "SELECT DISTINCT chunkId FROM Object")
 	// Plain DISTINCT is fine: dedup again at merge.
-	if !strings.Contains(p.MergeSQL("r"), "DISTINCT") {
-		t.Errorf("merge must dedup: %s", p.MergeSQL("r"))
+	if !strings.Contains(p.Merge.SQL(), "DISTINCT") {
+		t.Errorf("merge must dedup: %s", p.Merge.SQL())
 	}
 }
 
@@ -630,7 +679,7 @@ func TestMergeSQLParses(t *testing.T) {
 		"SELECT SUM(zFlux_PS) / COUNT(*) FROM Object",
 	} {
 		p := mustPlan(t, pl, placed, sql)
-		merge := p.MergeSQL("result_table")
+		merge := p.Merge.SQL()
 		if _, err := sqlparse.ParseSelect(merge); err != nil {
 			t.Errorf("merge SQL for %q unparseable: %v\n%s", sql, err, merge)
 		}

@@ -139,6 +139,16 @@ type Plan struct {
 	// table; its FROM references the placeholder table name
 	// MergeTablePlaceholder.
 	Merge *sqlparse.Select
+	// Combine, for a plan that has one, is the statement that folds chunk
+	// results into fewer rows without changing what Merge answers over
+	// them, so the czar can run it over what it holds as often as it likes:
+	// an aggregate plan's re-aggregates the partials by group (SUM over SUM
+	// and COUNT partials, MIN over MIN, MAX over MAX, under the worker
+	// columns' own names), a top-K plan's keeps the best K rows under the
+	// merge ordering. Its FROM is Merge's placeholder and its answer has the
+	// columns of a chunk result — it is also a statement a worker's engine
+	// can run. nil for every other plan: its rows only ever accumulate.
+	Combine *sqlparse.Select
 	// ResultColumns are the column names of a worker's chunk result (for
 	// an aggregate plan the partial aggregates, not what the client
 	// sees — that is OutputColumns), used to check arriving results and
@@ -150,54 +160,19 @@ type Plan struct {
 	// instead of defaulting every column to DOUBLE.
 	ResultTypes []sqlparse.ColType
 	// TopK is true when the worker statements carry the user's ORDER BY
-	// + LIMIT (top-K pushdown); the czar then keeps only the best
-	// TopKLimit rows under TopKKeys while merging.
+	// + LIMIT (top-K pushdown), so each ships at most K rows.
 	TopK bool
-	// TopKKeys are the merge ordering keys resolved onto ResultColumns.
-	TopKKeys []TopKKey
-	// TopKLimit is the user's LIMIT, valid when TopK is set.
-	TopKLimit int64
-	// PartialOps classify each result column of an aggregate plan for
-	// incremental partial combination at the czar (COUNT/SUM partials
-	// add, MIN/MAX partials fold, group keys identify the bucket); nil
-	// for pass-through plans.
-	PartialOps []PartialOp
 
 	registry *meta.Registry
 	topK     bool // planner's TopK knob, latched before buildTemplates
 }
 
-// TopKKey is one merge-side ORDER BY key resolved to a result column.
-type TopKKey struct {
-	// Col indexes into ResultColumns.
-	Col int
-	// Desc is true for descending order.
-	Desc bool
-}
-
-// PartialOp says how one worker result column combines across chunk
-// partials when the czar folds them incrementally (instead of
-// materializing every partial row before the merge query runs).
-type PartialOp int
-
-// Partial combination operators.
-const (
-	// PartialKey columns identify the aggregation bucket.
-	PartialKey PartialOp = iota
-	// PartialSum columns add (COUNT and SUM partials).
-	PartialSum
-	// PartialMin columns keep the minimum.
-	PartialMin
-	// PartialMax columns keep the maximum.
-	PartialMax
-)
-
 // Placeholders substituted during per-chunk SQL generation.
 const (
 	chunkPlaceholder    = "%CC%"
 	subChunkPlaceholder = "%SS%"
-	// MergeTablePlaceholder is the FROM table of the merge statement,
-	// replaced by the czar with its session result table.
+	// MergeTablePlaceholder is the FROM table of the merge and combine
+	// statements, which the czar points at its session result table.
 	MergeTablePlaceholder = "QSERV_RESULT"
 )
 
@@ -506,12 +481,6 @@ func replaceAliasedTable(sql, from, to, alias string) string {
 	return strings.Replace(sql, needle, repl, 1)
 }
 
-// MergeSQL renders the merge statement against the czar's result table.
-func (p *Plan) MergeSQL(resultTable string) string {
-	sql := p.Merge.SQL()
-	return strings.ReplaceAll(sql, MergeTablePlaceholder, resultTable)
-}
-
 // OutputColumns are the column names of the merged result, what the
 // client sees: the merge statement's select items, a `*` standing for
 // every worker result column.
@@ -528,16 +497,13 @@ func (p *Plan) OutputColumns() []string {
 }
 
 // Streamable reports whether chunk results pass through the merge
-// statement unchanged (modulo concatenation order): no aggregation, no
-// top-K, and a bare `SELECT * FROM <result>` merge. The czar streams
-// such results to the caller row-by-row as chunks arrive instead of
-// holding them for the final merge.
+// statement unchanged (modulo concatenation order): nothing to combine
+// and a bare `SELECT * FROM <result>` merge. The czar streams such
+// results to the caller row-by-row as chunks arrive instead of holding
+// them for the final merge.
 func (p *Plan) Streamable() bool {
-	if p.PartialOps != nil || p.TopK {
-		return false
-	}
 	m := p.Merge
-	if m == nil || m.Distinct || m.Where != nil ||
+	if p.Combine != nil || m == nil || m.Distinct || m.Where != nil ||
 		len(m.GroupBy) > 0 || len(m.OrderBy) > 0 || m.Limit >= 0 {
 		return false
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/meta"
@@ -268,33 +269,36 @@ func (p *Plan) buildAggregateTemplates(worker *sqlparse.Select) error {
 
 	p.workerSel = worker
 	p.Merge = merge
+	p.Combine = &sqlparse.Select{Limit: -1, From: []sqlparse.TableRef{{Table: MergeTablePlaceholder}}}
 	for _, it := range s.workerItems {
 		p.ResultColumns = append(p.ResultColumns, it.Alias)
 		p.ResultTypes = append(p.ResultTypes, p.exprType(it.Expr))
-		p.PartialOps = append(p.PartialOps, classifyPartial(it.Expr))
+		expr, key := combineExpr(it)
+		p.Combine.Items = append(p.Combine.Items, sqlparse.SelectItem{Expr: expr, Alias: it.Alias})
+		if key {
+			p.Combine.GroupBy = append(p.Combine.GroupBy, &sqlparse.ColumnRef{Column: it.Alias})
+		}
 	}
 	return nil
 }
 
-// classifyPartial maps a worker output expression onto its incremental
-// combination operator. Worker items are built exclusively by the
-// splitter, so aggregate partials are always bare SUM/COUNT/MIN/MAX
-// calls; anything else is a grouping key.
-func classifyPartial(e sqlparse.Expr) PartialOp {
-	fc, ok := e.(*sqlparse.FuncCall)
-	if !ok {
-		return PartialKey
+// combineExpr is what the combine statement selects for one worker result
+// column: the re-aggregate of a partial — the splitter makes partials only
+// as bare SUM, COUNT, MIN and MAX calls, and a count re-aggregates as the
+// sum of counts — or, for anything else, the column itself, which is then a
+// grouping key (the GROUP BY expressions, and select-list columns outside
+// them).
+func combineExpr(it sqlparse.SelectItem) (expr sqlparse.Expr, key bool) {
+	col := &sqlparse.ColumnRef{Column: it.Alias}
+	if fc, ok := it.Expr.(*sqlparse.FuncCall); ok {
+		switch fn := strings.ToUpper(fc.Name); fn {
+		case "SUM", "COUNT":
+			return sqlparse.NewFuncCall("SUM", col), false
+		case "MIN", "MAX":
+			return sqlparse.NewFuncCall(fn, col), false
+		}
 	}
-	switch strings.ToUpper(fc.Name) {
-	case "SUM", "COUNT":
-		// COUNT partials merge as SUM-of-counts, so both add.
-		return PartialSum
-	case "MIN":
-		return PartialMin
-	case "MAX":
-		return PartialMax
-	}
-	return PartialKey
+	return col, true
 }
 
 // buildPassThroughTemplates handles non-aggregate queries: workers run
@@ -390,42 +394,37 @@ func (p *Plan) buildPassThroughTemplates(worker *sqlparse.Select) error {
 		p.ResultTypes = append(p.ResultTypes, p.exprType(it.Expr))
 	}
 
-	if pushTopK {
-		if keys, ok := p.resolveTopKKeys(); ok {
-			worker.OrderBy = cloneOrderItems(user.OrderBy)
-			worker.Limit = user.Limit
-			p.TopK = true
-			p.TopKKeys = keys
-			p.TopKLimit = user.Limit
+	// The merge ORDER BY is bare result columns by construction; a star
+	// projection may still name one no table has, and then nothing is
+	// pushed down and the merge statement reports it.
+	if pushTopK && p.orderByResultColumns(merge.OrderBy) {
+		worker.OrderBy = cloneOrderItems(user.OrderBy)
+		worker.Limit = user.Limit
+		p.TopK = true
+		p.Combine = &sqlparse.Select{
+			Items:   []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}},
+			From:    []sqlparse.TableRef{{Table: MergeTablePlaceholder}},
+			OrderBy: cloneOrderItems(merge.OrderBy),
+			Limit:   user.Limit,
 		}
 	}
 	return nil
 }
 
-// resolveTopKKeys maps the merge statement's ORDER BY (always bare
-// column references into the result table, by construction of the
-// pass-through templates) onto ResultColumns positions. ok is false if
-// any key fails to resolve, in which case pushdown is abandoned.
-func (p *Plan) resolveTopKKeys() ([]TopKKey, bool) {
-	keys := make([]TopKKey, 0, len(p.Merge.OrderBy))
-	for _, o := range p.Merge.OrderBy {
+// orderByResultColumns reports whether every key is a bare reference to
+// one of ResultColumns.
+func (p *Plan) orderByResultColumns(keys []sqlparse.OrderItem) bool {
+	for _, o := range keys {
 		cr, ok := o.Expr.(*sqlparse.ColumnRef)
 		if !ok || cr.Table != "" {
-			return nil, false
+			return false
 		}
-		col := -1
-		for i, name := range p.ResultColumns {
-			if strings.EqualFold(name, cr.Column) {
-				col = i
-				break
-			}
+		isColumn := func(name string) bool { return strings.EqualFold(name, cr.Column) }
+		if !slices.ContainsFunc(p.ResultColumns, isColumn) {
+			return false
 		}
-		if col < 0 {
-			return nil, false
-		}
-		keys = append(keys, TopKKey{Col: col, Desc: o.Desc})
 	}
-	return keys, true
+	return true
 }
 
 func cloneOrderItems(in []sqlparse.OrderItem) []sqlparse.OrderItem {

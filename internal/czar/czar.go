@@ -1,23 +1,24 @@
 // Package czar implements the Qserv master frontend (the "qserv-master"
 // of Figure 1): it parses user SQL, plans chunk queries via the core
 // rewriter, dispatches them through the xrd fabric's two file
-// transactions, collects the workers' result streams, merges them into
-// a session result table, and runs the merge/aggregation query to
-// produce the final answer (paper sections 5.3-5.5).
+// transactions, collects the workers' result streams into a session
+// result table, and runs the merge/aggregation query over it to produce
+// the final answer (paper sections 5.3-5.5).
 //
 // Result collection is the scalability bottleneck the paper identifies
-// at the master (section 7.6); this czar therefore merges with a
+// at the master (section 7.6); this czar therefore collects with a
 // streaming, parallel pipeline instead of the paper's serialized
-// load-then-copy: dispatch goroutines absorb result streams concurrently
-// (package dump, no engine involvement) into a mergeSession, gated
-// czar-wide by MergeParallelism so merging overlaps with in-flight chunk
-// fetches and concurrent user queries never serialize on a shared lock.
-// A pass-through plan's rows are checked, not opened: they travel on —
-// to the session's row stream, the frontend's row frames, the result
-// cache — as the bytes the worker wrote. Plans with ORDER BY + LIMIT
-// pushed down (core.Planner.TopK) keep only the best K rows while
-// streaming; aggregate plans combine partial aggregates incrementally
-// as chunk results arrive.
+// load-then-copy: dispatch goroutines check result streams concurrently
+// (package dump, no engine involvement) and hand their rows, still
+// encoded, to the query's mergeSession, gated czar-wide by
+// MergeParallelism so collection overlaps with in-flight chunk fetches and
+// concurrent user queries never serialize on a shared lock. Rows are
+// checked, not opened: a pass-through plan's travel on — to the session's
+// row stream, the frontend's row frames, the result cache — as the bytes
+// the worker wrote. The czar's engine is the only thing that combines
+// rows: it runs the plan's merge statement over the session at the end,
+// and for top-K and aggregate plans the plan's combine statement over it
+// whenever it has grown, so the session stays about as small as the answer.
 package czar
 
 import (
@@ -50,15 +51,15 @@ type Config struct {
 	MaxParallelDispatch int
 	// MaxRetriesPerChunk bounds replica failover attempts per chunk.
 	MaxRetriesPerChunk int
-	// MergeParallelism bounds concurrent dump-stream decode+fold
-	// operations czar-wide, across all in-flight user queries. 1
-	// reproduces the paper's serialized result collection (section
-	// 7.6); larger values let merging overlap chunk fetches and let
+	// MergeParallelism bounds concurrent result-stream checks (and the
+	// combines they trip) czar-wide, across all in-flight user queries.
+	// 1 reproduces the paper's serialized result collection (section
+	// 7.6); larger values let collection overlap chunk fetches and let
 	// concurrent queries merge independently.
 	MergeParallelism int
 	// TopKPushdown ships ORDER BY + LIMIT to workers for pass-through
-	// queries, so each chunk returns at most K rows and the czar keeps
-	// a streaming top-K instead of materializing every match.
+	// queries, so each chunk returns at most K rows and the czar's session
+	// combines them down to the best K instead of holding every match.
 	TopKPushdown bool
 }
 
@@ -84,8 +85,11 @@ type Czar struct {
 	// engine holds the metadata database, replicated small tables, and
 	// per-query result tables.
 	engine *sqlengine.Engine
-	// mergeSem gates concurrent decode+fold work at MergeParallelism.
+	// mergeSem gates concurrent absorb work at MergeParallelism.
 	mergeSem chan struct{}
+	// compactRows is every session's combine threshold (see mergeSession);
+	// a field so that a test can lower it.
+	compactRows int
 
 	// membership, when installed, is the availability subsystem's view
 	// of the cluster: dispatch consults Dead to order replicas around
@@ -134,14 +138,15 @@ func New(cfg Config, registry *meta.Registry, index *meta.ObjectIndex,
 	planner := core.NewPlanner(registry, index)
 	planner.TopK = cfg.TopKPushdown
 	return &Czar{
-		cfg:       cfg,
-		registry:  registry,
-		planner:   planner,
-		placement: placement,
-		client:    xrd.NewClient(red),
-		engine:    e,
-		mergeSem:  make(chan struct{}, cfg.MergeParallelism),
-		queries:   map[int64]*Query{},
+		cfg:         cfg,
+		registry:    registry,
+		planner:     planner,
+		placement:   placement,
+		client:      xrd.NewClient(red),
+		engine:      e,
+		mergeSem:    make(chan struct{}, cfg.MergeParallelism),
+		compactRows: compactRows,
+		queries:     map[int64]*Query{},
 	}
 }
 
@@ -226,9 +231,8 @@ type QueryResult struct {
 
 	// batches are the answer's rows, encoded, whenever the czar has them in
 	// that form: a pass-through plan's chunk results as the workers wrote
-	// them, a merge statement's rows as they entered the row stream, a
-	// cache hit's entry. Where Rows is nil they are the only form, until
-	// box.
+	// them, a merge statement's answer as it left the engine, a cache
+	// hit's entry. Where Rows is nil they are the only form, until box.
 	batches []rowcodec.Batch
 }
 
@@ -270,42 +274,21 @@ func (c *Czar) Query(sql string) (*QueryResult, error) {
 	return q.Wait(context.Background())
 }
 
-// execute dispatches the plan's chunk queries, streams the results
-// through the merge pipeline, and runs the final merge statement — or,
-// where that statement is the identity, hands the folded rows over as
-// they are. It runs inside q's session goroutine; q carries the context
-// that kills it and the progress counters observers read.
-func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, error) {
+// execute dispatches the plan's chunk queries, collects the results in a
+// merge session, and has it run the final merge statement. It runs inside
+// q's session goroutine; q carries the context that kills it and the
+// progress counters observers read.
+func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
 	ctx := q.ctx
 	qr := &QueryResult{Class: plan.Class, ChunksDispatched: len(plan.Chunks),
 		ChunksPruned: plan.Route.Pruned}
-	resultTable := fmt.Sprintf("result_%d", c.seq.Add(1))
-	qualified := resultDB + "." + resultTable
-	defer func() {
-		if db, err := c.engine.Database(resultDB); err == nil {
-			_ = db.Drop(resultTable, true)
-		}
-	}()
-	resDB, err := c.engine.Database(resultDB)
-	if err != nil {
-		return nil, err
-	}
 
 	// Each dispatch goroutine fetches its chunk's result stream and then
-	// absorbs it right there, so merging overlaps with the fetches still
-	// in flight. The merge gate (MergeParallelism) is czar-wide: it
+	// absorbs it right there, so collection overlaps with the fetches
+	// still in flight. The merge gate (MergeParallelism) is czar-wide: it
 	// bounds that CPU across all concurrent user queries without ever
-	// serializing them on shared state — each query folds into its own
-	// session, and stripes keep even same-session folds of boxed rows
-	// mostly uncontended. A per-query MergeParallelism option swaps in a
-	// private gate.
-	mergeSem := c.mergeSem
-	stripes := mergeStripes(c.cfg.MergeParallelism)
-	if opts.MergeParallelism > 0 {
-		mergeSem = make(chan struct{}, opts.MergeParallelism)
-		stripes = mergeStripes(opts.MergeParallelism)
-	}
-	session := newMergeSession(plan, stripes)
+	// serializing them on shared state — each query has its own session.
+	session := newMergeSession(plan, c.engine, fmt.Sprintf("result_%d", c.seq.Add(1)), c.compactRows)
 	// An EXPLAIN ANALYZE run suppresses row streaming: its visible rows
 	// are the rendered trace, built after the real rows merged.
 	streamable := plan.Streamable() && !q.explain
@@ -342,14 +325,14 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 				q.dispatched.Add(1)
 				data, raw, retries, err := c.runChunk(ctx, q, plan, chunk, cs)
 				if err == nil {
-					mergeSem <- struct{}{}
+					c.mergeSem <- struct{}{}
 					ms := cs.Child("merge fold")
-					batch, rows, ferr := session.absorb(data)
+					batch, ferr := session.absorb(data, ms)
 					ms.Finish()
-					<-mergeSem
+					<-c.mergeSem
 					if err = ferr; err == nil {
-						ms.SetAttr("rows", rows)
-						q.rowsMerged.Add(int64(rows))
+						ms.SetAttr("rows", batch.Len())
+						q.rowsMerged.Add(int64(batch.Len()))
 						if streamable {
 							q.stream.push(batch)
 						}
@@ -367,7 +350,11 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 		co := <-results
 		if co.err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("czar %s: chunk %d: %w", c.cfg.Name, co.chunk, co.err)
+				stage := fmt.Sprintf("chunk %d", co.chunk)
+				if errors.As(co.err, new(mergeError)) {
+					stage = "merge"
+				}
+				firstErr = fmt.Errorf("czar %s: %s: %w", c.cfg.Name, stage, co.err)
 				q.cancel(firstErr)
 			}
 			continue
@@ -385,50 +372,8 @@ func (c *Czar) execute(q *Query, plan *core.Plan, opts Options) (*QueryResult, e
 
 	mg := q.root.Child("czar merge")
 	mergeStart := time.Now()
-	schema, batches, rows := session.finish()
-	var final *sqlengine.Result
-	if plan.Streamable() {
-		// The merge statement of a streamable plan is a bare `SELECT *
-		// FROM <result>`: the absorbed rows are its answer, and loading them
-		// into a table only to scan them out again is work with no effect.
-		// They stay encoded; whoever asks for Rows gets them boxed (Wait).
-		final = &sqlengine.Result{Cols: schema.Names()}
-		for _, col := range schema {
-			final.Types = append(final.Types, col.Type)
-		}
-		qr.Result, qr.batches = final, batches
-		final.Stats.RowsOut = int64(qr.numRows())
-	} else {
-		// Install the session result table (typed from the plan when no
-		// chunk was dispatched) — an append plan's batches decode straight
-		// into its columns — and run the merge statement over it.
-		t := sqlengine.NewTable(resultTable, schema)
-		if batches == nil {
-			err = t.Insert(rows...)
-		} else {
-			app := t.Appender()
-			for _, b := range batches {
-				if err = b.Decode(app); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				app.Commit()
-			}
-		}
-		if err == nil {
-			resDB.Put(t)
-			final, err = c.engine.Query(plan.MergeSQL(qualified))
-		}
-		if err == nil {
-			// The answer enters the row stream, and the cache, encoded.
-			var b rowcodec.Batch
-			if b, err = rowcodec.EncodeBatch(final.Rows); err == nil && b.Len() > 0 {
-				qr.batches = []rowcodec.Batch{b}
-			}
-		}
-		qr.Result = final
-	}
+	var err error
+	qr.Result, qr.batches, err = session.finish()
 	c.metrics.mergeNS.Observe(time.Since(mergeStart).Nanoseconds())
 	mg.Finish()
 	if err != nil {
@@ -466,12 +411,12 @@ func (c *Czar) cacheLookup(plan *core.Plan) *QueryResult {
 // mid-query can never install rows computed against the old cluster
 // state under the new state's stamp. (A kill that raced completion also
 // never fills: a canceled query's rows may be partial.)
-func (c *Czar) executeWithCache(q *Query, plan *core.Plan, opts Options) (*QueryResult, error) {
+func (c *Czar) executeWithCache(q *Query, plan *core.Plan) (*QueryResult, error) {
 	if c.cache == nil {
-		return c.execute(q, plan, opts)
+		return c.execute(q, plan)
 	}
 	epoch, gens := c.cacheStamp(plan)
-	qr, err := c.execute(q, plan, opts)
+	qr, err := c.execute(q, plan)
 	if err == nil && q.ctx.Err() == nil {
 		if e, g := c.cacheStamp(plan); e == epoch && g == gens {
 			st := q.root.Child("cache store")
@@ -511,20 +456,6 @@ func (c *Czar) cacheStamp(plan *core.Plan) (int64, string) {
 		fmt.Fprintf(&sb, "%s=%d;", n, c.registry.IngestGen(n))
 	}
 	return c.placement.Epoch(), sb.String()
-}
-
-// mergeStripes sizes a session's stripe set from the merge gate width:
-// as many independently locked shards as there can be concurrent
-// folders, capped to keep finish()'s cross-stripe combine cheap.
-func mergeStripes(parallelism int) int {
-	const maxStripes = 16
-	if parallelism > maxStripes {
-		return maxStripes
-	}
-	if parallelism < 1 {
-		return 1
-	}
-	return parallelism
 }
 
 // cancelTxTimeout bounds the best-effort worker-side cancel

@@ -1,6 +1,8 @@
 package czar
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -151,6 +153,55 @@ func TestQueryEmptyIndexMiss(t *testing.T) {
 	}
 	if res.Rows[0][0].(int64) != 0 || !sqlengine.IsNull(res.Rows[0][1]) {
 		t.Errorf("empty aggregate: %v", res.Rows[0])
+	}
+}
+
+// TestAnswersInvariantUnderCombining runs this file's statements, and one of
+// every other plan shape, on two czars over the same four rows: one with the
+// shipped combine threshold, which these few rows never reach, and one that
+// combines whenever a session holds two rows — after nearly every chunk.
+// Rows are compared as sets: without ORDER BY their order is arrival order.
+func TestAnswersInvariantUnderCombining(t *testing.T) {
+	shipped, _, _ := miniCluster(t)
+	eager, _, _ := miniCluster(t)
+	eager.compactRows = 2
+	answer := func(cz *Czar, sql string) string {
+		res, err := cz.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rows := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = fmt.Sprint(r)
+		}
+		if !strings.Contains(sql, "ORDER BY") {
+			sort.Strings(rows)
+		}
+		return strings.Join(rows, " ")
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT COUNT(*) FROM Object", "[4]"},
+		{"SELECT objectId, ra_PS FROM Object WHERE objectId = 3", "[3 210]"},
+		{"SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box(29, -1, 31, 1)", "[2]"},
+		{"SELECT AVG(ra_PS) FROM Object", ""},
+		{"SELECT COUNT(*), SUM(ra_PS) FROM Object WHERE objectId = 9999", "[0 <nil>]"},
+		{"SELECT MIN(objectId), MAX(decl_PS), SUM(objectId) FROM Object", "[1 40.2 10]"},
+		{"SELECT chunkId, COUNT(*) AS n, MIN(ra_PS), MAX(objectId) FROM Object GROUP BY chunkId", ""},
+		{"SELECT COUNT(*) AS n, MAX(objectId) FROM Object GROUP BY chunkId ORDER BY n, MAX(objectId) DESC LIMIT 1", "[2 4]"},
+		{"SELECT objectId FROM Object ORDER BY objectId LIMIT 2", "[1] [2]"},
+		{"SELECT objectId, decl_PS FROM Object ORDER BY ra_PS DESC LIMIT 3", "[4 40.2] [3 40] [2 0.1]"},
+		{"SELECT objectId FROM Object ORDER BY decl_PS LIMIT 1", "[1]"},
+		{"SELECT objectId FROM Object", "[1] [2] [3] [4]"},
+		{"SELECT objectId FROM Object LIMIT 10", "[1] [2] [3] [4]"},
+		{"SELECT DISTINCT subChunkId - subChunkId FROM Object", "[0]"},
+	} {
+		got := answer(eager, tc.sql)
+		if want := answer(shipped, tc.sql); got != want {
+			t.Errorf("%s: %s when combining, %s when not", tc.sql, got, want)
+		}
+		if tc.want != "" && got != tc.want {
+			t.Errorf("%s: %s, want %s", tc.sql, got, tc.want)
+		}
 	}
 }
 

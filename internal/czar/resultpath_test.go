@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -66,10 +67,10 @@ func TestAbsorbAllocBudget(t *testing.T) {
 	}
 	for _, rows := range []int{240, 480} {
 		stream := hv2Stream(t, hv2Engine(t, rows*10), new(dump.Writer))
-		s := newMergeSession(plan, 1)
+		s := testSession(plan, compactRows)
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, n, err := s.absorb(stream); err != nil || n != rows {
-				t.Fatalf("absorbed %d rows of %d: %v", n, rows, err)
+			if b, err := s.absorb(stream, nil); err != nil || b.Len() != rows {
+				t.Fatalf("absorbed %d rows of %d: %v", b.Len(), rows, err)
 			}
 		})
 		if allocs > 8 {
@@ -89,6 +90,7 @@ func TestAbsorbAllocBudget(t *testing.T) {
 func BenchmarkResultPath(b *testing.B) {
 	e := hv2Engine(b, 2400)
 	plan := planFor(b, "SELECT "+hv2Columns+" FROM Object", false)
+	engine := testSession(plan, compactRows).engine
 	w := bufio.NewWriter(io.Discard)
 	var out dump.Writer
 	rows := 0
@@ -96,8 +98,8 @@ func BenchmarkResultPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Buf, out.Rows = out.Buf[:0], 0 // a worker's row buffers are recycled too
-		session := newMergeSession(plan, 1)
-		batch, _, err := session.absorb(hv2Stream(b, e, &out))
+		session := newMergeSession(plan, engine, "result_bench", compactRows)
+		batch, err := session.absorb(hv2Stream(b, e, &out), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,6 +117,45 @@ func BenchmarkResultPath(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row-out")
 }
 
+// BenchmarkMergeSession prices what one chunk result costs an aggregate
+// plan's session, at the repository benchmark's chunk count and at the
+// paper's: sessions absorb N one-row partial streams each — HV1's shape,
+// every partial in one group, and HV3's, a group per chunk — and finish. An
+// op is one chunk result, its share of the session's finish included.
+// `make bench-layers` runs it.
+func BenchmarkMergeSession(b *testing.B) {
+	engine := sqlengine.New("LSST")
+	engine.CreateDatabase(resultDB)
+	for _, shape := range []struct{ name, sql, cols string }{
+		{"HV1", "SELECT COUNT(*) FROM Object", "qserv_c0"},
+		{"HV3", "SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object GROUP BY chunkId",
+			"qserv_c0,qserv_c1,qserv_c2,qserv_c3,qserv_c4,qserv_c5"},
+	} {
+		plan := planFor(b, shape.sql, true)
+		for _, n := range []int{94, 8983} {
+			streams := make([][]byte, n)
+			for i := range streams {
+				row := sqlengine.Row{int64(2400), 1.5 * float64(i), int64(2400), -0.5 * float64(i), int64(2400), int64(i)}
+				streams[i] = stream(shape.cols, row[6-len(plan.ResultColumns):])
+			}
+			b.Run(fmt.Sprintf("%s/chunks=%d", shape.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for done := 0; done < b.N; done += n {
+					s := newMergeSession(plan, engine, "result_bench", compactRows)
+					for _, data := range streams[:min(n, b.N-done)] {
+						if _, err := s.absorb(data, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if res, _, err := s.finish(); err != nil || res.Stats.RowsOut == 0 {
+						b.Fatalf("finished to %+v: %v", res, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestAppendSessionSchemaFitsTheCells: a plan that appends chunk results
 // and runs a merge statement over them types the session table from the
 // cells the absorbed batches hold, not from what any one stream declares —
@@ -125,45 +166,43 @@ func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
 	if plan.Streamable() {
 		t.Fatal("an ORDER BY statement planned as pass-through")
 	}
-	stream := func(types []sqlparse.ColType, rows ...sqlengine.Row) []byte {
+	declared := func(types []sqlparse.ColType, rows ...sqlengine.Row) []byte {
 		return []byte(dump.Dump("r", &sqlengine.Result{Cols: []string{"objectId", "ra_PS", "decl_PS"}, Types: types, Rows: rows}))
 	}
 	guessed := []sqlparse.ColType{sqlparse.TypeFloat, sqlparse.TypeFloat, sqlparse.TypeFloat}
 	typed := []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeFloat}
 	const big = int64(1<<53 + 1) // not a float64
-	s := newMergeSession(plan, 2)
+	s := testSession(plan, compactRows)
 	for _, data := range [][]byte{
-		stream(guessed), // arrives first: its names and types head the session
-		stream(typed, sqlengine.Row{big, 1.5, nil}),
-		stream(guessed, sqlengine.Row{int64(2), int64(3), nil}), // integers under a DOUBLE heading
+		declared(guessed), // arrives first: its names and types head the session
+		declared(typed, sqlengine.Row{big, 1.5, nil}),
+		declared(guessed, sqlengine.Row{int64(2), int64(3), nil}), // integers under a DOUBLE heading
 	} {
-		if _, _, err := s.absorb(data); err != nil {
+		if _, err := s.absorb(data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	schema, batches, rows := s.finish()
-	if rows != nil || len(batches) != 2 {
-		t.Fatalf("an append plan finished with %d batches and %d boxed rows", len(batches), len(rows))
+	if len(s.batches) != 2 {
+		t.Fatalf("the session holds %d batches, want the two that have rows", len(s.batches))
+	}
+	// The merge statement is a SELECT * over the session table: its answer
+	// has the table's types and the cells as the table converted them.
+	res, batches, err := s.finish()
+	if err != nil || res.Rows != nil || len(batches) != 1 {
+		t.Fatalf("finished with %d batches and %d boxed rows: %v", len(batches), len(res.Rows), err)
 	}
 	want := []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeFloat} // all integers; both; no value
-	for i, col := range schema {
+	for i, col := range res.Schema() {
 		if col.Type != want[i] {
 			t.Errorf("column %s typed %v, want %v", col.Name, col.Type, want[i])
 		}
 	}
-	tbl := sqlengine.NewTable("result", schema)
-	app := tbl.Appender()
-	for _, b := range batches {
-		if err := b.Decode(app); err != nil {
-			t.Fatal(err)
-		}
+	rows := batches[0].Box(nil)
+	if got := rows[0]; got[0] != big || got[1] != 1.5 || got[2] != nil {
+		t.Errorf("first row of the answer: %v", got)
 	}
-	app.Commit()
-	if got := tbl.Row(0); got[0] != big || got[1] != 1.5 || got[2] != nil {
-		t.Errorf("first row in the session table: %v", got)
-	}
-	if got := tbl.Row(1); got[0] != int64(2) || got[1] != 3.0 {
-		t.Errorf("second row in the session table: %v", got)
+	if got := rows[1]; got[0] != int64(2) || got[1] != 3.0 {
+		t.Errorf("second row of the answer: %v", got)
 	}
 }
 

@@ -38,12 +38,6 @@ type Options struct {
 	// context.DeadlineExceeded and its workers are told to abort. Zero
 	// means no deadline.
 	Deadline time.Duration
-	// TopKPushdown overrides the czar's ORDER BY + LIMIT pushdown
-	// setting for this query; nil inherits.
-	TopKPushdown *bool
-	// MergeParallelism overrides the merge gate for this query with a
-	// private gate of the given width; 0 inherits the czar-wide gate.
-	MergeParallelism int
 	// Class forces the scheduling class carried to workers, overriding
 	// the planner's classification; nil inherits. (An operator can pin
 	// a known-cheap scan to the interactive lane, or demote a pricey
@@ -224,8 +218,9 @@ func (q *Query) finish(res *QueryResult, err error) {
 // rowStream is the pipe between the merge pipeline and RowIters: an
 // appendable log of encoded row batches plus a completion flag. It has
 // the one representation whatever fed it — a chunk result's rows as the
-// worker wrote them, a cache hit's batches, or boxed rows (a fed handle's,
-// a merge statement's answer), which are encoded as they enter. Producers
+// worker wrote them, a merge statement's answer, a cache hit's batches, or
+// boxed rows (a fed handle's, a czar-local statement's), which are encoded
+// as they enter. Producers
 // never block — a slow (or absent) iterator must not stall chunk dispatch
 // — and every iterator replays the log from its own position.
 type rowStream struct {
@@ -387,15 +382,9 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 
 	// Plan synchronously so the registry always knows the class and
 	// chunk fan-out of everything it lists.
-	planner := c.planner
-	if opts.TopKPushdown != nil && *opts.TopKPushdown != planner.TopK {
-		pl := *planner
-		pl.TopK = *opts.TopKPushdown
-		planner = &pl
-	}
 	local := false
 	ps := root.Child("plan")
-	plan, err := planner.Plan(sel, c.placement.Chunks())
+	plan, err := c.planner.Plan(sel, c.placement.Chunks())
 	switch {
 	case errors.Is(err, core.ErrNoPartitionedTable):
 		// Unpartitioned tables are replicated; answer locally (still as
@@ -510,7 +499,7 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 		case cached != nil:
 			res = cached
 		default:
-			res, err = c.executeWithCache(q, plan, opts)
+			res, err = c.executeWithCache(q, plan)
 		}
 		if q.ctx.Err() != nil {
 			// The query was killed (Cancel, KILL, deadline, Close, or a

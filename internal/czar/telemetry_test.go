@@ -2,6 +2,7 @@ package czar
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,38 @@ func TestExplainAnalyzeOracleEquivalence(t *testing.T) {
 		if !strings.Contains(tree.String(), span) {
 			t.Errorf("span tree missing %q:\n%s", span, tree.String())
 		}
+	}
+
+	if strings.Contains(tree.String(), "merge combine") {
+		t.Errorf("two one-row partials tripped a combine at the shipped threshold:\n%s", tree.String())
+	}
+
+	// A session that combines says so: one span under the chunk whose
+	// arrival tripped it, with the rows it read and the rows it left, and
+	// the same answer.
+	cz.compactRows = 2
+	combined, err := cz.Query("EXPLAIN ANALYZE SELECT COUNT(*) FROM Object")
+	if err != nil {
+		t.Fatalf("EXPLAIN ANALYZE, combining: %v", err)
+	}
+	if got := combined.Underlying.Rows; len(got) != 1 || got[0][0] != plain.Rows[0][0] {
+		t.Errorf("combining: Underlying rows = %v, plain rows = %v", got, plain.Rows)
+	}
+	var combines []*telemetry.Span
+	combined.Trace.Walk(func(s *telemetry.Span) {
+		if strings.HasPrefix(s.Name, "chunk ") {
+			s.Walk(func(c *telemetry.Span) {
+				if c.Name == "merge combine" {
+					combines = append(combines, c)
+				}
+			})
+		}
+	})
+	if len(combines) != 1 {
+		t.Fatalf("%d merge combine spans under the chunk spans:\n%s", len(combines), combined.Trace.Render())
+	}
+	if got := fmt.Sprint(combines[0].Attrs); got != "[{rows_in 2} {rows_out 1}]" {
+		t.Errorf("merge combine of two one-row partials: %s", got)
 	}
 
 	// The trace is retained for SHOW PROFILE under the query's id.

@@ -17,13 +17,14 @@
 // a Writer, which frames the stream when the last one ends. The czar reads
 // it in two steps. Open parses what precedes the rows — every count held
 // against the bytes present before anything is allocated from it. Then
-// either Stream.Encoded walks the rows with a sink that checks them and
-// keeps nothing, so a pass-through result travels on to the client as the
-// bytes the worker wrote, or Stream.Rows decodes them boxed, each value
-// converted to its column's declared type, for the folds that compare and
-// combine values. Both are engine-free, so the czar's dispatch goroutines
-// run them concurrently. Dump and Decode are the boxed forms of the two
-// directions: a Result in, a Decoded out.
+// Stream.Encoded walks the rows with a sink that checks them and keeps
+// nothing: every chunk result joins the czar's merge session, and a
+// pass-through one travels on to the client, as the bytes the worker wrote.
+// Both steps are engine-free, so the czar's dispatch goroutines run them
+// concurrently. Dump and Decode are the boxed forms of the two directions,
+// a Result in and a Decoded out, for tests and the benchmark's replay;
+// Stream.Rows, which decodes the rows boxed with each value converted to
+// its column's declared type, has no caller but Decode.
 package dump
 
 import (

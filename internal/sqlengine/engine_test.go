@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -198,6 +199,28 @@ func TestLimit(t *testing.T) {
 	res = mustQuery(t, e, "SELECT objectId FROM Object LIMIT 0")
 	if len(res.Rows) != 0 {
 		t.Errorf("limit 0 gave %d rows", len(res.Rows))
+	}
+	// One-row answers, two of them made by shortcuts that skip the row loop
+	// (the stored row count, a FROM-less select): LIMIT applies to all.
+	total := mustQuery(t, e, "SELECT objectId FROM Object").Stats.RowsOut
+	for _, shape := range []struct {
+		sql  string
+		want Value
+	}{
+		{"SELECT COUNT(*) FROM Object", total},
+		{"SELECT COUNT(objectId) FROM Object", total},
+		{"SELECT COUNT(*) FROM Object WHERE objectId > 0", total},
+		{"SELECT 1 + 1", int64(2)},
+	} {
+		for _, limit := range []int{0, 1} {
+			sql := fmt.Sprintf("%s LIMIT %d", shape.sql, limit)
+			res := mustQuery(t, e, sql)
+			if len(res.Cols) != 1 || len(res.Rows) != limit || res.Stats.RowsOut != int64(limit) {
+				t.Errorf("%s: columns %v, rows %v, RowsOut %d", sql, res.Cols, res.Rows, res.Stats.RowsOut)
+			} else if limit == 1 && res.Rows[0][0] != shape.want {
+				t.Errorf("%s: %v, want %v", sql, res.Rows[0][0], shape.want)
+			}
+		}
 	}
 }
 

@@ -178,10 +178,10 @@ func (e *Engine) bind(sel *sqlparse.Select, opts ExecOptions) (*selectExec, erro
 // scanning, as MyISAM does from its stored row count. The paper relies
 // on this: High Volume 1 (a full-sky COUNT(*)) measures dispatch
 // overhead, not I/O, because each worker answers its chunk count from
-// table metadata.
+// table metadata. LIMIT 0 asks for no row, and is left to the ordinary path.
 func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 	if len(sel.From) != 1 || sel.Where != nil || len(sel.GroupBy) != 0 ||
-		len(sel.OrderBy) != 0 || sel.Distinct || len(sel.Items) != 1 {
+		len(sel.OrderBy) != 0 || sel.Distinct || len(sel.Items) != 1 || sel.Limit == 0 {
 		return nil, false, nil
 	}
 	fc, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
@@ -226,6 +226,9 @@ func (e *Engine) execSelectNoFrom(sel *sqlparse.Select) (*Result, error) {
 		if !AsBool(v) {
 			return res, nil
 		}
+	}
+	if sel.Limit == 0 {
+		return res, nil
 	}
 	row := make(Row, n)
 	for i := range items {

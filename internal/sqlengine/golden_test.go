@@ -75,6 +75,18 @@ var goldenStatements = []struct {
 	{"SELECT objectId FROM Object WHERE 1 = 0 ORDER BY objectId", false},
 	// the stored-row-count fast path
 	{"SELECT COUNT(*) AS n FROM Object", false},
+	// LIMIT over one-row answers: the fast path, a FROM-less select, and the
+	// row loop. (Written from this build's answers, checked by eye: at the
+	// commit the file was captured at, the fast path and the FROM-less
+	// select ignored LIMIT 0.)
+	{"SELECT COUNT(*) FROM Object LIMIT 0", false},
+	{"SELECT COUNT(*) FROM Object LIMIT 1", false},
+	{"SELECT COUNT(zFlux_PS) FROM Object LIMIT 0", false},
+	{"SELECT COUNT(zFlux_PS) FROM Object LIMIT 1", true},
+	{"SELECT COUNT(*) FROM Object WHERE chunkId = 100 LIMIT 0", true},
+	{"SELECT COUNT(*) FROM Object WHERE chunkId = 100 LIMIT 1", false},
+	{"SELECT 2, 'two' LIMIT 0", false},
+	{"SELECT 2, 'two' LIMIT 1", false},
 }
 
 func goldenEngine(t *testing.T) *Engine {

@@ -93,14 +93,15 @@ type ClusterConfig struct {
 	CacheSubChunks bool
 	// ResultTimeout bounds a single chunk-result wait.
 	ResultTimeout time.Duration
-	// MergeParallelism bounds concurrent dump-stream decode+fold work
-	// at the czar, across all in-flight user queries. 1 reproduces the
-	// paper's serialized result collection (the section 7.6
-	// bottleneck); higher values pipeline merging with chunk fetches.
+	// MergeParallelism bounds concurrent result-stream checking (and the
+	// session combines it trips) at the czar, across all in-flight user
+	// queries. 1 reproduces the paper's serialized result collection (the
+	// section 7.6 bottleneck); higher values pipeline it with chunk
+	// fetches.
 	MergeParallelism int
 	// TopKPushdown ships ORDER BY + LIMIT to workers so each chunk
-	// returns at most K rows and the czar merges streaming top-K
-	// buffers instead of every matching row.
+	// returns at most K rows and the czar's session combines them down to
+	// the best K instead of holding every matching row.
 	TopKPushdown bool
 	// HealthInterval is the failure detector's probe period (0 = 200ms):
 	// a czar-side detector pings every worker over the fabric's /ping

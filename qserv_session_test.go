@@ -306,16 +306,13 @@ func TestSubmitContextCancelPropagates(t *testing.T) {
 }
 
 // TestQueryOptionsOverride exercises the per-query knobs against the
-// oracle: class hints, pushdown override, and a private merge gate all
-// preserve answers.
+// oracle: a class hint, with and without a deadline, preserves answers.
 func TestQueryOptionsOverride(t *testing.T) {
 	cl, oracle := shared(t)
 	sql := "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS, objectId LIMIT 5"
 	for _, opts := range [][]QueryOption{
-		{WithTopKPushdown(false)},
-		{WithMergeParallelism(1)},
 		{WithClass(ClassInteractive)},
-		{WithTopKPushdown(true), WithMergeParallelism(2), WithClass(ClassFullScan)},
+		{WithDeadline(time.Minute), WithClass(ClassFullScan)},
 	} {
 		q, err := cl.Submit(context.Background(), sql, opts...)
 		if err != nil {

@@ -627,9 +627,11 @@ func TestMergePipelineEquivalence(t *testing.T) {
 		// ORDER BY + LIMIT: deterministic total order (objectId breaks ties).
 		"SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC, objectId LIMIT 7",
 		"SELECT objectId FROM Object WHERE decl_PS > 0 ORDER BY decl_PS, objectId LIMIT 12",
-		// GROUP BY through the incremental partial combine.
+		// Aggregates, grouped and grand.
 		"SELECT chunkId, COUNT(*) AS n, AVG(ra_PS), MIN(decl_PS), MAX(decl_PS) FROM Object GROUP BY chunkId",
 		"SELECT COUNT(*), SUM(zFlux_PS), MIN(ra_PS), MAX(ra_PS) FROM Object",
+		// No row: the oracle's stored-row-count shortcut used to answer one.
+		"SELECT COUNT(*) FROM Object LIMIT 0",
 	}
 	for _, sql := range queries {
 		want, err := oracle.Query(sql)

@@ -132,10 +132,8 @@ type QueryInfo struct {
 
 // queryOptions collects the per-query functional options.
 type queryOptions struct {
-	deadline         time.Duration
-	topK             *bool
-	mergeParallelism int
-	class            *QueryClass
+	deadline time.Duration
+	class    *QueryClass
 }
 
 // QueryOption customizes one submitted query, overriding cluster-wide
@@ -148,18 +146,6 @@ func WithDeadline(d time.Duration) QueryOption {
 	return func(o *queryOptions) { o.deadline = d }
 }
 
-// WithTopKPushdown overrides the cluster's ORDER BY + LIMIT pushdown
-// setting for this query.
-func WithTopKPushdown(on bool) QueryOption {
-	return func(o *queryOptions) { o.topK = &on }
-}
-
-// WithMergeParallelism gives this query a private merge gate of the
-// given width instead of the cluster-wide MergeParallelism gate.
-func WithMergeParallelism(n int) QueryOption {
-	return func(o *queryOptions) { o.mergeParallelism = n }
-}
-
 // WithClass forces the worker-scheduling class, overriding the
 // planner's classification — pin a known-cheap scan to the interactive
 // lane, or demote an expensive point query to the scan convoys.
@@ -168,11 +154,7 @@ func WithClass(class QueryClass) QueryOption {
 }
 
 func (o *queryOptions) toCzar() czar.Options {
-	opts := czar.Options{
-		Deadline:         o.deadline,
-		TopKPushdown:     o.topK,
-		MergeParallelism: o.mergeParallelism,
-	}
+	opts := czar.Options{Deadline: o.deadline}
 	if o.class != nil {
 		cc := core.FullScan
 		if *o.class == ClassInteractive {
