@@ -33,7 +33,10 @@ bench-build:
 # table, and (the *WorkingSet ones) rotating over the 94 chunk tables of
 # the repository benchmark's catalog, which do not fit in cache — the
 # materialization layer, one stored batch from bytes to a chunk table and
-# its index, the result path, a pass-through row from a worker's
+# its index, the near-neighbour job, one SHV1 chunk job at the repository
+# benchmark's geometry from payload to result bytes (ns and allocations per
+# job, statements parsed, pairs visited) and its subchunk build alone, the
+# result path, a pass-through row from a worker's
 # column slices through the result stream and the czar's fold to a row
 # frame, in ns per row returned, and the merge session, one aggregate
 # partial from its result stream through the session and its share of the
@@ -47,7 +50,7 @@ bench-build:
 # guards must skip, also as counts, by TestGuardSkipsTheCall.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
-	$(GO) test -run '^$$' -bench Materialize -benchmem ./internal/worker
+	$(GO) test -run '^$$' -bench 'Materialize|NearNeighbourJob|SubchunkBuild' -benchmem ./internal/worker
 	$(GO) test -run '^$$' -bench 'ResultPath|MergeSession' -benchmem ./internal/czar
 
 # The live group of qserv-bench at a size fast enough for CI: a worker
@@ -74,7 +77,10 @@ bench-smoke:
 # expression compiler, differentially: whatever expression text the
 # fuzzer writes must evaluate as the reference interpreter does, and
 # whatever constant and cells it picks, a guard that decides a comparison
-# without the call must be borne out by the call. Go allows one
+# without the call must be borne out by the call — and over the worker's
+# statement reuse, also differentially: whatever edits the fuzzer makes to
+# a rendered near-neighbour payload, a job that may run statements through
+# an already compiled pair must answer as one that parses them all. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.
@@ -92,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzGuardedCompare$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/worker -run '^$$' -fuzz '^FuzzChunkScriptReuse$$' -fuzztime $(FUZZTIME)
 
 # The deployed system from its real binaries: two qserv-workers and a
 # qserv-czar at replication 2, the catalog ingested over TCP, a client's

@@ -236,19 +236,21 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 			numCols = append(numCols, numCol{idx: i, name: col.Name})
 		}
 	}
-	acc := map[partition.ChunkID]map[string]meta.ColStats{}
+	// A chunk's summaries accumulate in a slice parallel to numCols — the
+	// row loop below is the ingest's one producer goroutine, and a map
+	// lookup per numeric cell was a tenth of its time — and become the
+	// per-column maps the statistics store keeps once, at the end.
+	acc := map[partition.ChunkID][]meta.ColStats{}
 	observe := func(c partition.ChunkID, full sqlengine.Row) {
 		cols := acc[c]
 		if cols == nil {
-			cols = map[string]meta.ColStats{}
+			cols = make([]meta.ColStats, len(numCols))
 			acc[c] = cols
 		}
-		for _, nc := range numCols {
-			v, ok := asFloat(full[nc.idx])
-			if !ok {
-				continue // NULL (or unconvertible) values stay unobserved
+		for i, nc := range numCols {
+			if v, ok := asFloat(full[nc.idx]); ok { // NULL (or unconvertible) values stay unobserved
+				cols[i] = foldStat(cols[i], v)
 			}
-			cols[nc.name] = foldStat(cols[nc.name], v)
 		}
 	}
 	shipped := map[partition.ChunkID]bool{}
@@ -362,7 +364,16 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 	stats.Chunks = len(seen)
 	err = sh.close()
 	if err == nil {
-		cl.Stats.SetTable(info.Name, acc)
+		byName := make(map[partition.ChunkID]map[string]meta.ColStats, len(acc))
+		for c, cols := range acc {
+			byName[c] = map[string]meta.ColStats{}
+			for i, cs := range cols {
+				if cs.Rows > 0 {
+					byName[c][numCols[i].name] = cs
+				}
+			}
+		}
+		cl.Stats.SetTable(info.Name, byName)
 	}
 	return err
 }

@@ -133,8 +133,10 @@ type Plan struct {
 	// nil when the plan does not use subchunks.
 	SubChunksByChunk map[partition.ChunkID][]partition.SubChunkID
 	// workerSel is the worker-side statement template. Partitioned
-	// table names carry placeholders substituted per chunk/subchunk.
+	// table names carry placeholders substituted per chunk/subchunk;
+	// workerSQL is its text, rendered once for all the plan's chunks.
 	workerSel *sqlparse.Select
+	workerSQL string
 	// Merge is the master-side statement run over the collected result
 	// table; its FROM references the placeholder table name
 	// MergeTablePlaceholder.
@@ -342,6 +344,7 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 	if err := p.buildTemplates(); err != nil {
 		return nil, err
 	}
+	p.workerSQL = p.workerSel.SQL()
 	return p, nil
 }
 
@@ -438,7 +441,7 @@ func (p *Plan) QueryFor(chunk partition.ChunkID) ChunkQuery {
 	cc := fmt.Sprintf("%d", chunk)
 
 	if p.SubChunksByChunk == nil {
-		sql := strings.ReplaceAll(p.workerSel.SQL(), chunkPlaceholder, cc)
+		sql := strings.ReplaceAll(p.workerSQL, chunkPlaceholder, cc)
 		cq.Statements = []string{sql}
 		return cq
 	}
@@ -449,10 +452,9 @@ func (p *Plan) QueryFor(chunk partition.ChunkID) ChunkQuery {
 	// results concatenate (and aggregate) correctly.
 	subs := p.SubChunksByChunk[chunk]
 	cq.SubChunks = subs
-	base := p.workerSel.SQL()
+	base := strings.ReplaceAll(p.workerSQL, chunkPlaceholder, cc)
 	for _, ss := range subs {
-		s := strings.ReplaceAll(base, chunkPlaceholder, cc)
-		selfSQL := strings.ReplaceAll(s, subChunkPlaceholder, fmt.Sprintf("%d", ss))
+		selfSQL := strings.ReplaceAll(base, subChunkPlaceholder, fmt.Sprintf("%d", ss))
 		cq.Statements = append(cq.Statements, selfSQL)
 		// Swap the o2 subchunk table for its overlap companion.
 		nn := p.Analysis.NearNeighbor

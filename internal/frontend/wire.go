@@ -60,12 +60,13 @@ const hsVersion2 = 0x02
 // of some other protocol that happens to lead with 0x02.
 var hsMagic = []byte("QSV2")
 
-// writeFrame writes one length-prefixed frame.
+// writeFrame writes one length-prefixed frame. The four header bytes are
+// put together in the writer's own buffer: a row frame allocates nothing.
 func writeFrame(w *bufio.Writer, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("frontend: frame of %d bytes exceeds limit", len(data))
 	}
-	if err := binary.Write(w, binary.BigEndian, uint32(len(data))); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(data)))); err != nil {
 		return err
 	}
 	_, err := w.Write(data)
@@ -73,10 +74,19 @@ func writeFrame(w *bufio.Writer, data []byte) error {
 }
 
 // readFrame reads one length-prefixed frame, rejecting hostile lengths
-// before allocating.
+// before allocating. The header is read where the reader buffered it. A
+// stream that ends between frames is io.EOF, one that ends inside a frame
+// io.ErrUnexpectedEOF.
 func readFrame(r *bufio.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if _, err := r.Discard(4); err != nil {
 		return nil, err
 	}
 	if n > maxFrame {

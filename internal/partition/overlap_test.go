@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -141,5 +142,88 @@ func TestOverlapProbeHighDeclinationRegression(t *testing.T) {
 	}
 	if missed <= 0 {
 		t.Fatalf("expected the legacy 3x-margin probe to miss high-declination overlap chunks; it missed %d", missed)
+	}
+}
+
+// TestSubChunkNeighboursFindsEveryDilatedBox holds Candidates to the test
+// it replaces: over geometries from coarse to fine, chunks at the equator,
+// across RA 0/360 and at both poles, and points spread over each chunk's
+// dilated bounds (its rows and its overlap rows) plus hostile ones, every
+// subchunk whose dilated bounds contain the point is a candidate, and the
+// candidates are few.
+func TestSubChunkNeighboursFindsEveryDilatedBox(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, cfg := range []Config{
+		{NumStripes: 12, NumSubStripesPerStripe: 12, Overlap: 0.5},
+		{NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5},
+		{NumStripes: 18, NumSubStripesPerStripe: 20, Overlap: 1},
+		{NumStripes: 6, NumSubStripesPerStripe: 6, Overlap: 0.1},
+		{NumStripes: 3, NumSubStripesPerStripe: 2, Overlap: 2},
+		{NumStripes: 85, NumSubStripesPerStripe: 12, Overlap: 0.01667},
+		{NumStripes: 12, NumSubStripesPerStripe: 12, Overlap: 0},
+	} {
+		ch, err := NewChunker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := []ChunkID{0, ChunkID(ch.TotalChunks() - 1)}
+		for _, p := range []sphgeom.Point{{RA: 0.01, Decl: 0.01}, {RA: 359.99, Decl: -0.01}, {RA: 123, Decl: 41}, {RA: 200, Decl: -77}, {RA: 10, Decl: 88.5}} {
+			c, _ := ch.Locate(p)
+			chunks = append(chunks, c)
+		}
+		for _, chunk := range chunks {
+			nb, err := ch.SubChunkNeighbours(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs, _ := ch.AllSubChunks(chunk)
+			dil := make([]sphgeom.Box, len(subs))
+			for i, s := range subs {
+				b, err := ch.SubChunkBounds(chunk, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dil[i] = b.Dilated(cfg.Overlap)
+			}
+			bounds, _ := ch.ChunkBounds(chunk)
+			reach := bounds.Dilated(2*cfg.Overlap + 0.1)
+			points := []sphgeom.Point{
+				{RA: math.NaN(), Decl: 0}, {RA: 0, Decl: math.NaN()}, {RA: math.Inf(1), Decl: 10}, {RA: 10, Decl: math.Inf(-1)},
+				{RA: -0.0001, Decl: bounds.DeclMin}, {RA: 720.5, Decl: bounds.DeclMax}, {RA: 1e300, Decl: -1e300},
+				{RA: bounds.RAMin, Decl: bounds.DeclMin}, {RA: bounds.RAMax, Decl: bounds.DeclMax},
+			}
+			for i := 0; i < 4000; i++ {
+				ra := reach.RAMin + r.Float64()*reach.RAExtent()
+				points = append(points, sphgeom.Point{RA: ra, Decl: reach.DeclMin + r.Float64()*(reach.DeclMax-reach.DeclMin)})
+			}
+			// Points on subchunk edges and exactly a margin beyond them.
+			for _, d := range dil[:min(len(dil), 40)] {
+				points = append(points, sphgeom.Point{RA: d.RAMin, Decl: d.DeclMin}, sphgeom.Point{RA: d.RAMax, Decl: d.DeclMax})
+			}
+			var cands []SubChunkID
+			total := 0
+			for _, p := range points {
+				cands = nb.Candidates(p, cands[:0])
+				total += len(cands)
+				is := map[SubChunkID]bool{}
+				for i, s := range cands {
+					if is[s] || (i > 0 && s <= cands[i-1]) {
+						t.Fatalf("%+v chunk %d point %+v: candidates %v are not ascending and distinct", cfg, chunk, p, cands)
+					}
+					is[s] = true
+				}
+				for i, s := range subs {
+					if dil[i].Contains(p) && !is[s] {
+						t.Fatalf("%+v chunk %d: subchunk %d's dilated bounds %v contain %+v, but it is no candidate (%v)",
+							cfg, chunk, s, dil[i], p, cands)
+					}
+				}
+			}
+			// A point has a handful of candidates, not the chunk's subchunks,
+			// unless the chunk is so small that a margin spans it.
+			if finite := len(points) - 4; len(subs) >= 100 && cfg.Overlap <= 0.5 && total > 16*finite {
+				t.Errorf("%+v chunk %d: %d candidates for %d points of %d subchunks", cfg, chunk, total, finite, len(subs))
+			}
+		}
 	}
 }

@@ -440,3 +440,96 @@ func (ch *Chunker) InSubChunkOverlap(id ChunkID, sub SubChunkID, p sphgeom.Point
 	}
 	return bounds.Dilated(ch.cfg.Overlap).Contains(p), nil
 }
+
+// SubChunkNeighbours finds, for the points stored with one chunk — its own
+// rows and its overlap rows — the subchunks of that chunk a point lies
+// within the overlap margin of, by arithmetic on the subchunk grid rather
+// than by testing every subchunk: what makes building a chunk's subchunk
+// overlap tables linear in its rows.
+type SubChunkNeighbours struct {
+	margin        float64
+	declMin, subH float64 // the stripe's lower edge, a sub-stripe's height
+	raMin, subW   float64 // the chunk's lower RA edge, a subchunk's width
+	rows, cols    int
+	// raMargin is, per sub-stripe row, the RA margin of its subchunks'
+	// dilated bounds (sphgeom.Box.Dilated); +Inf where those go right around.
+	raMargin []float64
+}
+
+// SubChunkNeighbours prepares the lookup for one chunk.
+func (ch *Chunker) SubChunkNeighbours(id ChunkID) (*SubChunkNeighbours, error) {
+	stripe, c, err := ch.decompose(id)
+	if err != nil {
+		return nil, err
+	}
+	n := &SubChunkNeighbours{
+		margin:  ch.cfg.Overlap,
+		declMin: -90 + float64(stripe)*ch.cfg.StripeHeight(), subH: ch.cfg.SubStripeHeight(),
+		rows: ch.cfg.NumSubStripesPerStripe, cols: ch.numSubChunksPerChunk[stripe],
+	}
+	width := 360.0 / float64(ch.numChunksPerStripe[stripe])
+	n.raMin, n.subW = float64(c)*width, width/float64(n.cols)
+	n.raMargin = make([]float64, n.rows)
+	for r := range n.raMargin {
+		b, err := ch.SubChunkBounds(id, SubChunkID(r*n.cols))
+		if err != nil {
+			return nil, err
+		}
+		if dil := b.Dilated(n.margin); dil.IsFullCircle() {
+			n.raMargin[r] = math.Inf(1)
+		} else {
+			n.raMargin[r] = (dil.RAExtent() - b.RAExtent()) / 2
+		}
+	}
+	return n, nil
+}
+
+// neighbourSlack widens every interval Candidates computes, in degrees: many
+// orders of magnitude more than the rounding that separates its arithmetic
+// from SubChunkBounds' and Dilated's, and nothing next to a subchunk.
+const neighbourSlack = 1e-9
+
+// Candidates appends to out, ascending, every subchunk of the chunk whose
+// bounds dilated by the overlap margin may contain p: all of those that do,
+// and at most a few that do not — the caller confirms each with
+// SubChunkBounds(...).Dilated(margin).Contains(p), the test this replaces
+// running against every subchunk. A point with a coordinate that is not a
+// finite number has every subchunk for a candidate.
+func (n *SubChunkNeighbours) Candidates(p sphgeom.Point, out []SubChunkID) []SubChunkID {
+	if math.IsNaN(p.RA) || math.IsInf(p.RA, 0) || math.IsNaN(p.Decl) || math.IsInf(p.Decl, 0) {
+		for s := 0; s < n.rows*n.cols; s++ {
+			out = append(out, SubChunkID(s))
+		}
+		return out
+	}
+	reach := n.margin + neighbourSlack
+	rLo := max(int(math.Floor((p.Decl-reach-n.declMin)/n.subH)), 0)
+	rHi := min(int(math.Floor((p.Decl+reach-n.declMin)/n.subH)), n.rows-1)
+	// The point's RA relative to the chunk's edge, in (-360, 360).
+	d, width := sphgeom.WrapRA(p.RA)-n.raMin, float64(n.cols)*n.subW
+	for r := rLo; r <= rHi; r++ {
+		reach := n.raMargin[r] + neighbourSlack
+		if math.IsInf(reach, 1) {
+			for c := 0; c < n.cols; c++ {
+				out = append(out, SubChunkID(r*n.cols+c))
+			}
+			continue
+		}
+		// The columns within reach of the point as it is, and of the point
+		// one turn either way where that comes within reach of the chunk: a
+		// margin may reach it across RA 0/360.
+		next := 0 // the first column not yet appended
+		for _, off := range [3]float64{d - 360, d, d + 360} {
+			if off+reach < 0 || off-reach > width {
+				continue
+			}
+			cLo := max(int(math.Floor((off-reach)/n.subW)), next)
+			cHi := min(int(math.Floor((off+reach)/n.subW)), n.cols-1)
+			for c := cLo; c <= cHi; c++ {
+				out = append(out, SubChunkID(r*n.cols+c))
+			}
+			next = max(next, cHi+1)
+		}
+	}
+	return out
+}

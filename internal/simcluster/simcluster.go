@@ -279,6 +279,12 @@ func (m CostModel) jobCost(cc chunkCost, sc Scale, nnPairs float64) (ioBytes, cp
 	if sc.PairSeconds > 0 {
 		pairCost = sc.PairSeconds
 	}
+	// PairsConsidered counts the pairs a join visited. For a near-neighbour
+	// plan that is what the worker's band join left of a subchunk's pairs at
+	// laptop density, which says nothing about the paper's: those plans are
+	// always costed from analyticNNPairs (nnPairs >= 0), so the figures did
+	// not move when the band join arrived. The metered count prices the
+	// other joins (hash joins, whose pairs are their matches).
 	pairs := float64(cc.stats.PairsConsidered) * sc.Pairs
 	if nnPairs >= 0 {
 		pairs = nnPairs

@@ -29,6 +29,9 @@ func DegOf(rad float64) float64 { return rad * degPerRad }
 
 // WrapRA normalizes a right ascension in degrees to [0, 360).
 func WrapRA(ra float64) float64 {
+	if ra >= 0 && ra < 360 {
+		return ra // what Mod would return, without the call
+	}
 	ra = math.Mod(ra, 360)
 	if ra < 0 {
 		ra += 360

@@ -249,11 +249,7 @@ func BenchmarkScanCompile(b *testing.B) {
 }
 
 func compileOnly(e *Engine, sel *sqlparse.Select) error {
-	ex, err := e.bind(sel, ExecOptions{})
-	if err != nil {
-		return err
-	}
-	_, err = ex.compile()
+	_, err := e.Prepare(sel)
 	return err
 }
 

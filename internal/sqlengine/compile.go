@@ -88,6 +88,17 @@ type node struct {
 	// typed is set on a kindFloat node that is a call through a builtin's
 	// typed entry: what a comparison needs to ask the entry's guard.
 	typed *typedCall
+	// band is set on a comparison that guardedCmp compiled and a join may
+	// answer by skipping rows: what planBand needs to know of it.
+	band *bandCmp
+}
+
+// bandCmp is a guarded comparison `f(x1, y1, x2, y2) <|<= c` (or its
+// mirror image) whose guard answers above inside the band b: the
+// comparison is false there.
+type bandCmp struct {
+	call *typedCall
+	b    declBand
 }
 
 func litNode(v interface{}) node {
@@ -609,7 +620,11 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 	for i := range args {
 		constant = constant && args[i].constant
 	}
-	return typedCallNode(t, forms(args, (*node).floatForm), constant), nil
+	n := typedCallNode(t, forms(args, (*node).floatForm), constant)
+	if n.typed != nil {
+		n.typed.nodes = args
+	}
+	return n, nil
 }
 
 // typedCall is a call compiled through a builtin's typed entry. The node
@@ -619,7 +634,10 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 type typedCall struct {
 	fn   *typedFunc
 	args []floatFn
-	buf  [maxTypedArgs]float64
+	// nodes are the arguments as compiled, for a planner that asks what
+	// they read; nil on a call the compiler put together itself (minus).
+	nodes []node
+	buf   [maxTypedArgs]float64
 }
 
 func typedCallNode(t *typedFunc, args []floatFn, constant bool) node {
@@ -824,7 +842,7 @@ func holds(op binOp, c int) bool {
 // either side is.
 func cmpNode(op binOp, l, r *node) node {
 	n := node{kind: kindInt, boolean: true}
-	if n.int = guardedCmp(op, l, r); n.int != nil {
+	if n.int, n.band = guardedCmp(op, l, r); n.int != nil {
 		return n
 	}
 	switch {
@@ -880,8 +898,10 @@ func mirrored(op binOp) binOp {
 // kindFloat, so this is the float64 comparison cmpNode would build, with
 // the same answers, NULLs, errors and order of argument evaluation; the
 // constant is folded once, which nothing can observe. It returns nil where
-// there is no guard to use.
-func guardedCmp(op binOp, l, r *node) intFn {
+// there is no guard to use. Where the comparison is false for a result above
+// the constant (<, <=) and the builtin says where its guard answers above
+// (typedFunc.band), that is returned too.
+func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp) {
 	for _, side := range [2]struct {
 		call, constant *node
 		op             binOp
@@ -900,6 +920,12 @@ func guardedCmp(op binOp, l, r *node) intFn {
 		}
 		// The comparison's answer for a result below, equal to and above c.
 		answer := [3]int64{boolToInt(holds(side.op, -1)), boolToInt(holds(side.op, 0)), boolToInt(holds(side.op, 1))}
+		var band *bandCmp
+		if tc.fn.band != nil && (side.op == opLt || side.op == opLe) {
+			if b, ok := tc.fn.band(c); ok {
+				band = &bandCmp{call: tc, b: b}
+			}
+		}
 		return func(fr *frame) (int64, bool, error) {
 			null, err := tc.load(fr)
 			if err != nil || null {
@@ -913,9 +939,9 @@ func guardedCmp(op binOp, l, r *node) intFn {
 			}
 			y, null := tc.fn.call(&tc.buf)
 			return answer[threeWay(y, c)+1], null, nil
-		}
+		}, band
 	}
-	return nil
+	return nil, nil
 }
 
 func cmpTyped[T ordered](op binOp, l, r typedFn[T]) intFn {

@@ -16,6 +16,9 @@ type Engine struct {
 	dbs       map[string]*Database
 	defaultDB string
 	funcs     map[string]function
+	// funcsGen counts RegisterFunc calls: a Prepared compiled before one
+	// may hold the function it replaced.
+	funcsGen int
 }
 
 // New creates an engine with one (default) database and the built-in
@@ -44,6 +47,7 @@ func (e *Engine) RegisterFunc(name string, fn Func) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.funcs[strings.ToLower(name)] = function{call: fn}
+	e.funcsGen++
 }
 
 // CreateDatabase adds a database if absent and returns it.
@@ -137,7 +141,8 @@ type ExecOptions struct {
 }
 
 // ExecuteStmtOpts runs one parsed statement under the given execution
-// hooks. Zero-value options are identical to ExecuteStmt.
+// hooks. Zero-value options are identical to ExecuteStmt. A SELECT is
+// prepared and run once (see Prepared, for a caller with more runs in mind).
 func (e *Engine) ExecuteStmtOpts(st sqlparse.Statement, opts ExecOptions) (*Result, error) {
 	if sel, ok := st.(*sqlparse.Select); ok {
 		e.mu.RLock()
@@ -153,7 +158,7 @@ func (e *Engine) ExecuteStmt(st sqlparse.Statement) (*Result, error) {
 	case *sqlparse.Select:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.execSelect(s)
+		return e.execSelectOpts(s, ExecOptions{})
 
 	case *sqlparse.CreateTable:
 		return e.execCreateTable(s)
@@ -207,7 +212,7 @@ func (e *Engine) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 	var newTable *Table
 	if ct.AsSelect != nil {
 		e.mu.RLock()
-		res, err := e.execSelect(ct.AsSelect)
+		res, err := e.execSelectOpts(ct.AsSelect, ExecOptions{})
 		e.mu.RUnlock()
 		if err != nil {
 			return nil, err

@@ -59,21 +59,40 @@ var ErrInterrupted = errors.New("sqlengine: statement interrupted")
 // join a row is a pair it visits (or an outer row it probes to no match).
 const interruptCheckRows = 512
 
-// selectExec executes one SELECT statement in three steps: bind the FROM
-// clause to tables, compile every expression of the statement against
-// those bindings into a selectPlan, then run the plan in a single pass
-// over the rows.
-type selectExec struct {
+// Prepared is a SELECT after the first two of its three steps: its FROM
+// clause bound to the schemas of the tables it names, and every expression
+// of it compiled against those bindings into a selectPlan. The third step,
+// one pass over the rows, is a run, and a Prepared can be run any number of
+// times — against the tables it names or against others of the same schemas
+// (a chunk query's statements are one statement over one subchunk's tables
+// after another). What a plan takes from a table's data rather than its
+// schema — an index to dive into, a hash join's build side, the order a
+// band join walks — is looked for again by every run. The compiled closures
+// keep scratch buffers, so one goroutine runs a Prepared at a time.
+type Prepared struct {
 	eng      *Engine
 	sel      *sqlparse.Select
 	bindings []binding
-	tables   []*Table
-	// data is the state of each table the statement reads, loaded once at
-	// bind: rows appended later are not this statement's.
-	data      []*tableData
+	funcsGen int // Engine.funcsGen at compile
+	// countStar marks the statement the stored row count answers; plan is
+	// nil for it and for a FROM-less select, which is evaluated whole by
+	// every run.
+	countStar bool
+	plan      *selectPlan
+}
+
+// source is one table a run reads, and the state of it the run loaded
+// when it started: rows appended later are not this run's.
+type source struct {
+	table *Table
+	data  *tableData
+}
+
+// selectExec is one run of a Prepared.
+type selectExec struct {
+	from      []source // one per FROM binding
 	prov      ScanProvider
 	interrupt <-chan struct{}
-	sink      Sink
 	stats     ExecStats
 	fr        frame
 }
@@ -101,34 +120,137 @@ func (ex *selectExec) poll(n *int) error {
 	return ex.interrupted()
 }
 
-func (e *Engine) execSelect(sel *sqlparse.Select) (*Result, error) {
-	return e.execSelectOpts(sel, ExecOptions{})
+// execSelectOpts is every SELECT's path: prepare, then one run against the
+// tables the statement names.
+func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result, error) {
+	p, tables, err := e.prepare(sel)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(tables, opts)
 }
 
-func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result, error) {
+// Prepare binds and compiles a SELECT for Run.
+func (e *Engine) Prepare(sel *sqlparse.Select) (*Prepared, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	p, _, err := e.prepare(sel)
+	return p, err
+}
+
+// prepare resolves the FROM clause and compiles the statement against it;
+// it returns the tables it found beside the plan, for the caller that runs
+// the statement at once. The caller holds e.mu.
+func (e *Engine) prepare(sel *sqlparse.Select) (*Prepared, []source, error) {
+	p := &Prepared{eng: e, sel: sel, funcsGen: e.funcsGen}
 	if len(sel.From) == 0 {
-		res, err := e.execSelectNoFrom(sel)
+		return p, nil, nil
+	}
+	tables := make([]source, len(sel.From))
+	if p.countStar = isCountStar(sel); p.countStar {
+		t, err := e.lookupTable(sel.From[0].DB, sel.From[0].Table)
+		tables[0].table = t
+		return p, tables, err
+	}
+	p.bindings = make([]binding, len(sel.From))
+	for i, ref := range sel.From {
+		t, err := e.lookupTable(ref.DB, ref.Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		tables[i].table = t
+		p.bindings[i] = binding{name: ref.Name(), schema: t.Schema}
+		// Duplicate FROM names are ambiguous (self-join requires aliases).
+		for _, b := range p.bindings[:i] {
+			if strings.EqualFold(b.name, ref.Name()) {
+				return nil, nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", ref.Name())
+			}
+		}
+	}
+	var err error
+	p.plan, err = p.compile(tables)
+	return p, tables, err
+}
+
+// Run executes the statement under the given hooks. With names nil it reads
+// the tables the statement names; otherwise names has one entry per FROM
+// entry, the table that entry reads this time (in the database the
+// statement names, under the alias the statement gives it). The answer is
+// the one the statement with those names written into it would give: where
+// the compiled plan cannot be shown to be that statement's — a renamed
+// entry has no alias, so that its name is what expressions call it by; a
+// table's schema is not the one compiled against; a function was registered
+// since — that statement is prepared afresh.
+func (p *Prepared) Run(names []string, opts ExecOptions) (*Result, error) {
+	e := p.eng
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	from, fits := p.sel.From, p.funcsGen == e.funcsGen
+	if names != nil {
+		from = slices.Clone(from)
+		for i := range from {
+			fits = fits && (from[i].Alias != "" || from[i].Table == names[i])
+			from[i].Table = names[i]
+		}
+	}
+	tables := make([]source, len(from))
+	for i := 0; fits && i < len(from); i++ {
+		t, err := e.lookupTable(from[i].DB, from[i].Table)
+		if err != nil {
+			return nil, err
+		}
+		tables[i].table = t
+		fits = p.countStar || sameSchema(t.Schema, p.bindings[i].schema)
+	}
+	if !fits {
+		sel := *p.sel
+		sel.From = from
+		return e.execSelectOpts(&sel, opts)
+	}
+	return p.run(tables, opts)
+}
+
+func sameSchema(a, b Schema) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true // the tables of one catalog table share its schema slice
+	}
+	for i := range a {
+		if a[i].Type != b[i].Type || !strings.EqualFold(a[i].Name, b[i].Name) {
+			return false
+		}
+	}
+	return true
+}
+
+// run is the third step: one pass over the rows of tables, which have the
+// schemas p was compiled against.
+func (p *Prepared) run(tables []source, opts ExecOptions) (*Result, error) {
+	switch {
+	case len(p.sel.From) == 0:
+		res, err := p.eng.execSelectNoFrom(p.sel)
 		return deliver(res, err, opts.Sink)
+	case p.countStar:
+		return deliver(countStar(p.sel, tables[0].table), nil, opts.Sink)
 	}
-	if res, ok, err := e.tryCountStar(sel); ok || err != nil {
-		return deliver(res, err, opts.Sink)
+	ex := &selectExec{from: tables, prov: opts.Scan, interrupt: opts.Interrupt}
+	ex.fr.cur = make([]cursor, len(tables))
+	for i := range tables {
+		tables[i].data = tables[i].table.data.Load()
+		ex.fr.cur[i].cols = tables[i].data.cols
 	}
-	ex, err := e.bind(sel, opts)
+	out := p.plan.out
+	out.begin(opts.Sink)
+	if err := ex.run(p.plan); err != nil {
+		return nil, err
+	}
+	res, err := out.finish(&ex.fr)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := ex.compile()
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.run(plan); err != nil {
-		return nil, err
-	}
-	res, err := plan.out.finish(&ex.fr)
-	if err != nil {
-		return nil, err
-	}
-	ex.stats.RowsOut, ex.stats.ResultBytes = plan.out.nrows, plan.out.nbytes
+	ex.stats.RowsOut, ex.stats.ResultBytes = out.nrows, out.nbytes
 	res.Stats = ex.stats
 	return res, nil
 }
@@ -148,53 +270,27 @@ func deliver(res *Result, err error, sink Sink) (*Result, error) {
 	return res, nil
 }
 
-// bind resolves the FROM clause.
-func (e *Engine) bind(sel *sqlparse.Select, opts ExecOptions) (*selectExec, error) {
-	n := len(sel.From)
-	ex := &selectExec{
-		eng: e, sel: sel, prov: opts.Scan, interrupt: opts.Interrupt, sink: opts.Sink,
-		bindings: make([]binding, n), tables: make([]*Table, n), data: make([]*tableData, n),
-	}
-	ex.fr.cur = make([]cursor, n)
-	for i, ref := range sel.From {
-		t, err := e.lookupTable(ref.DB, ref.Table)
-		if err != nil {
-			return nil, err
-		}
-		ex.tables[i], ex.data[i] = t, t.data.Load()
-		ex.fr.cur[i].cols = ex.data[i].cols
-		ex.bindings[i] = binding{name: ref.Name(), schema: t.Schema}
-		// Duplicate FROM names are ambiguous (self-join requires aliases).
-		for _, b := range ex.bindings[:i] {
-			if strings.EqualFold(b.name, ref.Name()) {
-				return nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", ref.Name())
-			}
-		}
-	}
-	return ex, nil
-}
-
-// tryCountStar answers `SELECT COUNT(*) [AS alias] FROM t` without
-// scanning, as MyISAM does from its stored row count. The paper relies
-// on this: High Volume 1 (a full-sky COUNT(*)) measures dispatch
-// overhead, not I/O, because each worker answers its chunk count from
-// table metadata. LIMIT 0 asks for no row, and is left to the ordinary path.
-func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
+// isCountStar recognises `SELECT COUNT(*) [AS alias] FROM t`, which is
+// answered without scanning, as MyISAM does from its stored row count. The
+// paper relies on this: High Volume 1 (a full-sky COUNT(*)) measures
+// dispatch overhead, not I/O, because each worker answers its chunk count
+// from table metadata. LIMIT 0 asks for no row, and is left to the ordinary
+// path.
+func isCountStar(sel *sqlparse.Select) bool {
 	if len(sel.From) != 1 || sel.Where != nil || len(sel.GroupBy) != 0 ||
 		len(sel.OrderBy) != 0 || sel.Distinct || len(sel.Items) != 1 || sel.Limit == 0 {
-		return nil, false, nil
+		return false
 	}
 	fc, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
 	if !ok || fc.Key() != "count" || fc.Distinct || len(fc.Args) != 1 {
-		return nil, false, nil
+		return false
 	}
-	if _, isStar := fc.Args[0].(*sqlparse.Star); !isStar {
-		return nil, false, nil
-	}
-	t, err := e.lookupTable(sel.From[0].DB, sel.From[0].Table)
-	if err != nil {
-		return nil, false, err
-	}
+	_, isStar := fc.Args[0].(*sqlparse.Star)
+	return isStar
+}
+
+// countStar answers a statement isCountStar recognised.
+func countStar(sel *sqlparse.Select, t *Table) *Result {
 	res := &Result{
 		Cols:  itemNames(sel.Items),
 		Types: []sqlparse.ColType{sqlparse.TypeInt},
@@ -202,7 +298,7 @@ func (e *Engine) tryCountStar(sel *sqlparse.Select) (*Result, bool, error) {
 	}
 	res.Stats.RowsOut = 1
 	res.Stats.ResultBytes = 8
-	return res, true, nil
+	return res
 }
 
 // execSelectNoFrom evaluates a FROM-less select (constants only).
@@ -281,15 +377,17 @@ type selectPlan struct {
 // scanPlan reads one binding and, for every binding but the first, joins
 // it onto the bindings before it.
 type scanPlan struct {
-	table *Table
-	data  *tableData
-	// index and keys, when set, replace the scan with an index dive: a
-	// `col = const` or `col IN (consts)` conjunct on an indexed column
-	// (the worker-side objectId index of section 5.5).
-	index *hashIndex
-	keys  []Value
+	// diveCol, when not negative, is the column of a `col = const` or `col IN
+	// (consts)` conjunct that an index on it answers by diving for keys (the
+	// worker-side objectId index of section 5.5). The statement was compiled
+	// against a table that has the index; a run whose table has not scans,
+	// with the conjunct — divePred — back at its place in filter, diveAt.
+	diveCol  int
+	keys     []Value
+	divePred intFn
+	diveAt   int
 	// filter holds the conjuncts over this binding alone (less the one an
-	// index dive answers).
+	// index dive answers), in WHERE order.
 	filter []intFn
 	// pending holds the conjuncts that become decidable once this binding
 	// joins the earlier ones. If one of them equates a column of this
@@ -298,6 +396,10 @@ type scanPlan struct {
 	// by a hash join.
 	pending []intFn
 	join    *hashJoin
+	// band, when set, says pending[0] is a comparison that is false outside
+	// a band of one of this binding's columns: over a table sorted on that
+	// column, each joined row visits only the band (see bandJoin).
+	band *bandJoin
 }
 
 func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
@@ -311,68 +413,76 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 	return append(out, e)
 }
 
-func (ex *selectExec) compile() (*selectPlan, error) {
-	c := &compiler{bindings: ex.bindings, funcs: ex.eng.funcs}
-	p := &selectPlan{scans: make([]scanPlan, len(ex.tables))}
-	for k := range p.scans {
-		p.scans[k].table, p.scans[k].data = ex.tables[k], ex.data[k]
+// compile builds the statement's plan; tables are the ones prepare found,
+// whose indexes decide what dives are planned.
+func (p *Prepared) compile(tables []source) (*selectPlan, error) {
+	c := &compiler{bindings: p.bindings, funcs: p.eng.funcs}
+	plan := &selectPlan{scans: make([]scanPlan, len(tables))}
+	for k := range plan.scans {
+		plan.scans[k].diveCol = -1
 	}
 
 	// Every ANDed conjunct of WHERE goes to the binding that completes
 	// the set it references: as a filter if it references that binding
 	// alone, as a join predicate otherwise. Constant ones are decided
 	// here; the first that is not true empties the result.
-	for _, e := range splitConjuncts(ex.sel.Where, nil) {
+	for _, e := range splitConjuncts(p.sel.Where, nil) {
 		c.resetRefs()
 		n, err := c.compile(e)
 		if err != nil {
 			return nil, err
 		}
 		pred, k := n.truth(), c.hi
-		sp := &p.scans[max(k, 0)]
+		sp := &plan.scans[max(k, 0)]
 		switch {
 		case k < 0:
-			if p.empty {
+			if plan.empty {
 				break
 			}
-			v, null, err := pred(&ex.fr)
+			v, null, err := pred(new(frame))
 			if err != nil {
 				return nil, err
 			}
-			p.empty = null || v == 0
+			plan.empty = null || v == 0
 		case c.lo < k:
-			if sp.join == nil && ex.planHashJoin(c, sp, e, k) {
+			if sp.join == nil && p.planHashJoin(c, sp, e, k) {
 				break
+			}
+			if len(sp.pending) == 0 {
+				sp.band = planBand(&n, k)
 			}
 			sp.pending = append(sp.pending, pred)
 		default:
-			if sp.index == nil && ex.planIndexDive(c, sp, e) {
+			if sp.diveCol < 0 && planIndexDive(c, sp, e, tables[k].table) {
+				sp.divePred, sp.diveAt = pred, len(sp.filter)
 				break
 			}
 			sp.filter = append(sp.filter, pred)
 		}
 	}
 
-	out, err := ex.compileOutput(c)
+	out, err := p.compileOutput(c)
 	if err != nil {
 		return nil, err
 	}
-	p.out = out
-	return p, nil
+	plan.out = out
+	return plan, nil
 }
 
 // planIndexDive recognizes `col = <const>` and `col IN (<consts>)` on an
-// indexed column of sp's table (e references that binding alone) and
-// records the dive. Keys are converted to the column's type; where one has
-// no exact counterpart there (see indexKey) the conjunct stays a filter.
-func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) bool {
-	col := func(x sqlparse.Expr) (*hashIndex, sqlparse.ColType) {
+// indexed column of t, the table sp's binding was prepared on (e references
+// that binding alone), and records the dive. Keys are converted to the
+// column's type; where one has no exact counterpart there (see indexKey) the
+// conjunct stays a filter.
+func planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr, t *Table) bool {
+	d := t.data.Load()
+	col := func(x sqlparse.Expr) (int, sqlparse.ColType) {
 		if cr, ok := x.(*sqlparse.ColumnRef); ok {
-			if ci := sp.table.Schema.ColIndex(cr.Column); ci >= 0 {
-				return sp.data.index(ci), sp.table.Schema[ci].Type
+			if ci := t.Schema.ColIndex(cr.Column); ci >= 0 && d.index(ci) != nil {
+				return ci, t.Schema[ci].Type
 			}
 		}
-		return nil, 0
+		return -1, 0
 	}
 	key := func(x sqlparse.Expr, typ sqlparse.ColType) (Value, bool) {
 		v, err := c.constValue(x)
@@ -387,16 +497,16 @@ func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) 
 			return false
 		}
 		for _, side := range [2][2]sqlparse.Expr{{v.L, v.R}, {v.R, v.L}} {
-			if idx, typ := col(side[0]); idx != nil {
+			if ci, typ := col(side[0]); ci >= 0 {
 				if k, ok := key(side[1], typ); ok {
-					sp.index, sp.keys = idx, []Value{k}
+					sp.diveCol, sp.keys = ci, []Value{k}
 					return true
 				}
 			}
 		}
 	case *sqlparse.InExpr:
-		idx, typ := col(v.X)
-		if v.Not || idx == nil {
+		ci, typ := col(v.X)
+		if v.Not || ci < 0 {
 			return false
 		}
 		keys := make([]Value, len(v.List))
@@ -407,7 +517,7 @@ func (ex *selectExec) planIndexDive(c *compiler, sp *scanPlan, e sqlparse.Expr) 
 			}
 			keys[i] = k
 		}
-		sp.index, sp.keys = idx, keys
+		sp.diveCol, sp.keys = ci, keys
 		return true
 	}
 	return false
@@ -432,7 +542,7 @@ type hashJoin struct {
 // equated to an expression over earlier bindings only. One whose sides
 // have no common domain known at compile time (a VARCHAR column against a
 // number parses the string, row by row) is left to the nested loop.
-func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k int) bool {
+func (p *Prepared) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k int) bool {
 	be, ok := e.(*sqlparse.BinaryExpr)
 	if !ok || be.Op != "=" {
 		return false
@@ -451,7 +561,7 @@ func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k
 		if err != nil || c.hi >= k {
 			continue
 		}
-		build := colNode(bi, ci, sp.table.Schema[ci].Type)
+		build := colNode(bi, ci, p.bindings[k].schema[ci].Type)
 		switch {
 		case build.kind == kindInt && probe.kind == kindInt:
 			sp.join = &hashJoin{domain: kindInt, col: ci, probeInt: probe.intForm()}
@@ -465,6 +575,50 @@ func (ex *selectExec) planHashJoin(c *compiler, sp *scanPlan, e sqlparse.Expr, k
 		return true
 	}
 	return false
+}
+
+// bandJoin is a join conjunct `f(x1, y1, x2, y2) <|<= c` (pending[0] of its
+// binding) that its builtin's guard answers above — so the conjunct false —
+// for every pair outside a band: both y inside the guard's domain and
+// further apart than the band allows (declBand; f is qserv_angSep, y a
+// declination). x2 and y2 are columns of the binding being joined; x1 and y1
+// are columns of earlier bindings or constants, so reading them cannot fail.
+//
+// Over a table that declares itself sorted on y2 (Table.MarkSorted) each
+// joined row then visits, of the binding's rows, only those the guard does
+// not answer above for: the rows before the sorted run, whatever they hold;
+// the rows of the run within the band of its y1 — a contiguous window, found
+// by searching with the guard's own comparison; and the rows whose x2 no
+// difference is safely finite with. A row it skips is one for which the
+// nested loop evaluates this conjunct first, finds it false from the column
+// cells alone, and moves on: nothing is emitted, nothing fails, nothing later
+// in pending is evaluated. Every pair it visits goes through pending
+// unchanged. The rows, NULLs and errors are the nested loop's by
+// construction; only ExecStats.PairsConsidered, which counts pairs visited,
+// tells the two apart.
+type bandJoin struct {
+	b      declBand
+	x1, y1 floatFn
+	x2, y2 int
+}
+
+// planBand recognises the conjunct bandJoin describes in a compiled
+// comparison over bindings up to k.
+func planBand(n *node, k int) *bandJoin {
+	if n.band == nil || len(n.band.call.nodes) != 4 {
+		return nil
+	}
+	tc := n.band.call
+	for i := range tc.nodes {
+		a := &tc.nodes[i]
+		switch {
+		case i >= 2 && a.isCol && a.bi == k:
+		case i < 2 && ((a.isCol && a.bi < k) || a.isLit):
+		default:
+			return nil
+		}
+	}
+	return &bandJoin{b: n.band.b, x1: tc.args[0], y1: tc.args[1], x2: tc.nodes[2].ci, y2: tc.nodes[3].ci}
 }
 
 // joinTable is the build side of one hash join: the rows of the joined
@@ -620,22 +774,30 @@ func (ex *selectExec) collect(k int, sp *scanPlan) ([]int, error) {
 func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 	var src ScanSource
 	var found []int // the positions an index dive found
-	dive, bytes := sp.index != nil, &ex.stats.SeqBytes
+	table, data := ex.from[k].table, ex.from[k].data
+	filter, bytes := sp.filter, &ex.stats.SeqBytes
+	var index *hashIndex
+	if sp.diveCol >= 0 {
+		if index = data.index(sp.diveCol); index == nil {
+			filter = slices.Insert(slices.Clone(filter), sp.diveAt, sp.divePred)
+		}
+	}
+	dive := index != nil
 	switch {
 	case dive:
-		found, bytes = ex.dive(sp), &ex.stats.RandBytes
+		found, bytes = ex.dive(sp, index, data), &ex.stats.RandBytes
 		src = &rangeSource{n: len(found)}
 	case ex.prov != nil:
-		if src = ex.prov(sp.table); src != nil {
+		if src = ex.prov(table); src != nil {
 			bytes = &ex.stats.SharedSeqBytes
 		}
 	}
 	if src == nil {
-		src = &rangeSource{n: sp.data.n}
+		src = &rangeSource{n: data.n}
 	}
 	defer src.Close()
 
-	width := int64(sp.table.Schema.RowWidth())
+	width := int64(table.Schema.RowWidth())
 	fr, cur := &ex.fr, &ex.fr.cur[k]
 	for {
 		// Cancellation lands at piece boundaries — the next NextPiece is
@@ -651,7 +813,7 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 		if !dive {
 			// A convoy reads the table as it is now; this statement reads
 			// the rows it had at bind.
-			hi = min(hi, sp.data.n)
+			hi = min(hi, data.n)
 		}
 		if lo >= hi {
 			continue
@@ -669,7 +831,7 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 			if dive {
 				cur.pos = found[i]
 			}
-			for _, f := range sp.filter {
+			for _, f := range filter {
 				v, null, err := f(fr)
 				if err != nil {
 					return err
@@ -690,7 +852,7 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 
 // dive returns the positions of the rows an index dive finds, each once,
 // in key order.
-func (ex *selectExec) dive(sp *scanPlan) []int {
+func (ex *selectExec) dive(sp *scanPlan, index *hashIndex, data *tableData) []int {
 	var found []int
 	var seen map[Value]bool
 	if len(sp.keys) > 1 {
@@ -704,29 +866,36 @@ func (ex *selectExec) dive(sp *scanPlan) []int {
 			}
 			seen[key] = true
 		}
-		found = sp.index.lookup(sp.data, key, found)
+		found = index.lookup(data, key, found)
 	}
 	return found
 }
 
 // extend joins binding k onto the joined rows so far (k positions per
-// entry of cur), by hash join when the plan found an equi-join conjunct
-// and by nested loop otherwise, and emits every joined row that passes
-// the pending conjuncts.
+// entry of cur) — by hash join when the plan found an equi-join conjunct, by
+// band join when it found a band conjunct and the table is sorted for it,
+// and by nested loop otherwise — and emits every joined row that passes the
+// pending conjuncts.
 func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) error {
 	inner, err := ex.collect(k, sp)
 	if err != nil {
 		return err
 	}
 	var build *joinTable
+	var band *bandRun
 	if sp.join != nil {
-		build = sp.join.build(sp.data, inner)
+		build = sp.join.build(ex.from[k].data, inner)
+	} else if sp.band != nil {
+		band = sp.band.over(ex.from[k].data, inner)
 	}
 	fr := &ex.fr
 	// visited counts the outer rows and the pairs gone through: the nested
 	// loop visits every inner row per outer row, so counting outer rows
 	// alone would let a kill wait for interruptCheckRows * |inner| pairs.
 	visited := 0
+	// runs are the inner rows this outer row visits, in position order: all
+	// of them, the ones the hash probe found, or the band join's four runs.
+	var runs [4][]int
 	for i := 0; i*k < len(cur); i++ {
 		if err := ex.poll(&visited); err != nil {
 			return err
@@ -734,34 +903,106 @@ func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) 
 		for b, pos := range cur[i*k : (i+1)*k] {
 			fr.cur[b].pos = pos
 		}
-		matches := inner
-		if build != nil {
-			if matches, err = build.probe(sp.join, fr); err != nil {
+		switch {
+		case build != nil:
+			if runs[0], err = build.probe(sp.join, fr); err != nil {
 				return err
 			}
+		case band != nil:
+			band.visit(fr, &runs)
+		default:
+			runs[0] = inner
 		}
-		ex.stats.PairsConsidered += int64(len(matches))
-	rows:
-		for _, pos := range matches {
-			if err := ex.poll(&visited); err != nil {
-				return err
-			}
-			fr.cur[k].pos = pos
-			for _, f := range sp.pending {
-				v, null, err := f(fr)
-				if err != nil {
+		for _, run := range runs {
+			ex.stats.PairsConsidered += int64(len(run))
+		rows:
+			for _, pos := range run {
+				if err := ex.poll(&visited); err != nil {
 					return err
 				}
-				if null || v == 0 {
-					continue rows
+				fr.cur[k].pos = pos
+				for _, f := range sp.pending {
+					v, null, err := f(fr)
+					if err != nil {
+						return err
+					}
+					if null || v == 0 {
+						continue rows
+					}
 				}
-			}
-			if err := emit(); err != nil {
-				return err
+				if err := emit(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// bandJoinOff turns the band join off: tests set it to hold the band join's
+// answers to the nested loop's.
+var bandJoinOff bool
+
+// bandRun is a band join over the filtered rows of one table state.
+type bandRun struct {
+	*bandJoin
+	inner []int
+	// sorted is the index in inner of the first row of the table's sorted
+	// run: the rows before it are visited always.
+	sorted int
+	y2     []float64
+	// loose lists, ascending, the rows of the sorted part no window may
+	// skip — the RA is not safe — as indices into inner and as positions.
+	looseAt, loose []int
+}
+
+// over readies the band join for a run over d, of whose rows inner passed
+// the binding's filter; nil when d is not sorted for it, and the nested
+// loop has to do.
+func (j *bandJoin) over(d *tableData, inner []int) *bandRun {
+	run := d.sorted
+	if bandJoinOff || run == nil || run.col != j.y2 || run.lo < declMin || run.hi > declMax || !slices.IsSorted(inner) {
+		return nil
+	}
+	r := &bandRun{bandJoin: j, inner: inner, y2: d.cols[j.y2].floats}
+	r.sorted, _ = slices.BinarySearch(inner, run.from)
+	if x2 := &d.cols[j.x2]; x2.typ == sqlparse.TypeFloat {
+		for at, pos := range inner[r.sorted:] {
+			if !raSafe(x2.floats[pos]) {
+				r.looseAt, r.loose = append(r.looseAt, r.sorted+at), append(r.loose, pos)
+			}
+		}
+	}
+	return r
+}
+
+// visit sets runs to the inner rows the outer row bound in fr visits.
+func (r *bandRun) visit(fr *frame, runs *[4][]int) {
+	*runs = [4][]int{r.inner}
+	x1, xnull, _ := r.x1(fr)
+	y1, ynull, _ := r.y1(fr)
+	if xnull || ynull || !raSafe(x1) || !r.b.inDomain(y1) {
+		return // the guard decides nothing for this row: every pair is evaluated
+	}
+	// Over the sorted run y2 ascends, so y1 - y2 descends: the rows too far
+	// below y1 are a prefix of it, the rows too far above a suffix.
+	rest := r.inner[r.sorted:]
+	lo, _ := slices.BinarySearchFunc(rest, y1, func(pos int, y1 float64) int {
+		if y2 := r.y2[pos]; y2 < y1 && r.b.apart(y1, y2) {
+			return -1
+		}
+		return 1
+	})
+	hi, _ := slices.BinarySearchFunc(rest[lo:], y1, func(pos int, y1 float64) int {
+		if y2 := r.y2[pos]; y2 > y1 && r.b.apart(y1, y2) {
+			return 1
+		}
+		return -1
+	})
+	lo, hi = r.sorted+lo, r.sorted+lo+hi
+	before, _ := slices.BinarySearch(r.looseAt, lo)
+	after, _ := slices.BinarySearch(r.looseAt, hi)
+	*runs = [4][]int{r.inner[:r.sorted], r.loose[:before], r.inner[lo:hi], r.loose[after:]}
 }
 
 // ---------- output: projection, aggregation, ordering ----------
@@ -997,23 +1238,14 @@ type output struct {
 	nrows, nbytes int64
 }
 
-func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
-	sel := ex.sel
+func (p *Prepared) compileOutput(c *compiler) (*output, error) {
+	sel := p.sel
 	o := &output{
-		sel: sel, schemas: make([]Schema, len(ex.bindings)), sink: ex.sink,
+		sel: sel, schemas: make([]Schema, len(p.bindings)),
 		cols: make([]string, 0, len(sel.Items)), items: make([]operand, 0, len(sel.Items)),
 	}
-	for i, b := range ex.bindings {
+	for i, b := range p.bindings {
 		o.schemas[i] = b.schema
-	}
-	if o.sink == nil {
-		o.boxed = &Boxer{}
-		o.sink = o.boxed
-	}
-	o.dst = o.sink
-	if sel.Distinct || len(sel.OrderBy) > 0 {
-		o.held = &Boxer{}
-		o.dst = o.held
 	}
 
 	// Select-list aliases stand for their expressions in GROUP BY and
@@ -1041,7 +1273,7 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 	for _, it := range sel.Items {
 		star, ok := it.Expr.(*sqlparse.Star)
 		if ok {
-			if err := ex.expandStar(star, o); err != nil {
+			if err := p.expandStar(star, o); err != nil {
 				return nil, err
 			}
 			continue
@@ -1061,22 +1293,38 @@ func (ex *selectExec) compileOutput(c *compiler) (*output, error) {
 		o.order = append(o.order, n.operand())
 	}
 	c.aggs = nil
+	o.grouped = len(o.aggs) > 0 || len(o.groupBy) > 0
+	return o, nil
+}
+
+// begin readies the output for one run writing to sink (nil boxes the rows
+// into Result.Rows): nothing of an earlier run is left in it.
+func (o *output) begin(sink Sink) {
+	o.sink, o.boxed, o.held = sink, nil, nil
+	if sink == nil {
+		o.boxed = &Boxer{}
+		o.sink = o.boxed
+	}
+	o.dst = o.sink
+	if o.sel.Distinct || len(o.sel.OrderBy) > 0 {
+		o.held = &Boxer{}
+		o.dst = o.held
+	}
+	// A run's result keeps its types: they are made per run.
 	o.types, o.typed = make([]sqlparse.ColType, len(o.items)), make([]bool, len(o.items))
 	for i, it := range o.items {
 		o.types[i], o.typed[i] = it.kind.colType(), it.kind != kindAny
 	}
-
-	o.grouped = len(o.aggs) > 0 || len(o.groupBy) > 0
+	o.groups, o.list, o.last, o.nrows, o.nbytes = nil, nil, nil, 0, 0
 	if len(o.groupBy) > 0 {
 		o.groups = map[string]*group{}
 	}
-	return o, nil
 }
 
 // expandStar appends one item per column that `*` or `t.*` stands for.
-func (ex *selectExec) expandStar(star *sqlparse.Star, o *output) error {
+func (p *Prepared) expandStar(star *sqlparse.Star, o *output) error {
 	found := false
-	for bi, b := range ex.bindings {
+	for bi, b := range p.bindings {
 		if star.Table != "" && !strings.EqualFold(b.name, star.Table) {
 			continue
 		}

@@ -40,6 +40,10 @@ type typedFunc struct {
 	// difference comes to have a guard of its own. Its call must be the
 	// subtraction of the two results, NULL when either is.
 	minus *typedFunc
+	// band, when set beside guard, puts the guard's above verdict in the
+	// terms a join can skip rows by (see declBand); ok is false for a c the
+	// guard is not built for.
+	band func(c float64) (b declBand, ok bool)
 }
 
 // verdict is a guard's answer about one call, given only its arguments.
@@ -119,7 +123,9 @@ func registerBuiltins(e *Engine) {
 	// near-neighbor predicates).
 	e.registerNumeric("qserv_angSep", 4, false, func(a *[maxTypedArgs]float64) (float64, bool) {
 		return sphgeom.AngSepDeg(a[0], a[1], a[2], a[3]), false
-	}).guard = angSepGuard
+	})
+	angSep := e.funcs["qserv_angsep"].typed
+	angSep.guard, angSep.band = angSepGuard, angSepBand
 	// scisql-compatible alias.
 	e.funcs["scisql_angsep"] = e.funcs["qserv_angsep"]
 
@@ -325,19 +331,40 @@ func shellSide(x, lo, hi float64, under, over verdict) verdict {
 // asks for a declination difference above r*(1 + 1e-9) + 1e-9: for every
 // r three orders of magnitude more than that loss.
 func angSepGuard(r float64) guardFn {
-	if !(r <= 179) {
+	b, ok := angSepBand(r)
+	if !ok {
 		return nil
 	}
-	far := r*(1+guardShell) + guardShell
 	return func(a *[maxTypedArgs]float64) verdict {
-		decl1, decl2 := a[1], a[3]
-		if decl1 >= -90 && decl1 <= 90 && decl2 >= -90 && decl2 <= 90 &&
-			math.Abs(decl1-decl2) > far && math.Abs(a[0]-a[2]) <= math.MaxFloat64 {
+		if b.inDomain(a[1]) && b.inDomain(a[3]) && b.apart(a[1], a[3]) && math.Abs(a[0]-a[2]) <= math.MaxFloat64 {
 			return above
 		}
 		return undecided
 	}
 }
+
+// declBand is angSepGuard's above verdict, taken apart so that a join can
+// apply it to whole runs of rows: for a call f(ra1, decl1, ra2, decl2) the
+// guard answers above exactly when both declinations are inDomain, they are
+// apart, and ra1 - ra2 is finite. The guard is written in these same
+// methods, so a row a band join skips by them is a row the guard answers
+// above for.
+type declBand struct{ far float64 }
+
+func angSepBand(r float64) (declBand, bool) {
+	return declBand{far: r*(1+guardShell) + guardShell}, r <= 179
+}
+
+// The declinations the guard decides for.
+const declMin, declMax = -90, 90
+
+func (b declBand) inDomain(decl float64) bool { return decl >= declMin && decl <= declMax }
+
+func (b declBand) apart(decl1, decl2 float64) bool { return math.Abs(decl1-decl2) > b.far }
+
+// raSafe reports whether an RA is small enough that its difference with
+// any other safe one is finite, which is all the guard asks of the RAs.
+func raSafe(ra float64) bool { return math.Abs(ra) <= math.MaxFloat64/2 }
 
 // SlowIdentity returns a UDF that hands its one argument back and makes
 // its callers pay d per call: tests and benches that must catch a scan

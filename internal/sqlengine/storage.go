@@ -205,32 +205,45 @@ func (c *column) appendValue(v Value) error {
 	return nil
 }
 
-// appendFrom appends the cells of src (a column of the same type) at the
-// given positions.
-func (c *column) appendFrom(src *column, positions []int) {
+// appendFrom appends the cells at the given positions of src, a column of
+// the same type, followed (positions from split on, less split) by those of
+// more.
+func (c *column) appendFrom(src, more *column, split int, positions []int) {
 	base := c.len()
 	switch c.typ {
 	case sqlparse.TypeInt:
 		c.ints = slices.Grow(c.ints, len(positions))
 		for _, p := range positions {
-			c.ints = append(c.ints, src.ints[p])
+			if p < split {
+				c.ints = append(c.ints, src.ints[p])
+			} else {
+				c.ints = append(c.ints, more.ints[p-split])
+			}
 		}
 	case sqlparse.TypeFloat:
 		c.floats = slices.Grow(c.floats, len(positions))
 		for _, p := range positions {
-			c.floats = append(c.floats, src.floats[p])
+			if p < split {
+				c.floats = append(c.floats, src.floats[p])
+			} else {
+				c.floats = append(c.floats, more.floats[p-split])
+			}
 		}
 	default:
 		c.strs = slices.Grow(c.strs, len(positions))
 		for _, p := range positions {
-			c.appendStr(src.strs[p])
+			if p < split {
+				c.appendStr(src.strs[p])
+			} else {
+				c.appendStr(more.strs[p-split])
+			}
 		}
 	}
-	if src.nulls == nil {
+	if src.nulls == nil && more.nulls == nil {
 		return
 	}
 	for i, p := range positions {
-		if src.null(p) {
+		if (p < split && src.null(p)) || (p >= split && more.null(p-split)) {
 			c.setNull(base + i)
 		}
 	}
@@ -260,6 +273,49 @@ type tableData struct {
 	cols    []column
 	n       int
 	indexes []hashIndex
+	// sorted, when set, is the order the table declared (MarkSorted) and
+	// every append since has kept.
+	sorted *sortedRun
+}
+
+// sortedRun says that from row from on, the cells of the DOUBLE column col
+// are not NULL, lie in [lo, hi] and never decrease. The rows before from are
+// in no order.
+type sortedRun struct {
+	col, from int
+	lo, hi    float64
+}
+
+// follows reports whether row i can be the run's next: its cell in range
+// and not below that of the row before it (row from has none to follow).
+func (r *sortedRun) follows(c *column, i int) bool {
+	v := c.floats[i]
+	return !c.null(i) && v >= r.lo && v <= r.hi && (i == r.from || v >= c.floats[i-1])
+}
+
+// MarkSorted declares the table sorted on a DOUBLE column for the benefit
+// of joins that can skip rows by it: rows whose cell is NULL or outside
+// [lo, hi] first, in any order, then the others by ascending cell. The
+// declaration is checked, not trusted — the mark covers the longest run at
+// the end of the table that is in that order, which for a table in no order
+// is its last row — and an append that does not continue the run drops it.
+func (t *Table) MarkSorted(col string, lo, hi float64) error {
+	ci := t.Schema.ColIndex(col)
+	if ci < 0 || t.Schema[ci].Type != sqlparse.TypeFloat {
+		return fmt.Errorf("sqlengine: table %s has no DOUBLE column %q to be sorted on", t.Name, col)
+	}
+	d := *t.data.Load()
+	run, c := &sortedRun{col: ci, from: d.n, lo: lo, hi: hi}, &d.cols[ci]
+	for i := d.n - 1; i >= 0; i-- {
+		v := c.floats[i]
+		if c.null(i) || !(v >= lo && v <= hi) || (i+1 < d.n && v > c.floats[i+1]) {
+			break
+		}
+		run.from = i
+	}
+	d.sorted = run
+	t.data.Store(&d)
+	return nil
 }
 
 // Table is a set of typed columns with optional hash indexes, the
@@ -267,8 +323,8 @@ type tableData struct {
 // []float64 and []string from the segment decoder to the predicate — and
 // append-only. Any number of goroutines may read while one appends: a
 // reader works on the state it loaded, an append publishes a new one when
-// it commits. Appends (Insert, an Appender, AppendFrom, CreateIndex) are
-// the caller's to serialize.
+// it commits. Appends (Insert, an Appender, AppendFrom, CreateIndex,
+// MarkSorted) are the caller's to serialize.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -312,6 +368,9 @@ func (t *Table) Float(i, ci int) float64 {
 	}
 	return 0
 }
+
+// IsNull reports whether column ci of row i is NULL.
+func (t *Table) IsNull(i, ci int) bool { return t.data.Load().cols[ci].null(i) }
 
 // Int reads column ci of row i as an int64: a DOUBLE cell truncated, a
 // NULL or VARCHAR cell as 0.
@@ -391,11 +450,17 @@ func (a *Appender) cellError(col int, err error) error {
 		a.t.Name, a.t.Schema[col].Name, a.base.n+a.rows-1, err)
 }
 
-// Commit publishes the appended rows and posts them to the indexes.
+// Commit publishes the appended rows and posts them to the indexes. A
+// declared order (MarkSorted) stays declared only if the new rows keep it.
 func (a *Appender) Commit() {
-	d := &tableData{cols: a.cols, n: a.base.n + a.rows, indexes: slices.Clone(a.base.indexes)}
+	d := &tableData{cols: a.cols, n: a.base.n + a.rows, indexes: slices.Clone(a.base.indexes), sorted: a.base.sorted}
 	for i := range d.indexes {
 		d.indexes[i].extend(d, a.base.n)
+	}
+	for i := a.base.n; d.sorted != nil && i < d.n; i++ {
+		if !d.sorted.follows(&d.cols[d.sorted.col], i) {
+			d.sorted = nil
+		}
 	}
 	a.t.data.Store(d)
 }
@@ -421,12 +486,13 @@ func (t *Table) Insert(rows ...Row) error {
 	return nil
 }
 
-// AppendFrom appends the rows of src at the given positions, column by
-// column. src must have this table's schema.
-func (t *Table) AppendFrom(src *Table, positions []int) {
-	a, from := t.Appender(), src.data.Load()
+// AppendFrom appends the rows at the given positions of src followed by
+// more — position src.Len() is more's first row — column by column. Both
+// must have this table's schema.
+func (t *Table) AppendFrom(src, more *Table, positions []int) {
+	a, from, tail := t.Appender(), src.data.Load(), more.data.Load()
 	for ci := range a.cols {
-		a.cols[ci].appendFrom(&from.cols[ci], positions)
+		a.cols[ci].appendFrom(&from.cols[ci], &tail.cols[ci], from.n, positions)
 	}
 	a.rows = len(positions)
 	a.Commit()
@@ -586,7 +652,7 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("sqlengine: table %s has no column %q", t.Name, col)
 	}
 	old := t.data.Load()
-	d := &tableData{cols: old.cols, n: old.n}
+	d := &tableData{cols: old.cols, n: old.n, sorted: old.sorted}
 	for _, ix := range old.indexes {
 		if ix.col != ci {
 			d.indexes = append(d.indexes, ix)
@@ -721,8 +787,10 @@ type ExecStats struct {
 	// ResultBytes estimates the size of the result (what must be shipped
 	// back through the fabric via the mysqldump path).
 	ResultBytes int64
-	// PairsConsidered counts join pair evaluations, the quantity the
-	// paper's O(n^2)-vs-O(kn) argument is about (section 4.4).
+	// PairsConsidered counts the pairs joins visited — every inner row per
+	// outer row for a nested loop, a probe's matches for a hash join, the
+	// rows of the window (and the few visited always) for a band join — the
+	// quantity the paper's O(n^2)-vs-O(kn) argument is about (section 4.4).
 	PairsConsidered int64
 }
 

@@ -298,6 +298,11 @@ type TableRef struct {
 	DB    string // optional database qualifier (LSST.Object_1234)
 	Table string
 	Alias string
+	// Pos and End are the extent of the table-name token (backquotes
+	// included) in the text the reference was parsed from, for a caller that
+	// keeps that text as a template (the worker's statement reuse). End is 0
+	// on a reference that was built, not parsed.
+	Pos, End int
 }
 
 // SQL renders the reference.

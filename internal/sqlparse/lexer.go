@@ -33,6 +33,7 @@ type Token struct {
 	Kind TokenKind
 	Text string // keywords are uppercased; idents keep original case
 	Pos  int    // byte offset in the input
+	End  int    // byte offset just past the token, quotes included
 }
 
 func (t Token) String() string {
@@ -66,6 +67,12 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token, or an error for unlexable input.
 func (l *Lexer) Next() (Token, error) {
+	t, err := l.lex()
+	t.End = l.pos
+	return t, err
+}
+
+func (l *Lexer) lex() (Token, error) {
 	l.skipSpaceAndComments()
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: l.pos}, nil

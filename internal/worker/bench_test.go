@@ -1,13 +1,20 @@
 package worker
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/ingest"
 	"repro/internal/meta"
 	"repro/internal/partition"
+	"repro/internal/sphgeom"
 	"repro/internal/sqlengine"
+	"repro/internal/sqlparse"
+	"repro/internal/telemetry"
+	"repro/internal/xrd"
 )
 
 // materializeRows is the product's default /load batch size
@@ -87,4 +94,85 @@ func TestMaterializeAllocBudget(t *testing.T) {
 		t.Errorf("applying a %d-row batch: %.0f allocations (budget %.0f for %d columns)",
 			materializeRows, allocs, budget, len(info.Schema))
 	}
+}
+
+// nearNeighbourFixture is one SHV1 chunk job at the repository benchmark's
+// geometry (bench/catalog.go: 12 stripes of 12 sub-stripes, half a degree of
+// overlap, about 4,700 Object rows a chunk): a worker holding one chunk of
+// the stripe above the equator and its overlap rows, and the payload the
+// czar sends it for a 10 x 10 degree box centred on the chunk's RA edge with
+// a radius of 0.02 degrees — the half of bench/'s SHV1 statement that lands
+// on one chunk.
+func nearNeighbourFixture(tb testing.TB, cfg Config) (*Worker, partition.ChunkID, []byte) {
+	return nearNeighbourFixtureOf(tb, cfg, 4700, 0.02)
+}
+
+// nearNeighbourFixtureOf is nearNeighbourFixture with rows in the chunk and
+// a join radius of the caller's choosing.
+func nearNeighbourFixtureOf(tb testing.TB, cfg Config, inChunk int, radius float64) (*Worker, partition.ChunkID, []byte) {
+	tb.Helper()
+	ch, err := partition.NewChunker(partition.Config{NumStripes: 12, NumSubStripesPerStripe: 12, Overlap: 0.5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg := datagen.LSSTRegistry(ch)
+	w := mustNew(tb, cfg, reg)
+	tb.Cleanup(w.Close)
+	chunk, _ := ch.Locate(sphgeom.NewPoint(100, 7.5))
+	bounds, err := ch.ChunkBounds(chunk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Uniform positions over the chunk and its margin, at the density that
+	// puts inChunk inside the chunk.
+	dil := bounds.Dilated(0.5)
+	n := int(float64(inChunk) * dil.RAExtent() * (dil.DeclMax - dil.DeclMin) / (bounds.RAExtent() * (bounds.DeclMax - bounds.DeclMin)))
+	r := rand.New(rand.NewSource(7))
+	var rows, overlap []sqlengine.Row
+	for i := 0; i < n; i++ {
+		p := sphgeom.NewPoint(dil.RAMin+r.Float64()*dil.RAExtent(), dil.DeclMin+r.Float64()*(dil.DeclMax-dil.DeclMin))
+		c, s := ch.Locate(p)
+		row := sqlengine.Row{int64(i), p.RA, p.Decl, 1e-28, 1e-28, 1e-28, 1e-28, 1e-28, 1e-28, 2e-28, 0.05, int64(c), int64(s)}
+		if c == chunk {
+			rows = append(rows, row)
+		} else {
+			overlap = append(overlap, row)
+		}
+	}
+	load(tb, w, xrd.LoadPath("Object", int(chunk)), rows, overlap)
+
+	sel, err := sqlparse.ParseSelect(fmt.Sprintf(`SELECT count(*) FROM Object o1, Object o2
+		WHERE qserv_areaspec_box(%v, 2.5, %v, 12.5)
+		AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < %v`, bounds.RAMin-5, bounds.RAMin+5, radius))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := core.NewPlanner(reg, nil).Plan(sel, []partition.ChunkID{chunk})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, chunk, plan.QueryFor(chunk).Payload()
+}
+
+// BenchmarkNearNeighbourJob prices one SHV1 chunk job from its payload to
+// its result bytes: subchunk build, every statement, the result stream.
+// Besides ns and allocations per job it reports how many statements a job
+// parsed (the others ran through an already compiled pair) and how many
+// pairs its joins visited. `make bench-layers` runs it.
+func BenchmarkNearNeighbourJob(b *testing.B) {
+	cfg := DefaultConfig("w-nn")
+	cfg.Metrics = telemetry.NewRegistry()
+	w, chunk, payload := nearNeighbourFixture(b, cfg)
+	submit(b, w, chunk, string(payload))
+	parsed0, _ := cfg.Metrics.Value("qserv_worker_statements_parsed_total", "worker", "w-nn")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(b, w, chunk, string(payload))
+	}
+	b.StopTimer()
+	parsed, _ := cfg.Metrics.Value("qserv_worker_statements_parsed_total", "worker", "w-nn")
+	reps := w.Reports()
+	b.ReportMetric(float64(parsed-parsed0)/float64(b.N), "parsed/job")
+	b.ReportMetric(float64(reps[len(reps)-1].Stats.PairsConsidered), "pairs/job")
 }

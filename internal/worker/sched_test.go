@@ -272,11 +272,14 @@ func resolveOne(t *testing.T, w *Worker, table string) *tableUse {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uses := w.resolveTables(stmts)
-	if len(uses) == 0 {
+	run := &jobRun{w: w, j: &job{}}
+	if err := run.useTables(stmts[0].(*sqlparse.Select).From, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(run.j.tables) == 0 {
 		return nil
 	}
-	return &uses[0]
+	return &run.j.tables[0]
 }
 
 // digitSuffixWorker is an empty worker over the LSST catalog plus three

@@ -19,6 +19,10 @@ type workerMetrics struct {
 	jobErrs *telemetry.Counter
 	queueNS *telemetry.Histogram
 	execNS  *telemetry.Histogram
+	// stmtsParsed and stmtsReused split the statements jobs executed by
+	// how each came to be compiled (see stmtTemplate).
+	stmtsParsed *telemetry.Counter
+	stmtsReused *telemetry.Counter
 }
 
 // registerMetrics exports this worker into the registry, every series
@@ -30,10 +34,12 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 	}
 	name := w.cfg.Name
 	w.metrics = workerMetrics{
-		jobs:    reg.Counter("qserv_worker_jobs_total", "chunk queries executed", "worker", name),
-		jobErrs: reg.Counter("qserv_worker_job_errors_total", "chunk queries that failed or were canceled", "worker", name),
-		queueNS: reg.Histogram("qserv_worker_queue_wait_ns", "chunk-query queue wait", "worker", name),
-		execNS:  reg.Histogram("qserv_worker_exec_ns", "chunk-query execution time", "worker", name),
+		jobs:        reg.Counter("qserv_worker_jobs_total", "chunk queries executed", "worker", name),
+		jobErrs:     reg.Counter("qserv_worker_job_errors_total", "chunk queries that failed or were canceled", "worker", name),
+		queueNS:     reg.Histogram("qserv_worker_queue_wait_ns", "chunk-query queue wait", "worker", name),
+		execNS:      reg.Histogram("qserv_worker_exec_ns", "chunk-query execution time", "worker", name),
+		stmtsParsed: reg.Counter("qserv_worker_statements_parsed_total", "chunk-query statements parsed and compiled", "worker", name),
+		stmtsReused: reg.Counter("qserv_worker_statements_reused_total", "chunk-query statements run through an already compiled statement of the same text", "worker", name),
 	}
 	reg.GaugeFunc("qserv_worker_queue_depth", "queued chunk queries by lane",
 		func() int64 { i, _ := w.QueueLens(); return int64(i) }, "worker", name, "lane", "interactive")

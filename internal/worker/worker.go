@@ -185,6 +185,10 @@ type Worker struct {
 	// unit's residency, its convoy scanners and its subchunk tables.
 	units *unitTable
 
+	// templates holds the parsed and compiled statements of recent
+	// full-scan jobs (see stmtTemplate).
+	templates templateCache
+
 	// rowBufs recycles the buffers jobs encode their result rows into (a
 	// *[]byte each): a job frames its stream into a slice of its own, so
 	// what the next job finds is a buffer already grown to a result's size.
@@ -234,9 +238,9 @@ type job struct {
 	cancel     chan struct{}
 	cancelOnce sync.Once
 
-	// tables are the storage units the statements read, resolved and
-	// pinned once per execution (resolveTables); written and read by the
-	// goroutine executing the job.
+	// tables are the storage units the statements read, each resolved and
+	// pinned when a statement first names it (useTables); written and read
+	// by the goroutine executing the job.
 	tables []tableUse
 
 	// srcMu guards sources, the job's live convoy memberships.
@@ -762,52 +766,27 @@ func (w *Worker) execute(j *job, started time.Time) {
 
 // runChunkQuery executes the statements of one chunk query, generating
 // any subchunk tables its SUBCHUNKS header demands, and returns the
-// result serialized as a dump stream.
+// result serialized as a dump stream. The statements are read off the
+// payload one at a time: a full-scan job parses and compiles its first
+// statement — its first two under a SUBCHUNKS header, one subchunk's pair —
+// or finds them compiled in the worker's cache, and runs every stretch of
+// text ahead that is the same statements over another subchunk's tables
+// through that one plan (see stmtTemplate); whatever else it meets it parses
+// and runs on its own.
 func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
-	var agg sqlengine.ExecStats
-
-	subIDs, hasSubs := core.ParseSubChunksHeader(j.payload)
-	stmts, err := sqlparse.ParseScript(string(j.payload))
-	if err != nil {
-		return nil, agg, fmt.Errorf("worker %s: parse chunk query: %w", w.cfg.Name, err)
-	}
-	if len(stmts) == 0 {
-		return nil, agg, fmt.Errorf("worker %s: empty chunk query", w.cfg.Name)
-	}
-
-	// Resolve the statements' tables once, and pin the storage units behind
-	// them before any engine access: a unit evicted to disk is
-	// re-materialized here (the job blocks instead of erroring), and a
-	// pinned unit cannot be detached under the convoys or subchunk scans
-	// that follow.
-	j.tables = w.resolveTables(stmts)
-	defer w.releaseTables(j.tables)
-	for i := range j.tables {
-		use := &j.tables[i]
-		if use.unit, err = w.units.pin(use.id, false); err != nil {
-			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, err)
-		}
-		// Materialize the listed subchunks of every unit the statements
-		// read subchunk tables of. A unit not stored here has none: the
-		// engine reports the missing table.
-		if hasSubs && use.subchunks && use.unit != nil {
-			var genStats sqlengine.ExecStats
-			use.releaseSubchunks, genStats, err = w.acquireSubchunks(use.unit, subIDs)
-			agg.Add(genStats)
-			if err != nil {
-				return nil, agg, err
-			}
-		}
-	}
+	run := &jobRun{w: w, j: j}
+	run.subIDs, run.hasSubs = core.ParseSubChunksHeader(j.payload)
+	// Tables are pinned, and subchunk tables made, as statements name them;
+	// all of it is given back when the job ends.
+	defer func() { w.releaseTables(j.tables) }()
 
 	// Scan-class jobs route full table scans of stored chunk tables
 	// through shared-scan convoys; concurrent gang members then ride
 	// one sequential read (paper section 4.3). Each membership is
 	// registered on the job so a kill detaches it at the next piece
 	// boundary.
-	var prov sqlengine.ScanProvider
 	if w.cfg.SharedScans && j.class == core.FullScan {
-		prov = func(t *sqlengine.Table) sqlengine.ScanSource {
+		run.opts.Scan = func(t *sqlengine.Table) sqlengine.ScanSource {
 			sc := w.scannerFor(j, t)
 			if sc == nil {
 				return nil
@@ -822,43 +801,231 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		}
 	}
 
-	// Execute each statement. Every SELECT writes its result rows, cell by
-	// cell from the column slices, into the one result stream (section 5.4)
-	// the job ships. The job's kill signal interrupts execution between
-	// rows.
-	var (
-		out    dump.Writer
-		schema sqlengine.Schema // of the first SELECT's result
-	)
+	// Every SELECT writes its result rows, cell by cell from the column
+	// slices, into the one result stream (section 5.4) the job ships. The
+	// job's kill signal interrupts execution between rows.
 	if buf, ok := w.rowBufs.Get().(*[]byte); ok {
-		out.Buf = (*buf)[:0]
+		run.out.Buf = (*buf)[:0]
 	}
-	defer func() { w.rowBufs.Put(&out.Buf) }()
-	for _, st := range stmts {
-		if j.canceled() {
-			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, sqlengine.ErrInterrupted)
-		}
-		res, err := w.engine.ExecuteStmtOpts(st, sqlengine.ExecOptions{Scan: prov, Interrupt: j.cancel, Sink: &out})
-		if err != nil {
-			return nil, agg, fmt.Errorf("worker %s chunk %d: %w", w.cfg.Name, j.chunk, err)
-		}
-		agg.Add(res.Stats)
-		if _, isSel := st.(*sqlparse.Select); !isSel {
-			continue
-		}
-		if schema == nil {
-			schema = res.Schema()
-		} else if len(res.Cols) != len(schema) {
-			return nil, agg, fmt.Errorf("worker %s: statement results have mismatched arity", w.cfg.Name)
-		}
-	}
-	if schema == nil {
-		return nil, agg, fmt.Errorf("worker %s: chunk query produced no result", w.cfg.Name)
-	}
+	defer func() { w.rowBufs.Put(&run.out.Buf) }()
+	run.opts.Interrupt, run.opts.Sink = j.cancel, &run.out
 
+	err := run.script()
+	w.metrics.stmtsParsed.Add(run.parsed)
+	w.metrics.stmtsReused.Add(run.reused)
+	switch {
+	case err != nil:
+		return nil, run.stats, err
+	case run.parsed+run.reused == 0:
+		return nil, run.stats, fmt.Errorf("worker %s: empty chunk query", w.cfg.Name)
+	case run.schema == nil:
+		return nil, run.stats, fmt.Errorf("worker %s: chunk query produced no result", w.cfg.Name)
+	}
 	// The table name encodes the hash, so streams from many chunks stay
 	// tellable apart.
-	return out.Frame("r_"+j.hash[:16], schema), agg, nil
+	return run.out.Frame("r_"+j.hash[:16], run.schema), run.stats, nil
+}
+
+// jobRun is one execution of a chunk query's statements.
+type jobRun struct {
+	w       *Worker
+	j       *job
+	subIDs  []partition.SubChunkID
+	hasSubs bool
+	opts    sqlengine.ExecOptions
+	out     dump.Writer
+	schema  sqlengine.Schema // of the first SELECT's result
+	stats   sqlengine.ExecStats
+	// parsed and reused count the statements that were parsed and the ones
+	// that ran through a template's plan without being.
+	parsed, reused int64
+	// readied says the units the template's statements read are pinned and
+	// their subchunk tables made.
+	readied bool
+}
+
+// script runs the payload's statements in order.
+func (r *jobRun) script() error {
+	w, j := r.w, r.j
+	src := string(j.payload)
+	script := sqlparse.NewScript(src)
+	var tmpl *stmtTemplate
+	if j.class == core.FullScan {
+		rest, err := script.Rest()
+		if err != nil {
+			return r.parseError(err)
+		}
+		if tmpl = w.templates.take(templateKey(rest, j.chunk)); tmpl != nil {
+			if _, _, ok := tmpl.match(rest, j.chunk); !ok {
+				w.templates.put(tmpl) // another statement's, filed under the same key
+				tmpl = nil
+			}
+		}
+		if tmpl == nil {
+			if tmpl, err = r.firstUnit(script, src); err != nil {
+				return err
+			}
+			r.readied = tmpl != nil
+		}
+		if tmpl != nil {
+			defer w.templates.put(tmpl)
+		}
+	}
+	for {
+		rest, err := script.Rest()
+		if err != nil {
+			return r.parseError(err)
+		}
+		if rest == "" {
+			return nil
+		}
+		if tmpl != nil {
+			if n, sub, ok := tmpl.match(rest, j.chunk); ok {
+				script.Skip(n)
+				r.reused += int64(len(tmpl.stmts))
+				if err := r.runTemplate(tmpl, sub); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		st, _, _, err := script.Next()
+		if err != nil {
+			return r.parseError(err)
+		}
+		r.parsed++
+		if err := r.runStatement(st); err != nil {
+			return err
+		}
+	}
+}
+
+// firstUnit parses, prepares and runs the statements a template is made of —
+// the job's first, or first two under a SUBCHUNKS header — and returns the
+// template; nil when they make none, and the job goes on statement by
+// statement.
+func (r *jobRun) firstUnit(script *sqlparse.Script, src string) (*stmtTemplate, error) {
+	unit := 1
+	if r.hasSubs {
+		unit = 2
+	}
+	var (
+		sels       []*sqlparse.Select
+		preps      []*sqlengine.Prepared
+		start, end int
+	)
+	for len(sels) < unit {
+		st, from, to, err := script.Next()
+		if err != nil {
+			return nil, r.parseError(err)
+		}
+		if st == nil {
+			break
+		}
+		r.parsed++
+		if len(sels) == 0 {
+			start = from
+		}
+		end = to
+		sel, isSel := st.(*sqlparse.Select)
+		if !isSel {
+			return nil, r.runStatement(st)
+		}
+		prep, err := r.prepare(sel)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.runPrepared(prep, nil); err != nil {
+			return nil, err
+		}
+		sels, preps = append(sels, sel), append(preps, prep)
+	}
+	if len(sels) < unit {
+		return nil, nil
+	}
+	return newTemplate(r.w.registry, r.j.chunk, src, start, end, sels, preps), nil
+}
+
+func (r *jobRun) parseError(err error) error {
+	return fmt.Errorf("worker %s: parse chunk query: %w", r.w.cfg.Name, err)
+}
+
+func (r *jobRun) execError(err error) error {
+	return fmt.Errorf("worker %s chunk %d: %w", r.w.cfg.Name, r.j.chunk, err)
+}
+
+// prepare readies sel's tables and compiles it.
+func (r *jobRun) prepare(sel *sqlparse.Select) (*sqlengine.Prepared, error) {
+	if err := r.useTables(sel.From, nil); err != nil {
+		return nil, err
+	}
+	prep, err := r.w.engine.Prepare(sel)
+	if err != nil {
+		return nil, r.execError(err)
+	}
+	return prep, nil
+}
+
+// runStatement runs one parsed statement as the engine runs any statement.
+func (r *jobRun) runStatement(st sqlparse.Statement) error {
+	if r.j.canceled() {
+		return r.execError(sqlengine.ErrInterrupted)
+	}
+	sel, isSel := st.(*sqlparse.Select)
+	if isSel {
+		if err := r.useTables(sel.From, nil); err != nil {
+			return err
+		}
+	}
+	res, err := r.w.engine.ExecuteStmtOpts(st, r.opts)
+	return r.took(res, err, isSel)
+}
+
+// runPrepared runs a prepared SELECT whose tables are readied: over the
+// tables it names, or over names.
+func (r *jobRun) runPrepared(prep *sqlengine.Prepared, names []string) error {
+	if r.j.canceled() {
+		return r.execError(sqlengine.ErrInterrupted)
+	}
+	res, err := prep.Run(names, r.opts)
+	return r.took(res, err, true)
+}
+
+// runTemplate runs a template's statements over the tables of one subchunk.
+// Whichever subchunk, the units behind them are the same, so they are
+// readied once: when the job parsed the template's statements itself, or
+// else (the template came from the cache) on its first run here.
+func (r *jobRun) runTemplate(t *stmtTemplate, sub partition.SubChunkID) error {
+	t.tables(r.j.chunk, sub)
+	for i := range t.stmts {
+		st := &t.stmts[i]
+		if !r.readied {
+			if err := r.useTables(st.sel.From, st.names); err != nil {
+				return err
+			}
+		}
+		if err := r.runPrepared(st.prep, st.names); err != nil {
+			return err
+		}
+	}
+	r.readied = true
+	return nil
+}
+
+// took accounts one executed statement.
+func (r *jobRun) took(res *sqlengine.Result, err error, isSel bool) error {
+	if err != nil {
+		return r.execError(err)
+	}
+	r.stats.Add(res.Stats)
+	switch {
+	case !isSel:
+	case r.schema == nil:
+		r.schema = res.Schema()
+	case len(res.Cols) != len(r.schema):
+		return fmt.Errorf("worker %s: statement results have mismatched arity", r.w.cfg.Name)
+	}
+	return nil
 }
 
 // tableUse is one storage unit a chunk query's statements read, and how.
@@ -870,8 +1037,8 @@ type tableUse struct {
 	// table, the overlap companion: the tables that may convoy.
 	scan [2]bool
 	// subchunks says the statements read subchunk tables derived from the
-	// unit, which the job materializes first and gives back through
-	// releaseSubchunks.
+	// unit, which the job materialized when the first of them did and gives
+	// back through releaseSubchunks.
 	subchunks        bool
 	releaseSubchunks func()
 }
@@ -889,46 +1056,61 @@ func (w *Worker) releaseTables(uses []tableUse) {
 	}
 }
 
-// resolveTables is a chunk query's one pass over its table names: every
-// FROM reference goes through the naming codec (meta.ResolveTable) once
-// and is filed under the storage unit behind it. Names that are no piece
-// of a catalog table (a typo, a table put into the engine directly) are
-// not units; the engine reports or finds those on its own.
-func (w *Worker) resolveTables(stmts []sqlparse.Statement) []tableUse {
-	var uses []tableUse
-	last := "" // a subchunk job names each table several times running
-	for _, st := range stmts {
-		sel, ok := st.(*sqlparse.Select)
+// useTables readies the tables a statement's FROM clause names — names[i]
+// in place of from[i]'s own where names is given — before the engine touches
+// them: each name goes through the naming codec (meta.ResolveTable) once
+// and is filed under the storage unit behind it, which is pinned the first
+// time a statement of the job reads it — a unit evicted to disk is
+// re-materialized here (the job blocks instead of erroring), and a pinned
+// unit cannot be detached under the convoys or subchunk scans that follow —
+// and whose listed subchunks are materialized the first time a statement
+// reads a subchunk table of it (a unit not stored here has none: the engine
+// reports the missing table). Names that are no piece of a catalog table (a
+// typo, a table put into the engine directly) are not units; the engine
+// reports or finds those on its own.
+func (r *jobRun) useTables(from []sqlparse.TableRef, names []string) error {
+	w, j := r.w, r.j
+	for i := range from {
+		name := from[i].Table
+		if names != nil {
+			name = names[i]
+		}
+		if i > 0 && names == nil && name == from[i-1].Table {
+			continue // a subchunk's self-join names its table twice running
+		}
+		ref, ok := w.registry.ResolveTable(name)
 		if !ok {
 			continue
 		}
-		for _, from := range sel.From {
-			if from.Table == last {
-				continue
+		id := unitOfRef(ref)
+		var use *tableUse
+		for i := range j.tables {
+			if j.tables[i].id == id {
+				use = &j.tables[i]
 			}
-			last = from.Table
-			ref, ok := w.registry.ResolveTable(from.Table)
-			if !ok {
-				continue
+		}
+		if use == nil {
+			u, err := w.units.pin(id, false)
+			if err != nil {
+				return r.execError(err)
 			}
-			id := unitOfRef(ref)
-			var use *tableUse
-			for i := range uses {
-				if uses[i].id == id {
-					use = &uses[i]
-				}
+			j.tables = append(j.tables, tableUse{id: id, unit: u})
+			use = &j.tables[len(j.tables)-1]
+		}
+		if slot := scanSlot(ref.Kind); slot >= 0 {
+			use.scan[slot] = true
+		}
+		use.subchunks = use.subchunks || ref.Kind == meta.SubChunkTable || ref.Kind == meta.SubChunkOverlapTable
+		if use.subchunks && r.hasSubs && use.unit != nil && use.releaseSubchunks == nil {
+			release, genStats, err := w.acquireSubchunks(use.unit, r.subIDs)
+			r.stats.Add(genStats)
+			if err != nil {
+				return err
 			}
-			if use == nil {
-				uses = append(uses, tableUse{id: id})
-				use = &uses[len(uses)-1]
-			}
-			if slot := scanSlot(ref.Kind); slot >= 0 {
-				use.scan[slot] = true
-			}
-			use.subchunks = use.subchunks || ref.Kind == meta.SubChunkTable || ref.Kind == meta.SubChunkOverlapTable
+			use.releaseSubchunks = release
 		}
 	}
-	return uses
+	return nil
 }
 
 // scannerFor returns the convoy scanner over a table a job's statement

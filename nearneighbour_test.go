@@ -3,86 +3,94 @@ package qserv
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/partition"
 )
 
-// TestNearNeighbourMatchesGridCount checks the near-neighbour self-join
-// (Super High Volume 1) against a count that shares nothing with the
-// system: a plain grid over the generated catalog's positions, with its own
-// separation (the angle between unit vectors, not the haversine formula the
-// qserv_angSep UDF uses) and its own box test — no qserv.Oracle, no
-// sqlengine, no sphgeom. The oracle runs the same engine and the same UDF
-// as the workers, so a pair the engine drops everywhere (a guard deciding
-// a comparison it should not, a subchunk statement missing an overlap row)
-// is invisible to it; it is not to this.
-//
-// The catalog is one declination band copied right around the sky, so there
-// are objects on both sides of RA 0/360; the boxes sit inside a chunk,
-// across the stripe boundary at declination 0 (and several chunk boundaries
-// in RA), and across the RA wrap; the radii go from far below the object
-// spacing up to the partition overlap, the largest a subchunk join answers.
-func TestNearNeighbourMatchesGridCount(t *testing.T) {
-	cat, err := datagen.Generate(
-		datagen.Config{Seed: 16, ObjectsPerPatch: 500},
-		datagen.DuplicateConfig{DeclBands: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
+// nnCatalog is the near-neighbour battery's sky: three patches of uniformly
+// scattered objects, about twenty to the square degree — a band astride the
+// equator and RA 0/360, and both polar caps, where a degree of RA is next to
+// nothing and a chunk's overlap goes right round.
+func nnCatalog() *datagen.Catalog {
+	r := rand.New(rand.NewSource(16))
+	cat := &datagen.Catalog{}
+	add := func(ra, decl float64) {
+		cat.Objects = append(cat.Objects, datagen.Object{
+			ObjectID: int64(len(cat.Objects) + 1), RA: math.Mod(ra+360, 360), Decl: decl,
+			UFlux: 1e-28, GFlux: 1e-28, RFlux: 1e-28, IFlux: 1e-28, ZFlux: 1e-28, YFlux: 1e-28, UFluxSG: 2e-28, URadiusPS: 0.05,
+		})
 	}
-	cfg := DefaultClusterConfig(4)
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 4800; i++ {
+		add(350+20*r.Float64(), -6+12*r.Float64())
 	}
-	t.Cleanup(cl.Close)
-	if err := cl.CreateTables(LSSTSpec()); err != nil {
-		t.Fatal(err)
+	cap := func(n int, declFrom float64, sign float64) {
+		zMin := math.Sin(declFrom * math.Pi / 180)
+		for i := 0; i < n; i++ {
+			z := zMin + (1-zMin)*r.Float64()
+			add(360*r.Float64(), sign*math.Asin(z)*180/math.Pi)
+		}
 	}
-	if _, err := cl.Ingest("Object", objectSource(cat)); err != nil {
-		t.Fatal(err)
-	}
+	cap(6300, 80, 1)
+	cap(2200, 84, -1)
+	return cat
+}
 
-	// The grid: one-degree cells, so a radius of up to the overlap (0.5
-	// degrees, at most 0.51 degrees of RA at |decl| <= 8) never reaches
-	// past a neighbouring cell.
-	type cell struct{ x, y int }
-	cellOf := func(ra, decl float64) cell { return cell{int(math.Floor(ra)) % 360, int(math.Floor(decl + 90))} }
-	unit := func(ra, decl float64) [3]float64 {
-		r, d := ra*math.Pi/180, decl*math.Pi/180
-		return [3]float64{math.Cos(d) * math.Cos(r), math.Cos(d) * math.Sin(r), math.Sin(d)}
+// pairGrid counts near-neighbour pairs with nothing of the system in it: the
+// objects as unit vectors in a cubic grid whose cells are as wide as the
+// largest radius's chord, the separation as the angle between two vectors
+// (not the haversine formula the qserv_angSep UDF uses), its own box test —
+// no qserv.Oracle, no sqlengine, no sphgeom, no partitioning.
+type pairGrid struct {
+	objects []datagen.Object
+	vecs    [][3]float64
+	cells   map[[3]int][]int
+}
+
+const pairGridCell = 0.0176 // just over the chord of one degree, the largest radius asked
+
+func newPairGrid(objects []datagen.Object) *pairGrid {
+	g := &pairGrid{objects: objects, vecs: make([][3]float64, len(objects)), cells: map[[3]int][]int{}}
+	for i, o := range objects {
+		r, d := o.RA*math.Pi/180, o.Decl*math.Pi/180
+		g.vecs[i] = [3]float64{math.Cos(d) * math.Cos(r), math.Cos(d) * math.Sin(r), math.Sin(d)}
+		g.cells[g.cellOf(g.vecs[i])] = append(g.cells[g.cellOf(g.vecs[i])], i)
 	}
-	grid := map[cell][]int{}
-	vecs := make([][3]float64, len(cat.Objects))
-	for i, o := range cat.Objects {
-		grid[cellOf(o.RA, o.Decl)] = append(grid[cellOf(o.RA, o.Decl)], i)
-		vecs[i] = unit(o.RA, o.Decl)
-	}
-	sepDeg := func(a, b [3]float64) float64 {
-		cross := [3]float64{a[1]*b[2] - a[2]*b[1], a[2]*b[0] - a[0]*b[2], a[0]*b[1] - a[1]*b[0]}
-		dot := a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
-		return math.Atan2(math.Sqrt(cross[0]*cross[0]+cross[1]*cross[1]+cross[2]*cross[2]), dot) * 180 / math.Pi
-	}
-	// gridCount counts the pairs (o1 in the box, o2 within radius of o1, o1
-	// itself included) twice: those surely inside the radius, and those
-	// inside or within rounding of it — the two formulas need not agree on
-	// a pair whose separation is the radius to nine digits.
-	gridCount := func(raMin, declMin, raMax, declMax, radius float64) (sure, maybe, inBox int64) {
-		for i, o := range cat.Objects {
-			inRA := o.RA >= raMin && o.RA <= raMax
-			if raMin > raMax { // the box wraps through RA 0
-				inRA = o.RA >= raMin || o.RA <= raMax
-			}
-			if !inRA || o.Decl < declMin || o.Decl > declMax {
-				continue
-			}
-			inBox++
-			c := cellOf(o.RA, o.Decl)
-			for dx := -1; dx <= 1; dx++ {
-				for dy := -1; dy <= 1; dy++ {
-					for _, j := range grid[cell{(c.x + dx + 360) % 360, c.y + dy}] {
-						switch sep := sepDeg(vecs[i], vecs[j]); {
+	return g
+}
+
+func (g *pairGrid) cellOf(v [3]float64) [3]int {
+	return [3]int{int(math.Floor(v[0] / pairGridCell)), int(math.Floor(v[1] / pairGridCell)), int(math.Floor(v[2] / pairGridCell))}
+}
+
+// count counts the pairs (o1 in the box, o2 within radius of o1, o1 itself
+// included) twice: those surely inside the radius, and those inside or
+// within rounding of it — two formulas need not agree on a pair whose
+// separation is the radius to nine digits.
+func (g *pairGrid) count(box [4]float64, radius float64) (sure, maybe, inBox int64) {
+	raMin, declMin, raMax, declMax := box[0], box[1], box[2], box[3]
+	for i, o := range g.objects {
+		inRA := o.RA >= raMin && o.RA <= raMax
+		if raMin > raMax { // the box wraps through RA 0
+			inRA = o.RA >= raMin || o.RA <= raMax
+		}
+		if !inRA || o.Decl < declMin || o.Decl > declMax {
+			continue
+		}
+		inBox++
+		a, c := g.vecs[i], g.cellOf(g.vecs[i])
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dz := -1; dz <= 1; dz++ {
+					for _, j := range g.cells[[3]int{c[0] + dx, c[1] + dy, c[2] + dz}] {
+						b := g.vecs[j]
+						cross := [3]float64{a[1]*b[2] - a[2]*b[1], a[2]*b[0] - a[0]*b[2], a[0]*b[1] - a[1]*b[0]}
+						dot := a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
+						sep := math.Atan2(math.Sqrt(cross[0]*cross[0]+cross[1]*cross[1]+cross[2]*cross[2]), dot) * 180 / math.Pi
+						switch {
 						case sep < radius*(1-1e-9):
 							sure++
 							maybe++
@@ -93,36 +101,160 @@ func TestNearNeighbourMatchesGridCount(t *testing.T) {
 				}
 			}
 		}
-		return sure, maybe, inBox
 	}
+	return sure, maybe, inBox
+}
 
-	if cfg.Partition.Overlap != 0.5 {
-		t.Fatalf("the partition overlap is %v: the largest radius below assumes 0.5", cfg.Partition.Overlap)
+// TestNearNeighbourMatchesGridCount checks the near-neighbour self-join
+// (Super High Volume 1) against a count that shares nothing with the
+// system (pairGrid). The oracle runs the same engine and the same UDF as
+// the workers, so a pair the engine drops everywhere — a guard deciding a
+// comparison it should not, a subchunk table missing an overlap row, a band
+// join's window one row short — is invisible to it; it is not to this.
+//
+// The battery runs over subchunk grids from coarse to finer than the overlap
+// (4, 6, 12 and 20 sub-stripes; 0.1, 0.5 and 1 degree of overlap), with
+// subchunk tables cached and not, on one worker and on four. The boxes sit
+// inside a chunk, across the stripe boundary at declination 0 and the chunk
+// boundary at RA 0/360, and beyond 80 degrees of declination up to the pole
+// itself; the radii go from zero through far below the object spacing to
+// just under and exactly the partition overlap, the largest a subchunk join
+// answers (just over it must be refused, not answered short). Beside the
+// grid it holds the answers to each other: a box's count is its halves'
+// counts added, a larger radius never finds fewer pairs, and every topology
+// of one geometry answers alike.
+func TestNearNeighbourMatchesGridCount(t *testing.T) {
+	cat := nnCatalog()
+	grid := newPairGrid(cat.Objects)
+	boxes := [][4]float64{
+		{352, -4.5, 358, -1.5}, // inside one stripe
+		{0.5, 1, 4, 4},         // beside the chunk boundary at RA 0
+		{355.5, -3, 4.5, 3},    // across RA 0/360 and the stripe boundary at declination 0
+		{100, 82, 140, 86},     // beyond 80 degrees: a degree of RA is a seventh of one
+		{0, 88.6, 360, 90},     // the polar cap itself
+		{200, -89.5, 290, -85}, // and the other pole's neighbourhood
+		{355.5, 82, 4.5, 87},   // polar and across RA 0/360
 	}
-	for _, box := range [][4]float64{
-		{21, 2, 24, 5},    // inside one stripe
-		{40, -2, 47, 2},   // across the stripe boundary at declination 0
-		{357, -3, 3, 3},   // across RA 0/360
-		{176, -7, 184, 7}, // the whole height of the band: its edges have no neighbours beyond
-	} {
-		for _, radius := range []float64{0.001, 0.03, 0.2, 0.5} {
-			sql := fmt.Sprintf(`SELECT count(*) FROM Object o1, Object o2
-				WHERE qserv_areaspec_box(%v, %v, %v, %v)
-				AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < %v`,
-				box[0], box[1], box[2], box[3], radius)
-			res, err := cl.Query(sql)
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
+	type geometry struct {
+		subStripes int
+		overlap    float64
+	}
+	type topology struct {
+		cache   bool
+		workers int
+	}
+	// Every geometry under one topology, rotating; two geometries under all four.
+	topologies := []topology{{false, 4}, {true, 1}, {true, 4}, {false, 1}}
+	type clusterRun struct {
+		geometry
+		topology
+	}
+	var runs []clusterRun
+	i := 0
+	for _, ss := range []int{4, 6, 12, 20} {
+		for _, ov := range []float64{0.1, 0.5, 1} {
+			g := geometry{ss, ov}
+			if (ss == 12 && ov == 0.5) || (ss == 20 && ov == 1) {
+				for _, tp := range topologies {
+					runs = append(runs, clusterRun{g, tp})
+				}
+				continue
 			}
-			got := res.Rows[0][0].(int64)
-			sure, maybe, inBox := gridCount(box[0], box[1], box[2], box[3], radius)
-			if got < sure || got > maybe {
-				t.Errorf("box %v radius %v: the cluster counts %d pairs, the grid %d (%d with the pairs at the radius to nine digits)",
-					box, radius, got, sure, maybe)
-			}
-			if inBox < 50 || (radius >= 0.2 && sure < inBox+inBox/10) {
-				t.Errorf("box %v radius %v: %d objects, %d pairs: too few to test anything", box, radius, inBox, sure)
-			}
+			runs = append(runs, clusterRun{g, topologies[i%len(topologies)]})
+			i++
 		}
+	}
+	if testing.Short() {
+		runs = runs[:3]
+	}
+	type question struct {
+		geometry
+		box    [4]float64
+		radius float64
+	}
+	answers := map[question]int64{}
+	for _, run := range runs {
+		run := run
+		t.Run(fmt.Sprintf("substripes=%d/overlap=%v/cache=%v/workers=%d", run.subStripes, run.overlap, run.cache, run.workers), func(t *testing.T) {
+			cfg := DefaultClusterConfig(run.workers)
+			cfg.Partition = partition.Config{NumStripes: 18, NumSubStripesPerStripe: run.subStripes, Overlap: run.overlap}
+			cfg.CacheSubChunks = run.cache
+			cfg.ResultCacheBytes = 0 // every question is executed, also the second time it is asked
+			cl, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.CreateTables(LSSTSpec()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Ingest("Object", objectSource(cat)); err != nil {
+				t.Fatal(err)
+			}
+			count := func(box [4]float64, radius float64) (int64, error) {
+				res, err := cl.Query(fmt.Sprintf(`SELECT count(*) FROM Object o1, Object o2
+					WHERE qserv_areaspec_box(%v, %v, %v, %v)
+					AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < %v`,
+					box[0], box[1], box[2], box[3], radius))
+				if err != nil {
+					return 0, err
+				}
+				return res.Rows[0][0].(int64), nil
+			}
+			radii := []float64{0, 0.001, run.overlap / 3, run.overlap * 0.999999, run.overlap}
+			for _, box := range boxes {
+				last := int64(0)
+				for _, radius := range radii {
+					got, err := count(box, radius)
+					if err != nil {
+						t.Fatalf("box %v radius %v: %v", box, radius, err)
+					}
+					sure, maybe, inBox := grid.count(box, radius)
+					if got < sure || got > maybe {
+						t.Errorf("box %v radius %v: the cluster counts %d pairs, the grid %d (%d with the pairs at the radius to nine digits)",
+							box, radius, got, sure, maybe)
+					}
+					if inBox < 50 || (radius >= 0.3 && sure < inBox+inBox/10) {
+						t.Errorf("box %v radius %v: %d objects, %d pairs: too few to test anything", box, radius, inBox, sure)
+					}
+					if got < last {
+						t.Errorf("box %v: %d pairs within %v, fewer than the %d within a smaller radius", box, got, radius, last)
+					}
+					last = got
+					q := question{run.geometry, box, radius}
+					if prev, asked := answers[q]; asked && prev != got {
+						t.Errorf("box %v radius %v: %d pairs, %d under another topology of the same geometry", box, radius, got, prev)
+					}
+					answers[q] = got
+				}
+				// Just over the overlap is more than the stored margin can
+				// answer: refused at plan time.
+				if _, err := count(box, run.overlap*1.000001); err == nil || !strings.Contains(err.Error(), "overlap") {
+					t.Errorf("box %v: a radius just over the overlap: err = %v, want it refused", box, err)
+				}
+				// A box is its two halves.
+				width := math.Mod(box[2]-box[0]+360, 360)
+				if width == 0 {
+					width = 360
+				}
+				mid := math.Mod(box[0]+width/2, 360)
+				radius := radii[2]
+				whole, err := count(box, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				left, err := count([4]float64{box[0], box[1], mid, box[3]}, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				right, err := count([4]float64{mid, box[1], box[2], box[3]}, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if whole != left+right {
+					t.Errorf("box %v radius %v: %d pairs, but %d + %d in its halves", box, radius, whole, left, right)
+				}
+			}
+		})
 	}
 }
