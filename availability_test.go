@@ -188,7 +188,6 @@ func TestWorkerDeathMidQuery(t *testing.T) {
 	cfg := DefaultClusterConfig(4)
 	cfg.Replication = 2
 	cfg.WorkerSlots = 1 // a scan backlog keeps many result reads in flight
-	cfg.ScanPieceRows = 64
 	cfg.HealthInterval = 15 * time.Millisecond
 	cfg.DeadMisses = 2
 	cfg.ResultCacheBytes = 0 // checkBattery below must execute

@@ -7,7 +7,7 @@ package qserv
 // virtual seconds of the same classes come from `go run ./cmd/qserv-bench
 // -exp paper`, and internal/simcluster's tests gate their shapes. Left
 // here: SHV2, the one class bench/ has no slot for, and the ablations of
-// the paper's design choices (sections 4.3, 4.4, 5.5), each the one copy of
+// the paper's design choices (sections 4.4, 5.5), each the one copy of
 // its comparison. CI and `make bench-smoke` run the ablations once
 // (-benchtime 1x) so they cannot rot.
 
@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/datagen"
-	"repro/internal/scanshare"
 	"repro/internal/sqlengine"
 )
 
@@ -122,38 +121,6 @@ func BenchmarkAblationSubchunks(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := baseline.GridNearNeighborCount(rows, 0.2, 0.5); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSharedScan compares convoy vs independent scans (section 4.3).
-func BenchmarkAblationSharedScan(b *testing.B) {
-	tbl := sqlengine.NewTable("T", sqlengine.Schema{{Name: "x", Type: 1}})
-	var rows []sqlengine.Row
-	for i := 0; i < 30000; i++ {
-		rows = append(rows, sqlengine.Row{float64(i)})
-	}
-	if err := tbl.Insert(rows...); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, _ := scanshare.NewScanner(tbl, 512)
-			tks := make([]*scanshare.Ticket, 8)
-			for k := range tks {
-				tks[k] = s.Attach(func(lo, hi int) {})
-			}
-			for _, tk := range tks {
-				tk.Wait()
-			}
-		}
-	})
-	b.Run("independent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < 8; k++ {
-				s, _ := scanshare.NewScanner(tbl, 512)
-				s.Attach(func(lo, hi int) {}).Wait()
 			}
 		}
 	})

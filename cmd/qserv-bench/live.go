@@ -27,7 +27,6 @@ func runOutage(c *benchCtx) error {
 	cfg.Replication = 2
 	cfg.HealthInterval = 20 * time.Millisecond
 	cfg.DeadMisses = 2
-	cfg.ScanPieceRows = 256
 	battery := []string{
 		"SELECT COUNT(*) AS n FROM Object",
 		"SELECT chunkId, COUNT(*) AS n FROM Object GROUP BY chunkId",
@@ -149,7 +148,6 @@ func runPaging(c *benchCtx) error {
 		defer os.RemoveAll(dataDir)
 		cfg := qserv.DefaultClusterConfig(3)
 		cfg.Replication = 2
-		cfg.ScanPieceRows = 256
 		cfg.DataDir = dataDir
 		cfg.WorkerMemoryBudget = budget
 		cl, err := f.cluster(cfg)
@@ -214,9 +212,9 @@ func runPaging(c *benchCtx) error {
 
 // runKillLatency measures how long a killed full scan keeps its worker scan
 // slots. The kill must propagate czar -> xrd cancel transaction -> worker
-// scheduler, dequeueing queued chunk queries and detaching running ones
-// from their shared-scan convoys at the next piece boundary — while a
-// convoy sibling is unaffected (oracle-checked).
+// scheduler, dequeueing queued chunk queries and interrupting running ones
+// at the engine's next poll — while a concurrent scan of the same chunks is
+// unaffected (oracle-checked).
 func runKillLatency(c *benchCtx) error {
 	f, err := newFixture(c, 200+c.objects*10)
 	if err != nil {
@@ -224,7 +222,6 @@ func runKillLatency(c *benchCtx) error {
 	}
 	cfg := qserv.DefaultClusterConfig(2)
 	cfg.WorkerSlots = 1 // one scan slot per worker: a backlog forms, so the kill lands mid-flight
-	cfg.ScanPieceRows = 64
 	cl, err := f.cluster(cfg)
 	if err != nil {
 		return err
@@ -279,7 +276,7 @@ func runKillLatency(c *benchCtx) error {
 	}
 	dequeued := atCancel.ChunksTotal - atCancel.ChunksCompleted - aborted
 
-	c.printf("workload: 2 convoying full scans over %d chunks, %d workers x %d scan slot\n",
+	c.printf("workload: 2 concurrent full scans over %d chunks, %d workers x %d scan slot\n",
 		atCancel.ChunksTotal, cfg.Workers, cfg.WorkerSlots)
 	c.printf("  at cancel: %d/%d chunks merged, %d dispatched\n",
 		atCancel.ChunksCompleted, atCancel.ChunksTotal, atCancel.ChunksDispatched)

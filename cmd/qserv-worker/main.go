@@ -32,8 +32,6 @@ var (
 	addrFlag        = flag.String("addr", "127.0.0.1:7001", "listen address")
 	slotsFlag       = flag.Int("slots", defaults.WorkerSlots, "parallel scan-class chunk queries (paper: 4)")
 	interactiveFlag = flag.Int("interactive-slots", defaults.InteractiveSlots, "dedicated interactive-class slots")
-	sharedScansFlag = flag.Bool("shared-scans", defaults.SharedScans, "convoy concurrent full scans over one read")
-	pieceRowsFlag   = flag.Int("scan-piece-rows", defaults.ScanPieceRows, "rows per shared-scan piece")
 	dataDirFlag     = flag.String("data-dir", "", "durable chunk store parent directory, the store lives in <dir>/<name> (empty = in-memory only); a restart recovers the worker's chunks from it")
 	memBudgetFlag   = flag.Int64("mem-budget", 0, "resident chunk-table byte budget; above it cold chunks are evicted to the data dir and re-materialized on first touch (0 = unbudgeted, requires -data-dir)")
 	adminFlag       = flag.String("admin-addr", "", "admin HTTP listen address serving /metrics and /debug/pprof/ (empty = disabled)")
@@ -57,8 +55,6 @@ func main() {
 	cfg := defaults
 	cfg.WorkerSlots = *slotsFlag
 	cfg.InteractiveSlots = *interactiveFlag
-	cfg.SharedScans = *sharedScansFlag
-	cfg.ScanPieceRows = *pieceRowsFlag
 	cfg.DataDir = *dataDirFlag
 	cfg.WorkerMemoryBudget = *memBudgetFlag
 

@@ -1,0 +1,115 @@
+package qserv
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/worker"
+)
+
+// daemonFlags lists the flags a cmd/ program declares, read off its source:
+// the daemons are package main and cannot be imported.
+func daemonFlags(t *testing.T, program string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("cmd", program, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("cmd/%s: no source (%v)", program, err)
+	}
+	decl := regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Float64)\("([a-z][a-z0-9-]*)"`)
+	var flags []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			flags = append(flags, "-"+string(m[1]))
+		}
+	}
+	slices.Sort(flags)
+	return flags
+}
+
+// docFlag matches a flag as the documents write one: after a backtick.
+var docFlag = regexp.MustCompile("`(-[a-z][a-z0-9-]*)")
+
+// docFlags lists the flags text names, sorted, each once.
+func docFlags(text string) []string {
+	var flags []string
+	for _, m := range docFlag.FindAllStringSubmatch(text, -1) {
+		flags = append(flags, m[1])
+	}
+	slices.Sort(flags)
+	return slices.Compact(flags)
+}
+
+// flagTable lists the flags in the first column of README's table headed by
+// the program's name.
+func flagTable(t *testing.T, readme, program string) []string {
+	t.Helper()
+	_, table, ok := strings.Cut(readme, "| `"+program+"` | default |")
+	if !ok {
+		t.Fatalf("README.md has no flag table for %s", program)
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var firstCells strings.Builder
+	for _, row := range strings.Split(table, "\n")[2:] { // the header's tail, the |---| line
+		firstCells.WriteString(strings.Split(row, "|")[1])
+	}
+	return docFlags(firstCells.String())
+}
+
+// TestDocsNameTheKnobsThatExist holds README.md and docs/ARCHITECTURE.md to
+// the code on the facts a deleted or added knob changes: every exported
+// field of ClusterConfig and worker.Config is named in one of them, every
+// ClusterConfig.<X> they name exists, README's two flag tables are the
+// daemons' flags, and no `-flag` either names is one the daemons dropped.
+func TestDocsNameTheKnobsThatExist(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	readme := read("README.md")
+	docs := readme + read("docs/ARCHITECTURE.md")
+
+	cluster := reflect.TypeOf(ClusterConfig{})
+	for _, typ := range []reflect.Type{cluster, reflect.TypeOf(worker.Config{})} {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if f.IsExported() && !regexp.MustCompile(`\b`+f.Name+`\b`).MatchString(docs) {
+				t.Errorf("%s.%s is named in neither README.md nor docs/ARCHITECTURE.md", typ, f.Name)
+			}
+		}
+	}
+	for _, m := range regexp.MustCompile(`ClusterConfig\.([A-Z]\w*)`).FindAllStringSubmatch(docs, -1) {
+		_, field := cluster.FieldByName(m[1])
+		_, method := cluster.MethodByName(m[1])
+		if !field && !method {
+			t.Errorf("the documents name %s, which ClusterConfig does not have", m[0])
+		}
+	}
+
+	// Flags of the other programs and of the go tool that the documents
+	// name; a new one is added here.
+	known := []string{"-exp", "-json", "-race"}
+	for _, program := range []string{"qserv-czar", "qserv-worker"} {
+		flags := daemonFlags(t, program)
+		if table := flagTable(t, readme, program); !slices.Equal(table, flags) {
+			t.Errorf("README.md's %s flag table lists\n %v, the program declares\n %v", program, table, flags)
+		}
+		known = append(known, flags...)
+	}
+	for _, f := range docFlags(docs) {
+		if !slices.Contains(known, f) {
+			t.Errorf("the documents name the flag %s, which neither daemon declares", f)
+		}
+	}
+}

@@ -18,8 +18,8 @@ var ErrNoPartitionedTable = errors.New("core: query references no partitioned ta
 
 // QueryClass separates cheap interactive queries from expensive scans
 // for worker scheduling (paper section 4.3): interactive queries get
-// dedicated low-latency slots while full scans convoy over shared
-// sequential reads.
+// dedicated low-latency slots while full scans of one chunk run as a gang
+// over one read of it.
 type QueryClass int
 
 const (

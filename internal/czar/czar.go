@@ -484,8 +484,9 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 	qid := c.qidOf(q)
 	queryPath := xrd.QueryPath(int(chunk))
 	writePath := xrd.WithQID(queryPath, qid)
-	resultPath := xrd.WithQID(xrd.ResultPath(payload), qid)
-	cancelPath := xrd.WithQID(xrd.CancelPath(xrd.ResultHash(payload)), qid)
+	hash := xrd.ResultHash(payload)
+	resultPath := xrd.WithQID(xrd.ResultPathOf(hash), qid)
+	cancelPath := xrd.WithQID(xrd.CancelPath(hash), qid)
 
 	// Health-aware replica ordering: replicas the failure detector
 	// knows are dead are excluded up front, so a dead worker costs the

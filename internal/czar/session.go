@@ -41,7 +41,7 @@ type Options struct {
 	// Class forces the scheduling class carried to workers, overriding
 	// the planner's classification; nil inherits. (An operator can pin
 	// a known-cheap scan to the interactive lane, or demote a pricey
-	// "interactive" query to the scan convoys.)
+	// "interactive" query to the scan lane.)
 	Class *core.QueryClass
 }
 

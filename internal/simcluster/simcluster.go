@@ -158,7 +158,7 @@ func PaperConfig() Config {
 // New assembles the simulated cluster and loads the catalog: a real
 // in-process qserv.Cluster of cfg.Nodes workers, one replica per chunk,
 // with everything that would perturb the metering off — no span trailer on
-// the result bytes, no convoys, no repair traffic.
+// the result bytes, no repair traffic.
 func New(cfg Config, cat *datagen.Catalog) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("simcluster: Nodes must be >= 1")
@@ -166,7 +166,6 @@ func New(cfg Config, cat *datagen.Catalog) (*Cluster, error) {
 	ccfg := qserv.DefaultClusterConfig(cfg.Nodes)
 	ccfg.Partition = cfg.Partition
 	ccfg.WorkerSlots = 2 // real execution concurrency; virtual queues are simulated
-	ccfg.SharedScans = false
 	ccfg.SelfHeal = false
 	ccfg.DisableTelemetry = true
 	inner, err := qserv.NewCluster(ccfg)

@@ -123,10 +123,6 @@ func (e *Engine) Query(sql string) (*Result, error) {
 
 // ExecOptions are per-statement execution hooks.
 type ExecOptions struct {
-	// Scan routes full table scans inside a SELECT through a provider
-	// when it yields a source (the shared scanning integration point —
-	// see internal/scanshare). nil scans the heap directly.
-	Scan ScanProvider
 	// Interrupt aborts the statement between rows once the channel is
 	// closed; execution then fails with ErrInterrupted. nil disables
 	// interruption. This is the seam query cancellation reaches the

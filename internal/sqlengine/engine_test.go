@@ -802,42 +802,6 @@ func TestInterruptAbortsStatement(t *testing.T) {
 	}
 }
 
-// TestInterruptMidScanViaSource aborts a statement whose scan source
-// drained early (the detached-convoy case): partial rows must never
-// pass as a complete result.
-func TestInterruptMidScanViaSource(t *testing.T) {
-	e := newTestEngine(t)
-	sel, err := sqlparse.ParseSelect("SELECT objectId FROM Object WHERE ra_PS > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	interrupt := make(chan struct{})
-	prov := func(tbl *Table) ScanSource {
-		return &stubSource{interrupt: interrupt}
-	}
-	if _, err := e.ExecuteStmtOpts(sel, ExecOptions{Scan: prov, Interrupt: interrupt}); !errors.Is(err, ErrInterrupted) {
-		t.Errorf("err = %v, want ErrInterrupted (partial scan passed as result)", err)
-	}
-}
-
-// stubSource yields one piece, then fires the interrupt and drains —
-// the observable behavior of a convoy source detached by a kill.
-type stubSource struct {
-	interrupt chan struct{}
-	served    bool
-}
-
-func (s *stubSource) NextPiece() (int, int, bool) {
-	if s.served {
-		close(s.interrupt)
-		return 0, 0, false
-	}
-	s.served = true
-	return 0, 2, true
-}
-
-func (s *stubSource) Close() {}
-
 // TestInterruptLandsWithinPairsOfANestedLoop: a nested-loop join used to
 // look at its interrupt once per interruptCheckRows outer rows, that is
 // once per 512 * |inner| pairs — ten million predicate calls after the kill

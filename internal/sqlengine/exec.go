@@ -11,43 +11,6 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// ScanSource supplies a table scan piece-wise in place of a direct scan
-// of the whole table — the seam shared scanning (internal/scanshare)
-// plugs into so convoy pieces flow through the engine's predicate
-// evaluation. A piece is a range of row positions of the scanned table.
-type ScanSource interface {
-	// NextPiece returns the next piece, positions lo up to hi; ok is
-	// false when the source is exhausted.
-	NextPiece() (lo, hi int, ok bool)
-	// Close releases the source. It must be called even when the scan
-	// is abandoned early so a convoy is never stalled by a consumer
-	// that stopped reading; it is safe to call after exhaustion.
-	Close()
-}
-
-// ScanProvider returns a ScanSource standing in for a full sequential
-// scan of t, or nil to scan the table directly. It is consulted only for
-// scans an index cannot answer.
-type ScanProvider func(t *Table) ScanSource
-
-// rangeSource serves what the engine already holds — a whole table, or
-// the list of positions an index dive found — as a ScanSource of one
-// piece, so every scan runs the same loop.
-type rangeSource struct {
-	n    int
-	done bool
-}
-
-func (s *rangeSource) NextPiece() (int, int, bool) {
-	if s.done {
-		return 0, 0, false
-	}
-	s.done = true
-	return 0, s.n, true
-}
-
-func (s *rangeSource) Close() {}
-
 // ErrInterrupted marks a statement aborted through ExecOptions.Interrupt
 // (query cancellation): the partial state is discarded and the executor
 // returns between rows.
@@ -91,7 +54,6 @@ type source struct {
 // selectExec is one run of a Prepared.
 type selectExec struct {
 	from      []source // one per FROM binding
-	prov      ScanProvider
 	interrupt <-chan struct{}
 	stats     ExecStats
 	fr        frame
@@ -235,7 +197,7 @@ func (p *Prepared) run(tables []source, opts ExecOptions) (*Result, error) {
 	case p.countStar:
 		return deliver(countStar(p.sel, tables[0].table), nil, opts.Sink)
 	}
-	ex := &selectExec{from: tables, prov: opts.Scan, interrupt: opts.Interrupt}
+	ex := &selectExec{from: tables, interrupt: opts.Interrupt}
 	ex.fr.cur = make([]cursor, len(tables))
 	for i := range tables {
 		tables[i].data = tables[i].table.data.Load()
@@ -764,90 +726,56 @@ func (ex *selectExec) collect(k int, sp *scanPlan) ([]int, error) {
 	return rows, err
 }
 
-// scan is the engine's one row loop: it reads binding k from its source
-// — an index dive, a shared-scan convoy, or the whole table — moves the
-// binding's cursor over each row, applies the binding's filter and hands
-// the survivors to emit. Pieces of a convoy may arrive in convoy order
-// (the scan position when this query attached), which is fine: every
-// piece arrives exactly once, and row order within a scan carries no
-// semantics.
+// scan is the engine's one row loop: it moves binding k's cursor over the
+// positions an index dive found, or over the whole table, applies the
+// binding's filter to each row and hands the survivors to emit.
 func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
-	var src ScanSource
-	var found []int // the positions an index dive found
 	table, data := ex.from[k].table, ex.from[k].data
-	filter, bytes := sp.filter, &ex.stats.SeqBytes
+	filter := sp.filter
 	var index *hashIndex
 	if sp.diveCol >= 0 {
 		if index = data.index(sp.diveCol); index == nil {
 			filter = slices.Insert(slices.Clone(filter), sp.diveAt, sp.divePred)
 		}
 	}
+	// This statement reads the rows the table had at bind: 0..n, or the
+	// positions a dive found among them.
+	n, bytes := data.n, &ex.stats.SeqBytes
+	var found []int
 	dive := index != nil
-	switch {
-	case dive:
-		found, bytes = ex.dive(sp, index, data), &ex.stats.RandBytes
-		src = &rangeSource{n: len(found)}
-	case ex.prov != nil:
-		if src = ex.prov(table); src != nil {
-			bytes = &ex.stats.SharedSeqBytes
-		}
+	if dive {
+		found = ex.dive(sp, index, data)
+		n, bytes = len(found), &ex.stats.RandBytes
 	}
-	if src == nil {
-		src = &rangeSource{n: data.n}
-	}
-	defer src.Close()
+	ex.stats.RowsScanned += int64(n)
+	*bytes += int64(n) * int64(table.Schema.RowWidth())
 
-	width := int64(table.Schema.RowWidth())
 	fr, cur := &ex.fr, &ex.fr.cur[k]
-	for {
-		// Cancellation lands at piece boundaries — the next NextPiece is
-		// never issued, so a convoy source can be detached promptly — and
-		// every interruptCheckRows rows within a piece.
-		if err := ex.interrupted(); err != nil {
-			return err
-		}
-		lo, hi, ok := src.NextPiece()
-		if !ok {
-			break
-		}
-		if !dive {
-			// A convoy reads the table as it is now; this statement reads
-			// the rows it had at bind.
-			hi = min(hi, data.n)
-		}
-		if lo >= hi {
-			continue
-		}
-		ex.stats.RowsScanned += int64(hi - lo)
-		*bytes += int64(hi-lo) * width
-	rows:
-		for i := lo; i < hi; i++ {
-			if (i-lo)%interruptCheckRows == 0 && i > lo {
-				if err := ex.interrupted(); err != nil {
-					return err
-				}
-			}
-			cur.pos = i
-			if dive {
-				cur.pos = found[i]
-			}
-			for _, f := range filter {
-				v, null, err := f(fr)
-				if err != nil {
-					return err
-				}
-				if null || v == 0 {
-					continue rows
-				}
-			}
-			if err := emit(); err != nil {
+rows:
+	for i := 0; i < n; i++ {
+		if i%interruptCheckRows == 0 {
+			if err := ex.interrupted(); err != nil {
 				return err
 			}
 		}
+		cur.pos = i
+		if dive {
+			cur.pos = found[i]
+		}
+		for _, f := range filter {
+			v, null, err := f(fr)
+			if err != nil {
+				return err
+			}
+			if null || v == 0 {
+				continue rows
+			}
+		}
+		if err := emit(); err != nil {
+			return err
+		}
 	}
-	// A detached (killed) source drains early; this check keeps its
-	// partial scan from passing as a result.
-	return ex.interrupted()
+	return nil
 }
 
 // dive returns the positions of the rows an index dive finds, each once,

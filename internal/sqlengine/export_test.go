@@ -9,23 +9,9 @@ import (
 // test, because it holds the engine's output to packages that import the
 // engine (dump, rowcodec).
 
-// GoldenSelect is one statement of testdata/golden_select.json.
-type GoldenSelect struct {
-	SQL  string
-	Scan ScanProvider // nil, or the golden test's rotated pieces
-}
-
-// GoldenSelects returns the golden statements and the engine they run on.
-func GoldenSelects(t *testing.T) (*Engine, []GoldenSelect) {
-	out := make([]GoldenSelect, len(goldenStatements))
-	for i, st := range goldenStatements {
-		out[i].SQL = st.sql
-		if st.source {
-			out[i].Scan = newRotatedPieces
-		}
-	}
-	return goldenEngine(t), out
-}
+// GoldenSelects returns the statements of testdata/golden_select.json and
+// the engine they run on.
+func GoldenSelects(t *testing.T) (*Engine, []string) { return goldenEngine(t), goldenStatements }
 
 // DiffEngine returns an engine holding the differential tests' tables t
 // and u: NULLs, -0.0, NaN, the infinities, the int64 extremes, the empty

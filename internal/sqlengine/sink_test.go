@@ -23,15 +23,15 @@ import (
 // tests' tables: typed items and untyped ones side by side, with and
 // without DISTINCT, ORDER BY and LIMIT.
 func TestSinkMatchesBoxed(t *testing.T) {
-	check := func(e *sqlengine.Engine, sql string, scan sqlengine.ScanProvider) {
+	check := func(e *sqlengine.Engine, sql string) {
 		t.Helper()
 		sel, err := sqlparse.ParseSelect(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		boxed, berr := e.ExecuteStmtOpts(sel, sqlengine.ExecOptions{Scan: scan})
+		boxed, berr := e.ExecuteStmtOpts(sel, sqlengine.ExecOptions{})
 		var w dump.Writer
-		res, err := e.ExecuteStmtOpts(sel, sqlengine.ExecOptions{Scan: scan, Sink: &w})
+		res, err := e.ExecuteStmtOpts(sel, sqlengine.ExecOptions{Sink: &w})
 		if (err == nil) != (berr == nil) {
 			t.Fatalf("%s: boxed run says %v, run into a sink %v", sql, berr, err)
 		}
@@ -50,8 +50,8 @@ func TestSinkMatchesBoxed(t *testing.T) {
 	}
 
 	golden, selects := sqlengine.GoldenSelects(t)
-	for _, st := range selects {
-		check(golden, st.SQL, st.Scan)
+	for _, sql := range selects {
+		check(golden, sql)
 	}
 
 	e := sqlengine.DiffEngine(t)
@@ -98,7 +98,7 @@ func TestSinkMatchesBoxed(t *testing.T) {
 		if _, err := sqlparse.ParseSelect(sql); err != nil {
 			continue // the generator's rarer forms do not all deparse into a select list
 		}
-		check(e, sql, nil)
+		check(e, sql)
 	}
 }
 

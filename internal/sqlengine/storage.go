@@ -769,12 +769,6 @@ func (d *Database) TableNames() []string {
 type ExecStats struct {
 	// SeqBytes is the number of bytes read by sequential scans.
 	SeqBytes int64
-	// SharedSeqBytes counts bytes delivered through a shared-scan
-	// ScanSource instead of a private sequential read. The physical
-	// read is accounted once by the scanshare.Scanner serving the
-	// convoy, so these bytes are what an independent scan would have
-	// cost — the savings baseline.
-	SharedSeqBytes int64
 	// RandReads is the number of random-access reads (index lookups),
 	// each of which costs a disk seek in the cost model.
 	RandReads int64
@@ -797,7 +791,6 @@ type ExecStats struct {
 // Add accumulates another stats record into s.
 func (s *ExecStats) Add(o ExecStats) {
 	s.SeqBytes += o.SeqBytes
-	s.SharedSeqBytes += o.SharedSeqBytes
 	s.RandReads += o.RandReads
 	s.RandBytes += o.RandBytes
 	s.RowsScanned += o.RowsScanned

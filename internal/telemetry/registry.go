@@ -280,7 +280,7 @@ func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
 
 // CounterFunc registers a counter series whose value is sampled from fn
 // at exposition time. Use it to export counters a subsystem already
-// maintains (qcache hits, scanshare bytes, admission sheds) without
+// maintains (qcache hits, materializations, admission sheds) without
 // touching its hot path. fn must be safe for concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, kv ...string) {
 	if r == nil {

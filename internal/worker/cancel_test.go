@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,35 +14,25 @@ import (
 )
 
 // TestCancelQueuedScanJobDequeued kills a job while it waits on the
-// scan lane behind a slow convoy: the job must leave the queue without
+// scan lane behind a slow scan: the job must leave the queue without
 // ever executing, its result read must fail with context.Canceled, and
 // the blocking job must be unaffected.
 func TestCancelQueuedScanJobDequeued(t *testing.T) {
 	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
 	cfg.Slots = 1
 	const rows = 4000
 	w, chunks := loadBigChunks(t, cfg, 2, rows)
 	table := meta.ChunkTableName("Object", chunks[0])
 
-	// Occupy the only scan slot: a query on chunk 0 whose convoy is
-	// throttled so it reliably outlives the cancel below. Until the
-	// throttle attaches, the blocker's own predicate holds it back: a
-	// bare scan of these rows is over before the poll below first looks.
-	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(5*time.Microsecond))
+	// Occupy the only scan slot: a query on chunk 0 whose predicate pays
+	// per row (~200ms over the table), so it reliably outlives the cancel
+	// below.
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(50*time.Microsecond))
 	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 0;", table))
 	if err := w.HandleWrite(xrd.QueryPath(int(chunks[0])), blocker); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.ConvoyScanner(table) == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	throttle := w.ConvoyScanner(table).Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
+	awaitActive(t, w, 1)
 
 	// The victim queues on the other chunk behind the blocker's gang.
 	victim := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;",
@@ -81,7 +72,6 @@ func TestCancelQueuedScanJobDequeued(t *testing.T) {
 	if _, err := w.HandleRead(xrd.ResultPath(victim)); err == nil {
 		t.Error("evicted result still readable")
 	}
-	throttle.Wait()
 	if _, err := w.HandleRead(xrd.ResultPath(blocker)); err != nil {
 		t.Errorf("blocker failed: %v", err)
 	}
@@ -93,95 +83,105 @@ func TestCancelQueuedScanJobDequeued(t *testing.T) {
 	}
 }
 
-// TestCancelRunningScanDetachesConvoy kills one member of a two-member
-// convoy mid-scan: the victim's result fails with context.Canceled and
-// its slot frees within roughly a piece, while the surviving member
-// still sees every piece exactly once (exact filter count) — the
-// acceptance criterion's "other convoy members unaffected".
-func TestCancelRunningScanDetachesConvoy(t *testing.T) {
-	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
-	cfg.Slots = 2
-	const rows = 4000
-	w, chunks := loadBigChunks(t, cfg, 1, rows)
-	chunk := chunks[0]
-	table := meta.ChunkTableName("Object", chunk)
-
-	// Throttle via a pre-warmed convoy so both queries run long enough
-	// to be mid-scan when the kill lands (~500 pieces x 200us).
-	warm := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 0;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), warm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.HandleRead(xrd.ResultPath(warm)); err != nil {
-		t.Fatal(err)
-	}
-	sc := w.ConvoyScanner(table)
-	if sc == nil {
-		t.Fatal("no convoy scanner")
-	}
-	throttle := sc.Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
-
-	survivor := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
-	victim := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 8e-29;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), survivor); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), victim); err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait until both are genuinely executing.
+// awaitActive waits until n chunk queries occupy executor slots.
+func awaitActive(t *testing.T, w *Worker, n int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for w.ActiveJobs() < 2 {
+	for w.ActiveJobs() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("jobs never started (active=%d)", w.ActiveJobs())
+			t.Fatalf("jobs never started (active=%d, want %d)", w.ActiveJobs(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t0 := time.Now()
-	if !w.Cancel(xrd.ResultHash(victim)) {
-		t.Fatal("Cancel found no running job")
+}
+
+// TestCancelRunningScanLeavesGangSibling kills one member of a two-member
+// gang mid-scan: the victim's result fails with context.Canceled within
+// the engine's interrupt-poll interval of rows, its slot is reclaimed, and
+// the gang-mate scanning the same chunk answers exactly.
+func TestCancelRunningScanLeavesGangSibling(t *testing.T) {
+	cfg := DefaultConfig("w0")
+	cfg.Slots = 1 // the two must share the one slot: a gang
+	const rows, killAt = 4000, 1000
+	w, chunks := loadBigChunks(t, cfg, 2, rows)
+	table := meta.ChunkTableName("Object", chunks[1])
+	survivor := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 5e-29;", table))
+	victim := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_victim(zFlux_PS) > 8e-29;", table))
+
+	// Both pay per row (~200ms over the table). The victim's predicate
+	// counts its rows and fires the kill at the killAt-th, so the rows it
+	// sees after that are the rows the kill took to land.
+	slow := sqlengine.SlowIdentity(50 * time.Microsecond)
+	w.Engine().RegisterFunc("test_slow", slow)
+	var victimRows atomic.Int64
+	killed := make(chan time.Time, 1)
+	w.Engine().RegisterFunc("test_victim", func(args []sqlengine.Value) (sqlengine.Value, error) {
+		if victimRows.Add(1) == killAt {
+			killed <- time.Now()
+			if !w.Cancel(xrd.ResultHash(victim)) {
+				t.Error("Cancel found no running job")
+			}
+		}
+		return slow(args)
+	})
+	// A scan of the other chunk holds the slot while the two queue, so one
+	// pop takes them together.
+	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 0;",
+		meta.ChunkTableName("Object", chunks[0])))
+	if err := w.HandleWrite(xrd.QueryPath(int(chunks[0])), blocker); err != nil {
+		t.Fatal(err)
 	}
+	awaitActive(t, w, 1)
+	for _, p := range [][]byte{survivor, victim} {
+		if err := w.HandleWrite(xrd.QueryPath(int(chunks[1])), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	if _, err := w.HandleRead(xrd.ResultPath(victim)); !errors.Is(err, context.Canceled) {
-		t.Errorf("victim result error = %v, want context.Canceled", err)
+		t.Fatalf("victim result error = %v, want context.Canceled", err)
 	}
-	// The slot frees long before the throttled convoy finishes
-	// (~100ms): that is the reclaimed-within-a-piece guarantee.
+	t0 := <-killed
+	// sqlengine's interruptCheckRows: the scan looks at its interrupt on
+	// the first of every 512 rows.
+	if after := victimRows.Load() - killAt; after > 512 {
+		t.Errorf("victim evaluated %d rows after the kill, want <= 512", after)
+	}
+	// The slot frees long before the victim's scan would have finished.
+	deadline := time.Now().Add(5 * time.Second)
 	for w.ActiveJobs() > 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("victim slot never reclaimed")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	reclaim := time.Since(t0)
+	if reclaim := time.Since(t0); reclaim > 2*time.Second {
+		t.Errorf("slot reclaim took %v", reclaim)
+	}
 
 	stream, err := w.HandleRead(xrd.ResultPath(survivor))
 	if err != nil {
 		t.Fatalf("survivor failed: %v", err)
 	}
-	throttle.Wait()
 	if got := countResult(t, string(stream)); got != rows/2 {
-		t.Errorf("survivor count = %d, want %d (convoy corrupted by the kill)", got, rows/2)
+		t.Errorf("survivor count = %d, want %d (the kill reached the gang-mate)", got, rows/2)
 	}
-	var victimReport *JobReport
+	gangJoins := 0
 	for _, r := range w.Reports() {
-		if r.Hash == xrd.ResultHash(victim) {
-			r := r
-			victimReport = &r
+		switch r.Hash {
+		case xrd.ResultHash(victim):
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Errorf("victim report err = %v, want context.Canceled", r.Err)
+			}
+		case xrd.ResultHash(survivor):
+			if !r.StartedAt.Before(t0) || !r.FinishedAt.After(t0) {
+				t.Errorf("survivor ran %v..%v, the kill landed at %v: not mid-scan", r.StartedAt, r.FinishedAt, t0)
+			}
 		}
+		gangJoins += r.ConvoyJoins
 	}
-	if victimReport == nil || victimReport.Err == nil {
-		t.Fatalf("victim report missing or errless: %+v", victimReport)
-	}
-	if !errors.Is(victimReport.Err, context.Canceled) {
-		t.Errorf("victim report err = %v", victimReport.Err)
-	}
-	// Sanity: the abort really was early — well under the throttled
-	// convoy's full duration.
-	if reclaim > 2*time.Second {
-		t.Errorf("slot reclaim took %v", reclaim)
+	if len(w.Reports()) != 3 || gangJoins != 1 {
+		t.Errorf("%d reports, %d gang joins; want 3 and 1: survivor and victim were to start as one gang", len(w.Reports()), gangJoins)
 	}
 }
 
@@ -191,7 +191,6 @@ func TestCancelRunningScanDetachesConvoy(t *testing.T) {
 func TestCancelQueuedInteractiveSkipped(t *testing.T) {
 	cfg := DefaultConfig("w0")
 	cfg.InteractiveSlots = 1
-	cfg.SharedScans = false
 	w, chunks := loadBigChunks(t, cfg, 1, 2000)
 	chunk := chunks[0]
 	table := meta.ChunkTableName("Object", chunk)
@@ -246,8 +245,6 @@ func TestCancelUnknownHash(t *testing.T) {
 // killing both aborts the job.
 func TestCancelSharedPayloadDetachesOneInterest(t *testing.T) {
 	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
 	w, chunks := loadBigChunks(t, cfg, 1, 4000)
 	chunk := chunks[0]
 	table := meta.ChunkTableName("Object", chunk)
@@ -297,8 +294,6 @@ func TestCancelSharedPayloadDetachesOneInterest(t *testing.T) {
 // interest — the broadcast-kill safety property.
 func TestCancelUnregisteredQIDRefused(t *testing.T) {
 	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
 	w, chunks := loadBigChunks(t, cfg, 1, 4000)
 	chunk := chunks[0]
 	table := meta.ChunkTableName("Object", chunk)
@@ -340,35 +335,19 @@ func TestCancelUnregisteredQIDRefused(t *testing.T) {
 // cancellation — the dying job is displaced and the new one executes.
 func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
 	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
 	cfg.Slots = 2
 	const rows = 4000
 	w, chunks := loadBigChunks(t, cfg, 1, rows)
 	chunk := chunks[0]
 	table := meta.ChunkTableName("Object", chunk)
 
-	// Warm + throttle the convoy so the victim runs long enough.
-	warm := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 0;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), warm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.HandleRead(xrd.ResultPath(warm)); err != nil {
-		t.Fatal(err)
-	}
-	throttle := w.ConvoyScanner(table).Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
-
-	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
+	// The predicate pays per row so the victim runs long enough (~100ms).
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(25*time.Microsecond))
+	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 5e-29;", table))
 	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.ActiveJobs() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitActive(t, w, 1)
 	hash := xrd.ResultHash(payload)
 	if !w.Cancel(hash) {
 		t.Fatal("Cancel found no job")
@@ -385,5 +364,4 @@ func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
 	if got := countResult(t, string(stream)); got != rows/2 {
 		t.Errorf("count = %d, want %d", got, rows/2)
 	}
-	throttle.Wait()
 }

@@ -26,6 +26,9 @@ func FuzzChunkScriptReuse(f *testing.F) {
 		pairs := append([]string(nil), fx.pairs[:6]...)
 		for ; len(edits) >= 3; edits = edits[3:] {
 			k := int(edits[0]) % len(pairs)
+			if pairs[k] == "" {
+				continue // edited down to nothing: there is no byte left to edit at
+			}
 			at := (int(edits[0])*251 + int(edits[1])*31) % len(pairs[k])
 			switch edits[1] % 4 {
 			case 0: // a byte replaced

@@ -2,6 +2,7 @@ package worker
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -217,37 +218,25 @@ func TestAppendToEvictedUnitKeepsRows(t *testing.T) {
 	}
 }
 
-// TestEvictionRetiresScannersAndSubchunks: evicting a chunk drops its
-// convoy scanner (folding the counters into ScanStats) and its cached
+// TestEvictionRetiresScannersAndSubchunks: evicting a chunk drops its cached
 // subchunk tables, so nothing keeps the detached rows reachable.
 func TestEvictionRetiresScannersAndSubchunks(t *testing.T) {
-	// Budget 0 during setup so the background evictor cannot retire the
-	// scanner the moment the setup queries release their pins; the
-	// budget is dropped just before the manual evict pass.
-	w, u := residentWorker(t, 0, func(cfg *Config) {
-		cfg.SharedScans = true
-		cfg.CacheSubChunks = true
-	})
+	// Budget 0 during setup so the background evictor cannot evict the
+	// unit the moment the setup query releases its pin; the budget is
+	// dropped just before the manual evict pass.
+	w, u := residentWorker(t, 0, func(cfg *Config) { cfg.CacheSubChunks = true })
 	chunk := partitionChunk(u)
 
-	// A filtered full scan creates the convoy scanner (a bare COUNT(*)
-	// is answered without scanning); a subchunk query populates the
-	// subchunk cache.
-	submit(t, w, chunk, fmt.Sprintf(
-		"SELECT COUNT(*) FROM LSST.Object_%d WHERE zFlux_PS > 0;", chunk))
+	// A subchunk query populates the subchunk cache.
 	subs, err := w.registry.Chunker.AllSubChunks(chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := subs[0]
 	submit(t, w, chunk, fmt.Sprintf("-- SUBCHUNKS: %d\nSELECT COUNT(*) FROM LSST.Object_%d_%d;", sub, chunk, sub))
-	if w.ConvoyScanner(meta.ChunkTableName("Object", chunk)) == nil {
-		t.Fatal("setup: no convoy scanner after full scan")
-	}
 	if w.CachedSubchunkCount() == 0 {
 		t.Fatal("setup: no cached subchunks")
 	}
-	statsBefore := w.ScanStats()
 
 	w.units.mu.Lock()
 	w.units.budget = 1
@@ -256,14 +245,94 @@ func TestEvictionRetiresScannersAndSubchunks(t *testing.T) {
 	if w.units.isResident(u) {
 		t.Fatal("unit still resident after evict pass")
 	}
-	if w.ConvoyScanner(meta.ChunkTableName("Object", chunk)) != nil {
-		t.Fatal("convoy scanner survived eviction")
-	}
 	if w.CachedSubchunkCount() != 0 {
 		t.Fatal("cached subchunk tables survived eviction")
 	}
-	statsAfter := w.ScanStats()
-	if statsAfter.BytesRead < statsBefore.BytesRead || statsAfter.Convoys < statsBefore.Convoys {
-		t.Fatalf("scan stats went backwards across eviction: %+v -> %+v", statsBefore, statsAfter)
+}
+
+// TestGangSharesOneMaterialization is the worker's shared scan: full scans of
+// one chunk that queue together against an evicted unit start as one gang,
+// the unit is read from its segments once for all of them and stays pinned
+// while they run, and each ships what it ships alone.
+func TestGangSharesOneMaterialization(t *testing.T) {
+	cfg := DefaultConfig("w-gang")
+	cfg.DataDir = t.TempDir()
+	cfg.MemoryBudgetBytes = 1 // everything unpinned goes back to disk
+	cfg.Slots = 1
+	const rows, gang = 2000, 6
+	w, chunks := loadBigChunks(t, cfg, 2, rows)
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(10*time.Microsecond))
+	// The chunk gangResults' blocker scans stays resident throughout, so
+	// what is counted below is the gang's alone.
+	held := mustPin(t, w, chunkstore.Unit{Table: "Object", Chunk: int(chunks[0])})
+	defer w.units.unpin(held)
+	u := chunkstore.Unit{Table: "Object", Chunk: int(chunks[1])}
+	w.units.evictLoop()
+	if w.units.isResident(u) {
+		t.Fatal("setup: unit still resident")
+	}
+	var payloads []string
+	for k := 1; k <= gang; k++ {
+		payloads = append(payloads, fmt.Sprintf("SELECT objectId, zFlux_PS FROM LSST.%s WHERE test_slow(zFlux_PS) > %d.5e-29;",
+			meta.ChunkTableName("Object", chunks[1]), k))
+	}
+	mat0, read0 := w.ResidencyStats().Materializations, w.ScanStats().BytesRead
+	together := gangResults(t, w, chunks[0], chunks[1], payloads)
+	mats, read := w.ResidencyStats().Materializations-mat0, w.ScanStats().BytesRead-read0
+	if mats != 1 {
+		t.Errorf("materializations = %d, want 1 for the %d-member gang", mats, gang)
+	}
+	pinned := mustPin(t, w, u)
+	if read != pinned.bytes || read == 0 {
+		t.Errorf("bytes read = %d, want the unit's %d once", read, pinned.bytes)
+	}
+	w.units.unpin(pinned)
+	for i, p := range payloads {
+		if alone := submit(t, w, chunks[1], p); alone != together[i] {
+			t.Errorf("%s:\n in a gang %q\n alone     %q", p, together[i], alone)
+		}
+	}
+}
+
+// TestFullScanStartsNoGoroutine: a full-scan job reads the chunk's columns
+// in the goroutine that executes it — nothing is started, nothing is handed
+// over — so an idle worker has as many goroutines after one as before.
+func TestFullScanStartsNoGoroutine(t *testing.T) {
+	w, chunks := loadBigChunks(t, DefaultConfig("w0"), 1, 2000)
+	table := meta.ChunkTableName("Object", chunks[0])
+	during := 0
+	w.Engine().RegisterFunc("test_goroutines", func(args []sqlengine.Value) (sqlengine.Value, error) {
+		during = max(during, runtime.NumGoroutine())
+		return args[0], nil
+	})
+	// Warm up whatever starts lazily, then settle.
+	submit(t, w, chunks[0], fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 1e-29;", table))
+	before := runtime.NumGoroutine()
+	submit(t, w, chunks[0], fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_goroutines(zFlux_PS) > 2e-29;", table))
+	// The scan executor starts one goroutine per gang member; the scan adds
+	// none to it.
+	if during > before+1 {
+		t.Errorf("%d goroutines mid-scan, %d on the idle worker: a full scan started %d beyond its gang member's", during, before, during-before-1)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after a full-scan job, %d before", after, before)
+	}
+}
+
+// TestGangHoldsPinsUntilLastMemberLeaves: what a gang's members pinned stays
+// pinned — not evictable, whatever the budget — until the last member is
+// done, so a member slow to start finds the unit its gang-mate built.
+func TestGangHoldsPinsUntilLastMemberLeaves(t *testing.T) {
+	w, u := residentWorker(t, 1, nil)
+	g := &gang{running: 2}
+	g.leave(w, []tableUse{{id: u, unit: mustPin(t, w, u)}})
+	w.units.evictLoop()
+	if !w.units.isResident(u) {
+		t.Fatal("unit evicted while a member of the gang that pinned it had yet to run")
+	}
+	g.leave(w, nil) // a member canceled before it began
+	w.units.evictLoop()
+	if w.units.isResident(u) {
+		t.Fatal("unit still pinned after the gang's last member left")
 	}
 }

@@ -8,8 +8,9 @@ import (
 
 // gangQueue is the scan lane of the two-class scheduler: queued
 // full-scan jobs are grouped by chunk, and an executor drains a whole
-// chunk's group ("gang") at once so its members attach to one shared
-// scan convoy instead of issuing independent scans (paper section 4.3).
+// chunk's group ("gang") at once. That is the worker's shared scan (paper
+// section 4.3): per chunk per gang the unit is made resident once,
+// materialized at most once, and read by every member while it is pinned.
 // Groups leave in FIFO order of their first job; jobs within a group
 // keep arrival order.
 type gangQueue struct {
@@ -47,8 +48,8 @@ func (q *gangQueue) push(j *job) bool {
 
 // popGang blocks for the oldest chunk group and removes up to maxGang
 // of its jobs, so a same-chunk burst cannot turn one slot into
-// unbounded concurrency; the remainder stays queued under the same key
-// (and, popped later, joins the still-running convoy mid-scan). nil
+// unbounded concurrency; the remainder stays queued under the same key, a
+// later gang (which finds the unit resident if the first still runs). nil
 // means the queue was closed (remaining jobs are abandoned, like the
 // seed's FIFO on Close).
 func (q *gangQueue) popGang() []*job {

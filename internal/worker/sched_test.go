@@ -73,96 +73,12 @@ func countResult(t testing.TB, stream string) int64 {
 	return v
 }
 
-// TestLiveConvoyMidScanJoinExactlyOnce drives the full worker path:
-// while a throttled convoy is mid-table, two scan-class chunk queries
-// join it; each must still see every piece exactly once, which the
-// exact filter counts verify.
-func TestLiveConvoyMidScanJoinExactlyOnce(t *testing.T) {
-	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 8
-	cfg.Slots = 2
-	const rows = 4000
-	w, chunks := loadBigChunks(t, cfg, 1, rows)
-	chunk := chunks[0]
-	table := meta.ChunkTableName("Object", chunk)
-
-	// Pre-warm: one scan job creates the convoy scanner.
-	warm := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 0;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), warm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.HandleRead(xrd.ResultPath(warm)); err != nil {
-		t.Fatal(err)
-	}
-	sc := w.ConvoyScanner(table)
-	if sc == nil {
-		t.Fatal("scan job created no convoy scanner")
-	}
-	if got := w.ScanStats().BytesRead; got == 0 {
-		t.Fatal("convoy scanner read nothing")
-	}
-
-	// Throttle the convoy so it is reliably mid-scan when jobs join:
-	// 500 pieces x 200us keeps the scan in flight for ~100ms.
-	throttle := sc.Attach(func(lo, hi int) { time.Sleep(200 * time.Microsecond) })
-
-	// zFlux_PS cycles 1..10 x 1e-29, so > 5e-29 keeps half the rows.
-	qa := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), qa); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sc.ScansSaved() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("job A never joined the in-flight convoy")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	qb := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 8e-29;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), qb); err != nil {
-		t.Fatal(err)
-	}
-
-	streamA, err := w.HandleRead(xrd.ResultPath(qa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamB, err := w.HandleRead(xrd.ResultPath(qb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	throttle.Wait()
-
-	// Exactly-once delivery means exact counts: 5 of 10 flux steps pass
-	// > 5e-29, 2 pass > 8e-29.
-	if got := countResult(t, string(streamA)); got != rows/2 {
-		t.Errorf("mid-scan join A count = %d, want %d", got, rows/2)
-	}
-	if got := countResult(t, string(streamB)); got != rows/5 {
-		t.Errorf("mid-scan join B count = %d, want %d", got, rows/5)
-	}
-
-	shared := 0
-	for _, r := range w.Reports() {
-		if r.Class != core.FullScan {
-			t.Errorf("scan job reported class %v", r.Class)
-		}
-		shared += r.ScansShared
-	}
-	if shared < 2 {
-		t.Errorf("ScansShared total = %d, want >= 2 (both joins mid-scan)", shared)
-	}
-}
-
 // TestInteractiveWaitBoundedUnderScans reproduces the paper's Figure 14
 // complaint — and its fix: with >= 4 scans queued on the scan lane,
 // interactive queries ride dedicated slots, so their p95 queue wait
 // stays below the scan-class p50.
 func TestInteractiveWaitBoundedUnderScans(t *testing.T) {
 	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	cfg.ScanPieceRows = 32
 	cfg.Slots = 1 // serialize scan gangs so scan queue waits are real
 	cfg.InteractiveSlots = 2
 	w, chunks := loadBigChunks(t, cfg, 3, 6000)
@@ -245,22 +161,70 @@ func percentileDuration(ds []time.Duration, p int) time.Duration {
 	return sorted[rank-1]
 }
 
+// TestSharedScansPreserveResults: full scans of one chunk that start as a
+// gang, over one read of it, ship what each ships run alone — byte for byte
+// — and count what the loaded rows say they must.
 func TestSharedScansPreserveResults(t *testing.T) {
-	// The same chunk query must produce identical counts with and
-	// without shared scanning.
-	run := func(shared bool) int64 {
-		cfg := DefaultConfig("w-eq")
-		cfg.SharedScans = shared
-		cfg.ScanPieceRows = 16
-		w, chunks := loadBigChunks(t, cfg, 1, 500)
-		p := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 3e-29;",
-			meta.ChunkTableName("Object", chunks[0])))
-		return countResult(t, submit(t, w, chunks[0], string(p)))
+	cfg := DefaultConfig("w-eq")
+	cfg.Slots = 1
+	const rows, gang = 2000, 6
+	w, chunks := loadBigChunks(t, cfg, 2, rows)
+	w.Engine().RegisterFunc("test_slow", sqlengine.SlowIdentity(10*time.Microsecond))
+	// zFlux_PS cycles 1..10 x 1e-29, so > k.5e-29 keeps (10-k)/10 of the rows.
+	var payloads []string
+	for k := 1; k <= gang; k++ {
+		payloads = append(payloads, fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > %d.5e-29;",
+			meta.ChunkTableName("Object", chunks[1]), k))
 	}
-	on, off := run(true), run(false)
-	if on != off || on == 0 {
-		t.Errorf("shared=%d unshared=%d; want equal and nonzero", on, off)
+	together := gangResults(t, w, chunks[0], chunks[1], payloads)
+	for i, p := range payloads {
+		if got, want := countResult(t, together[i]), int64(rows*(10-(i+1))/10); got != want {
+			t.Errorf("%s: in a gang counted %d, want %d", p, got, want)
+		}
+		if alone := submit(t, w, chunks[1], p); alone != together[i] {
+			t.Errorf("%s:\n in a gang %q\n alone     %q", p, together[i], alone)
+		}
 	}
+}
+
+// gangResults runs payloads, full scans of chunk, as one gang on a worker
+// with one scan slot and test_slow registered: a slow scan of the chunk
+// other holds the slot while they queue, so one pop starts them together.
+// It returns their result streams in order and fails the test unless all
+// but one of them report having joined a gang.
+func gangResults(t *testing.T, w *Worker, other, chunk partition.ChunkID, payloads []string) []string {
+	t.Helper()
+	reported := len(w.Reports())
+	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE test_slow(zFlux_PS) > 0;",
+		meta.ChunkTableName("Object", other)))
+	if err := w.HandleWrite(xrd.QueryPath(int(other)), blocker); err != nil {
+		t.Fatal(err)
+	}
+	awaitActive(t, w, 1)
+	for _, p := range payloads {
+		if err := w.HandleWrite(xrd.QueryPath(int(chunk)), []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.HandleRead(xrd.ResultPath(blocker)); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(payloads))
+	for i, p := range payloads {
+		data, err := w.HandleRead(xrd.ResultPath([]byte(p)))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		out[i] = string(data)
+	}
+	joins := 0
+	for _, r := range w.Reports()[reported:] {
+		joins += r.ConvoyJoins
+	}
+	if joins != len(payloads)-1 {
+		t.Fatalf("gang joins = %d, want %d: the %d scans were to start as one gang", joins, len(payloads)-1, len(payloads))
+	}
+	return out
 }
 
 // resolveOne runs a chunk query's table pass over a statement reading
@@ -303,71 +267,6 @@ func digitSuffixWorker(t *testing.T) *Worker {
 	w := mustNew(t, DefaultConfig("w0"), reg)
 	t.Cleanup(w.Close)
 	return w
-}
-
-// TestConvoyTableChunk: which of a job's tables may convoy, and as which
-// chunk's — the stored chunk and overlap tables, found through the naming
-// codec (meta.ResolveTable has the full table of names).
-func TestConvoyTableChunk(t *testing.T) {
-	w := digitSuffixWorker(t)
-	cases := []struct {
-		in    string
-		chunk partition.ChunkID
-		ok    bool
-	}{
-		{"Object_123", 123, true},
-		{"ObjectFullOverlap_123", 123, true},
-		{"Source_9", 9, true},
-		{"Object_123_4", 0, false}, // subchunk tables never convoy
-		{"Object", 0, false},
-		{"Filter", 0, false},
-		// A table whose own name ends in digits convoys like any other.
-		{"Station_7_58", 58, true},
-		{"Station_7FullOverlap_58", 58, true},
-		{"Station_7_58_3", 0, false},
-		{"Reading_2_1_58", 58, true},
-		{"Reading_2_1", 0, false},
-	}
-	for _, c := range cases {
-		var chunk partition.ChunkID
-		ok := false
-		if use := resolveOne(t, w, c.in); use != nil && use.scan != [2]bool{} {
-			chunk, ok = partition.ChunkID(use.id.Chunk), true
-			// The unit's table in that slot is the table the statement named.
-			for slot, name := range unitTableNames(use.id) {
-				if use.scan[slot] != (name == c.in) {
-					t.Errorf("%q: scan slots %v over tables %q", c.in, use.scan, unitTableNames(use.id))
-				}
-			}
-		}
-		if ok != c.ok || chunk != c.chunk {
-			t.Errorf("convoy chunk of %q = %d, %v; want %d, %v", c.in, chunk, ok, c.chunk, c.ok)
-		}
-	}
-}
-
-// TestInteractiveDoesNotConvoy checks index dives bypass the convoy:
-// an interactive job must not attach a scanner (its read is a seek).
-func TestInteractiveDoesNotConvoy(t *testing.T) {
-	cfg := DefaultConfig("w0")
-	cfg.SharedScans = true
-	w, chunks := loadBigChunks(t, cfg, 1, 200)
-	p := fmt.Sprintf("-- CLASS: INTERACTIVE\nSELECT objectId AS n FROM LSST.%s WHERE objectId = 7;",
-		meta.ChunkTableName("Object", chunks[0]))
-	submit(t, w, chunks[0], p)
-	r := w.Reports()[0]
-	if r.Class != core.Interactive {
-		t.Fatalf("class = %v", r.Class)
-	}
-	if r.ConvoyJoins != 0 {
-		t.Errorf("interactive job joined %d convoys", r.ConvoyJoins)
-	}
-	if r.Stats.RandReads == 0 {
-		t.Errorf("index dive did not use the index: %+v", r.Stats)
-	}
-	if st := w.ScanStats(); st.Convoys != 0 {
-		t.Errorf("interactive-only worker created %d convoys", st.Convoys)
-	}
 }
 
 func TestGangSizeCapBoundsConcurrency(t *testing.T) {

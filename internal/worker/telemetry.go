@@ -11,7 +11,7 @@ import (
 var logger = telemetry.NewLogger("worker")
 
 // workerMetrics are the worker's owned hot-path series; everything else
-// (queue depths, residency, shared scans, chunkstore) is sampled from
+// (queue depths, residency, chunkstore) is sampled from
 // existing accessors at scrape time. All handles are nil-safe, so a
 // worker without a registry pays a branch per use.
 type workerMetrics struct {
@@ -23,6 +23,8 @@ type workerMetrics struct {
 	// how each came to be compiled (see stmtTemplate).
 	stmtsParsed *telemetry.Counter
 	stmtsReused *telemetry.Counter
+	// gangJoins counts the jobs that started in a gang another job led.
+	gangJoins *telemetry.Counter
 }
 
 // registerMetrics exports this worker into the registry, every series
@@ -40,6 +42,7 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 		execNS:      reg.Histogram("qserv_worker_exec_ns", "chunk-query execution time", "worker", name),
 		stmtsParsed: reg.Counter("qserv_worker_statements_parsed_total", "chunk-query statements parsed and compiled", "worker", name),
 		stmtsReused: reg.Counter("qserv_worker_statements_reused_total", "chunk-query statements run through an already compiled statement of the same text", "worker", name),
+		gangJoins:   reg.Counter("qserv_worker_gang_joins_total", "scan jobs that started in a gang another job led, sharing its read of the chunk", "worker", name),
 	}
 	reg.GaugeFunc("qserv_worker_queue_depth", "queued chunk queries by lane",
 		func() int64 { i, _ := w.QueueLens(); return int64(i) }, "worker", name, "lane", "interactive")
@@ -49,13 +52,6 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 		func() int64 { return int64(w.ActiveJobs()) }, "worker", name)
 	reg.GaugeFunc("qserv_worker_held_jobs", "chunk queries queued, running, or finished and not yet read by every owner",
 		func() int64 { return int64(w.HeldJobs()) }, "worker", name)
-
-	reg.CounterFunc("qserv_scanshare_convoy_joins_total", "shared-scan convoy attachments that piggybacked on an in-flight scan",
-		func() int64 { return w.ScanStats().ScansSaved }, "worker", name)
-	reg.CounterFunc("qserv_scanshare_bytes_read_total", "physical bytes read by shared scans",
-		func() int64 { return w.ScanStats().BytesRead }, "worker", name)
-	reg.CounterFunc("qserv_scanshare_pieces_read_total", "physical piece reads by shared scans",
-		func() int64 { return w.ScanStats().PiecesRead }, "worker", name)
 
 	reg.CounterFunc("qserv_worker_materializations_total", "chunk units materialized from segments",
 		func() int64 { return w.ResidencyStats().Materializations }, "worker", name)
@@ -92,8 +88,7 @@ func jobSpans(w *Worker, j *job, started, finished time.Time, resultLen int) []*
 	ex := &telemetry.Span{Name: "worker exec", StartNS: started.UnixNano(), EndNS: finished.UnixNano()}
 	ex.SetAttr("bytes", resultLen)
 	if j.class == core.FullScan {
-		ex.SetAttr("convoy_joins", j.convoyJoins)
-		ex.SetAttr("scans_shared", j.scansShared)
+		ex.SetAttr("gang_joins", j.gangJoins)
 	}
 	root.Children = []*telemetry.Span{qw, ex}
 	return []*telemetry.Span{root}

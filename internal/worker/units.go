@@ -7,16 +7,14 @@ import (
 	"repro/internal/chunkstore"
 	"repro/internal/meta"
 	"repro/internal/partition"
-	"repro/internal/scanshare"
 	"repro/internal/sqlengine"
 )
 
 // This file is the worker's unit table: one record per stored (table,
 // chunk) or replicated table. The table is the worker's inventory (what
 // /inventory and /ping report), its residency manager, and the owner of
-// everything derived from a unit's tables — the convoy scanners over them
-// and the subchunk tables generated from them — so whatever ends a unit's
-// residency drops those in the same place.
+// what is derived from a unit's tables — the subchunk tables generated from
+// them — so whatever ends a unit's residency drops those in the same place.
 //
 // With a store, recovery stops at the chunkstore inventory (spec + unit
 // index) and a unit's tables are built from its segment files on first
@@ -34,11 +32,12 @@ import (
 //
 // Pins make eviction safe against the live read path: every executing
 // chunk query pins the units its statements reference before touching
-// the engine (covering shared-scan convoys, whose consumers only exist
-// while a pinned job runs, and subchunk generation, which scans the
-// pinned base tables), and the evictor only picks fully unpinned
-// resident units. A job popped while its unit is on disk blocks in pin —
-// materialize-on-miss inside the scheduler — rather than erroring.
+// the engine (covering subchunk generation, which scans the pinned base
+// tables), and the evictor only picks fully unpinned resident units. A job
+// popped while its unit is on disk blocks in pin — materialize-on-miss
+// inside the scheduler — rather than erroring. The pin is also how a gang
+// shares one read of its chunk: its members pin together, one of them builds
+// the tables, and the unit stays resident until the last of them unpins.
 // Writers (/load appends) pin too; replace-installs (/repl) latch the
 // unit in the materializing state so the evictor cannot detach tables
 // mid-install.
@@ -66,9 +65,6 @@ type unit struct {
 	// was quarantined — such a chunk stays out of the inventory, so the
 	// repairer re-ships it whole, until a write to it lands.
 	held bool
-	// scanners are the convoy scanners over the chunk table and over its
-	// overlap companion, made on the first shared scan of each.
-	scanners [2]*scanshare.Scanner
 	// subs are the live subchunk materializations, in use or cached.
 	subs map[partition.SubChunkID]*subEntry
 }
@@ -86,9 +82,8 @@ type unitTable struct {
 
 	materializations int64
 	evictions        int64
-	// retired accumulates the counters of scanners dropped with their
-	// tables, so ScanStats stays cumulative across residency churn.
-	retired ScanStats
+	// materializedBytes sums the engine bytes materializations built.
+	materializedBytes int64
 
 	// kick wakes the evictor; buffered so producers never block.
 	kick chan struct{}
@@ -149,6 +144,7 @@ func (t *unitTable) pin(id chunkstore.Unit, create bool) (*unit, error) {
 			}
 			if stored {
 				t.materializations++
+				t.materializedBytes += u.bytes
 			}
 			u.pins++
 			t.kickLocked()
@@ -345,17 +341,11 @@ func (t *unitTable) detach(u *unit) {
 }
 
 // dropDerived drops what a unit's tables carry and must not outlive them:
-// the convoy scanners, whose cumulative counters are kept for ScanStats (an
-// evicted chunk must not erase the savings it produced while hot; a stale
-// scanner would pin the detached rows in memory), and the cached subchunk
-// tables. Subchunk tables in use cannot exist when an eviction runs — a
-// job using them pins the unit — and under a replace-install are left to
-// the job that holds them.
+// the cached subchunk tables. Subchunk tables in use cannot exist when an
+// eviction runs — a job using them pins the unit — and under a
+// replace-install are left to the job that holds them.
 func (t *unitTable) dropDerived(u *unit) {
 	t.mu.Lock()
-	for slot := range u.scanners {
-		t.retireLocked(u, slot)
-	}
 	var cached []partition.SubChunkID
 	for sub, e := range u.subs {
 		if e.refs == 0 {
@@ -369,109 +359,22 @@ func (t *unitTable) dropDerived(u *unit) {
 	}
 }
 
-// ---------- convoy scanners ----------
+// ---------- shared reads ----------
 
-// scanner returns (creating if needed) the convoy scanner over table t,
-// which is u's chunk table (slot 0) or overlap companion (slot 1); nil
-// when none can be made. A scanner over a table object since replaced
-// (the chunk was re-installed under a running job) is retired.
-func (t *unitTable) scanner(u *unit, slot int, tbl *sqlengine.Table) *scanshare.Scanner {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sc := u.scanners[slot]; sc != nil && sc.Table() == tbl {
-		return sc
-	}
-	sc, err := scanshare.NewScanner(tbl, t.w.cfg.ScanPieceRows)
-	if err != nil {
-		return nil
-	}
-	t.retireLocked(u, slot)
-	u.scanners[slot] = sc
-	return sc
-}
-
-// retireLocked drops one of a unit's scanners, folding its counters into
-// the retired totals.
-func (t *unitTable) retireLocked(u *unit, slot int) {
-	sc := u.scanners[slot]
-	if sc == nil {
-		return
-	}
-	t.retired.Convoys++
-	t.retired.add(sc)
-	u.scanners[slot] = nil
-}
-
-// ScanStats aggregates the worker's shared-scan activity across all
-// convoy scanners.
+// ScanStats counts what the worker read on behalf of its scan gangs.
 type ScanStats struct {
-	// Convoys is the number of distinct chunk tables that have had a
-	// convoy scanner.
-	Convoys int
-	// BytesRead is the physical bytes read by shared scans; compare
-	// with the sum of JobReport.Stats.SharedSeqBytes (what independent
-	// scans would have read) for the savings.
+	// BytesRead is the engine bytes built by materializations since start:
+	// the reads a gang's members share. A worker with no store reads
+	// nothing, and reports 0.
 	BytesRead int64
-	// PiecesRead counts physical piece reads.
-	PiecesRead int64
-	// ScansSaved counts convoy attachments that shared an in-flight
-	// scan instead of starting their own.
-	ScansSaved int64
 }
 
-func (st *ScanStats) add(sc *scanshare.Scanner) {
-	st.BytesRead += sc.BytesRead()
-	st.PiecesRead += sc.PiecesRead()
-	st.ScansSaved += sc.ScansSaved()
-}
-
-// ScanStats returns the worker's aggregate shared-scan counters,
-// including those of scanners retired with their tables.
+// ScanStats returns the worker's shared-read counters.
 func (w *Worker) ScanStats() ScanStats {
 	t := w.units
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.retired
-	for _, u := range t.units {
-		for _, sc := range u.scanners {
-			if sc != nil {
-				st.Convoys++
-				st.add(sc)
-			}
-		}
-	}
-	return st
-}
-
-// ConvoyScanner returns the live convoy scanner for a chunk or overlap
-// table name, or nil when none has been created; exposed for tests and
-// experiments.
-func (w *Worker) ConvoyScanner(table string) *scanshare.Scanner {
-	ref, ok := w.registry.ResolveTable(table)
-	slot := scanSlot(ref.Kind)
-	if !ok || slot < 0 {
-		return nil
-	}
-	t := w.units
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if u := t.units[unitOfRef(ref)]; u != nil {
-		return u.scanners[slot]
-	}
-	return nil
-}
-
-// scanSlot is the unit.scanners slot of a table kind; -1 for the kinds
-// that never convoy: replicated tables are small, and subchunk tables are
-// made per query and dropped, so a kept scanner over one would go stale.
-func scanSlot(kind meta.NameKind) int {
-	switch kind {
-	case meta.ChunkTable:
-		return 0
-	case meta.ChunkOverlapTable:
-		return 1
-	}
-	return -1
+	return ScanStats{BytesRead: t.materializedBytes}
 }
 
 // ---------- inventory and accounting ----------

@@ -12,10 +12,10 @@
 // queries (secondary-index dives, marked by the czar with a "-- CLASS:
 // INTERACTIVE" header) run FIFO on dedicated InteractiveSlots so they
 // never wait behind table scans, while full-scan chunk queries are
-// grouped by chunk into gangs that drain into Slots scan lanes. With
-// SharedScans enabled, gang members attach to a per-table
-// scanshare.Scanner convoy: concurrent scans of one chunk table share
-// a single sequential read instead of each issuing its own.
+// grouped by chunk into gangs that drain into Slots scan lanes. A gang is
+// the shared scan: its members start together, the chunk's unit is
+// materialized once for all of them and stays pinned while they run, so
+// concurrent scans of one chunk share a single read of it.
 //
 // Spatial self-join queries carry a "-- SUBCHUNKS:" header; the worker
 // materializes the listed subchunk and overlap-subchunk tables on the
@@ -25,7 +25,7 @@
 //
 // What a worker stores is kept in one unit table (units.go): a record per
 // stored (table, chunk) or replicated table, which is the inventory and
-// owns the unit's residency, its convoy scanners and its subchunk tables.
+// owns the unit's residency and its subchunk tables.
 // Worker-side table names are spelled and read back by internal/meta
 // alone; a job resolves the names its statements use once.
 package worker
@@ -44,7 +44,6 @@ import (
 	"repro/internal/dump"
 	"repro/internal/meta"
 	"repro/internal/partition"
-	"repro/internal/scanshare"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
@@ -67,15 +66,9 @@ type Config struct {
 	// which the czar surfaces as dispatch errors.
 	QueueDepth int
 	// MaxGangSize caps how many same-chunk scan jobs one slot starts
-	// together; the surplus stays queued and joins the convoy mid-scan
-	// on a later pop, bounding per-slot concurrency under bursts.
+	// together; the surplus stays queued as a gang of its own for a later
+	// pop, bounding per-slot concurrency under bursts.
 	MaxGangSize int
-	// SharedScans routes full-scan chunk queries through per-table
-	// convoy scanners (internal/scanshare) so concurrent scans of the
-	// same chunk table share one sequential read.
-	SharedScans bool
-	// ScanPieceRows is the rows per shared-scan piece.
-	ScanPieceRows int
 	// CacheSubChunks keeps generated subchunk tables for reuse instead
 	// of dropping them after each query.
 	CacheSubChunks bool
@@ -110,9 +103,7 @@ type Config struct {
 	Trace bool
 }
 
-// DefaultConfig mirrors the paper's worker configuration. Shared scans
-// are off by default (the paper's own implementation state); the
-// cluster assembly in package qserv turns them on.
+// DefaultConfig mirrors the paper's worker configuration.
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:             name,
@@ -120,7 +111,6 @@ func DefaultConfig(name string) Config {
 		InteractiveSlots: 2,
 		QueueDepth:       4096,
 		MaxGangSize:      16,
-		ScanPieceRows:    4096,
 		ResultTimeout:    5 * time.Minute,
 	}
 }
@@ -135,11 +125,10 @@ type JobReport struct {
 	StartedAt  time.Time
 	FinishedAt time.Time
 	Stats      sqlengine.ExecStats
-	// ConvoyJoins counts shared-scan convoy attachments this job made;
-	// ScansShared counts those that piggybacked on an in-flight scan
-	// rather than starting a fresh one.
+	// ConvoyJoins is 1 for a job that started in a gang another job led —
+	// it rode the leader's read of the chunk — and 0 otherwise. (The name
+	// is the one bench/ reads.)
 	ConvoyJoins int
-	ScansShared int
 	ResultLen   int
 	Err         error
 }
@@ -182,7 +171,7 @@ type Worker struct {
 
 	// units is the unit table (see units.go): one record per stored
 	// (table, chunk) or replicated table — the inventory — owning the
-	// unit's residency, its convoy scanners and its subchunk tables.
+	// unit's residency and its subchunk tables.
 	units *unitTable
 
 	// templates holds the parsed and compiled statements of recent
@@ -233,8 +222,8 @@ type job struct {
 	data  []byte
 	err   error
 
-	// cancel is closed exactly once when the job is killed; the engine's
-	// interrupt seam and the convoy sources watch it.
+	// cancel is closed exactly once when the job is killed; the engine polls
+	// it (ExecOptions.Interrupt).
 	cancel     chan struct{}
 	cancelOnce sync.Once
 
@@ -243,14 +232,37 @@ type job struct {
 	// by the goroutine executing the job.
 	tables []tableUse
 
-	// srcMu guards sources, the job's live convoy memberships.
-	srcMu   sync.Mutex
-	sources []*scanshare.Source
+	// gang is the scan-lane pop the job started in with others, nil for a
+	// job that started alone; gangJoins is 1 when it started behind the
+	// gang's leader. Written by the scan executor before the job runs.
+	gang      *gang
+	gangJoins int
+}
 
-	// Convoy accounting, written by the scan provider from the single
-	// goroutine executing this job.
-	convoyJoins int
-	scansShared int
+// gang is the jobs one scan-lane pop started together. What its members pin
+// stays pinned until the last of them is done: a chunk's unit is resident
+// once, and materialized at most once, per gang, however its members'
+// executions interleave.
+type gang struct {
+	mu      sync.Mutex
+	running int
+	tables  []tableUse
+}
+
+// leave takes a finished member's tables — nil for a member that never ran —
+// and the last member out gives back the whole gang's. A job that started
+// alone (nil gang) gives back its own.
+func (g *gang) leave(w *Worker, tables []tableUse) {
+	if g != nil {
+		g.mu.Lock()
+		g.tables = append(g.tables, tables...)
+		tables = nil
+		if g.running--; g.running == 0 {
+			tables = g.tables
+		}
+		g.mu.Unlock()
+	}
+	w.releaseTables(tables)
 }
 
 // canceled reports whether the job's kill signal fired.
@@ -263,30 +275,9 @@ func (j *job) canceled() bool {
 	}
 }
 
-// signalCancel fires the kill signal and detaches every convoy
-// membership the job holds, so shared-scan slots are reclaimed at the
-// next piece boundary instead of when the scan would have finished.
-func (j *job) signalCancel() {
-	j.cancelOnce.Do(func() { close(j.cancel) })
-	j.srcMu.Lock()
-	srcs := j.sources
-	j.sources = nil
-	j.srcMu.Unlock()
-	for _, src := range srcs {
-		src.Detach()
-	}
-}
-
-// registerSource records a convoy membership; a job killed concurrently
-// detaches it immediately.
-func (j *job) registerSource(src *scanshare.Source) {
-	j.srcMu.Lock()
-	j.sources = append(j.sources, src)
-	j.srcMu.Unlock()
-	if j.canceled() {
-		src.Detach()
-	}
-}
+// signalCancel fires the kill signal; a running job aborts at the engine's
+// next interrupt poll.
+func (j *job) signalCancel() { j.cancelOnce.Do(func() { close(j.cancel) }) }
 
 // New creates and starts a worker. The engine's default database is the
 // catalog database (registry.DB); chunk tables live there. With
@@ -294,23 +285,16 @@ func (j *job) registerSource(src *scanshare.Source) {
 // write-ahead log, and rebuilds the worker's chunk tables from the
 // checksum-verified segments on disk before serving.
 func New(cfg Config, registry *meta.Registry) (*Worker, error) {
-	if cfg.Slots <= 0 {
-		cfg.Slots = 1
-	}
-	if cfg.InteractiveSlots <= 0 {
-		cfg.InteractiveSlots = 1
-	}
+	cfg.Slots, cfg.InteractiveSlots = max(cfg.Slots, 1), max(cfg.InteractiveSlots, 1)
+	def := DefaultConfig(cfg.Name)
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
+		cfg.QueueDepth = def.QueueDepth
 	}
 	if cfg.MaxGangSize <= 0 {
-		cfg.MaxGangSize = 16
-	}
-	if cfg.ScanPieceRows <= 0 {
-		cfg.ScanPieceRows = 4096
+		cfg.MaxGangSize = def.MaxGangSize
 	}
 	if cfg.ResultTimeout <= 0 {
-		cfg.ResultTimeout = 5 * time.Minute
+		cfg.ResultTimeout = def.ResultTimeout
 	}
 	w := &Worker{
 		cfg:         cfg,
@@ -433,9 +417,8 @@ func (w *Worker) Cancel(hash string) bool { return w.release(hash, "") }
 //
 // When the last interest goes, so does the job: a finished one leaves
 // the registry; a queued one is dequeued — its lane slot is never
-// consumed — and completes with context.Canceled; a running one aborts
-// between rows (interactive lane) or detaches from its shared-scan
-// convoy at the next piece boundary (scan lane). While other queries
+// consumed — and completes with context.Canceled; a running one, on either
+// lane, aborts at the engine's next interrupt poll. While other queries
 // deduplicated onto the same payload are still owed, the job lives on —
 // killing one user's query must not fail another's. release reports
 // whether it detached an interest from a job still queued or running.
@@ -689,19 +672,25 @@ func (w *Worker) begin(j *job) bool {
 	return true
 }
 
-// scanExecutor drains the scan lane gang by gang: every queued job on
-// the popped chunk starts together, so same-table scans attach to one
-// convoy. Start times are stamped in arrival order before the members
-// fan out.
+// scanExecutor drains the scan lane gang by gang: every queued job on the
+// popped chunk starts together, so the chunk's unit is materialized once
+// for all of them — whichever member pins it first builds it, the rest wait
+// in pin — and stays resident until the last of them is done (see gang).
+// Start times are stamped in arrival order before the members fan out.
 func (w *Worker) scanExecutor() {
 	defer w.wg.Done()
 	for {
-		gang := w.scanq.popGang()
-		if gang == nil {
+		jobs := w.scanq.popGang()
+		if jobs == nil {
 			return
 		}
 		var gw sync.WaitGroup
-		for _, j := range gang {
+		var g *gang
+		if len(jobs) > 1 {
+			g = &gang{running: len(jobs)}
+		}
+		for i, j := range jobs {
+			j.gang, j.gangJoins = g, min(i, 1)
 			started := time.Now()
 			gw.Add(1)
 			go func(j *job) {
@@ -715,18 +704,21 @@ func (w *Worker) scanExecutor() {
 
 func (w *Worker) execute(j *job, started time.Time) {
 	if !w.begin(j) {
+		j.gang.leave(w, nil)
 		return
 	}
 	data, stats, err := w.runChunkQuery(j)
-	if err != nil && j.canceled() {
-		// An interrupted or torn execution of a killed job reports the
-		// cancellation, not its mechanism.
+	if j.canceled() {
+		// A killed job reports the cancellation, whatever its execution
+		// came to — interrupted, torn, or over before the next interrupt
+		// poll: nobody is owed its outcome.
 		err = fmt.Errorf("worker %s: chunk query %s: %w", w.cfg.Name, j.hash, context.Canceled)
 		data = nil
 	}
 	finished := time.Now()
 	resultLen := len(data)
 	w.metrics.observeJob(j.queuedAt, started, finished, err)
+	w.metrics.gangJoins.Add(int64(j.gangJoins))
 	if err == nil && w.traceEnabled() {
 		// Ship this job's span subtree piggybacked on the result bytes;
 		// the czar strips the trailer before merging. Shipping rides the
@@ -752,8 +744,7 @@ func (w *Worker) execute(j *job, started time.Time) {
 		StartedAt:   started,
 		FinishedAt:  finished,
 		Stats:       stats,
-		ConvoyJoins: j.convoyJoins,
-		ScansShared: j.scansShared,
+		ConvoyJoins: j.gangJoins,
 		ResultLen:   resultLen,
 		Err:         err,
 	})
@@ -777,33 +768,12 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	run := &jobRun{w: w, j: j}
 	run.subIDs, run.hasSubs = core.ParseSubChunksHeader(j.payload)
 	// Tables are pinned, and subchunk tables made, as statements name them;
-	// all of it is given back when the job ends.
-	defer func() { w.releaseTables(j.tables) }()
-
-	// Scan-class jobs route full table scans of stored chunk tables
-	// through shared-scan convoys; concurrent gang members then ride
-	// one sequential read (paper section 4.3). Each membership is
-	// registered on the job so a kill detaches it at the next piece
-	// boundary.
-	if w.cfg.SharedScans && j.class == core.FullScan {
-		run.opts.Scan = func(t *sqlengine.Table) sqlengine.ScanSource {
-			sc := w.scannerFor(j, t)
-			if sc == nil {
-				return nil
-			}
-			src, joined := sc.AttachSource()
-			j.registerSource(src)
-			j.convoyJoins++
-			if joined {
-				j.scansShared++
-			}
-			return src
-		}
-	}
+	// all of it is given back when the job, or the last of its gang, ends.
+	defer func() { j.gang.leave(w, j.tables) }()
 
 	// Every SELECT writes its result rows, cell by cell from the column
 	// slices, into the one result stream (section 5.4) the job ships. The
-	// job's kill signal interrupts execution between rows.
+	// job's kill signal is the engine's interrupt, on either lane.
 	if buf, ok := w.rowBufs.Get().(*[]byte); ok {
 		run.out.Buf = (*buf)[:0]
 	}
@@ -1033,9 +1003,6 @@ type tableUse struct {
 	id chunkstore.Unit
 	// unit is the pinned record; nil when this worker stores no such unit.
 	unit *unit
-	// scan says which of the unit's tables the statements read — the chunk
-	// table, the overlap companion: the tables that may convoy.
-	scan [2]bool
 	// subchunks says the statements read subchunk tables derived from the
 	// unit, which the job materialized when the first of them did and gives
 	// back through releaseSubchunks.
@@ -1062,7 +1029,7 @@ func (w *Worker) releaseTables(uses []tableUse) {
 // and is filed under the storage unit behind it, which is pinned the first
 // time a statement of the job reads it — a unit evicted to disk is
 // re-materialized here (the job blocks instead of erroring), and a pinned
-// unit cannot be detached under the convoys or subchunk scans that follow —
+// unit cannot be detached under the scans that follow —
 // and whose listed subchunks are materialized the first time a statement
 // reads a subchunk table of it (a unit not stored here has none: the engine
 // reports the missing table). Names that are no piece of a catalog table (a
@@ -1097,9 +1064,6 @@ func (r *jobRun) useTables(from []sqlparse.TableRef, names []string) error {
 			j.tables = append(j.tables, tableUse{id: id, unit: u})
 			use = &j.tables[len(j.tables)-1]
 		}
-		if slot := scanSlot(ref.Kind); slot >= 0 {
-			use.scan[slot] = true
-		}
 		use.subchunks = use.subchunks || ref.Kind == meta.SubChunkTable || ref.Kind == meta.SubChunkOverlapTable
 		if use.subchunks && r.hasSubs && use.unit != nil && use.releaseSubchunks == nil {
 			release, genStats, err := w.acquireSubchunks(use.unit, r.subIDs)
@@ -1108,24 +1072,6 @@ func (r *jobRun) useTables(from []sqlparse.TableRef, names []string) error {
 				return err
 			}
 			use.releaseSubchunks = release
-		}
-	}
-	return nil
-}
-
-// scannerFor returns the convoy scanner over a table a job's statement
-// scans, or nil when the table is not one of the stored chunk or overlap
-// tables the job resolved.
-func (w *Worker) scannerFor(j *job, t *sqlengine.Table) *scanshare.Scanner {
-	for i := range j.tables {
-		use := &j.tables[i]
-		if use.unit == nil || use.scan == [2]bool{} {
-			continue
-		}
-		for slot, name := range unitTableNames(use.id) {
-			if use.scan[slot] && name == t.Name {
-				return w.units.scanner(use.unit, slot, t)
-			}
 		}
 	}
 	return nil

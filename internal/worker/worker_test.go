@@ -116,6 +116,23 @@ func loadResult(t testing.TB, stream string) (*sqlengine.Engine, string) {
 	return e, dec.Name
 }
 
+// TestNewFillsZeroValuesFromDefaultConfig: a worker built from a Config that
+// leaves a knob at zero runs with DefaultConfig's value for it; the lane
+// counts keep their floor of one.
+func TestNewFillsZeroValuesFromDefaultConfig(t *testing.T) {
+	ch, err := partition.NewChunker(partition.Config{NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustNew(t, Config{Name: "w0"}, datagen.LSSTRegistry(ch))
+	defer w.Close()
+	want := DefaultConfig("w0")
+	want.Slots, want.InteractiveSlots = 1, 1
+	if w.cfg != want {
+		t.Errorf("New(Config{Name}) runs with\n %+v, want\n %+v", w.cfg, want)
+	}
+}
+
 func TestSimpleChunkQuery(t *testing.T) {
 	w, chunk := testWorker(t, DefaultConfig("w0"))
 	stream := submit(t, w, chunk, fmt.Sprintf(
@@ -404,7 +421,7 @@ func TestScanLaneGangStartOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Gang members run concurrently (they share one convoy), so report
+	// Gang members run concurrently (they share one read of the chunk), so report
 	// order follows completion; but start times are stamped in arrival
 	// order. Sorting by start time must recover queue order.
 	reports := w.Reports()

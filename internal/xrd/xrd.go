@@ -99,10 +99,11 @@ func QueryPath(chunkID int) string { return fmt.Sprintf("/query2/%d", chunkID) }
 
 // ResultPath builds the hash-addressed result path for a chunk query
 // payload: /result/H where H is the payload's MD5 in 32 hex digits.
-func ResultPath(chunkQuery []byte) string {
-	sum := md5.Sum(chunkQuery)
-	return "/result/" + hex.EncodeToString(sum[:])
-}
+func ResultPath(chunkQuery []byte) string { return ResultPathOf(ResultHash(chunkQuery)) }
+
+// ResultPathOf builds the result path for a hash already taken
+// (ResultHash), for a caller that needs the hash as well.
+func ResultPathOf(hash string) string { return "/result/" + hash }
 
 // ResultHash returns the 32-hex-digit hash a chunk query's result is
 // addressed by.

@@ -66,8 +66,8 @@ type ClusterConfig struct {
 	// WorkerAddrs names the members of a remote cluster instead: worker
 	// name -> host:port of a running qserv-worker (or any xrd.Serve over a
 	// worker.New), reached over the TCP fabric. The workers must be empty;
-	// the fields below that configure a worker process (slots, scan
-	// pieces, DataDir, memory budget) are then theirs to set, through
+	// the fields below that configure a worker process (slots, DataDir,
+	// memory budget) are then theirs to set, through
 	// WorkerConfig, not this cluster's.
 	WorkerAddrs map[string]string
 	// Replication is the number of workers holding each chunk.
@@ -82,13 +82,6 @@ type ClusterConfig struct {
 	// for interactive (index-dive) chunk queries, which never wait
 	// behind full scans.
 	InteractiveSlots int
-	// SharedScans routes full-scan chunk queries on each worker
-	// through per-table convoy scanners (paper section 4.3):
-	// concurrent scans of one chunk table share a single sequential
-	// read instead of each issuing its own.
-	SharedScans bool
-	// ScanPieceRows is the rows per shared-scan piece.
-	ScanPieceRows int
 	// CacheSubChunks enables worker-side subchunk table caching.
 	CacheSubChunks bool
 	// ResultTimeout bounds a single chunk-result wait.
@@ -190,8 +183,6 @@ func DefaultClusterConfig(workers int) ClusterConfig {
 		},
 		WorkerSlots:      4,
 		InteractiveSlots: 2,
-		SharedScans:      true,
-		ScanPieceRows:    1024,
 		ResultTimeout:    2 * time.Minute,
 		MergeParallelism: 8,
 		TopKPushdown:     true,
@@ -225,23 +216,19 @@ func (c ClusterConfig) Validate() error {
 
 // WorkerConfig derives one worker's configuration from the cluster's:
 // NewCluster calls it for every worker it starts and qserv-worker for the
-// one it is, so a deployed worker scans in the same pieces and waits out the
-// same result timeout as an in-process one. The worker's store lives under
+// one it is, so a deployed worker runs the same lanes and waits out the same
+// result timeout as an in-process one. The worker's store lives under
 // DataDir/<name>; metrics is the registry it exports into (nil for none).
 func (c ClusterConfig) WorkerConfig(name string, metrics *telemetry.Registry) worker.Config {
 	wcfg := worker.DefaultConfig(name)
 	wcfg.Slots = c.WorkerSlots
 	wcfg.CacheSubChunks = c.CacheSubChunks
-	wcfg.SharedScans = c.SharedScans
 	if c.DataDir != "" {
 		wcfg.DataDir = filepath.Join(c.DataDir, name)
 	}
 	wcfg.MemoryBudgetBytes = c.WorkerMemoryBudget
 	if c.InteractiveSlots > 0 {
 		wcfg.InteractiveSlots = c.InteractiveSlots
-	}
-	if c.ScanPieceRows > 0 {
-		wcfg.ScanPieceRows = c.ScanPieceRows
 	}
 	if c.ResultTimeout > 0 {
 		wcfg.ResultTimeout = c.ResultTimeout

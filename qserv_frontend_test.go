@@ -191,7 +191,7 @@ func TestFrontendDisconnectKillsQueryEndToEnd(t *testing.T) {
 	}
 
 	// And the workers' scan slots actually free (the whole point of
-	// end-to-end cancellation: a dead client's convoy detaches).
+	// end-to-end cancellation: a dead client's scans are interrupted).
 	reclaimed := func() bool {
 		for _, w := range cl.Workers {
 			if w.ActiveJobs() != 0 || w.QueueLen() != 0 {

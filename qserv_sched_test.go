@@ -2,6 +2,7 @@ package qserv
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,46 +32,57 @@ func TestQueryClassification(t *testing.T) {
 	}
 }
 
-// TestSharedScanClusterEquivalence runs both query classes through the
-// live shared-scan path (DefaultClusterConfig enables SharedScans) and
-// through a sharing-disabled cluster, comparing all answers to the
-// single-node oracle.
+// gangLoad runs the statements at once on cl, whose workers have one slow
+// scan slot each (slowScans), so that same-chunk jobs of different
+// statements queue behind one another and start as gangs. It returns the
+// answers in order.
+func gangLoad(t *testing.T, cl *Cluster, sqls []string) []*Result {
+	t.Helper()
+	out := make([]*Result, len(sqls))
+	errs := make([]error, len(sqls))
+	var wg sync.WaitGroup
+	for i, sql := range sqls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = cl.Query(sql)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", sqls[i], err)
+		}
+	}
+	return out
+}
+
+// gangJoins sums, over cl's workers, the scan jobs that started in a gang
+// another job led.
+func gangJoins(cl *Cluster) (joins int) {
+	for _, w := range cl.Workers {
+		for _, r := range w.Reports() {
+			joins += r.ConvoyJoins
+		}
+	}
+	return joins
+}
+
+// TestSharedScanClusterEquivalence runs both query classes alone and then
+// all at once — the full scans of a chunk starting as gangs over one read
+// of it — and holds every answer, either way, to the single-node oracle.
 func TestSharedScanClusterEquivalence(t *testing.T) {
+	// The oracle is asked each statement without test_slow.
 	queries := []string{
 		// FullScan class.
-		"SELECT COUNT(*) AS n FROM Object WHERE zFlux_PS > 1e-30",
-		"SELECT objectId, ra_PS FROM Object WHERE uFlux_PS > 2.5e-31 AND decl_PS < 10",
-		"SELECT AVG(ra_PS) AS m, COUNT(*) AS n FROM Object GROUP BY chunkId",
+		"SELECT COUNT(*) AS n FROM Object WHERE test_slow(zFlux_PS) > 1e-30",
+		"SELECT objectId, ra_PS FROM Object WHERE test_slow(uFlux_PS) > 2.5e-31 AND decl_PS < 10",
+		"SELECT AVG(test_slow(ra_PS)) AS m, COUNT(*) AS n FROM Object GROUP BY chunkId",
 		// Interactive class.
 		"SELECT * FROM Object WHERE objectId = 42",
 		"SELECT objectId FROM Object WHERE objectId IN (1, 601, 1205)",
 	}
-
-	cl, oracle := shared(t)
-	for _, sql := range queries {
-		got, err := cl.Query(sql)
-		if err != nil {
-			t.Fatalf("shared-scan cluster: %s: %v", sql, err)
-		}
-		want, err := oracle.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, got, want, "shared "+sql)
-	}
-	// The full scans above must actually have used convoys.
-	var bytesRead, scansLogical int64
-	for _, w := range cl.Workers {
-		bytesRead += w.ScanStats().BytesRead
-		for _, r := range w.Reports() {
-			scansLogical += r.Stats.SharedSeqBytes
-		}
-	}
-	if bytesRead == 0 || scansLogical == 0 {
-		t.Errorf("live path bypassed shared scans: physical=%d logical=%d", bytesRead, scansLogical)
-	}
-
-	// Same queries with sharing disabled must agree too.
+	_, oracle := shared(t)
 	cat, err := datagen.Generate(
 		datagen.Config{Seed: 42, ObjectsPerPatch: 600, MeanSourcesPerObject: 3},
 		datagen.DuplicateConfig{DeclBands: 3, SourceDeclLimit: 54, MaxCopies: 30},
@@ -79,31 +91,46 @@ func TestSharedScanClusterEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultClusterConfig(4)
-	cfg.SharedScans = false
-	plain, err := NewCluster(cfg)
+	cfg.WorkerSlots = 1      // scan-lane backlog, so gangs coalesce
+	cfg.ResultCacheBytes = 0 // every run executes
+	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(plain.Close)
-	if err := plain.Load(cat); err != nil {
+	t.Cleanup(cl.Close)
+	if err := cl.Load(cat); err != nil {
 		t.Fatal(err)
 	}
+	slowScans(cl, time.Microsecond)
+
+	var want []*Result
 	for _, sql := range queries {
-		got, err := plain.Query(sql)
-		if err != nil {
-			t.Fatalf("plain cluster: %s: %v", sql, err)
-		}
-		want, err := oracle.Query(sql)
+		w, err := oracle.Query(strings.NewReplacer("test_slow(", "(").Replace(sql))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnswer(t, got, want, "plain "+sql)
+		got, err := cl.Query(sql)
+		if err != nil {
+			t.Fatalf("alone: %s: %v", sql, err)
+		}
+		sameAnswer(t, got, w, "alone "+sql)
+		want = append(want, w)
+	}
+	if n := gangJoins(cl); n != 0 {
+		t.Errorf("%d gang joins with one statement at a time", n)
+	}
+	for i, got := range gangLoad(t, cl, queries) {
+		sameAnswer(t, got, want[i], "together "+queries[i])
+	}
+	if gangJoins(cl) == 0 {
+		t.Error("three full scans at once over one scan slot per worker never formed a gang")
 	}
 }
 
-// TestConcurrentScansShareReads runs concurrent full-scan queries over
-// the live cluster path and checks the physical bytes the convoys read
-// stay below what independent scans would have cost.
+// TestConcurrentScansShareReads is the cluster-level form of the worker's
+// TestGangSharesOneMaterialization: under a memory budget that keeps no
+// unpinned chunk resident, concurrent full scans read each chunk from its
+// segments once per gang, not once per job.
 func TestConcurrentScansShareReads(t *testing.T) {
 	cat, err := datagen.Generate(
 		datagen.Config{Seed: 7, ObjectsPerPatch: 900, MeanSourcesPerObject: 0},
@@ -113,8 +140,10 @@ func TestConcurrentScansShareReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultClusterConfig(2)
-	cfg.WorkerSlots = 2 // force scan-lane backlog so gangs coalesce
-	cfg.ScanPieceRows = 128
+	cfg.WorkerSlots = 1 // scan-lane backlog, so gangs coalesce
+	cfg.DataDir = t.TempDir()
+	cfg.WorkerMemoryBudget = 1
+	cfg.ResultCacheBytes = 0
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,41 +152,42 @@ func TestConcurrentScansShareReads(t *testing.T) {
 	if err := cl.Load(cat); err != nil {
 		t.Fatal(err)
 	}
+	slowScans(cl, time.Microsecond)
+	stats := func() (mats, read int64, scans, gangs int) {
+		for _, w := range cl.Workers {
+			mats += w.ResidencyStats().Materializations
+			read += w.ScanStats().BytesRead
+			for _, r := range w.Reports() {
+				if r.Class == core.FullScan {
+					scans++
+					gangs += 1 - r.ConvoyJoins
+				}
+			}
+		}
+		return
+	}
 
 	const k = 6
-	var wg sync.WaitGroup
-	errs := make([]error, k)
+	var sqls []string
 	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct predicates: identical payloads would dedupe at
-			// the worker instead of convoying.
-			sql := fmt.Sprintf("SELECT COUNT(*) AS n FROM Object WHERE uFlux_PS > %g", 1e-31*float64(i+1))
-			_, errs[i] = cl.Query(sql)
-		}(i)
+		// Distinct predicates: identical payloads would dedupe at the
+		// worker and be one job.
+		sqls = append(sqls, fmt.Sprintf("SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > %g", 1e-31*float64(i+1)))
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("scan %d: %v", i, err)
-		}
+	mats0, read0, scans0, gangs0 := stats()
+	gangLoad(t, cl, sqls)
+	mats, read, scans, gangs := stats()
+	mats, read, scans, gangs = mats-mats0, read-read0, scans-scans0, gangs-gangs0
+	// A gang keeps what its members pin until the last of them is done, so
+	// it materializes its chunk at most once.
+	if gangs >= scans {
+		t.Fatalf("%d full-scan jobs in %d gangs: no two ever started together", scans, gangs)
 	}
-
-	var physical, logical, saved int64
-	for _, w := range cl.Workers {
-		st := w.ScanStats()
-		physical += st.BytesRead
-		saved += st.ScansSaved
-		for _, r := range w.Reports() {
-			logical += r.Stats.SharedSeqBytes
-		}
+	if mats > int64(gangs) || mats >= int64(scans) {
+		t.Errorf("%d materializations for %d jobs in %d gangs; want at most one per gang", mats, scans, gangs)
 	}
-	if saved == 0 {
-		t.Error("no convoy ever shared an in-flight scan")
-	}
-	if physical >= logical {
-		t.Errorf("shared scans read %d bytes, independent would read %d; no savings", physical, logical)
+	if read == 0 {
+		t.Error("materializations read no bytes")
 	}
 }
 
@@ -174,7 +204,6 @@ func TestInteractiveLatencyUnderScanLoad(t *testing.T) {
 	}
 	cfg := DefaultClusterConfig(2)
 	cfg.WorkerSlots = 1 // scan gangs serialize; queues form
-	cfg.ScanPieceRows = 128
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 
 // scanCluster builds a small cluster whose scan backlog makes mid-
 // flight cancellation deterministic: 2 workers x 1 scan slot over many
-// chunks, tiny convoy pieces.
+// chunks.
 func scanCluster(t testing.TB) *Cluster {
 	t.Helper()
 	cat, err := datagen.Generate(
@@ -28,7 +28,6 @@ func scanCluster(t testing.TB) *Cluster {
 	}
 	cfg := DefaultClusterConfig(2)
 	cfg.WorkerSlots = 1
-	cfg.ScanPieceRows = 64
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +129,8 @@ func TestRowsStreamDeliversEveryRow(t *testing.T) {
 
 // TestCancelMidScanReclaimsSlots is the acceptance criterion end to
 // end: a full-scan query canceled mid-flight stops consuming worker
-// scan slots, Wait returns context.Canceled, and a convoying sibling
-// query is unaffected.
+// scan slots, Wait returns context.Canceled, and a sibling query scanning
+// the same chunks is unaffected.
 func TestCancelMidScanReclaimsSlots(t *testing.T) {
 	cl := scanCluster(t)
 	oracle, err := lsstOracle(mustCatalog(t))
@@ -170,8 +169,8 @@ func TestCancelMidScanReclaimsSlots(t *testing.T) {
 		t.Error("canceled query not Done")
 	}
 
-	// The survivor finishes and matches the oracle: its convoys were
-	// not corrupted by the sibling's kill.
+	// The survivor finishes and matches the oracle: the sibling's kill
+	// reached no gang-mate.
 	res, err := survivor.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("survivor: %v", err)

@@ -50,4 +50,4 @@ fi
 echo "daemon-smoke: COUNT(*) FROM Object = $counted, as ingested"
 
 curl -fs http://127.0.0.1:7100/metrics | "$dir/lint-metrics" -require qserv_czar_,qserv_qcache_,qserv_member_,qserv_xrd_,qserv_frontend_
-curl -fs http://127.0.0.1:7101/metrics | "$dir/lint-metrics" -require qserv_worker_,qserv_worker_statements_parsed_total,qserv_worker_statements_reused_total,qserv_scanshare_
+curl -fs http://127.0.0.1:7101/metrics | "$dir/lint-metrics" -require qserv_worker_,qserv_worker_statements_parsed_total,qserv_worker_statements_reused_total,qserv_worker_gang_joins_total

@@ -29,7 +29,7 @@ type Row = []any
 
 // QueryClass is the worker-scheduling class of a query (paper section
 // 4.3): interactive queries ride dedicated low-latency slots, full
-// scans convoy over shared sequential reads.
+// scans run chunk by chunk in gangs that share one read of each chunk.
 type QueryClass string
 
 // The scheduling classes.
@@ -148,7 +148,7 @@ func WithDeadline(d time.Duration) QueryOption {
 
 // WithClass forces the worker-scheduling class, overriding the
 // planner's classification — pin a known-cheap scan to the interactive
-// lane, or demote an expensive point query to the scan convoys.
+// lane, or demote an expensive point query to the scan lane.
 func WithClass(class QueryClass) QueryOption {
 	return func(o *queryOptions) { o.class = &class }
 }
@@ -191,8 +191,7 @@ func (q *Query) Wait(ctx context.Context) (*Result, error) {
 
 // Cancel kills the query: dispatch stops, in-flight fabric transactions
 // abort, and workers dequeue its queued chunk queries and abort running
-// ones — interactive jobs between rows, scan jobs by detaching from
-// their shared-scan convoy at the next piece boundary — so the
+// ones at the engine's next interrupt poll, on either lane — so the
 // resources the query held actually free.
 func (q *Query) Cancel() { q.inner.Cancel() }
 

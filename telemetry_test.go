@@ -94,7 +94,7 @@ func TestAdminEndpointExposesClusterMetrics(t *testing.T) {
 		}
 	}
 	subsystems := []string{
-		"qserv_czar_", "qserv_qcache_", "qserv_worker_", "qserv_scanshare_",
+		"qserv_czar_", "qserv_qcache_", "qserv_worker_",
 		"qserv_member_", "qserv_chunkstore_", "qserv_xrd_",
 	}
 	var present int
@@ -105,8 +105,11 @@ func TestAdminEndpointExposesClusterMetrics(t *testing.T) {
 			t.Logf("subsystem %s absent from exposition", prefix)
 		}
 	}
-	if present < 6 {
-		t.Fatalf("exposition spans %d subsystems, want >= 6", present)
+	if present < 5 {
+		t.Fatalf("exposition spans %d subsystems, want >= 5", present)
+	}
+	if !strings.Contains(text, "\nqserv_worker_gang_joins_total{") {
+		t.Error("/metrics has no qserv_worker_gang_joins_total series")
 	}
 	// The fan-out actually moved the hot-path counters.
 	if !strings.Contains(text, "qserv_czar_queries_total 2") {
