@@ -44,6 +44,8 @@ bench-build:
 # paper's 8,983 chunks. BenchmarkScanHV1InShell is the guarded
 # comparisons' worst case, a table whose every cell makes the guard give up
 # and call the function: read it against BenchmarkScanHV1 before the guards.
+# BenchmarkScanHV1Nulls is HV1 over a table whose filtered column is 1 %
+# NULL: the price of the NULL bitmap on the block filter's path.
 # (What they must never exceed is pinned as counts, which repeat exactly, by
 # TestScanAllocBudget, TestSinkAllocBudget, TestMaterializeAllocBudget,
 # TestAbsorbAllocBudget and TestRowLoopAllocBudget in tier-1; what the
@@ -78,7 +80,9 @@ bench-smoke:
 # expression compiler, differentially: whatever expression text the
 # fuzzer writes must evaluate as the reference interpreter does, and
 # whatever constant and cells it picks, a guard that decides a comparison
-# without the call must be borne out by the call — and over the worker's
+# without the call must be borne out by the call, and whatever shape, cells
+# and constant it picks, a block form keeps the rows its conjunct's row form
+# calls TRUE — and over the worker's
 # statement reuse, also differentially: whatever edits the fuzzer makes to
 # a rendered near-neighbour payload, a job that may run statements through
 # an already compiled pair must answer as one that parses them all. Go allows one
@@ -98,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzGuardedCompare$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzBlockFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/worker -run '^$$' -fuzz '^FuzzChunkScriptReuse$$' -fuzztime $(FUZZTIME)
 

@@ -156,6 +156,17 @@ func BenchmarkScanHV1InShell(b *testing.B) {
 	benchStatementOn(b, benchEngineOf(b, benchShellRows(benchChunkRows)), benchHV1)
 }
 
+// BenchmarkScanHV1Nulls prices the NULL path: HV1 over a table whose
+// rFlux_PS is NULL in one row of every hundred, so the column carries a NULL
+// bitmap that the filter reads for every row.
+func BenchmarkScanHV1Nulls(b *testing.B) {
+	rows := benchObjectRows(benchChunkRows)
+	for i := 0; i < len(rows); i += 100 {
+		rows[i][5] = nil
+	}
+	benchStatementOn(b, benchEngineOf(b, rows), benchHV1)
+}
+
 // TestGuardSkipsTheCall counts what the guards are for: over the bench
 // tables the classes' statements call their function for next to no row
 // (every row, before the guards), and over a table whose cells all sit in

@@ -91,6 +91,11 @@ type node struct {
 	// band is set on a comparison that guardedCmp compiled and a join may
 	// answer by skipping rows: what planBand needs to know of it.
 	band *bandCmp
+	// block is set on a comparison or BETWEEN that has a block form
+	// (block.go): a guarded one whose call reads column leaves of one
+	// binding, or a numeric column against numeric constants. A scan's
+	// filter uses it.
+	block blockFn
 }
 
 // bandCmp is a guarded comparison `f(x1, y1, x2, y2) <|<= c` (or its
@@ -213,7 +218,25 @@ func (n *node) constFloat() (v float64, ok bool) {
 	if !n.constant || !n.kind.numeric() {
 		return 0, false
 	}
+	if n.isLit {
+		if i, ok := n.lit.(int64); ok {
+			return float64(i), true
+		}
+		return n.lit.(float64), true
+	}
 	v, null, err := n.floatForm()(new(frame))
+	return v, err == nil && !null
+}
+
+// constInt is constFloat for a constant node of kindInt: the int64 it is.
+func (n *node) constInt() (v int64, ok bool) {
+	if !n.constant || n.kind != kindInt {
+		return 0, false
+	}
+	if n.isLit {
+		return n.lit.(int64), true
+	}
+	v, null, err := n.intForm()(new(frame))
 	return v, err == nil && !null
 }
 
@@ -239,17 +262,29 @@ func (n *node) strForm() strFn {
 // operand is a compiled expression in the one form its kind selects,
 // for a consumer that takes every kind: an aggregate's argument, a select
 // item. Only the field of its kind is set; value is the generic form of a
-// kindAny expression.
+// kindAny expression. A column leaf has no closure: isCol is set, and its
+// consumers read cell ci of binding bi's cursor from the column slice
+// (colInt, colFloat, colStr) through cur and col, which output.bind points
+// at that cursor and its column for each run.
 type operand struct {
 	kind  kind
 	value valueFn
 	int   intFn
 	float floatFn
 	str   strFn
+
+	isCol  bool
+	bi, ci int
+	cur    *cursor
+	col    *column
 }
 
 func (n *node) operand() operand {
 	op := operand{kind: n.kind}
+	if n.isCol {
+		op.isCol, op.bi, op.ci = true, n.bi, n.ci
+		return op
+	}
 	switch n.kind {
 	case kindInt:
 		op.int = n.intForm()
@@ -261,6 +296,35 @@ func (n *node) operand() operand {
 		op.value = n.valueForm()
 	}
 	return op
+}
+
+// bind points a column leaf at its binding's cursor in fr and the column
+// that cursor holds; it is redone whenever the cursor is given other
+// columns.
+func (o *operand) bind(fr *frame) {
+	if o.isCol {
+		o.cur = &fr.cur[o.bi]
+		o.col = &o.cur.cols[o.ci]
+	}
+}
+
+// colInt, colFloat and colStr read a bound column leaf's cell at its
+// cursor. They are small enough to inline, which a method that also called
+// the closure of any other operand would not be, so a consumer branches on
+// isCol itself.
+func (o *operand) colInt() (int64, bool) {
+	pos := o.cur.pos
+	return o.col.ints[pos], o.col.null(pos)
+}
+
+func (o *operand) colFloat() (float64, bool) {
+	pos := o.cur.pos
+	return o.col.floats[pos], o.col.null(pos)
+}
+
+func (o *operand) colStr() (string, bool) {
+	pos := o.cur.pos
+	return o.col.strs[pos], o.col.null(pos)
 }
 
 // colType is the column type a typed kind declares.
@@ -620,11 +684,7 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 	for i := range args {
 		constant = constant && args[i].constant
 	}
-	n := typedCallNode(t, forms(args, (*node).floatForm), constant)
-	if n.typed != nil {
-		n.typed.nodes = args
-	}
-	return n, nil
+	return typedCallNode(t, args, constant), nil
 }
 
 // typedCall is a call compiled through a builtin's typed entry. The node
@@ -632,16 +692,23 @@ func (c *compiler) compileCall(v *sqlparse.FuncCall) (node, error) {
 // load the arguments itself and ask the entry's guard before it makes the
 // call.
 type typedCall struct {
-	fn   *typedFunc
-	args []floatFn
-	// nodes are the arguments as compiled, for a planner that asks what
-	// they read; nil on a call the compiler put together itself (minus).
+	fn *typedFunc
+	// nodes are the arguments as compiled, for load and for a planner and a
+	// block form that ask what they read; a minus entry's are those of both
+	// calls. args holds the float form of each that is not a column leaf; a
+	// column leaf's entry is nil, and load reads its cell from the column.
 	nodes []node
+	args  []floatFn
 	buf   [maxTypedArgs]float64
 }
 
-func typedCallNode(t *typedFunc, args []floatFn, constant bool) node {
-	tc := &typedCall{fn: t, args: args}
+func typedCallNode(t *typedFunc, nodes []node, constant bool) node {
+	tc := &typedCall{fn: t, nodes: nodes, args: make([]floatFn, len(nodes))}
+	for i := range nodes {
+		if !nodes[i].isCol {
+			tc.args[i] = nodes[i].floatForm()
+		}
+	}
 	if t.pred {
 		return node{kind: kindInt, constant: constant, int: func(fr *frame) (int64, bool, error) {
 			f, null, err := tc.eval(fr)
@@ -656,12 +723,24 @@ func typedCallNode(t *typedFunc, args []floatFn, constant bool) node {
 // call does: a later argument may be the one that fails.
 func (tc *typedCall) load(fr *frame) (null bool, err error) {
 	for i, a := range tc.args {
-		x, n, err := a(fr)
-		if err != nil {
-			return false, err
+		if a != nil {
+			x, n, err := a(fr)
+			if err != nil {
+				return false, err
+			}
+			null, tc.buf[i] = null || n, x
+			continue
 		}
-		null = null || n
-		tc.buf[i] = x
+		// A column leaf, read as its float form reads it: an integer widens.
+		arg := &tc.nodes[i]
+		c := &fr.cur[arg.bi]
+		col := &c.cols[arg.ci]
+		if arg.kind == kindInt {
+			tc.buf[i] = float64(col.ints[c.pos])
+		} else {
+			tc.buf[i] = col.floats[c.pos]
+		}
+		null = null || col.null(c.pos)
 	}
 	return null, nil
 }
@@ -711,7 +790,7 @@ func arithNode(op binOp, l, r *node) node {
 	constant := l.constant && r.constant
 	switch {
 	case op == opSub && l.typed != nil && r.typed != nil && l.typed.fn == r.typed.fn && l.typed.fn.minus != nil:
-		return typedCallNode(l.typed.fn.minus, slices.Concat(l.typed.args, r.typed.args), constant)
+		return typedCallNode(l.typed.fn.minus, slices.Concat(l.typed.nodes, r.typed.nodes), constant)
 	case !l.kind.numeric() || !r.kind.numeric():
 		lv, rv := l.valueForm(), r.valueForm()
 		return node{value: func(fr *frame) (Value, error) {
@@ -842,14 +921,14 @@ func holds(op binOp, c int) bool {
 // either side is.
 func cmpNode(op binOp, l, r *node) node {
 	n := node{kind: kindInt, boolean: true}
-	if n.int, n.band = guardedCmp(op, l, r); n.int != nil {
+	if n.int, n.band, n.block = guardedCmp(op, l, r); n.int != nil {
 		return n
 	}
 	switch {
 	case l.kind == kindInt && r.kind == kindInt:
-		n.int = cmpTyped(op, l.intForm(), r.intForm())
+		n.int, n.block = cmpTyped(op, l.intForm(), r.intForm()), cmpBlock(op, l, r)
 	case l.kind.numeric() && r.kind.numeric():
-		n.int = cmpTyped(op, l.floatForm(), r.floatForm())
+		n.int, n.block = cmpTyped(op, l.floatForm(), r.floatForm()), cmpBlock(op, l, r)
 	case l.kind == kindString && r.kind == kindString:
 		n.int = cmpTyped(op, l.strForm(), r.strForm())
 	default:
@@ -900,8 +979,9 @@ func mirrored(op binOp) binOp {
 // constant is folded once, which nothing can observe. It returns nil where
 // there is no guard to use. Where the comparison is false for a result above
 // the constant (<, <=) and the builtin says where its guard answers above
-// (typedFunc.band), that is returned too.
-func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp) {
+// (typedFunc.band), that is returned too; where the call's arguments are all
+// column leaves, so is the block form, which asks the same guard.
+func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp, blockFn) {
 	for _, side := range [2]struct {
 		call, constant *node
 		op             binOp
@@ -939,9 +1019,9 @@ func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp) {
 			}
 			y, null := tc.fn.call(&tc.buf)
 			return answer[threeWay(y, c)+1], null, nil
-		}, band
+		}, band, guardedCmpBlock(tc, guard, answer, c)
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 func cmpTyped[T ordered](op binOp, l, r typedFn[T]) intFn {
@@ -1033,15 +1113,15 @@ func negTyped[T number](x typedFn[T]) typedFn[T] {
 // same kind generically: all integers, all strings, or both on float64.
 func betweenNode(x, lo, hi *node, not bool) node {
 	n := node{kind: kindInt, boolean: true}
-	if n.int = guardedBetween(x, lo, hi, not); n.int != nil {
+	if n.int, n.block = guardedBetween(x, lo, hi, not); n.int != nil {
 		return n
 	}
 	numeric := x.kind.numeric() && lo.kind.numeric() && hi.kind.numeric()
 	switch {
 	case x.kind == kindInt && lo.kind == kindInt && hi.kind == kindInt:
-		n.int = betweenTyped(x.intForm(), lo.intForm(), hi.intForm(), not)
+		n.int, n.block = betweenTyped(x.intForm(), lo.intForm(), hi.intForm(), not), betweenBlock(x, lo, hi, not)
 	case numeric && (x.kind == kindFloat || (lo.kind == kindFloat && hi.kind == kindFloat)):
-		n.int = betweenTyped(x.floatForm(), lo.floatForm(), hi.floatForm(), not)
+		n.int, n.block = betweenTyped(x.floatForm(), lo.floatForm(), hi.floatForm(), not), betweenBlock(x, lo, hi, not)
 	case x.kind == kindString && lo.kind == kindString && hi.kind == kindString:
 		n.int = betweenTyped(x.strForm(), lo.strForm(), hi.strForm(), not)
 	default:
@@ -1078,20 +1158,21 @@ func betweenNode(x, lo, hi *node, not bool) node {
 
 // guardedBetween is guardedCmp for a guarded call [NOT] BETWEEN two numeric
 // constants: the float64 form betweenTyped would build, decided by the
-// guard specialised on each bound wherever the two settle it.
-func guardedBetween(x, lo, hi *node, not bool) intFn {
+// guard specialised on each bound wherever the two settle it, and its block
+// form where the call reads column leaves only.
+func guardedBetween(x, lo, hi *node, not bool) (intFn, blockFn) {
 	tc := x.typed
 	if tc == nil || tc.fn.guard == nil {
-		return nil
+		return nil, nil
 	}
 	l, lok := lo.constFloat()
 	h, hok := hi.constFloat()
 	if !lok || !hok {
-		return nil
+		return nil, nil
 	}
 	guardLo, guardHi := tc.fn.guard(l), tc.fn.guard(h)
 	if guardLo == nil || guardHi == nil {
-		return nil
+		return nil, nil
 	}
 	in, out := boolToInt(!not), boolToInt(not)
 	return func(fr *frame) (int64, bool, error) {
@@ -1112,7 +1193,7 @@ func guardedBetween(x, lo, hi *node, not bool) intFn {
 		}
 		y, null := tc.fn.call(&tc.buf)
 		return boolToInt((!(y < l) && !(y > h)) != not), null, nil
-	}
+	}, guardedBetweenBlock(tc, guardLo, guardHi, l, h, not)
 }
 
 func betweenTyped[T ordered](x, lo, hi typedFn[T], not bool) intFn {

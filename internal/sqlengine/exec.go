@@ -31,7 +31,8 @@ const interruptCheckRows = 512
 // after another). What a plan takes from a table's data rather than its
 // schema — an index to dive into, a hash join's build side, the order a
 // band join walks — is looked for again by every run. The compiled closures
-// keep scratch buffers, so one goroutine runs a Prepared at a time.
+// keep scratch buffers, and so does the Prepared (its selection vector), so
+// one goroutine runs a Prepared at a time.
 type Prepared struct {
 	eng      *Engine
 	sel      *sqlparse.Select
@@ -42,6 +43,9 @@ type Prepared struct {
 	// every run.
 	countStar bool
 	plan      *selectPlan
+	// vec is the selection vector every run's scans fill and narrow, a
+	// block of positions at a time (selectExec.scan).
+	vec []int32
 }
 
 // source is one table a run reads, and the state of it the run loaded
@@ -57,6 +61,7 @@ type selectExec struct {
 	interrupt <-chan struct{}
 	stats     ExecStats
 	fr        frame
+	vec       []int32 // the Prepared's selection vector, grown as a scan needs
 }
 
 // interrupted reports ErrInterrupted once the interrupt channel closed.
@@ -197,15 +202,17 @@ func (p *Prepared) run(tables []source, opts ExecOptions) (*Result, error) {
 	case p.countStar:
 		return deliver(countStar(p.sel, tables[0].table), nil, opts.Sink)
 	}
-	ex := &selectExec{from: tables, interrupt: opts.Interrupt}
+	ex := &selectExec{from: tables, interrupt: opts.Interrupt, vec: p.vec}
 	ex.fr.cur = make([]cursor, len(tables))
 	for i := range tables {
 		tables[i].data = tables[i].table.data.Load()
 		ex.fr.cur[i].cols = tables[i].data.cols
 	}
 	out := p.plan.out
-	out.begin(opts.Sink)
-	if err := ex.run(p.plan); err != nil {
+	out.begin(opts.Sink, &ex.fr)
+	err := ex.run(p.plan)
+	p.vec = ex.vec
+	if err != nil {
 		return nil, err
 	}
 	res, err := out.finish(&ex.fr)
@@ -346,11 +353,11 @@ type scanPlan struct {
 	// with the conjunct — divePred — back at its place in filter, diveAt.
 	diveCol  int
 	keys     []Value
-	divePred intFn
+	divePred conjunct
 	diveAt   int
 	// filter holds the conjuncts over this binding alone (less the one an
 	// index dive answers), in WHERE order.
-	filter []intFn
+	filter []conjunct
 	// pending holds the conjuncts that become decidable once this binding
 	// joins the earlier ones. If one of them equates a column of this
 	// binding to an expression over the earlier ones, and the two compare
@@ -362,6 +369,13 @@ type scanPlan struct {
 	// a band of one of this binding's columns: over a table sorted on that
 	// column, each joined row visits only the band (see bandJoin).
 	band *bandJoin
+}
+
+// conjunct is a filter conjunct: its row form, and its block form where it
+// has one (blockFn).
+type conjunct struct {
+	row   intFn
+	block blockFn
 }
 
 func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
@@ -415,11 +429,12 @@ func (p *Prepared) compile(tables []source) (*selectPlan, error) {
 			}
 			sp.pending = append(sp.pending, pred)
 		default:
+			f := conjunct{row: pred, block: n.block}
 			if sp.diveCol < 0 && planIndexDive(c, sp, e, tables[k].table) {
-				sp.divePred, sp.diveAt = pred, len(sp.filter)
+				sp.divePred, sp.diveAt = f, len(sp.filter)
 				break
 			}
-			sp.filter = append(sp.filter, pred)
+			sp.filter = append(sp.filter, f)
 		}
 	}
 
@@ -580,7 +595,7 @@ func planBand(n *node, k int) *bandJoin {
 			return nil
 		}
 	}
-	return &bandJoin{b: n.band.b, x1: tc.args[0], y1: tc.args[1], x2: tc.nodes[2].ci, y2: tc.nodes[3].ci}
+	return &bandJoin{b: n.band.b, x1: tc.nodes[0].floatForm(), y1: tc.nodes[1].floatForm(), x2: tc.nodes[2].ci, y2: tc.nodes[3].ci}
 }
 
 // joinTable is the build side of one hash join: the rows of the joined
@@ -687,11 +702,9 @@ func (ex *selectExec) run(p *selectPlan) error {
 	if p.empty {
 		return nil
 	}
-	fr := &ex.fr
-	sink := func() error { return p.out.consume(fr) }
 	last := len(p.scans) - 1
 	if last == 0 {
-		return ex.scan(0, &p.scans[0], sink)
+		return ex.scan(0, &p.scans[0], p.out)
 	}
 	// cur holds the joined rows so far, flat: k positions per entry once k
 	// bindings are joined.
@@ -700,36 +713,57 @@ func (ex *selectExec) run(p *selectPlan) error {
 		return err
 	}
 	for k := 1; k < last; k++ {
-		var next []int
-		err := ex.extend(cur, k, &p.scans[k], func() error {
-			for i := range fr.cur[:k+1] {
-				next = append(next, fr.cur[i].pos)
-			}
-			return nil
-		})
-		if err != nil {
+		next := &positions{to: k}
+		if err := ex.extend(cur, k, &p.scans[k], next); err != nil {
 			return err
 		}
-		cur = next
+		cur = next.rows
 	}
-	return ex.extend(cur, last, &p.scans[last], sink)
+	return ex.extend(cur, last, &p.scans[last], p.out)
+}
+
+// consumer takes each row a scan or a join emits, bound in the frame: the
+// statement's output, or the positions a join materializes.
+type consumer interface {
+	consume(fr *frame) error
+}
+
+// positions materializes the positions of bindings from..to of each row it
+// takes, flat.
+type positions struct {
+	from, to int
+	rows     []int
+}
+
+func (p *positions) consume(fr *frame) error {
+	for i := p.from; i <= p.to; i++ {
+		p.rows = append(p.rows, fr.cur[i].pos)
+	}
+	return nil
 }
 
 // collect materializes the positions of binding k's filtered rows.
 func (ex *selectExec) collect(k int, sp *scanPlan) ([]int, error) {
-	var rows []int
-	cur := &ex.fr.cur[k]
-	err := ex.scan(k, sp, func() error {
-		rows = append(rows, cur.pos)
-		return nil
-	})
-	return rows, err
+	rows := &positions{from: k, to: k}
+	err := ex.scan(k, sp, rows)
+	return rows.rows, err
 }
 
-// scan is the engine's one row loop: it moves binding k's cursor over the
-// positions an index dive found, or over the whole table, applies the
-// binding's filter to each row and hands the survivors to emit.
-func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
+// blockFormsOff makes every scan run its whole filter row by row: tests set
+// it to hold the block forms' answers to the row forms'.
+var blockFormsOff bool
+
+// scan is the engine's one row loop: it walks the positions an index dive
+// found, or the whole table, a block of interruptCheckRows at a time, and
+// hands the rows the binding's filter keeps to out. Each block's positions
+// fill the selection vector; the leading run of the filter's conjuncts that
+// have a block form narrows it, conjunct after conjunct; the rest of the
+// filter runs on each row left, in WHERE order, right before the row is
+// emitted. A conjunct therefore sees exactly the rows every earlier one
+// kept, as it would row by row; that a block form also saw the rows of its
+// block after a later conjunct's error is not observable, since it cannot
+// fail and changes nothing.
+func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 	table, data := ex.from[k].table, ex.from[k].data
 	filter := sp.filter
 	var index *hashIndex
@@ -750,29 +784,47 @@ func (ex *selectExec) scan(k int, sp *scanPlan, emit func() error) error {
 	ex.stats.RowsScanned += int64(n)
 	*bytes += int64(n) * int64(table.Schema.RowWidth())
 
+	lead := 0
+	for !blockFormsOff && lead < len(filter) && filter[lead].block != nil {
+		lead++
+	}
+	blocks, rest := filter[:lead], filter[lead:]
+	if size := min(n, interruptCheckRows); cap(ex.vec) < size {
+		ex.vec = make([]int32, 0, size)
+	}
 	fr, cur := &ex.fr, &ex.fr.cur[k]
-rows:
-	for i := 0; i < n; i++ {
-		if i%interruptCheckRows == 0 {
-			if err := ex.interrupted(); err != nil {
-				return err
-			}
-		}
-		cur.pos = i
-		if dive {
-			cur.pos = found[i]
-		}
-		for _, f := range filter {
-			v, null, err := f(fr)
-			if err != nil {
-				return err
-			}
-			if null || v == 0 {
-				continue rows
-			}
-		}
-		if err := emit(); err != nil {
+	for start := 0; start < n; start += interruptCheckRows {
+		if err := ex.interrupted(); err != nil {
 			return err
+		}
+		sel := ex.vec[:min(interruptCheckRows, n-start)]
+		if dive {
+			for i, pos := range found[start : start+len(sel)] {
+				sel[i] = int32(pos)
+			}
+		} else {
+			for i := range sel {
+				sel[i] = int32(start + i)
+			}
+		}
+		for _, f := range blocks {
+			sel = f.block(cur.cols, sel)
+		}
+	rows:
+		for _, pos := range sel {
+			cur.pos = int(pos)
+			for _, f := range rest {
+				v, null, err := f.row(fr)
+				if err != nil {
+					return err
+				}
+				if null || v == 0 {
+					continue rows
+				}
+			}
+			if err := out.consume(fr); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -804,7 +856,7 @@ func (ex *selectExec) dive(sp *scanPlan, index *hashIndex, data *tableData) []in
 // band join when it found a band conjunct and the table is sorted for it,
 // and by nested loop otherwise — and emits every joined row that passes the
 // pending conjuncts.
-func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) error {
+func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, out consumer) error {
 	inner, err := ex.collect(k, sp)
 	if err != nil {
 		return err
@@ -858,7 +910,7 @@ func (ex *selectExec) extend(cur []int, k int, sp *scanPlan, emit func() error) 
 						continue rows
 					}
 				}
-				if err := emit(); err != nil {
+				if err := out.consume(fr); err != nil {
 					return err
 				}
 			}
@@ -987,19 +1039,17 @@ type aggAcc struct {
 	seen   map[string]struct{} // DISTINCT only
 }
 
-// take evaluates a typed aggregate argument for the row bound in fr and
-// reports whether it counts: not NULL and, under DISTINCT, not seen.
-func take[T ordered](o *output, spec *aggSpec, a *aggAcc, fr *frame,
-	arg typedFn[T], enc func([]byte, T) []byte) (T, bool, error) {
-	v, null, err := arg(fr)
-	if err != nil || null {
-		return v, false, err
+// take reports whether a typed aggregate argument's value counts: not NULL
+// and, under DISTINCT, not seen.
+func take[T ordered](o *output, spec *aggSpec, a *aggAcc, v T, null bool, enc func([]byte, T) []byte) bool {
+	if null {
+		return false
 	}
 	if spec.distinct {
 		o.scratch = enc(o.scratch[:0], v)
-		return v, a.firstSight(o.scratch), nil
+		return a.firstSight(o.scratch)
 	}
-	return v, true, nil
+	return true
 }
 
 // firstSight records a DISTINCT key and reports whether it is new.
@@ -1145,6 +1195,12 @@ type output struct {
 	// BY chunkId is one group for the whole table).
 	last    *group
 	lastKey []byte
+	// intKey is the GROUP BY's one key when that is a BIGINT column, and
+	// lastInt, when lastIntOK, last's key as the int64 it is: a row whose
+	// cell equals it skips building the key too.
+	intKey    operand
+	lastInt   int64
+	lastIntOK bool
 
 	// sink is the statement's: the caller's, or boxed for a caller that
 	// named none, whose rows become Result.Rows. held is set under DISTINCT
@@ -1194,6 +1250,9 @@ func (p *Prepared) compileOutput(c *compiler) (*output, error) {
 			return nil, err
 		}
 		o.groupBy = append(o.groupBy, n.key())
+		if len(sel.GroupBy) == 1 && n.isCol && n.kind == kindInt {
+			o.intKey = n.operand()
+		}
 	}
 
 	// Aggregate calls are legal from here on; each takes a slot of o.aggs.
@@ -1225,9 +1284,11 @@ func (p *Prepared) compileOutput(c *compiler) (*output, error) {
 	return o, nil
 }
 
-// begin readies the output for one run writing to sink (nil boxes the rows
-// into Result.Rows): nothing of an earlier run is left in it.
-func (o *output) begin(sink Sink) {
+// begin readies the output for one run over the cursors of fr writing to
+// sink (nil boxes the rows into Result.Rows): nothing of an earlier run is
+// left in it.
+func (o *output) begin(sink Sink, fr *frame) {
+	o.bind(fr)
 	o.sink, o.boxed, o.held = sink, nil, nil
 	if sink == nil {
 		o.boxed = &Boxer{}
@@ -1243,10 +1304,25 @@ func (o *output) begin(sink Sink) {
 	for i, it := range o.items {
 		o.types[i], o.typed[i] = it.kind.colType(), it.kind != kindAny
 	}
-	o.groups, o.list, o.last, o.nrows, o.nbytes = nil, nil, nil, 0, 0
+	o.groups, o.list, o.last, o.lastIntOK, o.nrows, o.nbytes = nil, nil, nil, false, 0, 0
 	if len(o.groupBy) > 0 {
 		o.groups = map[string]*group{}
 	}
+}
+
+// bind points every column-leaf operand of the output at the cursors of fr
+// and the columns they hold (operand.bind).
+func (o *output) bind(fr *frame) {
+	for i := range o.items {
+		o.items[i].bind(fr)
+	}
+	for i := range o.order {
+		o.order[i].bind(fr)
+	}
+	for i := range o.aggs {
+		o.aggs[i].arg.bind(fr)
+	}
+	o.intKey.bind(fr)
 }
 
 // expandStar appends one item per column that `*` or `t.*` stands for.
@@ -1279,35 +1355,55 @@ func (o *output) consume(fr *frame) error {
 	if !o.grouped {
 		return o.emit(fr)
 	}
-	g, err := o.groupOf(fr)
-	if err != nil {
-		return err
+	var err error
+	g := o.last
+	if g == nil || !o.inLast(fr) {
+		if g, err = o.groupOf(fr); err != nil {
+			return err
+		}
 	}
+	accs := g.accs[:len(o.aggs)]
 	for i := range o.aggs {
-		spec, a := &o.aggs[i], &g.accs[i]
+		spec, a := &o.aggs[i], &accs[i]
+		arg := &spec.arg
 		switch {
-		case spec.arg.kind == kindInt:
-			if x, ok, err := take(o, spec, a, fr, spec.arg.int, appendIntKey); err != nil {
+		case arg.kind == kindInt:
+			var x int64
+			var null bool
+			if arg.isCol {
+				x, null = arg.colInt()
+			} else if x, null, err = arg.int(fr); err != nil {
 				return err
-			} else if ok {
+			}
+			if take(o, spec, a, x, null, appendIntKey) {
 				a.addInt(spec.kind, x)
 			}
-		case spec.arg.kind == kindFloat:
-			if x, ok, err := take(o, spec, a, fr, spec.arg.float, appendFloatKey); err != nil {
+		case arg.kind == kindFloat:
+			var x float64
+			var null bool
+			if arg.isCol {
+				x, null = arg.colFloat()
+			} else if x, null, err = arg.float(fr); err != nil {
 				return err
-			} else if ok {
+			}
+			if take(o, spec, a, x, null, appendFloatKey) {
 				a.addFloat(spec.kind, x)
 			}
-		case spec.arg.kind == kindString:
-			if x, ok, err := take(o, spec, a, fr, spec.arg.str, appendStringKey); err != nil {
+		case arg.kind == kindString:
+			var x string
+			var null bool
+			if arg.isCol {
+				x, null = arg.colStr()
+			} else if x, null, err = arg.str(fr); err != nil {
 				return err
-			} else if ok {
+			}
+			if take(o, spec, a, x, null, appendStringKey) {
 				a.addString(spec.kind, x)
 			}
-		case spec.arg.value == nil:
+		case arg.value == nil:
 			a.count++
 		default:
-			v, err := spec.arg.value(fr)
+			v, err := arg.value(fr)
 			if err != nil {
 				return err
 			}
@@ -1325,6 +1421,17 @@ func (o *output) consume(fr *frame) error {
 	return nil
 }
 
+// inLast reports, without building a key, that the row bound in fr belongs
+// to the last row's group: there is no GROUP BY, or its one key is a BIGINT
+// column and the row's cell is last's key.
+func (o *output) inLast(fr *frame) bool {
+	if !o.lastIntOK {
+		return len(o.groupBy) == 0
+	}
+	x, null := o.intKey.colInt()
+	return x == o.lastInt && !null
+}
+
 // groupOf finds or opens the group of the row bound in fr. The key is
 // built in a reused buffer and looked up without becoming a string.
 func (o *output) groupOf(fr *frame) (*group, error) {
@@ -1332,7 +1439,8 @@ func (o *output) groupOf(fr *frame) (*group, error) {
 		if len(o.list) == 0 {
 			o.openGroup(fr)
 		}
-		return o.list[0], nil
+		o.last = o.list[0]
+		return o.last, nil
 	}
 	key := o.key[:0]
 	for _, g := range o.groupBy {
@@ -1353,6 +1461,10 @@ func (o *output) groupOf(fr *frame) (*group, error) {
 	// This key becomes the remembered one; its buffer and the previous
 	// one's trade places, so nothing is copied.
 	o.last, o.lastKey, o.key = g, key, o.lastKey
+	if o.intKey.isCol {
+		x, null := o.intKey.colInt()
+		o.lastInt, o.lastIntOK = x, !null
+	}
 	return g, nil
 }
 
@@ -1395,10 +1507,14 @@ func (o *output) emit(fr *frame) error {
 // cell writes one cell of the row being emitted, metering it as rowBytes
 // does.
 func (o *output) cell(fr *frame, it *operand, col int) error {
+	var null bool
+	var err error
 	switch it.kind {
 	case kindInt:
-		v, null, err := it.int(fr)
-		if err != nil {
+		var v int64
+		if it.isCol {
+			v, null = it.colInt()
+		} else if v, null, err = it.int(fr); err != nil {
 			return err
 		}
 		o.nbytes += 8
@@ -1407,8 +1523,10 @@ func (o *output) cell(fr *frame, it *operand, col int) error {
 		}
 		return o.dst.Int(col, v)
 	case kindFloat:
-		v, null, err := it.float(fr)
-		if err != nil {
+		var v float64
+		if it.isCol {
+			v, null = it.colFloat()
+		} else if v, null, err = it.float(fr); err != nil {
 			return err
 		}
 		o.nbytes += 8
@@ -1417,8 +1535,10 @@ func (o *output) cell(fr *frame, it *operand, col int) error {
 		}
 		return o.dst.Float(col, v)
 	case kindString:
-		v, null, err := it.str(fr)
-		if err != nil {
+		var v string
+		if it.isCol {
+			v, null = it.colStr()
+		} else if v, null, err = it.str(fr); err != nil {
 			return err
 		}
 		if null {
@@ -1471,12 +1591,14 @@ func (o *output) finish(fr *frame) (*Result, error) {
 		}
 		fr.aggs = make([]Value, len(o.aggs))
 		for _, g := range o.list {
-			for i := range fr.cur {
-				if g.first == nil {
+			if g.first == nil {
+				for i := range fr.cur {
 					fr.cur[i] = cursor{cols: nullRow(o.schemas[i])}
-				} else {
-					fr.cur[i].pos = g.first[i]
 				}
+				o.bind(fr)
+			}
+			for i := range g.first {
+				fr.cur[i].pos = g.first[i]
 			}
 			for i := range o.aggs {
 				fr.aggs[i] = g.accs[i].result(&o.aggs[i])

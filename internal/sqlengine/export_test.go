@@ -38,6 +38,15 @@ const BenchHV2 = benchHV2
 
 func BenchEngine(tb testing.TB, n int) *Engine { return benchEngine(tb, n) }
 
+// withBlockFormsOff runs f with every scan's whole filter run row by row,
+// as withBandJoinOff runs it with the band join off: the block forms' answers
+// are held to the row forms' through it.
+func withBlockFormsOff(f func()) {
+	blockFormsOff = true
+	defer func() { blockFormsOff = false }()
+	f()
+}
+
 // CountTypedCalls wraps the typed entry of a builtin — and, where it
 // declares one, the entry for the difference of two of its calls — with a
 // counter of the calls compiled statements make through it from here on.

@@ -260,9 +260,9 @@ func (e *Engine) registerLogAffine(name string, a, b float64) {
 // logAffineGuard decides y(x) against c — or, for a pair, y(x1) - y(x2)
 // against c — by comparing x with the threshold k = 10^exp, for a pair x1
 // with k*x2: y is monotone in x, falling when a < 0. It decides only for x
-// outside k*(1 +- guardShell), with x and the threshold normal numbers (so
-// not for a zero, negative, subnormal, infinite or NaN cell), and is not
-// built when k itself is not one.
+// outside k*(1 +- guardShell), with x — for a pair both cells — and the
+// threshold normal numbers (so not for a zero, negative, subnormal, infinite
+// or NaN cell), and is not built when k itself is not one.
 //
 // Why the shell is safe. For a normal x, math.Log10(x) is a handful of
 // roundings at 2^-53 relative on a value of at most 308: within 3e-13 of
@@ -289,9 +289,12 @@ func logAffineGuard(a, exp float64, pair bool) guardFn {
 		return func(arg *[maxTypedArgs]float64) verdict { return shellSide(arg[0], lo, hi, smallX, largeX) }
 	}
 	return func(arg *[maxTypedArgs]float64) verdict {
+		// x2 must be normal too: the bound above is math.Log10's on normal
+		// numbers, and on a subnormal it is off by whole units
+		// (math.Log10(1e-310) is -307.95).
 		kx2 := k * arg[1]
-		if !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
-			return undecided // x2 is not a positive finite number, or the product left the normal range
+		if !(arg[1] >= minNormal && arg[1] <= math.MaxFloat64) || !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
+			return undecided // x2 is not a positive normal number, or the product left the normal range
 		}
 		return shellSide(arg[0], kx2*(1-guardShell), kx2*(1+guardShell), smallX, largeX)
 	}
