@@ -84,8 +84,8 @@ bench-smoke:
 # and constant it picks, a block form keeps the rows its conjunct's row form
 # calls TRUE — and over the worker's
 # statement reuse, also differentially: whatever edits the fuzzer makes to
-# a rendered near-neighbour payload, a job that may run statements through
-# an already compiled pair must answer as one that parses them all. Go allows one
+# a rendered near-neighbour statement pair and its subchunk list, a job that
+# may take a compiled template must answer as one that parses the pair. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.

@@ -1,11 +1,13 @@
 package qserv
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -111,5 +113,58 @@ func TestDocsNameTheKnobsThatExist(t *testing.T) {
 		if !slices.Contains(known, f) {
 			t.Errorf("the documents name the flag %s, which neither daemon declares", f)
 		}
+	}
+}
+
+// TestFuzzSmokeRunsEveryFuzzTarget holds `make fuzz-smoke` to the fuzz
+// targets that exist: its recipe runs each func Fuzz* of the module's test
+// files once, in the package that declares it, and nothing else, and the
+// CI step that runs it counts them right.
+func TestFuzzSmokeRunsEveryFuzzTarget(t *testing.T) {
+	var declared []string
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir // bench/ is a module of its own
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared = append(declared, "./"+filepath.ToSlash(filepath.Dir(path))+" "+string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, _ := strings.Cut(string(makefile), "\nfuzz-smoke:\n")
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	var run []string
+	for _, m := range regexp.MustCompile(`test (\S+) -run '\^\$\$' -fuzz '\^(Fuzz\w+)\$\$'`).FindAllStringSubmatch(recipe, -1) {
+		run = append(run, m[1]+" "+m[2])
+	}
+	slices.Sort(declared)
+	slices.Sort(run)
+	if len(declared) == 0 || !slices.Equal(run, declared) {
+		t.Errorf("make fuzz-smoke runs\n %v\nthe test files declare\n %v", run, declared)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`name: Fuzz smoke \((\d+) targets`).FindSubmatch(ci)
+	if m == nil {
+		t.Fatal("ci.yml has no Fuzz smoke step naming its target count")
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n != len(declared) {
+		t.Errorf("ci.yml's Fuzz smoke step says %d targets, there are %d", n, len(declared))
 	}
 }

@@ -355,8 +355,9 @@ func TestChunkQueryNearNeighbor(t *testing.T) {
 	if len(cq.SubChunks) == 0 {
 		t.Fatal("no subchunks in chunk query")
 	}
-	// Two statements per subchunk: self pairs + overlap pairs.
-	if len(cq.Statements) != 2*len(cq.SubChunks) {
+	// Two statements, written for the first subchunk: self pairs +
+	// overlap pairs.
+	if len(cq.Statements) != 2 {
 		t.Fatalf("statements = %d for %d subchunks", len(cq.Statements), len(cq.SubChunks))
 	}
 	// Payload has the CLASS header followed by the paper's SUBCHUNKS
@@ -365,9 +366,8 @@ func TestChunkQueryNearNeighbor(t *testing.T) {
 	if !strings.HasPrefix(payload, "-- CLASS: FULLSCAN\n-- SUBCHUNKS: ") {
 		t.Errorf("payload header: %q", payload[:40])
 	}
-	subs, ok := ParseSubChunksHeader(cq.Payload())
-	if !ok || len(subs) != len(cq.SubChunks) {
-		t.Errorf("header round trip: %v %v", subs, ok)
+	if _, subs, _, err := ParseHeader(cq.Payload()); err != nil || !slices.Equal(subs, cq.SubChunks) {
+		t.Errorf("header round trip: %v %v", subs, err)
 	}
 	// First statement joins subchunk x subchunk; second subchunk x
 	// overlap.
@@ -751,8 +751,8 @@ func TestPlanClassification(t *testing.T) {
 			t.Errorf("class(%q) = %v, want %v (chunks=%d)", c.sql, p.Class, c.class, len(p.Chunks))
 		}
 		cq := p.QueryFor(p.Chunks[0])
-		if got, ok := ParseClassHeader(cq.Payload()); !ok || got != c.class {
-			t.Errorf("payload class round-trip for %q = %v, %v", c.sql, got, ok)
+		if got, _, _, err := ParseHeader(cq.Payload()); err != nil || got != c.class {
+			t.Errorf("payload class round-trip for %q = %v, %v", c.sql, got, err)
 		}
 	}
 }
@@ -770,14 +770,29 @@ func TestSingleChunkUnrestrictedScanStaysFullScan(t *testing.T) {
 	}
 }
 
+// TestParseClassHeaderDefaults: ParseHeader reads the class (FullScan by
+// default), the subchunk list and where the statements start, from the
+// header block alone.
 func TestParseClassHeaderDefaults(t *testing.T) {
-	if c, ok := ParseClassHeader([]byte("SELECT 1;")); ok || c != FullScan {
-		t.Errorf("headerless payload = %v, %v; want FullScan, false", c, ok)
+	for _, c := range []struct {
+		payload string
+		class   QueryClass
+		subs    []partition.SubChunkID
+		body    string // the text from the statements' offset on
+	}{
+		{"SELECT 1;", FullScan, nil, "SELECT 1;"},
+		{"-- CLASS: INTERACTIVE\nSELECT 1;", Interactive, nil, "SELECT 1;"},
+		{"-- CLASS: garbage\nSELECT 1;", FullScan, nil, "SELECT 1;"},
+		{"-- CLASS: FULLSCAN\n-- SUBCHUNKS: 7, 0,12\nSELECT 1;\n-- not a header line\n", FullScan, []partition.SubChunkID{7, 0, 12}, "SELECT 1;\n-- not a header line\n"},
+		{"-- SUBCHUNKS:\n-- a note\nSELECT '-- SUBCHUNKS: 3';", FullScan, nil, "SELECT '-- SUBCHUNKS: 3';"},
+		{"-- CLASS: INTERACTIVE", Interactive, nil, ""},
+	} {
+		class, subs, body, err := ParseHeader([]byte(c.payload))
+		if err != nil || class != c.class || !slices.Equal(subs, c.subs) || c.payload[body:] != c.body {
+			t.Errorf("ParseHeader(%q) = %v, %v, %q, %v; want %v, %v, %q", c.payload, class, subs, c.payload[body:], err, c.class, c.subs, c.body)
+		}
 	}
-	if c, ok := ParseClassHeader([]byte("-- CLASS: INTERACTIVE\nSELECT 1;")); !ok || c != Interactive {
-		t.Errorf("interactive header = %v, %v", c, ok)
-	}
-	if c, ok := ParseClassHeader([]byte("-- CLASS: garbage\nSELECT 1;")); ok || c != FullScan {
-		t.Errorf("garbage header = %v, %v; want FullScan, false", c, ok)
+	if _, _, _, err := ParseHeader([]byte("-- SUBCHUNKS: 1, x\nSELECT 1;")); err == nil {
+		t.Error("a subchunk list holding no id parsed")
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/meta"
@@ -132,11 +134,10 @@ type Plan struct {
 	// SubChunksByChunk lists the subchunks each chunk query must cover;
 	// nil when the plan does not use subchunks.
 	SubChunksByChunk map[partition.ChunkID][]partition.SubChunkID
-	// workerSel is the worker-side statement template. Partitioned
-	// table names carry placeholders substituted per chunk/subchunk;
-	// workerSQL is its text, rendered once for all the plan's chunks.
-	workerSel *sqlparse.Select
-	workerSQL string
+	// units are the worker-side statements, kept cut at their FROM tables:
+	// one, or for a near-neighbour plan the subchunk's self and overlap
+	// statements. QueryFor renders them per chunk.
+	units []*Unit
 	// Merge is the master-side statement run over the collected result
 	// table; its FROM references the placeholder table name
 	// MergeTablePlaceholder.
@@ -169,18 +170,17 @@ type Plan struct {
 	topK     bool // planner's TopK knob, latched before buildTemplates
 }
 
-// Placeholders substituted during per-chunk SQL generation.
-const (
-	chunkPlaceholder    = "%CC%"
-	subChunkPlaceholder = "%SS%"
-	// MergeTablePlaceholder is the FROM table of the merge and combine
-	// statements, which the czar points at its session result table.
-	MergeTablePlaceholder = "QSERV_RESULT"
-)
+// MergeTablePlaceholder is the FROM table of the merge and combine
+// statements, which the czar points at its session result table.
+const MergeTablePlaceholder = "QSERV_RESULT"
 
 // ChunkQuery is the payload dispatched to a worker for one chunk: the
 // paper's chunk-query format (section 5.4) — optional CLASS and
-// SUBCHUNKS header lines followed by SQL statements.
+// SUBCHUNKS header lines followed by SQL statements. Under a SUBCHUNKS
+// header the statements are written for the first listed subchunk, and the
+// worker runs them once per listed subchunk, in list order, with every FROM
+// entry that names that first subchunk's subchunk or overlap-subchunk table
+// of the chunk renamed to the subchunk's own.
 type ChunkQuery struct {
 	Chunk      partition.ChunkID
 	Class      QueryClass
@@ -219,57 +219,38 @@ const (
 	subChunksPrefix = "-- SUBCHUNKS:"
 )
 
-// headerLines yields the payload's leading comment lines — the header
-// block the class and subchunk annotations live in.
-func headerLines(payload []byte) []string {
-	var out []string
-	rest := string(payload)
-	for rest != "" {
-		line, tail, _ := strings.Cut(rest, "\n")
-		if !strings.HasPrefix(line, "--") {
-			break
+// ParseHeader reads a chunk-query payload's header block, its leading
+// comment lines, in one pass: the scheduling class (FullScan, the
+// conservative lane, unless a valid CLASS line says otherwise), the
+// subchunks a SUBCHUNKS line lists (nil without one), and the offset the
+// statements start at. A subchunk list that is not one is an error.
+func ParseHeader(payload []byte) (class QueryClass, subs []partition.SubChunkID, body int, err error) {
+	for body < len(payload) && bytes.HasPrefix(payload[body:], []byte("--")) {
+		line := payload[body:]
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i+1]
 		}
-		out = append(out, line)
-		rest = tail
-	}
-	return out
-}
-
-// ParseClassHeader extracts the scheduling class from a chunk-query
-// payload; ok is false when no (valid) CLASS header is present, and
-// such payloads default to FullScan — the conservative lane.
-func ParseClassHeader(payload []byte) (QueryClass, bool) {
-	for _, line := range headerLines(payload) {
-		if !strings.HasPrefix(line, classPrefix) {
+		body += len(line)
+		text := strings.TrimSpace(string(line))
+		if v, ok := strings.CutPrefix(text, classPrefix); ok {
+			class, _ = ParseQueryClass(v)
+		}
+		list, ok := strings.CutPrefix(text, subChunksPrefix)
+		if !ok {
 			continue
 		}
-		return ParseQueryClass(line[len(classPrefix):])
-	}
-	return FullScan, false
-}
-
-// ParseSubChunksHeader extracts the subchunk list from a chunk-query
-// payload; ok is false when the payload has no header.
-func ParseSubChunksHeader(payload []byte) ([]partition.SubChunkID, bool) {
-	for _, line := range headerLines(payload) {
-		if !strings.HasPrefix(line, subChunksPrefix) {
-			continue
-		}
-		var out []partition.SubChunkID
-		for _, part := range strings.Split(line[len(subChunksPrefix):], ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
+		for _, part := range strings.Split(list, ",") {
+			if part = strings.TrimSpace(part); part == "" {
 				continue
 			}
-			var id int
-			if _, err := fmt.Sscanf(part, "%d", &id); err != nil {
-				return nil, false
+			id, err := strconv.Atoi(part)
+			if err != nil {
+				return class, nil, body, fmt.Errorf("core: chunk query header: bad subchunk id %q", part)
 			}
-			out = append(out, partition.SubChunkID(id))
+			subs = append(subs, partition.SubChunkID(id))
 		}
-		return out, true
 	}
-	return nil, false
+	return class, subs, body, nil
 }
 
 // NewPlanner builds a planner.
@@ -344,7 +325,6 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 	if err := p.buildTemplates(); err != nil {
 		return nil, err
 	}
-	p.workerSQL = p.workerSel.SQL()
 	return p, nil
 }
 
@@ -435,52 +415,21 @@ func (p *Plan) ResultType(i int) sqlparse.ColType {
 	return sqlparse.TypeFloat
 }
 
-// QueryFor renders the chunk query for one chunk.
+// QueryFor renders the chunk query for one chunk: the plan's units for the
+// chunk and, under the SUBCHUNKS header, for its first subchunk only.
 func (p *Plan) QueryFor(chunk partition.ChunkID) ChunkQuery {
-	cq := ChunkQuery{Chunk: chunk, Class: p.Class}
-	cc := fmt.Sprintf("%d", chunk)
-
-	if p.SubChunksByChunk == nil {
-		sql := strings.ReplaceAll(p.workerSQL, chunkPlaceholder, cc)
-		cq.Statements = []string{sql}
-		return cq
+	cq := ChunkQuery{Chunk: chunk, Class: p.Class, SubChunks: p.SubChunksByChunk[chunk]}
+	if p.SubChunksByChunk != nil && len(cq.SubChunks) == 0 {
+		return cq // no subchunk of the chunk is in the region: nothing to run
 	}
-
-	// Near-neighbor: one pair of statements per subchunk — the self
-	// pairs (o2 from the subchunk) and the overlap pairs (o2 from the
-	// subchunk's overlap table). Their pair sets are disjoint, so
-	// results concatenate (and aggregate) correctly.
-	subs := p.SubChunksByChunk[chunk]
-	cq.SubChunks = subs
-	base := strings.ReplaceAll(p.workerSQL, chunkPlaceholder, cc)
-	for _, ss := range subs {
-		selfSQL := strings.ReplaceAll(base, subChunkPlaceholder, fmt.Sprintf("%d", ss))
-		cq.Statements = append(cq.Statements, selfSQL)
-		// Swap the o2 subchunk table for its overlap companion.
-		nn := p.Analysis.NearNeighbor
-		tbl := p.Analysis.PartRefs[0].Info.Name
-		subName := meta.SubChunkTableName(tbl, chunk, ss)
-		ovName := meta.SubChunkOverlapTableName(tbl, chunk, ss)
-		// Only the second alias's table flips to the overlap table.
-		overlapSQL := replaceAliasedTable(selfSQL, subName, ovName, nn.Second)
-		cq.Statements = append(cq.Statements, overlapSQL)
+	var s0 partition.SubChunkID
+	if len(cq.SubChunks) > 0 {
+		s0 = cq.SubChunks[0]
+	}
+	for _, u := range p.units {
+		cq.Statements = append(cq.Statements, u.Render(chunk, s0))
 	}
 	return cq
-}
-
-// replaceAliasedTable rewrites `<from> AS <alias>` to `<to> AS <alias>`
-// in rendered SQL. Operating on the rendered text is safe because the
-// deparser always emits the canonical `db.table AS alias` form. The
-// table may appear backquoted (the template's placeholder forces
-// quoting), so both spellings are tried.
-func replaceAliasedTable(sql, from, to, alias string) string {
-	quoted := fmt.Sprintf("`%s` AS %s", from, alias)
-	if strings.Contains(sql, quoted) {
-		return strings.Replace(sql, quoted, fmt.Sprintf("`%s` AS %s", to, alias), 1)
-	}
-	needle := fmt.Sprintf("%s AS %s", from, alias)
-	repl := fmt.Sprintf("%s AS %s", to, alias)
-	return strings.Replace(sql, needle, repl, 1)
 }
 
 // OutputColumns are the column names of the merged result, what the

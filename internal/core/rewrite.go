@@ -9,61 +9,85 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// buildTemplates constructs the worker-side statement template and the
-// master-side merge statement from the analysis. This is the rewriting
-// machinery of paper section 5.3: table-name substitution, the
-// AVG -> SUM/COUNT style aggregate split, and alias management.
+// buildTemplates constructs the worker-side statements and the master-side
+// merge statement from the analysis. This is the rewriting machinery of
+// paper section 5.3: table-name substitution, the AVG -> SUM/COUNT style
+// aggregate split, and alias management.
 func (p *Plan) buildTemplates() error {
 	a := p.Analysis
 	worker := a.Stmt.Clone()
 
 	// --- FROM rewrite: logical tables -> physical chunk tables -------
+	// Every entry is qualified and aliased. Unpartitioned tables are
+	// replicated to every worker and keep their name; a partitioned one
+	// names its table of chunk 0 (subchunk 0 for the near-neighbour aliases)
+	// until the plan's units cut the name out.
 	nnAliases := map[string]bool{}
 	if a.NearNeighbor != nil {
 		nnAliases[strings.ToLower(a.NearNeighbor.First)] = true
 		nnAliases[strings.ToLower(a.NearNeighbor.Second)] = true
 	}
+	refs := make([]meta.TableRef, len(worker.From))
 	for i := range worker.From {
 		ref := &worker.From[i]
-		info := p.partInfoFor(ref.Table)
-		alias := ref.Name()
-		if info == nil {
-			// Unpartitioned tables are replicated to every worker and
-			// keep their name, gaining the database qualifier.
-			ref.DB = p.registry.DB
-			ref.Alias = alias
-			continue
+		ref.DB, ref.Alias = p.registry.DB, ref.Name()
+		if info := p.partInfoFor(ref.Table); info != nil {
+			refs[i] = meta.TableRef{Info: info, Kind: meta.ChunkTable}
+			if nnAliases[strings.ToLower(ref.Alias)] {
+				refs[i].Kind = meta.SubChunkTable
+			}
+			ref.Table = refs[i].Name()
 		}
-		physical := meta.ChunkTablePattern(info.Name, chunkPlaceholder)
-		if a.NearNeighbor != nil && nnAliases[strings.ToLower(alias)] {
-			physical = meta.SubChunkTablePattern(info.Name, chunkPlaceholder, subChunkPlaceholder)
-		}
-		ref.DB = p.registry.DB
-		ref.Table = physical
-		ref.Alias = alias
 	}
 
 	// --- select-list split -------------------------------------------
+	var err error
 	if a.HasAggregates {
-		return p.buildAggregateTemplates(worker)
+		err = p.buildAggregateTemplates(worker)
+	} else {
+		err = p.buildPassThroughTemplates(worker)
 	}
-	return p.buildPassThroughTemplates(worker)
-}
+	if err != nil {
+		return err
+	}
 
-// partInfoFor returns table metadata for partitioned references.
-func (p *Plan) partInfoFor(table string) *metaInfo {
-	for _, pr := range p.Analysis.PartRefs {
-		if strings.EqualFold(pr.Ref.Table, table) {
-			return &metaInfo{Name: pr.Info.Name}
+	// --- the worker's unit -------------------------------------------
+	// The statement, and for a near-neighbour plan the same statement with
+	// the second alias reading its subchunk's overlap table instead: the
+	// subchunk against itself, then against its overlap. Their pair sets
+	// are disjoint, so their results concatenate (and aggregate).
+	u, err := planUnit(worker, refs)
+	if err != nil {
+		return err
+	}
+	p.units = []*Unit{u}
+	if a.NearNeighbor == nil {
+		return nil
+	}
+	overlap := *worker
+	overlap.From = slices.Clone(worker.From)
+	refs = slices.Clone(refs)
+	for i := range overlap.From {
+		if strings.EqualFold(overlap.From[i].Alias, a.NearNeighbor.Second) {
+			refs[i].Kind = meta.SubChunkOverlapTable
+			overlap.From[i].Table = refs[i].Name()
 		}
 	}
+	if u, err = planUnit(&overlap, refs); err != nil {
+		return err
+	}
+	p.units = append(p.units, u)
 	return nil
 }
 
-// metaInfo is the slice of meta.TableInfo the rewriter needs; declared
-// locally to keep the rewrite layer independent of storage details.
-type metaInfo struct {
-	Name string
+// partInfoFor returns table metadata for partitioned references.
+func (p *Plan) partInfoFor(table string) *meta.TableInfo {
+	for _, pr := range p.Analysis.PartRefs {
+		if strings.EqualFold(pr.Ref.Table, table) {
+			return pr.Info
+		}
+	}
+	return nil
 }
 
 // splitter allocates worker-side output columns with stable qserv_N
@@ -267,7 +291,6 @@ func (p *Plan) buildAggregateTemplates(worker *sqlparse.Select) error {
 	worker.Limit = -1
 	worker.Distinct = false
 
-	p.workerSel = worker
 	p.Merge = merge
 	p.Combine = &sqlparse.Select{Limit: -1, From: []sqlparse.TableRef{{Table: MergeTablePlaceholder}}}
 	for _, it := range s.workerItems {
@@ -378,7 +401,6 @@ func (p *Plan) buildPassThroughTemplates(worker *sqlparse.Select) error {
 		}
 	}
 
-	p.workerSel = worker
 	p.Merge = merge
 	for _, it := range worker.Items {
 		if st, ok := it.Expr.(*sqlparse.Star); ok {

@@ -23,25 +23,16 @@ const overlapSuffix = "FullOverlap"
 
 var lowerOverlapSuffix = strings.ToLower(overlapSuffix)
 
-// ChunkTablePattern is ChunkTableName with the chunk id given as text: the
-// planner's template carries a placeholder there until a chunk is chosen.
-func ChunkTablePattern(table, chunk string) string { return table + "_" + chunk }
-
-// SubChunkTablePattern is SubChunkTableName with both ids given as text.
-func SubChunkTablePattern(table, chunk, sub string) string {
-	return ChunkTablePattern(table, chunk) + "_" + sub
-}
-
 // ChunkTableName returns the worker-side table name for a chunk
 // (Object_CC, section 5.2).
 func ChunkTableName(table string, chunk partition.ChunkID) string {
-	return ChunkTablePattern(table, strconv.Itoa(int(chunk)))
+	return table + "_" + strconv.Itoa(int(chunk))
 }
 
 // SubChunkTableName returns the worker-side on-the-fly subchunk table
 // name (Object_CC_SS).
 func SubChunkTableName(table string, chunk partition.ChunkID, sub partition.SubChunkID) string {
-	return SubChunkTablePattern(table, strconv.Itoa(int(chunk)), strconv.Itoa(int(sub)))
+	return ChunkTableName(table, chunk) + "_" + strconv.Itoa(int(sub))
 }
 
 // OverlapTableName returns the worker-side overlap companion of a chunk
@@ -84,6 +75,26 @@ type TableRef struct {
 	// subchunk kinds.
 	Chunk partition.ChunkID
 	Sub   partition.SubChunkID
+}
+
+// Subchunk reports whether the kind is one of the two a near-neighbour job
+// derives per subchunk.
+func (k NameKind) Subchunk() bool { return k == SubChunkTable || k == SubChunkOverlapTable }
+
+// Name spells the worker-side name of the piece r decodes to: ResolveTable
+// read backwards.
+func (r TableRef) Name() string {
+	switch r.Kind {
+	case ChunkTable:
+		return ChunkTableName(r.Info.Name, r.Chunk)
+	case ChunkOverlapTable:
+		return OverlapTableName(r.Info.Name, r.Chunk)
+	case SubChunkTable:
+		return SubChunkTableName(r.Info.Name, r.Chunk, r.Sub)
+	case SubChunkOverlapTable:
+		return SubChunkOverlapTableName(r.Info.Name, r.Chunk, r.Sub)
+	}
+	return r.Info.Name
 }
 
 // nameSplit is one way a name could have been built: from base, with or

@@ -34,14 +34,15 @@ func codecRegistry(t *testing.T) *Registry {
 }
 
 // TestResolveTableRoundTrip: ResolveTable(build(x)) == x for every kind
-// over every declared name, in either case.
+// over every declared name, in either case, and TableRef.Name spells x as
+// build does.
 func TestResolveTableRoundTrip(t *testing.T) {
 	r := codecRegistry(t)
 	for _, table := range r.TableNames() {
 		info, _ := r.Table(table)
 		if !info.Partitioned {
 			ref, ok := r.ResolveTable(table)
-			if !ok || ref.Info != info || ref.Kind != SharedTable {
+			if !ok || ref.Info != info || ref.Kind != SharedTable || ref.Name() != info.Name {
 				t.Errorf("ResolveTable(%q) = %+v, %v; want the shared table", table, ref, ok)
 			}
 			continue
@@ -60,6 +61,9 @@ func TestResolveTableRoundTrip(t *testing.T) {
 					{SubChunkTableName(table, chunk, sub), TableRef{info, SubChunkTable, chunk, sub}},
 					{SubChunkOverlapTableName(table, chunk, sub), TableRef{info, SubChunkOverlapTable, chunk, sub}},
 				} {
+					if got := want.ref.Name(); got != want.name {
+						t.Errorf("%+v spells %q, want %q", want.ref, got, want.name)
+					}
 					for _, spelled := range []string{want.name, strings.ToLower(want.name)} {
 						got, ok := r.ResolveTable(spelled)
 						if !ok || got != want.ref {

@@ -98,7 +98,7 @@ func (l *Lexer) lex() (Token, error) {
 // Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
+	out := make([]Token, 0, len(src)/3+1) // SQL runs about a token per 3 bytes: one allocation
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -54,95 +54,29 @@ func ParseSelect(src string) (*Select, error) {
 }
 
 // ParseScript parses a semicolon-separated sequence of statements, such
-// as the body of a chunk query or a dump stream.
+// as the body of a chunk query or a dump stream. A FROM entry's Pos and End
+// are offsets into src.
 func ParseScript(src string) ([]Statement, error) {
+	p, err := NewParser(src)
+	if err != nil {
+		return nil, err
+	}
 	var out []Statement
-	for sc := NewScript(src); ; {
-		st, _, _, err := sc.Next()
-		if err != nil || st == nil {
-			return out, err
+	for {
+		for p.accept(TokOp, ";") {
+		}
+		if p.atEOF() {
+			return out, nil
+		}
+		st, err := p.parseStatement()
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, st)
-	}
-}
-
-// Script reads a semicolon-separated sequence of statements one at a time,
-// lexing no further than the statement it is asked for: a reader that
-// recognises the text ahead (a chunk query's statements repeat, one
-// subchunk after another) steps over it with Skip and never pays to lex it.
-// No statement of the dialect holds a ';', so a statement's tokens are the
-// ones up to the next ';'.
-type Script struct {
-	lex Lexer
-	// ahead is the first token of the next statement, once looked at.
-	ahead  Token
-	looked bool
-	toks   []Token // reused statement buffer
-}
-
-// NewScript starts reading src.
-func NewScript(src string) *Script { return &Script{lex: Lexer{src: src}} }
-
-// look loads the first token of the next statement, stepping over the ';'
-// separators before it.
-func (s *Script) look() error {
-	for !s.looked {
-		t, err := s.lex.Next()
-		if err != nil {
-			return err
+		if !p.accept(TokOp, ";") && !p.atEOF() {
+			return nil, p.errf("expected ';' between statements, got %s", p.peek())
 		}
-		s.ahead, s.looked = t, t.Kind != TokOp || t.Text != ";"
 	}
-	return nil
-}
-
-// Rest returns the text from the first token of the next statement on: what
-// is left after the separators, blank space and comments behind the last
-// statement read. It is empty at the end of the script.
-func (s *Script) Rest() (string, error) {
-	if err := s.look(); err != nil {
-		return "", err
-	}
-	return s.lex.src[s.ahead.Pos:], nil
-}
-
-// Skip steps over the first n bytes of what Rest just returned, which the
-// caller vouches are whole statements through a closing ';'.
-func (s *Script) Skip(n int) {
-	s.lex.pos, s.looked = s.ahead.Pos+n, false
-}
-
-// Next parses the next statement and returns it with the extent of its
-// text, through the ';' that closes it (a last statement may have none); the
-// statement is nil at the end of the script.
-func (s *Script) Next() (st Statement, start, end int, err error) {
-	if err := s.look(); err != nil || s.ahead.Kind == TokEOF {
-		return nil, 0, 0, err
-	}
-	if s.toks == nil {
-		s.toks = make([]Token, 0, 32) // most of a chunk statement, in one allocation
-	}
-	s.toks = append(s.toks[:0], s.ahead)
-	s.looked = false
-	for last := s.ahead; last.Kind != TokEOF && (last.Kind != TokOp || last.Text != ";"); {
-		if last, err = s.lex.Next(); err != nil {
-			return nil, 0, 0, err
-		}
-		s.toks = append(s.toks, last)
-	}
-	// The statement's parser sees its tokens and an end of input where the
-	// next statement would begin.
-	if last := s.toks[len(s.toks)-1]; last.Kind != TokEOF {
-		s.toks = append(s.toks, Token{Kind: TokEOF, Pos: last.End, End: last.End})
-	}
-	p := &Parser{toks: s.toks, src: s.lex.src}
-	if st, err = p.parseStatement(); err != nil {
-		return nil, 0, 0, err
-	}
-	if !p.accept(TokOp, ";") && !p.atEOF() {
-		return nil, 0, 0, p.errf("expected ';' between statements, got %s", p.peek())
-	}
-	return st, s.toks[0].Pos, s.toks[len(s.toks)-1].Pos, nil
 }
 
 // ---------- token plumbing ----------

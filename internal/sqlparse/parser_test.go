@@ -518,68 +518,29 @@ func BenchmarkParseLV3(b *testing.B) {
 	}
 }
 
-// TestScriptReadsStatementByStatement: Script yields ParseScript's
-// statements with their text extents, lexes no further than it is asked to
-// (an unlexable tail fails only when reached), and steps over text its
-// caller recognises.
-func TestScriptReadsStatementByStatement(t *testing.T) {
-	src := "-- header\nSELECT a FROM db.`t_1` AS x, u y WHERE s = 'a;b' ; ;\n/* gap */ SELECT 2;SELECT 3 ;\nSELECT 'unterminated"
-	sc := NewScript(src)
-	var texts []string
-	for i := 0; i < 3; i++ {
-		st, start, end, err := sc.Next()
-		if err != nil || st == nil {
-			t.Fatalf("statement %d: %v, %v", i, st, err)
+// TestParseScriptTableExtents: ParseScript reads statements between any
+// number of ';' separators, a last one without its own, and records where
+// each FROM entry's table-name token is in the text; a script that does not
+// lex, or runs two statements together, is an error.
+func TestParseScriptTableExtents(t *testing.T) {
+	src := "-- header\nSELECT a FROM db.`t_1` AS x, u y WHERE s = 'a;b' ; ;\n/* gap */ SELECT 2;SELECT 3 FROM v\n"
+	stmts, err := ParseScript(src)
+	if err != nil || len(stmts) != 3 {
+		t.Fatalf("ParseScript: %d statements, %v", len(stmts), err)
+	}
+	for i, want := range [][]string{{"`t_1`", "u"}, nil, {"v"}} {
+		from := stmts[i].(*Select).From
+		if len(from) != len(want) {
+			t.Fatalf("statement %d: %d FROM entries, want %d", i, len(from), len(want))
 		}
-		texts = append(texts, src[start:end])
-		if i == 0 {
-			from := st.(*Select).From
-			if got := src[from[0].Pos:from[0].End]; got != "`t_1`" {
-				t.Errorf("first table token is %q", got)
-			}
-			if got := src[from[1].Pos:from[1].End]; got != "u" {
-				t.Errorf("second table token is %q", got)
+		for k, tok := range want {
+			if got := src[from[k].Pos:from[k].End]; got != tok {
+				t.Errorf("statement %d: table token %d is %q, want %q", i, k, got, tok)
 			}
 		}
 	}
-	want := []string{"SELECT a FROM db.`t_1` AS x, u y WHERE s = 'a;b' ;", "SELECT 2;", "SELECT 3 ;"}
-	if !reflect.DeepEqual(texts, want) {
-		t.Errorf("statement texts %q, want %q", texts, want)
-	}
-	if _, _, _, err := sc.Next(); err == nil || !strings.Contains(err.Error(), "unterminated") {
-		t.Errorf("the unlexable tail: err = %v", err)
-	}
-	if _, err := ParseScript(src); err == nil {
-		t.Error("ParseScript accepted the unlexable tail")
-	}
-
-	// Rest and Skip: the caller steps over the second statement unparsed.
-	sc = NewScript(src)
-	if _, _, _, err := sc.Next(); err != nil {
-		t.Fatal(err)
-	}
-	rest, err := sc.Rest()
-	if err != nil || !strings.HasPrefix(rest, "SELECT 2;SELECT 3") {
-		t.Fatalf("Rest = %q, %v", rest, err)
-	}
-	sc.Skip(len("SELECT 2;"))
-	st, start, end, err := sc.Next()
-	if err != nil || src[start:end] != "SELECT 3 ;" || st.(*Select).Items[0].Expr.SQL() != "3" {
-		t.Errorf("after Skip: %q, %v", src[start:end], err)
-	}
-
-	// A last statement without ';' runs to the end of the text; the end of
-	// the script is a nil statement and an empty Rest.
-	sc = NewScript("SELECT 1;\nSELECT 2 \n")
-	sc.Next()
-	if _, start, end, err := sc.Next(); err != nil || start != 10 || end != 20 {
-		t.Errorf("unterminated last statement: [%d, %d), %v", start, end, err)
-	}
-	if st, _, _, err := sc.Next(); st != nil || err != nil {
-		t.Errorf("at the end: %v, %v", st, err)
-	}
-	if rest, err := sc.Rest(); rest != "" || err != nil {
-		t.Errorf("Rest at the end: %q, %v", rest, err)
+	if _, err := ParseScript(src + "SELECT 'unterminated"); err == nil || !strings.Contains(err.Error(), "unterminated") {
+		t.Errorf("an unlexable tail: err = %v", err)
 	}
 	if _, err := ParseScript("SELECT 1 SELECT 2"); err == nil || !strings.Contains(err.Error(), "expected ';' between statements") {
 		t.Errorf("two statements without a separator: %v", err)

@@ -3,6 +3,7 @@ package worker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,13 +18,14 @@ import (
 
 // reuseFixture is a worker with the statement counters on, holding the
 // near-neighbour fixture's chunk at a tenth of its rows, and the SHV1
-// payload for it split into its header and its statement pairs.
+// payload for it split into its header and its statement pair.
 type reuseFixture struct {
-	w      *Worker
-	reg    *telemetry.Registry
-	chunk  partition.ChunkID
-	header string   // the two header lines
-	pairs  []string // a subchunk's two statements, each closed by ";\n"
+	w     *Worker
+	reg   *telemetry.Registry
+	chunk partition.ChunkID
+	subs  []partition.SubChunkID // the subchunks the header lists
+	class string                 // the CLASS header line
+	pair  string                 // the two statements, each closed by ";\n"
 }
 
 func newReuseFixture(tb testing.TB) *reuseFixture {
@@ -31,12 +33,24 @@ func newReuseFixture(tb testing.TB) *reuseFixture {
 	cfg := DefaultConfig("w-reuse")
 	cfg.Metrics = telemetry.NewRegistry()
 	w, chunk, payload := nearNeighbourFixtureOf(tb, cfg, 500, 0.3)
-	lines := strings.SplitAfter(string(payload), "\n")
-	f := &reuseFixture{w: w, reg: cfg.Metrics, chunk: chunk, header: lines[0] + lines[1]}
-	for i := 2; i+1 < len(lines); i += 2 {
-		f.pairs = append(f.pairs, lines[i]+lines[i+1])
+	_, subs, body, err := core.ParseHeader(payload)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return f
+	class, _, _ := strings.Cut(string(payload), "\n")
+	return &reuseFixture{w: w, reg: cfg.Metrics, chunk: chunk, subs: subs, class: class + "\n", pair: string(payload[body:])}
+}
+
+// header is the payload's header listing subs.
+func (f *reuseFixture) header(subs []partition.SubChunkID) string {
+	h := f.class + "-- SUBCHUNKS:"
+	for i, s := range subs {
+		if i > 0 {
+			h += ","
+		}
+		h += fmt.Sprintf(" %d", s)
+	}
+	return h + "\n"
 }
 
 // counters returns the statements parsed and reused so far.
@@ -70,81 +84,62 @@ func fresh(payload string) string {
 	return strings.Replace(payload, "-- CLASS: FULLSCAN", "-- CLASS: INTERACTIVE", 1)
 }
 
-// TestReusedStatementNeverDiffers: a job that runs its repeating statements
-// through one compiled pair answers exactly as a job that parses every
-// statement — for the payload the czar renders and for payloads one token
-// away from it, where reuse must not be taken — and the worker's counters
-// say which path each statement took.
+// TestReusedStatementNeverDiffers: a job that runs its statements through a
+// template answers exactly as a job that parses them — for the payload the
+// czar renders and for payloads beside it, where the template must not be
+// taken — and the worker's counters say which path each job took.
 func TestReusedStatementNeverDiffers(t *testing.T) {
 	f := newReuseFixture(t)
-	if len(f.pairs) < 8 {
-		t.Fatalf("the fixture's payload has %d pairs", len(f.pairs))
+	if len(f.subs) < 8 {
+		t.Fatalf("the fixture's payload lists %d subchunks", len(f.subs))
 	}
-	n := int64(len(f.pairs))
-	chunkSub := func(k int) string { // _<chunk>_<sub> of pair k
-		name := f.pairs[k][strings.Index(f.pairs[k], "`Object_")+len("`Object") : strings.Index(f.pairs[k], "` AS o1")]
-		return name
-	}
-	edit := func(k int, old, new string, count int) []string {
-		if !strings.Contains(f.pairs[k], old) {
-			t.Fatalf("pair %d does not contain %q: %s", k, old, f.pairs[k])
+	s0, s3 := f.subs[0], f.subs[3]
+	self := meta.SubChunkTableName("Object", f.chunk, s0)
+	overlap := meta.SubChunkOverlapTableName("Object", f.chunk, s0)
+	edit := func(old, new string, count int) string {
+		if !strings.Contains(f.pair, old) {
+			t.Fatalf("the pair does not contain %q: %s", old, f.pair)
 		}
-		out := append([]string(nil), f.pairs...)
-		out[k] = strings.Replace(out[k], old, new, count)
-		return out
+		return strings.Replace(f.pair, old, new, count)
 	}
-	stmts := func(k int) (string, string) {
-		a, b, _ := strings.Cut(f.pairs[k], "\n")
-		return a + "\n", b
-	}
-	self3, overlap3 := stmts(3)
-	firstTables := strings.NewReplacer("o1, LSST.", "o1;\nSELECT COUNT(*) FROM LSST.").Replace(
-		f.pairs[0][strings.Index(f.pairs[0], "LSST."):strings.Index(f.pairs[0], " WHERE")])
+	selfStmt, overlapStmt, _ := strings.Cut(f.pair, "\n")
+	reversed := slices.Clone(f.subs)
+	slices.Reverse(reversed)
+	header := f.header(f.subs)
 	for _, tc := range []struct {
 		name           string
-		header         string
-		pairs          []string
+		header, body   string
 		parsed, reused int64 // -1: the job fails
 	}{
-		{"as rendered", f.header, f.pairs, 2, 2 * (n - 1)},
-		{"one pair", f.header, f.pairs[:1], 0, 2}, // the template is in the cache by now
-		{"pairs in another order", f.header, append(append([]string(nil), f.pairs[5:]...), f.pairs[:5]...), 0, 2 * n},
-		{"another radius in pair 3", f.header, edit(3, "< 0.3", "< 0.25", -1), 2, 2 * (n - 1)},
-		{"another radius in one statement", f.header, edit(3, "< 0.3", "< 0.25", 1), 2, 2 * (n - 1)},
-		{"another radius in pair 0", f.header, edit(0, "< 0.3", "< 0.1", -1), 2 * n, 0},
-		{"an extra conjunct", f.header, edit(4, "< 0.3))", "< 0.3) AND o1.objectId != o2.objectId)", -1), 2, 2 * (n - 1)},
-		{"a <= for a <", f.header, edit(2, "< 0.3", "<= 0.3", -1), 2, 2 * (n - 1)},
-		{"a literal holding the ids, the same in every pair", f.header, func() []string {
-			out := make([]string, len(f.pairs))
-			for k := range out {
-				out[k] = strings.ReplaceAll(f.pairs[k], "< 0.3))", "< 0.3) AND 'x"+chunkSub(0)+"' = 'x"+chunkSub(0)+"')")
-			}
-			return out
-		}(), 2, 2 * (n - 1)},
-		{"a literal holding each pair's own ids", f.header, func() []string {
-			out := make([]string, len(f.pairs))
-			for k := range out {
-				out[k] = strings.ReplaceAll(f.pairs[k], "< 0.3))", "< 0.3) AND 'x"+chunkSub(k)+"' = 'x"+chunkSub(0)+"')")
-			}
-			return out
-		}(), 2 * (n - 1), 2}, // pair 0 is the case before's
-		{"a pair's statements swapped", f.header, append(append(append([]string(nil), f.pairs[:3]...), overlap3+self3), f.pairs[4:]...), 2, 2 * (n - 1)},
-		{"a statement dropped", f.header, append(append(append([]string(nil), f.pairs[:3]...), self3), f.pairs[4:]...), 1, 2 * (n - 1)},
-		{"another case", f.header, edit(3, "`Object_", "`object_", -1), 2, 2 * (n - 1)},
-		{"an implicit alias", f.header, edit(3, "` AS o1", "` o1", -1), 2, 2 * (n - 1)},
-		{"unquoted names", f.header, edit(3, "`", "", -1), 2, 2 * (n - 1)},
-		{"a comment and blank space between pairs", f.header, edit(2, ";\n", "; -- the self pairs\n\n  ", 1), 2, 2 * (n - 1)},
-		{"a comment between pairs", f.header, edit(2, "SELECT", "/* next */ SELECT", 1), 0, 2 * n},
-		{"no semicolon at the end", f.header, append(append([]string(nil), f.pairs[:n-1]...), strings.TrimSuffix(f.pairs[n-1], ";\n")), 2, 2 * (n - 1)},
-		{"the build-only script of bench/replay.go", f.header, []string{"SELECT COUNT(*) FROM " + firstTables + ";\n"}, 2, 0},
-		{"a subchunk the header does not list", f.header[:strings.LastIndex(f.header, ",")] + "\n", f.pairs, -1, -1},
-		{"a subchunk of another chunk", f.header, edit(3, fmt.Sprintf("_%d_", f.chunk), fmt.Sprintf("_%d_", f.chunk+1), -1), -1, -1},
-		{"a syntax error in pair 6", f.header, edit(6, "WHERE", "WHERE WHERE", 1), -1, -1},
-		{"an unterminated string in pair 6", f.header, edit(6, "< 0.3", "< '0.3", 1), -1, -1},
-		{"a statement that is no SELECT first", f.header, append([]string{"DROP TABLE IF EXISTS nothing_here;\n"}, f.pairs...), 2*n + 1, 0},
-		{"no SUBCHUNKS header", f.header[:strings.Index(f.header, "\n")+1], f.pairs[:2], -1, -1},
+		{"as rendered", header, f.pair, 2, 0},
+		{"as rendered, again", header, f.pair, 0, 2},
+		{"one subchunk", f.header(f.subs[:1]), f.pair, 0, 2},
+		{"the subchunks in another order", f.header(reversed), f.pair, 2, 0},
+		{"an edited literal", header, edit("< 0.3", "< 0.25", -1), 2, 0},
+		{"an edited literal in one statement", header, edit("< 0.3", "< 0.25", 1), 2, 0},
+		{"the pair swapped", header, overlapStmt + selfStmt + "\n", 2, 0},
+		{"the swapped pair again", header, overlapStmt + selfStmt + "\n", 0, 2},
+		{"a hand-written pair naming a subchunk other than the first", header,
+			strings.ReplaceAll(f.pair, fmt.Sprintf("_%d_%d ", f.chunk, s0), fmt.Sprintf("_%d_%d ", f.chunk, s3)), 2, 0},
+		{"an un-aliased subchunk table", header, "SELECT COUNT(*), SUM(ra_PS) FROM LSST." + self + " WHERE decl_PS > 7;\n", 1, 0},
+		{"the un-aliased subchunk table again", header, "SELECT COUNT(*), SUM(ra_PS) FROM LSST." + self + " WHERE decl_PS > 7;\n", 0, 1},
+		// Renamed, the table is no longer what the column names it by.
+		{"an un-aliased subchunk table a column is qualified by", header, "SELECT COUNT(*) FROM LSST." + self + " WHERE " + self + ".decl_PS > 7;\n", -1, -1},
+		{"another case", header, edit("LSST.Object_", "LSST.object_", -1), 2, 0},
+		{"an implicit alias", header, edit(" AS o1", " o1", -1), 2, 0},
+		{"quoted names", header, strings.NewReplacer(self, "`"+self+"`", overlap, "`"+overlap+"`").Replace(f.pair), 2, 0},
+		{"a literal holding the names", header, edit("< 0.3)", "< 0.3) AND '"+self+"' != 'LSST."+overlap+"'", -1), 2, 0},
+		{"a comment and blank space between the statements", header, edit(";\n", "; -- the self pairs\n\n  ", 1), 2, 0},
+		{"no semicolon at the end", header, strings.TrimSuffix(f.pair, ";\n"), 2, 0},
+		{"the build-only script of bench/replay.go", header, "SELECT COUNT(*) FROM LSST." + self + " AS o1;\nSELECT COUNT(*) FROM LSST." + overlap + " AS o2;\n", 2, 0},
+		{"a first subchunk the pair does not name", f.header(f.subs[1:]), f.pair, -1, -1},
+		{"a subchunk of another chunk", header, edit(fmt.Sprintf("_%d_", f.chunk), fmt.Sprintf("_%d_", f.chunk+1), -1), -1, -1},
+		{"a syntax error", header, edit("WHERE", "WHERE WHERE", 1), -1, -1},
+		{"an unterminated string", header, edit("< 0.3", "< '0.3", 1), -1, -1},
+		{"a statement that is no SELECT first", header, "DROP TABLE IF EXISTS nothing_here;\n" + f.pair, 3, 0},
+		{"no SUBCHUNKS header", f.class, f.pair, -1, -1},
 	} {
-		payload := tc.header + strings.Join(tc.pairs, "")
+		payload := tc.header + tc.body
 		want := f.answer(fresh(payload))
 		p0, r0 := f.counters()
 		got := f.answer(payload)
@@ -158,9 +153,9 @@ func TestReusedStatementNeverDiffers(t *testing.T) {
 		if (want == "failed") != (tc.parsed < 0) {
 			t.Errorf("%s: the reference job's outcome is %q", tc.name, want)
 		}
-		// Whatever the payload did to the cached template, the rendered
-		// payload still answers as it does.
-		if got, want := f.answer(f.header+strings.Join(f.pairs, "")), f.answer(fresh(f.header+strings.Join(f.pairs, ""))); got != want {
+		// Whatever the payload did to the cache, the rendered payload still
+		// answers as it does.
+		if got, want := f.answer(header+f.pair), f.answer(fresh(header+f.pair)); got != want {
 			t.Fatalf("after %q the rendered payload answers\n%s\nnot\n%s", tc.name, got, want)
 		}
 	}
@@ -237,47 +232,47 @@ func TestStatementReuseAcrossChunkJobs(t *testing.T) {
 	}
 }
 
-// TestTemplateMatchIsExact: match accepts the template's text with its
-// table names rewritten, and nothing else.
+// TestTemplateMatchIsExact: a template is taken for its own text rendered
+// for another chunk and first subchunk, and for no text one byte away from
+// that.
 func TestTemplateMatchIsExact(t *testing.T) {
 	f := newReuseFixture(t)
-	tmpl := f.w.templates.take(templateKey(f.pairs[0], f.chunk))
-	if tmpl != nil {
+	s0 := f.subs[0]
+	if tmpl := f.w.templates.take(f.pair, f.chunk, s0); tmpl != nil {
 		t.Fatal("a template before any job ran")
 	}
-	f.answer(f.header + strings.Join(f.pairs, ""))
-	if tmpl = f.w.templates.take(templateKey(f.pairs[0], f.chunk)); tmpl == nil {
+	f.answer(f.header(f.subs) + f.pair)
+	tmpl := f.w.templates.take(f.pair, f.chunk, s0)
+	if tmpl == nil {
 		t.Fatal("no template after a job ran")
 	}
-	subs, _ := core.ParseSubChunksHeader([]byte(f.header))
-	for k, pair := range f.pairs {
-		pair = strings.TrimSuffix(pair, "\n")
-		n, sub, ok := tmpl.match(pair+"\nSELECT 1;", f.chunk)
-		if !ok || n != len(pair) || sub != subs[k] {
-			t.Errorf("pair %d: match = %d, %d, %v; want %d, %d, true", k, n, sub, ok, len(pair), subs[k])
-		}
-		// Any one byte changed, dropped or doubled is another text.
-		r := rand.New(rand.NewSource(int64(k)))
-		for i := 0; i < 40; i++ {
-			at := r.Intn(len(pair))
-			for _, mutant := range []string{pair[:at] + pair[at+1:], pair[:at] + pair[at:at+1] + pair[at:], pair[:at] + "~" + pair[at+1:]} {
-				n, sub, ok := tmpl.match(mutant, f.chunk)
-				if !ok || (n == len(pair) && strings.HasPrefix(mutant, pair)) {
-					continue // the closing ';' doubled: the pair, and a separator
-				}
-				// A subchunk id is written four times in a pair: no one edit
-				// makes another pair of it.
-				t.Errorf("pair %d with byte %d edited still matches (%d bytes, subchunk %d):\n%s", k, at, n, sub, mutant)
-			}
-		}
-		if _, _, ok := tmpl.match(pair, f.chunk+1); ok {
-			t.Errorf("pair %d matches for another chunk", k)
-		}
-	}
-	// For another chunk the names are rewritten, and only they.
-	other := strings.ReplaceAll(f.pairs[2], fmt.Sprintf("_%d_", f.chunk), fmt.Sprintf("_%d_", f.chunk+1000))
-	if n, _, ok := tmpl.match(other, f.chunk+1000); !ok || n != len(other)-1 {
-		t.Errorf("the pair rewritten for another chunk: match = %d, %v", n, ok)
+	if got := tmpl.unit.Render(f.chunk, s0); got != f.pair {
+		t.Fatalf("the template renders\n%s\nnot the text it was made of\n%s", got, f.pair)
 	}
 	f.w.templates.put(tmpl)
+	take := func(text string, chunk partition.ChunkID, sub partition.SubChunkID) bool {
+		tmpl := f.w.templates.take(text, chunk, sub)
+		if tmpl != nil {
+			f.w.templates.put(tmpl)
+		}
+		return tmpl != nil
+	}
+	// Any one byte changed, dropped or doubled is another text.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		at := r.Intn(len(f.pair))
+		for _, mutant := range []string{f.pair[:at] + f.pair[at+1:], f.pair[:at] + f.pair[at:at+1] + f.pair[at:], f.pair[:at] + "~" + f.pair[at+1:]} {
+			if take(mutant, f.chunk, s0) {
+				t.Errorf("the pair with byte %d edited is taken:\n%s", at, mutant)
+			}
+		}
+	}
+	// The names are rewritten for another chunk and subchunk, and only they.
+	other := strings.ReplaceAll(f.pair, fmt.Sprintf("_%d_%d ", f.chunk, s0), fmt.Sprintf("_%d_%d ", f.chunk+1000, s0+7))
+	if !take(other, f.chunk+1000, s0+7) {
+		t.Errorf("the pair rewritten for another chunk and subchunk is not taken:\n%s", other)
+	}
+	if take(f.pair, f.chunk+1, s0) || take(f.pair, f.chunk, s0+1) || take(other, f.chunk+1000, s0) {
+		t.Error("a text is taken for a chunk or subchunk it does not name")
+	}
 }

@@ -142,9 +142,9 @@ func TestSubchunkTablesAreTheExhaustiveOnes(t *testing.T) {
 // tables — in ns per build and per row routed. `make bench-layers` runs it.
 func BenchmarkSubchunkBuild(b *testing.B) {
 	w, chunk, payload := nearNeighbourFixture(b, DefaultConfig("w-build"))
-	subs, ok := core.ParseSubChunksHeader(payload)
-	if !ok {
-		b.Fatal("the payload has no SUBCHUNKS header")
+	_, subs, _, err := core.ParseHeader(payload)
+	if err != nil || len(subs) == 0 {
+		b.Fatalf("the payload has no SUBCHUNKS header (%v)", err)
 	}
 	id := chunkstore.Unit{Table: "Object", Chunk: int(chunk)}
 	var routed int64

@@ -203,9 +203,12 @@ const (
 )
 
 type job struct {
-	chunk    partition.ChunkID
-	class    core.QueryClass
-	payload  []byte
+	chunk partition.ChunkID
+	class core.QueryClass
+	// subs are the subchunks the payload's SUBCHUNKS header lists, and text
+	// its statements (see core.ChunkQuery).
+	subs     []partition.SubChunkID
+	text     string
 	hash     string
 	queuedAt time.Time
 	state    int // guarded by Worker.mu
@@ -499,12 +502,16 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	if err != nil {
 		return err
 	}
+	class, subs, body, err := core.ParseHeader(data)
+	if err != nil {
+		return fmt.Errorf("worker %s: %w", w.cfg.Name, err)
+	}
 	hash := xrd.ResultHash(data)
-	class, _ := core.ParseClassHeader(data)
 	j := &job{
 		chunk:    chunk,
 		class:    class,
-		payload:  append([]byte(nil), data...),
+		subs:     subs,
+		text:     string(data[body:]),
 		hash:     hash,
 		queuedAt: time.Now(),
 		cancel:   make(chan struct{}),
@@ -755,18 +762,14 @@ func (w *Worker) execute(j *job, started time.Time) {
 	close(j.ready)
 }
 
-// runChunkQuery executes the statements of one chunk query, generating
-// any subchunk tables its SUBCHUNKS header demands, and returns the
-// result serialized as a dump stream. The statements are read off the
-// payload one at a time: a full-scan job parses and compiles its first
-// statement — its first two under a SUBCHUNKS header, one subchunk's pair —
-// or finds them compiled in the worker's cache, and runs every stretch of
-// text ahead that is the same statements over another subchunk's tables
-// through that one plan (see stmtTemplate); whatever else it meets it parses
-// and runs on its own.
+// runChunkQuery executes the statements of one chunk query — once, or once
+// per listed subchunk under a SUBCHUNKS header (see core.ChunkQuery) —
+// generating the subchunk tables the header demands, and returns the result
+// serialized as a dump stream. A full-scan job whose statements an earlier
+// job had finds them parsed and compiled in the worker's cache (see
+// stmtTemplate); any other job parses them once.
 func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	run := &jobRun{w: w, j: j}
-	run.subIDs, run.hasSubs = core.ParseSubChunksHeader(j.payload)
 	// Tables are pinned, and subchunk tables made, as statements name them;
 	// all of it is given back when the job, or the last of its gang, ends.
 	defer func() { j.gang.leave(w, j.tables) }()
@@ -798,188 +801,136 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 
 // jobRun is one execution of a chunk query's statements.
 type jobRun struct {
-	w       *Worker
-	j       *job
-	subIDs  []partition.SubChunkID
-	hasSubs bool
-	opts    sqlengine.ExecOptions
-	out     dump.Writer
-	schema  sqlengine.Schema // of the first SELECT's result
-	stats   sqlengine.ExecStats
-	// parsed and reused count the statements that were parsed and the ones
-	// that ran through a template's plan without being.
+	w      *Worker
+	j      *job
+	opts   sqlengine.ExecOptions
+	out    dump.Writer
+	schema sqlengine.Schema // of the first SELECT's result
+	stats  sqlengine.ExecStats
+	// parsed and reused count the statements the job parsed and the ones it
+	// ran from a template without parsing them.
 	parsed, reused int64
-	// readied says the units the template's statements read are pinned and
-	// their subchunk tables made.
-	readied bool
 }
 
-// script runs the payload's statements in order.
+// jobStmt is one statement of a job.
+type jobStmt struct {
+	st   sqlparse.Statement
+	sel  *sqlparse.Select    // st, when it is a SELECT
+	prep *sqlengine.Prepared // sel compiled, by the job's first pass
+	// names are the tables sel's FROM entries read this pass, and renamed
+	// decodes the entries the job names anew for each subchunk (Info nil for
+	// the others).
+	names   []string
+	renamed []meta.TableRef
+}
+
+// script runs the job's statements, every one once per pass: one pass per
+// listed subchunk, in list order, or one without a SUBCHUNKS header.
 func (r *jobRun) script() error {
 	w, j := r.w, r.j
-	src := string(j.payload)
-	script := sqlparse.NewScript(src)
+	passes := j.subs
+	if len(passes) == 0 {
+		passes = []partition.SubChunkID{-1}
+	}
+	var stmts []jobStmt
 	var tmpl *stmtTemplate
 	if j.class == core.FullScan {
-		rest, err := script.Rest()
+		tmpl = w.templates.take(j.text, j.chunk, passes[0])
+	}
+	if tmpl != nil {
+		defer w.templates.put(tmpl)
+		stmts = tmpl.bind(j.chunk, passes[0])
+		r.reused = int64(len(stmts))
+	} else {
+		parsed, err := sqlparse.ParseScript(j.text)
 		if err != nil {
-			return r.parseError(err)
+			return fmt.Errorf("worker %s: parse chunk query: %w", w.cfg.Name, err)
 		}
-		if tmpl = w.templates.take(templateKey(rest, j.chunk)); tmpl != nil {
-			if _, _, ok := tmpl.match(rest, j.chunk); !ok {
-				w.templates.put(tmpl) // another statement's, filed under the same key
-				tmpl = nil
+		r.parsed = int64(len(parsed))
+		stmts = make([]jobStmt, len(parsed))
+		for i, st := range parsed {
+			stmts[i].st = st
+			if sel, ok := st.(*sqlparse.Select); ok {
+				stmts[i].sel = sel
+				for _, from := range sel.From {
+					stmts[i].names = append(stmts[i].names, from.Table)
+				}
 			}
 		}
-		if tmpl == nil {
-			if tmpl, err = r.firstUnit(script, src); err != nil {
+	}
+	for i := range stmts {
+		r.rename(&stmts[i], passes[0])
+	}
+	for pass, sub := range passes {
+		for i := range stmts {
+			if err := r.run(&stmts[i], sub, pass == 0); err != nil {
 				return err
 			}
-			r.readied = tmpl != nil
-		}
-		if tmpl != nil {
-			defer w.templates.put(tmpl)
 		}
 	}
-	for {
-		rest, err := script.Rest()
-		if err != nil {
-			return r.parseError(err)
+	if tmpl == nil && j.class == core.FullScan {
+		if t := newTemplate(w.registry, j.chunk, passes[0], j.text, stmts); t != nil {
+			w.templates.put(t)
 		}
-		if rest == "" {
-			return nil
+	}
+	return nil
+}
+
+// rename decodes which FROM entries of st the job names anew for each
+// subchunk: under a SUBCHUNKS header, those naming the first listed
+// subchunk's subchunk or overlap-subchunk table of the job's chunk.
+func (r *jobRun) rename(st *jobStmt, s0 partition.SubChunkID) {
+	st.renamed = nil
+	if st.sel == nil || len(r.j.subs) == 0 {
+		return
+	}
+	for i, name := range st.names {
+		ref, ok := r.w.registry.ResolveTable(name)
+		if !ok || !ref.Kind.Subchunk() || ref.Chunk != r.j.chunk || ref.Sub != s0 {
+			continue
 		}
-		if tmpl != nil {
-			if n, sub, ok := tmpl.match(rest, j.chunk); ok {
-				script.Skip(n)
-				r.reused += int64(len(tmpl.stmts))
-				if err := r.runTemplate(tmpl, sub); err != nil {
-					return err
-				}
-				continue
-			}
+		if st.renamed == nil {
+			st.renamed = make([]meta.TableRef, len(st.names))
 		}
-		st, _, _, err := script.Next()
-		if err != nil {
-			return r.parseError(err)
+		st.renamed[i] = ref
+	}
+}
+
+// run runs one statement for the pass over subchunk sub. The job's first
+// pass readies the tables a SELECT reads — whichever subchunk, the units
+// behind them are the same — and compiles it if the job parsed it.
+func (r *jobRun) run(st *jobStmt, sub partition.SubChunkID, first bool) error {
+	if r.j.canceled() {
+		return r.execError(sqlengine.ErrInterrupted)
+	}
+	if st.sel == nil {
+		res, err := r.w.engine.ExecuteStmtOpts(st.st, r.opts)
+		return r.took(res, err, false)
+	}
+	for i, ref := range st.renamed {
+		if ref.Info != nil {
+			ref.Sub = sub
+			st.names[i] = ref.Name()
 		}
-		r.parsed++
-		if err := r.runStatement(st); err != nil {
+	}
+	if first {
+		if err := r.useTables(st.sel.From, st.names); err != nil {
 			return err
 		}
+		if st.prep == nil {
+			prep, err := r.w.engine.Prepare(st.sel)
+			if err != nil {
+				return r.execError(err)
+			}
+			st.prep = prep
+		}
 	}
-}
-
-// firstUnit parses, prepares and runs the statements a template is made of —
-// the job's first, or first two under a SUBCHUNKS header — and returns the
-// template; nil when they make none, and the job goes on statement by
-// statement.
-func (r *jobRun) firstUnit(script *sqlparse.Script, src string) (*stmtTemplate, error) {
-	unit := 1
-	if r.hasSubs {
-		unit = 2
-	}
-	var (
-		sels       []*sqlparse.Select
-		preps      []*sqlengine.Prepared
-		start, end int
-	)
-	for len(sels) < unit {
-		st, from, to, err := script.Next()
-		if err != nil {
-			return nil, r.parseError(err)
-		}
-		if st == nil {
-			break
-		}
-		r.parsed++
-		if len(sels) == 0 {
-			start = from
-		}
-		end = to
-		sel, isSel := st.(*sqlparse.Select)
-		if !isSel {
-			return nil, r.runStatement(st)
-		}
-		prep, err := r.prepare(sel)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.runPrepared(prep, nil); err != nil {
-			return nil, err
-		}
-		sels, preps = append(sels, sel), append(preps, prep)
-	}
-	if len(sels) < unit {
-		return nil, nil
-	}
-	return newTemplate(r.w.registry, r.j.chunk, src, start, end, sels, preps), nil
-}
-
-func (r *jobRun) parseError(err error) error {
-	return fmt.Errorf("worker %s: parse chunk query: %w", r.w.cfg.Name, err)
+	res, err := st.prep.Run(st.names, r.opts)
+	return r.took(res, err, true)
 }
 
 func (r *jobRun) execError(err error) error {
 	return fmt.Errorf("worker %s chunk %d: %w", r.w.cfg.Name, r.j.chunk, err)
-}
-
-// prepare readies sel's tables and compiles it.
-func (r *jobRun) prepare(sel *sqlparse.Select) (*sqlengine.Prepared, error) {
-	if err := r.useTables(sel.From, nil); err != nil {
-		return nil, err
-	}
-	prep, err := r.w.engine.Prepare(sel)
-	if err != nil {
-		return nil, r.execError(err)
-	}
-	return prep, nil
-}
-
-// runStatement runs one parsed statement as the engine runs any statement.
-func (r *jobRun) runStatement(st sqlparse.Statement) error {
-	if r.j.canceled() {
-		return r.execError(sqlengine.ErrInterrupted)
-	}
-	sel, isSel := st.(*sqlparse.Select)
-	if isSel {
-		if err := r.useTables(sel.From, nil); err != nil {
-			return err
-		}
-	}
-	res, err := r.w.engine.ExecuteStmtOpts(st, r.opts)
-	return r.took(res, err, isSel)
-}
-
-// runPrepared runs a prepared SELECT whose tables are readied: over the
-// tables it names, or over names.
-func (r *jobRun) runPrepared(prep *sqlengine.Prepared, names []string) error {
-	if r.j.canceled() {
-		return r.execError(sqlengine.ErrInterrupted)
-	}
-	res, err := prep.Run(names, r.opts)
-	return r.took(res, err, true)
-}
-
-// runTemplate runs a template's statements over the tables of one subchunk.
-// Whichever subchunk, the units behind them are the same, so they are
-// readied once: when the job parsed the template's statements itself, or
-// else (the template came from the cache) on its first run here.
-func (r *jobRun) runTemplate(t *stmtTemplate, sub partition.SubChunkID) error {
-	t.tables(r.j.chunk, sub)
-	for i := range t.stmts {
-		st := &t.stmts[i]
-		if !r.readied {
-			if err := r.useTables(st.sel.From, st.names); err != nil {
-				return err
-			}
-		}
-		if err := r.runPrepared(st.prep, st.names); err != nil {
-			return err
-		}
-	}
-	r.readied = true
-	return nil
 }
 
 // took accounts one executed statement.
@@ -1064,9 +1015,9 @@ func (r *jobRun) useTables(from []sqlparse.TableRef, names []string) error {
 			j.tables = append(j.tables, tableUse{id: id, unit: u})
 			use = &j.tables[len(j.tables)-1]
 		}
-		use.subchunks = use.subchunks || ref.Kind == meta.SubChunkTable || ref.Kind == meta.SubChunkOverlapTable
-		if use.subchunks && r.hasSubs && use.unit != nil && use.releaseSubchunks == nil {
-			release, genStats, err := w.acquireSubchunks(use.unit, r.subIDs)
+		use.subchunks = use.subchunks || ref.Kind.Subchunk()
+		if use.subchunks && len(j.subs) > 0 && use.unit != nil && use.releaseSubchunks == nil {
+			release, genStats, err := w.acquireSubchunks(use.unit, j.subs)
 			r.stats.Add(genStats)
 			if err != nil {
 				return err

@@ -773,3 +773,36 @@ func TestFractionalModuloQuery(t *testing.T) {
 		sameAnswer(t, got, want, sql)
 	}
 }
+
+// TestPlaceholderSpellingInALiteral: a literal that spells %CC% or %SS% — a
+// natural LIKE pattern — reaches the workers as it was written. The planner
+// used to substitute chunk and subchunk ids into every such spelling of its
+// placeholders, so the cluster counted no row where the oracle counts all.
+func TestPlaceholderSpellingInALiteral(t *testing.T) {
+	cl, oracle := shared(t)
+	const literals = "'a%CC%' LIKE '%CC%' AND 'x%SS%' LIKE '%SS%%'"
+	for _, c := range []struct{ sql, oracleSQL string }{
+		{"SELECT COUNT(*) FROM Object WHERE " + literals, ""},
+		{"SELECT objectId FROM Object WHERE ra_PS BETWEEN 3 AND 4 AND " + literals, ""},
+		{`SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(2, 2, 8, 8)
+			AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.2 AND ` + literals,
+			`SELECT count(*) FROM Object o1, Object o2 WHERE qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 2, 2, 8, 8) = 1
+			AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.2 AND ` + literals},
+	} {
+		if c.oracleSQL == "" {
+			c.oracleSQL = c.sql
+		}
+		got, err := cl.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		want, err := oracle.Query(c.oracleSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, got, want, c.sql)
+		if len(want.Rows) == 0 || want.Rows[0][0] == int64(0) {
+			t.Fatalf("%s: the oracle finds nothing", c.sql)
+		}
+	}
+}
