@@ -64,8 +64,8 @@ bench-layers:
 # oracle; a failed gate fails the target; BENCH_smoke.json gets one record
 # per experiment, metrics and gates, for CI artifact upload. Then the
 # ablation benchmarks of bench_test.go (hash vs spatial partitioning,
-# subchunks, index, subchunk cache), one iteration each, so they keep
-# compiling and running.
+# subchunks, index), one iteration each, so they keep compiling and
+# running.
 bench-smoke:
 	$(GO) run ./cmd/qserv-bench -exp live -objects 5 -json BENCH_smoke.json
 	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .

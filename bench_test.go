@@ -164,42 +164,3 @@ func BenchmarkAblationIndex(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationSubchunkCache measures repeated near-neighbor
-// queries with and without worker subchunk caching.
-func BenchmarkAblationSubchunkCache(b *testing.B) {
-	for _, cached := range []bool{false, true} {
-		name := "nocache"
-		if cached {
-			name = "cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			cat, err := datagen.Generate(
-				datagen.Config{Seed: 9, ObjectsPerPatch: 300, MeanSourcesPerObject: 0},
-				datagen.DuplicateConfig{DeclBands: 1, MaxCopies: 10},
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := benchConfig(4)
-			cfg.CacheSubChunks = cached
-			cl, err := NewCluster(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.Load(cat); err != nil {
-				b.Fatal(err)
-			}
-			sql := `SELECT count(*) FROM Object o1, Object o2
-				WHERE qserv_areaspec_box(2, -4, 8, 4)
-				AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.2`
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := queryUncached(cl, sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -1,6 +1,8 @@
 package qserv
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,6 +15,16 @@ import (
 
 	"repro/internal/worker"
 )
+
+// readDoc returns a file of the repository as text.
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // daemonFlags lists the flags a cmd/ program declares, read off its source:
 // the daemons are package main and cannot be imported.
@@ -72,15 +84,8 @@ func flagTable(t *testing.T, readme, program string) []string {
 // ClusterConfig.<X> they name exists, README's two flag tables are the
 // daemons' flags, and no `-flag` either names is one the daemons dropped.
 func TestDocsNameTheKnobsThatExist(t *testing.T) {
-	read := func(name string) string {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	readme := read("README.md")
-	docs := readme + read("docs/ARCHITECTURE.md")
+	readme := readDoc(t, "README.md")
+	docs := readme + readDoc(t, "docs/ARCHITECTURE.md")
 
 	cluster := reflect.TypeOf(ClusterConfig{})
 	for _, typ := range []reflect.Type{cluster, reflect.TypeOf(worker.Config{})} {
@@ -166,5 +171,94 @@ func TestFuzzSmokeRunsEveryFuzzTarget(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n != len(declared) {
 		t.Errorf("ci.yml's Fuzz smoke step says %d targets, there are %d", n, len(declared))
+	}
+}
+
+// TestCodeCitesNoRoadmapItem: no comment of a non-test Go file cites
+// ROADMAP.md, whose items are renumbered as the plan changes; a comment
+// states what the code does and the paper section it serves.
+func TestCodeCitesNoRoadmapItem(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				if strings.Contains(c.Text, "ROADMAP") {
+					t.Errorf("%s: a comment cites the roadmap: %s", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDocsRunMakeTargetsThatExist: every `make <target>` README.md,
+// docs/ARCHITECTURE.md and the repository's build-and-run notes tell a
+// reader to run — in backticks, or on a line of a fenced block — is a rule
+// of the Makefile.
+func TestDocsRunMakeTargetsThatExist(t *testing.T) {
+	rules := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(readDoc(t, "Makefile"), -1) {
+		rules[m[1]] = true
+	}
+	fencedMake := regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
+	notes, _ := filepath.Glob(".*/skills/verify/SKILL.md") // the build-and-run notes
+	for _, name := range append([]string{"README.md", "docs/ARCHITECTURE.md"}, notes...) {
+		text := readDoc(t, name)
+		var targets []string
+		for _, m := range regexp.MustCompile("`make ([a-z][a-z0-9-]*)").FindAllStringSubmatch(text, -1) {
+			targets = append(targets, m[1])
+		}
+		fenced := false
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if m := fencedMake.FindStringSubmatch(line); fenced && m != nil {
+				targets = append(targets, m[1])
+			}
+		}
+		if len(targets) == 0 {
+			t.Errorf("%s names no make target: the check has nothing to hold", name)
+		}
+		for _, target := range targets {
+			if !rules[target] {
+				t.Errorf("%s runs `make %s`, which the Makefile has no rule for", name, target)
+			}
+		}
+	}
+}
+
+// TestDocsNameExperimentsThatExist: every `qserv-bench -exp <id>` README.md
+// and docs/ARCHITECTURE.md name is an experiment of the program's registry,
+// one of its groups, or all.
+func TestDocsNameExperimentsThatExist(t *testing.T) {
+	known := map[string]bool{"all": true}
+	entry := regexp.MustCompile(`\{"([a-z0-9-]+)", "([a-z]+)",`)
+	for _, m := range entry.FindAllStringSubmatch(readDoc(t, "cmd/qserv-bench/main.go"), -1) {
+		known[m[1]], known[m[2]] = true, true
+	}
+	if len(known) < 4 {
+		t.Fatalf("read %d experiment ids and groups off cmd/qserv-bench/main.go", len(known)-1)
+	}
+	for _, name := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+		for _, m := range regexp.MustCompile(`-exp ([a-z][a-z0-9-]*)`).FindAllStringSubmatch(readDoc(t, name), -1) {
+			if !known[m[1]] {
+				t.Errorf("%s names qserv-bench -exp %s, which is no experiment or group", name, m[1])
+			}
+		}
 	}
 }

@@ -180,7 +180,7 @@ const MergeTablePlaceholder = "QSERV_RESULT"
 // header the statements are written for the first listed subchunk, and the
 // worker runs them once per listed subchunk, in list order, with every FROM
 // entry that names that first subchunk's subchunk or overlap-subchunk table
-// of the chunk renamed to the subchunk's own.
+// of the chunk reading the subchunk's own.
 type ChunkQuery struct {
 	Chunk      partition.ChunkID
 	Class      QueryClass

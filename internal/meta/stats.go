@@ -7,14 +7,13 @@ import (
 	"repro/internal/partition"
 )
 
-// This file holds the per-chunk column statistics recorded at ingest
-// (ROADMAP item 4): for every numeric column of every chunk table, the
-// min/max of the values actually stored there. The routing tier
-// (internal/planopt) uses them for cost-based chunk pruning of
-// non-spatial range predicates — a conjunct like `rFlux_PS < 0.02` can
-// eliminate every chunk whose recorded range is disjoint from the
-// predicate's. Statistics live alongside placement in the frontend
-// metadata, mirroring the paper's section 5.5 "metadata database".
+// This file holds the per-chunk column statistics recorded at ingest:
+// for every numeric column of every chunk table, the min/max of the values
+// actually stored there. The routing tier (internal/planopt) uses them for
+// cost-based chunk pruning of non-spatial range predicates — a conjunct
+// like `rFlux_PS < 0.02` can eliminate every chunk whose recorded range is
+// disjoint from the predicate's. Statistics live alongside placement in the
+// frontend metadata, mirroring the paper's section 5.5 "metadata database".
 
 // ColStats summarizes one numeric column within one chunk table.
 type ColStats struct {

@@ -1,6 +1,6 @@
-// Package planopt is the czar's routing tier (ROADMAP item 4): it
-// chooses the chunk set for each analyzed query before dispatch. It
-// layers three mechanisms, in decreasing selectivity:
+// Package planopt is the czar's routing tier: it chooses the chunk set
+// for each analyzed query before dispatch. It layers three mechanisms, in
+// decreasing selectivity:
 //
 //  1. Index dives — `objectId = ?` / `IN (...)` director-key
 //     restrictions resolve through the ingest-built secondary index to

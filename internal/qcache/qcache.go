@@ -1,7 +1,7 @@
-// Package qcache is the czar-level content-addressed result cache
-// (ROADMAP item 4): for the dominant interactive workload — objectId
-// dives and small cone searches arriving from thousands of frontend
-// connections — a repeat query should touch zero workers.
+// Package qcache is the czar-level content-addressed result cache: for
+// the dominant interactive workload — objectId dives and small cone
+// searches arriving from thousands of frontend connections — a repeat
+// query should touch zero workers.
 //
 // Entries are keyed by the content address of a plan (database +
 // canonical statement + chunk set, built by core.Plan.CacheKey) and

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/sqlparse"
 )
@@ -329,36 +331,53 @@ func TestInterruptLandsWithinPairsOfABandJoin(t *testing.T) {
 }
 
 // TestPreparedRunIsTheStatement holds Prepared.Run to its contract: run
-// over other tables, by name, it answers as the statement with those names
-// written into it — rows, order, types, stats and errors — whether the plan
-// is reused (same schema; an index there or not; a sorted mark there or not)
-// or has to be made afresh (another schema, an entry without an alias, a
-// function registered since).
+// over tables handed to it — catalog tables, a table no catalog holds, or
+// for a nil entry the one the statement names — it answers as the statement
+// with those tables' names written into it, run over a catalog that holds
+// them all — rows, order, types, stats and errors — whether the plan is
+// reused (same schema; an index there or not; a sorted mark there or not)
+// or has to be made afresh (another schema, an entry without an alias
+// reading another table, a function registered since, a table gone from
+// the catalog).
 func TestPreparedRunIsTheStatement(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	e := New("db")
-	db, _ := e.Database("db")
-	for i := 0; i < 4; i++ {
+	// e's catalog lacks t_loose; ref's holds it too, so that the statement
+	// with its name written in has an answer.
+	e, ref := New("db"), New("db")
+	db, refDB := mustDB(t, e), mustDB(t, ref)
+	tables := map[string]*Table{}
+	put := func(tbl *Table) {
+		tables[tbl.Name] = tbl
+		refDB.Put(tbl)
+		if tbl.Name != "t_loose" {
+			db.Put(tbl)
+		}
+	}
+	for i := 0; i < 5; i++ {
 		rows := bandRows(r, 50+10*i, int64(1000*i))
-		tbl := bandTable(t, fmt.Sprintf("t_%d", i), sortedForBand(rows), i%2 == 0)
+		name := fmt.Sprintf("t_%d", i)
+		if i == 4 {
+			name = "t_loose"
+		}
+		tbl := bandTable(t, name, sortedForBand(rows), i%2 == 0)
 		if i < 2 {
 			if err := tbl.CreateIndex("id"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		db.Put(tbl)
+		put(tbl)
 	}
 	// Same column names, another type; and another column order.
 	other := NewTable("t_other", Schema{{Name: "id", Type: sqlparse.TypeFloat}, {Name: "ra", Type: sqlparse.TypeFloat}, {Name: "decl", Type: sqlparse.TypeFloat}})
 	if err := other.Insert(Row{1003.5, 10.1, 0.01}, Row{2.0, 10.1, 0.02}); err != nil {
 		t.Fatal(err)
 	}
-	db.Put(other)
+	put(other)
 	swapped := NewTable("t_swapped", Schema{bandSchema[2], bandSchema[1], bandSchema[0]})
 	if err := swapped.Insert(Row{0.01, 10.1, int64(7)}); err != nil {
 		t.Fatal(err)
 	}
-	db.Put(swapped)
+	put(swapped)
 
 	statements := []string{
 		"SELECT * FROM t_0 AS a WHERE id = 1003",
@@ -375,64 +394,131 @@ func TestPreparedRunIsTheStatement(t *testing.T) {
 		"SELECT a.* FROM t_0 a, t_1 WHERE a.id = t_1.id - 1000 AND t_1.decl > 0",
 		"SELECT id FROM t_0 AS a WHERE nosuchcolumn = 1",
 	}
-	tables := []string{"t_0", "t_1", "t_2", "t_3", "t_other", "t_swapped", "t_missing"}
-	for _, sql := range statements {
+	// hand draws the tables a run reads — "" hands nil, the table the entry
+	// names — and the statement with their names written in.
+	names := []string{"t_0", "t_1", "t_2", "t_3", "t_other", "t_swapped", "t_loose", ""}
+	hand := func(sel *sqlparse.Select) ([]*Table, *sqlparse.Select) {
+		handed, fresh := make([]*Table, len(sel.From)), *sel
+		fresh.From = slices.Clone(sel.From)
+		for i := range handed {
+			if name := names[r.Intn(len(names))]; name != "" {
+				handed[i], fresh.From[i].Table = tables[name], name
+			}
+		}
+		return handed, &fresh
+	}
+	for k, sql := range statements {
 		sel := mustParse(t, sql)
-		prep, err := e.Prepare(sel)
+		// Every other statement is prepared over tables handed to it.
+		var first []*Table
+		fresh := sel
+		if k%2 == 1 {
+			first, fresh = hand(sel)
+		}
+		prep, err := e.Prepare(sel, first)
 		if err != nil {
-			if _, ferr := e.ExecuteStmt(sel); ferr == nil || ferr.Error() != err.Error() {
-				t.Errorf("%s: Prepare fails with %v, the statement with %v", sql, err, ferr)
+			if _, ferr := ref.ExecuteStmt(fresh); ferr == nil || ferr.Error() != err.Error() {
+				t.Errorf("%s over %v: Prepare fails with %v, the statement with %v", sql, first, err, ferr)
 			}
 			continue
 		}
 		for round := 0; round < 12; round++ {
-			names := make([]string, len(sel.From))
-			for i := range names {
-				names[i] = tables[r.Intn(len(tables))]
-			}
+			handed, fresh := hand(sel)
 			if round == 0 {
-				names = nil
-			}
-			fresh := *sel
-			if names != nil {
-				fresh.From = slices.Clone(sel.From)
-				for i := range names {
-					fresh.From[i].Table = names[i]
-				}
+				handed, fresh = nil, sel
 			}
 			if round == 6 {
-				e.RegisterFunc("late_arrival", func([]Value) (Value, error) { return nil, nil })
+				for _, eng := range []*Engine{e, ref} {
+					eng.RegisterFunc("late_arrival", func([]Value) (Value, error) { return nil, nil })
+				}
 			}
-			got, gerr := prep.Run(names, ExecOptions{})
-			want, werr := e.ExecuteStmt(&fresh)
+			got, gerr := prep.Run(handed, ExecOptions{})
+			want, werr := ref.ExecuteStmt(fresh)
 			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-				t.Errorf("%s over %v: Run fails with %v, the statement with %v", sql, names, gerr, werr)
+				t.Errorf("%s over %s: Run fails with %v, the statement with %v", sql, fresh.SQL(), gerr, werr)
 				continue
 			}
 			if gerr != nil {
 				continue
 			}
 			if render(got) != render(want) || !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Types, want.Types) || got.Stats != want.Stats {
-				t.Errorf("%s over %v:\nRun:       %v %v %+v\n%s\nstatement: %v %v %+v\n%s", sql, names,
+				t.Errorf("%s over %s:\nRun:       %v %v %+v\n%s\nstatement: %v %v %+v\n%s", sql, fresh.SQL(),
 					got.Cols, got.Types, got.Stats, render(got), want.Cols, want.Types, want.Stats, render(want))
 			}
 		}
 	}
 	// A dive planned on an indexed table is a scan where there is no index,
 	// with the same answer; the stats say which ran.
-	dive, err := e.Prepare(mustParse(t, "SELECT id FROM t_0 AS a WHERE ra > 0 AND id = 3 AND decl < 100"))
+	dive, err := e.Prepare(mustParse(t, "SELECT id FROM t_0 AS a WHERE ra > 0 AND id = 3 AND decl < 100"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := dive.Run([]string{"t_1"}, ExecOptions{})
+	indexed, err := dive.Run([]*Table{tables["t_1"]}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := dive.Run([]string{"t_2"}, ExecOptions{})
+	scanned, err := dive.Run([]*Table{tables["t_2"]}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if indexed.Stats.RandReads != 1 || indexed.Stats.SeqBytes != 0 || scanned.Stats.RandReads != 0 || scanned.Stats.SeqBytes == 0 {
 		t.Errorf("dive over an indexed table: %+v; over one without the index: %+v", indexed.Stats, scanned.Stats)
 	}
+	// A table gone from the catalog since the statement was prepared over it
+	// by name is missing for a run that reads it by name, as for the statement.
+	gone := mustParse(t, "SELECT COUNT(*) FROM t_3 AS a WHERE decl > 0")
+	prep, err := e.Prepare(gone, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Drop("t_3", false); err != nil {
+		t.Fatal(err)
+	}
+	_, gerr := prep.Run(nil, ExecOptions{})
+	_, werr := e.ExecuteStmt(gone)
+	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+		t.Errorf("over a dropped table: Run fails with %v, the statement with %v", gerr, werr)
+	}
+}
+
+// TestPreparedRunKeepsNoTableAlive: a Prepared kept for later runs holds
+// nothing of the tables a run read — not the table, not its columns — so
+// tables a caller built for one run are garbage once it lets them go.
+func TestPreparedRunKeepsNoTableAlive(t *testing.T) {
+	e := New("db")
+	mustDB(t, e).Put(bandTable(t, "t", nil, false))
+	r := rand.New(rand.NewSource(48))
+	for _, sql := range []string{
+		"SELECT id, decl FROM t AS a WHERE ra > 10.1 ORDER BY decl, id",
+		"SELECT id, COUNT(*), SUM(decl), MIN(ra) FROM t AS a GROUP BY id",
+		"SELECT a.id, b.decl FROM t AS a, t AS b WHERE qserv_angSep(a.ra, a.decl, b.ra, b.decl) < 0.05",
+	} {
+		prep, err := e.Prepare(mustParse(t, sql), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := bandTable(t, "loose", sortedForBand(bandRows(r, 300, 0)), true)
+		table, cols := weak.Make(tbl), weak.Make(&tbl.data.Load().cols[0])
+		if _, err := prep.Run([]*Table{tbl, tbl}[:len(prep.sel.From)], ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		tbl = nil
+		for i := 0; i < 5 && (table.Value() != nil || cols.Value() != nil); i++ {
+			runtime.GC()
+		}
+		if table.Value() != nil || cols.Value() != nil {
+			t.Errorf("%s: after a run over a table nothing else holds, the table (collected: %v) or its columns (collected: %v) live on",
+				sql, table.Value() == nil, cols.Value() == nil)
+		}
+		runtime.KeepAlive(prep)
+	}
+}
+
+func mustDB(t *testing.T, e *Engine) *Database {
+	t.Helper()
+	db, err := e.Database(e.DefaultDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }

@@ -260,7 +260,7 @@ func BenchmarkScanCompile(b *testing.B) {
 }
 
 func compileOnly(e *Engine, sel *sqlparse.Select) error {
-	_, err := e.Prepare(sel)
+	_, err := e.Prepare(sel, nil)
 	return err
 }
 

@@ -315,15 +315,22 @@ func TestScanBlocksAcrossBoundaries(t *testing.T) {
 		"SELECT DISTINCT i FROM %s x WHERE i BETWEEN 1 AND 5 ORDER BY i DESC",
 		"SELECT COUNT(*) FROM %s x WHERE i < 3 AND i > 1 AND i = 2",
 	}
+	db, _ := e.Database("db")
 	run := func(sel *sqlparse.Select, names []string) string {
 		var res *Result
 		var err error
 		if names == nil {
 			res, err = e.ExecuteStmt(sel)
 		} else {
+			tables := make([]*Table, len(names))
+			for i, name := range names {
+				if tables[i], err = db.Table(name); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var p *Prepared
-			if p, err = e.Prepare(sel); err == nil {
-				res, err = p.Run(names, ExecOptions{})
+			if p, err = e.Prepare(sel, nil); err == nil {
+				res, err = p.Run(tables, ExecOptions{})
 			}
 		}
 		if err != nil {

@@ -300,9 +300,13 @@ func (n *node) operand() operand {
 
 // bind points a column leaf at its binding's cursor in fr and the column
 // that cursor holds; it is redone whenever the cursor is given other
-// columns.
+// columns, and a nil fr lets go of them.
 func (o *operand) bind(fr *frame) {
-	if o.isCol {
+	switch {
+	case !o.isCol:
+	case fr == nil:
+		o.cur, o.col = nil, nil
+	default:
 		o.cur = &fr.cur[o.bi]
 		o.col = &o.cur.cols[o.ci]
 	}

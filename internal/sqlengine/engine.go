@@ -143,7 +143,7 @@ func (e *Engine) ExecuteStmtOpts(st sqlparse.Statement, opts ExecOptions) (*Resu
 	if sel, ok := st.(*sqlparse.Select); ok {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.execSelectOpts(sel, opts)
+		return e.execSelectOpts(sel, nil, opts)
 	}
 	return e.ExecuteStmt(st)
 }
@@ -154,7 +154,7 @@ func (e *Engine) ExecuteStmt(st sqlparse.Statement) (*Result, error) {
 	case *sqlparse.Select:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.execSelectOpts(s, ExecOptions{})
+		return e.execSelectOpts(s, nil, ExecOptions{})
 
 	case *sqlparse.CreateTable:
 		return e.execCreateTable(s)
@@ -208,7 +208,7 @@ func (e *Engine) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 	var newTable *Table
 	if ct.AsSelect != nil {
 		e.mu.RLock()
-		res, err := e.execSelectOpts(ct.AsSelect, ExecOptions{})
+		res, err := e.execSelectOpts(ct.AsSelect, nil, ExecOptions{})
 		e.mu.RUnlock()
 		if err != nil {
 			return nil, err

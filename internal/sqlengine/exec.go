@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -26,13 +27,13 @@ const interruptCheckRows = 512
 // clause bound to the schemas of the tables it names, and every expression
 // of it compiled against those bindings into a selectPlan. The third step,
 // one pass over the rows, is a run, and a Prepared can be run any number of
-// times — against the tables it names or against others of the same schemas
-// (a chunk query's statements are one statement over one subchunk's tables
-// after another). What a plan takes from a table's data rather than its
-// schema — an index to dive into, a hash join's build side, the order a
-// band join walks — is looked for again by every run. The compiled closures
-// keep scratch buffers, and so does the Prepared (its selection vector), so
-// one goroutine runs a Prepared at a time.
+// times — against the tables it names or against others of the same
+// schemas handed to it (a chunk query's statements are one statement over
+// one job's subchunk tables after another). What a plan takes from a
+// table's data — an index to dive into, a hash join's build side, the order
+// a band join walks — is looked for again by every run, which keeps none of
+// its tables alive past it. The compiled closures keep scratch buffers, and
+// so does the Prepared (its selection vector): one goroutine runs it at a time.
 type Prepared struct {
 	eng      *Engine
 	sel      *sqlparse.Select
@@ -88,93 +89,91 @@ func (ex *selectExec) poll(n *int) error {
 }
 
 // execSelectOpts is every SELECT's path: prepare, then one run against the
-// tables the statement names.
-func (e *Engine) execSelectOpts(sel *sqlparse.Select, opts ExecOptions) (*Result, error) {
-	p, tables, err := e.prepare(sel)
+// tables the statement names, or the ones handed for its entries.
+func (e *Engine) execSelectOpts(sel *sqlparse.Select, tables []*Table, opts ExecOptions) (*Result, error) {
+	p, from, err := e.prepare(sel, tables)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(tables, opts)
+	return p.run(from, opts)
 }
 
-// Prepare binds and compiles a SELECT for Run.
-func (e *Engine) Prepare(sel *sqlparse.Select) (*Prepared, error) {
+// Prepare binds and compiles a SELECT for Run, over tables as Run takes them.
+func (e *Engine) Prepare(sel *sqlparse.Select, tables []*Table) (*Prepared, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	p, _, err := e.prepare(sel)
+	p, _, err := e.prepare(sel, tables)
 	return p, err
 }
 
 // prepare resolves the FROM clause and compiles the statement against it;
 // it returns the tables it found beside the plan, for the caller that runs
 // the statement at once. The caller holds e.mu.
-func (e *Engine) prepare(sel *sqlparse.Select) (*Prepared, []source, error) {
+func (e *Engine) prepare(sel *sqlparse.Select, tables []*Table) (*Prepared, []source, error) {
 	p := &Prepared{eng: e, sel: sel, funcsGen: e.funcsGen}
 	if len(sel.From) == 0 {
 		return p, nil, nil
 	}
-	tables := make([]source, len(sel.From))
-	if p.countStar = isCountStar(sel); p.countStar {
-		t, err := e.lookupTable(sel.From[0].DB, sel.From[0].Table)
-		tables[0].table = t
-		return p, tables, err
-	}
+	from := make([]source, len(sel.From))
 	p.bindings = make([]binding, len(sel.From))
-	for i, ref := range sel.From {
-		t, err := e.lookupTable(ref.DB, ref.Table)
+	for i := range sel.From {
+		t, name, err := e.entry(sel.From, tables, i)
 		if err != nil {
 			return nil, nil, err
 		}
-		tables[i].table = t
-		p.bindings[i] = binding{name: ref.Name(), schema: t.Schema}
+		from[i].table = t
+		p.bindings[i] = binding{name: name, schema: t.Schema}
 		// Duplicate FROM names are ambiguous (self-join requires aliases).
 		for _, b := range p.bindings[:i] {
-			if strings.EqualFold(b.name, ref.Name()) {
-				return nil, nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", ref.Name())
+			if strings.EqualFold(b.name, name) {
+				return nil, nil, fmt.Errorf("sqlengine: duplicate table name/alias %q in FROM; use aliases", name)
 			}
 		}
 	}
+	if p.countStar = isCountStar(sel); p.countStar {
+		return p, from, nil
+	}
 	var err error
-	p.plan, err = p.compile(tables)
-	return p, tables, err
+	p.plan, err = p.compile(from)
+	return p, from, err
 }
 
-// Run executes the statement under the given hooks. With names nil it reads
-// the tables the statement names; otherwise names has one entry per FROM
-// entry, the table that entry reads this time (in the database the
-// statement names, under the alias the statement gives it). The answer is
-// the one the statement with those names written into it would give: where
-// the compiled plan cannot be shown to be that statement's — a renamed
-// entry has no alias, so that its name is what expressions call it by; a
-// table's schema is not the one compiled against; a function was registered
-// since — that statement is prepared afresh.
-func (p *Prepared) Run(names []string, opts ExecOptions) (*Result, error) {
+// entry is FROM entry i: the table it reads — the one handed for it, else
+// the one it names, in the database it names — and what expressions call
+// it: its alias, else that table's name. The caller holds e.mu.
+func (e *Engine) entry(from []sqlparse.TableRef, tables []*Table, i int) (*Table, string, error) {
+	if tables != nil && tables[i] != nil {
+		return tables[i], cmp.Or(from[i].Alias, tables[i].Name), nil
+	}
+	t, err := e.lookupTable(from[i].DB, from[i].Table)
+	return t, from[i].Name(), err
+}
+
+// Run executes the statement under the given hooks. tables, when not nil,
+// has one entry per FROM entry: the table it reads this time, or nil for
+// the one it names. The answer is the statement's over those tables, an
+// entry without an alias called by the name of the table it reads; where
+// the plan cannot be shown to be that statement's — such an entry reads a
+// table of another name, a schema is not the one compiled against, a
+// function was registered since — the statement is prepared afresh.
+func (p *Prepared) Run(tables []*Table, opts ExecOptions) (*Result, error) {
 	e := p.eng
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	from, fits := p.sel.From, p.funcsGen == e.funcsGen
-	if names != nil {
-		from = slices.Clone(from)
-		for i := range from {
-			fits = fits && (from[i].Alias != "" || from[i].Table == names[i])
-			from[i].Table = names[i]
-		}
-	}
-	tables := make([]source, len(from))
+	fits := p.funcsGen == e.funcsGen
+	from := make([]source, len(p.sel.From))
 	for i := 0; fits && i < len(from); i++ {
-		t, err := e.lookupTable(from[i].DB, from[i].Table)
+		t, name, err := e.entry(p.sel.From, tables, i)
 		if err != nil {
 			return nil, err
 		}
-		tables[i].table = t
-		fits = p.countStar || sameSchema(t.Schema, p.bindings[i].schema)
+		from[i].table = t
+		fits = sameSchema(t.Schema, p.bindings[i].schema) && p.bindings[i].name == name
 	}
 	if !fits {
-		sel := *p.sel
-		sel.From = from
-		return e.execSelectOpts(&sel, opts)
+		return e.execSelectOpts(p.sel, tables, opts)
 	}
-	return p.run(tables, opts)
+	return p.run(from, opts)
 }
 
 func sameSchema(a, b Schema) bool {
@@ -210,6 +209,7 @@ func (p *Prepared) run(tables []source, opts ExecOptions) (*Result, error) {
 	}
 	out := p.plan.out
 	out.begin(opts.Sink, &ex.fr)
+	defer out.end()
 	err := ex.run(p.plan)
 	p.vec = ex.vec
 	if err != nil {
@@ -1323,6 +1323,14 @@ func (o *output) bind(fr *frame) {
 		o.aggs[i].arg.bind(fr)
 	}
 	o.intKey.bind(fr)
+}
+
+// end lets go of what a run handed the output — the cursors its column
+// leaves read, the sink, the groups and rows it held — so a Prepared kept
+// for later runs keeps none of this run's tables or results alive.
+func (o *output) end() {
+	o.bind(nil)
+	o.sink, o.dst, o.boxed, o.held, o.groups, o.list, o.last = nil, nil, nil, nil, nil, nil, nil
 }
 
 // expandStar appends one item per column that `*` or `t.*` stands for.

@@ -218,38 +218,6 @@ func TestAppendToEvictedUnitKeepsRows(t *testing.T) {
 	}
 }
 
-// TestEvictionRetiresScannersAndSubchunks: evicting a chunk drops its cached
-// subchunk tables, so nothing keeps the detached rows reachable.
-func TestEvictionRetiresScannersAndSubchunks(t *testing.T) {
-	// Budget 0 during setup so the background evictor cannot evict the
-	// unit the moment the setup query releases its pin; the budget is
-	// dropped just before the manual evict pass.
-	w, u := residentWorker(t, 0, func(cfg *Config) { cfg.CacheSubChunks = true })
-	chunk := partitionChunk(u)
-
-	// A subchunk query populates the subchunk cache.
-	subs, err := w.registry.Chunker.AllSubChunks(chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := subs[0]
-	submit(t, w, chunk, fmt.Sprintf("-- SUBCHUNKS: %d\nSELECT COUNT(*) FROM LSST.Object_%d_%d;", sub, chunk, sub))
-	if w.CachedSubchunkCount() == 0 {
-		t.Fatal("setup: no cached subchunks")
-	}
-
-	w.units.mu.Lock()
-	w.units.budget = 1
-	w.units.mu.Unlock()
-	w.units.evictLoop()
-	if w.units.isResident(u) {
-		t.Fatal("unit still resident after evict pass")
-	}
-	if w.CachedSubchunkCount() != 0 {
-		t.Fatal("cached subchunk tables survived eviction")
-	}
-}
-
 // TestGangSharesOneMaterialization is the worker's shared scan: full scans of
 // one chunk that queue together against an evicted unit start as one gang,
 // the unit is read from its segments once for all of them and stays pinned

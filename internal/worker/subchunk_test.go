@@ -1,10 +1,16 @@
 package worker
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/chunkstore"
 	"repro/internal/core"
@@ -79,8 +85,12 @@ func TestSubchunkTablesAreTheExhaustiveOnes(t *testing.T) {
 				}
 			}
 		}
-		if _, err := w.generateSubchunks(chunkstore.Unit{Table: "Object", Chunk: int(chunk)}, subs); err != nil {
+		built, _, err := w.generateSubchunks(chunkstore.Unit{Table: "Object", Chunk: int(chunk)}, subs)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(built) != 2*len(subs) {
+			t.Errorf("%v chunk %d: %d tables built for %d subchunks", tc.cfg, chunk, len(built), len(subs))
 		}
 		// The exhaustive pass: every row against every target.
 		coord := func(v sqlengine.Value) float64 {
@@ -103,14 +113,12 @@ func TestSubchunkTablesAreTheExhaustiveOnes(t *testing.T) {
 					ov = append(ov, row[0].(int64))
 				}
 			}
-			for name, want := range map[string][]int64{
-				meta.SubChunkTableName("Object", chunk, sub):        own,
-				meta.SubChunkOverlapTableName("Object", chunk, sub): ov,
-			} {
-				tbl, err := w.db.Table(name)
-				if err != nil {
-					t.Fatal(err)
+			for kind, want := range map[meta.NameKind][]int64{meta.SubChunkTable: own, meta.SubChunkOverlapTable: ov} {
+				tbl := built[subchunkKey{"Object", kind, sub}]
+				if tbl == nil {
+					t.Fatalf("%v chunk %d: no %v table built for subchunk %d", tc.cfg, chunk, kind, sub)
 				}
+				name := tbl.Name
 				var got []int64
 				sorted, last := false, math.Inf(-1)
 				for i := 0; i < tbl.Len(); i++ {
@@ -151,7 +159,7 @@ func BenchmarkSubchunkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := w.generateSubchunks(id, subs)
+		_, st, err := w.generateSubchunks(id, subs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,4 +167,149 @@ func BenchmarkSubchunkBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*routed), "ns/row")
 	b.ReportMetric(float64(len(subs)), "subchunks")
+}
+
+// jobStats is the ExecStats of the last job the worker ran for payload.
+func jobStats(t *testing.T, w *Worker, payload string) sqlengine.ExecStats {
+	t.Helper()
+	hash := xrd.ResultHash([]byte(payload))
+	reps := w.Reports()
+	for i := len(reps) - 1; i >= 0; i-- {
+		if reps[i].Hash == hash {
+			return reps[i].Stats
+		}
+	}
+	t.Errorf("no report of a job for\n%s", payload)
+	return sqlengine.ExecStats{}
+}
+
+// TestConcurrentNearNeighbourJobsShareNothing: near-neighbour jobs over one
+// chunk at the same time, with SUBCHUNKS lists that overlap, each build
+// their own tables and answer — rows and ExecStats — as each does alone,
+// and the catalog never holds a subchunk table, during the jobs or after.
+func TestConcurrentNearNeighbourJobsShareNothing(t *testing.T) {
+	f := newReuseFixture(t)
+	n := len(f.subs)
+	if n < 8 {
+		t.Fatalf("the fixture's payload lists %d subchunks", n)
+	}
+	// Job k lists a window of the subchunks overlapping the windows beside
+	// it, and its pair is written for the window's first subchunk.
+	s0 := fmt.Sprintf("_%d_%d ", f.chunk, f.subs[0])
+	var payloads []string
+	for k := 0; k < 8; k++ {
+		window := f.subs[k*n/8 : min(n, k*n/8+n/4+2)]
+		pair := strings.ReplaceAll(f.pair, s0, fmt.Sprintf("_%d_%d ", f.chunk, window[0]))
+		payloads = append(payloads, f.header(window)+pair)
+	}
+	type outcome struct {
+		answer string
+		stats  sqlengine.ExecStats
+	}
+	alone := make([]outcome, len(payloads))
+	pairs := int64(0)
+	for k, p := range payloads {
+		alone[k] = outcome{f.answer(p), jobStats(t, f.w, p)}
+		if alone[k].answer == "failed" {
+			t.Fatalf("job %d alone failed", k)
+		}
+		pairs += alone[k].stats.PairsConsidered
+	}
+	if pairs == 0 {
+		t.Fatal("no job alone visits a pair")
+	}
+
+	done := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		samples := 0
+		defer func() { sampled <- samples }()
+		for {
+			if names := catalogSubchunkTables(f.w); len(names) > 0 {
+				t.Errorf("the catalog holds subchunk tables %v", names)
+			}
+			samples++
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				k := (g + i) % len(payloads)
+				// A comment of its own makes each payload a job of its own.
+				p := payloads[k] + fmt.Sprintf("-- %d/%d\n", g, i)
+				if got := (outcome{f.answer(p), jobStats(t, f.w, p)}); got != alone[k] {
+					t.Errorf("goroutine %d job %d (window %d) answers\n%+v\nalone\n%+v", g, i, k, got, alone[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if samples := <-sampled; samples < 2 {
+		t.Errorf("the catalog was sampled %d times", samples)
+	}
+	if names := catalogSubchunkTables(f.w); len(names) > 0 {
+		t.Errorf("after the jobs the catalog holds subchunk tables %v", names)
+	}
+}
+
+// TestFinishedJobsSubchunkTablesAreCollected: the subchunk tables a job
+// built are garbage once it ends, while the template it filed its
+// statements under sits in the worker's cache — and the next job takes
+// that template and answers as a job that parses.
+func TestFinishedJobsSubchunkTablesAreCollected(t *testing.T) {
+	f := newReuseFixture(t)
+	j := &job{chunk: f.chunk, class: core.FullScan, subs: f.subs, text: f.pair, cancel: make(chan struct{})}
+	run := &jobRun{w: f.w, j: j}
+	if err := run.script(); err != nil {
+		t.Fatal(err)
+	}
+	j.gang.leave(f.w, j.tables)
+	if len(run.subchunks) != 2*len(f.subs) {
+		t.Fatalf("the job built %d tables for %d subchunks", len(run.subchunks), len(f.subs))
+	}
+	var built []weak.Pointer[sqlengine.Table]
+	for _, tbl := range run.subchunks {
+		built = append(built, weak.Make(tbl))
+	}
+	run = nil
+	live := func() int {
+		n := 0
+		for _, p := range built {
+			if p.Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 5 && live() > 0; i++ {
+		runtime.GC()
+	}
+	f.w.templates.mu.Lock()
+	cached := len(f.w.templates.entries)
+	f.w.templates.mu.Unlock()
+	if cached != 1 {
+		t.Fatalf("%d templates cached after the job, want its one", cached)
+	}
+	if n := live(); n > 0 {
+		t.Errorf("%d of the job's %d subchunk tables live on after it ended", n, len(built))
+	}
+	payload := f.header(f.subs) + f.pair
+	p0, r0 := f.counters()
+	got := f.answer(payload)
+	p1, r1 := f.counters()
+	if want := f.answer(fresh(payload)); got != want {
+		t.Errorf("the next job answers\n%s\na job that parses\n%s", got, want)
+	}
+	if p1-p0 != 0 || r1-r0 != 2 {
+		t.Errorf("the next job parsed %d statements and reused %d, want 0 and 2", p1-p0, r1-r0)
+	}
 }

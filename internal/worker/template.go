@@ -116,6 +116,9 @@ func (c *templateCache) take(text string, chunk partition.ChunkID, s0 partition.
 }
 
 func (c *templateCache) put(t *stmtTemplate) {
+	for i := range t.stmts {
+		t.stmts[i].tables = nil // the last job's, which a template must not keep alive
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.entries) == templateCacheSize {

@@ -12,9 +12,9 @@ import (
 
 // This file is the worker's unit table: one record per stored (table,
 // chunk) or replicated table. The table is the worker's inventory (what
-// /inventory and /ping report), its residency manager, and the owner of
-// what is derived from a unit's tables — the subchunk tables generated from
-// them — so whatever ends a unit's residency drops those in the same place.
+// /inventory and /ping report) and its residency manager. Nothing hangs off
+// a record: the subchunk tables a near-neighbour job builds from a unit's
+// tables are the job's (subchunk.go).
 //
 // With a store, recovery stops at the chunkstore inventory (spec + unit
 // index) and a unit's tables are built from its segment files on first
@@ -32,7 +32,7 @@ import (
 //
 // Pins make eviction safe against the live read path: every executing
 // chunk query pins the units its statements reference before touching
-// the engine (covering subchunk generation, which scans the pinned base
+// the engine (covering the subchunk build, which scans the pinned base
 // tables), and the evictor only picks fully unpinned resident units. A job
 // popped while its unit is on disk blocks in pin — materialize-on-miss
 // inside the scheduler — rather than erroring. The pin is also how a gang
@@ -65,8 +65,6 @@ type unit struct {
 	// was quarantined — such a chunk stays out of the inventory, so the
 	// repairer re-ships it whole, until a write to it lands.
 	held bool
-	// subs are the live subchunk materializations, in use or cached.
-	subs map[partition.SubChunkID]*subEntry
 }
 
 // unitTable is a worker's unit table.
@@ -199,9 +197,9 @@ func (t *unitTable) noteWrite(u *unit, bytes int64) {
 
 // lockReplace latches a unit for a replace-install: any in-flight
 // materialization or eviction is waited out, the unit's resident bytes
-// are uncharged, what hung off its old tables is dropped, and the state is
-// parked at materializing so the evictor cannot detach the tables the
-// caller is about to publish. The caller must follow with finishReplace.
+// are uncharged, and the state is parked at materializing so the evictor
+// cannot detach the tables the caller is about to publish. The caller must
+// follow with finishReplace.
 func (t *unitTable) lockReplace(id chunkstore.Unit) *unit {
 	t.mu.Lock()
 	u := t.units[id]
@@ -219,7 +217,6 @@ func (t *unitTable) lockReplace(id chunkstore.Unit) *unit {
 	}
 	u.state = unitMaterializing
 	t.mu.Unlock()
-	t.dropDerived(u)
 	return u
 }
 
@@ -331,31 +328,10 @@ func (w *Worker) evictor() {
 
 // detach ends a unit's residency: its tables leave the engine (the table
 // objects stay valid for any in-flight reader holding a pointer; new
-// lookups miss until a re-materialization) and what hung off them goes
-// with them.
+// lookups miss until a re-materialization).
 func (t *unitTable) detach(u *unit) {
 	for _, n := range unitTableNames(u.id) {
 		t.w.db.Detach(n)
-	}
-	t.dropDerived(u)
-}
-
-// dropDerived drops what a unit's tables carry and must not outlive them:
-// the cached subchunk tables. Subchunk tables in use cannot exist when an
-// eviction runs — a job using them pins the unit — and under a
-// replace-install are left to the job that holds them.
-func (t *unitTable) dropDerived(u *unit) {
-	t.mu.Lock()
-	var cached []partition.SubChunkID
-	for sub, e := range u.subs {
-		if e.refs == 0 {
-			delete(u.subs, sub)
-			cached = append(cached, sub)
-		}
-	}
-	t.mu.Unlock()
-	for _, sub := range cached {
-		t.w.dropSubchunkTables(u.id, sub)
 	}
 }
 
@@ -381,7 +357,7 @@ func (w *Worker) ScanStats() ScanStats {
 
 // unitOfRef names the storage unit behind a worker-side table: its own
 // for a replicated, a chunk or an overlap table, the chunk unit they are
-// generated from for the subchunk kinds.
+// built from for the subchunk kinds.
 func unitOfRef(ref meta.TableRef) chunkstore.Unit {
 	if ref.Kind == meta.SharedTable {
 		return chunkstore.Unit{Table: ref.Info.Name, Shared: true}
@@ -486,19 +462,6 @@ func (w *Worker) ResidencyStats() ResidencyStats {
 		}
 	}
 	return st
-}
-
-// CachedSubchunkCount reports how many subchunk materializations are
-// live (cached or in use); exposed for cache-ablation experiments.
-func (w *Worker) CachedSubchunkCount() int {
-	t := w.units
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, u := range t.units {
-		n += len(u.subs)
-	}
-	return n
 }
 
 // ---------- building a unit's tables ----------

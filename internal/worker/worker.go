@@ -17,22 +17,24 @@
 // materialized once for all of them and stays pinned while they run, so
 // concurrent scans of one chunk share a single read of it.
 //
-// Spatial self-join queries carry a "-- SUBCHUNKS:" header; the worker
-// materializes the listed subchunk and overlap-subchunk tables on the
-// fly before executing, and drops them afterwards unless caching is
-// enabled (section 5.4 notes workers are "free to cache subchunk
-// tables").
+// Spatial self-join queries carry a "-- SUBCHUNKS:" header; the job
+// builds the listed subchunk and overlap-subchunk tables on the fly, the
+// first time a statement names one, holds them while its statements run
+// once per listed subchunk, and lets them go when it ends (section 5.4:
+// workers are "free to drop the tables afterwards"). They enter no catalog.
 //
 // What a worker stores is kept in one unit table (units.go): a record per
 // stored (table, chunk) or replicated table, which is the inventory and
-// owns the unit's residency and its subchunk tables.
+// owns the unit's residency.
 // Worker-side table names are spelled and read back by internal/meta
 // alone; a job resolves the names its statements use once.
 package worker
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,9 +71,6 @@ type Config struct {
 	// together; the surplus stays queued as a gang of its own for a later
 	// pop, bounding per-slot concurrency under bursts.
 	MaxGangSize int
-	// CacheSubChunks keeps generated subchunk tables for reuse instead
-	// of dropping them after each query.
-	CacheSubChunks bool
 	// ResultTimeout bounds how long a result read blocks waiting for
 	// execution to finish.
 	ResultTimeout time.Duration
@@ -171,7 +170,7 @@ type Worker struct {
 
 	// units is the unit table (see units.go): one record per stored
 	// (table, chunk) or replicated table — the inventory — owning the
-	// unit's residency and its subchunk tables.
+	// unit's residency.
 	units *unitTable
 
 	// templates holds the parsed and compiled statements of recent
@@ -265,7 +264,11 @@ func (g *gang) leave(w *Worker, tables []tableUse) {
 		}
 		g.mu.Unlock()
 	}
-	w.releaseTables(tables)
+	for _, use := range tables {
+		if use.unit != nil {
+			w.units.unpin(use.unit)
+		}
+	}
 }
 
 // canceled reports whether the job's kill signal fired.
@@ -764,14 +767,14 @@ func (w *Worker) execute(j *job, started time.Time) {
 
 // runChunkQuery executes the statements of one chunk query — once, or once
 // per listed subchunk under a SUBCHUNKS header (see core.ChunkQuery) —
-// generating the subchunk tables the header demands, and returns the result
+// building the subchunk tables the header lists, and returns the result
 // serialized as a dump stream. A full-scan job whose statements an earlier
 // job had finds them parsed and compiled in the worker's cache (see
 // stmtTemplate); any other job parses them once.
 func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	run := &jobRun{w: w, j: j}
-	// Tables are pinned, and subchunk tables made, as statements name them;
-	// all of it is given back when the job, or the last of its gang, ends.
+	// Units are pinned as statements name them, and given back when the job,
+	// or the last of its gang, ends; the subchunk tables go with run.
 	defer func() { j.gang.leave(w, j.tables) }()
 
 	// Every SELECT writes its result rows, cell by cell from the column
@@ -810,6 +813,8 @@ type jobRun struct {
 	// parsed and reused count the statements the job parsed and the ones it
 	// ran from a template without parsing them.
 	parsed, reused int64
+	// subchunks are the subchunk tables the job built (see useTables).
+	subchunks map[subchunkKey]*sqlengine.Table
 }
 
 // jobStmt is one statement of a job.
@@ -817,11 +822,13 @@ type jobStmt struct {
 	st   sqlparse.Statement
 	sel  *sqlparse.Select    // st, when it is a SELECT
 	prep *sqlengine.Prepared // sel compiled, by the job's first pass
-	// names are the tables sel's FROM entries read this pass, and renamed
-	// decodes the entries the job names anew for each subchunk (Info nil for
-	// the others).
-	names   []string
-	renamed []meta.TableRef
+	// names are the tables sel's FROM entries name in this job and tables
+	// the ones they read this pass; passKeys says, of an entry naming a table
+	// of the first listed subchunk, which table of each pass's subchunk it
+	// reads instead (table "" for the others; see useTables).
+	names    []string
+	tables   []*sqlengine.Table
+	passKeys []subchunkKey
 }
 
 // script runs the job's statements, every one once per pass: one pass per
@@ -858,9 +865,6 @@ func (r *jobRun) script() error {
 			}
 		}
 	}
-	for i := range stmts {
-		r.rename(&stmts[i], passes[0])
-	}
 	for pass, sub := range passes {
 		for i := range stmts {
 			if err := r.run(&stmts[i], sub, pass == 0); err != nil {
@@ -876,29 +880,10 @@ func (r *jobRun) script() error {
 	return nil
 }
 
-// rename decodes which FROM entries of st the job names anew for each
-// subchunk: under a SUBCHUNKS header, those naming the first listed
-// subchunk's subchunk or overlap-subchunk table of the job's chunk.
-func (r *jobRun) rename(st *jobStmt, s0 partition.SubChunkID) {
-	st.renamed = nil
-	if st.sel == nil || len(r.j.subs) == 0 {
-		return
-	}
-	for i, name := range st.names {
-		ref, ok := r.w.registry.ResolveTable(name)
-		if !ok || !ref.Kind.Subchunk() || ref.Chunk != r.j.chunk || ref.Sub != s0 {
-			continue
-		}
-		if st.renamed == nil {
-			st.renamed = make([]meta.TableRef, len(st.names))
-		}
-		st.renamed[i] = ref
-	}
-}
-
 // run runs one statement for the pass over subchunk sub. The job's first
 // pass readies the tables a SELECT reads — whichever subchunk, the units
-// behind them are the same — and compiles it if the job parsed it.
+// behind them are the same — and compiles it if the job parsed it; a later
+// pass hands it that subchunk's tables.
 func (r *jobRun) run(st *jobStmt, sub partition.SubChunkID, first bool) error {
 	if r.j.canceled() {
 		return r.execError(sqlengine.ErrInterrupted)
@@ -907,25 +892,25 @@ func (r *jobRun) run(st *jobStmt, sub partition.SubChunkID, first bool) error {
 		res, err := r.w.engine.ExecuteStmtOpts(st.st, r.opts)
 		return r.took(res, err, false)
 	}
-	for i, ref := range st.renamed {
-		if ref.Info != nil {
-			ref.Sub = sub
-			st.names[i] = ref.Name()
-		}
-	}
 	if first {
-		if err := r.useTables(st.sel.From, st.names); err != nil {
+		if err := r.useTables(st); err != nil {
 			return err
 		}
 		if st.prep == nil {
-			prep, err := r.w.engine.Prepare(st.sel)
+			prep, err := r.w.engine.Prepare(st.sel, st.tables)
 			if err != nil {
 				return r.execError(err)
 			}
 			st.prep = prep
 		}
 	}
-	res, err := st.prep.Run(st.names, r.opts)
+	for i, key := range st.passKeys {
+		if key.table != "" {
+			key.sub = sub
+			st.tables[i] = r.subchunks[key]
+		}
+	}
+	res, err := st.prep.Run(st.tables, r.opts)
 	return r.took(res, err, true)
 }
 
@@ -949,81 +934,80 @@ func (r *jobRun) took(res *sqlengine.Result, err error, isSel bool) error {
 	return nil
 }
 
-// tableUse is one storage unit a chunk query's statements read, and how.
+// tableUse is one storage unit a chunk query's statements read: unit is
+// the pinned record, nil when this worker stores no such unit.
 type tableUse struct {
-	id chunkstore.Unit
-	// unit is the pinned record; nil when this worker stores no such unit.
+	id   chunkstore.Unit
 	unit *unit
-	// subchunks says the statements read subchunk tables derived from the
-	// unit, which the job materialized when the first of them did and gives
-	// back through releaseSubchunks.
-	subchunks        bool
-	releaseSubchunks func()
 }
 
-// releaseTables gives back what a job took of its tables' units: the
-// subchunk references, then the pins.
-func (w *Worker) releaseTables(uses []tableUse) {
-	for i := range uses {
-		if uses[i].releaseSubchunks != nil {
-			uses[i].releaseSubchunks()
-		}
-		if uses[i].unit != nil {
-			w.units.unpin(uses[i].unit)
-		}
-	}
-}
-
-// useTables readies the tables a statement's FROM clause names — names[i]
-// in place of from[i]'s own where names is given — before the engine touches
-// them: each name goes through the naming codec (meta.ResolveTable) once
-// and is filed under the storage unit behind it, which is pinned the first
-// time a statement of the job reads it — a unit evicted to disk is
-// re-materialized here (the job blocks instead of erroring), and a pinned
-// unit cannot be detached under the scans that follow —
-// and whose listed subchunks are materialized the first time a statement
-// reads a subchunk table of it (a unit not stored here has none: the engine
-// reports the missing table). Names that are no piece of a catalog table (a
-// typo, a table put into the engine directly) are not units; the engine
-// reports or finds those on its own.
-func (r *jobRun) useTables(from []sqlparse.TableRef, names []string) error {
+// useTables finds the table each FROM entry of a SELECT reads, once per
+// job. Each name (st.names) goes through the naming codec once and is filed
+// under the storage unit behind it, pinned the first time a statement of
+// the job reads it: a unit evicted to disk is re-materialized here, and a
+// pinned unit cannot be detached under the scans that follow. A subchunk
+// table of the job's chunk, in the catalog's database, is one the job
+// builds, for every listed subchunk of a unit this worker stores at once;
+// an entry naming the first listed subchunk's reads each pass's own
+// (passKeys). Every other name — a typo, a table put into the engine
+// directly, a subchunk table the job did not build — is looked up in the
+// database the entry names.
+func (r *jobRun) useTables(st *jobStmt) error {
 	w, j := r.w, r.j
-	for i := range from {
-		name := from[i].Table
-		if names != nil {
-			name = names[i]
-		}
-		if i > 0 && names == nil && name == from[i-1].Table {
-			continue // a subchunk's self-join names its table twice running
-		}
+	st.tables, st.passKeys = make([]*sqlengine.Table, len(st.names)), make([]subchunkKey, len(st.names))
+	for i, name := range st.names {
+		db := st.sel.From[i].DB
 		ref, ok := w.registry.ResolveTable(name)
-		if !ok {
-			continue
-		}
-		id := unitOfRef(ref)
-		var use *tableUse
-		for i := range j.tables {
-			if j.tables[i].id == id {
-				use = &j.tables[i]
-			}
-		}
-		if use == nil {
-			u, err := w.units.pin(id, false)
+		if ok {
+			u, err := r.pin(unitOfRef(ref))
 			if err != nil {
 				return r.execError(err)
 			}
-			j.tables = append(j.tables, tableUse{id: id, unit: u})
-			use = &j.tables[len(j.tables)-1]
-		}
-		use.subchunks = use.subchunks || ref.Kind.Subchunk()
-		if use.subchunks && len(j.subs) > 0 && use.unit != nil && use.releaseSubchunks == nil {
-			release, genStats, err := w.acquireSubchunks(use.unit, j.subs)
-			r.stats.Add(genStats)
-			if err != nil {
-				return err
+			if ref.Kind.Subchunk() && ref.Chunk == j.chunk && len(j.subs) > 0 && u != nil &&
+				(db == "" || strings.EqualFold(db, w.db.Name)) {
+				if r.subchunks[subchunkKey{ref.Info.Name, meta.SubChunkTable, j.subs[0]}] == nil {
+					built, stats, err := w.generateSubchunks(u.id, j.subs)
+					r.stats.Add(stats) // the job's build is the job's I/O
+					if err != nil {
+						return err
+					}
+					maps.Copy(built, r.subchunks) // other units' tables, built before
+					r.subchunks = built
+				}
+				key := subchunkKey{ref.Info.Name, ref.Kind, ref.Sub}
+				if t := r.subchunks[key]; t != nil {
+					st.tables[i] = t
+					if ref.Sub == j.subs[0] {
+						st.passKeys[i] = key
+					}
+					continue
+				}
 			}
-			use.releaseSubchunks = release
+		}
+		d, err := w.engine.Database(cmp.Or(db, w.engine.DefaultDB()))
+		if err == nil {
+			st.tables[i], err = d.Table(name)
+		}
+		if err != nil {
+			return r.execError(err)
 		}
 	}
 	return nil
+}
+
+// pin pins a unit the first time a statement of the job reads it, and
+// returns its record: nil for a unit this worker stores none of.
+func (r *jobRun) pin(id chunkstore.Unit) (*unit, error) {
+	j := r.j
+	for _, use := range j.tables {
+		if use.id == id {
+			return use.unit, nil
+		}
+	}
+	u, err := r.w.units.pin(id, false)
+	if err != nil {
+		return nil, err
+	}
+	j.tables = append(j.tables, tableUse{id: id, unit: u})
+	return u, nil
 }

@@ -260,10 +260,22 @@ func TestSubchunkGenerationAndJoin(t *testing.T) {
 	if got := res.Rows[0][0].(int64); got != 5 {
 		t.Errorf("near pairs = %d, want 5", got)
 	}
-	// Subchunk tables were dropped after execution (no caching).
-	if n := w.CachedSubchunkCount(); n != 0 {
-		t.Errorf("leaked %d subchunk materializations", n)
+	// The subchunk tables were the job's: the catalog never held one.
+	if names := catalogSubchunkTables(w); len(names) > 0 {
+		t.Errorf("the catalog holds subchunk tables %v", names)
 	}
+}
+
+// catalogSubchunkTables lists the tables of the worker's catalog whose names
+// decode to a subchunk kind.
+func catalogSubchunkTables(w *Worker) []string {
+	var out []string
+	for _, name := range w.db.TableNames() {
+		if ref, ok := w.registry.ResolveTable(name); ok && ref.Kind.Subchunk() {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 func TestSubchunkOverlapCrossBorderPair(t *testing.T) {
@@ -303,23 +315,6 @@ func TestSubchunkOverlapCrossBorderPair(t *testing.T) {
 	if res.Rows[0][0].(int64) < 1 {
 		t.Error("cross-border pair not found via overlap table")
 	}
-}
-
-func TestSubchunkCaching(t *testing.T) {
-	cfg := DefaultConfig("w0")
-	cfg.CacheSubChunks = true
-	w, chunk := testWorker(t, cfg)
-	_, s := w.registry.Chunker.Locate(sphgeom.NewPoint(100, 0))
-	payload := fmt.Sprintf("-- SUBCHUNKS: %d\n"+
-		"SELECT COUNT(*) AS n FROM LSST.Object_%d_%d AS o1, LSST.Object_%d_%d AS o2 WHERE (o1.objectId != o2.objectId);",
-		s, chunk, s, chunk, s)
-	submit(t, w, chunk, payload)
-	if n := w.CachedSubchunkCount(); n == 0 {
-		t.Error("caching enabled but nothing cached")
-	}
-	// Re-submission (different SQL so a fresh hash) reuses the cache.
-	payload2 := payload + "\n-- again"
-	submit(t, w, chunk, payload2)
 }
 
 func TestDuplicatePayloadDeduplicated(t *testing.T) {
@@ -520,8 +515,8 @@ func TestConcurrentChunkQueries(t *testing.T) {
 	}
 }
 
-// TestSubchunkBaseParsing: which of a job's tables need subchunk
-// materialization, and from which base table's chunk.
+// TestSubchunkBaseParsing: which of a job's tables are subchunk tables it
+// builds, and from which base table's chunk unit.
 func TestSubchunkBaseParsing(t *testing.T) {
 	w := digitSuffixWorker(t)
 	cases := []struct {
@@ -545,7 +540,8 @@ func TestSubchunkBaseParsing(t *testing.T) {
 	}
 	for _, c := range cases {
 		base, ok := "", false
-		if use := resolveOne(t, w, c.in); use != nil && use.subchunks {
+		ref, _ := w.registry.ResolveTable(c.in)
+		if use := resolveOne(t, w, c.in); use != nil && ref.Kind.Subchunk() {
 			base, ok = use.id.Table, true
 		}
 		if ok != c.ok || base != c.base {

@@ -1,10 +1,12 @@
 package qserv
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -113,8 +115,11 @@ func (g *pairGrid) count(box [4]float64, radius float64) (sure, maybe, inBox int
 // join's window one row short — is invisible to it; it is not to this.
 //
 // The battery runs over subchunk grids from coarse to finer than the overlap
-// (4, 6, 12 and 20 sub-stripes; 0.1, 0.5 and 1 degree of overlap), with
-// subchunk tables cached and not, on one worker and on four. The boxes sit
+// (4, 6, 12 and 20 sub-stripes; 0.1, 0.5 and 1 degree of overlap), on one
+// worker and on four, with each question asked once or by two clients at
+// once — in two spellings, so that every worker runs two jobs per chunk,
+// each building its own subchunk tables, and both must answer alike. The
+// boxes sit
 // inside a chunk, across the stripe boundary at declination 0 and the chunk
 // boundary at RA 0/360, and beyond 80 degrees of declination up to the pole
 // itself; the radii go from zero through far below the object spacing to
@@ -140,8 +145,8 @@ func TestNearNeighbourMatchesGridCount(t *testing.T) {
 		overlap    float64
 	}
 	type topology struct {
-		cache   bool
-		workers int
+		concurrent bool
+		workers    int
 	}
 	// Every geometry under one topology, rotating; two geometries under all four.
 	topologies := []topology{{false, 4}, {true, 1}, {true, 4}, {false, 1}}
@@ -175,10 +180,9 @@ func TestNearNeighbourMatchesGridCount(t *testing.T) {
 	answers := map[question]int64{}
 	for _, run := range runs {
 		run := run
-		t.Run(fmt.Sprintf("substripes=%d/overlap=%v/cache=%v/workers=%d", run.subStripes, run.overlap, run.cache, run.workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("substripes=%d/overlap=%v/concurrent=%v/workers=%d", run.subStripes, run.overlap, run.concurrent, run.workers), func(t *testing.T) {
 			cfg := DefaultClusterConfig(run.workers)
 			cfg.Partition = partition.Config{NumStripes: 18, NumSubStripesPerStripe: run.subStripes, Overlap: run.overlap}
-			cfg.CacheSubChunks = run.cache
 			cfg.ResultCacheBytes = 0 // every question is executed, also the second time it is asked
 			cl, err := NewCluster(cfg)
 			if err != nil {
@@ -191,15 +195,39 @@ func TestNearNeighbourMatchesGridCount(t *testing.T) {
 			if _, err := cl.Ingest("Object", objectSource(cat)); err != nil {
 				t.Fatal(err)
 			}
-			count := func(box [4]float64, radius float64) (int64, error) {
-				res, err := cl.Query(fmt.Sprintf(`SELECT count(*) FROM Object o1, Object o2
-					WHERE qserv_areaspec_box(%v, %v, %v, %v)
-					AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < %v`,
-					box[0], box[1], box[2], box[3], radius))
+			// ask asks the question with its tables called a and b.
+			ask := func(a, b string, box [4]float64, radius float64) (int64, error) {
+				res, err := cl.Query(fmt.Sprintf(`SELECT count(*) FROM Object %[1]s, Object %[2]s
+					WHERE qserv_areaspec_box(%[3]v, %[4]v, %[5]v, %[6]v)
+					AND qserv_angSep(%[1]s.ra_PS, %[1]s.decl_PS, %[2]s.ra_PS, %[2]s.decl_PS) < %[7]v`,
+					a, b, box[0], box[1], box[2], box[3], radius))
 				if err != nil {
 					return 0, err
 				}
 				return res.Rows[0][0].(int64), nil
+			}
+			count := func(box [4]float64, radius float64) (int64, error) {
+				if !run.concurrent {
+					return ask("o1", "o2", box, radius)
+				}
+				var n [2]int64
+				var errs [2]error
+				var wg sync.WaitGroup
+				for i, alias := range []string{"o", "p"} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						n[i], errs[i] = ask(alias+"1", alias+"2", box, radius)
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs[:]...); err != nil {
+					return 0, err
+				}
+				if n[0] != n[1] {
+					return 0, fmt.Errorf("asked at once, the question is answered %d and %d pairs", n[0], n[1])
+				}
+				return n[0], nil
 			}
 			radii := []float64{0, 0.001, run.overlap / 3, run.overlap * 0.999999, run.overlap}
 			for _, box := range boxes {

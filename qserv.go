@@ -82,8 +82,6 @@ type ClusterConfig struct {
 	// for interactive (index-dive) chunk queries, which never wait
 	// behind full scans.
 	InteractiveSlots int
-	// CacheSubChunks enables worker-side subchunk table caching.
-	CacheSubChunks bool
 	// ResultTimeout bounds a single chunk-result wait.
 	ResultTimeout time.Duration
 	// MergeParallelism bounds concurrent result-stream checking (and the
@@ -222,7 +220,6 @@ func (c ClusterConfig) Validate() error {
 func (c ClusterConfig) WorkerConfig(name string, metrics *telemetry.Registry) worker.Config {
 	wcfg := worker.DefaultConfig(name)
 	wcfg.Slots = c.WorkerSlots
-	wcfg.CacheSubChunks = c.CacheSubChunks
 	if c.DataDir != "" {
 		wcfg.DataDir = filepath.Join(c.DataDir, name)
 	}
