@@ -45,7 +45,9 @@ bench-build:
 # comparisons' worst case, a table whose every cell makes the guard give up
 # and call the function: read it against BenchmarkScanHV1 before the guards.
 # BenchmarkScanHV1Nulls is HV1 over a table whose filtered column is 1 %
-# NULL: the price of the NULL bitmap on the block filter's path.
+# NULL: the price of the NULL bitmap on the block filter's path;
+# BenchmarkScanHV3Nulls is HV3 over a table whose summed and min/maxed
+# columns are 1 % NULL: its price on the aggregate fold's path.
 # (What they must never exceed is pinned as counts, which repeat exactly, by
 # TestScanAllocBudget, TestSinkAllocBudget, TestMaterializeAllocBudget,
 # TestAbsorbAllocBudget and TestRowLoopAllocBudget in tier-1; what the

@@ -242,6 +242,67 @@ func TestDocsRunMakeTargetsThatExist(t *testing.T) {
 	}
 }
 
+// TestDocsNameMetricsThatExist holds README.md and docs/ARCHITECTURE.md to
+// the metric families a cluster registers — those of a small durable cluster
+// serving a frontend, after one query: every prefix of ARCHITECTURE §15's
+// list prefixes one of them, and every full family the documents name under
+// one of those prefixes is one of them.
+func TestDocsNameMetricsThatExist(t *testing.T) {
+	cfg := DefaultClusterConfig(2)
+	cfg.DataDir = t.TempDir()
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Load(ingestTestCatalog(t)); err != nil {
+		t.Fatal(err)
+	}
+	startFrontend(t, cl, DefaultFrontendConfig())
+	if _, err := cl.Query("SELECT COUNT(*) FROM Object"); err != nil {
+		t.Fatal(err)
+	}
+	families := seriesNames(cl.Metrics())
+
+	readme, arch := readDoc(t, "README.md"), readDoc(t, "docs/ARCHITECTURE.md")
+	_, telemetry, _ := strings.Cut(arch, "\n## 15.")
+	telemetry, _, _ = strings.Cut(telemetry, "\n## ")
+	var prefixes []string
+	for _, m := range regexp.MustCompile("`(qserv_[a-z]+_)`").FindAllStringSubmatch(telemetry, -1) {
+		prefixes = append(prefixes, m[1])
+	}
+	if len(prefixes) < 5 {
+		t.Fatalf("ARCHITECTURE §15 lists %d metric prefixes: the check has nothing to hold", len(prefixes))
+	}
+	for _, prefix := range prefixes {
+		found := false
+		for name := range families {
+			found = found || strings.HasPrefix(name, prefix)
+		}
+		if !found {
+			t.Errorf("ARCHITECTURE §15 lists the prefix %s, which no registered family has", prefix)
+		}
+	}
+
+	// A family is a prefix and a name; a Go file named after one is not.
+	family := regexp.MustCompile(`(` + strings.Join(prefixes, "|") + `)[a-z0-9_]*[a-z0-9](\.go)?`)
+	named := 0
+	for _, doc := range []string{readme, arch} {
+		for _, m := range family.FindAllStringSubmatch(doc, -1) {
+			if m[2] != "" {
+				continue
+			}
+			named++
+			if !families[m[0]] {
+				t.Errorf("the documents name the metric %s, which the cluster does not register", m[0])
+			}
+		}
+	}
+	if named < 4 {
+		t.Errorf("the documents name %d metric families: the check has nothing to hold", named)
+	}
+}
+
 // TestDocsNameExperimentsThatExist: every `qserv-bench -exp <id>` README.md
 // and docs/ARCHITECTURE.md name is an experiment of the program's registry,
 // one of its groups, or all.

@@ -8,95 +8,117 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 	"repro/internal/datagen"
 	"repro/internal/sqlengine"
 )
 
-func main() {
-	// Synthesize a PT1.1-style patch and duplicate it over a band of
-	// sky (paper section 6.1.2).
-	cat, err := datagen.Generate(
+// workers sizes the example's cluster; queries are the statements it asks
+// with Query, and streamSQL the one it asks as a session.
+const (
+	workers   = 8
+	streamSQL = "SELECT objectId, ra_PS, decl_PS FROM Object WHERE uFlux_PS > 2.5e-31"
+)
+
+var queries = []string{
+	// Point retrieval through the objectId secondary index (LV1).
+	"SELECT objectId, ra_PS, decl_PS FROM Object WHERE objectId = 42",
+	// Full-sky count: one chunk query per partition (HV1).
+	"SELECT COUNT(*) FROM Object",
+	// The paper's section 5.3 rewriting example.
+	"SELECT AVG(uFlux_SG) FROM Object WHERE qserv_areaspec_box(0.0, 0.0, 10.0, 10.0) AND uRadius_PS > 0.04",
+	// Per-chunk density (HV3).
+	"SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object GROUP BY chunkId ORDER BY n DESC, chunkId LIMIT 5",
+}
+
+// catalog synthesizes a PT1.1-style patch and duplicates it over a band of
+// sky (paper section 6.1.2).
+func catalog() (*datagen.Catalog, error) {
+	return datagen.Generate(
 		datagen.Config{Seed: 1, ObjectsPerPatch: 500, MeanSourcesPerObject: 3},
 		datagen.DuplicateConfig{DeclBands: 3, SourceDeclLimit: 54, MaxCopies: 40},
 	)
-	if err != nil {
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("catalog: %d objects, %d sources\n", len(cat.Objects), len(cat.Sources))
+}
 
-	cluster, err := qserv.NewCluster(qserv.DefaultClusterConfig(8))
+// run loads the catalog into a cluster and prints the answer to each query,
+// then the session's.
+func run(out io.Writer) error {
+	cat, err := catalog()
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	fmt.Fprintf(out, "catalog: %d objects, %d sources\n", len(cat.Objects), len(cat.Sources))
+
+	cluster, err := qserv.NewCluster(qserv.DefaultClusterConfig(workers))
+	if err != nil {
+		return err
 	}
 	defer cluster.Close()
 	if err := cluster.Load(cat); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("cluster: %d workers, %d chunks placed\n\n",
+	fmt.Fprintf(out, "cluster: %d workers, %d chunks placed\n\n",
 		len(cluster.Workers), len(cluster.Placement.Chunks()))
 
-	queries := []string{
-		// Point retrieval through the objectId secondary index (LV1).
-		"SELECT objectId, ra_PS, decl_PS FROM Object WHERE objectId = 42",
-		// Full-sky count: one chunk query per partition (HV1).
-		"SELECT COUNT(*) FROM Object",
-		// The paper's section 5.3 rewriting example.
-		"SELECT AVG(uFlux_SG) FROM Object WHERE qserv_areaspec_box(0.0, 0.0, 10.0, 10.0) AND uRadius_PS > 0.04",
-		// Per-chunk density (HV3).
-		"SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId FROM Object GROUP BY chunkId ORDER BY n DESC LIMIT 5",
-	}
 	for _, sql := range queries {
 		res, err := cluster.Query(sql)
 		if err != nil {
-			log.Fatalf("%s: %v", sql, err)
+			return fmt.Errorf("%s: %w", sql, err)
 		}
-		fmt.Printf("> %s\n", sql)
-		fmt.Printf("  %d chunk queries, %d bytes of results collected, %v elapsed\n",
+		fmt.Fprintf(out, "> %s\n", sql)
+		fmt.Fprintf(out, "  %d chunk queries, %d bytes of results collected, %v elapsed\n",
 			res.ChunksDispatched, res.ResultBytes, res.Elapsed)
-		printRows(res.Cols, res.Rows, 5)
-		fmt.Println()
+		printRows(out, res.Cols, res.Rows, 5)
+		fmt.Fprintln(out)
 	}
 
 	// The session form: submit, stream rows as chunk results merge,
 	// then collect the accounting. A long scan streams its first rows
 	// hours before it finishes; here it just finishes fast.
-	sql := "SELECT objectId, ra_PS, decl_PS FROM Object WHERE uFlux_PS > 2.5e-31"
-	q, err := cluster.Submit(context.Background(), sql)
+	q, err := cluster.Submit(context.Background(), streamSQL)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("> %s  (session %d)\n", sql, q.ID())
+	fmt.Fprintf(out, "> %s  (session %d)\n", streamSQL, q.ID())
 	streamed := 0
 	it := q.Rows()
 	for _, ok := it.Next(); ok; _, ok = it.Next() {
 		streamed++
 	}
 	if err := it.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := q.Wait(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	p := q.Progress()
-	fmt.Printf("  streamed %d rows while %d/%d chunks merged; final result %d rows\n",
+	fmt.Fprintf(out, "  streamed %d rows while %d/%d chunks merged; final result %d rows\n",
 		streamed, p.ChunksCompleted, p.ChunksTotal, len(res.Rows))
+	return nil
 }
 
-func printRows(cols []string, rows []qserv.Row, limit int) {
-	fmt.Printf("  %v\n", cols)
+func printRows(out io.Writer, cols []string, rows []qserv.Row, limit int) {
+	fmt.Fprintf(out, "  %v\n", cols)
 	for i, r := range rows {
 		if i >= limit {
-			fmt.Printf("  ... (%d more rows)\n", len(rows)-limit)
+			fmt.Fprintf(out, "  ... (%d more rows)\n", len(rows)-limit)
 			return
 		}
 		vals := make([]string, len(r))
 		for j, v := range r {
 			vals[j] = sqlengine.FormatValue(v)
 		}
-		fmt.Printf("  %v\n", vals)
+		fmt.Fprintf(out, "  %v\n", vals)
 	}
 }

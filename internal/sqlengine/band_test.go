@@ -192,7 +192,7 @@ func TestBandJoinVisitsWhatTheGuardLeaves(t *testing.T) {
 		d := tbl.data.Load()
 		radius := []float64{0, 0.003, 0.02, 0.5, -1}[r.Intn(5)]
 		b, _ := angSepBand(radius)
-		guard := angSepGuard(radius)
+		g, _ := angSepGuard(radius)
 		var x1, y1 float64
 		j := &bandJoin{b: b, x2: 1, y2: 2,
 			x1: func(*frame) (float64, bool, error) { return x1, false, nil },
@@ -234,7 +234,7 @@ func TestBandJoinVisitsWhatTheGuardLeaves(t *testing.T) {
 				if d.cols[1].null(p) {
 					continue // a NULL RA makes the conjunct NULL before the guard is asked
 				}
-				if guard(&args) != above {
+				if g.decide(&args) != above {
 					t.Fatalf("radius %v: the band join skips row %v for (%v, %v), which the guard does not answer above for", radius, tbl.Row(p), ra, decl)
 				}
 			}

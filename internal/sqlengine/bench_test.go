@@ -156,15 +156,29 @@ func BenchmarkScanHV1InShell(b *testing.B) {
 	benchStatementOn(b, benchEngineOf(b, benchShellRows(benchChunkRows)), benchHV1)
 }
 
-// BenchmarkScanHV1Nulls prices the NULL path: HV1 over a table whose
-// rFlux_PS is NULL in one row of every hundred, so the column carries a NULL
-// bitmap that the filter reads for every row.
-func BenchmarkScanHV1Nulls(b *testing.B) {
-	rows := benchObjectRows(benchChunkRows)
+// benchNullRows is benchObjectRows with the columns cols NULL in one row of
+// every hundred, so that each carries a NULL bitmap.
+func benchNullRows(n int, cols ...int) []Row {
+	rows := benchObjectRows(n)
 	for i := 0; i < len(rows); i += 100 {
-		rows[i][5] = nil
+		for _, c := range cols {
+			rows[i][c] = nil
+		}
 	}
-	benchStatementOn(b, benchEngineOf(b, rows), benchHV1)
+	return rows
+}
+
+// BenchmarkScanHV1Nulls prices the NULL path of the filter: HV1 over a table
+// whose rFlux_PS has a NULL bitmap, which the filter reads for every row.
+func BenchmarkScanHV1Nulls(b *testing.B) {
+	benchStatementOn(b, benchEngineOf(b, benchNullRows(benchChunkRows, 5)), benchHV1)
+}
+
+// BenchmarkScanHV3Nulls prices the NULL path of the aggregate fold: HV3 over
+// a table whose ra_PS and decl_PS, the columns it sums and takes the extremes
+// of, have NULL bitmaps, which the fold reads for every row it takes.
+func BenchmarkScanHV3Nulls(b *testing.B) {
+	benchStatementOn(b, benchEngineOf(b, benchNullRows(benchChunkRows, 1, 2)), benchHV3)
 }
 
 // TestGuardSkipsTheCall counts what the guards are for: over the bench
@@ -285,15 +299,21 @@ func TestScanAllocBudget(t *testing.T) {
 		return allocs, out
 	}
 	e, half := benchEngine(t, benchChunkRows), benchEngine(t, benchChunkRows/2)
+	// HV3 over NULL bitmaps (BenchmarkScanHV3Nulls) too.
+	nulls := benchEngineOf(t, benchNullRows(benchChunkRows, 1, 2))
+	halfNulls := benchEngineOf(t, benchNullRows(benchChunkRows/2, 1, 2))
 	const fixed = 64
-	for _, sql := range []string{benchHV1, benchHV3, benchLV3} {
-		allocs, _ := run(e, sql)
-		if sql != benchLV3 && allocs > fixed {
-			t.Errorf("%.0f allocations (budget %d) for %s", allocs, fixed, sql)
+	for _, tc := range []struct {
+		e, half *Engine
+		sql     string
+	}{{e, half, benchHV1}, {e, half, benchHV3}, {e, half, benchLV3}, {nulls, halfNulls, benchHV3}} {
+		allocs, _ := run(tc.e, tc.sql)
+		if tc.sql != benchLV3 && allocs > fixed {
+			t.Errorf("%.0f allocations (budget %d) for %s", allocs, fixed, tc.sql)
 		}
-		if fewer, _ := run(half, sql); fewer != allocs {
+		if fewer, _ := run(tc.half, tc.sql); fewer != allocs {
 			t.Errorf("%.0f allocations over %d rows, %.0f over %d: they grow with the rows scanned by %s",
-				allocs, benchChunkRows, fewer, benchChunkRows/2, sql)
+				allocs, benchChunkRows, fewer, benchChunkRows/2, tc.sql)
 		}
 	}
 	allocs, out := run(e, benchHV2)

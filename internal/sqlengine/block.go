@@ -193,11 +193,12 @@ func (a *argCells) load(p int32, buf *[maxTypedArgs]float64) {
 
 // guardedCmpBlock is guardedCmp's comparison as a block form: answer holds
 // for a result below, equal to and above c. It loads the arguments into the
-// call's own buffer, asks the same guard and makes the call only where the
-// guard is undecided — the row form's decision, written out again so that
-// it stays inside the loop. It is nil unless every argument is a column
-// leaf.
-func guardedCmpBlock(tc *typedCall, guard guardFn, answer [3]int64, c float64) blockFn {
+// call's own buffer, asks the same guard — a log-affine guard is a value,
+// decided here (guard.side) with no call; any other is the closure ask — and
+// makes the call only where the guard is undecided: the row form's decision,
+// written out again so that it stays inside the loop. It is nil unless every
+// argument is a column leaf.
+func guardedCmpBlock(tc *typedCall, g guard, answer [3]int64, c float64) blockFn {
 	args, n := tc.cellArgs()
 	if n == 0 {
 		return nil
@@ -209,8 +210,14 @@ func guardedCmpBlock(tc *typedCall, guard guardFn, answer [3]int64, c float64) b
 		kept := 0
 		for _, p := range sel {
 			cells.load(p, &tc.buf)
+			v := undecided
+			if g.ask == nil {
+				v = g.side(tc.buf[0], tc.buf[1])
+			} else {
+				v = g.ask(&tc.buf)
+			}
 			var in bool
-			switch guard(&tc.buf) {
+			switch v {
 			case below:
 				in = keep[0]
 			case above:
@@ -229,9 +236,9 @@ func guardedCmpBlock(tc *typedCall, guard guardFn, answer [3]int64, c float64) b
 }
 
 // guardedBetweenBlock is guardedBetween's form for a block: the guards
-// specialised on l and h decide where they settle it, the call decides the
-// rest.
-func guardedBetweenBlock(tc *typedCall, guardLo, guardHi guardFn, l, h float64, not bool) blockFn {
+// specialised on l and h decide where they settle it, as guardedCmpBlock asks
+// them, and the call decides the rest.
+func guardedBetweenBlock(tc *typedCall, gLo, gHi guard, l, h float64, not bool) blockFn {
 	args, n := tc.cellArgs()
 	if n == 0 {
 		return nil
@@ -242,11 +249,17 @@ func guardedBetweenBlock(tc *typedCall, guardLo, guardHi guardFn, l, h float64, 
 		kept := 0
 		for _, p := range sel {
 			cells.load(p, &tc.buf)
+			var vl, vh verdict
+			if gLo.ask == nil {
+				vl, vh = gLo.side(tc.buf[0], tc.buf[1]), gHi.side(tc.buf[0], tc.buf[1])
+			} else {
+				vl, vh = gLo.ask(&tc.buf), gHi.ask(&tc.buf)
+			}
 			in, decided := false, true
-			switch guardLo(&tc.buf) {
+			switch vl {
 			case below:
 			case above:
-				switch guardHi(&tc.buf) {
+				switch vh {
 				case below:
 					in = true
 				case undecided:

@@ -129,8 +129,9 @@ func blockRows(r *rand.Rand, n int, cs []float64, nulls bool) []Row {
 // blockFormAgrees compiles text over t's columns and, where it has a block
 // form, holds it to the row form: over every position in order, and over a
 // random subset in a random order (a dive's order), the block form keeps
-// exactly the positions the row form calls TRUE, in the order given. It
-// reports whether there was a block form.
+// exactly the positions the row form calls TRUE, in the order given; and the
+// aggregates over the rows it keeps, folded, are the row loop's
+// (foldStatementsAgree). It reports whether there was a block form.
 func blockFormAgrees(t testing.TB, eng *Engine, tbl *Table, text string, r *rand.Rand) bool {
 	t.Helper()
 	c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", blockSchema}}}
@@ -171,6 +172,7 @@ func blockFormAgrees(t testing.TB, eng *Engine, tbl *Table, text string, r *rand
 			t.Fatalf("%s: the block form keeps %v, the row form %v", text, got, want)
 		}
 	}
+	foldStatementsAgree(t, eng, tbl, text)
 	return true
 }
 
@@ -297,7 +299,8 @@ func blockScanEngine(t *testing.T, sizes []int) *Engine {
 // tables of 0, 1, 511, 512, 513 and 1,025 rows — blocks of interruptCheckRows
 // and the rows either side of them — and over index dives whose positions
 // span blocks, and holds rows, their order, types, errors and ExecStats to
-// the same statements with every filter run row by row.
+// the same statements with every filter run, and every aggregate taken, row
+// by row.
 func TestScanBlocksAcrossBoundaries(t *testing.T) {
 	sizes := []int{0, 1, 511, 512, 513, 1025}
 	e := blockScanEngine(t, sizes)
@@ -314,6 +317,11 @@ func TestScanBlocksAcrossBoundaries(t *testing.T) {
 		"SELECT a.j, b.j FROM %s a, u b WHERE a.f < 3 AND b.i = 2 AND a.j = b.j",
 		"SELECT DISTINCT i FROM %s x WHERE i BETWEEN 1 AND 5 ORDER BY i DESC",
 		"SELECT COUNT(*) FROM %s x WHERE i < 3 AND i > 1 AND i = 2",
+		// Folded aggregates: over a dive, whose positions come in runs of
+		// one key, and over a scan whose keys change every few rows, NULL
+		// keys among them.
+		"SELECT i, f, COUNT(*), SUM(h), MIN(f), MAX(g), AVG(j) FROM %s x WHERE i IN (6, 0, 3, 1) GROUP BY i",
+		"SELECT i, j, COUNT(*), COUNT(f), SUM(f), MIN(h), MAX(j), AVG(g) FROM %s x WHERE m > -1e300 GROUP BY i",
 	}
 	db, _ := e.Database("db")
 	run := func(sel *sqlparse.Select, names []string) string {

@@ -998,8 +998,8 @@ func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp, blockFn) {
 		if !ok {
 			continue
 		}
-		guard := tc.fn.guard(c)
-		if guard == nil {
+		g, ok := tc.fn.guard(c)
+		if !ok {
 			continue
 		}
 		// The comparison's answer for a result below, equal to and above c.
@@ -1015,7 +1015,7 @@ func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp, blockFn) {
 			if err != nil || null {
 				return 0, null, err
 			}
-			switch guard(&tc.buf) {
+			switch g.decide(&tc.buf) {
 			case below:
 				return answer[0], false, nil
 			case above:
@@ -1023,7 +1023,7 @@ func guardedCmp(op binOp, l, r *node) (intFn, *bandCmp, blockFn) {
 			}
 			y, null := tc.fn.call(&tc.buf)
 			return answer[threeWay(y, c)+1], null, nil
-		}, band, guardedCmpBlock(tc, guard, answer, c)
+		}, band, guardedCmpBlock(tc, g, answer, c)
 	}
 	return nil, nil, nil
 }
@@ -1174,8 +1174,9 @@ func guardedBetween(x, lo, hi *node, not bool) (intFn, blockFn) {
 	if !lok || !hok {
 		return nil, nil
 	}
-	guardLo, guardHi := tc.fn.guard(l), tc.fn.guard(h)
-	if guardLo == nil || guardHi == nil {
+	gLo, lok := tc.fn.guard(l)
+	gHi, hok := tc.fn.guard(h)
+	if !lok || !hok {
 		return nil, nil
 	}
 	in, out := boolToInt(!not), boolToInt(not)
@@ -1184,11 +1185,11 @@ func guardedBetween(x, lo, hi *node, not bool) (intFn, blockFn) {
 		if err != nil || null {
 			return 0, null, err
 		}
-		switch vl := guardLo(&tc.buf); {
+		switch vl := gLo.decide(&tc.buf); {
 		case vl == below:
 			return out, false, nil
 		case vl == above:
-			switch guardHi(&tc.buf) {
+			switch gHi.decide(&tc.buf) {
 			case below:
 				return in, false, nil
 			case above:
@@ -1197,7 +1198,7 @@ func guardedBetween(x, lo, hi *node, not bool) (intFn, blockFn) {
 		}
 		y, null := tc.fn.call(&tc.buf)
 		return boolToInt((!(y < l) && !(y > h)) != not), null, nil
-	}, guardedBetweenBlock(tc, guardLo, guardHi, l, h, not)
+	}, guardedBetweenBlock(tc, gLo, gHi, l, h, not)
 }
 
 func betweenTyped[T ordered](x, lo, hi typedFn[T], not bool) intFn {

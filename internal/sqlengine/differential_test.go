@@ -491,8 +491,11 @@ func TestGuardedFluxExact(t *testing.T) {
 		// single: the thresholds of both constants; pair: those thresholds
 		// times each second flux.
 		fCells, gCells := slices.Clone(outOfDomain), slices.Clone(outOfDomain)
-		// 2e-308 is subnormal, where math.Log10 is off in the second decimal.
-		seconds := []float64{3e-28, 1e-30, 7.7e-29, 2.5e-308, 1e300, 2e-308}
+		// 2e-308, 1e-310 and the float below minNormal are subnormal, where
+		// math.Log10 is off in the second decimal; k times 1e308 leaves the
+		// normal range for most k.
+		seconds := []float64{3e-28, 1e-30, 7.7e-29, 2.5e-308, 1e300, 2e-308,
+			minNormal, math.Nextafter(minNormal, 0), 1e-310, 1e308}
 		gCells = boxFloats(gCells, seconds)
 		for _, text := range cc {
 			c, ok := constantValue(t, eng, text)
@@ -608,11 +611,11 @@ func TestGuardsAreBuilt(t *testing.T) {
 // guardBorneOut asks fn's guard for c about args and, where it answers,
 // holds the function to the answer. It reports whether the guard answered.
 func guardBorneOut(t *testing.T, fn *typedFunc, c float64, args [maxTypedArgs]float64) bool {
-	guard := fn.guard(c)
-	if guard == nil {
+	g, ok := fn.guard(c)
+	if !ok {
 		return false
 	}
-	v := guard(&args)
+	v := g.decide(&args)
 	if v == undecided {
 		return false
 	}
@@ -710,9 +713,94 @@ func TestGuardNeverDisagrees(t *testing.T) {
 	})
 }
 
+// shellEdges are the cells at which a log-affine guard's value turns: its
+// threshold, for a pair k times the second cell x2, the two edges of the
+// shell around it, and the floats either side of each.
+func shellEdges(g guard, x2 float64) []float64 {
+	if g.pair {
+		kx2 := g.k * x2
+		return around(kx2*(1-guardShell), kx2, kx2*(1+guardShell))
+	}
+	return around(g.lo, g.k, g.hi)
+}
+
+// TestGuardValueAtShellEdges holds the log-affine guard's value to the
+// function where it turns: on the floats either side of each shell edge, for
+// thresholds from the bottom to the top of the normal range, rising and
+// falling, single and pair, and for the pair on second cells that are
+// normal, the last normal, subnormal, zero, negative, huge, infinite or NaN.
+// Just outside the shell the guard must answer, and the function agree; on
+// the edges and inside it must not; for a cell that is not a positive normal
+// number, or a product with k that is not one, it never answers. The
+// block forms read the same value, and are held to the row forms on the same
+// cells.
+func TestGuardValueAtShellEdges(t *testing.T) {
+	eng := New("LSST")
+	eng.registerLogAffine("test_rising", 2, 1)
+	seconds := []float64{3e-28, 1, 1e200, minNormal, math.Nextafter(minNormal, 0), 1e-310,
+		0, -1e-30, math.MaxFloat64, math.Inf(1), math.NaN()}
+	var rows []Row
+	for _, la := range []struct {
+		name string
+		a, b float64
+	}{{"fluxToAbMag", -2.5, -48.6}, {"test_rising", 2, 1}} {
+		fn := eng.funcs[lower(la.name)].typed
+		// The last two put k at 10^-307.6 and 10^307.6, the ends of the range
+		// a guard is built for.
+		for _, c := range []float64{24.1, -5.25, 0, 6, 700, -700, -307.6*la.a + la.b, 307.6*la.a + la.b} {
+			for _, entry := range []*typedFunc{fn, fn.minus} {
+				g, ok := entry.guard(c)
+				if !ok {
+					continue
+				}
+				for _, x2 := range seconds {
+					if !g.pair && x2 != 1 {
+						continue
+					}
+					kx2 := g.k * x2
+					normal := x2 >= minNormal && x2 <= math.MaxFloat64 && kx2 >= minNormal && kx2 <= math.MaxFloat64/2
+					edges := shellEdges(g, x2)
+					for i, x := range edges {
+						args := [maxTypedArgs]float64{x, x2}
+						got := g.decide(&args)
+						want := undecided
+						switch {
+						case !normal || !(x >= minNormal && x <= math.MaxFloat64):
+						case i == 0:
+							want = g.under
+						case i == len(edges)-1:
+							want = g.over
+						}
+						if got != want {
+							t.Fatalf("%s guard for c = %v, pair %v, x2 = %v: verdict %d on %v (edge %d), want %d", la.name, c, g.pair, x2, got, x, i, want)
+						}
+						guardBorneOut(t, entry, c, args)
+						if la.name == "fluxToAbMag" && (c == 24.1 || c == 6) {
+							rows = append(rows, Row{x, x2, 0.0, 0.0, int64(0), int64(0)})
+						}
+					}
+				}
+			}
+		}
+	}
+	tbl := blockTable(t, "t", rows)
+	r := rand.New(rand.NewSource(29))
+	for _, c := range []string{"24.1", "6"} {
+		for _, call := range []string{"fluxToAbMag(f)", "fluxToAbMag(f) - fluxToAbMag(g)"} {
+			for _, shape := range guardedShapes(call, c, "(1 + "+c+")") {
+				if !blockFormAgrees(t, eng, tbl, shape, r) {
+					t.Fatalf("%s has no block form", shape)
+				}
+			}
+		}
+	}
+}
+
 // FuzzGuardedCompare lets the fuzzer pick the constant and the cells, bit
 // for bit: whatever each guard answers about them the function must bear
-// out, and a compiled comparison must answer as the reference does.
+// out — at the cells picked, and at the edges of the log-affine guard's
+// shell for that constant (and, for the pair, that second cell) — and a
+// compiled comparison must answer as the reference does.
 func FuzzGuardedCompare(f *testing.F) {
 	k := math.Pow(10, (24.1+48.6)/-2.5)
 	f.Add(24.1, k, 3e-28, 10.0, 0.0, uint8(2))
@@ -725,6 +813,13 @@ func FuzzGuardedCompare(f *testing.F) {
 	f.Fuzz(func(t *testing.T, c, x1, x2, x3, x4 float64, shape uint8) {
 		for _, fn := range []*typedFunc{flux, flux.minus, sep} {
 			guardBorneOut(t, fn, c, [maxTypedArgs]float64{x1, x2, x3, x4})
+		}
+		for _, fn := range []*typedFunc{flux, flux.minus} {
+			if g, ok := fn.guard(c); ok {
+				for _, x := range shellEdges(g, x2) {
+					guardBorneOut(t, fn, c, [maxTypedArgs]float64{x, x2})
+				}
+			}
 		}
 		// Statement text cannot spell a NaN or an infinity: such a constant
 		// is checked at the guards alone, above.

@@ -749,8 +749,9 @@ func (ex *selectExec) collect(k int, sp *scanPlan) ([]int, error) {
 	return rows.rows, err
 }
 
-// blockFormsOff makes every scan run its whole filter row by row: tests set
-// it to hold the block forms' answers to the row forms'.
+// blockFormsOff makes every scan run its whole filter row by row and hand
+// the output one row at a time: tests set it to hold the block forms' and
+// the fold's answers to the row forms'.
 var blockFormsOff bool
 
 // scan is the engine's one row loop: it walks the positions an index dive
@@ -762,7 +763,9 @@ var blockFormsOff bool
 // emitted. A conjunct therefore sees exactly the rows every earlier one
 // kept, as it would row by row; that a block form also saw the rows of its
 // block after a later conjunct's error is not observable, since it cannot
-// fail and changes nothing.
+// fail and changes nothing. Where the block forms are the whole filter and
+// the output folds (output.fold), the narrowed vector goes to the output as
+// it is.
 func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 	table, data := ex.from[k].table, ex.from[k].data
 	filter := sp.filter
@@ -789,6 +792,10 @@ func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 		lead++
 	}
 	blocks, rest := filter[:lead], filter[lead:]
+	fold, _ := out.(*output)
+	if fold != nil && (!fold.folds || len(rest) > 0 || blockFormsOff) {
+		fold = nil
+	}
 	if size := min(n, interruptCheckRows); cap(ex.vec) < size {
 		ex.vec = make([]int32, 0, size)
 	}
@@ -809,6 +816,12 @@ func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 		}
 		for _, f := range blocks {
 			sel = f.block(cur.cols, sel)
+		}
+		if fold != nil {
+			if err := fold.fold(fr, cur, sel); err != nil {
+				return err
+			}
+			continue
 		}
 	rows:
 		for _, pos := range sel {
@@ -1139,6 +1152,80 @@ func (a *aggAcc) add(kind aggKind, v Value) {
 	}
 }
 
+// folds reports whether the aggregate takes a run of rows at a time
+// (aggAcc.fold): COUNT(*), or an aggregate of a BIGINT or DOUBLE column that
+// is not DISTINCT.
+func (s *aggSpec) folds() bool {
+	a := &s.arg
+	return !s.distinct && ((a.isCol && a.kind.numeric()) || (a.kind == kindAny && a.value == nil))
+}
+
+// fold takes the rows at the positions run, in their order, as consume
+// takes them one by one: the same operations on the same fields, one
+// accumulator, no reassociation, so a DOUBLE sum has the bits the row loop
+// gives it and MIN/MAX follow better. COUNT(*) counts the run; a column
+// whose NULL bitmap has no words skips the NULL test.
+func (a *aggAcc) fold(spec *aggSpec, run []int32) {
+	arg := &spec.arg
+	if !arg.isCol {
+		a.count += int64(len(run))
+		return
+	}
+	c := arg.col
+	nulls := len(c.nulls) > 0
+	switch {
+	case spec.kind == aggCount:
+		a.count += int64(len(run))
+		for _, p := range run {
+			if nulls && c.null(int(p)) {
+				a.count--
+			}
+		}
+	case spec.kind == aggMin || spec.kind == aggMax:
+		if arg.kind == kindInt {
+			a.count, a.ext.i = foldExtreme(spec.kind, a.count, a.ext.i, c.ints, c, run)
+		} else {
+			a.count, a.ext.f = foldExtreme(spec.kind, a.count, a.ext.f, c.floats, c, run)
+		}
+	case arg.kind == kindInt: // SUM, AVG
+		count, sumI, sumF := a.count, a.sumI, a.sumF
+		for _, p := range run {
+			if nulls && c.null(int(p)) {
+				continue
+			}
+			x := c.ints[p]
+			count, sumI, sumF = count+1, sumI+x, sumF+float64(x)
+		}
+		a.count, a.sumI, a.sumF = count, sumI, sumF
+	default:
+		count, sumF := a.count, a.sumF
+		for _, p := range run {
+			if nulls && c.null(int(p)) {
+				continue
+			}
+			count, sumF = count+1, sumF+c.floats[p]
+		}
+		a.nonInt = a.nonInt || count > a.count
+		a.count, a.sumF = count, sumF
+	}
+}
+
+// foldExtreme is a running MIN or MAX (ext, over count values so far) taken
+// over the cells xs of c at the positions run.
+func foldExtreme[T number](kind aggKind, count int64, ext T, xs []T, c *column, run []int32) (int64, T) {
+	nulls := len(c.nulls) > 0
+	for _, p := range run {
+		if nulls && c.null(int(p)) {
+			continue
+		}
+		count++
+		if x := xs[p]; better(kind, count, x, ext) {
+			ext = x
+		}
+	}
+	return count, ext
+}
+
 // less reports a < b under Compare; incomparable values are not less.
 func less(a, b Value) bool {
 	c, err := Compare(a, b)
@@ -1184,6 +1271,10 @@ type output struct {
 	order   []operand // ORDER BY keys, evaluated beside the items
 
 	grouped bool // the statement aggregates
+	// folds is set on a grouped statement whose GROUP BY is empty or one
+	// BIGINT column and whose every aggregate folds (aggSpec.folds): a scan
+	// hands it whole selection vectors (fold).
+	folds   bool
 	groupBy []keyFn
 	aggs    []aggSpec
 	groups  map[string]*group
@@ -1281,6 +1372,10 @@ func (p *Prepared) compileOutput(c *compiler) (*output, error) {
 	}
 	c.aggs = nil
 	o.grouped = len(o.aggs) > 0 || len(o.groupBy) > 0
+	o.folds = o.grouped && (len(o.groupBy) == 0 || o.intKey.isCol)
+	for i := range o.aggs {
+		o.folds = o.folds && o.aggs[i].folds()
+	}
 	return o, nil
 }
 
@@ -1427,6 +1522,46 @@ func (o *output) consume(fr *frame) error {
 		}
 	}
 	return nil
+}
+
+// fold takes the rows of the single binding at the positions sel, bound
+// through cur, as consume would take them one by one: sel is cut into runs
+// of one GROUP BY key, a NULL key being a key of its own, each run's group is
+// found (or opened) at its first row, and every aggregate folds the run
+// (aggAcc.fold). Groups open at the rows, and in the order, they would row by
+// row.
+func (o *output) fold(fr *frame, cur *cursor, sel []int32) error {
+	for len(sel) > 0 {
+		run := sel
+		if o.intKey.isCol {
+			run = sel[:keyRun(o.intKey.col, sel)]
+		}
+		cur.pos = int(run[0])
+		g := o.last
+		if g == nil || !o.inLast(fr) {
+			var err error
+			if g, err = o.groupOf(fr); err != nil {
+				return err
+			}
+		}
+		accs := g.accs[:len(o.aggs)]
+		for i := range o.aggs {
+			accs[i].fold(&o.aggs[i], run)
+		}
+		sel = sel[len(run):]
+	}
+	return nil
+}
+
+// keyRun is the length of the leading run of sel whose cells of the BIGINT
+// column c are one key: equal and all NULL or none.
+func keyRun(c *column, sel []int32) int {
+	nulls := len(c.nulls) > 0
+	key, null, n := c.ints[sel[0]], nulls && c.null(int(sel[0])), 1
+	for n < len(sel) && c.ints[sel[n]] == key && (!nulls || c.null(int(sel[n])) == null) {
+		n++
+	}
+	return n
 }
 
 // inLast reports, without building a key, that the row bound in fr belongs

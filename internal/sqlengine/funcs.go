@@ -29,11 +29,11 @@ type typedFunc struct {
 	pred  bool // the result is 0 or 1 and surfaces as an int64
 	call  func(a *[maxTypedArgs]float64) (f float64, null bool)
 	// guard, when set, is what lets a comparison of a call with a constant
-	// be decided before the call is made (see guardFn). The compiler
-	// specialises it once on the constant c; it returns nil for a c it has
+	// be decided before the call is made (see guard). The compiler
+	// specialises it once on the constant c; ok is false for a c it has
 	// nothing to decide against. UDFs registered through RegisterFunc have
 	// no typed entry, so they are never guarded.
-	guard func(c float64) guardFn
+	guard func(c float64) (g guard, ok bool)
 	// minus, when set, is the typed entry of f(x...) - f(y...), over the
 	// arguments of both calls in that order: the compiler builds a
 	// subtraction of two calls of this builtin through it, which is how the
@@ -55,16 +55,62 @@ const (
 	above                    // the call would return a number that is > c
 )
 
-// guardFn looks at the loaded arguments of one call — none of them NULL —
-// and says how the call's result compares with the constant the guard was
-// specialised on, as float64's < and > order the value call computes: not
+// guard is a typed entry's guard specialised on a constant c. Handed the
+// arguments of one call — none of them NULL — it says how the call's result
+// compares with c, as float64's < and > order the value call computes: not
 // the function mathematics defines, the one the code returns, rounding
 // included. It answers below or above only where that is certain, which
 // every guard argues beside its code from a bound on call's floating-point
 // error; wherever it answers undecided the compiled comparison makes the
 // call, so a guard can change what a comparison costs and never what it
 // answers.
-type guardFn func(a *[maxTypedArgs]float64) verdict
+//
+// A log-affine builtin's guard is a value (logAffineGuard): the threshold k
+// its argument is compared with, the shell [lo, hi] around it, the verdicts
+// for a cell below and above the shell, and whether it is the guard of a
+// difference of two calls (pair), whose shell is around k times the second
+// cell. A block form reads these fields in its own loop (block.go). Any other
+// builtin's guard is the closure ask.
+type guard struct {
+	k, lo, hi   float64
+	under, over verdict
+	pair        bool
+	ask         func(a *[maxTypedArgs]float64) verdict
+}
+
+// decide is the guard's verdict on one call's loaded arguments. Its
+// receiver, like side's, is a copy: the closures that hold a guard keep it
+// in their own context.
+func (g guard) decide(a *[maxTypedArgs]float64) verdict {
+	if g.ask != nil {
+		return g.ask(a)
+	}
+	return g.side(a[0], a[1])
+}
+
+// side is a log-affine guard's verdict on the cell x, and for a pair on the
+// cells x and x2 (x2 is not read otherwise).
+func (g guard) side(x, x2 float64) verdict {
+	lo, hi := g.lo, g.hi
+	if g.pair {
+		// x2 must be normal too: the bound is math.Log10's on normal
+		// numbers, and on a subnormal it is off by whole units
+		// (math.Log10(1e-310) is -307.95).
+		kx2 := g.k * x2
+		if !(x2 >= minNormal && x2 <= math.MaxFloat64) || !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
+			return undecided // x2 is not a positive normal number, or the product left the normal range
+		}
+		lo, hi = kx2*(1-guardShell), kx2*(1+guardShell)
+	}
+	switch {
+	case !(x >= minNormal && x <= math.MaxFloat64):
+	case x > hi:
+		return g.over
+	case x < lo:
+		return g.under
+	}
+	return undecided
+}
 
 // guardShell is the relative half-width of the shell around a guard's
 // threshold inside which it leaves the decision to the call. The guards'
@@ -244,7 +290,7 @@ func (e *Engine) registerLogAffine(name string, a, b float64) {
 	})
 	// y(x) ? c is x against 10^((c-b)/a), and y(x1) - y(x2) = a*log10(x1/x2),
 	// so the difference against c is x1 against 10^(c/a) * x2.
-	t.guard = func(c float64) guardFn { return logAffineGuard(a, (c-b)/a, false) }
+	t.guard = func(c float64) (guard, bool) { return logAffineGuard(a, (c-b)/a, false) }
 	t.minus = &typedFunc{
 		arity: 2,
 		call: func(arg *[maxTypedArgs]float64) (float64, bool) {
@@ -253,16 +299,16 @@ func (e *Engine) registerLogAffine(name string, a, b float64) {
 			}
 			return (a*math.Log10(arg[0]) + b) - (a*math.Log10(arg[1]) + b), false
 		},
-		guard: func(c float64) guardFn { return logAffineGuard(a, c/a, true) },
+		guard: func(c float64) (guard, bool) { return logAffineGuard(a, c/a, true) },
 	}
 }
 
 // logAffineGuard decides y(x) against c — or, for a pair, y(x1) - y(x2)
 // against c — by comparing x with the threshold k = 10^exp, for a pair x1
-// with k*x2: y is monotone in x, falling when a < 0. It decides only for x
-// outside k*(1 +- guardShell), with x — for a pair both cells — and the
-// threshold normal numbers (so not for a zero, negative, subnormal, infinite
-// or NaN cell), and is not built when k itself is not one.
+// with k*x2: y is monotone in x, falling when a < 0. It decides (guard.side)
+// only for x outside k*(1 +- guardShell), with x — for a pair both cells —
+// and the threshold normal numbers (so not for a zero, negative, subnormal,
+// infinite or NaN cell), and is not built when k itself is not one.
 //
 // Why the shell is safe. For a normal x, math.Log10(x) is a handful of
 // roundings at 2^-53 relative on a value of at most 308: within 3e-13 of
@@ -275,42 +321,16 @@ func (e *Engine) registerLogAffine(name string, a, b float64) {
 // at least |a|*log10(1 + 1e-9) = |a|*4.3e-10 away from c: more than 300
 // times all of those errors together, so the computed result is on the
 // same side of c as the real one.
-func logAffineGuard(a, exp float64, pair bool) guardFn {
+func logAffineGuard(a, exp float64, pair bool) (guard, bool) {
 	k := math.Pow(10, exp)
 	if !(k >= minNormal && k <= math.MaxFloat64/2) {
-		return nil // under- or overflow, or a NaN constant
+		return guard{}, false // under- or overflow, or a NaN constant
 	}
-	smallX, largeX := above, below
+	g := guard{k: k, lo: k * (1 - guardShell), hi: k * (1 + guardShell), under: above, over: below, pair: pair}
 	if a > 0 {
-		smallX, largeX = below, above
+		g.under, g.over = below, above
 	}
-	if !pair {
-		lo, hi := k*(1-guardShell), k*(1+guardShell)
-		return func(arg *[maxTypedArgs]float64) verdict { return shellSide(arg[0], lo, hi, smallX, largeX) }
-	}
-	return func(arg *[maxTypedArgs]float64) verdict {
-		// x2 must be normal too: the bound above is math.Log10's on normal
-		// numbers, and on a subnormal it is off by whole units
-		// (math.Log10(1e-310) is -307.95).
-		kx2 := k * arg[1]
-		if !(arg[1] >= minNormal && arg[1] <= math.MaxFloat64) || !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
-			return undecided // x2 is not a positive normal number, or the product left the normal range
-		}
-		return shellSide(arg[0], kx2*(1-guardShell), kx2*(1+guardShell), smallX, largeX)
-	}
-}
-
-// shellSide places x against the shell [lo, hi]: under is the answer for
-// a normal x below lo, over the one for a normal x above hi.
-func shellSide(x, lo, hi float64, under, over verdict) verdict {
-	switch {
-	case !(x >= minNormal && x <= math.MaxFloat64):
-	case x > hi:
-		return over
-	case x < lo:
-		return under
-	}
-	return undecided
+	return g, true
 }
 
 // angSepGuard decides qserv_angSep(ra1, decl1, ra2, decl2) against r from
@@ -333,17 +353,17 @@ func shellSide(x, lo, hi float64, under, over verdict) verdict {
 // up to 2e-6 degrees, and still returns more than 179.89 > r. The guard
 // asks for a declination difference above r*(1 + 1e-9) + 1e-9: for every
 // r three orders of magnitude more than that loss.
-func angSepGuard(r float64) guardFn {
+func angSepGuard(r float64) (guard, bool) {
 	b, ok := angSepBand(r)
 	if !ok {
-		return nil
+		return guard{}, false
 	}
-	return func(a *[maxTypedArgs]float64) verdict {
+	return guard{ask: func(a *[maxTypedArgs]float64) verdict {
 		if b.inDomain(a[1]) && b.inDomain(a[3]) && b.apart(a[1], a[3]) && math.Abs(a[0]-a[2]) <= math.MaxFloat64 {
 			return above
 		}
 		return undecided
-	}
+	}}, true
 }
 
 // declBand is angSepGuard's above verdict, taken apart so that a join can
