@@ -15,8 +15,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The tier-1 gate, mechanically.
-verify: build vet race
+# The tier-1 gate, mechanically, and bench/ compiled against the tree, as CI
+# does: bench/ drives the worker's write/read contract directly.
+verify: build vet race bench-build
 
 bench:
 	$(GO) run ./cmd/qserv-bench -exp all

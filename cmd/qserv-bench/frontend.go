@@ -63,7 +63,6 @@ func runFrontend(c *benchCtx) error {
 	// here and not left to the engine.
 	slowScans(cl, 500*time.Microsecond)
 	scanSQL := "SELECT objectId, ra_PS FROM Object WHERE test_slow(uFlux_PS) > 1e-31"
-	// Distinct predicates so the two storm scans both execute, not dedupe.
 	stormScans := []string{scanSQL + " AND decl_PS > -91", scanSQL + " AND decl_PS > -92"}
 	const nPoints = 32
 	pointSQL := make([]string, nPoints)

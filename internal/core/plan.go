@@ -274,15 +274,13 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 
 	p := &Plan{Analysis: a, registry: pl.Registry, topK: pl.TopK}
 
-	// Chunk set selection (paper section 5.5): secondary index for
-	// director-key restrictions, spatial cover for region restrictions,
-	// all placed chunks otherwise. An installed Router (the planopt
-	// tier) takes over the whole decision and adds statistics-based
-	// pruning.
+	// Chunk set selection (see BaseRoute). An installed Router (the
+	// planopt tier) takes over the whole decision and adds
+	// statistics-based pruning.
 	if pl.Router != nil {
 		p.Route = pl.Router.Route(a, placed)
 	} else {
-		p.Route = pl.builtinRoute(a, placed)
+		p.Route = BaseRoute(a, pl.Registry, pl.Index, placed)
 	}
 	p.Chunks = p.Route.Chunks
 	indexDive := p.Route.Kind == RouteIndexDive
@@ -330,34 +328,34 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 	return p, nil
 }
 
-// builtinRoute is the planner's chunk selection when no Router is
-// installed: the pre-planopt behavior, kept as the routing baseline
-// (and what internal/planopt builds its extra pruning on top of).
-func (pl *Planner) builtinRoute(a *Analysis, placed []partition.ChunkID) Route {
+// BaseRoute is the chunk selection every route starts from (paper section
+// 5.5): the secondary index's chunks for director-key restrictions (when
+// there is an index), the placed chunks of the spatial cover for region
+// restrictions, all placed chunks otherwise. It is the planner's route
+// when no Router is installed, and the one internal/planopt prunes.
+func BaseRoute(a *Analysis, reg *meta.Registry, index *meta.ObjectIndex, placed []partition.ChunkID) Route {
 	rt := Route{Kind: RouteFanOut}
 	switch {
-	case len(a.ObjectIDs) > 0 && pl.Index != nil:
+	case len(a.ObjectIDs) > 0 && index != nil:
 		rt.Kind = RouteIndexDive
-		rt.Chunks = DiveChunks(pl.Index, a.ObjectIDs)
+		rt.Chunks = diveChunks(index, a.ObjectIDs)
 	case a.Region != nil:
 		rt.Kind = RouteSpatial
-		rt.Chunks = intersectChunks(pl.Registry.Chunker.ChunksIn(a.Region), placed)
+		rt.Chunks = intersectChunks(reg.Chunker.ChunksIn(a.Region), placed)
 	default:
 		rt.Chunks = append(rt.Chunks, placed...)
 		sortChunks(rt.Chunks)
 	}
-	if rt.Pruned = len(placed) - len(rt.Chunks); rt.Pruned < 0 {
-		rt.Pruned = 0
-	}
+	rt.Pruned = max(len(placed)-len(rt.Chunks), 0)
 	return rt
 }
 
-// DiveChunks resolves director-key ids through the secondary index to
+// diveChunks resolves director-key ids through the secondary index to
 // the distinct owning chunks, ascending. Ids absent from the index
 // resolve to no chunk at all — the index is total over ingested
 // director rows, so such a point query has an empty answer and
 // dispatches nothing.
-func DiveChunks(index *meta.ObjectIndex, ids []int64) []partition.ChunkID {
+func diveChunks(index *meta.ObjectIndex, ids []int64) []partition.ChunkID {
 	seen := map[partition.ChunkID]bool{}
 	var out []partition.ChunkID
 	for _, id := range ids {

@@ -465,8 +465,8 @@ const cancelTxTimeout = 2 * time.Second
 // accepted the dispatch, so its queued or running chunk query is
 // dequeued or aborted and the scan slot reclaimed. Dispatch, result
 // read and cancel all carry the query's out-of-band identity
-// (xrd.WithQID) so a read or a cancel can only release the interest
-// this query registered.
+// (xrd.WithQID) so a read or a cancel can only reach the chunk query this
+// query wrote.
 // Worker-shipped trace trailers are stripped from the result bytes
 // here — unconditionally, because a worker with tracing on must not
 // leak trailer bytes into the merge regardless of this czar's own
@@ -528,9 +528,8 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 				// land after the request bytes were delivered), and
 				// which one accepted it is unknown. Broadcast the
 				// cancel to every replica; the qid makes it a no-op
-				// wherever this query's write never landed, so an
-				// innocent query sharing the identical payload is
-				// never detached.
+				// wherever this query's write never landed, so another
+				// query's job of the same payload is never touched.
 				cctx, done := context.WithTimeout(context.Background(), cancelTxTimeout)
 				c.client.WriteEverywhere(cctx, queryPath, cancelPath, nil)
 				done()

@@ -13,15 +13,14 @@
 //     recorded at ingest eliminate chunks whose value ranges are
 //     disjoint from non-spatial range conjuncts.
 //
-// Dives and spatial pruning are correctness-preserving restrictions of
-// the answer's support, so they are always on; statistics pruning is
-// gated by Config.Pruning (the qserv.ClusterConfig.ChunkPruning knob)
+// Dives and spatial pruning are core.BaseRoute, the planner's own route:
+// correctness-preserving restrictions of the answer's support, so they
+// are always on. Statistics pruning, the one mechanism this package adds,
+// is gated by Config.Pruning (the qserv.ClusterConfig.ChunkPruning knob)
 // because it depends on ingest-recorded metadata.
 package planopt
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/meta"
 	"repro/internal/partition"
@@ -53,20 +52,9 @@ func New(reg *meta.Registry, index *meta.ObjectIndex, stats *meta.ChunkStats, cf
 }
 
 // Route picks the chunk set for one analyzed query from the currently
-// placed chunks.
+// placed chunks: core.BaseRoute's, statistics-pruned.
 func (o *Optimizer) Route(a *core.Analysis, placed []partition.ChunkID) core.Route {
-	rt := core.Route{Kind: core.RouteFanOut}
-	switch {
-	case len(a.ObjectIDs) > 0 && o.index != nil:
-		rt.Kind = core.RouteIndexDive
-		rt.Chunks = core.DiveChunks(o.index, a.ObjectIDs)
-	case a.Region != nil:
-		rt.Kind = core.RouteSpatial
-		rt.Chunks = intersect(o.reg.Chunker.ChunksIn(a.Region), placed)
-	default:
-		rt.Chunks = append(rt.Chunks, placed...)
-		sort.Slice(rt.Chunks, func(i, j int) bool { return rt.Chunks[i] < rt.Chunks[j] })
-	}
+	rt := core.BaseRoute(a, o.reg, o.index, placed)
 
 	// Statistics pruning refines any base route: a chunk whose recorded
 	// min/max for some range-restricted column is disjoint from the
@@ -84,10 +72,7 @@ func (o *Optimizer) Route(a *core.Analysis, placed []partition.ChunkID) core.Rou
 			rt.Kind = core.RouteStats
 		}
 		rt.Chunks = kept
-	}
-
-	if rt.Pruned = len(placed) - len(rt.Chunks); rt.Pruned < 0 {
-		rt.Pruned = 0
+		rt.Pruned = max(len(placed)-len(rt.Chunks), 0)
 	}
 	return rt
 }
@@ -103,20 +88,4 @@ func (o *Optimizer) mayMatch(a *core.Analysis, c partition.ChunkID) bool {
 		}
 	}
 	return true
-}
-
-// intersect keeps the cover chunks that are actually placed, in cover
-// (ascending) order.
-func intersect(cover, placed []partition.ChunkID) []partition.ChunkID {
-	in := make(map[partition.ChunkID]bool, len(placed))
-	for _, c := range placed {
-		in[c] = true
-	}
-	var out []partition.ChunkID
-	for _, c := range cover {
-		if in[c] {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -189,10 +189,9 @@ func fmtDur(d time.Duration) string {
 // ---------- wire trailer ----------
 
 // The worker ships its spans to the czar piggybacked on the result
-// bytes of the existing /result transaction — no new fabric path, and
-// content-addressed dedup still works (identical queries produce
-// identical trailers modulo timings, and the czar strips the trailer
-// before merging either way). Framing is end-anchored: the payload, then
+// bytes of the existing /result transaction — no new fabric path; the
+// czar strips the trailer before merging, so the rows merged are the
+// same with tracing on or off. Framing is end-anchored: the payload, then
 // an 8-byte little-endian payload length, then an 8-byte magic. The magic
 // starts with a NUL so result-stream bytes are unlikely to collide, and a
 // tail that merely looks like a trailer fails to decode as one and is

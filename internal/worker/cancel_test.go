@@ -66,11 +66,11 @@ func TestCancelQueuedScanJobDequeued(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked result read never released by the cancel")
 	}
-	// A fresh read finds nothing: canceled outcomes are evicted so a
-	// re-submitted identical payload re-executes instead of inheriting
-	// the dead query's error.
+	// A fresh read finds nothing: the cancel took the job out of the
+	// table, so the payload written again re-executes instead of
+	// inheriting the dead query's error.
 	if _, err := w.HandleRead(xrd.ResultPath(victim)); err == nil {
-		t.Error("evicted result still readable")
+		t.Error("canceled result still readable")
 	}
 	if _, err := w.HandleRead(xrd.ResultPath(blocker)); err != nil {
 		t.Errorf("blocker failed: %v", err)
@@ -240,58 +240,9 @@ func TestCancelUnknownHash(t *testing.T) {
 	}
 }
 
-// TestCancelSharedPayloadDetachesOneInterest: two queries dedup onto
-// one content-addressed job; killing one must not fail the other, and
-// killing both aborts the job.
-func TestCancelSharedPayloadDetachesOneInterest(t *testing.T) {
-	cfg := DefaultConfig("w0")
-	w, chunks := loadBigChunks(t, cfg, 1, 4000)
-	chunk := chunks[0]
-	table := meta.ChunkTableName("Object", chunk)
-
-	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
-		t.Fatal(err)
-	}
-	// Second identical dispatch: dedups onto the live job.
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
-		t.Fatal(err)
-	}
-	hash := xrd.ResultHash(payload)
-	if !w.Cancel(hash) {
-		t.Fatal("first cancel found no job")
-	}
-	// One interest remains: the job must complete and serve its result.
-	stream, err := w.HandleRead(xrd.ResultPath(payload))
-	if err != nil {
-		t.Fatalf("surviving sharer's result failed: %v", err)
-	}
-	if got := countResult(t, string(stream)); got != 2000 {
-		t.Errorf("shared result count = %d, want 2000", got)
-	}
-
-	// Fresh job, both interests canceled: the job aborts.
-	fresh := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 6e-29;", table))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), fresh); err != nil {
-		t.Fatal(err)
-	}
-	fh := xrd.ResultHash(fresh)
-	if !w.Cancel(fh) || !w.Cancel(fh) {
-		// The job may already be running (not queued) — both cancels
-		// must still each detach an interest.
-		t.Fatal("cancels found no job")
-	}
-	if _, err := w.HandleRead(xrd.ResultPath(fresh)); err == nil {
-		t.Error("fully-canceled shared job still served a result")
-	}
-}
-
 // TestCancelUnregisteredQIDRefused: a qid-carrying cancel whose
-// dispatch write never landed here must not detach another query's
-// interest — the broadcast-kill safety property.
+// dispatch write never landed here must not end another query's job of
+// the same payload — the broadcast-kill safety property.
 func TestCancelUnregisteredQIDRefused(t *testing.T) {
 	cfg := DefaultConfig("w0")
 	w, chunks := loadBigChunks(t, cfg, 1, 4000)
@@ -299,7 +250,7 @@ func TestCancelUnregisteredQIDRefused(t *testing.T) {
 	table := meta.ChunkTableName("Object", chunk)
 
 	payload := []byte(fmt.Sprintf("SELECT COUNT(*) AS n FROM LSST.%s WHERE zFlux_PS > 5e-29;", table))
-	// Query B registers its interest under its own qid.
+	// Query B writes the chunk query under its own qid.
 	if err := w.HandleWrite(xrd.WithQID(xrd.QueryPath(int(chunk)), "czar-0-7"), payload); err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +260,9 @@ func TestCancelUnregisteredQIDRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// B's job is unharmed and serves the correct result.
-	stream, err := w.HandleRead(xrd.ResultPath(payload))
+	stream, err := w.HandleRead(xrd.WithQID(xrd.ResultPath(payload), "czar-0-7"))
 	if err != nil {
-		t.Fatalf("innocent sharer's job was aborted: %v", err)
+		t.Fatalf("innocent query's job was aborted: %v", err)
 	}
 	if got := countResult(t, string(stream)); got != 2000 {
 		t.Errorf("count = %d, want 2000", got)
@@ -325,15 +276,15 @@ func TestCancelUnregisteredQIDRefused(t *testing.T) {
 	if err := w.HandleWrite(xrd.WithQID("/cancel/"+xrd.ResultHash(fresh), "czar-0-9"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.HandleRead(xrd.ResultPath(fresh)); err == nil {
-		t.Error("owner's cancel did not abort the job")
+	if _, err := w.HandleRead(xrd.WithQID(xrd.ResultPath(fresh), "czar-0-9")); err == nil {
+		t.Error("the writing query's cancel did not abort the job")
 	}
 }
 
-// TestDedupOntoKilledRunningJobReexecutes: a fresh identical payload
-// arriving while a killed job is still unwinding must not inherit its
-// cancellation — the dying job is displaced and the new one executes.
-func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
+// TestKilledQueryKeyIsFree: a kill frees its job's key at once, so the same
+// payload written again while the killed job is still unwinding runs
+// afresh instead of inheriting the cancellation.
+func TestKilledQueryKeyIsFree(t *testing.T) {
 	cfg := DefaultConfig("w0")
 	cfg.Slots = 2
 	const rows = 4000
@@ -352,8 +303,7 @@ func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
 	if !w.Cancel(hash) {
 		t.Fatal("Cancel found no job")
 	}
-	// While the killed job unwinds, an identical payload arrives from a
-	// different (un-killed) query.
+	// While the killed job unwinds, the same payload is written again.
 	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
 		t.Fatal(err)
 	}
@@ -363,5 +313,24 @@ func TestDedupOntoKilledRunningJobReexecutes(t *testing.T) {
 	}
 	if got := countResult(t, string(stream)); got != rows/2 {
 		t.Errorf("count = %d, want %d", got, rows/2)
+	}
+	// Two jobs ran: the killed one and the fresh one.
+	for deadline := time.Now().Add(5 * time.Second); w.ActiveJobs() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the killed job never finished")
+		}
+	}
+	canceled, answered := 0, 0
+	for _, r := range w.Reports() {
+		switch {
+		case r.Hash != hash:
+		case errors.Is(r.Err, context.Canceled):
+			canceled++
+		case r.Err == nil:
+			answered++
+		}
+	}
+	if canceled != 1 || answered != 1 {
+		t.Errorf("%d canceled and %d answered jobs under the key, want 1 and 1", canceled, answered)
 	}
 }

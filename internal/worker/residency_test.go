@@ -282,6 +282,12 @@ func TestFullScanStartsNoGoroutine(t *testing.T) {
 	if during > before+1 {
 		t.Errorf("%d goroutines mid-scan, %d on the idle worker: a full scan started %d beyond its gang member's", during, before, during-before-1)
 	}
+	// The read returns once the outcome is published, which can be just
+	// before the member's goroutine exits: wait for it, not for a leak.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines after a full-scan job, %d before", after, before)
 	}

@@ -50,7 +50,7 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 		func() int64 { _, s := w.QueueLens(); return int64(s) }, "worker", name, "lane", "scan")
 	reg.GaugeFunc("qserv_worker_active_jobs", "chunk queries currently executing",
 		func() int64 { return int64(w.ActiveJobs()) }, "worker", name)
-	reg.GaugeFunc("qserv_worker_held_jobs", "chunk queries queued, running, or finished and not yet read by every owner",
+	reg.GaugeFunc("qserv_worker_held_jobs", "chunk queries queued, running, or finished and not yet read by the query that wrote them",
 		func() int64 { return int64(w.HeldJobs()) }, "worker", name)
 
 	reg.CounterFunc("qserv_worker_materializations_total", "chunk units materialized from segments",

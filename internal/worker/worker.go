@@ -4,9 +4,11 @@
 //
 // A worker accepts chunk queries written to /query2/CC paths and
 // publishes each result as a package dump result stream readable at
-// /result/H, where H is the MD5 hash of the chunk query payload. A
-// result is held until every query that asked for it has read it (or
-// cancelled), then dropped: the worker caches no outcomes.
+// /result/H, where H is the MD5 hash of the chunk query payload. A chunk
+// query belongs to the query that wrote it: its result is held until that
+// query reads it (or cancels it), then dropped. The worker caches no
+// outcomes and shares none between queries; queries share a chunk's read
+// through the gang alone.
 //
 // Scheduling is two-class (paper section 4.3): interactive chunk
 // queries (secondary-index dives, marked by the czar with a "-- CLASS:
@@ -67,10 +69,6 @@ type Config struct {
 	// QueueDepth bounds each lane's queue; writes beyond it fail,
 	// which the czar surfaces as dispatch errors.
 	QueueDepth int
-	// MaxGangSize caps how many same-chunk scan jobs one slot starts
-	// together; the surplus stays queued as a gang of its own for a later
-	// pop, bounding per-slot concurrency under bursts.
-	MaxGangSize int
 	// ResultTimeout bounds how long a result read blocks waiting for
 	// execution to finish.
 	ResultTimeout time.Duration
@@ -109,10 +107,14 @@ func DefaultConfig(name string) Config {
 		Slots:            4,
 		InteractiveSlots: 2,
 		QueueDepth:       4096,
-		MaxGangSize:      16,
 		ResultTimeout:    5 * time.Minute,
 	}
 }
+
+// maxGangSize caps how many same-chunk scan jobs one slot starts together;
+// the surplus stays queued as a gang of its own for a later pop, bounding
+// per-slot concurrency under bursts.
+const maxGangSize = 16
 
 // JobReport records one executed chunk query for experiments (queue
 // behavior drives the paper's Figure 14 analysis).
@@ -155,9 +157,10 @@ type Worker struct {
 	// reportHead once full.
 	reports    []JobReport
 	reportHead int
-	// jobs holds, by result hash, every chunk query that is queued,
-	// running, or finished with an outcome some owner has yet to read.
-	jobs   map[string]*job
+	// jobs holds, by result hash and writing query, every chunk query that
+	// is queued, running, or finished with an outcome its query has yet to
+	// read.
+	jobs   map[jobKey]*job
 	active int // jobs currently executing
 
 	// loadMu serializes /load batch application (see ingest.go).
@@ -198,8 +201,13 @@ const (
 	jobQueued = iota
 	jobRunning
 	jobCanceled // canceled while queued; executors skip it
-	jobDone     // outcome published; held for the owners yet to read it
+	jobDone     // outcome published; held until its query reads it
 )
+
+// jobKey names a chunk query on the worker: the hash of its payload and the
+// query that wrote it (the qid riding the path, see xrd.WithQID). Every bare
+// path is the one query "".
+type jobKey struct{ hash, qid string }
 
 type job struct {
 	chunk partition.ChunkID
@@ -211,12 +219,6 @@ type job struct {
 	hash     string
 	queuedAt time.Time
 	state    int // guarded by Worker.mu
-	// owners counts, per dispatching query (the qid riding the path, see
-	// xrd.WithQID; "" for a bare path), the outcomes this job still
-	// owes: +1 per chunk-query write, -1 in release. Entries leave at
-	// zero, so an empty map means nobody is owed anything. Guarded by
-	// Worker.mu.
-	owners map[string]int
 
 	// ready is closed exactly once, after data and err — the job's
 	// outcome — are set.
@@ -296,9 +298,6 @@ func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
 	}
-	if cfg.MaxGangSize <= 0 {
-		cfg.MaxGangSize = def.MaxGangSize
-	}
 	if cfg.ResultTimeout <= 0 {
 		cfg.ResultTimeout = def.ResultTimeout
 	}
@@ -307,9 +306,9 @@ func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 		engine:      sqlengine.New(registry.DB),
 		registry:    registry,
 		interactive: make(chan *job, cfg.QueueDepth),
-		scanq:       newGangQueue(cfg.QueueDepth, cfg.MaxGangSize),
+		scanq:       newGangQueue(cfg.QueueDepth, maxGangSize),
 		stop:        make(chan struct{}),
-		jobs:        map[string]*job{},
+		jobs:        map[jobKey]*job{},
 	}
 	w.db = w.engine.CreateDatabase(registry.DB)
 	w.units = newUnitTable(w)
@@ -392,66 +391,48 @@ func (w *Worker) ActiveJobs() int {
 }
 
 // HeldJobs returns the number of chunk queries the worker holds state
-// for: queued, running, or finished with an outcome some query has yet
-// to read. An idle worker holds none.
+// for: queued, running, or finished with an outcome the query that wrote
+// it has yet to read. An idle worker holds none.
 func (w *Worker) HeldJobs() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.jobs)
 }
 
-// evict removes a job's registry entry, but only if it is still this
-// job's — a re-submitted identical payload may already have replaced
-// it. Callers hold w.mu.
-func (w *Worker) evict(j *job) {
-	if w.jobs[j.hash] == j {
-		delete(w.jobs, j.hash)
-	}
-}
-
-// Cancel kills the chunk query whose result is addressed by hash on
-// behalf of the queries that dispatched it over a bare path (no qid).
+// Cancel kills the chunk query whose result is addressed by hash and that
+// was written over a bare path (no qid).
 func (w *Worker) Cancel(hash string) bool { return w.release(hash, "") }
 
-// release ends one interest of query qid in the outcome addressed by
-// hash. It is the only way an interest ends, whatever ended it: the
-// query read the outcome, gave up on the read, or was killed (/cancel).
-// A qid with no interest registered under the hash — a broadcast kill
-// for a dispatch write that never landed here, a kill following a read
-// that already released, a reader of a job since displaced — releases
-// nothing, so one query can never spend another's interest.
+// release ends query qid's chunk query addressed by hash, whatever ended
+// it: the query read the outcome, gave up on the read, or was killed
+// (/cancel). A qid that wrote nothing here under the hash — a broadcast
+// kill for a dispatch write that never landed here, a kill following a
+// read that already released — releases nothing, so one query never ends
+// another's job.
 //
-// When the last interest goes, so does the job: a finished one leaves
-// the registry; a queued one is dequeued — its lane slot is never
-// consumed — and completes with context.Canceled; a running one, on either
-// lane, aborts at the engine's next interrupt poll. While other queries
-// deduplicated onto the same payload are still owed, the job lives on —
-// killing one user's query must not fail another's. release reports
-// whether it detached an interest from a job still queued or running.
+// The job leaves the table: a finished one is dropped; a queued one is
+// dequeued — its lane slot is never consumed — and completes with
+// context.Canceled; a running one, on either lane, aborts at the engine's
+// next interrupt poll. release reports whether the job was still queued or
+// running.
 func (w *Worker) release(hash, qid string) bool {
+	key := jobKey{hash, qid}
 	w.mu.Lock()
-	j := w.jobs[hash]
-	if j == nil || j.owners[qid] == 0 {
+	j := w.jobs[key]
+	if j == nil {
 		w.mu.Unlock()
 		return false
 	}
-	if j.owners[qid]--; j.owners[qid] == 0 {
-		delete(j.owners, qid)
-	}
+	delete(w.jobs, key)
 	state := j.state
-	if len(j.owners) > 0 {
-		w.mu.Unlock()
-		return state != jobDone
+	if state == jobQueued {
+		j.state = jobCanceled
 	}
+	w.mu.Unlock()
 	switch state {
 	case jobDone:
-		delete(w.jobs, hash)
-		w.mu.Unlock()
 		return false
 	case jobQueued:
-		j.state = jobCanceled
-		delete(w.jobs, hash)
-		w.mu.Unlock()
 		// Scan-lane jobs leave the queue eagerly; interactive jobs are
 		// marked and skipped when their channel slot drains.
 		w.scanq.remove(j)
@@ -459,8 +440,7 @@ func (w *Worker) release(hash, qid string) bool {
 		j.err = fmt.Errorf("worker %s: chunk query %s: %w", w.cfg.Name, hash, context.Canceled)
 		close(j.ready)
 		return true
-	default: // jobRunning; execute drops it from the registry
-		w.mu.Unlock()
+	default: // jobRunning
 		j.signalCancel()
 		return true
 	}
@@ -469,12 +449,12 @@ func (w *Worker) release(hash, qid string) bool {
 // ---------- xrd.Handler ----------
 
 // HandleWrite accepts a chunk query written to /query2/CC — it registers
-// a pending result under the payload's hash and enqueues the job on the
-// lane its CLASS header selects (headerless payloads default to the
-// scan lane — the conservative choice) — a kill written to /cancel/H,
-// which dequeues or aborts the query hashing to H, or an ingest
-// transaction written to /load/... (catalog spec or row batch; see
-// ingest.go).
+// a pending result under the payload's hash and the writing query, and
+// enqueues the job on the lane its CLASS header selects (headerless
+// payloads default to the scan lane — the conservative choice) — a kill
+// written to /cancel/H, which dequeues or aborts the writing query's job
+// hashing to H, or an ingest transaction written to /load/... (catalog
+// spec or row batch; see ingest.go).
 func (w *Worker) HandleWrite(path string, data []byte) error {
 	return w.HandleWriteContext(context.Background(), path, data)
 }
@@ -494,7 +474,7 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	}
 	if hash, ok := strings.CutPrefix(path, "/cancel/"); ok {
 		// Kill transactions are idempotent: canceling an unknown query
-		// — or one whose qid holds no interest here — is a no-op, not
+		// — or one whose qid wrote nothing here — is a no-op, not
 		// an error (the czar fires them best-effort on every dispatched
 		// chunk, and broadcasts to every replica when a dispatch write
 		// was torn mid-kill).
@@ -509,42 +489,25 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	if err != nil {
 		return fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	hash := xrd.ResultHash(data)
+	key := jobKey{xrd.ResultHash(data), qid}
+	w.mu.Lock()
+	if w.jobs[key] != nil {
+		// The same query's dispatch again (a transport re-delivery, see
+		// xrd's repeatable): it finds its own job.
+		w.mu.Unlock()
+		return nil
+	}
 	j := &job{
 		chunk:    chunk,
 		class:    class,
 		subs:     subs,
 		text:     string(data[body:]),
-		hash:     hash,
+		hash:     key.hash,
 		queuedAt: time.Now(),
 		cancel:   make(chan struct{}),
 		ready:    make(chan struct{}),
-		owners:   map[string]int{},
 	}
-	w.mu.Lock()
-	if old := w.jobs[hash]; old != nil {
-		if old.state != jobDone && !old.canceled() {
-			// Identical payload already queued or running; its result
-			// will serve both (content-addressed chunk queries
-			// deduplicate).
-			old.owners[qid]++
-			w.mu.Unlock()
-			return nil
-		}
-		// The job under this hash cannot answer this statement: either
-		// it finished — its outcome belongs to the queries that asked
-		// before it did, and the data (or whatever made it fail) may
-		// have changed since — or it was killed and is still unwinding
-		// toward context.Canceled, which an un-killed query must not
-		// inherit. Displace it and execute afresh. Interests the old job
-		// still owed move to the new one (an outcome computed after a
-		// query's write is as good to it as the one it has not read
-		// yet), so the job under a hash always holds every interest in
-		// it; the displaced job completes against its own fields.
-		j.owners, old.owners = old.owners, nil
-	}
-	j.owners[qid]++
-	w.jobs[hash] = j
+	w.jobs[key] = j
 	w.mu.Unlock()
 
 	enqueued := false
@@ -568,7 +531,7 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	stillQueued := j.state == jobQueued
 	if stillQueued {
 		j.state = jobCanceled
-		w.evict(j)
+		delete(w.jobs, key)
 	}
 	w.mu.Unlock()
 	if stillQueued {
@@ -578,11 +541,12 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	return fmt.Errorf("worker %s: %s queue full (%d)", w.cfg.Name, class, w.cfg.QueueDepth)
 }
 
-// HandleRead serves /result/H, blocking until the chunk query hashing to
-// H finishes (or the configured timeout passes). A chunk-query write
+// HandleRead serves /result/H to the query that wrote the chunk query
+// hashing to H, blocking until it finishes (or the configured timeout
+// passes); a query that wrote none gets no result. A chunk-query write
 // buys one read: however the read ends — outcome served, caller gone,
-// timeout — the reader's interest ends with it (see release), and a
-// reader that was the last to want a still-running job aborts it.
+// timeout — the job ends with it (see release), and a reader that gives up
+// on a still-running job aborts it.
 func (w *Worker) HandleRead(path string) ([]byte, error) {
 	return w.HandleReadContext(context.Background(), path)
 }
@@ -611,7 +575,7 @@ func (w *Worker) HandleReadContext(ctx context.Context, path string) ([]byte, er
 		return nil, err
 	}
 	w.mu.Lock()
-	j, ok := w.jobs[hash]
+	j, ok := w.jobs[jobKey{hash, qid}]
 	w.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("worker %s: no such result %s", w.cfg.Name, hash)
@@ -739,12 +703,6 @@ func (w *Worker) execute(j *job, started time.Time) {
 
 	w.mu.Lock()
 	j.state = jobDone
-	if len(j.owners) == 0 {
-		// Every owner cancelled (the kill path), or a fresh write took
-		// the hash and the interests with it: nobody is owed this
-		// outcome.
-		w.evict(j)
-	}
 	w.active--
 	w.report(JobReport{
 		Chunk:       j.chunk,

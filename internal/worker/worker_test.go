@@ -357,19 +357,50 @@ func TestSubchunkOverlapCrossBorderPair(t *testing.T) {
 	}
 }
 
+// TestDuplicatePayloadDeduplicated: a bare write repeated before its read is
+// the same chunk query — one job, one read.
 func TestDuplicatePayloadDeduplicated(t *testing.T) {
 	w, chunk := testWorker(t, DefaultConfig("w0"))
 	payload := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
-		t.Fatal(err)
-	}
-	// Second identical write is accepted and serves the same result.
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := w.HandleRead(xrd.ResultPath(payload))
 	if err != nil || len(out) == 0 {
 		t.Fatalf("read: %v", err)
+	}
+	if _, err := w.HandleRead(xrd.ResultPath(payload)); err == nil {
+		t.Error("a second read found the result its one job already served")
+	}
+	if held, ran := w.HeldJobs(), len(w.Reports()); held != 0 || ran != 1 {
+		t.Errorf("%d jobs held and %d run, want 0 and 1", held, ran)
+	}
+}
+
+// TestRepeatedDispatchIsOneJob: a query's chunk-query write delivered twice,
+// as a transport re-delivery does, is one job, gone after the query's one
+// read; a query that never wrote it reads nothing.
+func TestRepeatedDispatchIsOneJob(t *testing.T) {
+	w, chunk := testWorker(t, DefaultConfig("w0"))
+	payload := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
+	qpath, rpath := xrd.QueryPath(int(chunk)), xrd.ResultPath(payload)
+	for i := 0; i < 2; i++ {
+		if err := w.HandleWrite(xrd.WithQID(qpath, "czar-0-7"), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{xrd.WithQID(rpath, "czar-0-9"), rpath} {
+		if _, err := w.HandleRead(path); err == nil {
+			t.Errorf("read %s by a query that never wrote the chunk query succeeded", path)
+		}
+	}
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-7")); err != nil {
+		t.Fatalf("the writing query's read: %v", err)
+	}
+	if held, ran := w.HeldJobs(), len(w.Reports()); held != 0 || ran != 1 {
+		t.Errorf("%d jobs held and %d run after the one read, want 0 and 1", held, ran)
 	}
 }
 
@@ -534,17 +565,20 @@ func TestResultTimeout(t *testing.T) {
 	}
 }
 
+// TestConcurrentChunkQueries: 16 queries, four to a payload, each write and
+// read their own chunk query at once.
 func TestConcurrentChunkQueries(t *testing.T) {
 	w, chunk := testWorker(t, DefaultConfig("w0"))
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func(i int) {
 			p := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d WHERE objectId >= %d;", chunk, i%4))
-			if err := w.HandleWrite(xrd.QueryPath(int(chunk)), p); err != nil {
+			qid := fmt.Sprintf("czar-0-%d", i)
+			if err := w.HandleWrite(xrd.WithQID(xrd.QueryPath(int(chunk)), qid), p); err != nil {
 				errs <- err
 				return
 			}
-			_, err := w.HandleRead(xrd.ResultPath(p))
+			_, err := w.HandleRead(xrd.WithQID(xrd.ResultPath(p), qid))
 			errs <- err
 		}(i)
 	}
@@ -552,6 +586,9 @@ func TestConcurrentChunkQueries(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if held, ran := w.HeldJobs(), len(w.Reports()); held != 0 || ran != 16 {
+		t.Errorf("%d jobs held and %d run, want 0 and 16", held, ran)
 	}
 }
 
@@ -607,30 +644,35 @@ func TestServedResultsAreReleased(t *testing.T) {
 		t.Errorf("reports = %d, want %d", got, n)
 	}
 
-	// Two queries share one payload: the result is owed twice, and goes
-	// when both have read. A third read was never paid for.
+	// Two queries write one payload: each has a job of its own, which goes
+	// when its query has read. A second read by either was never paid for.
 	payload := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
-	for i := 0; i < 2; i++ {
-		if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
+	qpath, rpath := xrd.QueryPath(int(chunk)), xrd.ResultPath(payload)
+	ran := len(w.Reports())
+	for _, qid := range []string{"czar-0-1", "czar-0-2"} {
+		if err := w.HandleWrite(xrd.WithQID(qpath, qid), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := w.HandleRead(xrd.ResultPath(payload)); err != nil {
-			t.Fatalf("read %d of a result owed twice: %v", i, err)
+	for _, qid := range []string{"czar-0-1", "czar-0-2"} {
+		if _, err := w.HandleRead(xrd.WithQID(rpath, qid)); err != nil {
+			t.Fatalf("%s's read: %v", qid, err)
 		}
 	}
-	if _, err := w.HandleRead(xrd.ResultPath(payload)); err == nil {
-		t.Error("a third read found a result nobody was owed")
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-1")); err == nil {
+		t.Error("a second read found a result its query already read")
+	}
+	if got := len(w.Reports()) - ran; got != 2 {
+		t.Errorf("two queries' writes of one payload ran %d jobs, want 2", got)
 	}
 	held = w.HeldJobs()
 	if held != 0 {
-		t.Errorf("%d results held after every owner read", held)
+		t.Errorf("%d results held after both queries read", held)
 	}
 
-	// An owner that cancels after the job finished never reads; its
-	// interest goes with the cancel.
-	ran := len(w.Reports())
+	// A query that cancels after its job finished never reads; the job
+	// goes with the cancel.
+	ran = len(w.Reports())
 	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
 		t.Fatal(err)
 	}
@@ -646,14 +688,13 @@ func TestServedResultsAreReleased(t *testing.T) {
 	}
 	held = w.HeldJobs()
 	if held != 0 {
-		t.Errorf("%d results held after the only owner cancelled", held)
+		t.Errorf("%d results held after its query cancelled", held)
 	}
 
-	// An interest is released once, by the query that registered it:
-	// queries a and b share a payload, a reads, and a's late cancel (a
-	// kill racing its own read over the TCP fabric) must not spend b's
-	// interest — b's read still finds the result.
-	qpath, rpath := xrd.QueryPath(int(chunk)), xrd.ResultPath(payload)
+	// A job is released once, by the query that wrote it: queries a and b
+	// write one payload, a reads, and a's late cancel (a kill racing its
+	// own read over the TCP fabric) must not end b's job — b's read still
+	// finds the result.
 	cpath := xrd.CancelPath(xrd.ResultHash(payload))
 	for _, qid := range []string{"czar-0-1", "czar-0-2"} {
 		if err := w.HandleWrite(xrd.WithQID(qpath, qid), payload); err != nil {
@@ -666,13 +707,13 @@ func TestServedResultsAreReleased(t *testing.T) {
 	if err := w.HandleWrite(xrd.WithQID(cpath, "czar-0-1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	// Nor may a query that never wrote here (or an anonymous reader)
-	// spend it.
-	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-9")); err != nil {
-		t.Fatalf("a stranger's read: %v", err)
+	// A query that never wrote here, or an anonymous reader, reads
+	// nothing and ends nothing.
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-9")); err == nil {
+		t.Error("a stranger's read found a result")
 	}
-	if _, err := w.HandleRead(rpath); err != nil {
-		t.Fatalf("an anonymous read: %v", err)
+	if _, err := w.HandleRead(rpath); err == nil {
+		t.Error("an anonymous read found a result")
 	}
 	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-2")); err != nil {
 		t.Fatalf("b's read after a read and then cancelled: %v", err)
@@ -682,8 +723,8 @@ func TestServedResultsAreReleased(t *testing.T) {
 		t.Errorf("%d results held after a and b both read", held)
 	}
 
-	// A reader that gives up releases its interest itself — no cancel
-	// has to follow — and, being the last owner, takes the job with it.
+	// A reader that gives up releases its job itself — no cancel has to
+	// follow.
 	// The statement sets its own length (20 ms a row): a job that finished
 	// before the read arrived would leave the read a choice between the
 	// outcome and the cancelled context.
@@ -735,11 +776,12 @@ func TestFailedOutcomeNotRetained(t *testing.T) {
 		t.Errorf("count over the new empty chunk = %d", got)
 	}
 
-	// A failure whose owner has not read it yet is displaced, not
-	// joined, by a later identical query; both then read the fresh
-	// outcome.
+	// A failure its query has not read yet is that query's alone: a later
+	// query writing the same payload runs afresh and reads the fresh
+	// outcome, and the first still reads its failure.
 	missing := []byte("SELECT COUNT(*) FROM LSST.Object_424242;")
-	if err := w.HandleWrite(xrd.QueryPath(424242), missing); err != nil {
+	qpath, rpath := xrd.QueryPath(424242), xrd.ResultPath(missing)
+	if err := w.HandleWrite(xrd.WithQID(qpath, "czar-0-1"), missing); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -754,17 +796,18 @@ func TestFailedOutcomeNotRetained(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	load(t, w, xrd.LoadPath("Object", 424242), nil, nil)
-	if err := w.HandleWrite(xrd.QueryPath(424242), missing); err != nil {
+	if err := w.HandleWrite(xrd.WithQID(qpath, "czar-0-2"), missing); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := w.HandleRead(xrd.ResultPath(missing)); err != nil {
-			t.Fatalf("owner %d read the stale failure: %v", i, err)
-		}
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-2")); err != nil {
+		t.Fatalf("the later query read the stale failure: %v", err)
+	}
+	if _, err := w.HandleRead(xrd.WithQID(rpath, "czar-0-1")); err == nil {
+		t.Error("the first query's failure was answered with the later outcome")
 	}
 	held := w.HeldJobs()
 	if held != 0 {
-		t.Errorf("%d results held after both owners read", held)
+		t.Errorf("%d results held after both queries read", held)
 	}
 }
 

@@ -432,10 +432,11 @@ func (l *connLane) roundTrip(ctx context.Context, op byte, path string, payload 
 
 // repeatable reports whether a transaction that failed in transport may be
 // sent again. The failure does not say whether the server acted on the
-// request before the connection died; every transaction but a row shipment
-// reads, replaces, or is deduplicated by the worker, so a second delivery is
-// harmless — a /load batch appends, and one delivered twice is rows counted
-// twice in every answer from then on.
+// request before the connection died. A second delivery is harmless for
+// every transaction but a row shipment: a read, a replacing write, and a
+// query's chunk-query write, which finds the job its first delivery made. A
+// /load batch appends, and one delivered twice is rows counted twice in
+// every answer from then on.
 func repeatable(path string) bool { return !strings.HasPrefix(path, "/load/t/") }
 
 // transact performs one request/response exchange, honoring the

@@ -233,12 +233,11 @@ func parseTablePath(prefix, path string) (table string, chunk int, shared bool, 
 }
 
 // WithQID appends an out-of-band query identity to a transaction path.
-// The identity rides the path — never the payload — so it cannot
-// perturb the content-addressed result hash: identical chunk queries
-// from different user queries still deduplicate, while a result read or
-// a cancel can only release an interest the same query actually
-// registered (a kill broadcast to replicas whose dispatch write never
-// landed is a no-op there instead of aborting an innocent sharer's job).
+// The identity rides the path — never the payload — so the result hash
+// stays the payload's alone. A worker keys a chunk query by hash and
+// identity: a result read or a cancel reaches only the job the same query
+// wrote (a kill broadcast to replicas whose dispatch write never landed is
+// a no-op there, even where another query wrote the same payload).
 func WithQID(path, qid string) string {
 	if qid == "" {
 		return path

@@ -646,8 +646,8 @@ func TestWorkerOutcomeNotServedStale(t *testing.T) {
 		t.Errorf("COUNT(*) = %v, want %d", got, len(cat.Sources))
 	}
 
-	// Every interest the two queries registered at the workers — read,
-	// or abandoned when the first query's first chunk failed — has been
+	// Every chunk query the two queries wrote to the workers — read, or
+	// abandoned when the first query's first chunk failed — has been
 	// released: an idle cluster holds no chunk-query state.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, w := range cl.Workers {

@@ -130,7 +130,9 @@ func TestSharedScanClusterEquivalence(t *testing.T) {
 // TestConcurrentScansShareReads is the cluster-level form of the worker's
 // TestGangSharesOneMaterialization: under a memory budget that keeps no
 // unpinned chunk resident, concurrent full scans read each chunk from its
-// segments once per gang, not once per job.
+// segments once per gang, not once per job. Identical statements share
+// the same way, and only that way: each query's chunk query is a job of
+// its own.
 func TestConcurrentScansShareReads(t *testing.T) {
 	cat, err := datagen.Generate(
 		datagen.Config{Seed: 7, ObjectsPerPatch: 900, MeanSourcesPerObject: 0},
@@ -167,27 +169,48 @@ func TestConcurrentScansShareReads(t *testing.T) {
 		return
 	}
 
+	// round runs the statements at once and checks what they shared: a
+	// gang keeps what its members pin until the last of them is done, so
+	// it materializes its chunk at most once. It returns the answers and
+	// the full-scan jobs run.
+	round := func(name string, sqls []string) ([]*Result, int) {
+		t.Helper()
+		mats0, read0, scans0, gangs0 := stats()
+		answers := gangLoad(t, cl, sqls)
+		mats, read, scans, gangs := stats()
+		mats, read, scans, gangs = mats-mats0, read-read0, scans-scans0, gangs-gangs0
+		if gangs >= scans {
+			t.Fatalf("%s: %d full-scan jobs in %d gangs: no two ever started together", name, scans, gangs)
+		}
+		if mats > int64(gangs) || mats >= int64(scans) {
+			t.Errorf("%s: %d materializations for %d jobs in %d gangs; want at most one per gang", name, mats, scans, gangs)
+		}
+		if read == 0 {
+			t.Errorf("%s: materializations read no bytes", name)
+		}
+		return answers, scans
+	}
+
 	const k = 6
 	var sqls []string
 	for i := 0; i < k; i++ {
-		// Distinct predicates: identical payloads would dedupe at the
-		// worker and be one job.
 		sqls = append(sqls, fmt.Sprintf("SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > %g", 1e-31*float64(i+1)))
 	}
-	mats0, read0, scans0, gangs0 := stats()
-	gangLoad(t, cl, sqls)
-	mats, read, scans, gangs := stats()
-	mats, read, scans, gangs = mats-mats0, read-read0, scans-scans0, gangs-gangs0
-	// A gang keeps what its members pin until the last of them is done, so
-	// it materializes its chunk at most once.
-	if gangs >= scans {
-		t.Fatalf("%d full-scan jobs in %d gangs: no two ever started together", scans, gangs)
+	want, scans := round("distinct statements", sqls)
+
+	// The first statement k times at once: as many jobs as k distinct
+	// statements, sharing reads through gangs, each with the answer the
+	// statement had alone in the round above.
+	same := make([]string, k)
+	for i := range same {
+		same[i] = sqls[0]
 	}
-	if mats > int64(gangs) || mats >= int64(scans) {
-		t.Errorf("%d materializations for %d jobs in %d gangs; want at most one per gang", mats, scans, gangs)
+	got, sameScans := round("identical statements", same)
+	if sameScans != scans {
+		t.Errorf("%d identical full scans ran %d chunk jobs, %d distinct ones %d: every query's chunk query is its own job", k, sameScans, k, scans)
 	}
-	if read == 0 {
-		t.Error("materializations read no bytes")
+	for i := range got {
+		sameAnswer(t, got[i], want[0], fmt.Sprintf("identical statement %d", i))
 	}
 }
 
