@@ -38,25 +38,29 @@ bench-build:
 # benchmark's geometry from payload to result bytes (ns and allocations per
 # job, statements parsed, pairs visited) and its subchunk build alone, the
 # result path, a pass-through row from a worker's
-# column slices through the result stream and the czar's fold to a row
-# frame, in ns per row returned, and the merge session, one aggregate
+# column slices through the result stream and the czar's fold to a batch
+# row frame, in ns per row returned, the merge session, one aggregate
 # partial from its result stream through the session and its share of the
 # merge statement, in ns and allocations per chunk result at 94 and at the
-# paper's 8,983 chunks. BenchmarkScanHV1InShell is the guarded
-# comparisons' worst case, a table whose every cell makes the guard give up
-# and call the function: read it against BenchmarkScanHV1 before the guards.
+# paper's 8,983 chunks, and the client's stream decode, an HV2 answer's
+# row frames to rows handed out, in ns and allocations per row.
+# BenchmarkScanHV1InShell is the guarded comparisons' worst case, a table
+# whose every cell makes the guard give up and call the function: read it
+# against BenchmarkScanHV1 before the guards.
 # BenchmarkScanHV1Nulls is HV1 over a table whose filtered column is 1 %
 # NULL: the price of the NULL bitmap on the block filter's path;
 # BenchmarkScanHV3Nulls is HV3 over a table whose summed and min/maxed
 # columns are 1 % NULL: its price on the aggregate fold's path.
 # (What they must never exceed is pinned as counts, which repeat exactly, by
 # TestScanAllocBudget, TestSinkAllocBudget, TestMaterializeAllocBudget,
-# TestAbsorbAllocBudget and TestRowLoopAllocBudget in tier-1; what the
-# guards must skip, also as counts, by TestGuardSkipsTheCall.)
+# TestAbsorbAllocBudget, TestRowLoopAllocBudget and
+# TestClientDecodeAllocBudget in tier-1; what the guards must skip, also as
+# counts, by TestGuardSkipsTheCall.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'Materialize|NearNeighbourJob|SubchunkBuild' -benchmem ./internal/worker
 	$(GO) test -run '^$$' -bench 'ResultPath|MergeSession' -benchmem ./internal/czar
+	$(GO) test -run '^$$' -bench 'StreamDecode' -benchmem ./internal/frontend
 
 # The live group of qserv-bench at a size fast enough for CI: a worker
 # outage under checked query streams (detect, fail over, re-replicate,
@@ -78,8 +82,8 @@ bench-smoke:
 # the ingest batch / segment-set framings (a batch is also decoded
 # straight into table columns, and must append whole or not at all), the
 # worker result stream, the span trailer a worker appends to it, and the
-# frontend wire protocol (frame reader, handshake, column-header and row
-# frames — everything a hostile client controls) — and over the engine's
+# frontend wire protocol (frame reader, handshake, column-header frame and
+# the batch row frame's count and rows — everything a hostile peer controls) — and over the engine's
 # expression compiler, differentially: whatever expression text the
 # fuzzer writes must evaluate as the reference interpreter does, and
 # whatever constant and cells it picks, a guard that decides a comparison
@@ -102,7 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzColsDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frontend -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzCompiledExpr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzGuardedCompare$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzBlockFilter$$' -fuzztime $(FUZZTIME)

@@ -120,7 +120,7 @@ func main() {
 		fatal("frontend.listen", err)
 	}
 	defer fe.Close()
-	fmt.Printf("czar ready: %d workers, %d chunks; SQL frontend on %s (protocol v2)\n",
+	fmt.Printf("czar ready: %d workers, %d chunks; SQL frontend on %s\n",
 		len(addrs), len(cl.Placement.Chunks()), fe.Addr())
 	fmt.Printf("connect with: qserv-sql -addr %s  (or database/sql DSN qserv://user@%s/LSST)\n", fe.Addr(), fe.Addr())
 	fmt.Printf("manage queries with: SHOW PROCESSLIST; KILL <id>;\n")

@@ -4,7 +4,7 @@
 //	qserv-sql -addr 127.0.0.1:7000                      # REPL
 //	qserv-sql -addr 127.0.0.1:7000 -e "SELECT COUNT(*) FROM Object"
 //
-// It speaks the streaming protocol v2: rows print as the czar's merge
+// It speaks the streaming wire protocol: rows print as the czar's merge
 // pipeline produces them — the first rows of a multi-hour scan appear
 // immediately — and every statement reports first-row latency
 // separately from total latency. Ctrl-C during a statement kills the

@@ -1,5 +1,5 @@
 // Package qservdriver is a database/sql driver for the system's
-// protocol-v2 SQL frontend: the "any MySQL-compatible client" promise
+// streaming SQL frontend: the "any MySQL-compatible client" promise
 // of paper section 5.4, delivered through Go's standard database API
 // instead of a bespoke client.
 //
@@ -95,7 +95,7 @@ func NewConnector(dsn string) (*Connector, error) {
 	return c, nil
 }
 
-// Connect dials one protocol-v2 connection.
+// Connect dials one frontend connection.
 func (c *Connector) Connect(ctx context.Context) (driver.Conn, error) {
 	type dialed struct {
 		cl  *frontend.Client

@@ -12,7 +12,7 @@ type FrontendConfig struct {
 	// connections and users; 0 means unlimited.
 	MaxSessions int
 	// PerUserSessions caps one user's concurrent sessions; 0 means
-	// unlimited. The user is the identity from the protocol-v2
+	// unlimited. The user is the identity from the frontend's
 	// handshake (the DSN's user for driver connections).
 	PerUserSessions int
 	// SessionQueueDepth bounds the FIFO queue of sessions waiting for a
@@ -41,7 +41,7 @@ type FrontendStats struct {
 }
 
 // Frontend is a running SQL-over-TCP listener in front of the
-// cluster's czar. It speaks the streaming wire protocol v2 (with
+// cluster's czar. It speaks the streaming wire protocol (with
 // per-connection kill and admission control); the database/sql driver
 // (package qservdriver) and frontend.Dial are its clients.
 type Frontend struct {

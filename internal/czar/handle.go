@@ -109,7 +109,7 @@ func (f *QueryFeed) Push(rows ...sqlengine.Row) {
 // result (rows already Pushed are not re-streamed; a Finish with no
 // prior Push streams res.Rows); otherwise the session fails with err —
 // mid-stream, after any number of Pushes, is legal, which is exactly
-// what the v2 wire protocol's mid-stream ERR frame reports. If the
+// what the wire protocol's mid-stream error frame reports. If the
 // session was canceled first, the cancellation cause wins, matching a
 // real czar's Wait contract. Finish is idempotent; only the first call
 // takes effect.

@@ -53,7 +53,7 @@ func hv2Stream(tb testing.TB, e *sqlengine.Engine, out *dump.Writer) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return out.Frame("r_0123456789abcdef", res.Schema())
+	return out.Frame("r_0123456789abcdef", res.Schema(), 0)
 }
 
 // TestAbsorbAllocBudget pins what folding a pass-through chunk result
@@ -84,9 +84,10 @@ func TestAbsorbAllocBudget(t *testing.T) {
 // fabric in between: one 2,400-row chunk table, a statement that returns
 // one row in ten (a predicate that costs next to nothing), its cells
 // written into the result stream, the stream absorbed by a merge session
-// and forwarded to the row stream, and every row written as a protocol-v2
-// row frame — the five bytes frontend.writeRowFrame puts ahead of the row,
-// then the row — into a writer that discards. `make bench-layers` runs it.
+// and forwarded to the row stream, and every batch written as a row frame —
+// the length prefix, tag and row count frontend.writeBatch puts ahead of a
+// batch, then the batch's bytes — into a writer that discards, in ns per
+// row. `make bench-layers` runs it.
 func BenchmarkResultPath(b *testing.B) {
 	e := hv2Engine(b, 2400)
 	plan := planFor(b, "SELECT "+hv2Columns+" FROM Object", false)
@@ -107,11 +108,13 @@ func BenchmarkResultPath(b *testing.B) {
 		q.stream.push(batch)
 		q.stream.close()
 		it := q.Rows()
-		for row, ok := it.NextEncoded(); ok; row, ok = it.NextEncoded() {
-			hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(row)+1))
-			w.Write(append(hdr, 'R'))
-			w.Write(row)
-			rows++
+		for batch, ok := it.NextBatch(); ok; batch, ok = it.NextBatch() {
+			var scratch [binary.MaxVarintLen64]byte
+			count := binary.AppendUvarint(scratch[:0], uint64(batch.Len()))
+			hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(1+len(count)+len(batch.Data)))
+			w.Write(append(append(hdr, 'R'), count...))
+			w.Write(batch.Data)
+			rows += batch.Len()
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row-out")
@@ -206,7 +209,8 @@ func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
 }
 
 // TestRowStreamHandsOutPrivateRows: the stream holds bytes; every reader
-// that asks for rows gets its own, and NextEncoded the shared bytes.
+// that asks for rows gets its own, and NextBatch the shared bytes — what
+// is left of a batch Next began, then whole batches.
 func TestRowStreamHandsOutPrivateRows(t *testing.T) {
 	q, feed := NewQueryHandle(1, "fed", 0)
 	feed.SetColumns("id", "name")
@@ -227,15 +231,24 @@ func TestRowStreamHandsOutPrivateRows(t *testing.T) {
 	if len(ids) != 3 || ids[0] != int64(1) || ids[2] != int64(3) {
 		t.Errorf("a second iterator read ids %v after the first wrote to its row", ids)
 	}
-	enc, ok := first.NextEncoded()
-	if want, _ := rowcodec.AppendRow(nil, sqlengine.Row{int64(2), nil}); !ok || string(enc) != string(want) {
-		t.Errorf("second row encoded = %x, %v; want %x", enc, ok, want)
+	rest, ok := first.NextBatch()
+	if want, _ := rowcodec.AppendRow(nil, sqlengine.Row{int64(2), nil}); !ok || rest.Len() != 1 || string(rest.Row(0)) != string(want) {
+		t.Errorf("the rest of the first batch = %d rows %x, %v; want the second row, %x", rest.Len(), rest.Data, ok, want)
 	}
 	if !first.Ready() {
 		t.Error("a finished stream is not Ready")
 	}
 	if row, ok := first.Next(); !ok || row[0] != int64(3) {
 		t.Errorf("third row = %v, %v", row, ok)
+	}
+	third := q.Rows()
+	for i, want := range []int{2, 1} {
+		if b, ok := third.NextBatch(); !ok || b.Len() != want {
+			t.Errorf("batch %d of a fresh iterator: %d rows, %v; want %d", i, b.Len(), ok, want)
+		}
+	}
+	if _, ok := third.NextBatch(); ok {
+		t.Error("a third batch out of a stream of two")
 	}
 	if _, ok := first.Next(); ok || first.Err() != nil {
 		t.Errorf("after the last row: ok %v, err %v", ok, first.Err())

@@ -310,34 +310,55 @@ type RowIter struct {
 // to flush buffered output before parking on a slow producer.
 func (it *RowIter) Ready() bool { return it.row < it.cur.Len() || it.q.stream.ready(it.next) }
 
-// NextEncoded returns the next result row in the rowcodec encoding — the
-// bytes a worker wrote for a pass-through row — blocking until one
-// arrives; ok is false once the query finished (or failed) and every
-// streamed row has been consumed. Check Err after the final call. The
-// bytes are shared with every other reader of the stream: they are not to
-// be written to.
-func (it *RowIter) NextEncoded() (row []byte, ok bool) {
-	for it.row >= it.cur.Len() {
-		if it.cur, ok = it.q.stream.next(it.next); !ok {
-			return nil, false
-		}
-		it.next++
-		it.row, it.boxed = 0, nil
+// NextBatch returns the stream's next rows, encoded — every row of the
+// next batch the iterator has not handed out, the bytes a worker wrote for
+// a pass-through chunk result — blocking until they arrive; ok is false
+// once the query finished (or failed) and every streamed row has been
+// consumed. Check Err after the final call. The bytes are shared with
+// every other reader of the stream: they are not to be written to.
+func (it *RowIter) NextBatch() (rowcodec.Batch, bool) {
+	if !it.fill() {
+		return rowcodec.Batch{}, false
 	}
-	it.row++
-	return it.cur.Row(it.row - 1), true
+	b := it.cur
+	if it.row > 0 {
+		// Next handed out the head of this batch: the rest, rebased.
+		start := b.Offset(it.row)
+		ends := make([]int, b.Len()-it.row)
+		for i := range ends {
+			ends[i] = b.Ends[it.row+i] - start
+		}
+		b = rowcodec.Batch{Data: b.Data[start:], Ends: ends}
+	}
+	it.row = it.cur.Len()
+	return b, true
 }
 
-// Next is NextEncoded with the row boxed, a batch at a time: the row is
-// the caller's own, shared with no other iterator and no Wait.
+// Next returns the next row boxed, the rows of a batch boxed together:
+// the row is the caller's own, shared with no other iterator and no Wait.
 func (it *RowIter) Next() (sqlengine.Row, bool) {
-	if _, ok := it.NextEncoded(); !ok {
+	if !it.fill() {
 		return nil, false
 	}
 	if it.boxed == nil {
 		it.boxed = it.cur.Box(nil)
 	}
+	it.row++
 	return it.boxed[it.row-1], true
+}
+
+// fill makes cur a batch with a row left to hand out, blocking until the
+// stream has one; false means it has ended.
+func (it *RowIter) fill() bool {
+	for it.row >= it.cur.Len() {
+		var ok bool
+		if it.cur, ok = it.q.stream.next(it.next); !ok {
+			return false
+		}
+		it.next++
+		it.row, it.boxed = 0, nil
+	}
+	return true
 }
 
 // Err returns the query's terminal error once it finished; nil while

@@ -138,15 +138,18 @@ func (w *Writer) Str(col int, v []byte) error {
 // Frame frames the rows written so far as the result stream of table
 // `name`, with declared's column names. A column's type is that of its
 // first non-NULL cell; one that has none has the type declared gives it (a
-// compiled statement knows the type of most columns without a row).
-func (w *Writer) Frame(name string, declared sqlengine.Schema) []byte {
+// compiled statement knows the type of most columns without a row). The
+// stream is the rows' one copy: it is allocated with room bytes to spare
+// past its end, for the caller to append to in place (a worker's span
+// trailer).
+func (w *Writer) Frame(name string, declared sqlengine.Schema, room int) []byte {
 	schema := slices.Clone(declared)
 	for i := range schema {
 		if i < len(w.first) && w.first[i] != 0 {
 			schema[i].Type = colType(w.first[i])
 		}
 	}
-	out := make([]byte, 0, headerSize(name, schema)+len(w.Buf))
+	out := make([]byte, 0, headerSize(name, schema)+len(w.Buf)+room)
 	return append(appendHeader(out, name, schema, w.Rows), w.Buf...)
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// Client speaks protocol v2: one connection, one query session at a
-// time, rows decoded as the server streams them.
+// Client speaks the streaming protocol: one connection, one query session
+// at a time, rows decoded as the server streams them.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -28,7 +28,7 @@ type Client struct {
 	mu sync.Mutex
 }
 
-// Dial connects and performs the v2 handshake as user against db.
+// Dial connects and performs the handshake as user against db.
 func Dial(addr, user, db string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -44,7 +44,7 @@ func Dial(addr, user, db string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("frontend: handshake: %w", err)
 	}
-	if string(reply) != "OK2" {
+	if string(reply) != hsReply {
 		conn.Close()
 		return nil, fmt.Errorf("frontend: handshake rejected: %s", bytes.TrimPrefix(reply, []byte{tagErr}))
 	}
@@ -153,8 +153,12 @@ type Stream struct {
 	c         *Client
 	ctx       context.Context
 	cols      []string
-	box       sqlengine.Boxer // the row decoder's sink
 	stopWatch func()
+
+	// The rows of the last row frame not yet handed out: left of them,
+	// their cells in order in slab.
+	slab []sqlengine.Value
+	left int
 
 	done  bool
 	nrows int64
@@ -196,44 +200,59 @@ func (s *Stream) finish(err error) {
 // Next returns the next row, blocking until the server streams one; ok
 // is false at end of stream — then Err distinguishes success from
 // failure (an error frame is legal mid-stream, after any number of
-// rows).
+// rows). The row is the caller's own: the stream never writes to it
+// again.
 func (s *Stream) Next() (row []sqlengine.Value, ok bool) {
+	for s.left == 0 {
+		if !s.nextFrame() {
+			return nil, false
+		}
+	}
+	n := len(s.cols)
+	row, s.slab = s.slab[:n:n], s.slab[n:]
+	s.left--
+	return row, true
+}
+
+// nextFrame reads the next frame: a row frame's rows are decoded for Next
+// to hand out; any other frame ends the stream, and so does a failure.
+// false means the stream has ended.
+func (s *Stream) nextFrame() bool {
 	if s.done {
-		return nil, false
+		return false
 	}
 	f, err := s.read()
 	if err != nil {
 		s.finish(err)
-		return nil, false
+		return false
 	}
 	switch f[0] {
 	case tagRow:
-		r, err := decodeRow(f[1:], len(s.cols), &s.box)
-		if err != nil {
+		if s.slab, s.left, err = decodeBatch(f[1:], len(s.cols)); err != nil {
 			s.finish(err)
-			return nil, false
+			return false
 		}
-		return r, true
+		return true
 	case tagDone:
 		n, st, err := decodeDone(f[1:])
 		if err != nil {
 			s.finish(err)
-			return nil, false
+			return false
 		}
 		s.nrows = n
 		s.stats = st
 		s.finish(nil)
-		return nil, false
+		return false
 	case tagErr:
 		serr := serverError(f[1:])
 		// A server-reported error ends the session cleanly: the
 		// connection stays usable for the next query.
 		s.err = serr
 		s.finish(nil)
-		return nil, false
+		return false
 	default:
 		s.finish(fmt.Errorf("frontend: unexpected frame tag %q in stream", f[0]))
-		return nil, false
+		return false
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/czar"
 	"repro/internal/member"
 	"repro/internal/qcache"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/telemetry"
 )
@@ -63,7 +64,7 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// Server serves protocol v2 over one TCP listener, round-robining query sessions across backends (section 7.6's
+// Server serves the streaming protocol over one TCP listener, round-robining query sessions across backends (section 7.6's
 // multi-master load balancing).
 type Server struct {
 	backends []Backend
@@ -175,8 +176,9 @@ func (s *Server) pick() Backend {
 	return s.backends[int(s.next.Add(1)-1)%len(s.backends)]
 }
 
-// serveConn reads the connection's first frame, which must be a v2
-// handshake; anything else gets one E frame and the connection closes.
+// serveConn reads the connection's first frame, which must be a
+// handshake of this protocol version; anything else gets one E frame and
+// the connection closes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -192,37 +194,37 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	_ = db // reserved: the engine has a single database today
-	if err := writeFrame(w, []byte("OK2")); err != nil {
+	if err := writeFrame(w, []byte(hsReply)); err != nil {
 		return
 	}
 	if err := w.Flush(); err != nil {
 		return
 	}
-	s.serveV2(conn, r, w, user)
+	s.serveSession(r, w, user)
 }
 
-// ---------- protocol v2 ----------
+// ---------- sessions ----------
 
-// v2req is one client frame the reader goroutine hands to the session
+// request is one client frame the reader goroutine hands to the session
 // loop (kill frames are handled inline by the reader instead).
-type v2req struct {
+type request struct {
 	kind byte
 	sql  string
 }
 
-// serveV2 runs a v2 session. A dedicated reader goroutine owns the
-// socket's read side so the connection stays responsive while a query
-// streams: kill frames cancel the in-flight query inline, and a read
+// serveSession runs a connection's session. A dedicated reader
+// goroutine owns the socket's read side so the connection stays
+// responsive while a query streams: kill frames cancel the in-flight query inline, and a read
 // error — the client dropped — cancels the per-connection context,
 // which parents every query context, so a disconnect kills the
 // in-flight query end-to-end (czar registry, fabric, worker lanes)
 // without any extra bookkeeping.
-func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, user string) {
+func (s *Server) serveSession(r *bufio.Reader, w *bufio.Writer, user string) {
 	connCtx, connCancel := context.WithCancelCause(context.Background())
 	defer connCancel(fmt.Errorf("frontend: connection closed"))
 
 	var kill atomic.Pointer[context.CancelCauseFunc]
-	reqs := make(chan v2req, 8)
+	reqs := make(chan request, 8)
 	go func() {
 		defer close(reqs)
 		for {
@@ -242,7 +244,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, user s
 				}
 			case tagQuery, tagPing:
 				select {
-				case reqs <- v2req{kind: f[0], sql: string(f[1:])}:
+				case reqs <- request{kind: f[0], sql: string(f[1:])}:
 				case <-connCtx.Done():
 					return
 				}
@@ -254,7 +256,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, user s
 	}()
 
 	for {
-		var req v2req
+		var req request
 		var ok bool
 		select {
 		case req, ok = <-reqs:
@@ -270,16 +272,16 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, user s
 				return
 			}
 		case tagQuery:
-			if !s.runV2Query(connCtx, w, user, req.sql, &kill) {
+			if !s.runQuery(connCtx, w, user, req.sql, &kill) {
 				return
 			}
 		}
 	}
 }
 
-// runV2Query runs one v2 query session and streams its result; false
-// means the connection is unusable (write failed) and must close.
-func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql string, kill *atomic.Pointer[context.CancelCauseFunc]) bool {
+// runQuery runs one query session and streams its result; false means
+// the connection is unusable (write failed) and must close.
+func (s *Server) runQuery(connCtx context.Context, w *bufio.Writer, user, sql string, kill *atomic.Pointer[context.CancelCauseFunc]) bool {
 	sendErr := func(err error) bool {
 		return writeFrame(w, append([]byte{tagErr}, err.Error()...)) == nil && w.Flush() == nil
 	}
@@ -290,17 +292,15 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 		if err != nil {
 			return sendErr(err)
 		}
+		b, err := rowcodec.EncodeBatch(rows)
+		if err != nil {
+			return sendErr(err)
+		}
 		if writeFrame(w, encodeCols(cols)) != nil {
 			return false
 		}
-		var frame []byte // row-frame scratch, reused across rows
-		for _, row := range rows {
-			if frame, err = appendRowFrame(frame[:0], row); err != nil {
-				return sendErr(err)
-			}
-			if writeFrame(w, frame) != nil {
-				return false
-			}
+		if err := writeBatch(w, b, maxFrame); err != nil {
+			return sendErr(err)
 		}
 		return writeFrame(w, encodeDone(int64(len(rows)), DoneStats{})) == nil && w.Flush() == nil
 	}
@@ -329,23 +329,26 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 	// Stream rows as the merge pipeline produces them, flushing only
 	// before parking on a slow producer — first-row latency tracks the
 	// first chunk's merge, not the scan's completion, without a syscall
-	// per row when rows are already buffered. The stream hands each row
-	// over encoded, and a row frame's body is that encoding: a
-	// pass-through row leaves as the bytes its worker wrote.
+	// per batch when batches are already buffered. The stream hands its
+	// rows over a batch at a time, encoded, and a row frame's body is that
+	// batch: a pass-through chunk result leaves as the bytes its worker
+	// wrote, behind one frame header.
 	var rows int64
 	it := q.Rows()
 	for {
 		if !it.Ready() && w.Flush() != nil {
 			return false
 		}
-		row, ok := it.NextEncoded()
+		b, ok := it.NextBatch()
 		if !ok {
 			break
 		}
-		if writeRowFrame(w, row) != nil {
-			return false
+		if err := writeBatch(w, b, maxFrame); err != nil {
+			// A row over the frame limit fails the query; a failed write
+			// fails the error frame too, and the connection closes.
+			return sendErr(err)
 		}
-		rows++
+		rows += int64(b.Len())
 	}
 	// The rows are gone; Outcome reports how the query ended without
 	// boxing them for a Wait nobody reads.
@@ -371,7 +374,7 @@ func (s *Server) runV2Query(connCtx context.Context, w *bufio.Writer, user, sql 
 // `SHOW PROFILE [<id>]`, and `KILL <id>` — before backend dispatch,
 // since they address every czar behind the frontend, not whichever the
 // round-robin lands on. handled is false for ordinary SQL.
-func (s *Server) admin(sql string) (cols []string, rows [][]sqlengine.Value, handled bool, err error) {
+func (s *Server) admin(sql string) (cols []string, rows []sqlengine.Row, handled bool, err error) {
 	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
 	switch {
 	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "WORKERS"):
@@ -516,7 +519,7 @@ func (s *Server) admin(sql string) (cols []string, rows [][]sqlengine.Value, han
 			if !s.backends[bi].Kill(id) {
 				return nil, nil, true, fmt.Errorf("frontend: no query %d on czar %d", id, bi)
 			}
-			return []string{"killed"}, [][]sqlengine.Value{{id}}, true, nil
+			return []string{"killed"}, []sqlengine.Row{{id}}, true, nil
 		}
 		id, perr := strconv.ParseInt(fields[1], 10, 64)
 		if perr != nil {
@@ -538,7 +541,7 @@ func (s *Server) admin(sql string) (cols []string, rows [][]sqlengine.Value, han
 			if !s.backends[owners[0]].Kill(id) {
 				return nil, nil, true, fmt.Errorf("frontend: no such query %d", id)
 			}
-			return []string{"killed"}, [][]sqlengine.Value{{id}}, true, nil
+			return []string{"killed"}, []sqlengine.Row{{id}}, true, nil
 		default:
 			return nil, nil, true, fmt.Errorf(
 				"frontend: query id %d is running on %d czars; use KILL <czar>:%d (czar column of SHOW PROCESSLIST)",

@@ -2,10 +2,13 @@ package frontend
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/czar"
 	"repro/internal/member"
 	"repro/internal/qcache"
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 )
@@ -862,7 +866,7 @@ func TestEveryValueKindOverTheWire(t *testing.T) {
 	}
 }
 
-// TestNonHandshakeFirstFrame: a client whose first frame is not a v2
+// TestNonHandshakeFirstFrame: a client whose first frame is not a
 // hello — SQL text, as the removed v1 protocol sent — gets exactly one
 // E frame and a closed connection.
 func TestNonHandshakeFirstFrame(t *testing.T) {
@@ -1073,43 +1077,55 @@ func TestShowWorkersWithoutMembership(t *testing.T) {
 }
 
 // cannedBackend answers "n" with the first n of its rows, synchronously:
-// what a session costs is then the frontend's, and repeats exactly.
+// what a session costs is then the frontend's, and repeats exactly. The
+// rows enter the stream batch rows at a time; all at once when batch is 0.
 type cannedBackend struct {
 	fakeBackend
-	rows []sqlengine.Row
+	rows  []sqlengine.Row
+	batch int
 }
 
 func (b *cannedBackend) Submit(_ context.Context, sql string, _ czar.Options) (*czar.Query, error) {
-	var n int
-	if _, err := fmt.Sscan(sql, &n); err != nil {
+	n, err := strconv.Atoi(sql) // not fmt: its pools allocate when the goroutine changes P
+	if err != nil {
 		return nil, err
 	}
 	q, feed := czar.NewQueryHandle(1, sql, core.Interactive)
 	feed.SetColumns("id", "x", "name")
-	feed.Push(b.rows[:n]...)
+	for rows := b.rows[:n]; len(rows) > 0; {
+		k := len(rows)
+		if b.batch > 0 {
+			k = min(k, b.batch)
+		}
+		feed.Push(rows[:k]...)
+		rows = rows[k:]
+	}
 	feed.Finish(&sqlengine.Result{Cols: []string{"id", "x", "name"}}, nil)
 	return q, nil
 }
 
-// TestRowLoopAllocBudget: a session's row loop forwards each row as the
-// bytes the stream holds — length prefix, tag, row — and allocates nothing
-// for it: twice the rows, the same allocations.
+// TestRowLoopAllocBudget: a session's row loop forwards each batch of the
+// row stream as one row frame — length prefix, tag and row count, then the
+// bytes the stream holds — and allocates nothing for it: twice the rows,
+// the same allocations; four batches, four row frames.
 func TestRowLoopAllocBudget(t *testing.T) {
-	b := &cannedBackend{rows: make([]sqlengine.Row, 4000)}
-	for i := range b.rows {
-		b.rows[i] = sqlengine.Row{int64(i), float64(i) / 3, fmt.Sprint("row ", i)}
+	rows := make([]sqlengine.Row, 4000)
+	for i := range rows {
+		rows[i] = sqlengine.Row{int64(i), float64(i) / 3, fmt.Sprint("row ", i)}
 	}
-	s := &Server{backends: []Backend{b}, adm: newAdmission(0, 0, 0)}
 	var kill atomic.Pointer[context.CancelCauseFunc]
+	run := func(b Backend, w *bufio.Writer, sql string) {
+		s := &Server{backends: []Backend{b}, adm: newAdmission(0, 0, 0)}
+		if !s.runQuery(context.Background(), w, "u", sql, &kill) {
+			t.Fatal("session failed")
+		}
+	}
 	var out countingWriter
 	w := bufio.NewWriter(&out)
-	session := func(rows int) float64 {
-		sql := fmt.Sprint(rows)
-		return testing.AllocsPerRun(10, func() {
-			if !s.runV2Query(context.Background(), w, "u", sql, &kill) {
-				t.Fatal("session failed")
-			}
-		})
+	canned := &cannedBackend{rows: rows}
+	session := func(n int) float64 {
+		sql := strconv.Itoa(n)
+		return testing.AllocsPerRun(10, func() { run(canned, w, sql) })
 	}
 	few, many := session(2000), session(4000)
 	if few != many {
@@ -1118,9 +1134,213 @@ func TestRowLoopAllocBudget(t *testing.T) {
 	if out.bytes < 4000 {
 		t.Fatalf("%d bytes written: the rows did not stream", out.bytes)
 	}
+
+	var wire bytes.Buffer
+	w = bufio.NewWriter(&wire)
+	run(&cannedBackend{rows: rows, batch: 500}, w, "2000")
+	var tags []byte
+	for r := bufio.NewReader(&wire); ; {
+		f, err := readFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || len(f) == 0 {
+			t.Fatalf("reading the session back: %q, %v", f, err)
+		}
+		tags = append(tags, f[0])
+	}
+	if string(tags) != "CRRRRD" {
+		t.Errorf("a session of four 500-row batches wrote frames %q, want CRRRRD", tags)
+	}
 }
 
 // countingWriter discards, and counts the bytes.
 type countingWriter struct{ bytes int }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.bytes += len(p); return len(p), nil }
+
+// replay is a Stream over what a server wrote after the column header —
+// row frames, then D or E — with no socket underneath.
+func replay(wire []byte, cols []string) *Stream {
+	c := &Client{conn: closedConn{}, r: bufio.NewReader(bytes.NewReader(wire))}
+	c.mu.Lock()
+	return &Stream{c: c, cols: cols}
+}
+
+// closedConn is the connection of a replayed stream: closing it, as a
+// failed stream does, does nothing.
+type closedConn struct{ net.Conn }
+
+func (closedConn) Close() error { return nil }
+
+// recordSession renders what a server writes after the column header for
+// a stream of batches: each batch's row frames at the frame limit given,
+// then D.
+func recordSession(t testing.TB, limit int, batches ...[]sqlengine.Row) []byte {
+	t.Helper()
+	var wire bytes.Buffer
+	w := bufio.NewWriter(&wire)
+	rows := 0
+	for _, batch := range batches {
+		b, err := rowcodec.EncodeBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeBatch(w, b, limit); err != nil {
+			t.Fatal(err)
+		}
+		rows += b.Len()
+	}
+	if err := writeFrame(w, encodeDone(int64(rows), DoneStats{})); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	return wire.Bytes()
+}
+
+// TestClientDecodeAllocBudget: the client decodes a row frame into one
+// slab of cells and hands rows out of it — no row slice and no frame
+// buffer per row — so a frame of twice the rows allocates more only by the
+// numeric cells it boxes.
+func TestClientDecodeAllocBudget(t *testing.T) {
+	cols := []string{"objectId", "ra_PS", "decl_PS"}
+	drain := func(n int) float64 {
+		rows := make([]sqlengine.Row, n)
+		for i := range rows { // every cell boxes: no integer below 256, no zero
+			rows[i] = sqlengine.Row{int64(1000 + i), 10 + float64(i)/float64(n), -1 - float64(i)/float64(n)}
+		}
+		wire := recordSession(t, maxFrame, rows)
+		return testing.AllocsPerRun(10, func() {
+			st := replay(wire, cols)
+			got := 0
+			for _, ok := st.Next(); ok; _, ok = st.Next() {
+				got++
+			}
+			if st.Err() != nil || got != n || st.RowCount() != int64(n) {
+				t.Fatalf("decoded %d rows of %d (trailer %d): %v", got, n, st.RowCount(), st.Err())
+			}
+		})
+	}
+	few, many := drain(2000), drain(4000)
+	if boxes := float64(2000 * len(cols)); many-few > boxes {
+		t.Errorf("%.0f allocations to decode 2000 rows, %.0f for 4000: %.0f more than the %.0f boxed cells",
+			few, many, many-few-boxes, boxes)
+	}
+}
+
+// TestBatchFrameSplitsAtLimit: a batch whose frame would exceed the limit
+// leaves in several frames, cut at row boundaries, each within the limit;
+// the client reads every row once, in order, and as many as the trailer
+// counts. A row that does not fit in a frame of its own is an error.
+func TestBatchFrameSplitsAtLimit(t *testing.T) {
+	rows := make([]sqlengine.Row, 100)
+	for i := range rows {
+		rows[i] = sqlengine.Row{int64(i), strings.Repeat("x", i%17), nil}
+	}
+	const limit = 200
+	wire := recordSession(t, limit, rows)
+	frames := 0
+	for r := bufio.NewReader(bytes.NewReader(wire)); ; frames++ {
+		f, err := readFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f) > limit {
+			t.Errorf("frame %d is %d bytes, over the %d-byte limit", frames, len(f), limit)
+		}
+		if f[0] == tagDone {
+			break
+		}
+	}
+	if frames < 10 {
+		t.Errorf("100 rows of about 20 bytes left in %d frames of at most %d bytes", frames, limit)
+	}
+	st := replay(wire, []string{"id", "s", "n"})
+	var got []sqlengine.Row
+	for row, ok := st.Next(); ok; row, ok = st.Next() {
+		got = append(got, row)
+	}
+	if st.Err() != nil || st.RowCount() != int64(len(got)) || len(got) != len(rows) {
+		t.Fatalf("read %d rows of %d, trailer counts %d: %v", len(got), len(rows), st.RowCount(), st.Err())
+	}
+	for i, row := range got {
+		if row[0] != rows[i][0] || row[1] != rows[i][1] || row[2] != nil {
+			t.Fatalf("row %d = %v, want %v", i, row, rows[i])
+		}
+	}
+
+	b, _ := rowcodec.EncodeBatch(rows[16:17]) // 16 x's: 22 bytes with the cells' tags
+	if err := writeBatch(bufio.NewWriter(io.Discard), b, 20); err == nil || !strings.Contains(err.Error(), "exceeds the frame limit") {
+		t.Errorf("a row over the frame limit: %v", err)
+	}
+}
+
+// TestOldHandshakeRefused: a client of an older protocol version gets one
+// E frame naming the version this server speaks, then a close.
+func TestOldHandshakeRefused(t *testing.T) {
+	b := newEngineBackend(t)
+	s := serve(t, Config{}, b)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w := bufio.NewWriter(conn)
+	if err := writeFrame(w, []byte("\x02QSV2\x00alice\x00LSST")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	f, err := readFrame(r)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if want := fmt.Sprintf("version %d", hsVersion); len(f) == 0 || f[0] != tagErr || !strings.Contains(string(f[1:]), want) {
+		t.Fatalf("refusal frame = %q, want an E frame naming %s", f, want)
+	}
+	if _, err := readFrame(r); err != io.EOF {
+		t.Fatalf("after the E frame: %v, want EOF", err)
+	}
+	if b.calls.Load() != 0 {
+		t.Fatalf("backend ran %d statements for a refused client", b.calls.Load())
+	}
+}
+
+// BenchmarkStreamDecode prices the client's side of an HV2 answer: 94 row
+// frames, one per chunk result, of 250 rows of nine numeric columns each,
+// read, decoded and handed out row by row by a Stream — in ns and
+// allocations per row. `make bench-layers` runs it.
+func BenchmarkStreamDecode(b *testing.B) {
+	const chunks, perChunk = 94, 250
+	cols := []string{"objectId", "ra_PS", "decl_PS", "uFlux_PS", "gFlux_PS", "rFlux_PS", "iFlux_PS", "zFlux_PS", "yFlux_PS"}
+	batches := make([][]sqlengine.Row, chunks)
+	for i := range batches {
+		batches[i] = make([]sqlengine.Row, perChunk)
+		for j := range batches[i] {
+			f := 1e-28 * float64(1+j%97)
+			batches[i][j] = sqlengine.Row{int64(1000 + i*perChunk + j), 10 + float64(j%49)/25, float64(j%51)/25 - 1,
+				f, 2 * f, 3 * f, 4 * f, 5 * f, 6 * f}
+		}
+	}
+	wire := recordSession(b, maxFrame, batches...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		st := replay(wire, cols)
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
+			rows++
+		}
+		if st.Err() != nil || st.RowCount() != chunks*perChunk {
+			b.Fatalf("trailer %d: %v", st.RowCount(), st.Err())
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/row")
+}

@@ -3,8 +3,10 @@ package frontend
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 )
 
@@ -17,11 +19,13 @@ import (
 
 func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})           // 4 GiB length claim
-	f.Add([]byte{0x04, 0x00, 0x00, 0x00})           // 64 MiB + 1 boundary
-	f.Add([]byte{0, 0, 0, 0})                       // empty frame
-	f.Add([]byte{0, 0, 0, 9, 'Q', 'S', 'E', 'L'})   // length exceeds bytes present
-	f.Add([]byte{0, 0, 0, 2, 'P', 'x', 0, 0, 0, 1}) // trailing second frame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // 4 GiB length claim
+	f.Add([]byte{0x04, 0x00, 0x00, 0x00})             // 64 MiB + 1 boundary
+	f.Add([]byte{0, 0, 0, 0})                         // empty frame
+	f.Add([]byte{0, 0, 0, 9, 'Q', 'S', 'E', 'L'})     // length exceeds bytes present
+	f.Add([]byte{0, 0, 0, 2, 'P', 'x', 0, 0, 0, 1})   // trailing second frame
+	f.Add([]byte{0, 0, 0, 6, 'R', 2, 1, 'n', 1, 'n'}) // a row frame: two one-cell rows
+	f.Add([]byte{0, 0, 0, 4, 'R', 0xff, 0xff, 0x7f})  // a row frame whose count outruns it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -47,17 +51,18 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte("SELECT 1")) // no version byte: not a handshake
 	f.Add(encodeHandshake("alice", "LSST"))
 	f.Add(encodeHandshake("", ""))
-	f.Add([]byte{hsVersion2})           // version byte, nothing else
-	f.Add([]byte("\x02QSVX\x00u\x00d")) // wrong magic
-	f.Add([]byte("\x02QSV2no-separator"))
-	f.Add([]byte("\x02QSV2\x00only-user"))       // missing db separator
-	f.Add([]byte("\x02QSV2\x00u\x00d\x00extra")) // NUL inside db
+	f.Add([]byte{hsVersion})            // version byte, nothing else
+	f.Add([]byte("\x03QSVX\x00u\x00d")) // wrong magic
+	f.Add([]byte("\x03QSV3no-separator"))
+	f.Add([]byte("\x03QSV3\x00only-user"))       // missing db separator
+	f.Add([]byte("\x03QSV3\x00u\x00d\x00extra")) // NUL inside db
+	f.Add([]byte("\x02QSV2\x00u\x00d"))          // an older version's hello
 	f.Fuzz(func(t *testing.T, data []byte) {
 		user, db, err := parseHandshake(data)
 		if err != nil {
 			return
 		}
-		if data[0] != hsVersion2 {
+		if data[0] != hsVersion {
 			t.Fatalf("accepted a first frame without the version byte: %q", data)
 		}
 		u2, d2, err := parseHandshake(encodeHandshake(user, db))
@@ -96,39 +101,46 @@ func FuzzColsDecode(f *testing.F) {
 	})
 }
 
-func FuzzRowDecode(f *testing.F) {
-	valid, err := appendRowFrame(nil, []sqlengine.Value{int64(7), nil, "x", -0.5})
+// batchBody is a row frame's body (tag stripped) for rows as the server
+// writes them: the count, then the rows' bytes.
+func batchBody(tb testing.TB, rows ...sqlengine.Row) []byte {
+	b, err := rowcodec.EncodeBatch(rows)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(valid[1:], uint8(4))
-	f.Add(valid[1:], uint8(3))                                 // width differs from the header
-	f.Add(valid[1:len(valid)-1], uint8(4))                     // truncated last cell
-	f.Add(append(valid[1:len(valid):len(valid)], 0), uint8(4)) // a second row in the frame
-	f.Add([]byte{}, uint8(0))                                  // no width varint at all
-	f.Add([]byte{0}, uint8(0))                                 // the empty row
-	f.Add([]byte{0xff, 0xff, 0x7f, 'i'}, uint8(1))             // width exceeds frame
-	f.Add([]byte{1, 'z'}, uint8(1))                            // bad cell tag inside a row
+	return append(binary.AppendUvarint(nil, uint64(b.Len())), b.Data...)
+}
+
+func FuzzBatchDecode(f *testing.F) {
+	valid := batchBody(f, sqlengine.Row{int64(7), nil, "x", -0.5}, sqlengine.Row{int64(8), 1.5, "", nil})
+	f.Add(valid, uint8(4))
+	f.Add(valid, uint8(3))                                    // width differs from the header
+	f.Add(valid[:len(valid)-1], uint8(4))                     // truncated last cell
+	f.Add(append(valid[:len(valid):len(valid)], 0), uint8(4)) // a third row past the count
+	f.Add([]byte{}, uint8(0))                                 // no count varint at all
+	f.Add([]byte{0}, uint8(0))                                // zero rows
+	f.Add([]byte{3, 0, 0, 0}, uint8(0))                       // three empty rows
+	f.Add([]byte{1, 0xff, 0xff, 0x7f, 'i'}, uint8(1))         // width exceeds frame
+	f.Add([]byte{1, 1, 'z'}, uint8(1))                        // bad cell tag inside a row
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
-		var box sqlengine.Boxer
-		row, err := decodeRow(data, int(ncols), &box)
+		slab, n, err := decodeBatch(data, int(ncols))
 		if err != nil {
 			return
 		}
-		if len(row) != int(ncols) {
-			t.Fatalf("accepted row has %d values, want %d", len(row), ncols)
+		if len(slab) != n*int(ncols) {
+			t.Fatalf("accepted %d rows of %d values in %d cells", n, ncols, len(slab))
 		}
-		frame, err := appendRowFrame(nil, row)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted row failed: %v", err)
+		rows := make([]sqlengine.Row, n)
+		for i := range rows {
+			rows[i] = slab[i*int(ncols) : (i+1)*int(ncols)]
 		}
-		again, err := decodeRow(frame[1:], len(row), &box)
-		if err != nil {
-			t.Fatalf("re-decoding an accepted row failed: %v", err)
+		again, m, err := decodeBatch(batchBody(t, rows...), int(ncols))
+		if err != nil || m != n {
+			t.Fatalf("re-decoding %d accepted rows: %d rows, %v", n, m, err)
 		}
-		for i := range row {
-			if sqlengine.FormatValue(row[i]) != sqlengine.FormatValue(again[i]) {
-				t.Fatalf("row round trip diverged at %d: %v -> %v", i, row[i], again[i])
+		for i := range slab {
+			if sqlengine.FormatValue(slab[i]) != sqlengine.FormatValue(again[i]) {
+				t.Fatalf("batch round trip diverged at cell %d: %v -> %v", i, slab[i], again[i])
 			}
 		}
 	})

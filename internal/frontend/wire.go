@@ -1,14 +1,15 @@
 // Package frontend is the connection-scale SQL frontend of the system:
 // the tier between "any client" and the czar's session API (the role
 // the MySQL Proxy plays in paper section 5.4, rebuilt for streaming and
-// admission control). It serves one streaming wire protocol, v2: the
-// client's first frame is a handshake (version byte 0x02 + magic + user
-// + database) — any other first frame gets one E frame and a close —
-// and every subsequent exchange is row-count-free:
+// admission control). It serves one streaming wire protocol: the
+// client's first frame is a handshake (version byte 0x03 + magic + user
+// + database) — any other first frame, an older version's hello among
+// them, gets one E frame and a close — and every subsequent exchange is
+// row-count-free:
 //
 //	client:  Q <sql>                     (also K = kill in-flight, P = ping)
 //	server:  C <ncols> <name>...         column header — sent at plan time
-//	         R <row>                     one frame per row, as rows merge
+//	         R <nrows> <row>...          a batch of rows, as rows merge
 //	         ...
 //	         D <nrows>    on success, or
 //	         E <message>  on failure — legal INSTEAD OF C, or mid-stream
@@ -21,10 +22,10 @@
 // without costing the connection.
 //
 // This file is the codec: framing, the handshake, and the column/row/
-// trailer frames. A row frame's body is one row in the cell encoding
-// of package rowcodec, the same bytes a worker's result stream and an
-// ingest batch carry. Every decoder treats its input as hostile (the
-// fuzz targets in fuzz_test.go hold them to that).
+// trailer frames. A row frame's body is a row count and that many rows
+// in the cell encoding of package rowcodec, the same bytes a worker's
+// result stream and an ingest batch carry. Every decoder treats its input
+// as hostile (the fuzz targets in fuzz_test.go hold them to that).
 package frontend
 
 import (
@@ -33,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
@@ -53,15 +55,21 @@ const (
 	tagErr   = 'E'
 )
 
-// hsVersion2 is the version byte opening a v2 handshake frame.
-const hsVersion2 = 0x02
-
-// hsMagic follows the version byte, guarding against a binary client
-// of some other protocol that happens to lead with 0x02.
-var hsMagic = []byte("QSV2")
+// hsVersion is the version byte opening a handshake frame, and hsMagic
+// follows it, guarding against a binary client of some other protocol
+// that happens to lead with the same byte. The magic's last character is
+// the version's digit; hsReply is the server's answer to a hello it
+// takes. A hello of another version leads with hsFamily all the same,
+// which is how it is told from a frame that is no hello at all.
+const (
+	hsVersion = 0x03
+	hsFamily  = "QSV"
+	hsMagic   = hsFamily + "3"
+	hsReply   = "OK3"
+)
 
 // writeFrame writes one length-prefixed frame. The four header bytes are
-// put together in the writer's own buffer: a row frame allocates nothing.
+// put together in the writer's own buffer: nothing is allocated.
 func writeFrame(w *bufio.Writer, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("frontend: frame of %d bytes exceeds limit", len(data))
@@ -99,11 +107,11 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// encodeHandshake renders the v2 client hello: version byte, magic,
-// then NUL-separated user and database.
+// encodeHandshake renders the client hello: version byte, magic, then
+// NUL-separated user and database.
 func encodeHandshake(user, db string) []byte {
 	b := make([]byte, 0, 1+len(hsMagic)+2+len(user)+len(db))
-	b = append(b, hsVersion2)
+	b = append(b, hsVersion)
 	b = append(b, hsMagic...)
 	b = append(b, 0)
 	b = append(b, user...)
@@ -113,31 +121,28 @@ func encodeHandshake(user, db string) []byte {
 }
 
 // parseHandshake parses a connection's first frame, which must be a
-// well-formed v2 hello (version byte, magic, separators); a client
-// sending anything else gets an error and the connection closes.
+// well-formed hello of this version (version byte, magic, separators); a
+// client sending anything else gets an error and the connection closes. A
+// hello of another version is told so, by number.
 func parseHandshake(b []byte) (user, db string, err error) {
-	if len(b) == 0 || b[0] != hsVersion2 {
-		return "", "", fmt.Errorf("frontend: first frame is not a v2 handshake")
+	if len(b) > len(hsMagic) && b[0] != hsVersion && string(b[1:1+len(hsFamily)]) == hsFamily {
+		return "", "", fmt.Errorf("frontend: handshake of protocol version %d; this server speaks version %d only", b[0], hsVersion)
+	}
+	if len(b) == 0 || b[0] != hsVersion {
+		return "", "", fmt.Errorf("frontend: first frame is not a handshake")
 	}
 	rest := b[1:]
-	if len(rest) < len(hsMagic)+2 || !bytes.Equal(rest[:len(hsMagic)], hsMagic) {
-		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
+	if len(rest) < len(hsMagic)+2 || string(rest[:len(hsMagic)]) != hsMagic || rest[len(hsMagic)] != 0 {
+		return "", "", fmt.Errorf("frontend: malformed handshake")
 	}
-	rest = rest[len(hsMagic):]
-	if rest[0] != 0 {
-		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
-	}
-	userBytes, dbBytes, ok := bytes.Cut(rest[1:], []byte{0})
-	if !ok {
-		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
-	}
-	if bytes.IndexByte(dbBytes, 0) >= 0 {
-		return "", "", fmt.Errorf("frontend: malformed v2 handshake")
+	userBytes, dbBytes, ok := bytes.Cut(rest[len(hsMagic)+1:], []byte{0})
+	if !ok || bytes.IndexByte(dbBytes, 0) >= 0 {
+		return "", "", fmt.Errorf("frontend: malformed handshake")
 	}
 	return string(userBytes), string(dbBytes), nil
 }
 
-// encodeCols renders the v2 column-header frame: tag, column count,
+// encodeCols renders the column-header frame: tag, column count,
 // then each name length-prefixed.
 func encodeCols(cols []string) []byte {
 	b := make([]byte, 0, 16)
@@ -178,55 +183,95 @@ func decodeCols(b []byte) ([]string, error) {
 	return cols, nil
 }
 
-// appendRowFrame appends one row frame to dst: tag, then the row in
-// the rowcodec encoding (which leads with its own width).
-func appendRowFrame(dst []byte, row []sqlengine.Value) ([]byte, error) {
-	return rowcodec.AppendRow(append(dst, tagRow), row)
-}
-
-// writeRowFrame writes the frame of a row that is already encoded: length
-// prefix, tag, the row's bytes. Nothing is assembled and nothing
-// allocated: the five bytes ahead of the row are built in the writer's own
-// buffer.
-func writeRowFrame(w *bufio.Writer, row []byte) error {
-	const head = 4 + 1 // length prefix, tag
-	n := len(row) + 1
-	if n > maxFrame {
-		return fmt.Errorf("frontend: frame of %d bytes exceeds limit", n)
-	}
-	if w.Available() < head {
-		if err := w.Flush(); err != nil {
+// writeBatch writes a batch of encoded rows as row frames: length prefix,
+// tag and row count, built in the writer's own buffer, then the rows'
+// bytes as the batch holds them — nothing is decoded, assembled or
+// allocated. A batch whose frame would exceed limit is cut at row
+// boundaries into as many frames as it takes; a single row that does not
+// fit in a frame of its own is an error.
+func writeBatch(w *bufio.Writer, b rowcodec.Batch, limit int) error {
+	for first := 0; first < b.Len(); {
+		start, end := b.Offset(first), first
+		for end < b.Len() && frameLen(end+1-first, b.Offset(end+1)-start) <= limit {
+			end++
+		}
+		if end == first {
+			return fmt.Errorf("frontend: row of %d bytes exceeds the frame limit", len(b.Row(first)))
+		}
+		const head = 4 + 1 + binary.MaxVarintLen64 // length prefix, tag, row count
+		if w.Available() < head {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(frameLen(end-first, b.Offset(end)-start)))
+		if _, err := w.Write(binary.AppendUvarint(append(hdr, tagRow), uint64(end-first))); err != nil {
 			return err
 		}
+		if _, err := w.Write(b.Data[start:b.Offset(end)]); err != nil {
+			return err
+		}
+		first = end
 	}
-	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(n))
-	if _, err := w.Write(append(hdr, tagRow)); err != nil {
-		return err
-	}
-	_, err := w.Write(row)
-	return err
+	return nil
 }
 
-// decodeRow parses a row frame body (tag already stripped): exactly one
-// row, of the ncols values the preceding column header declared — a
-// row frame of the wrong width is an error, not a short row. box is the
-// stream's decoder sink, reused frame after frame; the row returned is
-// the caller's.
-func decodeRow(b []byte, ncols int, box *sqlengine.Boxer) ([]sqlengine.Value, error) {
-	box.Rows = box.Rows[:0]
-	next, err := rowcodec.Decode(b, 0, box)
-	if err != nil {
-		return nil, fmt.Errorf("frontend: bad row frame: %w", err)
+// frameLen is the length of a row frame holding nrows rows in size bytes:
+// tag, row count, rows.
+func frameLen(nrows, size int) int { return 1 + (bits.Len64(uint64(nrows)|1)+6)/7 + size }
+
+// decodeBatch parses a row frame body (tag already stripped): a row count,
+// then exactly that many rows of the ncols values the preceding column
+// header declared — a row of the wrong width is an error, not a short
+// row, and so are bytes after the last row. The count is held against the
+// bytes present before anything is allocated from it: every row costs at
+// least its width byte and a tag byte per cell. The cells of every row
+// are cut from one slab, returned with the row count; each row is the
+// caller's own.
+func decodeBatch(b []byte, ncols int) (slab []sqlengine.Value, nrows int, err error) {
+	n, taken := binary.Uvarint(b)
+	if taken <= 0 {
+		return nil, 0, fmt.Errorf("frontend: bad row count")
 	}
-	row := box.Rows[0]
-	if next != len(b) {
-		return nil, fmt.Errorf("frontend: %d trailing bytes after row", len(b)-next)
+	b = b[taken:]
+	if n > uint64(len(b))/(1+uint64(ncols)) {
+		return nil, 0, fmt.Errorf("frontend: %d rows of %d values claimed in %d bytes", n, ncols, len(b))
 	}
-	if len(row) != ncols {
-		return nil, fmt.Errorf("frontend: row of %d values, header declared %d", len(row), ncols)
+	box := slabSink{slab: make([]sqlengine.Value, int(n)*ncols), ncols: ncols}
+	pos := 0
+	for i := 0; i < int(n); i++ {
+		if pos, err = rowcodec.Decode(b, pos, &box); err != nil {
+			return nil, 0, fmt.Errorf("frontend: bad row %d of %d: %w", i, n, err)
+		}
 	}
-	return row, nil
+	if pos != len(b) {
+		return nil, 0, fmt.Errorf("frontend: %d trailing bytes after %d rows", len(b)-pos, n)
+	}
+	return box.slab, int(n), nil
 }
+
+// slabSink is the Sink decodeBatch boxes into: rows of the declared width
+// only, each cut from the slab where the last one ended.
+type slabSink struct {
+	slab  []sqlengine.Value
+	ncols int
+	row   []sqlengine.Value // the row being decoded
+	next  int               // where the next row starts in slab
+}
+
+func (s *slabSink) BeginRow(ncols int) error {
+	if ncols != s.ncols {
+		return fmt.Errorf("row of %d values, header declared %d", ncols, s.ncols)
+	}
+	s.row = s.slab[s.next : s.next+ncols]
+	s.next += ncols
+	return nil
+}
+
+func (s *slabSink) Null(col int) error             { return nil }
+func (s *slabSink) Int(col int, v int64) error     { s.row[col] = v; return nil }
+func (s *slabSink) Float(col int, v float64) error { s.row[col] = v; return nil }
+func (s *slabSink) Str(col int, v []byte) error    { s.row[col] = string(v); return nil }
 
 // DoneStats are the per-query accounting figures riding the success
 // trailer: appended as optional uvarints after the row count, so an

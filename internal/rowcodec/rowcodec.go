@@ -12,8 +12,9 @@
 // the cells: package ingest (the /load and /repl batches and the
 // chunkstore segment files made of them), package dump (a worker's
 // chunk-query result stream), and package frontend (the client
-// protocol's row frame). The bytes are the ones the ingest batch has
-// always written, so stored segments never need rewriting.
+// protocol's row frame, a count and a batch of rows). The bytes are the
+// ones the ingest batch has always written, so stored segments never need
+// rewriting.
 //
 // Both directions go through one cell visitor, sqlengine.Sink (Sink here).
 // There is one decoder, Decode: it hands each cell to a Sink as the type
@@ -204,12 +205,15 @@ type Batch struct {
 func (b Batch) Len() int { return len(b.Ends) }
 
 // Row returns the encoding of row i.
-func (b Batch) Row(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = b.Ends[i-1]
+func (b Batch) Row(i int) []byte { return b.Data[b.Offset(i):b.Ends[i]] }
+
+// Offset is where row i starts in Data; Offset(Len()) is where the last
+// row ends.
+func (b Batch) Offset(i int) int {
+	if i == 0 {
+		return 0
 	}
-	return b.Data[start:b.Ends[i]]
+	return b.Ends[i-1]
 }
 
 // Size is the memory the batch holds.

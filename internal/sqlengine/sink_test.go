@@ -44,7 +44,7 @@ func TestSinkMatchesBoxed(t *testing.T) {
 		if !reflect.DeepEqual(res.Cols, boxed.Cols) || !reflect.DeepEqual(res.Types, boxed.Types) || res.Stats != boxed.Stats {
 			t.Errorf("%s:\n boxed %v %v %+v\n  sink %v %v %+v", sql, boxed.Cols, boxed.Types, boxed.Stats, res.Cols, res.Types, res.Stats)
 		}
-		if got, want := w.Frame("r", res.Schema()), dump.Dump("r", boxed); !bytes.Equal(got, []byte(want)) {
+		if got, want := w.Frame("r", res.Schema(), 0), dump.Dump("r", boxed); !bytes.Equal(got, []byte(want)) {
 			t.Errorf("%s:\n the sink's stream %q\n Dump of the rows  %q", sql, got, want)
 		}
 	}

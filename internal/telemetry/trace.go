@@ -210,14 +210,15 @@ const trailerMagic = "\x00QTRACE2"
 // subtree is three levels deep, and the bytes are the worker's to forge.
 const maxSpanDepth = 32
 
-// AppendTrailer returns data with spans appended as a trace trailer; an
-// empty span list returns data unchanged.
+// AppendTrailer appends spans to data as a trace trailer and returns the
+// result, as append does: in place when data has room past its length,
+// which the caller gives up to it. An empty span list returns data
+// unchanged.
 func AppendTrailer(data []byte, spans []*Span) []byte {
 	if len(spans) == 0 {
 		return data
 	}
-	out := make([]byte, 0, len(data)+64*len(spans)+16)
-	out = appendSpans(append(out, data...), spans)
+	out := appendSpans(data, spans)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(out)-len(data)))
 	return append(out, trailerMagic...)
 }

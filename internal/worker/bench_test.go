@@ -2,7 +2,10 @@ package worker
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -175,4 +178,52 @@ func BenchmarkNearNeighbourJob(b *testing.B) {
 	reps := w.Reports()
 	b.ReportMetric(float64(parsed-parsed0)/float64(b.N), "parsed/job")
 	b.ReportMetric(float64(reps[len(reps)-1].Stats.PairsConsidered), "pairs/job")
+}
+
+// TestChunkResultCopiedOnce: between the buffer a traced job's statements
+// write their rows into and the bytes it ships, the rows are copied once —
+// into the framed stream, which leaves room for the span trailer to go on
+// in place. What the job allocates is that stream and a constant, not the
+// stream twice over.
+func TestChunkResultCopiedOnce(t *testing.T) {
+	cfg := DefaultConfig("w-copy")
+	cfg.Trace = true
+	w, chunk, _ := nearNeighbourFixtureOf(t, cfg, 10000, 0.02)
+	payload := []byte(fmt.Sprintf("SELECT * FROM LSST.Object_%d;", chunk))
+	job := func() []byte {
+		if err := w.HandleWrite(xrd.QueryPath(int(chunk)), payload); err != nil {
+			t.Fatal(err)
+		}
+		out, err := w.HandleRead(xrd.ResultPath(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// A job that misses the pool of row buffers grows its buffer from
+	// nothing, which is not what is measured here: a collection would empty
+	// the pool, a job on another P than the last finds another P's slot
+	// (one P), and the race detector drops a quarter of what is put back
+	// (the least of eight jobs is the one measured).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	job()
+	var out []byte
+	alloc := uint64(math.MaxUint64)
+	for range 8 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out = job()
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	stream, spans := telemetry.ExtractTrailer(out)
+	if len(spans) == 0 || len(stream) < 1<<20 {
+		t.Fatalf("a %d-byte result with %d spans: want a traced result of over a MiB", len(stream), len(spans))
+	}
+	const constant = 64 << 10
+	if alloc > uint64(len(out)+constant) {
+		t.Errorf("a traced job shipping %d bytes (%d of them the trailer) allocated %d: over the result and %d bytes",
+			len(out), len(out)-len(stream), alloc, constant)
+	}
 }

@@ -74,6 +74,12 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 // and the czar renders the query's spans without its subtree).
 func (w *Worker) SetTrace(on bool) { w.traceOn.Store(on) }
 
+// trailerRoom is what a traced job's result stream leaves free past its
+// end for the span trailer jobSpans makes, beside the worker's name: three
+// spans and their attributes encode in under 200 bytes. A trailer that
+// outgrows it costs a copy of the stream, nothing else.
+const trailerRoom = 256
+
 // jobSpans builds the shipped span subtree for one executed job. The
 // spans reconstruct from the job's recorded timestamps (not live
 // clocks), so the tree is exact regardless of when it is serialized.

@@ -754,8 +754,13 @@ func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 		return nil, run.stats, fmt.Errorf("worker %s: empty chunk query", w.cfg.Name)
 	}
 	// The table name encodes the hash, so streams from many chunks stay
-	// tellable apart.
-	return run.out.Frame("r_"+j.hash[:16], run.schema), run.stats, nil
+	// tellable apart. A traced job's span trailer goes on the end of the
+	// stream in place, into room left for it: the rows are copied once.
+	room := 0
+	if w.traceEnabled() {
+		room = trailerRoom + len(w.cfg.Name)
+	}
+	return run.out.Frame("r_"+j.hash[:16], run.schema, room), run.stats, nil
 }
 
 // jobRun is one execution of a chunk query's statements.

@@ -25,7 +25,7 @@ func startFrontend(t testing.TB, cl *Cluster, cfg FrontendConfig) *Frontend {
 }
 
 // TestFrontendDriverMatchesOracle runs real queries through the full
-// stack — database/sql driver, protocol v2, frontend, czar, workers —
+// stack — database/sql driver, wire protocol, frontend, czar, workers —
 // and checks the answers against the single-node oracle.
 func TestFrontendDriverMatchesOracle(t *testing.T) {
 	cl, oracle := shared(t)
