@@ -115,6 +115,7 @@ fuzz-smoke:
 
 # The deployed system from its real binaries: two qserv-workers and a
 # qserv-czar at replication 2, the catalog ingested over TCP, a client's
-# COUNT(*) checked against the czar's ingest log, both /metrics linted.
+# COUNT(*) checked against the czar's ingest log, SHOW WORKERS and SHOW
+# PROCESSLIST answered over TCP, both /metrics linted.
 daemon-smoke:
 	GO=$(GO) bash scripts/daemon-smoke.sh

@@ -11,17 +11,17 @@
 // in-flight query server-side (worker scan slots free) without ending
 // the session.
 //
-// Besides SQL, the frontend answers the query-management commands of
-// the paper's section 5: `SHOW PROCESSLIST;` lists in-flight queries
-// (id, czar, scheduling class, age, chunk progress) and `KILL <id>;`
-// cancels one — the kill propagates down to the workers' scan lanes.
-// The availability subsystem is observable the same way: `SHOW
-// WORKERS;` lists per-worker health (alive / suspect / dead,
+// Besides SELECT, the czar answers the query-management statements of
+// the paper's section 5, as it does in process: `SHOW PROCESSLIST;` lists
+// in-flight queries (id, scheduling class, age, chunk progress) and
+// `KILL <id>;` cancels one — the kill propagates down to the workers'
+// scan lanes. The availability subsystem is observable the same way:
+// `SHOW WORKERS;` lists per-worker health (alive / suspect / dead,
 // consecutive misses, chunk counts) and `SHOW REPAIRS;` the
 // replication manager's progress and the placement epoch; `SHOW
-// FRONTEND;` reports admission-control pressure (active/queued/shed
-// sessions); `SHOW CACHE;` the czar result cache's counters (hits,
-// misses, bytes, evictions, stamp invalidations).
+// CACHE;` the czar result cache's counters (hits, misses, bytes,
+// evictions, stamp invalidations). The frontend itself answers `SHOW
+// FRONTEND;`: admission-control pressure (active/queued/shed sessions).
 package main
 
 import (
@@ -148,8 +148,7 @@ func runQuery(client *frontend.Client, sql string) {
 }
 
 // statsFooter renders the per-statement accounting the Done frame
-// carries (empty against servers that predate the trailer stats, and
-// for admin commands, which never touch a worker).
+// carries (empty for SHOW FRONTEND, which never reaches the czar).
 func statsFooter(st frontend.DoneStats) string {
 	if st.ElapsedNS == 0 && st.Chunks == 0 && st.BytesMerged == 0 {
 		return ""

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frontend"
 	"repro/internal/sqlparse"
 	"repro/internal/worker"
 )
@@ -327,24 +328,61 @@ func TestDocsNameExperimentsThatExist(t *testing.T) {
 
 // TestDocsRunStatementsThatExist: every statement README.md,
 // docs/ARCHITECTURE.md and the build-and-run notes show — in backticks, or
-// as a `qserv-sql -e` argument — is one the system answers: a SHOW the
-// frontend answers, KILL, EXPLAIN, or a SELECT that parses (one holding a
-// placeholder, `…` or `<x>`, is checked by its first word only). None is a
-// statement that writes: SELECT is the one statement the dialect has. Every
-// SHOW the frontend answers is named in README.md.
+// as a `qserv-sql -e` argument — is one the system answers: a SHOW of the
+// czar's statement table or the frontend's SHOW FRONTEND, KILL, EXPLAIN, or
+// a SELECT that parses (one holding a placeholder, `…` or `<x>`, is
+// checked by its first word only). None is a statement that writes: SELECT
+// is the one statement the dialect has. Every SHOW that is answered is
+// named in README.md, and every SHOW shown without a placeholder answers
+// on a one-worker cluster: through Cluster.Query, SHOW FRONTEND through a
+// served frontend.
 func TestDocsRunStatementsThatExist(t *testing.T) {
 	var shows []string
-	for _, m := range regexp.MustCompile(`EqualFold\(fields\[1\], "([A-Z]+)"\)`).FindAllStringSubmatch(readDoc(t, "internal/frontend/frontend.go"), -1) {
+	for _, m := range regexp.MustCompile(`words: "SHOW ([A-Z]+)"`).FindAllStringSubmatch(readDoc(t, "internal/czar/manage.go"), -1) {
 		shows = append(shows, m[1])
 	}
 	if len(shows) < 5 {
-		t.Fatalf("read %d SHOW statements off internal/frontend/frontend.go", len(shows))
+		t.Fatalf("read %d SHOW statements off internal/czar/manage.go", len(shows))
 	}
+	if !regexp.MustCompile(`EqualFold\([^;]*"SHOW"\) && [^;]*"FRONTEND"\)`).MatchString(readDoc(t, "internal/frontend/frontend.go")) {
+		t.Fatal("internal/frontend/frontend.go does not answer SHOW FRONTEND")
+	}
+	shows = append(shows, "FRONTEND")
 	readme := readDoc(t, "README.md")
 	for _, show := range shows {
 		if !strings.Contains(readme, "SHOW "+show) {
-			t.Errorf("README.md does not name SHOW %s, which the frontend answers", show)
+			t.Errorf("README.md does not name SHOW %s, which is answered", show)
 		}
+	}
+
+	cl, err := NewCluster(DefaultClusterConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.CreateTables(LSSTSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Query("SELECT COUNT(*) FROM Object"); err != nil { // a finished query for SHOW PROFILE
+		t.Fatal(err)
+	}
+	fe, err := cl.ServeFrontend("127.0.0.1:0", FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	client, err := frontend.Dial(fe.Addr(), "docs", "LSST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	answers := func(text string) error {
+		if strings.EqualFold(strings.Join(strings.Fields(text), " "), "SHOW FRONTEND") {
+			_, _, err := wireQuery(client, text)
+			return err
+		}
+		_, err := cl.Query(text)
+		return err
 	}
 
 	statement := regexp.MustCompile("`((?:SHOW|KILL|EXPLAIN|SELECT|CREATE|INSERT|DROP|UPDATE|DELETE|ALTER)\\b[^`]*)`|-e \"([^\"<]+)\"")
@@ -359,7 +397,9 @@ func TestDocsRunStatementsThatExist(t *testing.T) {
 			switch strings.ToUpper(fields[0]) {
 			case "SHOW":
 				if len(fields) < 2 || !slices.Contains(shows, strings.ToUpper(fields[1])) && fields[1] != "…" {
-					t.Errorf("%s shows `%s`, a SHOW the frontend does not answer", name, text)
+					t.Errorf("%s shows `%s`, a SHOW that is not answered", name, text)
+				} else if err := answers(text); err != nil && !placeholder {
+					t.Errorf("%s shows `%s`, which does not answer: %v", name, text, err)
 				}
 			case "KILL", "EXPLAIN":
 			case "SELECT":

@@ -5,7 +5,6 @@ import (
 	"database/sql"
 	"database/sql/driver"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/czar"
 	"repro/internal/frontend"
-	"repro/internal/member"
-	"repro/internal/qcache"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
 )
@@ -27,9 +24,6 @@ type engineBackend struct {
 	seq    atomic.Int64
 	// hook, when set, drives the session instead of the engine.
 	hook func(sql string, feed *czar.QueryFeed)
-
-	mu      sync.Mutex
-	running map[int64]*czar.Query
 }
 
 func newEngineBackend(t *testing.T) *engineBackend {
@@ -42,14 +36,11 @@ func newEngineBackend(t *testing.T) *engineBackend {
 	}
 	db, _ := e.Database("LSST")
 	db.Put(tbl)
-	return &engineBackend{engine: e, running: map[int64]*czar.Query{}}
+	return &engineBackend{engine: e}
 }
 
 func (b *engineBackend) Submit(ctx context.Context, sql string, opts czar.Options) (*czar.Query, error) {
 	q, feed := czar.NewQueryHandle(b.seq.Add(1), sql, core.Interactive)
-	b.mu.Lock()
-	b.running[q.ID()] = q
-	b.mu.Unlock()
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -58,11 +49,6 @@ func (b *engineBackend) Submit(ctx context.Context, sql string, opts czar.Option
 		}
 	}()
 	go func() {
-		defer func() {
-			b.mu.Lock()
-			delete(b.running, q.ID())
-			b.mu.Unlock()
-		}()
 		if b.hook != nil {
 			b.hook(sql, feed)
 			return
@@ -72,37 +58,6 @@ func (b *engineBackend) Submit(ctx context.Context, sql string, opts czar.Option
 	}()
 	return q, nil
 }
-
-func (b *engineBackend) Running() []czar.QueryInfo {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]czar.QueryInfo, 0, len(b.running))
-	for _, q := range b.running {
-		out = append(out, czar.QueryInfo{ID: q.ID(), SQL: q.SQL()})
-	}
-	return out
-}
-
-func (b *engineBackend) Kill(id int64) bool {
-	b.mu.Lock()
-	q := b.running[id]
-	b.mu.Unlock()
-	if q == nil {
-		return false
-	}
-	q.Cancel()
-	return true
-}
-
-func (b *engineBackend) ClusterStatus() (member.Status, bool) { return member.Status{}, false }
-
-func (b *engineBackend) CacheStats() (qcache.Stats, bool) { return qcache.Stats{}, false }
-
-func (b *engineBackend) MetricsText() (string, bool) { return "", false }
-
-func (b *engineBackend) Profile(id int64) (string, bool) { return "", false }
-
-func (b *engineBackend) Profiles(n int) []string { return nil }
 
 func openDB(t *testing.T, cfg frontend.Config, b frontend.Backend) *sql.DB {
 	t.Helper()

@@ -46,10 +46,6 @@ type Config struct {
 	// Name identifies this master (multiple czars can share a cluster;
 	// see the paper's section 7.6 discussion).
 	Name string
-	// MaxParallelDispatch bounds in-flight chunk queries per user query.
-	MaxParallelDispatch int
-	// MaxRetriesPerChunk bounds replica failover attempts per chunk.
-	MaxRetriesPerChunk int
 	// MergeParallelism bounds concurrent result-stream checks (and the
 	// combines they trip) czar-wide, across all in-flight user queries.
 	// 1 reproduces the paper's serialized result collection (section
@@ -65,13 +61,18 @@ type Config struct {
 // DefaultConfig returns sensible defaults.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:                name,
-		MaxParallelDispatch: 64,
-		MaxRetriesPerChunk:  3,
-		MergeParallelism:    8,
-		TopKPushdown:        true,
+		Name:             name,
+		MergeParallelism: 8,
+		TopKPushdown:     true,
 	}
 }
+
+const (
+	// maxParallelDispatch bounds in-flight chunk queries per user query.
+	maxParallelDispatch = 64
+	// maxRetriesPerChunk bounds replica failover attempts per chunk.
+	maxRetriesPerChunk = 3
+)
 
 // Czar is one master frontend.
 type Czar struct {
@@ -92,7 +93,7 @@ type Czar struct {
 
 	// membership, when installed, is the availability subsystem's view
 	// of the cluster: dispatch consults Dead to order replicas around
-	// known-dead workers, and the frontend's SHOW WORKERS reads Status.
+	// known-dead workers, and SHOW WORKERS reads Status.
 	// Without one (nil), dispatch behaves exactly as before.
 	membership Membership
 
@@ -118,12 +119,6 @@ type Czar struct {
 // New builds a czar over a cluster.
 func New(cfg Config, registry *meta.Registry, index *meta.ObjectIndex,
 	placement *meta.Placement, red *xrd.Redirector) *Czar {
-	if cfg.MaxParallelDispatch <= 0 {
-		cfg.MaxParallelDispatch = 64
-	}
-	if cfg.MaxRetriesPerChunk <= 0 {
-		cfg.MaxRetriesPerChunk = 3
-	}
 	if cfg.MergeParallelism <= 0 {
 		cfg.MergeParallelism = 8
 	}
@@ -294,7 +289,7 @@ func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
 		err     error
 	}
 	results := make(chan chunkOutcome, len(plan.Chunks))
-	sem := make(chan struct{}, c.cfg.MaxParallelDispatch)
+	sem := make(chan struct{}, maxParallelDispatch)
 	for _, chunk := range plan.Chunks {
 		go func(chunk partition.ChunkID) {
 			// The outcome is sent only after the chunk's span and window
@@ -499,7 +494,7 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 		}
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxRetriesPerChunk; attempt++ {
+	for attempt := 0; attempt < maxRetriesPerChunk; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, attempt, context.Cause(ctx)
 		}
@@ -513,8 +508,8 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 					delete(avoid, name)
 				}
 				// Restoring the skipped replicas is bookkeeping, not a
-				// dispatch: it must not consume an attempt (else
-				// MaxRetriesPerChunk=1 would fail without ever
+				// dispatch: it must not consume an attempt (else a
+				// one-attempt budget would fail without ever
 				// dispatching). skippedDead is nil now, so this branch
 				// runs at most once.
 				skippedDead = nil
@@ -561,9 +556,9 @@ func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk pa
 		lastErr = err
 		avoid[endpoint] = true
 	}
-	return nil, 0, c.cfg.MaxRetriesPerChunk, fmt.Errorf(
+	return nil, 0, maxRetriesPerChunk, fmt.Errorf(
 		"czar %s: chunk %d failed after %d attempts: %w",
-		c.cfg.Name, chunk, c.cfg.MaxRetriesPerChunk, lastErr)
+		c.cfg.Name, chunk, maxRetriesPerChunk, lastErr)
 }
 
 // qidOf renders a query's fabric-wide identity: czar name + query id.

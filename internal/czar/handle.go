@@ -12,9 +12,10 @@ import (
 // This file is the Backend seam of the frontend tier: the Submit-shaped
 // streaming entry point. A real czar's Submit returns *Query handles
 // whose columns are known at plan time and whose rows stream through
-// the merge pipeline; any other Backend implementation (a test fake, a
-// caching layer, a remote stub) mints equivalent handles with
-// NewQueryHandle and drives them through a QueryFeed.
+// the merge pipeline; the answer to a management statement, and any other
+// Backend implementation (a test fake, a caching layer, a remote stub),
+// is an equivalent handle minted with NewQueryHandle and driven through a
+// QueryFeed.
 
 // setColumns publishes the result column names exactly once; later
 // calls (e.g. finish re-reporting what plan time already published) are

@@ -378,8 +378,13 @@ func (it *RowIter) Err() error {
 // dispatch/merge pipeline in the background, returning the session
 // handle immediately. Parse and plan errors surface here; execution
 // errors surface from Wait. The context governs the whole query (not
-// just the submission): canceling it is equivalent to Cancel.
+// just the submission): canceling it is equivalent to Cancel. A
+// management statement (IsManagement) is answered here instead, and its
+// handle is already finished.
 func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, error) {
+	if st, arg := lookup(sql); st != nil {
+		return c.manage(st, arg, sql)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

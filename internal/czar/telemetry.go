@@ -91,42 +91,6 @@ type cacheStatsView struct {
 	Hits, Misses, Evictions, Invalidations, Entries, Bytes int64
 }
 
-// MetricsText renders the installed registry in Prometheus text
-// exposition format; ok is false when the czar has no registry (the
-// frontend's SHOW METRICS reports "telemetry disabled").
-func (c *Czar) MetricsText() (string, bool) {
-	if c.tel.Metrics == nil {
-		return "", false
-	}
-	return string(c.tel.Metrics.Exposition()), true
-}
-
-// Profile renders the retained trace of a finished (or in-flight)
-// query; ok is false when the id was never traced or has been evicted
-// from the ring.
-func (c *Czar) Profile(id int64) (string, bool) {
-	e := c.tel.Ring.Get(id)
-	if e == nil {
-		return "", false
-	}
-	return renderProfile(e), true
-}
-
-// Profiles lists the retained trace ids, newest first: one line per
-// query with its statement, for SHOW PROFILE without an argument.
-func (c *Czar) Profiles(n int) []string {
-	var out []string
-	for _, e := range c.tel.Ring.Recent(n) {
-		status := "ok"
-		if e.Err != "" {
-			status = "error"
-		}
-		out = append(out, fmt.Sprintf("%d  %s  %s  %s",
-			e.ID, e.Root.Duration().Round(time.Microsecond), status, e.SQL))
-	}
-	return out
-}
-
 // renderProfile renders one retained trace: a header line, then the
 // span tree.
 func renderProfile(e *telemetry.TraceEntry) string {

@@ -92,12 +92,12 @@ func TestExplainAnalyzeOracleEquivalence(t *testing.T) {
 	}
 
 	// The trace is retained for SHOW PROFILE under the query's id.
-	text, ok := cz.Profile(res.ID)
-	if !ok || !strings.Contains(text, "EXPLAIN ANALYZE") {
-		t.Fatalf("Profile(%d) = %q, %v", res.ID, text, ok)
+	prof, err := cz.Query(fmt.Sprintf("SHOW PROFILE %d", res.ID))
+	if err != nil || !strings.Contains(fmt.Sprint(prof.Rows), "EXPLAIN ANALYZE") {
+		t.Fatalf("SHOW PROFILE %d = %v, %v", res.ID, prof, err)
 	}
-	if got := cz.Profiles(8); len(got) < 2 {
-		t.Fatalf("Profiles = %v, want both queries retained", got)
+	if recent, err := cz.Query("SHOW PROFILE"); err != nil || len(recent.Rows) < 2 {
+		t.Fatalf("SHOW PROFILE = %v, %v; want both queries retained", recent, err)
 	}
 }
 

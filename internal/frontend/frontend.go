@@ -5,46 +5,26 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+	"unicode"
 
 	"repro/internal/czar"
-	"repro/internal/member"
-	"repro/internal/qcache"
 	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/telemetry"
 )
 
-// Backend is the Submit-shaped streaming entry point the frontend
-// drives: the czar's session API. *czar.Czar implements it directly;
-// test fakes mint equivalent handles with czar.NewQueryHandle.
+// Backend is the czar's session API, the one thing the frontend knows
+// of it: *czar.Czar implements it; test fakes mint equivalent handles
+// with czar.NewQueryHandle. Every statement but SHOW FRONTEND goes to
+// Submit, the czar's management statements included.
 type Backend interface {
 	// Submit starts an asynchronous query session. The context governs
 	// the whole query: canceling it kills the query end-to-end (czar
 	// registry, fabric transactions, worker scan lanes).
 	Submit(ctx context.Context, sql string, opts czar.Options) (*czar.Query, error)
-	// Running lists the backend's in-flight queries.
-	Running() []czar.QueryInfo
-	// Kill cancels an in-flight query by id.
-	Kill(id int64) bool
-	// ClusterStatus reports cluster availability; ok is false when the
-	// backend has no membership subsystem wired.
-	ClusterStatus() (member.Status, bool)
-	// CacheStats reports the backend's result-cache counters; ok is
-	// false when no result cache is installed.
-	CacheStats() (qcache.Stats, bool)
-	// MetricsText renders the backend's metrics registry in Prometheus
-	// text exposition format; ok is false when telemetry is disabled.
-	MetricsText() (string, bool)
-	// Profile renders a finished query's retained span trace; ok is
-	// false when the id was never traced or has been evicted.
-	Profile(id int64) (string, bool)
-	// Profiles lists retained trace summaries, newest first, up to n.
-	Profiles(n int) []string
 }
 
 // Config bounds the frontend's concurrency (see admission).
@@ -64,33 +44,32 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// Server serves the streaming protocol over one TCP listener, round-robining query sessions across backends (section 7.6's
-// multi-master load balancing).
+// Server serves the streaming protocol over one TCP listener in front of
+// one backend.
 type Server struct {
-	backends []Backend
-	adm      *admission
-	next     atomic.Int64
-	ln       net.Listener
-	mu       sync.Mutex
-	closed   bool
-	conns    map[net.Conn]bool
-	wg       sync.WaitGroup
+	b      Backend
+	adm    *admission
+	ln     net.Listener
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]bool
+	wg     sync.WaitGroup
 }
 
-// Serve starts a frontend on addr over one or more backends.
-func Serve(addr string, cfg Config, backends ...Backend) (*Server, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("frontend: no backends")
+// Serve starts a frontend on addr over a backend, which must not be nil.
+func Serve(addr string, cfg Config, b Backend) (*Server, error) {
+	if b == nil {
+		return nil, fmt.Errorf("frontend: no backend")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: listen: %w", err)
 	}
 	s := &Server{
-		backends: backends,
-		adm:      newAdmission(cfg.MaxSessions, cfg.PerUserSessions, cfg.SessionQueueDepth),
-		ln:       ln,
-		conns:    map[net.Conn]bool{},
+		b:     b,
+		adm:   newAdmission(cfg.MaxSessions, cfg.PerUserSessions, cfg.SessionQueueDepth),
+		ln:    ln,
+		conns: map[net.Conn]bool{},
 	}
 	s.registerMetrics(cfg.Metrics)
 	s.wg.Add(1)
@@ -169,11 +148,6 @@ func (s *Server) acceptLoop() {
 			s.mu.Unlock()
 		}()
 	}
-}
-
-// pick round-robins the next query session across backends.
-func (s *Server) pick() Backend {
-	return s.backends[int(s.next.Add(1)-1)%len(s.backends)]
 }
 
 // serveConn reads the connection's first frame, which must be a
@@ -286,12 +260,8 @@ func (s *Server) runQuery(connCtx context.Context, w *bufio.Writer, user, sql st
 		return writeFrame(w, append([]byte{tagErr}, err.Error()...)) == nil && w.Flush() == nil
 	}
 
-	// Admin commands are cheap introspection; they bypass admission so
-	// an operator can still see a saturated frontend.
-	if cols, rows, handled, err := s.admin(sql); handled {
-		if err != nil {
-			return sendErr(err)
-		}
+	if isShowFrontend(sql) {
+		cols, rows := s.showFrontend()
 		b, err := rowcodec.EncodeBatch(rows)
 		if err != nil {
 			return sendErr(err)
@@ -305,17 +275,22 @@ func (s *Server) runQuery(connCtx context.Context, w *bufio.Writer, user, sql st
 		return writeFrame(w, encodeDone(int64(len(rows)), DoneStats{})) == nil && w.Flush() == nil
 	}
 
-	if err := s.adm.acquire(user, connCtx.Done()); err != nil {
-		return sendErr(err)
+	// The czar's management statements are cheap introspection and kills;
+	// they bypass admission, as SHOW FRONTEND does, so an operator can
+	// still see and relieve a saturated frontend.
+	if !czar.IsManagement(sql) {
+		if err := s.adm.acquire(user, connCtx.Done()); err != nil {
+			return sendErr(err)
+		}
+		defer s.adm.release(user)
 	}
-	defer s.adm.release(user)
 
 	qctx, qcancel := context.WithCancelCause(connCtx)
 	defer qcancel(nil)
 	kill.Store(&qcancel)
 	defer kill.Store(nil)
 
-	q, err := s.pick().Submit(qctx, sql, czar.Options{})
+	q, err := s.b.Submit(qctx, sql, czar.Options{})
 	if err != nil {
 		return sendErr(err)
 	}
@@ -367,196 +342,30 @@ func (s *Server) runQuery(connCtx context.Context, w *bufio.Writer, user, sql st
 	return writeFrame(w, encodeDone(rows, st)) == nil && w.Flush() == nil
 }
 
-// ---------- admin commands ----------
+// ---------- SHOW FRONTEND ----------
 
-// admin intercepts the query-management commands — `SHOW PROCESSLIST`,
-// `SHOW WORKERS`, `SHOW REPAIRS`, `SHOW FRONTEND`, `SHOW METRICS`,
-// `SHOW PROFILE [<id>]`, and `KILL <id>` — before backend dispatch,
-// since they address every czar behind the frontend, not whichever the
-// round-robin lands on. handled is false for ordinary SQL.
-func (s *Server) admin(sql string) (cols []string, rows []sqlengine.Row, handled bool, err error) {
-	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch {
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "WORKERS"):
-		// Worker health comes from whichever backend has the
-		// availability subsystem wired; backends share one cluster, so
-		// the first wired view is the view.
-		st, ok := s.clusterStatus()
-		if !ok {
-			return nil, nil, true, fmt.Errorf("frontend: no availability subsystem is wired (SHOW WORKERS needs a czar with membership)")
+// isShowFrontend reports whether sql is SHOW FRONTEND, in any case and
+// spacing, with an optional ';'. It allocates nothing.
+func isShowFrontend(sql string) bool {
+	s := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	return i > 0 && strings.EqualFold(s[:i], "SHOW") && strings.EqualFold(strings.TrimSpace(s[i:]), "FRONTEND")
+}
+
+// showFrontend reports the admission controller's configuration and
+// counters: the one statement the frontend answers itself.
+func (s *Server) showFrontend() ([]string, []sqlengine.Row) {
+	st := s.adm.stats()
+	unlim := func(n int) sqlengine.Value {
+		if n <= 0 {
+			return "unlimited"
 		}
-		cols = []string{"Worker", "State", "Chunks", "Misses", "LastSeen", "LastError"}
-		for _, w := range st.Workers {
-			lastSeen := "never"
-			if !w.LastSeen.IsZero() {
-				lastSeen = time.Since(w.LastSeen).Round(time.Millisecond).String() + " ago"
-			}
-			rows = append(rows, []sqlengine.Value{
-				w.Name, w.State.String(), int64(w.Chunks), int64(w.Misses), lastSeen, w.LastErr,
-			})
-		}
-		return cols, rows, true, nil
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "REPAIRS"):
-		st, ok := s.clusterStatus()
-		if !ok {
-			return nil, nil, true, fmt.Errorf("frontend: no availability subsystem is wired (SHOW REPAIRS needs a czar with membership)")
-		}
-		cols = []string{"PlacementEpoch", "ChunksRepaired", "ChunksHealed", "ChunksPending", "TablesCopied", "BytesCopied", "LastError"}
-		rows = append(rows, []sqlengine.Value{
-			st.Epoch, int64(st.Repair.ChunksRepaired), int64(st.Repair.ChunksHealed), int64(st.Repair.ChunksPending),
-			int64(st.Repair.TablesCopied), st.Repair.BytesCopied, st.Repair.LastError,
-		})
-		return cols, rows, true, nil
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "FRONTEND"):
-		st := s.adm.stats()
-		unlim := func(n int) sqlengine.Value {
-			if n <= 0 {
-				return "unlimited"
-			}
-			return int64(n)
-		}
-		cols = []string{"MaxSessions", "PerUserSessions", "SessionQueueDepth", "Active", "Queued", "Users", "Admitted", "EverQueued", "Shed"}
-		rows = append(rows, []sqlengine.Value{
+		return int64(n)
+	}
+	return []string{"MaxSessions", "PerUserSessions", "SessionQueueDepth", "Active", "Queued", "Users", "Admitted", "EverQueued", "Shed"},
+		[]sqlengine.Row{{
 			unlim(st.MaxSessions), unlim(st.PerUser), int64(st.QueueDepth),
 			int64(st.Active), int64(st.Queued), int64(st.Users),
 			st.Admitted, st.EverQueued, st.Shed,
-		})
-		return cols, rows, true, nil
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "CACHE"):
-		// One row per cache-enabled backend: each czar owns a private
-		// result cache, so counters are per-czar, not cluster-global.
-		cols = []string{"Czar", "Hits", "Misses", "HitRate", "Entries", "Bytes", "MaxBytes", "Evictions", "Invalidations", "Epoch"}
-		for bi, b := range s.backends {
-			cs, ok := b.CacheStats()
-			if !ok {
-				continue
-			}
-			rate := "0%"
-			if lookups := cs.Hits + cs.Misses; lookups > 0 {
-				rate = fmt.Sprintf("%.1f%%", 100*float64(cs.Hits)/float64(lookups))
-			}
-			rows = append(rows, []sqlengine.Value{
-				int64(bi), cs.Hits, cs.Misses, rate, int64(cs.Entries),
-				cs.Bytes, cs.MaxBytes, cs.Evictions, cs.Invalidations, cs.Epoch,
-			})
-		}
-		if len(rows) == 0 {
-			return nil, nil, true, fmt.Errorf("frontend: no result cache is enabled (SHOW CACHE needs a czar with ResultCacheBytes > 0)")
-		}
-		return cols, rows, true, nil
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "METRICS"):
-		// One row per exposition line; backends typically share one
-		// cluster-wide registry, so the first wired backend's view is
-		// the view.
-		for _, b := range s.backends {
-			text, ok := b.MetricsText()
-			if !ok {
-				continue
-			}
-			cols = []string{"Metric"}
-			for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-				rows = append(rows, []sqlengine.Value{line})
-			}
-			return cols, rows, true, nil
-		}
-		return nil, nil, true, fmt.Errorf("frontend: telemetry is disabled (SHOW METRICS needs a czar with a metrics registry)")
-	case (len(fields) == 2 || len(fields) == 3) && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "PROFILE"):
-		if len(fields) == 2 {
-			// Without an id: list the retained traces, newest first.
-			cols = []string{"RecentQueries"}
-			for _, b := range s.backends {
-				for _, line := range b.Profiles(32) {
-					rows = append(rows, []sqlengine.Value{line})
-				}
-			}
-			if len(rows) == 0 {
-				return nil, nil, true, fmt.Errorf("frontend: no retained traces (SHOW PROFILE needs tracing enabled and at least one finished query)")
-			}
-			return cols, rows, true, nil
-		}
-		id, perr := strconv.ParseInt(fields[2], 10, 64)
-		if perr != nil {
-			return nil, nil, true, fmt.Errorf("frontend: bad SHOW PROFILE id %q", fields[2])
-		}
-		for _, b := range s.backends {
-			text, ok := b.Profile(id)
-			if !ok {
-				continue
-			}
-			cols = []string{"Profile"}
-			for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-				rows = append(rows, []sqlengine.Value{line})
-			}
-			return cols, rows, true, nil
-		}
-		return nil, nil, true, fmt.Errorf("frontend: no retained trace for query %d (evicted, never traced, or telemetry disabled)", id)
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "PROCESSLIST"):
-		cols = []string{"Id", "Czar", "Class", "Time", "Chunks", "Rows", "Info"}
-		for bi, b := range s.backends {
-			for _, qi := range b.Running() {
-				rows = append(rows, []sqlengine.Value{
-					qi.ID,
-					int64(bi),
-					qi.Class.String(),
-					time.Since(qi.Started).Round(time.Millisecond).String(),
-					fmt.Sprintf("%d/%d", qi.ChunksCompleted, qi.ChunksTotal),
-					qi.RowsMerged,
-					qi.SQL,
-				})
-			}
-		}
-		return cols, rows, true, nil
-	case len(fields) == 2 && strings.EqualFold(fields[0], "KILL"):
-		// Czar-local query ids can collide across backends; an
-		// explicit `KILL <czar>:<id>` targets one backend, and a bare
-		// id is honored only when exactly one backend runs it.
-		if czarStr, idStr, qualified := strings.Cut(fields[1], ":"); qualified {
-			bi, berr := strconv.Atoi(czarStr)
-			id, perr := strconv.ParseInt(idStr, 10, 64)
-			if berr != nil || perr != nil || bi < 0 || bi >= len(s.backends) {
-				return nil, nil, true, fmt.Errorf("frontend: bad KILL target %q", fields[1])
-			}
-			if !s.backends[bi].Kill(id) {
-				return nil, nil, true, fmt.Errorf("frontend: no query %d on czar %d", id, bi)
-			}
-			return []string{"killed"}, []sqlengine.Row{{id}}, true, nil
-		}
-		id, perr := strconv.ParseInt(fields[1], 10, 64)
-		if perr != nil {
-			return nil, nil, true, fmt.Errorf("frontend: bad KILL id %q", fields[1])
-		}
-		var owners []int
-		for bi, b := range s.backends {
-			for _, qi := range b.Running() {
-				if qi.ID == id {
-					owners = append(owners, bi)
-					break
-				}
-			}
-		}
-		switch len(owners) {
-		case 0:
-			return nil, nil, true, fmt.Errorf("frontend: no such query %d", id)
-		case 1:
-			if !s.backends[owners[0]].Kill(id) {
-				return nil, nil, true, fmt.Errorf("frontend: no such query %d", id)
-			}
-			return []string{"killed"}, []sqlengine.Row{{id}}, true, nil
-		default:
-			return nil, nil, true, fmt.Errorf(
-				"frontend: query id %d is running on %d czars; use KILL <czar>:%d (czar column of SHOW PROCESSLIST)",
-				id, len(owners), id)
-		}
-	}
-	return nil, nil, false, nil
-}
-
-// clusterStatus returns the first backend's availability view.
-func (s *Server) clusterStatus() (member.Status, bool) {
-	for _, b := range s.backends {
-		if st, ok := b.ClusterStatus(); ok {
-			return st, true
-		}
-	}
-	return member.Status{}, false
+		}}
 }

@@ -17,8 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/czar"
-	"repro/internal/member"
-	"repro/internal/qcache"
 	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
@@ -30,25 +28,15 @@ import (
 // strike, without a cluster underneath.
 type fakeBackend struct {
 	handler func(sql string, feed *czar.QueryFeed)
-
-	mu      sync.Mutex
-	nextID  int64
-	running map[int64]*czar.Query
+	nextID  atomic.Int64
 }
 
 func newFakeBackend(handler func(sql string, feed *czar.QueryFeed)) *fakeBackend {
-	return &fakeBackend{handler: handler, running: map[int64]*czar.Query{}}
+	return &fakeBackend{handler: handler}
 }
 
 func (f *fakeBackend) Submit(ctx context.Context, sql string, opts czar.Options) (*czar.Query, error) {
-	f.mu.Lock()
-	f.nextID++
-	id := f.nextID
-	f.mu.Unlock()
-	q, feed := czar.NewQueryHandle(id, sql, core.Interactive)
-	f.mu.Lock()
-	f.running[id] = q
-	f.mu.Unlock()
+	q, feed := czar.NewQueryHandle(f.nextID.Add(1), sql, core.Interactive)
 	// Bridge the submission context into the handle, as a real czar's
 	// Submit does: canceling ctx kills the session.
 	go func() {
@@ -58,47 +46,9 @@ func (f *fakeBackend) Submit(ctx context.Context, sql string, opts czar.Options)
 		case <-feed.Context().Done():
 		}
 	}()
-	go func() {
-		defer func() {
-			f.mu.Lock()
-			delete(f.running, id)
-			f.mu.Unlock()
-		}()
-		f.handler(sql, feed)
-	}()
+	go f.handler(sql, feed)
 	return q, nil
 }
-
-func (f *fakeBackend) Running() []czar.QueryInfo {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]czar.QueryInfo, 0, len(f.running))
-	for _, q := range f.running {
-		out = append(out, czar.QueryInfo{ID: q.ID(), SQL: q.SQL(), Class: q.Class(), Started: q.Started()})
-	}
-	return out
-}
-
-func (f *fakeBackend) Kill(id int64) bool {
-	f.mu.Lock()
-	q := f.running[id]
-	f.mu.Unlock()
-	if q == nil {
-		return false
-	}
-	q.Cancel()
-	return true
-}
-
-func (f *fakeBackend) ClusterStatus() (member.Status, bool) { return member.Status{}, false }
-
-func (f *fakeBackend) CacheStats() (qcache.Stats, bool) { return qcache.Stats{}, false }
-
-func (f *fakeBackend) MetricsText() (string, bool) { return "", false }
-
-func (f *fakeBackend) Profile(id int64) (string, bool) { return "", false }
-
-func (f *fakeBackend) Profiles(n int) []string { return nil }
 
 // echoHandler answers every query with a fixed two-column result.
 func echoHandler(sql string, feed *czar.QueryFeed) {
@@ -516,37 +466,6 @@ func TestV2AdminCommands(t *testing.T) {
 		t.Fatalf("SHOW FRONTEND row = %v, want MaxSessions=8 Active=1", row)
 	}
 	st.Close()
-
-	st, err = admin.Query(context.Background(), "SHOW PROCESSLIST")
-	if err != nil {
-		t.Fatalf("SHOW PROCESSLIST: %v", err)
-	}
-	var n int
-	var id int64
-	for {
-		row, ok := st.Next()
-		if !ok {
-			break
-		}
-		id = row[0].(int64)
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("PROCESSLIST rows = %d, want 1", n)
-	}
-
-	st, err = admin.Query(context.Background(), fmt.Sprintf("KILL %d", id))
-	if err != nil {
-		t.Fatalf("KILL: %v", err)
-	}
-	st.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(b.Running()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("killed query still running")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func TestV2BadHandshake(t *testing.T) {
@@ -665,110 +584,11 @@ func TestV2DoneStatsOnStream(t *testing.T) {
 	}
 }
 
-// telemetryBackend is a fakeBackend with a metrics registry and
-// retained traces wired, for the SHOW METRICS / SHOW PROFILE paths.
-type telemetryBackend struct {
-	*fakeBackend
-	metrics  string
-	profiles map[int64]string
-}
-
-func (b *telemetryBackend) MetricsText() (string, bool) { return b.metrics, b.metrics != "" }
-
-func (b *telemetryBackend) Profile(id int64) (string, bool) {
-	text, ok := b.profiles[id]
-	return text, ok
-}
-
-func (b *telemetryBackend) Profiles(n int) []string {
-	var out []string
-	for id := range b.profiles {
-		out = append(out, fmt.Sprintf("#%d trace", id))
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-func TestShowMetricsAndProfile(t *testing.T) {
-	b := &telemetryBackend{
-		fakeBackend: newFakeBackend(echoHandler),
-		metrics:     "# TYPE qserv_czar_queries_total counter\nqserv_czar_queries_total 5\n",
-		profiles:    map[int64]string{7: "q7 SELECT ...\n  czar merge  1ms"},
-	}
-	s := serve(t, Config{}, b)
-	c := dial(t, s, "op")
-
-	collect := func(sql string) ([]string, error) {
-		st, err := c.Query(context.Background(), sql)
-		if err != nil {
-			return nil, err
-		}
-		var lines []string
-		for {
-			row, ok := st.Next()
-			if !ok {
-				break
-			}
-			lines = append(lines, row[0].(string))
-		}
-		return lines, st.Err()
-	}
-
-	lines, err := collect("SHOW METRICS")
-	if err != nil {
-		t.Fatalf("SHOW METRICS: %v", err)
-	}
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "# TYPE qserv_czar_queries_total") {
-		t.Fatalf("SHOW METRICS rows = %q", lines)
-	}
-
-	lines, err = collect("SHOW PROFILE")
-	if err != nil {
-		t.Fatalf("SHOW PROFILE: %v", err)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "#7") {
-		t.Fatalf("SHOW PROFILE rows = %q", lines)
-	}
-
-	lines, err = collect("SHOW PROFILE 7")
-	if err != nil {
-		t.Fatalf("SHOW PROFILE 7: %v", err)
-	}
-	if len(lines) != 2 || !strings.Contains(lines[1], "czar merge") {
-		t.Fatalf("SHOW PROFILE 7 rows = %q", lines)
-	}
-
-	if _, err := collect("SHOW PROFILE 99"); err == nil {
-		t.Fatalf("SHOW PROFILE 99: expected no-retained-trace error")
-	}
-	if _, err := collect("SHOW PROFILE abc"); err == nil {
-		t.Fatalf("SHOW PROFILE abc: expected bad-id error")
-	}
-
-	// A backend without telemetry wired refuses with a pointed error.
-	s2 := serve(t, Config{}, newFakeBackend(echoHandler))
-	c2 := dial(t, s2, "op")
-	st, err := c2.Query(context.Background(), "SHOW METRICS")
-	if err == nil {
-		st.Close()
-		t.Fatalf("SHOW METRICS without telemetry: expected error")
-	}
-}
-
-// ---------- multi-backend and admin behaviour ----------
-
 // engineBackend is a fakeBackend answering real SQL from a local
-// engine, with a canned process list and availability snapshot, for
-// the behaviours that span several czars behind one frontend.
+// engine.
 type engineBackend struct {
 	*fakeBackend
-	calls  atomic.Int64
-	killed atomic.Int64
-
-	listed []czar.QueryInfo
-	status *member.Status
+	calls atomic.Int64
 }
 
 func newEngineBackend(t *testing.T) *engineBackend {
@@ -789,25 +609,6 @@ func newEngineBackend(t *testing.T) *engineBackend {
 	return b
 }
 
-func (b *engineBackend) Running() []czar.QueryInfo { return b.listed }
-
-func (b *engineBackend) Kill(id int64) bool {
-	for _, qi := range b.listed {
-		if qi.ID == id {
-			b.killed.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-func (b *engineBackend) ClusterStatus() (member.Status, bool) {
-	if b.status == nil {
-		return member.Status{}, false
-	}
-	return *b.status, true
-}
-
 // queryAll runs one statement to completion.
 func queryAll(c *Client, sql string) (cols []string, rows [][]sqlengine.Value, err error) {
 	st, err := c.Query(context.Background(), sql)
@@ -824,19 +625,9 @@ func queryAll(c *Client, sql string) (cols []string, rows [][]sqlengine.Value, e
 	return st.Cols(), rows, st.Err()
 }
 
-func serveBackends(t *testing.T, backends ...Backend) *Client {
-	t.Helper()
-	s, err := Serve("127.0.0.1:0", Config{}, backends...)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return dial(t, s, "alice")
-}
-
 func TestServeRequiresBackend(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", Config{}); err == nil {
-		t.Error("no backends should fail")
+	if _, err := Serve("127.0.0.1:0", Config{}, nil); err == nil {
+		t.Error("a nil backend should be refused")
 	}
 }
 
@@ -844,7 +635,7 @@ func TestServeRequiresBackend(t *testing.T) {
 // a real engine result survive the row frame, and a failed statement
 // leaves the connection usable.
 func TestEveryValueKindOverTheWire(t *testing.T) {
-	c := serveBackends(t, newEngineBackend(t))
+	c := dial(t, serve(t, Config{}, newEngineBackend(t)), "alice")
 	cols, rows, err := queryAll(c, "SELECT objectId, ra_PS, note FROM Object ORDER BY objectId")
 	if err != nil {
 		t.Fatal(err)
@@ -901,24 +692,6 @@ func TestNonHandshakeFirstFrame(t *testing.T) {
 	}
 }
 
-func TestLoadBalancingAcrossCzars(t *testing.T) {
-	// Section 7.6: "launch multiple master instances ... some logic in
-	// the MySQL proxy to load-balance between different Qserv masters."
-	b1, b2 := newEngineBackend(t), newEngineBackend(t)
-	c := serveBackends(t, b1, b2)
-	for i := 0; i < 10; i++ {
-		if _, _, err := queryAll(c, "SELECT COUNT(*) FROM Object"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b1.calls.Load() == 0 || b2.calls.Load() == 0 {
-		t.Errorf("load not balanced: %d vs %d", b1.calls.Load(), b2.calls.Load())
-	}
-	if b1.calls.Load()+b2.calls.Load() != 10 {
-		t.Errorf("total calls = %d", b1.calls.Load()+b2.calls.Load())
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	s := serve(t, Config{}, newEngineBackend(t))
 	var wg sync.WaitGroup
@@ -953,134 +726,10 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestShowProcesslistAndKillAcrossCzars: PROCESSLIST unions every
-// backend, KILL finds the owning backend, unknown ids error.
-func TestShowProcesslistAndKillAcrossCzars(t *testing.T) {
-	b1, b2 := newEngineBackend(t), newEngineBackend(t)
-	b1.listed = []czar.QueryInfo{{ID: 3, SQL: "SELECT 1 FROM Object", Started: time.Now()}}
-	b2.listed = []czar.QueryInfo{{ID: 8, SQL: "SELECT 2 FROM Object", Started: time.Now()}}
-	c := serveBackends(t, b1, b2)
-
-	cols, rows, err := queryAll(c, "SHOW PROCESSLIST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("processlist rows = %d, want 2", len(rows))
-	}
-	if cols[0] != "Id" || rows[0][0] != int64(3) || rows[1][0] != int64(8) {
-		t.Errorf("processlist content: %v %v", cols, rows)
-	}
-	// The czar column distinguishes the backends.
-	if rows[0][1] == rows[1][1] {
-		t.Errorf("both queries attributed to one czar: %v", rows)
-	}
-	// Case-insensitive, trailing semicolon tolerated.
-	if _, rows, err = queryAll(c, "show processlist;"); err != nil || len(rows) != 2 {
-		t.Fatalf("lowercase processlist: %v %v", rows, err)
-	}
-
-	if _, rows, err = queryAll(c, "KILL 8"); err != nil {
-		t.Fatal(err)
-	} else if rows[0][0] != int64(8) {
-		t.Errorf("kill result: %v", rows)
-	}
-	if b2.killed.Load() != 1 || b1.killed.Load() != 0 {
-		t.Errorf("kill routed wrong: b1=%d b2=%d", b1.killed.Load(), b2.killed.Load())
-	}
-	if _, _, err := queryAll(c, "KILL 99"); err == nil {
-		t.Error("killing an unknown id should error")
-	}
-	if _, _, err := queryAll(c, "KILL abc"); err == nil {
-		t.Error("non-numeric KILL id should error")
-	}
-	// Plain SQL still flows after admin commands on the same conn.
-	if _, rows, err := queryAll(c, "SELECT COUNT(*) FROM Object"); err != nil || rows[0][0] != int64(3) {
-		t.Fatalf("SQL after admin: %v %v", rows, err)
-	}
-}
-
-// TestKillAmbiguousAcrossCzars: colliding czar-local ids force the
-// qualified KILL <czar>:<id> form.
-func TestKillAmbiguousAcrossCzars(t *testing.T) {
-	b1, b2 := newEngineBackend(t), newEngineBackend(t)
-	b1.listed = []czar.QueryInfo{{ID: 4, SQL: "SELECT a", Started: time.Now()}}
-	b2.listed = []czar.QueryInfo{{ID: 4, SQL: "SELECT b", Started: time.Now()}}
-	c := serveBackends(t, b1, b2)
-
-	if _, _, err := queryAll(c, "KILL 4"); err == nil || !strings.Contains(err.Error(), "KILL <czar>:4") {
-		t.Fatalf("ambiguous bare KILL should instruct qualification, got %v", err)
-	}
-	if b1.killed.Load()+b2.killed.Load() != 0 {
-		t.Fatal("ambiguous KILL killed something")
-	}
-	_, rows, err := queryAll(c, "KILL 1:4")
-	if err != nil || rows[0][0] != int64(4) {
-		t.Fatalf("qualified KILL: %v %v", rows, err)
-	}
-	if b1.killed.Load() != 0 || b2.killed.Load() != 1 {
-		t.Errorf("qualified KILL routed wrong: b1=%d b2=%d", b1.killed.Load(), b2.killed.Load())
-	}
-	if _, _, err := queryAll(c, "KILL 9:4"); err == nil {
-		t.Error("out-of-range czar index should error")
-	}
-	if _, _, err := queryAll(c, "KILL 0:99"); err == nil {
-		t.Error("unknown id on named czar should error")
-	}
-}
-
-// TestShowWorkers: the availability snapshot renders one row per
-// worker, served from the first backend that has a membership wired.
-func TestShowWorkers(t *testing.T) {
-	noStatus := newEngineBackend(t)
-	withStatus := newEngineBackend(t)
-	withStatus.status = &member.Status{
-		Epoch: 7,
-		Workers: []member.WorkerStatus{
-			{Name: "worker-000", State: member.StateAlive, Chunks: 12, LastSeen: time.Now()},
-			{Name: "worker-001", State: member.StateDead, Chunks: 0, Misses: 5, LastErr: "offline"},
-		},
-		Repair: member.RepairProgress{ChunksRepaired: 3, TablesCopied: 6, BytesCopied: 4096},
-	}
-	c := serveBackends(t, noStatus, withStatus)
-
-	_, rows, err := queryAll(c, "SHOW WORKERS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("SHOW WORKERS rows = %d, want 2", len(rows))
-	}
-	if rows[0][0] != "worker-000" || rows[0][1] != "alive" || rows[0][2] != int64(12) {
-		t.Errorf("row 0 = %v", rows[0])
-	}
-	if rows[1][1] != "dead" || rows[1][3] != int64(5) || rows[1][5] != "offline" {
-		t.Errorf("row 1 = %v", rows[1])
-	}
-
-	_, rep, err := queryAll(c, "SHOW REPAIRS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep[0][0] != int64(7) || rep[0][1] != int64(3) || rep[0][2] != int64(0) || rep[0][5] != int64(4096) {
-		t.Errorf("SHOW REPAIRS = %v", rep[0])
-	}
-}
-
-// TestShowWorkersWithoutMembership: a frontend over membership-less
-// backends reports a clear error rather than an empty table.
-func TestShowWorkersWithoutMembership(t *testing.T) {
-	c := serveBackends(t, newEngineBackend(t))
-	if _, _, err := queryAll(c, "SHOW WORKERS"); err == nil || !strings.Contains(err.Error(), "availability") {
-		t.Fatalf("SHOW WORKERS without membership: %v", err)
-	}
-}
-
 // cannedBackend answers "n" with the first n of its rows, synchronously:
 // what a session costs is then the frontend's, and repeats exactly. The
 // rows enter the stream batch rows at a time; all at once when batch is 0.
 type cannedBackend struct {
-	fakeBackend
 	rows  []sqlengine.Row
 	batch int
 }
@@ -1115,7 +764,7 @@ func TestRowLoopAllocBudget(t *testing.T) {
 	}
 	var kill atomic.Pointer[context.CancelCauseFunc]
 	run := func(b Backend, w *bufio.Writer, sql string) {
-		s := &Server{backends: []Backend{b}, adm: newAdmission(0, 0, 0)}
+		s := &Server{b: b, adm: newAdmission(0, 0, 0)}
 		if !s.runQuery(context.Background(), w, "u", sql, &kill) {
 			t.Fatal("session failed")
 		}

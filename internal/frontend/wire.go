@@ -1,7 +1,9 @@
 // Package frontend is the connection-scale SQL frontend of the system:
 // the tier between "any client" and the czar's session API (the role
 // the MySQL Proxy plays in paper section 5.4, rebuilt for streaming and
-// admission control). It serves one streaming wire protocol: the
+// admission control). It carries every statement to the czar's Submit,
+// SHOW and KILL included, and answers one itself: SHOW FRONTEND, its own
+// admission counters. It serves one streaming wire protocol: the
 // client's first frame is a handshake (version byte 0x03 + magic + user
 // + database) — any other first frame, an older version's hello among
 // them, gets one E frame and a close — and every subsequent exchange is

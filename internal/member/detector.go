@@ -20,7 +20,7 @@ type State int
 const (
 	// StateAlive: the last probe succeeded.
 	StateAlive State = iota
-	// StateSuspect: at least SuspectAfter consecutive probes missed;
+	// StateSuspect: at least suspectAfter consecutive probes missed;
 	// the worker may be slow or partitioned. Dispatch still uses it.
 	StateSuspect
 	// StateDead: at least DeadAfter consecutive probes missed. Dispatch
@@ -78,30 +78,23 @@ func (p FabricPinger) Ping(ctx context.Context, worker string) error {
 type DetectorConfig struct {
 	// Interval is the probe period (default 200ms).
 	Interval time.Duration
-	// Timeout bounds one whole probe round (default 2s).
-	Timeout time.Duration
-	// SuspectAfter is the consecutive-miss threshold for suspect
-	// (default 1).
-	SuspectAfter int
 	// DeadAfter is the consecutive-miss threshold for dead (default 3).
 	DeadAfter int
 }
+
+const (
+	// probeTimeout bounds one whole probe round.
+	probeTimeout = 2 * time.Second
+	// suspectAfter is the consecutive-miss threshold for suspect.
+	suspectAfter = 1
+)
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.Interval <= 0 {
 		c.Interval = 200 * time.Millisecond
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter
 	}
 	return c
 }
@@ -192,7 +185,7 @@ func (d *Detector) loop() {
 		case <-d.stop:
 			return
 		case <-t.C:
-			ctx, done := context.WithTimeout(context.Background(), d.cfg.Timeout)
+			ctx, done := context.WithTimeout(context.Background(), probeTimeout)
 			d.Probe(ctx)
 			done()
 		}
@@ -249,7 +242,7 @@ func (d *Detector) Probe(ctx context.Context) {
 					h.deadSince = time.Now()
 				}
 				h.state = StateDead
-			case h.misses >= d.cfg.SuspectAfter:
+			case h.misses >= suspectAfter:
 				h.state = StateSuspect
 			}
 		}

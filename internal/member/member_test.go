@@ -41,7 +41,7 @@ func (p *scriptPinger) Ping(_ context.Context, worker string) error {
 
 func TestDetectorTransitions(t *testing.T) {
 	p := &scriptPinger{}
-	d := NewDetector(DetectorConfig{SuspectAfter: 1, DeadAfter: 3}, p)
+	d := NewDetector(DetectorConfig{DeadAfter: 3}, p)
 	d.Watch("a", "b")
 
 	var mu sync.Mutex

@@ -17,12 +17,6 @@ import (
 type RepairConfig struct {
 	// Factor is the replication factor repair restores.
 	Factor int
-	// OpTimeout bounds each fabric transaction of a copy (default 30s).
-	OpTimeout time.Duration
-	// SweepInterval is the periodic placement-vs-health audit period
-	// (default 5s); health transitions and CheckNow kick an immediate
-	// sweep on top of it.
-	SweepInterval time.Duration
 	// Tables names the partitioned tables whose chunk tables a repair
 	// copies: the cluster supplies every ingested partitioned table.
 	Tables func() []string
@@ -50,15 +44,17 @@ type RepairConfig struct {
 	DeadGrace time.Duration
 }
 
+const (
+	// repairOpTimeout bounds each fabric transaction of a copy.
+	repairOpTimeout = 30 * time.Second
+	// sweepInterval is the periodic placement-vs-health audit period;
+	// health transitions and CheckNow kick an immediate sweep on top of it.
+	sweepInterval = 5 * time.Second
+)
+
 func (c RepairConfig) withDefaults() RepairConfig {
 	if c.Factor < 1 {
 		c.Factor = 1
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 30 * time.Second
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = 5 * time.Second
 	}
 	return c
 }
@@ -163,7 +159,7 @@ func (r *Repairer) Progress() RepairProgress {
 
 func (r *Repairer) loop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.SweepInterval)
+	t := time.NewTicker(sweepInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -357,7 +353,7 @@ func (r *Repairer) holderHasChunk(h string, c partition.ChunkID) bool {
 	}
 	inv, fetched := r.invCache[h]
 	if !fetched {
-		ctx, done := context.WithTimeout(context.Background(), r.cfg.OpTimeout)
+		ctx, done := context.WithTimeout(context.Background(), repairOpTimeout)
 		data, err := r.client.ReadFrom(ctx, h, xrd.InventoryPath)
 		done()
 		if err == nil {
@@ -434,7 +430,7 @@ func (r *Repairer) copyChunk(source, target string, c partition.ChunkID) error {
 		tables = r.cfg.Tables()
 	}
 	for _, tbl := range tables {
-		ctx, done := context.WithTimeout(context.Background(), r.cfg.OpTimeout)
+		ctx, done := context.WithTimeout(context.Background(), repairOpTimeout)
 		n, err := CopyVerified(ctx, r.client, source, target, xrd.ReplPath(tbl, int(c)))
 		done()
 		if err != nil {

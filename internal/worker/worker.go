@@ -107,7 +107,7 @@ func DefaultConfig(name string) Config {
 		Slots:            4,
 		InteractiveSlots: 2,
 		QueueDepth:       4096,
-		ResultTimeout:    5 * time.Minute,
+		ResultTimeout:    2 * time.Minute,
 	}
 }
 

@@ -497,7 +497,7 @@ func TestShowCacheThroughFrontend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCols := []string{"Czar", "Hits", "Misses", "HitRate", "Entries", "Bytes", "MaxBytes", "Evictions", "Invalidations", "Epoch"}
+	wantCols := []string{"Hits", "Misses", "HitRate", "Entries", "Bytes", "MaxBytes", "Evictions", "Invalidations", "Epoch"}
 	if len(cols) != len(wantCols) {
 		t.Fatalf("SHOW CACHE columns = %v", cols)
 	}
@@ -517,10 +517,10 @@ func TestShowCacheThroughFrontend(t *testing.T) {
 			t.Fatal(err)
 		}
 		n++
-		if hits := asInt(t, vals[1]); hits < 1 {
+		if hits := asInt(t, vals[0]); hits < 1 {
 			t.Fatalf("SHOW CACHE hits = %d after a warmed repeat", hits)
 		}
-		if maxBytes := asInt(t, vals[6]); maxBytes != DefaultClusterConfig(1).ResultCacheBytes {
+		if maxBytes := asInt(t, vals[5]); maxBytes != DefaultClusterConfig(1).ResultCacheBytes {
 			t.Fatalf("SHOW CACHE MaxBytes = %d", maxBytes)
 		}
 	}

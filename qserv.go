@@ -82,8 +82,6 @@ type ClusterConfig struct {
 	// for interactive (index-dive) chunk queries, which never wait
 	// behind full scans.
 	InteractiveSlots int
-	// ResultTimeout bounds a single chunk-result wait.
-	ResultTimeout time.Duration
 	// MergeParallelism bounds concurrent result-stream checking (and the
 	// session combines it trips) at the czar, across all in-flight user
 	// queries. 1 reproduces the paper's serialized result collection (the
@@ -181,7 +179,6 @@ func DefaultClusterConfig(workers int) ClusterConfig {
 		},
 		WorkerSlots:      4,
 		InteractiveSlots: 2,
-		ResultTimeout:    2 * time.Minute,
 		MergeParallelism: 8,
 		TopKPushdown:     true,
 		HealthInterval:   200 * time.Millisecond,
@@ -226,9 +223,6 @@ func (c ClusterConfig) WorkerConfig(name string, metrics *telemetry.Registry) wo
 	wcfg.MemoryBudgetBytes = c.WorkerMemoryBudget
 	if c.InteractiveSlots > 0 {
 		wcfg.InteractiveSlots = c.InteractiveSlots
-	}
-	if c.ResultTimeout > 0 {
-		wcfg.ResultTimeout = c.ResultTimeout
 	}
 	wcfg.Metrics = metrics
 	wcfg.Trace = metrics != nil

@@ -2,7 +2,8 @@
 # Boots the deployed system from the real binaries — two qserv-workers and a
 # qserv-czar at replication 2 — and checks what only a deployment shows: the
 # czar ingests the catalog into remote, empty workers over the fabric, a
-# client's COUNT(*) equals the object count the czar logged at ingest, and
+# client's COUNT(*) equals the object count the czar logged at ingest, the
+# czar answers SHOW WORKERS and SHOW PROCESSLIST over TCP, and
 # both /metrics expositions are well-formed and carry every subsystem's
 # series. `make daemon-smoke` and CI run it; everything it writes goes to a
 # temporary directory.
@@ -48,6 +49,24 @@ if [ -z "$ingested" ] || [ "$ingested" != "$counted" ]; then
 	exit 1
 fi
 echo "daemon-smoke: COUNT(*) FROM Object = $counted, as ingested"
+
+# The czar answers its management statements across processes too: both
+# workers alive in SHOW WORKERS, the header of SHOW PROCESSLIST.
+workers=$("$dir/qserv-sql" -addr 127.0.0.1:7000 -e "SHOW WORKERS")
+for w in w0 w1; do
+	if ! grep -Eq "^$w[[:space:]]+alive[[:space:]]" <<<"$workers"; then
+		echo "daemon-smoke: SHOW WORKERS does not list $w alive:"
+		echo "$workers"
+		exit 1
+	fi
+done
+processlist=$("$dir/qserv-sql" -addr 127.0.0.1:7000 -e "SHOW PROCESSLIST")
+if [ "$(head -n 1 <<<"$processlist")" != "$(printf 'Id\tClass\tTime\tChunks\tRows\tInfo')" ]; then
+	echo "daemon-smoke: SHOW PROCESSLIST answered:"
+	echo "$processlist"
+	exit 1
+fi
+echo "daemon-smoke: SHOW WORKERS lists w0 and w1 alive, SHOW PROCESSLIST answers"
 
 curl -fs http://127.0.0.1:7100/metrics | "$dir/lint-metrics" -require qserv_czar_,qserv_qcache_,qserv_member_,qserv_xrd_,qserv_frontend_
 curl -fs http://127.0.0.1:7101/metrics | "$dir/lint-metrics" -require qserv_worker_,qserv_worker_statements_parsed_total,qserv_worker_statements_reused_total,qserv_worker_gang_joins_total

@@ -241,7 +241,10 @@ func (it *RowIter) Err() error { return it.inner.Err() }
 // Submit starts a query session: it returns immediately with a handle
 // once the statement is parsed and planned (errors in either surface
 // here; execution errors surface from Wait). ctx governs the whole
-// query — canceling it is equivalent to Cancel.
+// query — canceling it is equivalent to Cancel. The czar's management
+// statements — SHOW PROCESSLIST, WORKERS, REPAIRS, CACHE, METRICS,
+// PROFILE [<id>] and KILL <id> — are answered here, with the columns a
+// served frontend returns, and their handle is already finished.
 func (cl *Cluster) Submit(ctx context.Context, sql string, opts ...QueryOption) (*Query, error) {
 	var o queryOptions
 	for _, opt := range opts {
