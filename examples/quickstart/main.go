@@ -98,13 +98,14 @@ func run(out io.Writer) error {
 	if err := it.Err(); err != nil {
 		return err
 	}
-	res, err := q.Wait(context.Background())
-	if err != nil {
+	// The rows had one reader, the iterator: Wait reports how the query
+	// ended, and its progress how many rows its chunks returned.
+	if _, err := q.Wait(context.Background()); err != nil {
 		return err
 	}
 	p := q.Progress()
 	fmt.Fprintf(out, "  streamed %d rows while %d/%d chunks merged; final result %d rows\n",
-		streamed, p.ChunksCompleted, p.ChunksTotal, len(res.Rows))
+		streamed, p.ChunksCompleted, p.ChunksTotal, p.RowsMerged)
 	return nil
 }
 

@@ -25,7 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -216,40 +216,6 @@ type QueryResult struct {
 	// result (the oracle-equivalence seam).
 	Explain    bool
 	Underlying *sqlengine.Result
-
-	// batches are the answer's rows, encoded, whenever the czar has them in
-	// that form: a pass-through plan's chunk results as the workers wrote
-	// them, a merge statement's answer as it left the engine, a cache
-	// hit's entry. Where Rows is nil they are the only form, until box.
-	batches []rowcodec.Batch
-}
-
-// numRows counts the answer's rows, in whichever form it holds them.
-func (r *QueryResult) numRows() int {
-	switch {
-	case r.Result == nil:
-		return 0
-	case r.Rows != nil:
-		return len(r.Rows)
-	}
-	n := 0
-	for _, b := range r.batches {
-		n += b.Len()
-	}
-	return n
-}
-
-// box sets Rows from the encoded batches, if that is the only form the
-// answer has. The caller makes sure it runs once (Query.Wait).
-func (r *QueryResult) box() {
-	if r.Result == nil || r.Rows != nil || len(r.batches) == 0 {
-		return
-	}
-	rows := make([]sqlengine.Row, 0, r.numRows())
-	for _, b := range r.batches {
-		rows = b.Box(rows)
-	}
-	r.Rows = rows
 }
 
 // Query runs one user SQL statement to completion: the synchronous
@@ -266,7 +232,7 @@ func (c *Czar) Query(sql string) (*QueryResult, error) {
 // merge session, and has it run the final merge statement. It runs inside
 // q's session goroutine; q carries the context that kills it and the
 // progress counters observers read.
-func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
+func (c *Czar) execute(q *Query, plan *core.Plan, fill *cacheFill) (*QueryResult, error) {
 	ctx := q.ctx
 	qr := &QueryResult{Class: plan.Class, ChunksDispatched: len(plan.Chunks),
 		ChunksPruned: plan.Route.Pruned}
@@ -276,10 +242,10 @@ func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
 	// still in flight. The merge gate (MergeParallelism) is czar-wide: it
 	// bounds that CPU across all concurrent user queries without ever
 	// serializing them on shared state — each query has its own session.
-	session := newMergeSession(plan, c.engine, c.compactRows)
-	// An EXPLAIN ANALYZE run suppresses row streaming: its visible rows
-	// are the rendered trace, built after the real rows merged.
-	streamable := plan.Streamable() && !q.explain
+	// A pass-through plan's rows go on to the stream; an EXPLAIN ANALYZE
+	// shows the trace instead, so its session holds them like any plan's.
+	pass := plan.Streamable() && !q.explain
+	session := newMergeSession(plan, c.engine, c.compactRows, pass)
 	c.metrics.chunks.Add(int64(len(plan.Chunks)))
 	type chunkOutcome struct {
 		chunk   partition.ChunkID
@@ -321,8 +287,9 @@ func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
 					if err = ferr; err == nil {
 						ms.SetAttr("rows", batch.Len())
 						q.rowsMerged.Add(int64(batch.Len()))
-						if streamable {
-							q.stream.push(batch)
+						if pass { // past the merge gate: a stalled reader holds only this slot
+							fill.add(batch)
+							err = q.stream.pushWait(ctx, batch)
 						}
 					}
 				}
@@ -360,36 +327,49 @@ func (c *Czar) execute(q *Query, plan *core.Plan) (*QueryResult, error) {
 
 	mg := q.root.Child("czar merge")
 	mergeStart := time.Now()
-	var err error
-	qr.Result, qr.batches, err = session.finish()
+	res, out, err := session.finish()
 	c.metrics.mergeNS.Observe(time.Since(mergeStart).Nanoseconds())
 	mg.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("czar %s: merge: %w", c.cfg.Name, err)
 	}
-	mg.SetAttr("rows", qr.numRows())
+	mg.SetAttr("rows", res.Stats.RowsOut)
+	qr.Result = res
+	fill.add(out)
+	if q.explain {
+		res.Rows = out.Box(nil)
+	} else {
+		q.stream.push(out)
+	}
 	return qr, nil
 }
 
 // cacheLookup consults the czar result cache at submit time: a hit
-// returns a completed QueryResult (cached rows, zero dispatch) and the
-// session never plans any chunk work — its progress reads 0/0 chunks,
-// which is the truth. nil means no cache or no valid entry.
-func (c *Czar) cacheLookup(plan *core.Plan) *QueryResult {
+// returns a completed QueryResult (zero dispatch), its rows in q's stream
+// (boxed instead, for EXPLAIN ANALYZE), and the session never plans any
+// chunk work: its progress reads 0/0 chunks, which is the truth. nil means
+// no cache or no valid entry.
+func (c *Czar) cacheLookup(q *Query, plan *core.Plan) *QueryResult {
 	if c.cache == nil {
 		return nil
 	}
 	epoch, gens := c.cacheStamp(plan)
-	res, ok := c.cache.Get(plan.CacheKey(), epoch, gens)
+	e, ok := c.cache.Get(plan.CacheKey(), epoch, gens)
 	if !ok {
 		return nil
 	}
 	c.metrics.cacheHits.Inc()
-	return &QueryResult{
-		Result: &sqlengine.Result{Cols: res.Cols, Types: res.Types, Rows: res.Rows},
-		Class:  plan.Class, CacheHit: true, ChunksPruned: plan.Route.Pruned,
-		batches: res.Batches,
+	res := &sqlengine.Result{Cols: e.Cols, Types: e.Types}
+	for _, b := range e.Batches {
+		res.Stats.RowsOut += int64(b.Len())
+		if q.explain {
+			res.Rows = b.Box(res.Rows)
+		}
 	}
+	if !q.explain {
+		q.stream.push(e.Batches...)
+	}
+	return &QueryResult{Result: res, Class: plan.Class, CacheHit: true, ChunksPruned: plan.Route.Pruned}
 }
 
 // executeWithCache runs execute and fills the result cache on success.
@@ -401,19 +381,43 @@ func (c *Czar) cacheLookup(plan *core.Plan) *QueryResult {
 // never fills: a canceled query's rows may be partial.)
 func (c *Czar) executeWithCache(q *Query, plan *core.Plan) (*QueryResult, error) {
 	if c.cache == nil {
-		return c.execute(q, plan)
+		return c.execute(q, plan, nil)
 	}
 	epoch, gens := c.cacheStamp(plan)
-	qr, err := c.execute(q, plan)
-	if err == nil && q.ctx.Err() == nil {
+	fill := new(cacheFill)
+	qr, err := c.execute(q, plan, fill)
+	if err == nil && q.ctx.Err() == nil && fill.bytes <= streamBytes {
 		if e, g := c.cacheStamp(plan); e == epoch && g == gens {
 			st := q.root.Child("cache store")
 			c.cache.Put(plan.CacheKey(), epoch, gens,
-				qcache.Result{Cols: qr.Cols, Types: qr.Types, Batches: qr.batches})
+				qcache.Result{Cols: qr.Cols, Types: qr.Types, Batches: fill.batches})
 			st.Finish()
 		}
 	}
 	return qr, err
+}
+
+// cacheFill is a result-cache entry in the making: the answer's batches,
+// teed as they pass, and let go of past streamBytes — a result larger than
+// the czar buffers for its own reader it does not keep for the next. A nil
+// fill collects nothing.
+type cacheFill struct {
+	mu      sync.Mutex
+	batches []rowcodec.Batch
+	bytes   int64
+}
+
+func (f *cacheFill) add(b rowcodec.Batch) {
+	if f == nil || b.Len() == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.bytes += b.Size(); f.bytes > streamBytes {
+		f.batches = nil
+	} else {
+		f.batches = append(f.batches, b)
+	}
 }
 
 // cacheStamp captures the cluster state a plan's answer depends on: the
@@ -423,27 +427,24 @@ func (c *Czar) executeWithCache(q *Query, plan *core.Plan) (*QueryResult, error)
 // covered transitively — placed chunks only change via ingest or
 // placement mutation, and both bump their half of the stamp.
 func (c *Czar) cacheStamp(plan *core.Plan) (int64, string) {
-	seen := map[string]bool{}
-	var names []string
-	note := func(name string) {
-		n := strings.ToLower(name)
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	for _, pr := range plan.Analysis.PartRefs {
-		note(pr.Info.Name)
-	}
-	for _, ref := range plan.Analysis.NonPartRefs {
-		note(ref.Table)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
-	for _, n := range names {
+	for _, n := range planTables(plan) {
 		fmt.Fprintf(&sb, "%s=%d;", n, c.registry.IngestGen(n))
 	}
 	return c.placement.Epoch(), sb.String()
+}
+
+// planTables names every table a plan reads, lower-cased, sorted, once.
+func planTables(plan *core.Plan) []string {
+	var names []string
+	for _, pr := range plan.Analysis.PartRefs {
+		names = append(names, strings.ToLower(pr.Info.Name))
+	}
+	for _, ref := range plan.Analysis.NonPartRefs {
+		names = append(names, strings.ToLower(ref.Table))
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // cancelTxTimeout bounds the best-effort worker-side cancel

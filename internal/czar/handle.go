@@ -3,19 +3,18 @@ package czar
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/sqlengine"
 )
 
-// This file is the Backend seam of the frontend tier: the Submit-shaped
-// streaming entry point. A real czar's Submit returns *Query handles
-// whose columns are known at plan time and whose rows stream through
-// the merge pipeline; the answer to a management statement, and any other
-// Backend implementation (a test fake, a caching layer, a remote stub),
-// is an equivalent handle minted with NewQueryHandle and driven through a
-// QueryFeed.
+// This file is the Backend seam of the frontend tier: a czar's Submit
+// returns *Query handles whose columns are known at plan time and whose
+// rows stream through the merge pipeline; a management statement's answer,
+// or any other Backend (a test fake, a remote stub), is an equivalent
+// handle minted with NewQueryHandle and driven through a QueryFeed.
 
 // setColumns publishes the result column names exactly once; later
 // calls (e.g. finish re-reporting what plan time already published) are
@@ -40,20 +39,14 @@ func (q *Query) Columns(ctx context.Context) ([]string, error) {
 	case <-q.colsReady:
 		return q.cols, nil
 	case <-q.done:
-		// finish closes colsReady (when it can) before done, but the
+		// finish closes colsReady (for an answer) before done, but the
 		// select race can still pick this branch; re-check.
 		select {
 		case <-q.colsReady:
 			return q.cols, nil
 		default:
-		}
-		if q.err != nil {
 			return nil, q.err
 		}
-		if q.res != nil && q.res.Result != nil {
-			return q.res.Cols, nil
-		}
-		return nil, nil
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	}
@@ -66,25 +59,17 @@ func (q *Query) Columns(ctx context.Context) ([]string, error) {
 // feed's Context, and Wait returns what Finish reports.
 func NewQueryHandle(id int64, sql string, class core.QueryClass) (*Query, *QueryFeed) {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	q := &Query{
-		id:        id,
-		sql:       sql,
-		class:     class,
-		started:   time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		stream:    newRowStream(),
-		done:      make(chan struct{}),
-		colsReady: make(chan struct{}),
-	}
+	q := newQuery(ctx, cancel, sql)
+	q.id, q.class = id, class
 	return q, &QueryFeed{q: q}
 }
 
 // QueryFeed drives a NewQueryHandle session: the producing side of the
 // handle's streaming contract.
 type QueryFeed struct {
-	q    *Query
-	once sync.Once
+	q      *Query
+	once   sync.Once
+	pushed atomic.Bool
 }
 
 // Context is done once the session is canceled (handle Cancel, a
@@ -96,11 +81,12 @@ func (f *QueryFeed) Context() context.Context { return f.q.ctx }
 // waiters. Call it before the first Push.
 func (f *QueryFeed) SetColumns(cols ...string) { f.q.setColumns(cols) }
 
-// Push streams result rows to the handle's iterators, encoding them as
-// they enter the stream. Push never blocks. A value that has no encoding
-// (anything but nil, int64, float64 and string) fails the session: it is
-// canceled with that error, which Finish then reports.
+// Push streams result rows to the handle's reader, encoding them as they
+// enter the stream. Push never blocks, whether or not anyone reads. A value
+// that has no encoding (anything but nil, int64, float64 and string) fails
+// the session: it is canceled with that error, which Finish then reports.
 func (f *QueryFeed) Push(rows ...sqlengine.Row) {
+	f.pushed.Store(true)
 	if err := f.q.stream.pushRows(rows); err != nil {
 		f.q.cancel(err)
 	}
@@ -123,6 +109,9 @@ func (f *QueryFeed) Finish(res *sqlengine.Result, err error) {
 		var qr *QueryResult
 		if err == nil {
 			qr = &QueryResult{Result: res, ID: q.id, Class: q.class, Elapsed: time.Since(q.started)}
+			if res != nil && !f.pushed.Load() {
+				err = q.stream.pushRows(res.Rows)
+			}
 		}
 		q.finish(qr, err)
 	})

@@ -18,27 +18,29 @@ import (
 // Dispatch goroutines absorb result streams concurrently: a stream is
 // walked by a sink that checks it and keeps nothing (dump's
 // Stream.Encoded), and its rows join the session as one encoded batch, no
-// cell opened or converted. Rows are only ever combined by the czar's
-// engine running a statement of the plan over the held batches: the merge
-// statement, once, at the end; and, for a plan that has one, the combine
-// statement, whenever the session has grown past compactRows and past twice
-// what the last combine left — its answer replaces the batches, so a top-K
-// query holds about K rows and an aggregate about a row per group however
-// many chunks answer (the collection step the paper names its bottleneck,
-// section 7.6).
+// cell opened or converted. A pass-through session holds no rows, only
+// their count and kinds: they go on to the query's row stream. Rows are
+// only ever combined by the czar's engine running a statement of the plan
+// over the held batches: the merge statement, once, at the end; and, for a
+// plan that has one, the combine statement, whenever the session has grown
+// past compactRows and past twice what the last combine left — its answer
+// replaces the batches, so a top-K query holds about K rows and an
+// aggregate about a row per group however many chunks answer (the
+// collection step the paper names its bottleneck, section 7.6).
 type mergeSession struct {
 	plan   *core.Plan
 	engine *sqlengine.Engine
 	// compactRows is the least number of held rows worth a combine.
 	compactRows int
+	pass        bool // a pass-through session: absorb's caller forwards the rows
 
 	mu      sync.Mutex
 	schema  sqlengine.Schema // the first arriving chunk result's
 	batches []rowcodec.Batch // the held rows, in arrival order
-	// kinds joins, per column, the kinds of cell the held batches hold: what
-	// types the session table.
+	// kinds joins, per column, the kinds of cell the absorbed rows hold:
+	// what types the session table.
 	kinds []rowcodec.Kinds
-	rows  int // held
+	rows  int // held, or passed through
 	floor int // rows the last combine left
 }
 
@@ -49,8 +51,8 @@ type mergeSession struct {
 // few hundred rows of a query it cannot shrink.
 const compactRows = 1 << 16
 
-func newMergeSession(plan *core.Plan, engine *sqlengine.Engine, compactRows int) *mergeSession {
-	return &mergeSession{plan: plan, engine: engine, compactRows: compactRows}
+func newMergeSession(plan *core.Plan, engine *sqlengine.Engine, compactRows int, pass bool) *mergeSession {
+	return &mergeSession{plan: plan, engine: engine, compactRows: compactRows, pass: pass}
 }
 
 // mergeError marks the failure of a statement the session ran: the
@@ -60,7 +62,7 @@ type mergeError struct{ error }
 func (e mergeError) Unwrap() error { return e.error }
 
 // absorb takes in one chunk's result stream and returns its rows, encoded:
-// the batch the session keeps and a streamable plan's row feed forwards.
+// the batch the session keeps, or a pass-through session's caller forwards.
 // The first arrival fixes the column names, later ones must agree in arity
 // (chunk results all come from the same worker statement template). If the
 // append trips the plan's combine, it runs here, as a span under sp. It is
@@ -104,11 +106,11 @@ func (s *mergeSession) absorb(data []byte, sp *telemetry.Span) (rowcodec.Batch, 
 	return b, nil
 }
 
-// hold appends a checked batch to the held rows.
+// hold counts a checked batch in, and keeps it unless it passes through.
 func (s *mergeSession) hold(b rowcodec.Batch, kinds []rowcodec.Kinds) {
-	if b.Len() > 0 {
+	s.rows += b.Len()
+	if b.Len() > 0 && !s.pass {
 		s.batches = append(s.batches, b)
-		s.rows += b.Len()
 	}
 	for i, k := range kinds {
 		s.kinds[i] |= k
@@ -117,7 +119,7 @@ func (s *mergeSession) hold(b rowcodec.Batch, kinds []rowcodec.Kinds) {
 
 // tableSchema types the session table. Column names are the first arriving
 // chunk result's; a column's type is the narrowest that holds every cell
-// the held batches have in it — BIGINT if all are integers, DOUBLE if all
+// the absorbed rows have in it — BIGINT if all are integers, DOUBLE if all
 // are numbers, VARCHAR if any is a string — because what a chunk result
 // declares for a column no compiled statement could type is a guess from
 // its own rows, and a typed table converts what it is given. A column with
@@ -172,25 +174,21 @@ func (s *mergeSession) run(stmt *sqlparse.Select) (*sqlengine.Result, rowcodec.B
 }
 
 // finish returns the query's answer: its columns, types and stats, and its
-// rows, encoded. For a streamable plan the merge statement is a bare
-// `SELECT * FROM <result>`: the held batches are its answer as they stand,
-// and loading them into a table only to scan them out again is work with no
-// effect. Every other plan's merge statement runs over them.
-func (s *mergeSession) finish() (*sqlengine.Result, []rowcodec.Batch, error) {
+// rows, encoded. A pass-through session's rows have all gone by: its answer
+// is its schema and row count. Every other plan's merge statement runs over
+// the held batches.
+func (s *mergeSession) finish() (*sqlengine.Result, rowcodec.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.plan.Streamable() {
+	if s.pass {
 		schema := s.tableSchema()
 		res := &sqlengine.Result{Cols: schema.Names()}
 		for _, col := range schema {
 			res.Types = append(res.Types, col.Type)
 		}
 		res.Stats.RowsOut = int64(s.rows)
-		return res, s.batches, nil
+		return res, rowcodec.Batch{}, nil
 	}
 	res, out, _, err := s.run(s.plan.Merge)
-	if err != nil || out.Len() == 0 {
-		return res, nil, err
-	}
-	return res, []rowcodec.Batch{out}, nil
+	return res, out, err
 }

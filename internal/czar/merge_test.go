@@ -50,13 +50,13 @@ func TestZeroChunkSchemaTypedFromPlan(t *testing.T) {
 	// The satellite fix: a zero-chunk query's synthesized result table
 	// must carry plan-derived types, not DOUBLE everywhere.
 	p := planFor(t, "SELECT objectId, ra_PS FROM Object WHERE objectId = 42", false)
-	res, batches, err := testSession(p, compactRows).finish()
+	res, out, err := testSession(p, compactRows).finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	schema := res.Schema()
-	if len(schema) != 2 || len(batches) != 0 || res.Rows != nil {
-		t.Fatalf("schema = %+v, %d batches, %d rows", schema, len(batches), len(res.Rows))
+	if len(schema) != 2 || out.Len() != 0 || res.Rows != nil {
+		t.Fatalf("schema = %+v, %d encoded rows, %d boxed", schema, out.Len(), len(res.Rows))
 	}
 	if schema[0].Name != "objectId" || schema[0].Type != sqlparse.TypeInt {
 		t.Errorf("objectId column = %+v, want INT", schema[0])
@@ -67,9 +67,10 @@ func TestZeroChunkSchemaTypedFromPlan(t *testing.T) {
 }
 
 // testSession is a merge session over an engine of its own, as New makes
-// the czar's, combining at threshold held rows.
+// the czar's, combining at threshold held rows, and passing a pass-through
+// plan's rows through as execute's does.
 func testSession(plan *core.Plan, threshold int) *mergeSession {
-	return newMergeSession(plan, sqlengine.New("LSST"), threshold)
+	return newMergeSession(plan, sqlengine.New("LSST"), threshold, plan.Streamable())
 }
 
 // intStream is a one-row chunk result stream of BIGINT columns (names
@@ -105,15 +106,11 @@ func stream(cols string, rows ...sqlengine.Row) []byte {
 // boxed finishes a session and boxes its answer.
 func boxed(t *testing.T, s *mergeSession) []sqlengine.Row {
 	t.Helper()
-	_, batches, err := s.finish()
+	_, out, err := s.finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []sqlengine.Row
-	for _, b := range batches {
-		rows = b.Box(rows)
-	}
-	return rows
+	return out.Box(nil)
 }
 
 // TestTopKSessionHoldsAboutK: a top-K session fed two hundred two-row chunk
@@ -220,20 +217,28 @@ func TestAggregateSessionInvariantUnderCombining(t *testing.T) {
 }
 
 // TestConcurrentAbsorbLosesNothing: 32 goroutines absorb into one session
-// at once (run under -race in CI) — of an append plan, which keeps every
-// row, and of an aggregate plan whose combine trips mid-way, which keeps
-// every count.
+// at once (run under -race in CI) — of a pass-through plan, which hands
+// every row back and counts it, and of an aggregate plan whose combine
+// trips mid-way, which keeps every count.
 func TestConcurrentAbsorbLosesNothing(t *testing.T) {
 	appendS := testSession(planFor(t, "SELECT objectId FROM Object", true), 8)
 	countS := testSession(planFor(t, "SELECT COUNT(*) FROM Object GROUP BY chunkId", true), 8)
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		passed []sqlengine.Row
+	)
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := appendS.absorb(intStream("objectId", int64(i)), nil); err != nil {
+			b, err := appendS.absorb(intStream("objectId", int64(i)), nil)
+			if err != nil {
 				t.Error(err)
 			}
+			mu.Lock()
+			passed = b.Box(passed)
+			mu.Unlock()
 			// A count of i+1 in group i%4.
 			if _, err := countS.absorb(intStream("qserv_c0,qserv_c1", int64(i+1), int64(i%4)), nil); err != nil {
 				t.Error(err)
@@ -242,11 +247,11 @@ func TestConcurrentAbsorbLosesNothing(t *testing.T) {
 	}
 	wg.Wait()
 	seen := map[int64]bool{}
-	for _, r := range boxed(t, appendS) {
+	for _, r := range passed {
 		seen[r[0].(int64)] = true
 	}
-	if len(seen) != 32 {
-		t.Errorf("the append session kept %d distinct rows of 32", len(seen))
+	if len(seen) != 32 || len(boxed(t, appendS)) != 0 || appendS.rows != 32 {
+		t.Errorf("the pass-through session passed %d distinct rows of 32, counted %d", len(seen), appendS.rows)
 	}
 	if countS.floor == 0 || countS.rows > 8 {
 		t.Errorf("the aggregate session holds %d rows, its last combine left %d", countS.rows, countS.floor)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -99,7 +100,7 @@ func BenchmarkResultPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Buf, out.Rows = out.Buf[:0], 0 // a worker's row buffers are recycled too
-		session := newMergeSession(plan, engine, compactRows)
+		session := newMergeSession(plan, engine, compactRows, true)
 		batch, err := session.absorb(hv2Stream(b, e, &out), nil)
 		if err != nil {
 			b.Fatal(err)
@@ -143,7 +144,7 @@ func BenchmarkMergeSession(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/chunks=%d", shape.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for done := 0; done < b.N; done += n {
-					s := newMergeSession(plan, engine, compactRows)
+					s := newMergeSession(plan, engine, compactRows, false)
 					for _, data := range streams[:min(n, b.N-done)] {
 						if _, err := s.absorb(data, nil); err != nil {
 							b.Fatal(err)
@@ -189,9 +190,9 @@ func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
 	}
 	// The merge statement is a SELECT * over the session table: its answer
 	// has the table's types and the cells as the table converted them.
-	res, batches, err := s.finish()
-	if err != nil || res.Rows != nil || len(batches) != 1 {
-		t.Fatalf("finished with %d batches and %d boxed rows: %v", len(batches), len(res.Rows), err)
+	res, out, err := s.finish()
+	if err != nil || res.Rows != nil || out.Len() != 2 {
+		t.Fatalf("finished with %d encoded rows and %d boxed: %v", out.Len(), len(res.Rows), err)
 	}
 	want := []sqlparse.ColType{sqlparse.TypeInt, sqlparse.TypeFloat, sqlparse.TypeFloat} // all integers; both; no value
 	for i, col := range res.Schema() {
@@ -199,7 +200,7 @@ func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
 			t.Errorf("column %s typed %v, want %v", col.Name, col.Type, want[i])
 		}
 	}
-	rows := batches[0].Box(nil)
+	rows := out.Box(nil)
 	if got := rows[0]; got[0] != big || got[1] != 1.5 || got[2] != nil {
 		t.Errorf("first row of the answer: %v", got)
 	}
@@ -208,29 +209,31 @@ func TestAppendSessionSchemaFitsTheCells(t *testing.T) {
 	}
 }
 
-// TestRowStreamHandsOutPrivateRows: the stream holds bytes; every reader
-// that asks for rows gets its own, and NextBatch the shared bytes — what
-// is left of a batch Next began, then whole batches.
+// TestRowStreamHandsOutPrivateRows: the stream holds bytes and has one
+// reader. The first Rows gets them — Next as rows of its own, NextBatch as
+// what is left of a batch Next began, then whole batches — and the stream
+// keeps none it handed out; a second Rows gets ErrRowsTaken, and a Wait
+// after Rows carries no rows. A Wait that comes first takes the rows boxed,
+// and every Wait after it returns them.
 func TestRowStreamHandsOutPrivateRows(t *testing.T) {
-	q, feed := NewQueryHandle(1, "fed", 0)
-	feed.SetColumns("id", "name")
-	feed.Push(sqlengine.Row{int64(1), "a"}, sqlengine.Row{int64(2), nil})
-	feed.Push(sqlengine.Row{int64(3), "c"})
-	feed.Finish(&sqlengine.Result{Cols: []string{"id", "name"}}, nil)
-
+	fed := func() *Query {
+		q, feed := NewQueryHandle(1, "fed", 0)
+		feed.SetColumns("id", "name")
+		feed.Push(sqlengine.Row{int64(1), "a"}, sqlengine.Row{int64(2), nil})
+		feed.Push(sqlengine.Row{int64(3), "c"})
+		feed.Finish(&sqlengine.Result{Cols: []string{"id", "name"}}, nil)
+		return q
+	}
+	q := fed()
 	first, second := q.Rows(), q.Rows()
+	if _, ok := second.Next(); ok || !errors.Is(second.Err(), ErrRowsTaken) || !second.Ready() {
+		t.Errorf("a second Rows: ok %v, err %v", ok, second.Err())
+	}
 	row, ok := first.Next()
 	if !ok || row[0] != int64(1) || row[1] != "a" {
 		t.Fatalf("first row = %v, %v", row, ok)
 	}
 	row[0], row[1] = "scribbled", "over"
-	var ids []sqlengine.Value
-	for row, ok := second.Next(); ok; row, ok = second.Next() {
-		ids = append(ids, row[0])
-	}
-	if len(ids) != 3 || ids[0] != int64(1) || ids[2] != int64(3) {
-		t.Errorf("a second iterator read ids %v after the first wrote to its row", ids)
-	}
 	rest, ok := first.NextBatch()
 	if want, _ := rowcodec.AppendRow(nil, sqlengine.Row{int64(2), nil}); !ok || rest.Len() != 1 || string(rest.Row(0)) != string(want) {
 		t.Errorf("the rest of the first batch = %d rows %x, %v; want the second row, %x", rest.Len(), rest.Data, ok, want)
@@ -238,20 +241,26 @@ func TestRowStreamHandsOutPrivateRows(t *testing.T) {
 	if !first.Ready() {
 		t.Error("a finished stream is not Ready")
 	}
-	if row, ok := first.Next(); !ok || row[0] != int64(3) {
-		t.Errorf("third row = %v, %v", row, ok)
-	}
-	third := q.Rows()
-	for i, want := range []int{2, 1} {
-		if b, ok := third.NextBatch(); !ok || b.Len() != want {
-			t.Errorf("batch %d of a fresh iterator: %d rows, %v; want %d", i, b.Len(), ok, want)
-		}
-	}
-	if _, ok := third.NextBatch(); ok {
-		t.Error("a third batch out of a stream of two")
+	if b, ok := first.NextBatch(); !ok || b.Len() != 1 || len(q.stream.queue) != 0 || q.stream.bytes != 0 {
+		t.Errorf("the last batch: %d rows, %v; the stream still holds %d batches, %d bytes", b.Len(), ok, len(q.stream.queue), q.stream.bytes)
 	}
 	if _, ok := first.Next(); ok || first.Err() != nil {
 		t.Errorf("after the last row: ok %v, err %v", ok, first.Err())
+	}
+	if res, err := q.Wait(context.Background()); err != nil || res.Rows != nil {
+		t.Errorf("Wait after Rows: %d rows, %v", len(res.Rows), err)
+	}
+
+	waited := fed()
+	res, err := waited.Wait(context.Background())
+	if err != nil || len(res.Rows) != 3 || res.Rows[2][1] != "c" {
+		t.Fatalf("Wait with no Rows: %v, %v", res, err)
+	}
+	if again, err := waited.Wait(context.Background()); err != nil || len(again.Rows) != 3 || &again.Rows[0] != &res.Rows[0] {
+		t.Errorf("a second Wait: %v, %v; want the first's rows", again, err)
+	}
+	if it := waited.Rows(); !errors.Is(it.Err(), ErrRowsTaken) {
+		t.Errorf("Rows after Wait: err %v", it.Err())
 	}
 
 	// A fed session may finish with no result at all.

@@ -98,9 +98,6 @@ type Query struct {
 	colsReady chan struct{}
 
 	stream *rowStream
-	// boxOnce guards the one boxing of a result whose rows stayed encoded
-	// (see Wait).
-	boxOnce sync.Once
 
 	// root is the query's trace span tree (nil when untraced); explain
 	// marks an EXPLAIN ANALYZE run (tracing forced, row streaming
@@ -113,46 +110,47 @@ type Query struct {
 	err  error
 }
 
+func newQuery(ctx context.Context, cancel context.CancelCauseFunc, sql string) *Query {
+	return &Query{sql: sql, started: time.Now(), ctx: ctx, cancel: cancel,
+		stream: newRowStream(), done: make(chan struct{}), colsReady: make(chan struct{})}
+}
+
 // ID returns the czar-assigned query id (the KILL handle).
 func (q *Query) ID() int64 { return q.id }
 
-// SQL returns the submitted statement text.
-func (q *Query) SQL() string { return q.sql }
-
-// Class returns the scheduling class the planner (or a class-hint
-// option) assigned.
-func (q *Query) Class() core.QueryClass { return q.class }
-
-// Started returns the submission time.
-func (q *Query) Started() time.Time { return q.started }
-
-// Wait blocks until the query finishes, the query is canceled, or the
-// passed context is done — whichever is first. The passed context only
-// bounds the wait: abandoning a Wait does not kill the query. The rows of
-// an answer that travelled encoded — a streamed plan's, a cache hit's —
-// are boxed here, once, by the first Wait that returns them; a caller that
-// reads the rows from Rows() and wants only the outcome calls Outcome.
+// Wait blocks until the query finishes, is canceled, or ctx is done —
+// whichever is first; abandoning a Wait does not kill the query. Unless
+// Rows took the stream, the first Wait takes it and boxes the rows as the
+// query makes them, and every Wait returns those rows. After Rows, Wait
+// reports how the query ended and carries no rows but an answer made boxed
+// (a czar-local statement's, a fed handle's, EXPLAIN ANALYZE's).
 func (q *Query) Wait(ctx context.Context) (*QueryResult, error) {
-	res, err := q.Outcome(ctx)
-	if res != nil {
-		q.boxOnce.Do(res.box)
+	s := q.stream
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, s.wake)()
 	}
-	return res, err
-}
-
-// Outcome is Wait without the rows: it blocks the same way and returns the
-// same result, but leaves rows that travelled encoded as they are, so
-// Result.Rows is only set if the answer was made boxed or a Wait has boxed
-// it. It is for the caller that took the rows from the Rows() iterator —
-// the frontend, which forwards them as bytes and needs the terminal error
-// and the accounting.
-func (q *Query) Outcome(ctx context.Context) (*QueryResult, error) {
-	select {
-	case <-q.done:
-		return q.res, q.err
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reader == noReader {
+		s.reader = waitReader
 	}
+	for {
+		for s.reader == waitReader && len(s.queue) > 0 {
+			s.boxed = s.pop().Box(s.boxed)
+		}
+		if s.done {
+			break
+		}
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		s.cond.Wait()
+	}
+	// finish set res before it closed the stream; s.mu orders the Waits.
+	if res := q.res; s.reader == waitReader && res != nil && res.Result != nil && res.Rows == nil {
+		res.Rows = s.boxed
+	}
+	return q.res, q.err
 }
 
 // Cancel kills the query: dispatch stops, in-flight fabric transactions
@@ -177,33 +175,35 @@ func (q *Query) Progress() Progress {
 	return p
 }
 
-// Rows returns a streaming iterator over the query's result rows, fed
-// by the merge pipeline: for pass-through plans rows are delivered as
-// chunk results arrive (hours before a long scan finishes), for
-// aggregate and top-K plans the final merged rows are delivered when
-// the query completes. Iterators are independent; each sees every row.
-func (q *Query) Rows() *RowIter { return &RowIter{q: q} }
+// Rows hands the query's result stream to its one reader: for
+// pass-through plans rows arrive as chunk results do (hours before a long
+// scan finishes), for aggregate and top-K plans when the query completes.
+// The stream holds at most streamBytes the reader has not taken; past that
+// the query's dispatch waits for it. A second Rows, or one after Wait,
+// yields nothing and its Err is ErrRowsTaken.
+func (q *Query) Rows() *RowIter {
+	it := &RowIter{q: q, err: ErrRowsTaken}
+	q.stream.mu.Lock()
+	if q.stream.reader == noReader {
+		q.stream.reader, it.err = iterReader, nil
+	}
+	q.stream.mu.Unlock()
+	return it
+}
 
-// finish publishes the terminal state and releases waiters. Order
-// matters: rows are pushed before done closes (a returned Wait sees
-// the full stream), and done closes before the stream does — RowIter
-// observes the stream's end only after Err is already answerable, so
-// drain-then-check-Err can never read a failed query as a clean empty
-// one.
+// ErrRowsTaken is the Err of an iterator that asked for a query's rows
+// after another reader took them.
+var ErrRowsTaken = errors.New("czar: the query's rows were taken by another reader")
+
+// finish publishes the terminal state and releases waiters, after every
+// row was pushed. done closes before the stream does — a reader observes
+// the stream's end only after Err is already answerable, so
+// drain-then-check-Err can never read a failed query as a clean empty one.
 func (q *Query) finish(res *QueryResult, err error) {
 	if err == nil && res != nil && res.Result != nil {
 		// Local queries (and fed handles) learn their columns only here;
 		// distributed ones already published them at plan time (no-op).
 		q.setColumns(res.Cols)
-		switch {
-		case q.stream.streamed():
-		case res.batches != nil:
-			q.stream.push(res.batches...)
-		default:
-			// An answer made boxed (a czar-local statement's, a fed
-			// handle's) enters the stream encoded, like every other.
-			err = q.stream.pushRows(res.Rows)
-		}
 	}
 	if err != nil {
 		res = nil
@@ -215,19 +215,31 @@ func (q *Query) finish(res *QueryResult, err error) {
 
 // ---------- streaming rows ----------
 
-// rowStream is the pipe between the merge pipeline and RowIters: an
-// appendable log of encoded row batches plus a completion flag. It has
-// the one representation whatever fed it — a chunk result's rows as the
-// worker wrote them, a merge statement's answer, a cache hit's batches, or
-// boxed rows (a fed handle's, a czar-local statement's), which are encoded
-// as they enter. Producers
-// never block — a slow (or absent) iterator must not stall chunk dispatch
-// — and every iterator replays the log from its own position.
+// streamBytes bounds the encoded rows a query's stream holds that its
+// reader has not taken. A chunk result past it waits in its dispatch
+// goroutine, holding a dispatch slot, so a stalled reader leaves the czar
+// at most this plus maxParallelDispatch chunk results of its query.
+const streamBytes = 8 << 20
+
+// The stream's reader: nobody yet, a RowIter, or Wait.
+const (
+	noReader = iota
+	iterReader
+	waitReader
+)
+
+// rowStream is the pipe between the merge pipeline and the query's one
+// reader: a FIFO of encoded row batches (boxed rows are encoded as they
+// enter) plus a completion flag. A batch is the stream's from its push to
+// its pop, then the reader's: the stream keeps nothing it handed out.
 type rowStream struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	batches []rowcodec.Batch
-	done    bool
+	mu     sync.Mutex
+	cond   *sync.Cond // a push, a pop, the end, a waiter's context done
+	queue  []rowcodec.Batch
+	bytes  int64 // what queue holds
+	done   bool
+	reader int
+	boxed  []sqlengine.Row // what Wait took
 }
 
 func newRowStream() *rowStream {
@@ -236,70 +248,85 @@ func newRowStream() *rowStream {
 	return s
 }
 
-// push appends batches, which must not be written to afterwards.
+// push queues batches, which must not be written to afterwards, without
+// waiting: for answers that are whole before anyone reads.
 func (s *rowStream) push(batches ...rowcodec.Batch) {
 	s.mu.Lock()
 	for _, b := range batches {
-		if b.Len() > 0 {
-			s.batches = append(s.batches, b)
-		}
+		s.add(b)
 	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
-// pushRows encodes rows into a batch and appends it. A value that has no
-// encoding is an error, and nothing is appended.
+// pushWait queues b once the stream has room for it (an empty stream
+// always has), or fails with ctx's cause.
+func (s *rowStream) pushWait(ctx context.Context, b rowcodec.Batch) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if full := func() bool { return len(s.queue) > 0 && s.bytes+b.Size() > streamBytes }; full() {
+		defer context.AfterFunc(ctx, s.wake)()
+		for full() {
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
+			}
+			s.cond.Wait()
+		}
+	}
+	s.add(b)
+	return nil
+}
+
+// add queues b under s.mu.
+func (s *rowStream) add(b rowcodec.Batch) {
+	if b.Len() > 0 {
+		s.queue = append(s.queue, b)
+		s.bytes += b.Size()
+		s.cond.Broadcast()
+	}
+}
+
+// pop hands the oldest batch over, under s.mu.
+func (s *rowStream) pop() rowcodec.Batch {
+	b := s.queue[0]
+	s.queue[0] = rowcodec.Batch{}
+	s.queue = s.queue[1:]
+	s.bytes -= b.Size()
+	s.cond.Broadcast()
+	return b
+}
+
+// pushRows encodes rows into a batch and queues it. A value that has no
+// encoding is an error, and nothing is queued.
 func (s *rowStream) pushRows(rows []sqlengine.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	b, err := rowcodec.EncodeBatch(rows)
-	if err != nil {
-		return err
+	if err == nil {
+		s.push(b)
 	}
-	s.push(b)
-	return nil
-}
-
-func (s *rowStream) streamed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.batches) > 0
+	return err
 }
 
 func (s *rowStream) close() {
 	s.mu.Lock()
 	s.done = true
-	s.mu.Unlock()
 	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// next blocks until batch i exists or the stream closed.
-func (s *rowStream) next(i int) (rowcodec.Batch, bool) {
+// wake rouses the stream's waiters to look at their contexts.
+func (s *rowStream) wake() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i >= len(s.batches) && !s.done {
-		s.cond.Wait()
-	}
-	if i < len(s.batches) {
-		return s.batches[i], true
-	}
-	return rowcodec.Batch{}, false
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// ready reports whether next(i) would return without blocking.
-func (s *rowStream) ready(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return i < len(s.batches) || s.done
-}
-
-// RowIter iterates a query's streamed result rows. It takes the stream a
-// batch at a time, so the rows of a batch cost no lock.
+// RowIter reads a query's streamed result rows, a batch at a time, so the
+// rows of a batch cost no lock.
 type RowIter struct {
 	q     *Query
-	next  int             // the stream's next batch
+	err   error           // ErrRowsTaken: the iterator got no stream
 	cur   rowcodec.Batch  // the batch being read
 	row   int             // its next row
 	boxed []sqlengine.Row // cur's rows boxed, once Next was asked for one
@@ -308,14 +335,18 @@ type RowIter struct {
 // Ready reports whether Next would return without blocking — a row is
 // already buffered, or the stream has ended. Streaming writers use it
 // to flush buffered output before parking on a slow producer.
-func (it *RowIter) Ready() bool { return it.row < it.cur.Len() || it.q.stream.ready(it.next) }
+func (it *RowIter) Ready() bool {
+	s := it.q.stream
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return it.err != nil || it.row < it.cur.Len() || len(s.queue) > 0 || s.done
+}
 
-// NextBatch returns the stream's next rows, encoded — every row of the
-// next batch the iterator has not handed out, the bytes a worker wrote for
-// a pass-through chunk result — blocking until they arrive; ok is false
-// once the query finished (or failed) and every streamed row has been
-// consumed. Check Err after the final call. The bytes are shared with
-// every other reader of the stream: they are not to be written to.
+// NextBatch returns the stream's next rows, encoded — what is left of the
+// batch being read, or the next, the bytes a worker wrote for a
+// pass-through chunk result — blocking until they arrive; ok is false once
+// the query finished (or failed) and every row was taken. Check Err after
+// the final call. The bytes may be the result cache's too: do not write.
 func (it *RowIter) NextBatch() (rowcodec.Batch, bool) {
 	if !it.fill() {
 		return rowcodec.Batch{}, false
@@ -335,7 +366,7 @@ func (it *RowIter) NextBatch() (rowcodec.Batch, bool) {
 }
 
 // Next returns the next row boxed, the rows of a batch boxed together:
-// the row is the caller's own, shared with no other iterator and no Wait.
+// the row is the caller's own.
 func (it *RowIter) Next() (sqlengine.Row, bool) {
 	if !it.fill() {
 		return nil, false
@@ -350,20 +381,28 @@ func (it *RowIter) Next() (sqlengine.Row, bool) {
 // fill makes cur a batch with a row left to hand out, blocking until the
 // stream has one; false means it has ended.
 func (it *RowIter) fill() bool {
-	for it.row >= it.cur.Len() {
-		var ok bool
-		if it.cur, ok = it.q.stream.next(it.next); !ok {
-			return false
-		}
-		it.next++
-		it.row, it.boxed = 0, nil
+	if it.err != nil || it.row < it.cur.Len() {
+		return it.err == nil
 	}
+	s := it.q.stream
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 && !s.done {
+		s.cond.Wait()
+	}
+	if len(s.queue) == 0 {
+		return false
+	}
+	it.cur, it.row, it.boxed = s.pop(), 0, nil
 	return true
 }
 
-// Err returns the query's terminal error once it finished; nil while
-// the query is still running or when it succeeded.
+// Err returns ErrRowsTaken for an iterator that got no stream, else the
+// query's terminal error once it finished.
 func (it *RowIter) Err() error {
+	if it.err != nil {
+		return it.err
+	}
 	select {
 	case <-it.q.done:
 		return it.q.err
@@ -422,14 +461,9 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 		// Tables with an ingest in flight are not queryable: their
 		// worker-side chunk tables are still growing batch by batch, so
 		// a chunk query would race the inserts and see partial rows.
-		for _, pr := range plan.Analysis.PartRefs {
-			if c.registry.Ingesting(pr.Info.Name) {
-				return nil, fmt.Errorf("czar %s: table %s is being ingested; retry when the ingest finishes", c.cfg.Name, pr.Info.Name)
-			}
-		}
-		for _, ref := range plan.Analysis.NonPartRefs {
-			if c.registry.Ingesting(ref.Table) {
-				return nil, fmt.Errorf("czar %s: table %s is being ingested; retry when the ingest finishes", c.cfg.Name, ref.Table)
+		for _, name := range planTables(plan) {
+			if c.registry.Ingesting(name) {
+				return nil, fmt.Errorf("czar %s: table %s is being ingested; retry when the ingest finishes", c.cfg.Name, name)
 			}
 		}
 		if opts.Class != nil {
@@ -454,17 +488,8 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 	}
 	qctx, cancel := context.WithCancelCause(qctx)
 
-	q := &Query{
-		sql:       sql,
-		started:   time.Now(),
-		ctx:       qctx,
-		cancel:    cancel,
-		stream:    newRowStream(),
-		done:      make(chan struct{}),
-		colsReady: make(chan struct{}),
-		root:      root,
-		explain:   explain,
-	}
+	q := newQuery(qctx, cancel, sql)
+	q.root, q.explain = root, explain
 	var cached *QueryResult
 	if !local {
 		// The result cache is consulted at submit time: a hit completes
@@ -472,7 +497,7 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 		// honestly reports zero chunks rather than a fan-out it skipped.
 		if c.cache != nil {
 			cl := root.Child("cache lookup")
-			cached = c.cacheLookup(plan)
+			cached = c.cacheLookup(q, plan)
 			cl.SetAttr("hit", cached != nil)
 			cl.Finish()
 		}
@@ -567,6 +592,11 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 				kv = append(kv, "err", err)
 			}
 			logger.Warn("query.slow", kv...)
+		}
+		if err == nil {
+			// An answer made boxed (a czar-local statement's, EXPLAIN
+			// ANALYZE's) enters the stream encoded, like every other.
+			err = q.stream.pushRows(res.Rows)
 		}
 		q.finish(res, err)
 	}()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/qcache"
 	"repro/internal/sqlengine"
 	"repro/internal/telemetry"
 )
@@ -66,29 +67,20 @@ func (c *Czar) SetTelemetry(t Telemetry) {
 	// The result cache exports through sampling funcs over its own
 	// counters; the nil guard re-checks per scrape because the cache is
 	// installed by a separate assembly call.
-	cacheVal := func(pick func(st cacheStatsView) int64) func() int64 {
+	cacheVal := func(pick func(st qcache.Stats) int64) func() int64 {
 		return func() int64 {
 			if c.cache == nil {
 				return 0
 			}
-			st := c.cache.Stats()
-			return pick(cacheStatsView{Hits: st.Hits, Misses: st.Misses,
-				Evictions: st.Evictions, Invalidations: st.Invalidations,
-				Entries: int64(st.Entries), Bytes: st.Bytes})
+			return pick(c.cache.Stats())
 		}
 	}
-	reg.CounterFunc("qserv_qcache_hits_total", "result cache hits", cacheVal(func(s cacheStatsView) int64 { return s.Hits }))
-	reg.CounterFunc("qserv_qcache_misses_total", "result cache misses", cacheVal(func(s cacheStatsView) int64 { return s.Misses }))
-	reg.CounterFunc("qserv_qcache_evictions_total", "result cache evictions", cacheVal(func(s cacheStatsView) int64 { return s.Evictions }))
-	reg.CounterFunc("qserv_qcache_invalidations_total", "result cache invalidations", cacheVal(func(s cacheStatsView) int64 { return s.Invalidations }))
-	reg.GaugeFunc("qserv_qcache_entries", "result cache entries", cacheVal(func(s cacheStatsView) int64 { return s.Entries }))
-	reg.GaugeFunc("qserv_qcache_bytes", "result cache resident bytes: what the encoded row batches of the czar's entries hold, an estimate only for entries given as boxed rows", cacheVal(func(s cacheStatsView) int64 { return s.Bytes }))
-}
-
-// cacheStatsView decouples the sampling funcs from qcache.Stats field
-// types.
-type cacheStatsView struct {
-	Hits, Misses, Evictions, Invalidations, Entries, Bytes int64
+	reg.CounterFunc("qserv_qcache_hits_total", "result cache hits", cacheVal(func(s qcache.Stats) int64 { return s.Hits }))
+	reg.CounterFunc("qserv_qcache_misses_total", "result cache misses", cacheVal(func(s qcache.Stats) int64 { return s.Misses }))
+	reg.CounterFunc("qserv_qcache_evictions_total", "result cache evictions", cacheVal(func(s qcache.Stats) int64 { return s.Evictions }))
+	reg.CounterFunc("qserv_qcache_invalidations_total", "result cache invalidations", cacheVal(func(s qcache.Stats) int64 { return s.Invalidations }))
+	reg.GaugeFunc("qserv_qcache_entries", "result cache entries", cacheVal(func(s qcache.Stats) int64 { return int64(s.Entries) }))
+	reg.GaugeFunc("qserv_qcache_bytes", "result cache resident bytes: what the encoded row batches of the czar's entries hold, an estimate only for entries given as boxed rows", cacheVal(func(s qcache.Stats) int64 { return s.Bytes }))
 }
 
 // renderProfile renders one retained trace: a header line, then the
@@ -131,22 +123,18 @@ func stripExplainAnalyze(sql string) (string, bool) {
 var explainColumns = []string{"EXPLAIN ANALYZE"}
 
 // explainResult wraps a finished query's accounting into the EXPLAIN
-// ANALYZE answer: the rendered span tree as rows, the real result
-// preserved in Underlying for oracle checks.
+// ANALYZE answer: the rendered span tree as rows, the real result — boxed
+// where it was made, since an EXPLAIN streams none of it — preserved in
+// Underlying for oracle checks.
 func explainResult(q *Query, res *QueryResult) *QueryResult {
-	root := q.root
-	var sb strings.Builder
-	sb.WriteString(root.Render())
-	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-	rows := make([]sqlengine.Row, 0, len(lines)+4)
+	lines := strings.Split(strings.TrimSuffix(q.root.Render(), "\n"), "\n")
+	rows := make([]sqlengine.Row, 0, len(lines))
 	for _, ln := range lines {
 		rows = append(rows, sqlengine.Row{ln})
 	}
-	res.box()
 	out := *res
 	out.Underlying = res.Result
 	out.Result = &sqlengine.Result{Cols: explainColumns, Rows: rows}
-	out.batches = nil
 	out.Explain = true
 	return &out
 }
@@ -172,7 +160,7 @@ func (c *Czar) traceFinish(q *Query, res *QueryResult, err error) {
 		if res.Retries > 0 {
 			root.SetAttr("retries", res.Retries)
 		}
-		root.SetAttr("rows", res.numRows())
+		root.SetAttr("rows", res.Stats.RowsOut)
 	}
 	errText := ""
 	if err != nil {
@@ -186,7 +174,7 @@ func (c *Czar) traceFinish(q *Query, res *QueryResult, err error) {
 		kv := []any{"id", q.id, "elapsed", root.Duration().Round(time.Microsecond),
 			"threshold", t, "sql", q.sql}
 		if res != nil {
-			kv = append(kv, "chunks", res.ChunksDispatched, "rows", res.numRows(),
+			kv = append(kv, "chunks", res.ChunksDispatched, "rows", res.Stats.RowsOut,
 				"bytes", res.ResultBytes, "cache_hit", res.CacheHit)
 		}
 		if errText != "" {

@@ -325,9 +325,8 @@ func (s *Server) runQuery(connCtx context.Context, w *bufio.Writer, user, sql st
 		}
 		rows += int64(b.Len())
 	}
-	// The rows are gone; Outcome reports how the query ended without
-	// boxing them for a Wait nobody reads.
-	res, err := q.Outcome(context.Background())
+	// The rows are gone: Wait, after Rows, reports how the query ended.
+	res, err := q.Wait(context.Background())
 	if err != nil {
 		// Mid-stream failure (worker died, query killed, client quota
 		// deadline): the error frame is legal after any number of row

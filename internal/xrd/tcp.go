@@ -416,11 +416,14 @@ func (l *connLane) roundTrip(ctx context.Context, op byte, path string, payload 
 		if _, remote := err.(remoteError); remote {
 			return nil, err
 		}
-		// Transport error: drop the connection. A canceled context is
-		// surfaced as such (its AfterFunc kills the conn mid-read, so the
-		// transport error is just the cancellation's shadow).
-		l.conn.Close()
-		l.conn = nil
+		// Transport error: drop the connection, if transact has not. A
+		// canceled context is surfaced as such (its AfterFunc kills the conn
+		// mid-read, so the transport error is just the cancellation's
+		// shadow).
+		if l.conn != nil {
+			l.conn.Close()
+			l.conn = nil
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, context.Cause(ctx)
 		}
@@ -453,11 +456,11 @@ func (l *connLane) transact(ctx context.Context, op byte, path string, payload [
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { conn.Close() })
 		defer func() {
-			if !stop() && err == nil {
-				// The context ended as the exchange completed: the answer
-				// is whole, but the connection is closed or about to be, and
-				// must not be there for the lane's next transaction to die
-				// on halfway.
+			if !stop() {
+				// The context ended as the exchange completed: whatever the
+				// answer — whole, or the server's error — the connection is
+				// closed or about to be, and must not be there for the
+				// lane's next transaction to die on halfway.
 				l.conn = nil
 			}
 		}()

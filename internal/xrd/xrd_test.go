@@ -824,3 +824,68 @@ func TestTCPContextEndingWithTheExchange(t *testing.T) {
 		t.Fatalf("%d row batches sent, %d applied", rounds, n)
 	}
 }
+
+// cancelOnAnswer is a connection that ends its transaction's context the
+// moment the answer arrives: the first Read that returns bytes cancels, and
+// hands them over only once the cancellation has closed the connection — the
+// context ending exactly as the exchange completes, the same way every run.
+type cancelOnAnswer struct {
+	net.Conn
+	cancel    context.CancelFunc
+	answered  sync.Once
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func (c *cancelOnAnswer) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.answered.Do(func() {
+			c.cancel()
+			select {
+			case <-c.closed:
+			case <-time.After(5 * time.Second):
+			}
+		})
+	}
+	return n, err
+}
+
+func (c *cancelOnAnswer) Close() error {
+	err := c.Conn.Close()
+	c.closeOnce.Do(func() { close(c.closed) })
+	return err
+}
+
+// TestTCPContextEndingWithARemoteError: a transaction whose context ends
+// just as the server's error arrives leaves the lane without the
+// connection its cancellation closed, so the next transaction — here a
+// row batch, which is never sent twice — dials afresh instead of dying on
+// it.
+func TestTCPContextEndingWithARemoteError(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewFileStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dial, dials := tcpDial, 0
+	tcpDial = func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, addr)
+		if dials++; err != nil || dials > 1 {
+			return conn, err
+		}
+		return &cancelOnAnswer{Conn: conn, cancel: cancel, closed: make(chan struct{})}, nil
+	}
+	defer func() { tcpDial = dial }()
+	ep := NewTCPEndpoint("w1", srv.Addr())
+	defer ep.Close()
+
+	if _, err := ep.HandleReadContext(ctx, "/result/nosuch"); err == nil || !strings.Contains(err.Error(), "no such file") {
+		t.Fatalf("read of a missing result: %v", err)
+	}
+	if err := ep.HandleWrite(LoadPath("Object", 7), []byte("batch")); err != nil {
+		t.Fatalf("row batch after a remote error whose context ended: %v", err)
+	}
+}

@@ -18,7 +18,12 @@ import (
 //	go watch(q)                  // q.Progress(), q.ID()
 //	it := q.Rows()               // rows stream as chunks merge
 //	for row, ok := it.Next(); ok; row, ok = it.Next() { ... }
-//	res, err := q.Wait(ctx)      // or q.Cancel()
+//	res, err := q.Wait(ctx)      // how it ended; or q.Cancel()
+//
+// A result flows once: it has one reader, Rows or Wait, and the czar holds
+// at most 8 MiB of it that the reader has not taken — past that the
+// query's dispatch waits, so a slow reader slows its own query. Wait after
+// Rows carries no rows; Wait alone returns them all.
 //
 // Every type in these signatures is qserv-owned: no internal/* package
 // leaks through the public API.
@@ -49,10 +54,10 @@ func classFromCore(c core.QueryClass) QueryClass {
 type Result struct {
 	// Cols are the result column names.
 	Cols []string
-	// Rows are the result rows. Every Wait of one query returns the same
-	// slices — copy before mutating if another caller may read them — but
-	// they are shared with no iterator and no other query: a repeat
-	// answered from the result cache gets rows of its own.
+	// Rows are the result rows when Wait read them, nil after Rows took
+	// them (but for an answer the czar makes whole, such as SHOW's). Every Wait of one query returns
+	// the same slices, shared with no other query: copy before mutating if
+	// another caller may read them.
 	Rows []Row
 	// ID is the cluster-assigned query id.
 	ID int64
@@ -177,7 +182,7 @@ func (q *Query) ID() int64 { return q.inner.ID() }
 // Wait blocks until the query finishes, the query is canceled, or ctx
 // is done — whichever is first. ctx only bounds this wait; abandoning a
 // Wait does not kill the query. A canceled query's Wait returns
-// context.Canceled.
+// context.Canceled. Unless Rows took them, Wait reads the rows.
 func (q *Query) Wait(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -196,24 +201,20 @@ func (q *Query) Wait(ctx context.Context) (*Result, error) {
 func (q *Query) Cancel() { q.inner.Cancel() }
 
 // Progress returns a snapshot of the query's execution counters.
-func (q *Query) Progress() Progress {
-	p := q.inner.Progress()
-	return Progress{
-		ChunksTotal:      p.ChunksTotal,
-		ChunksDispatched: p.ChunksDispatched,
-		ChunksCompleted:  p.ChunksCompleted,
-		RowsMerged:       p.RowsMerged,
-		BytesFetched:     p.BytesFetched,
-		Done:             p.Done,
-	}
-}
+func (q *Query) Progress() Progress { return Progress(q.inner.Progress()) }
 
-// Rows returns a streaming iterator fed by the merge pipeline: for
-// pass-through queries rows arrive as chunk results merge (long before
-// a full scan finishes); aggregate and top-K queries deliver their
-// merged rows on completion. Iterators are independent; each sees
-// every row.
+// Rows hands the query's rows to their one reader, a streaming iterator
+// fed by the merge pipeline: for pass-through queries rows arrive as chunk
+// results merge (long before a full scan finishes); aggregate and top-K
+// queries deliver their merged rows on completion. The czar holds at most
+// 8 MiB of rows the iterator has not taken, and a query whose reader
+// stalls waits for it. A second Rows, or one after Wait, yields nothing and
+// its Err is ErrRowsTaken.
 func (q *Query) Rows() *RowIter { return &RowIter{inner: q.inner.Rows()} }
+
+// ErrRowsTaken is the Err of an iterator that asked for a query's rows
+// after another reader took them.
+var ErrRowsTaken = czar.ErrRowsTaken
 
 // RowIter iterates a query's streamed result rows.
 type RowIter struct {
@@ -273,18 +274,11 @@ func (cl *Cluster) Running() []QueryInfo {
 	out := make([]QueryInfo, len(infos))
 	for i, qi := range infos {
 		out[i] = QueryInfo{
-			ID:    qi.ID,
-			SQL:   qi.SQL,
-			Class: classFromCore(qi.Class),
-			Age:   time.Since(qi.Started),
-			Progress: Progress{
-				ChunksTotal:      qi.ChunksTotal,
-				ChunksDispatched: qi.ChunksDispatched,
-				ChunksCompleted:  qi.ChunksCompleted,
-				RowsMerged:       qi.RowsMerged,
-				BytesFetched:     qi.BytesFetched,
-				Done:             qi.Done,
-			},
+			ID:       qi.ID,
+			SQL:      qi.SQL,
+			Class:    classFromCore(qi.Class),
+			Age:      time.Since(qi.Started),
+			Progress: Progress(qi.Progress),
 		}
 	}
 	return out
