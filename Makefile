@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race verify bench bench-build bench-layers bench-smoke fuzz-smoke daemon-smoke
+.PHONY: build test vet race verify bench bench-build bench-trace-smoke bench-layers bench-smoke fuzz-smoke daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,17 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# The repository benchmark itself, traced, for a second of scan-agg: its
+# replay writes one-chunk payloads straight to a worker and runs the czar
+# over canned workers that answer result reads by the one-chunk payload's
+# hash, so this fails when that contract breaks, which bench-build (a
+# compile) cannot see. The last line of the run must report a correct run
+# with no failed query.
+bench-trace-smoke:
+	@out=$$(bash bench/run.sh --workload scan-agg --seed 1 --seconds 1 --trace 1 | tail -n 1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0'
+
 # Per-layer testing.B benches, in ns/row and allocs/op: the scan layer —
 # the chunk statements of the paper's query classes over one chunk-sized
 # table, and (the *WorkingSet ones) rotating over the 94 chunk tables of
@@ -37,8 +48,9 @@ bench-build:
 # its index, the near-neighbour job, one SHV1 chunk job at the repository
 # benchmark's geometry from payload to result bytes (ns and allocations per
 # job, statements parsed, pairs visited) and its subchunk build alone, the
-# result path, a pass-through row from a worker's
-# column slices through the result stream and the czar's fold to a batch
+# dispatch, a 24-chunk HV1 dispatch against the same 24 chunks as one-chunk
+# payloads (ns and allocations per chunk), the result path, a pass-through
+# row from a worker's column slices through the result stream and the czar's fold to a batch
 # row frame, in ns per row returned, the merge session, one aggregate
 # partial from its result stream through the session and its share of the
 # merge statement, in ns and allocations per chunk result at 94 and at the
@@ -58,7 +70,7 @@ bench-build:
 # counts, by TestGuardSkipsTheCall.)
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sqlengine
-	$(GO) test -run '^$$' -bench 'Materialize|NearNeighbourJob|SubchunkBuild' -benchmem ./internal/worker
+	$(GO) test -run '^$$' -bench 'Materialize|NearNeighbourJob|SubchunkBuild|ScanTransaction' -benchmem ./internal/worker
 	$(GO) test -run '^$$' -bench 'ResultPath|MergeSession' -benchmem ./internal/czar
 	$(GO) test -run '^$$' -bench 'StreamDecode' -benchmem ./internal/frontend
 
@@ -90,9 +102,10 @@ bench-smoke:
 # without the call must be borne out by the call, and whatever shape, cells
 # and constant it picks, a block form keeps the rows its conjunct's row form
 # calls TRUE — and over the worker's
-# statement reuse, also differentially: whatever edits the fuzzer makes to
-# a rendered near-neighbour statement pair and its subchunk list, a job that
-# may take a compiled template must answer as one that parses the pair. Go allows one
+# per-dispatch binding, also differentially: whatever edits the fuzzer makes
+# to a rendered near-neighbour statement pair and its subchunk list, each
+# chunk a dispatch lists must answer as its own one-chunk payload, renamed on
+# a fresh parse apart from the binder. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.

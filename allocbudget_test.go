@@ -2,6 +2,7 @@ package qserv
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -10,9 +11,10 @@ import (
 // TestQueryAllocBudget is the end-to-end allocation ratchet: what one
 // Cluster.Query costs, czar, fabric and workers together, for each class of
 // the paper's workload, on a 4-worker cluster of 30 chunks with the result
-// cache off. testing.AllocsPerRun repeats a query to within a few
-// allocations, so the ceilings hold in tier-1 and, scaled by
-// raceAllocFactor, under -race. A change that lowers a count lowers its
+// cache off, in allocations and in bytes. testing.AllocsPerRun repeats a
+// query to within a few allocations and bytesPerRun to within a few hundred
+// bytes, so the ceilings hold in tier-1 and, scaled by the race factors,
+// under -race. A change that lowers a count lowers its
 // ceiling with it; one that must raise a ceiling says why. It measures the
 // in-memory path: a durable or budgeted worker's materializations are
 // priced by the store's and the worker's own budgets.
@@ -42,26 +44,51 @@ func TestQueryAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		class, sql string
 		rows       int
-		ceiling    float64
+		ceiling    float64 // allocations per query
+		race       float64 // the ceiling's factor under -race
+		bytes      float64 // bytes allocated per query
 	}{
-		{"HV1", "SELECT COUNT(*) FROM Object", 1, 3680},
-		{"HV3", "SELECT chunkId, COUNT(*) AS n, AVG(ra_PS) FROM Object GROUP BY chunkId", 30, 4340},
-		{"HV2s", "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 10.4", 20, 3950},
-		{"LV1", fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", cat.Objects[4242].ObjectID), 1, 300},
+		{"HV1", "SELECT COUNT(*) FROM Object", 1, 2990, raceAllocFactor, 195e3},
+		{"HV3", "SELECT chunkId, COUNT(*) AS n, AVG(ra_PS) FROM Object GROUP BY chunkId", 30, 3810, raceAllocFactor, 318e3},
+		{"HV2s", "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 10.4", 20, 3510, raceAllocFactor, 270e3},
+		{"LV1", fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", cat.Objects[4242].ObjectID), 1, 298, raceAllocFactor, 21.5e3},
+		// The subchunk build draws on sync.Pools per row, which the race
+		// detector empties at random: its own factor.
+		{"SHV1", "SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(0, -10, 30, 10) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1", 1, 11320, racePoolAllocFactor, 2.22e6},
 	} {
 		rows := -1
-		allocs := testing.AllocsPerRun(5, func() {
+		run := func() {
 			res, err := cl.Query(tc.sql)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.class, err)
 			}
 			rows = len(res.Rows)
-		})
+		}
+		allocs := testing.AllocsPerRun(5, run)
+		bytes := bytesPerRun(5, run)
+		t.Logf("%s: %.0f allocations, %.0f bytes per query", tc.class, allocs, bytes)
 		if rows != tc.rows {
 			t.Fatalf("%s: %d rows, want %d", tc.class, rows, tc.rows)
 		}
-		if ceiling := tc.ceiling * raceAllocFactor; allocs > ceiling {
+		if ceiling := tc.ceiling * tc.race; allocs > ceiling {
 			t.Errorf("%s: %.0f allocations per query, ceiling %.0f", tc.class, allocs, ceiling)
 		}
+		if ceiling := tc.bytes * raceByteFactor; bytes > ceiling {
+			t.Errorf("%s: %.0f bytes allocated per query, ceiling %.0f", tc.class, bytes, ceiling)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes one
+// call of f allocates, on one P, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

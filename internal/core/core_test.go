@@ -366,8 +366,8 @@ func TestChunkQueryNearNeighbor(t *testing.T) {
 	if !strings.HasPrefix(payload, "-- CLASS: FULLSCAN\n-- SUBCHUNKS: ") {
 		t.Errorf("payload header: %q", payload[:40])
 	}
-	if _, subs, _, err := ParseHeader(cq.Payload()); err != nil || !slices.Equal(subs, cq.SubChunks) {
-		t.Errorf("header round trip: %v %v", subs, err)
+	if h, err := ParseHeader(cq.Payload()); err != nil || !slices.Equal(h.SubChunks, cq.SubChunks) {
+		t.Errorf("header round trip: %v %v", h.SubChunks, err)
 	}
 	// First statement joins subchunk x subchunk; second subchunk x
 	// overlap.
@@ -751,8 +751,8 @@ func TestPlanClassification(t *testing.T) {
 			t.Errorf("class(%q) = %v, want %v (chunks=%d)", c.sql, p.Class, c.class, len(p.Chunks))
 		}
 		cq := p.QueryFor(p.Chunks[0])
-		if got, _, _, err := ParseHeader(cq.Payload()); err != nil || got != c.class {
-			t.Errorf("payload class round-trip for %q = %v, %v", c.sql, got, err)
+		if h, err := ParseHeader(cq.Payload()); err != nil || h.Class != c.class {
+			t.Errorf("payload class round-trip for %q = %v, %v", c.sql, h.Class, err)
 		}
 	}
 }
@@ -787,12 +787,20 @@ func TestParseClassHeaderDefaults(t *testing.T) {
 		{"-- SUBCHUNKS:\n-- a note\nSELECT '-- SUBCHUNKS: 3';", FullScan, nil, "SELECT '-- SUBCHUNKS: 3';"},
 		{"-- CLASS: INTERACTIVE", Interactive, nil, ""},
 	} {
-		class, subs, body, err := ParseHeader([]byte(c.payload))
-		if err != nil || class != c.class || !slices.Equal(subs, c.subs) || c.payload[body:] != c.body {
-			t.Errorf("ParseHeader(%q) = %v, %v, %q, %v; want %v, %v, %q", c.payload, class, subs, c.payload[body:], err, c.class, c.subs, c.body)
+		h, err := ParseHeader([]byte(c.payload))
+		if err != nil || h.Class != c.class || !slices.Equal(h.SubChunks, c.subs) || c.payload[h.Body:] != c.body {
+			t.Errorf("ParseHeader(%q) = %v, %v, %q, %v; want %v, %v, %q", c.payload, h.Class, h.SubChunks, c.payload[h.Body:], err, c.class, c.subs, c.body)
 		}
 	}
-	if _, _, _, err := ParseHeader([]byte("-- SUBCHUNKS: 1, x\nSELECT 1;")); err == nil {
-		t.Error("a subchunk list holding no id parsed")
+	for _, bad := range []string{
+		"-- SUBCHUNKS: 1, x\nSELECT 1;",
+		"-- CHUNK: 7\nSELECT 1;",
+		"-- CHUNK: 7 0123456789abcdef0123456789abcdeg\nSELECT 1;",
+		"-- CHUNK: 7 0123456789abcdef0123456789abcdef 1,x\nSELECT 1;",
+		"-- SUBCHUNKS: 1\n-- CHUNK: 7 0123456789abcdef0123456789abcdef\nSELECT 1;",
+	} {
+		if _, err := ParseHeader([]byte(bad)); err == nil {
+			t.Errorf("the header of %q parsed", bad)
+		}
 	}
 }

@@ -1,24 +1,27 @@
 package core
 
 import (
+	"crypto/md5"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/meta"
 )
 
-var updatePayloads = flag.Bool("update-payloads", false, "rewrite testdata/chunk_payloads.json from this build's payloads")
+var updatePayloads = flag.Bool("update-payloads", false, "rewrite testdata/{chunk,dispatch}_payloads.json from this build's payloads")
 
-// TestChunkPayloadBytesUnchanged pins the bytes a plan puts on the wire:
-// workers take statement reuse on the payload text, bench/ and simcluster
-// build, edit and send payloads of their own, and a result is addressed by
-// its payload's hash — so how QueryFor comes by the text is free to change
-// and the text is not. testdata/chunk_payloads.json holds the digest of every
+// TestChunkPayloadBytesUnchanged pins the one-chunk payloads a plan renders:
+// a chunk's result is addressed by its one-chunk payload's hash, even inside
+// a dispatch of many, and bench/ and simcluster build, edit and send such
+// payloads of their own — so how QueryFor comes by the text is free to
+// change and the text is not. testdata/chunk_payloads.json holds the digest of every
 // chunk's payload for plans of each class (-update-payloads rewrites it; only
 // a change that means to alter the wire should). The wire was changed on
 // purpose once, when a near-neighbour chunk query began to carry its
@@ -30,17 +33,7 @@ func TestChunkPayloadBytesUnchanged(t *testing.T) {
 	_, pl, placed := testSetup(t)
 	pl.TopK = true
 	got := map[string]string{}
-	for _, sql := range []string{
-		"SELECT * FROM Object WHERE objectId = 3",
-		"SELECT taiMidPoint, fluxToAbMag(psfFlux), ra, decl FROM Source WHERE objectId IN (2, 7)",
-		"SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN 1 AND 2 AND decl_PS BETWEEN 3 AND 4",
-		"SELECT COUNT(*) FROM Object WHERE fluxToAbMag(rFlux_PS) < 24.1",
-		"SELECT count(*) AS n, AVG(ra_PS), chunkId FROM Object WHERE fluxToAbMag(rFlux_PS) < 26 GROUP BY chunkId",
-		"SELECT objectId, ra_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 6 ORDER BY ra_PS DESC LIMIT 5",
-		"SELECT o.objectId, s.psfFlux FROM Object o, Source s WHERE o.objectId = s.objectId AND qserv_areaspec_box(10, -5, 30, 5)",
-		"SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(-5, -5, 5, 5) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1",
-		"SELECT o1.objectId, o2.objectId FROM Object o1, Object o2 WHERE qserv_areaspec_box(355, 60, 5, 75) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) <= 0.02 AND o1.objectId != o2.objectId",
-	} {
+	for _, sql := range payloadSQL {
 		p := mustPlan(t, pl, placed, sql)
 		h := sha256.New()
 		for _, c := range p.Chunks {
@@ -50,7 +43,74 @@ func TestChunkPayloadBytesUnchanged(t *testing.T) {
 		}
 		got[sql] = fmt.Sprintf("%d chunks %x", len(p.Chunks), h.Sum(nil))
 	}
-	const file = "testdata/chunk_payloads.json"
+	checkGolden(t, "testdata/chunk_payloads.json", got)
+}
+
+// payloadSQL are the plans whose wire bytes the golden files pin, one or
+// more of each query class.
+var payloadSQL = []string{
+	"SELECT * FROM Object WHERE objectId = 3",
+	"SELECT taiMidPoint, fluxToAbMag(psfFlux), ra, decl FROM Source WHERE objectId IN (2, 7)",
+	"SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN 1 AND 2 AND decl_PS BETWEEN 3 AND 4",
+	"SELECT COUNT(*) FROM Object WHERE fluxToAbMag(rFlux_PS) < 24.1",
+	"SELECT count(*) AS n, AVG(ra_PS), chunkId FROM Object WHERE fluxToAbMag(rFlux_PS) < 26 GROUP BY chunkId",
+	"SELECT objectId, ra_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 6 ORDER BY ra_PS DESC LIMIT 5",
+	"SELECT o.objectId, s.psfFlux FROM Object o, Source s WHERE o.objectId = s.objectId AND qserv_areaspec_box(10, -5, 30, 5)",
+	"SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(-5, -5, 5, 5) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1",
+	"SELECT o1.objectId, o2.objectId FROM Object o1, Object o2 WHERE qserv_areaspec_box(355, 60, 5, 75) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) <= 0.02 AND o1.objectId != o2.objectId",
+}
+
+// TestDispatchPayloadBytesUnchanged pins a dispatch's bytes as
+// TestChunkPayloadBytesUnchanged pins a one-chunk payload's: for each plan,
+// the dispatch of all its chunks — every chunk listed with the hash of its
+// one-chunk payload, the statements written for the first — and of its odd
+// chunks. testdata/dispatch_payloads.json holds their digests
+// (-update-payloads rewrites it).
+func TestDispatchPayloadBytesUnchanged(t *testing.T) {
+	_, pl, placed := testSetup(t)
+	pl.TopK = true
+	got := map[string]string{}
+	for _, sql := range payloadSQL {
+		p := mustPlan(t, pl, placed, sql)
+		h := sha256.New()
+		for odd := range 2 {
+			d := Dispatch{Class: p.Class}
+			for i, c := range p.Chunks {
+				if odd == 1 && i%2 == 0 {
+					continue
+				}
+				cq := p.QueryFor(c)
+				if d.Statements == nil {
+					d.Statements = cq.Statements
+				}
+				sum := md5.Sum(cq.Payload())
+				d.Chunks = append(d.Chunks, DispatchChunk{Chunk: c, Hash: hex.EncodeToString(sum[:]), SubChunks: cq.SubChunks})
+			}
+			if len(d.Chunks) == 0 {
+				continue
+			}
+			payload := d.Payload()
+			hd, err := ParseHeader(payload)
+			if err != nil || len(hd.Chunks) != len(d.Chunks) || string(payload[hd.Body:]) != strings.Join(d.Statements, ";\n")+";\n" {
+				t.Fatalf("%s: the dispatch does not read back: %v\n%s", sql, err, payload)
+			}
+			for i, c := range hd.Chunks {
+				if c.Chunk != d.Chunks[i].Chunk || c.Hash != d.Chunks[i].Hash || !slices.Equal(c.SubChunks, d.Chunks[i].SubChunks) {
+					t.Fatalf("%s: listed chunk %d reads back as %+v, written %+v", sql, i, c, d.Chunks[i])
+				}
+			}
+			fmt.Fprintf(h, "%d:", len(payload))
+			h.Write(payload)
+		}
+		got[sql] = fmt.Sprintf("%d chunks %x", len(p.Chunks), h.Sum(nil))
+	}
+	checkGolden(t, "testdata/dispatch_payloads.json", got)
+}
+
+// checkGolden holds got to the digests file holds, or with -update-payloads
+// writes them there.
+func checkGolden(t *testing.T, file string, got map[string]string) {
+	t.Helper()
 	if *updatePayloads {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -132,12 +192,12 @@ func TestNearNeighbourPayloadCarriesOnePair(t *testing.T) {
 				t.Errorf("box %s chunk %d: the pair is not subchunk %d's:\n%s", box, c, s0, strings.Join(cq.Statements, "\n"))
 			}
 			payload := cq.Payload()
-			_, _, body, err := ParseHeader(payload)
+			h, err := ParseHeader(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fewest, most = min(fewest, len(cq.SubChunks)), max(most, len(cq.SubChunks))
-			shortest, longest = min(shortest, len(payload)-body), max(longest, len(payload)-body)
+			shortest, longest = min(shortest, len(payload)-h.Body), max(longest, len(payload)-h.Body)
 		}
 		if most < 2*fewest || longest-shortest > 4*6 {
 			t.Errorf("box %s: %d to %d subchunks a chunk, statements of %d to %d bytes", box, fewest, most, shortest, longest)

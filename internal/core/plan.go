@@ -216,43 +216,163 @@ func (cq ChunkQuery) Payload() []byte {
 	return []byte(sb.String())
 }
 
+// Dispatch is the payload of one dispatch write: the chunks of one user
+// query the czar sends to one worker, each with the hash its result is read
+// at, and the statements once, written for the first listed chunk and its
+// first subchunk. The worker binds each listed chunk (and its first listed
+// subchunk) into the FROM entries that name the first one's pieces and runs
+// it as that chunk's own chunk query; a chunk's result stays addressed by the
+// hash of its one-chunk payload (ChunkQuery), the paper's /result/<md5>.
+type Dispatch struct {
+	Class      QueryClass
+	Chunks     []DispatchChunk
+	Statements []string
+}
+
+// DispatchChunk is one chunk a Dispatch lists: its id, the 32-hex-digit
+// hash its result is read at, and the subchunks its job covers (nil when
+// the plan uses none).
+type DispatchChunk struct {
+	Chunk     partition.ChunkID
+	Hash      string
+	SubChunks []partition.SubChunkID
+}
+
+// Payload renders the dispatch in the wire format:
+//
+//	-- CLASS: INTERACTIVE|FULLSCAN
+//	-- CHUNK: <id> <hash>[ <sub0>,<sub1>...]
+//	...
+//	<SQL statement 1>;
+//	...
+func (d Dispatch) Payload() []byte {
+	b := make([]byte, 0, 64+len(d.Chunks)*48)
+	b = append(b, classPrefix+" "...)
+	b = append(b, d.Class.String()...)
+	b = append(b, '\n')
+	for _, c := range d.Chunks {
+		b = append(b, chunkPrefix+" "...)
+		b = strconv.AppendInt(b, int64(c.Chunk), 10)
+		b = append(b, ' ')
+		b = append(b, c.Hash...)
+		for i, s := range c.SubChunks {
+			b = append(b, " ,"[min(i, 1)])
+			b = strconv.AppendInt(b, int64(s), 10)
+		}
+		b = append(b, '\n')
+	}
+	for _, st := range d.Statements {
+		b = append(b, st...)
+		b = append(b, ";\n"...)
+	}
+	return b
+}
+
 const (
 	classPrefix     = "-- CLASS:"
 	subChunksPrefix = "-- SUBCHUNKS:"
+	chunkPrefix     = "-- CHUNK:"
 )
 
-// ParseHeader reads a chunk-query payload's header block, its leading
-// comment lines, in one pass: the scheduling class (FullScan, the
-// conservative lane, unless a valid CLASS line says otherwise), the
-// subchunks a SUBCHUNKS line lists (nil without one), and the offset the
-// statements start at. A subchunk list that is not one is an error.
-func ParseHeader(payload []byte) (class QueryClass, subs []partition.SubChunkID, body int, err error) {
-	for body < len(payload) && bytes.HasPrefix(payload[body:], []byte("--")) {
-		line := payload[body:]
+// Header is what a payload's header block, its leading comment lines,
+// says: the scheduling class (FullScan, the conservative lane, unless a
+// valid CLASS line says otherwise), the subchunks a SUBCHUNKS line lists,
+// the chunks CHUNK lines list (nil in a one-chunk payload), and the offset
+// the statements start at.
+type Header struct {
+	Class     QueryClass
+	SubChunks []partition.SubChunkID
+	Chunks    []DispatchChunk
+	Body      int
+}
+
+// ParseHeader reads a payload's header block in one pass. A subchunk list
+// or a CHUNK line that is not one is an error, and so is a payload with
+// both a SUBCHUNKS and a CHUNK line.
+func ParseHeader(payload []byte) (Header, error) {
+	var h Header
+	for h.Body < len(payload) && bytes.HasPrefix(payload[h.Body:], []byte("--")) {
+		line := payload[h.Body:]
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i+1]
 		}
-		body += len(line)
-		text := strings.TrimSpace(string(line))
-		if v, ok := strings.CutPrefix(text, classPrefix); ok {
-			class, _ = ParseQueryClass(v)
-		}
-		list, ok := strings.CutPrefix(text, subChunksPrefix)
-		if !ok {
-			continue
-		}
-		for _, part := range strings.Split(list, ",") {
-			if part = strings.TrimSpace(part); part == "" {
-				continue
-			}
-			id, err := strconv.Atoi(part)
+		h.Body += len(line)
+		line = bytes.TrimSpace(line)
+		switch {
+		case bytes.HasPrefix(line, []byte(classPrefix)):
+			h.Class, _ = ParseQueryClass(string(line[len(classPrefix):]))
+		case bytes.HasPrefix(line, []byte(chunkPrefix)):
+			c, err := parseChunkLine(line[len(chunkPrefix):])
 			if err != nil {
-				return class, nil, body, fmt.Errorf("core: chunk query header: bad subchunk id %q", part)
+				return h, err
 			}
-			subs = append(subs, partition.SubChunkID(id))
+			h.Chunks = append(h.Chunks, c)
+		case bytes.HasPrefix(line, []byte(subChunksPrefix)):
+			subs, err := parseSubChunks(line[len(subChunksPrefix):], h.SubChunks)
+			if err != nil {
+				return h, err
+			}
+			h.SubChunks = subs
 		}
 	}
-	return class, subs, body, nil
+	if len(h.Chunks) > 0 && h.SubChunks != nil {
+		return h, errors.New("core: chunk query header: a SUBCHUNKS line beside CHUNK lines")
+	}
+	return h, nil
+}
+
+// parseChunkLine reads "<id> <hash>[ <subchunk list>]".
+func parseChunkLine(v []byte) (DispatchChunk, error) {
+	bad := func() (DispatchChunk, error) {
+		return DispatchChunk{}, fmt.Errorf("core: chunk query header: bad CHUNK line %q", v)
+	}
+	v = bytes.TrimSpace(v)
+	sp := bytes.IndexByte(v, ' ')
+	if sp < 0 {
+		return bad()
+	}
+	id, ok := parseUint(v[:sp])
+	rest := bytes.TrimSpace(v[sp:])
+	hash, list, _ := bytes.Cut(rest, []byte(" "))
+	if !ok || len(hash) != 32 || len(bytes.Trim(hash, "0123456789abcdef")) > 0 {
+		return bad()
+	}
+	c := DispatchChunk{Chunk: partition.ChunkID(id), Hash: string(hash)}
+	var err error
+	c.SubChunks, err = parseSubChunks(list, nil)
+	return c, err
+}
+
+// parseSubChunks appends the ids of a comma-separated subchunk list to subs.
+func parseSubChunks(list []byte, subs []partition.SubChunkID) ([]partition.SubChunkID, error) {
+	for len(list) > 0 {
+		var part []byte
+		part, list, _ = bytes.Cut(list, []byte(","))
+		if part = bytes.TrimSpace(part); len(part) == 0 {
+			continue
+		}
+		id, ok := parseUint(part)
+		if !ok {
+			return nil, fmt.Errorf("core: chunk query header: bad subchunk id %q", part)
+		}
+		subs = append(subs, partition.SubChunkID(id))
+	}
+	return subs, nil
+}
+
+// parseUint reads a decimal id of up to nine digits.
+func parseUint(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 9 {
+		return 0, false
+	}
+	n := 0
+	for _, d := range b {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		n = n*10 + int(d-'0')
+	}
+	return n, true
 }
 
 // NewPlanner builds a planner.

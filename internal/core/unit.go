@@ -14,24 +14,22 @@ import (
 // Render spells the naming codec's (internal/meta) name of that piece for a
 // chunk and a subchunk into each hole and changes nothing else, so a literal,
 // a column or an alias that reads like a table name is never rewritten. A
-// plan keeps its worker statements as Units and renders them per chunk; a
-// worker cuts the statements a job carried into one, and knows a later job's
-// statements for the same ones by rendering it for that job's chunk.
+// plan keeps its worker statements as Units and renders them per chunk.
 type Unit struct {
 	pieces []string // the text between the holes: len(holes)+1 of them
 	holes  []meta.TableRef
 }
 
-// Hole is a table-name token to cut out of a unit's text: its extent, inside
+// hole is a table-name token to cut out of a unit's text: its extent, inside
 // any backquotes, and the piece of a catalog table it names (Render fills in
 // Ref's Chunk and Sub).
-type Hole struct {
+type hole struct {
 	Pos, End int
 	Ref      meta.TableRef
 }
 
-// NewUnit cuts text at holes, which are in text order.
-func NewUnit(text string, holes []Hole) *Unit {
+// newUnit cuts text at holes, which are in text order.
+func newUnit(text string, holes []hole) *Unit {
 	u := &Unit{}
 	at := 0
 	for _, h := range holes {
@@ -55,12 +53,6 @@ func (u *Unit) Render(chunk partition.ChunkID, sub partition.SubChunkID) string 
 	return sb.String()
 }
 
-// Matches reports whether text is Render(chunk, sub), building the render
-// only when the text behind the last hole already agrees.
-func (u *Unit) Matches(text string, chunk partition.ChunkID, sub partition.SubChunkID) bool {
-	return strings.HasSuffix(text, u.pieces[len(u.holes)]) && u.Render(chunk, sub) == text
-}
-
 // planUnit deparses a worker statement and cuts it at the table-name tokens
 // of the FROM entries refs gives a piece for (Info nil: a replicated table,
 // which keeps its name). The tokens are found by lexing the text: every FROM
@@ -80,7 +72,7 @@ func planUnit(sel *sqlparse.Select, refs []meta.TableRef) (*Unit, error) {
 			return nil, fmt.Errorf("core: no FROM clause in worker statement %s", text)
 		}
 	}
-	var holes []Hole
+	var holes []hole
 	for i, ref := range refs {
 		var entry [6]sqlparse.Token
 		for k := range entry {
@@ -94,8 +86,8 @@ func planUnit(sel *sqlparse.Select, refs []meta.TableRef) (*Unit, error) {
 			return nil, fmt.Errorf("core: FROM entry %d of worker statement %s is not where it is looked for", i, text)
 		}
 		if ref.Info != nil {
-			holes = append(holes, Hole{Pos: lo, End: hi, Ref: ref})
+			holes = append(holes, hole{Pos: lo, End: hi, Ref: ref})
 		}
 	}
-	return NewUnit(text, holes), nil
+	return newUnit(text, holes), nil
 }

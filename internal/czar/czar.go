@@ -1,15 +1,16 @@
 // Package czar implements the Qserv master frontend (the "qserv-master"
 // of Figure 1): it parses user SQL, plans chunk queries via the core
 // rewriter, dispatches them through the xrd fabric's two file
-// transactions, collects the workers' result streams into a session
-// result table, and runs the merge/aggregation query over it to produce
-// the final answer (paper sections 5.3-5.5).
+// transactions — one write per worker listing the chunks it is sent, one
+// result read per chunk — collects the workers' result streams into a
+// session result table, and runs the merge/aggregation query over it to
+// produce the final answer (paper sections 5.3-5.5).
 //
 // Result collection is the scalability bottleneck the paper identifies
 // at the master (section 7.6); this czar therefore collects with a
 // streaming, parallel pipeline instead of the paper's serialized
-// load-then-copy: dispatch goroutines check result streams concurrently
-// (package dump, no engine involvement) and hand their rows, still
+// load-then-copy: each dispatch's reader checks result streams as they
+// come (package dump, no engine involvement) and hands their rows, still
 // encoded, to the query's mergeSession, gated czar-wide by
 // MergeParallelism so collection overlaps with in-flight chunk fetches and
 // concurrent user queries never serialize on a shared lock. Rows are
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -67,12 +69,8 @@ func DefaultConfig(name string) Config {
 	}
 }
 
-const (
-	// maxParallelDispatch bounds in-flight chunk queries per user query.
-	maxParallelDispatch = 64
-	// maxRetriesPerChunk bounds replica failover attempts per chunk.
-	maxRetriesPerChunk = 3
-)
+// maxRetriesPerChunk bounds the dispatches a chunk is part of.
+const maxRetriesPerChunk = 3
 
 // Czar is one master frontend.
 type Czar struct {
@@ -232,93 +230,73 @@ func (c *Czar) Query(sql string) (*QueryResult, error) {
 // merge session, and has it run the final merge statement. It runs inside
 // q's session goroutine; q carries the context that kills it and the
 // progress counters observers read.
+//
+// The chunks are grouped by the replica each is sent to, and each group is
+// one dispatch write (core.Dispatch) read back a chunk at a time, in list
+// order, by a goroutine of its own (runDispatch). A group that fails comes
+// back here with its unread chunks, which go out again grouped by their
+// next replica.
 func (c *Czar) execute(q *Query, plan *core.Plan, fill *cacheFill) (*QueryResult, error) {
-	ctx := q.ctx
 	qr := &QueryResult{Class: plan.Class, ChunksDispatched: len(plan.Chunks),
 		ChunksPruned: plan.Route.Pruned}
-
-	// Each dispatch goroutine fetches its chunk's result stream and then
-	// absorbs it right there, so collection overlaps with the fetches
-	// still in flight. The merge gate (MergeParallelism) is czar-wide: it
-	// bounds that CPU across all concurrent user queries without ever
-	// serializing them on shared state — each query has its own session.
 	// A pass-through plan's rows go on to the stream; an EXPLAIN ANALYZE
 	// shows the trace instead, so its session holds them like any plan's.
 	pass := plan.Streamable() && !q.explain
 	session := newMergeSession(plan, c.engine, c.compactRows, pass)
 	c.metrics.chunks.Add(int64(len(plan.Chunks)))
-	type chunkOutcome struct {
-		chunk   partition.ChunkID
-		bytes   int64 // dump-stream bytes folded (trailer stripped)
-		raw     int64 // wire bytes read from the worker
-		retries int
-		err     error
-	}
-	results := make(chan chunkOutcome, len(plan.Chunks))
-	sem := make(chan struct{}, maxParallelDispatch)
-	for _, chunk := range plan.Chunks {
-		go func(chunk partition.ChunkID) {
-			// The outcome is sent only after the chunk's span and window
-			// slot are released: once every outcome is drained the trace
-			// is complete and may be rendered.
-			results <- func() chunkOutcome {
-				// The chunk span covers the whole per-chunk pipeline: the
-				// dispatch-window wait, the fabric transactions (with the
-				// worker's shipped subtree grafted beneath), and the merge
-				// fold. A nil root makes every span call a no-op.
-				cs := q.root.Child(fmt.Sprintf("chunk %d", chunk))
-				defer cs.Finish()
-				// A canceled query's queued dispatches never start: they
-				// drain immediately instead of burning the dispatch window.
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					return chunkOutcome{chunk: chunk, err: context.Cause(ctx)}
-				}
-				defer func() { <-sem }()
-				q.dispatched.Add(1)
-				data, raw, retries, err := c.runChunk(ctx, q, plan, chunk, cs)
-				if err == nil {
-					c.mergeSem <- struct{}{}
-					ms := cs.Child("merge fold")
-					batch, ferr := session.absorb(data, ms)
-					ms.Finish()
-					<-c.mergeSem
-					if err = ferr; err == nil {
-						ms.SetAttr("rows", batch.Len())
-						q.rowsMerged.Add(int64(batch.Len()))
-						if pass { // past the merge gate: a stalled reader holds only this slot
-							fill.add(batch)
-							err = q.stream.pushWait(ctx, batch)
-						}
-					}
-				}
-				return chunkOutcome{chunk: chunk, bytes: int64(len(data)), raw: int64(raw), retries: retries, err: err}
-			}()
-		}(chunk)
-	}
-	// Drain every outcome even after a failure — the error path cancels
-	// the query context, so stragglers return promptly and no goroutine
-	// outlives the query.
-	var firstErr error
-	for range plan.Chunks {
-		co := <-results
-		if co.err != nil {
-			if firstErr == nil {
-				stage := fmt.Sprintf("chunk %d", co.chunk)
-				if errors.As(co.err, new(mergeError)) {
-					stage = "merge"
-				}
-				firstErr = fmt.Errorf("czar %s: %s: %w", c.cfg.Name, stage, co.err)
-				q.cancel(firstErr)
-			}
-			continue
+	runs := make([]*chunkRun, len(plan.Chunks))
+	for i, chunk := range plan.Chunks {
+		cq := plan.QueryFor(chunk)
+		r := &chunkRun{chunk: chunk, path: xrd.QueryPath(int(chunk)), subs: cq.SubChunks, stmts: cq.Statements, hash: xrd.ResultHash(cq.Payload())}
+		if q.root != nil {
+			// The chunk span covers the whole per-chunk pipeline: the fabric
+			// transactions (with the worker's shipped subtree grafted
+			// beneath) and the merge fold.
+			r.span = q.root.Child(fmt.Sprintf("chunk %d", chunk))
 		}
-		qr.Retries += co.retries
-		qr.ResultBytes += co.raw
-		qr.BytesMerged += co.bytes
-		q.completed.Add(1)
-		q.bytesRead.Add(co.raw)
+		c.skipDead(r)
+		runs[i] = r
+	}
+
+	// Drain every outcome even after a failure — the error path cancels the
+	// query context, so stragglers return promptly and no goroutine
+	// outlives the query.
+	outcomes := make(chan dispatchOutcome)
+	inflight := 0
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("czar %s: %w", c.cfg.Name, err)
+			q.cancel(firstErr)
+		}
+	}
+	send := func(runs []*chunkRun) {
+		groups, err := c.group(runs)
+		if err != nil {
+			fail(err)
+			return
+		}
+		for _, g := range groups {
+			inflight++
+			go func() { outcomes <- c.runDispatch(q, plan, session, g, fill) }()
+		}
+	}
+	send(runs)
+	for inflight > 0 {
+		o := <-outcomes
+		inflight--
+		qr.ResultBytes += o.raw
+		qr.BytesMerged += o.bytes
+		switch {
+		case o.err != nil:
+			fail(o.err)
+		case len(o.unread) > 0 && firstErr == nil:
+			qr.Retries += len(o.unread)
+			send(o.unread)
+		}
+	}
+	for _, r := range runs {
+		r.span.Finish()
 	}
 	c.metrics.retries.Add(int64(qr.Retries))
 	if firstErr != nil {
@@ -342,6 +320,233 @@ func (c *Czar) execute(q *Query, plan *core.Plan, fill *cacheFill) (*QueryResult
 		q.stream.push(out)
 	}
 	return qr, nil
+}
+
+// chunkRun is one chunk of a query on its way through dispatch: its
+// one-chunk chunk query, the hash its result is read at (the paper's
+// /result/<md5> of that payload), the replicas it avoids, and the
+// dispatches it has been in.
+type chunkRun struct {
+	chunk partition.ChunkID
+	path  string // the chunk's dispatch path, /query2/<chunk>
+	subs  []partition.SubChunkID
+	stmts []string
+	hash  string
+	span  *telemetry.Span
+	tx    *telemetry.Span // the fabric transaction in flight
+
+	// avoid holds the replicas the chunk is not sent to: ones it failed on,
+	// and ones the failure detector knows are dead (skipped). If those
+	// exclude every replica the detector may be wrong (a recovering worker
+	// is probed back in asynchronously), and the skipped ones get one
+	// chance before the chunk fails.
+	avoid   map[string]bool
+	skipped []string
+	tries   int
+	lastErr error
+}
+
+// skipDead excludes a chunk's replicas the failure detector knows are dead
+// up front, so a dead worker costs the query one map entry instead of a
+// failed dispatch.
+func (c *Czar) skipDead(r *chunkRun) {
+	if c.membership == nil {
+		return
+	}
+	for _, name := range c.client.Replicas(r.path) {
+		if c.membership.Dead(name) {
+			r.exclude(name)
+			r.skipped = append(r.skipped, name)
+		}
+	}
+}
+
+func (r *chunkRun) exclude(name string) {
+	if r.avoid == nil {
+		r.avoid = map[string]bool{}
+	}
+	r.avoid[name] = true
+}
+
+// dispatchGroup is the chunks one dispatch write sends to one replica, in
+// plan order.
+type dispatchGroup struct {
+	endpoint string
+	runs     []*chunkRun
+}
+
+// group picks each chunk's replica — the first live one it does not avoid —
+// and groups the chunks by it. A chunk with no replica left, or out of
+// tries, fails the query.
+func (c *Czar) group(runs []*chunkRun) ([]dispatchGroup, error) {
+	var groups []dispatchGroup
+	for _, r := range runs {
+		if r.tries >= maxRetriesPerChunk {
+			return nil, fmt.Errorf("chunk %d: failed after %d attempts: %w", r.chunk, r.tries, r.lastErr)
+		}
+		ep, err := c.replica(r)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", r.chunk, err)
+		}
+		i := slices.IndexFunc(groups, func(g dispatchGroup) bool { return g.endpoint == ep })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, dispatchGroup{endpoint: ep})
+		}
+		groups[i].runs = append(groups[i].runs, r)
+	}
+	return groups, nil
+}
+
+// replica is the first live replica of r's chunk that r does not avoid.
+func (c *Czar) replica(r *chunkRun) (string, error) {
+	for {
+		name, exported := c.client.Replica(r.path, r.avoid)
+		if name != "" {
+			return name, nil
+		}
+		if exported && len(r.skipped) > 0 {
+			// Restoring the skipped replicas is bookkeeping, not a
+			// dispatch: it consumes no try, and runs at most once.
+			for _, name := range r.skipped {
+				delete(r.avoid, name)
+			}
+			r.skipped = nil
+			continue
+		}
+		if r.lastErr != nil {
+			return "", fmt.Errorf("failed on every replica after %d attempts: %w", r.tries, r.lastErr)
+		}
+		return "", fmt.Errorf("%w: %s", xrd.ErrNoServer, r.path)
+	}
+}
+
+// dispatchOutcome is what a dispatch came to: the bytes it collected, and
+// either the chunks it left unread on a failed replica, to send again, or
+// the error that fails the query.
+type dispatchOutcome struct {
+	bytes  int64 // dump-stream bytes folded (trailers stripped)
+	raw    int64 // wire bytes read from the worker
+	unread []*chunkRun
+	err    error
+}
+
+// cancelTxTimeout bounds the best-effort worker-side cancel
+// transactions: the kill path exists to reclaim resources promptly, so
+// it must never become the one unbounded transaction in the system (a
+// blackholed worker would otherwise hang the dispatch goroutine — and
+// with it Wait and Close — forever).
+const cancelTxTimeout = 2 * time.Second
+
+// runDispatch performs one dispatch write of g's chunks to its replica and
+// reads their results back a chunk at a time, in list order, each absorbed
+// into the session right there, so collection overlaps with the jobs still
+// running — the worker admits a listed chunk as an earlier one is read (its
+// window). Dispatch, result reads and cancels all carry the query's
+// out-of-band identity (xrd.WithQID), so a read or a cancel can only reach
+// the chunk queries this query wrote.
+//
+// A failed write or read sends the unread chunks back to execute, with the
+// replica avoided, after a best-effort cancel of the ones the worker may
+// still hold. A canceled query cancels them at the worker, so its queued or
+// running chunk queries are dequeued or aborted and the scan slots
+// reclaimed. Worker-shipped trace trailers are stripped from the result
+// bytes here — unconditionally, because a worker with tracing on must not
+// leak trailer bytes into the merge regardless of this czar's own
+// telemetry state — and grafted under the chunk's span when the query is
+// traced.
+func (c *Czar) runDispatch(q *Query, plan *core.Plan, session *mergeSession, g dispatchGroup, fill *cacheFill) (o dispatchOutcome) {
+	ctx, qid, ep := q.ctx, c.qidOf(q), g.endpoint
+	d := core.Dispatch{Class: plan.Class, Statements: g.runs[0].stmts, Chunks: make([]core.DispatchChunk, len(g.runs))}
+	for i, r := range g.runs {
+		d.Chunks[i] = core.DispatchChunk{Chunk: r.chunk, Hash: r.hash, SubChunks: r.subs}
+		if r.tries == 0 {
+			q.dispatched.Add(1)
+		}
+		r.tries++
+		r.tx = r.span.Child("fabric txn")
+		r.tx.SetAttr("worker", ep)
+	}
+	// failed ends the dispatch at its i-th chunk; held is the first chunk
+	// the worker may still hold (a failed read released its own).
+	failed := func(i, held int, err error) dispatchOutcome {
+		for _, r := range g.runs[i:] {
+			r.tx.SetAttr("err", err)
+			r.tx.Finish()
+		}
+		if ctx.Err() != nil {
+			// The query was killed while the worker held (or ran) these
+			// chunk queries, or while the write was in flight (it may have
+			// landed all the same): tell the worker to stop them.
+			c.cancelAt(ep, qid, g.runs[i:])
+			o.err = fmt.Errorf("chunk %d: %w", g.runs[i].chunk, context.Cause(ctx))
+			return o
+		}
+		c.cancelAt(ep, qid, g.runs[held:])
+		for _, r := range g.runs[i:] {
+			r.exclude(ep)
+			r.lastErr = err
+		}
+		o.unread = g.runs[i:]
+		return o
+	}
+	if err := c.client.WriteTo(ctx, ep, xrd.WithQID(g.runs[0].path, qid), d.Payload()); err != nil {
+		return failed(0, 0, err) // a write torn in transport may have landed
+	}
+	for i, r := range g.runs {
+		data, err := c.client.ReadFrom(ctx, ep, xrd.WithQID(xrd.ResultPathOf(r.hash), qid))
+		if err != nil {
+			return failed(i, i+1, err)
+		}
+		r.tx.Finish()
+		o.raw += int64(len(data))
+		q.bytesRead.Add(int64(len(data)))
+		data, shipped := telemetry.ExtractTrailer(data)
+		r.span.Graft(shipped...)
+		o.bytes += int64(len(data))
+
+		c.mergeSem <- struct{}{}
+		ms := r.span.Child("merge fold")
+		batch, err := session.absorb(data, ms)
+		ms.Finish()
+		<-c.mergeSem
+		if err == nil {
+			ms.SetAttr("rows", batch.Len())
+			q.rowsMerged.Add(int64(batch.Len()))
+			if session.pass { // past the merge gate: a stalled reader holds only this dispatch
+				fill.add(batch)
+				err = q.stream.pushWait(ctx, batch)
+			}
+		}
+		if err != nil {
+			if errors.As(err, new(mergeError)) {
+				o.err = fmt.Errorf("merge: %w", err)
+			} else {
+				o.err = fmt.Errorf("chunk %d: %w", r.chunk, err)
+			}
+			c.cancelAt(ep, qid, g.runs[i+1:])
+			return o
+		}
+		r.span.Finish()
+		q.completed.Add(1)
+	}
+	return o
+}
+
+// cancelAt fires best-effort cancel transactions for runs at the replica
+// they were written to, on a fresh bounded context — the query's own may be
+// canceled, and would refuse them.
+func (c *Czar) cancelAt(ep, qid string, runs []*chunkRun) {
+	if len(runs) == 0 {
+		return
+	}
+	ctx, done := context.WithTimeout(context.Background(), cancelTxTimeout)
+	defer done()
+	for _, r := range runs {
+		if c.client.WriteTo(ctx, ep, xrd.WithQID(xrd.CancelPath(r.hash), qid), nil) != nil && ctx.Err() != nil {
+			return
+		}
+	}
 }
 
 // cacheLookup consults the czar result cache at submit time: a hit
@@ -447,122 +652,8 @@ func planTables(plan *core.Plan) []string {
 	return slices.Compact(names)
 }
 
-// cancelTxTimeout bounds the best-effort worker-side cancel
-// transactions: the kill path exists to reclaim resources promptly, so
-// it must never become the one unbounded transaction in the system (a
-// blackholed worker would otherwise hang the dispatch goroutine — and
-// with it Wait and Close — forever).
-const cancelTxTimeout = 2 * time.Second
-
-// runChunk performs the two file transactions for one chunk, failing
-// over to replicas when a worker dies between accepting the query and
-// serving the result. A canceled context aborts the transactions in
-// flight and fires a best-effort cancel transaction at the worker that
-// accepted the dispatch, so its queued or running chunk query is
-// dequeued or aborted and the scan slot reclaimed. Dispatch, result
-// read and cancel all carry the query's out-of-band identity
-// (xrd.WithQID) so a read or a cancel can only reach the chunk query this
-// query wrote.
-// Worker-shipped trace trailers are stripped from the result bytes
-// here — unconditionally, because a worker with tracing on must not
-// leak trailer bytes into the merge regardless of this czar's own
-// telemetry state — and grafted under cs when this query is traced.
-// Returns the stripped data plus the raw wire byte count.
-func (c *Czar) runChunk(ctx context.Context, q *Query, plan *core.Plan, chunk partition.ChunkID, cs *telemetry.Span) ([]byte, int, int, error) {
-	payload := plan.QueryFor(chunk).Payload()
-	qid := c.qidOf(q)
-	queryPath := xrd.QueryPath(int(chunk))
-	writePath := xrd.WithQID(queryPath, qid)
-	hash := xrd.ResultHash(payload)
-	resultPath := xrd.WithQID(xrd.ResultPathOf(hash), qid)
-	cancelPath := xrd.WithQID(xrd.CancelPath(hash), qid)
-
-	// Health-aware replica ordering: replicas the failure detector
-	// knows are dead are excluded up front, so a dead worker costs the
-	// query one map entry instead of a full dispatch timeout per chunk.
-	// The skip is remembered separately from read-failure avoidance: if
-	// it excludes *every* replica the detector may be wrong (a
-	// recovering worker is probed back in asynchronously), and the
-	// skipped replicas get one fallback chance before the chunk fails.
-	avoid := map[string]bool{}
-	var skippedDead []string
-	if c.membership != nil {
-		for _, name := range c.client.Replicas(queryPath) {
-			if c.membership.Dead(name) {
-				avoid[name] = true
-				skippedDead = append(skippedDead, name)
-			}
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt < maxRetriesPerChunk; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, attempt, context.Cause(ctx)
-		}
-		tx := cs.Child("fabric txn")
-		endpoint, err := c.client.WriteAvoiding(ctx, writePath, payload, avoid)
-		if err != nil {
-			tx.SetAttr("err", err)
-			tx.Finish()
-			if len(skippedDead) > 0 && errors.Is(err, xrd.ErrNoServer) && ctx.Err() == nil {
-				for _, name := range skippedDead {
-					delete(avoid, name)
-				}
-				// Restoring the skipped replicas is bookkeeping, not a
-				// dispatch: it must not consume an attempt (else a
-				// one-attempt budget would fail without ever
-				// dispatching). skippedDead is nil now, so this branch
-				// runs at most once.
-				skippedDead = nil
-				lastErr = err
-				attempt--
-				continue
-			}
-			if ctx.Err() != nil {
-				// The kill aborted the write mid-transaction: the chunk
-				// query may have reached a worker anyway (the abort can
-				// land after the request bytes were delivered), and
-				// which one accepted it is unknown. Broadcast the
-				// cancel to every replica; the qid makes it a no-op
-				// wherever this query's write never landed, so another
-				// query's job of the same payload is never touched.
-				cctx, done := context.WithTimeout(context.Background(), cancelTxTimeout)
-				c.client.WriteEverywhere(cctx, queryPath, cancelPath, nil)
-				done()
-				return nil, 0, attempt, context.Cause(ctx)
-			}
-			return nil, 0, attempt, err
-		}
-		tx.SetAttr("worker", endpoint)
-		data, err := c.client.ReadFrom(ctx, endpoint, resultPath)
-		if err == nil {
-			tx.Finish()
-			raw := len(data)
-			data, shipped := telemetry.ExtractTrailer(data)
-			cs.Graft(shipped...)
-			return data, raw, attempt, nil
-		}
-		tx.SetAttr("err", err)
-		tx.Finish()
-		if ctx.Err() != nil {
-			// The query was killed while the worker held (or ran) the
-			// chunk query; tell it to stop. The kill rides a fresh,
-			// bounded context — the canceled one would refuse the
-			// transaction.
-			cctx, done := context.WithTimeout(context.Background(), cancelTxTimeout)
-			_ = c.client.WriteTo(cctx, endpoint, cancelPath, nil)
-			done()
-			return nil, 0, attempt, context.Cause(ctx)
-		}
-		lastErr = err
-		avoid[endpoint] = true
-	}
-	return nil, 0, maxRetriesPerChunk, fmt.Errorf(
-		"czar %s: chunk %d failed after %d attempts: %w",
-		c.cfg.Name, chunk, maxRetriesPerChunk, lastErr)
-}
-
 // qidOf renders a query's fabric-wide identity: czar name + query id.
 func (c *Czar) qidOf(q *Query) string {
-	return fmt.Sprintf("%s-%d", c.cfg.Name, q.id)
+	var buf [64]byte
+	return string(strconv.AppendInt(append(append(buf[:0], c.cfg.Name...), '-'), q.id, 10))
 }

@@ -216,9 +216,10 @@ func (q *Query) finish(res *QueryResult, err error) {
 // ---------- streaming rows ----------
 
 // streamBytes bounds the encoded rows a query's stream holds that its
-// reader has not taken. A chunk result past it waits in its dispatch
-// goroutine, holding a dispatch slot, so a stalled reader leaves the czar
-// at most this plus maxParallelDispatch chunk results of its query.
+// reader has not taken. A chunk result past it waits in its dispatch's
+// reader goroutine, so a stalled reader leaves the czar at most this plus
+// one chunk result per dispatch of its query, and each worker a window of
+// each dispatch (the rest is not run until it is read).
 const streamBytes = 8 << 20
 
 // The stream's reader: nobody yet, a RowIter, or Wait.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dump"
 	"repro/internal/meta"
@@ -36,10 +37,19 @@ type cannedRows struct {
 
 func (h *cannedRows) HandleWrite(path string, payload []byte) error {
 	p, _ := xrd.SplitQID(path)
-	if chunk, err := strconv.Atoi(strings.TrimPrefix(p, "/query2/")); err == nil {
-		h.mu.Lock()
-		h.chunks[xrd.ResultHash(payload)] = chunk
-		h.mu.Unlock()
+	chunk, err := strconv.Atoi(strings.TrimPrefix(p, "/query2/"))
+	if err != nil {
+		return nil
+	}
+	hdr, err := core.ParseHeader(payload)
+	if err != nil {
+		return err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.chunks[xrd.ResultHash(payload)] = chunk
+	for _, c := range hdr.Chunks {
+		h.chunks[c.Hash] = int(c.Chunk)
 	}
 	return nil
 }
@@ -111,9 +121,9 @@ func cannedCzar(t *testing.T, cfg Config, n, rows int) (*Czar, string) {
 }
 
 // stalledAt submits passSQL, takes its rows without reading one, and waits
-// for dispatch to stop where a full stream stops it: every chunk whose rows
-// fit in streamBytes is done, and maxParallelDispatch more hold their
-// dispatch slots, waiting for room. It checks dispatch stays there.
+// for collection to stop where a full stream stops it: every chunk whose
+// rows fit in streamBytes is done, and the one dispatch's reader holds the
+// next, waiting for room. It checks collection stays there.
 func stalledAt(t *testing.T, cz *Czar, size int64) (*Query, *RowIter) {
 	t.Helper()
 	q, err := cz.Submit(context.Background(), passSQL, Options{})
@@ -121,16 +131,16 @@ func stalledAt(t *testing.T, cz *Czar, size int64) (*Query, *RowIter) {
 		t.Fatal(err)
 	}
 	it := q.Rows()
-	bound := maxParallelDispatch + int(streamBytes/size)
-	for deadline := time.Now().Add(10 * time.Second); q.Progress().ChunksDispatched < bound; time.Sleep(time.Millisecond) {
+	bound := int(streamBytes / size)
+	for deadline := time.Now().Add(10 * time.Second); q.Progress().ChunksCompleted < bound; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("dispatch stopped at %d chunks, want %d", q.Progress().ChunksDispatched, bound)
+			t.Fatalf("collection stopped at %d chunks, want %d", q.Progress().ChunksCompleted, bound)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
 	p := q.Progress()
-	if p.ChunksDispatched != bound || p.Done || p.ChunksTotal <= bound {
-		t.Fatalf("a reader that takes nothing: %+v; want dispatch stopped at %d of %d", p, bound, p.ChunksTotal)
+	if p.ChunksCompleted != bound || p.Done || p.ChunksTotal <= bound+1 {
+		t.Fatalf("a reader that takes nothing: %+v; want collection stopped at %d of %d", p, bound, p.ChunksTotal)
 	}
 	if held := q.stream.held(); held > streamBytes {
 		t.Fatalf("the stream holds %d bytes, over its bound of %d", held, streamBytes)
@@ -146,13 +156,13 @@ func (s *rowStream) held() int64 {
 }
 
 // TestStalledReaderStopsDispatch: a reader that takes nothing stops its
-// query's dispatch once the stream is full, with the czar holding at most
-// streamBytes plus maxParallelDispatch chunk results of it; reading on
-// completes the query, every row arriving once.
+// query's collection once the stream is full, with the czar holding at most
+// streamBytes plus one chunk result per dispatch of it; reading on completes
+// the query, every row arriving once.
 func TestStalledReaderStopsDispatch(t *testing.T) {
 	const rows = 2000
 	size := cannedBatchSize(t, rows)
-	chunks := maxParallelDispatch + int(streamBytes/size) + 32
+	chunks := int(streamBytes/size) + 32
 	cz, _ := cannedCzar(t, DefaultConfig("czar-stall"), chunks, rows)
 	q, it := stalledAt(t, cz, size)
 
@@ -203,7 +213,7 @@ func TestWaitDrainsAResultLargerThanTheStream(t *testing.T) {
 func TestKillUnblocksAFullStream(t *testing.T) {
 	const rows = 2000
 	size := cannedBatchSize(t, rows)
-	cz, _ := cannedCzar(t, DefaultConfig("czar-kill"), maxParallelDispatch+int(streamBytes/size)+32, rows)
+	cz, _ := cannedCzar(t, DefaultConfig("czar-kill"), int(streamBytes/size)+32, rows)
 	before := runtime.NumGoroutine()
 	q, _ := stalledAt(t, cz, size)
 	start := time.Now()
@@ -225,13 +235,13 @@ func TestKillUnblocksAFullStream(t *testing.T) {
 
 // TestStalledReaderHoldsNoMergeGate: with one merge slot czar-wide, a
 // second query completes while the first's dispatch waits on its stalled
-// reader — the wait holds that query's dispatch slots, never the merge gate.
+// reader — the wait holds that query's dispatch reader, never the merge gate.
 func TestStalledReaderHoldsNoMergeGate(t *testing.T) {
 	const rows = 2000
 	size := cannedBatchSize(t, rows)
 	cfg := DefaultConfig("czar-gate")
 	cfg.MergeParallelism = 1
-	chunks := maxParallelDispatch + int(streamBytes/size) + 32
+	chunks := int(streamBytes/size) + 32
 	cz, small := cannedCzar(t, cfg, chunks, rows)
 	stalledAt(t, cz, size)
 	done := make(chan error, 1)

@@ -84,17 +84,33 @@ func (k NameKind) Subchunk() bool { return k == SubChunkTable || k == SubChunkOv
 // Name spells the worker-side name of the piece r decodes to: ResolveTable
 // read backwards.
 func (r TableRef) Name() string {
-	switch r.Kind {
-	case ChunkTable:
-		return ChunkTableName(r.Info.Name, r.Chunk)
-	case ChunkOverlapTable:
-		return OverlapTableName(r.Info.Name, r.Chunk)
-	case SubChunkTable:
-		return SubChunkTableName(r.Info.Name, r.Chunk, r.Sub)
-	case SubChunkOverlapTable:
-		return SubChunkOverlapTableName(r.Info.Name, r.Chunk, r.Sub)
+	if r.Kind == SharedTable {
+		return r.Info.Name
 	}
-	return r.Info.Name
+	var buf [64]byte
+	return string(r.AppendName(buf[:0]))
+}
+
+// AppendName appends Name's spelling to dst.
+func (r TableRef) AppendName(dst []byte) []byte {
+	dst = append(dst, r.Info.Name...)
+	if r.Kind == SharedTable {
+		return dst
+	}
+	if r.Kind == ChunkOverlapTable || r.Kind == SubChunkOverlapTable {
+		dst = append(dst, overlapSuffix...)
+	}
+	dst = strconv.AppendInt(append(dst, '_'), int64(r.Chunk), 10)
+	if r.Kind.Subchunk() {
+		dst = strconv.AppendInt(append(dst, '_'), int64(r.Sub), 10)
+	}
+	return dst
+}
+
+// Spells reports whether name is Name, without building it.
+func (r TableRef) Spells(name string) bool {
+	var buf [64]byte
+	return string(r.AppendName(buf[:0])) == name
 }
 
 // nameSplit is one way a name could have been built: from base, with or

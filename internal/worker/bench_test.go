@@ -160,8 +160,8 @@ func nearNeighbourFixtureOf(tb testing.TB, cfg Config, inChunk int, radius float
 // BenchmarkNearNeighbourJob prices one SHV1 chunk job from its payload to
 // its result bytes: subchunk build, every statement, the result stream.
 // Besides ns and allocations per job it reports how many statements a job
-// parsed (the others ran through an already compiled pair) and how many
-// pairs its joins visited. `make bench-layers` runs it.
+// parsed (a one-chunk dispatch parses its pair) and how many pairs its
+// joins visited. `make bench-layers` runs it.
 func BenchmarkNearNeighbourJob(b *testing.B) {
 	cfg := DefaultConfig("w-nn")
 	cfg.Metrics = telemetry.NewRegistry()
@@ -226,4 +226,59 @@ func TestChunkResultCopiedOnce(t *testing.T) {
 		t.Errorf("a traced job shipping %d bytes (%d of them the trailer) allocated %d: over the result and %d bytes",
 			len(out), len(out)-len(stream), alloc, constant)
 	}
+}
+
+// BenchmarkScanTransaction prices what a worker does per chunk of a full
+// scan outside the engine's scan itself: an HV1 chunk query over 24 chunks
+// of 2,000 Object rows, sent as one dispatch listing all 24 (parsed once,
+// bound per chunk) against the same 24 chunks as 24 one-chunk payloads —
+// what bench/'s replay sends, each parsed by its own job. It reports ns and
+// allocations per chunk. `make bench-layers` runs it.
+func BenchmarkScanTransaction(b *testing.B) {
+	w, chunks := loadBigChunks(b, DefaultConfig("w-txn"), 24, 2000)
+	stmt := func(c partition.ChunkID) string {
+		return fmt.Sprintf("SELECT COUNT(*) AS qserv_c0 FROM LSST.%s AS Object WHERE (zFlux_PS > 1e-30)", meta.ChunkTableName("Object", c))
+	}
+	run := func(b *testing.B, payloads [][]byte, hashes []string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, p := range payloads {
+				if err := w.HandleWrite(xrd.QueryPath(int(chunks[k])), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, h := range hashes {
+				if _, err := w.HandleRead(xrd.ResultPathOf(h)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N * len(chunks))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/chunk")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/chunk")
+	}
+	b.Run("dispatch", func(b *testing.B) {
+		d := core.Dispatch{Class: core.FullScan, Statements: []string{stmt(chunks[0])}}
+		var hashes []string
+		for _, c := range chunks {
+			one := core.ChunkQuery{Chunk: c, Class: core.FullScan, Statements: []string{stmt(c)}}
+			h := xrd.ResultHash(one.Payload())
+			d.Chunks = append(d.Chunks, core.DispatchChunk{Chunk: c, Hash: h})
+			hashes = append(hashes, h)
+		}
+		run(b, [][]byte{d.Payload()}, hashes)
+	})
+	b.Run("one-chunk", func(b *testing.B) {
+		var payloads [][]byte
+		var hashes []string
+		for _, c := range chunks {
+			p := core.ChunkQuery{Chunk: c, Class: core.FullScan, Statements: []string{stmt(c)}}.Payload()
+			payloads, hashes = append(payloads, p), append(hashes, xrd.ResultHash(p))
+		}
+		run(b, payloads, hashes)
+	})
 }

@@ -7,13 +7,16 @@ import (
 	"repro/internal/partition"
 )
 
-// FuzzChunkScriptReuse holds statement reuse to "exact or not taken" on
-// whatever arrives: the statement pair of a rendered SHV1 payload and the
-// subchunk list of its header, under a series of edits — each three bytes of
-// the input: where, what kind, which byte — must be answered by a job that
-// may take a template exactly as by a job that parses every statement: the
-// same result stream, or a failure in both. The seed corpus also runs as a
-// plain test.
+// FuzzChunkScriptReuse holds a dispatch's binding to its one-chunk payloads
+// on whatever arrives: the statement pair of a rendered SHV1 payload and
+// the subchunk list of its header, under a series of edits — each three
+// bytes of the input: where, what kind, which byte — are written as one
+// dispatch listing the chunk for that list and then for another first
+// subchunk, and each listed chunk must answer exactly as its own one-chunk
+// payload: the pair for the first, the pair renamed for the other first
+// subchunk on a fresh parse (reuseFixture.rebind), apart from the binder,
+// for the second — the same result stream, or a failure in both. The seed
+// corpus also runs as a plain test.
 func FuzzChunkScriptReuse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{200, 0, '5'})                   // a digit of a literal
@@ -54,9 +57,6 @@ func FuzzChunkScriptReuse(f *testing.F) {
 				subs = append(subs, partition.SubChunkID(int(subs[k])+int(edits[2])%3))
 			}
 		}
-		payload := fx.header(subs) + pair
-		if got, want := fx.answer(payload), fx.answer(fresh(payload)); got != want {
-			t.Fatalf("the job answers\n%s\na job that parses every statement\n%s\npayload:\n%s", got, want, payload)
-		}
+		fx.checkTxn(t, "the dispatch", subs, pair)
 	})
 }

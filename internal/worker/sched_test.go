@@ -34,7 +34,7 @@ func loadBigChunks(t testing.TB, cfg Config, n, rowsPerChunk int) (*Worker, []pa
 	var chunks []partition.ChunkID
 	id := int64(0)
 	for k := 0; k < n; k++ {
-		anchor := sphgeom.NewPoint(40+float64(k)*60, 5)
+		anchor := sphgeom.NewPoint(40+float64(k)*60, 5+10*float64(k/6)) // six a stripe
 		chunk, _ := ch.Locate(anchor)
 		bounds, err := ch.ChunkBounds(chunk)
 		if err != nil {
@@ -239,7 +239,8 @@ func resolveOne(t *testing.T, w *Worker, table string) *tableUse {
 		t.Fatal(err)
 	}
 	run := &jobRun{w: w, j: &job{}}
-	_ = run.useTables(&jobStmt{sel: sel, names: []string{table}})
+	ref, ok := w.registry.ResolveTable(table)
+	_ = run.useTables(&jobStmt{sel: sel, ents: []fromEntry{{name: table, ref: ref, resolved: ok}}})
 	if len(run.j.tables) == 0 {
 		return nil
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/chunkstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dump"
 	"repro/internal/meta"
 	"repro/internal/partition"
 	"repro/internal/sphgeom"
@@ -150,7 +151,8 @@ func TestSubchunkTablesAreTheExhaustiveOnes(t *testing.T) {
 // tables — in ns per build and per row routed. `make bench-layers` runs it.
 func BenchmarkSubchunkBuild(b *testing.B) {
 	w, chunk, payload := nearNeighbourFixture(b, DefaultConfig("w-build"))
-	_, subs, _, err := core.ParseHeader(payload)
+	h, err := core.ParseHeader(payload)
+	subs := h.SubChunks
 	if err != nil || len(subs) == 0 {
 		b.Fatalf("the payload has no SUBCHUNKS header (%v)", err)
 	}
@@ -262,12 +264,13 @@ func TestConcurrentNearNeighbourJobsShareNothing(t *testing.T) {
 }
 
 // TestFinishedJobsSubchunkTablesAreCollected: the subchunk tables a job
-// built are garbage once it ends, while the template it filed its
-// statements under sits in the worker's cache — and the next job takes
-// that template and answers as a job that parses.
+// built are garbage once it ends, while the statements it ran sit in its
+// dispatch for the next listed chunk — which takes them without a parse
+// and answers as its one-chunk payload does.
 func TestFinishedJobsSubchunkTablesAreCollected(t *testing.T) {
 	f := newReuseFixture(t)
-	j := &job{chunk: f.chunk, class: core.FullScan, subs: f.subs, text: f.pair, cancel: make(chan struct{})}
+	tx := &txn{text: f.pair, first: core.DispatchChunk{Chunk: f.chunk, SubChunks: f.subs}}
+	j := &job{chunk: f.chunk, class: core.FullScan, subs: f.subs, txn: tx, cancel: make(chan struct{})}
 	run := &jobRun{w: f.w, j: j}
 	if err := run.script(); err != nil {
 		t.Fatal(err)
@@ -293,23 +296,26 @@ func TestFinishedJobsSubchunkTablesAreCollected(t *testing.T) {
 	for i := 0; i < 5 && live() > 0; i++ {
 		runtime.GC()
 	}
-	f.w.templates.mu.Lock()
-	cached := len(f.w.templates.entries)
-	f.w.templates.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("%d templates cached after the job, want its one", cached)
+	if tx.spare == nil || len(tx.free) != 0 {
+		t.Fatalf("%d statement sets filed after the job beside the spare (%v), want the job's one as the spare", len(tx.free), tx.spare != nil)
 	}
 	if n := live(); n > 0 {
 		t.Errorf("%d of the job's %d subchunk tables live on after it ended", n, len(built))
 	}
-	payload := f.header(f.subs) + f.pair
-	p0, r0 := f.counters()
-	got := f.answer(payload)
-	p1, r1 := f.counters()
-	if want := f.answer(fresh(payload)); got != want {
-		t.Errorf("the next job answers\n%s\na job that parses\n%s", got, want)
+	next := &job{chunk: f.chunk, class: core.FullScan, subs: f.other(f.subs), txn: tx, cancel: make(chan struct{})}
+	run = &jobRun{w: f.w, j: next}
+	run.opts.Sink = &run.out
+	if err := run.script(); err != nil {
+		t.Fatal(err)
 	}
-	if p1-p0 != 0 || r1-r0 != 2 {
-		t.Errorf("the next job parsed %d statements and reused %d, want 0 and 2", p1-p0, r1-r0)
+	next.gang.leave(f.w, next.tables)
+	if run.parsed != 0 || run.reused != 2 {
+		t.Errorf("the next job parsed %d statements and reused %d, want 0 and 2", run.parsed, run.reused)
+	}
+	got := run.out.Frame("r", run.schema, 0)
+	want := f.answer(f.header(next.subs) + f.rebind(f.pair, f.subs[0], next.subs[0]))
+	dec, err := dump.Decode(string(got))
+	if err != nil || fmt.Sprintf("%v %v", dec.Schema, dec.Rows) != want {
+		t.Errorf("the next job answers\n%v %v\nits one-chunk payload\n%s", dec.Schema, dec.Rows, want)
 	}
 }

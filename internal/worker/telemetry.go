@@ -20,7 +20,7 @@ type workerMetrics struct {
 	queueNS *telemetry.Histogram
 	execNS  *telemetry.Histogram
 	// stmtsParsed and stmtsReused split the statements jobs executed by
-	// how each came to be compiled (see stmtTemplate).
+	// whether the job parsed them or bound its dispatch's parse (see txn).
 	stmtsParsed *telemetry.Counter
 	stmtsReused *telemetry.Counter
 	// gangJoins counts the jobs that started in a gang another job led.
@@ -41,7 +41,7 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 		queueNS:     reg.Histogram("qserv_worker_queue_wait_ns", "chunk-query queue wait", "worker", name),
 		execNS:      reg.Histogram("qserv_worker_exec_ns", "chunk-query execution time", "worker", name),
 		stmtsParsed: reg.Counter("qserv_worker_statements_parsed_total", "chunk-query statements parsed and compiled", "worker", name),
-		stmtsReused: reg.Counter("qserv_worker_statements_reused_total", "chunk-query statements a job ran from an already compiled template whose rendering is its text, without parsing them", "worker", name),
+		stmtsReused: reg.Counter("qserv_worker_statements_reused_total", "chunk-query statements a job ran from its dispatch's parse, bound to its chunk, without parsing them", "worker", name),
 		gangJoins:   reg.Counter("qserv_worker_gang_joins_total", "scan jobs that started in a gang another job led, sharing its read of the chunk", "worker", name),
 	}
 	reg.GaugeFunc("qserv_worker_queue_depth", "queued chunk queries by lane",

@@ -2,13 +2,15 @@
 // (via the xrd.Handler "ofs plugin" interface) wrapping a local SQL
 // engine that stores chunk tables (paper sections 5.1.2 and 5.4).
 //
-// A worker accepts chunk queries written to /query2/CC paths and
-// publishes each result as a package dump result stream readable at
-// /result/H, where H is the MD5 hash of the chunk query payload. A chunk
-// query belongs to the query that wrote it: its result is held until that
-// query reads it (or cancels it), then dropped. The worker caches no
-// outcomes and shares none between queries; queries share a chunk's read
-// through the gang alone.
+// A worker accepts dispatches written to /query2/CC paths — the chunk
+// queries of one user query for every chunk the czar sends it, the
+// statements once (see txn) — and publishes each chunk's result as a
+// package dump result stream readable at /result/H, where H is the MD5 hash
+// of that chunk's one-chunk payload. A chunk query belongs to the query that
+// wrote it: its result is held until that query reads it (or cancels it),
+// then dropped, and at most a window of a dispatch's chunks is held at
+// once. The worker caches no outcomes and shares none between queries;
+// queries share a chunk's read through the gang alone.
 //
 // Scheduling is two-class (paper section 4.3): interactive chunk
 // queries (secondary-index dives, marked by the czar with a "-- CLASS:
@@ -29,14 +31,17 @@
 // stored (table, chunk) or replicated table, which is the inventory and
 // owns the unit's residency.
 // Worker-side table names are spelled and read back by internal/meta
-// alone; a job resolves the names its statements use once.
+// alone; a dispatch resolves the names its statements use once.
 package worker
 
 import (
 	"cmp"
 	"context"
+	"crypto/md5"
+	"encoding/hex"
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,9 +181,10 @@ type Worker struct {
 	// unit's residency.
 	units *unitTable
 
-	// templates holds the parsed and compiled statements of recent
-	// full-scan jobs (see stmtTemplate).
-	templates templateCache
+	// canceled remembers the keys recent kills found no job under (see
+	// cancelRing): a write that lands after the kill meant for it registers
+	// none of them.
+	canceled cancelRing
 
 	// rowBufs recycles the buffers jobs encode their result rows into (a
 	// *[]byte each): a job frames its stream into a slice of its own, so
@@ -198,7 +204,8 @@ const maxReports = 1 << 14
 
 // job states, guarded by Worker.mu.
 const (
-	jobQueued = iota
+	jobPending = iota // registered, waiting for its transaction's window
+	jobQueued
 	jobRunning
 	jobCanceled // canceled while queued; executors skip it
 	jobDone     // outcome published; held until its query reads it
@@ -212,13 +219,13 @@ type jobKey struct{ hash, qid string }
 type job struct {
 	chunk partition.ChunkID
 	class core.QueryClass
-	// subs are the subchunks the payload's SUBCHUNKS header lists, and text
-	// its statements (see core.ChunkQuery).
+	// subs are the subchunks the job covers, hash the address of its result,
+	// and txn the dispatch write that listed it.
 	subs     []partition.SubChunkID
-	text     string
 	hash     string
-	queuedAt time.Time
-	state    int // guarded by Worker.mu
+	txn      *txn
+	queuedAt time.Time // when the window admitted it
+	state    int       // guarded by Worker.mu
 
 	// ready is closed exactly once, after data and err — the job's
 	// outcome — are set.
@@ -405,34 +412,46 @@ func (w *Worker) Cancel(hash string) bool { return w.release(hash, "") }
 
 // release ends query qid's chunk query addressed by hash, whatever ended
 // it: the query read the outcome, gave up on the read, or was killed
-// (/cancel). A qid that wrote nothing here under the hash — a broadcast
-// kill for a dispatch write that never landed here, a kill following a
-// read that already released — releases nothing, so one query never ends
-// another's job.
+// (/cancel). A qid that wrote nothing here under the hash — a kill for a
+// dispatch write that never landed, a kill following a read that already
+// released, a kill that overtook its write — releases
+// nothing, so one query never ends another's job; a qid-carrying one is
+// remembered (cancelRing), so the write it overtook registers nothing.
 //
 // The job leaves the table: a finished one is dropped; a queued one is
 // dequeued — its lane slot is never consumed — and completes with
-// context.Canceled; a running one, on either lane, aborts at the engine's
-// next interrupt poll. release reports whether the job was still queued or
-// running.
+// context.Canceled, as does one still waiting for its transaction's window;
+// a running one, on either lane, aborts at the engine's next interrupt
+// poll. A job that was admitted makes room in its transaction's window.
+// release reports whether the job was still pending, queued or running.
 func (w *Worker) release(hash, qid string) bool {
 	key := jobKey{hash, qid}
 	w.mu.Lock()
 	j := w.jobs[key]
 	if j == nil {
+		if qid != "" {
+			w.canceled.add(key)
+		}
 		w.mu.Unlock()
 		return false
 	}
 	delete(w.jobs, key)
 	state := j.state
-	if state == jobQueued {
+	if state == jobQueued || state == jobPending {
 		j.state = jobCanceled
 	}
+	var buf [txnWindow]*job
+	var next []*job
+	if state != jobPending {
+		j.txn.out--
+		next = w.admit(j.txn, buf[:0])
+	}
 	w.mu.Unlock()
+	w.refuse(w.enqueue(next))
 	switch state {
 	case jobDone:
 		return false
-	case jobQueued:
+	case jobQueued, jobPending:
 		// Scan-lane jobs leave the queue eagerly; interactive jobs are
 		// marked and skipped when their channel slot drains.
 		w.scanq.remove(j)
@@ -446,15 +465,104 @@ func (w *Worker) release(hash, qid string) bool {
 	}
 }
 
+// admit marks t's next jobs queued, in list order, while fewer than
+// txnWindow of them are outstanding, and appends them to dst for enqueue.
+// Callers hold w.mu.
+func (w *Worker) admit(t *txn, dst []*job) []*job {
+	for t.out < txnWindow && t.next < len(t.jobs) {
+		j := t.jobs[t.next]
+		t.next++
+		if j.state != jobPending {
+			continue // canceled while it waited
+		}
+		t.out++
+		j.state, j.queuedAt = jobQueued, time.Now()
+		dst = append(dst, j)
+	}
+	return dst
+}
+
+// enqueue puts admitted jobs on their class's lane and returns the ones a
+// full lane refused. Callers do not hold w.mu, which an executor that a
+// push wakes takes at once (begin); a job released in between reaches its
+// lane marked canceled, and the executor skips it.
+func (w *Worker) enqueue(jobs []*job) (refused []*job) {
+	for _, j := range jobs {
+		queued := false
+		if j.class == core.Interactive {
+			select {
+			case w.interactive <- j:
+				queued = true
+			default:
+			}
+		} else {
+			queued = w.scanq.push(j)
+		}
+		if !queued {
+			refused = append(refused, j)
+		}
+	}
+	return refused
+}
+
+// refuse finishes jobs a full lane refused with its error, for their
+// readers to find — those not released meanwhile.
+func (w *Worker) refuse(jobs []*job) {
+	if len(jobs) == 0 {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, j := range jobs {
+		if j.state == jobQueued {
+			j.state, j.err = jobDone, w.queueFull(j.class)
+			close(j.ready)
+		}
+	}
+}
+
+func (w *Worker) queueFull(class core.QueryClass) error {
+	return fmt.Errorf("worker %s: %s queue full (%d)", w.cfg.Name, class, w.cfg.QueueDepth)
+}
+
+// cancelMemory is how many overtaking kills a worker remembers.
+const cancelMemory = 1024
+
+// cancelRing is the (hash, qid) keys of the last cancelMemory kills that
+// found no job. A kill and the dispatch write it means ride separate
+// connections, so the kill can land first; a listed key found here is never
+// registered, and the job nobody will read never runs. A bare-path key (qid
+// "", the one query every test and simulation shares) is not remembered.
+// Guarded by Worker.mu.
+type cancelRing struct {
+	keys [cancelMemory]jobKey
+	next int
+	set  map[jobKey]bool
+}
+
+func (c *cancelRing) add(k jobKey) {
+	if c.set == nil {
+		c.set = make(map[jobKey]bool, cancelMemory)
+	}
+	if c.set[k] {
+		return
+	}
+	delete(c.set, c.keys[c.next])
+	c.keys[c.next], c.set[k] = k, true
+	c.next = (c.next + 1) % cancelMemory
+}
+
+func (c *cancelRing) has(k jobKey) bool { return c.set[k] }
+
 // ---------- xrd.Handler ----------
 
-// HandleWrite accepts a chunk query written to /query2/CC — it registers
-// a pending result under the payload's hash and the writing query, and
-// enqueues the job on the lane its CLASS header selects (headerless
-// payloads default to the scan lane — the conservative choice) — a kill
-// written to /cancel/H, which dequeues or aborts the writing query's job
-// hashing to H, or an ingest transaction written to /load/... (catalog
-// spec or row batch; see ingest.go).
+// HandleWrite accepts a dispatch written to /query2/CC — a transaction of
+// one job per chunk it lists (see txn), registered under each chunk's result
+// hash and the writing query, and put on the lane its CLASS header selects
+// (headerless payloads default to the scan lane — the conservative choice)
+// as far as its window allows — a kill written to /cancel/H, which dequeues
+// or aborts the writing query's job hashing to H, or an ingest transaction
+// written to /load/... (catalog spec or row batch; see ingest.go).
 func (w *Worker) HandleWrite(path string, data []byte) error {
 	return w.HandleWriteContext(context.Background(), path, data)
 }
@@ -475,9 +583,8 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	if hash, ok := strings.CutPrefix(path, "/cancel/"); ok {
 		// Kill transactions are idempotent: canceling an unknown query
 		// — or one whose qid wrote nothing here — is a no-op, not
-		// an error (the czar fires them best-effort on every dispatched
-		// chunk, and broadcasts to every replica when a dispatch write
-		// was torn mid-kill).
+		// an error (the czar fires them best-effort on every chunk of a
+		// dispatch it has not read, a torn dispatch write's included).
 		w.release(hash, qid)
 		return nil
 	}
@@ -485,60 +592,67 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 	if err != nil {
 		return err
 	}
-	class, subs, body, err := core.ParseHeader(data)
+	h, err := core.ParseHeader(data)
 	if err != nil {
 		return fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	key := jobKey{xrd.ResultHash(data), qid}
-	w.mu.Lock()
-	if w.jobs[key] != nil {
-		// The same query's dispatch again (a transport re-delivery, see
-		// xrd's repeatable): it finds its own job.
-		w.mu.Unlock()
-		return nil
+	t := &txn{sum: md5.Sum(data), text: string(data[h.Body:])}
+	list := h.Chunks
+	if len(list) == 0 {
+		// The payload's hash is xrd.ResultHash's.
+		list = []core.DispatchChunk{{Chunk: chunk, Hash: hex.EncodeToString(t.sum[:]), SubChunks: h.SubChunks}}
 	}
-	j := &job{
-		chunk:    chunk,
-		class:    class,
-		subs:     subs,
-		text:     string(data[body:]),
-		hash:     key.hash,
-		queuedAt: time.Now(),
-		cancel:   make(chan struct{}),
-		ready:    make(chan struct{}),
-	}
-	w.jobs[key] = j
-	w.mu.Unlock()
+	t.first = list[0]
 
-	enqueued := false
-	if class == core.Interactive {
-		select {
-		case w.interactive <- j:
-			enqueued = true
-		default:
-		}
-	} else {
-		enqueued = w.scanq.push(j)
+	// Every listed key is registered, or none is.
+	w.mu.Lock()
+	var listed map[string]bool
+	if len(list) > 1 {
+		listed = make(map[string]bool, len(list))
 	}
-	if enqueued {
+	for _, c := range list {
+		if j := w.jobs[jobKey{c.Hash, qid}]; j != nil {
+			w.mu.Unlock()
+			if j.txn.sum == t.sum {
+				// The same query's dispatch again (a transport re-delivery,
+				// see xrd's repeatable): it finds its own jobs.
+				return nil
+			}
+			return fmt.Errorf("worker %s: chunk query %s is held already", w.cfg.Name, c.Hash)
+		}
+		if listed[c.Hash] {
+			w.mu.Unlock()
+			return fmt.Errorf("worker %s: chunk query %s listed twice", w.cfg.Name, c.Hash)
+		}
+		if listed != nil {
+			listed[c.Hash] = true
+		}
+	}
+	for _, c := range list {
+		key := jobKey{c.Hash, qid}
+		if w.canceled.has(key) {
+			continue // its kill came first
+		}
+		j := &job{chunk: c.Chunk, class: h.Class, subs: c.SubChunks, hash: c.Hash, txn: t,
+			cancel: make(chan struct{}), ready: make(chan struct{})}
+		w.jobs[key] = j
+		t.jobs = append(t.jobs, j)
+	}
+	var buf [txnWindow]*job
+	queued := w.admit(t, buf[:0])
+	w.mu.Unlock()
+	if len(w.enqueue(queued)) == 0 {
 		return nil
 	}
-	// A cancel can land in the window between registration above and
-	// this failure path; its jobQueued branch already failed the job.
-	// Only the side that wins the state transition may complete it —
-	// ready closes exactly once.
+	// A lane filled partway: the write takes back every job it registered,
+	// and fails.
 	w.mu.Lock()
-	stillQueued := j.state == jobQueued
-	if stillQueued {
-		j.state = jobCanceled
-		delete(w.jobs, key)
-	}
+	t.next = len(t.jobs) // admits no more
 	w.mu.Unlock()
-	if stillQueued {
-		j.err = fmt.Errorf("worker %s: %s queue full", w.cfg.Name, class)
-		close(j.ready)
+	for _, j := range t.jobs {
+		w.release(j.hash, qid)
 	}
-	return fmt.Errorf("worker %s: %s queue full (%d)", w.cfg.Name, class, w.cfg.QueueDepth)
+	return w.queueFull(h.Class)
 }
 
 // HandleRead serves /result/H to the query that wrote the chunk query
@@ -658,11 +772,13 @@ func (w *Worker) scanExecutor() {
 		if jobs == nil {
 			return
 		}
-		var gw sync.WaitGroup
-		var g *gang
-		if len(jobs) > 1 {
-			g = &gang{running: len(jobs)}
+		if len(jobs) == 1 {
+			// A gang of one runs here, on the executor.
+			w.execute(jobs[0], time.Now())
+			continue
 		}
+		var gw sync.WaitGroup
+		g := &gang{running: len(jobs)}
 		for i, j := range jobs {
 			j.gang, j.gangJoins = g, min(i, 1)
 			started := time.Now()
@@ -726,9 +842,8 @@ func (w *Worker) execute(j *job, started time.Time) {
 // runChunkQuery executes the statements of one chunk query — once, or once
 // per listed subchunk under a SUBCHUNKS header (see core.ChunkQuery) —
 // building the subchunk tables the header lists, and returns the result
-// serialized as a dump stream. A full-scan job whose statements an earlier
-// job had finds them parsed and compiled in the worker's cache (see
-// stmtTemplate); any other job parses them once.
+// serialized as a dump stream. Its statements are its transaction's, parsed
+// once and bound to the job's chunk (see txn).
 func (w *Worker) runChunkQuery(j *job) ([]byte, sqlengine.ExecStats, error) {
 	run := &jobRun{w: w, j: j}
 	// Units are pinned as statements name them, and given back when the job,
@@ -772,7 +887,7 @@ type jobRun struct {
 	schema sqlengine.Schema // of the first SELECT's result
 	stats  sqlengine.ExecStats
 	// parsed and reused count the statements the job parsed and the ones it
-	// ran from a template without parsing them.
+	// ran from its transaction's parse without parsing them.
 	parsed, reused int64
 	// subchunks are the subchunk tables the job built (see useTables).
 	subchunks map[subchunkKey]*sqlengine.Table
@@ -783,57 +898,43 @@ type jobRun struct {
 type jobStmt struct {
 	sel  *sqlparse.Select
 	prep *sqlengine.Prepared // sel compiled, by the job's first pass
-	// names are the tables sel's FROM entries name in this job and tables
-	// the ones they read this pass; passKeys says, of an entry naming a table
+	// ents are sel's FROM entries as this job names them and tables the
+	// tables they read this pass; passKeys says, of an entry naming a table
 	// of the first listed subchunk, which table of each pass's subchunk it
 	// reads instead (table "" for the others; see useTables).
-	names    []string
+	ents     []fromEntry
 	tables   []*sqlengine.Table
 	passKeys []subchunkKey
 }
 
 // script runs the job's statements, every one once per pass: one pass per
-// listed subchunk, in list order, or one without a SUBCHUNKS header.
+// listed subchunk, in list order, or one for a job that lists none. A job
+// that lists none in a transaction written for a subchunk runs nothing: its
+// one-chunk payload has no statement.
 func (r *jobRun) script() error {
 	w, j := r.w, r.j
 	passes := j.subs
 	if len(passes) == 0 {
+		if len(j.txn.first.SubChunks) > 0 {
+			return nil
+		}
 		passes = []partition.SubChunkID{-1}
 	}
-	var stmts []jobStmt
-	var tmpl *stmtTemplate
-	if j.class == core.FullScan {
-		tmpl = w.templates.take(j.text, j.chunk, passes[0])
+	stmts, parsed, err := j.txn.statements(w.registry, j)
+	if err != nil {
+		return fmt.Errorf("worker %s: %w", w.cfg.Name, err)
 	}
-	if tmpl != nil {
-		defer w.templates.put(tmpl)
-		stmts = tmpl.bind(j.chunk, passes[0])
-		r.reused = int64(len(stmts))
+	defer j.txn.done(stmts)
+	if parsed {
+		r.parsed = int64(len(stmts))
 	} else {
-		parsed, err := sqlparse.ParseScript(j.text)
-		if err != nil {
-			return fmt.Errorf("worker %s: parse chunk query: %w", w.cfg.Name, err)
-		}
-		r.parsed = int64(len(parsed))
-		stmts = make([]jobStmt, len(parsed))
-		for i, st := range parsed {
-			sel := st.(*sqlparse.Select)
-			stmts[i].sel = sel
-			for _, from := range sel.From {
-				stmts[i].names = append(stmts[i].names, from.Table)
-			}
-		}
+		r.reused = int64(len(stmts))
 	}
 	for pass, sub := range passes {
 		for i := range stmts {
 			if err := r.run(&stmts[i], sub, pass == 0); err != nil {
 				return err
 			}
-		}
-	}
-	if tmpl == nil && j.class == core.FullScan {
-		if t := newTemplate(w.registry, j.chunk, passes[0], j.text, stmts); t != nil {
-			w.templates.put(t)
 		}
 	}
 	return nil
@@ -891,8 +992,9 @@ type tableUse struct {
 }
 
 // useTables finds the table each FROM entry of a SELECT reads, once per
-// job. Each name (st.names) goes through the naming codec once and is filed
-// under the storage unit behind it, pinned the first time a statement of
+// job. Each entry the codec reads as a piece of a catalog table (st.ents,
+// bound by the transaction, see txn) is filed under the storage unit behind
+// it, pinned the first time a statement of
 // the job reads it: a unit evicted to disk is re-materialized here, and a
 // pinned unit cannot be detached under the scans that follow. A subchunk
 // table of the job's chunk, in the catalog's database, is one the job
@@ -903,11 +1005,12 @@ type tableUse struct {
 // database the entry names.
 func (r *jobRun) useTables(st *jobStmt) error {
 	w, j := r.w, r.j
-	st.tables, st.passKeys = make([]*sqlengine.Table, len(st.names)), make([]subchunkKey, len(st.names))
-	for i, name := range st.names {
-		db := st.sel.From[i].DB
-		ref, ok := w.registry.ResolveTable(name)
-		if ok {
+	n := len(st.ents)
+	st.tables, st.passKeys = slices.Grow(st.tables[:0], n)[:n], slices.Grow(st.passKeys[:0], n)[:n]
+	clear(st.passKeys)
+	for i, e := range st.ents {
+		db, ref := st.sel.From[i].DB, e.ref
+		if e.resolved {
 			u, err := r.pin(unitOfRef(ref))
 			if err != nil {
 				return r.execError(err)
@@ -935,7 +1038,7 @@ func (r *jobRun) useTables(st *jobStmt) error {
 		}
 		d, err := w.engine.Database(cmp.Or(db, w.engine.DefaultDB()))
 		if err == nil {
-			st.tables[i], err = d.Table(name)
+			st.tables[i], err = d.Table(e.name)
 		}
 		if err != nil {
 			return r.execError(err)

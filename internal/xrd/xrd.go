@@ -236,8 +236,8 @@ func parseTablePath(prefix, path string) (table string, chunk int, shared bool, 
 // The identity rides the path — never the payload — so the result hash
 // stays the payload's alone. A worker keys a chunk query by hash and
 // identity: a result read or a cancel reaches only the job the same query
-// wrote (a kill broadcast to replicas whose dispatch write never landed is
-// a no-op there, even where another query wrote the same payload).
+// wrote (a kill for a dispatch write that never landed is a no-op, even
+// where another query wrote the same payload).
 func WithQID(path, qid string) string {
 	if qid == "" {
 		return path
@@ -264,14 +264,16 @@ func ExportKey(path string) string {
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
 	}
-	p := strings.TrimPrefix(path, "/")
-	if strings.HasPrefix(p, "query2/") {
-		return "/" + p
+	if !strings.HasPrefix(path, "/") {
+		path = "/" + path
 	}
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return "/" + p[:i]
+	if strings.HasPrefix(path, "/query2/") {
+		return path
 	}
-	return "/" + p
+	if i := strings.IndexByte(path[1:], '/'); i >= 0 {
+		return path[:i+1]
+	}
+	return path
 }
 
 // Redirector is the caching namespace lookup service. Data servers
@@ -385,6 +387,23 @@ func (r *Redirector) Lookup(path string) ([]Endpoint, error) {
 	return out, nil
 }
 
+// firstLive is the name of the first live endpoint exporting path that
+// avoid does not hold, if any, and whether any live endpoint exports it.
+func (r *Redirector) firstLive(path string, avoid map[string]bool) (name string, exported bool) {
+	key := ExportKey(path)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, n := range r.exports[key] {
+		if _, ok := r.endpoints[n]; !ok || r.down[n] {
+			continue
+		}
+		if exported = true; !avoid[n] {
+			return n, true
+		}
+	}
+	return "", exported
+}
+
 // Endpoint returns a registered endpoint by name.
 func (r *Redirector) Endpoint(name string) (Endpoint, error) {
 	r.mu.RLock()
@@ -443,6 +462,14 @@ func (c *Client) Replicas(path string) []string {
 	return names
 }
 
+// Replica is the first live endpoint exporting path, in registration
+// (failover) order, that avoid does not hold — "" when there is none — and
+// whether any live endpoint exports the path at all. The czar picks each
+// chunk's replica with it.
+func (c *Client) Replica(path string, avoid map[string]bool) (name string, exported bool) {
+	return c.red.firstLive(path, avoid)
+}
+
 // Write performs transaction 1: it looks up the path, opens it for
 // writing at the first live server (failing over through replicas),
 // writes data, and closes. It returns the name of the endpoint that
@@ -451,64 +478,36 @@ func (c *Client) Replicas(path string) []string {
 // context bounds the whole transaction; canceling it aborts the
 // attempt in flight.
 func (c *Client) Write(ctx context.Context, path string, data []byte) (string, error) {
-	return c.WriteAvoiding(ctx, path, data, nil)
-}
-
-// WriteAvoiding is Write that skips the named endpoints; the czar uses
-// it to retry a chunk on a replica after the primary died mid-query.
-func (c *Client) WriteAvoiding(ctx context.Context, path string, data []byte, avoid map[string]bool) (string, error) {
 	eps, err := c.red.Lookup(path)
 	if err != nil {
 		return "", err
 	}
 	var lastErr error
-	tried := 0
 	for _, ep := range eps {
-		if avoid[ep.Name()] {
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			return "", context.Cause(ctx)
 		}
-		tried++
 		if err := writeContext(ep, ctx, path, data); err != nil {
 			lastErr = err
 			continue
 		}
 		return ep.Name(), nil
 	}
-	if tried == 0 {
-		return "", fmt.Errorf("%w: %s (all replicas excluded)", ErrNoServer, path)
-	}
-	return "", fmt.Errorf("xrd: write %s failed on all %d replicas: %w", path, tried, lastErr)
+	return "", fmt.Errorf("xrd: write %s failed on all %d replicas: %w", path, len(eps), lastErr)
 }
 
 // WriteTo performs a write transaction against one specific endpoint,
-// bypassing the namespace lookup. The czar's kill path uses it: a
-// cancel transaction must reach exactly the worker that accepted the
-// chunk query, replicas holding the same chunk have nothing to abort.
+// bypassing the namespace lookup. The czar dispatches with it — it picks
+// each chunk's replica itself and writes a worker's chunks at once — and
+// kills with it: a cancel transaction must reach exactly the worker that
+// accepted the chunk query, replicas holding the same chunk have nothing to
+// abort.
 func (c *Client) WriteTo(ctx context.Context, endpointName, path string, data []byte) error {
 	ep, err := c.red.Endpoint(endpointName)
 	if err != nil {
 		return err
 	}
 	return writeContext(ep, ctx, path, data)
-}
-
-// WriteEverywhere performs a best-effort write of path/data to every
-// live endpoint exporting lookupPath, ignoring individual failures.
-// The czar's kill path uses it when a dispatch write was aborted
-// mid-transaction: the chunk query may or may not have reached a
-// worker — and which one is unknown — so the (idempotent) cancel goes
-// to every replica that could be holding it.
-func (c *Client) WriteEverywhere(ctx context.Context, lookupPath, path string, data []byte) {
-	eps, err := c.red.Lookup(lookupPath)
-	if err != nil {
-		return
-	}
-	for _, ep := range eps {
-		_ = writeContext(ep, ctx, path, data)
-	}
 }
 
 // ReadFrom performs transaction 2 against a specific endpoint: open the

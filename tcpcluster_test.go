@@ -39,6 +39,8 @@ type tcpWorker struct {
 	metrics *telemetry.Registry
 	w       *worker.Worker
 	srv     *xrd.Server
+	// count counts the chunk-query transactions the worker serves.
+	count *fabricCount
 }
 
 // start brings the worker up on what its DataDir holds: nothing, without
@@ -58,7 +60,8 @@ func (tw *tcpWorker) start() {
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	if tw.srv, err = xrd.Serve(listen, tw.w); err != nil {
+	tw.count = &fabricCount{inner: tw.w}
+	if tw.srv, err = xrd.Serve(listen, tw.count); err != nil {
 		tw.t.Fatal(err)
 	}
 	tw.addr = tw.srv.Addr()
