@@ -12,22 +12,32 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	qserv "repro"
 )
 
-func main() {
-	spec := flag.Bool("spec", false, "print the catalog's CatalogSpec as JSON")
-	flag.Parse()
-	if !*spec {
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it returns the exit status, 2 for arguments it
+// does not take (the usage goes to out), 1 when the spec does not encode.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("qserv-datagen", flag.ContinueOnError)
+	fs.SetOutput(out)
+	spec := fs.Bool("spec", false, "print the catalog's CatalogSpec as JSON")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	out, err := json.MarshalIndent(qserv.LSSTSpec(), "", "  ")
+	if !*spec || fs.NArg() > 0 {
+		fs.Usage()
+		return 2
+	}
+	doc, err := json.MarshalIndent(qserv.LSSTSpec(), "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "qserv-datagen:", err)
-		os.Exit(1)
+		fmt.Fprintln(out, "qserv-datagen:", err)
+		return 1
 	}
-	fmt.Println(string(out))
+	fmt.Fprintln(out, string(doc))
+	return 0
 }

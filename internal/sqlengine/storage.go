@@ -208,13 +208,13 @@ func (c *column) appendValue(v Value) error {
 // appendFrom appends the cells at the given positions of src, a column of
 // the same type, followed (positions from split on, less split) by those of
 // more.
-func (c *column) appendFrom(src, more *column, split int, positions []int) {
+func (c *column) appendFrom(src, more *column, split int, positions []int32) {
 	base := c.len()
 	switch c.typ {
 	case sqlparse.TypeInt:
 		c.ints = slices.Grow(c.ints, len(positions))
 		for _, p := range positions {
-			if p < split {
+			if p := int(p); p < split {
 				c.ints = append(c.ints, src.ints[p])
 			} else {
 				c.ints = append(c.ints, more.ints[p-split])
@@ -223,7 +223,7 @@ func (c *column) appendFrom(src, more *column, split int, positions []int) {
 	case sqlparse.TypeFloat:
 		c.floats = slices.Grow(c.floats, len(positions))
 		for _, p := range positions {
-			if p < split {
+			if p := int(p); p < split {
 				c.floats = append(c.floats, src.floats[p])
 			} else {
 				c.floats = append(c.floats, more.floats[p-split])
@@ -232,7 +232,7 @@ func (c *column) appendFrom(src, more *column, split int, positions []int) {
 	default:
 		c.strs = slices.Grow(c.strs, len(positions))
 		for _, p := range positions {
-			if p < split {
+			if p := int(p); p < split {
 				c.appendStr(src.strs[p])
 			} else {
 				c.appendStr(more.strs[p-split])
@@ -243,7 +243,7 @@ func (c *column) appendFrom(src, more *column, split int, positions []int) {
 		return
 	}
 	for i, p := range positions {
-		if (p < split && src.null(p)) || (p >= split && more.null(p-split)) {
+		if p := int(p); (p < split && src.null(p)) || (p >= split && more.null(p-split)) {
 			c.setNull(base + i)
 		}
 	}
@@ -487,12 +487,14 @@ func (t *Table) Insert(rows ...Row) error {
 }
 
 // AppendFrom appends the rows at the given positions of src followed by
-// more — position src.Len() is more's first row — column by column. Both
-// must have this table's schema.
-func (t *Table) AppendFrom(src, more *Table, positions []int) {
+// more — position split is more's first row — column by column: column ci
+// of this table takes the cells of column cols[ci] of theirs, which has its
+// type. The split is the caller's, not src.Len(): positions taken from src
+// and more as they were still name the same rows after src has grown.
+func (t *Table) AppendFrom(src, more *Table, split int, positions []int32, cols []int) {
 	a, from, tail := t.Appender(), src.data.Load(), more.data.Load()
 	for ci := range a.cols {
-		a.cols[ci].appendFrom(&from.cols[ci], &tail.cols[ci], from.n, positions)
+		a.cols[ci].appendFrom(&from.cols[cols[ci]], &tail.cols[cols[ci]], split, positions)
 	}
 	a.rows = len(positions)
 	a.Commit()

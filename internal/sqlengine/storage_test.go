@@ -296,3 +296,35 @@ func TestResidentBytesMatchesHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(tbl)
 }
+
+// TestAppendFromReadsTheRowsItWasGiven: AppendFrom copies the rows at its
+// positions — src's below the split, more's from it on — into the columns
+// its map names, NULLs included, and a src that grew after the positions
+// were taken does not move them: a position at or past the split is still
+// more's row, never src's new tail.
+func TestAppendFromReadsTheRowsItWasGiven(t *testing.T) {
+	schema := Schema{{"id", sqlparse.TypeInt}, {"x", sqlparse.TypeFloat}, {"s", sqlparse.TypeString}}
+	src, more := NewTable("src", schema), NewTable("more", schema)
+	if err := src.Insert(Row{int64(0), 0.5, "a"}, Row{int64(1), nil, "b"}, Row{int64(2), 2.5, nil}); err != nil {
+		t.Fatal(err)
+	}
+	if err := more.Insert(Row{int64(10), 10.5, "m"}, Row{nil, 11.5, "n"}); err != nil {
+		t.Fatal(err)
+	}
+	split := src.Len()
+	positions := []int32{4, 0, 3, 1, 2}
+	if err := src.Insert(Row{int64(3), 3.5, "grown"}, Row{int64(4), 4.5, "grown"}); err != nil {
+		t.Fatal(err)
+	}
+	out := NewTable("out", Schema{schema[2], schema[0]})
+	out.AppendFrom(src, more, split, positions, []int{2, 0})
+	want := []Row{{"n", nil}, {"a", int64(0)}, {"m", int64(10)}, {"b", int64(1)}, {nil, int64(2)}}
+	if out.Len() != len(want) {
+		t.Fatalf("%d rows, want %d", out.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := out.Row(i); fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
+	}
+}

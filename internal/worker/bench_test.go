@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/chunkstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/ingest"
@@ -158,10 +159,12 @@ func nearNeighbourFixtureOf(tb testing.TB, cfg Config, inChunk int, radius float
 }
 
 // BenchmarkNearNeighbourJob prices one SHV1 chunk job from its payload to
-// its result bytes: subchunk build, every statement, the result stream.
-// Besides ns and allocations per job it reports how many statements a job
-// parsed (a one-chunk dispatch parses its pair) and how many pairs its
-// joins visited. `make bench-layers` runs it.
+// its result bytes: the subchunk tables' gather (the unit's subchunk index
+// is built by the warm-up job), every statement, the result stream. Besides
+// ns and allocations per job it reports how many statements a job parsed (a
+// one-chunk dispatch parses its pair), how many pairs its joins visited, and
+// the bytes the unit's subchunk index holds per row of the chunk table.
+// `make bench-layers` runs it.
 func BenchmarkNearNeighbourJob(b *testing.B) {
 	cfg := DefaultConfig("w-nn")
 	cfg.Metrics = telemetry.NewRegistry()
@@ -178,6 +181,13 @@ func BenchmarkNearNeighbourJob(b *testing.B) {
 	reps := w.Reports()
 	b.ReportMetric(float64(parsed-parsed0)/float64(b.N), "parsed/job")
 	b.ReportMetric(float64(reps[len(reps)-1].Stats.PairsConsidered), "pairs/job")
+	w.units.mu.Lock()
+	x := w.units.units[chunkstore.Unit{Table: "Object", Chunk: int(chunk)}].index
+	w.units.mu.Unlock()
+	if x == nil {
+		b.Fatal("the chunk's unit keeps no subchunk index")
+	}
+	b.ReportMetric(float64(x.bytes())/float64(x.chunkLen), "index-B/row")
 }
 
 // TestChunkResultCopiedOnce: between the buffer a traced job's statements

@@ -40,7 +40,11 @@ type txn struct {
 	parse sync.Once
 	sels  []*sqlparse.Select
 	ents  [][]fromEntry // per statement, per FROM entry, as the text names it
-	err   error
+	// proj is, per catalog table whose subchunk tables the statements name,
+	// the columns of it they read (subchunk.go): every job of the
+	// transaction gathers those tables with that one schema.
+	proj map[string]projection
+	err  error
 
 	// spare and free are bound statement sets no job is using: a Prepared
 	// runs on one goroutine at a time, so jobs of the transaction that run
@@ -88,6 +92,20 @@ func (t *txn) parseText(reg *meta.Registry) {
 			ents[i] = e
 		}
 		t.sels, t.ents = append(t.sels, sel), append(t.ents, ents)
+	}
+	var read columnSet
+	for _, ents := range t.ents {
+		for _, e := range ents {
+			if !e.resolved || !e.ref.Kind.Subchunk() {
+				continue
+			}
+			if t.proj == nil {
+				read, t.proj = columnsRead(t.sels), map[string]projection{}
+			}
+			if _, ok := t.proj[e.ref.Info.Name]; !ok {
+				t.proj[e.ref.Info.Name] = read.project(e.ref.Info)
+			}
+		}
 	}
 }
 

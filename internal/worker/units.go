@@ -12,9 +12,12 @@ import (
 
 // This file is the worker's unit table: one record per stored (table,
 // chunk) or replicated table. The table is the worker's inventory (what
-// /inventory and /ping report) and its residency manager. Nothing hangs off
-// a record: the subchunk tables a near-neighbour job builds from a unit's
-// tables are the job's (subchunk.go).
+// /inventory and /ping report) and its residency manager. A chunk unit's
+// record also keeps its subchunk index (subchunk.go), which the first
+// near-neighbour job over the unit builds and every later one gathers its
+// subchunk tables from; the tables themselves are the job's. The index is
+// charged to the unit's bytes and dropped whenever the unit's tables change:
+// a /load append, a /repl replace-install, an eviction.
 //
 // With a store, recovery stops at the chunkstore inventory (spec + unit
 // index) and a unit's tables are built from its segment files on first
@@ -58,13 +61,26 @@ type unit struct {
 	id        chunkstore.Unit
 	state     int
 	pins      int
-	bytes     int64  // engine bytes charged while resident
+	bytes     int64  // engine bytes, and the subchunk index's, charged while resident
 	lastTouch uint64 // logical clock of the last pin (LRU victim order)
 	// held counts the unit into the inventory: set by a /load or /repl
 	// write that landed, and at recovery unless a sibling unit of its chunk
 	// was quarantined — such a chunk stays out of the inventory, so the
 	// repairer re-ships it whole, until a write to it lands.
 	held bool
+	// index is the unit's subchunk index, nil for none; its bytes are in
+	// bytes. gen counts the changes to the unit's tables (see changed).
+	index *subchunkIndex
+	gen   uint64
+}
+
+// changed marks the start of a change to the unit's tables: the index no
+// longer stands for them, and one built from them before the change is not
+// kept (keepIndex). Its bytes leave u.bytes with the caller's settling of
+// them.
+func (u *unit) changed() {
+	u.index = nil
+	u.gen++
 }
 
 // unitTable is a worker's unit table.
@@ -158,6 +174,7 @@ func (t *unitTable) pin(id chunkstore.Unit, create bool) (*unit, error) {
 // all when nothing does, because an install that failed on a worker holding
 // nothing of the unit must leave queries a missing table, not an empty one.
 func (t *unitTable) settleLocked(u *unit, bytes int64, present bool) {
+	u.changed()
 	switch {
 	case present:
 		u.state = unitResident
@@ -183,10 +200,12 @@ func (t *unitTable) unpin(u *unit) {
 }
 
 // noteWrite settles a unit after a write landed under a write pin: the
-// append grew its tables, and the unit now counts into the inventory.
+// append grew its tables, which drops their subchunk index, and the unit now
+// counts into the inventory.
 func (t *unitTable) noteWrite(u *unit, bytes int64) {
 	t.mu.Lock()
 	u.held = true
+	u.changed()
 	if u.state == unitResident {
 		t.resident += bytes - u.bytes
 		u.bytes = bytes
@@ -215,6 +234,7 @@ func (t *unitTable) lockReplace(id chunkstore.Unit) *unit {
 		t.resident -= u.bytes
 		u.bytes = 0
 	}
+	u.changed()
 	u.state = unitMaterializing
 	t.mu.Unlock()
 	return u
@@ -229,6 +249,33 @@ func (t *unitTable) finishReplace(u *unit, installed bool) {
 	t.settleLocked(u, bytes, present)
 	t.kickLocked()
 	t.mu.Unlock()
+}
+
+// subchunkIndex returns the unit's subchunk index, nil for none, and the
+// generation of its tables an index built from them now would be kept at.
+func (t *unitTable) subchunkIndex(u *unit) (*subchunkIndex, uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return u.index, u.gen
+}
+
+// keepIndex keeps x as the unit's subchunk index, charged to its bytes, if
+// the unit is resident and its tables have not changed since generation gen,
+// which x was built in; else x stays the building job's alone.
+func (t *unitTable) keepIndex(u *unit, x *subchunkIndex, gen uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if u.gen != gen || u.state != unitResident {
+		return
+	}
+	delta := x.bytes()
+	if u.index != nil {
+		delta -= u.index.bytes()
+	}
+	u.index = x
+	u.bytes += delta
+	t.resident += delta
+	t.kickLocked()
 }
 
 // isResident reports a unit's state (tests).
@@ -292,6 +339,7 @@ func (t *unitTable) evictLoop() {
 			return
 		}
 		victim.state = unitEvicting
+		victim.changed() // its bytes leave with the unit's
 		bytes := victim.bytes
 		t.mu.Unlock()
 

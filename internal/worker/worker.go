@@ -998,7 +998,8 @@ type tableUse struct {
 // the job reads it: a unit evicted to disk is re-materialized here, and a
 // pinned unit cannot be detached under the scans that follow. A subchunk
 // table of the job's chunk, in the catalog's database, is one the job
-// builds, for every listed subchunk of a unit this worker stores at once;
+// builds, for every listed subchunk of a unit this worker stores at once,
+// with the columns the transaction's statements read (generateSubchunks);
 // an entry naming the first listed subchunk's reads each pass's own
 // (passKeys). Every other name — a typo, a table put into the engine
 // directly, a subchunk table the job did not build — is looked up in the
@@ -1018,7 +1019,7 @@ func (r *jobRun) useTables(st *jobStmt) error {
 			if ref.Kind.Subchunk() && ref.Chunk == j.chunk && len(j.subs) > 0 && u != nil &&
 				(db == "" || strings.EqualFold(db, w.db.Name)) {
 				if r.subchunks[subchunkKey{ref.Info.Name, meta.SubChunkTable, j.subs[0]}] == nil {
-					built, stats, err := w.generateSubchunks(u.id, j.subs)
+					built, stats, err := w.generateSubchunks(u, j.subs, j.txn.proj[ref.Info.Name])
 					r.stats.Add(stats) // the job's build is the job's I/O
 					if err != nil {
 						return err

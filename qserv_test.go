@@ -3,6 +3,7 @@ package qserv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -804,5 +805,47 @@ func TestPlaceholderSpellingInALiteral(t *testing.T) {
 		if len(want.Rows) == 0 || want.Rows[0][0] == int64(0) {
 			t.Fatalf("%s: the oracle finds nothing", c.sql)
 		}
+	}
+}
+
+// TestNearNeighbourColumnsAnswerAsTheOracle: a worker copies into its
+// subchunk tables only the columns a job's statements name (and the
+// position columns), so near-neighbour statements that read every column
+// (*, o1.*), a column only their ORDER BY or GROUP BY names, or columns
+// spelled in another case than the catalog's answer as the oracle does.
+func TestNearNeighbourColumnsAnswerAsTheOracle(t *testing.T) {
+	cl, oracle := shared(t)
+	const near = ` FROM Object o1, Object o2 WHERE %s
+		AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.05 AND o1.objectId <> o2.objectId`
+	const box = `qserv_areaspec_box(0, -4, 20, 4)`
+	const oracleBox = `qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0, -4, 20, 4) = 1
+		AND qserv_ptInSphericalBox(o2.ra_PS, o2.decl_PS, 0, -5, 21, 5) = 1`
+	for _, sel := range []string{
+		"SELECT *",
+		"SELECT o1.*, o2.objectId",
+		"SELECT o1.objectId",
+		"SELECT o1.objectId AS id1, o2.objectId AS id2" + near + " ORDER BY o2.uFlux_PS, id1, id2",
+		"SELECT COUNT(*) AS n" + near + " GROUP BY o2.iFlux_PS",
+		"SELECT O1.OBJECTID, o2.Ra_Ps, O2.zflux_ps" + near + " AND o1.GFLUX_ps > 0",
+	} {
+		sql := sel
+		if !strings.Contains(sel, " FROM ") {
+			sql += near
+		}
+		got, err := cl.Query(fmt.Sprintf(sql, box))
+		if err != nil {
+			t.Fatalf("%s: %v", sel, err)
+		}
+		want, err := oracle.Query(fmt.Sprintf(sql, oracleBox))
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", sel, err)
+		}
+		if len(want.Rows) < 20 {
+			t.Fatalf("%s: the oracle answers %d rows; the test wants more", sel, len(want.Rows))
+		}
+		if !slices.EqualFunc(got.Cols, want.Cols, strings.EqualFold) {
+			t.Errorf("%s: columns %v, the oracle's %v", sel, got.Cols, want.Cols)
+		}
+		sameAnswer(t, got, want, sel)
 	}
 }
