@@ -90,7 +90,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
 
 # Native Go fuzzing over the untrusted-bytes decoders: chunkstore
-# segment framing + WAL records, the one row codec every format shares,
+# legacy segment framing + multi-frame unit files, the one row codec every format shares,
 # the ingest batch / segment-set framings (a batch is also decoded
 # straight into table columns, and must append whole or not at all), the
 # worker result stream, the span trailer a worker appends to it, and the
@@ -111,7 +111,7 @@ bench-smoke:
 # testdata/fuzz/ and also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/chunkstore -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/chunkstore -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/chunkstore -run '^$$' -fuzz '^FuzzUnitFile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rowcodec -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime $(FUZZTIME)

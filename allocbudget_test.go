@@ -92,3 +92,62 @@ func bytesPerRun(runs int, f func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
+
+// TestIngestAllocBudget is the write side's allocation ratchet: what
+// Cluster.Ingest costs per ingested row — partition pass, shipping lanes
+// and the workers' batch application together — in allocations and in
+// bytes, for the director table and its child table of a fixed catalog
+// on a 4-worker cluster. It measures the in-memory path: a durable
+// worker's store is priced by internal/chunkstore's own tests. A change
+// that lowers a count lowers its ceiling with it; one that must raise a
+// ceiling says why.
+func TestIngestAllocBudget(t *testing.T) {
+	t.Setenv("QSERV_DATADIR", "")
+	t.Setenv("QSERV_MEMBUDGET", "")
+	cat, err := datagen.Generate(
+		datagen.Config{Seed: 5, ObjectsPerPatch: 300, MeanSourcesPerObject: 2},
+		datagen.DuplicateConfig{DeclBands: 1, MaxCopies: 20},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(DefaultClusterConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.CreateTables(LSSTSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		table  string
+		src    RowSource
+		rows   int
+		allocs float64 // allocations per row
+		bytes  float64 // bytes allocated per row
+	}{
+		{"Object", objectSource(cat), len(cat.Objects), 13.3, 1245},
+		{"Source", sourceSource(cat), len(cat.Sources), 8.8, 756},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := cl.Ingest(tc.table, tc.src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(st.Rows) != tc.rows {
+			t.Fatalf("%s: ingested %d rows, want %d", tc.table, st.Rows, tc.rows)
+		}
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(st.Rows)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(st.Rows)
+		t.Logf("%s: %d rows, %.3f allocations and %.0f bytes per row", tc.table, st.Rows, allocs, bytes)
+		if ceiling := tc.allocs * raceAllocFactor; allocs > ceiling {
+			t.Errorf("%s: %.3f allocations per ingested row, ceiling %.3f", tc.table, allocs, ceiling)
+		}
+		if ceiling := tc.bytes * raceIngestByteFactor; bytes > ceiling {
+			t.Errorf("%s: %.0f bytes allocated per ingested row, ceiling %.0f", tc.table, bytes, ceiling)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package qserv
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -177,18 +178,62 @@ func (cl *Cluster) IngestContext(ctx context.Context, table string, src RowSourc
 }
 
 // ingestBatchRows is the rows per fabric /load shipment, and so per stored
-// segment.
+// frame.
 const ingestBatchRows = 2048
 
-// pendingChunk buffers one chunk's not-yet-shipped rows.
+// pendingChunk buffers one chunk's not-yet-shipped rows in their batch
+// encoding: its own rows and its overlap rows, each a run of encoded rows
+// and its count.
 type pendingChunk struct {
-	rows, overlap []sqlengine.Row
+	rows, overlap   []byte
+	nRows, nOverlap int
 }
 
-func (p *pendingChunk) size() int { return len(p.rows) + len(p.overlap) }
+func (p *pendingChunk) size() int { return p.nRows + p.nOverlap }
+
+// batch frames the pending rows as one /load batch — the header, the own
+// rows, the overlap rows — and empties the buffers for reuse.
+func (p *pendingChunk) batch() []byte {
+	out := make([]byte, 0, ingest.MaxHeaderLen+len(p.rows)+len(p.overlap))
+	out = ingest.AppendHeader(out, p.nRows, p.nOverlap)
+	out = append(append(out, p.rows...), p.overlap...)
+	p.rows, p.overlap, p.nRows, p.nOverlap = p.rows[:0], p.overlap[:0], 0, 0
+	return out
+}
+
+// addRow encodes one storage row onto the own rows — the user cells,
+// then the chunk and subchunk ids — and returns its encoding.
+func (p *pendingChunk) addRow(row Row, pl placement) ([]byte, error) {
+	start := len(p.rows)
+	rows, err := ingest.AppendRow(room(p.rows, ingest.RowSize(row, 2)), row, int64(pl.chunk), int64(pl.sub))
+	if err != nil {
+		return nil, err
+	}
+	p.rows = rows
+	p.nRows++
+	return rows[start:], nil
+}
+
+// addOverlap appends one encoded row to the overlap rows.
+func (p *pendingChunk) addOverlap(row []byte) {
+	p.overlap = append(room(p.overlap, len(row)), row...)
+	p.nOverlap++
+}
+
+// room returns buf with room for n more bytes, doubling it when short: a
+// pending batch fills row by row, and append's own growth (1.25x for
+// large slices) would copy its bytes several times over on the way.
+func room(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) < n {
+		return slices.Grow(buf, len(buf)+n)
+	}
+	return buf
+}
 
 // ingestPartitioned runs the single partition pass and ships per-chunk
-// batches through the shipper's per-worker lanes.
+// batches through the shipper's per-worker lanes. Each row is encoded
+// once, straight into its chunk's pending batch; its overlap copies are
+// byte copies of that encoding.
 //
 // Placement invariants: a chunk is placed exactly when the director
 // table has rows in it — the director's own rows drive placement as
@@ -209,15 +254,16 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 	sh := cl.newShipper(ctx, info.Name)
 	buf := map[partition.ChunkID]*pendingChunk{}
 	seen := map[partition.ChunkID]bool{}
-	deferred := map[partition.ChunkID][]sqlengine.Row{}
-	pend := func(c partition.ChunkID) *pendingChunk {
-		p := buf[c]
+	deferred := map[partition.ChunkID]*pendingChunk{} // overlap rows only
+	pendIn := func(m map[partition.ChunkID]*pendingChunk, c partition.ChunkID) *pendingChunk {
+		p := m[c]
 		if p == nil {
 			p = &pendingChunk{}
-			buf[c] = p
+			m[c] = p
 		}
 		return p
 	}
+	pend := func(c partition.ChunkID) *pendingChunk { return pendIn(buf, c) }
 	isPlaced := func(c partition.ChunkID) bool { return len(cl.Placement.Workers(c)) > 0 }
 
 	// Per-chunk min/max column statistics for the routing tier's
@@ -241,41 +287,37 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 	// lookup per numeric cell was a tenth of its time — and become the
 	// per-column maps the statistics store keeps once, at the end.
 	acc := map[partition.ChunkID][]meta.ColStats{}
-	observe := func(c partition.ChunkID, full sqlengine.Row) {
+	observe := func(c partition.ChunkID, row Row) {
 		cols := acc[c]
 		if cols == nil {
 			cols = make([]meta.ColStats, len(numCols))
 			acc[c] = cols
 		}
 		for i, nc := range numCols {
-			if v, ok := asFloat(full[nc.idx]); ok { // NULL (or unconvertible) values stay unobserved
+			if v, ok := asFloat(row[nc.idx]); ok { // NULL (or unconvertible) values stay unobserved
 				cols[i] = foldStat(cols[i], v)
 			}
 		}
 	}
 	shipped := map[partition.ChunkID]bool{}
-	ship := func(c partition.ChunkID, b ingest.Batch) error {
+	flush := func(c partition.ChunkID, p *pendingChunk) error {
 		shipped[c] = true
 		names, err := cl.ingestPlacement(c)
 		if err != nil {
 			return err
 		}
+		payload := p.batch()
 		for _, name := range names {
 			stats.Batches++
 			if err := sh.send(name, shipment{
-				path:  xrd.LoadPath(info.Name, int(c)),
-				batch: b,
-				desc:  fmt.Sprintf("%s chunk %d", info.Name, c),
+				path:    xrd.LoadPath(info.Name, int(c)),
+				payload: payload,
+				desc:    fmt.Sprintf("%s chunk %d", info.Name, c),
 			}); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	flush := func(c partition.ChunkID, p *pendingChunk) error {
-		b := ingest.Batch{Rows: p.rows, Overlap: p.overlap}
-		p.rows, p.overlap = nil, nil
-		return ship(c, b)
 	}
 
 	for {
@@ -283,11 +325,12 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 		if !ok {
 			break
 		}
-		full, c, pt, hasPt, err := placer.place(row)
+		pl, err := placer.place(row)
 		if err != nil {
 			sh.abort(err)
 			break
 		}
+		c := pl.chunk
 		if !seen[c] {
 			seen[c] = true
 			// A director row places its chunk the moment it appears;
@@ -298,18 +341,22 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 			}
 		}
 		p := pend(c)
-		p.rows = append(p.rows, full)
-		observe(c, full)
+		enc, err := p.addRow(row, pl)
+		if err != nil {
+			sh.abort(fmt.Errorf("qserv: ingest %s row %d: %w", info.Name, placer.n, err))
+			break
+		}
+		observe(c, row)
 		stats.Rows++
-		if info.Overlap && hasPt {
-			for _, oc := range cl.Chunker.OverlapChunks(pt) {
+		if info.Overlap && pl.hasPt {
+			for _, oc := range cl.Chunker.OverlapChunks(pl.pt) {
 				if !isPlaced(oc) {
 					// The chunk may still gain own rows; decide at the end.
-					deferred[oc] = append(deferred[oc], full)
+					pendIn(deferred, oc).addOverlap(enc)
 					continue
 				}
 				op := pend(oc)
-				op.overlap = append(op.overlap, full)
+				op.addOverlap(enc)
 				stats.OverlapRows++
 				if op.size() >= ingestBatchRows {
 					if err := flush(oc, op); err != nil {
@@ -336,13 +383,14 @@ func (cl *Cluster) ingestPartitioned(ctx context.Context, info *meta.TableInfo, 
 	if !sh.failed() {
 		// Overlap copies whose target chunk did become placed ship now;
 		// the rest are dropped (their chunks hold no data).
-		for oc, rows := range deferred {
+		for oc, d := range deferred {
 			if !isPlaced(oc) {
 				continue
 			}
 			p := pend(oc)
-			p.overlap = append(p.overlap, rows...)
-			stats.OverlapRows += int64(len(rows))
+			p.overlap = append(p.overlap, d.overlap...)
+			p.nOverlap += d.nOverlap
+			stats.OverlapRows += int64(d.nOverlap)
 		}
 		// Flush remainders — and create this table's (empty) chunk
 		// tables on every placed chunk it has no rows in — in chunk
@@ -428,14 +476,18 @@ func (cl *Cluster) ingestReplicated(ctx context.Context, info *meta.TableInfo, s
 		return fmt.Errorf("qserv: ingest %s: row source: %w", info.Name, err)
 	}
 	stats.Rows = int64(len(rows))
+	payload, err := ingest.EncodeBatch(ingest.Batch{Rows: rows})
+	if err != nil {
+		return fmt.Errorf("qserv: ingest %s: %w", info.Name, err)
+	}
 
 	sh := cl.newShipper(ctx, info.Name)
 	for _, name := range cl.WorkerNames() {
 		stats.Batches++
 		if err := sh.send(name, shipment{
-			path:  xrd.LoadSharedPath(info.Name),
-			batch: ingest.Batch{Rows: rows},
-			desc:  fmt.Sprintf("replicated table %s", info.Name),
+			path:    xrd.LoadSharedPath(info.Name),
+			payload: payload,
+			desc:    fmt.Sprintf("replicated table %s", info.Name),
 		}); err != nil {
 			sh.abort(err)
 			break
@@ -528,57 +580,61 @@ func newRowPlacer(info *meta.TableInfo, chunker *partition.Chunker, index *meta.
 	return p, nil
 }
 
-// place validates one user row and returns the full storage row (with
-// chunkId/subChunkId appended), its chunk, and — when the table has
-// position columns — the row's sky position for overlap probing.
-func (p *rowPlacer) place(row Row) (full sqlengine.Row, c partition.ChunkID, pt sphgeom.Point, hasPt bool, err error) {
+// placement is where one row of a partitioned table goes: its chunk and
+// subchunk, and — when the table has position columns — its sky
+// position, for overlap probing.
+type placement struct {
+	chunk partition.ChunkID
+	sub   partition.SubChunkID
+	pt    sphgeom.Point
+	hasPt bool
+}
+
+// place validates one user row and returns its placement. The storage
+// row is the user row followed by the chunk and subchunk ids.
+func (p *rowPlacer) place(row Row) (pl placement, err error) {
 	p.n++
 	user := p.info.UserColumns()
 	if len(row) != len(user) {
-		return nil, 0, pt, false, fmt.Errorf("qserv: ingest %s row %d: got %d columns, want %d (%s)",
+		return pl, fmt.Errorf("qserv: ingest %s row %d: got %d columns, want %d (%s)",
 			p.info.Name, p.n, len(row), len(user), strings.Join(user.Names(), ", "))
 	}
 	if p.raIdx >= 0 {
 		ra, ok1 := asDegrees(row[p.raIdx])
 		decl, ok2 := asDegrees(row[p.declIdx])
 		if !ok1 || !ok2 {
-			return nil, 0, pt, false, fmt.Errorf("qserv: ingest %s row %d: position columns %s/%s must be numeric",
+			return pl, fmt.Errorf("qserv: ingest %s row %d: position columns %s/%s must be numeric",
 				p.info.Name, p.n, p.info.RAColumn, p.info.DeclColumn)
 		}
-		pt = sphgeom.NewPoint(ra, decl)
-		hasPt = true
+		pl.pt = sphgeom.NewPoint(ra, decl)
+		pl.hasPt = true
 	}
 
-	var sub partition.SubChunkID
 	switch p.info.Kind {
 	case meta.KindDirector:
 		key, ok := row[p.keyIdx].(int64)
 		if !ok {
-			return nil, 0, pt, false, fmt.Errorf("qserv: ingest %s row %d: director key %s must be an int64",
+			return pl, fmt.Errorf("qserv: ingest %s row %d: director key %s must be an int64",
 				p.info.Name, p.n, p.info.DirectorKey)
 		}
-		c, sub = p.chunker.Locate(pt)
-		p.index.Put(key, meta.ChunkSub{Chunk: c, Sub: sub})
+		pl.chunk, pl.sub = p.chunker.Locate(pl.pt)
+		p.index.Put(key, meta.ChunkSub{Chunk: pl.chunk, Sub: pl.sub})
 	case meta.KindChild:
 		key, ok := row[p.keyIdx].(int64)
 		if !ok {
-			return nil, 0, pt, false, fmt.Errorf("qserv: ingest %s row %d: director key %s must be an int64",
+			return pl, fmt.Errorf("qserv: ingest %s row %d: director key %s must be an int64",
 				p.info.Name, p.n, p.info.DirectorKey)
 		}
 		loc, found := p.index.Lookup(key)
 		if !found {
-			return nil, 0, pt, false, fmt.Errorf("qserv: ingest %s row %d: %s %d not found in director table %s",
+			return pl, fmt.Errorf("qserv: ingest %s row %d: %s %d not found in director table %s",
 				p.info.Name, p.n, p.info.DirectorKey, key, p.info.Director)
 		}
-		c, sub = loc.Chunk, loc.Sub
+		pl.chunk, pl.sub = loc.Chunk, loc.Sub
 	default:
-		return nil, 0, pt, false, fmt.Errorf("qserv: table %s is not partitioned", p.info.Name)
+		return pl, fmt.Errorf("qserv: table %s is not partitioned", p.info.Name)
 	}
-
-	full = make(sqlengine.Row, 0, len(row)+2)
-	full = append(full, row...)
-	full = append(full, int64(c), int64(sub))
-	return full, c, pt, hasPt, nil
+	return pl, nil
 }
 
 // asDegrees coerces a position value.
@@ -594,15 +650,12 @@ func asDegrees(v any) (float64, bool) {
 
 // ---------- per-worker shipping lanes ----------
 
-// shipment is one /load write bound for a specific worker. The batch
-// is encoded in the lane, not the producer, so serialization cost
-// parallelizes with the partition pass. Batch row slices are immutable
-// once handed over (the producer resets its buffers instead of
-// truncating them), so replica lanes may encode the same batch
-// concurrently.
+// shipment is one /load write bound for a specific worker: an encoded
+// batch, which the lane only writes. The payload is immutable once handed
+// over, so replica lanes share it.
 type shipment struct {
-	path  string
-	batch ingest.Batch
+	path    string
+	payload []byte
 	// desc names what is being shipped for error messages ("Object
 	// chunk 113", "replicated table Filter").
 	desc string
@@ -674,11 +727,7 @@ func (s *shipper) lane(worker string, ch chan shipment) {
 			s.abort(fmt.Errorf("qserv: ingest %s: worker %s is dead; %s not shipped", s.table, worker, sh.desc))
 			continue
 		}
-		payload, err := ingest.EncodeBatch(sh.batch)
-		if err == nil {
-			err = s.cl.client.WriteTo(s.ctx, worker, sh.path, payload)
-		}
-		if err != nil {
+		if err := s.cl.client.WriteTo(s.ctx, worker, sh.path, sh.payload); err != nil {
 			s.abort(fmt.Errorf("qserv: ingest %s: worker %s rejected %s: %w", s.table, worker, sh.desc, err))
 		}
 	}

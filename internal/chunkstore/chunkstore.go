@@ -1,38 +1,51 @@
 // Package chunkstore is a worker's durable chunk storage engine: the
 // on-disk half of the paper's deployment, where chunk data lives in
 // files that survive process death (section 5 runs workers over xrootd
-// for exactly this reason). A Store keeps one directory per storage
-// unit — a (table, chunk) pair or a replicated table — holding
-// append-only segment files, where each segment is one encoded ingest
-// batch protected by a CRC32 checksum.
+// for exactly this reason). A Store keeps one append-only file per
+// storage unit — a (table, chunk) pair or a replicated table — as the
+// paper's worker keeps each chunk table as one MySQL table filled by
+// bulk loads. The file is a run of frames, each one encoded ingest batch
+// behind a header carrying its length, the payload's CRC32 and a CRC32
+// of the header itself.
 //
-// Mutations are made atomic by a small write-ahead log: a record
-// carrying the full payload is appended and fsynced before the segment
-// files change, and the WAL is truncated only after the segment write
-// is durable. Recovery (Open) replays any WAL records whose segment
-// application was torn — replay is idempotent, so a crash at any point
-// converges — then verifies every segment file's checksum. A unit with
-// a segment that fails verification is quarantined (set aside on disk,
-// dropped from the recovered inventory) rather than served: the
-// cluster's repair subsystem re-ships exactly the quarantined chunks
-// from live replicas, which is the recovery-vs-repair split the
-// availability design relies on.
+// An append writes one frame at the unit's committed length and fsyncs
+// the file (and the tables directory, when the append created the file)
+// before it returns. A replace writes the new frames to a temporary
+// file, fsyncs it and renames it over the unit file: the rename is the
+// atomic step, so the store keeps no log.
+//
+// Recovery (Open) verifies every frame of every unit file. Bytes after
+// the last intact frame that are shorter than a header, or a header
+// whose own checksum holds but whose payload runs past the end, are a
+// torn append — never acknowledged — and are truncated away. Anything
+// else quarantines the unit (its file is set aside on disk, dropped
+// from the recovered inventory) rather than serving it: the cluster's
+// repair subsystem re-ships exactly the quarantined chunks from live
+// replicas, the recovery-vs-repair split the availability design
+// relies on. The header's checksum keeps the two apart: bit rot in a
+// length field can never pass for a torn append.
 //
 // Layout under the store root:
 //
-//	spec.json                     catalog spec (atomic replace)
-//	wal.log                       write-ahead log (usually empty)
-//	tables/<unit>/seg-<seq>.qseg  segment files, applied in seq order
+//	spec.json            catalog spec (atomic replace)
+//	tables/<unit>.qseg   the unit's frames, in application order
 //
-// where <unit> is "<table>@<chunk>" or "<table>@shared".
+// where <unit> is "<table>@<chunk>" or "<table>@shared". The layout
+// before unit files kept a directory tables/<unit>/ of one-frame
+// segment files seg-<seq>.qseg beside a write-ahead log wal.log; Open
+// rewrites such a directory once as a unit file.
 package chunkstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,8 +55,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// logger emits the store's structured events (quarantines, replay);
-// quiet by default, QSERV_LOG=info|debug raises verbosity.
+// logger emits the store's structured events (quarantines, torn
+// appends, migrations); quiet by default, QSERV_LOG=info|debug raises
+// verbosity.
 var logger = telemetry.NewLogger("chunkstore")
 
 // Unit identifies one storage unit: a partitioned table's chunk or a
@@ -54,7 +68,7 @@ type Unit struct {
 	Shared bool
 }
 
-// String renders the unit's directory name.
+// String renders the unit's name, its file's name without the suffix.
 func (u Unit) String() string {
 	if u.Shared {
 		return u.Table + "@shared"
@@ -62,7 +76,7 @@ func (u Unit) String() string {
 	return u.Table + "@" + strconv.Itoa(u.Chunk)
 }
 
-// validUnit rejects table names that cannot be directory names.
+// validUnit rejects table names that cannot be file names.
 func validUnit(u Unit) error {
 	if u.Table == "" {
 		return fmt.Errorf("chunkstore: empty table name")
@@ -84,7 +98,7 @@ func validUnit(u Unit) error {
 func parseUnit(name string) (Unit, error) {
 	table, target, ok := strings.Cut(name, "@")
 	if !ok || table == "" || target == "" {
-		return Unit{}, fmt.Errorf("chunkstore: bad unit directory %q", name)
+		return Unit{}, fmt.Errorf("chunkstore: bad unit name %q", name)
 	}
 	u := Unit{Table: table}
 	if target == "shared" {
@@ -92,7 +106,7 @@ func parseUnit(name string) (Unit, error) {
 	} else {
 		chunk, err := strconv.Atoi(target)
 		if err != nil || chunk < 0 {
-			return Unit{}, fmt.Errorf("chunkstore: bad unit directory %q", name)
+			return Unit{}, fmt.Errorf("chunkstore: bad unit name %q", name)
 		}
 		u.Chunk = chunk
 	}
@@ -102,25 +116,19 @@ func parseUnit(name string) (Unit, error) {
 	return u, nil
 }
 
-// RecoveredUnit is one unit Open found intact: its segment payloads
-// (encoded ingest batches) in application order.
-type RecoveredUnit struct {
-	Unit     Unit
-	Segments [][]byte
-}
-
 // Recovery reports what Open found on disk.
 type Recovery struct {
-	// Units are the intact units, every segment checksum-verified.
-	Units []RecoveredUnit
-	// WALReplayed counts write-ahead-log records whose segment
-	// application had to be redone (a crash between the WAL fsync and
-	// the segment write).
-	WALReplayed int
+	// Units are the intact units, every frame checksum-verified, sorted
+	// by name. Their bytes stay on disk: Segments reads them.
+	Units []Unit
+	// TornWrites counts the writes a crash cut short, none of them
+	// acknowledged: appends truncated off a unit file's tail, and
+	// replaces stopped before their rename, whose temporary file went.
+	TornWrites int
 	// Quarantined lists units set aside for failing verification:
-	// corrupt or torn segments, unparseable directories. Their data is
-	// renamed out of the way, not deleted; the repair subsystem
-	// re-ships these chunks from live replicas.
+	// corrupt frames, unparseable names. Their data is renamed out of
+	// the way, not deleted; the repair subsystem re-ships these chunks
+	// from live replicas.
 	Quarantined []Unit
 }
 
@@ -130,10 +138,9 @@ type Store struct {
 	dir string
 
 	mu     sync.Mutex
-	wal    *os.File
-	seq    map[string]uint64 // unit name -> highest segment seq on disk
-	units  map[string]Unit   // units present
+	units  map[Unit]int64 // each unit's committed length: the bytes acknowledged mutations wrote
 	closed bool
+	fsync  func(*os.File) error // (*os.File).Sync; a test fails it
 
 	counters Counters // commit-protocol accounting (atomic fields)
 }
@@ -141,20 +148,16 @@ type Store struct {
 // Counters is a store's durability accounting: the telemetry layer
 // exports these per worker, and operators watching fsync rates see
 // exactly what the commit protocol is paying. Fields are read with
-// atomic loads via (*Store).Counters; within Store they are updated
-// under the atomic package directly so the WAL hot path stays
-// lock-free beyond s.mu it already holds.
+// atomic loads via (*Store).Counters.
 type Counters struct {
-	WALAppends  int64 // records appended to the write-ahead log
-	WALFsyncs   int64 // fsyncs issued by the commit protocol
-	SegWrites   int64 // segment files written (appends + replaces)
+	WALFsyncs   int64 // fsyncs the commit protocol issued: unit files, and the tables directory
+	SegWrites   int64 // frames written (appends + replaces)
 	Quarantines int64 // units renamed aside for failing verification
 }
 
 // Counters snapshots the store's durability counters.
 func (s *Store) Counters() Counters {
 	return Counters{
-		WALAppends:  atomic.LoadInt64(&s.counters.WALAppends),
 		WALFsyncs:   atomic.LoadInt64(&s.counters.WALFsyncs),
 		SegWrites:   atomic.LoadInt64(&s.counters.SegWrites),
 		Quarantines: atomic.LoadInt64(&s.counters.Quarantines),
@@ -163,99 +166,79 @@ func (s *Store) Counters() Counters {
 
 const (
 	specFile   = "spec.json"
-	walFile    = "wal.log"
+	walFile    = "wal.log" // the older layout's log, which Open only checks is empty
 	tablesDir  = "tables"
-	segPrefix  = "seg-"
-	segSuffix  = ".qseg"
+	unitSuffix = ".qseg"
+	segPrefix  = "seg-" // the older layout's segment files: seg-<seq>.qseg
+	tmpSuffix  = ".tmp"
 	quarantine = ".quarantined"
 )
 
-// Segment file format: magic, u32 CRC32-IEEE of the payload, u64
-// payload length, payload.
+// Frame format: magic, u64 payload length, u32 CRC32-IEEE of the
+// payload, u32 CRC32-IEEE of the header bytes before it, payload.
+var frameMagic = []byte("QSEGF2")
+
+const frameHead = 6 + 8 + 4 + 4
+
+// A legacy frame — the whole of a segment file of the older layout — is
+// magic, u32 CRC32-IEEE of the payload, u64 payload length, payload. Its
+// header has no checksum of its own; such frames were written by atomic
+// rename, so one is never torn.
 var segMagic = []byte("QSEGF1")
 
-// WAL record ops.
-const (
-	walAppend  = 'A'
-	walReplace = 'R'
-)
+const segHead = 6 + 4 + 8
 
-// Open opens (creating if needed) the store rooted at dir, replays the
-// write-ahead log, verifies every segment, and reports what survived.
+// Open opens (creating if needed) the store rooted at dir, migrates a
+// directory of the older layout, verifies every unit file, cuts torn
+// appends off, and reports what survived.
 func Open(dir string) (*Store, *Recovery, error) {
 	if err := os.MkdirAll(filepath.Join(dir, tablesDir), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("chunkstore: %w", err)
 	}
-	s := &Store{dir: dir, seq: map[string]uint64{}, units: map[string]Unit{}}
-	rec := &Recovery{}
-
-	// Replay the WAL first: records whose segment application was torn
-	// by a crash are redone (idempotently), so the verification scan
-	// below sees the directory a clean shutdown would have left.
-	if err := s.replayWAL(rec); err != nil {
+	if err := checkWAL(filepath.Join(dir, walFile)); err != nil {
 		return nil, nil, err
 	}
-
-	// Open the WAL for appending, truncated: every surviving record was
-	// just re-applied durably.
-	wal, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("chunkstore: open wal: %w", err)
+	s := &Store{dir: dir, units: map[Unit]int64{}, fsync: (*os.File).Sync}
+	rec := &Recovery{}
+	if err := s.migrate(rec); err != nil {
+		return nil, nil, err
 	}
-	if err := wal.Truncate(0); err != nil {
-		wal.Close()
-		return nil, nil, fmt.Errorf("chunkstore: truncate wal: %w", err)
-	}
-	s.wal = wal
-
 	if err := s.scan(rec); err != nil {
-		wal.Close()
 		return nil, nil, err
 	}
 	return s, rec, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close releases the write-ahead log. Further mutations fail.
+// Close marks the store closed: further mutations fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	return s.wal.Close()
+	return nil
 }
 
-func (s *Store) walPath() string  { return filepath.Join(s.dir, walFile) }
-func (s *Store) specPath() string { return filepath.Join(s.dir, specFile) }
-func (s *Store) unitDir(u Unit) string {
-	return filepath.Join(s.dir, tablesDir, u.String())
-}
-
-func segName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)
+func (s *Store) tablesPath() string { return filepath.Join(s.dir, tablesDir) }
+func (s *Store) unitPath(u Unit) string {
+	return filepath.Join(s.dir, tablesDir, u.String()+unitSuffix)
 }
 
 // ---------- spec ----------
 
 // PutSpec durably stores the catalog spec document (atomic replace),
 // making recovery self-contained: a restarted worker can re-declare
-// its tables before rebuilding them from segments.
+// its tables before rebuilding them from its units.
 func (s *Store) PutSpec(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("chunkstore: store closed")
 	}
-	return writeFileAtomic(s.specPath(), data)
+	return writeFileAtomic(filepath.Join(s.dir, specFile), data)
 }
 
 // Spec returns the stored catalog spec document, if any.
 func (s *Store) Spec() ([]byte, bool) {
-	data, err := os.ReadFile(s.specPath())
+	data, err := os.ReadFile(filepath.Join(s.dir, specFile))
 	if err != nil {
 		return nil, false
 	}
@@ -264,9 +247,12 @@ func (s *Store) Spec() ([]byte, bool) {
 
 // ---------- mutations ----------
 
-// Append durably adds one segment (an encoded ingest batch) to a unit:
-// WAL record fsynced first, then the segment file, then the WAL
-// checkpoint. When Append returns nil the payload survives any crash.
+// Append durably adds one frame (an encoded ingest batch) to a unit: the
+// frame is written at the unit's committed length and the file fsynced —
+// with the tables directory, when this append created the file — before
+// the committed length advances. When Append returns nil the payload
+// survives any crash; when it fails, the file is cut back to the
+// committed length, so the next append lands where this one would have.
 func (s *Store) Append(u Unit, payload []byte) error {
 	if err := validUnit(u); err != nil {
 		return err
@@ -276,18 +262,40 @@ func (s *Store) Append(u Unit, payload []byte) error {
 	if s.closed {
 		return fmt.Errorf("chunkstore: store closed")
 	}
-	seq := s.seq[u.String()] + 1
-	if err := s.logAndApply(walRecord{op: walAppend, unit: u, seq: seq, segs: [][]byte{payload}}); err != nil {
-		return err
+	size, existed := s.units[u]
+	f, err := os.OpenFile(s.unitPath(u), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("chunkstore: %w", err)
 	}
-	s.seq[u.String()] = seq
-	s.units[u.String()] = u
+	// Once the fsync returned the frame is durable, which a Close error
+	// cannot undo.
+	defer f.Close()
+	head := appendHeader(make([]byte, 0, frameHead), payload)
+	_, err = f.WriteAt(head, size)
+	if err == nil {
+		_, err = f.WriteAt(payload, size+frameHead)
+	}
+	if err == nil {
+		atomic.AddInt64(&s.counters.SegWrites, 1)
+		err = s.fsync(f)
+	}
+	if err != nil {
+		// Should this fail too, Open meets the bytes: a torn append, or
+		// corruption behind a later, shorter frame.
+		f.Truncate(size)
+		return fmt.Errorf("chunkstore: append %s: %w", u, err)
+	}
+	atomic.AddInt64(&s.counters.WALFsyncs, 1)
+	if !existed {
+		syncDir(s.tablesPath())
+		atomic.AddInt64(&s.counters.WALFsyncs, 1)
+	}
+	s.units[u] = size + frameHead + int64(len(payload))
 	return nil
 }
 
-// Replace durably replaces a unit's whole segment set (the /repl
-// install and direct-load semantics): older segments are removed once
-// the new set is applied. Idempotent under crash-and-replay.
+// Replace durably replaces a unit's whole content (the /repl install
+// and direct-load semantics) with the given payloads, one frame each.
 func (s *Store) Replace(u Unit, payloads [][]byte) error {
 	if err := validUnit(u); err != nil {
 		return err
@@ -297,430 +305,417 @@ func (s *Store) Replace(u Unit, payloads [][]byte) error {
 	if s.closed {
 		return fmt.Errorf("chunkstore: store closed")
 	}
-	start := s.seq[u.String()] + 1
-	if err := s.logAndApply(walRecord{op: walReplace, unit: u, seq: start, segs: payloads}); err != nil {
+	return s.replace(u, payloads)
+}
+
+// replace writes payloads as the unit's file through a temporary file,
+// fsynced, renamed into place, and the tables directory fsynced.
+// Callers hold s.mu or are Open.
+func (s *Store) replace(u Unit, payloads [][]byte) error {
+	size := 0
+	for _, p := range payloads {
+		size += frameHead + len(p)
+	}
+	data := make([]byte, 0, size)
+	for _, p := range payloads {
+		data = append(appendHeader(data, p), p...)
+	}
+	if err := writeFileAtomic(s.unitPath(u), data); err != nil {
 		return err
 	}
-	s.seq[u.String()] = start + uint64(len(payloads)) - 1
-	s.units[u.String()] = u
+	atomic.AddInt64(&s.counters.SegWrites, int64(len(payloads)))
+	atomic.AddInt64(&s.counters.WALFsyncs, 2)
+	s.units[u] = int64(size)
 	return nil
 }
 
-// Segments returns a unit's segment payloads in application order,
+// Segments returns a unit's frame payloads in application order,
 // verifying each checksum (the /repl export path ships these bytes
 // verbatim).
 func (s *Store) Segments(u Unit) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.units[u.String()]; !ok {
+	size, ok := s.units[u]
+	if !ok {
 		return nil, fmt.Errorf("chunkstore: no unit %s", u)
 	}
-	_, segs, err := readUnitDir(s.unitDir(u))
-	return segs, err
+	data, err := os.ReadFile(s.unitPath(u))
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: %w", err)
+	}
+	if int64(len(data)) < size {
+		return nil, fmt.Errorf("chunkstore: unit %s holds %d bytes, %d committed", u, len(data), size)
+	}
+	payloads, n, err := readFrames(data[:size])
+	if err == nil && int64(n) != size {
+		err = fmt.Errorf("a frame ends past the committed length %d", size)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: unit %s: %w", u, err)
+	}
+	return payloads, nil
 }
 
 // Has reports whether the store holds the unit.
 func (s *Store) Has(u Unit) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.units[u.String()]
+	_, ok := s.units[u]
 	return ok
 }
 
-// Units lists the stored units, sorted by name.
-func (s *Store) Units() []Unit {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.units))
-	for n := range s.units {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Unit, len(names))
-	for i, n := range names {
-		out[i] = s.units[n]
-	}
-	return out
-}
+// ---------- frames ----------
 
-// ---------- WAL ----------
-
-// walRecord is one logged mutation, payloads included: the log is the
-// atomicity device, so it must be able to redo the whole application.
-type walRecord struct {
-	op   byte
-	unit Unit
-	seq  uint64 // first segment sequence number
-	segs [][]byte
-}
-
-// encodeWALRecord renders: op, u32 name length, name, u64 seq, u32
-// segment count, {u64 length, payload}..., u32 CRC32 of all prior
-// bytes of the record.
-func encodeWALRecord(r walRecord) []byte {
-	name := r.unit.String()
-	size := 1 + 4 + len(name) + 8 + 4 + 4
-	for _, s := range r.segs {
-		size += 8 + len(s)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, r.op)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(name)))
-	out = append(out, name...)
-	out = binary.BigEndian.AppendUint64(out, r.seq)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(r.segs)))
-	for _, s := range r.segs {
-		out = binary.BigEndian.AppendUint64(out, uint64(len(s)))
-		out = append(out, s...)
-	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out
-}
-
-// decodeWALRecords parses as many intact records as the buffer holds.
-// A torn or corrupt tail — the expected shape of a crash mid-append —
-// ends the parse silently: that record was never acknowledged.
-func decodeWALRecords(data []byte) []walRecord {
-	var out []walRecord
-	pos := 0
-	for pos < len(data) {
-		start := pos
-		if len(data)-pos < 1+4 {
-			break
-		}
-		op := data[pos]
-		if op != walAppend && op != walReplace {
-			break
-		}
-		nameLen := int(binary.BigEndian.Uint32(data[pos+1 : pos+5]))
-		pos += 5
-		if nameLen <= 0 || nameLen > 4096 || pos+nameLen+8+4 > len(data) {
-			break
-		}
-		name := string(data[pos : pos+nameLen])
-		pos += nameLen
-		seq := binary.BigEndian.Uint64(data[pos : pos+8])
-		pos += 8
-		nseg := int(binary.BigEndian.Uint32(data[pos : pos+4]))
-		pos += 4
-		if nseg < 0 || nseg > len(data) {
-			break
-		}
-		segs := make([][]byte, 0, nseg)
-		ok := true
-		for i := 0; i < nseg; i++ {
-			if pos+8 > len(data) {
-				ok = false
-				break
-			}
-			slen := binary.BigEndian.Uint64(data[pos : pos+8])
-			pos += 8
-			if slen > uint64(len(data)-pos) {
-				ok = false
-				break
-			}
-			segs = append(segs, data[pos:pos+int(slen)])
-			pos += int(slen)
-		}
-		if !ok || pos+4 > len(data) {
-			break
-		}
-		sum := binary.BigEndian.Uint32(data[pos : pos+4])
-		if crc32.ChecksumIEEE(data[start:pos]) != sum {
-			break
-		}
-		pos += 4
-		unit, err := parseUnit(name)
-		if err != nil {
-			break
-		}
-		out = append(out, walRecord{op: op, unit: unit, seq: seq, segs: segs})
-	}
-	return out
-}
-
-// logAndApply is the commit protocol: (1) append the record to the WAL
-// and fsync — from here the mutation survives a crash; (2) apply it to
-// the segment files durably; (3) checkpoint by truncating the WAL —
-// the segment files are now authoritative. Callers hold s.mu.
-func (s *Store) logAndApply(r walRecord) error {
-	rec := encodeWALRecord(r)
-	if _, err := s.wal.Write(rec); err != nil {
-		return fmt.Errorf("chunkstore: wal append: %w", err)
-	}
-	atomic.AddInt64(&s.counters.WALAppends, 1)
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("chunkstore: wal sync: %w", err)
-	}
-	atomic.AddInt64(&s.counters.WALFsyncs, 1)
-	atomic.AddInt64(&s.counters.SegWrites, int64(len(r.segs)))
-	if err := s.applyRecord(r); err != nil {
-		return err
-	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("chunkstore: wal checkpoint: %w", err)
-	}
-	return nil
-}
-
-// applyRecord materializes a record's segment files. Idempotent: a
-// segment already on disk and intact is kept, so recovery can replay a
-// record regardless of how far the first application got.
-func (s *Store) applyRecord(r walRecord) error {
-	dir := s.unitDir(r.unit)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("chunkstore: %w", err)
-	}
-	for i, payload := range r.segs {
-		path := filepath.Join(dir, segName(r.seq+uint64(i)))
-		if existing, err := readSegmentFile(path); err == nil && string(existing) == string(payload) {
-			continue
-		}
-		if err := writeFileAtomic(path, encodeSegment(payload)); err != nil {
-			return err
-		}
-	}
-	if r.op == walReplace {
-		// Drop every segment outside the new set's range; a replace is
-		// the unit's new complete content.
-		lo, hi := r.seq, r.seq+uint64(len(r.segs))
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("chunkstore: %w", err)
-		}
-		for _, e := range entries {
-			seq, ok := parseSegName(e.Name())
-			if !ok {
-				continue
-			}
-			if seq < lo || seq >= hi {
-				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-					return fmt.Errorf("chunkstore: %w", err)
-				}
-			}
-		}
-	}
-	return syncDir(dir)
-}
-
-// replayWAL redoes every intact WAL record (the crash window is
-// between a record's fsync and its segment application completing).
-func (s *Store) replayWAL(rec *Recovery) error {
-	data, err := os.ReadFile(s.walPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("chunkstore: read wal: %w", err)
-	}
-	for _, r := range decodeWALRecords(data) {
-		if err := s.applyRecord(r); err != nil {
-			return err
-		}
-		rec.WALReplayed++
-	}
-	if rec.WALReplayed > 0 {
-		logger.Info("wal.replayed", "dir", s.dir, "records", rec.WALReplayed)
-	}
-	return nil
-}
-
-// ---------- startup scan ----------
-
-// scan walks tables/, verifying every unit. Intact units populate the
-// in-memory index and the Recovery report; units failing verification
-// are renamed aside and reported quarantined.
-func (s *Store) scan(rec *Recovery) error {
-	root := filepath.Join(s.dir, tablesDir)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return fmt.Errorf("chunkstore: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() || strings.HasSuffix(e.Name(), quarantine) {
-			continue
-		}
-		dir := filepath.Join(root, e.Name())
-		u, perr := parseUnit(e.Name())
-		if perr != nil {
-			if err := quarantineDir(dir); err != nil {
-				return err
-			}
-			atomic.AddInt64(&s.counters.Quarantines, 1)
-			logger.Warn("unit.quarantined", "dir", e.Name(), "reason", perr)
-			continue
-		}
-		maxSeq, segs, verr := readUnitDir(dir)
-		if verr != nil {
-			if err := quarantineDir(dir); err != nil {
-				return err
-			}
-			atomic.AddInt64(&s.counters.Quarantines, 1)
-			logger.Warn("unit.quarantined", "unit", u.String(), "reason", verr)
-			rec.Quarantined = append(rec.Quarantined, u)
-			continue
-		}
-		if len(segs) == 0 {
-			continue
-		}
-		s.seq[u.String()] = maxSeq
-		s.units[u.String()] = u
-		rec.Units = append(rec.Units, RecoveredUnit{Unit: u, Segments: segs})
-	}
-	sort.Slice(rec.Units, func(i, j int) bool {
-		return rec.Units[i].Unit.String() < rec.Units[j].Unit.String()
-	})
-	return nil
-}
-
-// quarantineDir renames a failed unit directory aside (never deletes:
-// an operator may still want the bytes) under a name the scan skips.
-func quarantineDir(dir string) error {
-	dst := dir + quarantine
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = fmt.Sprintf("%s%s.%d", dir, quarantine, i)
-	}
-	if err := os.Rename(dir, dst); err != nil {
-		return fmt.Errorf("chunkstore: quarantine %s: %w", dir, err)
-	}
-	return nil
-}
-
-// readUnitDir reads and verifies a unit's segments in sequence order.
-func readUnitDir(dir string) (maxSeq uint64, segs [][]byte, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, nil, fmt.Errorf("chunkstore: %w", err)
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		seq, ok := parseSegName(e.Name())
-		if !ok {
-			if strings.HasSuffix(e.Name(), ".tmp") {
-				continue // torn atomic write; the rename never happened
-			}
-			return 0, nil, fmt.Errorf("chunkstore: stray file %s in %s", e.Name(), dir)
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		payload, err := readSegmentFile(filepath.Join(dir, segName(seq)))
-		if err != nil {
-			return 0, nil, err
-		}
-		segs = append(segs, payload)
-		maxSeq = seq
-	}
-	return maxSeq, segs, nil
-}
-
-func parseSegName(name string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(name, segPrefix)
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, segSuffix)
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// ---------- segment files ----------
-
-func encodeSegment(payload []byte) []byte {
-	out := make([]byte, 0, len(segMagic)+4+8+len(payload))
-	out = append(out, segMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+// appendHeader appends the frame header of payload to out.
+func appendHeader(out, payload []byte) []byte {
+	start := len(out)
+	out = append(out, frameMagic...)
 	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	return append(out, payload...)
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
 }
 
-// readSegmentFile reads one segment file, verifying magic, length, and
-// checksum — a torn or bit-rotted segment is an error, never served.
-func readSegmentFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: %w", err)
+// readFrames parses a unit file: the payloads of its intact frames in
+// order, and the length n they span. When n < len(data) with a nil
+// error, the rest is a torn append; an error is corruption at offset n.
+// Pure function over untrusted bytes (the fuzz surface for the unit
+// file): payloads alias data, and no length field drives an allocation.
+func readFrames(data []byte) (payloads [][]byte, n int, err error) {
+	for n < len(data) {
+		payload, size, err := readFrame(data[n:])
+		if err != nil {
+			return payloads, n, fmt.Errorf("frame at offset %d: %w", n, err)
+		}
+		if size == 0 {
+			break
+		}
+		payloads = append(payloads, payload)
+		n += size
 	}
-	payload, err := decodeSegment(data)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: %s: %w", path, err)
-	}
-	return payload, nil
+	return payloads, n, nil
 }
 
-// decodeSegment verifies and strips one segment's framing. Pure
-// function over untrusted bytes (the fuzz surface for the segment
-// format): the declared length must match the actual payload exactly
-// and the checksum must hold, so no length field can drive an
-// allocation beyond the input's own size.
+// readFrame parses the frame data starts with, returning its payload and
+// its size — 0 when data is a torn append: shorter than a header, or a
+// header whose own checksum holds but whose payload runs past the end.
+func readFrame(data []byte) (payload []byte, size int, err error) {
+	if len(data) >= segHead && bytes.HasPrefix(data, segMagic) {
+		plen := binary.BigEndian.Uint64(data[6+4 : segHead])
+		if plen > uint64(len(data)-segHead) {
+			return nil, 0, fmt.Errorf("legacy frame of %d bytes runs past the end", plen)
+		}
+		size = segHead + int(plen)
+		payload, err = decodeSegment(data[:size])
+		return payload, size, err
+	}
+	if len(data) < frameHead {
+		return nil, 0, nil
+	}
+	if !bytes.HasPrefix(data, frameMagic) {
+		return nil, 0, errors.New("bad frame magic")
+	}
+	if crc32.ChecksumIEEE(data[:frameHead-4]) != binary.BigEndian.Uint32(data[frameHead-4:frameHead]) {
+		return nil, 0, errors.New("frame header fails its checksum")
+	}
+	plen := binary.BigEndian.Uint64(data[6:14])
+	if plen > uint64(len(data)-frameHead) {
+		return nil, 0, nil
+	}
+	payload = data[frameHead : frameHead+int(plen)]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[14:18]) {
+		return nil, 0, errors.New("frame payload fails its checksum")
+	}
+	return payload, frameHead + int(plen), nil
+}
+
+// decodeSegment verifies and strips one legacy frame: a segment file of
+// the older layout, or a frame of a unit file migrated from one. Pure
+// function over untrusted bytes (the fuzz surface for the legacy frame):
+// the declared length must match the actual payload exactly and the
+// checksum must hold.
 func decodeSegment(data []byte) ([]byte, error) {
-	head := len(segMagic) + 4 + 8
-	if len(data) < head || string(data[:len(segMagic)]) != string(segMagic) {
+	if len(data) < segHead || !bytes.HasPrefix(data, segMagic) {
 		return nil, fmt.Errorf("bad segment header")
 	}
-	sum := binary.BigEndian.Uint32(data[len(segMagic) : len(segMagic)+4])
-	plen := binary.BigEndian.Uint64(data[len(segMagic)+4 : head])
-	if plen != uint64(len(data)-head) {
+	sum := binary.BigEndian.Uint32(data[6 : 6+4])
+	plen := binary.BigEndian.Uint64(data[6+4 : segHead])
+	if plen != uint64(len(data)-segHead) {
 		return nil, fmt.Errorf("segment length %d does not match file (%d payload bytes)",
-			plen, len(data)-head)
+			plen, len(data)-segHead)
 	}
-	payload := data[head:]
+	payload := data[segHead:]
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("segment fails its checksum")
 	}
 	return payload, nil
 }
 
-// ---------- fs helpers ----------
+// ---------- recovery ----------
 
-// writeFileAtomic writes via temp-file, fsync, rename: readers see the
-// old content or the new, never a torn write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+// checkWAL refuses a store whose write-ahead log, the older layout's
+// commit device, still holds a record. The record was never
+// acknowledged, but without its decoder a replace it half applied cannot
+// be told from a clean one. An empty log is removed.
+func checkWAL(path string) error {
+	st, err := os.Stat(path)
+	switch {
+	case os.IsNotExist(err):
+		return nil
+	case err != nil:
 		return fmt.Errorf("chunkstore: %w", err)
+	case st.Size() > 0:
+		return fmt.Errorf("chunkstore: %s holds %d bytes of the older layout's write-ahead log, "+
+			"which this store cannot replay; remove the store and let repair re-ship its chunks", path, st.Size())
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("chunkstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("chunkstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("chunkstore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := os.Remove(path); err != nil {
 		return fmt.Errorf("chunkstore: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so renames within it are durable.
-// Filesystems that refuse directory fsync (some CI mounts) are
+// migrate rewrites every unit directory of the older layout as a unit
+// file, through the replace path, and then removes it; a directory that
+// fails verification is quarantined. A directory found beside its unit
+// file was renamed into place before a crash stopped the migration, so
+// only its removal is left.
+func (s *Store) migrate(rec *Recovery) error {
+	root := s.tablesPath()
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return fmt.Errorf("chunkstore: %w", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || strings.Contains(e.Name(), quarantine) {
+			continue
+		}
+		dir := filepath.Join(root, e.Name())
+		u, err := parseUnit(e.Name())
+		var segs [][]byte
+		if err == nil {
+			if _, serr := os.Stat(s.unitPath(u)); serr == nil {
+				if err := os.RemoveAll(dir); err != nil {
+					return fmt.Errorf("chunkstore: %w", err)
+				}
+				continue
+			}
+			segs, err = readUnitDir(dir)
+		}
+		if err != nil {
+			if qerr := s.quarantine(dir, e.Name(), err); qerr != nil {
+				return qerr
+			}
+			if u.Table != "" {
+				rec.Quarantined = append(rec.Quarantined, u)
+			}
+			continue
+		}
+		if len(segs) > 0 {
+			if err := s.replace(u, segs); err != nil {
+				return err
+			}
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			return fmt.Errorf("chunkstore: %w", err)
+		}
+		logger.Info("unit.migrated", "unit", e.Name(), "segments", len(segs))
+	}
+	return nil
+}
+
+// scan verifies every unit file, one at a time. Intact units populate
+// the index and the Recovery report; a torn append is cut off; a unit
+// failing verification is renamed aside and reported quarantined. A
+// temporary file is a replace stopped before its rename: the unit file
+// still holds the old content, and the temporary one goes.
+func (s *Store) scan(rec *Recovery) error {
+	root := s.tablesPath()
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return fmt.Errorf("chunkstore: %w", err)
+	}
+	var buf []byte
+	for _, e := range entries {
+		name := e.Name()
+		path := filepath.Join(root, name)
+		if e.IsDir() || strings.Contains(name, quarantine) {
+			continue
+		}
+		if strings.HasSuffix(name, tmpSuffix) {
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("chunkstore: %w", err)
+			}
+			rec.TornWrites++
+			continue
+		}
+		unitName, ok := strings.CutSuffix(name, unitSuffix)
+		if !ok {
+			continue
+		}
+		u, err := parseUnit(unitName)
+		var size int64
+		var torn bool
+		if err == nil {
+			size, torn, err = recoverUnitFile(path, &buf)
+		}
+		if err != nil {
+			if qerr := s.quarantine(path, unitName, err); qerr != nil {
+				return qerr
+			}
+			if u.Table != "" {
+				rec.Quarantined = append(rec.Quarantined, u)
+			}
+			continue
+		}
+		if torn {
+			rec.TornWrites++
+			logger.Info("unit.torn_append", "unit", unitName, "committed", size)
+		}
+		if size == 0 {
+			// Created by an append that never committed: no unit.
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("chunkstore: %w", err)
+			}
+			continue
+		}
+		s.units[u] = size
+		rec.Units = append(rec.Units, u)
+	}
+	sort.Slice(rec.Units, func(i, j int) bool { return rec.Units[i].String() < rec.Units[j].String() })
+	return nil
+}
+
+// recoverUnitFile verifies a unit file frame by frame and truncates a
+// torn append off it, returning its committed length and whether it
+// was torn. The file is read into *buf, which recovery reuses from unit
+// to unit: it holds one unit's bytes at a time.
+func recoverUnitFile(path string, buf *[]byte) (size int64, torn bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, fmt.Errorf("chunkstore: %w", err)
+	}
+	defer f.Close() // only read
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("chunkstore: %w", err)
+	}
+	data := slices.Grow((*buf)[:0], int(st.Size()))[:st.Size()]
+	*buf = data
+	if _, err := io.ReadFull(f, data); err != nil {
+		return 0, false, fmt.Errorf("chunkstore: %s: %w", path, err)
+	}
+	_, n, err := readFrames(data)
+	if err != nil {
+		return 0, false, err
+	}
+	if n < len(data) {
+		if err := os.Truncate(path, int64(n)); err != nil {
+			return 0, false, fmt.Errorf("chunkstore: %w", err)
+		}
+		torn = true
+	}
+	return int64(n), torn, nil
+}
+
+// quarantine renames a failed unit file or directory aside (never
+// deletes: an operator may still want the bytes) under a name the scan
+// skips.
+func (s *Store) quarantine(path, unit string, reason error) error {
+	dst := path + quarantine
+	for i := 1; ; i++ {
+		if _, err := os.Stat(dst); os.IsNotExist(err) {
+			break
+		}
+		dst = fmt.Sprintf("%s%s.%d", path, quarantine, i)
+	}
+	if err := os.Rename(path, dst); err != nil {
+		return fmt.Errorf("chunkstore: quarantine %s: %w", path, err)
+	}
+	atomic.AddInt64(&s.counters.Quarantines, 1)
+	logger.Warn("unit.quarantined", "unit", unit, "reason", reason)
+	return nil
+}
+
+// readUnitDir reads and verifies the segment files of a unit directory
+// of the older layout in sequence order: the migration's reader. A
+// temporary file is a segment write whose rename never happened.
+func readUnitDir(dir string) ([][]byte, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: %w", err)
+	}
+	type seg struct {
+		seq  uint64
+		name string
+	}
+	var segs []seg
+	for _, e := range entries {
+		rest, ok := strings.CutPrefix(e.Name(), segPrefix)
+		if ok {
+			rest, ok = strings.CutSuffix(rest, unitSuffix)
+		}
+		seq, err := strconv.ParseUint(rest, 10, 64)
+		if !ok || err != nil {
+			if strings.HasSuffix(e.Name(), tmpSuffix) {
+				continue
+			}
+			return nil, fmt.Errorf("chunkstore: stray file %s in %s", e.Name(), dir)
+		}
+		segs = append(segs, seg{seq, e.Name()})
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
+	out := make([][]byte, 0, len(segs))
+	for _, sg := range segs {
+		path := filepath.Join(dir, sg.name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("chunkstore: %w", err)
+		}
+		payload, err := decodeSegment(data)
+		if err != nil {
+			return nil, fmt.Errorf("chunkstore: %s: %w", path, err)
+		}
+		out = append(out, payload)
+	}
+	return out, nil
+}
+
+// ---------- fs helpers ----------
+
+// writeFileAtomic writes via temp-file, fsync, rename, and fsyncs the
+// directory so the rename is durable: readers see the old content or
+// the new, never a torn write.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("chunkstore: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("chunkstore: %w", err)
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// syncDir fsyncs a directory so creations and renames within it are
+// durable. Filesystems that refuse directory fsync (some CI mounts) are
 // tolerated: the data files themselves are already synced.
-func syncDir(dir string) error {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return
 	}
-	defer d.Close()
 	_ = d.Sync()
-	return nil
+	d.Close()
 }

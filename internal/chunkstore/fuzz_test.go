@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the store's two untrusted-bytes surfaces: segment
-// file framing and WAL records. Both are what a crash, a torn write, or
-// bit rot hands recovery, so the decoders must reject hostile input
-// with an error (or a silent parse stop, for the WAL) — never a panic,
-// and never an allocation driven past the input's own size by a length
-// field. Hostile seeds live in testdata/fuzz/<target>/.
+// Fuzz targets for the store's two untrusted-bytes surfaces: the legacy
+// frame (a segment file of the older layout) and the unit file. Both are
+// what a crash, a torn write, or bit rot hands recovery, so the decoders
+// must reject hostile input with an error (or, for a torn append, a short
+// parse) — never a panic, and never an allocation driven past the
+// input's own size by a length field. Hostile seeds live in
+// testdata/fuzz/<target>/.
 
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -32,48 +33,42 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-func FuzzWALDecode(f *testing.F) {
-	one := encodeWALRecord(walRecord{
-		op: walAppend, unit: Unit{Table: "Object", Chunk: 7}, seq: 3,
-		segs: [][]byte{[]byte("alpha"), []byte("bb")},
-	})
-	two := encodeWALRecord(walRecord{
-		op: walReplace, unit: Unit{Table: "Filter", Shared: true}, seq: 0,
-		segs: [][]byte{[]byte("x")},
-	})
-	f.Add(one)
-	f.Add(append(append([]byte{}, one...), two...))
-	f.Add(one[:len(one)-3]) // torn tail: the expected crash shape
+func FuzzUnitFile(f *testing.F) {
+	multi := appendFrame(appendFrame(encodeSegment([]byte("legacy")), []byte("alpha")), []byte("bb"))
+	f.Add([]byte{})
+	f.Add(multi)
+	f.Add(multi[:len(multi)-1])             // torn payload: the expected crash shape
+	f.Add(multi[:len(multi)-2-frameHead+3]) // torn header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs := decodeWALRecords(data)
-		var total int
-		for _, r := range recs {
-			if r.op != walAppend && r.op != walReplace {
-				t.Fatalf("decoded record with op %q", r.op)
-			}
-			for _, s := range r.segs {
-				total += len(s)
+		payloads, n, err := readFrames(data)
+		if n < 0 || n > len(data) {
+			t.Fatalf("intact prefix of %d bytes in %d input bytes", n, len(data))
+		}
+		total := 0
+		for _, p := range payloads {
+			total += len(p)
+		}
+		if total > len(data) || len(payloads) > len(data)/segHead {
+			t.Fatalf("decoded %d frames of %d payload bytes from %d input bytes", len(payloads), total, len(data))
+		}
+		// The accepted prefix re-encodes to itself, each frame in the
+		// format its magic names: what recovery keeps is what was written.
+		var again []byte
+		for _, p := range payloads {
+			if bytes.HasPrefix(data[len(again):], segMagic) {
+				again = append(again, encodeSegment(p)...)
+			} else {
+				again = appendFrame(again, p)
 			}
 		}
-		if total > len(data) {
-			t.Fatalf("decoded %d segment bytes from %d input bytes", total, len(data))
+		if !bytes.Equal(again, data[:n]) {
+			t.Fatalf("the %d-byte intact prefix re-encodes to %d other bytes", n, len(again))
 		}
-		// Every accepted record must survive an encode/decode round trip
-		// intact: what recovery replays is what was logged.
-		for _, r := range recs {
-			again := decodeWALRecords(encodeWALRecord(r))
-			if len(again) != 1 {
-				t.Fatalf("re-encoded record decoded to %d records", len(again))
-			}
-			g := again[0]
-			if g.op != r.op || g.unit != r.unit || g.seq != r.seq || len(g.segs) != len(r.segs) {
-				t.Fatalf("record round-trip mismatch: %+v vs %+v", g, r)
-			}
-			for i := range g.segs {
-				if !bytes.Equal(g.segs[i], r.segs[i]) {
-					t.Fatalf("segment %d round-trip mismatch", i)
-				}
-			}
+		// Whether the rest is a torn append or corruption is a function
+		// of its own bytes, not of the frames before it.
+		_, tn, terr := readFrames(data[n:])
+		if tn != 0 || (terr == nil) != (err == nil) {
+			t.Fatalf("the tail after %d bytes parses alone to %d bytes, %v; in place to %v", n, tn, terr, err)
 		}
 	})
 }

@@ -372,13 +372,22 @@ func (p *Plan) buildPassThroughTemplates(worker *sqlparse.Select) error {
 			sqlparse.OrderItem{Expr: &sqlparse.ColumnRef{Column: alias}, Desc: o.Desc})
 	}
 
-	// Hidden order columns must not leak into the final output.
+	// Hidden order columns must not leak into the final output. The merge
+	// re-selects the user's items by name, so an item named like one
+	// before it is computed under a name of its own and renamed back.
 	if hiddenN > 0 {
 		merge.Items = nil
-		for _, it := range user.Items {
+		taken := map[string]bool{}
+		for i, it := range user.Items {
 			name := outputNameOf(it)
+			col, key := name, strings.ToLower(name)
+			if taken[key] {
+				col = fmt.Sprintf("qserv_item%d", i)
+				worker.Items[i].Alias = col
+			}
+			taken[key] = true
 			merge.Items = append(merge.Items,
-				sqlparse.SelectItem{Expr: &sqlparse.ColumnRef{Column: name}, Alias: name})
+				sqlparse.SelectItem{Expr: &sqlparse.ColumnRef{Column: col}, Alias: name})
 		}
 	}
 

@@ -5,7 +5,7 @@
 // "strong motivations to explore a more efficient method" (section
 // 7.1). This is that method, a deliberate divergence: the result ships
 // as a binary stream whose rows are in the cell encoding of package
-// rowcodec — the same bytes ingest batches and segment files hold.
+// rowcodec — the same bytes ingest batches and chunk unit files hold.
 //
 //	"QRES1"
 //	uvarint len + table name

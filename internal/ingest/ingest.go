@@ -28,7 +28,7 @@ import (
 
 // batchMagic heads every encoded batch; the version byte lets the
 // format evolve.
-var batchMagic = []byte("QLOAD2")
+const batchMagic = "QLOAD2"
 
 // Batch is one /load shipment for a single (table, chunk) pair.
 type Batch struct {
@@ -41,32 +41,53 @@ type Batch struct {
 	Overlap []sqlengine.Row
 }
 
-// EncodeBatch serializes a batch.
+// EncodeBatch serializes a batch with the batch's one header writer and
+// one row writer, which the partition pass also writes its batches with.
 func EncodeBatch(b Batch) ([]byte, error) {
-	size := len(batchMagic) + 2*binary.MaxVarintLen64
+	size := MaxHeaderLen
 	for _, r := range b.Rows {
 		size += rowcodec.RowSize(r)
 	}
 	for _, r := range b.Overlap {
 		size += rowcodec.RowSize(r)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, batchMagic...)
-	out = binary.AppendUvarint(out, uint64(len(b.Rows)))
-	out = binary.AppendUvarint(out, uint64(len(b.Overlap)))
+	out := AppendHeader(make([]byte, 0, size), len(b.Rows), len(b.Overlap))
 	var err error
 	for _, r := range b.Rows {
-		if out, err = rowcodec.AppendRow(out, r); err != nil {
+		if out, err = AppendRow(out, r); err != nil {
 			return nil, err
 		}
 	}
 	for _, r := range b.Overlap {
-		if out, err = rowcodec.AppendRow(out, r); err != nil {
+		if out, err = AppendRow(out, r); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
+
+// MaxHeaderLen bounds the length of a batch header.
+const MaxHeaderLen = len(batchMagic) + 2*binary.MaxVarintLen64
+
+// AppendHeader appends the header of a batch of own rows followed by
+// overlap rows to out: the magic and the two row counts.
+func AppendHeader(out []byte, own, overlap int) []byte {
+	out = append(out, batchMagic...)
+	out = binary.AppendUvarint(out, uint64(own))
+	return binary.AppendUvarint(out, uint64(overlap))
+}
+
+// AppendRow appends one row of a batch to out: the cells of r, then sys,
+// the system columns a partitioned table stores after its user columns
+// (chunkId, subChunkId) when r holds only the user columns. A value that
+// is not nil, int64, float64 or string is an error.
+func AppendRow(out []byte, r sqlengine.Row, sys ...int64) ([]byte, error) {
+	return rowcodec.AppendRow(out, r, sys...)
+}
+
+// RowSize upper-bounds the bytes AppendRow appends for r and sys system
+// columns.
+func RowSize(r sqlengine.Row, sys int) int { return rowcodec.RowSize(r) + 9*sys }
 
 // DecodeBatch parses an encoded batch into boxed rows.
 func DecodeBatch(data []byte) (Batch, error) {
@@ -78,44 +99,61 @@ func DecodeBatch(data []byte) (Batch, error) {
 	return Batch{Rows: box.Rows[:nRows:nRows], Overlap: box.Rows[nRows:]}, nil
 }
 
+// BatchRows reads an encoded batch's header: how many own and overlap
+// rows it carries, which a decoder's sinks can make room for before the
+// first row.
+func BatchRows(data []byte) (own, overlap int, err error) {
+	own, overlap, _, err = readHeader(data)
+	return own, overlap, err
+}
+
+// readHeader parses a batch header, returning its row counts and where
+// the rows start. The counts are untrusted input: every row costs at
+// least one byte (its column-count varint), so counts beyond the
+// remaining payload are corrupt and rejected before any row is read.
+func readHeader(data []byte) (own, overlap, pos int, err error) {
+	if len(data) < len(batchMagic) || string(data[:len(batchMagic)]) != batchMagic {
+		return 0, 0, 0, fmt.Errorf("ingest: bad batch header")
+	}
+	pos = len(batchMagic)
+	nOwn, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return 0, 0, 0, fmt.Errorf("ingest: truncated batch")
+	}
+	pos += n
+	nOverlap, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return 0, 0, 0, fmt.Errorf("ingest: truncated batch")
+	}
+	pos += n
+	remaining := uint64(len(data) - pos)
+	if nOwn > remaining || nOverlap > remaining || nOwn+nOverlap > remaining {
+		return 0, 0, 0, fmt.Errorf("ingest: batch claims %d+%d rows in %d bytes", nOwn, nOverlap, remaining)
+	}
+	return int(nOwn), int(nOverlap), pos, nil
+}
+
 // DecodeBatchInto parses an encoded batch straight into two sinks, the
 // chunk's own rows into rows and its overlap rows into overlap, and
 // returns how many went to the first. With a table's
 // sqlengine.Appender for a sink no row is ever boxed. On error the sinks
 // have been handed part of the batch: the caller discards what they hold.
 func DecodeBatchInto(data []byte, rows, overlap rowcodec.Sink) (nRows int, err error) {
-	if len(data) < len(batchMagic) || string(data[:len(batchMagic)]) != string(batchMagic) {
-		return 0, fmt.Errorf("ingest: bad batch header")
+	own, nOverlap, pos, err := readHeader(data)
+	if err != nil {
+		return 0, err
 	}
-	pos := len(batchMagic)
-	own, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("ingest: truncated batch")
-	}
-	pos += n
-	nOverlap, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("ingest: truncated batch")
-	}
-	pos += n
-	// The counts are untrusted input: every row costs at least one
-	// byte (its column-count varint), so counts beyond the remaining
-	// payload are corrupt — reject them before any row is read.
-	remaining := uint64(len(data) - pos)
-	if own > remaining || nOverlap > remaining || own+nOverlap > remaining {
-		return 0, fmt.Errorf("ingest: batch claims %d+%d rows in %d bytes", own, nOverlap, remaining)
-	}
-	total := int(own + nOverlap)
+	total := own + nOverlap
 	for i := 0; i < total; i++ {
 		sink := rows
-		if i >= int(own) {
+		if i >= own {
 			sink = overlap
 		}
 		if pos, err = rowcodec.Decode(data, pos, sink); err != nil {
 			return 0, fmt.Errorf("ingest: row %d of %d: %w", i, total, err)
 		}
 	}
-	return int(own), nil
+	return own, nil
 }
 
 // ---------- segment framing ----------
@@ -123,7 +161,7 @@ func DecodeBatchInto(data []byte, rows, overlap rowcodec.Sink) (nRows int, err e
 // segmentsMagic heads a segment-set frame: the /repl wire format since
 // the durable chunk store. A frame carries one or more encoded batches
 // ("segments"), each length-prefixed and CRC-checksummed. A durable
-// worker ships its on-disk segment files verbatim — no row re-encoding
+// worker ships its stored frame payloads verbatim — no row re-encoding
 // — and the installer verifies every segment's checksum before
 // applying any, so a corrupted copy is rejected whole.
 var segmentsMagic = []byte("QSEGS1")

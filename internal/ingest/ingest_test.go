@@ -127,10 +127,11 @@ func TestParentCommitBytesStillDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if len(rec.Quarantined) != 0 || len(rec.Units) != 1 || len(rec.Units[0].Segments) != 1 {
-		t.Fatalf("recovery of the parent commit's segment: %+v", rec)
+	segs, err := st.Segments(u)
+	if err != nil || len(rec.Quarantined) != 0 || len(rec.Units) != 1 || len(segs) != 1 {
+		t.Fatalf("recovery of the parent commit's segment: %+v, %d segments, %v", rec, len(segs), err)
 	}
-	for name, payload := range map[string][]byte{"batch": golden, "segment": rec.Units[0].Segments[0]} {
+	for name, payload := range map[string][]byte{"batch": golden, "segment": segs[0]} {
 		got, err := DecodeBatch(payload)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

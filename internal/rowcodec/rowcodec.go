@@ -10,7 +10,7 @@
 //
 // Every user frames rows its own way and calls AppendRow / Decode for
 // the cells: package ingest (the /load and /repl batches and the
-// chunkstore segment files made of them), package dump (a worker's
+// chunkstore unit files made of them), package dump (a worker's
 // chunk-query result stream), and package frontend (the client
 // protocol's row frame, a count and a batch of rows). The bytes are the
 // ones the ingest batch has always written, so stored segments never need
@@ -102,10 +102,11 @@ func (e *Encoder) Int(col int, v int64) error     { e.Buf = appendInt(e.Buf, v);
 func (e *Encoder) Float(col int, v float64) error { e.Buf = appendFloat(e.Buf, v); return nil }
 func (e *Encoder) Str(col int, v []byte) error    { e.Buf = appendStr(e.Buf, v); return nil }
 
-// AppendRow appends r's encoding to out. A value that is not nil,
-// int64, float64 or string is an error.
-func AppendRow(out []byte, r sqlengine.Row) ([]byte, error) {
-	out = appendWidth(out, len(r))
+// AppendRow appends to out the encoding of the row made of r's cells and
+// then the integer cells tail. A value that is not nil, int64, float64 or
+// string is an error.
+func AppendRow(out []byte, r sqlengine.Row, tail ...int64) ([]byte, error) {
+	out = appendWidth(out, len(r)+len(tail))
 	for _, v := range r {
 		switch x := v.(type) {
 		case nil:
@@ -119,6 +120,9 @@ func AppendRow(out []byte, r sqlengine.Row) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("rowcodec: unsupported value type %T", v)
 		}
+	}
+	for _, v := range tail {
+		out = appendInt(out, v)
 	}
 	return out, nil
 }

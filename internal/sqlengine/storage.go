@@ -406,6 +406,34 @@ func (t *Table) Appender() *Appender {
 	return a
 }
 
+// Reserve makes room for n more rows in every column, so an append whose
+// row count is known before its first row grows each column at most once.
+// A column short of room grows by n rows, or by a quarter of its length
+// when that is more: as tight as the append allows, and still amortized
+// when appends are small.
+func (a *Appender) Reserve(n int) {
+	for i := range a.cols {
+		c := &a.cols[i]
+		switch c.typ {
+		case sqlparse.TypeInt:
+			c.ints = reserve(c.ints, n)
+		case sqlparse.TypeFloat:
+			c.floats = reserve(c.floats, n)
+		default:
+			c.strs = reserve(c.strs, n)
+		}
+	}
+}
+
+func reserve[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	grown := make([]E, len(s), len(s)+max(n, len(s)/4))
+	copy(grown, s)
+	return grown
+}
+
 // BeginRow announces a row of ncols cells; the cell calls that follow
 // name their column.
 func (a *Appender) BeginRow(ncols int) error {

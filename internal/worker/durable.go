@@ -12,9 +12,9 @@ import (
 // mutation into the store. An in-memory worker (no DataDir) has a nil
 // store and every persist call is a no-op.
 
-// openStore opens the worker's durable chunk store (replaying its WAL)
-// and recovers the inventory from what survived on disk. Called from
-// New, before the executors start.
+// openStore opens the worker's durable chunk store (cutting torn appends
+// off its unit files) and recovers the inventory from what survived on
+// disk. Called from New, before the executors start.
 func (w *Worker) openStore() error {
 	st, rec, err := chunkstore.Open(w.cfg.DataDir)
 	if err != nil {
@@ -53,14 +53,14 @@ func (w *Worker) recoverFromStore(st *chunkstore.Store, rec *chunkstore.Recovery
 			tainted[u.Chunk] = true
 		}
 	}
-	for _, ru := range rec.Units {
+	for _, u := range rec.Units {
 		// The registry lookup keeps recovery's failure surface: a unit
 		// whose table the catalog no longer declares fails startup here,
 		// not on some later query.
-		if _, err := w.registry.Table(ru.Unit.Table); err != nil {
-			return fmt.Errorf("recovered unit %s: %w", ru.Unit, err)
+		if _, err := w.registry.Table(u.Table); err != nil {
+			return fmt.Errorf("recovered unit %s: %w", u, err)
 		}
-		w.units.trackOnDisk(ru.Unit, !tainted[ru.Unit.Chunk])
+		w.units.trackOnDisk(u, !tainted[u.Chunk])
 	}
 	return nil
 }

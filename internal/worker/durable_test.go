@@ -113,19 +113,19 @@ func TestDurableRecoveryQuarantine(t *testing.T) {
 	w := mustNew(t, cfg, reg)
 	load(t, w, xrd.LoadPath("Object", 7), []sqlengine.Row{objectRow(1, 7)}, nil)
 	load(t, w, xrd.LoadPath("Object", 9), []sqlengine.Row{objectRow(2, 9)}, nil)
-	w.Close()
 
-	// Rot one payload byte of chunk 7's segment, under its checksum.
-	segs, err := filepath.Glob(filepath.Join(dir, "tables", "Object@7", "seg-*.qseg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segment files for Object@7: %v %v", segs, err)
-	}
-	data, err := os.ReadFile(segs[0])
+	// Rot one payload byte of the first of chunk 7's two frames, under
+	// its checksum: a complete frame that fails it is corruption, not a
+	// torn append.
+	load(t, w, xrd.LoadPath("Object", 7), []sqlengine.Row{objectRow(3, 7)}, nil)
+	w.Close()
+	unitFile := filepath.Join(dir, "tables", "Object@7.qseg")
+	data, err := os.ReadFile(unitFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+	data[len(data)/4] ^= 0xff // a quarter of the way in: the first frame's payload
+	if err := os.WriteFile(unitFile, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,7 +15,7 @@ import (
 // whose tables — with the director-key hash index, maintained by every
 // append, so no second indexing pass runs after ingest finishes — the
 // first batch creates (buildUnit over no segments). A batch is decoded
-// straight into the tables' columns (appendBatch) and published whole or
+// straight into the tables' columns (appendBatches) and published whole or
 // not at all.
 
 // handleLoad processes one /load write transaction.
@@ -58,7 +58,7 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 			return fmt.Errorf("worker %s: load %s: %w", w.cfg.Name, id, err)
 		}
 	}
-	if err := appendBatch(data, tables[0], tables[1]); err != nil {
+	if err := appendBatches([][]byte{data}, tables[0], tables[1]); err != nil {
 		return fmt.Errorf("worker %s: load %s: %w", w.cfg.Name, id, err)
 	}
 	// Memory first, then disk: the ack a successful return implies must
@@ -72,18 +72,32 @@ func (w *Worker) handleLoad(path string, data []byte) error {
 	return nil
 }
 
-// appendBatch decodes one encoded batch into t (its own rows) and ov (its
-// overlap rows; nil for a replicated table, which has no companion and
-// drops any) without boxing a cell, and publishes both appends only once
-// the whole batch has decoded and converted: a bad batch leaves both
-// tables exactly as long as they were.
-func appendBatch(data []byte, t, ov *sqlengine.Table) error {
+// appendBatches decodes encoded batches, in order, into t (their own
+// rows) and ov (their overlap rows; nil for a replicated table, which has
+// no companion and drops any) without boxing a cell, and publishes both
+// appends only once every batch has decoded and converted: a bad batch
+// leaves both tables exactly as long as they were. The batch headers'
+// row counts size each column once, for all the batches, before the first
+// row is decoded.
+func appendBatches(batches [][]byte, t, ov *sqlengine.Table) error {
 	if ov == nil {
 		ov = sqlengine.NewTable(t.Name, t.Schema)
 	}
 	rows, overlap := t.Appender(), ov.Appender()
-	if _, err := ingest.DecodeBatchInto(data, rows, overlap); err != nil {
-		return err
+	var nRows, nOverlap int
+	for _, b := range batches {
+		own, over, err := ingest.BatchRows(b)
+		if err != nil {
+			return err
+		}
+		nRows, nOverlap = nRows+own, nOverlap+over
+	}
+	rows.Reserve(nRows)
+	overlap.Reserve(nOverlap)
+	for _, b := range batches {
+		if _, err := ingest.DecodeBatchInto(b, rows, overlap); err != nil {
+			return err
+		}
 	}
 	rows.Commit()
 	overlap.Commit()

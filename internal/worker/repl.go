@@ -54,7 +54,7 @@ func (w *Worker) inventoryStatus() []byte {
 // exportRepl serves a /repl read: the chunk table's rows plus its
 // overlap companion's (or a replicated table's full row set), framed as
 // a checksummed segment stream (ingest.EncodeSegments). A durable
-// worker ships its stored segment files verbatim — verified bytes move,
+// worker ships its stored frame payloads verbatim — verified bytes move,
 // nothing is re-encoded from row structures — while an in-memory worker
 // encodes its rows as a single segment. Exports are deterministic
 // either way, so the replication manager verifies a copy by

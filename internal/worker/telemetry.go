@@ -60,9 +60,9 @@ func (w *Worker) registerMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("qserv_worker_resident_bytes", "accounted engine footprint of resident units",
 		func() int64 { return w.ResidencyStats().ResidentBytes }, "worker", name)
 	if w.store != nil {
-		reg.CounterFunc("qserv_chunkstore_wal_fsyncs_total", "WAL fsyncs issued by the commit protocol",
+		reg.CounterFunc("qserv_chunkstore_wal_fsyncs_total", "fsyncs issued by the commit protocol: unit files, and the tables directory",
 			func() int64 { return w.store.Counters().WALFsyncs }, "worker", name)
-		reg.CounterFunc("qserv_chunkstore_seg_writes_total", "segment files written",
+		reg.CounterFunc("qserv_chunkstore_seg_writes_total", "unit-file frames written",
 			func() int64 { return w.store.Counters().SegWrites }, "worker", name)
 		reg.CounterFunc("qserv_chunkstore_quarantines_total", "units quarantined for failing verification",
 			func() int64 { return w.store.Counters().Quarantines }, "worker", name)

@@ -20,9 +20,9 @@ import (
 // a /load append, a /repl replace-install, an eviction.
 //
 // With a store, recovery stops at the chunkstore inventory (spec + unit
-// index) and a unit's tables are built from its segment files on first
+// index) and a unit's tables are built from its unit file on first
 // touch — a query, a /load append, or a repair heal. Under a memory
-// budget, cold units are evicted back to their (already durable) segment
+// budget, cold units are evicted back to their (already durable) unit
 // files by detaching their engine tables, in LRU order over per-unit
 // resident-byte accounting. Without a store a unit is born resident, by
 // /load or /repl, and stays so: there is nowhere to evict to, and the
@@ -539,10 +539,8 @@ func (w *Worker) buildUnit(id chunkstore.Unit, segs [][]byte) error {
 	if !id.Shared {
 		ov = sqlengine.NewTable(names[1], info.Schema)
 	}
-	for _, seg := range segs {
-		if err := appendBatch(seg, t, ov); err != nil {
-			return err
-		}
+	if err := appendBatches(segs, t, ov); err != nil {
+		return err
 	}
 	w.db.Put(t)
 	if ov != nil {

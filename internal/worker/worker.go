@@ -88,7 +88,7 @@ type Config struct {
 	// MemoryBudgetBytes bounds the resident engine footprint of the
 	// worker's stored units (chunk tables, overlap companions, and
 	// replicated tables, hash indexes included). Above the budget, cold
-	// units are evicted back to their segment files in LRU order and
+	// units are evicted back to their unit files in LRU order and
 	// re-materialized on the next touch, so the worker serves working
 	// sets larger than its memory. 0 means materialize lazily but never
 	// evict. Requires DataDir (an in-memory worker has nowhere to evict
@@ -296,9 +296,9 @@ func (j *job) signalCancel() { j.cancelOnce.Do(func() { close(j.cancel) }) }
 
 // New creates and starts a worker. The engine's default database is the
 // catalog database (registry.DB); chunk tables live there. With
-// cfg.DataDir set, New opens the durable chunk store, replays its
-// write-ahead log, and rebuilds the worker's chunk tables from the
-// checksum-verified segments on disk before serving.
+// cfg.DataDir set, New opens the durable chunk store, which verifies
+// every unit file and cuts torn appends off, and recovers the worker's
+// inventory from it before serving.
 func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 	cfg.Slots, cfg.InteractiveSlots = max(cfg.Slots, 1), max(cfg.InteractiveSlots, 1)
 	def := DefaultConfig(cfg.Name)

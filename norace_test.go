@@ -12,3 +12,7 @@ const (
 	racePoolAllocFactor = 1.0
 	raceByteFactor      = 1.0
 )
+
+// raceIngestByteFactor scales TestIngestAllocBudget's byte ceilings; see
+// race_test.go.
+const raceIngestByteFactor = 1.0

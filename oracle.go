@@ -98,11 +98,12 @@ func (o *Oracle) Ingest(table string, src RowSource) error {
 			if !ok {
 				break
 			}
-			full, _, _, _, err := placer.place(row)
+			pl, err := placer.place(row)
 			if err != nil {
 				return err
 			}
-			rows = append(rows, full)
+			full := make(sqlengine.Row, 0, len(row)+2)
+			rows = append(rows, append(append(full, row...), int64(pl.chunk), int64(pl.sub)))
 		}
 	} else {
 		n := int64(0)

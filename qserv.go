@@ -109,7 +109,7 @@ type ClusterConfig struct {
 	SelfHeal bool
 	// DataDir enables durable chunk storage: each worker persists its
 	// ingested batches and /repl installs under DataDir/<worker-name>
-	// (an append-only segment store with a write-ahead log, see
+	// (one append-only, checksummed file per chunk unit, see
 	// internal/chunkstore) and recovers them on restart, so a revived
 	// worker serves its chunks without any re-replication. Empty keeps
 	// chunk data purely in memory. The QSERV_DATADIR environment

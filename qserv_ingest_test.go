@@ -1,14 +1,21 @@
 package qserv
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/ingest"
+	"repro/internal/meta"
+	"repro/internal/sqlengine"
 	"repro/internal/worker"
+	"repro/internal/xrd"
 )
 
 // ingestTestCatalog is a small partial-sky catalog for ingest tests.
@@ -113,8 +120,8 @@ func TestSpecIngestMatchesLegacyLoad(t *testing.T) {
 }
 
 // TestIngestWithReplication exercises replica shipping: every batch
-// goes to Replication workers concurrently (their lanes encode the
-// same Batch value in parallel), and answers still match the oracle.
+// goes to Replication workers concurrently (their lanes write the same
+// encoded batch in parallel), and answers still match the oracle.
 func TestIngestWithReplication(t *testing.T) {
 	cat := ingestTestCatalog(t)
 	cfg := DefaultClusterConfig(4)
@@ -656,6 +663,137 @@ func TestWorkerOutcomeNotServedStale(t *testing.T) {
 				t.Fatalf("worker %s still holds %d chunk queries", w.Name(), w.HeldJobs())
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// loadCapture wraps a worker's fabric handler and keeps every /load batch
+// it is written, by path, in arrival order.
+type loadCapture struct {
+	inner   xrd.ContextHandler
+	mu      sync.Mutex
+	batches map[string][][]byte
+}
+
+func (c *loadCapture) HandleWrite(path string, data []byte) error {
+	return c.HandleWriteContext(context.Background(), path, data)
+}
+
+func (c *loadCapture) HandleRead(path string) ([]byte, error) {
+	return c.inner.HandleReadContext(context.Background(), path)
+}
+
+func (c *loadCapture) HandleWriteContext(ctx context.Context, path string, data []byte) error {
+	if strings.HasPrefix(path, "/load/t/") {
+		c.mu.Lock()
+		c.batches[path] = append(c.batches[path], bytes.Clone(data))
+		c.mu.Unlock()
+	}
+	return c.inner.HandleWriteContext(ctx, path, data)
+}
+
+func (c *loadCapture) HandleReadContext(ctx context.Context, path string) ([]byte, error) {
+	return c.inner.HandleReadContext(ctx, path)
+}
+
+// TestIngestBatchIsEncodeBatch: the partition pass encodes each row once,
+// straight into its chunk's pending batch, and the replicated path once for
+// every worker; every batch a worker is sent is byte for byte EncodeBatch
+// of the rows it carries — a chunk's own rows, batch after batch, being
+// the chunk's rows in stream order with their chunk and subchunk ids, and
+// the overlap rows adding up to the ingest's overlap count.
+func TestIngestBatchIsEncodeBatch(t *testing.T) {
+	cat := ingestTestCatalog(t)
+	cfg := DefaultClusterConfig(2)
+	cfg.Replication = 2
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	var caps []*loadCapture
+	for _, w := range cl.Workers {
+		c := &loadCapture{inner: w, batches: map[string][][]byte{}}
+		cl.Endpoint(w.Name()).SetHandler(c)
+		caps = append(caps, c)
+	}
+	if err := cl.CreateTables(LSSTSpec()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Ingest("Object", objectSource(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := make([]sqlengine.Row, 0, 6)
+	for _, r := range datagen.FilterRows() {
+		filters = append(filters, sqlengine.Row(r))
+	}
+	if _, err := cl.Ingest("Filter", filterSource()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rows each chunk owns, in stream order, as storage rows.
+	info, err := cl.Registry.Table("Object")
+	if err != nil {
+		t.Fatal(err)
+	}
+	placer, err := newRowPlacer(info, cl.Chunker, meta.NewObjectIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := map[int][]sqlengine.Row{}
+	src := objectSource(cat)
+	for row, ok := src.Next(); ok; row, ok = src.Next() {
+		pl, err := placer.place(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := append(sqlengine.Row(slices.Clone(row)), int64(pl.chunk), int64(pl.sub))
+		own[int(pl.chunk)] = append(own[int(pl.chunk)], full)
+	}
+
+	wantFilter, err := ingest.EncodeBatch(ingest.Batch{Rows: filters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range caps {
+		var overlapRows int64
+		for path, batches := range c.batches {
+			table, chunk, shared, err := xrd.ParseLoadPath(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared {
+				if table != "Filter" || len(batches) != 1 || !bytes.Equal(batches[0], wantFilter) {
+					t.Errorf("worker %d: %s got %d batches, want EncodeBatch of the filter rows", i, path, len(batches))
+				}
+				continue
+			}
+			next := 0
+			for k, payload := range batches {
+				b, err := ingest.DecodeBatch(payload)
+				if err != nil {
+					t.Fatalf("%s batch %d: %v", path, k, err)
+				}
+				if next+len(b.Rows) > len(own[chunk]) {
+					t.Fatalf("%s: batch %d carries %d own rows past the chunk's %d", path, k, len(b.Rows), len(own[chunk]))
+				}
+				want, err := ingest.EncodeBatch(ingest.Batch{Rows: own[chunk][next : next+len(b.Rows)], Overlap: b.Overlap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(payload, want) {
+					t.Fatalf("%s batch %d: %d bytes differ from EncodeBatch of its rows (%d bytes)", path, k, len(payload), len(want))
+				}
+				next += len(b.Rows)
+				overlapRows += int64(len(b.Overlap))
+			}
+			if next != len(own[chunk]) {
+				t.Errorf("%s: batches carry %d own rows, the chunk owns %d", path, next, len(own[chunk]))
+			}
+		}
+		if overlapRows != st.OverlapRows || overlapRows == 0 {
+			t.Errorf("worker %d was sent %d overlap rows, the ingest counts %d", i, overlapRows, st.OverlapRows)
 		}
 	}
 }

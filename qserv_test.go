@@ -825,6 +825,8 @@ func TestNearNeighbourColumnsAnswerAsTheOracle(t *testing.T) {
 		"SELECT o1.*, o2.objectId",
 		"SELECT o1.objectId",
 		"SELECT o1.objectId AS id1, o2.objectId AS id2" + near + " ORDER BY o2.uFlux_PS, id1, id2",
+		// Two items of one output name beside a hidden ORDER BY column.
+		"SELECT o1.objectId, o2.objectId" + near + " ORDER BY o2.uFlux_PS",
 		"SELECT COUNT(*) AS n" + near + " GROUP BY o2.iFlux_PS",
 		"SELECT O1.OBJECTID, o2.Ra_Ps, O2.zflux_ps" + near + " AND o1.GFLUX_ps > 0",
 	} {
