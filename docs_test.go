@@ -98,6 +98,14 @@ func TestDocsNameTheKnobsThatExist(t *testing.T) {
 			}
 		}
 	}
+	// ARCHITECTURE counts each struct's fields; the count is the struct's.
+	arch := readDoc(t, "docs/ARCHITECTURE.md")
+	for name, typ := range map[string]reflect.Type{"ClusterConfig": cluster, "worker.Config": reflect.TypeOf(worker.Config{})} {
+		count := regexp.MustCompile("`" + regexp.QuoteMeta(name) + "` \\((\\d+) fields\\)")
+		if m := count.FindStringSubmatch(arch); m == nil || m[1] != strconv.Itoa(typ.NumField()) {
+			t.Errorf("docs/ARCHITECTURE.md does not say `%s` (%d fields)", name, typ.NumField())
+		}
+	}
 	for _, m := range regexp.MustCompile(`ClusterConfig\.([A-Z]\w*)`).FindAllStringSubmatch(docs, -1) {
 		_, field := cluster.FieldByName(m[1])
 		_, method := cluster.MethodByName(m[1])

@@ -74,9 +74,6 @@ type Config struct {
 	// QueueDepth bounds each lane's queue; writes beyond it fail,
 	// which the czar surfaces as dispatch errors.
 	QueueDepth int
-	// ResultTimeout bounds how long a result read blocks waiting for
-	// execution to finish.
-	ResultTimeout time.Duration
 	// DataDir enables the durable chunk store (internal/chunkstore):
 	// every ingest batch and /repl install is persisted under this
 	// directory, and New recovers the worker's inventory from it, so a
@@ -112,7 +109,6 @@ func DefaultConfig(name string) Config {
 		Slots:            4,
 		InteractiveSlots: 2,
 		QueueDepth:       4096,
-		ResultTimeout:    2 * time.Minute,
 	}
 }
 
@@ -304,9 +300,6 @@ func New(cfg Config, registry *meta.Registry) (*Worker, error) {
 	def := DefaultConfig(cfg.Name)
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
-	}
-	if cfg.ResultTimeout <= 0 {
-		cfg.ResultTimeout = def.ResultTimeout
 	}
 	w := &Worker{
 		cfg:         cfg,
@@ -656,11 +649,12 @@ func (w *Worker) HandleWriteContext(ctx context.Context, path string, data []byt
 }
 
 // HandleRead serves /result/H to the query that wrote the chunk query
-// hashing to H, blocking until it finishes (or the configured timeout
-// passes); a query that wrote none gets no result. A chunk-query write
-// buys one read: however the read ends — outcome served, caller gone,
-// timeout — the job ends with it (see release), and a reader that gives up
-// on a still-running job aborts it.
+// hashing to H, blocking until it finishes, the caller gives up or the
+// worker closes; a query that wrote none gets no result. A chunk-query
+// write buys one read: however the read ends, the job ends with it (see
+// release), and a reader that gives up on a still-running job aborts it.
+// No timer bounds the wait: every job runs to its end or is released, and
+// the czar reads a dispatch's chunks in list order, so its window moves.
 func (w *Worker) HandleRead(path string) ([]byte, error) {
 	return w.HandleReadContext(context.Background(), path)
 }
@@ -699,8 +693,8 @@ func (w *Worker) HandleReadContext(ctx context.Context, path string) ([]byte, er
 	case <-j.ready:
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
-	case <-time.After(w.cfg.ResultTimeout):
-		return nil, fmt.Errorf("worker %s: result %s timed out after %v", w.cfg.Name, hash, w.cfg.ResultTimeout)
+	case <-w.stop:
+		return nil, fmt.Errorf("worker %s: closed", w.cfg.Name)
 	}
 	if j.err != nil {
 		return nil, j.err

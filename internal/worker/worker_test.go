@@ -2,6 +2,7 @@ package worker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -50,6 +51,14 @@ func load(t testing.TB, w *Worker, path string, rows, overlap []sqlengine.Row) {
 // hand-placed rows (including overlap rows from a neighboring chunk).
 func testWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
 	t.Helper()
+	w, chunk := openTestWorker(t, cfg)
+	t.Cleanup(w.Close)
+	return w, chunk
+}
+
+// openTestWorker is testWorker for a test that closes the worker itself.
+func openTestWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
+	t.Helper()
 	ch, err := partition.NewChunker(partition.Config{
 		NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5,
 	})
@@ -58,7 +67,6 @@ func testWorker(t testing.TB, cfg Config) (*Worker, partition.ChunkID) {
 	}
 	reg := datagen.LSSTRegistry(ch)
 	w := mustNew(t, cfg, reg)
-	t.Cleanup(w.Close)
 
 	// Pick the chunk containing (100, 0).
 	chunk, _ := ch.Locate(sphgeom.NewPoint(100, 0))
@@ -524,45 +532,88 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-func TestResultTimeout(t *testing.T) {
+// holdScan registers test_hold on w's engine and writes a scan of chunk
+// that calls it: with one scan slot, the scan holds the slot until gate is
+// closed. It returns once the scan is running.
+func holdScan(t *testing.T, w *Worker, chunk partition.ChunkID, gate chan struct{}) []byte {
+	t.Helper()
+	entered := make(chan struct{}, 1)
+	w.Engine().RegisterFunc("test_hold", func(args []sqlengine.Value) (sqlengine.Value, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return args[0], nil
+	})
+	blocker := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d WHERE test_hold(zFlux_PS) > 0;", chunk))
+	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	return blocker
+}
+
+// TestResultReadEndsWithItsCallerOrTheWorker: no timer bounds a result
+// read. A read of a queued job returns when its caller's context ends, and
+// the job goes with it; a read blocked on a queued job returns an error
+// when the worker closes.
+func TestResultReadEndsWithItsCallerOrTheWorker(t *testing.T) {
 	cfg := DefaultConfig("w0")
 	cfg.Slots = 1
-	cfg.ResultTimeout = 50 * time.Millisecond
 	w, chunk := testWorker(t, cfg)
-	// Occupy the only slot with a long self-join, then ask for a queued
-	// result with a tiny timeout.
-	subs, _ := w.registry.Chunker.AllSubChunks(chunk)
-	var sb strings.Builder
-	sb.WriteString("-- SUBCHUNKS:")
-	for i, s := range subs {
-		if i > 0 {
-			sb.WriteString(",")
+	gate := make(chan struct{})
+	blocker := holdScan(t, w, chunk, gate)
+	queued := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
+	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), queued); err != nil {
+		t.Fatal(err)
+	}
+	if _, scan := w.QueueLens(); scan != 1 {
+		t.Fatalf("scan queue len = %d, want 1", scan)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := w.HandleReadContext(ctx, xrd.ResultPath(queued)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read of a queued job whose caller gave up: %v", err)
+	}
+	if _, scan := w.QueueLens(); scan != 0 || w.HeldJobs() != 1 {
+		t.Fatalf("after the read gave up: %d queued, %d held; want 0 and the blocker", scan, w.HeldJobs())
+	}
+	close(gate)
+	if _, err := w.HandleRead(xrd.ResultPath(blocker)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w.HeldJobs() != 0 || w.ActiveJobs() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after both jobs ended: %d held, %d active", w.HeldJobs(), w.ActiveJobs())
 		}
-		fmt.Fprintf(&sb, " %d", s)
+		time.Sleep(time.Millisecond)
 	}
-	sb.WriteString("\n")
-	// One statement, written for the first subchunk and run for each.
-	fmt.Fprintf(&sb, "SELECT COUNT(*) AS n FROM LSST.Object_%d_%d AS o1, LSST.Object_%d_%d AS o2 WHERE (o1.objectId != o2.objectId);\n", chunk, subs[0], chunk, subs[0])
-	slow := []byte(sb.String())
-	fast := []byte(fmt.Sprintf("SELECT COUNT(*) FROM LSST.Object_%d;", chunk))
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), slow); err != nil {
+
+	w2, chunk := openTestWorker(t, cfg)
+	gate2 := make(chan struct{})
+	holdScan(t, w2, chunk, gate2)
+	if err := w2.HandleWrite(xrd.QueryPath(int(chunk)), queued); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.HandleWrite(xrd.QueryPath(int(chunk)), fast); err != nil {
-		t.Fatal(err)
-	}
-	// Depending on scheduling the fast result may or may not finish in
-	// 50ms; what must NOT happen is an indefinite block.
-	done := make(chan struct{})
+	readErr := make(chan error, 1)
 	go func() {
-		_, _ = w.HandleRead(xrd.ResultPath(fast))
-		close(done)
+		_, err := w2.HandleRead(xrd.ResultPath(queued))
+		readErr <- err
 	}()
+	closed := make(chan struct{})
+	go func() { w2.Close(); close(closed) }()
 	select {
-	case <-done:
+	case err := <-readErr:
+		if err == nil {
+			t.Fatal("a read of a job the closed worker never ran answered")
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("result read blocked past its timeout")
+		t.Fatal("a read blocked on a queued job outlived its worker's Close")
 	}
+	close(gate2)
+	<-closed
 }
 
 // TestConcurrentChunkQueries: 16 queries, four to a payload, each write and

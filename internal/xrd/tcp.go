@@ -23,6 +23,8 @@ import (
 //	          u64 payload length, payload bytes (writes only)
 //	response: status byte (0 = ok), u64 payload length, payload bytes
 //	          (file data for reads, error text on failure)
+//
+// A connection carries one exchange at a time.
 
 const (
 	opWrite = 'W'
@@ -42,8 +44,7 @@ type Server struct {
 	ln      net.Listener
 	// ctx is handed to a context-aware handler with every transaction and
 	// cancelled by Close, so a result read blocked on a chunk query the
-	// worker will never finish ends with the server, not with the worker's
-	// result timeout.
+	// worker will never finish ends with the server.
 	ctx      context.Context
 	cancel   context.CancelFunc
 	mu       sync.Mutex
@@ -241,25 +242,42 @@ func readResponse(r *bufio.Reader) ([]byte, error) {
 }
 
 // TCPEndpoint is an Endpoint that performs transactions against a
-// remote Server over two persistent connections (re-dialed on failure):
-// a data lane for dispatch writes, result reads and row shipments, and a
-// control lane for the transactions a worker answers from its handler
-// entry — kills, health probes, inventory audits. The split matters
-// because result reads block for execution lengths while holding their
-// lane: a cancel — whose whole purpose is prompt resource reclamation —
-// must not queue behind another query's minutes-long read on a shared
-// connection, and a /ping that did would time out and have the failure
-// detector declare a busy worker dead.
+// remote Server. Each transaction runs on a connection of its own: it
+// takes an idle one or dials one, and gives it back when the exchange
+// ends. A result read blocks at the worker for the length of its job, so
+// a transaction never waits on the wire for another's answer — a point
+// query's dispatch, a kill or a health probe beside a scan's result read
+// is on another connection.
 type TCPEndpoint struct {
 	name string
-	data connLane
-	ctrl connLane
+	addr string
+
+	mu     sync.Mutex
+	idle   []*tcpConn // at most maxIdle
+	closed bool
+
+	// Dial-failure backoff state.
+	dialFails   int
+	nextDial    time.Time
+	lastDialErr error
 }
 
-// Re-dial backoff: a lane whose peer is unreachable must not hammer it
-// with a SYN per transaction (the czar-side failure detector alone
+// maxIdle caps the connections an endpoint keeps between transactions;
+// concurrency is not capped: a transaction that finds none idle dials.
+const maxIdle = 4
+
+// tcpConn is one connection to the server, used by one transaction at a
+// time.
+type tcpConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+}
+
+// Re-dial backoff: an endpoint whose peer is unreachable must not hammer
+// it with a SYN per transaction (the czar-side failure detector alone
 // probes every interval, and every queued chunk query would add its
-// own). After a failed dial the lane refuses to re-dial until a capped,
+// own). After a failed dial the endpoint refuses to dial until a capped,
 // jittered exponential backoff elapses, failing fast with ErrBackoff
 // instead. A successful dial resets it. Vars, not consts, so tests can
 // compress time.
@@ -268,13 +286,13 @@ var (
 	dialBackoffCap  = 5 * time.Second
 )
 
-// ErrBackoff marks a transaction refused because the lane's re-dial
+// ErrBackoff marks a transaction refused because the endpoint's re-dial
 // backoff window has not elapsed; the peer was not contacted.
 var ErrBackoff = errors.New("xrd: dial suppressed by backoff")
 
 // LaneCounters is the fabric's process-wide connection accounting: TCP
-// lane dials, dial failures, and transactions failed fast by the
-// re-dial backoff. The telemetry registry samples these at scrape time.
+// dials, dial failures, and transactions failed fast by the re-dial
+// backoff. The telemetry registry samples these at scrape time.
 type LaneCounters struct {
 	Dials             int64
 	DialFailures      int64
@@ -283,7 +301,7 @@ type LaneCounters struct {
 
 var laneCounters LaneCounters
 
-// Counters snapshots the process-wide lane counters.
+// Counters snapshots the process-wide connection counters.
 func Counters() LaneCounters {
 	return LaneCounters{
 		Dials:             atomic.LoadInt64(&laneCounters.Dials),
@@ -292,100 +310,89 @@ func Counters() LaneCounters {
 	}
 }
 
-// tcpDial establishes a lane's connection. A variable so tests can
-// substitute a dialer that blackholes the SYN (never answers) and prove
-// the transaction context still bounds the attempt.
+// tcpDial establishes a connection. A variable so tests can substitute a
+// dialer that blackholes the SYN (never answers) and prove the
+// transaction context still bounds the attempt.
 var tcpDial = func(ctx context.Context, addr string) (net.Conn, error) {
 	return (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-}
-
-// connLane is one serialized connection to the server.
-type connLane struct {
-	addr string
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-
-	// Dial-failure backoff state, guarded by mu.
-	dialFails   int
-	nextDial    time.Time
-	lastDialErr error
 }
 
 // NewTCPEndpoint creates an endpoint for a remote server. The name is
 // the endpoint's cluster identity; addr its host:port.
 func NewTCPEndpoint(name, addr string) *TCPEndpoint {
-	return &TCPEndpoint{name: name, data: connLane{addr: addr}, ctrl: connLane{addr: addr}}
+	return &TCPEndpoint{name: name, addr: addr}
 }
 
 // Name implements Endpoint.
 func (t *TCPEndpoint) Name() string { return t.name }
 
-// Close drops the cached connections.
+// Close drops the idle connections; one in use is closed when its
+// transaction ends.
 func (t *TCPEndpoint) Close() error {
-	err := t.data.close()
-	if cerr := t.ctrl.close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// laneFor routes control-plane transactions (kills, health probes,
-// inventory audits) onto the control lane and everything else onto the
-// data lane.
-func (t *TCPEndpoint) laneFor(path string) *connLane {
-	if strings.HasPrefix(path, "/cancel/") || path == PingPath || path == InventoryPath {
-		return &t.ctrl
-	}
-	return &t.data
-}
-
-func (l *connLane) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.conn != nil {
-		err := l.conn.Close()
-		l.conn = nil
-		return err
+	t.mu.Lock()
+	idle := t.idle
+	t.idle, t.closed = nil, true
+	t.mu.Unlock()
+	for _, c := range idle {
+		c.conn.Close()
 	}
 	return nil
 }
 
-func (l *connLane) ensureConn(ctx context.Context) error {
-	if l.conn != nil {
-		return nil
+// take hands a transaction an idle connection or, with none idle or when
+// fresh is set, dials one bounded by ctx: a SYN-blackholed peer must fail
+// the transaction within its deadline (e.g. the failure detector's
+// HealthTimeout), not stall it for the OS dial timeout. The dial runs
+// outside t.mu.
+func (t *TCPEndpoint) take(ctx context.Context, fresh bool) (*tcpConn, error) {
+	t.mu.Lock()
+	if n := len(t.idle); n > 0 && !fresh {
+		c := t.idle[n-1]
+		t.idle = t.idle[:n-1]
+		t.mu.Unlock()
+		return c, nil
 	}
-	if l.dialFails > 0 {
-		if wait := time.Until(l.nextDial); wait > 0 {
-			atomic.AddInt64(&laneCounters.BackoffSuppressed, 1)
-			return fmt.Errorf("%w: %s for %v after %d failed dials: %v",
-				ErrBackoff, l.addr, wait.Round(time.Millisecond), l.dialFails, l.lastDialErr)
-		}
+	if wait := time.Until(t.nextDial); t.dialFails > 0 && wait > 0 {
+		err := fmt.Errorf("%w: %s for %v after %d failed dials: %v",
+			ErrBackoff, t.addr, wait.Round(time.Millisecond), t.dialFails, t.lastDialErr)
+		t.mu.Unlock()
+		atomic.AddInt64(&laneCounters.BackoffSuppressed, 1)
+		return nil, err
 	}
-	// The dial is bounded by the transaction context: a SYN-blackholed
-	// peer must fail this transaction within its deadline (e.g. the
-	// failure detector's HealthTimeout), not stall the lane — and every
-	// transaction queued on its mutex — for the OS dial timeout.
-	conn, err := tcpDial(ctx, l.addr)
+	t.mu.Unlock()
+	conn, err := tcpDial(ctx, t.addr)
 	atomic.AddInt64(&laneCounters.Dials, 1)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err != nil {
 		atomic.AddInt64(&laneCounters.DialFailures, 1)
-		l.dialFails++
-		l.lastDialErr = err
-		l.nextDial = time.Now().Add(dialBackoff(l.dialFails))
-		return fmt.Errorf("xrd: dial %s: %w", l.addr, err)
+		t.dialFails++
+		t.lastDialErr = err
+		t.nextDial = time.Now().Add(dialBackoff(t.dialFails))
+		return nil, fmt.Errorf("xrd: dial %s: %w", t.addr, err)
 	}
-	l.dialFails, l.lastDialErr, l.nextDial = 0, nil, time.Time{}
-	l.conn = conn
-	l.r = bufio.NewReader(conn)
-	l.w = bufio.NewWriter(conn)
-	return nil
+	t.dialFails, t.lastDialErr, t.nextDial = 0, nil, time.Time{}
+	return &tcpConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+}
+
+// release gives c back to the idle set if it is reusable, the endpoint
+// open and the set not full, and closes it otherwise.
+func (t *TCPEndpoint) release(c *tcpConn, reusable bool) {
+	t.mu.Lock()
+	keep := reusable && !t.closed && len(t.idle) < maxIdle
+	if keep {
+		t.idle = append(t.idle, c)
+	}
+	t.mu.Unlock()
+	if !keep {
+		c.conn.Close()
+	}
 }
 
 // dialBackoff returns the wait before re-dial attempt fails+1: an
 // exponential of the base, capped, jittered into [1/2, 1] of nominal so
-// many lanes backing off the same dead peer do not re-dial in lockstep.
+// many endpoints backing off the same dead peer do not re-dial in
+// lockstep.
 func dialBackoff(fails int) time.Duration {
 	shift := fails - 1
 	if shift > 20 {
@@ -398,32 +405,28 @@ func dialBackoff(fails int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-func (l *connLane) roundTrip(ctx context.Context, op byte, path string, payload []byte) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// One reconnect attempt on a stale cached connection.
+func (t *TCPEndpoint) roundTrip(ctx context.Context, op byte, path string, payload []byte) ([]byte, error) {
+	// One retry, on a fresh connection, after a transport error: an idle
+	// connection may have gone stale.
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, context.Cause(ctx)
 		}
-		if err := l.ensureConn(ctx); err != nil {
+		c, err := t.take(ctx, attempt > 0)
+		if err != nil {
 			return nil, err
 		}
-		data, err := l.transact(ctx, op, path, payload)
+		data, reusable, err := c.transact(ctx, op, path, payload)
+		t.release(c, reusable)
 		if err == nil {
 			return data, nil
 		}
 		if _, remote := err.(remoteError); remote {
 			return nil, err
 		}
-		// Transport error: drop the connection, if transact has not. A
-		// canceled context is surfaced as such (its AfterFunc kills the conn
-		// mid-read, so the transport error is just the cancellation's
+		// A canceled context is surfaced as such (its AfterFunc kills the
+		// conn mid-read, so the transport error is just the cancellation's
 		// shadow).
-		if l.conn != nil {
-			l.conn.Close()
-			l.conn = nil
-		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, context.Cause(ctx)
 		}
@@ -446,29 +449,20 @@ func repeatable(path string) bool { return !strings.HasPrefix(path, "/load/t/") 
 // context: its deadline bounds the conn I/O, and cancellation closes
 // the conn out from under a blocked read (the xrootd wire protocol has
 // no cancel frame; killing the stream is how a client abandons a
-// transaction).
-func (l *connLane) transact(ctx context.Context, op byte, path string, payload []byte) (data []byte, err error) {
-	conn := l.conn
+// transaction). The connection is reusable after a clean exchange or the
+// server's error, unless the context's ending closed it — or is about to,
+// which must not happen halfway through the next transaction on it.
+func (c *tcpConn) transact(ctx context.Context, op byte, path string, payload []byte) (data []byte, reusable bool, err error) {
 	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-		defer conn.SetDeadline(time.Time{})
+		c.conn.SetDeadline(dl)
+		defer c.conn.SetDeadline(time.Time{})
 	}
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { conn.Close() })
-		defer func() {
-			if !stop() {
-				// The context ended as the exchange completed: whatever the
-				// answer — whole, or the server's error — the connection is
-				// closed or about to be, and must not be there for the
-				// lane's next transaction to die on halfway.
-				l.conn = nil
-			}
-		}()
+	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
+	if err = writeRequest(c.w, op, path, payload); err == nil {
+		data, err = readResponse(c.r)
 	}
-	if err := writeRequest(l.w, op, path, payload); err != nil {
-		return nil, err
-	}
-	return readResponse(l.r)
+	_, remote := err.(remoteError)
+	return data, stop() && (err == nil || remote), err
 }
 
 // remoteError distinguishes application-level failures (which should not
@@ -479,22 +473,22 @@ func (e remoteError) Error() string { return e.msg }
 
 // HandleWrite implements Handler by forwarding over TCP.
 func (t *TCPEndpoint) HandleWrite(path string, data []byte) error {
-	_, err := t.laneFor(path).roundTrip(context.Background(), opWrite, path, data)
+	_, err := t.roundTrip(context.Background(), opWrite, path, data)
 	return err
 }
 
 // HandleRead implements Handler by forwarding over TCP.
 func (t *TCPEndpoint) HandleRead(path string) ([]byte, error) {
-	return t.laneFor(path).roundTrip(context.Background(), opRead, path, nil)
+	return t.roundTrip(context.Background(), opRead, path, nil)
 }
 
 // HandleWriteContext implements ContextHandler over TCP.
 func (t *TCPEndpoint) HandleWriteContext(ctx context.Context, path string, data []byte) error {
-	_, err := t.laneFor(path).roundTrip(ctx, opWrite, path, data)
+	_, err := t.roundTrip(ctx, opWrite, path, data)
 	return err
 }
 
 // HandleReadContext implements ContextHandler over TCP.
 func (t *TCPEndpoint) HandleReadContext(ctx context.Context, path string) ([]byte, error) {
-	return t.laneFor(path).roundTrip(ctx, opRead, path, nil)
+	return t.roundTrip(ctx, opRead, path, nil)
 }

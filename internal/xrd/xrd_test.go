@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -510,7 +511,7 @@ func TestSetDownSeversInFlight(t *testing.T) {
 	<-done
 }
 
-// TestDialBackoff: a lane whose peer refuses connections must not
+// TestDialBackoff: an endpoint whose peer refuses connections must not
 // re-dial in a tight loop — after a failed dial, transactions fail
 // fast with ErrBackoff until the (growing) window elapses, and one
 // successful dial resets the state.
@@ -530,10 +531,10 @@ func TestDialBackoff(t *testing.T) {
 	if err1 == nil || errors.Is(err1, ErrBackoff) {
 		t.Fatalf("first failure should be a dial error, got %v", err1)
 	}
-	if ep.data.dialFails != 1 {
-		t.Fatalf("dialFails = %d", ep.data.dialFails)
+	if ep.dialFails != 1 {
+		t.Fatalf("dialFails = %d", ep.dialFails)
 	}
-	delay1 := time.Until(ep.data.nextDial)
+	delay1 := time.Until(ep.nextDial)
 	if delay1 <= 0 || delay1 > dialBackoffBase {
 		t.Fatalf("first backoff window = %v, want (0, %v]", delay1, dialBackoffBase)
 	}
@@ -543,21 +544,21 @@ func TestDialBackoff(t *testing.T) {
 	if !errors.Is(err2, ErrBackoff) {
 		t.Fatalf("second call should back off, got %v", err2)
 	}
-	if ep.data.dialFails != 1 {
-		t.Fatalf("backoff call dialed anyway: fails = %d", ep.data.dialFails)
+	if ep.dialFails != 1 {
+		t.Fatalf("backoff call dialed anyway: fails = %d", ep.dialFails)
 	}
 
 	// Expire the window: the dial is retried, fails again, and the
 	// window grows exponentially (jittered into [1/2, 1] of nominal).
-	ep.data.nextDial = time.Now().Add(-time.Millisecond)
+	ep.nextDial = time.Now().Add(-time.Millisecond)
 	err3 := ep.HandleWrite("/q", nil)
 	if err3 == nil || errors.Is(err3, ErrBackoff) {
 		t.Fatalf("expired window should re-dial, got %v", err3)
 	}
-	if ep.data.dialFails != 2 {
-		t.Fatalf("dialFails after retry = %d", ep.data.dialFails)
+	if ep.dialFails != 2 {
+		t.Fatalf("dialFails after retry = %d", ep.dialFails)
 	}
-	delay2 := time.Until(ep.data.nextDial)
+	delay2 := time.Until(ep.nextDial)
 	if delay2 < dialBackoffBase {
 		t.Fatalf("second backoff window = %v, want >= %v", delay2, dialBackoffBase)
 	}
@@ -570,13 +571,13 @@ func TestDialBackoff(t *testing.T) {
 	defer srv.Close()
 	live := NewTCPEndpoint("w2", srv.Addr())
 	defer live.Close()
-	live.data.dialFails = 3
-	live.data.nextDial = time.Now().Add(-time.Millisecond)
+	live.dialFails = 3
+	live.nextDial = time.Now().Add(-time.Millisecond)
 	if err := live.HandleWrite("/q", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if live.data.dialFails != 0 || !live.data.nextDial.IsZero() {
-		t.Fatalf("successful dial did not reset backoff: fails=%d", live.data.dialFails)
+	if live.dialFails != 0 || !live.nextDial.IsZero() {
+		t.Fatalf("successful dial did not reset backoff: fails=%d", live.dialFails)
 	}
 }
 
@@ -595,9 +596,8 @@ func TestDialBackoffGrowth(t *testing.T) {
 
 // TestTCPDialBoundedByContext: a SYN-blackholed peer (dial never
 // completes, never refuses) must fail the transaction when its context
-// expires — the OS dial timeout can be minutes, and a lane stalled in
-// dial would also stall every transaction queued on its mutex. This was
-// the bug: ensureConn dialed with net.Dial, ignoring the context.
+// expires — the OS dial timeout can be minutes. This was the bug: the
+// dial used net.Dial, ignoring the context.
 func TestTCPDialBoundedByContext(t *testing.T) {
 	oldDial := tcpDial
 	defer func() { tcpDial = oldDial }()
@@ -670,11 +670,12 @@ func (b blockingResults) HandleReadContext(ctx context.Context, path string) ([]
 	return nil, context.Cause(ctx)
 }
 
-// TestTCPPingDoesNotQueueBehindResultRead: a result read holds the data
-// lane for the length of the execution; the health probe and the
-// inventory audit must travel beside it, or the failure detector times
-// out on a busy worker and declares it dead. Server.Close then ends the
-// read still inside the handler.
+// TestTCPPingDoesNotQueueBehindResultRead: a result read holds its
+// connection for the length of the execution; the health probe, the
+// inventory audit, another query's dispatch and a row shipment must travel
+// beside it, or the failure detector times out on a busy worker and
+// declares it dead, and a point query waits for a scan. Server.Close then
+// ends the read still inside the handler.
 func TestTCPPingDoesNotQueueBehindResultRead(t *testing.T) {
 	h := blockingResults{entered: make(chan struct{}, 1)}
 	srv, err := Serve("127.0.0.1:0", h)
@@ -692,12 +693,17 @@ func TestTCPPingDoesNotQueueBehindResultRead(t *testing.T) {
 	}()
 	<-h.entered
 
-	for _, path := range []string{PingPath, InventoryPath} {
+	for _, path := range []string{PingPath, InventoryPath, QueryPath(7), LoadPath("Object", 7)} {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, err := ep.HandleReadContext(ctx, path)
+		var err error
+		if path == PingPath || path == InventoryPath {
+			_, err = ep.HandleReadContext(ctx, path)
+		} else {
+			err = ep.HandleWriteContext(ctx, path, []byte("x"))
+		}
 		cancel()
 		if err != nil {
-			t.Fatalf("%s behind a blocked result read: %v", path, err)
+			t.Fatalf("%s beside a blocked result read: %v", path, err)
 		}
 	}
 
@@ -786,7 +792,10 @@ func TestTCPAppendNeverSentTwice(t *testing.T) {
 		t.Fatalf("row batch on a healthy connection: %v", err)
 	}
 	repl := ReplPath("Object", 7)
-	ep2.data.conn.Close() // the cached connection goes stale under the endpoint
+	if len(ep2.idle) != 1 {
+		t.Fatalf("%d idle connections after one transaction, want 1", len(ep2.idle))
+	}
+	ep2.idle[0].conn.Close() // the idle connection goes stale under the endpoint
 	if err := ep2.HandleWrite(repl, []byte("segments")); err != nil {
 		t.Fatalf("replace-install over a stale connection: %v", err)
 	}
@@ -796,8 +805,8 @@ func TestTCPAppendNeverSentTwice(t *testing.T) {
 // ending must never cost a later transaction its connection. It used to — a
 // watcher goroutine per transaction closed the cached connection whenever
 // the cancellation won the race with its stop signal, sometimes only once
-// the lane's next transaction was halfway, which was then sent again: a row
-// batch applied twice.
+// the connection's next transaction was halfway, which was then sent again:
+// a row batch applied twice.
 func TestTCPContextEndingWithTheExchange(t *testing.T) {
 	h := &countingWrites{writes: map[string]int{}}
 	srv, err := Serve("127.0.0.1:0", h)
@@ -858,10 +867,9 @@ func (c *cancelOnAnswer) Close() error {
 }
 
 // TestTCPContextEndingWithARemoteError: a transaction whose context ends
-// just as the server's error arrives leaves the lane without the
-// connection its cancellation closed, so the next transaction — here a
-// row batch, which is never sent twice — dials afresh instead of dying on
-// it.
+// just as the server's error arrives does not give back the connection its
+// cancellation closed, so the next transaction — here a row batch, which is
+// never sent twice — dials afresh instead of dying on it.
 func TestTCPContextEndingWithARemoteError(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", NewFileStore())
 	if err != nil {
@@ -887,5 +895,130 @@ func TestTCPContextEndingWithARemoteError(t *testing.T) {
 	}
 	if err := ep.HandleWrite(LoadPath("Object", 7), []byte("batch")); err != nil {
 		t.Fatalf("row batch after a remote error whose context ended: %v", err)
+	}
+}
+
+// heldReads holds every read until release is closed — a read of
+// /result/late until late is — then answers it with its path.
+type heldReads struct {
+	entered       chan struct{} // one send per held read
+	release, late chan struct{}
+}
+
+func (heldReads) HandleWrite(string, []byte) error { return nil }
+func (h heldReads) HandleRead(path string) ([]byte, error) {
+	return h.HandleReadContext(context.Background(), path)
+}
+func (heldReads) HandleWriteContext(context.Context, string, []byte) error { return nil }
+func (h heldReads) HandleReadContext(ctx context.Context, path string) ([]byte, error) {
+	h.entered <- struct{}{}
+	release := h.release
+	if path == "/result/late" {
+		release = h.late
+	}
+	select {
+	case <-release:
+		return []byte(path), nil
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
+}
+
+// trackedConn records whether its connection was closed.
+type trackedConn struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *trackedConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// TestTCPIdleConnectionsAreCapped: n transactions in flight at once run on
+// n connections; once they end, the endpoint keeps maxIdle of them and
+// closes the rest, Close closes the idle ones, and a connection still in use
+// at Close is closed when its transaction ends.
+func TestTCPIdleConnectionsAreCapped(t *testing.T) {
+	h := heldReads{entered: make(chan struct{}), release: make(chan struct{}), late: make(chan struct{})}
+	srv, err := Serve("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	var conns []*trackedConn
+	dial := tcpDial
+	tcpDial = func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		c := &trackedConn{Conn: conn}
+		mu.Lock()
+		conns = append(conns, c)
+		mu.Unlock()
+		return c, nil
+	}
+	defer func() { tcpDial = dial }()
+	ep := NewTCPEndpoint("w1", srv.Addr())
+	open := func() (dialed, open int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			if !c.closed.Load() {
+				open++
+			}
+		}
+		return len(conns), open
+	}
+	idle := func() int {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return len(ep.idle)
+	}
+
+	const n = 3 * maxIdle
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			got, err := ep.HandleRead(fmt.Sprintf("/result/%d", i))
+			if err == nil && string(got) != fmt.Sprintf("/result/%d", i) {
+				err = fmt.Errorf("read %d answered %q", i, got)
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-h.entered
+	}
+	if dialed, _ := open(); dialed != n {
+		t.Fatalf("%d reads in flight on %d connections", n, dialed)
+	}
+	close(h.release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, o := open(); idle() != maxIdle || o != maxIdle {
+		t.Fatalf("after %d reads: %d idle, %d open; want %d of each", n, idle(), o, maxIdle)
+	}
+
+	late := make(chan error, 1)
+	go func() { _, err := ep.HandleRead("/result/late"); late <- err }()
+	<-h.entered
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, o := open(); idle() != 0 || o != 1 {
+		t.Fatalf("after Close: %d idle, %d open; want 0 and the one in use", idle(), o)
+	}
+	close(h.late)
+	if err := <-late; err != nil {
+		t.Fatal(err)
+	}
+	if _, o := open(); o != 0 {
+		t.Fatalf("%d connections open after the last transaction of a closed endpoint", o)
 	}
 }

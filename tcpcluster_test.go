@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,4 +431,90 @@ func TestMetricNamesMatchAcrossAssemblies(t *testing.T) {
 	if len(diff) > 0 || len(want) < 20 {
 		t.Fatalf("%d series in process, %d deployed:\n%s", len(want), len(got), strings.Join(diff, "\n"))
 	}
+}
+
+// TestPointQueryAnswersBesideHeldScanReads: over TCP, a point query does not
+// wait on the wire for another query's scan. Every worker's first HV1 result
+// read is held inside its handler, each on the connection it came in on;
+// an LV1 must answer while they are held, and HV1 must answer right once
+// they are let go.
+func TestPointQueryAnswersBesideHeldScanReads(t *testing.T) {
+	cat, err := datagen.Generate(
+		datagen.Config{Seed: 7, ObjectsPerPatch: 200, MeanSourcesPerObject: 1},
+		datagen.DuplicateConfig{DeclBands: 2, MaxCopies: 10},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := lsstOracle(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tcpConfig(1)
+	cfg.ResultCacheBytes = 0
+	cl, workers, stop := tcpCluster(t, cfg, 2)
+	defer stop()
+	if err := cl.Load(cat); err != nil {
+		t.Fatal(err)
+	}
+
+	entered := make(chan struct{}, len(workers))
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	letGo := func() { releaseOnce.Do(func() { close(release) }) }
+	defer letGo()
+	for _, tw := range workers {
+		var held atomic.Bool
+		tw.count.mu.Lock()
+		tw.count.after = func(int, int) {
+			if held.CompareAndSwap(false, true) {
+				entered <- struct{}{}
+				<-release
+			}
+		}
+		tw.count.mu.Unlock()
+	}
+
+	const hv1 = "SELECT COUNT(*) FROM Object"
+	hv1Done := make(chan error, 1)
+	var hv1Got *Result
+	go func() {
+		var err error
+		hv1Got, err = cl.Query(hv1)
+		hv1Done <- err
+	}()
+	for range workers {
+		<-entered
+	}
+
+	lv1 := fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", cat.Objects[len(cat.Objects)/2].ObjectID)
+	lv1Done := make(chan error, 1)
+	var lv1Got *Result
+	go func() {
+		var err error
+		lv1Got, err = cl.Query(lv1)
+		lv1Done <- err
+	}()
+	select {
+	case err := <-lv1Done:
+		if err != nil {
+			t.Fatalf("LV1 beside held scan reads: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("LV1 did not answer while every worker held a scan's result read")
+	}
+	want, err := oracle.Query(lv1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, lv1Got, want, "LV1 beside held scan reads")
+
+	letGo()
+	if err := <-hv1Done; err != nil {
+		t.Fatalf("HV1 after its reads were let go: %v", err)
+	}
+	if want, err = oracle.Query(hv1); err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, hv1Got, want, "HV1 after its reads were let go")
 }
