@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -53,14 +54,34 @@ func benchObjectRows(n int) []Row {
 	return rows
 }
 
+// benchRandomRows is benchObjectRows with every flux drawn as the catalog
+// generator (internal/datagen) draws it: a magnitude uniform over 16..27,
+// from a seeded source. A filter's branches on these cells follow no
+// pattern, where benchObjectRows' stepped magnitudes repeat one a branch
+// predictor learns.
+func benchRandomRows(n int) []Row {
+	rows := benchObjectRows(n)
+	r := rand.New(rand.NewSource(42))
+	for _, row := range rows {
+		for c := 3; c <= 9; c++ { // uFlux_PS .. yFlux_PS, uFlux_SG
+			row[c] = math.Pow(10, -(16+11*r.Float64()+48.6)/2.5)
+		}
+	}
+	return rows
+}
+
 // benchShellRows is benchObjectRows with every cell the classes' guards
 // look at moved inside the guard's shell, where it decides nothing and the
 // function is called for every row: r fluxes at the flux of magnitude 24.1
 // (benchHV1's cut), i fluxes at the z flux times the ratio of an i - z
 // colour of 6 (benchHV2's), declinations within the join's 0.02 degrees.
-func benchShellRows(n int) []Row {
+func benchShellRows(n int) []Row { return benchShellRowsAt(n, 6) }
+
+// benchShellRowsAt is benchShellRows with the i fluxes in the shell of the
+// i - z colour given.
+func benchShellRowsAt(n int, colour float64) []Row {
 	rows := benchObjectRows(n)
-	k, ratio := math.Pow(10, (24.1+48.6)/-2.5), math.Pow(10, 6/-2.5)
+	k, ratio := math.Pow(10, (24.1+48.6)/-2.5), math.Pow(10, colour/-2.5)
 	for i, r := range rows {
 		in := 1 + guardShell*float64(i%19-9)/10
 		r[5], r[6], r[2] = k*in, ratio*r[7].(float64)*in, -0.5+float64(i%7)/1000
@@ -148,6 +169,16 @@ func BenchmarkScanHV2s(b *testing.B)         { benchStatement(b, benchHV2s) }
 func BenchmarkScanLV3(b *testing.B)          { benchStatement(b, benchLV3) }
 func BenchmarkScanSubchunkJoin(b *testing.B) { benchStatement(b, benchJoin) }
 
+// BenchmarkScanHV1Random and BenchmarkScanHV2sRandom run HV1 and HV2s over
+// benchRandomRows: the branch pattern of the repository benchmark's catalog.
+func BenchmarkScanHV1Random(b *testing.B) {
+	benchStatementOn(b, benchEngineOf(b, benchRandomRows(benchChunkRows)), benchHV1)
+}
+
+func BenchmarkScanHV2sRandom(b *testing.B) {
+	benchStatementOn(b, benchEngineOf(b, benchRandomRows(benchChunkRows)), benchHV2s)
+}
+
 // BenchmarkScanHV1InShell is the guards' worst case: every cell is inside
 // the shell, so every row pays for the guard and for the call. It is to be
 // read against BenchmarkScanHV1 at the commit before the guards, which paid
@@ -187,14 +218,20 @@ func BenchmarkScanHV3Nulls(b *testing.B) {
 // the shell they call it for every row, as before.
 func TestGuardSkipsTheCall(t *testing.T) {
 	clear, shell := benchEngine(t, benchChunkRows), benchEngineOf(t, benchShellRows(benchChunkRows))
+	// HV2s's colour cut has shell rows of its own.
+	shell89 := benchEngineOf(t, benchShellRowsAt(benchChunkRows, 8.9))
 	for _, tc := range []struct {
 		fn, sql string
 		percent int64 // of the rows (of the pairs, for the join) that may reach the function
+		shell   *Engine
 	}{
-		{"fluxToAbMag", benchHV1, 1},
-		{"fluxToAbMag", strings.Replace(benchHV3, "26.1", "24.1", 1), 1},
-		{"fluxToAbMag", benchHV2, 1},
-		{"qserv_angSep", benchJoin, 5},
+		{"fluxToAbMag", benchHV1, 1, shell},
+		{"fluxToAbMag", strings.Replace(benchHV3, "26.1", "24.1", 1), 1, shell},
+		{"fluxToAbMag", benchHV2, 1, shell},
+		{"fluxToAbMag", benchHV2s, 1, shell89},
+		// The r fluxes of the shell rows are in the shell of the upper bound.
+		{"fluxToAbMag", "SELECT COUNT(*) AS qserv_c0 FROM LSST.Object_221 AS Object WHERE (fluxToAbMag(rFlux_PS) BETWEEN 16 AND 24.1)", 1, shell},
+		{"qserv_angSep", benchJoin, 5, shell},
 	} {
 		sel := mustParse(t, tc.sql)
 		run := func(e *Engine) (calls, rows int64) {
@@ -211,7 +248,7 @@ func TestGuardSkipsTheCall(t *testing.T) {
 		if calls, rows := run(clear); calls*100 > rows*tc.percent {
 			t.Errorf("%d calls of %s for %d rows (at most %d%% may reach it): %s", calls, tc.fn, rows, tc.percent, tc.sql)
 		}
-		if calls, rows := run(shell); calls != rows {
+		if calls, rows := run(tc.shell); calls != rows {
 			t.Errorf("in the shell: %d calls of %s for %d rows, want one each: %s", calls, tc.fn, rows, tc.sql)
 		}
 	}

@@ -191,94 +191,160 @@ func (a *argCells) load(p int32, buf *[maxTypedArgs]float64) {
 	}
 }
 
+// The answers a guarded block form adds to the rows kept are 0 and 1; these
+// two stand for what the row form does instead on a verdict.
+const (
+	callRow = 2 + iota // it makes the call
+	second             // it asks a BETWEEN's second guard
+)
+
+// guardBlock is the block form of a guarded comparison or BETWEEN: the
+// guards (the comparison's one, or the two of a BETWEEN's bounds), the row
+// form's answer for each verdict of the first (first) and of the second
+// (then), and how the row form settles the call's result.
+type guardBlock struct {
+	tc          *typedCall
+	args        []int
+	gs          [2]guard
+	first, then [3]int
+	settle      func(y float64) bool
+}
+
 // guardedCmpBlock is guardedCmp's comparison as a block form: answer holds
-// for a result below, equal to and above c. It loads the arguments into the
-// call's own buffer, asks the same guard — a log-affine guard is a value,
-// decided here (guard.side) with no call; any other is the closure ask — and
-// makes the call only where the guard is undecided: the row form's decision,
-// written out again so that it stays inside the loop. It is nil unless every
-// argument is a column leaf.
+// for a result below, equal to and above c. It is nil unless every argument
+// is a column leaf.
 func guardedCmpBlock(tc *typedCall, g guard, answer [3]int64, c float64) blockFn {
-	args, n := tc.cellArgs()
-	if n == 0 {
-		return nil
-	}
-	keep := [3]bool{answer[0] == 1, answer[1] == 1, answer[2] == 1}
-	return func(cols []column, sel []int32) []int32 {
-		var cells argCells
-		sel = cells.resolve(cols, args[:n], sel)
-		kept := 0
-		for _, p := range sel {
-			cells.load(p, &tc.buf)
-			v := undecided
-			if g.ask == nil {
-				v = g.side(tc.buf[0], tc.buf[1])
-			} else {
-				v = g.ask(&tc.buf)
-			}
-			var in bool
-			switch v {
-			case below:
-				in = keep[0]
-			case above:
-				in = keep[2]
-			default:
-				y, null := tc.fn.call(&tc.buf)
-				in = !null && keep[threeWay(y, c)+1]
-			}
-			sel[kept] = p
-			if in {
-				kept++
-			}
-		}
-		return sel[:kept]
-	}
+	return (&guardBlock{
+		tc: tc, gs: [2]guard{g},
+		first:  [3]int{undecided: callRow, below: int(answer[0]), above: int(answer[2])},
+		settle: func(y float64) bool { return answer[threeWay(y, c)+1] == 1 },
+	}).form()
 }
 
 // guardedBetweenBlock is guardedBetween's form for a block: the guards
-// specialised on l and h decide where they settle it, as guardedCmpBlock asks
+// specialised on l and h decide where they settle it, as the row form asks
 // them, and the call decides the rest.
 func guardedBetweenBlock(tc *typedCall, gLo, gHi guard, l, h float64, not bool) blockFn {
-	args, n := tc.cellArgs()
+	in, out := int(boolToInt(!not)), int(boolToInt(not))
+	return (&guardBlock{
+		tc: tc, gs: [2]guard{gLo, gHi},
+		first:  [3]int{undecided: callRow, below: out, above: second},
+		then:   [3]int{undecided: callRow, below: in, above: out},
+		settle: func(y float64) bool { return (!(y < l) && !(y > h)) != not },
+	}).form()
+}
+
+// form is the block form, or nil where an argument is not a column leaf. A
+// log-affine guard is a range test on the cells (logAffineLoop); any other
+// is asked row by row (askLoop).
+func (b *guardBlock) form() blockFn {
+	args, n := b.tc.cellArgs()
 	if n == 0 {
 		return nil
 	}
+	b.args = args[:n]
+	if b.gs[0].ask != nil {
+		return b.askLoop
+	}
 	return func(cols []column, sel []int32) []int32 {
-		var cells argCells
-		sel = cells.resolve(cols, args[:n], sel)
-		kept := 0
+		for _, ci := range b.args {
+			sel = dropNulls(&cols[ci], sel)
+		}
+		if x := &cols[b.args[0]]; x.typ == sqlparse.TypeInt {
+			return logAffineCells(b, x.ints, cols, sel)
+		} else {
+			return logAffineCells(b, x.floats, cols, sel)
+		}
+	}
+}
+
+// rest is the answer for the arguments in the call's buffer where the first
+// guard's answer a is neither 0 nor 1: for second, the second guard's, where
+// that is 0 or 1; else the call's, settled as the row form settles it.
+func (b *guardBlock) rest(a int) int {
+	buf := &b.tc.buf
+	if a == second {
+		a = b.then[b.gs[1].decide(buf)]
+	}
+	if a == callRow {
+		y, null := b.tc.fn.call(buf)
+		if a = 0; !null && b.settle(y) {
+			a = 1
+		}
+	}
+	return a
+}
+
+// askLoop loads each row's arguments into the call's buffer, as the row
+// form's load does, and asks the guards as the row form asks them.
+func (b *guardBlock) askLoop(cols []column, sel []int32) []int32 {
+	var cells argCells
+	sel = cells.resolve(cols, b.args, sel)
+	kept := 0
+	for _, p := range sel {
+		cells.load(p, &b.tc.buf)
+		sel[kept] = p
+		if a := b.first[b.gs[0].ask(&b.tc.buf)]; a < callRow {
+			kept += a
+		} else {
+			kept += b.rest(a)
+		}
+	}
+	return sel[:kept]
+}
+
+// logAffineCells runs logAffineLoop over the first argument's cells xs and
+// the second argument's column, if the call has one.
+func logAffineCells[T number](b *guardBlock, xs []T, cols []column, sel []int32) []int32 {
+	if len(b.args) == 1 {
+		return logAffineLoop(b, xs, []float64(nil), sel)
+	}
+	if x2 := &cols[b.args[1]]; x2.typ == sqlparse.TypeInt {
+		return logAffineLoop(b, xs, x2.ints, sel)
+	} else {
+		return logAffineLoop(b, xs, x2.floats, sel)
+	}
+}
+
+// logAffineLoop is a log-affine guard's block form: a range test on the
+// cells. It reads each row's cell x — and for a pair x2 — straight from the
+// column, widened as floatForm widens an integer, holds the first guard's
+// shell in locals, and tests x against it with shellPick, the test
+// guard.side is made of, so that it decides exactly where side does. Where
+// the answer is 0 or 1 it adds it to the rows kept without a branch on it;
+// anything else is rest's. So it makes the call only where side is
+// undecided: in a shell, and on a NaN, infinite, zero, negative or subnormal
+// cell (or a second cell, or product of k with it, that is not normal:
+// pairShell).
+func logAffineLoop[T, U number](b *guardBlock, xs []T, x2s []U, sel []int32) []int32 {
+	g, buf := &b.gs[0], &b.tc.buf
+	under, over := b.first[g.under], b.first[g.over]
+	kept := 0
+	if !g.pair {
+		lo, hi := g.lo, g.hi
 		for _, p := range sel {
-			cells.load(p, &tc.buf)
-			var vl, vh verdict
-			if gLo.ask == nil {
-				vl, vh = gLo.side(tc.buf[0], tc.buf[1]), gHi.side(tc.buf[0], tc.buf[1])
-			} else {
-				vl, vh = gLo.ask(&tc.buf), gHi.ask(&tc.buf)
-			}
-			in, decided := false, true
-			switch vl {
-			case below:
-			case above:
-				switch vh {
-				case below:
-					in = true
-				case undecided:
-					decided = false
-				}
-			default:
-				decided = false
-			}
-			if decided {
-				in = in != not
-			} else {
-				y, null := tc.fn.call(&tc.buf)
-				in = !null && (!(y < l) && !(y > h)) != not
-			}
+			x := float64(xs[p])
 			sel[kept] = p
-			if in {
-				kept++
+			if a := shellPick(x, lo, hi, under, over, callRow); a < callRow {
+				kept += a
+			} else {
+				buf[0] = x
+				kept += b.rest(a)
 			}
 		}
 		return sel[:kept]
 	}
+	k := g.k
+	for _, p := range sel {
+		x, x2 := float64(xs[p]), float64(x2s[p])
+		lo, hi := pairShell(k, x2)
+		sel[kept] = p
+		if a := shellPick(x, lo, hi, under, over, callRow); a < callRow {
+			kept += a
+		} else {
+			buf[0], buf[1] = x, x2
+			kept += b.rest(a)
+		}
+	}
+	return sel[:kept]
 }

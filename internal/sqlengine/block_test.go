@@ -30,7 +30,14 @@ type blockFamily struct {
 var blockFamilies = []blockFamily{
 	{"fluxToAbMag(f)", [][2]string{{"24.1", "25.6"}, {"(20 + 4.1)", "-5.25"}, {"16", "30.000001"}}},
 	{"fluxToAbMag(i)", [][2]string{{"-40", "-45.5"}}}, // an integer column widens
+	// The magnitudes of 7 and 3: a BETWEEN over integer cells, some on the
+	// shells' thresholds and some between them.
+	{"fluxToAbMag(i)", [][2]string{{"-50.71274510003564", "-49.79280313679916"}}},
 	{"fluxToAbMag(f) - fluxToAbMag(g)", [][2]string{{"6", "8.9"}, {"-9", "0"}}},
+	// An integer cell in a pair, first or second; a colour of 0 puts the
+	// shell where f is near i.
+	{"fluxToAbMag(i) - fluxToAbMag(f)", [][2]string{{"0", "3"}, {"6", "-5.25"}}},
+	{"fluxToAbMag(f) - fluxToAbMag(i)", [][2]string{{"0", "3"}, {"6", "-5.25"}}},
 	{"qserv_angSep(f, g, h, m)", [][2]string{{"0.5", "1.25"}, {"0.02", "(0.01 * 3)"}, {"0", "1e-12"}, {"-1", "90"}}},
 	{"scisql_angSep(h, m, f, g)", [][2]string{{"0.5", "179"}}},
 	{"f", [][2]string{{"24.1", "25.6"}, {"0", "-0.0"}, {"1e-310", "(1e308 * 10)"}, {"3", "-2"}}},
@@ -216,6 +223,50 @@ func TestBlockFormIsTheRowForm(t *testing.T) {
 	for _, text := range noBlockForm {
 		if blockFormAgrees(t, eng, tbl, text, r) {
 			t.Errorf("%s has a block form", text)
+		}
+	}
+}
+
+// TestBlockFormCallsOffTheNormalRange holds a log-affine block form to the
+// cells its guard must leave to the call: a cell — or a pair's second cell —
+// that is NaN, infinite, zero, negative or subnormal, where the shell's bound
+// does not hold. On such rows the block form makes exactly one call per row,
+// in every shape, single and pair, float and integer. The answers alone
+// would not show a cell decided there: the call returns the same side of the
+// threshold for an infinity or a subnormal as a guard that took it for a
+// cell beyond or below the shell would answer.
+func TestBlockFormCallsOffTheNormalRange(t *testing.T) {
+	eng := New("LSST")
+	calls := CountTypedCalls(eng, "fluxToAbMag")
+	off := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		1e-310, math.Nextafter(minNormal, 0), -math.SmallestNonzeroFloat64, -1e-30, -math.MaxFloat64}
+	offInts := []int64{0, -1, math.MinInt64}
+	var rows []Row
+	for k, x := range off {
+		rows = append(rows, Row{x, 1e-29, 0.0, 0.0, offInts[k%len(offInts)], int64(k)})
+	}
+	tbl := blockTable(t, "t", rows)
+	d := tbl.data.Load()
+	c := &compiler{funcs: eng.funcs, bindings: []binding{{"t", blockSchema}}}
+	for _, lhs := range []string{"fluxToAbMag(f)", "fluxToAbMag(i)", "fluxToAbMag(f) - fluxToAbMag(g)",
+		"fluxToAbMag(g) - fluxToAbMag(f)", "fluxToAbMag(i) - fluxToAbMag(g)", "fluxToAbMag(g) - fluxToAbMag(i)"} {
+		for _, shape := range guardedShapes(lhs, "24.1", "-5.25") {
+			n, err := c.compile(mustParseExpr(t, shape))
+			if err != nil {
+				t.Fatalf("%s: %v", shape, err)
+			}
+			if n.block == nil {
+				t.Fatalf("%s has no block form", shape)
+			}
+			all := make([]int32, d.n)
+			for p := range all {
+				all[p] = int32(p)
+			}
+			before := *calls
+			n.block(d.cols, all)
+			if got := *calls - before; got != int64(d.n) {
+				t.Errorf("%s: %d calls over %d rows off the normal range, want one each", shape, got, d.n)
+			}
 		}
 	}
 }

@@ -69,8 +69,11 @@ const (
 // its argument is compared with, the shell [lo, hi] around it, the verdicts
 // for a cell below and above the shell, and whether it is the guard of a
 // difference of two calls (pair), whose shell is around k times the second
-// cell. A block form reads these fields in its own loop (block.go). Any other
-// builtin's guard is the closure ask.
+// cell. Its block form (logAffineLoop, in block.go) is a range test on the
+// cells: it reads these fields into locals, tests each cell with side's own
+// pieces (pairShell, shellPick), and calls exactly where side is undecided.
+// Any other builtin's guard is the closure ask, and its block form asks it
+// row by row (guardBlock.askLoop).
 type guard struct {
 	k, lo, hi   float64
 	under, over verdict
@@ -89,27 +92,46 @@ func (g guard) decide(a *[maxTypedArgs]float64) verdict {
 }
 
 // side is a log-affine guard's verdict on the cell x, and for a pair on the
-// cells x and x2 (x2 is not read otherwise).
+// cells x and x2 (x2 is not read otherwise). A block form tests its cells
+// with the same two pieces, pairShell and shellPick (logAffineLoop).
 func (g guard) side(x, x2 float64) verdict {
 	lo, hi := g.lo, g.hi
 	if g.pair {
-		// x2 must be normal too: the bound is math.Log10's on normal
-		// numbers, and on a subnormal it is off by whole units
-		// (math.Log10(1e-310) is -307.95).
-		kx2 := g.k * x2
-		if !(x2 >= minNormal && x2 <= math.MaxFloat64) || !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
-			return undecided // x2 is not a positive normal number, or the product left the normal range
-		}
-		lo, hi = kx2*(1-guardShell), kx2*(1+guardShell)
+		lo, hi = pairShell(g.k, x2)
 	}
-	switch {
-	case !(x >= minNormal && x <= math.MaxFloat64):
-	case x > hi:
-		return g.over
-	case x < lo:
-		return g.under
+	return shellPick(x, lo, hi, g.under, g.over, undecided)
+}
+
+// pairShell is the shell of a pair's guard with threshold k around the
+// second cell x2: k*x2*(1 +- guardShell), or NaN ends — which no cell is
+// beyond or below, so shellPick decides none — where x2 or k*x2 is not a
+// normal number. x2 must be normal too: the bound is math.Log10's on normal
+// numbers, and on a subnormal it is off by whole units (math.Log10(1e-310)
+// is -307.95).
+func pairShell(k, x2 float64) (lo, hi float64) {
+	kx2 := k * x2
+	if !(x2 >= minNormal && x2 <= math.MaxFloat64) || !(kx2 >= minNormal && kx2 <= math.MaxFloat64/2) {
+		return math.NaN(), math.NaN()
 	}
-	return undecided
+	return kx2 * (1 - guardShell), kx2 * (1 + guardShell)
+}
+
+// shellPick is over for a cell x beyond the shell [lo, hi], under for one
+// below it, and inside for any other: for one in the shell, and for one that
+// is not a positive normal number — NaN, an infinity, zero, negative or
+// subnormal. The common case is tested first. hi >= minNormal and
+// lo <= MaxFloat64/2 (logAffineGuard and pairShell build no other shell),
+// so x > hi needs no test that x is normal from below, nor x < lo one from
+// above. It is the one statement of the shell test: guard.side picks
+// verdicts with it, a block form the answers they give (logAffineLoop).
+func shellPick[V any](x, lo, hi float64, under, over, inside V) V {
+	if x > hi && x <= math.MaxFloat64 {
+		return over
+	}
+	if x < lo && x >= minNormal {
+		return under
+	}
+	return inside
 }
 
 // guardShell is the relative half-width of the shell around a guard's
