@@ -54,7 +54,7 @@ func TestQueryAllocBudget(t *testing.T) {
 		{"LV1", fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", cat.Objects[4242].ObjectID), 1, 295, raceAllocFactor, 21.3e3},
 		// The subchunk build draws on sync.Pools per row, which the race
 		// detector empties at random: its own factor.
-		{"SHV1", "SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(0, -10, 30, 10) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1", 1, 9475, racePoolAllocFactor, 780e3},
+		{"SHV1", "SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(0, -10, 30, 10) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1", 1, 8760, racePoolAllocFactor, 740e3},
 	} {
 		rows := -1
 		run := func() {

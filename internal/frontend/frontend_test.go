@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strconv"
@@ -848,15 +849,16 @@ func recordSession(t testing.TB, limit int, batches ...[]sqlengine.Row) []byte {
 }
 
 // TestClientDecodeAllocBudget: the client decodes a row frame into one
-// slab of cells and hands rows out of it — no row slice and no frame
-// buffer per row — so a frame of twice the rows allocates more only by the
-// numeric cells it boxes.
+// slab of cells and one slab of their numbers, and hands rows out of them
+// — no row slice, no frame buffer and no box per row or per numeric cell —
+// so a frame of twice the rows costs at most a few allocations more, and
+// two more per string cell: its own string, and the box of its header.
 func TestClientDecodeAllocBudget(t *testing.T) {
-	cols := []string{"objectId", "ra_PS", "decl_PS"}
+	cols := []string{"objectId", "ra_PS", "decl_PS", "name"}
 	drain := func(n int) float64 {
 		rows := make([]sqlengine.Row, n)
-		for i := range rows { // every cell boxes: no integer below 256, no zero
-			rows[i] = sqlengine.Row{int64(1000 + i), 10 + float64(i)/float64(n), -1 - float64(i)/float64(n)}
+		for i := range rows { // a cell of each kind that boxing would allocate for: no integer below 256, no zero, no ""
+			rows[i] = sqlengine.Row{int64(1000 + i), 10 + float64(i)/float64(n), -1 - float64(i)/float64(n), fmt.Sprintf("object %d", i)}
 		}
 		wire := recordSession(t, maxFrame, rows)
 		return testing.AllocsPerRun(10, func() {
@@ -870,10 +872,76 @@ func TestClientDecodeAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	few, many := drain(2000), drain(4000)
-	if boxes := float64(2000 * len(cols)); many-few > boxes {
-		t.Errorf("%.0f allocations to decode 2000 rows, %.0f for 4000: %.0f more than the %.0f boxed cells",
-			few, many, many-few-boxes, boxes)
+	const slack, strCols = 2, 1
+	if few, many := drain(2000), drain(4000); many-few > 2*2000*strCols+slack {
+		t.Errorf("%.0f allocations to decode 2000 rows of %d cells in one frame, %.0f for 4000: %.0f more, over two per string cell and the %d a frame may vary by",
+			few, len(cols), many, many-few, slack)
+	}
+}
+
+// TestDecodedRowsOutliveTheirFrame: a row the client hands out points into
+// its frame's slabs, so it must keep its cells, types and bits, however
+// many frames are decoded after it and whatever the heap does meanwhile,
+// through collections. Every cell of every frame is a value of its own, so
+// two frames that shared a slab cell would show as a kept cell that
+// changed, and a slab collected under its rows as garbage in them.
+func TestDecodedRowsOutliveTheirFrame(t *testing.T) {
+	cols := []string{"id", "flux", "name", "note"}
+	const frames = 6
+	var batches [][]sqlengine.Row
+	var want []sqlengine.Row
+	for f := 0; f < frames; f++ {
+		batch := make([]sqlengine.Row, 200+50*f)
+		for i := range batch {
+			k := f*1000 + i
+			var flux sqlengine.Value
+			switch k % 4 {
+			case 0:
+				flux = math.Copysign(0, -1)
+			case 1:
+				flux = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(k))
+			case 2:
+				flux = 1e-30 * float64(k)
+			}
+			batch[i] = sqlengine.Row{int64(math.MaxInt64 - k), flux, fmt.Sprintf("frame %d row %d", f, i), ""}
+		}
+		batches = append(batches, batch)
+		want = append(want, batch...)
+	}
+	// churn allocates and drops objects of the sizes a frame's slabs and
+	// cells have, filled with other bits, then collects.
+	churn := func() {
+		var junk []any
+		for i := 0; i < 2000; i++ {
+			words := make([]uint64, 200+i%300*4)
+			for j := range words {
+				words[j] = 0xdead_beef_dead_beef
+			}
+			junk = append(junk, words, float64(i)+0.5, fmt.Sprint("junk", i), make([]sqlengine.Value, 200+i%300*4))
+		}
+		runtime.KeepAlive(junk)
+		runtime.GC()
+	}
+
+	st := replay(recordSession(t, maxFrame, batches...), cols)
+	var kept []sqlengine.Row
+	for row, ok := st.Next(); ok; row, ok = st.Next() {
+		kept = append(kept, row)
+		if len(kept)%200 == 0 {
+			churn()
+		}
+	}
+	if st.Err() != nil || len(kept) != len(want) {
+		t.Fatalf("decoded %d rows of %d: %v", len(kept), len(want), st.Err())
+	}
+	churn()
+	for i, row := range kept {
+		for j := range row {
+			if !sameCell(row[j], want[i][j]) {
+				t.Fatalf("row %d cell %d reads %T %#v after later frames and collections, was sent as %T %#v",
+					i, j, row[j], row[j], want[i][j], want[i][j])
+			}
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/rowcodec"
@@ -111,6 +113,19 @@ func batchBody(tb testing.TB, rows ...sqlengine.Row) []byte {
 	return append(binary.AppendUvarint(nil, uint64(b.Len())), b.Data...)
 }
 
+// sameCell reports whether two cells are one value exactly: the same
+// dynamic type and the same bits — a float's sign of zero and NaN payload
+// included, which comparing as values or as text would let pass.
+func sameCell(a, b sqlengine.Value) bool {
+	if fmt.Sprintf("%T", a) != fmt.Sprintf("%T", b) {
+		return false
+	}
+	if x, ok := a.(float64); ok {
+		return math.Float64bits(x) == math.Float64bits(b.(float64))
+	}
+	return a == b
+}
+
 func FuzzBatchDecode(f *testing.F) {
 	valid := batchBody(f, sqlengine.Row{int64(7), nil, "x", -0.5}, sqlengine.Row{int64(8), 1.5, "", nil})
 	f.Add(valid, uint8(4))
@@ -122,6 +137,9 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0}, uint8(0))                       // three empty rows
 	f.Add([]byte{1, 0xff, 0xff, 0x7f, 'i'}, uint8(1))         // width exceeds frame
 	f.Add([]byte{1, 1, 'z'}, uint8(1))                        // bad cell tag inside a row
+	f.Add(batchBody(f,                                        // the cells whose bits a loose comparison misses
+		sqlengine.Row{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(1), math.Inf(-1)},
+		sqlengine.Row{int64(math.MinInt64), int64(math.MaxInt64), "", "not empty"}), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
 		slab, n, err := decodeBatch(data, int(ncols))
 		if err != nil {
@@ -130,17 +148,29 @@ func FuzzBatchDecode(f *testing.F) {
 		if len(slab) != n*int(ncols) {
 			t.Fatalf("accepted %d rows of %d values in %d cells", n, ncols, len(slab))
 		}
+		// Each row is what rowcodec's own boxing decoder makes of its bytes.
+		_, taken := binary.Uvarint(data)
+		body, pos := data[taken:], 0
 		rows := make([]sqlengine.Row, n)
 		for i := range rows {
 			rows[i] = slab[i*int(ncols) : (i+1)*int(ncols)]
+			var want sqlengine.Row
+			if want, pos, err = rowcodec.DecodeRow(body, pos); err != nil || len(want) != int(ncols) {
+				t.Fatalf("row %d: decodeBatch took what rowcodec.DecodeRow refuses: %v", i, err)
+			}
+			for j := range want {
+				if !sameCell(rows[i][j], want[j]) {
+					t.Fatalf("row %d cell %d: %T %#v, rowcodec decodes %T %#v", i, j, rows[i][j], rows[i][j], want[j], want[j])
+				}
+			}
 		}
 		again, m, err := decodeBatch(batchBody(t, rows...), int(ncols))
 		if err != nil || m != n {
 			t.Fatalf("re-decoding %d accepted rows: %d rows, %v", n, m, err)
 		}
 		for i := range slab {
-			if sqlengine.FormatValue(slab[i]) != sqlengine.FormatValue(again[i]) {
-				t.Fatalf("batch round trip diverged at cell %d: %v -> %v", i, slab[i], again[i])
+			if !sameCell(slab[i], again[i]) {
+				t.Fatalf("batch round trip diverged at cell %d: %T %#v -> %T %#v", i, slab[i], slab[i], again[i], again[i])
 			}
 		}
 	})

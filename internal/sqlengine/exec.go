@@ -796,6 +796,13 @@ func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 	if fold != nil && (!fold.folds || len(rest) > 0 || blockFormsOff) {
 		fold = nil
 	}
+	// Where the block forms are the whole filter and out collects binding
+	// k's positions alone (collect), each block's narrowed vector is what
+	// it takes, whole, as a fold does.
+	keep, _ := out.(*positions)
+	if keep != nil && (keep.from != k || keep.to != k || len(rest) > 0 || blockFormsOff) {
+		keep = nil
+	}
 	if size := min(n, interruptCheckRows); cap(ex.vec) < size {
 		ex.vec = make([]int32, 0, size)
 	}
@@ -820,6 +827,13 @@ func (ex *selectExec) scan(k int, sp *scanPlan, out consumer) error {
 		if fold != nil {
 			if err := fold.fold(fr, cur, sel); err != nil {
 				return err
+			}
+			continue
+		}
+		if keep != nil {
+			keep.rows = slices.Grow(keep.rows, len(sel))
+			for _, pos := range sel {
+				keep.rows = append(keep.rows, int(pos))
 			}
 			continue
 		}
