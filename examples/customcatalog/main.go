@@ -14,10 +14,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
-	"sort"
+	"os"
 	"strings"
 
 	"repro"
@@ -93,109 +94,139 @@ func synthesize() (stations, readings, kinds []qserv.Row) {
 	return stations, readings, kinds
 }
 
-// render canonicalizes rows for oracle comparison.
-func render(rows []qserv.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		parts := make([]string, len(r))
-		for j, v := range r {
-			switch x := v.(type) {
-			case float64:
-				parts[j] = fmt.Sprintf("%.9g", x)
-			default:
-				parts[j] = fmt.Sprint(x)
-			}
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	sort.Strings(out)
-	return out
+// workers sizes the example's cluster; queries are the statements it asks,
+// each of one answer or in a stated order, so that an answer is compared
+// row for row.
+const workers = 4
+
+var queries = []string{
+	"SELECT COUNT(*) AS n FROM Station",
+	"SELECT COUNT(*) AS n FROM Reading",
+	"SELECT COUNT(*) AS n, AVG(elevation) AS elev FROM Station WHERE qserv_areaspec_box(30, -25, 90, 25)",
+	"SELECT kindId, COUNT(*) AS n FROM Station GROUP BY kindId ORDER BY kindId",
+	"SELECT AVG(value) AS mean, COUNT(*) AS n FROM Reading WHERE stationId = 123",
+	"SELECT stationId, lat FROM Station ORDER BY lat DESC, stationId LIMIT 5",
 }
 
-func main() {
-	spec := sensorSpec()
-	if err := spec.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	stations, readings, kinds := synthesize()
-
-	cfg := qserv.DefaultClusterConfig(4)
+// config is the configuration of the example's cluster and of its oracle.
+func config() qserv.ClusterConfig {
+	cfg := qserv.DefaultClusterConfig(workers)
 	cfg.Database = "sensors"
-	cluster, err := qserv.NewCluster(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Close()
-	if err := cluster.CreateTables(spec); err != nil {
-		log.Fatal(err)
-	}
-	// Director first (children are placed by its key), then the rest.
-	st, err := cluster.Ingest("Station", qserv.RowsOf(stations))
-	if err != nil {
-		log.Fatal(err)
-	}
-	rd, err := cluster.Ingest("Reading", qserv.RowsOf(readings))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := cluster.Ingest("SensorKind", qserv.RowsOf(kinds)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ingested %d stations over %d chunks (+%d overlap copies) and %d readings in %d fabric batches\n\n",
-		st.Rows, st.Chunks, st.OverlapRows, rd.Rows, st.Batches+rd.Batches)
+	return cfg
+}
 
-	// The single-node oracle: same spec, same rows, one plain engine.
-	oracle, err := qserv.NewOracle(cfg)
+// loadOracle builds the single-node oracle: the same spec and the same
+// rows, in one plain engine.
+func loadOracle() (*qserv.Oracle, error) {
+	stations, readings, kinds := synthesize()
+	oracle, err := qserv.NewOracle(config())
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	if err := oracle.CreateTables(spec); err != nil {
-		log.Fatal(err)
+	if err := oracle.CreateTables(sensorSpec()); err != nil {
+		return nil, err
 	}
 	for _, tb := range []struct {
 		name string
 		rows []qserv.Row
 	}{{"Station", stations}, {"Reading", readings}, {"SensorKind", kinds}} {
 		if err := oracle.Ingest(tb.name, qserv.RowsOf(tb.rows)); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 	}
+	return oracle, nil
+}
 
-	queries := []string{
-		"SELECT COUNT(*) AS n FROM Station",
-		"SELECT COUNT(*) AS n FROM Reading",
-		"SELECT COUNT(*) AS n, AVG(elevation) AS elev FROM Station WHERE qserv_areaspec_box(30, -25, 90, 25)",
-		"SELECT kindId, COUNT(*) AS n FROM Station GROUP BY kindId",
-		"SELECT AVG(value) AS mean, COUNT(*) AS n FROM Reading WHERE stationId = 123",
-		"SELECT stationId, lat FROM Station ORDER BY lat DESC, stationId LIMIT 5",
+// render is a row as the example prints and compares it: its cells
+// joined by "|", each float to nine significant digits, which a sum the
+// cluster adds up in another order than the oracle still agrees to.
+func render(r qserv.Row) string {
+	parts := make([]string, len(r))
+	for j, v := range r {
+		switch x := v.(type) {
+		case float64:
+			parts[j] = fmt.Sprintf("%.9g", x)
+		default:
+			parts[j] = fmt.Sprint(x)
+		}
+	}
+	return strings.Join(parts, "|")
+}
+
+// printAnswer prints a statement and the first rows of its answer.
+func printAnswer(out io.Writer, sql string, rows []qserv.Row) {
+	fmt.Fprintf(out, "> %s\n", sql)
+	for i, r := range rows {
+		if i >= 5 {
+			fmt.Fprintf(out, "  ... (%d rows)\n", len(rows))
+			break
+		}
+		fmt.Fprintf(out, "  %s\n", render(r))
+	}
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run ingests the catalog into a cluster, asks it every query, holds each
+// answer to the oracle's row for row, and prints it.
+func run(out io.Writer) error {
+	spec := sensorSpec()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	stations, readings, kinds := synthesize()
+
+	cluster, err := qserv.NewCluster(config())
+	if err != nil {
+		return err
+	}
+	defer cluster.Close()
+	if err := cluster.CreateTables(spec); err != nil {
+		return err
+	}
+	// Director first (children are placed by its key), then the rest.
+	st, err := cluster.Ingest("Station", qserv.RowsOf(stations))
+	if err != nil {
+		return err
+	}
+	rd, err := cluster.Ingest("Reading", qserv.RowsOf(readings))
+	if err != nil {
+		return err
+	}
+	if _, err := cluster.Ingest("SensorKind", qserv.RowsOf(kinds)); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "ingested %d stations over %d chunks (+%d overlap copies) and %d readings in %d fabric batches\n\n",
+		st.Rows, st.Chunks, st.OverlapRows, rd.Rows, st.Batches+rd.Batches)
+
+	oracle, err := loadOracle()
+	if err != nil {
+		return err
 	}
 	for _, sql := range queries {
 		got, err := cluster.Query(sql)
 		if err != nil {
-			log.Fatalf("%s: %v", sql, err)
+			return fmt.Errorf("%s: %w", sql, err)
 		}
 		want, err := oracle.Query(sql)
 		if err != nil {
-			log.Fatalf("oracle %s: %v", sql, err)
+			return fmt.Errorf("oracle %s: %w", sql, err)
 		}
-		g, w := render(got.Rows), render(want.Rows)
-		if len(g) != len(w) {
-			log.Fatalf("%s: %d rows, oracle has %d", sql, len(g), len(w))
+		if len(got.Rows) != len(want.Rows) {
+			return fmt.Errorf("%s: %d rows, oracle has %d", sql, len(got.Rows), len(want.Rows))
 		}
-		for i := range g {
-			if g[i] != w[i] {
-				log.Fatalf("%s: row %d differs:\n  cluster: %s\n  oracle:  %s", sql, i, g[i], w[i])
+		for i := range got.Rows {
+			if g, w := render(got.Rows[i]), render(want.Rows[i]); g != w {
+				return fmt.Errorf("%s: row %d differs:\n  cluster: %s\n  oracle:  %s", sql, i, g, w)
 			}
 		}
-		fmt.Printf("> %s\n", sql)
-		for i, r := range got.Rows {
-			if i >= 5 {
-				fmt.Printf("  ... (%d rows)\n", len(got.Rows))
-				break
-			}
-			fmt.Printf("  %v\n", []any(r))
-		}
-		fmt.Printf("  [%d chunk queries; oracle-identical]\n\n", got.ChunksDispatched)
+		printAnswer(out, sql, got.Rows)
+		fmt.Fprintf(out, "  [%d chunk queries; oracle-identical]\n\n", got.ChunksDispatched)
 	}
-	fmt.Println("all answers oracle-identical — the spec API ran a non-LSST catalog through the full distributed path")
+	fmt.Fprintln(out, "all answers oracle-identical — the spec API ran a non-LSST catalog through the full distributed path")
+	return nil
 }

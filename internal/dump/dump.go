@@ -287,7 +287,8 @@ func (s *Stream) Encoded() (rowcodec.Batch, []rowcodec.Kinds, error) {
 // column types. A row whose width differs from the declared schema is an
 // error.
 func (s *Stream) Rows() ([]sqlengine.Row, error) {
-	box := boxer{schema: s.Schema, rows: make([]sqlengine.Row, 0, s.NRows)}
+	var box sqlengine.Boxer
+	box.Shape(s.NRows, len(s.Schema))
 	pos := 0
 	for i := 0; i < s.NRows; i++ {
 		var err error
@@ -298,49 +299,25 @@ func (s *Stream) Rows() ([]sqlengine.Row, error) {
 	if pos != len(s.rows) {
 		return nil, fmt.Errorf("dump: %d trailing bytes after %d rows", len(s.rows)-pos, s.NRows)
 	}
-	return box.rows, nil
-}
-
-// boxer is the Sink that boxes a stream's rows: each cell becomes a value
-// of its column's declared type.
-type boxer struct {
-	schema sqlengine.Schema
-	rows   []sqlengine.Row
-	row    sqlengine.Row
-}
-
-func (b *boxer) BeginRow(ncols int) error {
-	if ncols != len(b.schema) {
-		return fmt.Errorf("row has %d values, schema declares %d", ncols, len(b.schema))
+	for _, r := range box.Rows {
+		for i, v := range r {
+			if t := s.Schema[i].Type; v != nil && typeByte(t) != kindByte(v) {
+				r[i] = coerceValue(v, t)
+			}
+		}
 	}
-	b.row = make(sqlengine.Row, ncols)
-	b.rows = append(b.rows, b.row)
-	return nil
+	return box.Rows, nil
 }
 
-func (b *boxer) Null(col int) error { return nil }
-
-func (b *boxer) Int(col int, v int64) error {
-	if b.schema[col].Type == sqlparse.TypeInt {
-		b.row[col] = v
-	} else {
-		b.row[col] = coerceValue(v, b.schema[col].Type)
+// kindByte is the column type byte of a decoded cell's kind.
+func kindByte(v sqlengine.Value) byte {
+	switch v.(type) {
+	case int64:
+		return typeInt
+	case string:
+		return typeString
 	}
-	return nil
-}
-
-func (b *boxer) Float(col int, v float64) error {
-	if b.schema[col].Type == sqlparse.TypeFloat {
-		b.row[col] = v
-	} else {
-		b.row[col] = coerceValue(v, b.schema[col].Type)
-	}
-	return nil
-}
-
-func (b *boxer) Str(col int, v []byte) error {
-	b.row[col] = coerceValue(string(v), b.schema[col].Type)
-	return nil
+	return typeFloat
 }
 
 // Decoded is the in-memory form of one result stream: the table it

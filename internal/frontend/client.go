@@ -155,10 +155,12 @@ type Stream struct {
 	cols      []string
 	stopWatch func()
 
-	// The rows of the last row frame not yet handed out: left of them,
-	// their cells in order in slab.
-	slab []sqlengine.Value
-	left int
+	// box holds the rows of the last row frame, next the first of them
+	// not yet handed out. Its Rows is reused from frame to frame: the
+	// rows it lists are the caller's once handed out, and a frame's slabs
+	// are new.
+	box  sqlengine.Boxer
+	next int
 
 	done  bool
 	nrows int64
@@ -203,15 +205,13 @@ func (s *Stream) finish(err error) {
 // rows). The row is the caller's own: the stream never writes to it
 // again.
 func (s *Stream) Next() (row []sqlengine.Value, ok bool) {
-	for s.left == 0 {
+	for s.next == len(s.box.Rows) {
 		if !s.nextFrame() {
 			return nil, false
 		}
 	}
-	n := len(s.cols)
-	row, s.slab = s.slab[:n:n], s.slab[n:]
-	s.left--
-	return row, true
+	s.next++
+	return s.box.Rows[s.next-1], true
 }
 
 // nextFrame reads the next frame: a row frame's rows are decoded for Next
@@ -228,7 +228,10 @@ func (s *Stream) nextFrame() bool {
 	}
 	switch f[0] {
 	case tagRow:
-		if s.slab, s.left, err = decodeBatch(f[1:], len(s.cols)); err != nil {
+		clear(s.box.Rows) // a short frame leaves no older frame's slabs listed
+		s.box.Rows, s.next = s.box.Rows[:0], 0
+		if err := decodeBatch(f[1:], &s.box, len(s.cols)); err != nil {
+			s.box.Rows = nil
 			s.finish(err)
 			return false
 		}

@@ -126,6 +126,20 @@ func sameCell(a, b sqlengine.Value) bool {
 	return a == b
 }
 
+// plainBoxer is the reference the client's boxing is held to: the
+// conventional boxing Sink, a slice per row and a box per cell.
+type plainBoxer struct{ rows []sqlengine.Row }
+
+func (p *plainBoxer) BeginRow(ncols int) error {
+	p.rows = append(p.rows, make(sqlengine.Row, ncols))
+	return nil
+}
+
+func (p *plainBoxer) Null(col int) error             { return nil }
+func (p *plainBoxer) Int(col int, v int64) error     { p.rows[len(p.rows)-1][col] = any(v); return nil }
+func (p *plainBoxer) Float(col int, v float64) error { p.rows[len(p.rows)-1][col] = any(v); return nil }
+func (p *plainBoxer) Str(col int, v []byte) error    { p.rows[len(p.rows)-1][col] = string(v); return nil }
+
 func FuzzBatchDecode(f *testing.F) {
 	valid := batchBody(f, sqlengine.Row{int64(7), nil, "x", -0.5}, sqlengine.Row{int64(8), 1.5, "", nil})
 	f.Add(valid, uint8(4))
@@ -141,36 +155,37 @@ func FuzzBatchDecode(f *testing.F) {
 		sqlengine.Row{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(1), math.Inf(-1)},
 		sqlengine.Row{int64(math.MinInt64), int64(math.MaxInt64), "", "not empty"}), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
-		slab, n, err := decodeBatch(data, int(ncols))
-		if err != nil {
+		var box sqlengine.Boxer
+		if err := decodeBatch(data, &box, int(ncols)); err != nil {
 			return
 		}
-		if len(slab) != n*int(ncols) {
-			t.Fatalf("accepted %d rows of %d values in %d cells", n, ncols, len(slab))
+		// Each row is what the conventional boxer makes of its bytes.
+		n, taken := binary.Uvarint(data)
+		if uint64(len(box.Rows)) != n {
+			t.Fatalf("accepted %d rows as %d", n, len(box.Rows))
 		}
-		// Each row is what rowcodec's own boxing decoder makes of its bytes.
-		_, taken := binary.Uvarint(data)
+		var want plainBoxer
 		body, pos := data[taken:], 0
-		rows := make([]sqlengine.Row, n)
-		for i := range rows {
-			rows[i] = slab[i*int(ncols) : (i+1)*int(ncols)]
-			var want sqlengine.Row
-			if want, pos, err = rowcodec.DecodeRow(body, pos); err != nil || len(want) != int(ncols) {
-				t.Fatalf("row %d: decodeBatch took what rowcodec.DecodeRow refuses: %v", i, err)
+		for i, row := range box.Rows {
+			var err error
+			if pos, err = rowcodec.Decode(body, pos, &want); err != nil || len(row) != int(ncols) || cap(row) != len(row) {
+				t.Fatalf("row %d of %d values (capacity %d) accepted, header says %d; the reference decode: %v", i, len(row), cap(row), ncols, err)
 			}
-			for j := range want {
-				if !sameCell(rows[i][j], want[j]) {
-					t.Fatalf("row %d cell %d: %T %#v, rowcodec decodes %T %#v", i, j, rows[i][j], rows[i][j], want[j], want[j])
+			for j := range row {
+				if !sameCell(row[j], want.rows[i][j]) {
+					t.Fatalf("row %d cell %d: %T %#v, the conventional boxer makes %T %#v", i, j, row[j], row[j], want.rows[i][j], want.rows[i][j])
 				}
 			}
 		}
-		again, m, err := decodeBatch(batchBody(t, rows...), int(ncols))
-		if err != nil || m != n {
-			t.Fatalf("re-decoding %d accepted rows: %d rows, %v", n, m, err)
+		var again sqlengine.Boxer
+		if err := decodeBatch(batchBody(t, box.Rows...), &again, int(ncols)); err != nil || len(again.Rows) != len(box.Rows) {
+			t.Fatalf("re-decoding %d accepted rows: %d rows, %v", len(box.Rows), len(again.Rows), err)
 		}
-		for i := range slab {
-			if !sameCell(slab[i], again[i]) {
-				t.Fatalf("batch round trip diverged at cell %d: %T %#v -> %T %#v", i, slab[i], slab[i], again[i], again[i])
+		for i, row := range box.Rows {
+			for j := range row {
+				if !sameCell(row[j], again.Rows[i][j]) {
+					t.Fatalf("batch round trip diverged at row %d cell %d: %T %#v -> %T %#v", i, j, row[j], row[j], again.Rows[i][j], again.Rows[i][j])
+				}
 			}
 		}
 	})

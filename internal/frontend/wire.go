@@ -26,10 +26,10 @@
 // This file is the codec: framing, the handshake, and the column/row/
 // trailer frames. A row frame's body is a row count and that many rows
 // in the cell encoding of package rowcodec, the same bytes a worker's
-// result stream and an ingest batch carry; the client decodes a frame's
-// cells into slabs of the frame's, with no allocation per numeric cell
-// (slabSink, boxAt). Every decoder treats its input as hostile (the fuzz
-// targets in fuzz_test.go hold them to that).
+// result stream and an ingest batch carry; the client boxes a frame's
+// rows with a sqlengine.Boxer shaped to the frame, so no numeric cell
+// costs an allocation of its own. Every decoder treats its input as
+// hostile (the fuzz targets in fuzz_test.go hold them to that).
 package frontend
 
 import (
@@ -38,9 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/rowcodec"
 	"repro/internal/sqlengine"
@@ -226,96 +224,35 @@ func writeBatch(w *bufio.Writer, b rowcodec.Batch, limit int) error {
 // tag, row count, rows.
 func frameLen(nrows, size int) int { return 1 + (bits.Len64(uint64(nrows)|1)+6)/7 + size }
 
-// decodeBatch parses a row frame body (tag already stripped): a row count,
-// then exactly that many rows of the ncols values the preceding column
-// header declared — a row of the wrong width is an error, not a short
-// row, and so are bytes after the last row. The count is held against the
-// bytes present before anything is allocated from it: every row costs at
-// least its width byte and a tag byte per cell. The cells of every row
-// are cut from one slab, returned with the row count; each row is the
-// caller's own. No numeric cell costs an allocation of its own (slabSink).
-func decodeBatch(b []byte, ncols int) (slab []sqlengine.Value, nrows int, err error) {
+// decodeBatch parses a row frame body (tag already stripped) into box: a
+// row count, then exactly that many rows of the ncols values the
+// preceding column header declared — a row of the wrong width is an
+// error, not a short row, and so are bytes after the last row. The count
+// is held against the bytes present before anything is allocated from it:
+// every row costs at least its width byte and a tag byte per cell. The
+// rows are appended to box.Rows, shaped to the frame (Boxer.Shape), so no
+// numeric cell costs an allocation of its own; each row is the caller's.
+func decodeBatch(b []byte, box *sqlengine.Boxer, ncols int) error {
 	n, taken := binary.Uvarint(b)
 	if taken <= 0 {
-		return nil, 0, fmt.Errorf("frontend: bad row count")
+		return fmt.Errorf("frontend: bad row count")
 	}
 	b = b[taken:]
 	if n > uint64(len(b))/(1+uint64(ncols)) {
-		return nil, 0, fmt.Errorf("frontend: %d rows of %d values claimed in %d bytes", n, ncols, len(b))
+		return fmt.Errorf("frontend: %d rows of %d values claimed in %d bytes", n, ncols, len(b))
 	}
-	cells := int(n) * ncols
-	box := slabSink{slab: make([]sqlengine.Value, cells), words: make([]uint64, cells), ncols: ncols}
+	box.Shape(int(n), ncols)
 	pos := 0
 	for i := 0; i < int(n); i++ {
-		if pos, err = rowcodec.Decode(b, pos, &box); err != nil {
-			return nil, 0, fmt.Errorf("frontend: bad row %d of %d: %w", i, n, err)
+		var err error
+		if pos, err = rowcodec.Decode(b, pos, box); err != nil {
+			return fmt.Errorf("frontend: bad row %d of %d: %w", i, n, err)
 		}
 	}
 	if pos != len(b) {
-		return nil, 0, fmt.Errorf("frontend: %d trailing bytes after %d rows", len(b)-pos, n)
+		return fmt.Errorf("frontend: %d trailing bytes after %d rows", len(b)-pos, n)
 	}
-	return box.slab, int(n), nil
-}
-
-// slabSink is the Sink decodeBatch boxes into: rows of the declared width
-// only, each cut from the slab where the last one ended. A BIGINT or
-// DOUBLE cell is boxed without an allocation of its own: its bits go to
-// its cell of words, and its Value points there (boxAt). words has a cell
-// for each cell of slab, so it never grows: a row of the wrong width is
-// refused before it is written. A kept row therefore keeps its frame's
-// slabs alive, which is the price of one allocation per frame instead of
-// one per numeric cell. A string cell is its own string, as boxing makes it.
-type slabSink struct {
-	slab  []sqlengine.Value
-	words []uint64 // the numeric cells' bits, cell for cell with slab
-	ncols int
-	row   int // where the row being decoded starts in slab
-	next  int // where the next row starts in slab
-}
-
-func (s *slabSink) BeginRow(ncols int) error {
-	if ncols != s.ncols {
-		return fmt.Errorf("row of %d values, header declared %d", ncols, s.ncols)
-	}
-	s.row = s.next
-	s.next += ncols
 	return nil
-}
-
-func (s *slabSink) Null(col int) error { return nil }
-
-func (s *slabSink) Int(col int, v int64) error {
-	w := &s.words[s.row+col]
-	*w = uint64(v)
-	s.slab[s.row+col] = boxAt(intType, w)
-	return nil
-}
-
-func (s *slabSink) Float(col int, v float64) error {
-	w := &s.words[s.row+col]
-	*w = math.Float64bits(v)
-	s.slab[s.row+col] = boxAt(floatType, w)
-	return nil
-}
-
-func (s *slabSink) Str(col int, v []byte) error { s.slab[s.row+col] = string(v); return nil }
-
-// The type words boxAt gives a cell: a zero of each type, which boxes
-// without an allocation.
-var (
-	intType   sqlengine.Value = int64(0)
-	floatType sqlengine.Value = float64(0)
-)
-
-// boxAt returns the Value whose type word is typ's (intType or floatType)
-// and whose data word is p, which holds the cell's bits: the Value that
-// boxing *p as typ's type would give, pointing at *p where boxing copies
-// it to a new heap object. The contract: *p is written once, before it is
-// boxed, and never again — a Value is immutable, and a copy of it shares
-// *p. This is the module's one use of package unsafe.
-func boxAt(typ sqlengine.Value, p *uint64) sqlengine.Value {
-	(*[2]unsafe.Pointer)(unsafe.Pointer(&typ))[1] = unsafe.Pointer(p)
-	return typ
 }
 
 // DoneStats are the per-query accounting figures riding the success

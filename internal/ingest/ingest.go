@@ -89,9 +89,24 @@ func AppendRow(out []byte, r sqlengine.Row, sys ...int64) ([]byte, error) {
 // columns.
 func RowSize(r sqlengine.Row, sys int) int { return rowcodec.RowSize(r) + 9*sys }
 
-// DecodeBatch parses an encoded batch into boxed rows.
+// DecodeBatch parses an encoded batch, one table's rows, into boxed rows:
+// a Boxer shaped to the header's row count and the first row's width, once
+// both are held against the bytes present, so a row of another width is
+// an error.
 func DecodeBatch(data []byte) (Batch, error) {
+	own, overlap, pos, err := readHeader(data)
+	if err != nil {
+		return Batch{}, err
+	}
 	var box sqlengine.Boxer
+	if n := own + overlap; n > 0 {
+		// Every row costs at least its width byte and a tag byte per cell.
+		ncols, taken := binary.Uvarint(data[pos:])
+		if taken <= 0 || ncols >= uint64(len(data)-pos)/uint64(n) {
+			return Batch{}, fmt.Errorf("ingest: batch claims %d rows of %d values in %d bytes", n, ncols, len(data)-pos)
+		}
+		box.Shape(n, int(ncols))
+	}
 	nRows, err := DecodeBatchInto(data, &box, &box)
 	if err != nil {
 		return Batch{}, err

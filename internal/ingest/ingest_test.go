@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/chunkstore"
@@ -163,6 +164,15 @@ func TestDecodeBatchErrors(t *testing.T) {
 	if _, err := DecodeBatch(data[:len(data)-2]); err == nil {
 		t.Error("truncated batch accepted")
 	}
+	// A batch is one table's rows: an overlap row of another width than
+	// the first row is refused, as a table's appender refuses it.
+	ragged, err := EncodeBatch(Batch{Rows: []sqlengine.Row{{int64(1), "x"}}, Overlap: []sqlengine.Row{{int64(2)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := DecodeBatch(ragged); err == nil {
+		t.Errorf("rows of two widths accepted as %v + %v", b.Rows, b.Overlap)
+	}
 }
 
 // TestDecodeBatchHostileCounts: corrupt or hostile varint counts must
@@ -192,6 +202,23 @@ func TestDecodeBatchHostileCounts(t *testing.T) {
 	cols = appendUvarint(cols, 1<<62)
 	if _, err := DecodeBatch(cols); err == nil {
 		t.Error("huge column count accepted")
+	}
+	// Many rows, the first claiming a width the bytes could hold once but
+	// not for every row: refused before the slabs are sized from it.
+	wide := append([]byte(nil), batchMagic...)
+	wide = appendUvarint(wide, 1000)
+	wide = appendUvarint(wide, 0)
+	wide = appendUvarint(wide, 1000)
+	wide = append(wide, bytes.Repeat([]byte{'n'}, 1000)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBatch(wide)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("1000 rows of 1000 cells accepted from 1002 bytes")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("%d bytes allocated to refuse 1002 bytes of batch", n)
 	}
 	// A string value claiming a huge length.
 	str := append([]byte(nil), batchMagic...)

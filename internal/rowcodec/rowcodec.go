@@ -19,8 +19,9 @@
 // Both directions go through one cell visitor, sqlengine.Sink (Sink here).
 // There is one decoder, Decode: it hands each cell to a Sink as the type
 // the bytes hold — a table's sqlengine.Appender writes them straight into
-// column slices, sqlengine.Boxer builds boxed rows for the users that want
-// rows. And each kind of cell is encoded in one place, by Encoder, the
+// column slices, and sqlengine.Boxer, the system's one boxer, builds boxed
+// rows cut from slabs for the users that want rows (DecodeRow, Batch.Box).
+// And each kind of cell is encoded in one place, by Encoder, the
 // Sink that writes the bytes — a worker's SELECT writes its result cells
 // into one from the column slices — and by AppendRow, for a boxed row.
 //
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/sqlengine"
 	"repro/internal/sqlparse"
@@ -186,8 +186,8 @@ func Decode(data []byte, pos int, sink Sink) (int, error) {
 	return pos, nil
 }
 
-// DecodeRow parses the row starting at data[pos:], returning it boxed
-// and the offset of the byte after it.
+// DecodeRow parses the row starting at data[pos:], returning it boxed by
+// a sqlengine.Boxer and the offset of the byte after it.
 func DecodeRow(data []byte, pos int) (sqlengine.Row, int, error) {
 	b := sqlengine.Boxer{Rows: make([]sqlengine.Row, 0, 1)}
 	next, err := Decode(data, pos, &b)
@@ -252,42 +252,34 @@ func EncodeBatch(rows []sqlengine.Row) (Batch, error) {
 	return b, nil
 }
 
-// Box appends the batch's rows, boxed, to rows. The batch is ScanBatch's
-// or EncodeBatch's, so it decodes: one that does not is a bug, and panics.
-// The rows are cut from one slab of cells, not allocated one by one.
+// Box appends the batch's rows, boxed by a sqlengine.Boxer, to rows. The
+// batch is ScanBatch's or EncodeBatch's, so it decodes: one that does not
+// is a bug, and panics. A batch whose rows are all one width, as a result
+// stream's are, is boxed into slabs made for it; one whose rows differ (a
+// fed session may push any) into slabs that grow.
 func (b Batch) Box(rows []sqlengine.Row) []sqlengine.Row {
-	box := slabBoxer{rows: slices.Grow(rows, b.Len()), left: b.Len()}
+	box := sqlengine.Boxer{Rows: rows}
+	if w, ok := b.width(); ok {
+		box.Shape(b.Len(), w)
+	}
 	if err := b.Decode(&box); err != nil {
 		panic(fmt.Sprintf("rowcodec: a checked batch does not decode: %v", err))
 	}
-	return box.rows
+	return box.Rows
 }
 
-// slabBoxer is the boxing Sink of Batch.Box: it knows how many rows are
-// coming, and takes the cells of all of them in one allocation sized by
-// the first row's width (again, for what is left, should a later row be
-// wider than the slab has room for).
-type slabBoxer struct {
-	rows []sqlengine.Row
-	slab []sqlengine.Value
-	row  sqlengine.Row
-	left int // rows still to come
-}
-
-func (b *slabBoxer) BeginRow(ncols int) error {
-	if len(b.slab) < ncols {
-		b.slab = make([]sqlengine.Value, ncols*max(b.left, 1))
+// width returns the width every row of a non-empty batch has, read from
+// each row's width varint; ok is false if they differ or there is no row.
+func (b Batch) width() (w int, ok bool) {
+	for i := range b.Ends {
+		n, _ := binary.Uvarint(b.Data[b.Offset(i):])
+		if i > 0 && int(n) != w {
+			return 0, false
+		}
+		w = int(n)
 	}
-	b.row, b.slab = b.slab[:ncols:ncols], b.slab[ncols:]
-	b.rows = append(b.rows, b.row)
-	b.left--
-	return nil
+	return w, b.Len() > 0
 }
-
-func (b *slabBoxer) Null(col int) error             { return nil }
-func (b *slabBoxer) Int(col int, v int64) error     { b.row[col] = v; return nil }
-func (b *slabBoxer) Float(col int, v float64) error { b.row[col] = v; return nil }
-func (b *slabBoxer) Str(col int, v []byte) error    { b.row[col] = string(v); return nil }
 
 // Kinds is the set of cell kinds a column held.
 type Kinds uint8

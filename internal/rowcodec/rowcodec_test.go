@@ -3,7 +3,9 @@ package rowcodec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,8 +13,8 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// sameValue is bit-exact equality: -0.0 differs from 0.0 and a NaN
-// equals itself.
+// sameValue is equality of dynamic type and bits: -0.0 differs from 0.0,
+// a NaN equals only the NaN of its payload, and int64(1) differs from 1.0.
 func sameValue(a, b sqlengine.Value) bool {
 	af, aok := a.(float64)
 	bf, bok := b.(float64)
@@ -155,11 +157,26 @@ func TestDecodeRowRejectsHostileInput(t *testing.T) {
 	}
 }
 
+// plainBoxer is the reference DecodeRow's boxing is held to: the
+// conventional boxing Sink, a slice per row and a box per cell.
+type plainBoxer struct{ rows []sqlengine.Row }
+
+func (p *plainBoxer) BeginRow(ncols int) error {
+	p.rows = append(p.rows, make(sqlengine.Row, ncols))
+	return nil
+}
+
+func (p *plainBoxer) Null(col int) error             { return nil }
+func (p *plainBoxer) Int(col int, v int64) error     { p.rows[len(p.rows)-1][col] = any(v); return nil }
+func (p *plainBoxer) Float(col int, v float64) error { p.rows[len(p.rows)-1][col] = any(v); return nil }
+func (p *plainBoxer) Str(col int, v []byte) error    { p.rows[len(p.rows)-1][col] = string(v); return nil }
+
 // FuzzDecodeRow holds the decoder to reject-or-round-trip: hostile
 // bytes may only produce an error — never a panic, never a row wider
-// than the input — and an accepted row re-encodes to bytes that decode
-// to the same values. (Byte equality with the input is not required:
-// Uvarint accepts padded varints the encoder never emits.)
+// than the input — an accepted row is, cell for cell, what the
+// conventional boxer makes of the same bytes, and it re-encodes to bytes
+// that decode to the same values. (Byte equality with the input is not
+// required: Uvarint accepts padded varints the encoder never emits.)
 func FuzzDecodeRow(f *testing.F) {
 	valid, err := AppendRow(nil, sqlengine.Row{int64(7), nil, "x", -0.5})
 	if err != nil {
@@ -171,6 +188,12 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})         // huge column count
 	f.Add([]byte{1, 's', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge string length
 	f.Add([]byte{2, 'i', 0, 0, 0, 0, 0, 0, 0, 1})                                     // second value missing
+	bits, err := AppendRow(nil, sqlengine.Row{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(1), math.Inf(-1),
+		int64(math.MinInt64), int64(math.MaxInt64), "", "not empty"}) // the cells a loose comparison misses
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bits)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		row, next, err := DecodeRow(data, 0)
 		if err != nil {
@@ -178,6 +201,15 @@ func FuzzDecodeRow(f *testing.F) {
 		}
 		if next > len(data) || len(row) > len(data) {
 			t.Fatalf("decoded %d values ending at %d from %d bytes", len(row), next, len(data))
+		}
+		var want plainBoxer
+		if _, err := Decode(data, 0, &want); err != nil || len(want.rows[0]) != len(row) {
+			t.Fatalf("DecodeRow took a row of %d values the conventional boxer decodes with %v", len(row), err)
+		}
+		for i := range row {
+			if !sameValue(row[i], want.rows[0][i]) {
+				t.Fatalf("cell %d: %T %#v, the conventional boxer makes %T %#v", i, row[i], row[i], want.rows[0][i], want.rows[0][i])
+			}
 		}
 		enc, err := AppendRow(nil, row)
 		if err != nil {
@@ -234,9 +266,9 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := b.Decode(&enc); err != nil || !bytes.Equal(enc.Buf, b.Data) || enc.Rows != len(rows) {
 		t.Errorf("decoding the batch into an Encoder: %d rows, %v; the bytes differ: %v", enc.Rows, err, !bytes.Equal(enc.Buf, b.Data))
 	}
-	// Box cuts rows from one slab sized by the first row: rows that differ
-	// in width (a fed session may push any) still come out whole, and a
-	// row's capacity ends where the next begins.
+	// Rows that differ in width (a fed session may push any) are boxed into
+	// slabs that grow: they still come out whole, and a row's capacity ends
+	// where the next begins.
 	ragged := []sqlengine.Row{{int64(1)}, {int64(2), "b", 2.5}, {}, {int64(4), nil}}
 	rb, err := EncodeBatch(ragged)
 	if err != nil {
@@ -254,6 +286,88 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if empty, err := EncodeBatch(nil); err != nil || empty.Len() != 0 || empty.Box(nil) != nil {
 		t.Errorf("empty batch: %+v, %v", empty, err)
+	}
+}
+
+// TestBoxAllocBudget: Box boxes a batch of rows of one width into one
+// slab of cells and one of their numbers, so 1,000 rows of nine numbers
+// cost a few allocations, not one per row and per number (9,003 when each
+// number was boxed on its own).
+func TestBoxAllocBudget(t *testing.T) {
+	rows := make([]sqlengine.Row, 1000)
+	for i := range rows { // no integer below 256 and no zero: boxing would allocate for every cell
+		f := 1e-28 * float64(1+i)
+		rows[i] = sqlengine.Row{int64(1000 + i), 10 + f, -1 - f, f, 2 * f, 3 * f, 4 * f, 5 * f, 6 * f}
+	}
+	b, err := EncodeBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.Box(nil) }); allocs > 8 {
+		t.Errorf("%.0f allocations to box %d rows of %d numbers, ceiling 8", allocs, len(rows), len(rows[0]))
+	}
+}
+
+// TestBoxedRowsOutliveTheirBatch: a row Box hands out points into the
+// slabs its batch was boxed into, so it must keep its cells' types and
+// bits after the batch is dropped, however many batches are boxed after it
+// and whatever the heap does meanwhile, through collections. Every cell of
+// every batch is a value of its own, so two batches that shared a slab cell
+// would show as a kept cell that changed, and a slab collected under its
+// rows as garbage in them. The last batch is ragged, so the slabs that grow
+// are held to it too.
+func TestBoxedRowsOutliveTheirBatch(t *testing.T) {
+	churn := func() {
+		var junk []any
+		for i := 0; i < 2000; i++ {
+			words := make([]uint64, 200+i%300*4)
+			for j := range words {
+				words[j] = 0xdead_beef_dead_beef
+			}
+			junk = append(junk, words, float64(i)+0.5, fmt.Sprint("junk", i), make([]sqlengine.Value, 200+i%300*4))
+		}
+		runtime.KeepAlive(junk)
+		runtime.GC()
+	}
+	const batches = 6
+	var kept, want []sqlengine.Row
+	for f := 0; f < batches; f++ {
+		rows := make([]sqlengine.Row, 200+50*f)
+		for i := range rows {
+			k := f*1000 + i
+			var flux sqlengine.Value
+			switch k % 4 {
+			case 0:
+				flux = math.Copysign(0, -1)
+			case 1:
+				flux = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(k))
+			case 2:
+				flux = 1e-30 * float64(k)
+			}
+			rows[i] = sqlengine.Row{int64(math.MaxInt64 - k), flux, fmt.Sprintf("batch %d row %d", f, i), ""}
+			if f == batches-1 && i%2 == 1 {
+				rows[i] = append(rows[i], int64(math.MinInt64+k))
+			}
+		}
+		b, err := EncodeBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, b.Box(nil)...)
+		want = append(want, rows...)
+		churn()
+	}
+	churn()
+	for i, row := range kept {
+		if len(row) != len(want[i]) {
+			t.Fatalf("row %d has %d cells, was encoded with %d", i, len(row), len(want[i]))
+		}
+		for j := range row {
+			if !sameValue(row[j], want[i][j]) {
+				t.Fatalf("row %d cell %d reads %T %#v after later batches and collections, was encoded as %T %#v",
+					i, j, row[j], row[j], want[i][j], want[i][j])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package sqlengine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"unsafe"
+)
 
 // Sink receives rows cell by cell: BeginRow announces a row and its
 // width, then one call per cell follows, in column order, with the cell as
@@ -18,25 +23,91 @@ type Sink interface {
 	Str(col int, v []byte) error
 }
 
-// Boxer is the Sink that boxes: it collects the rows written to it as
-// Rows, each a fresh slice. It is what a SELECT writes to when its caller
-// names no sink, and what a decoder's caller that wants rows hands it.
-// After a write that failed its last row may be partial.
+// Boxer is the Sink that boxes, the system's one: it collects the rows
+// written to it as Rows, for a SELECT whose caller names no sink and for
+// every decoder's caller that wants rows.
+//
+// Rows are cut from slabs: a row's cells from a slab of Values, and a
+// BIGINT or DOUBLE cell's bits from a slab of words beside it, which the
+// cell's Value points at (boxAt), so neither a row nor a number costs an
+// allocation of its own. Shape sizes both slabs for rows that are
+// announced; without it they grow geometrically. A kept row keeps its
+// slabs alive, and its capacity ends where it ends. After a write that
+// failed its last row may be partial.
 type Boxer struct {
-	Rows []Row
-	row  Row // the row being written, Rows' last
+	Rows  []Row
+	cells []Value  // the current slab
+	words []uint64 // its words, cell for cell
+	row   int      // where the row being written starts in the slab
+	next  int      // where the next row starts
+	// shape is, after Shape, one more than the one width a row may have;
+	// 0, before, takes rows of any width.
+	shape int
+}
+
+// Shape readies b for nrows more rows of ncols cells: room in Rows, and
+// one allocation for each slab. From then on a row of another width is
+// refused before a cell of it is written, a check a decoder of a declared
+// width relies on. The caller holds nrows and ncols to what its input can
+// hold.
+func (b *Boxer) Shape(nrows, ncols int) {
+	b.Rows = slices.Grow(b.Rows, nrows)
+	b.cells, b.words, b.next = make([]Value, nrows*ncols), make([]uint64, nrows*ncols), 0
+	b.shape = ncols + 1
 }
 
 func (b *Boxer) BeginRow(ncols int) error {
-	b.row = make(Row, ncols)
-	b.Rows = append(b.Rows, b.row)
+	if b.shape != ncols+1 && b.shape != 0 {
+		return fmt.Errorf("row of %d values, %d expected", ncols, b.shape-1)
+	}
+	row, next := b.next, b.next+ncols
+	if next > len(b.cells) {
+		n := max(2*len(b.cells), ncols)
+		b.cells, b.words = make([]Value, n), make([]uint64, n)
+		row, next = 0, ncols
+	}
+	b.row, b.next = row, next
+	b.Rows = append(b.Rows, b.cells[row:next:next])
 	return nil
 }
 
-func (b *Boxer) Null(col int) error             { return nil }
-func (b *Boxer) Int(col int, v int64) error     { b.row[col] = v; return nil }
-func (b *Boxer) Float(col int, v float64) error { b.row[col] = v; return nil }
-func (b *Boxer) Str(col int, v []byte) error    { b.row[col] = string(v); return nil }
+func (b *Boxer) Null(col int) error { return nil }
+
+func (b *Boxer) Int(col int, v int64) error {
+	w := &b.words[b.row+col]
+	*w = uint64(v)
+	b.cells[b.row+col] = boxAt(intType, w)
+	return nil
+}
+
+func (b *Boxer) Float(col int, v float64) error {
+	w := &b.words[b.row+col]
+	*w = math.Float64bits(v)
+	b.cells[b.row+col] = boxAt(floatType, w)
+	return nil
+}
+
+func (b *Boxer) Str(col int, v []byte) error { b.cells[b.row+col] = string(v); return nil }
+
+// The type words boxAt gives a cell: a zero of each type, which boxes
+// without an allocation.
+var (
+	intType   Value = int64(0)
+	floatType Value = float64(0)
+)
+
+// boxAt returns the Value whose type word is typ's (intType or floatType)
+// and whose data word is p, which holds the cell's bits: the Value that
+// boxing *p as typ's type would give, pointing at *p where boxing copies
+// it to a new heap object. The contract: *p is written once, before it is
+// boxed, and never again — a Value is immutable, and a copy of it shares
+// *p. Boxer keeps it: each cell of a row has a word of its own, and a
+// slab's words are handed out once. This is the module's one use of
+// package unsafe.
+func boxAt(typ Value, p *uint64) Value {
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&typ))[1] = unsafe.Pointer(p)
+	return typ
+}
 
 // writeRow hands one boxed row to sink. A bool is written as the integer
 // it is stored as; any other value that is not nil, int64, float64 or

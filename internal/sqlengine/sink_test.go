@@ -3,6 +3,7 @@ package sqlengine_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -133,5 +134,102 @@ func TestSinkAllocBudget(t *testing.T) {
 	}
 	if fewer != allocs {
 		t.Errorf("%.0f allocations for %d output rows, %.0f for %d: they grow with the rows returned", allocs, out, fewer, outFewer)
+	}
+}
+
+// TestBoxer holds the one boxing Sink to its contract: every cell reads
+// back as the type and bits written, a row's capacity ends where it ends,
+// rows of any width are taken until Shape names one, and then a row of
+// another width is refused before a cell of it is written.
+func TestBoxer(t *testing.T) {
+	same := func(a, b sqlengine.Value) bool {
+		if x, ok := a.(float64); ok {
+			y, ok := b.(float64)
+			return ok && math.Float64bits(x) == math.Float64bits(y)
+		}
+		return a == b
+	}
+	write := func(b *sqlengine.Boxer, r sqlengine.Row) error {
+		if err := b.BeginRow(len(r)); err != nil {
+			return err
+		}
+		for i, v := range r {
+			switch x := v.(type) {
+			case nil:
+				b.Null(i)
+			case int64:
+				b.Int(i, x)
+			case float64:
+				b.Float(i, x)
+			case string:
+				b.Str(i, []byte(x))
+			}
+		}
+		return nil
+	}
+	var rows []sqlengine.Row
+	for i := 0; i < 300; i++ { // widths 0 to 6: slabs that grow, and rows that do not fit their rest
+		r := make(sqlengine.Row, i%7)
+		for j := range r {
+			switch (i + j) % 5 {
+			case 0:
+				r[j] = int64(math.MinInt64 + i)
+			case 1:
+				r[j] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(i))
+			case 2:
+				r[j] = math.Copysign(0, -1)
+			case 3:
+				r[j] = fmt.Sprint("cell ", i, j)
+			}
+		}
+		rows = append(rows, r)
+	}
+	var grown sqlengine.Boxer
+	for _, r := range rows {
+		if err := write(&grown, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, got []sqlengine.Row, want []sqlengine.Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i, r := range got {
+			if len(r) != len(want[i]) || cap(r) != len(r) {
+				t.Fatalf("%s: row %d of len %d cap %d, want %d", what, i, len(r), cap(r), len(want[i]))
+			}
+			for j := range r {
+				if !same(r[j], want[i][j]) {
+					t.Fatalf("%s: row %d cell %d reads %T %#v, was written as %T %#v", what, i, j, r[j], r[j], want[i][j], want[i][j])
+				}
+			}
+		}
+	}
+	check("unshaped", grown.Rows, rows)
+
+	var shaped sqlengine.Boxer
+	shaped.Shape(2, 3)
+	want := []sqlengine.Row{{int64(1), 2.5, "x"}, {nil, int64(-4), ""}, {1e300, nil, int64(5)}}
+	for i, r := range want { // the third row is past the count: it still fits
+		if err := write(&shaped, r); err != nil {
+			t.Fatalf("row %d of the shaped width: %v", i, err)
+		}
+		if err := shaped.BeginRow(2); err == nil {
+			t.Fatalf("a row of 2 cells taken after Shape(2, 3)")
+		}
+	}
+	check("shaped", shaped.Rows, want)
+	if allocs := testing.AllocsPerRun(10, func() {
+		var b sqlengine.Boxer
+		b.Shape(100, 3)
+		for i := 0; i < 100; i++ {
+			b.BeginRow(3)
+			b.Int(0, int64(1000+i))
+			b.Float(1, float64(i)+0.5)
+			b.Null(2)
+		}
+	}); allocs > 4 {
+		t.Errorf("%.0f allocations to box 100 shaped rows of 2 numbers and a NULL, want Rows, the two slabs and at most the Boxer", allocs)
 	}
 }

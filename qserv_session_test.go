@@ -347,10 +347,12 @@ func TestQueryOptionsOverride(t *testing.T) {
 
 // TestRunningAndKill covers the registry: a mid-flight query is listed
 // with its class and progress, Kill cancels it, and finished queries
-// unregister.
+// unregister. The scan is slowed (slowScans), so it is still in flight
+// when it is listed however fast a bare scan is.
 func TestRunningAndKill(t *testing.T) {
 	cl := scanCluster(t)
-	q, err := cl.Submit(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE uFlux_PS > 2.5e-31")
+	slowScans(cl, 10*time.Microsecond)
+	q, err := cl.Submit(context.Background(), "SELECT COUNT(*) AS n FROM Object WHERE test_slow(uFlux_PS) > 2.5e-31")
 	if err != nil {
 		t.Fatal(err)
 	}
