@@ -29,16 +29,19 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The repository benchmark itself, traced, for a second of scan-agg: its
-# replay writes one-chunk payloads straight to a worker and runs the czar
-# over canned workers that answer result reads by the one-chunk payload's
-# hash, so this fails when that contract breaks, which bench-build (a
-# compile) cannot see. The last line of the run must report a correct run
-# with no failed query.
+# The repository benchmark itself, traced, for a second of scan-agg and a
+# second of interactive: its replay writes one-chunk payloads straight to a
+# worker and runs the czar over canned workers that answer result reads by
+# the one-chunk payload's hash, so this fails when that contract breaks,
+# which bench-build (a compile) cannot see — for plans split over many
+# chunks, and for the LV3 COUNT of one chunk that runs whole on its worker.
+# The last line of each run must report a correct run with no failed query.
 bench-trace-smoke:
-	@out=$$(bash bench/run.sh --workload scan-agg --seed 1 --seconds 1 --trace 1 | tail -n 1); \
-	echo "$$out"; \
-	echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0'
+	@for w in scan-agg interactive; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 | tail -n 1); \
+		echo "$$out"; \
+		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0' || exit 1; \
+	done
 
 # Per-layer testing.B benches, in ns/row and allocs/op: the scan layer —
 # the chunk statements of the paper's query classes over one chunk-sized

@@ -41,6 +41,7 @@ func TestQueryAllocBudget(t *testing.T) {
 	if n := len(cl.Placement.Chunks()); n != 30 {
 		t.Fatalf("the catalog spans %d chunks, the budgets are for 30", n)
 	}
+	obj := cat.Objects[4242]
 	for _, tc := range []struct {
 		class, sql string
 		rows       int
@@ -51,7 +52,10 @@ func TestQueryAllocBudget(t *testing.T) {
 		{"HV1", "SELECT COUNT(*) FROM Object", 1, 2900, raceAllocFactor, 187.5e3},
 		{"HV3", "SELECT chunkId, COUNT(*) AS n, AVG(ra_PS) FROM Object GROUP BY chunkId", 30, 3690, raceAllocFactor, 310.5e3},
 		{"HV2s", "SELECT objectId, ra_PS, decl_PS, uFlux_PS, gFlux_PS, rFlux_PS, iFlux_PS, zFlux_PS, yFlux_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 10.4", 20, 3250, raceAllocFactor, 262.5e3},
-		{"LV1", fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", cat.Objects[4242].ObjectID), 1, 285, raceAllocFactor, 21.3e3},
+		{"LV1", fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", obj.ObjectID), 1, 278, raceAllocFactor, 21.3e3},
+		// A one-degree box inside one chunk: the statement runs whole there.
+		{"LV3", fmt.Sprintf("SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN %.4f AND %.4f AND decl_PS BETWEEN %.4f AND %.4f AND fluxToAbMag(zFlux_PS) BETWEEN 16 AND 30",
+			obj.RA-0.5, obj.RA+0.5, obj.Decl-0.5, obj.Decl+0.5), 1, 435, raceAllocFactor, 28.5e3},
 		// The subchunk build draws on sync.Pools per row, which the race
 		// detector empties at random: its own factor.
 		{"SHV1", "SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(0, -10, 30, 10) AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1", 1, 8760, racePoolAllocFactor, 740e3},
@@ -63,6 +67,9 @@ func TestQueryAllocBudget(t *testing.T) {
 				t.Fatalf("%s: %v", tc.class, err)
 			}
 			rows = len(res.Rows)
+			if tc.class == "LV3" && res.ChunksDispatched != 1 {
+				t.Fatalf("LV3: %d chunks dispatched, want one", res.ChunksDispatched)
+			}
 		}
 		allocs := testing.AllocsPerRun(5, run)
 		bytes := bytesPerRun(5, run)

@@ -9,7 +9,7 @@
 // immediately — and every statement reports first-row latency
 // separately from total latency. Ctrl-C during a statement kills the
 // in-flight query server-side (worker scan slots free) without ending
-// the session.
+// the session. With -e the exit status is 1 when the statement fails.
 //
 // Besides SELECT, the czar answers the query-management statements of
 // the paper's section 5, as it does in process: `SHOW PROCESSLIST;` lists
@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -39,46 +40,59 @@ import (
 	"repro/internal/telemetry"
 )
 
-var (
-	addrFlag  = flag.String("addr", "127.0.0.1:7000", "frontend address")
-	queryFlag = flag.String("e", "", "execute one statement and exit")
-	userFlag  = flag.String("user", "anonymous", "user identity for admission control")
-	dbFlag    = flag.String("db", "LSST", "database name")
-)
-
 // logger emits the client's structured failures (dial errors).
 var logger = telemetry.NewLogger("qserv-sql")
 
-func main() {
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout)) }
 
-	client, err := frontend.Dial(*addrFlag, *userFlag, *dbFlag)
+// run is the whole command: it reads statements from in (or takes the one
+// -e gives) and writes their answers to out. It returns the exit status: 2
+// for arguments it does not take (the usage goes to out), 1 when it cannot
+// dial or the -e statement fails, 0 otherwise.
+func run(args []string, in io.Reader, out io.Writer) int {
+	fs := flag.NewFlagSet("qserv-sql", flag.ContinueOnError)
+	fs.SetOutput(out)
+	addr := fs.String("addr", "127.0.0.1:7000", "frontend address")
+	query := fs.String("e", "", "execute one statement and exit")
+	user := fs.String("user", "anonymous", "user identity for admission control")
+	db := fs.String("db", "LSST", "database name")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return 2
+	}
+
+	client, err := frontend.Dial(*addr, *user, *db)
 	if err != nil {
-		logger.Error("dial", "addr", *addrFlag, "err", err)
-		os.Exit(1)
+		logger.Error("dial", "addr", *addr, "err", err)
+		return 1
 	}
 	defer client.Close()
 
-	if *queryFlag != "" {
-		runQuery(client, *queryFlag)
-		return
+	if *query != "" {
+		if !runQuery(client, *query, out) {
+			return 1
+		}
+		return 0
 	}
 
-	fmt.Println("qserv-sql — type SQL statements terminated by ';', or 'quit'")
-	fmt.Println("           (SHOW PROCESSLIST; lists running queries, KILL <id>; cancels one,")
-	fmt.Println("            SHOW WORKERS; worker health, SHOW REPAIRS; repair progress,")
-	fmt.Println("            SHOW FRONTEND; admission-control pressure, SHOW CACHE; result cache,")
-	fmt.Println("            SHOW METRICS; Prometheus exposition, SHOW PROFILE [<id>]; retained traces,")
-	fmt.Println("            EXPLAIN ANALYZE <stmt>; runs the statement and prints its span tree)")
-	scanner := bufio.NewScanner(os.Stdin)
+	fmt.Fprintln(out, "qserv-sql — type SQL statements terminated by ';', or 'quit'")
+	fmt.Fprintln(out, "           (SHOW PROCESSLIST; lists running queries, KILL <id>; cancels one,")
+	fmt.Fprintln(out, "            SHOW WORKERS; worker health, SHOW REPAIRS; repair progress,")
+	fmt.Fprintln(out, "            SHOW FRONTEND; admission-control pressure, SHOW CACHE; result cache,")
+	fmt.Fprintln(out, "            SHOW METRICS; Prometheus exposition, SHOW PROFILE [<id>]; retained traces,")
+	fmt.Fprintln(out, "            EXPLAIN ANALYZE <stmt>; runs the statement and prints its span tree)")
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	fmt.Print("qserv> ")
+	fmt.Fprint(out, "qserv> ")
 	for scanner.Scan() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && (trimmed == "quit" || trimmed == "exit" || trimmed == `\q`) {
-			return
+			return 0
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
@@ -86,29 +100,31 @@ func main() {
 			sql := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
 			buf.Reset()
 			if sql != "" {
-				runQuery(client, sql)
+				runQuery(client, sql, out)
 			}
-			fmt.Print("qserv> ")
+			fmt.Fprint(out, "qserv> ")
 			continue
 		}
-		fmt.Print("    -> ")
+		fmt.Fprint(out, "    -> ")
 	}
+	return 0
 }
 
-// runQuery streams one statement: rows print as they arrive, Ctrl-C kills
-// the in-flight query (not the session), and the summary separates
-// first-row latency from total latency.
-func runQuery(client *frontend.Client, sql string) {
+// runQuery streams one statement to out: rows print as they arrive, Ctrl-C
+// kills the in-flight query (not the session), and the summary separates
+// first-row latency from total latency. It reports whether the statement
+// succeeded.
+func runQuery(client *frontend.Client, sql string, out io.Writer) bool {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	start := time.Now()
 	st, err := client.Query(ctx, sql)
 	if err != nil {
-		fmt.Printf("ERROR: %v\n", err)
-		return
+		fmt.Fprintf(out, "ERROR: %v\n", err)
+		return false
 	}
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(out)
 	defer w.Flush()
 	fmt.Fprintln(w, strings.Join(st.Cols(), "\t"))
 	fmt.Fprintln(w, strings.Repeat("-", 8*len(st.Cols())))
@@ -136,15 +152,16 @@ func runQuery(client *frontend.Client, sql string) {
 	w.Flush()
 	total := time.Since(start)
 	if err := st.Err(); err != nil {
-		fmt.Printf("ERROR after %d row(s): %v\n", rows, err)
-		return
+		fmt.Fprintf(w, "ERROR after %d row(s): %v\n", rows, err)
+		return false
 	}
 	if rows == 0 {
-		fmt.Printf("0 row(s) in %v%s\n", total.Round(time.Millisecond), statsFooter(st.Stats()))
-		return
+		fmt.Fprintf(w, "0 row(s) in %v%s\n", total.Round(time.Millisecond), statsFooter(st.Stats()))
+		return true
 	}
-	fmt.Printf("%d row(s); first row in %v, total %v%s\n",
+	fmt.Fprintf(w, "%d row(s); first row in %v, total %v%s\n",
 		rows, firstRow.Round(time.Millisecond), total.Round(time.Millisecond), statsFooter(st.Stats()))
+	return true
 }
 
 // statsFooter renders the per-statement accounting the Done frame

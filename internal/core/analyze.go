@@ -5,7 +5,9 @@
 // aliases and joins, and aggregations; it is then rewritten into
 // per-chunk "chunk queries" (Object -> LSST.Object_CC, areaspec ->
 // qserv_ptInSphericalBox, AVG -> SUM/COUNT) plus a master-side merge
-// query that combines and re-aggregates worker results.
+// query that combines and re-aggregates worker results. A plan of one chunk
+// has nothing to combine: it ships the user's statement whole, and its merge
+// passes the worker's rows through.
 //
 // The planner also assigns each query its two-class scheduling label
 // (Interactive vs FullScan, paper section 4.3), carried to workers in

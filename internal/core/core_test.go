@@ -630,10 +630,79 @@ func TestPassThroughHiddenOrderColumn(t *testing.T) {
 func TestStarOrderByColumn(t *testing.T) {
 	_, pl, placed := testSetup(t)
 	// LV1-style: SELECT * ... ORDER BY a base column works because star
-	// carries every column through.
-	p := mustPlan(t, pl, placed, "SELECT * FROM Object WHERE objectId = 3 ORDER BY ra_PS")
-	if !strings.Contains(p.Merge.SQL(), "ORDER BY ra_PS") {
-		t.Errorf("merge: %s", p.Merge.SQL())
+	// carries every column through. Two chunks: the split's merge orders.
+	p := mustPlan(t, pl, placed, "SELECT * FROM Object WHERE objectId IN (3, 7) ORDER BY ra_PS")
+	if len(p.Chunks) != 2 || !strings.Contains(p.Merge.SQL(), "ORDER BY ra_PS") {
+		t.Errorf("%d chunks, merge: %s", len(p.Chunks), p.Merge.SQL())
+	}
+	// One chunk: its worker orders, and the rows stream.
+	one := mustPlan(t, pl, placed, "SELECT * FROM Object WHERE objectId = 3 ORDER BY ra_PS")
+	if st := one.QueryFor(one.Chunks[0]).Statements[0]; !strings.HasSuffix(st, " ORDER BY ra_PS") || !one.Streamable() {
+		t.Errorf("one chunk: streamable %v, worker statement %s", one.Streamable(), st)
+	}
+}
+
+// TestOneChunkPlanRunsWhole: a plan of one chunk ships the user's statement
+// whole, FROM rewritten, and its rows stream through a bare merge; the same
+// statement split has the columns the whole one has. (Answers and
+// rejections are held to the split's by TestOneChunkAnswersAsTheSplit.)
+func TestOneChunkPlanRunsWhole(t *testing.T) {
+	_, pl, placed := testSetup(t)
+	pl.TopK = true
+	const box = " FROM Object WHERE ra_PS BETWEEN 1 AND 2 AND decl_PS BETWEEN 3 AND 4"
+	p := mustPlan(t, pl, placed, "SELECT COUNT(*)"+box)
+	want := "SELECT COUNT(*) FROM LSST." + meta.ChunkTableName("Object", p.Chunks[0]) + " AS Object WHERE ((ra_PS BETWEEN 1 AND 2) AND (decl_PS BETWEEN 3 AND 4))"
+	if got := p.QueryFor(p.Chunks[0]).Statements; len(p.Chunks) != 1 || len(got) != 1 || got[0] != want {
+		t.Fatalf("%d chunks, worker statements %q, want %q", len(p.Chunks), got, want)
+	}
+	if !p.Streamable() || p.Combine != nil || p.TopK || p.Merge.SQL() != "SELECT * FROM "+MergeTablePlaceholder ||
+		!slices.Equal(p.ResultColumns, []string{"COUNT(*)"}) || !slices.Equal(p.ResultTypes, []sqlparse.ColType{sqlparse.TypeInt}) {
+		t.Errorf("streamable %v, combine %v, top-K %v, merge %s, result %v %v", p.Streamable(), p.Combine, p.TopK, p.Merge.SQL(), p.ResultColumns, p.ResultTypes)
+	}
+
+	plan := func(sql string, split bool) (p *Plan, err error) {
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		if !split {
+			return pl.Plan(sel, placed)
+		}
+		WithSplitAlways(func() { p, err = pl.Plan(sel, placed) })
+		return p, err
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*)" + box,
+		"SELECT AVG(objectId), SUM(ra_PS) / COUNT(*) AS r" + box,
+		"SELECT chunkId, COUNT(*) AS n, MAX(ra_PS)" + box + " GROUP BY chunkId ORDER BY n DESC LIMIT 2",
+		"SELECT DISTINCT subChunkId" + box,
+		"SELECT ra_PS AS x, decl_PS AS x" + box + " ORDER BY objectId LIMIT 0",
+		"SELECT MIN(ra_PS) AS x, MAX(ra_PS) AS x" + box,
+		"SELECT *" + box + " ORDER BY decl_PS LIMIT 3",
+		"SELECT * FROM Object WHERE objectId = 3 ORDER BY ra_PS",
+	} {
+		whole, err := plan(sql, false)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		split, err := plan(sql, true)
+		if err != nil {
+			t.Fatalf("%s, split: %v", sql, err)
+		}
+		if len(whole.Chunks) != 1 || !whole.Streamable() || split.Streamable() {
+			t.Errorf("%s: %d chunks, streamable %v whole and %v split", sql, len(whole.Chunks), whole.Streamable(), split.Streamable())
+		}
+		if got, want := whole.OutputColumns(), split.OutputColumns(); !slices.Equal(got, want) || !slices.Equal(whole.ResultColumns, want) {
+			t.Errorf("%s: columns %v (result %v) whole, %v split", sql, got, whole.ResultColumns, want)
+		}
+	}
+
+	// A near-neighbour join splits on one chunk too: its chunk query is a
+	// pair of statements, one per subchunk table pairing.
+	nn := mustPlan(t, pl, placed, `SELECT count(*) FROM Object o1, Object o2 WHERE qserv_areaspec_box(100.1, 0.1, 100.2, 0.2)
+		AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1`)
+	if len(nn.Chunks) != 1 || len(nn.QueryFor(nn.Chunks[0]).Statements) != 2 || nn.Combine == nil {
+		t.Errorf("near-neighbour join on %d chunks: %q, combine %v", len(nn.Chunks), nn.QueryFor(nn.Chunks[0]).Statements, nn.Combine)
 	}
 }
 

@@ -28,7 +28,9 @@ var updatePayloads = flag.Bool("update-payloads", false, "rewrite testdata/{chun
 // statement pair once, written for the first listed subchunk, instead of
 // once per subchunk, and a FROM table stopped being backquoted (the text is
 // cut at the table token, not searched for a placeholder); the file was
-// captured again then.
+// captured again then. It was changed on purpose again when a plan of one
+// chunk began to ship the user's statement whole (the one-chunk COUNT of a
+// box); the digests of every plan of many chunks stayed as they were.
 func TestChunkPayloadBytesUnchanged(t *testing.T) {
 	_, pl, placed := testSetup(t)
 	pl.TopK = true
@@ -51,7 +53,9 @@ func TestChunkPayloadBytesUnchanged(t *testing.T) {
 var payloadSQL = []string{
 	"SELECT * FROM Object WHERE objectId = 3",
 	"SELECT taiMidPoint, fluxToAbMag(psfFlux), ra, decl FROM Source WHERE objectId IN (2, 7)",
+	// One chunk, the statement whole; and its twin over five, split.
 	"SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN 1 AND 2 AND decl_PS BETWEEN 3 AND 4",
+	"SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN 1 AND 40 AND decl_PS BETWEEN 3 AND 4",
 	"SELECT COUNT(*) FROM Object WHERE fluxToAbMag(rFlux_PS) < 24.1",
 	"SELECT count(*) AS n, AVG(ra_PS), chunkId FROM Object WHERE fluxToAbMag(rFlux_PS) < 26 GROUP BY chunkId",
 	"SELECT objectId, ra_PS FROM Object WHERE fluxToAbMag(iFlux_PS) - fluxToAbMag(zFlux_PS) > 6 ORDER BY ra_PS DESC LIMIT 5",

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -165,6 +165,10 @@ type Plan struct {
 	// TopK is true when the worker statements carry the user's ORDER BY
 	// + LIMIT (top-K pushdown), so each ships at most K rows.
 	TopK bool
+	// Tables names every table the plan reads, lower-cased, sorted, each
+	// once: the tables an ingest in flight makes unqueryable, and the ones
+	// the result cache's stamp reads the ingest generations of.
+	Tables []string
 
 	registry *meta.Registry
 	topK     bool // planner's TopK knob, latched before buildTemplates
@@ -393,6 +397,14 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 	}
 
 	p := &Plan{Analysis: a, registry: pl.Registry, topK: pl.TopK}
+	for _, pr := range a.PartRefs {
+		p.Tables = append(p.Tables, strings.ToLower(pr.Info.Name))
+	}
+	for _, ref := range a.NonPartRefs {
+		p.Tables = append(p.Tables, strings.ToLower(ref.Table))
+	}
+	slices.Sort(p.Tables)
+	p.Tables = slices.Compact(p.Tables)
 
 	// Chunk set selection (see BaseRoute). An installed Router (the
 	// planopt tier) takes over the whole decision and adds
@@ -453,6 +465,9 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 // there is an index), the placed chunks of the spatial cover for region
 // restrictions, all placed chunks otherwise. It is the planner's route
 // when no Router is installed, and the one internal/planopt prunes.
+//
+// placed is ascending (meta.Placement.Chunks) and is only read: a dive or a
+// spatial route costs what its own chunks cost, however many are placed.
 func BaseRoute(a *Analysis, reg *meta.Registry, index *meta.ObjectIndex, placed []partition.ChunkID) Route {
 	rt := Route{Kind: RouteFanOut}
 	switch {
@@ -461,10 +476,9 @@ func BaseRoute(a *Analysis, reg *meta.Registry, index *meta.ObjectIndex, placed 
 		rt.Chunks = diveChunks(index, a.ObjectIDs)
 	case a.Region != nil:
 		rt.Kind = RouteSpatial
-		rt.Chunks = intersectChunks(reg.Chunker.ChunksIn(a.Region), placed)
+		rt.Chunks = placedOf(reg.Chunker.ChunksIn(a.Region), placed)
 	default:
-		rt.Chunks = append(rt.Chunks, placed...)
-		sortChunks(rt.Chunks)
+		rt.Chunks = slices.Clone(placed)
 	}
 	rt.Pruned = max(len(placed)-len(rt.Chunks), 0)
 	return rt
@@ -476,34 +490,26 @@ func BaseRoute(a *Analysis, reg *meta.Registry, index *meta.ObjectIndex, placed 
 // director rows, so such a point query has an empty answer and
 // dispatches nothing.
 func diveChunks(index *meta.ObjectIndex, ids []int64) []partition.ChunkID {
-	seen := map[partition.ChunkID]bool{}
 	var out []partition.ChunkID
 	for _, id := range ids {
-		if loc, ok := index.Lookup(id); ok && !seen[loc.Chunk] {
-			seen[loc.Chunk] = true
+		if loc, ok := index.Lookup(id); ok {
 			out = append(out, loc.Chunk)
 		}
 	}
-	sortChunks(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func sortChunks(cs []partition.ChunkID) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-}
-
-func intersectChunks(a, b []partition.ChunkID) []partition.ChunkID {
-	inB := make(map[partition.ChunkID]bool, len(b))
-	for _, c := range b {
-		inB[c] = true
-	}
-	var out []partition.ChunkID
-	for _, c := range a {
-		if inB[c] {
+// placedOf keeps the chunks of cover that are placed, ascending, in cover's
+// own array.
+func placedOf(cover, placed []partition.ChunkID) []partition.ChunkID {
+	out := cover[:0]
+	for _, c := range cover {
+		if _, ok := slices.BinarySearch(placed, c); ok {
 			out = append(out, c)
 		}
 	}
-	sortChunks(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -520,8 +526,10 @@ func (p *Plan) CacheKey() string {
 	sb.WriteByte('\x00')
 	sb.WriteString(p.Analysis.Stmt.SQL())
 	sb.WriteByte('\x00')
+	var buf [20]byte
 	for _, c := range p.Chunks {
-		fmt.Fprintf(&sb, "%d,", c)
+		sb.Write(strconv.AppendInt(buf[:0], int64(c), 10))
+		sb.WriteByte(',')
 	}
 	return sb.String()
 }

@@ -50,6 +50,9 @@ func (p *Plan) buildTemplates() error {
 	if err != nil {
 		return err
 	}
+	if len(p.Chunks) == 1 && a.NearNeighbor == nil && !p.Streamable() && !splitAlways {
+		worker = p.whole(worker)
+	}
 
 	// --- the worker's unit -------------------------------------------
 	// The statement, and for a near-neighbour plan the same statement with
@@ -78,6 +81,38 @@ func (p *Plan) buildTemplates() error {
 	}
 	p.units = append(p.units, u)
 	return nil
+}
+
+// splitAlways makes every plan split its statement, one chunk or many:
+// tests set it to hold a one-chunk plan's answers to the split's.
+var splitAlways bool
+
+// whole turns a plan of one chunk, whose split needs a merge, into the
+// user's statement run whole on that chunk's worker: its FROM is worker's,
+// rewritten, and everything else the user's own — WHERE, GROUP BY, ORDER
+// BY, LIMIT, DISTINCT — so the worker's answer is the query's, and the
+// merge is a bare `SELECT *` its rows stream through, with no combine and
+// no top-K. The split was built first and is thrown away: a statement it
+// rejects is rejected with the same error on one chunk as on many, and the
+// answer's columns are named as the split's merge names them.
+func (p *Plan) whole(worker *sqlparse.Select) *sqlparse.Select {
+	user := p.Analysis.Stmt
+	w := *worker
+	w.Items, w.GroupBy, w.OrderBy, w.Limit, w.Distinct = user.Items, user.GroupBy, user.OrderBy, user.Limit, user.Distinct
+	p.ResultColumns = p.OutputColumns()
+	p.ResultTypes = p.ResultTypes[:0]
+	for _, it := range user.Items {
+		if st, ok := it.Expr.(*sqlparse.Star); ok {
+			_, types, _ := p.expandStarColumns(st) // the split expanded it already
+			p.ResultTypes = append(p.ResultTypes, types...)
+			continue
+		}
+		p.ResultTypes = append(p.ResultTypes, p.exprType(it.Expr))
+	}
+	p.Merge = &sqlparse.Select{Items: []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}},
+		From: []sqlparse.TableRef{{Table: MergeTablePlaceholder}}, Limit: -1}
+	p.Combine, p.TopK = nil, false
+	return &w
 }
 
 // partInfoFor returns table metadata for partitioned references.

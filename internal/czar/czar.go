@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -303,6 +302,12 @@ func (c *Czar) execute(q *Query, plan *core.Plan, fill *cacheFill) (*QueryResult
 		return nil, firstErr
 	}
 
+	if pass {
+		// Every row went by as its chunk's result arrived: no merge
+		// statement runs, and none is timed.
+		qr.Result = session.passed()
+		return qr, nil
+	}
 	mg := q.root.Child("czar merge")
 	mergeStart := time.Now()
 	res, out, err := session.finish()
@@ -553,13 +558,15 @@ func (c *Czar) cancelAt(ep, qid string, runs []*chunkRun) {
 // returns a completed QueryResult (zero dispatch), its rows in q's stream
 // (boxed instead, for EXPLAIN ANALYZE), and the session never plans any
 // chunk work: its progress reads 0/0 chunks, which is the truth. nil means
-// no cache or no valid entry.
+// no cache or no valid entry. On a miss q keeps the key and the stamp the
+// lookup used, for executeWithCache's fill.
 func (c *Czar) cacheLookup(q *Query, plan *core.Plan) *QueryResult {
 	if c.cache == nil {
 		return nil
 	}
-	epoch, gens := c.cacheStamp(plan)
-	e, ok := c.cache.Get(plan.CacheKey(), epoch, gens)
+	q.cacheKey = plan.CacheKey()
+	q.epoch, q.gens = c.cacheStamp(plan)
+	e, ok := c.cache.Get(q.cacheKey, q.epoch, q.gens)
 	if !ok {
 		return nil
 	}
@@ -579,22 +586,22 @@ func (c *Czar) cacheLookup(q *Query, plan *core.Plan) *QueryResult {
 
 // executeWithCache runs execute and fills the result cache on success.
 // The validity stamp — placement epoch plus the ingest generation of
-// every referenced table — is captured before execution and re-verified
-// before the fill, so a repair, membership change, or ingest that lands
-// mid-query can never install rows computed against the old cluster
-// state under the new state's stamp. (A kill that raced completion also
-// never fills: a canceled query's rows may be partial.)
+// every referenced table — is the one cacheLookup captured before
+// execution, and it is re-verified before the fill, so a repair,
+// membership change, or ingest that lands mid-query can never install rows
+// computed against the old cluster state under the new state's stamp. (A
+// kill that raced completion also never fills: a canceled query's rows may
+// be partial.)
 func (c *Czar) executeWithCache(q *Query, plan *core.Plan) (*QueryResult, error) {
 	if c.cache == nil {
 		return c.execute(q, plan, nil)
 	}
-	epoch, gens := c.cacheStamp(plan)
 	fill := new(cacheFill)
 	qr, err := c.execute(q, plan, fill)
 	if err == nil && q.ctx.Err() == nil && fill.bytes <= streamBytes {
-		if e, g := c.cacheStamp(plan); e == epoch && g == gens {
+		if e, g := c.cacheStamp(plan); e == q.epoch && g == q.gens {
 			st := q.root.Child("cache store")
-			c.cache.Put(plan.CacheKey(), epoch, gens,
+			c.cache.Put(q.cacheKey, q.epoch, q.gens,
 				qcache.Result{Cols: qr.Cols, Types: qr.Types, Batches: fill.batches})
 			st.Finish()
 		}
@@ -632,24 +639,12 @@ func (f *cacheFill) add(b rowcodec.Batch) {
 // covered transitively — placed chunks only change via ingest or
 // placement mutation, and both bump their half of the stamp.
 func (c *Czar) cacheStamp(plan *core.Plan) (int64, string) {
-	var sb strings.Builder
-	for _, n := range planTables(plan) {
-		fmt.Fprintf(&sb, "%s=%d;", n, c.registry.IngestGen(n))
+	var buf []byte
+	for _, n := range plan.Tables {
+		buf = append(append(buf, n...), '=')
+		buf = append(strconv.AppendInt(buf, c.registry.IngestGen(n), 10), ';')
 	}
-	return c.placement.Epoch(), sb.String()
-}
-
-// planTables names every table a plan reads, lower-cased, sorted, once.
-func planTables(plan *core.Plan) []string {
-	var names []string
-	for _, pr := range plan.Analysis.PartRefs {
-		names = append(names, strings.ToLower(pr.Info.Name))
-	}
-	for _, ref := range plan.Analysis.NonPartRefs {
-		names = append(names, strings.ToLower(ref.Table))
-	}
-	slices.Sort(names)
-	return slices.Compact(names)
+	return c.placement.Epoch(), string(buf)
 }
 
 // qidOf renders a query's fabric-wide identity: czar name + query id.

@@ -173,22 +173,25 @@ func (s *mergeSession) run(stmt *sqlparse.Select) (*sqlengine.Result, rowcodec.B
 	return res, out, kinds, err
 }
 
-// finish returns the query's answer: its columns, types and stats, and its
-// rows, encoded. A pass-through session's rows have all gone by: its answer
-// is its schema and row count. Every other plan's merge statement runs over
-// the held batches.
+// passed is a pass-through session's answer: its rows have all gone by, so
+// it is their columns, types and count.
+func (s *mergeSession) passed() *sqlengine.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	schema := s.tableSchema()
+	res := &sqlengine.Result{Cols: schema.Names()}
+	for _, col := range schema {
+		res.Types = append(res.Types, col.Type)
+	}
+	res.Stats.RowsOut = int64(s.rows)
+	return res
+}
+
+// finish runs the merge statement over the held batches and returns the
+// query's answer: its columns, types and stats, and its rows, encoded.
 func (s *mergeSession) finish() (*sqlengine.Result, rowcodec.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pass {
-		schema := s.tableSchema()
-		res := &sqlengine.Result{Cols: schema.Names()}
-		for _, col := range schema {
-			res.Types = append(res.Types, col.Type)
-		}
-		res.Stats.RowsOut = int64(s.rows)
-		return res, rowcodec.Batch{}, nil
-	}
 	res, out, _, err := s.run(s.plan.Merge)
 	return res, out, err
 }

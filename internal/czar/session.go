@@ -99,6 +99,13 @@ type Query struct {
 
 	stream *rowStream
 
+	// cacheKey is the result cache's key for the query's plan, and epoch
+	// and gens the stamp the cache lookup saw: rendered once, at submit,
+	// and used again by the fill.
+	cacheKey string
+	epoch    int64
+	gens     string
+
 	// root is the query's trace span tree (nil when untraced); explain
 	// marks an EXPLAIN ANALYZE run (tracing forced, row streaming
 	// suppressed, visible rows are the rendered tree).
@@ -462,7 +469,7 @@ func (c *Czar) Submit(ctx context.Context, sql string, opts Options) (*Query, er
 		// Tables with an ingest in flight are not queryable: their
 		// worker-side chunk tables are still growing batch by batch, so
 		// a chunk query would race the inserts and see partial rows.
-		for _, name := range planTables(plan) {
+		for _, name := range plan.Tables {
 			if c.registry.Ingesting(name) {
 				return nil, fmt.Errorf("czar %s: table %s is being ingested; retry when the ingest finishes", c.cfg.Name, name)
 			}

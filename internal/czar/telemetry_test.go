@@ -184,3 +184,38 @@ func TestSlowQueryLogTrigger(t *testing.T) {
 		t.Fatalf("slow-query line lacks accounting: %q", out)
 	}
 }
+
+// TestOneChunkQueryRunsNoMerge: the rows of a query of one chunk stream, so
+// no merge statement runs — its trace has no czar merge span and it
+// observes nothing into qserv_czar_merge_ns — where the same COUNT over two
+// chunks runs its merge statement and shows both.
+func TestOneChunkQueryRunsNoMerge(t *testing.T) {
+	cz, _, _ := miniCluster(t)
+	cz.SetTelemetry(Telemetry{Metrics: telemetry.NewRegistry(), Trace: true, Ring: telemetry.NewTraceRing(8)})
+	for _, tc := range []struct {
+		sql           string
+		chunks        int
+		count, merges int64
+	}{
+		{"SELECT COUNT(*) FROM Object WHERE objectId IN (1, 2)", 1, 2, 0},
+		{"SELECT COUNT(*) FROM Object", 2, 4, 1},
+	} {
+		before := cz.metrics.mergeNS.Count()
+		res, err := cz.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if res.ChunksDispatched != tc.chunks || len(res.Rows) != 1 || res.Rows[0][0] != tc.count {
+			t.Fatalf("%s: %d chunks, rows %v; want %d chunks and [[%d]]", tc.sql, res.ChunksDispatched, res.Rows, tc.chunks, tc.count)
+		}
+		var spans int64
+		res.Trace.Walk(func(s *telemetry.Span) {
+			if s.Name == "czar merge" {
+				spans++
+			}
+		})
+		if merged := cz.metrics.mergeNS.Count() - before; merged != tc.merges || spans != tc.merges {
+			t.Errorf("%s: %d merge observations and %d czar merge spans, want %d\n%s", tc.sql, merged, spans, tc.merges, res.Trace.Render())
+		}
+	}
+}

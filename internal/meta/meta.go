@@ -7,6 +7,7 @@ package meta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -203,6 +204,10 @@ type Placement struct {
 	mu     sync.RWMutex
 	assign map[partition.ChunkID][]string
 	epoch  int64
+	// sorted is the placed chunks, ascending, as Chunks last built them;
+	// stale once an Assign adds a chunk, until the next Chunks rebuilds it.
+	sorted []partition.ChunkID
+	stale  bool
 }
 
 // NewPlacement creates an empty placement.
@@ -221,6 +226,9 @@ func (p *Placement) Workers(c partition.ChunkID) []string {
 func (p *Placement) Assign(c partition.ChunkID, workers ...string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if _, ok := p.assign[c]; !ok {
+		p.stale = true
+	}
 	p.assign[c] = append([]string(nil), workers...)
 	p.epoch++
 }
@@ -272,16 +280,30 @@ func (p *Placement) Epoch() int64 {
 	return p.epoch
 }
 
-// Chunks returns all placed chunks in increasing order.
+// Chunks returns all placed chunks in increasing order. The slice is shared
+// by every caller until the chunk set changes, and must not be written to.
+// It is sorted once per change of the chunk set, by the first Chunks after
+// an Assign added a chunk, so reading it per query costs nothing however
+// many chunks are placed, and an ingest that assigns thousands of chunks
+// pays for one sort, not one per chunk.
 func (p *Placement) Chunks() []partition.ChunkID {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]partition.ChunkID, 0, len(p.assign))
-	for c := range p.assign {
-		out = append(out, c)
+	out, stale := p.sorted, p.stale
+	p.mu.RUnlock()
+	if !stale {
+		return out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stale {
+		out := make([]partition.ChunkID, 0, len(p.assign))
+		for c := range p.assign {
+			out = append(out, c)
+		}
+		slices.Sort(out)
+		p.sorted, p.stale = out, false
+	}
+	return p.sorted
 }
 
 // ChunksOn returns the chunks assigned to a worker, in increasing order.

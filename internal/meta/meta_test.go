@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/partition"
@@ -243,5 +245,58 @@ func TestPlacementMutation(t *testing.T) {
 	}
 	if got := p.ChunksOn("w1"); len(got) != 0 {
 		t.Fatalf("ChunksOn removed worker: %v", got)
+	}
+}
+
+// TestPlacementChunksSortedOncePerChange: Chunks is one ascending list,
+// shared by every reader and free to read, until an Assign adds a chunk; a
+// mutation that keeps the chunk set keeps the list, and a list handed out
+// is never written to, so a reader holding it sees the chunk set it read.
+func TestPlacementChunksSortedOncePerChange(t *testing.T) {
+	p := NewPlacement()
+	if got := p.Chunks(); len(got) != 0 {
+		t.Fatalf("an empty placement lists %v", got)
+	}
+	for _, c := range []partition.ChunkID{9, 3, 7} {
+		p.Assign(c, "w0")
+	}
+	first := p.Chunks()
+	if !slices.Equal(first, []partition.ChunkID{3, 7, 9}) {
+		t.Fatalf("Chunks = %v", first)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.Chunks() }); allocs != 0 {
+		t.Errorf("reading an unchanged placement allocates %.0f times", allocs)
+	}
+	p.Assign(7, "w1")
+	p.Replace(3, "w0", "w2")
+	p.Remove(9, "w0")
+	if again := p.Chunks(); &again[0] != &first[0] {
+		t.Error("a mutation that keeps the chunk set rebuilt the list")
+	}
+	p.Assign(5, "w0")
+	if got := p.Chunks(); !slices.Equal(got, []partition.ChunkID{3, 5, 7, 9}) || !slices.Equal(first, []partition.ChunkID{3, 7, 9}) {
+		t.Errorf("after adding chunk 5: Chunks = %v, the list read before = %v", got, first)
+	}
+
+	// Readers race writers that add chunks: every list read is ascending.
+	var wg sync.WaitGroup
+	for r := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				if r == 0 {
+					p.Assign(partition.ChunkID(100+i), "w0")
+				}
+				if cs := p.Chunks(); !slices.IsSorted(cs) {
+					t.Errorf("a concurrent read is not ascending: %v", cs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(p.Chunks()); n != 204 {
+		t.Errorf("%d chunks placed, want 204", n)
 	}
 }

@@ -1,6 +1,9 @@
 package planopt
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -170,5 +173,78 @@ func TestNearNeighborNeverStatsPruned(t *testing.T) {
 	rt := o.Route(a, placed)
 	if len(rt.Chunks) != len(placed) {
 		t.Fatalf("near-neighbor plan was stats-pruned: %d of %d", len(rt.Chunks), len(placed))
+	}
+}
+
+// TestPlanCostIndependentOfPlacement: planning an interactive query — the
+// czar's read of the placed chunks, analysis, route and templates — costs
+// the same allocations and, to within 5 %, bytes with 94 chunks placed as
+// with the paper's 8,983, in its geometry: a dive or a small box does no
+// work per placed chunk.
+func TestPlanCostIndependentOfPlacement(t *testing.T) {
+	ch, err := partition.NewChunker(partition.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := datagen.LSSTRegistry(ch)
+	all := ch.AllChunks()
+	target, _ := ch.Locate(sphgeom.NewPoint(30.3, 4.3))
+	b, err := ch.ChunkBounds(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := meta.NewObjectIndex()
+	ix.Put(42, meta.ChunkSub{Chunk: target})
+	stats := meta.NewChunkStats()
+	ra, decl := (b.RAMin+b.RAMax)/2, (b.DeclMin+b.DeclMax)/2
+	lv3 := fmt.Sprintf("SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN %.4f AND %.4f AND decl_PS BETWEEN %.4f AND %.4f AND fluxToAbMag(zFlux_PS) BETWEEN 16 AND 30",
+		ra-0.25, ra+0.25, decl-0.25, decl+0.25)
+
+	cost := make(map[string][2]float64)
+	for _, n := range []int{94, 8983} {
+		placement := meta.NewPlacement()
+		placement.Assign(target, "w0")
+		for i, placed := 0, 1; placed < n; i++ {
+			if all[i] != target {
+				placement.Assign(all[i], "w0")
+				placed++
+			}
+		}
+		if got := len(placement.Chunks()); got != n {
+			t.Fatalf("%d chunks placed, want %d", got, n)
+		}
+		pl := core.NewPlanner(reg, ix)
+		pl.TopK = true
+		pl.Router = New(reg, ix, stats, Config{Pruning: true})
+		for _, sql := range []string{"SELECT * FROM Object WHERE objectId = 42", lv3} {
+			sel, err := sqlparse.ParseSelect(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p *core.Plan
+			plan := func() {
+				if p, err = pl.Plan(sel, placement.Chunks()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, plan)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 20 {
+				plan()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / 20
+			if len(p.Chunks) != 1 || p.Chunks[0] != target || p.Route.Pruned != n-1 {
+				t.Fatalf("%d placed, %s: routed to %v, %d pruned", n, sql, p.Chunks, p.Route.Pruned)
+			}
+			t.Logf("%d placed, %s: %.0f allocations, %.0f bytes", n, sql, allocs, bytes)
+			// The race detector's own bookkeeping moves the byte count by a
+			// few bytes: a cost per placed chunk moves it by kilobytes.
+			if c, ok := cost[sql]; ok && (c[0] != allocs || math.Abs(c[1]-bytes) > c[1]/20) {
+				t.Errorf("%s: %.0f allocations and %.0f bytes at %d placed, %.0f and %.0f at 94", sql, allocs, bytes, n, c[0], c[1])
+			}
+			cost[sql] = [2]float64{allocs, bytes}
+		}
 	}
 }
