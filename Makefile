@@ -108,7 +108,10 @@ bench-smoke:
 # per-dispatch binding, also differentially: whatever edits the fuzzer makes
 # to a rendered near-neighbour statement pair and its subchunk list, each
 # chunk a dispatch lists must answer as its own one-chunk payload, renamed on
-# a fresh parse apart from the binder. Go allows one
+# a fresh parse apart from the binder — and over the planner's statement
+# templates, differentially too: whatever statement the fuzzer writes,
+# planning it right after one of its shape with other literals gives what a
+# fresh planner gives. Go allows one
 # -fuzz pattern per invocation, hence one run per target. Seed corpora
 # (including hand-written hostile frames) live under each package's
 # testdata/fuzz/ and also run as plain tests in `make test`.
@@ -128,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlengine -run '^$$' -fuzz '^FuzzBlockFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzTrailerDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/worker -run '^$$' -fuzz '^FuzzChunkScriptReuse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPlanShape$$' -fuzztime $(FUZZTIME)
 
 # The deployed system from its real binaries: two qserv-workers and a
 # qserv-czar at replication 2, the catalog ingested over TCP, a client's

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -25,31 +26,36 @@ import (
 	"repro/internal/xrd"
 )
 
-var defaults = qserv.DefaultClusterConfig(0)
-
-var (
-	nameFlag        = flag.String("name", "w0", "this worker's cluster name")
-	addrFlag        = flag.String("addr", "127.0.0.1:7001", "listen address")
-	slotsFlag       = flag.Int("slots", defaults.WorkerSlots, "parallel scan-class chunk queries (paper: 4)")
-	interactiveFlag = flag.Int("interactive-slots", defaults.InteractiveSlots, "dedicated interactive-class slots")
-	dataDirFlag     = flag.String("data-dir", "", "durable chunk store parent directory, the store lives in <dir>/<name> (empty = in-memory only); a restart recovers the worker's chunks from it")
-	memBudgetFlag   = flag.Int64("mem-budget", 0, "resident chunk-table byte budget; above it cold chunks are evicted to the data dir and re-materialized on first touch (0 = unbudgeted, requires -data-dir)")
-	adminFlag       = flag.String("admin-addr", "", "admin HTTP listen address serving /metrics and /debug/pprof/ (empty = disabled)")
-)
-
-// logger emits the daemon's lifecycle events; fatal startup failures go
-// through fatal() so they render in the same structured format.
+// logger emits the daemon's lifecycle events and its startup failures.
 var logger = telemetry.NewLogger("qserv-worker")
 
-func fatal(event string, err error) {
-	logger.Error(event, "err", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-func main() {
-	flag.Parse()
+// run is the whole command: it serves until an interrupt and writes what
+// it reports to out. It returns the exit status: 2 for arguments it does
+// not take (the usage goes to out), 1 when it cannot start, 0 after an
+// interrupt.
+func run(args []string, out io.Writer) int {
+	defaults := qserv.DefaultClusterConfig(0)
+	fs := flag.NewFlagSet("qserv-worker", flag.ContinueOnError)
+	fs.SetOutput(out)
+	nameFlag := fs.String("name", "w0", "this worker's cluster name")
+	addrFlag := fs.String("addr", "127.0.0.1:7001", "listen address")
+	slotsFlag := fs.Int("slots", defaults.WorkerSlots, "parallel scan-class chunk queries (paper: 4)")
+	interactiveFlag := fs.Int("interactive-slots", defaults.InteractiveSlots, "dedicated interactive-class slots")
+	dataDirFlag := fs.String("data-dir", "", "durable chunk store parent directory, the store lives in <dir>/<name> (empty = in-memory only); a restart recovers the worker's chunks from it")
+	memBudgetFlag := fs.Int64("mem-budget", 0, "resident chunk-table byte budget; above it cold chunks are evicted to the data dir and re-materialized on first touch (0 = unbudgeted, requires -data-dir)")
+	adminFlag := fs.String("admin-addr", "", "admin HTTP listen address serving /metrics and /debug/pprof/ (empty = disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return 2
+	}
 	if *memBudgetFlag > 0 && *dataDirFlag == "" {
-		fatal("config.mem_budget", fmt.Errorf("-mem-budget needs -data-dir: a budget pages against the durable store"))
+		logger.Error("config.mem_budget", "err", fmt.Errorf("-mem-budget needs -data-dir: a budget pages against the durable store"))
+		return 1
 	}
 
 	cfg := defaults
@@ -62,37 +68,45 @@ func main() {
 	// czar daemon uses too; the tables arrive over /load/spec.
 	chunker, err := partition.NewChunker(cfg.Partition)
 	if err != nil {
-		fatal("config.partition", err)
+		logger.Error("config.partition", "err", err)
+		return 1
 	}
 	reg := telemetry.NewRegistry()
 	w, err := worker.New(cfg.WorkerConfig(*nameFlag, reg), meta.NewRegistry(cfg.Database, chunker))
 	if err != nil {
-		fatal("worker.new", err)
+		logger.Error("worker.new", "err", err)
+		return 1
 	}
 	defer w.Close()
 	if n := len(w.Chunks()); n > 0 {
-		fmt.Printf("worker %s recovered %d chunks from %s\n", *nameFlag, n, *dataDirFlag)
+		fmt.Fprintf(out, "worker %s recovered %d chunks from %s\n", *nameFlag, n, *dataDirFlag)
 	}
 
 	if *adminFlag != "" {
 		admin, err := telemetry.ServeAdmin(*adminFlag, reg)
 		if err != nil {
-			fatal("admin.listen", err)
+			logger.Error("admin.listen", "err", err)
+			return 1
 		}
 		defer admin.Close()
-		fmt.Printf("admin HTTP on http://%s (/metrics, /debug/pprof/)\n", admin.Addr())
+		fmt.Fprintf(out, "admin HTTP on http://%s (/metrics, /debug/pprof/)\n", admin.Addr())
 	}
 
-	srv, err := xrd.Serve(*addrFlag, w)
-	if err != nil {
-		fatal("xrd.listen", err)
-	}
-	defer srv.Close()
-	fmt.Printf("worker %s serving on %s\n", *nameFlag, srv.Addr())
-	logger.Info("worker.ready", "name", *nameFlag, "chunks", len(w.Chunks()), "addr", srv.Addr())
-
+	// The interrupt is caught before the worker says it serves, so a
+	// caller that waits for that line may interrupt it.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
+	defer signal.Stop(sig)
+	srv, err := xrd.Serve(*addrFlag, w)
+	if err != nil {
+		logger.Error("xrd.listen", "err", err)
+		return 1
+	}
+	defer srv.Close()
+	fmt.Fprintf(out, "worker %s serving on %s\n", *nameFlag, srv.Addr())
+	logger.Info("worker.ready", "name", *nameFlag, "chunks", len(w.Chunks()), "addr", srv.Addr())
+
 	<-sig
-	fmt.Println("\nshutting down")
+	fmt.Fprintln(out, "\nshutting down")
+	return 0
 }

@@ -28,15 +28,16 @@ func readDoc(t *testing.T, name string) string {
 	return string(b)
 }
 
-// daemonFlags lists the flags a cmd/ program declares, read off its source:
-// the daemons are package main and cannot be imported.
+// daemonFlags lists the flags a cmd/ program declares, read off its source
+// (on the flag package, or on a FlagSet named fs): the daemons are package
+// main and cannot be imported.
 func daemonFlags(t *testing.T, program string) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("cmd", program, "*.go"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("cmd/%s: no source (%v)", program, err)
 	}
-	decl := regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Float64)\("([a-z][a-z0-9-]*)"`)
+	decl := regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Int|Int64|Bool|Duration|Float64)\("([a-z][a-z0-9-]*)"`)
 	var flags []string
 	for _, f := range files {
 		src, err := os.ReadFile(f)

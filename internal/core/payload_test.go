@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/meta"
+	"repro/internal/partition"
 )
 
 var updatePayloads = flag.Bool("update-payloads", false, "rewrite testdata/{chunk,dispatch}_payloads.json from this build's payloads")
@@ -31,21 +32,40 @@ var updatePayloads = flag.Bool("update-payloads", false, "rewrite testdata/{chun
 // captured again then. It was changed on purpose again when a plan of one
 // chunk began to ship the user's statement whole (the one-chunk COUNT of a
 // box); the digests of every plan of many chunks stayed as they were.
+//
+// Each plan is made twice: by a fresh planner, and by one that planned the
+// statement with other literals first, whose plan template it binds.
 func TestChunkPayloadBytesUnchanged(t *testing.T) {
-	_, pl, placed := testSetup(t)
-	pl.TopK = true
-	got := map[string]string{}
-	for _, sql := range payloadSQL {
-		p := mustPlan(t, pl, placed, sql)
-		h := sha256.New()
-		for _, c := range p.Chunks {
-			payload := p.QueryFor(c).Payload()
-			fmt.Fprintf(h, "%d:%d:", c, len(payload))
-			h.Write(payload)
+	for _, warm := range []bool{false, true} {
+		_, pl, placed := testSetup(t)
+		pl.TopK = true
+		got := map[string]string{}
+		for _, sql := range payloadSQL {
+			p := planWarm(t, pl, placed, sql, warm)
+			h := sha256.New()
+			for _, c := range p.Chunks {
+				payload := p.QueryFor(c).Payload()
+				fmt.Fprintf(h, "%d:%d:", c, len(payload))
+				h.Write(payload)
+			}
+			got[sql] = fmt.Sprintf("%d chunks %x", len(p.Chunks), h.Sum(nil))
 		}
-		got[sql] = fmt.Sprintf("%d chunks %x", len(p.Chunks), h.Sum(nil))
+		checkGolden(t, "testdata/chunk_payloads.json", got)
 	}
-	checkGolden(t, "testdata/chunk_payloads.json", got)
+}
+
+// planWarm plans sql; when warm, right after a statement of its shape with
+// other literals.
+func planWarm(t *testing.T, pl *Planner, placed []partition.ChunkID, sql string, warm bool) *Plan {
+	t.Helper()
+	if warm {
+		other, _ := otherLiterals(sql, 1)
+		if shapeKey(t, other) != shapeKey(t, sql) {
+			t.Fatalf("%s and %s should share a shape", sql, other)
+		}
+		mustPlan(t, pl, placed, other)
+	}
+	return mustPlan(t, pl, placed, sql)
 }
 
 // payloadSQL are the plans whose wire bytes the golden files pin, one or
@@ -70,12 +90,19 @@ var payloadSQL = []string{
 // one-chunk payload, the statements written for the first — and of its odd
 // chunks. testdata/dispatch_payloads.json holds their digests
 // (-update-payloads rewrites it).
+// Like it, it holds the plans of a fresh planner and of a warm one.
 func TestDispatchPayloadBytesUnchanged(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		testDispatchPayloadBytes(t, warm)
+	}
+}
+
+func testDispatchPayloadBytes(t *testing.T, warm bool) {
 	_, pl, placed := testSetup(t)
 	pl.TopK = true
 	got := map[string]string{}
 	for _, sql := range payloadSQL {
-		p := mustPlan(t, pl, placed, sql)
+		p := planWarm(t, pl, placed, sql, warm)
 		h := sha256.New()
 		for odd := range 2 {
 			d := Dispatch{Class: p.Class}

@@ -117,6 +117,8 @@ type Planner struct {
 	// and the czar re-merges the sorted partials (the section 7.6
 	// result-collection bottleneck mitigation).
 	TopK bool
+
+	templates templates
 }
 
 // Plan is everything the czar needs to execute one user query: the
@@ -172,6 +174,9 @@ type Plan struct {
 
 	registry *meta.Registry
 	topK     bool // planner's TopK knob, latched before buildTemplates
+	// shape is the shape of the user's statement, when it has one, and
+	// its literals: what CacheKey spells.
+	shape *sqlparse.Shape
 }
 
 // MergeTablePlaceholder is the FROM table of the merge and combine
@@ -387,7 +392,14 @@ func NewPlanner(reg *meta.Registry, index *meta.ObjectIndex) *Planner {
 // Plan analyzes and plans a user SELECT against the given set of placed
 // chunks (the chunks that actually hold data; a full-sky query visits
 // all of them).
+//
+// The statement's shape (sqlparse.Shape) names the plan template the plan
+// binds: built from the first statement of the shape (a statement without
+// one gets a template of its own), kept by the planner until a table is
+// added, and bound to the statement's literals. The analysis, the route,
+// and what follows from them are the statement's own.
 func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan, error) {
+	gen := pl.Registry.Generation()
 	a, err := Analyze(sel, pl.Registry)
 	if err != nil {
 		return nil, err
@@ -397,14 +409,6 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 	}
 
 	p := &Plan{Analysis: a, registry: pl.Registry, topK: pl.TopK}
-	for _, pr := range a.PartRefs {
-		p.Tables = append(p.Tables, strings.ToLower(pr.Info.Name))
-	}
-	for _, ref := range a.NonPartRefs {
-		p.Tables = append(p.Tables, strings.ToLower(ref.Table))
-	}
-	slices.Sort(p.Tables)
-	p.Tables = slices.Compact(p.Tables)
 
 	// Chunk set selection (see BaseRoute). An installed Router (the
 	// planopt tier) takes over the whole decision and adds
@@ -454,9 +458,16 @@ func (pl *Planner) Plan(sel *sqlparse.Select, placed []partition.ChunkID) (*Plan
 		}
 	}
 
-	if err := p.buildTemplates(); err != nil {
+	sh, shaped := sel.Shape()
+	whole := len(p.Chunks) == 1 && a.NearNeighbor == nil && !splitAlways
+	t, err := pl.template(p, &sh, shaped, gen, whole)
+	if err != nil {
 		return nil, err
 	}
+	if shaped {
+		p.shape = &sh
+	}
+	p.bind(t, &sh)
 	return p, nil
 }
 
@@ -514,24 +525,29 @@ func placedOf(cover, placed []partition.ChunkID) []partition.ChunkID {
 }
 
 // CacheKey is the plan's content address for the czar result cache:
-// default database, the canonical deparse of the analyzed statement
-// (areaspec already rewritten, every other conjunct kept verbatim),
-// and the routed chunk set. Two plans with equal keys compute the same
-// answer against the same cluster state; the cache pairs the key with
-// placement-epoch + ingest-generation stamps so "same cluster state"
-// is checked at lookup time, not encoded here.
+// default database, the statement — its shape and the spelling of each of
+// its literals, or, for a statement without a shape, the canonical deparse
+// of the analyzed statement — and the routed chunk set. Two plans with
+// equal keys compute the same answer against the same cluster state; the
+// cache pairs the key with placement-epoch + ingest-generation stamps so
+// "same cluster state" is checked at lookup time, not encoded here.
 func (p *Plan) CacheKey() string {
-	var sb strings.Builder
-	sb.WriteString(p.registry.DB)
-	sb.WriteByte('\x00')
-	sb.WriteString(p.Analysis.Stmt.SQL())
-	sb.WriteByte('\x00')
-	var buf [20]byte
-	for _, c := range p.Chunks {
-		sb.Write(strconv.AppendInt(buf[:0], int64(c), 10))
-		sb.WriteByte(',')
+	b := make([]byte, 0, 256)
+	b = append(b, p.registry.DB...)
+	b = append(b, 0)
+	if p.shape != nil {
+		b = append(b, p.shape.Key...)
+		b = append(b, 0)
+		b = p.shape.AppendSpellings(b)
+	} else {
+		b = p.Analysis.Stmt.AppendSQL(b, nil)
 	}
-	return sb.String()
+	b = append(b, 0)
+	for _, c := range p.Chunks {
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // ResultType returns the storage type of result column i, defaulting
@@ -555,7 +571,7 @@ func (p *Plan) QueryFor(chunk partition.ChunkID) ChunkQuery {
 		s0 = cq.SubChunks[0]
 	}
 	for _, u := range p.units {
-		cq.Statements = append(cq.Statements, u.Render(chunk, s0))
+		cq.Statements = append(cq.Statements, u.Render(chunk, s0, p.shape))
 	}
 	return cq
 }

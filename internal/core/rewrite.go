@@ -12,8 +12,10 @@ import (
 // buildTemplates constructs the worker-side statements and the master-side
 // merge statement from the analysis. This is the rewriting machinery of
 // paper section 5.3: table-name substitution, the AVG -> SUM/COUNT style
-// aggregate split, and alias management.
-func (p *Plan) buildTemplates() error {
+// aggregate split, and alias management. whole is set for a plan of one
+// chunk without a near-neighbour join, and cutLiterals to cut the units at
+// their numbered literals too.
+func (p *Plan) buildTemplates(whole, cutLiterals bool) error {
 	a := p.Analysis
 	worker := a.Stmt.Clone()
 
@@ -50,7 +52,7 @@ func (p *Plan) buildTemplates() error {
 	if err != nil {
 		return err
 	}
-	if len(p.Chunks) == 1 && a.NearNeighbor == nil && !p.Streamable() && !splitAlways {
+	if whole && !p.Streamable() {
 		worker = p.whole(worker)
 	}
 
@@ -59,7 +61,7 @@ func (p *Plan) buildTemplates() error {
 	// the second alias reading its subchunk's overlap table instead: the
 	// subchunk against itself, then against its overlap. Their pair sets
 	// are disjoint, so their results concatenate (and aggregate).
-	u, err := planUnit(worker, refs)
+	u, err := planUnit(worker, refs, cutLiterals)
 	if err != nil {
 		return err
 	}
@@ -76,7 +78,7 @@ func (p *Plan) buildTemplates() error {
 			overlap.From[i].Table = refs[i].Name()
 		}
 	}
-	if u, err = planUnit(&overlap, refs); err != nil {
+	if u, err = planUnit(&overlap, refs, cutLiterals); err != nil {
 		return err
 	}
 	p.units = append(p.units, u)

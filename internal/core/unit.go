@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/meta"
 	"repro/internal/partition"
@@ -15,79 +16,110 @@ import (
 // chunk and a subchunk into each hole and changes nothing else, so a literal,
 // a column or an alias that reads like a table name is never rewritten. A
 // plan keeps its worker statements as Units and renders them per chunk.
+//
+// A plan template's units also have a hole wherever a literal of the user's
+// statement is; Render fills those with one statement's literals.
 type Unit struct {
 	pieces []string // the text between the holes: len(holes)+1 of them
-	holes  []meta.TableRef
+	holes  []hole
 }
 
-// hole is a table-name token to cut out of a unit's text: its extent, inside
-// any backquotes, and the piece of a catalog table it names (Render fills in
-// Ref's Chunk and Sub).
+// hole is a cut in a unit's text, at [Pos, End): the table-name token of a
+// piece of a catalog table, inside any backquotes (Render fills in Ref's
+// Chunk and Sub), or, where Lit is not 0, the literal numbered Lit.
 type hole struct {
 	Pos, End int
 	Ref      meta.TableRef
+	Lit      int
 }
 
 // newUnit cuts text at holes, which are in text order.
 func newUnit(text string, holes []hole) *Unit {
-	u := &Unit{}
+	u := &Unit{holes: holes, pieces: make([]string, 0, len(holes)+1)}
 	at := 0
 	for _, h := range holes {
-		u.pieces, u.holes = append(u.pieces, text[at:h.Pos]), append(u.holes, h.Ref)
+		u.pieces = append(u.pieces, text[at:h.Pos])
 		at = h.End
 	}
 	u.pieces = append(u.pieces, text[at:])
 	return u
 }
 
-// Render is the unit's text for chunk and sub: every hole holds the name of
-// its piece of that chunk, and of that subchunk for the two subchunk kinds.
-func (u *Unit) Render(chunk partition.ChunkID, sub partition.SubChunkID) string {
-	var sb strings.Builder
-	for i, ref := range u.holes {
-		ref.Chunk, ref.Sub = chunk, sub
-		sb.WriteString(u.pieces[i])
-		sb.WriteString(ref.Name())
+// Render is the unit's text for chunk and sub: every table hole holds the
+// name of its piece of that chunk, and of that subchunk for the two subchunk
+// kinds, and every literal hole the spelling of that literal of sh.
+func (u *Unit) Render(chunk partition.ChunkID, sub partition.SubChunkID, sh *sqlparse.Shape) string {
+	size := len(u.pieces[len(u.holes)])
+	for i, h := range u.holes {
+		size += len(u.pieces[i])
+		if h.Lit != 0 {
+			size += len(sh.Spelling(h.Lit - 1))
+		} else {
+			size += len(h.Ref.Info.Name) + 32 // room for FullOverlap_<chunk>_<sub>
+		}
 	}
-	sb.WriteString(u.pieces[len(u.holes)])
-	return sb.String()
+	b := make([]byte, 0, size)
+	for i, h := range u.holes {
+		b = append(b, u.pieces[i]...)
+		if h.Lit != 0 {
+			b = append(b, sh.Spelling(h.Lit-1)...)
+			continue
+		}
+		ref := h.Ref
+		ref.Chunk, ref.Sub = chunk, sub
+		b = ref.AppendName(b)
+	}
+	return string(append(b, u.pieces[len(u.holes)]...))
 }
 
-// planUnit deparses a worker statement and cuts it at the table-name tokens
-// of the FROM entries refs gives a piece for (Info nil: a replicated table,
-// which keeps its name). The tokens are found by lexing the text: every FROM
-// entry of a worker statement is `db.table AS alias` (buildTemplates
-// qualifies and aliases each), and the dialect has no subquery, so the first
-// FROM keyword opens the clause and each entry is six tokens with the ','
-// that follows it, its table the third.
-func planUnit(sel *sqlparse.Select, refs []meta.TableRef) (*Unit, error) {
-	text := sel.SQL()
-	lx := sqlparse.NewLexer(text)
-	next := func() sqlparse.Token {
-		t, _ := lx.Next() // the deparser's text lexes
-		return t
+// A deparse is planUnit's buffer for a statement's text and spans, kept
+// for the next build.
+type deparse struct {
+	text []byte
+	sp   sqlparse.Spans
+}
+
+var deparses = sync.Pool{New: func() any { return new(deparse) }}
+
+// planUnit deparses a worker statement and cuts it at the table names of the
+// FROM entries refs gives a piece for (Info nil: a replicated table, which
+// keeps its name) and, when cutLiterals is set, at its numbered literals,
+// where the deparser reports it wrote them. A mark left in the text is a
+// literal that reached it other than as a literal node, which a template
+// could not bind.
+func planUnit(sel *sqlparse.Select, refs []meta.TableRef, cutLiterals bool) (*Unit, error) {
+	d := deparses.Get().(*deparse)
+	defer deparses.Put(d)
+	sp := &d.sp
+	sp.Tables, sp.Literals = sp.Tables[:0], sp.Literals[:0]
+	d.text = sel.AppendSQL(d.text[:0], sp)
+	text := string(d.text)
+	if len(sp.Tables) != len(refs) {
+		return nil, fmt.Errorf("core: worker statement %s has %d FROM entries, want %d", text, len(sp.Tables), len(refs))
 	}
-	for t := next(); t.Kind != sqlparse.TokKeyword || t.Text != "FROM"; t = next() {
-		if t.Kind == sqlparse.TokEOF {
-			return nil, fmt.Errorf("core: no FROM clause in worker statement %s", text)
-		}
+	lits := sp.Literals
+	if !cutLiterals {
+		lits = nil
 	}
-	var holes []hole
+	holes := make([]hole, 0, len(refs)+len(lits))
 	for i, ref := range refs {
-		var entry [6]sqlparse.Token
-		for k := range entry {
-			entry[k] = next()
-		}
-		lo, hi := entry[2].Pos, entry[2].End
-		if hi > lo && text[lo] == '`' {
-			lo, hi = lo+1, hi-1
-		}
-		if text[lo:hi] != sel.From[i].Table {
-			return nil, fmt.Errorf("core: FROM entry %d of worker statement %s is not where it is looked for", i, text)
+		t := sp.Tables[i]
+		for len(lits) > 0 && lits[0].Pos < t.Pos {
+			holes = append(holes, hole{Pos: lits[0].Pos, End: lits[0].End, Lit: lits[0].Num})
+			lits = lits[1:]
 		}
 		if ref.Info != nil {
-			holes = append(holes, hole{Pos: lo, End: hi, Ref: ref})
+			holes = append(holes, hole{Pos: t.Pos, End: t.End, Ref: ref})
 		}
 	}
-	return newUnit(text, holes), nil
+	for _, l := range lits {
+		holes = append(holes, hole{Pos: l.Pos, End: l.End, Lit: l.Num})
+	}
+	u := newUnit(text, holes)
+	for _, piece := range u.pieces {
+		if strings.IndexByte(piece, sqlparse.MarkOpen) >= 0 {
+			return nil, fmt.Errorf("core: worker statement %q holds a literal the plan cannot bind", text)
+		}
+	}
+	return u, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/partition"
 	"repro/internal/sqlengine"
@@ -66,6 +67,9 @@ type Registry struct {
 	tables    map[string]*TableInfo
 	ingesting map[string]bool
 	gens      map[string]int64
+	// generation counts AddTable calls: what a planner keeps from a table's
+	// metadata is good while it stays put.
+	generation atomic.Uint64
 }
 
 // NewRegistry creates a registry for a database partitioned by chunker.
@@ -114,7 +118,12 @@ func (r *Registry) AddTable(info *TableInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tables[strings.ToLower(info.Name)] = info
+	r.generation.Add(1)
 }
+
+// Generation is the registry's table generation: it moves whenever
+// AddTable adds or replaces a table.
+func (r *Registry) Generation() uint64 { return r.generation.Load() }
 
 // Table looks up a table by case-insensitive name.
 func (r *Registry) Table(name string) (*TableInfo, error) {

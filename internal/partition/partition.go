@@ -15,8 +15,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sphgeom"
 )
@@ -286,9 +288,18 @@ func (ch *Chunker) AllChunks() []ChunkID {
 // region's bounding box. It never returns an empty slice for a valid
 // region; a full-sky region returns every chunk. This is the coarse
 // spatial index used to restrict query dispatch (paper section 5.5).
+//
+// Each stripe's chunks are found from the bound's RA interval — or its two,
+// when the bound wraps at RA 0 — not by testing every chunk of the stripe:
+// a box costs what its cover costs. The candidates are the chunks the
+// interval's ends fall in, widened by one on either side, and chunks 0 and
+// n-1 of the stripe, the neighbours across the meridian; each is held to
+// the same intersection test as its box, so float rounding at a chunk's
+// edge decides as it always did.
 func (ch *Chunker) ChunksIn(r sphgeom.Region) []ChunkID {
 	bound := r.Bound()
 	var ids []ChunkID
+	var spans [4][2]int
 	h := ch.cfg.StripeHeight()
 	sMin := ch.stripeOf(bound.DeclMin)
 	sMax := ch.stripeOf(bound.DeclMax)
@@ -300,15 +311,48 @@ func (ch *Chunker) ChunksIn(r sphgeom.Region) []ChunkID {
 		if !stripeBox.Intersects(bound) {
 			continue
 		}
-		for c := 0; c < n; c++ {
-			raMin := float64(c) * width
-			cb := sphgeom.NewBox(raMin, raMin+width, declMin, declMin+h)
-			if cb.Intersects(bound) {
-				ids = append(ids, ch.chunkIDFor(s, c))
+		off := ch.stripeOffset(s)
+		for _, span := range raSpans(spans[:0], bound, width, n) {
+			for c := span[0]; c <= span[1]; c++ {
+				raMin := float64(c) * width
+				cb := sphgeom.NewBox(raMin, raMin+width, declMin, declMin+h)
+				if cb.Intersects(bound) {
+					ids = append(ids, ChunkID(off+c))
+				}
 			}
 		}
 	}
 	return ids
+}
+
+// raSpans appends to spans the candidate chunk indices of a stripe of n
+// chunks of the given width for a bound, as ascending, disjoint ranges
+// [lo, hi], and returns it.
+func raSpans(spans [][2]int, bound sphgeom.Box, width float64, n int) [][2]int {
+	if bound.IsFullCircle() || n <= 4 || !(bound.RAMin >= 0 && bound.RAMax <= 360) {
+		return append(spans, [2]int{0, n - 1})
+	}
+	at := func(ra float64) int { return int(math.Floor(ra / width)) }
+	spans = append(spans, [2]int{0, 0}, [2]int{n - 1, n - 1})
+	if bound.Wraps() {
+		spans = append(spans, [2]int{at(bound.RAMin) - 1, n - 1}, [2]int{0, at(bound.RAMax) + 1})
+	} else {
+		spans = append(spans, [2]int{at(bound.RAMin) - 1, at(bound.RAMax) + 1})
+	}
+	for i := range spans {
+		spans[i][0] = max(spans[i][0], 0)
+		spans[i][1] = min(spans[i][1], n-1)
+	}
+	slices.SortFunc(spans, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+	out := spans[:1]
+	for _, sp := range spans[1:] {
+		if last := &out[len(out)-1]; sp[0] <= last[1]+1 {
+			last[1] = max(last[1], sp[1])
+		} else {
+			out = append(out, sp)
+		}
+	}
+	return out
 }
 
 // SubChunksIn returns the subchunks of the given chunk whose bounds

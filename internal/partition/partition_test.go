@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -424,11 +425,110 @@ func BenchmarkLocate(b *testing.B) {
 	}
 }
 
+// BenchmarkChunksInBox routes a 10° box at PaperConfig() and a half-degree
+// box inside one chunk at 18 stripes and at PaperConfig().
 func BenchmarkChunksInBox(b *testing.B) {
-	ch := paperChunker(b)
-	box := sphgeom.NewBox(0, 10, 0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.ChunksIn(box)
+	small := sphgeom.NewBox(100.1, 100.6, 1.1, 1.6)
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+		box  sphgeom.Box
+	}{
+		{"paper/10deg", PaperConfig(), sphgeom.NewBox(0, 10, 0, 10)},
+		{"paper/halfdeg", PaperConfig(), small},
+		{"stripes=18/halfdeg", Config{NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5}, small},
+	} {
+		ch, err := NewChunker(bc.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if len(ch.ChunksIn(bc.box)) == 0 {
+					b.Fatal("no chunk")
+				}
+			}
+		})
+	}
+}
+
+// exhaustiveChunksIn is ChunksIn as it was: every chunk of every stripe the
+// bound touches, tested against the bound.
+func exhaustiveChunksIn(ch *Chunker, r sphgeom.Region) []ChunkID {
+	bound := r.Bound()
+	var ids []ChunkID
+	h := ch.cfg.StripeHeight()
+	for s := ch.stripeOf(bound.DeclMin); s <= ch.stripeOf(bound.DeclMax); s++ {
+		n := ch.numChunksPerStripe[s]
+		width := 360.0 / float64(n)
+		declMin := -90 + float64(s)*h
+		stripeBox := sphgeom.Box{RAMin: 0, RAMax: 360, DeclMin: declMin, DeclMax: declMin + h}
+		if !stripeBox.Intersects(bound) {
+			continue
+		}
+		for c := 0; c < n; c++ {
+			raMin := float64(c) * width
+			if sphgeom.NewBox(raMin, raMin+width, declMin, declMin+h).Intersects(bound) {
+				ids = append(ids, ch.chunkIDFor(s, c))
+			}
+		}
+	}
+	return ids
+}
+
+// TestChunksInIsTheExhaustiveCover: the cover ChunksIn computes from a
+// region's RA is the one testing every chunk of each stripe gives, for
+// seeded boxes and circles at several geometries — boxes that straddle RA 0,
+// boxes that touch a pole, boxes whose edges sit on chunk edges, full-circle
+// and tiny ones.
+func TestChunksInIsTheExhaustiveCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, cfg := range []Config{
+		{NumStripes: 18, NumSubStripesPerStripe: 4, Overlap: 0.5},
+		{NumStripes: 7, NumSubStripesPerStripe: 2, Overlap: 1},
+		{NumStripes: 1, NumSubStripesPerStripe: 1, Overlap: 0},
+		PaperConfig(),
+	} {
+		ch, err := NewChunker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions := []sphgeom.Region{
+			sphgeom.FullSky(),
+			sphgeom.NewBox(350, 10, -5, 5),
+			sphgeom.NewBox(359.9, 0.1, 80, 90),
+			sphgeom.NewBox(0, 0.001, -90, -89.9),
+			sphgeom.NewBox(0, 360, 10, 11),
+			sphgeom.NewCircle(sphgeom.NewPoint(0, 89.5), 1),
+			sphgeom.NewCircle(sphgeom.NewPoint(359.99, 0), 0.5),
+		}
+		for s := range cfg.NumStripes {
+			w := 360 / float64(ch.ChunksInStripe(s))
+			decl := -90 + (float64(s)+0.5)*cfg.StripeHeight()
+			regions = append(regions, sphgeom.NewBox(w, 2*w, decl, decl), sphgeom.NewBox(360-w, 360, decl-0.1, decl+0.1))
+		}
+		for range 3000 {
+			ra, decl := rng.Float64()*360, rng.Float64()*180-90
+			switch rng.Intn(4) {
+			case 0:
+				regions = append(regions, sphgeom.NewCircle(sphgeom.NewPoint(ra, decl), rng.Float64()*rng.Float64()*20))
+			case 1: // straddles RA 0
+				regions = append(regions, sphgeom.NewBox(360-rng.Float64()*30, rng.Float64()*30, decl, decl+rng.Float64()*10))
+			case 2: // touches a pole
+				pole := 90.0
+				if rng.Intn(2) == 0 {
+					pole = -90
+				}
+				regions = append(regions, sphgeom.NewBox(ra, ra+rng.Float64()*100, pole, pole-math.Copysign(rng.Float64()*15, pole)))
+			default:
+				regions = append(regions, sphgeom.NewBox(ra, ra+rng.Float64()*rng.Float64()*200, decl, decl+rng.Float64()*rng.Float64()*60))
+			}
+		}
+		for _, r := range regions {
+			if got, want := ch.ChunksIn(r), exhaustiveChunksIn(ch, r); !slices.Equal(got, want) {
+				t.Fatalf("%d stripes, %v: ChunksIn %v, the exhaustive cover %v", cfg.NumStripes, r, got, want)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Node is any AST node that can render itself back to SQL text. The
@@ -11,6 +12,26 @@ import (
 // the czar ships rewritten chunk queries to workers as plain SQL.
 type Node interface {
 	SQL() string
+}
+
+// Spans are where a deparse (Select.AppendSQL) wrote what a caller keeping
+// the text as a template cuts out of it: each FROM entry's table name, and
+// each numbered literal (Literal.Num), in text order.
+type Spans struct {
+	// Tables holds one extent per FROM entry, in FROM order: the table
+	// name, inside any backquotes.
+	Tables []Span
+	// Literals holds the extent and the number of each numbered literal.
+	Literals []LiteralSpan
+}
+
+// Span is the extent [Pos, End) of some text.
+type Span struct{ Pos, End int }
+
+// LiteralSpan is where a deparse wrote the literal numbered Num.
+type LiteralSpan struct {
+	Span
+	Num int
 }
 
 // Statement is a complete SQL statement. A *Select is the only one: the
@@ -24,6 +45,9 @@ type Statement interface {
 type Expr interface {
 	Node
 	expr()
+	// appendSQL appends the expression's text to b, noting where it wrote
+	// each numbered literal in sp when sp is not nil.
+	appendSQL(b []byte, sp *Spans) []byte
 }
 
 // ---------- Expressions ----------
@@ -31,48 +55,80 @@ type Expr interface {
 // Literal is a constant: int64, float64, string, bool, or nil (NULL).
 type Literal struct {
 	Val interface{}
+	// Num numbers a literal read from a number or string token: its place,
+	// from 1, among the literals of the text it was parsed from, in text
+	// order (Shape.Literals[Num-1]). A negated number keeps its token's
+	// number. It is 0 on a literal that was built, and copies keep it.
+	Num int32
+	// Mark, when not 0, makes the literal's text a mark instead of its
+	// value's spelling: MarkOpen, Mark-1 in decimal, MarkClose. A planner
+	// that builds one plan for every statement of a shape spells each
+	// literal as a mark it can find again in what it built from it
+	// (internal/core).
+	Mark int32
 }
+
+// The bytes a mark (Literal.Mark) opens and closes with.
+const (
+	MarkOpen  = '\x01'
+	MarkClose = '\x02'
+)
 
 func (*Literal) expr() {}
 
 // SQL renders the literal.
-func (l *Literal) SQL() string {
+func (l *Literal) SQL() string { return string(l.appendText(nil)) }
+
+// appendText appends the literal's text to b: its mark when it has one, the
+// spelling of its value otherwise.
+func (l *Literal) appendText(b []byte) []byte {
+	if l.Mark != 0 {
+		b = strconv.AppendInt(append(b, MarkOpen), int64(l.Mark-1), 10)
+		return append(b, MarkClose)
+	}
 	switch v := l.Val.(type) {
 	case nil:
-		return "NULL"
+		return append(b, "NULL"...)
 	case bool:
 		if v {
-			return "TRUE"
+			return append(b, "TRUE"...)
 		}
-		return "FALSE"
+		return append(b, "FALSE"...)
 	case int64:
-		return strconv.FormatInt(v, 10)
+		return strconv.AppendInt(b, v, 10)
 	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	case string:
-		return quoteString(v)
+		return appendQuoted(b, v)
 	default:
-		return fmt.Sprintf("%v", v)
+		return append(b, fmt.Sprint(v)...) // b stays where it is
 	}
 }
 
-func quoteString(s string) string {
-	var sb strings.Builder
-	sb.WriteByte('\'')
+func (l *Literal) appendSQL(b []byte, sp *Spans) []byte {
+	pos := len(b)
+	b = l.appendText(b)
+	if sp != nil && l.Num > 0 {
+		sp.Literals = append(sp.Literals, LiteralSpan{Span: Span{pos, len(b)}, Num: int(l.Num)})
+	}
+	return b
+}
+
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '\'')
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\'':
-			sb.WriteString("''")
+			b = append(b, "''"...)
 		case '\\':
-			sb.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			b = append(b, `\n`...)
 		default:
-			sb.WriteByte(s[i])
+			b = append(b, s[i])
 		}
 	}
-	sb.WriteByte('\'')
-	return sb.String()
+	return append(b, '\'')
 }
 
 // ColumnRef names a column, optionally qualified by a table or alias.
@@ -84,33 +140,46 @@ type ColumnRef struct {
 func (*ColumnRef) expr() {}
 
 // SQL renders the reference.
-func (c *ColumnRef) SQL() string {
+func (c *ColumnRef) SQL() string { return string(c.appendSQL(nil, nil)) }
+
+func (c *ColumnRef) appendSQL(b []byte, _ *Spans) []byte {
 	if c.Table != "" {
-		return quoteIdent(c.Table) + "." + quoteIdent(c.Column)
+		b = appendIdent(b, c.Table)
+		b = append(b, '.')
 	}
-	return quoteIdent(c.Column)
+	return appendIdent(b, c.Column)
 }
 
-// quoteIdent backquotes an identifier only when necessary (it contains
-// punctuation or collides with a keyword), keeping generated SQL legible.
-func quoteIdent(s string) string {
+// appendIdent appends an identifier, backquoted only when necessary (it
+// contains punctuation or collides with a keyword), keeping generated SQL
+// legible.
+func appendIdent(b []byte, s string) []byte {
 	need := false
+	ascii := true
 	for i, r := range s {
 		if !(isIdentPart(r) || (i == 0 && isIdentStart(r))) {
 			need = true
 			break
 		}
+		ascii = ascii && r < utf8.RuneSelf
 	}
-	if !need && keywords[strings.ToUpper(s)] {
+	if !need && keyword(s) != "" || !need && !ascii && keyword(strings.ToUpper(s)) != "" {
 		need = true
 	}
 	if !need && s != "" && s[0] >= '0' && s[0] <= '9' {
 		need = true
 	}
-	if need {
-		return "`" + strings.ReplaceAll(s, "`", "``") + "`"
+	if !need {
+		return append(b, s...)
 	}
-	return s
+	b = append(b, '`')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '`' {
+			b = append(b, '`')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '`')
 }
 
 // Star is the * select item or COUNT(*) argument; Table qualifies o.*.
@@ -121,11 +190,14 @@ type Star struct {
 func (*Star) expr() {}
 
 // SQL renders the star.
-func (s *Star) SQL() string {
+func (s *Star) SQL() string { return string(s.appendSQL(nil, nil)) }
+
+func (s *Star) appendSQL(b []byte, _ *Spans) []byte {
 	if s.Table != "" {
-		return quoteIdent(s.Table) + ".*"
+		b = appendIdent(b, s.Table)
+		b = append(b, '.')
 	}
-	return "*"
+	return append(b, '*')
 }
 
 // FuncCall is a scalar or aggregate function application. Build one with
@@ -153,21 +225,21 @@ func NewFuncCall(name string, args ...Expr) *FuncCall {
 func (*FuncCall) expr() {}
 
 // SQL renders the call.
-func (f *FuncCall) SQL() string {
-	var sb strings.Builder
-	sb.WriteString(f.Name)
-	sb.WriteByte('(')
+func (f *FuncCall) SQL() string { return string(f.appendSQL(nil, nil)) }
+
+func (f *FuncCall) appendSQL(b []byte, sp *Spans) []byte {
+	b = append(b, f.Name...)
+	b = append(b, '(')
 	if f.Distinct {
-		sb.WriteString("DISTINCT ")
+		b = append(b, "DISTINCT "...)
 	}
 	for i, a := range f.Args {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(a.SQL())
+		b = a.appendSQL(b, sp)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return append(b, ')')
 }
 
 // AggregateFuncs are the aggregate function names the dialect knows.
@@ -200,8 +272,16 @@ func (*BinaryExpr) expr() {}
 
 // SQL renders the expression fully parenthesized so that precedence
 // survives the round trip regardless of operator binding.
-func (b *BinaryExpr) SQL() string {
-	return "(" + b.L.SQL() + " " + b.Op + " " + b.R.SQL() + ")"
+func (b *BinaryExpr) SQL() string { return string(b.appendSQL(nil, nil)) }
+
+func (b *BinaryExpr) appendSQL(out []byte, sp *Spans) []byte {
+	out = append(out, '(')
+	out = b.L.appendSQL(out, sp)
+	out = append(out, ' ')
+	out = append(out, b.Op...)
+	out = append(out, ' ')
+	out = b.R.appendSQL(out, sp)
+	return append(out, ')')
 }
 
 // UnaryExpr applies a prefix operator: "-" or "NOT".
@@ -213,11 +293,16 @@ type UnaryExpr struct {
 func (*UnaryExpr) expr() {}
 
 // SQL renders the expression.
-func (u *UnaryExpr) SQL() string {
+func (u *UnaryExpr) SQL() string { return string(u.appendSQL(nil, nil)) }
+
+func (u *UnaryExpr) appendSQL(b []byte, sp *Spans) []byte {
+	b = append(b, '(')
+	b = append(b, u.Op...)
 	if u.Op == "NOT" {
-		return "(NOT " + u.X.SQL() + ")"
+		b = append(b, ' ')
 	}
-	return "(" + u.Op + u.X.SQL() + ")"
+	b = u.X.appendSQL(b, sp)
+	return append(b, ')')
 }
 
 // BetweenExpr is x [NOT] BETWEEN lo AND hi.
@@ -229,12 +314,20 @@ type BetweenExpr struct {
 func (*BetweenExpr) expr() {}
 
 // SQL renders the predicate.
-func (b *BetweenExpr) SQL() string {
-	not := ""
+func (b *BetweenExpr) SQL() string { return string(b.appendSQL(nil, nil)) }
+
+func (b *BetweenExpr) appendSQL(out []byte, sp *Spans) []byte {
+	out = append(out, '(')
+	out = b.X.appendSQL(out, sp)
+	out = append(out, ' ')
 	if b.Not {
-		not = "NOT "
+		out = append(out, "NOT "...)
 	}
-	return "(" + b.X.SQL() + " " + not + "BETWEEN " + b.Lo.SQL() + " AND " + b.Hi.SQL() + ")"
+	out = append(out, "BETWEEN "...)
+	out = b.Lo.appendSQL(out, sp)
+	out = append(out, " AND "...)
+	out = b.Hi.appendSQL(out, sp)
+	return append(out, ')')
 }
 
 // InExpr is x [NOT] IN (e1, e2, ...).
@@ -247,16 +340,23 @@ type InExpr struct {
 func (*InExpr) expr() {}
 
 // SQL renders the predicate.
-func (i *InExpr) SQL() string {
-	parts := make([]string, len(i.List))
-	for k, e := range i.List {
-		parts[k] = e.SQL()
-	}
-	not := ""
+func (i *InExpr) SQL() string { return string(i.appendSQL(nil, nil)) }
+
+func (i *InExpr) appendSQL(b []byte, sp *Spans) []byte {
+	b = append(b, '(')
+	b = i.X.appendSQL(b, sp)
+	b = append(b, ' ')
 	if i.Not {
-		not = "NOT "
+		b = append(b, "NOT "...)
 	}
-	return "(" + i.X.SQL() + " " + not + "IN (" + strings.Join(parts, ", ") + "))"
+	b = append(b, "IN ("...)
+	for k, e := range i.List {
+		if k > 0 {
+			b = append(b, ", "...)
+		}
+		b = e.appendSQL(b, sp)
+	}
+	return append(b, "))"...)
 }
 
 // IsNullExpr is x IS [NOT] NULL.
@@ -268,11 +368,15 @@ type IsNullExpr struct {
 func (*IsNullExpr) expr() {}
 
 // SQL renders the predicate.
-func (i *IsNullExpr) SQL() string {
+func (i *IsNullExpr) SQL() string { return string(i.appendSQL(nil, nil)) }
+
+func (i *IsNullExpr) appendSQL(b []byte, sp *Spans) []byte {
+	b = append(b, '(')
+	b = i.X.appendSQL(b, sp)
 	if i.Not {
-		return "(" + i.X.SQL() + " IS NOT NULL)"
+		return append(b, " IS NOT NULL)"...)
 	}
-	return "(" + i.X.SQL() + " IS NULL)"
+	return append(b, " IS NULL)"...)
 }
 
 // ---------- SELECT ----------
@@ -284,11 +388,15 @@ type SelectItem struct {
 }
 
 // SQL renders the item.
-func (s SelectItem) SQL() string {
+func (s SelectItem) SQL() string { return string(s.appendSQL(nil, nil)) }
+
+func (s SelectItem) appendSQL(b []byte, sp *Spans) []byte {
+	b = s.Expr.appendSQL(b, sp)
 	if s.Alias != "" {
-		return s.Expr.SQL() + " AS " + quoteIdent(s.Alias)
+		b = append(b, " AS "...)
+		b = appendIdent(b, s.Alias)
 	}
-	return s.Expr.SQL()
+	return b
 }
 
 // TableRef names a base table in FROM, optionally database-qualified and
@@ -307,15 +415,29 @@ type TableRef struct {
 }
 
 // SQL renders the reference.
-func (t TableRef) SQL() string {
-	s := quoteIdent(t.Table)
+func (t TableRef) SQL() string { return string(t.appendSQL(nil, nil)) }
+
+// appendSQL appends the reference, noting the extent of its table name,
+// inside any backquotes, in sp when sp is not nil.
+func (t TableRef) appendSQL(b []byte, sp *Spans) []byte {
 	if t.DB != "" {
-		s = quoteIdent(t.DB) + "." + s
+		b = appendIdent(b, t.DB)
+		b = append(b, '.')
+	}
+	pos := len(b)
+	b = appendIdent(b, t.Table)
+	if sp != nil {
+		name := Span{pos, len(b)}
+		if len(b) > pos && b[pos] == '`' {
+			name = Span{pos + 1, len(b) - 1}
+		}
+		sp.Tables = append(sp.Tables, name)
 	}
 	if t.Alias != "" {
-		s += " AS " + quoteIdent(t.Alias)
+		b = append(b, " AS "...)
+		b = appendIdent(b, t.Alias)
 	}
-	return s
+	return b
 }
 
 // Name returns the name the table is referred to by in expressions: the
@@ -334,11 +456,14 @@ type OrderItem struct {
 }
 
 // SQL renders the key.
-func (o OrderItem) SQL() string {
+func (o OrderItem) SQL() string { return string(o.appendSQL(nil, nil)) }
+
+func (o OrderItem) appendSQL(b []byte, sp *Spans) []byte {
+	b = o.Expr.appendSQL(b, sp)
 	if o.Desc {
-		return o.Expr.SQL() + " DESC"
+		b = append(b, " DESC"...)
 	}
-	return o.Expr.SQL()
+	return b
 }
 
 // Select is a SELECT statement.
@@ -350,59 +475,68 @@ type Select struct {
 	GroupBy  []Expr
 	OrderBy  []OrderItem
 	Limit    int64 // -1 when absent
+
+	// src is the text a statement ParseSelect returns was parsed from, as
+	// tokens, and the literals it read from them: what Shape reads. A
+	// statement built or copied has none.
+	src *source
 }
 
 func (*Select) stmt() {}
 
 // SQL renders the statement.
-func (s *Select) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
+func (s *Select) SQL() string { return string(s.AppendSQL(make([]byte, 0, 128), nil)) }
+
+// AppendSQL appends the statement's text, SQL's, to b. When sp is not nil
+// it also notes in sp where it wrote each FROM table name and each numbered
+// literal.
+func (s *Select) AppendSQL(b []byte, sp *Spans) []byte {
+	b = append(b, "SELECT "...)
 	if s.Distinct {
-		sb.WriteString("DISTINCT ")
+		b = append(b, "DISTINCT "...)
 	}
 	for i, it := range s.Items {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(it.SQL())
+		b = it.appendSQL(b, sp)
 	}
 	if len(s.From) > 0 {
-		sb.WriteString(" FROM ")
+		b = append(b, " FROM "...)
 		for i, t := range s.From {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(t.SQL())
+			b = t.appendSQL(b, sp)
 		}
 	}
 	if s.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(s.Where.SQL())
+		b = append(b, " WHERE "...)
+		b = s.Where.appendSQL(b, sp)
 	}
 	if len(s.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
+		b = append(b, " GROUP BY "...)
 		for i, g := range s.GroupBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(g.SQL())
+			b = g.appendSQL(b, sp)
 		}
 	}
 	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
+		b = append(b, " ORDER BY "...)
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(o.SQL())
+			b = o.appendSQL(b, sp)
 		}
 	}
 	if s.Limit >= 0 {
-		sb.WriteString(" LIMIT ")
-		sb.WriteString(strconv.FormatInt(s.Limit, 10))
+		b = append(b, " LIMIT "...)
+		b = strconv.AppendInt(b, s.Limit, 10)
 	}
-	return sb.String()
+	return b
 }
 
 // Clone deep-copies the statement so rewrites can mutate it freely.
@@ -433,7 +567,8 @@ func CloneExpr(e Expr) Expr {
 	case nil:
 		return nil
 	case *Literal:
-		return &Literal{Val: v.Val}
+		c := *v
+		return &c
 	case *ColumnRef:
 		return &ColumnRef{Table: v.Table, Column: v.Column}
 	case *Star:

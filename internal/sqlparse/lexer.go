@@ -46,14 +46,54 @@ func (t Token) String() string {
 	}
 }
 
-// keywords recognized by the dialect. Everything else is an identifier.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "ORDER": true,
-	"BY": true, "LIMIT": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"BETWEEN": true, "IN": true, "IS": true, "NULL": true, "LIKE": true,
-	"ASC": true, "DESC": true, "DISTINCT": true, "JOIN": true, "INNER": true,
-	"ON": true, "TRUE": true, "FALSE": true,
+// keywordsByLen are the dialect's keywords by length; everything else is an
+// identifier. A word is a keyword when it equals one of its length but for
+// ASCII case, and its token carries the keyword's own spelling.
+var keywordsByLen = [...][]string{
+	2: {"BY", "AS", "OR", "IN", "IS", "ON"},
+	3: {"AND", "NOT", "ASC"},
+	4: {"FROM", "NULL", "LIKE", "DESC", "JOIN", "TRUE"},
+	5: {"WHERE", "GROUP", "ORDER", "LIMIT", "INNER", "FALSE"},
+	6: {"SELECT"},
+	7: {"BETWEEN"},
+	8: {"DISTINCT"},
 }
+
+// keyword returns the upper-case keyword word spells, or "" when it is an
+// identifier. A word holding a byte >= 0x80 is never one: no such word is a
+// keyword's length and equal to it under case folding.
+func keyword(word string) string {
+	if len(word) >= len(keywordsByLen) {
+		return ""
+	}
+	for _, kw := range keywordsByLen[len(word)] {
+		// A keyword's first letter, upper-cased as ASCII, rules out most.
+		if word[0]&^0x20 == kw[0] && strings.EqualFold(word, kw) {
+			return kw
+		}
+	}
+	return ""
+}
+
+// Byte classes of the lexer. A byte is read as the rune of its value, as
+// Latin-1 would: a byte >= 0x80 is a letter when that rune is one.
+const (
+	identStart = 1 << iota
+	identPart
+)
+
+var byteClass = func() (c [256]uint8) {
+	for b := range c {
+		r := rune(b)
+		if unicode.IsLetter(r) || r == '_' {
+			c[b] |= identStart | identPart
+		}
+		if unicode.IsDigit(r) {
+			c[b] |= identPart
+		}
+	}
+	return c
+}()
 
 // Lexer splits SQL text into tokens.
 type Lexer struct {
@@ -79,7 +119,7 @@ func (l *Lexer) lex() (Token, error) {
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
-	case isIdentStart(rune(c)):
+	case byteClass[c]&identStart != 0:
 		return l.lexWord(start), nil
 	case c >= '0' && c <= '9':
 		return l.lexNumber(start)
@@ -134,23 +174,28 @@ func (l *Lexer) skipSpaceAndComments() {
 }
 
 func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+	if r < 256 {
+		return byteClass[r]&identStart != 0
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+	if r < 256 {
+		return byteClass[r]&identPart != 0
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func (l *Lexer) lexWord(start int) Token {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && byteClass[l.src[l.pos]]&identPart != 0 {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}
+	if kw := keyword(text); kw != "" {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}
 }
@@ -182,8 +227,21 @@ func (l *Lexer) lexNumber(start int) (Token, error) {
 	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 }
 
+// lexString reads a quoted string. Its text is a slice of the input unless
+// it holds an escape or a doubled quote; only then is it built anew.
 func (l *Lexer) lexString(start int, quote byte) (Token, error) {
 	l.pos++ // opening quote
+	for i := l.pos; i < len(l.src); i++ {
+		c := l.src[i]
+		if c == '\\' && i+1 < len(l.src) || c == quote && i+1 < len(l.src) && l.src[i+1] == quote {
+			break
+		}
+		if c == quote {
+			text := l.src[l.pos:i]
+			l.pos = i + 1
+			return Token{Kind: TokString, Text: text, Pos: start}, nil
+		}
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -231,16 +289,58 @@ func (l *Lexer) lexQuotedIdent(start int) (Token, error) {
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 }
 
-// multi-char operators, longest first.
-var operators = []string{"<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%", "(", ")", ",", ";", "."}
-
+// lexOp reads an operator or a punctuation mark, the two-byte ones first.
 func (l *Lexer) lexOp(start int) (Token, error) {
-	rest := l.src[l.pos:]
-	for _, op := range operators {
-		if strings.HasPrefix(rest, op) {
-			l.pos += len(op)
-			return Token{Kind: TokOp, Text: op, Pos: start}, nil
-		}
+	var op string
+	next := byte(0)
+	if l.pos+1 < len(l.src) {
+		next = l.src[l.pos+1]
 	}
-	return Token{}, fmt.Errorf("sqlparse: unexpected character %q at offset %d", l.src[l.pos], l.pos)
+	switch l.src[l.pos] {
+	case '<':
+		switch next {
+		case '=':
+			op = "<="
+		case '>':
+			op = "<>"
+		default:
+			op = "<"
+		}
+	case '>':
+		op = ">"
+		if next == '=' {
+			op = ">="
+		}
+	case '!':
+		if next == '=' {
+			op = "!="
+		}
+	case '=':
+		op = "="
+	case '+':
+		op = "+"
+	case '-':
+		op = "-"
+	case '*':
+		op = "*"
+	case '/':
+		op = "/"
+	case '%':
+		op = "%"
+	case '(':
+		op = "("
+	case ')':
+		op = ")"
+	case ',':
+		op = ","
+	case ';':
+		op = ";"
+	case '.':
+		op = "."
+	}
+	if op == "" {
+		return Token{}, fmt.Errorf("sqlparse: unexpected character %q at offset %d", l.src[l.pos], l.pos)
+	}
+	l.pos += len(op)
+	return Token{Kind: TokOp, Text: op, Pos: start}, nil
 }

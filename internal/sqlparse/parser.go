@@ -8,9 +8,12 @@ import (
 
 // Parser is a recursive-descent parser over the token stream.
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
+	// source holds the tokens and the literals read from them so far, by
+	// Num-1, with the index of each one's token: the statement ParseSelect
+	// returns keeps it.
+	source
+	pos int
+	src string
 }
 
 // NewParser builds a parser for src, lexing eagerly.
@@ -19,7 +22,13 @@ func NewParser(src string) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{toks: toks, src: src}, nil
+	n := 0
+	for _, t := range toks {
+		if t.Kind == TokNumber || t.Kind == TokString {
+			n++
+		}
+	}
+	return &Parser{source: source{toks: toks, lits: make([]*Literal, 0, n), litToks: make([]int, 0, n)}, src: src}, nil
 }
 
 // ParseSelect parses a single SELECT, requiring all input be consumed (a
@@ -37,6 +46,7 @@ func ParseSelect(src string) (*Select, error) {
 	if !p.atEOF() {
 		return nil, p.errf("unexpected %s after statement", p.peek())
 	}
+	sel.src = &p.source
 	return sel, nil
 }
 
@@ -306,6 +316,14 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
+// literal numbers a literal read from the token just consumed.
+func (p *Parser) literal(v interface{}) *Literal {
+	lit := &Literal{Val: v, Num: int32(len(p.lits) + 1)}
+	p.lits = append(p.lits, lit)
+	p.litToks = append(p.litToks, p.pos-1)
+	return lit
+}
+
 // ---------- expressions ----------
 //
 // Precedence, loosest first: OR, AND, NOT, comparison/BETWEEN/IN/IS,
@@ -490,13 +508,17 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Fold negation into numeric literals for cleaner trees.
+		// Fold negation into numeric literals for cleaner trees. The
+		// literal is the parser's own, so it is negated in place and keeps
+		// its number.
 		if lit, ok := x.(*Literal); ok {
 			switch v := lit.Val.(type) {
 			case int64:
-				return &Literal{Val: -v}, nil
+				lit.Val = -v
+				return lit, nil
 			case float64:
-				return &Literal{Val: -v}, nil
+				lit.Val = -v
+				return lit, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", X: x}, nil
@@ -517,7 +539,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errf("bad number %q", t.Text)
 			}
-			return &Literal{Val: f}, nil
+			return p.literal(f), nil
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
@@ -526,13 +548,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if ferr != nil {
 				return nil, p.errf("bad number %q", t.Text)
 			}
-			return &Literal{Val: f}, nil
+			return p.literal(f), nil
 		}
-		return &Literal{Val: n}, nil
+		return p.literal(n), nil
 
 	case TokString:
 		p.next()
-		return &Literal{Val: t.Text}, nil
+		return p.literal(t.Text), nil
 
 	case TokKeyword:
 		switch t.Text {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -85,9 +86,45 @@ func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
+	v := attrText(value)
 	s.mu.Lock()
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: fmt.Sprintf("%v", value)})
+	s.Attrs = append(s.Attrs, Attr{Key: key, Value: v})
 	s.mu.Unlock()
+}
+
+// attrText is fmt's %v of value, spelled without fmt for the kinds spans
+// carry: strings, ints, bools, float64s and Stringers (an error, a
+// Formatter, or a String that panics goes through fmt, which owns their
+// spelling).
+func attrText(value any) string {
+	switch v := value.(type) {
+	case string:
+		return v
+	case int:
+		return strconv.Itoa(v)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case bool:
+		return strconv.FormatBool(v)
+	case float64:
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	case error, fmt.Formatter:
+	case fmt.Stringer:
+		if text, ok := stringOf(v); ok {
+			return text
+		}
+	}
+	return fmt.Sprintf("%v", value)
+}
+
+// stringOf calls v.String; ok is false when it panics.
+func stringOf(v fmt.Stringer) (text string, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return v.String(), true
 }
 
 // Duration returns the span's elapsed time; an open span measures to

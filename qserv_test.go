@@ -851,3 +851,69 @@ func TestNearNeighbourColumnsAnswerAsTheOracle(t *testing.T) {
 		sameAnswer(t, got, want, sel)
 	}
 }
+
+// TestAnswersColdAndWarm: the czar plans a statement's shape once and binds
+// the template for every statement of the shape after it. Every statement of
+// a battery — the availability and ingest batteries, and statements that
+// share a shape with other literals (LV1 dives, LV3 boxes, flux cuts, a
+// result column that spells a literal, a LIMIT) — answers as the oracle
+// does, planned cold the first time its shape is seen and warm after; the
+// second pass answers each as the first did.
+func TestAnswersColdAndWarm(t *testing.T) {
+	cat, err := datagen.Generate(
+		datagen.Config{Seed: 46, ObjectsPerPatch: 300, MeanSourcesPerObject: 2},
+		datagen.DuplicateConfig{DeclBands: 1, SourceDeclLimit: 54, MaxCopies: 6},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultClusterConfig(4)
+	cfg.ResultCacheBytes = 0 // every pass executes
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.Load(cat); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := lsstOracle(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts := slices.Concat(availabilityBattery, ingestBattery[:3], ingestBattery[4:])
+	for i, o := range []int{1, 7, len(cat.Objects) / 2, len(cat.Objects) - 1} {
+		obj := cat.Objects[o]
+		stmts = append(stmts,
+			fmt.Sprintf("SELECT * FROM Object WHERE objectId = %d", obj.ObjectID),
+			fmt.Sprintf("SELECT objectId, taiMidPoint, fluxToAbMag(psfFlux) FROM Source WHERE objectId = %d", obj.ObjectID),
+			fmt.Sprintf("SELECT COUNT(*) FROM Object WHERE ra_PS BETWEEN %.4f AND %.4f AND decl_PS BETWEEN %.4f AND %.4f AND fluxToAbMag(zFlux_PS) BETWEEN 16 AND %.6f",
+				obj.RA-0.5, obj.RA+0.5, obj.Decl-0.5, obj.Decl+0.5, 30+float64(i)*1e-6),
+			fmt.Sprintf("SELECT COUNT(*), SUM(ra_PS * %d) FROM Object WHERE fluxToAbMag(rFlux_PS) < %.3f", i+2, 24+float64(i)/4),
+			fmt.Sprintf("SELECT objectId + %d, ra_PS FROM Object WHERE decl_PS > %d ORDER BY ra_PS, objectId LIMIT 5", i, i-3),
+		)
+	}
+	first := map[string]*Result{}
+	for pass := range 2 {
+		for _, sql := range stmts {
+			got, err := cl.Query(sql)
+			if err != nil {
+				t.Fatalf("pass %d: %s: %v", pass, sql, err)
+			}
+			want, err := oracle.Query(sql)
+			if err != nil {
+				t.Fatalf("oracle: %s: %v", sql, err)
+			}
+			label := fmt.Sprintf("pass %d: %s", pass, sql)
+			sameAnswer(t, got, want, label)
+			if pass == 0 {
+				first[sql] = got
+				continue
+			}
+			sameAnswer(t, got, first[sql], label+" (against pass 0)")
+			if !slices.Equal(got.Cols, first[sql].Cols) {
+				t.Errorf("%s: columns %q, pass 0 %q", label, got.Cols, first[sql].Cols)
+			}
+		}
+	}
+}
